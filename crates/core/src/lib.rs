@@ -51,8 +51,8 @@ pub use convolution::{
 };
 pub use observables::{Observables, SpectralData};
 pub use scba::{
-    g_step_batch, g_step_energy, g_step_finish, mix_sigma_energy, w_step_batch, w_step_energy,
-    GStepOutput, KernelTimings, ScbaConfig, ScbaResult, ScbaSolver, WStepOutput,
+    g_step_batch, g_step_finish, kernel_chunks, mix_sigma_energy, w_step_batch, GStepOutput,
+    KernelTimings, ScbaConfig, ScbaResult, ScbaSolver, WStepOutput,
 };
 
 pub use quatrex_device::Device;

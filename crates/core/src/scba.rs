@@ -19,6 +19,7 @@
 //! the paper's Table 4.
 
 use quatrex_probe::clock::Instant;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -27,10 +28,7 @@ use rayon::prelude::*;
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_obc::{ObcMemoizer, ObcMode};
-use quatrex_rgf::{
-    rgf_solve_batch_into, rgf_solve_scratch, RgfBatchScratch, RgfError, RgfScratch,
-    SelectedSolution,
-};
+use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::assembly::{assemble_g, assemble_w, ObcMethod};
@@ -101,8 +99,8 @@ impl KernelTimings {
     }
 }
 
-/// Output of one per-energy G-step: the selected Green's function blocks and
-/// the spectral quantities derived from them.
+/// Output of the G-step at one energy point: the selected Green's function
+/// blocks and the spectral quantities derived from them.
 pub struct GStepOutput {
     /// Selected blocks of `G^R`.
     pub retarded: BlockTridiagonal,
@@ -114,72 +112,16 @@ pub struct GStepOutput {
     pub current_spectrum: f64,
     /// Local density of states per transport cell.
     pub dos_local: Vec<f64>,
-}
-
-/// Run the G-step for a single energy point: assembly (with OBCs), RGF solve,
-/// symmetrisation and spectral observables.
-///
-/// Both the single-process [`ScbaSolver`] and the distributed
-/// `quatrex_dist::DistScbaSolver` drive their energy loops through this one
-/// function, so their per-energy numerics are identical by construction.
-#[allow(clippy::too_many_arguments)]
-pub fn g_step_energy(
-    h: &BlockTridiagonal,
-    energy: f64,
-    energy_index: usize,
-    config: &ScbaConfig,
-    kt: f64,
-    sigma_r: Option<&BlockTridiagonal>,
-    sigma_lesser: Option<&BlockTridiagonal>,
-    sigma_greater: Option<&BlockTridiagonal>,
-    memoizer: Option<&mut ObcMemoizer>,
-    scratch: &mut RgfScratch,
-    flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> Result<GStepOutput, RgfError> {
-    let t0 = Instant::now();
-    let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
-        assemble_g(
-            h,
-            energy,
-            config.eta,
-            energy_index,
-            sigma_r,
-            sigma_lesser,
-            sigma_greater,
-            config.mu_left,
-            config.mu_right,
-            kt,
-            config.obc_method_g,
-            memoizer,
-            flops,
-        )
-    });
-    timings.add(&timings.g_assembly_ns, t0);
-
-    let t1 = Instant::now();
-    let sol = quatrex_probe::span("g.rgf", "g.rgf", || {
-        rgf_solve_scratch(&asm.system, &[&asm.rhs_lesser, &asm.rhs_greater], scratch)
-    })?;
-    flops.add(FlopKind::GRgf, sol.flops);
-    timings.add(&timings.g_rgf_ns, t1);
-
-    let mut lesser = sol.lesser.into_iter();
-    let g_lesser = lesser.next().expect("lesser RHS solved");
-    let g_greater = lesser.next().expect("greater RHS solved");
-    Ok(g_step_finish(
-        &asm.sigma_obc_left_lesser,
-        &asm.sigma_obc_left_greater,
-        sol.retarded,
-        g_lesser,
-        g_greater,
-        config,
-    ))
+    /// Wall seconds this energy cost: its own assembly plus an equal share
+    /// of the batched RGF solve it was part of (the per-energy work inside
+    /// one batch is identical by construction). The measured cost weight of
+    /// the distributed energy rebalancer; `0` out of [`g_step_finish`].
+    pub seconds: f64,
 }
 
 /// Finish one per-energy G-step from the left-contact OBC blocks of its
 /// assembly and the selected RGF solution: symmetrisation and the spectral
-/// observables. Split out of [`g_step_energy`] so a solver that routes the
+/// observables. Split out of [`g_step_batch`] so a solver that routes the
 /// RGF solve elsewhere (e.g. the spatially decomposed `quatrex_dist` driver
 /// with `P_S > 1`) applies the exact same tail arithmetic.
 pub fn g_step_finish(
@@ -207,10 +149,11 @@ pub fn g_step_finish(
         greater,
         current_spectrum,
         dos_local,
+        seconds: 0.0,
     }
 }
 
-/// Output of one per-energy W-step.
+/// Output of the W-step at one (boson) energy point.
 pub struct WStepOutput {
     /// Selected blocks of `W^<` (symmetrised if configured).
     pub lesser: BlockTridiagonal,
@@ -218,64 +161,47 @@ pub struct WStepOutput {
     pub greater: BlockTridiagonal,
     /// Fraction of banded-product weight dropped by the BT truncation.
     pub truncation: f64,
+    /// Wall seconds this energy cost (assembly + equal share of the batched
+    /// solve), as [`GStepOutput::seconds`].
+    pub seconds: f64,
 }
 
-/// Run the W-step for a single (boson) energy point: assembly of
-/// `I − V·P^R` with its OBCs, RGF solve and symmetrisation. Shared between
-/// the single-process and distributed drivers like [`g_step_energy`].
-#[allow(clippy::too_many_arguments)]
-pub fn w_step_energy(
-    coulomb: &BlockTridiagonal,
-    p_retarded: &BlockTridiagonal,
-    p_lesser: &BlockTridiagonal,
-    p_greater: &BlockTridiagonal,
-    energy_index: usize,
-    config: &ScbaConfig,
-    memoizer: Option<&mut ObcMemoizer>,
-    scratch: &mut RgfScratch,
-    flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> Result<WStepOutput, RgfError> {
-    let t0 = Instant::now();
-    let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
-        assemble_w(
-            coulomb,
-            p_retarded,
-            p_lesser,
-            p_greater,
-            energy_index,
-            config.obc_method_w,
-            memoizer,
-            flops,
-        )
-    });
-    timings.add(&timings.w_assembly_ns, t0);
+/// Cut an energy range into consecutive kernel chunks of at most
+/// `kernel_batch` energies (clamped to ≥ 1, so `0` means `1`): the unit one
+/// [`g_step_batch`] / [`w_step_batch`] call works on. Both SCBA drivers chunk
+/// through this one function.
+pub fn kernel_chunks(
+    range: Range<usize>,
+    kernel_batch: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let kb = kernel_batch.max(1);
+    let end = range.end;
+    range.step_by(kb).map(move |s| s..(s + kb).min(end))
+}
 
-    let t1 = Instant::now();
-    let sol = quatrex_probe::span("w.rgf", "w.rgf", || {
-        rgf_solve_scratch(&asm.system, &[&asm.rhs_lesser, &asm.rhs_greater], scratch)
-    })?;
-    flops.add(FlopKind::WRgf, sol.flops);
-    timings.add(&timings.w_rgf_ns, t1);
-    let mut lesser = sol.lesser[0].clone();
-    let mut greater = sol.lesser[1].clone();
-    if config.enforce_symmetry {
-        lesser.symmetrize_negf();
-        greater.symmetrize_negf();
-    }
-    Ok(WStepOutput {
-        lesser,
-        greater,
-        truncation: asm.truncation_error,
-    })
+/// The memoizer serving batch member `i`: one per energy (the sequential
+/// driver, whose chunks run on different threads), or a single cache shared
+/// by the whole batch (the per-rank memoizer of the distributed driver; its
+/// keys carry the energy index).
+fn memoizer_of<'a>(
+    memoizers: &'a mut [Option<&mut ObcMemoizer>],
+    i: usize,
+) -> Option<&'a mut ObcMemoizer> {
+    let slot = if memoizers.len() == 1 { 0 } else { i };
+    memoizers[slot].as_deref_mut()
 }
 
 /// Run the G-step for a batch of energy points: per-energy assembly (OBC
-/// cascade + memoizer, identical to [`g_step_energy`]) followed by **one**
-/// energy-batched RGF solve ([`rgf_solve_batch_into`]) whose block products
-/// run as `gemm_batch` sweeps over the whole batch. Every energy's output is
-/// bit-identical to [`g_step_energy`]; only the kernel launch structure
-/// changes.
+/// cascade + memoizer), **one** energy-batched RGF solve
+/// ([`rgf_solve_batch_into`]) whose block products run as `gemm_batch` sweeps
+/// over the whole batch, then symmetrisation and spectral observables per
+/// energy ([`g_step_finish`]). An energy's output does not depend on the
+/// batch it is solved in (bit for bit), so the batch length is purely a
+/// launch-structure choice; both SCBA drivers run every energy through this
+/// function, which makes their per-energy numerics identical by construction.
+///
+/// `memoizers` holds one entry per energy, or a single entry serving the
+/// whole batch.
 #[allow(clippy::too_many_arguments)]
 pub fn g_step_batch(
     h: &BlockTridiagonal,
@@ -297,14 +223,13 @@ pub fn g_step_batch(
             && sigma_r.len() == bsz
             && sigma_lesser.len() == bsz
             && sigma_greater.len() == bsz
-            && memoizers.len() == bsz,
+            && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
 
     let mut asms = Vec::with_capacity(bsz);
     for i in 0..bsz {
-        let t0 = Instant::now();
-        let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
+        let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
             assemble_g(
                 h,
                 energies[i],
@@ -317,56 +242,59 @@ pub fn g_step_batch(
                 config.mu_right,
                 kt,
                 config.obc_method_g,
-                memoizers[i].as_deref_mut(),
+                memoizer_of(memoizers, i),
                 flops,
             )
         });
-        timings.add(&timings.g_assembly_ns, t0);
-        asms.push(asm);
+        timings.add_seconds(&timings.g_assembly_ns, secs);
+        asms.push((asm, secs));
     }
 
-    let t1 = Instant::now();
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
+    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|(a, _)| &a.system).collect();
     let rhs: Vec<[&BlockTridiagonal; 2]> = asms
         .iter()
-        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
+        .map(|(a, _)| [&a.rhs_lesser, &a.rhs_greater])
         .collect();
     let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
     let mut sols = vec![SelectedSolution::zeros(h.n_blocks(), h.block_size(), 2); bsz];
-    quatrex_probe::span("g.rgf", "g.rgf", || {
+    let (solved, rgf_secs) = quatrex_probe::span_timed("g.rgf", "g.rgf", || {
         rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    })
-    .map_err(|e| e.error)?;
-    for sol in &sols {
-        flops.add(FlopKind::GRgf, sol.flops);
-    }
-    timings.add(&timings.g_rgf_ns, t1);
+    });
+    solved.map_err(|e| e.error)?;
+    timings.add_seconds(&timings.g_rgf_ns, rgf_secs);
+    let rgf_share = rgf_secs / bsz as f64;
 
     Ok(sols
         .into_iter()
-        .zip(asms.iter())
-        .map(|(sol, asm)| {
-            let SelectedSolution {
-                retarded, lesser, ..
-            } = sol;
-            let mut it = lesser.into_iter();
-            let g_lesser = it.next().expect("lesser RHS solved");
-            let g_greater = it.next().expect("greater RHS solved");
-            g_step_finish(
+        .zip(&asms)
+        .map(|(sol, (asm, assembly_secs))| {
+            flops.add(FlopKind::GRgf, sol.flops);
+            let [g_lesser, g_greater] = lesser_greater(sol.lesser);
+            let mut out = g_step_finish(
                 &asm.sigma_obc_left_lesser,
                 &asm.sigma_obc_left_greater,
-                retarded,
+                sol.retarded,
                 g_lesser,
                 g_greater,
                 config,
-            )
+            );
+            out.seconds = assembly_secs + rgf_share;
+            out
         })
         .collect())
 }
 
+/// Move the `[≶ = <, ≶ = >]` pair out of a two-RHS solution.
+fn lesser_greater(lesser: Vec<BlockTridiagonal>) -> [BlockTridiagonal; 2] {
+    lesser
+        .try_into()
+        .expect("the step functions solve exactly the lesser and greater RHS")
+}
+
 /// Run the W-step for a batch of (boson) energy points: per-energy assembly
-/// (identical to [`w_step_energy`]) followed by one energy-batched RGF solve.
-/// Bit-identical per energy to the per-energy path.
+/// of `I − V·P^R` with its OBCs, one energy-batched RGF solve, symmetrisation.
+/// Batch-independent per energy and shared by both drivers like
+/// [`g_step_batch`]; `memoizers` follows the same convention.
 #[allow(clippy::too_many_arguments)]
 pub fn w_step_batch(
     coulomb: &BlockTridiagonal,
@@ -385,14 +313,13 @@ pub fn w_step_batch(
         p_retarded.len() == bsz
             && p_lesser.len() == bsz
             && p_greater.len() == bsz
-            && memoizers.len() == bsz,
+            && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
 
     let mut asms = Vec::with_capacity(bsz);
     for i in 0..bsz {
-        let t0 = Instant::now();
-        let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
+        let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
             assemble_w(
                 coulomb,
                 p_retarded[i],
@@ -400,37 +327,34 @@ pub fn w_step_batch(
                 p_greater[i],
                 energy_indices[i],
                 config.obc_method_w,
-                memoizers[i].as_deref_mut(),
+                memoizer_of(memoizers, i),
                 flops,
             )
         });
-        timings.add(&timings.w_assembly_ns, t0);
-        asms.push(asm);
+        timings.add_seconds(&timings.w_assembly_ns, secs);
+        asms.push((asm, secs));
     }
 
-    let t1 = Instant::now();
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
+    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|(a, _)| &a.system).collect();
     let rhs: Vec<[&BlockTridiagonal; 2]> = asms
         .iter()
-        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
+        .map(|(a, _)| [&a.rhs_lesser, &a.rhs_greater])
         .collect();
     let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
     let mut sols = vec![SelectedSolution::zeros(coulomb.n_blocks(), coulomb.block_size(), 2); bsz];
-    quatrex_probe::span("w.rgf", "w.rgf", || {
+    let (solved, rgf_secs) = quatrex_probe::span_timed("w.rgf", "w.rgf", || {
         rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    })
-    .map_err(|e| e.error)?;
-    for sol in &sols {
-        flops.add(FlopKind::WRgf, sol.flops);
-    }
-    timings.add(&timings.w_rgf_ns, t1);
+    });
+    solved.map_err(|e| e.error)?;
+    timings.add_seconds(&timings.w_rgf_ns, rgf_secs);
+    let rgf_share = rgf_secs / bsz as f64;
 
     Ok(sols
         .into_iter()
-        .zip(asms.iter())
-        .map(|(sol, asm)| {
-            let mut lesser = sol.lesser[0].clone();
-            let mut greater = sol.lesser[1].clone();
+        .zip(&asms)
+        .map(|(sol, (asm, assembly_secs))| {
+            flops.add(FlopKind::WRgf, sol.flops);
+            let [mut lesser, mut greater] = lesser_greater(sol.lesser);
             if config.enforce_symmetry {
                 lesser.symmetrize_negf();
                 greater.symmetrize_negf();
@@ -439,6 +363,7 @@ pub fn w_step_batch(
                 lesser,
                 greater,
                 truncation: asm.truncation_error,
+                seconds: assembly_secs + rgf_share,
             }
         })
         .collect())
@@ -506,11 +431,12 @@ pub struct ScbaConfig {
     /// Strength of the GW self-energy fed back into the G-solver (1.0 = full
     /// scGW; smaller values damp the interaction for difficult bias points).
     pub interaction_scale: f64,
-    /// Number of energy points grouped into one batched RGF kernel call
-    /// ([`g_step_batch`] / [`w_step_batch`]): shared per-call setup is paid
-    /// once per batch and every block product runs as a `gemm_batch` sweep.
-    /// `1` selects the frozen per-energy path ([`g_step_energy`] /
-    /// [`w_step_energy`]); both paths are bit-identical per energy.
+    /// Chunk length of the kernel batches ([`kernel_chunks`]): how many
+    /// energy points share one [`g_step_batch`] / [`w_step_batch`] call, whose
+    /// block products run as `gemm_batch` sweeps over the chunk. A plain
+    /// length, not a path selector — every value runs the same code (`0` is
+    /// clamped to `1`, a batch of one) and produces bit-identical results;
+    /// only launch structure and thread granularity change.
     pub kernel_batch: usize,
 }
 
@@ -643,18 +569,12 @@ impl ScbaSolver {
         let memoizers: Vec<Mutex<ObcMemoizer>> = (0..ne)
             .map(|_| Mutex::new(ObcMemoizer::new(self.config.n_fpi, 1e-7)))
             .collect();
-        // One RGF scratch per energy point: after the first iteration the
-        // per-energy solves run against warmed buffers (zero allocations in
-        // the RGF inner loops).
-        let scratches: Vec<Mutex<RgfScratch>> =
-            (0..ne).map(|_| Mutex::new(RgfScratch::new())).collect();
-        // Kernel-batch decomposition of the energy grid: `kernel_batch`
-        // energies share one batched RGF call (and one warm batch scratch per
-        // chunk). `kernel_batch == 1` keeps the frozen per-energy path.
-        let kb = self.config.kernel_batch.max(1);
-        let chunk_bounds: Vec<(usize, usize)> =
-            (0..ne).step_by(kb).map(|s| (s, (s + kb).min(ne))).collect();
-        let batch_scratches: Vec<Mutex<RgfBatchScratch>> = (0..chunk_bounds.len())
+        // Kernel-batch decomposition of the energy grid: each chunk is one
+        // batched step call on one pool thread, against its own warm scratch
+        // (zero allocations in the RGF inner loops after the first iteration).
+        let chunks: Vec<Range<usize>> = kernel_chunks(0..ne, self.config.kernel_batch).collect();
+        let scratches: Vec<Mutex<RgfBatchScratch>> = chunks
+            .iter()
             .map(|_| Mutex::new(RgfBatchScratch::new()))
             .collect();
 
@@ -667,69 +587,37 @@ impl ScbaSolver {
             iterations += 1;
 
             // ------------------------------------------------------------ G step
-            let g_results: Vec<Result<GStepOutput, RgfError>> = if kb == 1 {
-                (0..ne)
-                    .into_par_iter()
-                    .map(|k| {
-                        let mut memo_guard = if self.config.use_memoizer {
-                            Some(memoizers[k].lock())
-                        } else {
-                            None
-                        };
-                        g_step_energy(
-                            &h,
-                            energies[k],
-                            k,
-                            &self.config,
-                            kt,
-                            Some(&sigma_r[k]),
-                            Some(&sigma_l[k]),
-                            Some(&sigma_g[k]),
-                            memo_guard.as_deref_mut(),
-                            &mut scratches[k].lock(),
-                            &flops,
-                            &timings,
-                        )
-                    })
-                    .collect()
-            } else {
-                chunk_bounds
-                    .clone()
-                    .into_par_iter()
-                    .enumerate()
-                    .map(|(ci, (s, t))| {
-                        let mut guards: Vec<_> = (s..t)
-                            .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
-                            .collect();
-                        let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
-                            guards.iter_mut().map(|g| g.as_deref_mut()).collect();
-                        let idxs: Vec<usize> = (s..t).collect();
-                        let sr: Vec<_> = (s..t).map(|k| Some(&sigma_r[k])).collect();
-                        let sl: Vec<_> = (s..t).map(|k| Some(&sigma_l[k])).collect();
-                        let sg: Vec<_> = (s..t).map(|k| Some(&sigma_g[k])).collect();
-                        match g_step_batch(
-                            &h,
-                            &energies[s..t],
-                            &idxs,
-                            &self.config,
-                            kt,
-                            &sr,
-                            &sl,
-                            &sg,
-                            &mut memo_refs,
-                            &mut batch_scratches[ci].lock(),
-                            &flops,
-                            &timings,
-                        ) {
-                            Ok(outs) => outs.into_iter().map(Ok).collect(),
-                            Err(e) => vec![Err(e)],
-                        }
-                    })
-                    .collect::<Vec<Vec<_>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            };
+            let g_results: Vec<Result<Vec<GStepOutput>, RgfError>> = chunks
+                .clone()
+                .into_par_iter()
+                .enumerate()
+                .map(|(ci, chunk)| {
+                    let mut guards: Vec<_> = chunk
+                        .clone()
+                        .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
+                        .collect();
+                    let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
+                        guards.iter_mut().map(|g| g.as_deref_mut()).collect();
+                    let idxs: Vec<usize> = chunk.clone().collect();
+                    let sr: Vec<_> = sigma_r[chunk.clone()].iter().map(Some).collect();
+                    let sl: Vec<_> = sigma_l[chunk.clone()].iter().map(Some).collect();
+                    let sg: Vec<_> = sigma_g[chunk.clone()].iter().map(Some).collect();
+                    g_step_batch(
+                        &h,
+                        &energies[chunk],
+                        &idxs,
+                        &self.config,
+                        kt,
+                        &sr,
+                        &sl,
+                        &sg,
+                        &mut memo_refs,
+                        &mut scratches[ci].lock(),
+                        &flops,
+                        &timings,
+                    )
+                })
+                .collect();
 
             let mut g_retarded: EnergyResolved = Vec::with_capacity(ne);
             let mut g_lesser: EnergyResolved = Vec::with_capacity(ne);
@@ -737,12 +625,13 @@ impl ScbaSolver {
             let mut current_spectrum = Vec::with_capacity(ne);
             let mut dos_local = Vec::with_capacity(ne);
             for r in g_results {
-                let out = r.expect("RGF solve failed: the system matrix became singular");
-                g_retarded.push(out.retarded);
-                g_lesser.push(out.lesser);
-                g_greater.push(out.greater);
-                current_spectrum.push(out.current_spectrum);
-                dos_local.push(out.dos_local);
+                for out in r.expect("RGF solve failed: the system matrix became singular") {
+                    g_retarded.push(out.retarded);
+                    g_lesser.push(out.lesser);
+                    g_greater.push(out.greater);
+                    current_spectrum.push(out.current_spectrum);
+                    dos_local.push(out.dos_local);
+                }
             }
             let current = integrate_current(&current_spectrum, de);
             current_history.push(current);
@@ -777,72 +666,43 @@ impl ScbaSolver {
             timings.add(&timings.convolution_ns, t2);
 
             // ------------------------------------------------------------ W step
-            let w_results: Vec<Result<WStepOutput, RgfError>> = if kb == 1 {
-                (0..ne)
-                    .into_par_iter()
-                    .map(|k| {
-                        let mut memo_guard = if self.config.use_memoizer {
-                            Some(memoizers[k].lock())
-                        } else {
-                            None
-                        };
-                        w_step_energy(
-                            &v,
-                            &p_retarded[k],
-                            &p_lesser[k],
-                            &p_greater[k],
-                            k,
-                            &self.config,
-                            memo_guard.as_deref_mut(),
-                            &mut scratches[k].lock(),
-                            &flops,
-                            &timings,
-                        )
-                    })
-                    .collect()
-            } else {
-                chunk_bounds
-                    .clone()
-                    .into_par_iter()
-                    .enumerate()
-                    .map(|(ci, (s, t))| {
-                        let mut guards: Vec<_> = (s..t)
-                            .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
-                            .collect();
-                        let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
-                            guards.iter_mut().map(|g| g.as_deref_mut()).collect();
-                        let idxs: Vec<usize> = (s..t).collect();
-                        let pr: Vec<_> = (s..t).map(|k| &p_retarded[k]).collect();
-                        let pl: Vec<_> = (s..t).map(|k| &p_lesser[k]).collect();
-                        let pg: Vec<_> = (s..t).map(|k| &p_greater[k]).collect();
-                        match w_step_batch(
-                            &v,
-                            &pr,
-                            &pl,
-                            &pg,
-                            &idxs,
-                            &self.config,
-                            &mut memo_refs,
-                            &mut batch_scratches[ci].lock(),
-                            &flops,
-                            &timings,
-                        ) {
-                            Ok(outs) => outs.into_iter().map(Ok).collect(),
-                            Err(e) => vec![Err(e)],
-                        }
-                    })
-                    .collect::<Vec<Vec<_>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            };
+            let w_results: Vec<Result<Vec<WStepOutput>, RgfError>> = chunks
+                .clone()
+                .into_par_iter()
+                .enumerate()
+                .map(|(ci, chunk)| {
+                    let mut guards: Vec<_> = chunk
+                        .clone()
+                        .map(|k| self.config.use_memoizer.then(|| memoizers[k].lock()))
+                        .collect();
+                    let mut memo_refs: Vec<Option<&mut ObcMemoizer>> =
+                        guards.iter_mut().map(|g| g.as_deref_mut()).collect();
+                    let idxs: Vec<usize> = chunk.clone().collect();
+                    let pr: Vec<_> = p_retarded[chunk.clone()].iter().collect();
+                    let pl: Vec<_> = p_lesser[chunk.clone()].iter().collect();
+                    let pg: Vec<_> = p_greater[chunk].iter().collect();
+                    w_step_batch(
+                        &v,
+                        &pr,
+                        &pl,
+                        &pg,
+                        &idxs,
+                        &self.config,
+                        &mut memo_refs,
+                        &mut scratches[ci].lock(),
+                        &flops,
+                        &timings,
+                    )
+                })
+                .collect();
             let mut w_lesser: EnergyResolved = Vec::with_capacity(ne);
             let mut w_greater: EnergyResolved = Vec::with_capacity(ne);
             for r in w_results {
-                let out = r.expect("W RGF solve failed");
-                max_truncation = max_truncation.max(out.truncation);
-                w_lesser.push(out.lesser);
-                w_greater.push(out.greater);
+                for out in r.expect("W RGF solve failed") {
+                    max_truncation = max_truncation.max(out.truncation);
+                    w_lesser.push(out.lesser);
+                    w_greater.push(out.greater);
+                }
             }
 
             // ------------------------------------------------------------ Σ step
@@ -1019,43 +879,50 @@ mod tests {
     }
 
     #[test]
-    fn batched_kernel_path_matches_the_per_energy_path_bitwise() {
-        // kernel_batch = 1 is the frozen per-energy reference; a ragged
-        // batching (16 energies in chunks of 5) must reproduce it exactly —
-        // every gemm_batch plane runs the same packing/micro-kernel code as
-        // the per-energy gemm.
-        let mut per_energy_cfg = fast_config(16, 4);
-        per_energy_cfg.kernel_batch = 1;
-        let mut batched_cfg = fast_config(16, 4);
-        batched_cfg.kernel_batch = 5;
-        let reference = ScbaSolver::new(small_device(), per_energy_cfg).run();
-        let batched = ScbaSolver::new(small_device(), batched_cfg).run();
+    fn results_are_bitwise_independent_of_kernel_batch() {
+        // kernel_batch is a chunk length, not a path: a batch of one, a
+        // ragged batching (16 energies in chunks of 5) and the default 8 must
+        // agree exactly — every gemm_batch plane runs the same
+        // packing/micro-kernel code whatever the batch length. 0 is clamped
+        // to 1.
+        let run = |kernel_batch: usize| {
+            let mut cfg = fast_config(16, 4);
+            cfg.kernel_batch = kernel_batch;
+            ScbaSolver::new(small_device(), cfg).run()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let reference = run(1);
+        assert!(reference.iterations >= 2);
+        for kernel_batch in [0usize, 5, 8] {
+            let got = run(kernel_batch);
+            assert_eq!(got.iterations, reference.iterations);
+            assert_eq!(
+                bits(&got.residual_history),
+                bits(&reference.residual_history),
+                "kernel_batch={kernel_batch}: residual history diverged"
+            );
+            assert_eq!(
+                bits(&got.current_history),
+                bits(&reference.current_history),
+                "kernel_batch={kernel_batch}: current history diverged"
+            );
+            assert_eq!(
+                bits(&got.observables.electron_density),
+                bits(&reference.observables.electron_density),
+                "kernel_batch={kernel_batch}: density diverged"
+            );
+            // FLOP totals are structural and identical.
+            assert_eq!(got.flops.total(), reference.flops.total());
+        }
+    }
 
-        assert_eq!(batched.iterations, reference.iterations);
-        for (a, b) in batched
-            .residual_history
-            .iter()
-            .zip(reference.residual_history.iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "residual history diverged");
-        }
-        for (a, b) in batched
-            .current_history
-            .iter()
-            .zip(reference.current_history.iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "current history diverged");
-        }
-        for (a, b) in batched
-            .observables
-            .electron_density
-            .iter()
-            .zip(reference.observables.electron_density.iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "density diverged");
-        }
-        // FLOP totals are structural and identical.
-        assert_eq!(batched.flops.total(), reference.flops.total());
+    #[test]
+    fn kernel_chunks_cover_the_range_and_clamp_zero() {
+        let cut = |r: Range<usize>, kb| kernel_chunks(r, kb).collect::<Vec<_>>();
+        assert_eq!(cut(3..10, 3), vec![3..6, 6..9, 9..10]);
+        assert_eq!(cut(0..2, 8), vec![0..2]);
+        assert_eq!(cut(4..6, 0), vec![4..5, 5..6]);
+        assert!(cut(5..5, 4).is_empty());
     }
 
     #[test]

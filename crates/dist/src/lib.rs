@@ -48,7 +48,7 @@
 //! ## Equivalence with the sequential solver
 //!
 //! Every per-energy and per-element kernel is shared with
-//! `quatrex_core::ScbaSolver` (`g_step_energy`, `w_step_energy`, the
+//! `quatrex_core::ScbaSolver` (`g_step_batch`, `w_step_batch`, the
 //! `*_series` convolution kernels, `mix_sigma_energy`), so
 //! [`DistScbaSolver`] reproduces the sequential observables to well below
 //! `1e-10` relative error at any rank count — see

@@ -29,14 +29,15 @@
 //!    and observables are allreduced.
 //!
 //! Because every per-energy and per-element kernel is the *same function* the
-//! sequential driver calls (`g_step_energy`, `w_step_energy`,
-//! `polarization_series`, `self_energy_series`, `causal_retarded_series`,
-//! `mix_sigma_energy`), the distributed state trajectory matches the
-//! sequential one bit-for-bit at `P_S = 1` except for the allreduce-based
-//! residual and per-iteration current (whose floating-point summation order
-//! differs at machine precision). With `P_S > 1` the nested-dissection solver
-//! introduces an additional `≤1e-12`-relative reordering per solve. The
-//! equivalence tests pin the observables at `≤ 1e-10` relative either way.
+//! sequential driver calls (`g_step_batch`, `w_step_batch` over
+//! `kernel_chunks` of the owned energies, `polarization_series`,
+//! `self_energy_series`, `causal_retarded_series`, `mix_sigma_energy`), the
+//! distributed state trajectory matches the sequential one bit-for-bit at
+//! `P_S = 1` except for the allreduce-based residual and per-iteration
+//! current (whose floating-point summation order differs at machine
+//! precision). With `P_S > 1` the nested-dissection solver introduces an
+//! additional `≤1e-12`-relative reordering per solve. The equivalence tests
+//! pin the observables at `≤ 1e-10` relative either way.
 
 use quatrex_probe::clock::Instant;
 use std::collections::VecDeque;
@@ -48,7 +49,8 @@ use quatrex_core::convolution::{
 };
 use quatrex_core::observables::{integrate_current, Observables, SpectralData};
 use quatrex_core::scba::{
-    g_step_energy, g_step_finish, mix_sigma_energy, w_step_energy, KernelTimings, ScbaConfig,
+    g_step_batch, g_step_finish, kernel_chunks, mix_sigma_energy, w_step_batch, GStepOutput,
+    KernelTimings, ScbaConfig,
 };
 use quatrex_device::{thermal_energy_ev, Device, DeviceParams, EnergyGrid};
 use quatrex_linalg::c64;
@@ -57,8 +59,8 @@ use quatrex_linalg::CMatrix;
 use quatrex_obc::ObcMemoizer;
 use quatrex_probe::{RankTrace, Timeline};
 use quatrex_rgf::{
-    partition_layout_balanced, probe_partition_flops, rgf_solve_batch_into, separator_blocks,
-    spatial_partition_layout, RgfBatchScratch, RgfScratch, SelectedSolution, SpatialPartition,
+    partition_layout_balanced, probe_partition_flops, separator_blocks, spatial_partition_layout,
+    RgfBatchScratch, SpatialPartition,
 };
 use quatrex_runtime::{
     CommHandle, CommPhase, CommStats, DecompositionPlan, RankContext, ThreadComm,
@@ -778,14 +780,12 @@ struct ProbeMetrics {
 
 /// Join the probe's per-category wall seconds with the [`FlopCounter`]
 /// accounting into measured FLOP/s per phase. Only phases with nonzero
-/// seconds *and* nonzero FLOPs appear; the per-subsystem RGF entries come
-/// from the `g.rgf`/`w.rgf` categories at `P_S = 1` when `kernel_batch = 1`,
-/// or the `g.rgf.batch`/`w.rgf.batch` categories when the energy-batched
-/// kernel path runs (the two paths are mutually exclusive per run, so the
-/// batched rate is visibly attributed to batched work), while the cooperative
-/// spatial solves (`P_S > 1`) report one combined `spatial.rgf` rate (the
-/// partition eliminations/recoveries and the reduced systems serve both
-/// subsystems and cannot be split by category).
+/// seconds *and* nonzero FLOPs appear. At `P_S = 1` each subsystem's RGF work
+/// is one category (`g.rgf` / `w.rgf`, the spans of the shared step
+/// functions, at any `kernel_batch`); the cooperative spatial solves
+/// (`P_S > 1`) report one combined `spatial.rgf` rate (the partition
+/// eliminations/recoveries and the reduced systems serve both subsystems and
+/// cannot be split by category).
 fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec<(String, f64)> {
     let secs = |cats: &[&str]| -> f64 {
         phase_seconds
@@ -806,22 +806,12 @@ fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec
         secs(&["g.assembly"]),
     );
     push("g.rgf", flops.get(FlopKind::GRgf), secs(&["g.rgf"]));
-    push(
-        "g.rgf.batch",
-        flops.get(FlopKind::GRgf),
-        secs(&["g.rgf.batch"]),
-    );
     let w_assembly = flops.get(FlopKind::WBeyn)
         + flops.get(FlopKind::WLyapunov)
         + flops.get(FlopKind::WAssemblyLhs)
         + flops.get(FlopKind::WAssemblyRhs);
     push("w.assembly", w_assembly, secs(&["w.assembly"]));
     push("w.rgf", flops.get(FlopKind::WRgf), secs(&["w.rgf"]));
-    push(
-        "w.rgf.batch",
-        flops.get(FlopKind::WRgf),
-        secs(&["w.rgf.batch"]),
-    );
     push(
         "convolution",
         flops.get(FlopKind::Convolution),
@@ -1260,13 +1250,10 @@ fn rank_main(
     } else {
         None
     };
-    // Per-rank RGF scratch: all owned energies share one transport-cell
-    // shape, so the buffers stay warm across energies and iterations.
-    let mut rgf_scratch = RgfScratch::new();
-    // Batch scratch of the energy-batched kernel path (`cfg.kernel_batch > 1`
-    // with `P_S = 1`): staged operand batches and the batch arena stay warm
-    // across kernel batches and iterations.
-    let mut rgf_batch_scratch = RgfBatchScratch::new();
+    // Per-rank RGF scratch of the `P_S = 1` step calls: all owned energies
+    // share one transport-cell shape, so the staged operand batches and the
+    // batch arena stay warm across kernel batches and iterations.
+    let mut rgf_scratch = RgfBatchScratch::new();
 
     // Scattering self-energies for the owned energies (energy-major, held by
     // the group leader; non-leaders carry no per-energy state).
@@ -1341,116 +1328,45 @@ fn rank_main(
         local_spectrum = Vec::with_capacity(n_state);
         local_dos = Vec::with_capacity(n_state);
         local_traces = Vec::with_capacity(n_state);
-        if p_s == 1 && cfg.kernel_batch <= 1 {
-            for (k_local, k) in my_e.clone().enumerate() {
-                // One span per owned energy; its measured duration doubles as
-                // the rebalancer's cost weight (same clock as the trace).
-                let (out, secs) = quatrex_probe::span_timed("scba.g.energy", "g.energy", || {
-                    g_step_energy(
+        let mut keep_g = |out: GStepOutput| {
+            local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
+            g_lesser.push(out.lesser);
+            g_greater.push(out.greater);
+            local_spectrum.push(out.current_spectrum);
+            local_dos.push(out.dos_local);
+        };
+        if p_s == 1 {
+            // The step function of the sequential driver, one call per kernel
+            // chunk. Chunks are cut inside the transposition batches — a
+            // kernel batch never straddles a batch boundary, so the data a
+            // solve produces is exactly the data the next pipelined
+            // transposition ships.
+            for lr in &batch_plan.local_ranges[group] {
+                for chunk in kernel_chunks(lr.clone(), cfg.kernel_batch) {
+                    let owned = my_e.start + chunk.start..my_e.start + chunk.end;
+                    let idxs: Vec<usize> = owned.clone().collect();
+                    let sr: Vec<_> = sigma_r[chunk.clone()].iter().map(Some).collect();
+                    let sl: Vec<_> = sigma_l[chunk.clone()].iter().map(Some).collect();
+                    let sg: Vec<_> = sigma_g[chunk.clone()].iter().map(Some).collect();
+                    let outs = g_step_batch(
                         h,
-                        energies[k],
-                        k,
+                        &energies[owned],
+                        &idxs,
                         cfg,
                         kt,
-                        Some(&sigma_r[k_local]),
-                        Some(&sigma_l[k_local]),
-                        Some(&sigma_g[k_local]),
-                        memoizer.as_mut(),
+                        &sr,
+                        &sl,
+                        &sg,
+                        &mut [memoizer.as_mut()],
                         &mut rgf_scratch,
                         flops,
                         timings,
                     )
-                });
-                let out = out.expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-                energy_seconds[k_local] += secs;
-                local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
-                g_lesser.push(out.lesser);
-                g_greater.push(out.greater);
-                local_spectrum.push(out.current_spectrum);
-                local_dos.push(out.dos_local);
-            }
-        } else if p_s == 1 {
-            // Energy-batched kernel path: assembly stays per energy (the OBC
-            // cascade and memoizer are sequential per rank), the RGF solves
-            // run batched. Kernel batches are aligned with the transposition
-            // batches — a kernel batch never straddles a batch boundary, so
-            // the data a solve produces is exactly the data the next
-            // pipelined transposition ships.
-            for b in 0..batch_plan.n_batches {
-                let lr = batch_plan.local_ranges[group][b].clone();
-                let mut s = lr.start;
-                while s < lr.end {
-                    let t = (s + cfg.kernel_batch).min(lr.end);
-                    let mut asms = Vec::with_capacity(t - s);
-                    for k_local in s..t {
-                        let k = my_e.start + k_local;
-                        let (asm, secs) =
-                            quatrex_probe::span_timed("g.assembly", "g.assembly", || {
-                                assemble_g(
-                                    h,
-                                    energies[k],
-                                    cfg.eta,
-                                    k,
-                                    Some(&sigma_r[k_local]),
-                                    Some(&sigma_l[k_local]),
-                                    Some(&sigma_g[k_local]),
-                                    cfg.mu_left,
-                                    cfg.mu_right,
-                                    kt,
-                                    cfg.obc_method_g,
-                                    memoizer.as_mut(),
-                                    flops,
-                                )
-                            });
-                        timings.add_seconds(&timings.g_assembly_ns, secs);
-                        energy_seconds[k_local] += secs;
-                        asms.push(asm);
+                    .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
+                    for (k_local, out) in chunk.zip(outs) {
+                        energy_seconds[k_local] += out.seconds;
+                        keep_g(out);
                     }
-                    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-                    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-                        .iter()
-                        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-                        .collect();
-                    let rhs_slices: Vec<&[&BlockTridiagonal]> =
-                        rhs.iter().map(|r| r.as_slice()).collect();
-                    let mut sols = vec![SelectedSolution::zeros(nb, bs, 2); t - s];
-                    let (res, secs) =
-                        quatrex_probe::span_timed("scba.g.rgf.batch", "g.rgf.batch", || {
-                            rgf_solve_batch_into(
-                                &systems,
-                                &rhs_slices,
-                                &mut sols,
-                                &mut rgf_batch_scratch,
-                            )
-                        });
-                    res.expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-                    timings.add_seconds(&timings.g_rgf_ns, secs);
-                    // The batched solve is one span; its cost is split evenly
-                    // across the batch for the rebalancer's weights (the
-                    // per-energy work inside one batch is identical by
-                    // construction).
-                    let per_energy = secs / (t - s) as f64;
-                    for (j, sol) in sols.into_iter().enumerate() {
-                        flops.add(FlopKind::GRgf, sol.flops);
-                        energy_seconds[s + j] += per_energy;
-                        let mut lessers = sol.lesser.into_iter();
-                        let gl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let gg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let out = g_step_finish(
-                            &asms[j].sigma_obc_left_lesser,
-                            &asms[j].sigma_obc_left_greater,
-                            sol.retarded,
-                            gl,
-                            gg,
-                            cfg,
-                        );
-                        local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
-                        g_lesser.push(out.lesser);
-                        g_greater.push(out.greater);
-                        local_spectrum.push(out.current_spectrum);
-                        local_dos.push(out.dos_local);
-                    }
-                    s = t;
                 }
             }
         } else {
@@ -1502,19 +1418,14 @@ fn rank_main(
                 let mut lessers = sol.lesser.into_iter();
                 let gl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
                 let gg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                let out = g_step_finish(
+                keep_g(g_step_finish(
                     &obc_left[k_local].0,
                     &obc_left[k_local].1,
                     sol.retarded,
                     gl,
                     gg,
                     cfg,
-                );
-                local_traces.push((0..nb).map(|i| out.lesser.diag(i).trace()).collect());
-                g_lesser.push(out.lesser);
-                g_greater.push(out.greater);
-                local_spectrum.push(out.current_spectrum);
-                local_dos.push(out.dos_local);
+                ));
             }
         }
 
@@ -1629,91 +1540,34 @@ fn rank_main(
         let mut w_lesser = Vec::with_capacity(n_state);
         let mut w_greater = Vec::with_capacity(n_state);
         let mut local_trunc = 0.0f64;
-        if p_s == 1 && cfg.kernel_batch <= 1 {
-            for (k_local, k) in my_e.clone().enumerate() {
-                let (out, secs) = quatrex_probe::span_timed("scba.w.energy", "w.energy", || {
-                    w_step_energy(
+        if p_s == 1 {
+            // Kernel chunks inside the transposition batches, like the G step.
+            for lr in &batch_plan.local_ranges[group] {
+                for chunk in kernel_chunks(lr.clone(), cfg.kernel_batch) {
+                    let idxs: Vec<usize> =
+                        (my_e.start + chunk.start..my_e.start + chunk.end).collect();
+                    let pr: Vec<_> = p_retarded[chunk.clone()].iter().collect();
+                    let pl: Vec<_> = p_lesser[chunk.clone()].iter().collect();
+                    let pg: Vec<_> = p_greater[chunk.clone()].iter().collect();
+                    let outs = w_step_batch(
                         v,
-                        &p_retarded[k_local],
-                        &p_lesser[k_local],
-                        &p_greater[k_local],
-                        k,
+                        &pr,
+                        &pl,
+                        &pg,
+                        &idxs,
                         cfg,
-                        memoizer.as_mut(),
+                        &mut [memoizer.as_mut()],
                         &mut rgf_scratch,
                         flops,
                         timings,
                     )
-                });
-                let out = out.expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
-                energy_seconds[k_local] += secs;
-                local_trunc = local_trunc.max(out.truncation);
-                w_lesser.push(out.lesser);
-                w_greater.push(out.greater);
-            }
-        } else if p_s == 1 {
-            // Energy-batched W solves, aligned with the transposition batches
-            // like the G step.
-            for b in 0..batch_plan.n_batches {
-                let lr = batch_plan.local_ranges[group][b].clone();
-                let mut s = lr.start;
-                while s < lr.end {
-                    let t = (s + cfg.kernel_batch).min(lr.end);
-                    let mut asms = Vec::with_capacity(t - s);
-                    for k_local in s..t {
-                        let k = my_e.start + k_local;
-                        let (asm, secs) =
-                            quatrex_probe::span_timed("w.assembly", "w.assembly", || {
-                                assemble_w(
-                                    v,
-                                    &p_retarded[k_local],
-                                    &p_lesser[k_local],
-                                    &p_greater[k_local],
-                                    k,
-                                    cfg.obc_method_w,
-                                    memoizer.as_mut(),
-                                    flops,
-                                )
-                            });
-                        timings.add_seconds(&timings.w_assembly_ns, secs);
-                        energy_seconds[k_local] += secs;
-                        local_trunc = local_trunc.max(asm.truncation_error);
-                        asms.push(asm);
+                    .expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
+                    for (k_local, out) in chunk.zip(outs) {
+                        energy_seconds[k_local] += out.seconds;
+                        local_trunc = local_trunc.max(out.truncation);
+                        w_lesser.push(out.lesser);
+                        w_greater.push(out.greater);
                     }
-                    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|a| &a.system).collect();
-                    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-                        .iter()
-                        .map(|a| [&a.rhs_lesser, &a.rhs_greater])
-                        .collect();
-                    let rhs_slices: Vec<&[&BlockTridiagonal]> =
-                        rhs.iter().map(|r| r.as_slice()).collect();
-                    let mut sols = vec![SelectedSolution::zeros(nb, bs, 2); t - s];
-                    let (res, secs) =
-                        quatrex_probe::span_timed("scba.w.rgf.batch", "w.rgf.batch", || {
-                            rgf_solve_batch_into(
-                                &systems,
-                                &rhs_slices,
-                                &mut sols,
-                                &mut rgf_batch_scratch,
-                            )
-                        });
-                    res.expect("W RGF solve failed"); // lint:allow(no-unwrap): a singular W system is a fatal numeric error
-                    timings.add_seconds(&timings.w_rgf_ns, secs);
-                    let per_energy = secs / (t - s) as f64;
-                    for (j, sol) in sols.into_iter().enumerate() {
-                        flops.add(FlopKind::WRgf, sol.flops);
-                        energy_seconds[s + j] += per_energy;
-                        let mut lessers = sol.lesser.into_iter();
-                        let mut wl = lessers.next().expect("lesser solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        let mut wg = lessers.next().expect("greater solved"); // lint:allow(no-unwrap): rgf_solve returns one grid per requested RHS
-                        if cfg.enforce_symmetry {
-                            wl.symmetrize_negf();
-                            wg.symmetrize_negf();
-                        }
-                        w_lesser.push(wl);
-                        w_greater.push(wg);
-                    }
-                    s = t;
                 }
             }
         } else {

@@ -109,47 +109,47 @@ fn timeline_covers_every_rank_and_transposition() {
 }
 
 #[test]
-fn batched_kernel_path_is_probe_attributed() {
-    // P_S = 1 with kernel batching at its default: the batched RGF solves
-    // must be traced under their own phase categories and the gemm_batch
-    // counters must flow through the rank traces, so the report's FLOP rates
-    // visibly attribute the work to the batched path.
-    let result = DistScbaSolver::new(device(), DistScbaConfig::new(scba(8, 2), 4)).run();
-    let tl = &result.timeline;
-    let calls = tl.counter_total("gemm_batch.calls");
-    assert!(calls > 0, "batched kernels counted");
-    assert!(
-        tl.counter_total("gemm_batch.planes") >= calls,
-        "every batched call sweeps at least one plane"
-    );
-    let batch_spans: usize = tl
-        .ranks
-        .iter()
-        .map(|r| {
-            r.spans
+fn each_step_has_one_rgf_category_at_any_kernel_batch() {
+    // P_S = 1: both steps go through the shared step functions, so whatever
+    // the chunk length each subsystem's RGF work is traced under exactly one
+    // phase category, the gemm_batch counters flow through the rank traces,
+    // and the report's FLOP rates carry one RGF row per step.
+    for kernel_batch in [1usize, 3, 8] {
+        let mut cfg = scba(8, 2);
+        cfg.kernel_batch = kernel_batch;
+        let result = DistScbaSolver::new(device(), DistScbaConfig::new(cfg, 4)).run();
+        let tl = &result.timeline;
+        let calls = tl.counter_total("gemm_batch.calls");
+        assert!(calls > 0, "batched kernels counted");
+        assert!(
+            tl.counter_total("gemm_batch.planes") >= calls,
+            "every batched call sweeps at least one plane"
+        );
+        for step in ["g", "w"] {
+            let rgf_cats: std::collections::BTreeSet<&str> = tl
+                .ranks
                 .iter()
-                .filter(|s| s.name == "scba.g.rgf.batch" || s.name == "scba.w.rgf.batch")
-                .count()
-        })
-        .sum();
-    assert!(batch_spans > 0, "batched kernel solves traced");
-    let has = |rates: &[(String, f64)], p: &str| rates.iter().any(|(c, _)| c == p);
-    let rates = &result.report.phase_flop_rates;
-    assert!(has(rates, "g.rgf.batch"), "batched G rate reported");
-    assert!(has(rates, "w.rgf.batch"), "batched W rate reported");
-    assert!(
-        !has(rates, "g.rgf") && !has(rates, "w.rgf"),
-        "no per-energy RGF work in a batched run"
-    );
-
-    // `kernel_batch = 1` freezes the per-energy path: the same FLOPs are
-    // attributed to the plain categories and no batched span exists.
-    let mut frozen_cfg = scba(8, 2);
-    frozen_cfg.kernel_batch = 1;
-    let frozen = DistScbaSolver::new(device(), DistScbaConfig::new(frozen_cfg, 4)).run();
-    let rates = &frozen.report.phase_flop_rates;
-    assert!(has(rates, "g.rgf") && has(rates, "w.rgf"));
-    assert!(!has(rates, "g.rgf.batch") && !has(rates, "w.rgf.batch"));
+                .flat_map(|r| r.spans.iter())
+                .map(|s| s.cat)
+                .filter(|c| c.starts_with(step) && c.contains("rgf"))
+                .collect();
+            assert_eq!(
+                rgf_cats.into_iter().collect::<Vec<_>>(),
+                vec![format!("{step}.rgf")],
+                "kernel_batch={kernel_batch}: one RGF span category for the {step} step"
+            );
+            let rgf_rates = result
+                .report
+                .phase_flop_rates
+                .iter()
+                .filter(|(c, _)| c.starts_with(step) && c.contains("rgf"))
+                .count();
+            assert_eq!(
+                rgf_rates, 1,
+                "kernel_batch={kernel_batch}: one {step} RGF rate"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,20 +1,22 @@
-//! Energy-batched retarded surface-function iterations.
+//! The retarded surface-function iterations, batched over energies.
 //!
-//! The fixed-point and Sancho–Rubio iterations of [`crate::retarded`] run the
-//! same block products at every energy — only the operand *values* differ. The
-//! batched solvers here stage the per-energy `(m, n, n')` blocks into
+//! The fixed-point and Sancho–Rubio iterations (see [`crate::retarded`] for
+//! the equation they solve) run the same block products at every energy —
+//! only the operand *values* differ. The solvers here are their one
+//! implementation: they stage the per-energy `(m, n, n')` blocks into
 //! energy-major [`MatrixBatch`]es and run each iteration as a handful of
 //! [`gemm_batch`] / [`invert_batch_into`] calls over the whole energy set.
+//! [`crate::retarded::fixed_point`] and [`crate::retarded::sancho_rubio`] are
+//! these solvers at one energy.
 //!
 //! Energies converge at different iteration counts, so the solvers keep an
 //! **active list with swap-compaction**: the state batches are ordered so the
 //! still-iterating energies form a contiguous prefix; when an energy converges
 //! (or fails) its planes are swapped to the tail and the prefix shrinks, and
-//! every subsequent batched call sweeps only the live planes. Because each
-//! plane runs through the identical packing/micro-kernel/LU code paths as the
-//! scalar solvers, every energy's surface function, iteration count, residual
-//! and FLOP count are **bit-identical** to calling [`crate::retarded::fixed_point`]
-//! or [`crate::retarded::sancho_rubio`] per energy.
+//! every subsequent batched call sweeps only the live planes. Planes are
+//! independent and run the same packing/micro-kernel/LU code at any batch
+//! length, so an energy's surface function, iteration count, residual and
+//! FLOP count are **bit-identical** whichever batch it is solved in.
 
 use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch};
 use quatrex_linalg::lu::{inverse, inverse_flops, LuScratch};
@@ -95,15 +97,14 @@ fn stage(dst: &mut MatrixBatch, planes: &[&CMatrix]) {
     }
 }
 
-/// Batched plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` over an
-/// energy set (paper Eq. (5)); the energy-batched form of
-/// [`crate::retarded::fixed_point`].
+/// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` over an energy
+/// set (paper Eq. (5)).
 ///
 /// `x0s[e]` is energy `e`'s initial guess (`None` → cold start from `m⁻¹`).
 /// Returns one per-energy result; a singular or non-converged energy fails
-/// alone without disturbing the others. Every returned solution is
-/// bit-identical (surface function, iterations, residual, FLOPs) to the
-/// scalar solver run at that energy.
+/// alone without disturbing the others, and every returned solution (surface
+/// function, iterations, residual, FLOPs) is independent of the batch it was
+/// solved in.
 pub fn fixed_point_batch(
     ms: &[&CMatrix],
     ns: &[&CMatrix],
@@ -197,9 +198,9 @@ pub fn fixed_point_batch(
             ONE,
         );
         if let Err((p, _)) = invert_batch_into(&mut scratch.lu, &rhs, &mut x_next) {
-            // The scalar solver would return `Singular` for this energy at
-            // this iteration; retire it and recompute the surviving prefix
-            // (bit-identical — the surviving operands are unchanged).
+            // This energy is `Singular` at this iteration; retire it and
+            // recompute the surviving prefix (bit-identical — the surviving
+            // operands are unchanged).
             out[active.idx[p]] = Some(Err(ObcError::Singular));
             let last = active.retire(p);
             flops.swap(p, last);
@@ -261,9 +262,9 @@ pub fn fixed_point_batch(
         .collect()
 }
 
-/// Batched Sancho–Rubio decimation over an energy set; the energy-batched form
-/// of [`crate::retarded::sancho_rubio`], with the same active-list compaction
-/// and bit-for-bit per-energy results.
+/// Sancho–Rubio decimation over an energy set, with the same active-list
+/// compaction and batch-independent per-energy results as
+/// [`fixed_point_batch`].
 pub fn sancho_rubio_batch(
     ms: &[&CMatrix],
     ns: &[&CMatrix],
@@ -371,8 +372,8 @@ pub fn sancho_rubio_batch(
             BatchOp::Each(OpKind::None, &beta),
             ZERO,
         );
-        // eps_s -= agb ; eps -= agb + bga — prefix-only elementwise updates
-        // (the exact complex subtraction of the scalar path).
+        // eps_s -= agb ; eps -= agb, then eps -= bga — prefix-only
+        // elementwise updates, in this order.
         let pl = eps.plane_len();
         for (d, s) in eps_s.as_mut_slice()[..na * pl]
             .iter_mut()
@@ -407,7 +408,7 @@ pub fn sancho_rubio_batch(
             if an < tol && bn < tol {
                 let e = active.idx[i];
                 // Converged: the surface function is eps_s⁻¹; residual checked
-                // against the original (m, n, n') exactly as the scalar path.
+                // against the original (m, n, n').
                 flops[i] += inverse_flops(dim);
                 out[e] = Some(match inverse(&eps_s.plane_matrix(i)) {
                     Ok(x) => {
@@ -454,7 +455,7 @@ mod tests {
     use crate::retarded::{fixed_point, sancho_rubio};
     use quatrex_linalg::cplx;
 
-    /// The lead problem of the scalar solver tests, made energy-dependent.
+    /// The lead problem of the `retarded` tests, made energy-dependent.
     fn lead_problem(dim: usize, e: f64, eta: f64) -> (CMatrix, CMatrix, CMatrix) {
         let h0 = CMatrix::from_fn(dim, dim, |i, j| {
             if i == j {
@@ -502,8 +503,11 @@ mod tests {
         assert_eq!(got.flops, want.flops, "{tag}: FLOPs differ");
     }
 
+    // `fixed_point` / `sancho_rubio` are the batch of one, so every
+    // comparison below is batch-of-N against batch-of-one, bitwise.
+
     #[test]
-    fn batched_fixed_point_is_bit_identical_per_energy() {
+    fn fixed_point_is_batch_size_independent() {
         // Energies far outside the band, where cold-start fixed-point
         // converges — at different rates, exercising the active-list
         // compaction.
@@ -517,6 +521,8 @@ mod tests {
             let want = fixed_point(m, n, np, None, 1e-10, 2000).unwrap();
             iteration_counts.insert(want.iterations);
             assert_same(got[e].as_ref().unwrap(), &want, &format!("energy {e}"));
+            // And the batch-of-N answer solves the surface equation.
+            assert!(surface_residual(&got[e].as_ref().unwrap().x, m, n, np) < 1e-8);
         }
         assert!(
             iteration_counts.len() > 1,
@@ -525,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_fixed_point_accepts_warm_starts() {
+    fn warm_started_fixed_point_is_batch_size_independent() {
         let grid = energy_grid(4, &[1.3, 1.4, 1.5], 1e-2);
         let (ms, ns, nps) = refs(&grid);
         let seeds: Vec<CMatrix> = grid
@@ -543,15 +549,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_sancho_rubio_is_bit_identical_per_energy() {
+    fn sancho_rubio_is_batch_size_independent() {
         let grid = energy_grid(4, &[0.0, 0.8, 1.4, 2.0, 2.6], 1e-3);
         let (ms, ns, nps) = refs(&grid);
         let mut scratch = ObcBatchScratch::new();
         let got = sancho_rubio_batch(&ms, &ns, &nps, 1e-12, 200, &mut scratch);
+        let mut iteration_counts = std::collections::BTreeSet::new();
         for (e, (m, n, np)) in grid.iter().enumerate() {
             let want = sancho_rubio(m, n, np, 1e-12, 200).unwrap();
+            iteration_counts.insert(want.iterations);
             assert_same(got[e].as_ref().unwrap(), &want, &format!("energy {e}"));
+            assert!(got[e].as_ref().unwrap().residual < 1e-7);
         }
+        assert!(
+            iteration_counts.len() > 1,
+            "test should exercise staggered convergence"
+        );
     }
 
     #[test]
@@ -569,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn non_converged_energies_report_scalar_residuals() {
+    fn non_converged_energies_report_batch_independent_residuals() {
         let grid = energy_grid(4, &[1.4, 3.8], 1e-6);
         let (ms, ns, nps) = refs(&grid);
         let x0s = vec![None; 2];

@@ -21,15 +21,17 @@
 //!   factors inside the unit circle via Beyn's algorithm (probing + SVD +
 //!   reduced eigenvalue problem), and the surface function is reconstructed as
 //!   `x^R = (m − n·F)⁻¹` with the propagation matrix `F = Φ·Λ·Φ⁻¹`.
+//!
+//! The two iterations are implemented once, batched over energies, in
+//! [`crate::batch`]; the single-energy entry points here are a batch of one.
 
-// lint:allow-file(per-energy-gemm): these are the frozen single-energy
-// surface-solver recipes — `fixed_point_batch`/`sancho_rubio_batch` (batch.rs)
-// replay them plane-by-plane and are the batched entry points for energy loops.
 use quatrex_linalg::lu::{inverse, inverse_flops, LuFactorization, LuScratch};
 use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::svd::svd;
 use quatrex_linalg::{c64, eigendecomposition, CMatrix, ONE, ZERO};
 use std::f64::consts::PI;
+
+use crate::batch::{fixed_point_batch, sancho_rubio_batch, ObcBatchScratch};
 
 /// Failure modes of the OBC solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +89,8 @@ pub fn surface_residual(x: &CMatrix, m: &CMatrix, n: &CMatrix, nprime: &CMatrix)
     }
 }
 
-/// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` (paper Eq. (5)).
+/// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` (paper Eq. (5)):
+/// [`fixed_point_batch`] at one energy.
 ///
 /// `x0` is the initial guess (pass `None` for a cold start from `m⁻¹`).
 pub fn fixed_point(
@@ -98,47 +101,14 @@ pub fn fixed_point(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
-    let dim = m.nrows();
-    let mut flops = 0u64;
-    let mut x = match x0 {
-        Some(x0) => x0.clone(),
-        None => {
-            flops += inverse_flops(dim);
-            inverse(m).map_err(|_| ObcError::Singular)?
-        }
-    };
-    // Per-iteration temporaries live outside the loop: the iteration itself
-    // performs no heap allocations.
-    let mut lu = LuScratch::new();
-    let mut nx = CMatrix::zeros(dim, dim);
-    let mut rhs = CMatrix::zeros(dim, dim);
-    let mut x_next = CMatrix::zeros(dim, dim);
-    let mut residual = f64::INFINITY;
-    for it in 1..=max_iter {
-        gemm(&mut nx, ONE, Op::None(n), Op::None(&x), ZERO);
-        rhs.copy_from(m);
-        gemm(&mut rhs, -ONE, Op::None(&nx), Op::None(nprime), ONE);
-        lu.invert_into(&rhs, &mut x_next)
-            .map_err(|_| ObcError::Singular)?;
-        flops += 2 * gemm_flops(dim, dim, dim) + inverse_flops(dim);
-        residual = x_next.distance(&x) / x_next.norm_fro().max(1e-300);
-        std::mem::swap(&mut x, &mut x_next);
-        if residual < tol {
-            return Ok(ObcSolution {
-                x,
-                iterations: it,
-                residual,
-                flops,
-            });
-        }
-    }
-    Err(ObcError::NotConverged {
-        residual,
-        iterations: max_iter,
-    })
+    let mut scratch = ObcBatchScratch::new();
+    fixed_point_batch(&[m], &[n], &[nprime], &[x0], tol, max_iter, &mut scratch)
+        .pop()
+        .expect("one result per energy")
 }
 
-/// Sancho–Rubio decimation for the surface function.
+/// Sancho–Rubio decimation for the surface function: [`sancho_rubio_batch`]
+/// at one energy.
 ///
 /// Each step doubles the effective lead length represented by the effective
 /// couplings, so convergence is reached in `O(log)` steps (typically 10–30,
@@ -150,60 +120,10 @@ pub fn sancho_rubio(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
-    let dim = m.nrows();
-    let mut flops = 0u64;
-    // Decimation variables: eps_s = surface onsite, eps = bulk onsite,
-    // alpha = n (coupling forward), beta = n' (coupling backward).
-    let mut eps_s = m.clone();
-    let mut eps = m.clone();
-    let mut alpha = n.clone();
-    let mut beta = nprime.clone();
-
-    // Loop temporaries are hoisted: each decimation step is allocation-free.
-    let mut lu = LuScratch::new();
-    let mut g = CMatrix::zeros(dim, dim);
-    let mut ag = CMatrix::zeros(dim, dim);
-    let mut bg = CMatrix::zeros(dim, dim);
-    let mut agb = CMatrix::zeros(dim, dim);
-    let mut bga = CMatrix::zeros(dim, dim);
-    let mut alpha_next = CMatrix::zeros(dim, dim);
-    let mut beta_next = CMatrix::zeros(dim, dim);
-
-    for it in 1..=max_iter {
-        lu.invert_into(&eps, &mut g)
-            .map_err(|_| ObcError::Singular)?;
-        flops += inverse_flops(dim);
-        gemm(&mut ag, ONE, Op::None(&alpha), Op::None(&g), ZERO);
-        gemm(&mut bg, ONE, Op::None(&beta), Op::None(&g), ZERO);
-        gemm(&mut agb, ONE, Op::None(&ag), Op::None(&beta), ZERO);
-        gemm(&mut bga, ONE, Op::None(&bg), Op::None(&alpha), ZERO);
-        flops += 4 * gemm_flops(dim, dim, dim);
-        // Update
-        eps_s -= &agb;
-        eps -= &agb;
-        eps -= &bga;
-        gemm(&mut alpha_next, ONE, Op::None(&ag), Op::None(&alpha), ZERO);
-        gemm(&mut beta_next, ONE, Op::None(&bg), Op::None(&beta), ZERO);
-        flops += 2 * gemm_flops(dim, dim, dim);
-        std::mem::swap(&mut alpha, &mut alpha_next);
-        std::mem::swap(&mut beta, &mut beta_next);
-
-        if alpha.norm_fro() < tol && beta.norm_fro() < tol {
-            let x = inverse(&eps_s).map_err(|_| ObcError::Singular)?;
-            flops += inverse_flops(dim);
-            let residual = surface_residual(&x, m, n, nprime);
-            return Ok(ObcSolution {
-                x,
-                iterations: it,
-                residual,
-                flops,
-            });
-        }
-    }
-    Err(ObcError::NotConverged {
-        residual: alpha.norm_fro().max(beta.norm_fro()),
-        iterations: max_iter,
-    })
+    let mut scratch = ObcBatchScratch::new();
+    sancho_rubio_batch(&[m], &[n], &[nprime], tol, max_iter, &mut scratch)
+        .pop()
+        .expect("one result per energy")
 }
 
 /// Direct solution of the surface problem via the companion linearisation of
@@ -356,6 +276,7 @@ pub fn beyn(
         }
     }
     let mut b = CMatrix::zeros(rank, rank);
+    // lint:allow(per-energy-gemm): rank × rank reduced problem whose rank is data-dependent per energy — no common shape to batch over
     gemm(&mut b, ONE, Op::Dagger(&u_k), Op::None(&a1w), ZERO);
     flops += 2 * gemm_flops(dim, rank, rank);
 

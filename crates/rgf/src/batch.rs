@@ -1,27 +1,28 @@
-//! Energy-batched selected RGF solver.
+//! The selected RGF recursion, batched over energies.
 //!
-//! [`rgf_solve_batch_into`] runs the forward/backward recursions of
-//! [`crate::sequential::rgf_solve_into`] for a whole batch of energies at
-//! once: at every block position the per-energy blocks are staged into
-//! energy-major [`MatrixBatch`] operands and each block product runs as **one**
-//! [`gemm_batch`] call over all energies, instead of one small GEMM per
-//! energy. The multiply structure — which products are formed, in which
-//! association order, with which operand flags — is copied term by term from
-//! the sequential solver, and every plane of a `gemm_batch` call runs through
-//! the identical packing + micro-kernel code paths as the per-energy
-//! [`quatrex_linalg::ops::gemm`], so each energy's selected blocks are
-//! **bit-identical** to a per-energy solve. The per-energy FLOP count is
-//! structural (it depends only on the block counts), so [`SelectedSolution::flops`]
-//! of every batch member equals the sequential value exactly and the batch
-//! total sums to `B ×` the per-energy path.
+//! [`rgf_solve_batch_into`] is the one implementation of the forward/backward
+//! recursions (paper Section 4.3.2, Eqs. (9)–(12); the derivation is in
+//! [`crate::sequential`]'s module docs). It runs them for a whole batch of
+//! same-structure systems at once: at every block position the per-energy
+//! blocks are staged into energy-major [`MatrixBatch`] operands and each
+//! block product runs as **one** [`gemm_batch`] call over all energies.
+//! Conjugate transposes (`g_i†`, `Θ†`, `A_{i,i+1}†`, …) are fused into the
+//! kernel loads through the operand flags instead of being materialised. A
+//! single system is a batch of one ([`crate::sequential::rgf_solve_into`]).
+//!
+//! Planes of a `gemm_batch` call are independent and each runs the same
+//! packing + micro-kernel code whatever the batch length, so a member's
+//! selected blocks do not depend on which batch it is solved in — **batch-size
+//! independence, bit for bit** (`tests/batch_equivalence.rs`), anchored to the
+//! allocating pre-engine recursion [`crate::reference`] at ≤ 1e-13
+//! (`tests/reference_equivalence.rs`). The per-energy FLOP count is
+//! structural (it depends only on the block counts), so every member reports
+//! the same [`SelectedSolution::flops`] and a batch totals `B ×` that value.
 //!
 //! All temporaries come from a [`BatchWorkspace`] arena held in
 //! [`RgfBatchScratch`]; once scratch and solutions are warmed at a shape, the
-//! steady-state batched solve performs **zero heap allocations** (pinned by
-//! the counting-allocator test in `tests/alloc_free.rs`).
-//!
-//! The sequential per-energy path stays frozen as the `B = 1` fallback of the
-//! SCBA drivers and as the equivalence baseline.
+//! steady-state solve performs **zero heap allocations** at any batch length
+//! (pinned by the counting-allocator tests in `tests/alloc_free.rs`).
 
 use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch};
 use quatrex_linalg::lu::{inverse_flops, LuScratch};
@@ -118,9 +119,8 @@ pub fn rgf_solve_batch(
 ///
 /// `systems[e]` and `rhs[e]` are the system matrix and right-hand sides of
 /// batch member `e`; every member must share the block structure and RHS
-/// count. `sols[e]` receives exactly what a per-energy
-/// [`crate::sequential::rgf_solve_into`] on `(systems[e], rhs[e])` would
-/// produce — bit for bit, including the FLOP count.
+/// count. `sols[e]` depends on `(systems[e], rhs[e])` only — not on the batch
+/// length or on the other members — bit for bit, including the FLOP count.
 pub fn rgf_solve_batch_into(
     systems: &[&BlockTridiagonal],
     rhs: &[&[&BlockTridiagonal]],
@@ -203,7 +203,7 @@ pub fn rgf_solve_batch_into(
     // ------------------------------------------------------------------ forward
     // Left-connected retarded g[i] and lesser gl[r][i], batched per block
     // position: stage the per-energy blocks once, then one batched product
-    // per GEMM of the sequential recursion.
+    // per GEMM of the recursion.
     let mut sd = bws.take(bsz, bs, bs);
     stage(&mut sd, |e| systems[e].diag(0));
     invert_batch_into(lu, &sd, &mut g[0]).map_err(|(e, _)| RgfBatchError {

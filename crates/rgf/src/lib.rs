@@ -14,9 +14,12 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`sequential::rgf_solve`] — the classical recursive Green's function
-//!   algorithm (paper Section 4.3.2, Eqs. (9)–(12)): a forward Schur-complement
-//!   sweep followed by a backward pass, `O(N_B·N_BS³)` work;
+//! * [`batch::rgf_solve_batch_into`] — the classical recursive Green's
+//!   function algorithm (paper Section 4.3.2, Eqs. (9)–(12)): a forward
+//!   Schur-complement sweep followed by a backward pass, `O(N_B·N_BS³)` work
+//!   per system, run for a batch of same-structure systems (energies) at
+//!   once; [`sequential::rgf_solve`] and friends solve one system as a batch
+//!   of one;
 //! * [`nested::nested_dissection_invert`] / [`nested::nested_dissection_solve`]
 //!   — the spatial domain decomposition of Section 5.4: the block range is
 //!   split into `P_S` partitions whose interiors are eliminated concurrently,

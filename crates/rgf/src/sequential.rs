@@ -1,4 +1,4 @@
-//! Sequential recursive Green's function (RGF) solver.
+//! Selected recursive Green's function (RGF) solve of one system.
 //!
 //! The solver follows the paper's Section 4.3.2: a forward pass builds the
 //! "left-connected" retarded and lesser/greater functions by recursive Schur
@@ -7,34 +7,21 @@
 //! off-diagonal blocks needed by the polarisation/self-energy convolutions and
 //! the current observable.
 //!
-//! The lesser/greater recursions implemented here are derived from the exact
-//! block-partitioned identities for `X≶ = Ã⁻¹·B≶·Ã⁻†` with a block-tridiagonal
-//! `B≶` (i.e. including the off-diagonal self-energy blocks that plain
-//! ballistic RGF formulations drop); every block is validated against the
-//! dense reference in the tests.
+//! The lesser/greater recursions are derived from the exact block-partitioned
+//! identities for `X≶ = Ã⁻¹·B≶·Ã⁻†` with a block-tridiagonal `B≶` (i.e.
+//! including the off-diagonal self-energy blocks that plain ballistic RGF
+//! formulations drop); every block is validated against the dense reference
+//! in the tests.
 //!
-//! ## Hot-loop engineering
-//!
-//! All block products run through the operand-flag GEMM engine
-//! ([`quatrex_linalg::ops::gemm`]): conjugate transposes (`g_i†`, `Θ†`,
-//! `A_{i,i+1}†`, …) are fused into the kernel loads instead of being
-//! materialized, and every temporary comes from the [`RgfScratch`] arena.
-//! [`rgf_solve_into`] writes the selected blocks into a caller-owned
-//! [`SelectedSolution`]; once scratch and solution are warmed at a given
-//! shape, the steady-state solve performs **zero heap allocations** (pinned
-//! by the counting-allocator test in `tests/alloc_free.rs`). The multiply
-//! structure — which products are formed, in which association order — is
-//! unchanged from the pre-refactor implementation, so the `gemm_flops`
-//! accounting is identical term by term (see `tests/reference_equivalence.rs`
-//! for the pinned pre-refactor path).
+//! The recursion itself lives in [`crate::batch`]: a single system is a batch
+//! of one through [`rgf_solve_batch_into`], so the entry points here share
+//! its arithmetic, FLOP accounting and zero-allocation steady state (pinned
+//! by `tests/alloc_free.rs`). This module owns the per-system types and the
+//! convenience wrappers that allocate the solution and/or the scratch.
 
-// lint:allow-file(per-energy-gemm): this file IS the frozen per-energy RGF
-// recipe — `rgf_solve_batch_into` (batch.rs) replays it plane-by-plane, and
-// energy loops belong to the callers, never to this solver.
-use quatrex_linalg::lu::{inverse_flops, LuScratch};
-use quatrex_linalg::ops::{gemm, gemm_flops, Op};
-use quatrex_linalg::{c64, CMatrix, Workspace, ONE, ZERO};
 use quatrex_sparse::BlockTridiagonal;
+
+use crate::batch::{rgf_solve_batch_into, RgfBatchScratch};
 
 /// Errors produced by the RGF solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,40 +67,10 @@ impl SelectedSolution {
     }
 }
 
-/// Reusable per-thread (per-energy) scratch state of the RGF solver: the
-/// buffer arena, the LU factor scratch and the left-connected forward-pass
-/// quantities. Hold one per worker and reuse it across solves — after the
+/// Scratch of a single-system solve: the batch scratch, used at batch
+/// length one. Hold one per worker and reuse it across solves — after the
 /// first solve at a given shape, every later solve allocates nothing.
-#[derive(Debug, Default)]
-pub struct RgfScratch {
-    ws: Workspace,
-    lu: LuScratch,
-    /// Left-connected retarded functions `g_i` of the forward pass.
-    g: Vec<CMatrix>,
-    /// Left-connected lesser/greater functions `gl[r][i]`, one row per RHS.
-    gl: Vec<Vec<CMatrix>>,
-}
-
-impl RgfScratch {
-    /// Create an empty (cold) scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of fresh buffer allocations the arena has performed; constant
-    /// once the solver has reached its steady state.
-    pub fn fresh_allocations(&self) -> usize {
-        self.ws.fresh_allocations()
-    }
-}
-
-/// Reshape `m` to `bs × bs` if necessary (no-op in the steady state).
-#[inline]
-fn ensure_block(m: &mut CMatrix, bs: usize) {
-    if m.shape() != (bs, bs) {
-        m.resize_zeroed(bs, bs);
-    }
-}
+pub type RgfScratch = RgfBatchScratch;
 
 /// Selected inverse only (no lesser/greater right-hand sides).
 pub fn rgf_selected_inverse(a: &BlockTridiagonal) -> Result<SelectedSolution, RgfError> {
@@ -133,8 +90,8 @@ pub fn rgf_solve(
     rgf_solve_scratch(a, rhs, &mut scratch)
 }
 
-/// Selected RGF solve reusing a caller-held [`RgfScratch`] (the per-energy
-/// workspace of the SCBA drivers). Only the returned solution is allocated.
+/// Selected RGF solve reusing a caller-held [`RgfScratch`]. Only the returned
+/// solution is allocated.
 pub fn rgf_solve_scratch(
     a: &BlockTridiagonal,
     rhs: &[&BlockTridiagonal],
@@ -146,347 +103,23 @@ pub fn rgf_solve_scratch(
 }
 
 /// Selected RGF solve writing into a caller-owned solution, with all
-/// temporaries drawn from `scratch`. In the steady state (solution and
-/// scratch warmed at this shape) the call performs zero heap allocations.
+/// temporaries drawn from `scratch`: a batch of one through
+/// [`rgf_solve_batch_into`]. In the steady state (solution and scratch warmed
+/// at this shape) the call performs zero heap allocations.
 pub fn rgf_solve_into(
     a: &BlockTridiagonal,
     rhs: &[&BlockTridiagonal],
     sol: &mut SelectedSolution,
     scratch: &mut RgfScratch,
 ) -> Result<(), RgfError> {
-    let nb = a.n_blocks();
-    let bs = a.block_size();
-    for b in rhs {
-        if b.n_blocks() != nb || b.block_size() != bs {
-            return Err(RgfError::ShapeMismatch);
-        }
-    }
-    let n_rhs = rhs.len();
-    let mut flops = 0u64;
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let inv_cost = inverse_flops(bs);
-
-    // Shape the output and scratch (no-ops in the steady state).
-    let fits = |bt: &BlockTridiagonal| bt.n_blocks() == nb && bt.block_size() == bs;
-    if !fits(&sol.retarded) {
-        sol.retarded = BlockTridiagonal::zeros(nb, bs);
-    }
-    sol.lesser.truncate(n_rhs);
-    for l in sol.lesser.iter_mut() {
-        if !fits(l) {
-            *l = BlockTridiagonal::zeros(nb, bs);
-        }
-    }
-    while sol.lesser.len() < n_rhs {
-        sol.lesser.push(BlockTridiagonal::zeros(nb, bs));
-    }
-    let RgfScratch { ws, lu, g, gl } = scratch;
-    if g.len() != nb {
-        g.resize_with(nb, CMatrix::default);
-    }
-    gl.truncate(n_rhs);
-    while gl.len() < n_rhs {
-        gl.push(Vec::new());
-    }
-    for row in gl.iter_mut() {
-        if row.len() != nb {
-            row.resize_with(nb, CMatrix::default);
-        }
-    }
-
-    // ------------------------------------------------------------------ forward
-    // Left-connected retarded g[i] and lesser gl[r][i].
-    lu.invert_into(a.diag(0), &mut g[0])
-        .map_err(|_| RgfError::SingularBlock(0))?;
-    flops += inv_cost;
-    for (r, b) in rhs.iter().enumerate() {
-        // gl_0 = g_0 · B_00 · g_0†
-        let mut t = ws.take(bs, bs);
-        gemm(&mut t, ONE, Op::None(&g[0]), Op::None(b.diag(0)), ZERO);
-        ensure_block(&mut gl[r][0], bs);
-        gemm(&mut gl[r][0], ONE, Op::None(&t), Op::Dagger(&g[0]), ZERO);
-        flops += 2 * gemm_c;
-        ws.give(t);
-    }
-
-    for i in 1..nb {
-        let a_lo = a.lower(i - 1); // A_{i, i-1}
-        let a_up = a.upper(i - 1); // A_{i-1, i}
-
-        // Schur complement d = A_ii − A_{i,i-1} g_{i-1} A_{i-1,i}.
-        let mut t1 = ws.take(bs, bs);
-        gemm(&mut t1, ONE, Op::None(a_lo), Op::None(&g[i - 1]), ZERO);
-        let mut t2 = ws.take(bs, bs);
-        gemm(&mut t2, ONE, Op::None(&t1), Op::None(a_up), ZERO);
-        flops += 2 * gemm_c;
-        let mut d = ws.take_copy(a.diag(i));
-        d -= &t2;
-        lu.invert_into(&d, &mut g[i])
-            .map_err(|_| RgfError::SingularBlock(i))?;
-        flops += inv_cost;
-
-        for (r, b) in rhs.iter().enumerate() {
-            // inner = B_ii + A_{i,i-1} gl_{i-1} A_{i,i-1}†
-            //       − A_{i,i-1} g_{i-1} B_{i-1,i} − B_{i,i-1} g_{i-1}† A_{i,i-1}†
-            let mut inner = ws.take_copy(b.diag(i));
-            let mut u = ws.take(bs, bs);
-            gemm(&mut u, ONE, Op::None(a_lo), Op::None(&gl[r][i - 1]), ZERO);
-            gemm(&mut inner, ONE, Op::None(&u), Op::Dagger(a_lo), ONE);
-            gemm(&mut u, ONE, Op::None(a_lo), Op::None(&g[i - 1]), ZERO);
-            gemm(
-                &mut inner,
-                -ONE,
-                Op::None(&u),
-                Op::None(b.upper(i - 1)),
-                ONE,
-            );
-            gemm(
-                &mut u,
-                ONE,
-                Op::None(b.lower(i - 1)),
-                Op::Dagger(&g[i - 1]),
-                ZERO,
-            );
-            gemm(&mut inner, -ONE, Op::None(&u), Op::Dagger(a_lo), ONE);
-            flops += 6 * gemm_c;
-            // gl_i = g_i · inner · g_i†
-            gemm(&mut u, ONE, Op::None(&g[i]), Op::None(&inner), ZERO);
-            ensure_block(&mut gl[r][i], bs);
-            gemm(&mut gl[r][i], ONE, Op::None(&u), Op::Dagger(&g[i]), ZERO);
-            flops += 2 * gemm_c;
-            ws.give(inner);
-            ws.give(u);
-        }
-        ws.give(t1);
-        ws.give(t2);
-        ws.give(d);
-    }
-
-    // ----------------------------------------------------------------- backward
-    sol.retarded.diag_mut(nb - 1).copy_from(&g[nb - 1]);
-    for r in 0..n_rhs {
-        sol.lesser[r].diag_mut(nb - 1).copy_from(&gl[r][nb - 1]);
-    }
-
-    for i in (0..nb.saturating_sub(1)).rev() {
-        let a_up = a.upper(i); // A_{i, i+1}
-        let a_lo = a.lower(i); // A_{i+1, i}
-        let gi = &g[i];
-        let x_next = ws.take_copy(sol.retarded.diag(i + 1));
-
-        // Θ_i = I + g_i A_{i,i+1} X_{i+1,i+1} A_{i+1,i}
-        let mut g_aup = ws.take(bs, bs);
-        gemm(&mut g_aup, ONE, Op::None(gi), Op::None(a_up), ZERO);
-        let mut g_aup_x = ws.take(bs, bs);
-        gemm(&mut g_aup_x, ONE, Op::None(&g_aup), Op::None(&x_next), ZERO);
-        let mut theta = ws.take(bs, bs);
-        gemm(&mut theta, ONE, Op::None(&g_aup_x), Op::None(a_lo), ZERO);
-        flops += 3 * gemm_c;
-        for k in 0..bs {
-            theta[(k, k)] += c64::new(1.0, 0.0);
-        }
-
-        // Retarded selected blocks.
-        gemm(
-            sol.retarded.diag_mut(i),
-            ONE,
-            Op::None(&theta),
-            Op::None(gi),
-            ZERO,
-        );
-        {
-            // X^R_{i,i+1} = −g_i A_{i,i+1} X_{i+1,i+1}
-            let xu = sol.retarded.upper_mut(i);
-            xu.copy_from(&g_aup_x);
-            xu.scale_mut(c64::new(-1.0, 0.0));
-        }
-        let mut x_alo = ws.take(bs, bs);
-        gemm(&mut x_alo, ONE, Op::None(&x_next), Op::None(a_lo), ZERO);
-        gemm(
-            sol.retarded.lower_mut(i),
-            -ONE,
-            Op::None(&x_alo),
-            Op::None(gi),
-            ZERO,
-        );
-        flops += 3 * gemm_c;
-        ws.give(x_alo);
-
-        for (r, b) in rhs.iter().enumerate() {
-            let gli = &gl[r][i];
-            let xl_next = ws.take_copy(sol.lesser[r].diag(i + 1));
-            let b_up = b.upper(i); // B_{i, i+1}
-            let b_lo = b.lower(i); // B_{i+1, i}
-
-            let mut ta = ws.take(bs, bs);
-            let mut tb = ws.take(bs, bs);
-            let mut tc = ws.take(bs, bs);
-
-            // W_{i+1} = Xl_{i+1} − X_{i+1} A_{i+1,i} gl_i A_{i+1,i}† X_{i+1}†
-            //          + X_{i+1} A_{i+1,i} g_i B_{i,i+1} X_{i+1}†
-            //          + X_{i+1} B_{i+1,i} g_i† A_{i+1,i}† X_{i+1}†
-            let mut x_alo = ws.take(bs, bs);
-            gemm(&mut x_alo, ONE, Op::None(&x_next), Op::None(a_lo), ZERO);
-            let mut w = ws.take_copy(&xl_next);
-            gemm(&mut ta, ONE, Op::None(&x_alo), Op::None(gli), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(a_lo), Op::Dagger(&x_next), ZERO);
-            gemm(&mut w, -ONE, Op::None(&ta), Op::None(&tb), ONE);
-            gemm(&mut ta, ONE, Op::None(&x_alo), Op::None(gi), ZERO);
-            gemm(&mut tb, ONE, Op::None(b_up), Op::Dagger(&x_next), ZERO);
-            gemm(&mut w, ONE, Op::None(&ta), Op::None(&tb), ONE);
-            gemm(&mut ta, ONE, Op::None(&x_next), Op::None(b_lo), ZERO);
-            gemm(&mut tc, ONE, Op::None(&ta), Op::Dagger(gi), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(a_lo), Op::Dagger(&x_next), ZERO);
-            gemm(&mut w, ONE, Op::None(&tc), Op::None(&tb), ONE);
-            flops += 12 * gemm_c;
-
-            // Xl_{ii} = Θ gl Θ† + g A_up W A_up† g†
-            //          − Θ g B_{i,i+1} X_{i+1}† A_up† g†
-            //          − g A_up X_{i+1} B_{i+1,i} g† Θ†
-            gemm(&mut ta, ONE, Op::None(&theta), Op::None(gli), ZERO);
-            gemm(
-                sol.lesser[r].diag_mut(i),
-                ONE,
-                Op::None(&ta),
-                Op::Dagger(&theta),
-                ZERO,
-            );
-            gemm(&mut ta, ONE, Op::None(&g_aup), Op::None(&w), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(a_up), Op::Dagger(gi), ZERO);
-            gemm(
-                sol.lesser[r].diag_mut(i),
-                ONE,
-                Op::None(&ta),
-                Op::None(&tb),
-                ONE,
-            );
-            gemm(&mut ta, ONE, Op::None(&theta), Op::None(gi), ZERO);
-            gemm(&mut tc, ONE, Op::None(&ta), Op::None(b_up), ZERO);
-            gemm(&mut ta, ONE, Op::Dagger(a_up), Op::Dagger(gi), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(&x_next), Op::None(&ta), ZERO);
-            gemm(
-                sol.lesser[r].diag_mut(i),
-                -ONE,
-                Op::None(&tc),
-                Op::None(&tb),
-                ONE,
-            );
-            gemm(&mut ta, ONE, Op::None(&g_aup_x), Op::None(b_lo), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(gi), Op::Dagger(&theta), ZERO);
-            gemm(
-                sol.lesser[r].diag_mut(i),
-                -ONE,
-                Op::None(&ta),
-                Op::None(&tb),
-                ONE,
-            );
-            flops += 14 * gemm_c;
-
-            // Xl_{i+1,i} = −X_{i+1} A_{i+1,i} gl_i Θ†
-            //             + X_{i+1} A_{i+1,i} g_i B_{i,i+1} X_{i+1}† A_{i,i+1}† g_i†
-            //             + X_{i+1} B_{i+1,i} g_i† Θ†
-            //             − W A_{i,i+1}† g_i†
-            gemm(&mut ta, ONE, Op::None(&x_alo), Op::None(gli), ZERO);
-            gemm(
-                sol.lesser[r].lower_mut(i),
-                -ONE,
-                Op::None(&ta),
-                Op::Dagger(&theta),
-                ZERO,
-            );
-            gemm(&mut ta, ONE, Op::None(&x_alo), Op::None(gi), ZERO);
-            gemm(&mut tc, ONE, Op::None(&ta), Op::None(b_up), ZERO);
-            gemm(&mut ta, ONE, Op::Dagger(a_up), Op::Dagger(gi), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(&x_next), Op::None(&ta), ZERO);
-            gemm(
-                sol.lesser[r].lower_mut(i),
-                ONE,
-                Op::None(&tc),
-                Op::None(&tb),
-                ONE,
-            );
-            gemm(&mut ta, ONE, Op::None(&x_next), Op::None(b_lo), ZERO);
-            gemm(&mut tc, ONE, Op::None(&ta), Op::Dagger(gi), ZERO);
-            gemm(
-                sol.lesser[r].lower_mut(i),
-                ONE,
-                Op::None(&tc),
-                Op::Dagger(&theta),
-                ONE,
-            );
-            gemm(&mut ta, ONE, Op::Dagger(a_up), Op::Dagger(gi), ZERO);
-            gemm(
-                sol.lesser[r].lower_mut(i),
-                -ONE,
-                Op::None(&w),
-                Op::None(&ta),
-                ONE,
-            );
-            flops += 13 * gemm_c;
-
-            // Xl_{i,i+1} = −Θ gl_i A_{i+1,i}† X_{i+1}†
-            //             + Θ g_i B_{i,i+1} X_{i+1}†
-            //             + g_i A_{i,i+1} X_{i+1} B_{i+1,i} g_i† A_{i+1,i}† X_{i+1}†
-            //             − g_i A_{i,i+1} W
-            gemm(&mut ta, ONE, Op::None(&theta), Op::None(gli), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(a_lo), Op::Dagger(&x_next), ZERO);
-            gemm(
-                sol.lesser[r].upper_mut(i),
-                -ONE,
-                Op::None(&ta),
-                Op::None(&tb),
-                ZERO,
-            );
-            gemm(&mut ta, ONE, Op::None(&theta), Op::None(gi), ZERO);
-            gemm(&mut tb, ONE, Op::None(b_up), Op::Dagger(&x_next), ZERO);
-            gemm(
-                sol.lesser[r].upper_mut(i),
-                ONE,
-                Op::None(&ta),
-                Op::None(&tb),
-                ONE,
-            );
-            gemm(&mut ta, ONE, Op::None(&g_aup_x), Op::None(b_lo), ZERO);
-            gemm(&mut tb, ONE, Op::Dagger(a_lo), Op::Dagger(&x_next), ZERO);
-            gemm(&mut tc, ONE, Op::Dagger(gi), Op::None(&tb), ZERO);
-            gemm(
-                sol.lesser[r].upper_mut(i),
-                ONE,
-                Op::None(&ta),
-                Op::None(&tc),
-                ONE,
-            );
-            gemm(
-                sol.lesser[r].upper_mut(i),
-                -ONE,
-                Op::None(&g_aup),
-                Op::None(&w),
-                ONE,
-            );
-            flops += 12 * gemm_c;
-
-            ws.give(ta);
-            ws.give(tb);
-            ws.give(tc);
-            ws.give(x_alo);
-            ws.give(w);
-            ws.give(xl_next);
-        }
-        ws.give(x_next);
-        ws.give(g_aup);
-        ws.give(g_aup_x);
-        ws.give(theta);
-    }
-
-    sol.flops = flops;
-    Ok(())
+    rgf_solve_batch_into(&[a], &[rhs], std::slice::from_mut(sol), scratch).map_err(|e| e.error)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::{dense_block, dense_lesser, dense_retarded};
-    use quatrex_linalg::cplx;
+    use quatrex_linalg::{cplx, CMatrix};
 
     /// A well-conditioned non-Hermitian system matrix (like E·S − H − Σ^R with
     /// a finite broadening) and a block-tridiagonal anti-Hermitian RHS.

@@ -1,8 +1,9 @@
 //! Counting-allocator proof that the steady-state RGF solve is
 //! allocation-free: once the scratch arena and the output solution have been
-//! warmed at a shape, `rgf_solve_into` performs **zero** heap allocations —
-//! the whole forward/backward recursion (GEMMs, LU inversions, block writes)
-//! runs on recycled buffers.
+//! warmed at a shape, `rgf_solve_into` (a batch of one) and
+//! `rgf_solve_batch_into` at B > 1 perform **zero** heap allocations — the
+//! whole forward/backward recursion (GEMMs, LU inversions, block writes) runs
+//! on recycled buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

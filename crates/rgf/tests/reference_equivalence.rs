@@ -1,13 +1,14 @@
-//! Equivalence of the refactored GEMM-engine RGF solver against the frozen
-//! pre-refactor path (`quatrex_rgf::reference`): every selected block agrees
-//! to ≤1e-13 relative error (the kernels accumulate in the same order, so in
-//! practice the agreement is at the few-ulp level), and the `gemm_flops`
-//! accounting is identical.
+//! Equivalence of the GEMM-engine RGF solver against the frozen pre-engine
+//! path (`quatrex_rgf::reference`): every selected block agrees to ≤1e-13
+//! relative error (the kernels accumulate in the same order, so in practice
+//! the agreement is at the few-ulp level), and the `gemm_flops` accounting is
+//! identical — for a single system (batch of one) and, directly, for every
+//! member of a B = 4 batch.
 
 use quatrex_linalg::cplx;
 use quatrex_linalg::CMatrix;
 use quatrex_rgf::reference::rgf_solve_reference;
-use quatrex_rgf::{rgf_solve, BlockTridiagonal};
+use quatrex_rgf::{rgf_solve, rgf_solve_batch, BlockTridiagonal};
 
 fn test_system(nb: usize, bs: usize, seed: f64) -> (BlockTridiagonal, BlockTridiagonal) {
     let mut a = BlockTridiagonal::zeros(nb, bs);
@@ -103,4 +104,36 @@ fn selected_inverse_matches_the_pre_refactor_path() {
     let new = rgf_solve(&a, &[]).unwrap();
     assert!(max_rel_err(&new.retarded, &old.retarded) < 1e-13);
     assert_eq!(new.flops, old.flops);
+}
+
+#[test]
+fn a_batch_of_four_matches_the_pre_refactor_path_member_by_member() {
+    // The anchor must not pass through B = 1 only: solve four different
+    // systems in one batch and pin each member against the reference.
+    let (nb, bs) = (6, 3);
+    let systems: Vec<_> = [1.0, -0.7, 0.4, 2.2]
+        .iter()
+        .map(|&seed| {
+            let (a, b) = test_system(nb, bs, seed);
+            let mut b2 = b.clone();
+            b2.scale_mut(cplx(-0.5, 0.2));
+            (a, [b, b2])
+        })
+        .collect();
+    let sys_refs: Vec<&BlockTridiagonal> = systems.iter().map(|(a, _)| a).collect();
+    let rhs_refs: Vec<[&BlockTridiagonal; 2]> =
+        systems.iter().map(|(_, rhs)| [&rhs[0], &rhs[1]]).collect();
+    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs_refs.iter().map(|r| r.as_slice()).collect();
+    let batch = rgf_solve_batch(&sys_refs, &rhs_slices).unwrap();
+    assert_eq!(batch.len(), 4);
+    for (e, (new, (a, rhs))) in batch.iter().zip(systems.iter()).enumerate() {
+        let old = rgf_solve_reference(a, &[&rhs[0], &rhs[1]]).unwrap();
+        let err_r = max_rel_err(&new.retarded, &old.retarded);
+        assert!(err_r < 1e-13, "member {e}: retarded err {err_r:.2e}");
+        for r in 0..2 {
+            let err_l = max_rel_err(&new.lesser[r], &old.lesser[r]);
+            assert!(err_l < 1e-13, "member {e}: lesser[{r}] err {err_l:.2e}");
+        }
+        assert_eq!(new.flops, old.flops, "member {e}: flops accounting drifted");
+    }
 }
