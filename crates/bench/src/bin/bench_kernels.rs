@@ -1,7 +1,9 @@
 //! `BENCH_kernels.json` generator: before/after numbers for the operand-flag
 //! GEMM engine of `quatrex-linalg`.
 //!
-//! Three measurements, all on transport-cell-sized blocks:
+//! Four measurements, all on transport-cell-sized blocks; the engine side of
+//! each also reports its absolute rate (`after_gflops`, paper FLOP counting),
+//! so the trajectory does not hang on the frozen scalar kernel alone:
 //!
 //! * **gemm_chain** — the RGF forward-step product pattern (Schur chain
 //!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`) at `N_BS ∈ {32, 64, 128}`:
@@ -11,6 +13,9 @@
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
 //!   right-hand sides) through the frozen pre-refactor solver
 //!   (`quatrex_rgf::reference`) vs the refactored one.
+//! * **lu_invert** — `LuScratch::invert_into` at `N_BS ∈ {32, 64, 128}`:
+//!   nanoseconds and GFLOP/s (no "before": the reference solvers invert
+//!   through the same routine).
 //! * **scba_iteration** — wall time of a full SCBA run on the reduced NW-1
 //!   device with the current engine, recorded so the perf trajectory has a
 //!   longitudinal data point per PR.
@@ -23,10 +28,12 @@ use quatrex_probe::clock::Instant;
 use std::fmt::Write as _;
 
 use quatrex_bench::{bench_solver, chain_operand};
+use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
-use quatrex_linalg::ops::{congruence, gemm, matmul, Op};
+use quatrex_linalg::ops::{congruence, gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{
-    cplx, gemm_batch, BatchOp, CMatrix, MatrixBatch, OpKind, Workspace, ONE, ZERO,
+    cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind,
+    Workspace, ONE, ZERO,
 };
 use quatrex_rgf::reference::rgf_solve_reference;
 use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
@@ -56,11 +63,29 @@ struct ChainRow {
     n_bs: usize,
     before_ns: f64,
     after_ns: f64,
+    /// Real FLOPs of one repetition (paper counting), both sides alike.
+    flops: u64,
 }
 
 impl ChainRow {
     fn speedup(&self) -> f64 {
         self.before_ns / self.after_ns
+    }
+
+    /// Absolute rate of the engine side (FLOPs per nanosecond = GFLOP/s).
+    fn after_gflops(&self) -> f64 {
+        self.flops as f64 / self.after_ns
+    }
+
+    /// The JSON fields every before/after row ends with.
+    fn json_tail(&self) -> String {
+        format!(
+            "\"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.3}, \"after_gflops\": {:.2}",
+            self.before_ns,
+            self.after_ns,
+            self.speedup(),
+            self.after_gflops()
+        )
     }
 }
 
@@ -107,6 +132,7 @@ fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> ChainRow {
         n_bs,
         before_ns,
         after_ns,
+        flops: 4 * gemm_flops(n_bs, n_bs, n_bs),
     }
 }
 
@@ -194,6 +220,7 @@ fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> ChainR
         n_bs,
         before_ns,
         after_ns,
+        flops: gemm_batch_flops(n_e, n_bs, n_bs, n_bs),
     }
 }
 
@@ -240,15 +267,37 @@ fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> ChainRow {
         std::hint::black_box(&sol);
     });
     let mut scratch = RgfScratch::new();
+    let mut flops = 0;
     let after_ns = time_ns(runs, reps, || {
         let sol = rgf_solve_scratch(&a, &rhs, &mut scratch).unwrap();
+        flops = sol.flops;
         std::hint::black_box(&sol);
     });
     ChainRow {
         n_bs: bs,
         before_ns,
         after_ns,
+        flops,
     }
+}
+
+/// One LU inversion of a diagonally shifted (regular) block: nanoseconds and
+/// the rate under the `inverse_flops` model.
+fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, f64) {
+    let mut a = chain_operand(n_bs, 4.1);
+    for k in 0..n_bs {
+        a[(k, k)] += cplx(4.0, 0.5);
+    }
+    let mut lu = LuScratch::new();
+    let mut inv = CMatrix::zeros(n_bs, n_bs);
+    let ns = time_ns(runs, reps, || {
+        lu.invert_into(&a, &mut inv)
+            .expect("shifted block is regular");
+        std::hint::black_box(&inv);
+    });
+    let residual = &matmul(&a, &inv) - &CMatrix::identity(n_bs);
+    assert!(residual.norm_max() < 1e-10, "inverse mismatch at {n_bs}");
+    (ns, inverse_flops(n_bs) as f64 / ns)
 }
 
 fn main() {
@@ -262,11 +311,12 @@ fn main() {
         let reps = if quick { base.div_ceil(8).max(1) } else { base };
         let row = bench_gemm_chain(n_bs, runs, reps);
         println!(
-            "gemm_chain  N_BS={:>4}: before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x",
+            "gemm_chain  N_BS={:>4}: before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
             row.n_bs,
             row.before_ns,
             row.after_ns,
-            row.speedup()
+            row.speedup(),
+            row.after_gflops()
         );
         chain_rows.push(row);
     }
@@ -280,11 +330,12 @@ fn main() {
         let reps = if quick { base.div_ceil(8).max(1) } else { base };
         let row = bench_gemm_batch(n_bs, batch_energies, batch_runs, reps);
         println!(
-            "gemm_batch  N_BS={:>4} (B={batch_energies}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x",
+            "gemm_batch  N_BS={:>4} (B={batch_energies}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
             row.n_bs,
             row.before_ns,
             row.after_ns,
-            row.speedup()
+            row.speedup(),
+            row.after_gflops()
         );
         batch_rows.push(row);
     }
@@ -300,13 +351,23 @@ fn main() {
         };
         let row = bench_rgf(nb, bs, runs.min(5), reps);
         println!(
-            "rgf_solve   N_BS={:>4} (N_B={nb}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x",
+            "rgf_solve   N_BS={:>4} (N_B={nb}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
             row.n_bs,
             row.before_ns,
             row.after_ns,
-            row.speedup()
+            row.speedup(),
+            row.after_gflops()
         );
         rgf_rows.push((nb, row));
+    }
+
+    let mut lu_rows = Vec::new();
+    for n_bs in [32usize, 64, 128] {
+        let base = (256 / n_bs).pow(3).max(1);
+        let reps = if quick { base.div_ceil(8).max(1) } else { base };
+        let (ns, gflops) = bench_lu_invert(n_bs, runs, reps);
+        println!("lu_invert   N_BS={n_bs:>4}: {ns:>12.0} ns  {gflops:>6.2} GFLOP/s");
+        lu_rows.push((n_bs, ns, gflops));
     }
 
     // Full SCBA trajectory point (current engine): reduced NW-1 device.
@@ -327,14 +388,7 @@ fn main() {
     let _ = writeln!(json, "  \"quick_mode\": {quick},");
     json.push_str("  \"gemm_chain\": [\n");
     for (i, row) in chain_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_bs\": {}, \"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.3}}}",
-            row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup()
-        );
+        let _ = write!(json, "    {{\"n_bs\": {}, {}}}", row.n_bs, row.json_tail());
         json.push_str(if i + 1 < chain_rows.len() {
             ",\n"
         } else {
@@ -346,11 +400,9 @@ fn main() {
     for (i, row) in batch_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n_bs\": {}, \"batch\": {batch_energies}, \"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.3}}}",
+            "    {{\"n_bs\": {}, \"batch\": {batch_energies}, {}}}",
             row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup()
+            row.json_tail()
         );
         json.push_str(if i + 1 < batch_rows.len() {
             ",\n"
@@ -363,13 +415,20 @@ fn main() {
     for (i, (nb, row)) in rgf_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n_b\": {nb}, \"n_bs\": {}, \"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.3}}}",
+            "    {{\"n_b\": {nb}, \"n_bs\": {}, {}}}",
             row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup()
+            row.json_tail()
         );
         json.push_str(if i + 1 < rgf_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"lu_invert\": [\n");
+    for (i, (n_bs, ns, gflops)) in lu_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"n_bs\": {n_bs}, \"ns\": {ns:.1}, \"gflops\": {gflops:.2}}}"
+        );
+        json.push_str(if i + 1 < lu_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     let _ = writeln!(
