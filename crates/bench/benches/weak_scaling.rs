@@ -8,7 +8,7 @@ use quatrex_bench::bench_device;
 use quatrex_core::assembly::{assemble_g, ObcMethod};
 use quatrex_linalg::FlopCounter;
 use quatrex_rgf::rgf_solve;
-use quatrex_runtime::{RankContext, ThreadComm};
+use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
 
 fn weak_scaling_energy_ranks(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6/weak_scaling");
@@ -48,7 +48,7 @@ fn weak_scaling_energy_ranks(c: &mut Criterion) {
                         .collect();
                     let send: Vec<Vec<f64>> =
                         (0..ctx.n_ranks()).map(|p| vec![payload[p]; 64]).collect();
-                    let received = ctx.alltoall(send, 64 * 8);
+                    let received = ctx.alltoallv_tagged(send, |_| 64 * 8, CommPhase::Other);
                     received.iter().map(|v| v.iter().sum::<f64>()).sum::<f64>()
                 });
                 results.iter().sum::<f64>()

@@ -6,7 +6,6 @@
 //!
 //! | rule            | invariant                                                        |
 //! |-----------------|------------------------------------------------------------------|
-//! | `comm-phase-tag`| message-carrying collectives outside `crates/runtime` use the `_tagged` variants, so byte accounting and the checker's sequence log are phase-attributed |
 //! | `one-clock`     | no `std::time::Instant` outside `quatrex-probe`; all timing goes through `quatrex_probe::clock` so traces share one epoch |
 //! | `no-unwrap`     | no `.unwrap()` / `.expect(...)` in `crates/{dist,runtime}` library code — rank threads must fail with diagnostics, not anonymous panics |
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
@@ -35,8 +34,6 @@ use std::path::{Path, PathBuf};
 /// `// lint:allow(...)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Untagged `alltoall`/`alltoallv`/`alltoallv_start`/`allgather` call.
-    CommPhaseTag,
     /// `std::time::Instant` outside `quatrex-probe`.
     OneClock,
     /// `.unwrap()` / `.expect(` in dist/runtime library code.
@@ -54,8 +51,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 7] = [
-        Rule::CommPhaseTag,
+    pub const ALL: [Rule; 6] = [
         Rule::OneClock,
         Rule::NoUnwrap,
         Rule::NoPrintln,
@@ -67,7 +63,6 @@ impl Rule {
     /// The rule identifier used in diagnostics and `lint:allow`.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::CommPhaseTag => "comm-phase-tag",
             Rule::OneClock => "one-clock",
             Rule::NoUnwrap => "no-unwrap",
             Rule::NoPrintln => "no-println",
@@ -125,9 +120,6 @@ fn applicable_rules(rel: &str) -> Vec<Rule> {
     }
     let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
     let mut rules = Vec::new();
-    if !rel.starts_with("crates/runtime/") {
-        rules.push(Rule::CommPhaseTag);
-    }
     if !rel.starts_with("crates/probe/") {
         rules.push(Rule::OneClock);
     }
@@ -470,19 +462,6 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
             }
             for &rule in &rules {
                 let finding = match rule {
-                    Rule::CommPhaseTag => [
-                        ".alltoall(",
-                        ".alltoallv(",
-                        ".alltoallv_start(",
-                        ".allgather(",
-                    ]
-                    .iter()
-                    .any(|t| code.contains(t))
-                    .then(|| {
-                        "untagged collective call: use the `_tagged` variant with a \
-                             CommPhase so bytes and traces are phase-attributed"
-                            .to_string()
-                    }),
                     Rule::OneClock => uses_std_instant(&code).then(|| {
                         "std::time::Instant outside quatrex-probe: use \
                          quatrex_probe::clock::Instant so all timing shares one clock"

@@ -14,27 +14,6 @@ fn findings(rel_path: &str, source: &str) -> Vec<(String, usize)> {
 }
 
 #[test]
-fn untagged_collectives_are_flagged_outside_runtime() {
-    let src = include_str!("fixtures/untagged_collective.rs");
-    let got = findings("crates/dist/src/fixture.rs", src);
-    assert_eq!(
-        got,
-        vec![
-            ("comm-phase-tag".to_string(), 4),
-            ("comm-phase-tag".to_string(), 17),
-        ]
-    );
-}
-
-#[test]
-fn untagged_collectives_are_exempt_inside_runtime_and_tests() {
-    let src = include_str!("fixtures/untagged_collective.rs");
-    assert!(findings("crates/runtime/src/fixture.rs", src).is_empty());
-    assert!(findings("crates/dist/tests/fixture.rs", src).is_empty());
-    assert!(findings("crates/dist/benches/fixture.rs", src).is_empty());
-}
-
-#[test]
 fn std_instant_is_flagged_outside_probe() {
     let src = include_str!("fixtures/std_instant.rs");
     let got = findings("crates/core/src/fixture.rs", src);

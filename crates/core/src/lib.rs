@@ -51,7 +51,8 @@ pub use convolution::{
 };
 pub use observables::{Observables, SpectralData};
 pub use scba::{
-    g_step_batch, g_step_finish, kernel_chunks, mix_sigma_energy, w_step_batch, GStepOutput,
+    g_step_assemble, g_step_batch, g_step_finish, kernel_chunks, mix_sigma_energy,
+    solve_accounting, solve_stage, w_step_assemble, w_step_batch, w_step_finish, GStepOutput,
     KernelTimings, ScbaConfig, ScbaResult, ScbaSolver, WStepOutput,
 };
 

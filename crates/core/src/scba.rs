@@ -27,11 +27,11 @@ use rayon::prelude::*;
 
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
-use quatrex_obc::{ObcMemoizer, ObcMode};
+use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::assembly::{assemble_g, assemble_w, ObcMethod};
+use crate::assembly::{assemble_g, assemble_w, GAssembly, ObcMethod, WAssembly};
 use crate::convolution::{
     polarization_from_g, retarded_from_lesser_greater, self_energy_from_gw, symmetrize_all,
     EnergyResolved,
@@ -74,6 +74,20 @@ impl KernelTimings {
         slot.fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
+    /// A point-in-time copy of the accumulators, e.g. out of an instance the
+    /// rank threads still share.
+    pub fn snapshot(&self) -> KernelTimings {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        KernelTimings {
+            g_assembly_ns: copy(&self.g_assembly_ns),
+            g_rgf_ns: copy(&self.g_rgf_ns),
+            w_assembly_ns: copy(&self.w_assembly_ns),
+            w_rgf_ns: copy(&self.w_rgf_ns),
+            convolution_ns: copy(&self.convolution_ns),
+            other_ns: copy(&self.other_ns),
+        }
+    }
+
     /// Total accumulated wall time in seconds.
     pub fn total_seconds(&self) -> f64 {
         (self.g_assembly_ns.load(Ordering::Relaxed)
@@ -102,8 +116,6 @@ impl KernelTimings {
 /// Output of the G-step at one energy point: the selected Green's function
 /// blocks and the spectral quantities derived from them.
 pub struct GStepOutput {
-    /// Selected blocks of `G^R`.
-    pub retarded: BlockTridiagonal,
     /// Selected blocks of `G^<` (symmetrised if configured).
     pub lesser: BlockTridiagonal,
     /// Selected blocks of `G^>` (symmetrised if configured).
@@ -113,44 +125,10 @@ pub struct GStepOutput {
     /// Local density of states per transport cell.
     pub dos_local: Vec<f64>,
     /// Wall seconds this energy cost: its own assembly plus an equal share
-    /// of the batched RGF solve it was part of (the per-energy work inside
-    /// one batch is identical by construction). The measured cost weight of
-    /// the distributed energy rebalancer; `0` out of [`g_step_finish`].
+    /// of the solve it was part of (the per-energy work inside one solve is
+    /// identical by construction). The measured cost weight of the
+    /// distributed energy rebalancer.
     pub seconds: f64,
-}
-
-/// Finish one per-energy G-step from the left-contact OBC blocks of its
-/// assembly and the selected RGF solution: symmetrisation and the spectral
-/// observables. Split out of [`g_step_batch`] so a solver that routes the
-/// RGF solve elsewhere (e.g. the spatially decomposed `quatrex_dist` driver
-/// with `P_S > 1`) applies the exact same tail arithmetic.
-pub fn g_step_finish(
-    sigma_obc_left_lesser: &quatrex_linalg::CMatrix,
-    sigma_obc_left_greater: &quatrex_linalg::CMatrix,
-    retarded: BlockTridiagonal,
-    mut lesser: BlockTridiagonal,
-    mut greater: BlockTridiagonal,
-    config: &ScbaConfig,
-) -> GStepOutput {
-    if config.enforce_symmetry {
-        lesser.symmetrize_negf();
-        greater.symmetrize_negf();
-    }
-    let current_spectrum = current_spectrum_left(
-        sigma_obc_left_lesser,
-        sigma_obc_left_greater,
-        lesser.diag(0),
-        greater.diag(0),
-    );
-    let dos_local = local_dos(&retarded);
-    GStepOutput {
-        retarded,
-        lesser,
-        greater,
-        current_spectrum,
-        dos_local,
-        seconds: 0.0,
-    }
 }
 
 /// Output of the W-step at one (boson) energy point.
@@ -161,9 +139,24 @@ pub struct WStepOutput {
     pub greater: BlockTridiagonal,
     /// Fraction of banded-product weight dropped by the BT truncation.
     pub truncation: f64,
-    /// Wall seconds this energy cost (assembly + equal share of the batched
-    /// solve), as [`GStepOutput::seconds`].
+    /// Wall seconds this energy cost (assembly + equal share of the solve),
+    /// as [`GStepOutput::seconds`].
     pub seconds: f64,
+}
+
+/// How the RGF solve of one subsystem (`G` = electrons, `W` = screened
+/// interaction) is accounted: probe span (name and category) of the local
+/// batched solve, FLOP kind and wall-time slot. Shared by every solver of the
+/// assembled systems — the local batched one ([`solve_stage`]) and the
+/// cooperative spatial one of `quatrex_dist`.
+pub fn solve_accounting(
+    subsystem: Subsystem,
+    timings: &KernelTimings,
+) -> (&'static str, FlopKind, &AtomicU64) {
+    match subsystem {
+        Subsystem::Electron => ("g.rgf", FlopKind::GRgf, &timings.g_rgf_ns),
+        Subsystem::ScreenedCoulomb => ("w.rgf", FlopKind::WRgf, &timings.w_rgf_ns),
+    }
 }
 
 /// Cut an energy range into consecutive kernel chunks of at most
@@ -191,14 +184,164 @@ fn memoizer_of<'a>(
     memoizers[slot].as_deref_mut()
 }
 
-/// Run the G-step for a batch of energy points: per-energy assembly (OBC
-/// cascade + memoizer), **one** energy-batched RGF solve
-/// ([`rgf_solve_batch_into`]) whose block products run as `gemm_batch` sweeps
-/// over the whole batch, then symmetrisation and spectral observables per
-/// energy ([`g_step_finish`]). An energy's output does not depend on the
-/// batch it is solved in (bit for bit), so the batch length is purely a
-/// launch-structure choice; both SCBA drivers run every energy through this
-/// function, which makes their per-energy numerics identical by construction.
+// ---------------------------------------------------------------------------
+// The three stages of a step — *assemble one energy*, *solve the assembled
+// systems*, *finish one energy*. [`g_step_batch`] / [`w_step_batch`] compose
+// them with the local batched solve; `quatrex_dist` composes the same
+// assemble and finish stages with its group solve, so both drivers apply
+// identical per-energy arithmetic by construction.
+
+/// Stage 1 of the G-step: assemble one energy's system (OBC cascade +
+/// memoizer) from the previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`. Returns
+/// the assembly and its wall seconds.
+#[allow(clippy::too_many_arguments)]
+pub fn g_step_assemble(
+    h: &BlockTridiagonal,
+    energy: f64,
+    energy_index: usize,
+    sigma: [Option<&BlockTridiagonal>; 3],
+    config: &ScbaConfig,
+    kt: f64,
+    memoizer: Option<&mut ObcMemoizer>,
+    flops: &FlopCounter,
+    timings: &KernelTimings,
+) -> (GAssembly, f64) {
+    let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
+        assemble_g(
+            h,
+            energy,
+            config.eta,
+            energy_index,
+            sigma[0],
+            sigma[1],
+            sigma[2],
+            config.mu_left,
+            config.mu_right,
+            kt,
+            config.obc_method_g,
+            memoizer,
+            flops,
+        )
+    });
+    timings.add_seconds(&timings.g_assembly_ns, secs);
+    (asm, secs)
+}
+
+/// Stage 1 of the W-step: assemble `I − V·P^R` with its OBCs at one boson
+/// energy from `p = [P^R, P^<, P^>]`. Returns the assembly and its wall
+/// seconds.
+pub fn w_step_assemble(
+    coulomb: &BlockTridiagonal,
+    p: [&BlockTridiagonal; 3],
+    energy_index: usize,
+    config: &ScbaConfig,
+    memoizer: Option<&mut ObcMemoizer>,
+    flops: &FlopCounter,
+    timings: &KernelTimings,
+) -> (WAssembly, f64) {
+    let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
+        assemble_w(
+            coulomb,
+            p[0],
+            p[1],
+            p[2],
+            energy_index,
+            config.obc_method_w,
+            memoizer,
+            flops,
+        )
+    });
+    timings.add_seconds(&timings.w_assembly_ns, secs);
+    (asm, secs)
+}
+
+/// Stage 2, local form: **one** energy-batched RGF solve
+/// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems, whose
+/// block products run as `gemm_batch` sweeps over the whole batch. Returns
+/// the selected solutions and the solve's wall seconds. A solution does not
+/// depend on the batch it is solved in (bit for bit), so the batch length is
+/// purely a launch-structure choice.
+pub fn solve_stage(
+    subsystem: Subsystem,
+    systems: &[[&BlockTridiagonal; 3]],
+    scratch: &mut RgfBatchScratch,
+    flops: &FlopCounter,
+    timings: &KernelTimings,
+) -> Result<(Vec<SelectedSolution>, f64), RgfError> {
+    let shape = systems
+        .first()
+        .map_or((0, 0), |s| (s[0].n_blocks(), s[0].block_size()));
+    let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| s[0]).collect();
+    let rhs: Vec<&[&BlockTridiagonal]> = systems.iter().map(|s| &s[1..]).collect();
+    let mut sols = vec![SelectedSolution::zeros(shape.0, shape.1, 2); systems.len()];
+    let (span, kind, slot) = solve_accounting(subsystem, timings);
+    let (solved, secs) = quatrex_probe::span_timed(span, span, || {
+        rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch)
+    });
+    solved.map_err(|e| e.error)?;
+    timings.add_seconds(slot, secs);
+    flops.add(kind, sols.iter().map(|s| s.flops).sum());
+    Ok((sols, secs))
+}
+
+/// Move the `[≶ = <, ≶ = >]` pair out of a two-RHS solution, symmetrised if
+/// configured.
+fn lesser_greater(lesser: Vec<BlockTridiagonal>, config: &ScbaConfig) -> [BlockTridiagonal; 2] {
+    let mut pair: [BlockTridiagonal; 2] = lesser
+        .try_into()
+        .expect("the step functions solve exactly the lesser and greater RHS");
+    if config.enforce_symmetry {
+        pair.iter_mut().for_each(BlockTridiagonal::symmetrize_negf);
+    }
+    pair
+}
+
+/// Stage 3 of the G-step: finish one energy from its assembly and its
+/// selected solution — symmetrisation and the spectral observables.
+/// `seconds` is the energy's measured cost (see [`GStepOutput::seconds`]).
+pub fn g_step_finish(
+    asm: &GAssembly,
+    sol: SelectedSolution,
+    seconds: f64,
+    config: &ScbaConfig,
+) -> GStepOutput {
+    let [lesser, greater] = lesser_greater(sol.lesser, config);
+    GStepOutput {
+        current_spectrum: current_spectrum_left(
+            &asm.sigma_obc_left_lesser,
+            &asm.sigma_obc_left_greater,
+            lesser.diag(0),
+            greater.diag(0),
+        ),
+        dos_local: local_dos(&sol.retarded),
+        lesser,
+        greater,
+        seconds,
+    }
+}
+
+/// Stage 3 of the W-step: finish one boson energy (symmetrisation).
+pub fn w_step_finish(
+    asm: &WAssembly,
+    sol: SelectedSolution,
+    seconds: f64,
+    config: &ScbaConfig,
+) -> WStepOutput {
+    let [lesser, greater] = lesser_greater(sol.lesser, config);
+    WStepOutput {
+        lesser,
+        greater,
+        truncation: asm.truncation_error,
+        seconds,
+    }
+}
+
+/// Run the G-step for a batch of energy points: the three stages composed
+/// with the local batched solve — per-energy [`g_step_assemble`], one
+/// [`solve_stage`], per-energy [`g_step_finish`]. An energy's output does not
+/// depend on the batch it is solved in (bit for bit); both SCBA drivers run
+/// every energy through the same stages, which makes their per-energy
+/// numerics identical by construction.
 ///
 /// `memoizers` holds one entry per energy, or a single entry serving the
 /// whole batch.
@@ -226,75 +369,38 @@ pub fn g_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-
-    let mut asms = Vec::with_capacity(bsz);
-    for i in 0..bsz {
-        let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
-            assemble_g(
+    let asms: Vec<(GAssembly, f64)> = (0..bsz)
+        .map(|i| {
+            g_step_assemble(
                 h,
                 energies[i],
-                config.eta,
                 energy_indices[i],
-                sigma_r[i],
-                sigma_lesser[i],
-                sigma_greater[i],
-                config.mu_left,
-                config.mu_right,
+                [sigma_r[i], sigma_lesser[i], sigma_greater[i]],
+                config,
                 kt,
-                config.obc_method_g,
                 memoizer_of(memoizers, i),
                 flops,
+                timings,
             )
-        });
-        timings.add_seconds(&timings.g_assembly_ns, secs);
-        asms.push((asm, secs));
-    }
-
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|(a, _)| &a.system).collect();
-    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-        .iter()
-        .map(|(a, _)| [&a.rhs_lesser, &a.rhs_greater])
+        })
         .collect();
-    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
-    let mut sols = vec![SelectedSolution::zeros(h.n_blocks(), h.block_size(), 2); bsz];
-    let (solved, rgf_secs) = quatrex_probe::span_timed("g.rgf", "g.rgf", || {
-        rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    });
-    solved.map_err(|e| e.error)?;
-    timings.add_seconds(&timings.g_rgf_ns, rgf_secs);
-    let rgf_share = rgf_secs / bsz as f64;
-
+    let systems: Vec<_> = asms
+        .iter()
+        .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+        .collect();
+    let (sols, rgf_secs) = solve_stage(Subsystem::Electron, &systems, scratch, flops, timings)?;
+    let share = rgf_secs / bsz as f64;
     Ok(sols
         .into_iter()
         .zip(&asms)
-        .map(|(sol, (asm, assembly_secs))| {
-            flops.add(FlopKind::GRgf, sol.flops);
-            let [g_lesser, g_greater] = lesser_greater(sol.lesser);
-            let mut out = g_step_finish(
-                &asm.sigma_obc_left_lesser,
-                &asm.sigma_obc_left_greater,
-                sol.retarded,
-                g_lesser,
-                g_greater,
-                config,
-            );
-            out.seconds = assembly_secs + rgf_share;
-            out
-        })
+        .map(|(sol, (asm, secs))| g_step_finish(asm, sol, secs + share, config))
         .collect())
 }
 
-/// Move the `[≶ = <, ≶ = >]` pair out of a two-RHS solution.
-fn lesser_greater(lesser: Vec<BlockTridiagonal>) -> [BlockTridiagonal; 2] {
-    lesser
-        .try_into()
-        .expect("the step functions solve exactly the lesser and greater RHS")
-}
-
-/// Run the W-step for a batch of (boson) energy points: per-energy assembly
-/// of `I − V·P^R` with its OBCs, one energy-batched RGF solve, symmetrisation.
-/// Batch-independent per energy and shared by both drivers like
-/// [`g_step_batch`]; `memoizers` follows the same convention.
+/// Run the W-step for a batch of (boson) energy points: [`w_step_assemble`],
+/// one [`solve_stage`], [`w_step_finish`]. Batch-independent per energy and
+/// shared by both drivers like [`g_step_batch`]; `memoizers` follows the same
+/// convention.
 #[allow(clippy::too_many_arguments)]
 pub fn w_step_batch(
     coulomb: &BlockTridiagonal,
@@ -316,56 +422,35 @@ pub fn w_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-
-    let mut asms = Vec::with_capacity(bsz);
-    for i in 0..bsz {
-        let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
-            assemble_w(
+    let asms: Vec<(WAssembly, f64)> = (0..bsz)
+        .map(|i| {
+            w_step_assemble(
                 coulomb,
-                p_retarded[i],
-                p_lesser[i],
-                p_greater[i],
+                [p_retarded[i], p_lesser[i], p_greater[i]],
                 energy_indices[i],
-                config.obc_method_w,
+                config,
                 memoizer_of(memoizers, i),
                 flops,
+                timings,
             )
-        });
-        timings.add_seconds(&timings.w_assembly_ns, secs);
-        asms.push((asm, secs));
-    }
-
-    let systems: Vec<&BlockTridiagonal> = asms.iter().map(|(a, _)| &a.system).collect();
-    let rhs: Vec<[&BlockTridiagonal; 2]> = asms
-        .iter()
-        .map(|(a, _)| [&a.rhs_lesser, &a.rhs_greater])
+        })
         .collect();
-    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
-    let mut sols = vec![SelectedSolution::zeros(coulomb.n_blocks(), coulomb.block_size(), 2); bsz];
-    let (solved, rgf_secs) = quatrex_probe::span_timed("w.rgf", "w.rgf", || {
-        rgf_solve_batch_into(&systems, &rhs_slices, &mut sols, scratch)
-    });
-    solved.map_err(|e| e.error)?;
-    timings.add_seconds(&timings.w_rgf_ns, rgf_secs);
-    let rgf_share = rgf_secs / bsz as f64;
-
+    let systems: Vec<_> = asms
+        .iter()
+        .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+        .collect();
+    let (sols, rgf_secs) = solve_stage(
+        Subsystem::ScreenedCoulomb,
+        &systems,
+        scratch,
+        flops,
+        timings,
+    )?;
+    let share = rgf_secs / bsz as f64;
     Ok(sols
         .into_iter()
         .zip(&asms)
-        .map(|(sol, (asm, assembly_secs))| {
-            flops.add(FlopKind::WRgf, sol.flops);
-            let [mut lesser, mut greater] = lesser_greater(sol.lesser);
-            if config.enforce_symmetry {
-                lesser.symmetrize_negf();
-                greater.symmetrize_negf();
-            }
-            WStepOutput {
-                lesser,
-                greater,
-                truncation: asm.truncation_error,
-                seconds: assembly_secs + rgf_share,
-            }
-        })
+        .map(|(sol, (asm, secs))| w_step_finish(asm, sol, secs + share, config))
         .collect())
 }
 
@@ -527,12 +612,7 @@ impl ScbaSolver {
     pub fn ballistic(&self) -> ScbaResult {
         let mut cfg = self.config.clone();
         cfg.max_iterations = 1;
-        let solver = ScbaSolver {
-            device: self.device.clone(),
-            config: cfg,
-            grid: self.grid.clone(),
-        };
-        solver.run()
+        ScbaSolver::with_grid(self.device.clone(), cfg, self.grid.clone()).run()
     }
 
     /// Run the SCBA loop until convergence or the iteration limit.
@@ -619,14 +699,12 @@ impl ScbaSolver {
                 })
                 .collect();
 
-            let mut g_retarded: EnergyResolved = Vec::with_capacity(ne);
             let mut g_lesser: EnergyResolved = Vec::with_capacity(ne);
             let mut g_greater: EnergyResolved = Vec::with_capacity(ne);
             let mut current_spectrum = Vec::with_capacity(ne);
             let mut dos_local = Vec::with_capacity(ne);
             for r in g_results {
                 for out in r.expect("RGF solve failed: the system matrix became singular") {
-                    g_retarded.push(out.retarded);
                     g_lesser.push(out.lesser);
                     g_greater.push(out.greater);
                     current_spectrum.push(out.current_spectrum);
@@ -789,11 +867,6 @@ impl ScbaSolver {
             max_truncation_error: max_truncation,
         }
     }
-}
-
-/// Re-export used by downstream crates to check whether OBCs were memoized.
-pub fn is_memoized(mode: ObcMode) -> bool {
-    matches!(mode, ObcMode::Memoized { .. })
 }
 
 #[cfg(test)]

@@ -8,15 +8,27 @@
 //! The paper (Sections 5.1–5.4) distributes the NEGF+scGW workload along two
 //! axes. The **energy axis** first: the OBC, assembly and RGF phases are
 //! embarrassingly parallel over the `N_E` energy points, so every energy
-//! *group* owns a contiguous slice of them ([`partition`], balanced by the
-//! memoizer-aware cost model of `quatrex-perf`). The **spatial axis** second:
-//! devices whose matrices exceed one memory domain split each energy group
-//! over `P_S` spatial partitions via the nested-dissection solver
-//! ([`spatial`]): the ranks form a `n_energy_groups × P_S` grid, the group's
-//! spatial ranks eliminate and recover their partition interiors
-//! concurrently, and the reduced boundary system is assembled via gather
-//! within the group and solved on the group leader
-//! (`DistScbaConfig::spatial_partitions`).
+//! *group* owns a contiguous slice of them ([`partition`]: an equal-count
+//! split, optionally re-balanced between iterations from measured wall
+//! times). The **spatial axis** second: devices whose matrices exceed one
+//! memory domain split each energy group over `P_S` spatial partitions via
+//! the nested-dissection solver ([`spatial`]): the ranks form a
+//! `n_energy_groups × P_S` grid, the group's spatial ranks eliminate and
+//! recover their partition interiors concurrently, and the reduced boundary
+//! system is assembled via gather within the group and solved on the group
+//! leader (`DistScbaConfig::spatial_partitions`; the partition layout is
+//! FLOP-balanced whenever a middle partition exists, `P_S ≥ 3`).
+//!
+//! ## One iteration, one route
+//!
+//! Every rank runs the same six-step cycle (`rank`): `G`, `P`, `W`, `Σ`, mix,
+//! rebalance. The `G` and `W` steps are three stages — *assemble one energy*,
+//! *solve the assembled systems*, *finish one energy* — of which the first
+//! and last are `quatrex_core`'s (`g_step_assemble`/`g_step_finish`, …) and
+//! the middle one is the group solve [`spatial_phase_solve`]: the local
+//! energy-batched RGF solve in a one-member group, the cooperative
+//! eliminate → reduce → recover otherwise. The four transpositions run
+//! through one double-buffered exchange driver (`pipeline`).
 //!
 //! ## The transposition dataflow
 //!
@@ -48,25 +60,29 @@
 //! ## Equivalence with the sequential solver
 //!
 //! Every per-energy and per-element kernel is shared with
-//! `quatrex_core::ScbaSolver` (`g_step_batch`, `w_step_batch`, the
-//! `*_series` convolution kernels, `mix_sigma_energy`), so
+//! `quatrex_core::ScbaSolver` (the stages of `g_step_batch`/`w_step_batch`,
+//! the `*_series` convolution kernels, `mix_sigma_energy`), so
 //! [`DistScbaSolver`] reproduces the sequential observables to well below
 //! `1e-10` relative error at any rank count — see
 //! `crates/dist/tests/equivalence.rs`.
 
+pub mod config;
 pub mod partition;
+mod pipeline;
+mod rank;
+mod rebalance;
 pub mod report;
 pub mod slab;
 pub mod solver;
 pub mod spatial;
 pub mod warm;
 
-pub use partition::{energy_cost_weights, partition_weighted};
+pub use config::{DistScbaConfig, DistScbaResult};
+pub use partition::partition_weighted;
 pub use report::{DistReport, TranspositionBudget};
 pub use slab::{
-    BackComponent, ElementSlab, EnergySlab, PartitionSlice, TranspositionBatchPlan,
-    TranspositionPlan, BYTES_PER_VALUE,
+    BackComponent, ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE,
 };
-pub use solver::{DistScbaConfig, DistScbaResult, DistScbaSolver};
-pub use spatial::{spatial_phase_solve, RankGrid, SpatialTraffic};
+pub use solver::DistScbaSolver;
+pub use spatial::{spatial_phase_solve, PartitionSlice, RankGrid, SpatialLayout, SpatialTraffic};
 pub use warm::{WarmState, WarmStateWireError};

@@ -2,15 +2,13 @@
 //!
 //! The paper spreads the `N_E` energy points across ranks (the first level of
 //! the decomposition, Section 5.1); within an energy group the spatial
-//! partitions form the second level (an open item, see ROADMAP.md). Energy
-//! points are balanced by *cost weights* — by default uniform, or produced
-//! from the memoizer-aware per-energy workload model of `quatrex-perf` when
-//! the device has a catalogue parameter set.
+//! partitions form the second level ([`crate::spatial`]). Energy points are
+//! balanced by *cost weights* — uniform at the start of a run (every energy
+//! performs the same per-kernel work in the workload model, so any model
+//! weight reduces to the equal-count split), and the wall seconds measured in
+//! the previous iteration when energy rebalancing is on.
 
 use std::ops::Range;
-
-use quatrex_device::DeviceParams;
-use quatrex_perf::WorkloadModel;
 
 /// Split `0..weights.len()` into `n_parts` contiguous ranges whose weight
 /// sums are as balanced as a contiguous split allows. Each part's target is
@@ -85,29 +83,6 @@ fn partition_uniform(n: usize, n_parts: usize) -> Vec<Range<usize>> {
         start += len;
     }
     ranges
-}
-
-/// Per-energy cost weights for an SCBA iteration.
-///
-/// With a catalogue parameter set available, the weights come from the
-/// memoizer-aware [`WorkloadModel`] (`quatrex-perf`): every energy performs
-/// the same per-kernel work in the model, so the weight is the per-energy
-/// total — the partitioner then reduces to an equal-count split, but the
-/// plumbing accepts arbitrary per-energy weights (e.g. measured wall times
-/// from a previous iteration) without changing the callers.
-pub fn energy_cost_weights(
-    params: Option<&DeviceParams>,
-    use_memoizer: bool,
-    n_energies: usize,
-) -> Vec<f64> {
-    match params {
-        Some(p) => {
-            let model = WorkloadModel::new(p.clone(), use_memoizer);
-            let per_energy = model.per_energy().total().max(f64::MIN_POSITIVE);
-            vec![per_energy; n_energies]
-        }
-        None => vec![1.0; n_energies],
-    }
 }
 
 #[cfg(test)]
@@ -279,16 +254,5 @@ mod tests {
                 remaining = (remaining - sum).max(0.0);
             }
         }
-    }
-
-    #[test]
-    fn model_weights_are_positive_and_uniform() {
-        let params = quatrex_device::DeviceCatalog::nw1();
-        let w = energy_cost_weights(Some(&params), true, 12);
-        assert_eq!(w.len(), 12);
-        assert!(w.iter().all(|&x| x > 0.0));
-        assert!(w.windows(2).all(|p| p[0] == p[1]));
-        let uniform = energy_cost_weights(None, true, 5);
-        assert_eq!(uniform, vec![1.0; 5]);
     }
 }

@@ -1,0 +1,474 @@
+//! The exchange pipeline of the four energy↔element transpositions and the
+//! element-major convolution accumulators they feed.
+//!
+//! Every transposition of an iteration — `G^≶` forward, `P` backward, `W^≶`
+//! forward, `Σ` backward ([`TRANSPOSITIONS`]) — runs through **one** driver,
+//! [`exchange`]: batch `k+1`'s `Alltoallv` is posted non-blocking before
+//! batch `k` is waited for and absorbed, so the absorb side (the per-batch
+//! convolution accumulation of the forward transpositions) computes while
+//! the next batch flies. The two directions differ only in what a batch packs
+//! and what absorbing it means, which [`RankState::forward`] and
+//! [`RankState::backward`] supply as closures.
+
+use quatrex_core::convolution::causal_retarded_series;
+use quatrex_linalg::c64;
+use quatrex_linalg::flops::FlopCounter;
+use quatrex_probe::clock::Instant;
+use quatrex_runtime::{CommHandle, CommPhase, RankContext};
+use quatrex_sparse::BlockTridiagonal;
+use quatrex_sync::race::{self, AccessKind, SharedId};
+
+use crate::rank::{RankCounters, RankState};
+use crate::slab::{
+    off_rank_payload_bytes, BackComponent, ElementSlab, TranspositionPlan, BYTES_PER_VALUE,
+};
+use crate::spatial::RankGrid;
+
+/// Which way a transposition moves data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Direction {
+    /// Energy-major → element-major (into the convolutions).
+    Forward,
+    /// Element-major → energy-major (back to the energy owners).
+    Backward,
+}
+
+/// One of the four per-iteration transpositions: its byte-accounting tag,
+/// direction, which of its components obey the NEGF symmetry (and so travel
+/// canonical-only under symmetry reduction), the probe span names of its
+/// pack and unpack stages, and the probe span (name, category) of the
+/// convolution stage riding on it — the per-batch accumulation behind a
+/// forward transposition, the epilogue ahead of a backward one.
+pub(crate) struct Transposition {
+    pub phase: CommPhase,
+    pub direction: Direction,
+    pub symmetric: &'static [bool],
+    pub scatter_span: &'static str,
+    pub absorb_span: &'static str,
+    pub conv_span: (&'static str, &'static str),
+}
+
+/// The four transpositions of one SCBA iteration, in cycle order (Fig. 3).
+pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
+    Transposition {
+        phase: CommPhase::FwdG,
+        direction: Direction::Forward,
+        symmetric: &[true, true],
+        scatter_span: "transposition.scatter.fwd_g",
+        absorb_span: "transposition.absorb.fwd_g",
+        conv_span: ("scba.p.accumulate", "conv.p"),
+    },
+    Transposition {
+        phase: CommPhase::BwdP,
+        direction: Direction::Backward,
+        symmetric: &[true, true, false],
+        scatter_span: "transposition.scatter.bwd_p",
+        absorb_span: "transposition.absorb.bwd_p",
+        conv_span: ("scba.p.finish", "conv.p"),
+    },
+    Transposition {
+        phase: CommPhase::FwdW,
+        direction: Direction::Forward,
+        symmetric: &[true, true],
+        scatter_span: "transposition.scatter.fwd_w",
+        absorb_span: "transposition.absorb.fwd_w",
+        conv_span: ("scba.sigma.accumulate", "conv.sigma"),
+    },
+    Transposition {
+        phase: CommPhase::BwdSigma,
+        direction: Direction::Backward,
+        symmetric: &[true, true, false],
+        scatter_span: "transposition.scatter.bwd_sigma",
+        absorb_span: "transposition.absorb.bwd_sigma",
+        conv_span: ("scba.sigma.finish", "conv.sigma"),
+    },
+];
+
+impl Transposition {
+    /// Run the unpack stage of one batch under this transposition's span.
+    fn unpack<R>(&self, f: impl FnOnce() -> R) -> R {
+        quatrex_probe::span(self.absorb_span, "transposition.unpack", f)
+    }
+}
+
+/// Buffer bytes of a per-destination payload set (self-messages included —
+/// they occupy memory even though they never touch the wire).
+fn payload_bytes(payloads: &[Vec<c64>]) -> u64 {
+    payloads
+        .iter()
+        .map(|m| (m.len() * BYTES_PER_VALUE) as u64)
+        .sum()
+}
+
+/// Drive one transposition through the double-buffered batch pipeline: post
+/// the next batch, wait for the oldest, absorb it, release its buffers.
+///
+/// The participants are the energy groups: group `g`'s message rides to its
+/// leader rank through the flat communicator. On leaders `pack(b)` builds
+/// batch `b`'s per-group payloads and `absorb(b, received)` consumes the
+/// messages received for it (indexed by source group); non-leader ranks join
+/// every batch collective with empty messages and call neither. Empty surplus
+/// batches (more batches than a group has energies) still post and drain, so
+/// every rank executes the same collective sequence.
+///
+/// Every posted and received payload counts toward the in-flight buffer
+/// footprint until its batch has been absorbed (`counters.peak_slab_bytes`),
+/// and absorb time that ran while a later batch was in flight accumulates in
+/// `counters.overlap_seconds`.
+pub(crate) fn exchange(
+    ctx: &RankContext<Vec<c64>>,
+    grid: &RankGrid,
+    row: &Transposition,
+    n_batches: usize,
+    counters: &mut RankCounters,
+    mut pack: impl FnMut(usize) -> Vec<Vec<c64>>,
+    mut absorb: impl FnMut(usize, Vec<Vec<c64>>),
+) {
+    let group = grid.group_of(ctx.rank());
+    let is_leader = grid.is_leader(ctx.rank());
+    let mut post = |b: usize, counters: &mut RankCounters| -> (CommHandle<Vec<c64>>, u64) {
+        let payloads = if is_leader {
+            quatrex_probe::span(row.scatter_span, "transposition.pack", || pack(b))
+        } else {
+            vec![Vec::new(); grid.n_groups]
+        };
+        debug_assert_eq!(payloads.len(), grid.n_groups);
+        counters.transposition_bytes += off_rank_payload_bytes(group, &payloads);
+        let bytes = payload_bytes(&payloads);
+        counters.track(bytes);
+        let mut send: Vec<Vec<c64>> = vec![Vec::new(); grid.n_ranks()];
+        for (g, msg) in payloads.into_iter().enumerate() {
+            send[grid.leader_of(g)] = msg;
+        }
+        let handle = ctx.alltoallv_start_tagged(send, |m| m.len() * BYTES_PER_VALUE, row.phase);
+        (handle, bytes)
+    };
+    let mut in_flight = Some(post(0, counters));
+    let mut b = 0;
+    while let Some((handle, sent_bytes)) = in_flight.take() {
+        if b + 1 < n_batches {
+            in_flight = Some(post(b + 1, counters));
+        }
+        let mut recv = handle.wait(ctx);
+        let received: Vec<Vec<c64>> = (0..grid.n_groups)
+            .map(|g| std::mem::take(&mut recv[grid.leader_of(g)]))
+            .collect();
+        let recv_bytes = payload_bytes(&received);
+        counters.track(recv_bytes);
+        let t = Instant::now();
+        if is_leader {
+            absorb(b, received);
+        }
+        if in_flight.is_some() {
+            counters.overlap_seconds += t.elapsed().as_secs_f64();
+        }
+        counters.release(sent_bytes + recv_bytes);
+        b += 1;
+    }
+}
+
+impl RankState<'_> {
+    /// One forward transposition (energy-major → element-major) of the
+    /// lesser/greater pair `comps`. `consume` is the per-batch convolution
+    /// accumulation: called on leaders for every non-empty batch with the
+    /// slab-so-far, the arrived global energy indices, and whether earlier
+    /// batches arrived. Returns the fully assembled element slab on leaders.
+    pub(crate) fn forward(
+        &mut self,
+        row: &Transposition,
+        comps: [&[BlockTridiagonal]; 2],
+        mut consume: impl FnMut(&ElementSlab, &[usize], bool),
+    ) -> Option<ElementSlab> {
+        debug_assert_eq!(row.direction, Direction::Forward);
+        let (plan, batches, group) = (&*self.plan, &self.batches, self.group);
+        let mut slab = self.is_leader.then(|| {
+            let elements = plan.element_ranges[group].clone();
+            ElementSlab::zeroed(elements, row.symmetric.len(), plan.n_energies)
+        });
+        let mut arrived_before = false;
+        exchange(
+            self.ctx,
+            &self.p.layout.grid,
+            row,
+            batches.n_batches,
+            &mut self.log.counters,
+            |b| plan.scatter_forward_batch(group, &comps, batches.local_ranges[group][b].clone()),
+            |b, received| {
+                let Some(slab) = slab.as_mut() else { return };
+                let sources = batches.global_ranges(plan, b);
+                row.unpack(|| plan.absorb_forward_batch(group, slab, received, &sources));
+                let arrived = batches.arrived_global(plan, b);
+                if !arrived.is_empty() {
+                    consume(slab, &arrived, arrived_before);
+                    arrived_before = true;
+                }
+            },
+        );
+        slab
+    }
+
+    /// One backward transposition (element-major → energy-major) of the
+    /// leader's finished convolution series (`None` on non-leaders). Returns
+    /// the lesser, greater and retarded energy-major quantities of the owned
+    /// energies on leaders, empty vectors elsewhere.
+    pub(crate) fn backward(
+        &mut self,
+        row: &Transposition,
+        series: Option<&ConvSeries>,
+    ) -> [Vec<BlockTridiagonal>; 3] {
+        debug_assert_eq!(row.direction, Direction::Backward);
+        let (plan, batches, group) = (&*self.plan, &self.batches, self.group);
+        let comps = series.map(ConvSeries::back_components);
+        let comps = comps.as_ref().map_or(&[][..], |c| c.as_slice());
+        let zero = BlockTridiagonal::zeros(plan.n_blocks, plan.block_size);
+        let mut out = [(); 3].map(|()| vec![zero.clone(); self.sigma.len()]);
+        exchange(
+            self.ctx,
+            &self.p.layout.grid,
+            row,
+            batches.n_batches,
+            &mut self.log.counters,
+            |b| {
+                let targets = batches.global_ranges(plan, b);
+                plan.scatter_backward_batch(group, comps, row.symmetric, &targets)
+            },
+            |b, received| {
+                let mine = batches.global_range(plan, group, b);
+                row.unpack(|| {
+                    plan.absorb_backward_batch(group, &mut out, received, row.symmetric, mine)
+                });
+            },
+        );
+        out
+    }
+}
+
+/// Element-wise NEGF symmetrisation of a canonical/mirror series pair — the
+/// exact per-element arithmetic of `BlockTridiagonal::symmetrize_negf`.
+fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror: bool) {
+    let half = c64::new(0.5, 0.0);
+    if self_mirror {
+        for (c, m) in canonical.iter_mut().zip(mirror.iter_mut()) {
+            *c = (*c - c.conj()) * half;
+            *m = *c;
+        }
+    } else {
+        for (c, m) in canonical.iter_mut().zip(mirror.iter_mut()) {
+            let (a, b) = (*c, *m);
+            *c = (a - b.conj()) * half;
+            *m = (b - a.conj()) * half;
+        }
+    }
+}
+
+/// The element-major output of one convolution phase (`P` or `Σ`) on a group
+/// leader: per owned element the canonical and mirror energy series of the
+/// lesser, greater and — once [`ConvSeries::finish`] ran — retarded
+/// component. The lesser/greater series are running accumulators, filled
+/// batch by batch by the `quatrex_core::convolution::*_accumulate` kernels
+/// while later batches are still in flight.
+pub(crate) struct ConvSeries {
+    /// Race-detector id of the accumulators (the owning group).
+    group: u64,
+    /// Per owned element: whether it is its own mirror.
+    self_mirror: Vec<bool>,
+    lesser_c: Vec<Vec<c64>>,
+    lesser_m: Vec<Vec<c64>>,
+    greater_c: Vec<Vec<c64>>,
+    greater_m: Vec<Vec<c64>>,
+    retarded_c: Vec<Vec<c64>>,
+    retarded_m: Vec<Vec<c64>>,
+}
+
+impl ConvSeries {
+    /// All-zero accumulators for the elements `group` owns.
+    pub(crate) fn zeroed(plan: &TranspositionPlan, group: usize) -> Self {
+        let self_mirror: Vec<bool> = plan.elements[plan.element_ranges[group].clone()]
+            .iter()
+            .map(|id| id.is_self_mirror())
+            .collect();
+        let zero = || vec![vec![c64::new(0.0, 0.0); plan.n_energies]; self_mirror.len()];
+        Self {
+            group: group as u64,
+            lesser_c: zero(),
+            lesser_m: zero(),
+            greater_c: zero(),
+            greater_m: zero(),
+            retarded_c: Vec::with_capacity(self_mirror.len()),
+            retarded_m: Vec::with_capacity(self_mirror.len()),
+            self_mirror,
+        }
+    }
+
+    /// Accumulate one arrived batch: `kernel(lesser, greater, e_local,
+    /// mirrored)` adds the batch's contribution to the series of the
+    /// canonical element `e_local` (`mirrored = false`) and, unless the
+    /// element is its own mirror, of its mirror (`mirrored = true`).
+    pub(crate) fn accumulate(
+        &mut self,
+        mut kernel: impl FnMut(&mut [c64], &mut [c64], usize, bool),
+    ) {
+        race::access_shared(
+            SharedId::new("dist.conv_accum", self.group),
+            AccessKind::Write,
+        );
+        for (e_local, &self_mirror) in self.self_mirror.iter().enumerate() {
+            let (lc, gc) = (&mut self.lesser_c[e_local], &mut self.greater_c[e_local]);
+            kernel(lc, gc, e_local, false);
+            if !self_mirror {
+                let (lm, gm) = (&mut self.lesser_m[e_local], &mut self.greater_m[e_local]);
+                kernel(lm, gm, e_local, true);
+            }
+        }
+    }
+
+    /// The phase epilogue after the last batch has been consumed, in place:
+    /// symmetrise the canonical/mirror pairs and build the retarded
+    /// components causally.
+    pub(crate) fn finish(&mut self, enforce_symmetry: bool, flops: &FlopCounter) {
+        // The epilogue read of the batch-accumulated series: ordered after
+        // every batch's accumulate (same leader thread, after the batch's
+        // CommHandle::wait) — a pipeline mutation that lets the finish read
+        // overtake an in-flight batch's accumulate is an HB race here.
+        race::access_shared(
+            SharedId::new("dist.conv_accum", self.group),
+            AccessKind::Read,
+        );
+        for (e_local, &self_mirror) in self.self_mirror.iter().enumerate() {
+            let (lc, lm) = (&mut self.lesser_c[e_local], &mut self.lesser_m[e_local]);
+            let (gc, gm) = (&mut self.greater_c[e_local], &mut self.greater_m[e_local]);
+            if self_mirror {
+                lm.clone_from(lc);
+                gm.clone_from(gc);
+            }
+            if enforce_symmetry {
+                symmetrize_series_pair(lc, lm, self_mirror);
+                symmetrize_series_pair(gc, gm, self_mirror);
+            }
+            let rc = causal_retarded_series(lc, gc, flops);
+            let rm = if self_mirror {
+                rc.clone()
+            } else {
+                causal_retarded_series(lm, gm, flops)
+            };
+            self.retarded_c.push(rc);
+            self.retarded_m.push(rm);
+        }
+    }
+
+    /// The finished series as the backward transposition ships them.
+    fn back_components(&self) -> [BackComponent<'_>; 3] {
+        [
+            (&self.lesser_c, &self.lesser_m),
+            (&self.greater_c, &self.greater_m),
+            (&self.retarded_c, &self.retarded_m),
+        ]
+        .map(|(canonical, mirror)| BackComponent { canonical, mirror })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::slab::TranspositionBatchPlan;
+    use quatrex_core::convolution::element_series;
+    use quatrex_linalg::{cplx, CMatrix};
+    use quatrex_runtime::ThreadComm;
+
+    /// A synthetic energy-resolved quantity with distinct values everywhere.
+    fn quantity(ne: usize, nb: usize, bs: usize, seed: f64) -> Vec<BlockTridiagonal> {
+        (0..ne)
+            .map(|k| {
+                let block = |i: usize, j: usize| {
+                    CMatrix::from_fn(bs, bs, |r, c| {
+                        cplx(seed + (k * 31 + i * 7 + j * 3) as f64, (r * bs + c) as f64)
+                    })
+                };
+                let mut bt = BlockTridiagonal::zeros(nb, bs);
+                for i in 0..nb {
+                    bt.set_block(i, i, block(i, i));
+                }
+                for i in 0..nb - 1 {
+                    bt.set_block(i, i + 1, block(i, i + 1));
+                    bt.set_block(i + 1, i, block(i + 1, i));
+                }
+                bt
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exchange_posts_and_drains_empty_surplus_batches() {
+        // 2 groups over 5 energies (2 + 3) in B = 3 batches: one group owns
+        // fewer energies than there are batches, so one of its batches is
+        // empty — it must still post and drain like the others, and the
+        // batch-wise slabs must equal the directly extracted element series.
+        let (nb, bs, ne, n_batches) = (3usize, 2usize, 5usize, 3usize);
+        let plan = TranspositionPlan::new(nb, bs, ne, 2, 1, false, &vec![1.0; ne]);
+        let batches = TranspositionBatchPlan::new(&plan, n_batches);
+        assert!(
+            batches.local_ranges.iter().flatten().any(|r| r.is_empty()),
+            "the grid must leave a group a surplus batch: {:?}",
+            batches.local_ranges
+        );
+        let quantities = [quantity(ne, nb, bs, 0.25), quantity(ne, nb, bs, -4.0)];
+        let grid = RankGrid::new(2, 1);
+        let row = &TRANSPOSITIONS[0];
+        let (plan2, q2) = (plan.clone(), quantities.clone());
+        let (results, stats) = ThreadComm::run(2, move |ctx: RankContext<Vec<c64>>| {
+            let (plan, group) = (&plan2, ctx.rank());
+            let local: Vec<&[BlockTridiagonal]> = q2
+                .iter()
+                .map(|q| &q[plan.energy_ranges[group].clone()])
+                .collect();
+            let mut slab = ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, ne);
+            let mut counters = RankCounters::default();
+            let mut absorbed = Vec::new();
+            exchange(
+                &ctx,
+                &grid,
+                row,
+                n_batches,
+                &mut counters,
+                |b| {
+                    plan.scatter_forward_batch(
+                        group,
+                        &local,
+                        batches.local_ranges[group][b].clone(),
+                    )
+                },
+                |b, received| {
+                    absorbed.push(b);
+                    plan.absorb_forward_batch(
+                        group,
+                        &mut slab,
+                        received,
+                        &batches.global_ranges(plan, b),
+                    );
+                },
+            );
+            assert_eq!(absorbed, vec![0, 1, 2], "every batch drains, in order");
+            assert_eq!(ctx.outstanding_exchanges(), 0);
+            (slab, counters)
+        });
+
+        let mut sent = 0;
+        for (group, (slab, counters)) in results.iter().enumerate() {
+            for (e_local, e) in plan.element_ranges[group].clone().enumerate() {
+                let id = plan.elements[e];
+                for (c, q) in quantities.iter().enumerate() {
+                    let want = element_series(q, id.pos, id.row, id.col);
+                    assert_eq!(slab.canonical[c][e_local], want, "group {group} {id:?}");
+                }
+            }
+            assert!(counters.peak_slab_bytes > 0);
+            sent += counters.transposition_bytes;
+        }
+        // One collective per batch (counted on each of the 2 ranks), and every
+        // off-rank byte is accounted.
+        let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(load(&stats.n_collectives), 2 * n_batches as u64);
+        assert_eq!(load(&stats.alltoall_bytes), sent);
+        assert_eq!(stats.phase_bytes(row.phase), sent);
+    }
+}

@@ -1,0 +1,658 @@
+//! One rank's side of the distributed SCBA loop.
+//!
+//! [`rank_main`] is the closure body every rank of the communicator runs: it
+//! builds a [`RankState`] over the run's shared [`Problem`] and drives the
+//! six-step cycle — `G`, `P`, `W`, `Σ`, mix, rebalance — one method per step.
+//! The `G` and `W` steps speak the stage vocabulary of `quatrex_core::scba`:
+//! *assemble one energy* (core), *solve the assembled systems* (the group
+//! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
+//! otherwise), *finish one energy* (core). The `P` and `Σ` steps run the
+//! element-major convolutions behind the transposition pipeline
+//! ([`crate::pipeline`]); the measured energy rebalancer lives in
+//! [`crate::rebalance`].
+
+use std::borrow::Cow;
+use std::ops::Range;
+
+use quatrex_core::convolution::{polarization_series_accumulate, self_energy_series_accumulate};
+use quatrex_core::observables::{integrate_current, Observables, SpectralData};
+use quatrex_core::scba::{
+    g_step_assemble, g_step_finish, kernel_chunks, mix_sigma_energy, w_step_assemble,
+    w_step_finish, KernelTimings, ScbaConfig,
+};
+use quatrex_linalg::flops::FlopCounter;
+use quatrex_linalg::{c64, CMatrix};
+use quatrex_obc::{ObcKey, ObcMemoizer, Subsystem};
+use quatrex_probe::clock::Instant;
+use quatrex_probe::RankTrace;
+use quatrex_rgf::{RgfBatchScratch, SelectedSolution};
+use quatrex_runtime::{CommPhase, RankContext};
+use quatrex_sparse::BlockTridiagonal;
+
+use crate::config::DistScbaConfig;
+use crate::pipeline::{ConvSeries, Transposition, TRANSPOSITIONS};
+use crate::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
+use crate::spatial::{spatial_phase_solve, SpatialLayout, SpatialTraffic};
+use crate::warm::WarmState;
+
+/// Everything the ranks of one run share, read-only (the FLOP and wall-time
+/// accumulators are atomic).
+pub(crate) struct Problem {
+    /// The run's configuration (`config.scba` is the physics).
+    pub config: DistScbaConfig,
+    /// Hamiltonian in the transport-cell tiling.
+    pub h: BlockTridiagonal,
+    /// Coulomb matrix, already scaled by `interaction_scale`.
+    pub v: BlockTridiagonal,
+    /// Initial energy/element ownership and wire format.
+    pub plan: TranspositionPlan,
+    /// Rank grid and spatial partition layout.
+    pub layout: SpatialLayout,
+    /// Energy grid points and spacing.
+    pub energies: Vec<f64>,
+    pub de: f64,
+    /// Thermal energy `k_B·T` in eV.
+    pub kt: f64,
+    /// Warm-start seed (shape already validated against the grid).
+    pub warm: Option<WarmState>,
+    /// One shared clock zero for every rank's probe recorder.
+    pub epoch: Instant,
+    pub flops: FlopCounter,
+    pub timings: KernelTimings,
+}
+
+impl Problem {
+    /// The physics configuration.
+    pub fn cfg(&self) -> &ScbaConfig {
+        &self.config.scba
+    }
+
+    /// Run one convolution stage under its probe span, accounting its wall
+    /// time to the convolution slot.
+    fn conv_timed<R>(&self, (name, cat): (&'static str, &'static str), f: impl FnOnce() -> R) -> R {
+        quatrex_probe::span(name, cat, || {
+            let t = Instant::now();
+            let out = f();
+            self.timings.add(&self.timings.convolution_ns, t);
+            out
+        })
+    }
+}
+
+/// Scattering self-energies of one owned energy point.
+pub(crate) struct SigmaState {
+    pub lesser: BlockTridiagonal,
+    pub greater: BlockTridiagonal,
+    pub retarded: BlockTridiagonal,
+}
+
+/// The additive per-rank measurements of a run, merged over ranks into the
+/// [`crate::DistReport`].
+#[derive(Default)]
+pub(crate) struct RankCounters {
+    /// Off-rank bytes of the four energy↔element transpositions.
+    pub transposition_bytes: u64,
+    /// Boundary-system traffic of the `G` / `W` group solves.
+    pub traffic_g: SpatialTraffic,
+    pub traffic_w: SpatialTraffic,
+    /// OBC memoizer solves answered from cache / in total.
+    pub memo_hits: usize,
+    pub memo_total: usize,
+    /// Off-rank bytes of the Σ state migrated by rebalances.
+    pub rebalance_bytes: u64,
+    /// Peak in-flight transposition buffer bytes.
+    pub peak_slab_bytes: u64,
+    /// Absorb/convolution seconds that ran while a batch was in flight.
+    pub overlap_seconds: f64,
+    /// Current in-flight transposition buffer bytes (zero between exchanges).
+    in_flight_bytes: u64,
+}
+
+impl RankCounters {
+    /// A posted or received batch payload enters the in-flight footprint.
+    pub fn track(&mut self, bytes: u64) {
+        self.in_flight_bytes += bytes;
+        self.peak_slab_bytes = self.peak_slab_bytes.max(self.in_flight_bytes);
+    }
+
+    /// A consumed batch leaves the in-flight footprint.
+    pub fn release(&mut self, bytes: u64) {
+        self.in_flight_bytes -= bytes;
+    }
+
+    /// Fold another rank's counters in: everything adds up across ranks
+    /// except the buffer peak, where the busiest rank bounds the per-node
+    /// memory.
+    pub fn merge(&mut self, other: &RankCounters) {
+        self.transposition_bytes += other.transposition_bytes;
+        self.traffic_g.merge(&other.traffic_g);
+        self.traffic_w.merge(&other.traffic_w);
+        self.memo_hits += other.memo_hits;
+        self.memo_total += other.memo_total;
+        self.rebalance_bytes += other.rebalance_bytes;
+        self.peak_slab_bytes = self.peak_slab_bytes.max(other.peak_slab_bytes);
+        self.overlap_seconds += other.overlap_seconds;
+    }
+}
+
+/// What one rank records about its loop. The outcome fields (iterations …
+/// `energy_rebalances`) come out identical on every rank; the counters and
+/// memoizer snapshots are the rank's own.
+#[derive(Default)]
+pub(crate) struct RankLog {
+    pub iterations: usize,
+    /// Iterations that ran the P/W/Σ phases.
+    pub full_iterations: usize,
+    pub converged: bool,
+    pub residual_history: Vec<f64>,
+    pub current_history: Vec<f64>,
+    pub max_truncation: f64,
+    pub energy_rebalances: usize,
+    pub counters: RankCounters,
+    /// Cumulative memoizer (hits, total solves) after each full iteration.
+    pub memo_per_iteration: Vec<(usize, usize)>,
+}
+
+/// Per-rank return value of the communicator closure.
+pub(crate) struct RankOut {
+    pub log: RankLog,
+    pub observables: Observables,
+    pub trace: Option<RankTrace>,
+    /// Final Σ state of the energies this leader owned at run end, keyed by
+    /// global energy index. Empty unless state capture is on (and always
+    /// empty on non-leaders).
+    pub final_sigma: Vec<(usize, SigmaState)>,
+    /// Final OBC memoizer entries of the owned energies. Empty unless state
+    /// capture is on.
+    pub final_obc: Vec<(ObcKey, CMatrix)>,
+}
+
+/// One rank's mutable state across the SCBA loop.
+pub(crate) struct RankState<'a> {
+    pub(crate) ctx: &'a RankContext<Vec<c64>>,
+    pub(crate) p: &'a Problem,
+    pub(crate) group: usize,
+    pub(crate) is_leader: bool,
+    /// Current ownership; a private copy only once a rebalance moved it.
+    pub(crate) plan: Cow<'a, TranspositionPlan>,
+    /// Batch schedule of the current ownership.
+    pub(crate) batches: TranspositionBatchPlan,
+    /// Σ of the owned energies (energy-major, held by the group leader;
+    /// non-leaders carry no per-energy state).
+    pub(crate) sigma: Vec<SigmaState>,
+    pub(crate) memoizer: Option<ObcMemoizer>,
+    /// RGF scratch of the local group solve: all owned energies share one
+    /// transport-cell shape, so the staged operand batches and the batch
+    /// arena stay warm across kernel batches and iterations.
+    rgf_scratch: RgfBatchScratch,
+    /// Wall seconds each owned energy spent in assembly + solve this
+    /// iteration — the measured cost weights of the next rebalance.
+    pub(crate) energy_seconds: Vec<f64>,
+    pub(crate) log: RankLog,
+    /// Last G step's spectral data, packed per owned energy for the final
+    /// ordered gather: current spectrum, per-block DOS, per-block `G^<`
+    /// diagonal traces (only the traces feed the density, so they are
+    /// extracted at G-step time instead of keeping the matrices around).
+    spectral: Vec<c64>,
+}
+
+/// The per-rank SCBA main loop.
+pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
+    let max_iterations = p.cfg().max_iterations;
+    if p.config.probe {
+        quatrex_probe::install(ctx.rank(), p.epoch);
+    }
+    let mut rank = RankState::new(ctx, p);
+    for iter in 0..max_iterations {
+        rank.begin_iteration();
+        let g = rank.g_step();
+        if max_iterations == 1 {
+            break;
+        }
+        let (g_slab, polarization) = rank.p_step(g);
+        let w = rank.w_step(polarization);
+        let sigma_new = rank.sigma_step(g_slab, w);
+        if rank.mix(sigma_new) {
+            break;
+        }
+        if p.config.rebalance_energies && iter + 1 < max_iterations {
+            rank.rebalance();
+        }
+    }
+    rank.finish()
+}
+
+impl<'a> RankState<'a> {
+    fn new(ctx: &'a RankContext<Vec<c64>>, p: &'a Problem) -> Self {
+        let grid = &p.layout.grid;
+        let (group, is_leader) = (grid.group_of(ctx.rank()), grid.is_leader(ctx.rank()));
+        let cfg = p.cfg();
+        let mut memoizer = cfg.use_memoizer.then(|| ObcMemoizer::new(cfg.n_fpi, 1e-7));
+        let owned = if is_leader {
+            p.plan.energy_ranges[group].clone()
+        } else {
+            0..0
+        };
+        // Cold start at Σ = 0; a warm start adopts the seed state's Σ for the
+        // owned energies and pre-fills the OBC memoizer — the identical
+        // adoption the rebalancer's migration receive path performs.
+        let zero = BlockTridiagonal::zeros(p.h.n_blocks(), p.h.block_size());
+        let sigma = owned
+            .clone()
+            .map(|k| match &p.warm {
+                Some(w) => SigmaState {
+                    lesser: w.sigma_lesser[k].clone(),
+                    greater: w.sigma_greater[k].clone(),
+                    retarded: w.sigma_retarded[k].clone(),
+                },
+                None => SigmaState {
+                    lesser: zero.clone(),
+                    greater: zero.clone(),
+                    retarded: zero.clone(),
+                },
+            })
+            .collect();
+        if let (Some(w), Some(m)) = (&p.warm, memoizer.as_mut()) {
+            for (key, block) in &w.obc {
+                if owned.contains(&key.energy_index) {
+                    m.insert_cached(*key, block.clone());
+                }
+            }
+        }
+        Self {
+            ctx,
+            p,
+            group,
+            is_leader,
+            plan: Cow::Borrowed(&p.plan),
+            batches: TranspositionBatchPlan::new(&p.plan, p.config.energy_batches),
+            sigma,
+            memoizer,
+            rgf_scratch: RgfBatchScratch::new(),
+            energy_seconds: Vec::new(),
+            log: RankLog::default(),
+            spectral: Vec::new(),
+        }
+    }
+
+    /// Global energy range the group owns under the current plan.
+    pub(crate) fn my_energies(&self) -> Range<usize> {
+        self.plan.energy_ranges[self.group].clone()
+    }
+
+    fn begin_iteration(&mut self) {
+        self.log.iterations += 1;
+        self.energy_seconds = vec![0.0; self.sigma.len()];
+    }
+
+    /// The local energy ranges one group solve covers. A one-member group
+    /// solves kernel chunks cut inside the transposition batches — a kernel
+    /// batch never straddles a batch boundary, so the data a solve produces
+    /// is exactly the data the next pipelined transposition ships. A spatial
+    /// group runs one cooperative solve per phase over all its energies (even
+    /// none: the members still join its collectives).
+    fn solve_chunks(&self) -> Vec<Range<usize>> {
+        if self.p.layout.grid.spatial_partitions > 1 {
+            let all = 0..self.my_energies().len();
+            return vec![all];
+        }
+        self.batches.local_ranges[self.group]
+            .iter()
+            .flat_map(|lr| kernel_chunks(lr.clone(), self.p.cfg().kernel_batch))
+            .collect()
+    }
+
+    /// Stage 2 of a step: solve the systems the leader assembled for one
+    /// chunk of `n_owned` energies, by the whole group. Returns the solutions
+    /// (leader only) and each energy's equal share of the solve's wall time.
+    fn group_solve(
+        &mut self,
+        subsystem: Subsystem,
+        systems: &[[&BlockTridiagonal; 3]],
+        n_owned: usize,
+    ) -> (Vec<SelectedSolution>, f64) {
+        let p = self.p;
+        let t = Instant::now();
+        let (sols, traffic) = spatial_phase_solve(
+            self.ctx,
+            &p.layout,
+            subsystem,
+            systems,
+            n_owned,
+            &mut self.rgf_scratch,
+            &p.flops,
+            &p.timings,
+        );
+        match subsystem {
+            Subsystem::Electron => self.log.counters.traffic_g.merge(&traffic),
+            Subsystem::ScreenedCoulomb => self.log.counters.traffic_w.merge(&traffic),
+        }
+        (sols, t.elapsed().as_secs_f64() / n_owned.max(1) as f64)
+    }
+
+    /// G step: `G^≶` of the owned energies (`[G^<, G^>]`, leader only), the
+    /// packed spectral data, and the allreduced per-iteration current.
+    fn g_step(&mut self) -> [Vec<BlockTridiagonal>; 2] {
+        let (p, cfg) = (self.p, self.p.cfg());
+        let nb = p.h.n_blocks();
+        let e0 = self.my_energies().start;
+        let mut g = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
+        self.spectral.clear();
+        for chunk in self.solve_chunks() {
+            // Members hold no per-energy state and assemble nothing.
+            let asms: Vec<_> = chunk
+                .clone()
+                .take(self.sigma.len())
+                .map(|k_local| {
+                    let s = &self.sigma[k_local];
+                    g_step_assemble(
+                        &p.h,
+                        p.energies[e0 + k_local],
+                        e0 + k_local,
+                        [Some(&s.retarded), Some(&s.lesser), Some(&s.greater)],
+                        cfg,
+                        p.kt,
+                        self.memoizer.as_mut(),
+                        &p.flops,
+                        &p.timings,
+                    )
+                })
+                .collect();
+            let systems: Vec<_> = asms
+                .iter()
+                .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+                .collect();
+            let (sols, share) = self.group_solve(Subsystem::Electron, &systems, chunk.len());
+            for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
+                let out = g_step_finish(asm, sol, secs + share, cfg);
+                self.energy_seconds[k_local] += out.seconds;
+                self.spectral.push(c64::new(out.current_spectrum, 0.0));
+                self.spectral
+                    .extend(out.dos_local.iter().map(|&d| c64::new(d, 0.0)));
+                self.spectral
+                    .extend((0..nb).map(|i| out.lesser.diag(i).trace()));
+                g[0].push(out.lesser);
+                g[1].push(out.greater);
+            }
+        }
+        // Observable allreduce: the per-iteration current.
+        let partial: f64 = self
+            .spectral
+            .chunks_exact(1 + 2 * nb)
+            .map(|per_energy| per_energy[0].re)
+            .sum();
+        let current = self.ctx.allreduce_sum(partial) * p.de / (2.0 * std::f64::consts::PI);
+        self.log.current_history.push(current);
+        g
+    }
+
+    /// The front half of a convolution phase, pipelined over the energy
+    /// batches: the forward transposition of `comps`, whose batch `k+1` flies
+    /// while `kernel` accumulates batch `k` into every owned element's series
+    /// (see [`ConvSeries::accumulate`]; `kernel` also gets the slab-so-far,
+    /// the arrived energy indices and whether earlier batches arrived).
+    /// Returns the element slab and the accumulated series (leader only).
+    fn convolve(
+        &mut self,
+        row: &Transposition,
+        comps: [&[BlockTridiagonal]; 2],
+        kernel: impl Fn(&ElementSlab, &[usize], bool, &mut [c64], &mut [c64], usize, bool),
+    ) -> (Option<ElementSlab>, Option<ConvSeries>) {
+        let p = self.p;
+        let mut series = self
+            .is_leader
+            .then(|| ConvSeries::zeroed(&self.plan, self.group));
+        let slab = self.forward(row, comps, |slab, batch, arrived_before| {
+            let Some(series) = series.as_mut() else {
+                return;
+            };
+            p.conv_timed(row.conv_span, || {
+                series.accumulate(|lesser, greater, e, mirrored| {
+                    kernel(slab, batch, arrived_before, lesser, greater, e, mirrored)
+                });
+            });
+        });
+        (slab, series)
+    }
+
+    /// The back half of a convolution phase: the epilogue of the accumulated
+    /// series and their backward transposition. Returns the energy-major
+    /// `[X^<, X^>, X^R]` of the owned energies.
+    fn ship(
+        &mut self,
+        row: &Transposition,
+        mut series: Option<ConvSeries>,
+    ) -> [Vec<BlockTridiagonal>; 3] {
+        let p = self.p;
+        if let Some(series) = series.as_mut() {
+            p.conv_timed(row.conv_span, || {
+                series.finish(p.cfg().enforce_symmetry, &p.flops)
+            });
+        }
+        self.backward(row, series.as_ref())
+    }
+
+    /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
+    /// G, so each arriving batch contributes its cross terms against
+    /// everything arrived so far (exact; see
+    /// `polarization_series_accumulate`). Returns the G element slab (kept
+    /// for the Σ step) and `[P^<, P^>, P^R]`.
+    fn p_step(
+        &mut self,
+        g: [Vec<BlockTridiagonal>; 2],
+    ) -> (Option<ElementSlab>, [Vec<BlockTridiagonal>; 3]) {
+        let p = self.p;
+        let (g_slab, series) = self.convolve(
+            &TRANSPOSITIONS[0],
+            [&g[0], &g[1]],
+            |slab, batch, arrived_before, lesser, greater, e, mirrored| {
+                // P_ij(ω) needs G^<_ij, G^>_ji, G^>_ij, G^<_ji; the mirrored
+                // element swaps canonical and mirror series.
+                let (own, other) = slab.sides(mirrored);
+                polarization_series_accumulate(
+                    lesser,
+                    greater,
+                    &own[0][e],
+                    &other[1][e],
+                    &own[1][e],
+                    &other[0][e],
+                    batch,
+                    arrived_before,
+                    p.de,
+                    &p.flops,
+                );
+            },
+        );
+        (g_slab, self.ship(&TRANSPOSITIONS[1], series))
+    }
+
+    /// W step: `[W^<, W^>]` of the owned energies (leader only) and the
+    /// globally gathered truncation maximum.
+    fn w_step(&mut self, polarization: [Vec<BlockTridiagonal>; 3]) -> [Vec<BlockTridiagonal>; 2] {
+        let (p, cfg) = (self.p, self.p.cfg());
+        let [p_lesser, p_greater, p_retarded] = polarization;
+        let e0 = self.my_energies().start;
+        let mut w = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
+        let mut local_trunc = 0.0f64;
+        for chunk in self.solve_chunks() {
+            let asms: Vec<_> = chunk
+                .clone()
+                .take(self.sigma.len())
+                .map(|k| {
+                    w_step_assemble(
+                        &p.v,
+                        [&p_retarded[k], &p_lesser[k], &p_greater[k]],
+                        e0 + k,
+                        cfg,
+                        self.memoizer.as_mut(),
+                        &p.flops,
+                        &p.timings,
+                    )
+                })
+                .collect();
+            let systems: Vec<_> = asms
+                .iter()
+                .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+                .collect();
+            let (sols, share) = self.group_solve(Subsystem::ScreenedCoulomb, &systems, chunk.len());
+            for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
+                let out = w_step_finish(asm, sol, secs + share, cfg);
+                self.energy_seconds[k_local] += out.seconds;
+                local_trunc = local_trunc.max(out.truncation);
+                w[0].push(out.lesser);
+                w[1].push(out.greater);
+            }
+        }
+        // Global truncation maximum (tiny ordered gather).
+        let truncs = self.ctx.allgather_tagged(
+            vec![c64::new(local_trunc, 0.0)],
+            |m| m.len() * BYTES_PER_VALUE,
+            CommPhase::Gathers,
+        );
+        let iter_trunc = truncs.iter().flatten().fold(0.0f64, |m, t| m.max(t.re));
+        self.log.max_truncation = self.log.max_truncation.max(iter_trunc);
+        w
+    }
+
+    /// Transposition #3 + Σ convolutions + transposition #4. Σ is linear in
+    /// W, so each arriving W batch contributes `conv(Δw, g)` against the
+    /// complete G slab (held since #1; see `self_energy_series_accumulate`).
+    /// Returns `[Σ^<, Σ^>, Σ^R]`.
+    fn sigma_step(
+        &mut self,
+        g_slab: Option<ElementSlab>,
+        w: [Vec<BlockTridiagonal>; 2],
+    ) -> [Vec<BlockTridiagonal>; 3] {
+        let p = self.p;
+        let (_, series) = self.convolve(
+            &TRANSPOSITIONS[2],
+            [&w[0], &w[1]],
+            |w_slab, batch, _, lesser, greater, e, mirrored| {
+                // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
+                let Some(g_slab) = g_slab.as_ref() else {
+                    return;
+                };
+                let ((g, _), (w, _)) = (g_slab.sides(mirrored), w_slab.sides(mirrored));
+                self_energy_series_accumulate(
+                    lesser, greater, &g[0][e], &g[1][e], &w[0][e], &w[1][e], batch, p.de, &p.flops,
+                );
+            },
+        );
+        let sigma_new = self.ship(&TRANSPOSITIONS[3], series);
+        self.log.full_iterations += 1;
+        // Cumulative memoizer snapshot: consecutive differences give the
+        // per-iteration hit rates reported by `DistReport`.
+        let stats = self.memoizer.as_ref().map(|m| m.stats());
+        let snapshot = stats.map_or((0, 0), |s| (s.hits(), s.total()));
+        self.log.memo_per_iteration.push(snapshot);
+        sigma_new
+    }
+
+    /// Mix the new self-energies into the owned Σ state and allreduce the
+    /// convergence norms. Returns whether the loop converged.
+    fn mix(&mut self, [new_l, new_g, new_r]: [Vec<BlockTridiagonal>; 3]) -> bool {
+        let (p, cfg) = (self.p, self.p.cfg());
+        let (partial_update, partial_reference) = quatrex_probe::span("scba.mix", "mix", || {
+            let t = Instant::now();
+            let mut partial = (0.0f64, 0.0f64);
+            for (k_local, s) in self.sigma.iter_mut().enumerate() {
+                let (upd, refr) = mix_sigma_energy(
+                    &mut s.lesser,
+                    &mut s.greater,
+                    &mut s.retarded,
+                    &new_l[k_local],
+                    &new_g[k_local],
+                    &new_r[k_local],
+                    cfg.mixing,
+                );
+                partial.0 += upd;
+                partial.1 += refr;
+            }
+            p.timings.add(&p.timings.other_ns, t);
+            partial
+        });
+        let update_norm = self.ctx.allreduce_sum(partial_update);
+        let reference_norm = self.ctx.allreduce_sum(partial_reference);
+        let residual = if reference_norm > 0.0 {
+            (update_norm / reference_norm).sqrt()
+        } else {
+            0.0
+        };
+        self.log.residual_history.push(residual);
+        self.log.converged = residual < cfg.tolerance;
+        self.log.converged
+    }
+
+    /// The final ordered gather, the observables, and the state capture.
+    fn finish(mut self) -> RankOut {
+        let p = self.p;
+        let (ne, nb, de) = (p.energies.len(), p.h.n_blocks(), p.de);
+        // The packed spectral data is gathered in rank order (= ascending
+        // energy, as group leaders appear in group order), so every rank can
+        // evaluate the observables with the sequential summation order
+        // exactly.
+        let gathered = self.ctx.allgather_tagged(
+            std::mem::take(&mut self.spectral),
+            |m| m.len() * BYTES_PER_VALUE,
+            CommPhase::Gathers,
+        );
+        let per_energy = 1 + 2 * nb;
+        let mut current_spectrum = Vec::with_capacity(ne);
+        let mut dos_local: Vec<Vec<f64>> = Vec::with_capacity(ne);
+        let mut density = vec![0.0f64; nb];
+        for msg in &gathered {
+            assert_eq!(msg.len() % per_energy, 0, "spectral gather shape");
+            for chunk in msg.chunks_exact(per_energy) {
+                current_spectrum.push(chunk[0].re);
+                dos_local.push(chunk[1..1 + nb].iter().map(|v| v.re).collect());
+                // Same accumulation as `observables::electron_density`.
+                for (i, d) in density.iter_mut().enumerate() {
+                    let tr = chunk[1 + nb + i];
+                    *d += (c64::new(0.0, -1.0) * tr).re * de / (2.0 * std::f64::consts::PI);
+                }
+            }
+        }
+        assert!(
+            self.log.iterations == 0 || current_spectrum.len() == ne,
+            "spectral gather covers the grid",
+        );
+        let exact_current = integrate_current(&current_spectrum, de);
+        if let Some(last) = self.log.current_history.last_mut() {
+            *last = exact_current;
+        }
+        if let Some(stats) = self.memoizer.as_ref().map(|m| m.stats()) {
+            self.log.counters.memo_hits = stats.hits();
+            self.log.counters.memo_total = stats.total();
+        }
+
+        // State capture: drain this leader's final Σ matrices and memoizer
+        // entries, keyed by global energy index so the solver can reassemble
+        // the full-grid state regardless of how rebalancing moved ownership.
+        let mut final_sigma = Vec::new();
+        let mut final_obc = Vec::new();
+        if p.config.capture_state && self.is_leader {
+            let owned = self.my_energies();
+            final_sigma = owned.clone().zip(std::mem::take(&mut self.sigma)).collect();
+            if let Some(m) = self.memoizer.as_mut() {
+                final_obc = owned.flat_map(|k| m.extract_energy(k)).collect();
+            }
+        }
+
+        RankOut {
+            log: self.log,
+            observables: Observables {
+                electron_density: density,
+                current: exact_current,
+                spectral: SpectralData {
+                    energies: p.energies.clone(),
+                    dos: dos_local.iter().map(|v| v.iter().sum::<f64>()).collect(),
+                    dos_local,
+                    current_spectrum,
+                },
+            },
+            trace: quatrex_probe::finish(),
+            final_sigma,
+            final_obc,
+        }
+    }
+}

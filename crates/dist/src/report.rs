@@ -61,8 +61,8 @@ pub struct DistReport {
     pub spatial_partitions: usize,
     /// Whether the spatial layout was the FLOP-balanced uneven one
     /// (`quatrex_rgf::partition_layout_balanced`) instead of the uniform
-    /// split. Always false at `P_S ≤ 2`: with no middle partition the
-    /// balanced layout degenerates to the uniform one.
+    /// split — a derived fact, not a setting: true exactly when a middle
+    /// partition exists to balance against (`P_S ≥ 3`).
     pub balanced_partitions: bool,
     /// Energy points per group.
     pub energies_per_rank: Vec<usize>,

@@ -3,9 +3,9 @@
 //!
 //! The SCBA cycle alternates between two layouts (paper Fig. 3):
 //!
-//! * **energy-major** ([`EnergySlab`]): each rank owns a contiguous slice of
-//!   energy points and stores one block-tridiagonal matrix per energy — the
-//!   layout of the OBC + assembly + RGF phases;
+//! * **energy-major** (a `Vec<BlockTridiagonal>` per quantity): each rank owns
+//!   a contiguous slice of energy points and stores one block-tridiagonal
+//!   matrix per energy — the layout of the OBC + assembly + RGF phases;
 //! * **element-major** ([`ElementSlab`]): each rank owns a contiguous slice of
 //!   the *canonical element list* and stores, per element, the full energy
 //!   series — the layout of the P/Σ convolutions (FFTs over energy).
@@ -24,7 +24,6 @@ use std::ops::Range;
 use quatrex_core::convolution::{canonical_elements, ElementId};
 use quatrex_core::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
-use quatrex_rgf::{BoundaryCouplings, PartitionSystemSlice, SpatialPartition};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::partition::partition_weighted;
@@ -36,6 +35,12 @@ pub const BYTES_PER_VALUE: usize = 16;
 // Shared complex128-stream primitives of the group-level wire formats (the
 // spatial boundary-system messages ride the same byte-accounted `Alltoallv`
 // as the transpositions).
+
+/// Next value of a wire stream. The encoders fix every message length, so a
+/// stream running dry is a wire-format bug, not an input error.
+pub(crate) fn read_value<'a>(it: &mut impl Iterator<Item = &'a c64>) -> c64 {
+    *it.next().expect("short wire message") // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+}
 
 /// Append every entry of a matrix in row-major order.
 pub(crate) fn push_matrix(buf: &mut Vec<c64>, m: &CMatrix) {
@@ -52,7 +57,7 @@ pub(crate) fn read_matrix<'a>(it: &mut impl Iterator<Item = &'a c64>, bs: usize)
     let mut m = CMatrix::zeros(bs, bs);
     for r in 0..bs {
         for c in 0..bs {
-            m[(r, c)] = *it.next().expect("short spatial message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+            m[(r, c)] = read_value(it);
         }
     }
     m
@@ -88,129 +93,6 @@ pub(crate) fn read_bt<'a>(
     bt
 }
 
-/// Wire type of the slice-wise system distribution: everything one spatial
-/// rank needs to eliminate its partition of one per-energy system — the
-/// partition's interior blocks of `A`, `B^<`, `B^>` plus the separator
-/// coupling blocks ([`quatrex_rgf::PartitionSystemSlice`]) — instead of the
-/// full `3·(3·N_B − 2)`-block broadcast the pre-slice path shipped. Cutting
-/// the distribution payload to each rank's own slice reduces the per-phase
-/// boundary-system bytes by `~1/P_S`; `DistReport` tracks the measured saving
-/// against the broadcast-equivalent volume.
-#[derive(Debug, Clone)]
-pub struct PartitionSlice {
-    /// Index of the partition (spatial rank) this slice feeds.
-    pub partition: usize,
-    /// The sliced system: interior blocks + separator couplings of `A` and of
-    /// every right-hand side.
-    pub system: PartitionSystemSlice,
-}
-
-impl PartitionSlice {
-    /// Cut the slice of `part` out of a full per-energy system.
-    pub fn extract(
-        a: &BlockTridiagonal,
-        rhs: &[&BlockTridiagonal],
-        part: &SpatialPartition,
-        partition: usize,
-    ) -> Self {
-        Self {
-            partition,
-            system: PartitionSystemSlice::extract(a, rhs, part),
-        }
-    }
-
-    /// Complex values of the wire encoding (headers included).
-    pub fn wire_values(&self) -> usize {
-        2 + self.system.boundaries.len() + self.system.stored_values()
-    }
-
-    /// Complex values the pre-slice broadcast path shipped per destination
-    /// for the same distribution: the full block-tridiagonal system and
-    /// `n_rhs` right-hand sides.
-    pub fn full_broadcast_values(nb: usize, bs: usize, n_rhs: usize) -> usize {
-        (1 + n_rhs) * (nb + 2 * nb.saturating_sub(1)) * bs * bs
-    }
-
-    /// Serialise into a complex128 stream.
-    pub fn encode(&self, buf: &mut Vec<c64>) {
-        let sys = &self.system;
-        buf.push(c64::new(self.partition as f64, sys.n_rhs() as f64));
-        buf.push(c64::new(
-            sys.a_int.n_blocks() as f64,
-            sys.boundaries.len() as f64,
-        ));
-        for b in &sys.boundaries {
-            buf.push(c64::new(b.sep as f64, f64::from(u8::from(b.left))));
-        }
-        push_bt(buf, &sys.a_int);
-        for b in &sys.rhs_int {
-            push_bt(buf, b);
-        }
-        for b in &sys.boundaries {
-            push_matrix(buf, &b.a_sep_to_int);
-            push_matrix(buf, &b.a_int_to_sep);
-            for r in 0..sys.n_rhs() {
-                push_matrix(buf, &b.rhs_sep_to_int[r]);
-                push_matrix(buf, &b.rhs_int_to_sep[r]);
-            }
-        }
-    }
-
-    /// Deserialise one slice written by [`Self::encode`].
-    pub fn decode<'a>(it: &mut impl Iterator<Item = &'a c64>, bs: usize) -> Self {
-        let head = it.next().expect("short partition-slice message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
-        let (partition, n_rhs) = (head.re as usize, head.im as usize);
-        let head = it.next().expect("short partition-slice message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
-        let (n_int, n_boundaries) = (head.re as usize, head.im as usize);
-        let specs: Vec<(usize, bool)> = (0..n_boundaries)
-            .map(|_| {
-                let b = it.next().expect("short partition-slice message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
-                (b.re as usize, b.im != 0.0)
-            })
-            .collect();
-        let a_int = read_bt(it, n_int, bs);
-        let rhs_int: Vec<BlockTridiagonal> = (0..n_rhs).map(|_| read_bt(it, n_int, bs)).collect();
-        let boundaries = specs
-            .into_iter()
-            .map(|(sep, left)| {
-                let a_sep_to_int = read_matrix(it, bs);
-                let a_int_to_sep = read_matrix(it, bs);
-                let mut rhs_sep_to_int = Vec::with_capacity(n_rhs);
-                let mut rhs_int_to_sep = Vec::with_capacity(n_rhs);
-                for _ in 0..n_rhs {
-                    rhs_sep_to_int.push(read_matrix(it, bs));
-                    rhs_int_to_sep.push(read_matrix(it, bs));
-                }
-                BoundaryCouplings {
-                    sep,
-                    left,
-                    a_sep_to_int,
-                    a_int_to_sep,
-                    rhs_sep_to_int,
-                    rhs_int_to_sep,
-                }
-            })
-            .collect();
-        Self {
-            partition,
-            system: PartitionSystemSlice {
-                a_int,
-                rhs_int,
-                boundaries,
-            },
-        }
-    }
-}
-
-/// A rank's energy-major slice of one or more BT quantities.
-#[derive(Debug, Clone)]
-pub struct EnergySlab {
-    /// Global energy indices owned by this rank.
-    pub energies: Range<usize>,
-    /// `components[c][local_energy]` — e.g. `[G^<, G^>]`.
-    pub components: Vec<Vec<BlockTridiagonal>>,
-}
-
 /// A rank's element-major slice: full energy series of the owned canonical
 /// elements and of their mirrors.
 #[derive(Debug, Clone)]
@@ -237,28 +119,30 @@ impl ElementSlab {
             mirror: zero(),
         }
     }
+
+    /// `(own, other)` series sets (`[c][local_element][energy]`) as seen from
+    /// the canonical element (`mirrored = false`) or from its mirror: the
+    /// convolution of a mirror element is the canonical one with the two
+    /// sides swapped.
+    pub fn sides(&self, mirrored: bool) -> (&[Vec<Vec<c64>>], &[Vec<Vec<c64>>]) {
+        if mirrored {
+            (&self.mirror, &self.canonical)
+        } else {
+            (&self.canonical, &self.mirror)
+        }
+    }
 }
 
-/// A backward-travelling component: whether the mirror series ride along or
-/// are reconstructed from the NEGF symmetry at the destination.
-pub enum BackComponent<'a> {
-    /// Lesser/greater-like component obeying `X_ij = −X*_ji`. Under symmetry
-    /// reduction only the canonical series are shipped.
-    Symmetric {
-        /// `[local_element][energy]` canonical series.
-        canonical: &'a [Vec<c64>],
-        /// `[local_element][energy]` mirror series (shipped when the plan is
-        /// not symmetry-reduced).
-        mirror: &'a [Vec<c64>],
-    },
-    /// Retarded-like component with no exploitable symmetry: canonical and
-    /// mirror series always ship.
-    Full {
-        /// `[local_element][energy]` canonical series.
-        canonical: &'a [Vec<c64>],
-        /// `[local_element][energy]` mirror series.
-        mirror: &'a [Vec<c64>],
-    },
+/// A backward-travelling component: the canonical and mirror series of the
+/// owned elements. Whether the mirror series ride along or are reconstructed
+/// from the NEGF symmetry at the destination is decided by the `symmetric`
+/// mask both ends of the transposition share
+/// ([`TranspositionPlan::scatter_backward_batch`]).
+pub struct BackComponent<'a> {
+    /// `[local_element][energy]` canonical series.
+    pub canonical: &'a [Vec<c64>],
+    /// `[local_element][energy]` mirror series.
+    pub mirror: &'a [Vec<c64>],
 }
 
 /// The fixed geometry of the energy↔element transposition: partitions,
@@ -342,25 +226,16 @@ impl TranspositionPlan {
         quatrex_core::convolution::stored_values(self.n_blocks, self.block_size)
     }
 
-    /// Forward serialisation (energy-major → element-major): build the
-    /// per-destination messages for the symmetric components `comps`
-    /// (`comps[c][local_energy]`, local to `rank`'s energy range).
+    /// Forward serialisation (energy-major → element-major) of one energy
+    /// batch: build the per-destination messages for the symmetric components
+    /// `comps` (`comps[c][local_energy]`, the rank's full local data), carrying
+    /// only the energies in `local` (a sub-range of this rank's *local* energy
+    /// indices; `0..n_local` ships everything at once).
     ///
     /// Wire format of the message to rank `q`, in order: for every component,
     /// for every canonical element owned by `q` (ascending), the values at
-    /// this rank's energies (ascending); then, when not symmetry-reduced, the
+    /// the batch's energies (ascending); then, when not symmetry-reduced, the
     /// same loop again for the mirror elements (self-mirror elements skipped).
-    ///
-    /// Equivalent to [`Self::scatter_forward_batch`] over the full local
-    /// energy range (a single batch).
-    pub fn scatter_forward(&self, rank: usize, comps: &[&[BlockTridiagonal]]) -> Vec<Vec<c64>> {
-        self.scatter_forward_batch(rank, comps, 0..self.energy_ranges[rank].len())
-    }
-
-    /// Forward serialisation of one energy batch: like
-    /// [`Self::scatter_forward`], but the messages carry only the energies in
-    /// `local` (a sub-range of this rank's *local* energy indices). `comps`
-    /// still hold the rank's full local data; the batch selects from them.
     pub fn scatter_forward_batch(
         &self,
         rank: usize,
@@ -402,29 +277,9 @@ impl TranspositionPlan {
             .collect()
     }
 
-    /// Forward deserialisation at the element owner: reassemble the full
-    /// energy series of the owned canonical elements (and their mirrors) from
-    /// the per-source messages (in rank order).
-    ///
-    /// Equivalent to one [`Self::absorb_forward_batch`] covering every
-    /// source's full energy range.
-    pub fn gather_elements(
-        &self,
-        rank: usize,
-        received: Vec<Vec<c64>>,
-        n_components: usize,
-    ) -> ElementSlab {
-        let mut slab = ElementSlab::zeroed(
-            self.element_ranges[rank].clone(),
-            n_components,
-            self.n_energies,
-        );
-        self.absorb_forward_batch(rank, &mut slab, received, &self.energy_ranges);
-        slab
-    }
-
-    /// Absorb one forward batch into an accumulating [`ElementSlab`]:
-    /// `received[src]` carries source `src`'s energies in `src_ranges[src]`
+    /// Forward deserialisation at the element owner, one batch at a time:
+    /// absorb the per-source messages (in rank order) into an accumulating
+    /// [`ElementSlab`]. `received[src]` carries source `src`'s energies in `src_ranges[src]`
     /// (global indices; the batch's slice of the source's energy range). The
     /// canonical values are written and the mirror values of the arrived
     /// energies are filled immediately — read from the message when the plan
@@ -475,29 +330,25 @@ impl TranspositionPlan {
         }
     }
 
-    /// Backward serialisation (element-major → energy-major): build the
-    /// per-destination messages for the given components.
+    /// Backward serialisation (element-major → energy-major) of one energy
+    /// batch: build the per-destination messages for the given components;
+    /// the message to rank `q` carries only the energies in `dst_ranges[q]`
+    /// (global indices; the batch's slice of `q`'s energy range —
+    /// `energy_ranges` itself ships everything at once). `symmetric[c]` states
+    /// whether component `c` obeys `X_ij = −X*_ji` (lesser/greater-like) — the
+    /// same mask [`Self::absorb_backward_batch`] decodes with.
     ///
     /// Wire format of the message to rank `q`: for every component, for every
-    /// canonical element owned by this rank (ascending), the values at `q`'s
-    /// energies (ascending); then for every component, the mirror series of
-    /// the non-self-mirror elements — skipped for [`BackComponent::Symmetric`]
-    /// under symmetry reduction.
-    ///
-    /// Equivalent to [`Self::scatter_backward_batch`] with every
-    /// destination's full energy range (a single batch).
-    pub fn scatter_backward(&self, rank: usize, comps: &[BackComponent<'_>]) -> Vec<Vec<c64>> {
-        self.scatter_backward_batch(rank, comps, &self.energy_ranges)
-    }
-
-    /// Backward serialisation of one energy batch: like
-    /// [`Self::scatter_backward`], but the message to rank `q` carries only
-    /// the energies in `dst_ranges[q]` (global indices; the batch's slice of
-    /// `q`'s energy range).
+    /// canonical element owned by this rank (ascending), the values at the
+    /// batch's energies (ascending); then for every component, the mirror
+    /// series of the non-self-mirror elements — skipped for symmetric
+    /// components under symmetry reduction (retarded-like components have no
+    /// exploitable symmetry: canonical and mirror series always ship).
     pub fn scatter_backward_batch(
         &self,
         rank: usize,
         comps: &[BackComponent<'_>],
+        symmetric: &[bool],
         dst_ranges: &[Range<usize>],
     ) -> Vec<Vec<c64>> {
         let elems = self.element_ranges[rank].clone();
@@ -506,27 +357,17 @@ impl TranspositionPlan {
                 let dst_energies = dst_ranges[q].clone();
                 let mut msg = Vec::new();
                 for comp in comps {
-                    let canonical = match comp {
-                        BackComponent::Symmetric { canonical, .. } => canonical,
-                        BackComponent::Full { canonical, .. } => canonical,
-                    };
-                    for series in canonical.iter().take(elems.len()) {
+                    for series in comp.canonical.iter().take(elems.len()) {
                         for k in dst_energies.clone() {
                             msg.push(series[k]);
                         }
                     }
                 }
-                for comp in comps {
-                    let mirror = match comp {
-                        BackComponent::Symmetric { mirror, .. } => {
-                            if self.symmetry_reduced {
-                                continue;
-                            }
-                            mirror
-                        }
-                        BackComponent::Full { mirror, .. } => mirror,
-                    };
-                    for (e_local, series) in mirror.iter().enumerate().take(elems.len()) {
+                for (comp, &symmetric) in comps.iter().zip(symmetric) {
+                    if symmetric && self.symmetry_reduced {
+                        continue;
+                    }
+                    for (e_local, series) in comp.mirror.iter().enumerate().take(elems.len()) {
                         if self.elements[elems.start + e_local].is_self_mirror() {
                             continue;
                         }
@@ -540,36 +381,13 @@ impl TranspositionPlan {
             .collect()
     }
 
-    /// Backward deserialisation at the energy owner: reassemble energy-major
-    /// BT quantities (one per component) for the owned energies from the
-    /// per-source messages. `symmetric[c]` states whether component `c`
-    /// travelled as [`BackComponent::Symmetric`].
-    ///
-    /// Equivalent to pre-allocating zeros and absorbing one
-    /// [`Self::absorb_backward_batch`] covering the full local range.
-    pub fn gather_energies(
-        &self,
-        rank: usize,
-        received: Vec<Vec<c64>>,
-        symmetric: &[bool],
-    ) -> Vec<EnergyResolved> {
-        let my_energies = self.energy_ranges[rank].clone();
-        let n_local = my_energies.len();
-        let mut out: Vec<EnergyResolved> = (0..symmetric.len())
-            .map(|_| {
-                (0..n_local)
-                    .map(|_| BlockTridiagonal::zeros(self.n_blocks, self.block_size))
-                    .collect()
-            })
-            .collect();
-        self.absorb_backward_batch(rank, &mut out, received, symmetric, my_energies);
-        out
-    }
-
-    /// Absorb one backward batch into pre-allocated energy-major outputs:
-    /// `received` carries, from every source, this rank's energies in
-    /// `my_range` (global indices; the batch's slice of this rank's energy
-    /// range). Only the matrices of those energies are touched.
+    /// Backward deserialisation at the energy owner, one batch at a time:
+    /// absorb the per-source messages into pre-allocated energy-major outputs
+    /// (one per component; `symmetric` is the mask the messages were
+    /// serialised with). `received` carries, from
+    /// every source, this rank's energies in `my_range` (global indices; the
+    /// batch's slice of this rank's energy range). Only the matrices of those
+    /// energies are touched.
     pub fn absorb_backward_batch(
         &self,
         rank: usize,
@@ -617,12 +435,6 @@ impl TranspositionPlan {
             assert!(it.next().is_none(), "long backward message");
         }
     }
-
-    /// Off-rank wire bytes of a payload produced by one of the scatter
-    /// functions (self-messages stay on the rank and cost nothing).
-    pub fn off_rank_bytes(&self, rank: usize, payloads: &[Vec<c64>]) -> u64 {
-        off_rank_payload_bytes(rank, payloads)
-    }
 }
 
 /// The energy-batch schedule of one iteration's transpositions (the paper's
@@ -630,7 +442,7 @@ impl TranspositionPlan {
 /// cut into `n_batches` contiguous sub-ranges, and each transposition ships
 /// one sub-range per `Alltoallv` instead of the whole range at once. The
 /// solver double-buffers the batches — batch `k+1` is posted non-blocking
-/// ([`quatrex_runtime::RankContext::alltoallv_start`]) while batch `k` is
+/// ([`quatrex_runtime::RankContext::alltoallv_start_tagged`]) while batch `k` is
 /// unpacked and its convolution contribution accumulated — which bounds the
 /// in-flight transposition buffers to a batch (`DistReport::peak_slab_bytes`)
 /// instead of a whole iteration.
@@ -723,7 +535,7 @@ mod tests {
     use super::*;
     use quatrex_core::convolution::element_series;
     use quatrex_linalg::{cplx, CMatrix};
-    use quatrex_runtime::{RankContext, ThreadComm};
+    use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
 
     /// An exactly NEGF-symmetric synthetic quantity.
     fn symmetric_quantity(ne: usize, nb: usize, bs: usize, seed: f64) -> EnergyResolved {
@@ -777,24 +589,28 @@ mod tests {
             let local_l: Vec<BlockTridiagonal> = gl2[my_e.clone()].to_vec();
             let local_g: Vec<BlockTridiagonal> = gg2[my_e.clone()].to_vec();
             // forward: energy-major -> element-major
-            let payloads = plan2.scatter_forward(rank, &[&local_l, &local_g]);
-            let sent = plan2.off_rank_bytes(rank, &payloads);
-            let recv = ctx.alltoallv(payloads, |m| m.len() * BYTES_PER_VALUE);
-            let slab = plan2.gather_elements(rank, recv, 2);
+            let payloads = plan2.scatter_forward_batch(rank, &[&local_l, &local_g], 0..my_e.len());
+            let sent = off_rank_payload_bytes(rank, &payloads);
+            let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
+            let recv = ctx.alltoallv_tagged(payloads, wire, CommPhase::Other);
+            let mut slab = ElementSlab::zeroed(plan2.element_ranges[rank].clone(), 2, ne);
+            plan2.absorb_forward_batch(rank, &mut slab, recv, &plan2.energy_ranges);
             // backward: element-major -> energy-major (as-is)
             let comps = [
-                BackComponent::Symmetric {
+                BackComponent {
                     canonical: &slab.canonical[0],
                     mirror: &slab.mirror[0],
                 },
-                BackComponent::Symmetric {
+                BackComponent {
                     canonical: &slab.canonical[1],
                     mirror: &slab.mirror[1],
                 },
             ];
-            let back = plan2.scatter_backward(rank, &comps);
-            let recv = ctx.alltoallv(back, |m| m.len() * BYTES_PER_VALUE);
-            let out = plan2.gather_energies(rank, recv, &[true, true]);
+            let back =
+                plan2.scatter_backward_batch(rank, &comps, &[true, true], &plan2.energy_ranges);
+            let recv = ctx.alltoallv_tagged(back, wire, CommPhase::Other);
+            let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 2];
+            plan2.absorb_backward_batch(rank, &mut out, recv, &[true, true], my_e);
             (slab, out, sent)
         });
 
@@ -870,69 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_slice_round_trips_exactly_and_beats_the_broadcast() {
-        use quatrex_rgf::spatial_partition_layout;
-        let (nb, bs) = (9, 3);
-        let a = symmetric_quantity(1, nb, bs, 0.7).pop().unwrap();
-        let b1 = symmetric_quantity(1, nb, bs, 1.3).pop().unwrap();
-        let b2 = symmetric_quantity(1, nb, bs, -0.4).pop().unwrap();
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        let full = PartitionSlice::full_broadcast_values(nb, bs, 2);
-        for (p, part) in parts.iter().enumerate() {
-            let slice = PartitionSlice::extract(&a, &[&b1, &b2], part, p);
-            assert!(
-                slice.wire_values() * 2 < full,
-                "slice {} of full {full}",
-                slice.wire_values()
-            );
-            let mut buf = Vec::new();
-            slice.encode(&mut buf);
-            assert_eq!(buf.len(), slice.wire_values());
-            let mut it = buf.iter();
-            let back = PartitionSlice::decode(&mut it, bs);
-            assert!(it.next().is_none(), "decode consumes the full message");
-            assert_eq!(back.partition, p);
-            assert_eq!(back.system.n_rhs(), 2);
-            assert!(back
-                .system
-                .a_int
-                .to_dense()
-                .approx_eq(&slice.system.a_int.to_dense(), 0.0));
-            for (x, y) in back.system.rhs_int.iter().zip(&slice.system.rhs_int) {
-                assert!(x.to_dense().approx_eq(&y.to_dense(), 0.0));
-            }
-            assert_eq!(back.system.boundaries.len(), slice.system.boundaries.len());
-            for (x, y) in back.system.boundaries.iter().zip(&slice.system.boundaries) {
-                assert_eq!((x.sep, x.left), (y.sep, y.left));
-                assert!(x.a_sep_to_int.approx_eq(&y.a_sep_to_int, 0.0));
-                assert!(x.a_int_to_sep.approx_eq(&y.a_int_to_sep, 0.0));
-                for r in 0..2 {
-                    assert!(x.rhs_sep_to_int[r].approx_eq(&y.rhs_sep_to_int[r], 0.0));
-                    assert!(x.rhs_int_to_sep[r].approx_eq(&y.rhs_int_to_sep[r], 0.0));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_interior_partition_slice_is_header_only() {
-        use quatrex_rgf::spatial_partition_layout;
-        let (nb, bs) = (6, 2);
-        let a = symmetric_quantity(1, nb, bs, 0.5).pop().unwrap();
-        let b = symmetric_quantity(1, nb, bs, 2.1).pop().unwrap();
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        assert_eq!(parts[1].interior().len(), 0);
-        let slice = PartitionSlice::extract(&a, &[&b], &parts[1], 1);
-        assert_eq!(slice.wire_values(), 2, "empty interior ships headers only");
-        let mut buf = Vec::new();
-        slice.encode(&mut buf);
-        let mut it = buf.iter();
-        let back = PartitionSlice::decode(&mut it, bs);
-        assert_eq!(back.system.a_int.n_blocks(), 0);
-        assert!(back.system.boundaries.is_empty());
-    }
-
-    #[test]
     fn batched_transposition_reproduces_the_unbatched_slabs_exactly() {
         // Forward and backward batches must reassemble the identical slabs
         // and energy-major matrices the single-shot path produces, for every
@@ -952,16 +705,22 @@ mod tests {
                 // single-shot slab of every group exactly.
                 let mut slabs = Vec::new();
                 for group in 0..n_groups {
-                    let want = plan.gather_elements(
+                    let mut want =
+                        ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+                    plan.absorb_forward_batch(
                         group,
+                        &mut want,
                         (0..n_groups)
                             .map(|src| {
-                                let mut p = plan
-                                    .scatter_forward(src, &[&local(&gl, src), &local(&gg, src)]);
+                                let mut p = plan.scatter_forward_batch(
+                                    src,
+                                    &[&local(&gl, src), &local(&gg, src)],
+                                    0..plan.energy_ranges[src].len(),
+                                );
                                 std::mem::take(&mut p[group])
                             })
                             .collect(),
-                        2,
+                        &plan.energy_ranges,
                     );
                     let mut slab =
                         ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
@@ -992,37 +751,47 @@ mod tests {
                 // single-shot energy-major gather of every destination.
                 fn comps_of(s: &ElementSlab) -> [BackComponent<'_>; 2] {
                     [
-                        BackComponent::Symmetric {
+                        BackComponent {
                             canonical: &s.canonical[0],
                             mirror: &s.mirror[0],
                         },
-                        BackComponent::Symmetric {
+                        BackComponent {
                             canonical: &s.canonical[1],
                             mirror: &s.mirror[1],
                         },
                     ]
                 }
                 for dst in 0..n_groups {
-                    let want_out = plan.gather_energies(
+                    let n_local = plan.energy_ranges[dst].len();
+                    let zeros = || -> Vec<EnergyResolved> {
+                        vec![vec![BlockTridiagonal::zeros(nb, bs); n_local]; 2]
+                    };
+                    let mut want_out = zeros();
+                    plan.absorb_backward_batch(
                         dst,
+                        &mut want_out,
                         (0..n_groups)
                             .map(|src| {
-                                let mut p = plan.scatter_backward(src, &comps_of(&slabs[src]));
+                                let mut p = plan.scatter_backward_batch(
+                                    src,
+                                    &comps_of(&slabs[src]),
+                                    &[true, true],
+                                    &plan.energy_ranges,
+                                );
                                 std::mem::take(&mut p[dst])
                             })
                             .collect(),
                         &[true, true],
+                        plan.energy_ranges[dst].clone(),
                     );
-                    let n_local = plan.energy_ranges[dst].len();
-                    let mut got: Vec<EnergyResolved> = (0..2)
-                        .map(|_| vec![BlockTridiagonal::zeros(nb, bs); n_local])
-                        .collect();
+                    let mut got = zeros();
                     for batch in 0..b {
                         let recv = (0..n_groups)
                             .map(|src| {
                                 let mut p = plan.scatter_backward_batch(
                                     src,
                                     &comps_of(&slabs[src]),
+                                    &[true, true],
                                     &batches.global_ranges(&plan, batch),
                                 );
                                 std::mem::take(&mut p[dst])
@@ -1083,8 +852,13 @@ mod tests {
         let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, false, &vec![1.0; ne]);
         let g = symmetric_quantity(ne, nb, bs, 0.5);
         let local: Vec<BlockTridiagonal> = g[plan_sym.energy_ranges[0].clone()].to_vec();
-        let sym_bytes = plan_sym.off_rank_bytes(0, &plan_sym.scatter_forward(0, &[&local]));
-        let full_bytes = plan_full.off_rank_bytes(0, &plan_full.scatter_forward(0, &[&local]));
+        let all = 0..local.len();
+        let sym_bytes = off_rank_payload_bytes(
+            0,
+            &plan_sym.scatter_forward_batch(0, &[&local], all.clone()),
+        );
+        let full_bytes =
+            off_rank_payload_bytes(0, &plan_full.scatter_forward_batch(0, &[&local], all));
         let ratio = sym_bytes as f64 / full_bytes as f64;
         assert!(ratio > 0.5 && ratio < 0.62, "ratio {ratio}");
     }

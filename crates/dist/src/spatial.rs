@@ -8,8 +8,11 @@
 //! energy↔element transpositions, assembles the per-energy systems and solves
 //! the reduced boundary systems.
 //!
-//! [`spatial_phase_solve`] executes the per-energy selected solves of one
-//! phase (`G` or `W`) cooperatively across each group: the leader ships every
+//! [`spatial_phase_solve`] is the *group solve* — stage 2 of a step, between
+//! `quatrex_core`'s per-energy assemble and finish stages. In a one-member
+//! group it **is** the local batched solve (`quatrex_core::scba::solve_stage`
+//! against the rank's scratch); otherwise it executes the per-energy selected
+//! solves of one phase (`G` or `W`) cooperatively: the leader ships every
 //! spatial rank **its partition's slice** of the assembled systems (a
 //! [`PartitionSlice`] wire message: interior blocks plus separator couplings,
 //! `~1/P_S` of the full system instead of the pre-slice full broadcast),
@@ -25,22 +28,23 @@
 //! saving against the broadcast-equivalent volume ([`SpatialTraffic`]).
 
 use quatrex_probe::clock::Instant;
-use std::sync::atomic::AtomicU64;
 
-use quatrex_core::scba::KernelTimings;
-use quatrex_linalg::flops::{FlopCounter, FlopKind};
+use quatrex_core::scba::{solve_accounting, solve_stage, KernelTimings};
+use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
+use quatrex_obc::Subsystem;
 use quatrex_rgf::{
-    assemble_reduced_system, eliminate_partition_slice, recover_partition_solve, rgf_solve,
-    scatter_separator_blocks, PartitionSolveState, PartitionSystemSlice, PartitionUpdates,
-    RecoveredBlocks, SelectedSolution, SpatialPartition,
+    assemble_reduced_system, eliminate_partition_slice, partition_layout_balanced,
+    probe_partition_flops, recover_partition_solve, rgf_solve, scatter_separator_blocks,
+    separator_blocks, spatial_partition_layout, BoundaryCouplings, PartitionSolveState,
+    PartitionSystemSlice, PartitionUpdates, RecoveredBlocks, RgfBatchScratch, SelectedSolution,
+    SpatialPartition,
 };
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::slab::{
-    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, PartitionSlice,
-    BYTES_PER_VALUE,
+    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, read_value, BYTES_PER_VALUE,
 };
 
 /// Number of lesser/greater right-hand sides of every per-energy solve
@@ -99,6 +103,59 @@ impl RankGrid {
     }
 }
 
+/// The spatial side of a run, fixed for its whole duration and shared by
+/// every rank: the rank grid, the partition layout of the transport blocks
+/// and the separator blocks between the partitions.
+#[derive(Debug, Clone)]
+pub struct SpatialLayout {
+    /// The `n_groups × P_S` arrangement of the ranks.
+    pub grid: RankGrid,
+    /// One partition per spatial rank; empty at `P_S = 1`.
+    pub parts: Vec<SpatialPartition>,
+    /// Separator blocks between the partitions (the reduced system's blocks).
+    pub separators: Vec<usize>,
+    /// Transport blocks of every per-energy system (`N_B`).
+    pub n_blocks: usize,
+    /// Transport-cell block size.
+    pub block_size: usize,
+}
+
+impl SpatialLayout {
+    /// Lay `n_blocks` transport blocks out over `p_s` spatial partitions per
+    /// energy group. Whenever a middle partition exists (`P_S ≥ 3`) the
+    /// layout is the FLOP-balanced uneven one
+    /// (`quatrex_rgf::partition_layout_balanced`: the end partitions grow
+    /// until the per-partition elimination + recovery FLOPs equalise, paper
+    /// Section 5.4), computed from the shape-only FLOP probe so every rank
+    /// derives the identical layout; at `P_S = 2` there is nothing to balance
+    /// against and the split is uniform. Panics when the device has fewer
+    /// than `2·P_S` blocks.
+    pub fn new(n_ranks: usize, p_s: usize, n_blocks: usize, block_size: usize) -> Self {
+        let grid = RankGrid::new(n_ranks, p_s);
+        let parts = match p_s {
+            1 => Ok(Vec::new()),
+            2 => spatial_partition_layout(n_blocks, p_s),
+            _ => probe_partition_flops(n_blocks, block_size, p_s, 2)
+                .and_then(|probe| partition_layout_balanced(n_blocks, p_s, &probe)),
+        }
+        // lint:allow(no-unwrap): the block count was validated against P_S before the layout is built
+        .expect("spatial partition layout rejected (too few blocks for P_S)");
+        Self {
+            grid,
+            separators: separator_blocks(&parts),
+            parts,
+            n_blocks,
+            block_size,
+        }
+    }
+
+    /// Whether the layout is the FLOP-balanced one (a middle partition
+    /// exists) rather than the uniform split.
+    pub fn balanced(&self) -> bool {
+        self.grid.spatial_partitions > 2
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Wire format of the group-level payloads (complex128 streams, like the
 // transposition messages).
@@ -123,10 +180,10 @@ fn read_triples<'a>(
     it: &mut impl Iterator<Item = &'a c64>,
     bs: usize,
 ) -> Vec<(usize, usize, CMatrix)> {
-    let len = it.next().expect("short spatial message").re as usize; // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+    let len = read_value(it).re as usize;
     (0..len)
         .map(|_| {
-            let ij = it.next().expect("short spatial message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+            let ij = read_value(it);
             let (i, j) = (ij.re as usize, ij.im as usize);
             (i, j, read_matrix(it, bs))
         })
@@ -177,6 +234,120 @@ fn push_recovered(buf: &mut Vec<c64>, rec: &RecoveredBlocks) {
     }
 }
 
+/// Wire type of the slice-wise system distribution: everything one spatial
+/// rank needs to eliminate its partition of one per-energy system — the
+/// partition's interior blocks of `A`, `B^<`, `B^>` plus the separator
+/// coupling blocks ([`quatrex_rgf::PartitionSystemSlice`]) — instead of the
+/// full `3·(3·N_B − 2)`-block broadcast the pre-slice path shipped. Cutting
+/// the distribution payload to each rank's own slice reduces the per-phase
+/// boundary-system bytes by `~1/P_S`; `DistReport` tracks the measured saving
+/// against the broadcast-equivalent volume.
+#[derive(Debug, Clone)]
+pub struct PartitionSlice {
+    /// Index of the partition (spatial rank) this slice feeds.
+    pub partition: usize,
+    /// The sliced system: interior blocks + separator couplings of `A` and of
+    /// every right-hand side.
+    pub system: PartitionSystemSlice,
+}
+
+impl PartitionSlice {
+    /// Cut the slice of `part` out of a full per-energy system.
+    pub fn extract(
+        a: &BlockTridiagonal,
+        rhs: &[&BlockTridiagonal],
+        part: &SpatialPartition,
+        partition: usize,
+    ) -> Self {
+        Self {
+            partition,
+            system: PartitionSystemSlice::extract(a, rhs, part),
+        }
+    }
+
+    /// Complex values of the wire encoding (headers included).
+    pub fn wire_values(&self) -> usize {
+        2 + self.system.boundaries.len() + self.system.stored_values()
+    }
+
+    /// Complex values the pre-slice broadcast path shipped per destination
+    /// for the same distribution: the full block-tridiagonal system and
+    /// `n_rhs` right-hand sides.
+    pub fn full_broadcast_values(nb: usize, bs: usize, n_rhs: usize) -> usize {
+        (1 + n_rhs) * (nb + 2 * nb.saturating_sub(1)) * bs * bs
+    }
+
+    /// Serialise into a complex128 stream.
+    pub fn encode(&self, buf: &mut Vec<c64>) {
+        let sys = &self.system;
+        buf.push(c64::new(self.partition as f64, sys.n_rhs() as f64));
+        buf.push(c64::new(
+            sys.a_int.n_blocks() as f64,
+            sys.boundaries.len() as f64,
+        ));
+        for b in &sys.boundaries {
+            buf.push(c64::new(b.sep as f64, f64::from(u8::from(b.left))));
+        }
+        push_bt(buf, &sys.a_int);
+        for b in &sys.rhs_int {
+            push_bt(buf, b);
+        }
+        for b in &sys.boundaries {
+            push_matrix(buf, &b.a_sep_to_int);
+            push_matrix(buf, &b.a_int_to_sep);
+            for r in 0..sys.n_rhs() {
+                push_matrix(buf, &b.rhs_sep_to_int[r]);
+                push_matrix(buf, &b.rhs_int_to_sep[r]);
+            }
+        }
+    }
+
+    /// Deserialise one slice written by [`Self::encode`].
+    pub fn decode<'a>(it: &mut impl Iterator<Item = &'a c64>, bs: usize) -> Self {
+        let head = read_value(it);
+        let (partition, n_rhs) = (head.re as usize, head.im as usize);
+        let head = read_value(it);
+        let (n_int, n_boundaries) = (head.re as usize, head.im as usize);
+        let specs: Vec<(usize, bool)> = (0..n_boundaries)
+            .map(|_| {
+                let b = read_value(it);
+                (b.re as usize, b.im != 0.0)
+            })
+            .collect();
+        let a_int = read_bt(it, n_int, bs);
+        let rhs_int: Vec<BlockTridiagonal> = (0..n_rhs).map(|_| read_bt(it, n_int, bs)).collect();
+        let boundaries = specs
+            .into_iter()
+            .map(|(sep, left)| {
+                let a_sep_to_int = read_matrix(it, bs);
+                let a_int_to_sep = read_matrix(it, bs);
+                let mut rhs_sep_to_int = Vec::with_capacity(n_rhs);
+                let mut rhs_int_to_sep = Vec::with_capacity(n_rhs);
+                for _ in 0..n_rhs {
+                    rhs_sep_to_int.push(read_matrix(it, bs));
+                    rhs_int_to_sep.push(read_matrix(it, bs));
+                }
+                BoundaryCouplings {
+                    sep,
+                    left,
+                    a_sep_to_int,
+                    a_int_to_sep,
+                    rhs_sep_to_int,
+                    rhs_int_to_sep,
+                }
+            })
+            .collect();
+        Self {
+            partition,
+            system: PartitionSystemSlice {
+                a_int,
+                rhs_int,
+                boundaries,
+            },
+        }
+    }
+}
+
 /// Byte accounting of one [`spatial_phase_solve`] call on one rank.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpatialTraffic {
@@ -202,31 +373,39 @@ impl SpatialTraffic {
     }
 }
 
-/// Run the per-energy selected solves of one phase across the spatial ranks
-/// of every energy group.
+/// The group solve of one phase: the per-energy selected solves of the
+/// assembled systems, by the whole energy group.
 ///
-/// `systems` holds, **on group leaders only**, one `(A, B^<, B^>)` triple per
-/// energy the group owns (`n_owned` on every rank of the group); non-leader
-/// ranks pass an empty vector. Returns the per-energy [`SelectedSolution`]s
-/// on the leader (empty elsewhere) and the off-rank boundary-system byte
-/// accounting of this rank ([`SpatialTraffic`]).
+/// `systems` holds, **on group leaders only**, one `[A, B^<, B^>]` triple per
+/// energy of this solve (`n_owned` on every rank of the group); non-leader
+/// ranks pass an empty slice. With one member per group (`P_S = 1`) this is
+/// `quatrex_core::scba::solve_stage` against `scratch` — one energy-batched
+/// RGF solve, no communication. Otherwise the group's ranks cooperate:
+/// slice distribution, concurrent interior eliminations, the reduced boundary
+/// system on the leader, concurrent recoveries. Returns the per-energy
+/// [`SelectedSolution`]s on the leader (empty elsewhere) and the off-rank
+/// boundary-system byte accounting of this rank ([`SpatialTraffic`]); FLOPs
+/// and wall time are accounted to `subsystem` either way.
 #[allow(clippy::too_many_arguments)]
 pub fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
-    grid: &RankGrid,
-    parts: &[SpatialPartition],
-    separators: &[usize],
+    layout: &SpatialLayout,
+    subsystem: Subsystem,
+    systems: &[[&BlockTridiagonal; 3]],
     n_owned: usize,
-    systems: Vec<(BlockTridiagonal, BlockTridiagonal, BlockTridiagonal)>,
-    nb: usize,
-    bs: usize,
+    scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
-    kind: FlopKind,
     timings: &KernelTimings,
-    slot: &AtomicU64,
 ) -> (Vec<SelectedSolution>, SpatialTraffic) {
+    let (grid, parts, separators) = (&layout.grid, &layout.parts, &layout.separators);
+    let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
-    debug_assert!(p_s >= 2, "spatial solve needs at least two partitions");
+    if p_s == 1 {
+        let (sols, _) = solve_stage(subsystem, systems, scratch, flops, timings)
+            .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
+        return (sols, SpatialTraffic::default());
+    }
+    let (_, kind, slot) = solve_accounting(subsystem, timings);
     let rank = ctx.rank();
     let group = grid.group_of(rank);
     let s = grid.spatial_of(rank);
@@ -244,7 +423,7 @@ pub fn spatial_phase_solve(
     if is_leader {
         for member in 1..p_s {
             let buf = &mut send[leader + member];
-            for (a, rl, rg) in &systems {
+            for [a, rl, rg] in systems {
                 PartitionSlice::extract(a, &[rl, rg], &parts[member], member).encode(buf);
             }
         }
@@ -281,7 +460,7 @@ pub fn spatial_phase_solve(
     let states: Vec<PartitionSolveState> = if is_leader {
         let local_slices: Vec<PartitionSystemSlice> = systems
             .iter()
-            .map(|(a, rl, rg)| PartitionSystemSlice::extract(a, &[rl, rg], &parts[0]))
+            .map(|[a, rl, rg]| PartitionSystemSlice::extract(a, &[rl, rg], &parts[0]))
             .collect();
         let states = eliminate(&local_slices);
         let _ = handle.wait(ctx); // empty messages; drain to stay in sync
@@ -328,7 +507,7 @@ pub fn spatial_phase_solve(
                 .iter()
                 .zip(states.iter())
                 .enumerate()
-                .map(|(e, ((a, rl, rg), own))| {
+                .map(|(e, ([a, rl, rg], own))| {
                     let mut refs: Vec<&PartitionUpdates> = vec![&own.updates];
                     for mu in &member_updates {
                         refs.push(&mu[e]);
@@ -447,7 +626,6 @@ pub fn spatial_phase_solve(
 mod tests {
     use super::*;
     use quatrex_linalg::cplx;
-    use quatrex_rgf::spatial_partition_layout;
     use quatrex_runtime::ThreadComm;
 
     fn test_system(nb: usize, bs: usize) -> BlockTridiagonal {
@@ -530,12 +708,70 @@ mod tests {
     }
 
     #[test]
+    fn partition_slice_round_trips_exactly_and_beats_the_broadcast() {
+        let (nb, bs) = (9, 3);
+        let a = test_system(nb, bs);
+        let b1 = test_rhs(nb, bs, 1.3);
+        let b2 = test_rhs(nb, bs, -0.4);
+        let parts = spatial_partition_layout(nb, 3).unwrap();
+        let full = PartitionSlice::full_broadcast_values(nb, bs, 2);
+        for (p, part) in parts.iter().enumerate() {
+            let slice = PartitionSlice::extract(&a, &[&b1, &b2], part, p);
+            assert!(
+                slice.wire_values() * 2 < full,
+                "slice {} of full {full}",
+                slice.wire_values()
+            );
+            let mut buf = Vec::new();
+            slice.encode(&mut buf);
+            assert_eq!(buf.len(), slice.wire_values());
+            let mut it = buf.iter();
+            let back = PartitionSlice::decode(&mut it, bs);
+            assert!(it.next().is_none(), "decode consumes the full message");
+            assert_eq!(back.partition, p);
+            assert_eq!(back.system.n_rhs(), 2);
+            assert!(back
+                .system
+                .a_int
+                .to_dense()
+                .approx_eq(&slice.system.a_int.to_dense(), 0.0));
+            for (x, y) in back.system.rhs_int.iter().zip(&slice.system.rhs_int) {
+                assert!(x.to_dense().approx_eq(&y.to_dense(), 0.0));
+            }
+            assert_eq!(back.system.boundaries.len(), slice.system.boundaries.len());
+            for (x, y) in back.system.boundaries.iter().zip(&slice.system.boundaries) {
+                assert_eq!((x.sep, x.left), (y.sep, y.left));
+                assert!(x.a_sep_to_int.approx_eq(&y.a_sep_to_int, 0.0));
+                assert!(x.a_int_to_sep.approx_eq(&y.a_int_to_sep, 0.0));
+                for r in 0..2 {
+                    assert!(x.rhs_sep_to_int[r].approx_eq(&y.rhs_sep_to_int[r], 0.0));
+                    assert!(x.rhs_int_to_sep[r].approx_eq(&y.rhs_int_to_sep[r], 0.0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_interior_partition_slice_is_header_only() {
+        let (nb, bs) = (6, 2);
+        let a = test_system(nb, bs);
+        let b = test_rhs(nb, bs, 2.1);
+        let parts = spatial_partition_layout(nb, 3).unwrap();
+        assert_eq!(parts[1].interior().len(), 0);
+        let slice = PartitionSlice::extract(&a, &[&b], &parts[1], 1);
+        assert_eq!(slice.wire_values(), 2, "empty interior ships headers only");
+        let mut buf = Vec::new();
+        slice.encode(&mut buf);
+        let mut it = buf.iter();
+        let back = PartitionSlice::decode(&mut it, bs);
+        assert_eq!(back.system.a_int.n_blocks(), 0);
+        assert!(back.system.boundaries.is_empty());
+    }
+
+    #[test]
     fn spatial_phase_solve_matches_rgf_solve_within_one_group() {
         // One energy group of P_S = 2 ranks cooperating on 3 energy points.
         let (nb, bs, p_s, n_owned) = (6usize, 2usize, 2usize, 3usize);
-        let grid = RankGrid::new(p_s, p_s);
-        let parts = spatial_partition_layout(nb, p_s).unwrap();
-        let separators = quatrex_rgf::separator_blocks(&parts);
         let problems: Vec<(BlockTridiagonal, BlockTridiagonal, BlockTridiagonal)> = (0..n_owned)
             .map(|e| {
                 (
@@ -545,31 +781,60 @@ mod tests {
                 )
             })
             .collect();
-        let problems2 = problems.clone();
+        let group_solve = |p_s: usize| {
+            let layout = SpatialLayout::new(p_s, p_s, nb, bs);
+            let problems = problems.clone();
+            ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
+                let systems: Vec<[&BlockTridiagonal; 3]> = if layout.grid.is_leader(ctx.rank()) {
+                    problems.iter().map(|(a, rl, rg)| [a, rl, rg]).collect()
+                } else {
+                    Vec::new()
+                };
+                spatial_phase_solve(
+                    &ctx,
+                    &layout,
+                    Subsystem::Electron,
+                    &systems,
+                    n_owned,
+                    &mut RgfBatchScratch::new(),
+                    &FlopCounter::new(),
+                    &KernelTimings::default(),
+                )
+            })
+        };
 
-        let (results, stats) = ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
-            let flops = FlopCounter::new();
-            let timings = KernelTimings::default();
-            let systems = if grid.is_leader(ctx.rank()) {
-                problems2.clone()
-            } else {
-                Vec::new()
-            };
-            spatial_phase_solve(
-                &ctx,
-                &grid,
-                &parts,
-                &separators,
-                n_owned,
-                systems,
-                nb,
-                bs,
-                &flops,
-                FlopKind::GRgf,
-                &timings,
-                &timings.g_rgf_ns,
-            )
-        });
+        // A one-member group IS the local batched solve: bit for bit, and no
+        // byte leaves the rank.
+        let (single, single_stats) = group_solve(1);
+        let lhs: Vec<&BlockTridiagonal> = problems.iter().map(|p| &p.0).collect();
+        let rhs: Vec<[&BlockTridiagonal; 2]> = problems.iter().map(|p| [&p.1, &p.2]).collect();
+        let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
+        let mut want = vec![SelectedSolution::zeros(nb, bs, 2); n_owned];
+        quatrex_rgf::rgf_solve_batch_into(&lhs, &rhs, &mut want, &mut RgfBatchScratch::new())
+            .unwrap();
+        let (single_sols, single_traffic) = &single[0];
+        assert_eq!(single_sols.len(), n_owned);
+        for (got, want) in single_sols.iter().zip(&want) {
+            assert!(got
+                .retarded
+                .to_dense()
+                .approx_eq(&want.retarded.to_dense(), 0.0));
+            for r in 0..2 {
+                assert!(got.lesser[r]
+                    .to_dense()
+                    .approx_eq(&want.lesser[r].to_dense(), 0.0));
+            }
+            assert_eq!(got.flops, want.flops);
+        }
+        assert_eq!(*single_traffic, SpatialTraffic::default());
+        assert_eq!(
+            single_stats
+                .alltoall_bytes
+                .load(std::sync::atomic::Ordering::Relaxed),
+            0
+        );
+
+        let (results, stats) = group_solve(p_s);
 
         let (leader_sols, leader_traffic) = &results[0];
         assert_eq!(leader_sols.len(), n_owned);

@@ -32,8 +32,8 @@ use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::ObcKey;
 use quatrex_sparse::BlockTridiagonal;
 
+use crate::rebalance::{decode_obc_key, encode_obc_key};
 use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
-use crate::solver::{decode_obc_key, encode_obc_key};
 
 /// Converged per-energy Σ state plus OBC cache of one SCBA solve, over the
 /// *full* energy grid (energy-major, global indices) — the unit a sweep

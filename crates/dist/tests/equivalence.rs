@@ -319,9 +319,7 @@ fn balanced_partitions_reproduce_sequential_observables() {
     let device = DeviceBuilder::test_device(2, 2, 8).build();
     let config = biased_gw_config(12, 3);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
-    let dist_config = DistScbaConfig::new(config, 3)
-        .with_spatial_partitions(3)
-        .with_balanced_partitions(true);
+    let dist_config = DistScbaConfig::new(config, 3).with_spatial_partitions(3);
     let dist = DistScbaSolver::new(device, dist_config).run();
     assert_equivalent("balanced/(n_ranks, P_S)=(3, 3)", &seq, &dist);
     assert!(dist.report.balanced_partitions);

@@ -9,7 +9,7 @@
 //! volumes rather than estimates.
 //!
 //! The all-to-all exchange also exists in a split, non-blocking form
-//! ([`RankContext::alltoallv_start`] returning a [`CommHandle`]): the sends
+//! ([`RankContext::alltoallv_start_tagged`] returning a [`CommHandle`]): the sends
 //! are posted immediately and the receives are deferred until
 //! [`CommHandle::wait`], so a rank can compute while a batch of messages is
 //! in flight — the communication/computation overlap of the paper's
@@ -218,7 +218,7 @@ impl PollBarrier {
 /// / fwd-W / bwd-Σ / slices / gathers) instead of one aggregate, and names
 /// the probe post/wait events so the merged timeline can attribute every
 /// in-flight window to a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommPhase {
     /// Forward energy→element transposition of `G` (before the `P` step).
     FwdG,
@@ -235,8 +235,7 @@ pub enum CommPhase {
     Gathers,
     /// Energy-rebalance migrations between iterations.
     Rebalance,
-    /// Anything untagged (the default for legacy call sites).
-    #[default]
+    /// Anything outside the SCBA phases (microbenchmarks, unit tests).
     Other,
 }
 
@@ -253,18 +252,10 @@ impl CommPhase {
         CommPhase::Other,
     ];
 
-    /// Dense index into per-phase counter arrays.
+    /// Dense index into per-phase counter arrays (the declaration order,
+    /// which is also the order of [`CommPhase::ALL`]).
     pub fn index(self) -> usize {
-        match self {
-            CommPhase::FwdG => 0,
-            CommPhase::BwdP => 1,
-            CommPhase::FwdW => 2,
-            CommPhase::BwdSigma => 3,
-            CommPhase::Slices => 4,
-            CommPhase::Gathers => 5,
-            CommPhase::Rebalance => 6,
-            CommPhase::Other => 7,
-        }
+        self as usize
     }
 
     /// Short label used in reports and JSON artifacts.
@@ -279,16 +270,6 @@ impl CommPhase {
             CommPhase::Rebalance => "rebalance",
             CommPhase::Other => "other",
         }
-    }
-
-    /// Whether this phase is one of the four per-iteration energy↔element
-    /// transpositions (the exchanges the overlap-efficiency metric pairs
-    /// with convolution compute).
-    pub fn is_transposition(self) -> bool {
-        matches!(
-            self,
-            CommPhase::FwdG | CommPhase::BwdP | CommPhase::FwdW | CommPhase::BwdSigma
-        )
     }
 
     /// Probe mark name recorded when the exchange is posted.
@@ -414,7 +395,7 @@ pub struct RankContext<T: Send + 'static> {
     /// Race-detector identity slot of the rendezvous barrier (shared by all
     /// ranks of the communicator).
     barrier_race_slot: Arc<AtomicU64>,
-    /// Sequence number handed to the next [`RankContext::alltoallv_start`].
+    /// Sequence number handed to the next [`RankContext::alltoallv_start_tagged`].
     next_post_seq: Cell<u64>,
     /// Sequence number the next [`CommHandle::wait`] must present. The
     /// per-pair channels are FIFO, so in-flight exchanges are matched purely
@@ -446,7 +427,7 @@ impl<T: Send + 'static> Drop for RankContext<T> {
 }
 
 /// An in-flight non-blocking all-to-all started by
-/// [`RankContext::alltoallv_start`]: the sends have been posted, the receives
+/// [`RankContext::alltoallv_start_tagged`]: the sends have been posted, the receives
 /// are deferred until [`CommHandle::wait`].
 ///
 /// Handles must be waited **in posting order** (the channel pairs are FIFO,
@@ -549,15 +530,6 @@ impl<T: Send + 'static> RankContext<T> {
         race::barrier_exit(token);
     }
 
-    /// All-to-all personalised exchange: `send[j]` goes to rank `j`; the
-    /// returned vector contains one entry from every rank (index = source).
-    ///
-    /// `payload_bytes` reports the wire size of one element of `T` for the
-    /// byte accounting (the in-memory exchange itself moves ownership).
-    pub fn alltoall(&self, send: Vec<T>, payload_bytes: usize) -> Vec<T> {
-        self.alltoallv(send, move |_| payload_bytes)
-    }
-
     /// Variable-size all-to-all personalised exchange (the `Alltoallv` of the
     /// energy↔element data transposition, whose per-destination messages are
     /// unequal whenever the element or energy partitions are unbalanced).
@@ -566,17 +538,14 @@ impl<T: Send + 'static> RankContext<T> {
     /// every rank (index = source). `wire_bytes` reports the wire size of one
     /// message for the byte accounting — it is called once per destination, so
     /// messages of different sizes are accounted exactly. Off-rank bytes are
-    /// also pinned to this rank in [`CommStats::per_rank_alltoall_bytes`].
+    /// also pinned to this rank in [`CommStats::per_rank_alltoall_bytes`] and
+    /// to `phase` in [`CommStats::phase_breakdown`]: every message-carrying
+    /// collective names its [`CommPhase`], so the byte totals and the probe
+    /// timeline always split by phase.
     ///
-    /// This is literally [`RankContext::alltoallv_start`] followed by an
-    /// immediate [`CommHandle::wait`], so the blocking path and a
+    /// This is literally [`RankContext::alltoallv_start_tagged`] followed by
+    /// an immediate [`CommHandle::wait`], so the blocking path and a
     /// single-batch pipeline execute identical code.
-    pub fn alltoallv(&self, send: Vec<T>, wire_bytes: impl Fn(&T) -> usize + 'static) -> Vec<T> {
-        self.alltoallv_start(send, wire_bytes).wait(self)
-    }
-
-    /// [`RankContext::alltoallv`] with a [`CommPhase`] tag for the byte
-    /// accounting and the probe timeline.
     pub fn alltoallv_tagged(
         &self,
         send: Vec<T>,
@@ -596,23 +565,10 @@ impl<T: Send + 'static> RankContext<T> {
     /// Several exchanges may be in flight at once, but they are matched by
     /// posting order (FIFO channels): handles must be waited in the order
     /// they were started, and all of them before any other message-carrying
-    /// collective. Byte and collective counts are recorded at post time.
-    ///
-    /// Untagged exchanges are attributed to [`CommPhase::Other`]; solver call
-    /// sites use [`RankContext::alltoallv_start_tagged`] so the byte totals
-    /// split by transposition.
-    pub fn alltoallv_start(
-        &self,
-        send: Vec<T>,
-        wire_bytes: impl Fn(&T) -> usize + 'static,
-    ) -> CommHandle<T> {
-        self.alltoallv_start_tagged(send, wire_bytes, CommPhase::Other)
-    }
-
-    /// [`RankContext::alltoallv_start`] with a [`CommPhase`] tag. The post is
-    /// recorded as an instantaneous probe mark carrying the off-rank byte
-    /// count; the matching [`CommHandle::wait`] records a span, so the merged
-    /// timeline sees the full in-flight window of every exchange.
+    /// collective. Byte and collective counts are recorded at post time. The
+    /// post is recorded as an instantaneous probe mark carrying the off-rank
+    /// byte count; the matching [`CommHandle::wait`] records a span, so the
+    /// merged timeline sees the full in-flight window of every exchange.
     pub fn alltoallv_start_tagged(
         &self,
         send: Vec<T>,
@@ -711,14 +667,6 @@ impl<T: Send + 'static> RankContext<T> {
     /// `alltoallv` of clones), returned in rank order. Used for the ordered
     /// reductions whose floating-point summation order must match the
     /// sequential driver exactly.
-    pub fn allgather(&self, value: T, wire_bytes: impl Fn(&T) -> usize + 'static) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.allgather_tagged(value, wire_bytes, CommPhase::Other)
-    }
-
-    /// [`RankContext::allgather`] with a [`CommPhase`] tag.
     pub fn allgather_tagged(
         &self,
         value: T,
@@ -962,7 +910,7 @@ mod tests {
             let send: Vec<u64> = (0..ctx.n_ranks())
                 .map(|d| 100 * ctx.rank() as u64 + d as u64)
                 .collect();
-            ctx.alltoall(send, 8)
+            ctx.alltoallv_tagged(send, |_| 8, CommPhase::Other)
         });
         for (dest, got) in results.iter().enumerate() {
             for (src, v) in got.iter().enumerate() {
@@ -995,7 +943,7 @@ mod tests {
             let mut acc = 0.0;
             for round in 0..4 {
                 let send: Vec<f64> = vec![ctx.rank() as f64 + round as f64; ctx.n_ranks()];
-                let recv = ctx.alltoall(send, 8);
+                let recv = ctx.alltoallv_tagged(send, |_| 8, CommPhase::Other);
                 acc += recv.iter().sum::<f64>();
                 acc = ctx.allreduce_sum(acc);
             }
@@ -1015,7 +963,7 @@ mod tests {
             let send: Vec<Vec<u64>> = (0..ctx.n_ranks())
                 .map(|_| vec![ctx.rank() as u64; ctx.rank() + 1])
                 .collect();
-            ctx.alltoallv(send, |m| 8 * m.len())
+            ctx.alltoallv_tagged(send, |m| 8 * m.len(), CommPhase::Other)
         });
         for got in &results {
             for (src, msg) in got.iter().enumerate() {
@@ -1041,7 +989,11 @@ mod tests {
     fn allgather_returns_every_rank_in_order() {
         let n = 4;
         let (results, _) = ThreadComm::run(n, move |ctx: RankContext<Vec<f64>>| {
-            ctx.allgather(vec![ctx.rank() as f64; 2], |m| 8 * m.len())
+            ctx.allgather_tagged(
+                vec![ctx.rank() as f64; 2],
+                |m| 8 * m.len(),
+                CommPhase::Other,
+            )
         });
         for got in results {
             let flat: Vec<f64> = got.into_iter().flatten().collect();
@@ -1062,8 +1014,8 @@ mod tests {
                     .map(|d| vec![1000 * b + 10 * ctx.rank() as u64 + d as u64])
                     .collect()
             };
-            let h0 = ctx.alltoallv_start(batch(0), |m| 8 * m.len());
-            let h1 = ctx.alltoallv_start(batch(1), |m| 8 * m.len());
+            let h0 = ctx.alltoallv_start_tagged(batch(0), |m| 8 * m.len(), CommPhase::Other);
+            let h1 = ctx.alltoallv_start_tagged(batch(1), |m| 8 * m.len(), CommPhase::Other);
             assert_eq!(ctx.outstanding_exchanges(), 2);
             let r0 = h0.wait(&ctx);
             assert_eq!(ctx.outstanding_exchanges(), 1);
@@ -1091,9 +1043,17 @@ mod tests {
         // collective must stay correctly matched.
         let n = 3;
         let (results, _) = ThreadComm::run(n, move |ctx: RankContext<u64>| {
-            let h = ctx.alltoallv_start(vec![ctx.rank() as u64; ctx.n_ranks()], |_| 8);
+            let h = ctx.alltoallv_start_tagged(
+                vec![ctx.rank() as u64; ctx.n_ranks()],
+                |_| 8,
+                CommPhase::Other,
+            );
             let first = h.wait(&ctx);
-            let second = ctx.alltoallv(vec![100 + ctx.rank() as u64; ctx.n_ranks()], |_| 8);
+            let second = ctx.alltoallv_tagged(
+                vec![100 + ctx.rank() as u64; ctx.n_ranks()],
+                |_| 8,
+                CommPhase::Other,
+            );
             (first, second)
         });
         for (first, second) in results {
@@ -1105,8 +1065,8 @@ mod tests {
     #[test]
     fn out_of_order_wait_is_rejected() {
         let (results, _) = ThreadComm::run(1, move |ctx: RankContext<u8>| {
-            let h0 = ctx.alltoallv_start(vec![1], |_| 1);
-            let h1 = ctx.alltoallv_start(vec![2], |_| 1);
+            let h0 = ctx.alltoallv_start_tagged(vec![1], |_| 1, CommPhase::Other);
+            let h1 = ctx.alltoallv_start_tagged(vec![2], |_| 1, CommPhase::Other);
             // Waiting h1 before h0 violates the FIFO matching rule.
             let hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
@@ -1144,7 +1104,7 @@ mod tests {
             let _ = ctx.alltoallv_tagged(v.clone(), |_| 8, CommPhase::FwdG);
             let h = ctx.alltoallv_start_tagged(v.clone(), |_| 8, CommPhase::BwdSigma);
             let _ = h.wait(&ctx);
-            let _ = ctx.alltoallv(v, |_| 8); // untagged → Other
+            let _ = ctx.alltoallv_tagged(v, |_| 8, CommPhase::Other);
         });
         let per_phase = (n * (n - 1) * 8) as u64;
         assert_eq!(stats.phase_bytes(CommPhase::FwdG), per_phase);
@@ -1190,7 +1150,7 @@ mod tests {
     #[test]
     fn single_rank_degenerates_gracefully() {
         let (results, stats) = ThreadComm::run(1, move |ctx: RankContext<u32>| {
-            let out = ctx.alltoall(vec![7], 4);
+            let out = ctx.alltoallv_tagged(vec![7], |_| 4, CommPhase::Other);
             ctx.barrier();
             (out[0], ctx.allreduce_sum(2.5))
         });
