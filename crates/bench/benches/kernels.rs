@@ -12,7 +12,7 @@ use quatrex_core::ScbaSolver;
 use quatrex_device::DeviceCatalog;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
 use quatrex_linalg::ops::{gemm, Op};
-use quatrex_linalg::{Workspace, ONE, ZERO};
+use quatrex_linalg::{CMatrix, ONE, ZERO};
 
 fn gemm_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels/gemm_chain");
@@ -28,21 +28,14 @@ fn gemm_chain(c: &mut Criterion) {
                 (schur, inner)
             });
         });
-        let mut ws = Workspace::new();
+        let [mut t, mut schur, mut inner] = [(); 3].map(|()| CMatrix::zeros(n_bs, n_bs));
         group.bench_with_input(BenchmarkId::new("engine", n_bs), &n_bs, |bencher, _| {
             bencher.iter(|| {
-                let mut t = ws.take(n_bs, n_bs);
-                let mut schur = ws.take(n_bs, n_bs);
                 gemm(&mut t, ONE, Op::None(&a_lo), Op::None(&g), ZERO);
                 gemm(&mut schur, ONE, Op::None(&t), Op::None(&a_up), ZERO);
-                let mut inner = ws.take(n_bs, n_bs);
                 gemm(&mut t, ONE, Op::None(&g), Op::None(&b), ZERO);
                 gemm(&mut inner, ONE, Op::None(&t), Op::Dagger(&g), ZERO);
-                let probe = schur[(0, 0)] + inner[(0, 0)];
-                ws.give(t);
-                ws.give(schur);
-                ws.give(inner);
-                probe
+                schur[(0, 0)] + inner[(0, 0)]
             });
         });
     }

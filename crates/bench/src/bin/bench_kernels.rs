@@ -9,7 +9,7 @@
 //!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`) at `N_BS ∈ {32, 64, 128}`:
 //!   the pre-refactor scalar kernels with materialized daggers and fresh
 //!   allocations ("before") against the register-tiled engine with fused
-//!   daggers and workspace reuse ("after"). The acceptance target is ≥2×.
+//!   daggers and pre-allocated outputs ("after"). The acceptance target is ≥2×.
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
 //!   right-hand sides) through the frozen pre-refactor solver
 //!   (`quatrex_rgf::reference`) vs the refactored one.
@@ -32,8 +32,7 @@ use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
 use quatrex_linalg::ops::{congruence, gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{
-    cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind,
-    Workspace, ONE, ZERO,
+    cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind, ONE, ZERO,
 };
 use quatrex_rgf::reference::rgf_solve_reference;
 use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
@@ -104,20 +103,14 @@ fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> ChainRow {
         std::hint::black_box((&schur, &inner));
     });
 
-    // After: register-tiled engine, fused dagger, workspace-recycled buffers.
-    let mut ws = Workspace::new();
+    // After: register-tiled engine, fused dagger, pre-allocated outputs.
+    let [mut t, mut schur, mut inner] = [(); 3].map(|()| CMatrix::zeros(n_bs, n_bs));
     let after_ns = time_ns(runs, reps, || {
-        let mut t = ws.take(n_bs, n_bs);
-        let mut schur = ws.take(n_bs, n_bs);
         gemm(&mut t, ONE, Op::None(&a_lo), Op::None(&g), ZERO);
         gemm(&mut schur, ONE, Op::None(&t), Op::None(&a_up), ZERO);
-        let mut inner = ws.take(n_bs, n_bs);
         gemm(&mut t, ONE, Op::None(&g), Op::None(&b), ZERO);
         gemm(&mut inner, ONE, Op::None(&t), Op::Dagger(&g), ZERO);
         std::hint::black_box((&schur, &inner));
-        ws.give(t);
-        ws.give(schur);
-        ws.give(inner);
     });
 
     // Cross-check while we are here: both paths agree.
@@ -155,8 +148,7 @@ fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> ChainR
     }
     let b_planes: Vec<CMatrix> = (0..n_e).map(|e| b.plane_matrix(e)).collect();
 
-    let mut ws = Workspace::new();
-    let mut outs: Vec<CMatrix> = (0..n_e).map(|_| ws.take(n_bs, n_bs)).collect();
+    let mut outs = vec![CMatrix::zeros(n_bs, n_bs); n_e];
     let mut c = MatrixBatch::zeros(n_e, n_bs, n_bs);
     let mut before = |reps: usize| {
         let t = Instant::now();
@@ -211,9 +203,6 @@ fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> ChainR
             outs[e].as_slice(),
             "gemm_batch plane {e} mismatch at N_BS={n_bs}"
         );
-    }
-    for out in outs.drain(..) {
-        ws.give(out);
     }
 
     ChainRow {

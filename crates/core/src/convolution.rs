@@ -16,11 +16,18 @@
 //! element-major (one energy series per stored matrix element, the layout the
 //! FFT needs) — the step that maps to the `Alltoall` of Fig. 3.
 //!
-//! The per-element kernels ([`polarization_series`], [`self_energy_series`],
-//! [`causal_retarded_series`]) are public so the distributed driver
-//! (`quatrex-dist`), which owns *element slices* after a real all-to-all
-//! transposition, executes exactly the same code path as the single-process
-//! functions below — the equivalence tests rely on this.
+//! There is **one** per-element kernel per phase —
+//! [`polarization_series_accumulate`], [`self_energy_series_accumulate`],
+//! [`causal_retarded_series`] — and both drivers call it. The kernels take a
+//! *batch view*: the energy indices that just arrived, accumulated into
+//! running output series. The distributed driver (`quatrex-dist`), which owns
+//! element slices after a real all-to-all transposition, feeds them one
+//! `Alltoallv` batch at a time; the energy-major drivers below
+//! ([`polarization_from_g`], [`self_energy_from_gw`],
+//! [`retarded_from_lesser_greater`]) gather every stored element's series and
+//! call them once with the whole grid as the single batch — "every energy,
+//! nothing arrived before". The equivalence tests rely on the two drivers
+//! sharing this path.
 
 use quatrex_fft::{convolve, fft, ifft, next_power_of_two};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
@@ -165,77 +172,13 @@ fn cross_correlate(a: &[c64], b: &[c64]) -> Vec<c64> {
     convolve(a, &b_rev)
 }
 
-/// Per-element polarisation kernel: given the energy series of `G^<_ij`,
-/// `G^>_ji`, `G^>_ij` and `G^<_ji`, return the series of `P^<_ij` and
-/// `P^>_ij` on the same grid (transfer energy centred at zero).
-///
-/// This is the exact computation the energy-major [`polarization_from_g`]
-/// performs for one element; the distributed driver calls it on its element
-/// slice after the all-to-all transposition.
-pub fn polarization_series(
-    g_lesser_ij: &[c64],
-    g_greater_ji: &[c64],
-    g_greater_ij: &[c64],
-    g_lesser_ji: &[c64],
-    de: f64,
-    flops: &FlopCounter,
-) -> (Vec<c64>, Vec<c64>) {
-    let ne = g_lesser_ij.len();
-    let prefactor = c64::new(0.0, -de / (2.0 * std::f64::consts::PI));
-    let zero_lag = ne - 1;
-    let half = ne / 2;
-    // lesser: Σ_E G^<_ij(E) G^>_ji(E − ω)
-    let corr_l = cross_correlate(g_lesser_ij, g_greater_ji);
-    // greater: Σ_E G^>_ij(E) G^<_ji(E − ω)
-    let corr_g = cross_correlate(g_greater_ij, g_lesser_ji);
-    flops.add(
-        FlopKind::Convolution,
-        2 * quatrex_fft::convolution_flops(ne, ne),
-    );
-    let pick = |corr: &[c64]| -> Vec<c64> {
-        (0..ne)
-            .map(|j| {
-                let lag = j as isize - half as isize;
-                let idx = zero_lag as isize + lag;
-                prefactor * corr[idx as usize]
-            })
-            .collect()
-    };
-    (pick(&corr_l), pick(&corr_g))
-}
-
-/// Per-element GW self-energy kernel: given the energy series of `G^≶_ij` and
-/// `W^≶_ij`, return the series of `Σ^<_ij` and `Σ^>_ij`.
-pub fn self_energy_series(
-    g_lesser_ij: &[c64],
-    g_greater_ij: &[c64],
-    w_lesser_ij: &[c64],
-    w_greater_ij: &[c64],
-    de: f64,
-    flops: &FlopCounter,
-) -> (Vec<c64>, Vec<c64>) {
-    let ne = g_lesser_ij.len();
-    let prefactor = c64::new(0.0, de / (2.0 * std::f64::consts::PI));
-    let half = ne / 2;
-    // Σ_ω G(E_k − ω)·W(ω): convolution; the ω grid is centred at zero, so the
-    // output index k corresponds to conv[k + half].
-    let conv_l = convolve(w_lesser_ij, g_lesser_ij);
-    let conv_g = convolve(w_greater_ij, g_greater_ij);
-    flops.add(
-        FlopKind::Convolution,
-        2 * quatrex_fft::convolution_flops(ne, ne),
-    );
-    let pick = |conv: &[c64]| -> Vec<c64> { (0..ne).map(|k| prefactor * conv[k + half]).collect() };
-    (pick(&conv_l), pick(&conv_g))
-}
-
 // ---------------------------------------------------------------------------
-// Batch-view kernels: the energy-batched transposition pipeline of
-// `quatrex-dist` delivers the Green's-function / screened-interaction series
-// one *energy batch* at a time (the global indices that arrived in one
-// `Alltoallv` batch), and accumulates each batch's convolution contribution
-// while the next batch is still in flight. The decompositions below are
-// exact:
+// Batch-view kernels. A forward transposition delivers the Green's-function /
+// screened-interaction series one *energy batch* at a time (the global
+// indices that arrived in one `Alltoallv` batch; the whole grid for the
+// energy-major drivers), and each batch's convolution contribution is
+// accumulated while the next batch is still in flight. The decompositions
+// are exact:
 //
 // * `Σ = Σ_b conv(Δw_b, g)` — the self-energy is *linear* in `W`, so each
 //   arriving `W` batch contributes independently against the complete `G`
@@ -245,9 +188,8 @@ pub fn self_energy_series(
 //   everything that has arrived up to and including it; summed over batches
 //   every pair of batches is counted exactly once.
 //
-// With a single batch both reduce to the unbatched kernels above with the
-// identical floating-point operations, which is what makes `B = 1` of the
-// distributed pipeline bit-identical to the unbatched path.
+// With a single batch both are the plain correlation / convolution of the
+// full series: the same floating-point operations whichever driver calls.
 
 /// `x` restricted to the batch indices (zero elsewhere): the values that
 /// arrived in this batch.
@@ -278,9 +220,9 @@ fn batch_complement(x: &[c64], batch: &[usize]) -> Vec<c64> {
 /// indices that arrived in this batch (ascending; may be non-contiguous when
 /// several source ranks contribute); `arrived_before` states whether any
 /// earlier batch contributed energies. Summed over all batches of one
-/// iteration the accumulators equal [`polarization_series`] up to
-/// floating-point summation order — and bit-exactly when everything arrives
-/// in a single batch.
+/// iteration the accumulators equal the whole-grid call (`batch = 0..N_E`,
+/// `arrived_before = false` — what [`polarization_from_g`] issues) up to
+/// floating-point summation order.
 #[allow(clippy::too_many_arguments)]
 pub fn polarization_series_accumulate(
     p_lesser: &mut [c64],
@@ -343,8 +285,8 @@ pub fn polarization_series_accumulate(
 /// (they arrived in the earlier `G` transposition); the `W` series carry the
 /// arrived-so-far data including this batch. Because `Σ` is linear in `W`,
 /// each batch's contribution `conv(Δw_b, g)` is independent and the sum over
-/// batches equals [`self_energy_series`] up to floating-point summation order
-/// — bit-exactly when everything arrives in a single batch.
+/// batches equals the whole-grid call (`batch = 0..N_E` — what
+/// [`self_energy_from_gw`] issues) up to floating-point summation order.
 #[allow(clippy::too_many_arguments)]
 pub fn self_energy_series_accumulate(
     s_lesser: &mut [c64],
@@ -398,6 +340,36 @@ pub fn causal_retarded_series(lesser: &[c64], greater: &[c64], flops: &FlopCount
     spectral[..ne].to_vec()
 }
 
+/// The one energy-major ↔ element-major scaffold of the drivers below (the
+/// single-process stand-in for the forward and backward transpositions):
+/// `kernel(pos, r, c)` gathers what it needs of stored element `(pos, r, c)`
+/// with [`element_series`] and returns the element's `N` output series,
+/// which are written back as `N` energy-major quantities shaped like `like`.
+/// Parallel over block positions.
+fn map_elements<const N: usize>(
+    like: &EnergyResolved,
+    kernel: impl Fn(BlockPos, usize, usize) -> [Vec<c64>; N] + Sync,
+) -> [EnergyResolved; N] {
+    let (ne, nb, bs) = (like.len(), like[0].n_blocks(), like[0].block_size());
+    let per_position: Vec<(BlockPos, Vec<[Vec<c64>; N]>)> = block_positions(nb)
+        .par_iter()
+        .map(|&pos| {
+            let series = (0..bs * bs).map(|i| kernel(pos, i / bs, i % bs));
+            (pos, series.collect())
+        })
+        .collect();
+    let mut out = [(); N].map(|()| vec![BlockTridiagonal::zeros(nb, bs); ne]);
+    for (pos, elements) in per_position {
+        for (n, component) in out.iter_mut().enumerate() {
+            for (k, bt) in component.iter_mut().enumerate() {
+                let block = CMatrix::from_fn(bs, bs, |r, c| elements[r * bs + c][n][k]);
+                set_block(bt, pos, block);
+            }
+        }
+    }
+    out
+}
+
 /// Compute the lesser and greater polarisation from the lesser/greater Green's
 /// functions:
 /// `P^<_ij(ω_j) = −i·ΔE/(2π)·Σ_E G^<_ij(E)·G^>_ji(E − ω_j)` (and `< ↔ >` for
@@ -412,49 +384,25 @@ pub fn polarization_from_g(
     let ne = g_lesser.len();
     assert_eq!(ne, g_greater.len());
     assert!(ne >= 2);
-    let nb = g_lesser[0].n_blocks();
-    let bs = g_lesser[0].block_size();
-
-    let positions = block_positions(nb);
-    let per_position: Vec<(BlockPos, Vec<(usize, usize, Vec<c64>, Vec<c64>)>)> = positions
-        .par_iter()
-        .map(|&pos| {
-            let tpos = transposed_position(pos);
-            let mut elements = Vec::with_capacity(bs * bs);
-            for r in 0..bs {
-                for c in 0..bs {
-                    let gl = element_series(g_lesser, pos, r, c);
-                    let gg_t = element_series(g_greater, tpos, c, r);
-                    let gg = element_series(g_greater, pos, r, c);
-                    let gl_t = element_series(g_lesser, tpos, c, r);
-                    let (pl, pg) = polarization_series(&gl, &gg_t, &gg, &gl_t, de, flops);
-                    elements.push((r, c, pl, pg));
-                }
-            }
-            (pos, elements)
-        })
-        .collect();
-
-    // Scatter back to the energy-major layout (the reverse transposition).
-    let mut p_lesser: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
-    let mut p_greater: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
-    for (pos, elements) in per_position {
-        for j in 0..ne {
-            let mut bl = CMatrix::zeros(bs, bs);
-            let mut bg = CMatrix::zeros(bs, bs);
-            for (r, c, series_l, series_g) in &elements {
-                bl[(*r, *c)] = series_l[j];
-                bg[(*r, *c)] = series_g[j];
-            }
-            // accumulate into existing blocks
-            let mut cur_l = get_block(&p_lesser[j], pos).clone();
-            cur_l += &bl;
-            set_block(&mut p_lesser[j], pos, cur_l);
-            let mut cur_g = get_block(&p_greater[j], pos).clone();
-            cur_g += &bg;
-            set_block(&mut p_greater[j], pos, cur_g);
-        }
-    }
+    let grid: Vec<usize> = (0..ne).collect();
+    let [p_lesser, p_greater] = map_elements(g_lesser, |pos, r, c| {
+        let tpos = transposed_position(pos);
+        let mut p = [(); 2].map(|()| vec![c64::new(0.0, 0.0); ne]);
+        let [pl, pg] = &mut p;
+        polarization_series_accumulate(
+            pl,
+            pg,
+            &element_series(g_lesser, pos, r, c),
+            &element_series(g_greater, tpos, c, r),
+            &element_series(g_greater, pos, r, c),
+            &element_series(g_lesser, tpos, c, r),
+            &grid,
+            false,
+            de,
+            flops,
+        );
+        p
+    });
     (p_lesser, p_greater)
 }
 
@@ -471,42 +419,23 @@ pub fn self_energy_from_gw(
 ) -> (EnergyResolved, EnergyResolved) {
     let ne = g_lesser.len();
     assert_eq!(ne, w_lesser.len());
-    let nb = g_lesser[0].n_blocks();
-    let bs = g_lesser[0].block_size();
-
-    let positions = block_positions(nb);
-    let per_position: Vec<(BlockPos, Vec<(usize, usize, Vec<c64>, Vec<c64>)>)> = positions
-        .par_iter()
-        .map(|&pos| {
-            let mut elements = Vec::with_capacity(bs * bs);
-            for r in 0..bs {
-                for c in 0..bs {
-                    let gl = element_series(g_lesser, pos, r, c);
-                    let gg = element_series(g_greater, pos, r, c);
-                    let wl = element_series(w_lesser, pos, r, c);
-                    let wg = element_series(w_greater, pos, r, c);
-                    let (sl, sg) = self_energy_series(&gl, &gg, &wl, &wg, de, flops);
-                    elements.push((r, c, sl, sg));
-                }
-            }
-            (pos, elements)
-        })
-        .collect();
-
-    let mut s_lesser: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
-    let mut s_greater: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
-    for (pos, elements) in per_position {
-        for k in 0..ne {
-            let mut bl = CMatrix::zeros(bs, bs);
-            let mut bg = CMatrix::zeros(bs, bs);
-            for (r, c, series_l, series_g) in &elements {
-                bl[(*r, *c)] = series_l[k];
-                bg[(*r, *c)] = series_g[k];
-            }
-            set_block(&mut s_lesser[k], pos, bl);
-            set_block(&mut s_greater[k], pos, bg);
-        }
-    }
+    let grid: Vec<usize> = (0..ne).collect();
+    let [s_lesser, s_greater] = map_elements(g_lesser, |pos, r, c| {
+        let mut s = [(); 2].map(|()| vec![c64::new(0.0, 0.0); ne]);
+        let [sl, sg] = &mut s;
+        self_energy_series_accumulate(
+            sl,
+            sg,
+            &element_series(g_lesser, pos, r, c),
+            &element_series(g_greater, pos, r, c),
+            &element_series(w_lesser, pos, r, c),
+            &element_series(w_greater, pos, r, c),
+            &grid,
+            de,
+            flops,
+        );
+        s
+    });
     (s_lesser, s_greater)
 }
 
@@ -518,36 +447,11 @@ pub fn retarded_from_lesser_greater(
     greater: &EnergyResolved,
     flops: &FlopCounter,
 ) -> EnergyResolved {
-    let ne = lesser.len();
-    let nb = lesser[0].n_blocks();
-    let bs = lesser[0].block_size();
-
-    let positions = block_positions(nb);
-    let per_position: Vec<(BlockPos, Vec<(usize, usize, Vec<c64>)>)> = positions
-        .par_iter()
-        .map(|&pos| {
-            let mut elements = Vec::with_capacity(bs * bs);
-            for r in 0..bs {
-                for c in 0..bs {
-                    let l = element_series(lesser, pos, r, c);
-                    let g = element_series(greater, pos, r, c);
-                    elements.push((r, c, causal_retarded_series(&l, &g, flops)));
-                }
-            }
-            (pos, elements)
-        })
-        .collect();
-
-    let mut retarded: EnergyResolved = vec![BlockTridiagonal::zeros(nb, bs); ne];
-    for (pos, elements) in per_position {
-        for k in 0..ne {
-            let mut blk = CMatrix::zeros(bs, bs);
-            for (r, c, series) in &elements {
-                blk[(*r, *c)] = series[k];
-            }
-            set_block(&mut retarded[k], pos, blk);
-        }
-    }
+    let [retarded] = map_elements(lesser, |pos, r, c| {
+        let l = element_series(lesser, pos, r, c);
+        let g = element_series(greater, pos, r, c);
+        [causal_retarded_series(&l, &g, flops)]
+    });
     retarded
 }
 
@@ -750,6 +654,23 @@ mod tests {
         m
     }
 
+    /// `(P^<, P^>)` of one element from the whole grid as one batch — the call
+    /// [`polarization_from_g`] issues.
+    fn whole_grid_polarization(
+        [gl, gg_t, gg, gl_t]: [&[c64]; 4],
+        de: f64,
+        flops: &FlopCounter,
+    ) -> (Vec<c64>, Vec<c64>) {
+        let ne = gl.len();
+        let all: Vec<usize> = (0..ne).collect();
+        let mut p_l = vec![cplx(0.0, 0.0); ne];
+        let mut p_g = vec![cplx(0.0, 0.0); ne];
+        polarization_series_accumulate(
+            &mut p_l, &mut p_g, gl, gg_t, gg, gl_t, &all, false, de, flops,
+        );
+        (p_l, p_g)
+    }
+
     #[test]
     fn batched_polarization_accumulation_is_exact() {
         let ne = 16;
@@ -759,7 +680,7 @@ mod tests {
         let gl_t = synthetic_series(ne, 0.9);
         let de = 0.05;
         let flops = FlopCounter::new();
-        let (want_l, want_g) = polarization_series(&gl, &gg_t, &gg, &gl_t, de, &flops);
+        let (want_l, want_g) = whole_grid_polarization([&gl, &gg_t, &gg, &gl_t], de, &flops);
 
         // Non-contiguous batches (as produced by multiple source ranks),
         // covering every index exactly once.
@@ -795,27 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn single_batch_polarization_is_bit_identical_to_the_full_kernel() {
-        let ne = 12;
-        let gl = synthetic_series(ne, 0.7);
-        let gg_t = synthetic_series(ne, -0.2);
-        let gg = synthetic_series(ne, 1.9);
-        let gl_t = synthetic_series(ne, -1.4);
-        let de = 0.11;
-        let flops = FlopCounter::new();
-        let (want_l, want_g) = polarization_series(&gl, &gg_t, &gg, &gl_t, de, &flops);
-        let mut acc_l = vec![cplx(0.0, 0.0); ne];
-        let mut acc_g = vec![cplx(0.0, 0.0); ne];
-        let all: Vec<usize> = (0..ne).collect();
-        polarization_series_accumulate(
-            &mut acc_l, &mut acc_g, &gl, &gg_t, &gg, &gl_t, &all, false, de, &flops,
-        );
-        assert_eq!(acc_l, want_l);
-        assert_eq!(acc_g, want_g);
-    }
-
-    #[test]
-    fn batched_self_energy_accumulation_is_exact_and_bit_identical_at_one_batch() {
+    fn batched_self_energy_accumulation_is_exact() {
         let ne = 16;
         let gl = synthetic_series(ne, 0.3);
         let gg = synthetic_series(ne, -0.8);
@@ -823,15 +724,21 @@ mod tests {
         let wg = synthetic_series(ne, -2.2);
         let de = 0.07;
         let flops = FlopCounter::new();
-        let (want_l, want_g) = self_energy_series(&gl, &gg, &wl, &wg, de, &flops);
-
-        // One batch: bit-identical.
+        // Reference: the whole grid as one batch.
         let all: Vec<usize> = (0..ne).collect();
-        let mut acc_l = vec![cplx(0.0, 0.0); ne];
-        let mut acc_g = vec![cplx(0.0, 0.0); ne];
-        self_energy_series_accumulate(&mut acc_l, &mut acc_g, &gl, &gg, &wl, &wg, &all, de, &flops);
-        assert_eq!(acc_l, want_l);
-        assert_eq!(acc_g, want_g);
+        let mut want_l = vec![cplx(0.0, 0.0); ne];
+        let mut want_g = vec![cplx(0.0, 0.0); ne];
+        self_energy_series_accumulate(
+            &mut want_l,
+            &mut want_g,
+            &gl,
+            &gg,
+            &wl,
+            &wg,
+            &all,
+            de,
+            &flops,
+        );
 
         // Several batches (Σ is linear in W): exact up to summation order.
         let batches: Vec<Vec<usize>> = vec![
@@ -864,8 +771,9 @@ mod tests {
 
     #[test]
     fn element_kernels_match_the_energy_major_drivers() {
-        // The per-element kernels must produce bit-identical series to the
-        // energy-major drivers: the distributed solver depends on it.
+        // The per-element kernel, called the way the distributed solver calls
+        // it on a single batch, must produce bit-identical series to the
+        // energy-major driver: the distributed solver depends on it.
         let ne = 16;
         let gl = synthetic_g(ne, 3, 2, 1.0);
         let gg = synthetic_g(ne, 3, 2, -1.0);
@@ -879,11 +787,8 @@ mod tests {
             let series_gg_t = element_series(&gg, tpos, c, r);
             let series_gg = element_series(&gg, e.pos, r, c);
             let series_gl_t = element_series(&gl, tpos, c, r);
-            let (kl, kg) = polarization_series(
-                &series_gl,
-                &series_gg_t,
-                &series_gg,
-                &series_gl_t,
+            let (kl, kg) = whole_grid_polarization(
+                [&series_gl, &series_gg_t, &series_gg, &series_gl_t],
                 de,
                 &flops,
             );

@@ -658,8 +658,8 @@ impl ScbaSolver {
             .map(|_| Mutex::new(RgfBatchScratch::new()))
             .collect();
 
-        // Final-iteration spectral data.
-        let mut final_g_lesser: EnergyResolved = Vec::new();
+        // Last-iteration density and spectral data.
+        let mut density = Vec::new();
         let mut final_spectral = SpectralData::default();
         let mut iterations = 0usize;
 
@@ -721,7 +721,7 @@ impl ScbaSolver {
                 dos_local,
                 current_spectrum,
             };
-            final_g_lesser = g_lesser.clone();
+            density = electron_density(&g_lesser, de);
 
             // Interaction switched off (ballistic / single-iteration mode)?
             if self.config.max_iterations == 1 {
@@ -833,8 +833,6 @@ impl ScbaSolver {
             }
         }
 
-        // Final observables.
-        let density = electron_density(&final_g_lesser, de);
         let hit_rate = if self.config.use_memoizer {
             let (mut hits, mut total) = (0usize, 0usize);
             for m in &memoizers {

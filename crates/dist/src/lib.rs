@@ -80,9 +80,7 @@ pub mod warm;
 pub use config::{DistScbaConfig, DistScbaResult};
 pub use partition::partition_weighted;
 pub use report::{DistReport, TranspositionBudget};
-pub use slab::{
-    BackComponent, ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE,
-};
+pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;
 pub use spatial::{spatial_phase_solve, PartitionSlice, RankGrid, SpatialLayout, SpatialTraffic};
 pub use warm::{WarmState, WarmStateWireError};

@@ -9,6 +9,10 @@
 //! the next batch flies. The two directions differ only in what a batch packs
 //! and what absorbing it means, which [`RankState::forward`] and
 //! [`RankState::backward`] supply as closures.
+//!
+//! Both directions move the same container: a forward transposition fills an
+//! [`ElementSlab`], a convolution phase accumulates its output into another
+//! ([`ConvSeries`]), and the backward transposition ships that slab as is.
 
 use quatrex_core::convolution::causal_retarded_series;
 use quatrex_linalg::c64;
@@ -19,9 +23,7 @@ use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
 use crate::rank::{RankCounters, RankState};
-use crate::slab::{
-    off_rank_payload_bytes, BackComponent, ElementSlab, TranspositionPlan, BYTES_PER_VALUE,
-};
+use crate::slab::{off_rank_payload_bytes, ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
 use crate::spatial::RankGrid;
 
 /// Which way a transposition moves data.
@@ -218,8 +220,6 @@ impl RankState<'_> {
     ) -> [Vec<BlockTridiagonal>; 3] {
         debug_assert_eq!(row.direction, Direction::Backward);
         let (plan, batches, group) = (&*self.plan, &self.batches, self.group);
-        let comps = series.map(ConvSeries::back_components);
-        let comps = comps.as_ref().map_or(&[][..], |c| c.as_slice());
         let zero = BlockTridiagonal::zeros(plan.n_blocks, plan.block_size);
         let mut out = [(); 3].map(|()| vec![zero.clone(); self.sigma.len()]);
         exchange(
@@ -229,8 +229,11 @@ impl RankState<'_> {
             batches.n_batches,
             &mut self.log.counters,
             |b| {
+                // Only leaders pack, and every leader holds its series.
                 let targets = batches.global_ranges(plan, b);
-                plan.scatter_backward_batch(group, comps, row.symmetric, &targets)
+                series.map_or_else(Vec::new, |s| {
+                    plan.scatter_backward_batch(group, &s.slab, row.symmetric, &targets)
+                })
             },
             |b, received| {
                 let mine = batches.global_range(plan, group, b);
@@ -262,41 +265,39 @@ fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror
 }
 
 /// The element-major output of one convolution phase (`P` or `Σ`) on a group
-/// leader: per owned element the canonical and mirror energy series of the
-/// lesser, greater and — once [`ConvSeries::finish`] ran — retarded
-/// component. The lesser/greater series are running accumulators, filled
-/// batch by batch by the `quatrex_core::convolution::*_accumulate` kernels
-/// while later batches are still in flight.
+/// leader: the owned elements' [`ElementSlab`] of the lesser, greater and —
+/// once [`ConvSeries::finish`] ran — retarded component, in the layout the
+/// backward transposition ships. The lesser/greater series are running
+/// accumulators, filled batch by batch by the
+/// `quatrex_core::convolution::*_accumulate` kernels while later batches are
+/// still in flight.
 pub(crate) struct ConvSeries {
     /// Race-detector id of the accumulators (the owning group).
     group: u64,
     /// Per owned element: whether it is its own mirror.
     self_mirror: Vec<bool>,
-    lesser_c: Vec<Vec<c64>>,
-    lesser_m: Vec<Vec<c64>>,
-    greater_c: Vec<Vec<c64>>,
-    greater_m: Vec<Vec<c64>>,
-    retarded_c: Vec<Vec<c64>>,
-    retarded_m: Vec<Vec<c64>>,
+    /// Components `[lesser, greater]`, then `retarded` once finished.
+    slab: ElementSlab,
+}
+
+/// The lesser and greater component of one side of a [`ConvSeries`] slab,
+/// split-borrowed.
+fn lesser_greater(side: &mut [Vec<Vec<c64>>]) -> (&mut [Vec<c64>], &mut [Vec<c64>]) {
+    let (lesser, rest) = side.split_at_mut(1);
+    (&mut lesser[0], &mut rest[0])
 }
 
 impl ConvSeries {
     /// All-zero accumulators for the elements `group` owns.
     pub(crate) fn zeroed(plan: &TranspositionPlan, group: usize) -> Self {
-        let self_mirror: Vec<bool> = plan.elements[plan.element_ranges[group].clone()]
-            .iter()
-            .map(|id| id.is_self_mirror())
-            .collect();
-        let zero = || vec![vec![c64::new(0.0, 0.0); plan.n_energies]; self_mirror.len()];
+        let elements = plan.element_ranges[group].clone();
         Self {
             group: group as u64,
-            lesser_c: zero(),
-            lesser_m: zero(),
-            greater_c: zero(),
-            greater_m: zero(),
-            retarded_c: Vec::with_capacity(self_mirror.len()),
-            retarded_m: Vec::with_capacity(self_mirror.len()),
-            self_mirror,
+            self_mirror: plan.elements[elements.clone()]
+                .iter()
+                .map(|id| id.is_self_mirror())
+                .collect(),
+            slab: ElementSlab::zeroed(elements, 2, plan.n_energies),
         }
     }
 
@@ -312,12 +313,12 @@ impl ConvSeries {
             SharedId::new("dist.conv_accum", self.group),
             AccessKind::Write,
         );
+        let (lc, gc) = lesser_greater(&mut self.slab.canonical);
+        let (lm, gm) = lesser_greater(&mut self.slab.mirror);
         for (e_local, &self_mirror) in self.self_mirror.iter().enumerate() {
-            let (lc, gc) = (&mut self.lesser_c[e_local], &mut self.greater_c[e_local]);
-            kernel(lc, gc, e_local, false);
+            kernel(&mut lc[e_local], &mut gc[e_local], e_local, false);
             if !self_mirror {
-                let (lm, gm) = (&mut self.lesser_m[e_local], &mut self.greater_m[e_local]);
-                kernel(lm, gm, e_local, true);
+                kernel(&mut lm[e_local], &mut gm[e_local], e_local, true);
             }
         }
     }
@@ -334,36 +335,29 @@ impl ConvSeries {
             SharedId::new("dist.conv_accum", self.group),
             AccessKind::Read,
         );
-        for (e_local, &self_mirror) in self.self_mirror.iter().enumerate() {
-            let (lc, lm) = (&mut self.lesser_c[e_local], &mut self.lesser_m[e_local]);
-            let (gc, gm) = (&mut self.greater_c[e_local], &mut self.greater_m[e_local]);
+        let (lc, gc) = lesser_greater(&mut self.slab.canonical);
+        let (lm, gm) = lesser_greater(&mut self.slab.mirror);
+        let (mut rc_all, mut rm_all) = (Vec::new(), Vec::new());
+        for (e, &self_mirror) in self.self_mirror.iter().enumerate() {
             if self_mirror {
-                lm.clone_from(lc);
-                gm.clone_from(gc);
+                lm[e].clone_from(&lc[e]);
+                gm[e].clone_from(&gc[e]);
             }
             if enforce_symmetry {
-                symmetrize_series_pair(lc, lm, self_mirror);
-                symmetrize_series_pair(gc, gm, self_mirror);
+                symmetrize_series_pair(&mut lc[e], &mut lm[e], self_mirror);
+                symmetrize_series_pair(&mut gc[e], &mut gm[e], self_mirror);
             }
-            let rc = causal_retarded_series(lc, gc, flops);
+            let rc = causal_retarded_series(&lc[e], &gc[e], flops);
             let rm = if self_mirror {
                 rc.clone()
             } else {
-                causal_retarded_series(lm, gm, flops)
+                causal_retarded_series(&lm[e], &gm[e], flops)
             };
-            self.retarded_c.push(rc);
-            self.retarded_m.push(rm);
+            rc_all.push(rc);
+            rm_all.push(rm);
         }
-    }
-
-    /// The finished series as the backward transposition ships them.
-    fn back_components(&self) -> [BackComponent<'_>; 3] {
-        [
-            (&self.lesser_c, &self.lesser_m),
-            (&self.greater_c, &self.greater_m),
-            (&self.retarded_c, &self.retarded_m),
-        ]
-        .map(|(canonical, mirror)| BackComponent { canonical, mirror })
+        self.slab.canonical.push(rc_all);
+        self.slab.mirror.push(rm_all);
     }
 }
 

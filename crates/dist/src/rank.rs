@@ -8,8 +8,12 @@
 //! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
 //! otherwise), *finish one energy* (core). The `P` and `Σ` steps run the
 //! element-major convolutions behind the transposition pipeline
-//! ([`crate::pipeline`]); the measured energy rebalancer lives in
-//! [`crate::rebalance`].
+//! ([`crate::pipeline`]): the two closures in [`RankState::p_step`] and
+//! [`RankState::sigma_step`] are this crate's only calls into the
+//! convolution kernels — the same two
+//! `quatrex_core::convolution::*_accumulate` functions the sequential
+//! drivers call with the whole grid as one batch. The measured energy
+//! rebalancer lives in [`crate::rebalance`].
 
 use std::borrow::Cow;
 use std::ops::Range;

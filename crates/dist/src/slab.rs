@@ -8,7 +8,9 @@
 //!   matrix per energy — the layout of the OBC + assembly + RGF phases;
 //! * **element-major** ([`ElementSlab`]): each rank owns a contiguous slice of
 //!   the *canonical element list* and stores, per element, the full energy
-//!   series — the layout of the P/Σ convolutions (FFTs over energy).
+//!   series — the layout of the P/Σ convolutions (FFTs over energy). It is
+//!   the one container of that layout: what a forward transposition delivers,
+//!   what a convolution phase accumulates, what a backward one ships.
 //!
 //! [`TranspositionPlan`] fixes both partitions and the wire format of the
 //! `Alltoallv` messages that convert between them. With
@@ -131,18 +133,6 @@ impl ElementSlab {
             (&self.canonical, &self.mirror)
         }
     }
-}
-
-/// A backward-travelling component: the canonical and mirror series of the
-/// owned elements. Whether the mirror series ride along or are reconstructed
-/// from the NEGF symmetry at the destination is decided by the `symmetric`
-/// mask both ends of the transposition share
-/// ([`TranspositionPlan::scatter_backward_batch`]).
-pub struct BackComponent<'a> {
-    /// `[local_element][energy]` canonical series.
-    pub canonical: &'a [Vec<c64>],
-    /// `[local_element][energy]` mirror series.
-    pub mirror: &'a [Vec<c64>],
 }
 
 /// The fixed geometry of the energy↔element transposition: partitions,
@@ -331,12 +321,15 @@ impl TranspositionPlan {
     }
 
     /// Backward serialisation (element-major → energy-major) of one energy
-    /// batch: build the per-destination messages for the given components;
-    /// the message to rank `q` carries only the energies in `dst_ranges[q]`
-    /// (global indices; the batch's slice of `q`'s energy range —
-    /// `energy_ranges` itself ships everything at once). `symmetric[c]` states
-    /// whether component `c` obeys `X_ij = −X*_ji` (lesser/greater-like) — the
-    /// same mask [`Self::absorb_backward_batch`] decodes with.
+    /// batch: build the per-destination messages for the components of
+    /// `slab` (this rank's element slice); the message to rank `q` carries
+    /// only the energies in `dst_ranges[q]` (global indices; the batch's
+    /// slice of `q`'s energy range — `energy_ranges` itself ships everything
+    /// at once). `symmetric[c]` states whether component `c` obeys
+    /// `X_ij = −X*_ji` (lesser/greater-like) — the same mask
+    /// [`Self::absorb_backward_batch`] decodes with. Whether the mirror
+    /// series ride along or are reconstructed from the NEGF symmetry at the
+    /// destination is decided by that mask.
     ///
     /// Wire format of the message to rank `q`: for every component, for every
     /// canonical element owned by this rank (ascending), the values at the
@@ -347,27 +340,28 @@ impl TranspositionPlan {
     pub fn scatter_backward_batch(
         &self,
         rank: usize,
-        comps: &[BackComponent<'_>],
+        slab: &ElementSlab,
         symmetric: &[bool],
         dst_ranges: &[Range<usize>],
     ) -> Vec<Vec<c64>> {
         let elems = self.element_ranges[rank].clone();
+        debug_assert_eq!(slab.elements, elems);
         (0..self.n_ranks)
             .map(|q| {
                 let dst_energies = dst_ranges[q].clone();
                 let mut msg = Vec::new();
-                for comp in comps {
-                    for series in comp.canonical.iter().take(elems.len()) {
+                for comp in &slab.canonical {
+                    for series in comp {
                         for k in dst_energies.clone() {
                             msg.push(series[k]);
                         }
                     }
                 }
-                for (comp, &symmetric) in comps.iter().zip(symmetric) {
+                for (comp, &symmetric) in slab.mirror.iter().zip(symmetric) {
                     if symmetric && self.symmetry_reduced {
                         continue;
                     }
-                    for (e_local, series) in comp.mirror.iter().enumerate().take(elems.len()) {
+                    for (e_local, series) in comp.iter().enumerate() {
                         if self.elements[elems.start + e_local].is_self_mirror() {
                             continue;
                         }
@@ -596,18 +590,8 @@ mod tests {
             let mut slab = ElementSlab::zeroed(plan2.element_ranges[rank].clone(), 2, ne);
             plan2.absorb_forward_batch(rank, &mut slab, recv, &plan2.energy_ranges);
             // backward: element-major -> energy-major (as-is)
-            let comps = [
-                BackComponent {
-                    canonical: &slab.canonical[0],
-                    mirror: &slab.mirror[0],
-                },
-                BackComponent {
-                    canonical: &slab.canonical[1],
-                    mirror: &slab.mirror[1],
-                },
-            ];
             let back =
-                plan2.scatter_backward_batch(rank, &comps, &[true, true], &plan2.energy_ranges);
+                plan2.scatter_backward_batch(rank, &slab, &[true, true], &plan2.energy_ranges);
             let recv = ctx.alltoallv_tagged(back, wire, CommPhase::Other);
             let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 2];
             plan2.absorb_backward_batch(rank, &mut out, recv, &[true, true], my_e);
@@ -749,18 +733,6 @@ mod tests {
 
                 // Backward: batch-wise shipping must reproduce the
                 // single-shot energy-major gather of every destination.
-                fn comps_of(s: &ElementSlab) -> [BackComponent<'_>; 2] {
-                    [
-                        BackComponent {
-                            canonical: &s.canonical[0],
-                            mirror: &s.mirror[0],
-                        },
-                        BackComponent {
-                            canonical: &s.canonical[1],
-                            mirror: &s.mirror[1],
-                        },
-                    ]
-                }
                 for dst in 0..n_groups {
                     let n_local = plan.energy_ranges[dst].len();
                     let zeros = || -> Vec<EnergyResolved> {
@@ -774,7 +746,7 @@ mod tests {
                             .map(|src| {
                                 let mut p = plan.scatter_backward_batch(
                                     src,
-                                    &comps_of(&slabs[src]),
+                                    &slabs[src],
                                     &[true, true],
                                     &plan.energy_ranges,
                                 );
@@ -790,7 +762,7 @@ mod tests {
                             .map(|src| {
                                 let mut p = plan.scatter_backward_batch(
                                     src,
-                                    &comps_of(&slabs[src]),
+                                    &slabs[src],
                                     &[true, true],
                                     &batches.global_ranges(&plan, batch),
                                 );

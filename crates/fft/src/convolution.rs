@@ -1,11 +1,13 @@
-//! FFT-based linear convolution and correlation on the energy axis.
+//! FFT-based linear convolution on the energy axis.
 //!
 //! In the SCBA loop the polarisation is a correlation of Green's functions and
 //! the self-energy a convolution of a Green's function with the screened
 //! Coulomb interaction (paper Eq. (3)). After the data transposition the FFTs
-//! act on per-element energy series; the helpers here implement the padded
-//! linear convolution / correlation exactly as a reference `O(N_E²)` sum would
-//! produce them (validated by the tests below).
+//! act on per-element energy series; [`convolve`] implements the padded linear
+//! convolution exactly as a reference `O(N_E²)` sum would produce it
+//! (validated by the tests below). The polarisation's correlation is this
+//! convolution against the reversed series
+//! (`quatrex_core::convolution`'s `cross_correlate`).
 
 use crate::c64;
 use crate::transform::{fft, fft_flops, ifft, next_power_of_two};
@@ -34,19 +36,6 @@ pub fn convolve(a: &[c64], b: &[c64]) -> Vec<c64> {
     fa
 }
 
-/// Linear cross-correlation `c[k] = Σ_m a[m]·conj(b[m−k])` for lags
-/// `k = −(len_b−1) .. (len_a−1)`, returned with the zero lag at index
-/// `len_b − 1` (i.e. `c.len() == len_a + len_b − 1`).
-///
-/// This is the form entering the polarisation `P(E) ∝ Σ_E' G^≶(E'+E)·G^≷(E')`.
-pub fn correlate(a: &[c64], b: &[c64]) -> Vec<c64> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let b_rev_conj: Vec<c64> = b.iter().rev().map(|v| v.conj()).collect();
-    convolve(a, &b_rev_conj)
-}
-
 /// Real-FLOP estimate of one padded convolution of an `n_a`-point with an
 /// `n_b`-point series: three FFTs of the padded length plus the point-wise
 /// product.
@@ -73,23 +62,6 @@ mod tests {
         c
     }
 
-    fn naive_correlate(a: &[c64], b: &[c64]) -> Vec<c64> {
-        // c[k + (len_b-1)] = sum_m a[m] conj(b[m-k])
-        let out_len = a.len() + b.len() - 1;
-        let mut c = vec![c64::new(0.0, 0.0); out_len];
-        let nb = b.len() as isize;
-        for k in -(nb - 1)..(a.len() as isize) {
-            let idx = (k + nb - 1) as usize;
-            for (m, &am) in a.iter().enumerate() {
-                let bm = m as isize - k;
-                if bm >= 0 && bm < nb {
-                    c[idx] += am * b[bm as usize].conj();
-                }
-            }
-        }
-        c
-    }
-
     fn series(n: usize, seed: f64) -> Vec<c64> {
         (0..n)
             .map(|i| {
@@ -106,20 +78,6 @@ mod tests {
             let b = series(nb, 5.0);
             let got = convolve(&a, &b);
             let want = naive_convolve(&a, &b);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want.iter()) {
-                assert!((g - w).norm() < 1e-9, "na={na} nb={nb}");
-            }
-        }
-    }
-
-    #[test]
-    fn correlation_matches_naive_sum() {
-        for (na, nb) in [(5, 5), (8, 3), (20, 20)] {
-            let a = series(na, 1.0);
-            let b = series(nb, 2.0);
-            let got = correlate(&a, &b);
-            let want = naive_correlate(&a, &b);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(want.iter()) {
                 assert!((g - w).norm() < 1e-9, "na={na} nb={nb}");
@@ -151,7 +109,7 @@ mod tests {
     #[test]
     fn empty_inputs_yield_empty_output() {
         assert!(convolve(&[], &series(3, 0.0)).is_empty());
-        assert!(correlate(&series(3, 0.0), &[]).is_empty());
+        assert!(convolve(&series(3, 0.0), &[]).is_empty());
         assert_eq!(convolution_flops(0, 10), 0);
     }
 

@@ -11,9 +11,14 @@
 //! through CuPy; this crate provides the portable equivalent:
 //!
 //! * [`fft`] / [`ifft`] — iterative radix-2 transforms for power-of-two sizes,
-//! * [`fft_any`] / [`ifft_any`] — Bluestein's algorithm for arbitrary sizes,
-//! * [`convolve`] / [`correlate`] — zero-padded linear convolution /
-//!   correlation, the exact primitives used by the `P` and `Σ` kernels.
+//! * [`convolve`] — zero-padded linear convolution, the primitive under the
+//!   `P` and `Σ` kernels (every grid pads to [`next_power_of_two`] here, so
+//!   no arbitrary-length transform exists),
+//! * [`fft_flops`] / [`convolution_flops`] — the FLOP model of both.
+//!
+//! `quatrex_core::convolution` is the only caller in the workspace (CI's
+//! `lint` job holds that): one convolution path, with the FFT under it in
+//! one place.
 //!
 //! ```
 //! use quatrex_fft::{c64, convolve, fft, ifft};
@@ -34,8 +39,8 @@
 pub mod convolution;
 pub mod transform;
 
-pub use convolution::{convolution_flops, convolve, correlate};
-pub use transform::{fft, fft_any, fft_flops, ifft, ifft_any, is_power_of_two, next_power_of_two};
+pub use convolution::{convolution_flops, convolve};
+pub use transform::{fft, fft_flops, ifft, is_power_of_two, next_power_of_two};
 
 /// Double-precision complex scalar (re-exported for convenience).
 #[allow(non_camel_case_types)]

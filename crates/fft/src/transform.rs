@@ -1,4 +1,4 @@
-//! Radix-2 and Bluestein FFTs.
+//! Radix-2 FFTs for power-of-two lengths.
 
 use crate::c64;
 use std::f64::consts::PI;
@@ -33,7 +33,7 @@ fn fft_dir(x: &mut [c64], sign: f64) {
     let n = x.len();
     assert!(
         is_power_of_two(n),
-        "fft length {n} must be a power of two; use fft_any"
+        "fft length {n} must be a power of two; zero-pad to next_power_of_two"
     );
     if n <= 1 {
         return;
@@ -70,56 +70,6 @@ fn fft_dir(x: &mut [c64], sign: f64) {
         }
         len <<= 1;
     }
-}
-
-/// Forward FFT of arbitrary length using Bluestein's chirp-z algorithm.
-pub fn fft_any(x: &[c64]) -> Vec<c64> {
-    bluestein(x, -1.0)
-}
-
-/// Inverse FFT of arbitrary length (normalised by `1/N`).
-pub fn ifft_any(x: &[c64]) -> Vec<c64> {
-    let n = x.len() as f64;
-    bluestein(x, 1.0).into_iter().map(|v| v / n).collect()
-}
-
-fn bluestein(x: &[c64], sign: f64) -> Vec<c64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if is_power_of_two(n) {
-        let mut buf = x.to_vec();
-        fft_dir(&mut buf, sign);
-        return buf;
-    }
-    // Chirp: w_k = exp(sign * i * pi * k^2 / n)
-    let m = next_power_of_two(2 * n - 1);
-    let mut chirp = vec![c64::new(0.0, 0.0); n];
-    for (k, c) in chirp.iter_mut().enumerate() {
-        // k^2 mod 2n to avoid precision loss for large k.
-        let k2 = ((k as u128 * k as u128) % (2 * n as u128)) as f64;
-        let ang = sign * PI * k2 / n as f64;
-        *c = c64::new(ang.cos(), ang.sin());
-    }
-    let mut a = vec![c64::new(0.0, 0.0); m];
-    let mut b = vec![c64::new(0.0, 0.0); m];
-    for k in 0..n {
-        a[k] = x[k] * chirp[k];
-        b[k] = chirp[k].conj();
-    }
-    for k in 1..n {
-        b[m - k] = chirp[k].conj();
-    }
-    fft_dir(&mut a, -1.0);
-    fft_dir(&mut b, -1.0);
-    for k in 0..m {
-        a[k] *= b[k];
-    }
-    // Inverse power-of-two FFT.
-    fft_dir(&mut a, 1.0);
-    let scale = 1.0 / m as f64;
-    (0..n).map(|k| a[k] * scale * chirp[k]).collect()
 }
 
 /// Real-FLOP estimate of one complex FFT of length `n`
@@ -191,29 +141,6 @@ mod tests {
             ifft(&mut y);
             for (a, b) in y.iter().zip(x.iter()) {
                 assert!((a - b).norm() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn bluestein_matches_naive_dft_for_odd_sizes() {
-        for n in [3usize, 5, 7, 12, 17, 50, 101] {
-            let x = signal(n);
-            let got = fft_any(&x);
-            let want = naive_dft(&x, -1.0);
-            for (g, w) in got.iter().zip(want.iter()) {
-                assert!((g - w).norm() < 1e-8 * n as f64, "n = {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn bluestein_roundtrip() {
-        for n in [5usize, 13, 100, 211] {
-            let x = signal(n);
-            let y = ifft_any(&fft_any(&x));
-            for (a, b) in y.iter().zip(x.iter()) {
-                assert!((a - b).norm() < 1e-9, "n = {n}");
             }
         }
     }

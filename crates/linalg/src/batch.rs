@@ -19,9 +19,8 @@
 //!   [`BatchOp::Each`] operands are packed per plane through the same
 //!   raw-slice packers as [`crate::ops::gemm`], so every plane's arithmetic
 //!   is bit-identical to the corresponding per-energy call.
-//! * [`BatchWorkspace`] — the checkout/restore arena of
-//!   [`crate::workspace::Workspace`] lifted to batches: steady-state batched
-//!   RGF loops allocate nothing.
+//! * [`BatchWorkspace`] — a checkout/restore arena of batch buffers:
+//!   steady-state batched RGF loops allocate nothing.
 //! * [`invert_batch_into`] — plane-wise LU inversion through
 //!   [`LuScratch::invert_slice_into`], again bit-identical per plane.
 //! * a thread-parallel **tiling rung**: at `N_BS ≥` [`TILING_RUNG_N_BS`] the
@@ -164,11 +163,6 @@ impl MatrixBatch {
             "batch shape"
         );
         self.data.copy_from_slice(&src.data);
-    }
-
-    /// Zero every plane.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(ZERO);
     }
 
     /// `self += alpha · x`, elementwise over every plane — same arithmetic as
@@ -416,8 +410,8 @@ pub fn invert_batch_into(
     Ok(())
 }
 
-/// A free-list arena of energy-major batch buffers: [`crate::workspace::Workspace`]
-/// lifted to [`MatrixBatch`]. One warm pass through a batched loop, then zero
+/// A free-list arena of energy-major batch buffers with checkout/restore
+/// semantics. One warm pass through a batched loop, then zero
 /// steady-state heap allocations — the property the counting-allocator test
 /// of `quatrex-rgf` pins for the batched RGF loop.
 #[derive(Debug, Default)]

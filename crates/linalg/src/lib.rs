@@ -10,7 +10,8 @@
 //! * the operand-flag GEMM engine ([`ops::gemm`] with [`ops::Op`] flags,
 //!   register-tiled micro-kernels, fused conjugate transposes) plus the
 //!   classic wrappers ([`ops::matmul`], [`ops::triple_product`], …),
-//! * the [`workspace::Workspace`] scratch arena giving the hot loops
+//! * energy-major batches ([`MatrixBatch`], [`gemm_batch`]) and the
+//!   [`BatchWorkspace`] scratch arena giving the batched hot loops
 //!   checkout/restore buffer reuse (zero steady-state allocations),
 //! * LU factorisation, linear solves and explicit inverses ([`lu`]),
 //! * Householder QR ([`qr`]),
@@ -32,7 +33,6 @@ pub mod matrix;
 pub mod ops;
 pub mod qr;
 pub mod svd;
-pub mod workspace;
 
 pub use batch::{
     gemm_batch, gemm_batch_flops, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch,
@@ -45,7 +45,6 @@ pub use matrix::CMatrix;
 pub use ops::{gemm, matmul, matmul_acc, triple_product, triple_product_flops, Op, OpKind};
 pub use qr::QrFactorization;
 pub use svd::{singular_values, svd, Svd};
-pub use workspace::Workspace;
 
 /// Double-precision complex scalar used throughout QuaTrEx-RS.
 #[allow(non_camel_case_types)]

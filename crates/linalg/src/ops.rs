@@ -20,9 +20,9 @@
 //!   (`A` in `MR`-row tiles, `B` in `NR`-column panels, both step-major), so
 //!   the kernel is pure `f64` lane arithmetic of fused multiply-adds the
 //!   compiler vectorises;
-//! * callers recycle output and temporary buffers through
-//!   [`crate::workspace::Workspace`], so the steady-state RGF inner loop
-//!   performs zero heap allocations.
+//! * callers recycle output and temporary buffers (the batched solvers
+//!   through [`crate::batch::BatchWorkspace`]), so the steady-state RGF
+//!   inner loop performs zero heap allocations.
 //!
 //! # Determinism
 //!
@@ -489,7 +489,6 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 /// `jki` loop that allocates a fresh output per product and streams every
 /// output element through memory once per inner-dimension step.
 pub mod reference {
-    use super::gemm_flops;
     use crate::matrix::CMatrix;
     use crate::{c64, ZERO};
 
@@ -539,14 +538,6 @@ pub mod reference {
                 }
             }
         }
-    }
-
-    /// Pre-refactor `A · B · C` (always left-to-right) with its FLOP cost.
-    pub fn triple_product_ref(a: &CMatrix, b: &CMatrix, c: &CMatrix) -> (CMatrix, u64) {
-        let ab = matmul_ref(a, b);
-        let flops = gemm_flops(a.nrows(), a.ncols(), b.ncols())
-            + gemm_flops(ab.nrows(), ab.ncols(), c.ncols());
-        (matmul_ref(&ab, c), flops)
     }
 
     /// Pre-refactor congruence `A · B · A†` (materializes the dagger).

@@ -139,11 +139,6 @@ impl ObcMemoizer {
         self.stats
     }
 
-    /// Reset the statistics (the cache is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemoizerStats::default();
-    }
-
     /// Drop every cached block (e.g. when the bias point changes).
     pub fn clear(&mut self) {
         self.cache.clear();

@@ -43,17 +43,6 @@ impl MachineModel {
         }
     }
 
-    /// One LUMI GCD (same silicon as Frontier), used by QuaTrEx24.
-    pub fn lumi_gcd() -> Self {
-        Self {
-            name: "MI250X GCD (LUMI)",
-            peak_fp64_tflops: 26.8,
-            rmax_tflops: 17.6,
-            sustained_fraction: 0.55,
-            hbm_gb: 64.0,
-        }
-    }
-
     /// Sustained dense-kernel rate in Tflop/s.
     pub fn sustained_tflops(&self) -> f64 {
         self.peak_fp64_tflops * self.sustained_fraction

@@ -31,7 +31,7 @@
 //! payload byte, a fingerprint from a different device — decodes to a named
 //! [`SweepError`], never a panic.
 
-use quatrex_dist::{WarmState, WarmStateWireError};
+use quatrex_dist::WarmStateWireError;
 use quatrex_linalg::c64;
 
 /// File magic of the sweep checkpoint format.
@@ -251,13 +251,6 @@ pub(crate) fn unframe(file: &[u8]) -> Result<&[u8], SweepError> {
         return Err(SweepError::DigestMismatch { expected, found });
     }
     Ok(payload)
-}
-
-/// Serialise one warm state for embedding in a payload (exposed for tests).
-pub fn warm_state_bytes(state: &WarmState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_wire(&mut buf, &state.to_wire());
-    buf
 }
 
 #[cfg(test)]
