@@ -82,5 +82,5 @@ pub use partition::partition_weighted;
 pub use report::{DistReport, TranspositionBudget};
 pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;
-pub use spatial::{spatial_phase_solve, PartitionSlice, RankGrid, SpatialLayout, SpatialTraffic};
+pub use spatial::{spatial_phase_solve, RankGrid, SpatialLayout, SpatialTraffic};
 pub use warm::{WarmState, WarmStateWireError};

@@ -185,9 +185,11 @@ pub(crate) struct RankState<'a> {
     /// non-leaders carry no per-energy state).
     pub(crate) sigma: Vec<SigmaState>,
     pub(crate) memoizer: Option<ObcMemoizer>,
-    /// RGF scratch of the local group solve: all owned energies share one
-    /// transport-cell shape, so the staged operand batches and the batch
-    /// arena stay warm across kernel batches and iterations.
+    /// RGF scratch of the group solve, local or cooperative (there: the
+    /// partition interiors on every member, the reduced systems on the
+    /// leader): the shapes repeat every iteration, so the staged operand
+    /// batches and the batch arena stay warm across kernel batches and
+    /// iterations.
     rgf_scratch: RgfBatchScratch,
     /// Wall seconds each owned energy spent in assembly + solve this
     /// iteration — the measured cost weights of the next rebalance.
@@ -323,6 +325,7 @@ impl<'a> RankState<'a> {
             subsystem,
             systems,
             n_owned,
+            p.cfg().kernel_batch,
             &mut self.rgf_scratch,
             &p.flops,
             &p.timings,

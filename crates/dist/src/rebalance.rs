@@ -111,7 +111,7 @@ impl RankState<'_> {
                 my_e.zip(std::mem::take(&mut self.sigma)).collect();
             // One read cursor per source leader, shared by every energy
             // migrated from it; the wire codec is the same push/read helpers
-            // the PartitionSlice messages use.
+            // the spatial block-range messages use.
             let mut readers: Vec<_> = received.iter().map(|m| m.iter()).collect();
             for k in new_ranges[group].clone() {
                 if let Some(s) = kept.remove(&k) {

@@ -90,8 +90,9 @@ pub struct DistReport {
     /// Same for the `W` phase.
     pub measured_boundary_bytes_w: u64,
     /// The system-distribution share of `measured_boundary_bytes_g`: the
-    /// off-rank bytes of the `PartitionSlice` messages (each spatial rank
-    /// receives only its partition's interior blocks + separator couplings).
+    /// off-rank bytes of the block-range messages (each spatial rank
+    /// receives only blocks `lo..=hi` of its partition, as plain
+    /// block-tridiagonal streams without headers).
     pub measured_slice_bytes_g: u64,
     /// Same for the `W` phase.
     pub measured_slice_bytes_w: u64,

@@ -12,39 +12,51 @@
 //! `quatrex_core`'s per-energy assemble and finish stages. In a one-member
 //! group it **is** the local batched solve (`quatrex_core::scba::solve_stage`
 //! against the rank's scratch); otherwise it executes the per-energy selected
-//! solves of one phase (`G` or `W`) cooperatively: the leader ships every
-//! spatial rank **its partition's slice** of the assembled systems (a
-//! [`PartitionSlice`] wire message: interior blocks plus separator couplings,
-//! `~1/P_S` of the full system instead of the pre-slice full broadcast),
-//! every spatial rank eliminates its own partition interior
-//! ([`quatrex_rgf::eliminate_partition_slice`]), the Schur and quadratic
-//! right-hand-side updates are **gathered within the group** to assemble the
-//! reduced boundary system on the leader, the reduced selected solution is
-//! broadcast back, and every rank recovers its interior blocks
-//! ([`quatrex_rgf::recover_partition_solve`]). All group traffic rides the
-//! same byte-accounted `Alltoallv` as the transpositions (out-of-group
-//! destinations receive empty messages), so `DistReport` can report the
-//! boundary-system volume per phase — and the measured slice-distribution
-//! saving against the broadcast-equivalent volume ([`SpatialTraffic`]).
+//! solves of one phase (`G` or `W`) cooperatively, and every message has a
+//! shape the layout alone determines — block ranges and block grids, no
+//! headers, no indices:
+//!
+//! 1. the leader ships every member **its partition's block range** of the
+//!    assembled systems (`quatrex_rgf::partition_ranges`: blocks `lo..=hi` of
+//!    `A`, `B^<`, `B^>` as `push_bt` streams, `~1/P_S` of the full system
+//!    instead of the pre-slice full broadcast);
+//! 2. every rank eliminates its own partition for all owned energies through
+//!    the one entry point [`quatrex_rgf::eliminate_partition`] — the interior
+//!    RGF solves are the energy-batched ones against the rank's warm
+//!    [`RgfBatchScratch`], cut into `kernel_batch` chunks like the local
+//!    solves;
+//! 3. the `nbd × nbd` Schur and quadratic right-hand-side update grids are
+//!    **gathered within the group**, the leader assembles the reduced
+//!    boundary systems and solves them batched on the same scratch
+//!    ([`quatrex_rgf::solve_systems`]);
+//! 4. the reduced selected solutions are broadcast back, every rank recovers
+//!    its range ([`quatrex_rgf::recover_partition`]), and the leader copies
+//!    the gathered ranges into place ([`quatrex_rgf::assemble_solution`], the
+//!    tail it shares with the thread driver of `quatrex-rgf`).
+//!
+//! All group traffic rides the same byte-accounted `Alltoallv` as the
+//! transpositions (out-of-group destinations receive empty messages), so
+//! `DistReport` can report the boundary-system volume per phase — and the
+//! measured range-distribution saving against the broadcast-equivalent volume
+//! ([`SpatialTraffic`]).
 
 use quatrex_probe::clock::Instant;
 
-use quatrex_core::scba::{solve_accounting, solve_stage, KernelTimings};
+use quatrex_core::scba::{kernel_chunks, solve_accounting, solve_stage, KernelTimings};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::Subsystem;
 use quatrex_rgf::{
-    assemble_reduced_system, eliminate_partition_slice, partition_layout_balanced,
-    probe_partition_flops, recover_partition_solve, rgf_solve, scatter_separator_blocks,
-    separator_blocks, spatial_partition_layout, BoundaryCouplings, PartitionSolveState,
-    PartitionSystemSlice, PartitionUpdates, RecoveredBlocks, RgfBatchScratch, SelectedSolution,
+    assemble_reduced_system, assemble_solution, eliminate_partition, partition_layout_balanced,
+    partition_ranges, probe_partition_flops, recover_partition, solve_systems,
+    spatial_partition_layout, PartitionSolveState, RgfBatchScratch, SelectedSolution,
     SpatialPartition,
 };
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::slab::{
-    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, read_value, BYTES_PER_VALUE,
+    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE,
 };
 
 /// Number of lesser/greater right-hand sides of every per-energy solve
@@ -104,16 +116,14 @@ impl RankGrid {
 }
 
 /// The spatial side of a run, fixed for its whole duration and shared by
-/// every rank: the rank grid, the partition layout of the transport blocks
-/// and the separator blocks between the partitions.
+/// every rank: the rank grid and the partition layout of the transport
+/// blocks.
 #[derive(Debug, Clone)]
 pub struct SpatialLayout {
     /// The `n_groups × P_S` arrangement of the ranks.
     pub grid: RankGrid,
     /// One partition per spatial rank; empty at `P_S = 1`.
     pub parts: Vec<SpatialPartition>,
-    /// Separator blocks between the partitions (the reduced system's blocks).
-    pub separators: Vec<usize>,
     /// Transport blocks of every per-energy system (`N_B`).
     pub n_blocks: usize,
     /// Transport-cell block size.
@@ -126,8 +136,9 @@ impl SpatialLayout {
     /// layout is the FLOP-balanced uneven one
     /// (`quatrex_rgf::partition_layout_balanced`: the end partitions grow
     /// until the per-partition elimination + recovery FLOPs equalise, paper
-    /// Section 5.4), computed from the shape-only FLOP probe so every rank
-    /// derives the identical layout; at `P_S = 2` there is nothing to balance
+    /// Section 5.4), computed from the shape-only FLOP probe (scalar blocks:
+    /// microseconds, whatever `block_size`) so every rank derives the
+    /// identical layout; at `P_S = 2` there is nothing to balance
     /// against and the split is uniform. Panics when the device has fewer
     /// than `2·P_S` blocks.
     pub fn new(n_ranks: usize, p_s: usize, n_blocks: usize, block_size: usize) -> Self {
@@ -135,14 +146,13 @@ impl SpatialLayout {
         let parts = match p_s {
             1 => Ok(Vec::new()),
             2 => spatial_partition_layout(n_blocks, p_s),
-            _ => probe_partition_flops(n_blocks, block_size, p_s, 2)
+            _ => probe_partition_flops(n_blocks, p_s, N_RHS)
                 .and_then(|probe| partition_layout_balanced(n_blocks, p_s, &probe)),
         }
         // lint:allow(no-unwrap): the block count was validated against P_S before the layout is built
         .expect("spatial partition layout rejected (too few blocks for P_S)");
         Self {
             grid,
-            separators: separator_blocks(&parts),
             parts,
             n_blocks,
             block_size,
@@ -157,55 +167,9 @@ impl SpatialLayout {
 }
 
 // ---------------------------------------------------------------------------
-// Wire format of the group-level payloads (complex128 streams, like the
-// transposition messages).
-
-fn push_index_pair(buf: &mut Vec<c64>, i: usize, j: usize) {
-    buf.push(c64::new(i as f64, j as f64));
-}
-
-fn push_len(buf: &mut Vec<c64>, len: usize) {
-    buf.push(c64::new(len as f64, 0.0));
-}
-
-fn push_triples(buf: &mut Vec<c64>, triples: &[(usize, usize, CMatrix)]) {
-    push_len(buf, triples.len());
-    for (i, j, m) in triples {
-        push_index_pair(buf, *i, *j);
-        push_matrix(buf, m);
-    }
-}
-
-fn read_triples<'a>(
-    it: &mut impl Iterator<Item = &'a c64>,
-    bs: usize,
-) -> Vec<(usize, usize, CMatrix)> {
-    let len = read_value(it).re as usize;
-    (0..len)
-        .map(|_| {
-            let ij = read_value(it);
-            let (i, j) = (ij.re as usize, ij.im as usize);
-            (i, j, read_matrix(it, bs))
-        })
-        .collect()
-}
-
-fn push_updates(buf: &mut Vec<c64>, u: &PartitionUpdates) {
-    push_triples(buf, &u.schur);
-    for list in &u.rhs {
-        push_triples(buf, list);
-    }
-}
-
-fn read_updates<'a>(
-    it: &mut impl Iterator<Item = &'a c64>,
-    bs: usize,
-    n_rhs: usize,
-) -> PartitionUpdates {
-    let schur = read_triples(it, bs);
-    let rhs = (0..n_rhs).map(|_| read_triples(it, bs)).collect();
-    PartitionUpdates { schur, rhs }
-}
+// Wire format of the group-level payloads: complex128 streams like the
+// transposition messages, built from `push_bt` / `push_matrix` alone — every
+// length follows from the layout.
 
 fn push_selected(buf: &mut Vec<c64>, sol: &SelectedSolution) {
     push_bt(buf, &sol.retarded);
@@ -227,136 +191,32 @@ fn read_selected<'a>(
     }
 }
 
-fn push_recovered(buf: &mut Vec<c64>, rec: &RecoveredBlocks) {
-    push_triples(buf, &rec.retarded);
-    for list in &rec.lesser {
-        push_triples(buf, list);
+/// Blocks of the update grids one partition sends up per energy: `nbd × nbd`
+/// per matrix of the system — nothing from an empty interior.
+fn update_blocks(part: &SpatialPartition) -> usize {
+    if part.range().is_empty() {
+        0
+    } else {
+        (1 + N_RHS) * part.n_separators().pow(2)
     }
 }
 
-/// Wire type of the slice-wise system distribution: everything one spatial
-/// rank needs to eliminate its partition of one per-energy system — the
-/// partition's interior blocks of `A`, `B^<`, `B^>` plus the separator
-/// coupling blocks ([`quatrex_rgf::PartitionSystemSlice`]) — instead of the
-/// full `3·(3·N_B − 2)`-block broadcast the pre-slice path shipped. Cutting
-/// the distribution payload to each rank's own slice reduces the per-phase
-/// boundary-system bytes by `~1/P_S`; `DistReport` tracks the measured saving
-/// against the broadcast-equivalent volume.
-#[derive(Debug, Clone)]
-pub struct PartitionSlice {
-    /// Index of the partition (spatial rank) this slice feeds.
-    pub partition: usize,
-    /// The sliced system: interior blocks + separator couplings of `A` and of
-    /// every right-hand side.
-    pub system: PartitionSystemSlice,
-}
-
-impl PartitionSlice {
-    /// Cut the slice of `part` out of a full per-energy system.
-    pub fn extract(
-        a: &BlockTridiagonal,
-        rhs: &[&BlockTridiagonal],
-        part: &SpatialPartition,
-        partition: usize,
-    ) -> Self {
-        Self {
-            partition,
-            system: PartitionSystemSlice::extract(a, rhs, part),
-        }
-    }
-
-    /// Complex values of the wire encoding (headers included).
-    pub fn wire_values(&self) -> usize {
-        2 + self.system.boundaries.len() + self.system.stored_values()
-    }
-
-    /// Complex values the pre-slice broadcast path shipped per destination
-    /// for the same distribution: the full block-tridiagonal system and
-    /// `n_rhs` right-hand sides.
-    pub fn full_broadcast_values(nb: usize, bs: usize, n_rhs: usize) -> usize {
-        (1 + n_rhs) * (nb + 2 * nb.saturating_sub(1)) * bs * bs
-    }
-
-    /// Serialise into a complex128 stream.
-    pub fn encode(&self, buf: &mut Vec<c64>) {
-        let sys = &self.system;
-        buf.push(c64::new(self.partition as f64, sys.n_rhs() as f64));
-        buf.push(c64::new(
-            sys.a_int.n_blocks() as f64,
-            sys.boundaries.len() as f64,
-        ));
-        for b in &sys.boundaries {
-            buf.push(c64::new(b.sep as f64, f64::from(u8::from(b.left))));
-        }
-        push_bt(buf, &sys.a_int);
-        for b in &sys.rhs_int {
-            push_bt(buf, b);
-        }
-        for b in &sys.boundaries {
-            push_matrix(buf, &b.a_sep_to_int);
-            push_matrix(buf, &b.a_int_to_sep);
-            for r in 0..sys.n_rhs() {
-                push_matrix(buf, &b.rhs_sep_to_int[r]);
-                push_matrix(buf, &b.rhs_int_to_sep[r]);
-            }
-        }
-    }
-
-    /// Deserialise one slice written by [`Self::encode`].
-    pub fn decode<'a>(it: &mut impl Iterator<Item = &'a c64>, bs: usize) -> Self {
-        let head = read_value(it);
-        let (partition, n_rhs) = (head.re as usize, head.im as usize);
-        let head = read_value(it);
-        let (n_int, n_boundaries) = (head.re as usize, head.im as usize);
-        let specs: Vec<(usize, bool)> = (0..n_boundaries)
-            .map(|_| {
-                let b = read_value(it);
-                (b.re as usize, b.im != 0.0)
-            })
-            .collect();
-        let a_int = read_bt(it, n_int, bs);
-        let rhs_int: Vec<BlockTridiagonal> = (0..n_rhs).map(|_| read_bt(it, n_int, bs)).collect();
-        let boundaries = specs
-            .into_iter()
-            .map(|(sep, left)| {
-                let a_sep_to_int = read_matrix(it, bs);
-                let a_int_to_sep = read_matrix(it, bs);
-                let mut rhs_sep_to_int = Vec::with_capacity(n_rhs);
-                let mut rhs_int_to_sep = Vec::with_capacity(n_rhs);
-                for _ in 0..n_rhs {
-                    rhs_sep_to_int.push(read_matrix(it, bs));
-                    rhs_int_to_sep.push(read_matrix(it, bs));
-                }
-                BoundaryCouplings {
-                    sep,
-                    left,
-                    a_sep_to_int,
-                    a_int_to_sep,
-                    rhs_sep_to_int,
-                    rhs_int_to_sep,
-                }
-            })
-            .collect();
-        Self {
-            partition,
-            system: PartitionSystemSlice {
-                a_int,
-                rhs_int,
-                boundaries,
-            },
-        }
-    }
+/// Bytes the pre-slice broadcast path shipped for the same distribution: the
+/// full `(A, B^<, B^>)` triple of every system to each of `members` ranks.
+fn broadcast_equivalent_bytes(systems: &[[&BlockTridiagonal; 3]], members: usize) -> u64 {
+    let values: usize = systems.iter().flatten().map(|m| m.nnz()).sum();
+    (members * values * BYTES_PER_VALUE) as u64
 }
 
 /// Byte accounting of one [`spatial_phase_solve`] call on one rank.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpatialTraffic {
-    /// All off-rank boundary-system bytes this rank shipped: the
-    /// [`PartitionSlice`] distribution, the reduced-update gather, the
-    /// reduced-solution broadcast and the recovered-block gather.
+    /// All off-rank boundary-system bytes this rank shipped: the block-range
+    /// distribution, the reduced-update gather, the reduced-solution
+    /// broadcast and the recovered-range gather.
     pub boundary_bytes: u64,
-    /// The system-distribution share of `boundary_bytes` (the
-    /// [`PartitionSlice`] messages alone).
+    /// The system-distribution share of `boundary_bytes` (the block ranges
+    /// the leader ships alone).
     pub slice_bytes: u64,
     /// What the pre-slice broadcast path would have shipped for the same
     /// distribution: the full `(A, B^<, B^>)` triple per energy to every
@@ -381,11 +241,13 @@ impl SpatialTraffic {
 /// ranks pass an empty slice. With one member per group (`P_S = 1`) this is
 /// `quatrex_core::scba::solve_stage` against `scratch` — one energy-batched
 /// RGF solve, no communication. Otherwise the group's ranks cooperate:
-/// slice distribution, concurrent interior eliminations, the reduced boundary
-/// system on the leader, concurrent recoveries. Returns the per-energy
-/// [`SelectedSolution`]s on the leader (empty elsewhere) and the off-rank
-/// boundary-system byte accounting of this rank ([`SpatialTraffic`]); FLOPs
-/// and wall time are accounted to `subsystem` either way.
+/// block-range distribution, concurrent interior eliminations, the reduced
+/// boundary systems on the leader, concurrent recoveries — every RGF solve
+/// among them energy-batched against `scratch` in chunks of at most
+/// `kernel_batch` energies. Returns the per-energy [`SelectedSolution`]s on
+/// the leader (empty elsewhere) and the off-rank boundary-system byte
+/// accounting of this rank ([`SpatialTraffic`]); FLOPs and wall time are
+/// accounted to `subsystem` either way.
 #[allow(clippy::too_many_arguments)]
 pub fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
@@ -393,11 +255,12 @@ pub fn spatial_phase_solve(
     subsystem: Subsystem,
     systems: &[[&BlockTridiagonal; 3]],
     n_owned: usize,
+    kernel_batch: usize,
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
     timings: &KernelTimings,
 ) -> (Vec<SelectedSolution>, SpatialTraffic) {
-    let (grid, parts, separators) = (&layout.grid, &layout.parts, &layout.separators);
+    let (grid, parts) = (&layout.grid, &layout.parts);
     let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
     if p_s == 1 {
@@ -407,120 +270,115 @@ pub fn spatial_phase_solve(
     }
     let (_, kind, slot) = solve_accounting(subsystem, timings);
     let rank = ctx.rank();
-    let group = grid.group_of(rank);
     let s = grid.spatial_of(rank);
-    let leader = grid.leader_of(group);
+    let leader = grid.leader_of(grid.group_of(rank));
     let is_leader = rank == leader;
     let n_ranks = grid.n_ranks();
+    let my_part = &parts[s];
+    let members = || (1..p_s).map(|m| (leader + m, &parts[m]));
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
     let mut traffic = SpatialTraffic::default();
 
-    // --------------------------------------------- distribute the A, B slices
-    // The leader cuts each member's PartitionSlice out of the assembled
-    // systems instead of broadcasting the full triple: member `m` receives
-    // only partition `m`'s interior blocks plus its separator couplings.
+    // ------------------------------------------ distribute the block ranges
+    // The leader cuts each member's block range out of the assembled systems
+    // instead of broadcasting the full triple: member `m` receives blocks
+    // `lo..=hi` of partition `m` — nothing when its interior is empty.
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
     if is_leader {
-        for member in 1..p_s {
-            let buf = &mut send[leader + member];
-            for [a, rl, rg] in systems {
-                PartitionSlice::extract(a, &[rl, rg], &parts[member], member).encode(buf);
+        for (dest, part) in members() {
+            for system in systems {
+                for range in partition_ranges(system, part) {
+                    push_bt(&mut send[dest], &range);
+                }
             }
         }
-        traffic.broadcast_equivalent_bytes = ((p_s - 1)
-            * systems.len()
-            * PartitionSlice::full_broadcast_values(nb, bs, N_RHS)
-            * BYTES_PER_VALUE) as u64;
+        traffic.broadcast_equivalent_bytes = broadcast_equivalent_bytes(systems, p_s - 1);
     }
     traffic.slice_bytes = off_rank_payload_bytes(rank, &send);
     traffic.boundary_bytes += traffic.slice_bytes;
-    // Post the slices non-blocking: the leader needs nothing from this
-    // exchange (the messages addressed to it are empty), so it extracts and
-    // eliminates its own partition while the members' slices are in flight —
+    // Post the ranges non-blocking: the leader needs nothing from this
+    // exchange (the messages addressed to it are empty), so it cuts and
+    // eliminates its own partition while the members' ranges are in flight —
     // the same communication/computation overlap the batched transpositions
     // use, applied to the system distribution.
     let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Slices);
-    let my_part = &parts[s];
-    let eliminate = |slices: &[PartitionSystemSlice]| -> Vec<PartitionSolveState> {
+    let mut eliminate = |ranges: &[Vec<BlockTridiagonal>]| -> Vec<PartitionSolveState> {
         quatrex_probe::span("spatial.eliminate", "rgf.partition", || {
             let t = Instant::now();
-            let states: Vec<PartitionSolveState> = slices
-                .iter()
-                .map(|slice| {
-                    eliminate_partition_slice(slice, my_part, s)
+            let mut states = Vec::with_capacity(n_owned);
+            for chunk in kernel_chunks(0..n_owned, kernel_batch) {
+                states.extend(
+                    eliminate_partition(&ranges[chunk], my_part, s, scratch)
                         // lint:allow(no-unwrap): a singular interior is a fatal numeric error
-                        .expect("spatial elimination failed: the interior became singular")
-                })
-                .collect();
+                        .expect("spatial elimination failed: the interior became singular"),
+                );
+            }
             flops.add(kind, states.iter().map(|st| st.workload.flops).sum());
             timings.add(slot, t);
             states
         })
     };
     let states: Vec<PartitionSolveState> = if is_leader {
-        let local_slices: Vec<PartitionSystemSlice> = systems
+        let own: Vec<_> = systems
             .iter()
-            .map(|[a, rl, rg]| PartitionSystemSlice::extract(a, &[rl, rg], &parts[0]))
+            .map(|system| partition_ranges(system, my_part))
             .collect();
-        let states = eliminate(&local_slices);
+        let states = eliminate(&own);
         let _ = handle.wait(ctx); // empty messages; drain to stay in sync
         states
     } else {
         let recv = handle.wait(ctx);
         let mut it = recv[leader].iter();
-        let local_slices: Vec<PartitionSystemSlice> = (0..n_owned)
-            .map(|_| {
-                let slice = PartitionSlice::decode(&mut it, bs);
-                debug_assert_eq!(slice.partition, s, "slice addressed to this rank");
-                slice.system
-            })
+        let n = my_part.range().len();
+        let own: Vec<Vec<BlockTridiagonal>> = (0..n_owned)
+            .map(|_| (0..=N_RHS).map(|_| read_bt(&mut it, n, bs)).collect())
             .collect();
-        eliminate(&local_slices)
+        eliminate(&own)
     };
 
     // -------------------------------- gather the reduced updates to the leader
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
     if !is_leader {
-        let mut buf = Vec::new();
-        for st in &states {
-            push_updates(&mut buf, &st.updates);
+        for update in states.iter().flat_map(|st| &st.updates) {
+            push_matrix(&mut send[leader], update);
         }
-        send[leader] = buf;
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
 
     // ------------------------- leader: assemble + solve the reduced systems
-    let reduced_local: Vec<SelectedSolution> = if is_leader {
+    let reduced: Vec<SelectedSolution> = if is_leader {
         quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
             let t = Instant::now();
-            let mut member_updates: Vec<Vec<PartitionUpdates>> = Vec::with_capacity(p_s - 1);
-            for member in 1..p_s {
-                let mut it = recv[leader + member].iter();
-                member_updates.push(
-                    (0..n_owned)
-                        .map(|_| read_updates(&mut it, bs, N_RHS))
-                        .collect(),
-                );
-            }
-            let sols = systems
+            let mut streams: Vec<_> = members().map(|(src, _)| recv[src].iter()).collect();
+            let reduced_systems: Vec<Vec<BlockTridiagonal>> = systems
                 .iter()
-                .zip(states.iter())
-                .enumerate()
-                .map(|(e, ([a, rl, rg], own))| {
-                    let mut refs: Vec<&PartitionUpdates> = vec![&own.updates];
-                    for mu in &member_updates {
-                        refs.push(&mu[e]);
-                    }
-                    let (reduced_a, reduced_rhs, _) =
-                        assemble_reduced_system(a, &[rl, rg], separators, &refs);
-                    let reduced_refs: Vec<&BlockTridiagonal> = reduced_rhs.iter().collect();
-                    let sol = rgf_solve(&reduced_a, &reduced_refs)
-                        .expect("reduced boundary system solve failed"); // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
-                    flops.add(kind, sol.flops);
-                    sol
+                .zip(&states)
+                .map(|(system, own)| {
+                    let gathered: Vec<Vec<CMatrix>> = streams
+                        .iter_mut()
+                        .zip(members())
+                        .map(|(it, (_, part))| {
+                            (0..update_blocks(part))
+                                .map(|_| read_matrix(it, bs))
+                                .collect()
+                        })
+                        .collect();
+                    let updates: Vec<&[CMatrix]> = std::iter::once(&own.updates)
+                        .chain(&gathered)
+                        .map(Vec::as_slice)
+                        .collect();
+                    assemble_reduced_system(system, parts, &updates)
                 })
                 .collect();
+            let mut sols = Vec::with_capacity(n_owned);
+            for chunk in kernel_chunks(0..n_owned, kernel_batch) {
+                sols.extend(
+                    solve_systems(&reduced_systems[chunk], scratch)
+                        .expect("reduced boundary system solve failed"), // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
+                );
+            }
+            flops.add(kind, sols.iter().map(|sol| sol.flops).sum());
             timings.add(slot, t);
             sols
         })
@@ -529,50 +387,48 @@ pub fn spatial_phase_solve(
     };
 
     // --------------------------------- broadcast the reduced selected blocks
-    let n_sep = separators.len();
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
     if is_leader {
         let mut buf = Vec::new();
-        for sol in &reduced_local {
+        for sol in &reduced {
             push_selected(&mut buf, sol);
         }
-        for member in 1..p_s {
-            send[leader + member] = buf.clone();
+        for (dest, _) in members().skip(1) {
+            send[dest] = buf.clone();
         }
+        send[leader + 1] = buf;
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
-    let reduced_local: Vec<SelectedSolution> = if is_leader {
-        reduced_local
+    let reduced: Vec<SelectedSolution> = if is_leader {
+        reduced
     } else {
         let mut it = recv[leader].iter();
         (0..n_owned)
-            .map(|_| read_selected(&mut it, n_sep, bs, N_RHS))
+            .map(|_| read_selected(&mut it, 2 * (p_s - 1), bs, N_RHS))
             .collect()
     };
 
-    // ----------------------------------------------- recover interior blocks
-    let recoveries: Vec<RecoveredBlocks> =
+    // ------------------------------------------------ recover the block ranges
+    let recovered: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.recover", "rgf.partition", || {
             let t = Instant::now();
-            let recoveries: Vec<RecoveredBlocks> = states
+            let recovered: Vec<SelectedSolution> = states
                 .iter()
-                .zip(reduced_local.iter())
-                .map(|(st, red)| recover_partition_solve(my_part, st, separators, red))
+                .zip(&reduced)
+                .map(|(st, red)| recover_partition(my_part, st, red))
                 .collect();
-            flops.add(kind, recoveries.iter().map(|r| r.flops).sum());
+            flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
             timings.add(slot, t);
-            recoveries
+            recovered
         });
 
-    // --------------------------------- gather recovered blocks to the leader
+    // --------------------------------- gather recovered ranges to the leader
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
     if !is_leader {
-        let mut buf = Vec::new();
-        for rec in &recoveries {
-            push_recovered(&mut buf, rec);
+        for rec in &recovered {
+            push_selected(&mut send[leader], rec);
         }
-        send[leader] = buf;
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
@@ -581,42 +437,19 @@ pub fn spatial_phase_solve(
     }
 
     // -------------------------- leader: assemble the full selected solutions
-    let mut member_ret: Vec<Vec<(usize, usize, CMatrix)>> = vec![Vec::new(); n_owned];
-    let mut member_les: Vec<Vec<Vec<(usize, usize, CMatrix)>>> =
-        vec![vec![Vec::new(); N_RHS]; n_owned];
-    for member in 1..p_s {
-        let mut it = recv[leader + member].iter();
-        for e in 0..n_owned {
-            member_ret[e].extend(read_triples(&mut it, bs));
-            for r in 0..N_RHS {
-                member_les[e][r].extend(read_triples(&mut it, bs));
-            }
-        }
-    }
-    let sols = recoveries
+    let mut streams: Vec<_> = members().map(|(src, _)| recv[src].iter()).collect();
+    let sols = recovered
         .into_iter()
-        .zip(reduced_local.iter())
-        .enumerate()
-        .map(|(e, (own, reduced))| {
-            let mut x = BlockTridiagonal::zeros(nb, bs);
-            let mut xl: Vec<BlockTridiagonal> = vec![BlockTridiagonal::zeros(nb, bs); N_RHS];
-            scatter_separator_blocks(&mut x, &reduced.retarded, separators);
-            for (r, m) in xl.iter_mut().enumerate() {
-                scatter_separator_blocks(m, &reduced.lesser[r], separators);
-            }
-            for (i, j, blk) in own.retarded.into_iter().chain(member_ret[e].drain(..)) {
-                x.set_block(i, j, blk);
-            }
-            for (r, own_list) in own.lesser.into_iter().enumerate() {
-                for (i, j, blk) in own_list.into_iter().chain(member_les[e][r].drain(..)) {
-                    xl[r].set_block(i, j, blk);
-                }
-            }
-            SelectedSolution {
-                retarded: x,
-                lesser: xl,
-                flops: 0,
-            }
+        .zip(&reduced)
+        .map(|(own, red)| {
+            let mut ranges = vec![own];
+            ranges.extend(
+                streams
+                    .iter_mut()
+                    .zip(members())
+                    .map(|(it, (_, part))| read_selected(it, part.range().len(), bs, N_RHS)),
+            );
+            assemble_solution(nb, parts, red, &ranges)
         })
         .collect();
     (sols, traffic)
@@ -626,6 +459,7 @@ pub fn spatial_phase_solve(
 mod tests {
     use super::*;
     use quatrex_linalg::cplx;
+    use quatrex_rgf::rgf_solve;
     use quatrex_runtime::ThreadComm;
 
     fn test_system(nb: usize, bs: usize) -> BlockTridiagonal {
@@ -688,84 +522,49 @@ mod tests {
         let back = read_bt(&mut it, 4, 3);
         assert!(it.next().is_none());
         assert!(back.to_dense().approx_eq(&bt.to_dense(), 0.0));
-
-        let triples = vec![
-            (
-                0usize,
-                1usize,
-                CMatrix::from_fn(2, 2, |r, c| cplx(r as f64, c as f64)),
-            ),
-            (3, 3, CMatrix::identity(2)),
-        ];
-        let mut buf = Vec::new();
-        push_triples(&mut buf, &triples);
-        let mut it = buf.iter();
-        let back = read_triples(&mut it, 2);
-        assert_eq!(back.len(), 2);
-        assert_eq!((back[0].0, back[0].1), (0, 1));
-        assert_eq!((back[1].0, back[1].1), (3, 3));
-        assert!(back[0].2.approx_eq(&triples[0].2, 0.0));
     }
 
     #[test]
-    fn partition_slice_round_trips_exactly_and_beats_the_broadcast() {
+    fn block_ranges_round_trip_exactly_and_beat_the_broadcast() {
+        // The range form of the system distribution: a partition's message is
+        // `push_bt` of blocks lo..=hi of every matrix — a layout-determined
+        // length, no header — and an empty interior ships nothing.
         let (nb, bs) = (9, 3);
-        let a = test_system(nb, bs);
-        let b1 = test_rhs(nb, bs, 1.3);
-        let b2 = test_rhs(nb, bs, -0.4);
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        let full = PartitionSlice::full_broadcast_values(nb, bs, 2);
-        for (p, part) in parts.iter().enumerate() {
-            let slice = PartitionSlice::extract(&a, &[&b1, &b2], part, p);
-            assert!(
-                slice.wire_values() * 2 < full,
-                "slice {} of full {full}",
-                slice.wire_values()
-            );
+        let system = [
+            &test_system(nb, bs),
+            &test_rhs(nb, bs, 1.3),
+            &test_rhs(nb, bs, -0.4),
+        ];
+        let full = broadcast_equivalent_bytes(&[system], 1) as usize / BYTES_PER_VALUE;
+        assert_eq!(full, 3 * (3 * nb - 2) * bs * bs);
+        for part in &spatial_partition_layout(nb, 3).unwrap() {
+            let ranges = partition_ranges(&system, part);
             let mut buf = Vec::new();
-            slice.encode(&mut buf);
-            assert_eq!(buf.len(), slice.wire_values());
+            ranges.iter().for_each(|m| push_bt(&mut buf, m));
+            let n = part.hi - part.lo + 1;
+            assert_eq!(buf.len(), 3 * (3 * n - 2) * bs * bs);
+            assert!(buf.len() * 2 < full, "range {} of full {full}", buf.len());
             let mut it = buf.iter();
-            let back = PartitionSlice::decode(&mut it, bs);
-            assert!(it.next().is_none(), "decode consumes the full message");
-            assert_eq!(back.partition, p);
-            assert_eq!(back.system.n_rhs(), 2);
-            assert!(back
-                .system
-                .a_int
-                .to_dense()
-                .approx_eq(&slice.system.a_int.to_dense(), 0.0));
-            for (x, y) in back.system.rhs_int.iter().zip(&slice.system.rhs_int) {
-                assert!(x.to_dense().approx_eq(&y.to_dense(), 0.0));
-            }
-            assert_eq!(back.system.boundaries.len(), slice.system.boundaries.len());
-            for (x, y) in back.system.boundaries.iter().zip(&slice.system.boundaries) {
-                assert_eq!((x.sep, x.left), (y.sep, y.left));
-                assert!(x.a_sep_to_int.approx_eq(&y.a_sep_to_int, 0.0));
-                assert!(x.a_int_to_sep.approx_eq(&y.a_int_to_sep, 0.0));
-                for r in 0..2 {
-                    assert!(x.rhs_sep_to_int[r].approx_eq(&y.rhs_sep_to_int[r], 0.0));
-                    assert!(x.rhs_int_to_sep[r].approx_eq(&y.rhs_int_to_sep[r], 0.0));
+            for (m, full_matrix) in ranges.iter().zip(system) {
+                let back = read_bt(&mut it, part.range().len(), bs);
+                assert!(back.to_dense().approx_eq(&m.to_dense(), 0.0));
+                for k in 0..n {
+                    assert!(back.diag(k).approx_eq(full_matrix.diag(part.lo + k), 0.0));
                 }
             }
+            assert!(it.next().is_none(), "the reads consume the full message");
         }
-    }
 
-    #[test]
-    fn empty_interior_partition_slice_is_header_only() {
         let (nb, bs) = (6, 2);
-        let a = test_system(nb, bs);
-        let b = test_rhs(nb, bs, 2.1);
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        assert_eq!(parts[1].interior().len(), 0);
-        let slice = PartitionSlice::extract(&a, &[&b], &parts[1], 1);
-        assert_eq!(slice.wire_values(), 2, "empty interior ships headers only");
+        let system = [&test_system(nb, bs), &test_rhs(nb, bs, 2.1)];
+        let middle = &spatial_partition_layout(nb, 3).unwrap()[1];
+        assert_eq!(middle.interior().len(), 0);
         let mut buf = Vec::new();
-        slice.encode(&mut buf);
-        let mut it = buf.iter();
-        let back = PartitionSlice::decode(&mut it, bs);
-        assert_eq!(back.system.a_int.n_blocks(), 0);
-        assert!(back.system.boundaries.is_empty());
+        for m in partition_ranges(&system, middle) {
+            push_bt(&mut buf, &m);
+        }
+        assert!(buf.is_empty(), "an empty interior ships nothing");
+        assert_eq!(update_blocks(middle), 0);
     }
 
     #[test]
@@ -796,6 +595,7 @@ mod tests {
                     Subsystem::Electron,
                     &systems,
                     n_owned,
+                    2, // kernel chunks of 2 + 1 energies
                     &mut RgfBatchScratch::new(),
                     &FlopCounter::new(),
                     &KernelTimings::default(),
@@ -890,5 +690,60 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             measured
         );
+    }
+    #[test]
+    fn group_solves_run_on_the_rank_scratch_and_keep_it_warm() {
+        // Every RGF solve of a spatial group solve — interiors on every
+        // member, reduced systems on the leader — draws from the rank's
+        // scratch: the first iteration's solve warms it on every rank, and
+        // later iterations (same shapes, kernel chunks of 2 + 1 energies)
+        // allocate nothing more.
+        let (nb, bs, p_s, n_owned) = (8usize, 2usize, 2usize, 3usize);
+        let layout = SpatialLayout::new(p_s, p_s, nb, bs);
+        let (allocations, _) = ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
+            let problems: Vec<[BlockTridiagonal; 3]> = (0..n_owned)
+                .map(|e| {
+                    let seed = 1.0 + e as f64;
+                    [
+                        test_system(nb, bs),
+                        test_rhs(nb, bs, seed),
+                        test_rhs(nb, bs, -seed),
+                    ]
+                })
+                .collect();
+            let systems: Vec<[&BlockTridiagonal; 3]> = if layout.grid.is_leader(ctx.rank()) {
+                problems.iter().map(|p| p.each_ref()).collect()
+            } else {
+                Vec::new()
+            };
+            let mut scratch = RgfBatchScratch::new();
+            let (flops, timings) = (FlopCounter::new(), KernelTimings::default());
+            (0..3)
+                .map(|_| {
+                    for subsystem in [Subsystem::Electron, Subsystem::ScreenedCoulomb] {
+                        spatial_phase_solve(
+                            &ctx,
+                            &layout,
+                            subsystem,
+                            &systems,
+                            n_owned,
+                            2,
+                            &mut scratch,
+                            &flops,
+                            &timings,
+                        );
+                    }
+                    scratch.fresh_allocations()
+                })
+                .collect::<Vec<usize>>()
+        });
+        for (rank, per_iteration) in allocations.iter().enumerate() {
+            assert!(per_iteration[0] > 0, "rank {rank} solves on its scratch");
+            assert_eq!(
+                per_iteration[1..],
+                [per_iteration[0]; 2],
+                "rank {rank}: no fresh allocations after the first iteration"
+            );
+        }
     }
 }

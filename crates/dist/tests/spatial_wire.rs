@@ -1,0 +1,115 @@
+//! Exact wire accounting of the spatial group solve. Every group message has
+//! a shape the partition layout alone determines — block ranges and
+//! `nbd × nbd` block grids, no headers, no indices — so the measured
+//! boundary-system and range-distribution bytes of a run equal a closed form
+//! of `(layout, owned energies, N_BS)`: `==`, not a tolerance.
+
+use quatrex_core::ScbaConfig;
+use quatrex_device::DeviceBuilder;
+use quatrex_dist::{DistScbaConfig, DistScbaSolver, SpatialLayout, BYTES_PER_VALUE};
+
+/// Matrices of one per-energy system: `A`, `B^<`, `B^>`.
+const N_MATRICES: usize = 3;
+
+/// Stored blocks of an `n`-block block-tridiagonal quantity.
+fn bt_blocks(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        3 * n - 2
+    }
+}
+
+/// `(boundary bytes, range-distribution bytes)` all ranks of one group ship
+/// in one group solve over `n_energies` owned energies.
+fn group_solve_bytes(layout: &SpatialLayout, n_energies: usize) -> (u64, u64) {
+    let p_s = layout.grid.spatial_partitions;
+    let block_bytes = layout.block_size * layout.block_size * BYTES_PER_VALUE;
+    let per_energy = |blocks: usize| (n_energies * N_MATRICES * blocks * block_bytes) as u64;
+    let members = &layout.parts[1..];
+    // Leader → member: blocks lo..=hi of every matrix (nothing for an empty
+    // interior); member → leader: the same range of the selected solution.
+    let ranges: u64 = members
+        .iter()
+        .map(|part| per_energy(bt_blocks(part.range().len())))
+        .sum();
+    // Member → leader: one nbd × nbd update grid per matrix.
+    let updates: u64 = members
+        .iter()
+        .filter(|part| !part.range().is_empty())
+        .map(|part| per_energy(part.n_separators().pow(2)))
+        .sum();
+    // Leader → every member: the reduced selected solution, 2·(P_S − 1)
+    // separator blocks.
+    let reduced = (p_s - 1) as u64 * per_energy(bt_blocks(2 * (p_s - 1)));
+    (2 * ranges + updates + reduced, ranges)
+}
+
+fn assert_exact_accounting(n_ranks: usize, p_s: usize, n_blocks: usize) {
+    let device = DeviceBuilder::test_device(2, 2, n_blocks).build();
+    let scba = ScbaConfig {
+        n_energies: 16,
+        max_iterations: 3,
+        mixing: 0.4,
+        tolerance: 1e-14,
+        interaction_scale: 0.2,
+        ..ScbaConfig::default()
+    };
+    let layout = SpatialLayout::new(n_ranks, p_s, n_blocks, device.transport_cell_size());
+    let config = DistScbaConfig::new(scba, n_ranks).with_spatial_partitions(p_s);
+    let result = DistScbaSolver::new(device, config).run();
+    let report = &result.report;
+    assert_eq!(report.energies_per_rank.len(), n_ranks / p_s);
+    assert_eq!((result.iterations, report.full_iterations), (3, 3));
+
+    let per_solve = report
+        .energies_per_rank
+        .iter()
+        .map(|&n| group_solve_bytes(&layout, n))
+        .fold((0, 0), |acc, b| (acc.0 + b.0, acc.1 + b.1));
+    // One G solve per iteration, one W solve per full iteration.
+    let label = format!("({n_ranks} ranks, P_S = {p_s})");
+    for (phase, solves, boundary, ranges) in [
+        (
+            "G",
+            result.iterations as u64,
+            report.measured_boundary_bytes_g,
+            report.measured_slice_bytes_g,
+        ),
+        (
+            "W",
+            report.full_iterations as u64,
+            report.measured_boundary_bytes_w,
+            report.measured_slice_bytes_w,
+        ),
+    ] {
+        assert_eq!(boundary, solves * per_solve.0, "{label} {phase}: boundary");
+        assert_eq!(ranges, solves * per_solve.1, "{label} {phase}: ranges");
+    }
+    // The distribution counter is the `slices` phase tag, byte for byte.
+    let tagged = report
+        .alltoall_bytes_per_phase
+        .iter()
+        .find(|(phase, _)| *phase == "slices")
+        .map(|&(_, bytes)| bytes);
+    assert_eq!(
+        tagged,
+        Some(report.measured_slice_bytes_g + report.measured_slice_bytes_w),
+        "{label}: slices tag"
+    );
+}
+
+#[test]
+fn two_partitions_ship_exactly_the_layout_determined_bytes() {
+    // 2 energy groups × P_S = 2 on 8 blocks: 3-block interiors.
+    assert_exact_accounting(4, 2, 8);
+}
+
+#[test]
+fn three_partitions_ship_exactly_the_layout_determined_bytes() {
+    // 2 energy groups × P_S = 3 on 6 blocks: the middle partition is all
+    // separators and ships nothing but its share of the broadcast.
+    assert_exact_accounting(6, 3, 6);
+    // …and on 9 blocks every partition has an interior.
+    assert_exact_accounting(6, 3, 9);
+}

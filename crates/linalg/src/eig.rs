@@ -329,11 +329,6 @@ pub fn eigendecomposition(a: &CMatrix) -> Result<Eigendecomposition, EigError> {
     })
 }
 
-/// Spectral radius `max_i |λ_i|` of a general complex square matrix.
-pub fn spectral_radius(a: &CMatrix) -> Result<f64, EigError> {
-    Ok(eigenvalues(a)?.iter().map(|l| l.norm()).fold(0.0, f64::max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,12 +430,6 @@ mod tests {
         let vals = eigenvalues(&a).unwrap();
         let sum: c64 = vals.into_iter().sum();
         assert!((sum - a.trace()).norm() < 1e-8);
-    }
-
-    #[test]
-    fn spectral_radius_of_scaled_identity() {
-        let a = CMatrix::scaled_identity(5, cplx(0.0, 2.0));
-        assert!((spectral_radius(&a).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -125,16 +125,6 @@ impl Clone for FlopCounter {
     }
 }
 
-/// Convert a raw FLOP count to teraflops.
-pub fn to_tflop(flops: u64) -> f64 {
-    flops as f64 / 1e12
-}
-
-/// Convert a raw FLOP count to petaflops.
-pub fn to_pflop(flops: u64) -> f64 {
-    flops as f64 / 1e15
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +165,6 @@ mod tests {
         let c = FlopCounter::new();
         let snap = c.snapshot();
         assert_eq!(snap.len(), FlopKind::ALL.len());
-    }
-
-    #[test]
-    fn unit_conversions() {
-        assert!((to_tflop(2_000_000_000_000) - 2.0).abs() < 1e-12);
-        assert!((to_pflop(3_000_000_000_000_000) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   [`BatchWorkspace`] scratch arena giving the batched hot loops
 //!   checkout/restore buffer reuse (zero steady-state allocations),
 //! * LU factorisation, linear solves and explicit inverses ([`lu`]),
-//! * Householder QR ([`qr`]),
 //! * a complex Hessenberg/shifted-QR eigensolver for non-symmetric matrices
 //!   ([`eig`]) as required by the Beyn contour-integral OBC solver and the
 //!   direct Lyapunov solver,
@@ -31,7 +30,6 @@ pub mod flops;
 pub mod lu;
 pub mod matrix;
 pub mod ops;
-pub mod qr;
 pub mod svd;
 
 pub use batch::{
@@ -43,8 +41,7 @@ pub use flops::{FlopCounter, FlopKind};
 pub use lu::{LuError, LuFactorization, LuScratch};
 pub use matrix::CMatrix;
 pub use ops::{gemm, matmul, matmul_acc, triple_product, triple_product_flops, Op, OpKind};
-pub use qr::QrFactorization;
-pub use svd::{singular_values, svd, Svd};
+pub use svd::{svd, Svd};
 
 /// Double-precision complex scalar used throughout QuaTrEx-RS.
 #[allow(non_camel_case_types)]

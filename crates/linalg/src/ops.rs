@@ -423,11 +423,6 @@ pub fn matmul_acc(c: &mut CMatrix, alpha: c64, a: &CMatrix, b: &CMatrix) {
     gemm(c, alpha, Op::None(a), Op::None(b), ONE);
 }
 
-/// Full GEMM without operand flags: `C = alpha · A · B + beta · C`.
-pub fn gemm_into(c: &mut CMatrix, alpha: c64, a: &CMatrix, b: &CMatrix, beta: c64) {
-    gemm(c, alpha, Op::None(a), Op::None(b), beta);
-}
-
 /// Complex multiply-add count of the cheaper association order of
 /// `A · B · C`, given the operand shapes.
 fn triple_product_madds(
@@ -618,7 +613,13 @@ mod tests {
         let a = a22();
         let b = CMatrix::identity(2);
         let mut c = CMatrix::identity(2);
-        gemm_into(&mut c, cplx(2.0, 0.0), &a, &b, cplx(-1.0, 0.0));
+        gemm(
+            &mut c,
+            cplx(2.0, 0.0),
+            Op::None(&a),
+            Op::None(&b),
+            cplx(-1.0, 0.0),
+        );
         // c = 2a - I
         let expect = &a.scaled(cplx(2.0, 0.0)) - &CMatrix::identity(2);
         assert!(c.approx_eq(&expect, 1e-14));

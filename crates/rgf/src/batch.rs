@@ -177,23 +177,25 @@ pub fn rgf_solve_batch_into(
     let RgfBatchScratch { bws, lu, g, gl } = scratch;
     let batch_fits =
         |mb: &MatrixBatch| mb.batch_len() == bsz && mb.nrows() == bs && mb.ncols() == bs;
-    if g.len() != nb {
+    // The slot lists only grow: a scratch that alternates between block
+    // counts (a spatial group leader solves partition interiors and reduced
+    // boundary systems on one scratch) keeps the longer list warm.
+    if g.len() < nb {
         g.resize_with(nb, || MatrixBatch::zeros(0, 0, 0));
     }
-    for slot in g.iter_mut() {
+    for slot in g[..nb].iter_mut() {
         if !batch_fits(slot) {
             *slot = MatrixBatch::zeros(bsz, bs, bs);
         }
     }
-    gl.truncate(n_rhs);
     while gl.len() < n_rhs {
         gl.push(Vec::new());
     }
-    for row in gl.iter_mut() {
-        if row.len() != nb {
+    for row in gl[..n_rhs].iter_mut() {
+        if row.len() < nb {
             row.resize_with(nb, || MatrixBatch::zeros(0, 0, 0));
         }
-        for slot in row.iter_mut() {
+        for slot in row[..nb].iter_mut() {
             if !batch_fits(slot) {
                 *slot = MatrixBatch::zeros(bsz, bs, bs);
             }

@@ -22,31 +22,39 @@
 //!   of one;
 //! * [`nested::nested_dissection_invert`] / [`nested::nested_dissection_solve`]
 //!   — the spatial domain decomposition of Section 5.4: the block range is
-//!   split into `P_S` partitions whose interiors are eliminated concurrently,
-//!   a reduced system over the partition boundary blocks is solved (including
-//!   the quadratic lesser/greater right-hand sides), and the interior selected
-//!   blocks are recovered in parallel (at the cost of the fill-in work the
-//!   paper quantifies). The phase-split entry points let a distributed driver
-//!   run elimination and recovery on different ranks.
+//!   split into `P_S` partitions ([`layout`]) whose interiors are eliminated
+//!   concurrently, a reduced system over the partition boundary blocks is
+//!   solved (including the quadratic lesser/greater right-hand sides), and the
+//!   interior selected blocks are recovered in parallel (at the cost of the
+//!   fill-in work the paper quantifies). A partition enters and leaves as a
+//!   plain [`BlockTridiagonal`] sub-range, its interior is factorised once
+//!   ([`nested::InteriorFactor`]), and the one elimination entry point
+//!   ([`nested::eliminate_partition`]) solves the interiors of a whole batch
+//!   of systems with one [`batch::rgf_solve_batch_into`] — so a distributed
+//!   driver runs elimination and recovery on different ranks against each
+//!   rank's warm scratch.
 //!
 //! The [`dense`] module provides the brute-force dense references used by the
 //! test-suite to validate every selected block.
 
 pub mod batch;
 pub mod dense;
+pub mod layout;
 pub mod nested;
 pub mod reference;
 pub mod sequential;
 
 pub use batch::{rgf_solve_batch, rgf_solve_batch_into, RgfBatchError, RgfBatchScratch};
 pub use dense::{dense_lesser, dense_retarded};
+pub use layout::{
+    partition_layout_balanced, probe_partition_flops, separator_blocks, spatial_partition_layout,
+    SpatialPartition,
+};
 pub use nested::{
-    assemble_reduced_system, eliminate_partition_slice, eliminate_partition_solve,
-    nested_dissection_invert, nested_dissection_solve, nested_dissection_solve_with_layout,
-    partition_layout_balanced, probe_partition_flops, recover_partition_solve,
-    scatter_separator_blocks, separator_blocks, spatial_partition_layout, BoundaryCouplings,
-    NestedConfig, NestedReport, PartitionSolveState, PartitionSystemSlice, PartitionUpdates,
-    PartitionWorkload, RecoveredBlocks, SpatialPartition,
+    assemble_reduced_system, assemble_solution, eliminate_partition, nested_dissection_invert,
+    nested_dissection_solve, nested_dissection_solve_with_layout, partition_ranges,
+    recover_partition, solve_systems, InteriorFactor, NestedConfig, NestedReport,
+    PartitionSolveState, PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

@@ -4,13 +4,14 @@
 //! transport axis. To simulate devices whose block count exceeds a single
 //! memory domain, the paper permutes the block-tridiagonal system with a
 //! nested-dissection ("arrow") scheme: the block range is split into `P_S`
-//! partitions whose interiors are eliminated **concurrently**, a *reduced
-//! system* over the partition boundary blocks is formed and solved, and the
-//! interior selected blocks are recovered in parallel. The extra block-column
-//! solves performed by each partition are the *fill-in* the paper quantifies
-//! (`O(N_B/P_S)` additional blocks per middle partition), and the boundary
-//! partitions perform roughly 60% of a middle partition's workload because
-//! they own a single separator instead of two.
+//! partitions ([`crate::layout`]) whose interiors are eliminated
+//! **concurrently**, a *reduced system* over the partition boundary blocks is
+//! formed and solved, and the interior selected blocks are recovered in
+//! parallel. The extra block-column solves performed by each partition are
+//! the *fill-in* the paper quantifies (`O(N_B/P_S)` additional blocks per
+//! middle partition), and the boundary partitions perform roughly 60% of a
+//! middle partition's workload because they own a single separator instead of
+//! two.
 //!
 //! Two entry points are provided:
 //!
@@ -30,25 +31,51 @@
 //!   where `X≶_BB = S⁻¹·(Vᵗ·B·Vᵗ†)·S⁻†` is the reduced *quadratic* boundary
 //!   system: its right-hand side `B̃ = Vᵗ·B·Vᵗ†` is gathered from the
 //!   partitions exactly like the Schur complement of `A`, and the reduced
-//!   problem is itself a selected RGF solve ([`crate::rgf_solve`]).
+//!   problem is itself a selected RGF solve.
 //!
-//! The phase-split building blocks ([`spatial_partition_layout`],
-//! [`eliminate_partition_solve`], [`assemble_reduced_system`],
-//! [`recover_partition_solve`], [`scatter_separator_blocks`]) are public so a
-//! distributed driver (`quatrex-dist`) can run the elimination and recovery
-//! phases on different ranks and gather only the reduced-system updates —
-//! the `O(P_S·N_BS²)` boundary traffic of the paper.
+//! **One shape in and out.** A system is the list `[A, B_1, …, B_n]`. A
+//! partition reads blocks `lo..=hi` of it as plain [`BlockTridiagonal`]
+//! sub-ranges in local indices ([`partition_ranges`]; the separator↔interior
+//! couplings are the sub-range's own first/last off-diagonals), sends up the
+//! `nbd × nbd` grid of reduced-system updates per matrix (`nbd ∈ {1, 2}`
+//! separators, fixed by the layout — no indices travel), and returns a
+//! [`SelectedSolution`] over the same `lo..=hi` range that
+//! [`assemble_solution`] copies into place. A pure-separator partition (empty
+//! interior) reads, sends and returns nothing.
+//!
+//! **One factorisation.** Besides the interior RGF solve, the forward Schur
+//! sweep of a partition's interior runs once per system
+//! ([`InteriorFactor`]); every fill-in block-column solve — plain or adjoint —
+//! reads that one factor.
+//!
+//! **One elimination entry point.** [`eliminate_partition`] takes the
+//! sub-ranges of a whole batch of same-shape systems (the energies a rank
+//! owns) and solves their interiors with one
+//! [`rgf_solve_batch_into`] against the caller's scratch; [`solve_systems`]
+//! does the same for the reduced systems. The thread driver
+//! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
+//! distributed driver (`quatrex-dist`) runs the same phase functions
+//! ([`eliminate_partition`], [`assemble_reduced_system`],
+//! [`recover_partition`], [`assemble_solution`]) on different ranks and
+//! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
+//! traffic of the paper.
 
-// lint:allow-file(per-energy-gemm): the nested-dissection solver decomposes
-// ONE energy's system across spatial partitions (P_S > 1); its products are
-// per-partition, not an energy loop, so the batched entry points do not apply.
+// lint:allow-file(per-energy-gemm): the fill-in solves and Schur updates of
+// ONE system's partition are short dependent chains of distinct operands per
+// separator, not an energy loop over shared operands; the energy-batched
+// part — the interior and reduced RGF solves — goes through
+// `rgf_solve_batch_into`.
 use rayon::prelude::*;
 
 use quatrex_linalg::lu::{inverse_flops, LuFactorization};
 use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
-use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
+use quatrex_linalg::{CMatrix, ONE, ZERO};
 use quatrex_sparse::BlockTridiagonal;
 
+use crate::batch::{rgf_solve_batch_into, RgfBatchScratch};
+use crate::layout::{
+    separator_blocks, spatial_partition_layout, validate_partition_layout, SpatialPartition,
+};
 use crate::sequential::{rgf_solve, RgfError, SelectedSolution};
 
 /// Configuration of the nested-dissection solvers.
@@ -135,504 +162,158 @@ impl NestedReport {
     }
 }
 
-/// One spatial partition of the block range: the owned block interval and the
-/// separators it contributes to the reduced system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialPartition {
-    /// First owned block (inclusive).
-    pub lo: usize,
-    /// Last owned block (inclusive).
-    pub hi: usize,
-    /// Separator on the left side (absent for the first partition).
-    pub left_boundary: Option<usize>,
-    /// Separator on the right side (absent for the last partition).
-    pub right_boundary: Option<usize>,
+/// Block `(i, j)` of a block-tridiagonal quantity, for `|i − j| ≤ 1` in range.
+fn band_block(m: &BlockTridiagonal, i: usize, j: usize) -> &CMatrix {
+    m.block(i, j).expect("block inside the tridiagonal band")
 }
 
-impl SpatialPartition {
-    /// The interior block range (owned blocks that are not separators).
-    pub fn interior(&self) -> std::ops::Range<usize> {
-        let start = if self.left_boundary.is_some() {
-            self.lo + 1
-        } else {
-            self.lo
-        };
-        let end = if self.right_boundary.is_some() {
-            self.hi
-        } else {
-            self.hi + 1
-        };
-        start..end
-    }
+/// Index, in the reduced system, of the first separator of partition `p`
+/// (the separators ascend `p0.hi, p1.lo, p1.hi, p2.lo, …`).
+fn first_separator(p: usize) -> usize {
+    (2 * p).saturating_sub(1)
 }
 
-/// Split `n_blocks` into `n_partitions` contiguous spatial partitions with
-/// their separators. Requires `n_partitions ≥ 2` and at least two blocks per
-/// partition (a partition must be able to hold its separators; interiors may
-/// be empty).
-pub fn spatial_partition_layout(
-    n_blocks: usize,
-    n_partitions: usize,
-) -> Result<Vec<SpatialPartition>, RgfError> {
-    if n_partitions < 2 || n_blocks < 2 * n_partitions {
-        return Err(RgfError::ShapeMismatch);
-    }
-    let base = n_blocks / n_partitions;
-    let rem = n_blocks % n_partitions;
-    let mut parts = Vec::with_capacity(n_partitions);
-    let mut lo = 0usize;
-    for p in 0..n_partitions {
-        let len = base + usize::from(p < rem);
-        let hi = lo + len - 1;
-        parts.push(SpatialPartition {
-            lo,
-            hi,
-            left_boundary: (p > 0).then_some(lo),
-            right_boundary: (p + 1 < n_partitions).then_some(hi),
-        });
-        lo = hi + 1;
-    }
-    Ok(parts)
+/// `(separator, adjacent interior block)` of each side of a partition with a
+/// non-empty interior, as indices into its `lo..=hi` sub-range, left first.
+fn boundary_pairs(part: &SpatialPartition) -> Vec<(usize, usize)> {
+    let last = part.hi - part.lo;
+    let left = part.left_boundary.map(|_| (0, 1));
+    let right = part.right_boundary.map(|_| (last, last - 1));
+    left.into_iter().chain(right).collect()
 }
 
-/// Validate that a partition layout is a contiguous cover of `0..n_blocks`
-/// with consistent separator annotations and at least two blocks per
-/// partition (the invariants [`spatial_partition_layout`] guarantees, so
-/// externally supplied layouts — e.g. FLOP-balanced ones — are held to the
-/// same contract).
-fn validate_partition_layout(parts: &[SpatialPartition], n_blocks: usize) -> Result<(), RgfError> {
-    if parts.len() < 2 {
-        return Err(RgfError::ShapeMismatch);
-    }
-    let mut next = 0usize;
-    for (p, part) in parts.iter().enumerate() {
-        let ok = part.lo == next
-            && part.hi > part.lo
-            && part.left_boundary == (p > 0).then_some(part.lo)
-            && part.right_boundary == (p + 1 < parts.len()).then_some(part.hi);
-        if !ok {
-            return Err(RgfError::ShapeMismatch);
+/// What one partition reads of a system `[A, B_1, …]`: every matrix cut to
+/// [`SpatialPartition::range`] — nothing for a pure-separator partition.
+pub fn partition_ranges(
+    system: &[&BlockTridiagonal],
+    part: &SpatialPartition,
+) -> Vec<BlockTridiagonal> {
+    system.iter().map(|m| m.sub_range(part.range())).collect()
+}
+
+/// One batched selected solve of same-shape systems `[A, B_1, …]`
+/// ([`rgf_solve_batch_into`]) against `scratch`.
+pub fn solve_systems(
+    systems: &[Vec<BlockTridiagonal>],
+    scratch: &mut RgfBatchScratch,
+) -> Result<Vec<SelectedSolution>, RgfError> {
+    let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| &s[0]).collect();
+    let rhs: Vec<Vec<&BlockTridiagonal>> =
+        systems.iter().map(|s| s[1..].iter().collect()).collect();
+    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
+    let mut sols = vec![SelectedSolution::zeros(0, 0, 0); systems.len()];
+    rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch).map_err(|e| e.error)?;
+    Ok(sols)
+}
+
+/// The forward Schur sweep of a block-tridiagonal matrix `A`, run **once** and
+/// read by every block-column solve against `A` or `A†`: the inverse pivots
+/// `D_k⁻¹` (`D_k = A_kk − A_{k,k−1}·D_{k−1}⁻¹·A_{k−1,k}`) and the eliminators
+/// `E_k = A_{k+1,k}·D_k⁻¹`. The adjoint system needs no factorisation (nor a
+/// conjugate-transposed copy of `A`) of its own: `D_k(A†) = D_k(A)†`, so its
+/// solves read the same factor through `Op::Dagger`.
+pub struct InteriorFactor<'a> {
+    a: &'a BlockTridiagonal,
+    d_inv: Vec<CMatrix>,
+    elim: Vec<CMatrix>,
+    /// FLOPs of the sweep: `n` inversions and `2(n − 1)` products.
+    pub flops: u64,
+}
+
+impl<'a> InteriorFactor<'a> {
+    /// Factorise `a` (at least one block).
+    pub fn new(a: &'a BlockTridiagonal) -> Result<Self, RgfError> {
+        let (n, bs) = (a.n_blocks(), a.block_size());
+        let mut d_inv: Vec<CMatrix> = Vec::with_capacity(n);
+        let mut elim: Vec<CMatrix> = Vec::with_capacity(n.saturating_sub(1));
+        for k in 0..n {
+            let mut dk = a.diag(k).clone();
+            if k > 0 {
+                let e = matmul(a.lower(k - 1), &d_inv[k - 1]);
+                dk -= &matmul(&e, a.upper(k - 1));
+                elim.push(e);
+            }
+            let lu = LuFactorization::new(&dk).map_err(|_| RgfError::SingularBlock(k))?;
+            d_inv.push(lu.inverse());
         }
-        next = part.hi + 1;
-    }
-    if next != n_blocks {
-        return Err(RgfError::ShapeMismatch);
-    }
-    Ok(())
-}
-
-/// Split `n_blocks` into `n_partitions` contiguous partitions whose interiors
-/// are sized so the per-partition FLOPs of the elimination + recovery phases
-/// equalise, using measured per-partition FLOP counters as the cost model
-/// (paper Section 5.4's load balancing: boundary partitions own a single
-/// separator and therefore perform only ~60% of a middle partition's work
-/// under the uniform split — growing the end partitions restores balance).
-///
-/// `report` must come from a solve of the same `n_blocks` over the same
-/// `n_partitions` (typically the uniform [`spatial_partition_layout`], e.g.
-/// via [`nested_dissection_solve`] or [`probe_partition_flops`]): the FLOPs
-/// of each partition are divided by its interior length to obtain
-/// per-interior-block rates for end (one separator) and middle (two
-/// separators) partitions — both elimination and recovery cost are linear in
-/// the interior length for a fixed separator count — and the interior sizes
-/// are re-chosen so the predicted per-partition FLOPs equalise.
-///
-/// With `n_partitions == 2` (no middle partition) or a degenerate report the
-/// uniform layout is returned unchanged.
-pub fn partition_layout_balanced(
-    n_blocks: usize,
-    n_partitions: usize,
-    report: &NestedReport,
-) -> Result<Vec<SpatialPartition>, RgfError> {
-    let uniform = spatial_partition_layout(n_blocks, n_partitions)?;
-    if n_partitions == 2 || report.partitions.len() != n_partitions {
-        return Ok(uniform);
-    }
-    // Per-interior-block FLOP rates of end and middle partitions. The
-    // workload's `blocks` count includes the separators the partition owns
-    // (one for ends, two for middles).
-    let rate_of = |wl: &PartitionWorkload, n_sep: usize| {
-        let n_int = wl.blocks.saturating_sub(n_sep);
-        (n_int > 0).then(|| wl.flops as f64 / n_int as f64)
-    };
-    let last = n_partitions - 1;
-    let ends: Vec<f64> = [0, last]
-        .iter()
-        .filter_map(|&p| rate_of(&report.partitions[p], 1))
-        .collect();
-    let mids: Vec<f64> = (1..last)
-        .filter_map(|p| rate_of(&report.partitions[p], 2))
-        .collect();
-    if ends.is_empty() || mids.is_empty() {
-        return Ok(uniform);
-    }
-    let k_end = ends.iter().sum::<f64>() / ends.len() as f64;
-    let k_mid = mids.iter().sum::<f64>() / mids.len() as f64;
-    if !(k_end > 0.0 && k_mid > 0.0 && k_mid.is_finite() && k_end.is_finite()) {
-        return Ok(uniform);
-    }
-    // Equalise n_end·k_end = n_mid·k_mid subject to
-    // 2·n_end + (P−2)·n_mid = interior_total.
-    let interior_total = n_blocks - 2 * (n_partitions - 1);
-    let r = k_mid / k_end;
-    let n_mid_real = interior_total as f64 / (2.0 * r + (n_partitions - 2) as f64);
-    let n_end_real = r * n_mid_real;
-    // Largest-remainder rounding over [end, mid × (P−2), end].
-    let targets: Vec<f64> = std::iter::once(n_end_real)
-        .chain(std::iter::repeat_n(n_mid_real, n_partitions - 2))
-        .chain(std::iter::once(n_end_real))
-        .collect();
-    let mut interiors: Vec<usize> = targets.iter().map(|t| t.floor() as usize).collect();
-    let mut leftover = interior_total - interiors.iter().sum::<usize>();
-    let mut order: Vec<usize> = (0..n_partitions).collect();
-    order.sort_by(|&i, &j| {
-        let fi = targets[i] - targets[i].floor();
-        let fj = targets[j] - targets[j].floor();
-        fj.partial_cmp(&fi).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for &p in order.iter().cycle().take(n_partitions * 8) {
-        if leftover == 0 {
-            break;
-        }
-        interiors[p] += 1;
-        leftover -= 1;
-    }
-    // End partitions must keep at least one interior block (they hold only
-    // one separator, so a one-block end partition would violate the two-block
-    // floor); steal from the largest partition when rounding emptied one.
-    for p in [0, last] {
-        if interiors[p] == 0 {
-            let donor = (0..n_partitions)
-                .max_by_key(|&q| interiors[q])
-                .expect("non-empty layout");
-            if interiors[donor] == 0 {
-                return Ok(uniform);
-            }
-            interiors[donor] -= 1;
-            interiors[p] += 1;
-        }
-    }
-    // Materialise the contiguous layout: blocks = interior + owned separators.
-    let mut parts = Vec::with_capacity(n_partitions);
-    let mut lo = 0usize;
-    for (p, &n_int) in interiors.iter().enumerate() {
-        let n_sep = usize::from(p > 0) + usize::from(p < last);
-        let hi = lo + n_int + n_sep - 1;
-        parts.push(SpatialPartition {
-            lo,
-            hi,
-            left_boundary: (p > 0).then_some(lo),
-            right_boundary: (p < last).then_some(hi),
-        });
-        lo = hi + 1;
-    }
-    validate_partition_layout(&parts, n_blocks)?;
-    Ok(parts)
-}
-
-/// Per-partition FLOP report of the uniform layout, measured on a synthetic
-/// well-conditioned system of the given shape. The elimination/recovery FLOP
-/// counters depend only on the problem *shape* (block count, block size,
-/// separator structure, number of right-hand sides), never on the matrix
-/// values, so a distributed driver can compute the same FLOP-balanced layout
-/// on every rank deterministically before the first real system is assembled.
-pub fn probe_partition_flops(
-    n_blocks: usize,
-    block_size: usize,
-    n_partitions: usize,
-    n_rhs: usize,
-) -> Result<NestedReport, RgfError> {
-    let (a, rhs) = synthetic_probe_system(n_blocks, block_size, n_rhs);
-    let rhs_refs: Vec<&BlockTridiagonal> = rhs.iter().collect();
-    let (_, report) = nested_dissection_solve(&a, &rhs_refs, &NestedConfig::new(n_partitions))?;
-    Ok(report)
-}
-
-/// A deterministic diagonally-dominant system + anti-Hermitian-structured
-/// right-hand sides of the given shape, for the FLOP probe.
-fn synthetic_probe_system(
-    nb: usize,
-    bs: usize,
-    n_rhs: usize,
-) -> (BlockTridiagonal, Vec<BlockTridiagonal>) {
-    let mut a = BlockTridiagonal::zeros(nb, bs);
-    for i in 0..nb {
-        let d = CMatrix::from_fn(bs, bs, |r, c| {
-            if r == c {
-                c64::new(2.5 + 0.05 * i as f64, 0.4)
-            } else {
-                c64::new(-0.2, 0.03 * (r as f64 - c as f64))
-            }
-        });
-        a.set_block(i, i, d);
-    }
-    for i in 0..nb.saturating_sub(1) {
-        let u = CMatrix::from_fn(bs, bs, |r, c| {
-            c64::new(-0.4 + 0.02 * r as f64, 0.03 * c as f64)
-        });
-        let l = CMatrix::from_fn(bs, bs, |r, c| {
-            c64::new(-0.35 - 0.01 * c as f64, -0.02 * r as f64)
-        });
-        a.set_block(i, i + 1, u);
-        a.set_block(i + 1, i, l);
-    }
-    let rhs = (0..n_rhs)
-        .map(|r| {
-            let seed = 1.0 + 0.7 * r as f64;
-            let mut b = BlockTridiagonal::zeros(nb, bs);
-            for i in 0..nb {
-                let raw = CMatrix::from_fn(bs, bs, |rr, cc| {
-                    c64::new(seed * (0.1 * (rr + i) as f64 - 0.2 * cc as f64), 0.3)
-                });
-                b.set_block(i, i, raw.negf_antihermitian_part());
-            }
-            for i in 0..nb.saturating_sub(1) {
-                let bu = CMatrix::from_fn(bs, bs, |rr, cc| {
-                    c64::new(0.04 * (rr + cc) as f64 * seed, 0.1)
-                });
-                b.set_block(i, i + 1, bu.clone());
-                b.set_block(i + 1, i, bu.dagger().scaled(c64::new(-1.0, 0.0)));
-            }
-            b
+        let flops = n as u64 * inverse_flops(bs) + 2 * elim.len() as u64 * gemm_flops(bs, bs, bs);
+        Ok(Self {
+            a,
+            d_inv,
+            elim,
+            flops,
         })
-        .collect();
-    (a, rhs)
-}
-
-/// The separator blocks of a partition layout, in ascending block order —
-/// the block pattern of the reduced boundary system.
-pub fn separator_blocks(parts: &[SpatialPartition]) -> Vec<usize> {
-    let mut separators: Vec<usize> = Vec::new();
-    for p in parts {
-        if let Some(lo) = p.left_boundary {
-            separators.push(lo);
-        }
-        if let Some(hi) = p.right_boundary {
-            separators.push(hi);
-        }
-    }
-    separators.sort_unstable();
-    separators.dedup();
-    separators
-}
-
-/// Extract a block range of a BT matrix as its own block-tridiagonal matrix.
-fn interior_matrix(a: &BlockTridiagonal, range: std::ops::Range<usize>) -> BlockTridiagonal {
-    let n = range.len();
-    let bs = a.block_size();
-    let mut m = BlockTridiagonal::zeros(n, bs);
-    for (k, i) in range.clone().enumerate() {
-        m.set_block(k, k, a.diag(i).clone());
-        if k + 1 < n {
-            m.set_block(k, k + 1, a.upper(i).clone());
-            m.set_block(k + 1, k, a.lower(i).clone());
-        }
-    }
-    m
-}
-
-/// Solve `A·Y = C` for one general block column `C` of a BT matrix (block
-/// Thomas algorithm). Returns all `n` blocks of the solution column and the
-/// FLOPs spent.
-fn block_column_solve_general(
-    a: &BlockTridiagonal,
-    rhs_col: &[CMatrix],
-) -> Result<(Vec<CMatrix>, u64), RgfError> {
-    let n = a.n_blocks();
-    let bs = a.block_size();
-    debug_assert_eq!(rhs_col.len(), n);
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let mut flops = 0u64;
-
-    // Forward factorisation D_k and RHS reduction.
-    let mut d_inv: Vec<CMatrix> = Vec::with_capacity(n);
-    let mut y: Vec<CMatrix> = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut dk = a.diag(k).clone();
-        let mut rk = rhs_col[k].clone();
-        if k > 0 {
-            let lower = a.lower(k - 1); // A_{k, k-1}
-            let l_dinv = matmul(lower, &d_inv[k - 1]);
-            dk -= &matmul(&l_dinv, a.upper(k - 1));
-            rk -= &matmul(&l_dinv, &y[k - 1]);
-            flops += 3 * gemm_c;
-        }
-        let lu = LuFactorization::new(&dk).map_err(|_| RgfError::SingularBlock(k))?;
-        d_inv.push(lu.inverse());
-        flops += inverse_flops(bs);
-        y.push(rk);
-    }
-    // Backward substitution.
-    let mut x = vec![CMatrix::zeros(bs, bs); n];
-    x[n - 1] = matmul(&d_inv[n - 1], &y[n - 1]);
-    flops += gemm_c;
-    for k in (0..n - 1).rev() {
-        let mut rhs = y[k].clone();
-        rhs -= &matmul(a.upper(k), &x[k + 1]);
-        x[k] = matmul(&d_inv[k], &rhs);
-        flops += 2 * gemm_c;
-    }
-    Ok((x, flops))
-}
-
-/// Solve `A·Y = E_j` for one unit block column of the inverse of a BT matrix.
-fn block_column_solve(a: &BlockTridiagonal, j: usize) -> Result<(Vec<CMatrix>, u64), RgfError> {
-    let bs = a.block_size();
-    let mut rhs = vec![CMatrix::zeros(bs, bs); a.n_blocks()];
-    rhs[j] = CMatrix::identity(bs);
-    block_column_solve_general(a, &rhs)
-}
-
-/// Row counterpart: blocks `[A⁻¹]_{j,k}` for all `k`, obtained from the
-/// adjoint system `A†·W = E_j` via `[A⁻¹]_{j,k} = (W_k)†`.
-fn block_row_solve(a: &BlockTridiagonal, j: usize) -> Result<(Vec<CMatrix>, u64), RgfError> {
-    let (w, flops) = block_column_solve(&a.dagger(), j)?;
-    Ok((w.into_iter().map(|b| b.dagger()).collect(), flops))
-}
-
-/// One separator of a partition: the global separator block, the local index
-/// of the adjacent interior block and the side the separator sits on.
-#[derive(Debug, Clone, Copy)]
-struct BoundarySpec {
-    /// Global block index of the separator.
-    sep: usize,
-    /// Local interior index of the block adjacent to the separator.
-    edge: usize,
-    /// True when the separator sits left of the interior.
-    left: bool,
-}
-
-impl BoundarySpec {
-    /// `M_{sep, edge}` of any BT quantity sharing the system's pattern.
-    fn sep_to_int<'a>(&self, m: &'a BlockTridiagonal) -> &'a CMatrix {
-        if self.left {
-            m.upper(self.sep)
-        } else {
-            m.lower(self.sep - 1)
-        }
     }
 
-    /// `M_{edge, sep}` of any BT quantity sharing the system's pattern.
-    fn int_to_sep<'a>(&self, m: &'a BlockTridiagonal) -> &'a CMatrix {
-        if self.left {
-            m.lower(self.sep)
-        } else {
-            m.upper(self.sep - 1)
-        }
-    }
-}
-
-/// The separator-coupling blocks of one side of a partition, extracted from
-/// the global system: together with the interior blocks these are **all** the
-/// matrix entries the elimination phase reads.
-#[derive(Debug, Clone)]
-pub struct BoundaryCouplings {
-    /// Global block index of the separator.
-    pub sep: usize,
-    /// True when the separator sits left of the interior.
-    pub left: bool,
-    /// `A_{sep, edge}` — the separator→interior coupling of the system matrix.
-    pub a_sep_to_int: CMatrix,
-    /// `A_{edge, sep}` — the interior→separator coupling of the system matrix.
-    pub a_int_to_sep: CMatrix,
-    /// `B_{sep, edge}` per right-hand side.
-    pub rhs_sep_to_int: Vec<CMatrix>,
-    /// `B_{edge, sep}` per right-hand side.
-    pub rhs_int_to_sep: Vec<CMatrix>,
-}
-
-/// Everything one partition reads from the global per-energy system: its
-/// interior blocks of `A` and of every right-hand side, plus the separator
-/// coupling blocks towards its boundaries.
-///
-/// This is the payload of the *slice-wise* system distribution: instead of
-/// broadcasting the full `3·(3·N_B − 2)`-block system to every spatial rank,
-/// a distributed driver ships each rank only its slice (`quatrex-dist` wraps
-/// it in a `PartitionSlice` wire message), cutting the per-phase
-/// boundary-system bytes by `~1/P_S`. [`eliminate_partition_slice`] consumes
-/// it directly; [`eliminate_partition_solve`] extracts it from the full
-/// system first and is bit-identical.
-#[derive(Debug, Clone)]
-pub struct PartitionSystemSlice {
-    /// Interior blocks of the system matrix (`n_int` blocks; may be empty for
-    /// a pure-separator partition).
-    pub a_int: BlockTridiagonal,
-    /// Interior blocks of every right-hand side.
-    pub rhs_int: Vec<BlockTridiagonal>,
-    /// Separator couplings, left side first. Empty when the interior is empty
-    /// (a pure-separator partition reads no matrix entries at all).
-    pub boundaries: Vec<BoundaryCouplings>,
-}
-
-impl PartitionSystemSlice {
-    /// Extract the slice of `part` from the full system.
-    pub fn extract(
-        a: &BlockTridiagonal,
-        rhs: &[&BlockTridiagonal],
-        part: &SpatialPartition,
-    ) -> Self {
-        let interior_range = part.interior();
-        let n_int = interior_range.len();
-        let a_int = interior_matrix(a, interior_range.clone());
-        let rhs_int: Vec<BlockTridiagonal> = rhs
-            .iter()
-            .map(|b| interior_matrix(b, interior_range.clone()))
-            .collect();
-        let mut boundaries = Vec::new();
-        if n_int > 0 {
-            let mut push = |sep: usize, edge: usize, left: bool| {
-                let spec = BoundarySpec { sep, edge, left };
-                boundaries.push(BoundaryCouplings {
-                    sep,
-                    left,
-                    a_sep_to_int: spec.sep_to_int(a).clone(),
-                    a_int_to_sep: spec.int_to_sep(a).clone(),
-                    rhs_sep_to_int: rhs.iter().map(|b| spec.sep_to_int(b).clone()).collect(),
-                    rhs_int_to_sep: rhs.iter().map(|b| spec.int_to_sep(b).clone()).collect(),
-                });
-            };
-            if let Some(lo) = part.left_boundary {
-                push(lo, 0, true);
+    /// Solve `A·X = C` — or `A†·X = C` when `adjoint` — for one block column
+    /// `C` (consumed; one block per block row). `3n − 2` products either way,
+    /// added to `flops`.
+    pub fn solve(&self, mut x: Vec<CMatrix>, adjoint: bool, flops: &mut u64) -> Vec<CMatrix> {
+        let n = self.d_inv.len();
+        let bs = self.a.block_size();
+        debug_assert_eq!(x.len(), n);
+        if adjoint {
+            // z_k = D_k⁻†·(c_k − A_{k−1,k}†·z_{k−1}), then x_k = z_k − E_k†·x_{k+1}.
+            for k in 0..n {
+                if k > 0 {
+                    let (done, rest) = x.split_at_mut(k);
+                    let a_up = Op::Dagger(self.a.upper(k - 1));
+                    gemm(&mut rest[0], -ONE, a_up, Op::None(&done[k - 1]), ONE);
+                }
+                let mut z = CMatrix::zeros(bs, bs);
+                gemm(
+                    &mut z,
+                    ONE,
+                    Op::Dagger(&self.d_inv[k]),
+                    Op::None(&x[k]),
+                    ZERO,
+                );
+                x[k] = z;
             }
-            if let Some(hi) = part.right_boundary {
-                push(hi, n_int - 1, false);
+            for k in (0..n - 1).rev() {
+                let (head, tail) = x.split_at_mut(k + 1);
+                gemm(
+                    &mut head[k],
+                    -ONE,
+                    Op::Dagger(&self.elim[k]),
+                    Op::None(&tail[0]),
+                    ONE,
+                );
+            }
+        } else {
+            // y_k = c_k − E_{k−1}·y_{k−1}, then x_k = D_k⁻¹·(y_k − A_{k,k+1}·x_{k+1}).
+            for k in 1..n {
+                let update = matmul(&self.elim[k - 1], &x[k - 1]);
+                x[k] -= &update;
+            }
+            for k in (0..n).rev() {
+                if k + 1 < n {
+                    let update = matmul(self.a.upper(k), &x[k + 1]);
+                    x[k] -= &update;
+                }
+                x[k] = matmul(&self.d_inv[k], &x[k]);
             }
         }
-        Self {
-            a_int,
-            rhs_int,
-            boundaries,
-        }
+        *flops += (3 * n as u64 - 2) * gemm_flops(bs, bs, bs);
+        x
     }
 
-    /// Number of right-hand sides the slice carries.
-    pub fn n_rhs(&self) -> usize {
-        self.rhs_int.len()
-    }
-
-    /// Stored complex values of the slice — the wire payload size (headers
-    /// excluded).
-    pub fn stored_values(&self) -> usize {
-        let bt = |m: &BlockTridiagonal| {
-            let bs = m.block_size();
-            (m.n_blocks() + 2 * m.n_blocks().saturating_sub(1)) * bs * bs
-        };
-        let mut values = bt(&self.a_int);
-        for b in &self.rhs_int {
-            values += bt(b);
-        }
-        for c in &self.boundaries {
-            let bs = c.a_sep_to_int.nrows();
-            values += (2 + c.rhs_sep_to_int.len() + c.rhs_int_to_sep.len()) * bs * bs;
-        }
-        values
+    /// The unit block column `E_j` of this factor's shape.
+    fn unit_column(&self, j: usize) -> Vec<CMatrix> {
+        let bs = self.a.block_size();
+        let mut col = vec![CMatrix::zeros(bs, bs); self.d_inv.len()];
+        col[j] = CMatrix::identity(bs);
+        col
     }
 }
 
 /// Fill-in factors of one separator of a partition, for the elimination and
 /// recovery phases.
 struct BoundaryFactors {
-    spec: BoundarySpec,
+    /// Sub-range index of the separator.
+    sep: usize,
+    /// Sub-range index of the interior block adjacent to it.
+    nbr: usize,
     /// `L[k] = [A_I⁻¹·A_{I,b}]_k` — the left fill-in factor.
     left_f: Vec<CMatrix>,
     /// `R[k] = [A_{b,I}·A_I⁻¹]_k` — the right fill-in factor.
@@ -651,181 +332,138 @@ struct PartitionFactors {
     boundaries: Vec<BoundaryFactors>,
 }
 
-/// The communicated payload of one partition's elimination: the Schur-
-/// complement updates to the reduced system matrix and the quadratic updates
-/// to the reduced right-hand sides `B̃ = Vᵗ·B·Vᵗ†`, as
-/// `(row separator block, column separator block, update)` triples.
-#[derive(Debug, Clone, Default)]
-pub struct PartitionUpdates {
-    /// Updates to the reduced system matrix.
-    pub schur: Vec<(usize, usize, CMatrix)>,
-    /// Updates to the reduced right-hand sides, one list per RHS.
-    pub rhs: Vec<Vec<(usize, usize, CMatrix)>>,
-}
-
-/// Per-partition result of the parallel elimination phase of
-/// [`nested_dissection_solve`]. The [`PartitionUpdates`] must be gathered
-/// wherever the reduced system is assembled; the recovery factors stay local.
+/// Per-partition, per-system result of the elimination phase. The `updates`
+/// must be gathered wherever the reduced system is assembled; the recovery
+/// factors stay local.
 pub struct PartitionSolveState {
-    /// Reduced-system updates to gather.
-    pub updates: PartitionUpdates,
+    /// Reduced-system updates to gather: for every matrix of the system (`A`,
+    /// then each right-hand side) the `nbd × nbd` grid of updates between the
+    /// partition's separators — the Schur-complement updates of `A` and the
+    /// quadratic updates of `B̃ = Vᵗ·B·Vᵗ†` — row-major, left separator first:
+    /// entry `(m·nbd + i)·nbd + j`. Empty for an empty interior.
+    pub updates: Vec<CMatrix>,
     /// Workload bookkeeping of the elimination phase.
     pub workload: PartitionWorkload,
     factors: Option<PartitionFactors>,
 }
 
-/// Eliminate the interior of one partition: solve the isolated interior
-/// problem, compute the fill-in factors towards both separators and produce
-/// the Schur-complement / reduced-RHS updates.
-///
-/// Equivalent to [`PartitionSystemSlice::extract`] followed by
-/// [`eliminate_partition_slice`] — use the split form when the slice arrives
-/// over the wire instead of being cut from a locally held full system.
-pub fn eliminate_partition_solve(
-    a: &BlockTridiagonal,
-    rhs: &[&BlockTridiagonal],
+/// Eliminate the interior of one partition for a batch of same-shape systems
+/// (typically the energies a rank owns), each given as its
+/// [`partition_ranges`]: solve the isolated interiors with **one** batched RGF
+/// solve against `scratch`, then per system factorise the interior once,
+/// compute the fill-in factors towards both separators and produce the
+/// Schur-complement / reduced-RHS updates. A system's result does not depend
+/// on the batch it is eliminated in.
+pub fn eliminate_partition(
+    ranges: &[Vec<BlockTridiagonal>],
     part: &SpatialPartition,
     index: usize,
-) -> Result<PartitionSolveState, RgfError> {
-    eliminate_partition_slice(&PartitionSystemSlice::extract(a, rhs, part), part, index)
-}
-
-/// Eliminate the interior of one partition from its system *slice* alone —
-/// the interior blocks plus the separator couplings, with no access to the
-/// rest of the global system. Bit-identical (values and FLOP counters) to
-/// [`eliminate_partition_solve`] on the full system.
-pub fn eliminate_partition_slice(
-    slice: &PartitionSystemSlice,
-    part: &SpatialPartition,
-    index: usize,
-) -> Result<PartitionSolveState, RgfError> {
+    scratch: &mut RgfBatchScratch,
+) -> Result<Vec<PartitionSolveState>, RgfError> {
     quatrex_probe::span("rgf.eliminate_partition", "rgf.partition", || {
-        eliminate_partition_slice_impl(slice, part, index)
+        let interior = part.interior();
+        let local = interior.start - part.lo..interior.end - part.lo;
+        if local.is_empty() {
+            // Pure-separator partition: nothing to eliminate, nothing to update
+            // (its separator blocks enter the reduced system unmodified).
+            let workload = PartitionWorkload {
+                partition: index,
+                blocks: part.hi - part.lo + 1,
+                fill_in_blocks: 0,
+                flops: 0,
+            };
+            let empty = |_| PartitionSolveState {
+                updates: Vec::new(),
+                workload: workload.clone(),
+                factors: None,
+            };
+            return Ok(ranges.iter().map(empty).collect());
+        }
+        let interiors: Vec<Vec<BlockTridiagonal>> = ranges
+            .iter()
+            .map(|sub| sub.iter().map(|m| m.sub_range(local.clone())).collect())
+            .collect();
+        // Selected solves of the isolated interiors (the `D·B·D†` term).
+        let solved = solve_systems(&interiors, scratch)?;
+        ranges
+            .iter()
+            .zip(&interiors)
+            .zip(solved)
+            .map(|((sub, int), sol)| eliminate_interior(sub, int, sol, part, index))
+            .collect()
     })
 }
 
-fn eliminate_partition_slice_impl(
-    slice: &PartitionSystemSlice,
+/// The per-system part of [`eliminate_partition`]: `sub` is the partition's
+/// sub-range of the system, `interior_system` its interior cut and `interior`
+/// the selected solution of that cut.
+fn eliminate_interior(
+    sub: &[BlockTridiagonal],
+    interior_system: &[BlockTridiagonal],
+    interior: SelectedSolution,
     part: &SpatialPartition,
     index: usize,
 ) -> Result<PartitionSolveState, RgfError> {
-    let interior_range = part.interior();
-    let n_int = interior_range.len();
-    let n_rhs = slice.n_rhs();
-    let blocks = part.hi - part.lo + 1;
-    debug_assert_eq!(slice.a_int.n_blocks(), n_int, "slice/partition mismatch");
-    let mut flops = 0u64;
-    let mut fill_in_blocks = 0usize;
-
-    if n_int == 0 {
-        // Pure-separator partition: nothing to eliminate, nothing to update
-        // (its separator blocks enter the reduced system unmodified).
-        return Ok(PartitionSolveState {
-            updates: PartitionUpdates {
-                schur: Vec::new(),
-                rhs: vec![Vec::new(); n_rhs],
-            },
-            workload: PartitionWorkload {
-                partition: index,
-                blocks,
-                fill_in_blocks: 0,
-                flops: 0,
-            },
-            factors: None,
-        });
-    }
-
-    let bs = slice.a_int.block_size();
+    let (a_int, rhs_int) = (&interior_system[0], &interior_system[1..]);
+    let (n_int, bs, n_rhs) = (a_int.n_blocks(), a_int.block_size(), rhs_int.len());
     let gemm_c = gemm_flops(bs, bs, bs);
-    let a_int = &slice.a_int;
-    let rhs_int = &slice.rhs_int;
-    let rhs_int_refs: Vec<&BlockTridiagonal> = rhs_int.iter().collect();
-
-    // Selected solve of the isolated interior (the `D·B·D†` term).
-    let interior = rgf_solve(a_int, &rhs_int_refs)?;
-    flops += interior.flops;
-
-    let mut specs: Vec<BoundarySpec> = Vec::new();
-    if let Some(lo) = part.left_boundary {
-        specs.push(BoundarySpec {
-            sep: lo,
-            edge: 0,
-            left: true,
-        });
-    }
-    if let Some(hi) = part.right_boundary {
-        specs.push(BoundarySpec {
-            sep: hi,
-            edge: n_int - 1,
-            left: false,
-        });
-    }
-    debug_assert_eq!(specs.len(), slice.boundaries.len(), "slice boundaries");
-    debug_assert!(specs
-        .iter()
-        .zip(&slice.boundaries)
-        .all(|(sp, c)| sp.sep == c.sep && sp.left == c.left));
+    let offset = part.interior().start - part.lo;
+    let factor = InteriorFactor::new(a_int)?;
+    let mut flops = interior.flops + factor.flops;
+    let mut fill_in_blocks = 0usize;
+    let dagger_all = |col: Vec<CMatrix>| col.iter().map(CMatrix::dagger).collect::<Vec<_>>();
 
     // Fill-in factors per separator: interior inverse columns/rows towards the
     // adjacent edge, contracted with the separator couplings, plus (per RHS)
     // the quadratic factors q and s.
-    let mut cols_per_boundary: Vec<Vec<CMatrix>> = Vec::with_capacity(specs.len());
-    let mut boundaries: Vec<BoundaryFactors> = Vec::with_capacity(specs.len());
-    for (spec, cpl) in specs.iter().zip(&slice.boundaries) {
-        let (cols, f1) = block_column_solve(a_int, spec.edge)?;
-        let (rows, f2) = block_row_solve(a_int, spec.edge)?;
-        flops += f1 + f2;
+    let mut cols_per_boundary: Vec<Vec<CMatrix>> = Vec::new();
+    let mut boundaries: Vec<BoundaryFactors> = Vec::new();
+    for (sep, nbr) in boundary_pairs(part) {
+        let edge = nbr - offset;
+        let cols = factor.solve(factor.unit_column(edge), false, &mut flops);
+        // [A_I⁻¹]_{edge,k} = (W_k)† with A_I†·W = E_edge.
+        let rows = dagger_all(factor.solve(factor.unit_column(edge), true, &mut flops));
         fill_in_blocks += 2 * n_int;
-        let left_f: Vec<CMatrix> = cols.iter().map(|c| matmul(c, &cpl.a_int_to_sep)).collect();
-        let right_f: Vec<CMatrix> = rows.iter().map(|r| matmul(&cpl.a_sep_to_int, r)).collect();
+        let a_int_to_sep = band_block(&sub[0], nbr, sep);
+        let a_sep_to_int = band_block(&sub[0], sep, nbr);
+        let left_f: Vec<CMatrix> = cols.iter().map(|c| matmul(c, a_int_to_sep)).collect();
+        let right_f: Vec<CMatrix> = rows.iter().map(|r| matmul(a_sep_to_int, r)).collect();
         flops += 2 * n_int as u64 * gemm_c;
 
         let mut q: Vec<Vec<CMatrix>> = Vec::with_capacity(n_rhs);
         let mut s: Vec<Vec<CMatrix>> = Vec::with_capacity(n_rhs);
-        for r in 0..n_rhs {
-            let bint = &rhs_int[r];
+        for (bint, bsub) in rhs_int.iter().zip(&sub[1..]) {
             // Column c[j] = (B·Vᵗ†)_{j,b} = B_{j,sep}·δ_{j,edge} − Σ_{j'} B_{j,j'}·R[j']†.
             let mut c = vec![CMatrix::zeros(bs, bs); n_int];
-            c[spec.edge] += &cpl.rhs_int_to_sep[r];
+            c[edge] += band_block(bsub, nbr, sep);
             // Row r[j] = (Vᵗ·B)_{b,j} = B_{sep,j}·δ_{j,edge} − Σ_{j'} R[j']·B_{j',j};
             // assembled daggered so it can run through the column solver.
             let mut row_dag = vec![CMatrix::zeros(bs, bs); n_int];
-            row_dag[spec.edge].axpy_dagger(ONE, &cpl.rhs_sep_to_int[r]);
+            row_dag[edge].axpy_dagger(ONE, band_block(bsub, sep, nbr));
             for j in 0..n_int {
                 for j2 in j.saturating_sub(1)..=(j + 1).min(n_int - 1) {
-                    if let Some(bjj2) = bint.block(j, j2) {
-                        gemm(
-                            &mut c[j],
-                            -ONE,
-                            Op::None(bjj2),
-                            Op::Dagger(&right_f[j2]),
-                            ONE,
-                        );
-                        flops += gemm_c;
-                    }
-                    if let Some(bj2j) = bint.block(j2, j) {
-                        // −(R·B)† accumulated dagger-fused as −B†·R†.
-                        gemm(
-                            &mut row_dag[j],
-                            -ONE,
-                            Op::Dagger(bj2j),
-                            Op::Dagger(&right_f[j2]),
-                            ONE,
-                        );
-                        flops += gemm_c;
-                    }
+                    let r_dag = Op::Dagger(&right_f[j2]);
+                    gemm(
+                        &mut c[j],
+                        -ONE,
+                        Op::None(band_block(bint, j, j2)),
+                        r_dag,
+                        ONE,
+                    );
+                    // −(R·B)† accumulated dagger-fused as −B†·R†.
+                    let b_dag = Op::Dagger(band_block(bint, j2, j));
+                    gemm(&mut row_dag[j], -ONE, b_dag, r_dag, ONE);
+                    flops += 2 * gemm_c;
                 }
             }
-            let (q_col, fq) = block_column_solve_general(a_int, &c)?;
-            let (s_dag, fs) = block_column_solve_general(a_int, &row_dag)?;
-            flops += fq + fs;
+            q.push(factor.solve(c, false, &mut flops));
+            s.push(dagger_all(factor.solve(row_dag, false, &mut flops)));
             fill_in_blocks += 2 * n_int;
-            q.push(q_col);
-            s.push(s_dag.into_iter().map(|m| m.dagger()).collect());
         }
         cols_per_boundary.push(cols);
         boundaries.push(BoundaryFactors {
-            spec: *spec,
+            sep,
+            nbr,
             left_f,
             right_f,
             q,
@@ -838,61 +476,47 @@ fn eliminate_partition_slice_impl(
     // and the quadratic reduced-RHS updates:
     //   B̃_{b1,b2} += −R1[e2]·B_{e2,b2} − B_{b1,e1}·R2[e1]†
     //              + Σ_{j,j'} R1[j]·B_{j,j'}·R2[j']†.
-    let mut schur = Vec::new();
-    let mut rhs_updates: Vec<Vec<(usize, usize, CMatrix)>> = vec![Vec::new(); n_rhs];
+    let nbd = boundaries.len();
+    let mut updates = vec![CMatrix::zeros(bs, bs); (1 + n_rhs) * nbd * nbd];
     for (i1, b1) in boundaries.iter().enumerate() {
-        let c1 = &slice.boundaries[i1];
         for (i2, b2) in boundaries.iter().enumerate() {
-            let c2 = &slice.boundaries[i2];
-            let e1 = b1.spec.edge;
-            let e2 = b2.spec.edge;
+            let (e1, e2) = (b1.nbr - offset, b2.nbr - offset);
             // [A_I⁻¹]_{e1,e2} is entry e1 of the block column towards e2.
             let inv_e1_e2 = &cols_per_boundary[i2][e1];
-            let upd = matmul(&matmul(&c1.a_sep_to_int, inv_e1_e2), &c2.a_int_to_sep)
-                .scaled(c64::new(-1.0, 0.0));
-            schur.push((b1.spec.sep, b2.spec.sep, upd));
+            let a_b1_e1 = band_block(&sub[0], b1.sep, b1.nbr);
+            let a_e2_b2 = band_block(&sub[0], b2.nbr, b2.sep);
+            updates[i1 * nbd + i2] = matmul(&matmul(a_b1_e1, inv_e1_e2), a_e2_b2).scaled(-ONE);
             flops += 2 * gemm_c;
 
-            for r in 0..n_rhs {
-                let bint = &rhs_int[r];
-                let mut upd =
-                    matmul(&b1.right_f[e2], &c2.rhs_int_to_sep[r]).scaled(c64::new(-1.0, 0.0));
-                gemm(
-                    &mut upd,
-                    -ONE,
-                    Op::None(&c1.rhs_sep_to_int[r]),
-                    Op::Dagger(&b2.right_f[e1]),
-                    ONE,
-                );
+            for (r, (bint, bsub)) in rhs_int.iter().zip(&sub[1..]).enumerate() {
+                let b_e2_b2 = band_block(bsub, b2.nbr, b2.sep);
+                let mut upd = matmul(&b1.right_f[e2], b_e2_b2).scaled(-ONE);
+                let b_b1_e1 = Op::None(band_block(bsub, b1.sep, b1.nbr));
+                gemm(&mut upd, -ONE, b_b1_e1, Op::Dagger(&b2.right_f[e1]), ONE);
                 flops += 2 * gemm_c;
                 for j in 0..n_int {
                     for j2 in j.saturating_sub(1)..=(j + 1).min(n_int - 1) {
-                        if let Some(bjj2) = bint.block(j, j2) {
-                            let t = matmul(&b1.right_f[j], bjj2);
-                            gemm(
-                                &mut upd,
-                                ONE,
-                                Op::None(&t),
-                                Op::Dagger(&b2.right_f[j2]),
-                                ONE,
-                            );
-                            flops += 2 * gemm_c;
-                        }
+                        let t = matmul(&b1.right_f[j], band_block(bint, j, j2));
+                        gemm(
+                            &mut upd,
+                            ONE,
+                            Op::None(&t),
+                            Op::Dagger(&b2.right_f[j2]),
+                            ONE,
+                        );
+                        flops += 2 * gemm_c;
                     }
                 }
-                rhs_updates[r].push((b1.spec.sep, b2.spec.sep, upd));
+                updates[((1 + r) * nbd + i1) * nbd + i2] = upd;
             }
         }
     }
 
     Ok(PartitionSolveState {
-        updates: PartitionUpdates {
-            schur,
-            rhs: rhs_updates,
-        },
+        updates,
         workload: PartitionWorkload {
             partition: index,
-            blocks,
+            blocks: part.hi - part.lo + 1,
             fill_in_blocks,
             flops,
         },
@@ -903,319 +527,187 @@ fn eliminate_partition_slice_impl(
     })
 }
 
-/// Assemble the reduced boundary system and its quadratic right-hand sides
-/// from the separator blocks of `a`/`rhs` plus the gathered per-partition
-/// updates. Returns `(reduced system, reduced RHS per input RHS, number of
-/// gathered update blocks)`.
+/// Assemble the reduced boundary system `[S, B̃_1, …]` of one system
+/// `[A, B_1, …]`: its separator blocks plus the gathered per-partition
+/// `updates` (one [`PartitionSolveState::updates`] per partition, in layout
+/// order).
 pub fn assemble_reduced_system(
-    a: &BlockTridiagonal,
-    rhs: &[&BlockTridiagonal],
-    separators: &[usize],
-    updates: &[&PartitionUpdates],
-) -> (BlockTridiagonal, Vec<BlockTridiagonal>, usize) {
-    let bs = a.block_size();
+    system: &[&BlockTridiagonal],
+    parts: &[SpatialPartition],
+    updates: &[&[CMatrix]],
+) -> Vec<BlockTridiagonal> {
+    let separators = separator_blocks(parts);
     let n_sep = separators.len();
-    let sep_index = |block: usize| {
-        separators
-            .binary_search(&block)
-            .expect("separator present in layout")
-    };
-    let mut reduced = BlockTridiagonal::zeros(n_sep, bs);
-    let mut reduced_rhs: Vec<BlockTridiagonal> = rhs
+    let mut reduced: Vec<BlockTridiagonal> = system
         .iter()
-        .map(|_| BlockTridiagonal::zeros(n_sep, bs))
+        .map(|m| {
+            let mut red = BlockTridiagonal::zeros(n_sep, m.block_size());
+            for (k, &s) in separators.iter().enumerate() {
+                red.set_block(k, k, m.diag(s).clone());
+                if k + 1 < n_sep && separators[k + 1] == s + 1 {
+                    // Physically adjacent separators keep their original
+                    // coupling; separators of the same partition start
+                    // uncoupled (their coupling is pure fill-in).
+                    red.set_block(k, k + 1, m.upper(s).clone());
+                    red.set_block(k + 1, k, m.lower(s).clone());
+                }
+            }
+            red
+        })
         .collect();
-    for (k, &s) in separators.iter().enumerate() {
-        reduced.set_block(k, k, a.diag(s).clone());
-        for (r, b) in rhs.iter().enumerate() {
-            reduced_rhs[r].set_block(k, k, b.diag(s).clone());
+    for (p, (part, upd)) in parts.iter().zip(updates).enumerate() {
+        if upd.is_empty() {
+            continue;
         }
-        if k + 1 < n_sep && separators[k + 1] == s + 1 {
-            // Physically adjacent separators keep their original coupling;
-            // separators of the same partition start uncoupled (their
-            // coupling is pure fill-in from the updates).
-            reduced.set_block(k, k + 1, a.upper(s).clone());
-            reduced.set_block(k + 1, k, a.lower(s).clone());
-            for (r, b) in rhs.iter().enumerate() {
-                reduced_rhs[r].set_block(k, k + 1, b.upper(s).clone());
-                reduced_rhs[r].set_block(k + 1, k, b.lower(s).clone());
+        let (nbd, first) = (part.n_separators(), first_separator(p));
+        for (m, red) in reduced.iter_mut().enumerate() {
+            for i in 0..nbd {
+                for j in 0..nbd {
+                    let target = match i.cmp(&j) {
+                        std::cmp::Ordering::Equal => red.diag_mut(first + i),
+                        std::cmp::Ordering::Less => red.upper_mut(first + i),
+                        std::cmp::Ordering::Greater => red.lower_mut(first + j),
+                    };
+                    *target += &upd[(m * nbd + i) * nbd + j];
+                }
             }
         }
     }
-    let mut communicated_blocks = 0usize;
-    let add = |m: &mut BlockTridiagonal, bi: usize, bj: usize, upd: &CMatrix| {
-        let i = sep_index(bi);
-        let j = sep_index(bj);
-        let mut blk = m
-            .block(i, j)
-            .cloned()
-            .unwrap_or_else(|| CMatrix::zeros(bs, bs));
-        blk += upd;
-        m.set_block(i, j, blk);
-    };
-    for u in updates {
-        for (bi, bj, upd) in &u.schur {
-            add(&mut reduced, *bi, *bj, upd);
-            communicated_blocks += 1;
-        }
-        for (r, list) in u.rhs.iter().enumerate() {
-            for (bi, bj, upd) in list {
-                add(&mut reduced_rhs[r], *bi, *bj, upd);
-                communicated_blocks += 1;
-            }
-        }
-    }
-    (reduced, reduced_rhs, communicated_blocks)
+    reduced
 }
 
-/// The recovered selected blocks of one partition, as
-/// `(global row block, global column block, value)` triples.
-#[derive(Debug, Default)]
-pub struct RecoveredBlocks {
-    /// Retarded selected blocks (interior + separator couplings).
-    pub retarded: Vec<(usize, usize, CMatrix)>,
-    /// Lesser/greater selected blocks, one list per right-hand side.
-    pub lesser: Vec<Vec<(usize, usize, CMatrix)>>,
-    /// FLOPs spent in the recovery.
-    pub flops: u64,
-}
-
-/// Recover the interior selected blocks (and the separator↔interior
-/// couplings) of one partition from its local factors and the selected
-/// solution of the reduced boundary system.
-pub fn recover_partition_solve(
+/// Recover the selected blocks of one partition — interior, separator
+/// diagonals and the couplings between them — from its local factors and the
+/// selected solution of the reduced boundary system, as a
+/// [`SelectedSolution`] over [`SpatialPartition::range`] (its `flops` are the
+/// recovery's).
+pub fn recover_partition(
     part: &SpatialPartition,
     state: &PartitionSolveState,
-    separators: &[usize],
     reduced: &SelectedSolution,
-) -> RecoveredBlocks {
+) -> SelectedSolution {
     quatrex_probe::span("rgf.recover_partition", "rgf.partition", || {
-        recover_partition_solve_impl(part, state, separators, reduced)
+        recover_partition_impl(part, state, reduced)
     })
 }
 
-fn recover_partition_solve_impl(
+fn recover_partition_impl(
     part: &SpatialPartition,
     state: &PartitionSolveState,
-    separators: &[usize],
     reduced: &SelectedSolution,
-) -> RecoveredBlocks {
-    let n_rhs = state.updates.rhs.len();
-    let mut out = RecoveredBlocks {
-        retarded: Vec::new(),
-        lesser: vec![Vec::new(); n_rhs],
-        flops: 0,
-    };
+) -> SelectedSolution {
+    let n_rhs = reduced.lesser.len();
+    let bs = reduced.retarded.block_size();
+    let mut out = SelectedSolution::zeros(part.range().len(), bs, n_rhs);
     let Some(factors) = &state.factors else {
         return out;
     };
-    let interior_range = part.interior();
-    let n_int = interior_range.len();
-    let first = interior_range.start;
-    let bs = reduced.retarded.block_size();
+    let n_int = part.interior().len();
+    let offset = part.interior().start - part.lo;
     let gemm_c = gemm_flops(bs, bs, bs);
-    let nbd = factors.boundaries.len();
-    let sep_index = |block: usize| {
-        separators
-            .binary_search(&block)
-            .expect("separator present in layout")
-    };
-    let fetch = |m: &BlockTridiagonal, i: usize, j: usize| {
-        m.block(
-            sep_index(factors.boundaries[i].spec.sep),
-            sep_index(factors.boundaries[j].spec.sep),
-        )
-        .cloned()
-        .unwrap_or_else(|| CMatrix::zeros(bs, bs))
-    };
-    // Reduced blocks between this partition's separators.
-    let xr: Vec<Vec<CMatrix>> = (0..nbd)
-        .map(|i| (0..nbd).map(|j| fetch(&reduced.retarded, i, j)).collect())
-        .collect();
-    let xl: Vec<Vec<Vec<CMatrix>>> = (0..n_rhs)
-        .map(|r| {
-            (0..nbd)
-                .map(|i| (0..nbd).map(|j| fetch(&reduced.lesser[r], i, j)).collect())
-                .collect()
-        })
-        .collect();
     let bd = &factors.boundaries;
+    let nbd = bd.len();
+    // Reduced blocks between this partition's separators.
+    let first = first_separator(state.workload.partition);
+    let xr = |i: usize, j: usize| band_block(&reduced.retarded, first + i, first + j);
+    let xl = |r: usize, i: usize, j: usize| band_block(&reduced.lesser[r], first + i, first + j);
+    let mut flops = 0u64;
 
     // Interior blocks:
     //   X^R_{k,k'} = D_{k,k'} + Σ L_i[k]·X_BB[i,j]·R_j[k']
     //   X^≶_{k,k'} = T1_{k,k'} + Σ [ L_i[k]·X≶_BB[i,j]·L_j[k']†
     //                               − q_j[k]·X_BB[i,j]†·L_i[k']†
     //                               − L_i[k]·X_BB[i,j]·s_j[k'] ].
-    // One scratch block shared by every recovered block (the nbd² inner loop
+    // Two scratch blocks shared by every recovered block (the nbd² inner loop
     // must not allocate per term).
-    let mut scratch = CMatrix::zeros(bs, bs);
-    let mut scratch2 = CMatrix::zeros(bs, bs);
-    let lesser_at = |out: &mut RecoveredBlocks,
-                     scratch: &mut CMatrix,
-                     scratch2: &mut CMatrix,
-                     base: &CMatrix,
-                     r: usize,
-                     k: usize,
-                     k2: usize| {
-        let mut v = base.clone();
-        for i in 0..nbd {
-            for j in 0..nbd {
-                gemm(
-                    scratch,
-                    ONE,
-                    Op::None(&bd[i].left_f[k]),
-                    Op::None(&xl[r][i][j]),
-                    ZERO,
-                );
-                gemm(
-                    &mut v,
-                    ONE,
-                    Op::None(scratch),
-                    Op::Dagger(&bd[j].left_f[k2]),
-                    ONE,
-                );
-                gemm(
-                    scratch,
-                    ONE,
-                    Op::None(&bd[j].q[r][k]),
-                    Op::Dagger(&xr[i][j]),
-                    ZERO,
-                );
-                gemm(
-                    &mut v,
-                    -ONE,
-                    Op::None(scratch),
-                    Op::Dagger(&bd[i].left_f[k2]),
-                    ONE,
-                );
-                gemm(
-                    scratch,
-                    ONE,
-                    Op::None(&bd[i].left_f[k]),
-                    Op::None(&xr[i][j]),
-                    ZERO,
-                );
-                gemm(
-                    scratch2,
-                    ONE,
-                    Op::None(scratch),
-                    Op::None(&bd[j].s[r][k2]),
-                    ZERO,
-                );
-                v -= &*scratch2;
-                out.flops += 6 * gemm_c;
-            }
-        }
-        v
-    };
+    let mut t = CMatrix::zeros(bs, bs);
+    let mut t2 = CMatrix::zeros(bs, bs);
     for k in 0..n_int {
-        let gk = first + k;
-        let mut xkk = factors.interior.retarded.diag(k).clone();
-        for i in 0..nbd {
-            for j in 0..nbd {
-                xkk += &matmul(&matmul(&bd[i].left_f[k], &xr[i][j]), &bd[j].right_f[k]);
-                out.flops += 2 * gemm_c;
+        for (k1, k2) in [(k, k), (k, k + 1), (k + 1, k)] {
+            if k1.max(k2) == n_int {
+                continue;
             }
-        }
-        out.retarded.push((gk, gk, xkk));
-        for r in 0..n_rhs {
-            let v = lesser_at(
-                &mut out,
-                &mut scratch,
-                &mut scratch2,
-                factors.interior.lesser[r].diag(k),
-                r,
-                k,
-                k,
-            );
-            out.lesser[r].push((gk, gk, v));
-        }
-        if k + 1 < n_int {
-            let mut xup = factors.interior.retarded.upper(k).clone();
-            let mut xlo = factors.interior.retarded.lower(k).clone();
+            let mut x = band_block(&factors.interior.retarded, k1, k2).clone();
             for i in 0..nbd {
                 for j in 0..nbd {
-                    xup += &matmul(&matmul(&bd[i].left_f[k], &xr[i][j]), &bd[j].right_f[k + 1]);
-                    xlo += &matmul(&matmul(&bd[i].left_f[k + 1], &xr[i][j]), &bd[j].right_f[k]);
-                    out.flops += 4 * gemm_c;
+                    x += &matmul(&matmul(&bd[i].left_f[k1], xr(i, j)), &bd[j].right_f[k2]);
+                    flops += 2 * gemm_c;
                 }
             }
-            out.retarded.push((gk, gk + 1, xup));
-            out.retarded.push((gk + 1, gk, xlo));
+            out.retarded.set_block(offset + k1, offset + k2, x);
             for r in 0..n_rhs {
-                let vup = lesser_at(
-                    &mut out,
-                    &mut scratch,
-                    &mut scratch2,
-                    factors.interior.lesser[r].upper(k),
-                    r,
-                    k,
-                    k + 1,
-                );
-                let vlo = lesser_at(
-                    &mut out,
-                    &mut scratch,
-                    &mut scratch2,
-                    factors.interior.lesser[r].lower(k),
-                    r,
-                    k + 1,
-                    k,
-                );
-                out.lesser[r].push((gk, gk + 1, vup));
-                out.lesser[r].push((gk + 1, gk, vlo));
+                let mut v = band_block(&factors.interior.lesser[r], k1, k2).clone();
+                for i in 0..nbd {
+                    for j in 0..nbd {
+                        let (li, lj) = (&bd[i].left_f, &bd[j].left_f);
+                        gemm(&mut t, ONE, Op::None(&li[k1]), Op::None(xl(r, i, j)), ZERO);
+                        gemm(&mut v, ONE, Op::None(&t), Op::Dagger(&lj[k2]), ONE);
+                        gemm(
+                            &mut t,
+                            ONE,
+                            Op::None(&bd[j].q[r][k1]),
+                            Op::Dagger(xr(i, j)),
+                            ZERO,
+                        );
+                        gemm(&mut v, -ONE, Op::None(&t), Op::Dagger(&li[k2]), ONE);
+                        gemm(&mut t, ONE, Op::None(&li[k1]), Op::None(xr(i, j)), ZERO);
+                        gemm(&mut t2, ONE, Op::None(&t), Op::None(&bd[j].s[r][k2]), ZERO);
+                        v -= &t2;
+                        flops += 6 * gemm_c;
+                    }
+                }
+                out.lesser[r].set_block(offset + k1, offset + k2, v);
             }
         }
     }
 
-    // Separator ↔ interior-edge couplings:
+    // Separator diagonals (the reduced solution's own) and the
+    // separator ↔ interior-edge couplings:
     //   X^R_{b,e}  = −Σ_j X_BB[b,j]·R_j[e]        X^R_{e,b} = −Σ_j L_j[e]·X_BB[j,b]
     //   X^≶_{b,e}  = Σ_j X_BB[b,j]·s_j[e] − Σ_j X≶_BB[b,j]·L_j[e]†
     //   X^≶_{e,b}  = Σ_j q_j[e]·X_BB[b,j]† − Σ_j L_j[e]·X≶_BB[j,b].
     for (bi, b) in bd.iter().enumerate() {
-        let e = b.spec.edge;
-        let ge = first + e;
+        let e = b.nbr - offset;
         let mut r_se = CMatrix::zeros(bs, bs);
         let mut r_es = CMatrix::zeros(bs, bs);
         for j in 0..nbd {
-            r_se -= &matmul(&xr[bi][j], &bd[j].right_f[e]);
-            r_es -= &matmul(&bd[j].left_f[e], &xr[j][bi]);
-            out.flops += 2 * gemm_c;
+            r_se -= &matmul(xr(bi, j), &bd[j].right_f[e]);
+            r_es -= &matmul(&bd[j].left_f[e], xr(j, bi));
+            flops += 2 * gemm_c;
         }
-        out.retarded.push((b.spec.sep, ge, r_se));
-        out.retarded.push((ge, b.spec.sep, r_es));
+        out.retarded.set_block(b.sep, b.sep, xr(bi, bi).clone());
+        out.retarded.set_block(b.sep, b.nbr, r_se);
+        out.retarded.set_block(b.nbr, b.sep, r_es);
         for r in 0..n_rhs {
             let mut v_se = CMatrix::zeros(bs, bs);
             let mut v_es = CMatrix::zeros(bs, bs);
             for j in 0..nbd {
-                v_se += &matmul(&xr[bi][j], &bd[j].s[r][e]);
-                gemm(
-                    &mut v_se,
-                    -ONE,
-                    Op::None(&xl[r][bi][j]),
-                    Op::Dagger(&bd[j].left_f[e]),
-                    ONE,
-                );
+                let l_dag = Op::Dagger(&bd[j].left_f[e]);
+                v_se += &matmul(xr(bi, j), &bd[j].s[r][e]);
+                gemm(&mut v_se, -ONE, Op::None(xl(r, bi, j)), l_dag, ONE);
                 gemm(
                     &mut v_es,
                     ONE,
                     Op::None(&bd[j].q[r][e]),
-                    Op::Dagger(&xr[bi][j]),
+                    Op::Dagger(xr(bi, j)),
                     ONE,
                 );
-                v_es -= &matmul(&bd[j].left_f[e], &xl[r][j][bi]);
-                out.flops += 4 * gemm_c;
+                v_es -= &matmul(&bd[j].left_f[e], xl(r, j, bi));
+                flops += 4 * gemm_c;
             }
-            out.lesser[r].push((b.spec.sep, ge, v_se));
-            out.lesser[r].push((ge, b.spec.sep, v_es));
+            out.lesser[r].set_block(b.sep, b.sep, xl(r, bi, bi).clone());
+            out.lesser[r].set_block(b.sep, b.nbr, v_se);
+            out.lesser[r].set_block(b.nbr, b.sep, v_es);
         }
     }
+    out.flops = flops;
     out
 }
 
 /// Write the separator diagonal blocks and the couplings between physically
 /// adjacent separators of a reduced selected solution back into the global
 /// block pattern.
-pub fn scatter_separator_blocks(
+fn scatter_separator_blocks(
     x: &mut BlockTridiagonal,
     reduced: &BlockTridiagonal,
     separators: &[usize],
@@ -1227,6 +719,32 @@ pub fn scatter_separator_blocks(
             x.set_block(s + 1, s, reduced.lower(k).clone());
         }
     }
+}
+
+/// The shared tail of every driver: the selected solution of the full
+/// `n_blocks` system from the reduced solution (separator blocks, scattered
+/// first) and the [`recover_partition`] result of every partition in layout
+/// order (one range copy each). FLOPs are left at zero for the caller.
+pub fn assemble_solution(
+    n_blocks: usize,
+    parts: &[SpatialPartition],
+    reduced: &SelectedSolution,
+    recovered: &[SelectedSolution],
+) -> SelectedSolution {
+    let separators = separator_blocks(parts);
+    let bs = reduced.retarded.block_size();
+    let mut sol = SelectedSolution::zeros(n_blocks, bs, reduced.lesser.len());
+    scatter_separator_blocks(&mut sol.retarded, &reduced.retarded, &separators);
+    for (x, red) in sol.lesser.iter_mut().zip(&reduced.lesser) {
+        scatter_separator_blocks(x, red, &separators);
+    }
+    for (part, rec) in parts.iter().zip(recovered) {
+        sol.retarded.write_range(part.lo, &rec.retarded);
+        for (x, sub) in sol.lesser.iter_mut().zip(&rec.lesser) {
+            x.write_range(part.lo, sub);
+        }
+    }
+    sol
 }
 
 /// Distributed selected solve of the quadratic block-tridiagonal problem.
@@ -1245,117 +763,88 @@ pub fn nested_dissection_solve(
     config: &NestedConfig,
 ) -> Result<(SelectedSolution, NestedReport), RgfError> {
     let nb = a.n_blocks();
-    let bs = a.block_size();
-    for b in rhs {
-        if b.n_blocks() != nb || b.block_size() != bs {
-            return Err(RgfError::ShapeMismatch);
+    match config.n_partitions {
+        0 => Err(RgfError::ShapeMismatch),
+        1 => {
+            let sol = rgf_solve(a, rhs)?;
+            let report = NestedReport {
+                partitions: vec![PartitionWorkload {
+                    partition: 0,
+                    blocks: nb,
+                    fill_in_blocks: 0,
+                    flops: sol.flops,
+                }],
+                reduced_system_flops: 0,
+                reduced_system_blocks: 0,
+                communicated_blocks: 0,
+            };
+            Ok((sol, report))
         }
+        p_s => nested_dissection_solve_with_layout(a, rhs, &spatial_partition_layout(nb, p_s)?),
     }
-    if config.n_partitions == 0 {
-        return Err(RgfError::ShapeMismatch);
-    }
-    if config.n_partitions == 1 {
-        let sol = rgf_solve(a, rhs)?;
-        let report = NestedReport {
-            partitions: vec![PartitionWorkload {
-                partition: 0,
-                blocks: nb,
-                fill_in_blocks: 0,
-                flops: sol.flops,
-            }],
-            reduced_system_flops: 0,
-            reduced_system_blocks: 0,
-            communicated_blocks: 0,
-        };
-        return Ok((sol, report));
-    }
-
-    let parts = spatial_partition_layout(nb, config.n_partitions)?;
-    nested_dissection_solve_with_layout(a, rhs, &parts)
 }
 
 /// [`nested_dissection_solve`] with an explicit partition layout (`P_S ≥ 2`),
-/// e.g. the FLOP-balanced one produced by [`partition_layout_balanced`]. The
-/// layout must satisfy the [`spatial_partition_layout`] invariants
-/// (contiguous cover, consistent separators, ≥ 2 blocks per partition).
+/// e.g. the FLOP-balanced one produced by
+/// [`crate::layout::partition_layout_balanced`]. The layout must satisfy the
+/// [`spatial_partition_layout`] invariants (contiguous cover, consistent
+/// separators, ≥ 2 blocks per partition).
 pub fn nested_dissection_solve_with_layout(
     a: &BlockTridiagonal,
     rhs: &[&BlockTridiagonal],
     parts: &[SpatialPartition],
 ) -> Result<(SelectedSolution, NestedReport), RgfError> {
     let nb = a.n_blocks();
-    let bs = a.block_size();
-    for b in rhs {
-        if b.n_blocks() != nb || b.block_size() != bs {
-            return Err(RgfError::ShapeMismatch);
-        }
+    if rhs
+        .iter()
+        .any(|b| b.n_blocks() != nb || b.block_size() != a.block_size())
+    {
+        return Err(RgfError::ShapeMismatch);
     }
     validate_partition_layout(parts, nb)?;
+    let system: Vec<&BlockTridiagonal> = std::iter::once(a).chain(rhs.iter().copied()).collect();
 
-    // ---------------------------------------------------------------- phase 1
-    // Parallel elimination of the partition interiors.
+    // Phase 1: parallel elimination of the partition interiors, each a batch
+    // of one system.
     let states: Vec<PartitionSolveState> = parts
         .par_iter()
         .enumerate()
-        .map(|(idx, p)| eliminate_partition_solve(a, rhs, p, idx))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|(idx, p)| {
+            let ranges = [partition_ranges(&system, p)];
+            let mut states = eliminate_partition(&ranges, p, idx, &mut RgfBatchScratch::new())?;
+            Ok(states.remove(0))
+        })
+        .collect::<Result<Vec<_>, RgfError>>()?;
 
-    // ---------------------------------------------------------------- phase 2
-    // Assemble and solve the reduced system over the separators.
-    let separators = separator_blocks(parts);
-    let updates: Vec<&PartitionUpdates> = states.iter().map(|s| &s.updates).collect();
-    let (reduced_a, reduced_rhs, communicated_blocks) =
-        assemble_reduced_system(a, rhs, &separators, &updates);
-    let reduced_rhs_refs: Vec<&BlockTridiagonal> = reduced_rhs.iter().collect();
-    let reduced_sol = rgf_solve(&reduced_a, &reduced_rhs_refs)?;
-    let reduced_system_flops = reduced_sol.flops;
+    // Phase 2: assemble and solve the reduced system over the separators.
+    let updates: Vec<&[CMatrix]> = states.iter().map(|s| s.updates.as_slice()).collect();
+    let reduced_system = assemble_reduced_system(&system, parts, &updates);
+    let reduced = solve_systems(&[reduced_system], &mut RgfBatchScratch::new())?.remove(0);
 
-    // ---------------------------------------------------------------- phase 3
-    // Recover the interior selected blocks in parallel.
-    let recoveries: Vec<RecoveredBlocks> = parts
+    // Phase 3: recover the interior selected blocks in parallel.
+    let recovered: Vec<SelectedSolution> = parts
         .par_iter()
         .zip(states.par_iter())
-        .map(|(part, state)| recover_partition_solve(part, state, &separators, &reduced_sol))
+        .map(|(part, state)| recover_partition(part, state, &reduced))
         .collect();
 
-    // ------------------------------------------------------------- assemble
-    let mut x = BlockTridiagonal::zeros(nb, bs);
-    let mut xl: Vec<BlockTridiagonal> = vec![BlockTridiagonal::zeros(nb, bs); rhs.len()];
-    scatter_separator_blocks(&mut x, &reduced_sol.retarded, &separators);
-    for (r, m) in xl.iter_mut().enumerate() {
-        scatter_separator_blocks(m, &reduced_sol.lesser[r], &separators);
-    }
-    let mut partition_workloads: Vec<PartitionWorkload> = Vec::with_capacity(parts.len());
-    let mut flops = reduced_system_flops;
-    for (state, rec) in states.into_iter().zip(recoveries) {
-        let mut wl = state.workload;
-        wl.flops += rec.flops;
-        flops += wl.flops;
-        partition_workloads.push(wl);
-        for (i, j, blk) in rec.retarded {
-            x.set_block(i, j, blk);
-        }
-        for (r, blocks) in rec.lesser.into_iter().enumerate() {
-            for (i, j, blk) in blocks {
-                xl[r].set_block(i, j, blk);
-            }
-        }
-    }
-
+    let mut sol = assemble_solution(nb, parts, &reduced, &recovered);
+    let partitions: Vec<PartitionWorkload> = states
+        .iter()
+        .zip(&recovered)
+        .map(|(state, rec)| PartitionWorkload {
+            flops: state.workload.flops + rec.flops,
+            ..state.workload.clone()
+        })
+        .collect();
     let report = NestedReport {
-        partitions: partition_workloads,
-        reduced_system_flops,
-        reduced_system_blocks: separators.len(),
-        communicated_blocks,
+        partitions,
+        reduced_system_flops: reduced.flops,
+        reduced_system_blocks: reduced.retarded.n_blocks(),
+        communicated_blocks: updates.iter().map(|u| u.len()).sum(),
     };
-    Ok((
-        SelectedSolution {
-            retarded: x,
-            lesser: xl,
-            flops,
-        },
-        report,
-    ))
+    sol.flops = report.total_flops();
+    Ok((sol, report))
 }
 
 /// Distributed selected inversion of a block-tridiagonal matrix.
@@ -1376,440 +865,5 @@ pub fn nested_dissection_invert(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sequential::rgf_selected_inverse;
-    use quatrex_linalg::cplx;
-
-    fn test_system(nb: usize, bs: usize) -> BlockTridiagonal {
-        let mut a = BlockTridiagonal::zeros(nb, bs);
-        for i in 0..nb {
-            let d = CMatrix::from_fn(bs, bs, |r, c| {
-                if r == c {
-                    cplx(2.6 + 0.05 * i as f64, 0.35)
-                } else {
-                    cplx(-0.25 / (1.0 + (r as f64 - c as f64).abs()), 0.05)
-                }
-            });
-            a.set_block(i, i, d);
-        }
-        for i in 0..nb - 1 {
-            let u = CMatrix::from_fn(bs, bs, |r, c| {
-                cplx(-0.45 + 0.02 * r as f64, 0.03 * c as f64)
-            });
-            let l = CMatrix::from_fn(bs, bs, |r, c| {
-                cplx(-0.4 - 0.01 * c as f64, -0.02 * r as f64)
-            });
-            a.set_block(i, i + 1, u);
-            a.set_block(i + 1, i, l);
-        }
-        a
-    }
-
-    /// An anti-Hermitian-structured RHS like the `Σ^≶` of the solver, plus a
-    /// second unstructured RHS to exercise full generality.
-    fn test_rhs(nb: usize, bs: usize, seed: f64) -> BlockTridiagonal {
-        let mut b = BlockTridiagonal::zeros(nb, bs);
-        for i in 0..nb {
-            let raw = CMatrix::from_fn(bs, bs, |r, c| {
-                cplx(
-                    seed * (0.2 * (r + i) as f64 - 0.1 * c as f64),
-                    0.4 - 0.05 * (r + c) as f64 + 0.02 * seed,
-                )
-            });
-            b.set_block(i, i, raw.negf_antihermitian_part());
-        }
-        for i in 0..nb - 1 {
-            let bu = CMatrix::from_fn(bs, bs, |r, c| {
-                cplx(0.05 * (r as f64 - c as f64) * seed, 0.12 + 0.01 * i as f64)
-            });
-            b.set_block(i, i + 1, bu.clone());
-            b.set_block(i + 1, i, bu.dagger().scaled(cplx(-1.0, 0.0)));
-        }
-        b
-    }
-
-    /// Maximum relative error over all selected blocks of `got` vs `want`.
-    fn max_rel_err(got: &BlockTridiagonal, want: &BlockTridiagonal) -> f64 {
-        let scale = want.norm_fro().max(1e-300);
-        let nb = want.n_blocks();
-        let mut err = 0.0f64;
-        for i in 0..nb {
-            err = err.max(got.diag(i).distance(want.diag(i)) / scale);
-            if i + 1 < nb {
-                err = err.max(got.upper(i).distance(want.upper(i)) / scale);
-                err = err.max(got.lower(i).distance(want.lower(i)) / scale);
-            }
-        }
-        err
-    }
-
-    #[test]
-    fn matches_sequential_rgf_for_two_partitions() {
-        let a = test_system(10, 3);
-        let seq = rgf_selected_inverse(&a).unwrap();
-        let (dist, report) = nested_dissection_invert(&a, &NestedConfig::new(2)).unwrap();
-        for i in 0..10 {
-            assert!(
-                dist.diag(i).approx_eq(seq.retarded.diag(i), 1e-8),
-                "diag {i} err {}",
-                dist.diag(i).distance(seq.retarded.diag(i))
-            );
-        }
-        for i in 0..9 {
-            assert!(
-                dist.upper(i).approx_eq(seq.retarded.upper(i), 1e-8),
-                "upper {i}"
-            );
-            assert!(
-                dist.lower(i).approx_eq(seq.retarded.lower(i), 1e-8),
-                "lower {i}"
-            );
-        }
-        assert_eq!(report.partitions.len(), 2);
-        assert_eq!(report.reduced_system_blocks, 2);
-    }
-
-    #[test]
-    fn matches_sequential_rgf_for_four_partitions() {
-        let a = test_system(16, 2);
-        let seq = rgf_selected_inverse(&a).unwrap();
-        let (dist, report) = nested_dissection_invert(&a, &NestedConfig::new(4)).unwrap();
-        for i in 0..16 {
-            assert!(
-                dist.diag(i).approx_eq(seq.retarded.diag(i), 1e-8),
-                "diag {i}"
-            );
-        }
-        for i in 0..15 {
-            assert!(
-                dist.upper(i).approx_eq(seq.retarded.upper(i), 1e-8),
-                "upper {i}"
-            );
-            assert!(
-                dist.lower(i).approx_eq(seq.retarded.lower(i), 1e-8),
-                "lower {i}"
-            );
-        }
-        assert_eq!(report.partitions.len(), 4);
-        // 2 separators per inner boundary: partitions 0|1|2|3 -> 6 separators.
-        assert_eq!(report.reduced_system_blocks, 6);
-    }
-
-    #[test]
-    fn uneven_block_counts_are_handled() {
-        let a = test_system(11, 2);
-        let seq = rgf_selected_inverse(&a).unwrap();
-        let (dist, _) = nested_dissection_invert(&a, &NestedConfig::new(3)).unwrap();
-        for i in 0..11 {
-            assert!(
-                dist.diag(i).approx_eq(seq.retarded.diag(i), 1e-8),
-                "diag {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn boundary_partitions_do_less_work_than_middle_ones() {
-        let a = test_system(24, 2);
-        let (_, report) = nested_dissection_invert(&a, &NestedConfig::new(4)).unwrap();
-        let ratio = report.boundary_to_middle_ratio().unwrap();
-        assert!(
-            ratio > 0.4 && ratio < 0.95,
-            "boundary/middle ratio = {ratio}"
-        );
-        // Every middle partition performs fill-in work.
-        for p in &report.partitions[1..3] {
-            assert!(p.fill_in_blocks > 0);
-        }
-    }
-
-    #[test]
-    fn distributed_work_exceeds_sequential_and_is_spread_over_partitions() {
-        let a = test_system(24, 3);
-        let seq = rgf_selected_inverse(&a).unwrap();
-        let (_, report) = nested_dissection_invert(&a, &NestedConfig::new(4)).unwrap();
-        // The decomposition adds workload (reduced system + fill-in), exactly
-        // as the paper states ("the reduced system increases the total
-        // computational workload").
-        assert!(report.total_flops() > seq.flops);
-        // The critical path (busiest partition + reduced system) is well below
-        // the total distributed work: the partitions genuinely run concurrently.
-        assert!(report.critical_path_flops() < report.total_flops());
-        // Every partition carries a non-trivial share.
-        for p in &report.partitions {
-            assert!(p.flops > 0);
-        }
-        // The measured middle-partition factor feeds the performance model.
-        let factor = report.middle_partition_factor(seq.flops).unwrap();
-        assert!(
-            factor > 1.0,
-            "middle partitions must carry fill-in overhead"
-        );
-    }
-
-    #[test]
-    fn too_many_partitions_are_rejected() {
-        let a = test_system(6, 2);
-        assert!(nested_dissection_invert(&a, &NestedConfig::new(4)).is_err());
-    }
-
-    #[test]
-    fn solve_is_bit_identical_to_rgf_solve_at_one_partition() {
-        let a = test_system(8, 2);
-        let b = test_rhs(8, 2, 1.0);
-        let seq = rgf_solve(&a, &[&b]).unwrap();
-        let (sol, report) = nested_dissection_solve(&a, &[&b], &NestedConfig::new(1)).unwrap();
-        assert!(sol
-            .retarded
-            .to_dense()
-            .approx_eq(&seq.retarded.to_dense(), 0.0));
-        assert!(sol.lesser[0]
-            .to_dense()
-            .approx_eq(&seq.lesser[0].to_dense(), 0.0));
-        assert_eq!(sol.flops, seq.flops);
-        assert_eq!(report.reduced_system_blocks, 0);
-        assert_eq!(report.communicated_blocks, 0);
-    }
-
-    #[test]
-    fn solve_matches_rgf_solve_across_partition_counts() {
-        let (nb, bs) = (13, 3);
-        let a = test_system(nb, bs);
-        let b1 = test_rhs(nb, bs, 1.0);
-        let b2 = test_rhs(nb, bs, -0.7);
-        let seq = rgf_solve(&a, &[&b1, &b2]).unwrap();
-        for p_s in [2usize, 3, 4] {
-            let (sol, report) =
-                nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(p_s)).unwrap();
-            let err_r = max_rel_err(&sol.retarded, &seq.retarded);
-            assert!(err_r < 1e-12, "P_S={p_s}: retarded err {err_r:.2e}");
-            for r in 0..2 {
-                let err_l = max_rel_err(&sol.lesser[r], &seq.lesser[r]);
-                assert!(err_l < 1e-12, "P_S={p_s}: lesser[{r}] err {err_l:.2e}");
-            }
-            assert_eq!(report.partitions.len(), p_s);
-            assert_eq!(report.reduced_system_blocks, 2 * (p_s - 1));
-            assert!(report.communicated_blocks > 0);
-        }
-    }
-
-    #[test]
-    fn solve_handles_non_uniform_block_counts() {
-        // 11 blocks over 3 partitions: sizes 4, 4, 3.
-        let (nb, bs) = (11, 2);
-        let a = test_system(nb, bs);
-        let b = test_rhs(nb, bs, 0.6);
-        let seq = rgf_solve(&a, &[&b]).unwrap();
-        let (sol, _) = nested_dissection_solve(&a, &[&b], &NestedConfig::new(3)).unwrap();
-        assert!(max_rel_err(&sol.retarded, &seq.retarded) < 1e-12);
-        assert!(max_rel_err(&sol.lesser[0], &seq.lesser[0]) < 1e-12);
-    }
-
-    #[test]
-    fn solve_handles_empty_interior_partitions() {
-        // 6 blocks over 3 partitions of 2 blocks each: the middle partition is
-        // all separators (empty interior), the end partitions have one
-        // interior block each.
-        let (nb, bs) = (6, 2);
-        let a = test_system(nb, bs);
-        let b = test_rhs(nb, bs, 1.3);
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        assert_eq!(
-            parts[1].interior().len(),
-            0,
-            "middle interior must be empty"
-        );
-        let seq = rgf_solve(&a, &[&b]).unwrap();
-        let (sol, report) = nested_dissection_solve(&a, &[&b], &NestedConfig::new(3)).unwrap();
-        assert!(max_rel_err(&sol.retarded, &seq.retarded) < 1e-12);
-        assert!(max_rel_err(&sol.lesser[0], &seq.lesser[0]) < 1e-12);
-        assert_eq!(report.partitions[1].flops, 0);
-    }
-
-    #[test]
-    fn solve_with_multiple_rhs_is_consistent_with_linearity() {
-        let (nb, bs) = (12, 2);
-        let a = test_system(nb, bs);
-        let b = test_rhs(nb, bs, 1.0);
-        let mut b2 = b.clone();
-        b2.scale_mut(cplx(-0.5, 0.0));
-        let (sol, _) = nested_dissection_solve(&a, &[&b, &b2], &NestedConfig::new(3)).unwrap();
-        for i in 0..nb {
-            let scaled = sol.lesser[0].diag(i).scaled(cplx(-0.5, 0.0));
-            assert!(sol.lesser[1].diag(i).approx_eq(&scaled, 1e-10));
-        }
-    }
-
-    /// Relative spread of the per-partition FLOPs: `(max − min) / max`.
-    fn flop_spread(report: &NestedReport) -> f64 {
-        let max = report.partitions.iter().map(|p| p.flops).max().unwrap() as f64;
-        let min = report.partitions.iter().map(|p| p.flops).min().unwrap() as f64;
-        (max - min) / max
-    }
-
-    #[test]
-    fn slice_extraction_feeds_an_identical_elimination() {
-        let (nb, bs) = (12, 2);
-        let a = test_system(nb, bs);
-        let b1 = test_rhs(nb, bs, 1.0);
-        let b2 = test_rhs(nb, bs, -0.4);
-        let full_values = 3 * (3 * nb - 2) * bs * bs;
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        for (idx, part) in parts.iter().enumerate() {
-            let slice = PartitionSystemSlice::extract(&a, &[&b1, &b2], part);
-            assert_eq!(slice.n_rhs(), 2);
-            // The slice is a strict subset of the full system payload.
-            assert!(
-                slice.stored_values() < full_values / 2,
-                "slice {} vs full {full_values}",
-                slice.stored_values()
-            );
-            let sliced = eliminate_partition_slice(&slice, part, idx).unwrap();
-            let full = eliminate_partition_solve(&a, &[&b1, &b2], part, idx).unwrap();
-            assert_eq!(full.workload, sliced.workload);
-            assert_eq!(full.updates.schur.len(), sliced.updates.schur.len());
-            for (x, y) in full.updates.schur.iter().zip(&sliced.updates.schur) {
-                assert_eq!((x.0, x.1), (y.0, y.1));
-                assert!(x.2.approx_eq(&y.2, 0.0), "schur updates bit-identical");
-            }
-            for (xl, yl) in full.updates.rhs.iter().zip(&sliced.updates.rhs) {
-                for (x, y) in xl.iter().zip(yl) {
-                    assert_eq!((x.0, x.1), (y.0, y.1));
-                    assert!(x.2.approx_eq(&y.2, 0.0), "rhs updates bit-identical");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_interior_slices_carry_no_matrix_data() {
-        let (nb, bs) = (6, 2);
-        let a = test_system(nb, bs);
-        let b = test_rhs(nb, bs, 1.3);
-        let parts = spatial_partition_layout(nb, 3).unwrap();
-        assert_eq!(parts[1].interior().len(), 0);
-        let slice = PartitionSystemSlice::extract(&a, &[&b], &parts[1]);
-        assert_eq!(slice.stored_values(), 0);
-        assert!(slice.boundaries.is_empty());
-        let state = eliminate_partition_slice(&slice, &parts[1], 1).unwrap();
-        assert_eq!(state.workload.flops, 0);
-        assert_eq!(state.updates.rhs.len(), 1);
-    }
-
-    #[test]
-    fn balanced_layout_equalises_partition_flops() {
-        // Acceptance case: at P_S = 4 on a cell whose block count does not
-        // divide evenly, the uniform layout leaves the partitions ≥ 40%
-        // apart; the FLOP-balanced layout closes the gap to within 15% while
-        // reproducing the sequential solution.
-        let (nb, bs) = (22, 2);
-        let a = test_system(nb, bs);
-        let b1 = test_rhs(nb, bs, 1.0);
-        let b2 = test_rhs(nb, bs, -0.7);
-        let seq = rgf_solve(&a, &[&b1, &b2]).unwrap();
-        let (_, uniform) = nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(4)).unwrap();
-        let uniform_spread = flop_spread(&uniform);
-        assert!(uniform_spread >= 0.40, "uniform spread {uniform_spread}");
-
-        let parts = partition_layout_balanced(nb, 4, &uniform).unwrap();
-        assert_ne!(parts, spatial_partition_layout(nb, 4).unwrap());
-        let (sol, balanced) = nested_dissection_solve_with_layout(&a, &[&b1, &b2], &parts).unwrap();
-        assert!(max_rel_err(&sol.retarded, &seq.retarded) < 1e-12);
-        for r in 0..2 {
-            assert!(max_rel_err(&sol.lesser[r], &seq.lesser[r]) < 1e-12);
-        }
-        let balanced_spread = flop_spread(&balanced);
-        assert!(
-            balanced_spread <= 0.15,
-            "balanced spread {balanced_spread} (uniform was {uniform_spread})"
-        );
-    }
-
-    #[test]
-    fn balanced_layout_degenerates_to_uniform_at_two_partitions() {
-        let report = probe_partition_flops(10, 2, 2, 2).unwrap();
-        let parts = partition_layout_balanced(10, 2, &report).unwrap();
-        assert_eq!(parts, spatial_partition_layout(10, 2).unwrap());
-    }
-
-    #[test]
-    fn probe_flops_depend_only_on_the_problem_shape() {
-        // The probe runs on a synthetic system, yet its per-partition FLOP
-        // counters match a real solve of the same shape exactly — the
-        // counters are structural.
-        let (nb, bs) = (16, 2);
-        let probe = probe_partition_flops(nb, bs, 4, 2).unwrap();
-        let a = test_system(nb, bs);
-        let b1 = test_rhs(nb, bs, 0.9);
-        let b2 = test_rhs(nb, bs, -1.1);
-        let (_, real) = nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(4)).unwrap();
-        for (p, q) in probe.partitions.iter().zip(&real.partitions) {
-            assert_eq!(p.flops, q.flops);
-            assert_eq!(p.blocks, q.blocks);
-        }
-        assert_eq!(probe.reduced_system_flops, real.reduced_system_flops);
-    }
-
-    #[test]
-    fn with_layout_rejects_inconsistent_layouts() {
-        let a = test_system(8, 2);
-        let b = test_rhs(8, 2, 1.0);
-        // Gap between partitions.
-        let bad = vec![
-            SpatialPartition {
-                lo: 0,
-                hi: 3,
-                left_boundary: None,
-                right_boundary: Some(3),
-            },
-            SpatialPartition {
-                lo: 5,
-                hi: 7,
-                left_boundary: Some(5),
-                right_boundary: None,
-            },
-        ];
-        assert!(nested_dissection_solve_with_layout(&a, &[&b], &bad).is_err());
-        // One-block partition.
-        let bad = vec![
-            SpatialPartition {
-                lo: 0,
-                hi: 0,
-                left_boundary: None,
-                right_boundary: Some(0),
-            },
-            SpatialPartition {
-                lo: 1,
-                hi: 7,
-                left_boundary: Some(1),
-                right_boundary: None,
-            },
-        ];
-        assert!(nested_dissection_solve_with_layout(&a, &[&b], &bad).is_err());
-        // Missing separator annotation.
-        let bad = vec![
-            SpatialPartition {
-                lo: 0,
-                hi: 3,
-                left_boundary: None,
-                right_boundary: None,
-            },
-            SpatialPartition {
-                lo: 4,
-                hi: 7,
-                left_boundary: Some(4),
-                right_boundary: None,
-            },
-        ];
-        assert!(nested_dissection_solve_with_layout(&a, &[&b], &bad).is_err());
-    }
-
-    #[test]
-    fn shape_mismatch_and_zero_partitions_are_rejected() {
-        let a = test_system(8, 2);
-        let b_wrong = test_rhs(9, 2, 1.0);
-        assert!(nested_dissection_solve(&a, &[&b_wrong], &NestedConfig::new(2)).is_err());
-        assert!(nested_dissection_solve(&a, &[], &NestedConfig::new(0)).is_err());
-    }
-}
+#[path = "nested_tests.rs"]
+pub(crate) mod tests;

@@ -150,6 +150,28 @@ impl BlockTridiagonal {
         }
     }
 
+    /// Blocks `range` (and the couplings between them) as a block-tridiagonal
+    /// matrix of their own, in local indices. An empty range gives an empty
+    /// matrix.
+    pub fn sub_range(&self, range: std::ops::Range<usize>) -> BlockTridiagonal {
+        let couplings = range.start..range.end.saturating_sub(1).max(range.start);
+        BlockTridiagonal {
+            diag: self.diag[range].to_vec(),
+            upper: self.upper[couplings.clone()].to_vec(),
+            lower: self.lower[couplings].to_vec(),
+            block_size: self.block_size,
+        }
+    }
+
+    /// Overwrite blocks `at..at + src.n_blocks()` (and the couplings between
+    /// them) with `src` — the inverse of [`Self::sub_range`].
+    pub fn write_range(&mut self, at: usize, src: &BlockTridiagonal) {
+        let (n, m) = (src.diag.len(), src.upper.len());
+        self.diag[at..at + n].clone_from_slice(&src.diag);
+        self.upper[at..at + m].clone_from_slice(&src.upper);
+        self.lower[at..at + m].clone_from_slice(&src.lower);
+    }
+
     /// Element-wise `self + alpha·other`.
     pub fn add(&self, alpha: c64, other: &BlockTridiagonal) -> BlockTridiagonal {
         assert_eq!(self.n_blocks(), other.n_blocks());
@@ -335,6 +357,33 @@ mod tests {
         let dense = bt.to_dense();
         assert_eq!(dense[(0, 2)], b[(0, 0)]);
         assert_eq!(dense[(4, 2)], b.dagger()[(0, 0)]);
+    }
+
+    #[test]
+    fn sub_range_and_write_range_are_inverse() {
+        let bt = sample_bt(6, 2);
+        let cut = bt.sub_range(2..5);
+        assert_eq!(cut.n_blocks(), 3);
+        assert!(cut.diag(0).approx_eq(bt.diag(2), 0.0));
+        assert!(cut.upper(1).approx_eq(bt.upper(3), 0.0));
+        assert!(cut.lower(0).approx_eq(bt.lower(2), 0.0));
+        let mut target = BlockTridiagonal::zeros(6, 2);
+        target.write_range(2, &cut);
+        for i in 2..5 {
+            assert!(target.diag(i).approx_eq(bt.diag(i), 0.0));
+        }
+        // Only the couplings *inside* the range travel.
+        assert!(target.upper(2).approx_eq(bt.upper(2), 0.0));
+        assert_eq!(target.upper(1).norm_fro(), 0.0);
+        assert_eq!(target.lower(4).norm_fro(), 0.0);
+        // Empty ranges cut and write nothing, wherever they sit.
+        for at in [0, 3] {
+            let empty = bt.sub_range(at..at);
+            assert_eq!((empty.n_blocks(), empty.nnz()), (0, 0));
+        }
+        let before = target.to_dense();
+        target.write_range(4, &bt.sub_range(4..4));
+        assert!(target.to_dense().approx_eq(&before, 0.0));
     }
 
     #[test]

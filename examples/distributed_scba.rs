@@ -121,7 +121,7 @@ fn main() {
     // The same problem on a 4 energy groups x P_S = 2 grid (8 ranks) with
     // the transpositions cut into 2 energy batches: each energy's G/W
     // systems are solved cooperatively, the group leader ships every spatial
-    // rank only its PartitionSlice (interior blocks + separator couplings)
+    // rank only its partition's block range (blocks lo..=hi of A, B^<, B^>)
     // instead of broadcasting the full system, and each batch's Alltoallv
     // flies while the previous batch's convolutions compute. The byte
     // counters (slices, batches, peak in-flight buffers, overlap) and the

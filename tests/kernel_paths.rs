@@ -2,8 +2,9 @@
 //! of the `quatrex-core` / `quatrex-dist` suites, so this drives the step
 //! functions through both drivers on the small test device — the sequential
 //! solver at two chunk lengths (identical bits), and the distributed solver
-//! on both of its step routes (`P_S = 1` step functions, `P_S = 2` spatial
-//! solves) against the sequential one.
+//! on both of its step routes (`P_S = 1` step functions, `P_S = 2` and
+//! `P_S = 3` spatial solves) against the sequential one, each spatial grid run
+//! twice for identical bits.
 
 use quatrex::prelude::*;
 
@@ -123,6 +124,63 @@ fn distributed_step_routes_match_the_sequential_solver() {
         bits(&seq.observables.electron_density),
         "2 groups x P_S=1, B=1, full wire: density"
     );
+}
+
+#[test]
+fn spatial_group_solves_match_the_sequential_solver_and_repeat_bit_for_bit() {
+    // The cooperative route at both pinned grids: `P_S = 2` on the 4-block
+    // wire (one interior block per partition) and `P_S = 3` on the 6-block
+    // ribbon at 16 energies (the grid `crates/dist/tests/equivalence.rs`
+    // pins; balanced layout, a pure-separator middle partition). Each within
+    // 1e-10 of the sequential solver, and deterministic run to run: equal
+    // bits in every observable and an equal FLOP total.
+    let ribbon = || DeviceBuilder::test_device(2, 2, 6).build();
+    let ribbon_config = ScbaConfig {
+        n_energies: 16,
+        ..config(8)
+    };
+    let grids: [(&str, fn() -> Device, ScbaConfig, usize); 2] = [
+        ("1 group x P_S=2", device, config(8), 2),
+        ("1 group x P_S=3", ribbon, ribbon_config, 3),
+    ];
+    for (label, build, scba, p_s) in grids {
+        let seq = ScbaSolver::new(build(), scba.clone()).run();
+        let run = || {
+            let spatial = DistScbaConfig::new(scba.clone(), p_s).with_spatial_partitions(p_s);
+            DistScbaSolver::new(build(), spatial).run()
+        };
+        let (first, second) = (run(), run());
+        assert_matches_sequential(label, &first, &seq);
+        assert_eq!(
+            first.observables.current.to_bits(),
+            second.observables.current.to_bits(),
+            "{label}: current repeats"
+        );
+        for (what, a, b) in [
+            (
+                "density",
+                &first.observables.electron_density,
+                &second.observables.electron_density,
+            ),
+            (
+                "DOS",
+                &first.observables.spectral.dos,
+                &second.observables.spectral.dos,
+            ),
+            (
+                "residual history",
+                &first.residual_history,
+                &second.residual_history,
+            ),
+        ] {
+            assert_eq!(bits(a), bits(b), "{label}: {what} repeats");
+        }
+        assert_eq!(
+            first.flops.total(),
+            second.flops.total(),
+            "{label}: FLOP total repeats"
+        );
+    }
 }
 
 #[test]
