@@ -16,6 +16,11 @@
 //! * **lu_invert** — `LuScratch::invert_into` at `N_BS ∈ {32, 64, 128}`:
 //!   nanoseconds and GFLOP/s (no "before": the reference solvers invert
 //!   through the same routine).
+//! * **fft_convolution** — absolute nanoseconds of the convolution layer at
+//!   `N_E ∈ {16, 64, 1024}`: one in-place `fft` of the padded length, one
+//!   `convolve` of two `N_E`-point series, and one whole-grid call of each
+//!   pair kernel on a non-self-mirror pair (`p_pair_ns`: 6 transforms,
+//!   `sigma_pair_ns`: 12). No "before": these are enveloped as they are.
 //! * **scba_iteration** — wall time of a full SCBA run on the reduced NW-1
 //!   device with the current engine, recorded so the perf trajectory has a
 //!   longitudinal data point per PR.
@@ -28,11 +33,15 @@ use quatrex_probe::clock::Instant;
 use std::fmt::Write as _;
 
 use quatrex_bench::{bench_solver, chain_operand};
+use quatrex_core::convolution::{polarization_pair_accumulate, self_energy_pair_accumulate};
+use quatrex_fft::{convolve, fft};
+use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
 use quatrex_linalg::ops::{congruence, gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{
-    cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind, ONE, ZERO,
+    c64, cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind, ONE,
+    ZERO,
 };
 use quatrex_rgf::reference::rgf_solve_reference;
 use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
@@ -289,6 +298,76 @@ fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, f64) {
     (ns, inverse_flops(n_bs) as f64 / ns)
 }
 
+/// One `fft_convolution` row.
+struct ConvRow {
+    n_e: usize,
+    fft_ns: f64,
+    convolve_ns: f64,
+    p_pair_ns: f64,
+    sigma_pair_ns: f64,
+}
+
+/// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`, borrowed the way the pair kernels
+/// take it.
+fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
+    x.each_ref().map(|side| side.each_ref().map(|v| &v[..]))
+}
+
+/// The convolution layer on an `n_e`-point grid: the padded transform, the
+/// public `convolve`, and the two pair kernels on the whole grid as one batch.
+fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ConvRow {
+    let series = |seed: f64| -> Vec<c64> {
+        let at = |k: usize| seed + 0.37 * k as f64;
+        (0..n_e).map(|k| cplx(at(k).sin(), at(k).cos())).collect()
+    };
+    let four = |seed: f64| [0.0, 1.0].map(|s| [0.3, 0.7].map(|c| series(seed + s + c)));
+    let (g, w) = (four(0.4), four(2.9));
+
+    // Rescaled every pass so the repeated transform neither overflows nor
+    // decays into subnormals.
+    let padded = (2 * n_e - 1).next_power_of_two();
+    let mut x: Vec<c64> = (0..padded).map(|k| cplx(1.0, k as f64 / 8.0)).collect();
+    let shrink = cplx(1.0 / (padded as f64).sqrt(), 0.0);
+    let fft_ns = time_ns(runs, reps, || {
+        fft(&mut x);
+        x.iter_mut().for_each(|v| *v *= shrink);
+        std::hint::black_box(&x);
+    });
+    let convolve_ns = time_ns(runs, reps, || {
+        std::hint::black_box(convolve(&g[0][0], &w[0][0]));
+    });
+
+    let flops = FlopCounter::new();
+    let grid: Vec<usize> = (0..n_e).collect();
+    let mut out = [(); 2].map(|()| [(); 2].map(|()| vec![ZERO; n_e]));
+    let p_pair_ns = time_ns(runs, reps, || {
+        let [ij, ji] = &mut out;
+        let (p_ij, p_ji) = (
+            ij.each_mut().map(|v| &mut v[..]),
+            ji.each_mut().map(|v| &mut v[..]),
+        );
+        polarization_pair_accumulate(p_ij, Some(p_ji), borrowed(&g), &grid, false, 0.05, &flops);
+        std::hint::black_box(&out);
+    });
+    let sigma_pair_ns = time_ns(runs, reps, || {
+        let [ij, ji] = &mut out;
+        let (s_ij, s_ji) = (
+            ij.each_mut().map(|v| &mut v[..]),
+            ji.each_mut().map(|v| &mut v[..]),
+        );
+        let (g, w) = (borrowed(&g), borrowed(&w));
+        self_energy_pair_accumulate(s_ij, Some(s_ji), g, w, &grid, 0.05, &flops);
+        std::hint::black_box(&out);
+    });
+    ConvRow {
+        n_e,
+        fft_ns,
+        convolve_ns,
+        p_pair_ns,
+        sigma_pair_ns,
+    }
+}
+
 fn main() {
     let quick = quick_mode();
     let runs = if quick { 3 } else { 7 };
@@ -359,6 +438,18 @@ fn main() {
         lu_rows.push((n_bs, ns, gflops));
     }
 
+    let mut conv_rows = Vec::new();
+    for n_e in [16usize, 64, 1024] {
+        let base = (1 << 18) / n_e;
+        let reps = if quick { base.div_ceil(8) } else { base };
+        let row = bench_fft_convolution(n_e, runs, reps);
+        println!(
+            "fft_conv    N_E ={:>5}: fft {:>10.0} ns  convolve {:>10.0} ns  P pair {:>10.0} ns  Σ pair {:>10.0} ns",
+            row.n_e, row.fft_ns, row.convolve_ns, row.p_pair_ns, row.sigma_pair_ns
+        );
+        conv_rows.push(row);
+    }
+
     // Full SCBA trajectory point (current engine): reduced NW-1 device.
     let solver = bench_solver(if quick { 4 } else { 8 }, 2, true);
     let t = Instant::now();
@@ -418,6 +509,16 @@ fn main() {
             "    {{\"n_bs\": {n_bs}, \"ns\": {ns:.1}, \"gflops\": {gflops:.2}}}"
         );
         json.push_str(if i + 1 < lu_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"fft_convolution\": [\n");
+    for (i, row) in conv_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"n_e\": {}, \"fft_ns\": {:.1}, \"convolve_ns\": {:.1}, \"p_pair_ns\": {:.1}, \"sigma_pair_ns\": {:.1}}}",
+            row.n_e, row.fft_ns, row.convolve_ns, row.p_pair_ns, row.sigma_pair_ns
+        );
+        json.push_str(if i + 1 < conv_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     let _ = writeln!(

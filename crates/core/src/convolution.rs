@@ -16,20 +16,50 @@
 //! element-major (one energy series per stored matrix element, the layout the
 //! FFT needs) — the step that maps to the `Alltoall` of Fig. 3.
 //!
-//! There is **one** per-element kernel per phase —
-//! [`polarization_series_accumulate`], [`self_energy_series_accumulate`],
-//! [`causal_retarded_series`] — and both drivers call it. The kernels take a
-//! *batch view*: the energy indices that just arrived, accumulated into
-//! running output series. The distributed driver (`quatrex-dist`), which owns
-//! element slices after a real all-to-all transposition, feeds them one
-//! `Alltoallv` batch at a time; the energy-major drivers below
-//! ([`polarization_from_g`], [`self_energy_from_gw`],
-//! [`retarded_from_lesser_greater`]) gather every stored element's series and
-//! call them once with the whole grid as the single batch — "every energy,
-//! nothing arrived before". The equivalence tests rely on the two drivers
-//! sharing this path.
+//! There is **one** kernel per phase — [`polarization_pair_accumulate`],
+//! [`self_energy_pair_accumulate`], [`causal_retarded_series`] — and both
+//! drivers call it. The `P`/`Σ` kernels work on an element **pair**: a
+//! canonical element `(i, j)` together with its mirror `(j, i)` (a self-mirror
+//! diagonal element is a pair of one). The pair is the unit because the
+//! mirror's polarisation is the canonical one's correlation read backwards,
+//!
+//! ```text
+//! corr(a, b)[k] = Σ_m a[m]·b[m − k]      ⇒      corr(b, a)[k] = corr(a, b)[−k]
+//! P^<_ij[k] ∝ corr(G^<_ij, G^>_ji)[k]            P^>_ji[k] ∝ corr(G^<_ij, G^>_ji)[−k]
+//! P^>_ij[k] ∝ corr(G^>_ij, G^<_ji)[k]            P^<_ji[k] ∝ corr(G^>_ij, G^<_ji)[−k]
+//! ```
+//!
+//! so two correlations give all four outputs. The kernels run on the calling
+//! thread's planned FFT workspace ([`quatrex_fft::with_workspace`]): every
+//! operand is loaded straight from the caller's series into zeroed padded
+//! planes (the batch restriction, its complement and the reversal of a
+//! correlation's second factor are index maps at load time, not copies),
+//! transformed **once**, the products of one output are summed in the
+//! frequency domain and share one inverse transform, and the inverse's `1/n`
+//! rides in the prefactor. Transforms per pair and call (a self-mirror `Σ`
+//! pair costs half):
+//!
+//! | kernel call                         | forward | inverse | total |
+//! |-------------------------------------|--------:|--------:|------:|
+//! | `P`, first (or only) batch          |       4 |       2 |     6 |
+//! | `P`, later batch (cross terms)      |       8 |       2 |    10 |
+//! | `Σ`, any batch                      |       8 |       4 |    12 |
+//!
+//! `FlopKind::Convolution` counts exactly these: `fft_flops(n)` per transform
+//! run plus `6n` per frequency-domain product. Nothing persists between
+//! calls — accumulators are `N_E`-long and time-domain.
+//!
+//! The kernels take a *batch view*: the energy indices that just arrived,
+//! accumulated into running output series. The distributed driver
+//! (`quatrex-dist`), which owns element slices after a real all-to-all
+//! transposition, feeds them one `Alltoallv` batch at a time; the
+//! energy-major drivers below ([`polarization_from_g`],
+//! [`self_energy_from_gw`], [`retarded_from_lesser_greater`]) gather every
+//! stored pair's series and call them once with the whole grid as the single
+//! batch — "every energy, nothing arrived before". The equivalence tests rely
+//! on the two drivers sharing this path.
 
-use quatrex_fft::{convolve, fft, ifft, next_power_of_two};
+use quatrex_fft::{fft_flops, with_workspace};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
@@ -49,19 +79,14 @@ pub enum BlockPos {
     Lower(usize),
 }
 
-/// All stored block positions of an `nb`-block BT pattern, in the fixed
-/// enumeration order shared by every driver (diagonals first, then
-/// upper/lower pairs).
-pub fn block_positions(nb: usize) -> Vec<BlockPos> {
-    let mut v = Vec::with_capacity(3 * nb - 2);
-    for i in 0..nb {
-        v.push(BlockPos::Diag(i));
-    }
-    for i in 0..nb - 1 {
-        v.push(BlockPos::Upper(i));
-        v.push(BlockPos::Lower(i));
-    }
-    v
+/// The canonical block positions of an `nb`-block BT pattern, in the fixed
+/// enumeration order shared by every driver: the diagonal blocks, then the
+/// superdiagonal ones. With their transposed positions (a diagonal block is
+/// its own) they cover the stored pattern.
+fn canonical_positions(nb: usize) -> impl Iterator<Item = BlockPos> {
+    (0..nb)
+        .map(BlockPos::Diag)
+        .chain((0..nb - 1).map(BlockPos::Upper))
 }
 
 /// Shared reference to the block at `pos`.
@@ -73,21 +98,21 @@ pub fn get_block(x: &BlockTridiagonal, pos: BlockPos) -> &CMatrix {
     }
 }
 
+/// Mutable reference to the block at `pos`.
+fn get_block_mut(x: &mut BlockTridiagonal, pos: BlockPos) -> &mut CMatrix {
+    match pos {
+        BlockPos::Diag(i) => x.diag_mut(i),
+        BlockPos::Upper(i) => x.upper_mut(i),
+        BlockPos::Lower(i) => x.lower_mut(i),
+    }
+}
+
 /// The block position holding the transposed element.
 pub fn transposed_position(pos: BlockPos) -> BlockPos {
     match pos {
         BlockPos::Diag(i) => BlockPos::Diag(i),
         BlockPos::Upper(i) => BlockPos::Lower(i),
         BlockPos::Lower(i) => BlockPos::Upper(i),
-    }
-}
-
-/// Overwrite the block at `pos`.
-pub fn set_block(x: &mut BlockTridiagonal, pos: BlockPos, block: CMatrix) {
-    match pos {
-        BlockPos::Diag(i) => x.set_block(i, i, block),
-        BlockPos::Upper(i) => x.set_block(i, i + 1, block),
-        BlockPos::Lower(i) => x.set_block(i + 1, i, block),
     }
 }
 
@@ -124,35 +149,29 @@ impl ElementId {
     }
 }
 
+/// Visit the canonical elements stored in the canonical block `pos`, row by
+/// row: the upper triangle of a diagonal block, every element of a
+/// superdiagonal one.
+fn for_each_canonical_in_block(pos: BlockPos, bs: usize, mut visit: impl FnMut(ElementId)) {
+    let upper_triangle = matches!(pos, BlockPos::Diag(_));
+    for row in 0..bs {
+        for col in if upper_triangle { row } else { 0 }..bs {
+            visit(ElementId { pos, row, col });
+        }
+    }
+}
+
 /// The canonical (symmetry-reduced) element set of Section 5.2: the upper
 /// triangle of every diagonal block plus every element of the superdiagonal
 /// blocks. Together with its mirrors (recovered through the NEGF symmetry
-/// `X^≶_ij = −X^≶*_ji`), it spans the full stored pattern.
+/// `X^≶_ij = −X^≶*_ji`), it spans the full stored pattern; an element and its
+/// mirror are the *pair* the convolution kernels work on.
 pub fn canonical_elements(nb: usize, bs: usize) -> Vec<ElementId> {
-    let mut v = Vec::new();
-    for i in 0..nb {
-        for r in 0..bs {
-            for c in r..bs {
-                v.push(ElementId {
-                    pos: BlockPos::Diag(i),
-                    row: r,
-                    col: c,
-                });
-            }
-        }
+    let mut elements = Vec::with_capacity(nb * bs * (bs + 1) / 2 + (nb - 1) * bs * bs);
+    for pos in canonical_positions(nb) {
+        for_each_canonical_in_block(pos, bs, |e| elements.push(e));
     }
-    for i in 0..nb - 1 {
-        for r in 0..bs {
-            for c in 0..bs {
-                v.push(ElementId {
-                    pos: BlockPos::Upper(i),
-                    row: r,
-                    col: c,
-                });
-            }
-        }
-    }
-    v
+    elements
 }
 
 /// Number of stored scalar values per energy point of the full BT pattern.
@@ -160,23 +179,11 @@ pub fn stored_values(nb: usize, bs: usize) -> usize {
     (3 * nb - 2) * bs * bs
 }
 
-/// Gather the energy series of one scalar element (`pos`, r, c).
-pub fn element_series(x: &EnergyResolved, pos: BlockPos, r: usize, c: usize) -> Vec<c64> {
-    x.iter().map(|bt| get_block(bt, pos)[(r, c)]).collect()
-}
-
-/// Cross-correlation without conjugation at lag `k` (range `−(n−1)..n`):
-/// `out[k + n − 1] = Σ_m a[m]·b[m − k]`.
-fn cross_correlate(a: &[c64], b: &[c64]) -> Vec<c64> {
-    let b_rev: Vec<c64> = b.iter().rev().copied().collect();
-    convolve(a, &b_rev)
-}
-
 // ---------------------------------------------------------------------------
-// Batch-view kernels. A forward transposition delivers the Green's-function /
-// screened-interaction series one *energy batch* at a time (the global
-// indices that arrived in one `Alltoallv` batch; the whole grid for the
-// energy-major drivers), and each batch's convolution contribution is
+// Batch-view pair kernels. A forward transposition delivers the
+// Green's-function / screened-interaction series one *energy batch* at a time
+// (the global indices that arrived in one `Alltoallv` batch; the whole grid
+// for the energy-major drivers), and each batch's convolution contribution is
 // accumulated while the next batch is still in flight. The decompositions
 // are exact:
 //
@@ -186,188 +193,293 @@ fn cross_correlate(a: &[c64], b: &[c64]) -> Vec<c64> {
 // * `P = Σ_b [corr(Δa_b, B_≤b) + corr(A_<b, Δb_b)]` — the polarisation is
 //   *bilinear* in `G`, so batch `b` contributes its cross terms against
 //   everything that has arrived up to and including it; summed over batches
-//   every pair of batches is counted exactly once.
+//   every pair of batches is counted exactly once. The two terms of a batch
+//   are summed in the frequency domain, before the one inverse transform.
 //
 // With a single batch both are the plain correlation / convolution of the
 // full series: the same floating-point operations whichever driver calls.
 
-/// `x` restricted to the batch indices (zero elsewhere): the values that
-/// arrived in this batch.
-fn batch_delta(x: &[c64], batch: &[usize]) -> Vec<c64> {
-    let mut d = vec![c64::new(0.0, 0.0); x.len()];
-    for &k in batch {
-        d[k] = x[k];
-    }
-    d
+/// True if `batch` lists strictly ascending indices of an `ne`-point grid —
+/// what the pair kernels require of an arrived batch.
+pub fn is_grid_batch(batch: &[usize], ne: usize) -> bool {
+    batch.windows(2).all(|w| w[0] < w[1]) && batch.last().is_none_or(|&k| k < ne)
 }
 
-/// `x` with the batch indices zeroed: the values that had arrived *before*
-/// this batch.
-fn batch_complement(x: &[c64], batch: &[usize]) -> Vec<c64> {
-    let mut c = x.to_vec();
-    for &k in batch {
-        c[k] = c64::new(0.0, 0.0);
-    }
-    c
+/// True if every series of a kernel call is `ne` long.
+fn all_grid_long<'a>(ne: usize, series: impl IntoIterator<Item = &'a [c64]>) -> bool {
+    series.into_iter().all(|x| x.len() == ne)
 }
 
-/// Accumulate one energy batch's polarisation contribution into
-/// `p_lesser`/`p_greater` (length-`N_E` accumulators, zero-initialised before
-/// the first batch).
+/// Padded transform length of an `ne`-point linear convolution.
+fn padded_len(ne: usize) -> usize {
+    (2 * ne - 1).next_power_of_two()
+}
+
+/// FLOPs of one kernel output: `products` operand pairs transformed and
+/// multiplied, one inverse transform.
+fn output_flops(n: usize, products: u64) -> u64 {
+    (2 * products + 1) * fft_flops(n) + products * 6 * n as u64
+}
+
+/// Accumulate one energy batch's polarisation contribution into the four
+/// series of an element pair: `p_ij = [P^<_ij, P^>_ij]` and, unless the
+/// element is its own mirror, `p_ji = [P^<_ji, P^>_ji]` (length-`N_E`
+/// accumulators, zero-initialised before the first batch).
 ///
-/// The four input series are the **arrived-so-far** data *including* this
-/// batch (un-arrived energies still zero); `batch` lists the global energy
+/// `g = [[G^<_ij, G^>_ij], [G^<_ji, G^>_ji]]` are the **arrived-so-far** data
+/// *including* this batch (un-arrived energies still zero; for a self-mirror
+/// element both sides are the same series); `batch` lists the global energy
 /// indices that arrived in this batch (ascending; may be non-contiguous when
 /// several source ranks contribute); `arrived_before` states whether any
-/// earlier batch contributed energies. Summed over all batches of one
-/// iteration the accumulators equal the whole-grid call (`batch = 0..N_E`,
-/// `arrived_before = false` — what [`polarization_from_g`] issues) up to
-/// floating-point summation order.
-#[allow(clippy::too_many_arguments)]
-pub fn polarization_series_accumulate(
-    p_lesser: &mut [c64],
-    p_greater: &mut [c64],
-    g_lesser_ij: &[c64],
-    g_greater_ji: &[c64],
-    g_greater_ij: &[c64],
-    g_lesser_ji: &[c64],
+/// earlier batch contributed energies. Two correlations are formed —
+/// `corr(G^<_ij, G^>_ji)` and `corr(G^>_ij, G^<_ji)` — and each is read
+/// twice: at lag `+k` into the canonical element's series, at lag `−k` into
+/// the mirror's opposite component (see the module docs). Summed over all
+/// batches of one iteration the accumulators equal the whole-grid call
+/// (`batch = 0..N_E`, `arrived_before = false` — what
+/// [`polarization_from_g`] issues) up to floating-point summation order.
+pub fn polarization_pair_accumulate(
+    p_ij: [&mut [c64]; 2],
+    p_ji: Option<[&mut [c64]; 2]>,
+    g: [[&[c64]; 2]; 2],
     batch: &[usize],
     arrived_before: bool,
     de: f64,
     flops: &FlopCounter,
 ) {
+    let [[g_lesser_ij, g_greater_ij], [g_lesser_ji, g_greater_ji]] = g;
+    let ne = g_lesser_ij.len();
+    debug_assert!(is_grid_batch(batch, ne), "batch {batch:?} on {ne} energies");
+    debug_assert!(all_grid_long(ne, g.into_iter().flatten()));
+    debug_assert!(all_grid_long(
+        ne,
+        p_ij.iter().chain(p_ji.iter().flatten()).map(|p| &**p)
+    ));
     if batch.is_empty() {
         return;
     }
-    let ne = g_lesser_ij.len();
-    let prefactor = c64::new(0.0, -de / (2.0 * std::f64::consts::PI));
-    let zero_lag = ne - 1;
-    let half = ne / 2;
-    let accumulate = |acc: &mut [c64], corr: &[c64]| {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            let lag = j as isize - half as isize;
-            let idx = zero_lag as isize + lag;
-            *slot += prefactor * corr[idx as usize];
-        }
+    let n = padded_len(ne);
+    let prefactor = c64::new(0.0, -de / (2.0 * std::f64::consts::PI) / n as f64);
+    let (zero_lag, half) = (ne - 1, ne / 2);
+    let [p_lesser_ij, p_greater_ij] = p_ij;
+    let [p_lesser_ji, p_greater_ji] = match p_ji {
+        Some([lesser, greater]) => [Some(lesser), Some(greater)],
+        None => [None, None],
     };
-    // lesser: corr(G^<_ij, G^>_ji); greater: corr(G^>_ij, G^<_ji).
-    let corr_l = cross_correlate(&batch_delta(g_lesser_ij, batch), g_greater_ji);
-    let corr_g = cross_correlate(&batch_delta(g_greater_ij, batch), g_lesser_ji);
-    accumulate(p_lesser, &corr_l);
-    accumulate(p_greater, &corr_g);
-    let mut n_corr = 2u64;
-    if arrived_before {
-        // Cross terms of this batch's second factor against the earlier
-        // batches' first factor.
-        let corr_l = cross_correlate(
-            &batch_complement(g_lesser_ij, batch),
-            &batch_delta(g_greater_ji, batch),
-        );
-        let corr_g = cross_correlate(
-            &batch_complement(g_greater_ij, batch),
-            &batch_delta(g_lesser_ji, batch),
-        );
-        accumulate(p_lesser, &corr_l);
-        accumulate(p_greater, &corr_g);
-        n_corr += 2;
-    }
+    // (first factor, second factor, series read at lag +k, series read at −k)
+    let correlations = [
+        (g_lesser_ij, g_greater_ji, p_lesser_ij, p_greater_ji),
+        (g_greater_ij, g_lesser_ji, p_greater_ij, p_lesser_ji),
+    ];
+    with_workspace(n, |w| {
+        for (a, b, forward, backward) in correlations {
+            // `corr(a, b)[k]` is `conv(a, b reversed)[k + N_E − 1]`.
+            let reversed = |(m, v): (usize, c64)| (zero_lag - m, v);
+            w.clear();
+            // This batch's first factor against everything arrived.
+            w.add_product(
+                batch.iter().map(|&k| (k, a[k])),
+                b.iter().copied().enumerate().map(reversed),
+            );
+            if arrived_before {
+                // The earlier batches' first factor against this batch's
+                // second.
+                let zeroed = batch.iter().map(|&k| (k, c64::new(0.0, 0.0)));
+                w.add_product(
+                    a.iter().copied().enumerate().chain(zeroed),
+                    batch.iter().map(|&k| (k, b[k])).map(reversed),
+                );
+            }
+            let (re, im) = w.inverse();
+            let at_lag = |at: usize| prefactor * c64::new(re[at], im[at]);
+            for (j, slot) in forward.iter_mut().enumerate() {
+                *slot += at_lag(zero_lag + j - half);
+            }
+            for (j, slot) in backward.into_iter().flatten().enumerate() {
+                *slot += at_lag(zero_lag + half - j);
+            }
+        }
+    });
     flops.add(
         FlopKind::Convolution,
-        n_corr * quatrex_fft::convolution_flops(ne, ne),
+        2 * output_flops(n, 1 + u64::from(arrived_before)),
     );
 }
 
-/// Accumulate one `W` energy batch's self-energy contribution into
-/// `s_lesser`/`s_greater` (length-`N_E` accumulators, zero-initialised before
-/// the first batch).
+/// Accumulate one `W` energy batch's self-energy contribution into the four
+/// series of an element pair: `s_ij = [Σ^<_ij, Σ^>_ij]` and, unless the
+/// element is its own mirror, `s_ji = [Σ^<_ji, Σ^>_ji]` (length-`N_E`
+/// accumulators, zero-initialised before the first batch).
 ///
-/// `g_lesser_ij`/`g_greater_ij` are the **complete** Green's-function series
-/// (they arrived in the earlier `G` transposition); the `W` series carry the
-/// arrived-so-far data including this batch. Because `Σ` is linear in `W`,
-/// each batch's contribution `conv(Δw_b, g)` is independent and the sum over
-/// batches equals the whole-grid call (`batch = 0..N_E` — what
-/// [`self_energy_from_gw`] issues) up to floating-point summation order.
-#[allow(clippy::too_many_arguments)]
-pub fn self_energy_series_accumulate(
-    s_lesser: &mut [c64],
-    s_greater: &mut [c64],
-    g_lesser_ij: &[c64],
-    g_greater_ij: &[c64],
-    w_lesser_ij: &[c64],
-    w_greater_ij: &[c64],
+/// `g` and `w` are laid out like [`polarization_pair_accumulate`]'s `g`
+/// (`[side][component]`; the `ji` side is not read for a self-mirror
+/// element). The `G` series are **complete** (they arrived in the earlier `G`
+/// transposition); the `W` series carry the arrived-so-far data including
+/// this batch. Because `Σ` is linear in `W`, each batch's contribution
+/// `conv(Δw_b, g)` is independent and the sum over batches equals the
+/// whole-grid call (`batch = 0..N_E` — what [`self_energy_from_gw`] issues)
+/// up to floating-point summation order.
+pub fn self_energy_pair_accumulate(
+    s_ij: [&mut [c64]; 2],
+    s_ji: Option<[&mut [c64]; 2]>,
+    g: [[&[c64]; 2]; 2],
+    w: [[&[c64]; 2]; 2],
     batch: &[usize],
     de: f64,
     flops: &FlopCounter,
 ) {
+    let ne = g[0][0].len();
+    debug_assert!(is_grid_batch(batch, ne), "batch {batch:?} on {ne} energies");
+    debug_assert!(all_grid_long(ne, g.into_iter().chain(w).flatten()));
+    debug_assert!(all_grid_long(
+        ne,
+        s_ij.iter().chain(s_ji.iter().flatten()).map(|s| &**s)
+    ));
     if batch.is_empty() {
         return;
     }
-    let ne = g_lesser_ij.len();
-    let prefactor = c64::new(0.0, de / (2.0 * std::f64::consts::PI));
+    let n = padded_len(ne);
+    let prefactor = c64::new(0.0, de / (2.0 * std::f64::consts::PI) / n as f64);
     let half = ne / 2;
-    let conv_l = convolve(&batch_delta(w_lesser_ij, batch), g_lesser_ij);
-    let conv_g = convolve(&batch_delta(w_greater_ij, batch), g_greater_ij);
-    flops.add(
-        FlopKind::Convolution,
-        2 * quatrex_fft::convolution_flops(ne, ne),
-    );
-    for k in 0..ne {
-        s_lesser[k] += prefactor * conv_l[k + half];
-        s_greater[k] += prefactor * conv_g[k + half];
-    }
+    let outputs = 2 * (1 + u64::from(s_ji.is_some()));
+    let sides = [Some(s_ij), s_ji].into_iter().zip(g).zip(w);
+    with_workspace(n, |ws| {
+        for ((s, g), w) in sides {
+            // Lesser, then greater, of the sides that exist.
+            for ((s, g), w) in s.into_iter().flatten().zip(g).zip(w) {
+                ws.clear();
+                ws.add_product(
+                    batch.iter().map(|&k| (k, w[k])),
+                    g.iter().copied().enumerate(),
+                );
+                let (re, im) = ws.inverse();
+                for (k, slot) in s.iter_mut().enumerate() {
+                    *slot += prefactor * c64::new(re[k + half], im[k + half]);
+                }
+            }
+        }
+    });
+    flops.add(FlopKind::Convolution, outputs * output_flops(n, 1));
 }
 
 /// Per-element causality construction: `X^R(t) = θ(t)·[X^>(t) − X^<(t)]`
-/// evaluated with FFTs over the energy axis, returning the retarded series.
-pub fn causal_retarded_series(lesser: &[c64], greater: &[c64], flops: &FlopCounter) -> Vec<c64> {
+/// evaluated with FFTs over the energy axis, written into `retarded`.
+pub fn causal_retarded_series(
+    retarded: &mut [c64],
+    lesser: &[c64],
+    greater: &[c64],
+    flops: &FlopCounter,
+) {
     let ne = lesser.len();
-    let nfft = next_power_of_two(ne);
-    let mut spectral: Vec<c64> = vec![c64::new(0.0, 0.0); nfft];
-    for k in 0..ne {
-        spectral[k] = greater[k] - lesser[k];
-    }
-    // To pseudo-time, apply the Heaviside step, back to energy.
-    ifft(&mut spectral);
-    for (t, v) in spectral.iter_mut().enumerate() {
-        if t == 0 {
-            *v *= 0.5;
-        } else if t >= nfft / 2 {
-            *v = c64::new(0.0, 0.0);
+    debug_assert!(all_grid_long(ne, [greater, &*retarded]));
+    let nfft = ne.next_power_of_two();
+    let scale = 1.0 / nfft as f64;
+    with_workspace(nfft, |w| {
+        w.load((0..ne).map(|k| (k, greater[k] - lesser[k])));
+        // To pseudo-time, apply the Heaviside step, back to energy.
+        let (re, im) = w.inverse();
+        re[0] *= 0.5;
+        im[0] *= 0.5;
+        re[(nfft / 2).max(1)..].fill(0.0);
+        im[(nfft / 2).max(1)..].fill(0.0);
+        let (re, im) = w.forward();
+        for (k, slot) in retarded.iter_mut().enumerate() {
+            *slot = c64::new(re[k] * scale, im[k] * scale);
         }
-    }
-    fft(&mut spectral);
-    flops.add(FlopKind::Convolution, 2 * quatrex_fft::fft_flops(nfft));
-    spectral[..ne].to_vec()
+    });
+    flops.add(FlopKind::Convolution, 2 * fft_flops(nfft));
+}
+
+/// The `N` equally long sub-slices of `x`.
+fn split<const N: usize>(x: &[c64]) -> [&[c64]; N] {
+    let mut parts = x.chunks_exact(x.len() / N);
+    [(); N].map(|()| parts.next().expect("N parts"))
+}
+
+/// The `N` equally long mutable sub-slices of `x`.
+fn split_mut<const N: usize>(x: &mut [c64]) -> [&mut [c64]; N] {
+    let mut parts = x.chunks_exact_mut(x.len() / N);
+    [(); N].map(|()| parts.next().expect("N parts"))
 }
 
 /// The one energy-major ↔ element-major scaffold of the drivers below (the
-/// single-process stand-in for the forward and backward transpositions):
-/// `kernel(pos, r, c)` gathers what it needs of stored element `(pos, r, c)`
-/// with [`element_series`] and returns the element's `N` output series,
-/// which are written back as `N` energy-major quantities shaped like `like`.
-/// Parallel over block positions.
-fn map_elements<const N: usize>(
-    like: &EnergyResolved,
-    kernel: impl Fn(BlockPos, usize, usize) -> [Vec<c64>; N] + Sync,
+/// single-process stand-in for the forward and backward transpositions).
+/// For every element pair — canonical element `ij`, mirror `ji` — the series
+/// of the `I` input quantities are gathered into per-worker scratch and
+/// `kernel(in_ij, in_ji, out_ij, out_ji)` fills the pair's `N` zeroed output
+/// series per side (`out_ji` is `None` for a self-mirror element), which are
+/// written back as `N` energy-major quantities. Parallel over the canonical
+/// block positions; asserts that the input grids share `N_E`.
+fn map_pairs<const I: usize, const N: usize>(
+    inputs: [&EnergyResolved; I],
+    kernel: impl Fn([&[c64]; I], [&[c64]; I], [&mut [c64]; N], Option<[&mut [c64]; N]>) + Sync,
 ) -> [EnergyResolved; N] {
-    let (ne, nb, bs) = (like.len(), like[0].n_blocks(), like[0].block_size());
-    let per_position: Vec<(BlockPos, Vec<[Vec<c64>; N]>)> = block_positions(nb)
-        .par_iter()
-        .map(|&pos| {
-            let series = (0..bs * bs).map(|i| kernel(pos, i / bs, i % bs));
-            (pos, series.collect())
+    let ne = inputs[0].len();
+    assert!(
+        inputs.iter().all(|x| x.len() == ne),
+        "the operand grids differ in N_E: {:?}",
+        inputs.map(Vec::len)
+    );
+    let (nb, bs) = (inputs[0][0].n_blocks(), inputs[0][0].block_size());
+    let zero = c64::new(0.0, 0.0);
+    // The results are allocated here, on the calling thread, and their blocks
+    // lent to the workers position by position: `N · N_E` blocks
+    // (component-major) of the position itself and of the transposed one.
+    let mut result = [(); N].map(|()| vec![BlockTridiagonal::zeros(nb, bs); ne]);
+    let mut lend = |pos: BlockPos| -> Vec<CMatrix> {
+        let quantities = result.iter_mut().flatten();
+        quantities
+            .map(|bt| std::mem::take(get_block_mut(bt, pos)))
+            .collect()
+    };
+    let lent: Vec<(BlockPos, [Vec<CMatrix>; 2])> = canonical_positions(nb)
+        .map(|pos| match transposed_position(pos) {
+            transposed if transposed == pos => (pos, [lend(pos), Vec::new()]),
+            transposed => (pos, [lend(pos), lend(transposed)]),
         })
         .collect();
-    let mut out = [(); N].map(|()| vec![BlockTridiagonal::zeros(nb, bs); ne]);
-    for (pos, elements) in per_position {
-        for (n, component) in out.iter_mut().enumerate() {
-            for (k, bt) in component.iter_mut().enumerate() {
-                let block = CMatrix::from_fn(bs, bs, |r, c| elements[r * bs + c][n][k]);
-                set_block(bt, pos, block);
+    let filled: Vec<(BlockPos, [Vec<CMatrix>; 2])> = lent
+        .into_par_iter()
+        .map(|(pos, mut blocks)| {
+            let mirror_side = usize::from(!blocks[1].is_empty());
+            // Worker scratch, reused by every pair of the block.
+            let mut gathered = vec![zero; 2 * I * ne];
+            let mut out = vec![zero; 2 * N * ne];
+            for_each_canonical_in_block(pos, bs, |e| {
+                let (ij, ji) = gathered.split_at_mut(I * ne);
+                for (i, x) in inputs.iter().enumerate() {
+                    for (k, bt) in x.iter().enumerate() {
+                        ij[i * ne + k] = e.value_in(bt);
+                        ji[i * ne + k] = e.mirror().value_in(bt);
+                    }
+                }
+                out.fill(zero);
+                let (out_ij, out_ji) = out.split_at_mut(N * ne);
+                let paired = !e.is_self_mirror();
+                kernel(
+                    split(ij),
+                    split(ji),
+                    split_mut(out_ij),
+                    paired.then(|| split_mut(out_ji)),
+                );
+                let sides = [(e, &*out_ij, 0), (e.mirror(), &*out_ji, mirror_side)];
+                for (id, series, side) in sides.into_iter().take(1 + usize::from(paired)) {
+                    for (block, &value) in blocks[side].iter_mut().zip(series) {
+                        block[(id.row, id.col)] = value;
+                    }
+                }
+            });
+            (pos, blocks)
+        })
+        .collect();
+    for (pos, blocks) in filled {
+        for (pos, blocks) in [pos, transposed_position(pos)].into_iter().zip(blocks) {
+            for (bt, block) in result.iter_mut().flatten().zip(blocks) {
+                *get_block_mut(bt, pos) = block;
             }
         }
     }
-    out
+    result
 }
 
 /// Compute the lesser and greater polarisation from the lesser/greater Green's
@@ -382,26 +494,10 @@ pub fn polarization_from_g(
     flops: &FlopCounter,
 ) -> (EnergyResolved, EnergyResolved) {
     let ne = g_lesser.len();
-    assert_eq!(ne, g_greater.len());
     assert!(ne >= 2);
     let grid: Vec<usize> = (0..ne).collect();
-    let [p_lesser, p_greater] = map_elements(g_lesser, |pos, r, c| {
-        let tpos = transposed_position(pos);
-        let mut p = [(); 2].map(|()| vec![c64::new(0.0, 0.0); ne]);
-        let [pl, pg] = &mut p;
-        polarization_series_accumulate(
-            pl,
-            pg,
-            &element_series(g_lesser, pos, r, c),
-            &element_series(g_greater, tpos, c, r),
-            &element_series(g_greater, pos, r, c),
-            &element_series(g_lesser, tpos, c, r),
-            &grid,
-            false,
-            de,
-            flops,
-        );
-        p
+    let [p_lesser, p_greater] = map_pairs([g_lesser, g_greater], |g_ij, g_ji, p_ij, p_ji| {
+        polarization_pair_accumulate(p_ij, p_ji, [g_ij, g_ji], &grid, false, de, flops);
     });
     (p_lesser, p_greater)
 }
@@ -417,24 +513,13 @@ pub fn self_energy_from_gw(
     de: f64,
     flops: &FlopCounter,
 ) -> (EnergyResolved, EnergyResolved) {
-    let ne = g_lesser.len();
-    assert_eq!(ne, w_lesser.len());
-    let grid: Vec<usize> = (0..ne).collect();
-    let [s_lesser, s_greater] = map_elements(g_lesser, |pos, r, c| {
-        let mut s = [(); 2].map(|()| vec![c64::new(0.0, 0.0); ne]);
-        let [sl, sg] = &mut s;
-        self_energy_series_accumulate(
-            sl,
-            sg,
-            &element_series(g_lesser, pos, r, c),
-            &element_series(g_greater, pos, r, c),
-            &element_series(w_lesser, pos, r, c),
-            &element_series(w_greater, pos, r, c),
-            &grid,
-            de,
-            flops,
-        );
-        s
+    let grid: Vec<usize> = (0..g_lesser.len()).collect();
+    let inputs = [g_lesser, g_greater, w_lesser, w_greater];
+    let [s_lesser, s_greater] = map_pairs(inputs, |x_ij, x_ji, s_ij, s_ji| {
+        let ([gl_ij, gg_ij, wl_ij, wg_ij], [gl_ji, gg_ji, wl_ji, wg_ji]) = (x_ij, x_ji);
+        let g = [[gl_ij, gg_ij], [gl_ji, gg_ji]];
+        let w = [[wl_ij, wg_ij], [wl_ji, wg_ji]];
+        self_energy_pair_accumulate(s_ij, s_ji, g, w, &grid, de, flops);
     });
     (s_lesser, s_greater)
 }
@@ -447,10 +532,11 @@ pub fn retarded_from_lesser_greater(
     greater: &EnergyResolved,
     flops: &FlopCounter,
 ) -> EnergyResolved {
-    let [retarded] = map_elements(lesser, |pos, r, c| {
-        let l = element_series(lesser, pos, r, c);
-        let g = element_series(greater, pos, r, c);
-        [causal_retarded_series(&l, &g, flops)]
+    let [retarded] = map_pairs([lesser, greater], |x_ij, x_ji, [r_ij], r_ji| {
+        causal_retarded_series(r_ij, x_ij[0], x_ij[1], flops);
+        if let Some([r_ji]) = r_ji {
+            causal_retarded_series(r_ji, x_ji[0], x_ji[1], flops);
+        }
     });
     retarded
 }
@@ -564,6 +650,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the operand grids differ in N_E: [12, 12, 12, 11]")]
+    fn a_short_operand_grid_is_rejected_by_name_before_any_kernel_runs() {
+        let g = synthetic_g(12, 3, 2, 1.0);
+        let short = synthetic_g(11, 3, 2, -1.0);
+        self_energy_from_gw(&g, &g, &g, &short, 0.07, &FlopCounter::new());
+    }
+
+    #[test]
     fn retarded_construction_is_causal_and_linear() {
         let ne = 32;
         let l = synthetic_g(ne, 2, 2, 1.0);
@@ -631,171 +725,5 @@ mod tests {
         assert_eq!(seen.len(), stored_values(nb, bs));
         // Count matches the closed form used by the volume model.
         assert_eq!(canon.len(), nb * bs * (bs + 1) / 2 + (nb - 1) * bs * bs);
-    }
-
-    /// Deterministic synthetic series for the batch-kernel tests.
-    fn synthetic_series(ne: usize, seed: f64) -> Vec<c64> {
-        (0..ne)
-            .map(|k| {
-                cplx(
-                    (seed + 0.37 * k as f64).sin(),
-                    (1.3 * seed - 0.21 * k as f64).cos(),
-                )
-            })
-            .collect()
-    }
-
-    /// Mask a series to a set of arrived indices (zero elsewhere).
-    fn arrived(x: &[c64], upto: &[usize]) -> Vec<c64> {
-        let mut m = vec![cplx(0.0, 0.0); x.len()];
-        for &k in upto {
-            m[k] = x[k];
-        }
-        m
-    }
-
-    /// `(P^<, P^>)` of one element from the whole grid as one batch — the call
-    /// [`polarization_from_g`] issues.
-    fn whole_grid_polarization(
-        [gl, gg_t, gg, gl_t]: [&[c64]; 4],
-        de: f64,
-        flops: &FlopCounter,
-    ) -> (Vec<c64>, Vec<c64>) {
-        let ne = gl.len();
-        let all: Vec<usize> = (0..ne).collect();
-        let mut p_l = vec![cplx(0.0, 0.0); ne];
-        let mut p_g = vec![cplx(0.0, 0.0); ne];
-        polarization_series_accumulate(
-            &mut p_l, &mut p_g, gl, gg_t, gg, gl_t, &all, false, de, flops,
-        );
-        (p_l, p_g)
-    }
-
-    #[test]
-    fn batched_polarization_accumulation_is_exact() {
-        let ne = 16;
-        let gl = synthetic_series(ne, 0.4);
-        let gg_t = synthetic_series(ne, -1.1);
-        let gg = synthetic_series(ne, 2.3);
-        let gl_t = synthetic_series(ne, 0.9);
-        let de = 0.05;
-        let flops = FlopCounter::new();
-        let (want_l, want_g) = whole_grid_polarization([&gl, &gg_t, &gg, &gl_t], de, &flops);
-
-        // Non-contiguous batches (as produced by multiple source ranks),
-        // covering every index exactly once.
-        let batches: Vec<Vec<usize>> = vec![
-            vec![0, 1, 8, 9],
-            vec![2, 3, 10, 11, 12],
-            vec![],
-            vec![4, 5, 6, 7, 13, 14, 15],
-        ];
-        let mut acc_l = vec![cplx(0.0, 0.0); ne];
-        let mut acc_g = vec![cplx(0.0, 0.0); ne];
-        let mut seen: Vec<usize> = Vec::new();
-        for batch in &batches {
-            let before = !seen.is_empty();
-            seen.extend_from_slice(batch);
-            polarization_series_accumulate(
-                &mut acc_l,
-                &mut acc_g,
-                &arrived(&gl, &seen),
-                &arrived(&gg_t, &seen),
-                &arrived(&gg, &seen),
-                &arrived(&gl_t, &seen),
-                batch,
-                before,
-                de,
-                &flops,
-            );
-        }
-        for j in 0..ne {
-            assert!((acc_l[j] - want_l[j]).norm() < 1e-12, "lesser at {j}");
-            assert!((acc_g[j] - want_g[j]).norm() < 1e-12, "greater at {j}");
-        }
-    }
-
-    #[test]
-    fn batched_self_energy_accumulation_is_exact() {
-        let ne = 16;
-        let gl = synthetic_series(ne, 0.3);
-        let gg = synthetic_series(ne, -0.8);
-        let wl = synthetic_series(ne, 1.5);
-        let wg = synthetic_series(ne, -2.2);
-        let de = 0.07;
-        let flops = FlopCounter::new();
-        // Reference: the whole grid as one batch.
-        let all: Vec<usize> = (0..ne).collect();
-        let mut want_l = vec![cplx(0.0, 0.0); ne];
-        let mut want_g = vec![cplx(0.0, 0.0); ne];
-        self_energy_series_accumulate(
-            &mut want_l,
-            &mut want_g,
-            &gl,
-            &gg,
-            &wl,
-            &wg,
-            &all,
-            de,
-            &flops,
-        );
-
-        // Several batches (Σ is linear in W): exact up to summation order.
-        let batches: Vec<Vec<usize>> = vec![
-            vec![5, 6, 7, 12],
-            vec![0, 1, 2, 3, 4],
-            vec![8, 9, 10, 11, 13, 14, 15],
-        ];
-        let mut acc_l = vec![cplx(0.0, 0.0); ne];
-        let mut acc_g = vec![cplx(0.0, 0.0); ne];
-        let mut seen: Vec<usize> = Vec::new();
-        for batch in &batches {
-            seen.extend_from_slice(batch);
-            self_energy_series_accumulate(
-                &mut acc_l,
-                &mut acc_g,
-                &gl,
-                &gg,
-                &arrived(&wl, &seen),
-                &arrived(&wg, &seen),
-                batch,
-                de,
-                &flops,
-            );
-        }
-        for k in 0..ne {
-            assert!((acc_l[k] - want_l[k]).norm() < 1e-12, "lesser at {k}");
-            assert!((acc_g[k] - want_g[k]).norm() < 1e-12, "greater at {k}");
-        }
-    }
-
-    #[test]
-    fn element_kernels_match_the_energy_major_drivers() {
-        // The per-element kernel, called the way the distributed solver calls
-        // it on a single batch, must produce bit-identical series to the
-        // energy-major driver: the distributed solver depends on it.
-        let ne = 16;
-        let gl = synthetic_g(ne, 3, 2, 1.0);
-        let gg = synthetic_g(ne, 3, 2, -1.0);
-        let de = 0.05;
-        let flops = FlopCounter::new();
-        let (pl, pg) = polarization_from_g(&gl, &gg, de, &flops);
-        for e in canonical_elements(3, 2) {
-            let (r, c) = (e.row, e.col);
-            let tpos = transposed_position(e.pos);
-            let series_gl = element_series(&gl, e.pos, r, c);
-            let series_gg_t = element_series(&gg, tpos, c, r);
-            let series_gg = element_series(&gg, e.pos, r, c);
-            let series_gl_t = element_series(&gl, tpos, c, r);
-            let (kl, kg) = whole_grid_polarization(
-                [&series_gl, &series_gg_t, &series_gg, &series_gl_t],
-                de,
-                &flops,
-            );
-            for j in 0..ne {
-                assert_eq!(kl[j], e.value_in(&pl[j]), "lesser {e:?} at {j}");
-                assert_eq!(kg[j], e.value_in(&pg[j]), "greater {e:?} at {j}");
-            }
-        }
     }
 }

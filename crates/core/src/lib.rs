@@ -43,10 +43,9 @@ pub mod scba;
 
 pub use assembly::{GAssembly, ObcMethod, WAssembly};
 pub use convolution::{
-    block_positions, canonical_elements, causal_retarded_series, element_series,
-    polarization_from_g, polarization_series_accumulate, retarded_from_lesser_greater,
-    self_energy_from_gw, self_energy_series_accumulate, stored_values, symmetrize_all, BlockPos,
-    ElementId, EnergyResolved,
+    canonical_elements, causal_retarded_series, polarization_from_g, polarization_pair_accumulate,
+    retarded_from_lesser_greater, self_energy_from_gw, self_energy_pair_accumulate, stored_values,
+    symmetrize_all, BlockPos, ElementId, EnergyResolved,
 };
 pub use observables::{Observables, SpectralData};
 pub use scba::{

@@ -783,6 +783,10 @@ impl ScbaSolver {
                 }
             }
 
+            // The polarisation is spent: release it before the Σ phase builds
+            // its outputs, which is where the solver's memory peaks.
+            drop((p_lesser, p_greater, p_retarded));
+
             // ------------------------------------------------------------ Σ step
             let t3 = Instant::now();
             let (s_lesser_new, s_greater_new, s_retarded_new) =

@@ -269,7 +269,7 @@ fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror
 /// once [`ConvSeries::finish`] ran — retarded component, in the layout the
 /// backward transposition ships. The lesser/greater series are running
 /// accumulators, filled batch by batch by the
-/// `quatrex_core::convolution::*_accumulate` kernels while later batches are
+/// `quatrex_core::convolution::*_pair_accumulate` kernels while later batches are
 /// still in flight.
 pub(crate) struct ConvSeries {
     /// Race-detector id of the accumulators (the owning group).
@@ -301,13 +301,13 @@ impl ConvSeries {
         }
     }
 
-    /// Accumulate one arrived batch: `kernel(lesser, greater, e_local,
-    /// mirrored)` adds the batch's contribution to the series of the
-    /// canonical element `e_local` (`mirrored = false`) and, unless the
-    /// element is its own mirror, of its mirror (`mirrored = true`).
+    /// Accumulate one arrived batch: `kernel(x_ij, x_ji, e_local)` adds the
+    /// batch's contribution to the pair of owned element `e_local` — the
+    /// `[lesser, greater]` series of the canonical element and, unless it is
+    /// its own mirror, of its mirror.
     pub(crate) fn accumulate(
         &mut self,
-        mut kernel: impl FnMut(&mut [c64], &mut [c64], usize, bool),
+        mut kernel: impl FnMut([&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
     ) {
         race::access_shared(
             SharedId::new("dist.conv_accum", self.group),
@@ -315,11 +315,9 @@ impl ConvSeries {
         );
         let (lc, gc) = lesser_greater(&mut self.slab.canonical);
         let (lm, gm) = lesser_greater(&mut self.slab.mirror);
-        for (e_local, &self_mirror) in self.self_mirror.iter().enumerate() {
-            kernel(&mut lc[e_local], &mut gc[e_local], e_local, false);
-            if !self_mirror {
-                kernel(&mut lm[e_local], &mut gm[e_local], e_local, true);
-            }
+        for (e, &self_mirror) in self.self_mirror.iter().enumerate() {
+            let mirror = (!self_mirror).then(|| [&mut lm[e][..], &mut gm[e][..]]);
+            kernel([&mut lc[e], &mut gc[e]], mirror, e);
         }
     }
 
@@ -347,12 +345,12 @@ impl ConvSeries {
                 symmetrize_series_pair(&mut lc[e], &mut lm[e], self_mirror);
                 symmetrize_series_pair(&mut gc[e], &mut gm[e], self_mirror);
             }
-            let rc = causal_retarded_series(&lc[e], &gc[e], flops);
-            let rm = if self_mirror {
-                rc.clone()
-            } else {
-                causal_retarded_series(&lm[e], &gm[e], flops)
-            };
+            let mut rc = vec![c64::new(0.0, 0.0); lc[e].len()];
+            causal_retarded_series(&mut rc, &lc[e], &gc[e], flops);
+            let mut rm = rc.clone();
+            if !self_mirror {
+                causal_retarded_series(&mut rm, &lm[e], &gm[e], flops);
+            }
             rc_all.push(rc);
             rm_all.push(rm);
         }
@@ -365,7 +363,6 @@ impl ConvSeries {
 mod tests {
     use super::*;
     use crate::slab::TranspositionBatchPlan;
-    use quatrex_core::convolution::element_series;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::ThreadComm;
 
@@ -451,7 +448,7 @@ mod tests {
             for (e_local, e) in plan.element_ranges[group].clone().enumerate() {
                 let id = plan.elements[e];
                 for (c, q) in quantities.iter().enumerate() {
-                    let want = element_series(q, id.pos, id.row, id.col);
+                    let want: Vec<c64> = q.iter().map(|bt| id.value_in(bt)).collect();
                     assert_eq!(slab.canonical[c][e_local], want, "group {group} {id:?}");
                 }
             }

@@ -11,14 +11,16 @@
 //! ([`crate::pipeline`]): the two closures in [`RankState::p_step`] and
 //! [`RankState::sigma_step`] are this crate's only calls into the
 //! convolution kernels — the same two
-//! `quatrex_core::convolution::*_accumulate` functions the sequential
+//! `quatrex_core::convolution::*_pair_accumulate` functions the sequential
 //! drivers call with the whole grid as one batch. The measured energy
 //! rebalancer lives in [`crate::rebalance`].
 
 use std::borrow::Cow;
 use std::ops::Range;
 
-use quatrex_core::convolution::{polarization_series_accumulate, self_energy_series_accumulate};
+use quatrex_core::convolution::{
+    is_grid_batch, polarization_pair_accumulate, self_energy_pair_accumulate,
+};
 use quatrex_core::observables::{integrate_current, Observables, SpectralData};
 use quatrex_core::scba::{
     g_step_assemble, g_step_finish, kernel_chunks, mix_sigma_energy, w_step_assemble,
@@ -395,15 +397,16 @@ impl<'a> RankState<'a> {
 
     /// The front half of a convolution phase, pipelined over the energy
     /// batches: the forward transposition of `comps`, whose batch `k+1` flies
-    /// while `kernel` accumulates batch `k` into every owned element's series
-    /// (see [`ConvSeries::accumulate`]; `kernel` also gets the slab-so-far,
-    /// the arrived energy indices and whether earlier batches arrived).
-    /// Returns the element slab and the accumulated series (leader only).
+    /// while `kernel` accumulates batch `k` into every owned element pair's
+    /// series (see [`ConvSeries::accumulate`]; `kernel` also gets the
+    /// slab-so-far, the arrived energy indices and whether earlier batches
+    /// arrived). Returns the element slab and the accumulated series (leader
+    /// only).
     fn convolve(
         &mut self,
         row: &Transposition,
         comps: [&[BlockTridiagonal]; 2],
-        kernel: impl Fn(&ElementSlab, &[usize], bool, &mut [c64], &mut [c64], usize, bool),
+        kernel: impl Fn(&ElementSlab, &[usize], bool, [&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
     ) -> (Option<ElementSlab>, Option<ConvSeries>) {
         let p = self.p;
         let mut series = self
@@ -413,10 +416,15 @@ impl<'a> RankState<'a> {
             let Some(series) = series.as_mut() else {
                 return;
             };
+            // Once per batch, so the kernels' per-element checks can be
+            // debug-only.
+            assert!(
+                is_grid_batch(batch, p.energies.len()),
+                "arrived batch {batch:?} is not ascending inside the grid"
+            );
             p.conv_timed(row.conv_span, || {
-                series.accumulate(|lesser, greater, e, mirrored| {
-                    kernel(slab, batch, arrived_before, lesser, greater, e, mirrored)
-                });
+                series
+                    .accumulate(|x_ij, x_ji, e| kernel(slab, batch, arrived_before, x_ij, x_ji, e));
             });
         });
         (slab, series)
@@ -442,7 +450,7 @@ impl<'a> RankState<'a> {
     /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
     /// G, so each arriving batch contributes its cross terms against
     /// everything arrived so far (exact; see
-    /// `polarization_series_accumulate`). Returns the G element slab (kept
+    /// `polarization_pair_accumulate`). Returns the G element slab (kept
     /// for the Σ step) and `[P^<, P^>, P^R]`.
     fn p_step(
         &mut self,
@@ -452,22 +460,9 @@ impl<'a> RankState<'a> {
         let (g_slab, series) = self.convolve(
             &TRANSPOSITIONS[0],
             [&g[0], &g[1]],
-            |slab, batch, arrived_before, lesser, greater, e, mirrored| {
-                // P_ij(ω) needs G^<_ij, G^>_ji, G^>_ij, G^<_ji; the mirrored
-                // element swaps canonical and mirror series.
-                let (own, other) = slab.sides(mirrored);
-                polarization_series_accumulate(
-                    lesser,
-                    greater,
-                    &own[0][e],
-                    &other[1][e],
-                    &own[1][e],
-                    &other[0][e],
-                    batch,
-                    arrived_before,
-                    p.de,
-                    &p.flops,
-                );
+            |slab, batch, arrived_before, p_ij, p_ji, e| {
+                let g = slab.pair(e);
+                polarization_pair_accumulate(p_ij, p_ji, g, batch, arrived_before, p.de, &p.flops);
             },
         );
         (g_slab, self.ship(&TRANSPOSITIONS[1], series))
@@ -523,7 +518,7 @@ impl<'a> RankState<'a> {
 
     /// Transposition #3 + Σ convolutions + transposition #4. Σ is linear in
     /// W, so each arriving W batch contributes `conv(Δw, g)` against the
-    /// complete G slab (held since #1; see `self_energy_series_accumulate`).
+    /// complete G slab (held since #1; see `self_energy_pair_accumulate`).
     /// Returns `[Σ^<, Σ^>, Σ^R]`.
     fn sigma_step(
         &mut self,
@@ -534,15 +529,13 @@ impl<'a> RankState<'a> {
         let (_, series) = self.convolve(
             &TRANSPOSITIONS[2],
             [&w[0], &w[1]],
-            |w_slab, batch, _, lesser, greater, e, mirrored| {
+            |w_slab, batch, _, s_ij, s_ji, e| {
                 // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
                 let Some(g_slab) = g_slab.as_ref() else {
                     return;
                 };
-                let ((g, _), (w, _)) = (g_slab.sides(mirrored), w_slab.sides(mirrored));
-                self_energy_series_accumulate(
-                    lesser, greater, &g[0][e], &g[1][e], &w[0][e], &w[1][e], batch, p.de, &p.flops,
-                );
+                let (g, w) = (g_slab.pair(e), w_slab.pair(e));
+                self_energy_pair_accumulate(s_ij, s_ji, g, w, batch, p.de, &p.flops);
             },
         );
         let sigma_new = self.ship(&TRANSPOSITIONS[3], series);

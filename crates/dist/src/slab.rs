@@ -122,16 +122,11 @@ impl ElementSlab {
         }
     }
 
-    /// `(own, other)` series sets (`[c][local_element][energy]`) as seen from
-    /// the canonical element (`mirrored = false`) or from its mirror: the
-    /// convolution of a mirror element is the canonical one with the two
-    /// sides swapped.
-    pub fn sides(&self, mirrored: bool) -> (&[Vec<Vec<c64>>], &[Vec<Vec<c64>>]) {
-        if mirrored {
-            (&self.mirror, &self.canonical)
-        } else {
-            (&self.canonical, &self.mirror)
-        }
+    /// The lesser/greater series of local element `e` and of its mirror,
+    /// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]` — the operand layout of the
+    /// pair kernels in `quatrex_core::convolution`.
+    pub fn pair(&self, e: usize) -> [[&[c64]; 2]; 2] {
+        [&self.canonical, &self.mirror].map(|side| [&side[0][e][..], &side[1][e][..]])
     }
 }
 
@@ -527,7 +522,6 @@ fn set_element(bt: &mut BlockTridiagonal, id: ElementId, value: c64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quatrex_core::convolution::element_series;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
 
@@ -599,11 +593,14 @@ mod tests {
         });
 
         // Element slabs must carry the exact series of both quantities.
+        let series = |x: &EnergyResolved, id: ElementId| -> Vec<c64> {
+            x.iter().map(|bt| id.value_in(bt)).collect()
+        };
         for (rank, (slab, out, _)) in results.iter().enumerate() {
             for (e_local, e) in plan.element_ranges[rank].clone().enumerate() {
                 let id = plan.elements[e];
-                let want_l = element_series(&gl, id.pos, id.row, id.col);
-                let want_g = element_series(&gg, id.pos, id.row, id.col);
+                let want_l = series(&gl, id);
+                let want_g = series(&gg, id);
                 assert_eq!(
                     slab.canonical[0][e_local], want_l,
                     "canonical lesser {id:?}"
@@ -613,7 +610,7 @@ mod tests {
                     "canonical greater {id:?}"
                 );
                 let m = id.mirror();
-                let want_ml = element_series(&gl, m.pos, m.row, m.col);
+                let want_ml = series(&gl, m);
                 assert_eq!(slab.mirror[0][e_local], want_ml, "mirror lesser {id:?}");
             }
             // Round trip restores the energy-major slices exactly.

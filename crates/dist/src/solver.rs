@@ -37,7 +37,7 @@
 //! Because every per-energy and per-element kernel is the *same function* the
 //! sequential driver calls (the assemble and finish stages of
 //! `g_step_batch`/`w_step_batch` around a solve of the same `kernel_chunks`,
-//! `polarization_series_accumulate`, `self_energy_series_accumulate` — whose
+//! `polarization_pair_accumulate`, `self_energy_pair_accumulate` — whose
 //! whole-grid call *is* the sequential convolution —,
 //! `causal_retarded_series`, `mix_sigma_energy`), the
 //! distributed state trajectory matches the sequential one bit-for-bit at

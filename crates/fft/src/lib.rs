@@ -10,15 +10,28 @@
 //! `O(N_E log N_E)` (paper Section 4.4). The original code calls cuFFT/rocFFT
 //! through CuPy; this crate provides the portable equivalent:
 //!
-//! * [`fft`] / [`ifft`] — iterative radix-2 transforms for power-of-two sizes,
-//! * [`convolve`] — zero-padded linear convolution, the primitive under the
-//!   `P` and `Σ` kernels (every grid pads to [`next_power_of_two`] here, so
-//!   no arbitrary-length transform exists),
-//! * [`fft_flops`] / [`convolution_flops`] — the FLOP model of both.
+//! * the plan (`plan.rs`, crate-private) — everything data-independent about
+//!   the transforms of one power-of-two length: the bit-reversal table and
+//!   the exact twiddles of every pass, computed once; a non-power-of-two is
+//!   rejected there, by name. Forward and inverse run the same split
+//!   real/imaginary butterflies (radix-4 passes, one radix-2 pass when
+//!   `log2 n` is odd); the inverse is unnormalised, its `1/n` belongs to the
+//!   caller's prefactor,
+//! * [`with_workspace`] — the calling thread's plan and scratch planes at a
+//!   length (planned on first use, grown never shrunk): load, transform,
+//!   and sum frequency-domain products ([`Workspace::add_product`]) without
+//!   trigonometry or allocation. The `P`/`Σ` pair kernels are written on it,
+//! * [`fft`] / [`ifft`] / [`convolve`] — the same plan and workspace behind
+//!   plain slices; `convolve` is the zero-padded linear convolution (every
+//!   grid pads to [`next_power_of_two`], so no arbitrary-length transform
+//!   exists),
+//! * [`fft_flops`] / [`convolution_flops`] — the FLOP model of one transform
+//!   and of one `convolve`.
 //!
-//! `quatrex_core::convolution` is the only caller in the workspace (CI's
-//! `lint` job holds that): one convolution path, with the FFT under it in
-//! one place.
+//! `quatrex_core::convolution` is the only caller among the library crates:
+//! one convolution path, with the FFT under it in one place. The one other
+//! dependent is `quatrex-bench`'s `bench_kernels`, which times [`fft`] and
+//! [`convolve`] next to the pair kernels (CI's `lint` job holds both).
 //!
 //! ```
 //! use quatrex_fft::{c64, convolve, fft, ifft};
@@ -37,10 +50,13 @@
 //! ```
 
 pub mod convolution;
+mod plan;
 pub mod transform;
+pub mod workspace;
 
 pub use convolution::{convolution_flops, convolve};
-pub use transform::{fft, fft_flops, ifft, is_power_of_two, next_power_of_two};
+pub use transform::{fft, fft_flops, ifft, next_power_of_two};
+pub use workspace::{with_workspace, Workspace};
 
 /// Double-precision complex scalar (re-exported for convenience).
 #[allow(non_camel_case_types)]
