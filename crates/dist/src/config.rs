@@ -78,8 +78,8 @@ pub struct DistScbaConfig {
     /// per-energy wall times (ROADMAP "energy-cost weights from measurement"):
     /// the wall seconds each energy spent in assembly + solve during
     /// iteration `n` feed `partition_weighted` for iteration `n+1`, and the
-    /// per-energy self-energy state migrates between group leaders when the
-    /// split moves. Off by default: rebalancing reorders the residual
+    /// per-energy self-energy state migrates from old owner to new owner when
+    /// the split moves. Off by default: rebalancing reorders the residual
     /// reductions, so the bit-exact full-wire-format equivalence only holds
     /// without it (the observables still agree to ≤1e-10).
     ///
@@ -123,7 +123,7 @@ pub struct DistScbaConfig {
     pub probe: bool,
     /// Capture the final per-energy Σ state and OBC memoizer caches into
     /// [`DistScbaResult::final_state`] when the run ends. Off by default: the
-    /// capture drains the leaders' Σ matrices and memoizer entries into one
+    /// capture drains every rank's Σ matrices and memoizer entries into one
     /// [`WarmState`] over the full grid, which costs memory proportional to
     /// `3 · N_E` block-tridiagonals.
     ///

@@ -7,17 +7,20 @@
 //!
 //! The paper (Sections 5.1–5.4) distributes the NEGF+scGW workload along two
 //! axes. The **energy axis** first: the OBC, assembly and RGF phases are
-//! embarrassingly parallel over the `N_E` energy points, so every energy
-//! *group* owns a contiguous slice of them ([`partition`]: an equal-count
-//! split, optionally re-balanced between iterations from measured wall
-//! times). The **spatial axis** second: devices whose matrices exceed one
-//! memory domain split each energy group over `P_S` spatial partitions via
-//! the nested-dissection solver ([`spatial`]): the ranks form a
-//! `n_energy_groups × P_S` grid, the group's spatial ranks eliminate and
-//! recover their partition interiors concurrently, and the reduced boundary
-//! system is assembled via gather within the group and solved on the group
-//! leader (`DistScbaConfig::spatial_partitions`; the partition layout is
-//! FLOP-balanced whenever a middle partition exists, `P_S ≥ 3`).
+//! embarrassingly parallel over the `N_E` energy points, so every *rank*
+//! owns a contiguous slice of them ([`partition`]: an equal-count split,
+//! optionally re-balanced between iterations from measured wall times).
+//! The **spatial axis** second: devices whose matrices exceed one memory
+//! domain split each energy group over `P_S` spatial partitions via the
+//! nested-dissection solver ([`spatial`]): the ranks form a
+//! `n_energy_groups × P_S` grid, a group's members pool their energies,
+//! eliminate and recover their partition interiors of all of them
+//! concurrently, and each energy's reduced boundary system is assembled and
+//! solved on the member that owns the energy
+//! (`DistScbaConfig::spatial_partitions`; the partition layout is
+//! FLOP-balanced whenever a middle partition exists, `P_S ≥ 3`). No member
+//! is distinguished: every rank assembles, transposes, convolves and mixes
+//! what it owns.
 //!
 //! ## One iteration, one route
 //!

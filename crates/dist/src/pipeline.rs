@@ -24,7 +24,6 @@ use quatrex_sync::race::{self, AccessKind, SharedId};
 
 use crate::rank::{RankCounters, RankState};
 use crate::slab::{off_rank_payload_bytes, ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
-use crate::spatial::RankGrid;
 
 /// Which way a transposition moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,44 +104,31 @@ fn payload_bytes(payloads: &[Vec<c64>]) -> u64 {
 /// Drive one transposition through the double-buffered batch pipeline: post
 /// the next batch, wait for the oldest, absorb it, release its buffers.
 ///
-/// The participants are the energy groups: group `g`'s message rides to its
-/// leader rank through the flat communicator. On leaders `pack(b)` builds
-/// batch `b`'s per-group payloads and `absorb(b, received)` consumes the
-/// messages received for it (indexed by source group); non-leader ranks join
-/// every batch collective with empty messages and call neither. Empty surplus
-/// batches (more batches than a group has energies) still post and drain, so
-/// every rank executes the same collective sequence.
+/// The participants are the flat ranks, each as itself: `pack(b)` builds
+/// batch `b`'s per-rank payloads and `absorb(b, received)` consumes the
+/// messages received for it (indexed by source rank). Empty surplus batches
+/// (more batches than a rank has energies) still post and drain, so every
+/// rank executes the same collective sequence.
 ///
 /// Every posted and received payload counts toward the in-flight buffer
 /// footprint until its batch has been absorbed (`counters.peak_slab_bytes`),
-/// and absorb time that ran while a later batch was in flight accumulates in
+/// and the time `absorb` ran while a later batch was in flight accumulates in
 /// `counters.overlap_seconds`.
 pub(crate) fn exchange(
     ctx: &RankContext<Vec<c64>>,
-    grid: &RankGrid,
     row: &Transposition,
     n_batches: usize,
     counters: &mut RankCounters,
     mut pack: impl FnMut(usize) -> Vec<Vec<c64>>,
     mut absorb: impl FnMut(usize, Vec<Vec<c64>>),
 ) {
-    let group = grid.group_of(ctx.rank());
-    let is_leader = grid.is_leader(ctx.rank());
     let mut post = |b: usize, counters: &mut RankCounters| -> (CommHandle<Vec<c64>>, u64) {
-        let payloads = if is_leader {
-            quatrex_probe::span(row.scatter_span, "transposition.pack", || pack(b))
-        } else {
-            vec![Vec::new(); grid.n_groups]
-        };
-        debug_assert_eq!(payloads.len(), grid.n_groups);
-        counters.transposition_bytes += off_rank_payload_bytes(group, &payloads);
+        let payloads = quatrex_probe::span(row.scatter_span, "transposition.pack", || pack(b));
+        debug_assert_eq!(payloads.len(), ctx.n_ranks());
+        counters.transposition_bytes += off_rank_payload_bytes(ctx.rank(), &payloads);
         let bytes = payload_bytes(&payloads);
         counters.track(bytes);
-        let mut send: Vec<Vec<c64>> = vec![Vec::new(); grid.n_ranks()];
-        for (g, msg) in payloads.into_iter().enumerate() {
-            send[grid.leader_of(g)] = msg;
-        }
-        let handle = ctx.alltoallv_start_tagged(send, |m| m.len() * BYTES_PER_VALUE, row.phase);
+        let handle = ctx.alltoallv_start_tagged(payloads, |m| m.len() * BYTES_PER_VALUE, row.phase);
         (handle, bytes)
     };
     let mut in_flight = Some(post(0, counters));
@@ -151,17 +137,14 @@ pub(crate) fn exchange(
         if b + 1 < n_batches {
             in_flight = Some(post(b + 1, counters));
         }
-        let mut recv = handle.wait(ctx);
-        let received: Vec<Vec<c64>> = (0..grid.n_groups)
-            .map(|g| std::mem::take(&mut recv[grid.leader_of(g)]))
-            .collect();
+        let received = handle.wait(ctx);
         let recv_bytes = payload_bytes(&received);
         counters.track(recv_bytes);
         let t = Instant::now();
-        if is_leader {
-            absorb(b, received);
-        }
-        if in_flight.is_some() {
+        absorb(b, received);
+        // Overlap is absorb work on a batch that carried data while a later
+        // batch flies; draining an empty surplus batch hides nothing.
+        if in_flight.is_some() && recv_bytes > 0 {
             counters.overlap_seconds += t.elapsed().as_secs_f64();
         }
         counters.release(sent_bytes + recv_bytes);
@@ -172,36 +155,32 @@ pub(crate) fn exchange(
 impl RankState<'_> {
     /// One forward transposition (energy-major → element-major) of the
     /// lesser/greater pair `comps`. `consume` is the per-batch convolution
-    /// accumulation: called on leaders for every non-empty batch with the
-    /// slab-so-far, the arrived global energy indices, and whether earlier
-    /// batches arrived. Returns the fully assembled element slab on leaders.
+    /// accumulation: called for every non-empty batch with the slab-so-far,
+    /// the arrived global energy indices, and whether earlier batches
+    /// arrived. Returns the fully assembled element slab.
     pub(crate) fn forward(
         &mut self,
         row: &Transposition,
         comps: [&[BlockTridiagonal]; 2],
         mut consume: impl FnMut(&ElementSlab, &[usize], bool),
-    ) -> Option<ElementSlab> {
+    ) -> ElementSlab {
         debug_assert_eq!(row.direction, Direction::Forward);
-        let (plan, batches, group) = (&*self.plan, &self.batches, self.group);
-        let mut slab = self.is_leader.then(|| {
-            let elements = plan.element_ranges[group].clone();
-            ElementSlab::zeroed(elements, row.symmetric.len(), plan.n_energies)
-        });
+        let (plan, batches, rank) = (&*self.plan, &self.batches, self.ctx.rank());
+        let elements = plan.element_ranges[rank].clone();
+        let mut slab = ElementSlab::zeroed(elements, row.symmetric.len(), plan.n_energies);
         let mut arrived_before = false;
         exchange(
             self.ctx,
-            &self.p.layout.grid,
             row,
             batches.n_batches,
             &mut self.log.counters,
-            |b| plan.scatter_forward_batch(group, &comps, batches.local_ranges[group][b].clone()),
+            |b| plan.scatter_forward_batch(rank, &comps, batches.local_ranges[rank][b].clone()),
             |b, received| {
-                let Some(slab) = slab.as_mut() else { return };
                 let sources = batches.global_ranges(plan, b);
-                row.unpack(|| plan.absorb_forward_batch(group, slab, received, &sources));
+                row.unpack(|| plan.absorb_forward_batch(rank, &mut slab, received, &sources));
                 let arrived = batches.arrived_global(plan, b);
                 if !arrived.is_empty() {
-                    consume(slab, &arrived, arrived_before);
+                    consume(&slab, &arrived, arrived_before);
                     arrived_before = true;
                 }
             },
@@ -210,35 +189,30 @@ impl RankState<'_> {
     }
 
     /// One backward transposition (element-major → energy-major) of the
-    /// leader's finished convolution series (`None` on non-leaders). Returns
-    /// the lesser, greater and retarded energy-major quantities of the owned
-    /// energies on leaders, empty vectors elsewhere.
+    /// rank's finished convolution series. Returns the lesser, greater and
+    /// retarded energy-major quantities of the owned energies.
     pub(crate) fn backward(
         &mut self,
         row: &Transposition,
-        series: Option<&ConvSeries>,
+        series: &ConvSeries,
     ) -> [Vec<BlockTridiagonal>; 3] {
         debug_assert_eq!(row.direction, Direction::Backward);
-        let (plan, batches, group) = (&*self.plan, &self.batches, self.group);
+        let (plan, batches, rank) = (&*self.plan, &self.batches, self.ctx.rank());
         let zero = BlockTridiagonal::zeros(plan.n_blocks, plan.block_size);
         let mut out = [(); 3].map(|()| vec![zero.clone(); self.sigma.len()]);
         exchange(
             self.ctx,
-            &self.p.layout.grid,
             row,
             batches.n_batches,
             &mut self.log.counters,
             |b| {
-                // Only leaders pack, and every leader holds its series.
                 let targets = batches.global_ranges(plan, b);
-                series.map_or_else(Vec::new, |s| {
-                    plan.scatter_backward_batch(group, &s.slab, row.symmetric, &targets)
-                })
+                plan.scatter_backward_batch(rank, &series.slab, row.symmetric, &targets)
             },
             |b, received| {
-                let mine = batches.global_range(plan, group, b);
+                let mine = batches.global_range(plan, rank, b);
                 row.unpack(|| {
-                    plan.absorb_backward_batch(group, &mut out, received, row.symmetric, mine)
+                    plan.absorb_backward_batch(rank, &mut out, received, row.symmetric, mine)
                 });
             },
         );
@@ -264,16 +238,16 @@ fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror
     }
 }
 
-/// The element-major output of one convolution phase (`P` or `Σ`) on a group
-/// leader: the owned elements' [`ElementSlab`] of the lesser, greater and —
+/// The element-major output of one convolution phase (`P` or `Σ`) on one
+/// rank: the owned elements' [`ElementSlab`] of the lesser, greater and —
 /// once [`ConvSeries::finish`] ran — retarded component, in the layout the
 /// backward transposition ships. The lesser/greater series are running
 /// accumulators, filled batch by batch by the
 /// `quatrex_core::convolution::*_pair_accumulate` kernels while later batches are
 /// still in flight.
 pub(crate) struct ConvSeries {
-    /// Race-detector id of the accumulators (the owning group).
-    group: u64,
+    /// Race-detector id of the accumulators (the owning rank).
+    owner: u64,
     /// Per owned element: whether it is its own mirror.
     self_mirror: Vec<bool>,
     /// Components `[lesser, greater]`, then `retarded` once finished.
@@ -288,11 +262,11 @@ fn lesser_greater(side: &mut [Vec<Vec<c64>>]) -> (&mut [Vec<c64>], &mut [Vec<c64
 }
 
 impl ConvSeries {
-    /// All-zero accumulators for the elements `group` owns.
-    pub(crate) fn zeroed(plan: &TranspositionPlan, group: usize) -> Self {
-        let elements = plan.element_ranges[group].clone();
+    /// All-zero accumulators for the elements `rank` owns.
+    pub(crate) fn zeroed(plan: &TranspositionPlan, rank: usize) -> Self {
+        let elements = plan.element_ranges[rank].clone();
         Self {
-            group: group as u64,
+            owner: rank as u64,
             self_mirror: plan.elements[elements.clone()]
                 .iter()
                 .map(|id| id.is_self_mirror())
@@ -310,7 +284,7 @@ impl ConvSeries {
         mut kernel: impl FnMut([&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
     ) {
         race::access_shared(
-            SharedId::new("dist.conv_accum", self.group),
+            SharedId::new("dist.conv_accum", self.owner),
             AccessKind::Write,
         );
         let (lc, gc) = lesser_greater(&mut self.slab.canonical);
@@ -326,11 +300,11 @@ impl ConvSeries {
     /// components causally.
     pub(crate) fn finish(&mut self, enforce_symmetry: bool, flops: &FlopCounter) {
         // The epilogue read of the batch-accumulated series: ordered after
-        // every batch's accumulate (same leader thread, after the batch's
+        // every batch's accumulate (same rank thread, after the batch's
         // CommHandle::wait) — a pipeline mutation that lets the finish read
         // overtake an in-flight batch's accumulate is an HB race here.
         race::access_shared(
-            SharedId::new("dist.conv_accum", self.group),
+            SharedId::new("dist.conv_accum", self.owner),
             AccessKind::Read,
         );
         let (lc, gc) = lesser_greater(&mut self.slab.canonical);
@@ -390,20 +364,19 @@ mod tests {
 
     #[test]
     fn exchange_posts_and_drains_empty_surplus_batches() {
-        // 2 groups over 5 energies (2 + 3) in B = 3 batches: one group owns
+        // 2 ranks over 5 energies (2 + 3) in B = 3 batches: one rank owns
         // fewer energies than there are batches, so one of its batches is
         // empty — it must still post and drain like the others, and the
         // batch-wise slabs must equal the directly extracted element series.
         let (nb, bs, ne, n_batches) = (3usize, 2usize, 5usize, 3usize);
-        let plan = TranspositionPlan::new(nb, bs, ne, 2, 1, false, &vec![1.0; ne]);
+        let plan = TranspositionPlan::new(nb, bs, ne, 2, false, &vec![1.0; ne]);
         let batches = TranspositionBatchPlan::new(&plan, n_batches);
         assert!(
             batches.local_ranges.iter().flatten().any(|r| r.is_empty()),
-            "the grid must leave a group a surplus batch: {:?}",
+            "the grid must leave a rank a surplus batch: {:?}",
             batches.local_ranges
         );
         let quantities = [quantity(ne, nb, bs, 0.25), quantity(ne, nb, bs, -4.0)];
-        let grid = RankGrid::new(2, 1);
         let row = &TRANSPOSITIONS[0];
         let (plan2, q2) = (plan.clone(), quantities.clone());
         let (results, stats) = ThreadComm::run(2, move |ctx: RankContext<Vec<c64>>| {
@@ -417,7 +390,6 @@ mod tests {
             let mut absorbed = Vec::new();
             exchange(
                 &ctx,
-                &grid,
                 row,
                 n_batches,
                 &mut counters,

@@ -6,7 +6,9 @@
 //! The `G` and `W` steps speak the stage vocabulary of `quatrex_core::scba`:
 //! *assemble one energy* (core), *solve the assembled systems* (the group
 //! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
-//! otherwise), *finish one energy* (core). The `P` and `Σ` steps run the
+//! otherwise), *finish one energy* (core). Every rank runs every step on the
+//! energies and elements it owns under the plan — there is no distinguished
+//! rank in a group. The `P` and `Σ` steps run the
 //! element-major convolutions behind the transposition pipeline
 //! ([`crate::pipeline`]): the two closures in [`RankState::p_step`] and
 //! [`RankState::sigma_step`] are this crate's only calls into the
@@ -164,9 +166,8 @@ pub(crate) struct RankOut {
     pub log: RankLog,
     pub observables: Observables,
     pub trace: Option<RankTrace>,
-    /// Final Σ state of the energies this leader owned at run end, keyed by
-    /// global energy index. Empty unless state capture is on (and always
-    /// empty on non-leaders).
+    /// Final Σ state of the energies this rank owned at run end, keyed by
+    /// global energy index. Empty unless state capture is on.
     pub final_sigma: Vec<(usize, SigmaState)>,
     /// Final OBC memoizer entries of the owned energies. Empty unless state
     /// capture is on.
@@ -177,19 +178,16 @@ pub(crate) struct RankOut {
 pub(crate) struct RankState<'a> {
     pub(crate) ctx: &'a RankContext<Vec<c64>>,
     pub(crate) p: &'a Problem,
-    pub(crate) group: usize,
-    pub(crate) is_leader: bool,
     /// Current ownership; a private copy only once a rebalance moved it.
     pub(crate) plan: Cow<'a, TranspositionPlan>,
     /// Batch schedule of the current ownership.
     pub(crate) batches: TranspositionBatchPlan,
-    /// Σ of the owned energies (energy-major, held by the group leader;
-    /// non-leaders carry no per-energy state).
+    /// Σ of the owned energies (energy-major).
     pub(crate) sigma: Vec<SigmaState>,
     pub(crate) memoizer: Option<ObcMemoizer>,
     /// RGF scratch of the group solve, local or cooperative (there: the
-    /// partition interiors on every member, the reduced systems on the
-    /// leader): the shapes repeat every iteration, so the staged operand
+    /// partition interiors of the group's energies and the reduced systems
+    /// of the rank's own): the shapes repeat every iteration, so the staged operand
     /// batches and the batch arena stay warm across kernel batches and
     /// iterations.
     rgf_scratch: RgfBatchScratch,
@@ -232,15 +230,9 @@ pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
 
 impl<'a> RankState<'a> {
     fn new(ctx: &'a RankContext<Vec<c64>>, p: &'a Problem) -> Self {
-        let grid = &p.layout.grid;
-        let (group, is_leader) = (grid.group_of(ctx.rank()), grid.is_leader(ctx.rank()));
         let cfg = p.cfg();
         let mut memoizer = cfg.use_memoizer.then(|| ObcMemoizer::new(cfg.n_fpi, 1e-7));
-        let owned = if is_leader {
-            p.plan.energy_ranges[group].clone()
-        } else {
-            0..0
-        };
+        let owned = p.plan.energy_ranges[ctx.rank()].clone();
         // Cold start at Σ = 0; a warm start adopts the seed state's Σ for the
         // owned energies and pre-fills the OBC memoizer — the identical
         // adoption the rebalancer's migration receive path performs.
@@ -270,8 +262,6 @@ impl<'a> RankState<'a> {
         Self {
             ctx,
             p,
-            group,
-            is_leader,
             plan: Cow::Borrowed(&p.plan),
             batches: TranspositionBatchPlan::new(&p.plan, p.config.energy_batches),
             sigma,
@@ -283,9 +273,9 @@ impl<'a> RankState<'a> {
         }
     }
 
-    /// Global energy range the group owns under the current plan.
+    /// Global energy range this rank owns under the current plan.
     pub(crate) fn my_energies(&self) -> Range<usize> {
-        self.plan.energy_ranges[self.group].clone()
+        self.plan.energy_ranges[self.ctx.rank()].clone()
     }
 
     fn begin_iteration(&mut self) {
@@ -297,36 +287,49 @@ impl<'a> RankState<'a> {
     /// solves kernel chunks cut inside the transposition batches — a kernel
     /// batch never straddles a batch boundary, so the data a solve produces
     /// is exactly the data the next pipelined transposition ships. A spatial
-    /// group runs one cooperative solve per phase over all its energies (even
-    /// none: the members still join its collectives).
+    /// group runs one cooperative solve per phase, to which every member
+    /// brings all its energies (even none: it still joins the collectives).
     fn solve_chunks(&self) -> Vec<Range<usize>> {
         if self.p.layout.grid.spatial_partitions > 1 {
             let all = 0..self.my_energies().len();
             return vec![all];
         }
-        self.batches.local_ranges[self.group]
+        self.batches.local_ranges[self.ctx.rank()]
             .iter()
             .flat_map(|lr| kernel_chunks(lr.clone(), self.p.cfg().kernel_batch))
             .collect()
     }
 
-    /// Stage 2 of a step: solve the systems the leader assembled for one
-    /// chunk of `n_owned` energies, by the whole group. Returns the solutions
-    /// (leader only) and each energy's equal share of the solve's wall time.
+    /// Stage 2 of a step: solve the systems this rank assembled for one chunk
+    /// of its energies, together with the rest of its group. Returns the
+    /// solutions and each energy's equal share of the solve's wall time (the
+    /// solve covers the energies every member brought).
     fn group_solve(
         &mut self,
         subsystem: Subsystem,
         systems: &[[&BlockTridiagonal; 3]],
-        n_owned: usize,
     ) -> (Vec<SelectedSolution>, f64) {
-        let p = self.p;
+        let (p, rank) = (self.p, self.ctx.rank());
+        // What each member brings to this solve: this rank the chunk at
+        // hand, the others of a spatial group all their energies.
+        let brings = |r: usize| {
+            if r == rank {
+                systems.len()
+            } else {
+                self.plan.energy_ranges[r].len()
+            }
+        };
+        let grid = &p.layout.grid;
+        let member_energies: Vec<usize> =
+            grid.members_of(grid.group_of(rank)).map(brings).collect();
+        let n_solved: usize = member_energies.iter().sum();
         let t = Instant::now();
         let (sols, traffic) = spatial_phase_solve(
             self.ctx,
             &p.layout,
             subsystem,
             systems,
-            n_owned,
+            &member_energies,
             p.cfg().kernel_batch,
             &mut self.rgf_scratch,
             &p.flops,
@@ -336,11 +339,11 @@ impl<'a> RankState<'a> {
             Subsystem::Electron => self.log.counters.traffic_g.merge(&traffic),
             Subsystem::ScreenedCoulomb => self.log.counters.traffic_w.merge(&traffic),
         }
-        (sols, t.elapsed().as_secs_f64() / n_owned.max(1) as f64)
+        (sols, t.elapsed().as_secs_f64() / n_solved.max(1) as f64)
     }
 
-    /// G step: `G^≶` of the owned energies (`[G^<, G^>]`, leader only), the
-    /// packed spectral data, and the allreduced per-iteration current.
+    /// G step: `G^≶` of the owned energies (`[G^<, G^>]`), the packed
+    /// spectral data, and the allreduced per-iteration current.
     fn g_step(&mut self) -> [Vec<BlockTridiagonal>; 2] {
         let (p, cfg) = (self.p, self.p.cfg());
         let nb = p.h.n_blocks();
@@ -348,10 +351,8 @@ impl<'a> RankState<'a> {
         let mut g = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
         self.spectral.clear();
         for chunk in self.solve_chunks() {
-            // Members hold no per-energy state and assemble nothing.
             let asms: Vec<_> = chunk
                 .clone()
-                .take(self.sigma.len())
                 .map(|k_local| {
                     let s = &self.sigma[k_local];
                     g_step_assemble(
@@ -371,7 +372,7 @@ impl<'a> RankState<'a> {
                 .iter()
                 .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let (sols, share) = self.group_solve(Subsystem::Electron, &systems, chunk.len());
+            let (sols, share) = self.group_solve(Subsystem::Electron, &systems);
             for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
                 let out = g_step_finish(asm, sol, secs + share, cfg);
                 self.energy_seconds[k_local] += out.seconds;
@@ -400,22 +401,16 @@ impl<'a> RankState<'a> {
     /// while `kernel` accumulates batch `k` into every owned element pair's
     /// series (see [`ConvSeries::accumulate`]; `kernel` also gets the
     /// slab-so-far, the arrived energy indices and whether earlier batches
-    /// arrived). Returns the element slab and the accumulated series (leader
-    /// only).
+    /// arrived). Returns the element slab and the accumulated series.
     fn convolve(
         &mut self,
         row: &Transposition,
         comps: [&[BlockTridiagonal]; 2],
         kernel: impl Fn(&ElementSlab, &[usize], bool, [&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
-    ) -> (Option<ElementSlab>, Option<ConvSeries>) {
+    ) -> (ElementSlab, ConvSeries) {
         let p = self.p;
-        let mut series = self
-            .is_leader
-            .then(|| ConvSeries::zeroed(&self.plan, self.group));
+        let mut series = ConvSeries::zeroed(&self.plan, self.ctx.rank());
         let slab = self.forward(row, comps, |slab, batch, arrived_before| {
-            let Some(series) = series.as_mut() else {
-                return;
-            };
             // Once per batch, so the kernels' per-element checks can be
             // debug-only.
             assert!(
@@ -433,18 +428,12 @@ impl<'a> RankState<'a> {
     /// The back half of a convolution phase: the epilogue of the accumulated
     /// series and their backward transposition. Returns the energy-major
     /// `[X^<, X^>, X^R]` of the owned energies.
-    fn ship(
-        &mut self,
-        row: &Transposition,
-        mut series: Option<ConvSeries>,
-    ) -> [Vec<BlockTridiagonal>; 3] {
+    fn ship(&mut self, row: &Transposition, mut series: ConvSeries) -> [Vec<BlockTridiagonal>; 3] {
         let p = self.p;
-        if let Some(series) = series.as_mut() {
-            p.conv_timed(row.conv_span, || {
-                series.finish(p.cfg().enforce_symmetry, &p.flops)
-            });
-        }
-        self.backward(row, series.as_ref())
+        p.conv_timed(row.conv_span, || {
+            series.finish(p.cfg().enforce_symmetry, &p.flops)
+        });
+        self.backward(row, &series)
     }
 
     /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
@@ -455,7 +444,7 @@ impl<'a> RankState<'a> {
     fn p_step(
         &mut self,
         g: [Vec<BlockTridiagonal>; 2],
-    ) -> (Option<ElementSlab>, [Vec<BlockTridiagonal>; 3]) {
+    ) -> (ElementSlab, [Vec<BlockTridiagonal>; 3]) {
         let p = self.p;
         let (g_slab, series) = self.convolve(
             &TRANSPOSITIONS[0],
@@ -468,8 +457,8 @@ impl<'a> RankState<'a> {
         (g_slab, self.ship(&TRANSPOSITIONS[1], series))
     }
 
-    /// W step: `[W^<, W^>]` of the owned energies (leader only) and the
-    /// globally gathered truncation maximum.
+    /// W step: `[W^<, W^>]` of the owned energies and the globally gathered
+    /// truncation maximum.
     fn w_step(&mut self, polarization: [Vec<BlockTridiagonal>; 3]) -> [Vec<BlockTridiagonal>; 2] {
         let (p, cfg) = (self.p, self.p.cfg());
         let [p_lesser, p_greater, p_retarded] = polarization;
@@ -479,7 +468,6 @@ impl<'a> RankState<'a> {
         for chunk in self.solve_chunks() {
             let asms: Vec<_> = chunk
                 .clone()
-                .take(self.sigma.len())
                 .map(|k| {
                     w_step_assemble(
                         &p.v,
@@ -496,7 +484,7 @@ impl<'a> RankState<'a> {
                 .iter()
                 .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let (sols, share) = self.group_solve(Subsystem::ScreenedCoulomb, &systems, chunk.len());
+            let (sols, share) = self.group_solve(Subsystem::ScreenedCoulomb, &systems);
             for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
                 let out = w_step_finish(asm, sol, secs + share, cfg);
                 self.energy_seconds[k_local] += out.seconds;
@@ -522,7 +510,7 @@ impl<'a> RankState<'a> {
     /// Returns `[Σ^<, Σ^>, Σ^R]`.
     fn sigma_step(
         &mut self,
-        g_slab: Option<ElementSlab>,
+        g_slab: ElementSlab,
         w: [Vec<BlockTridiagonal>; 2],
     ) -> [Vec<BlockTridiagonal>; 3] {
         let p = self.p;
@@ -531,9 +519,6 @@ impl<'a> RankState<'a> {
             [&w[0], &w[1]],
             |w_slab, batch, _, s_ij, s_ji, e| {
                 // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
-                let Some(g_slab) = g_slab.as_ref() else {
-                    return;
-                };
                 let (g, w) = (g_slab.pair(e), w_slab.pair(e));
                 self_energy_pair_accumulate(s_ij, s_ji, g, w, batch, p.de, &p.flops);
             },
@@ -571,8 +556,8 @@ impl<'a> RankState<'a> {
             p.timings.add(&p.timings.other_ns, t);
             partial
         });
-        let update_norm = self.ctx.allreduce_sum(partial_update);
-        let reference_norm = self.ctx.allreduce_sum(partial_reference);
+        let [update_norm, reference_norm] =
+            self.ctx.allreduce_sums([partial_update, partial_reference]);
         let residual = if reference_norm > 0.0 {
             (update_norm / reference_norm).sqrt()
         } else {
@@ -588,8 +573,8 @@ impl<'a> RankState<'a> {
         let p = self.p;
         let (ne, nb, de) = (p.energies.len(), p.h.n_blocks(), p.de);
         // The packed spectral data is gathered in rank order (= ascending
-        // energy, as group leaders appear in group order), so every rank can
-        // evaluate the observables with the sequential summation order
+        // energy, as the plan's ranges ascend with the rank), so every rank
+        // can evaluate the observables with the sequential summation order
         // exactly.
         let gathered = self.ctx.allgather_tagged(
             std::mem::take(&mut self.spectral),
@@ -625,12 +610,12 @@ impl<'a> RankState<'a> {
             self.log.counters.memo_total = stats.total();
         }
 
-        // State capture: drain this leader's final Σ matrices and memoizer
+        // State capture: drain this rank's final Σ matrices and memoizer
         // entries, keyed by global energy index so the solver can reassemble
         // the full-grid state regardless of how rebalancing moved ownership.
         let mut final_sigma = Vec::new();
         let mut final_obc = Vec::new();
-        if p.config.capture_state && self.is_leader {
+        if p.config.capture_state {
             let owned = self.my_energies();
             final_sigma = owned.clone().zip(std::mem::take(&mut self.sigma)).collect();
             if let Some(m) = self.memoizer.as_mut() {

@@ -3,9 +3,9 @@
 //!
 //! The memoizer's direct-vs-refine asymmetry makes per-energy costs uneven
 //! and unpredictable, so iteration `n`'s measured wall seconds per energy
-//! (assembly + equal share of the group solve) re-partition the energies for
-//! iteration `n+1`, and the per-energy Σ state and OBC cache migrate between
-//! group leaders when the split moves.
+//! (assembly + equal share of the group solve) re-partition the energies over
+//! the flat ranks for iteration `n+1`, and the per-energy Σ state and OBC
+//! cache migrate from old owner to new owner when the split moves.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -22,7 +22,7 @@ use crate::slab::{
     TranspositionBatchPlan, BYTES_PER_VALUE,
 };
 
-/// The group owning energy `k` under the contiguous `ranges`.
+/// The rank owning energy `k` under the contiguous `ranges`.
 fn owner_of(ranges: &[Range<usize>], k: usize) -> usize {
     ranges
         .iter()
@@ -33,8 +33,8 @@ fn owner_of(ranges: &[Range<usize>], k: usize) -> usize {
 impl RankState<'_> {
     /// Recompute the energy partition from the measured per-energy wall
     /// seconds of this iteration and migrate the per-energy self-energy state
-    /// between group leaders when the split moves. Every rank joins the
-    /// collectives and applies the same deterministic update to its plan.
+    /// between owners when the split moves. Every rank joins the collectives
+    /// and applies the same deterministic update to its plan.
     pub(crate) fn rebalance(&mut self) {
         let moved = quatrex_probe::span("scba.rebalance", "rebalance", || self.migrate());
         if moved {
@@ -45,13 +45,13 @@ impl RankState<'_> {
 
     /// Returns true when the ownership actually changed.
     fn migrate(&mut self) -> bool {
-        let (ctx, grid) = (self.ctx, &self.p.layout.grid);
-        let (rank, group, n_ranks) = (ctx.rank(), self.group, ctx.n_ranks());
+        let ctx = self.ctx;
+        let (rank, n_ranks) = (ctx.rank(), ctx.n_ranks());
         let (nb, bs) = (self.plan.n_blocks, self.plan.block_size);
         let my_e = self.my_energies();
         let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
 
-        // Every leader contributes (energy index, measured seconds) pairs;
+        // Every rank contributes (energy index, measured seconds) pairs;
         // the gather gives all ranks the identical full weight vector.
         let packed: Vec<c64> = my_e
             .clone()
@@ -63,19 +63,19 @@ impl RankState<'_> {
         for v in gathered.iter().flatten() {
             weights[v.re as usize] = v.im.max(f64::MIN_POSITIVE);
         }
-        let new_ranges = partition_weighted(&weights, grid.n_groups);
+        let new_ranges = partition_weighted(&weights, n_ranks);
         let old_ranges = &self.plan.energy_ranges;
 
-        // Migrate departing energies to their new owner's group leader. An
-        // unchanged split still runs the (empty) migration collective so
-        // every rank executes the same collective sequence.
+        // Migrate departing energies to their new owner. An unchanged split
+        // still runs the (empty) migration collective so every rank executes
+        // the same collective sequence.
         let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
         for (k, s) in my_e.clone().zip(&self.sigma) {
-            let new_group = owner_of(&new_ranges, k);
-            if new_group == group {
+            let new_owner = owner_of(&new_ranges, k);
+            if new_owner == rank {
                 continue;
             }
-            let buf = &mut send[grid.leader_of(new_group)];
+            let buf = &mut send[new_owner];
             // Old owner relinquishes energy k's σ state (matrices + memoizer
             // cache): the migration alltoallv's channel edge must order this
             // against the new owner's adoption below.
@@ -106,43 +106,41 @@ impl RankState<'_> {
             return false;
         }
 
-        if self.is_leader {
-            let mut kept: BTreeMap<usize, SigmaState> =
-                my_e.zip(std::mem::take(&mut self.sigma)).collect();
-            // One read cursor per source leader, shared by every energy
-            // migrated from it; the wire codec is the same push/read helpers
-            // the spatial block-range messages use.
-            let mut readers: Vec<_> = received.iter().map(|m| m.iter()).collect();
-            for k in new_ranges[group].clone() {
-                if let Some(s) = kept.remove(&k) {
-                    self.sigma.push(s);
-                    continue;
-                }
-                let it = &mut readers[grid.leader_of(owner_of(old_ranges, k))];
-                // New owner adopts energy k's migrated σ state.
-                race::access_shared(
-                    SharedId::new("dist.sigma_state", k as u64),
-                    AccessKind::Write,
-                );
-                self.sigma.push(SigmaState {
-                    lesser: read_bt(it, nb, bs),
-                    greater: read_bt(it, nb, bs),
-                    retarded: read_bt(it, nb, bs),
-                });
-                for _ in 0..read_value(it).re as usize {
-                    let key = decode_obc_key(read_value(it), k);
-                    let block = read_matrix(it, bs);
-                    if let Some(m) = self.memoizer.as_mut() {
-                        m.insert_cached(key, block);
-                    }
+        let mut kept: BTreeMap<usize, SigmaState> =
+            my_e.zip(std::mem::take(&mut self.sigma)).collect();
+        // One read cursor per source rank, shared by every energy migrated
+        // from it; the wire codec is the same push/read helpers the spatial
+        // block-range messages use.
+        let mut readers: Vec<_> = received.iter().map(|m| m.iter()).collect();
+        for k in new_ranges[rank].clone() {
+            if let Some(s) = kept.remove(&k) {
+                self.sigma.push(s);
+                continue;
+            }
+            let it = &mut readers[owner_of(old_ranges, k)];
+            // New owner adopts energy k's migrated σ state.
+            race::access_shared(
+                SharedId::new("dist.sigma_state", k as u64),
+                AccessKind::Write,
+            );
+            self.sigma.push(SigmaState {
+                lesser: read_bt(it, nb, bs),
+                greater: read_bt(it, nb, bs),
+                retarded: read_bt(it, nb, bs),
+            });
+            for _ in 0..read_value(it).re as usize {
+                let key = decode_obc_key(read_value(it), k);
+                let block = read_matrix(it, bs);
+                if let Some(m) = self.memoizer.as_mut() {
+                    m.insert_cached(key, block);
                 }
             }
-            for (src, mut it) in readers.into_iter().enumerate() {
-                assert!(
-                    it.next().is_none(),
-                    "rebalance message from {src} fully consumed"
-                );
-            }
+        }
+        for (src, mut it) in readers.into_iter().enumerate() {
+            assert!(
+                it.next().is_none(),
+                "rebalance message from {src} fully consumed"
+            );
         }
         self.plan.to_mut().energy_ranges = new_ranges;
         true

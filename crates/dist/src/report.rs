@@ -54,8 +54,7 @@ impl TranspositionBudget {
 pub struct DistReport {
     /// Total flat communicator ranks (`energy_groups · spatial_partitions`).
     pub n_ranks: usize,
-    /// Energy groups (first decomposition level; the transposition
-    /// participants).
+    /// Energy groups (first decomposition level).
     pub energy_groups: usize,
     /// Spatial partitions per energy group (`P_S`, second level).
     pub spatial_partitions: usize,
@@ -64,9 +63,9 @@ pub struct DistReport {
     /// split — a derived fact, not a setting: true exactly when a middle
     /// partition exists to balance against (`P_S ≥ 3`).
     pub balanced_partitions: bool,
-    /// Energy points per group.
+    /// Energy points per flat rank (the transposition participants).
     pub energies_per_rank: Vec<usize>,
-    /// Canonical elements per group.
+    /// Canonical elements per flat rank.
     pub elements_per_rank: Vec<usize>,
     /// Whether the wire format was symmetry-reduced (Section 5.2).
     pub symmetry_reduced: bool,
@@ -97,9 +96,10 @@ pub struct DistReport {
     /// Same for the `W` phase.
     pub measured_slice_bytes_w: u64,
     /// What the pre-slice broadcast path would have shipped for the same `G`
-    /// system distributions: the full `(A, B^<, B^>)` triple per energy to
-    /// every group member. The ratio against `measured_slice_bytes_g` is the
-    /// measured `~P_S`-fold saving of the slice-wise distribution.
+    /// system distributions: the full `(A, B^<, B^>)` triple per energy from
+    /// its owner to each of the other `P_S − 1` group members. The ratio
+    /// against `measured_slice_bytes_g` is the measured `~P_S`-fold saving of
+    /// the slice-wise distribution.
     pub broadcast_equivalent_bytes_g: u64,
     /// Same for the `W` phase.
     pub broadcast_equivalent_bytes_w: u64,
@@ -188,14 +188,13 @@ impl DistReport {
     /// Measured per-participant transposition bytes of **one** SCBA iteration
     /// — the quantity `quatrex_perf::weak_scaling_series_measured` consumes
     /// (its analytic counterpart is the per-iteration Alltoall volume of the
-    /// weak-scaling model). With `P_S > 1` only the group leaders participate
-    /// in the transpositions, so the divisor is the group count. Zero when no
-    /// full iteration ran.
+    /// weak-scaling model). Every flat rank takes part in the transpositions,
+    /// whatever `P_S`. Zero when no full iteration ran.
     pub fn measured_bytes_per_rank_per_iteration(&self) -> u64 {
         if self.full_iterations == 0 {
             return 0;
         }
-        self.measured_transposition_bytes / self.energy_groups as u64 / self.full_iterations as u64
+        self.measured_transposition_bytes / self.n_ranks as u64 / self.full_iterations as u64
     }
 
     /// Total spatial boundary-system bytes (both phases).
@@ -206,8 +205,7 @@ impl DistReport {
     /// Fold reduction of the system-distribution bytes delivered by the
     /// slice-wise distribution over the pre-slice full broadcast, both phases
     /// combined (`broadcast_equivalent / sliced`, ideally `≈ P_S`). `None`
-    /// when no slices were shipped (`P_S = 1`, or a single group whose
-    /// messages all stayed rank-local).
+    /// when no slices were shipped (`P_S = 1`).
     pub fn slice_saving_factor(&self) -> Option<f64> {
         let sliced = self.measured_slice_bytes_g + self.measured_slice_bytes_w;
         let broadcast = self.broadcast_equivalent_bytes_g + self.broadcast_equivalent_bytes_w;
@@ -284,8 +282,8 @@ mod tests {
             energy_groups: 2,
             spatial_partitions: 2,
             balanced_partitions: false,
-            energies_per_rank: vec![4, 4],
-            elements_per_rank: vec![10, 10],
+            energies_per_rank: vec![2, 2, 2, 2],
+            elements_per_rank: vec![5, 5, 5, 5],
             symmetry_reduced: true,
             full_iterations: 0,
             measured_transposition_bytes: 0,

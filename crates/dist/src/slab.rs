@@ -133,20 +133,16 @@ impl ElementSlab {
 /// The fixed geometry of the energy↔element transposition: partitions,
 /// canonical element list and wire format, shared by every rank.
 ///
-/// With the two-level decomposition (`spatial_partitions > 1`) the
-/// transposition participants are the **energy groups**, not the flat ranks:
-/// only spatial rank 0 of each group (the *group leader*,
-/// [`crate::spatial::RankGrid::leader_of`]) holds energy-major and
-/// element-major data and exchanges it; the other spatial ranks of a group
-/// join the collectives with empty messages. `n_ranks` therefore counts
-/// groups, and the flat communicator has `n_ranks · spatial_partitions`
-/// ranks.
+/// The participants are the **flat ranks** of the communicator, whatever the
+/// rank grid: every rank owns a contiguous slice of the energies and of the
+/// canonical elements, holds their energy-major and element-major data and
+/// exchanges it as itself. An energy group of the two-level decomposition
+/// (`P_S > 1`) owns the union of its members' slices — contiguous, since the
+/// slices ascend with the rank.
 #[derive(Debug, Clone)]
 pub struct TranspositionPlan {
-    /// Number of transposition participants (energy groups).
+    /// Number of transposition participants (flat communicator ranks).
     pub n_ranks: usize,
-    /// Spatial partitions per energy group (`P_S`; 1 = flat decomposition).
-    pub spatial_partitions: usize,
     /// Number of energy points.
     pub n_energies: usize,
     /// Number of transport-cell blocks.
@@ -155,37 +151,32 @@ pub struct TranspositionPlan {
     pub block_size: usize,
     /// Canonical (symmetry-reduced) element list, in fixed order.
     pub elements: Vec<ElementId>,
-    /// Energy ownership per group (contiguous, ascending).
+    /// Energy ownership per rank (contiguous, ascending).
     pub energy_ranges: Vec<Range<usize>>,
-    /// Canonical-element ownership per group (contiguous, ascending).
+    /// Canonical-element ownership per rank (contiguous, ascending).
     pub element_ranges: Vec<Range<usize>>,
     /// Ship only canonical elements for symmetric quantities (Section 5.2).
     pub symmetry_reduced: bool,
 }
 
 impl TranspositionPlan {
-    /// Build a plan from the problem shape and per-energy cost weights.
-    /// `n_groups` is the number of energy groups (the transposition
-    /// participants); the flat communicator runs
-    /// `n_groups · spatial_partitions` ranks.
+    /// Build a plan over `n_ranks` flat ranks from the problem shape and
+    /// per-energy cost weights.
     pub fn new(
         n_blocks: usize,
         block_size: usize,
         n_energies: usize,
-        n_groups: usize,
-        spatial_partitions: usize,
+        n_ranks: usize,
         symmetry_reduced: bool,
         energy_weights: &[f64],
     ) -> Self {
         assert_eq!(energy_weights.len(), n_energies);
-        assert!(spatial_partitions >= 1);
         let elements = canonical_elements(n_blocks, block_size);
-        let energy_ranges = partition_weighted(energy_weights, n_groups);
+        let energy_ranges = partition_weighted(energy_weights, n_ranks);
         let element_weights = vec![1.0; elements.len()];
-        let element_ranges = partition_weighted(&element_weights, n_groups);
+        let element_ranges = partition_weighted(&element_weights, n_ranks);
         Self {
-            n_ranks: n_groups,
-            spatial_partitions,
+            n_ranks,
             n_energies,
             n_blocks,
             block_size,
@@ -199,11 +190,6 @@ impl TranspositionPlan {
     /// Number of canonical elements.
     pub fn n_canonical(&self) -> usize {
         self.elements.len()
-    }
-
-    /// Total flat communicator ranks (`groups · P_S`).
-    pub fn n_total_ranks(&self) -> usize {
-        self.n_ranks * self.spatial_partitions
     }
 
     /// Number of stored scalar values per energy of the full BT pattern.
@@ -427,7 +413,7 @@ impl TranspositionPlan {
 }
 
 /// The energy-batch schedule of one iteration's transpositions (the paper's
-/// communication/computation overlap): every group's owned energy range is
+/// communication/computation overlap): every rank's owned energy range is
 /// cut into `n_batches` contiguous sub-ranges, and each transposition ships
 /// one sub-range per `Alltoallv` instead of the whole range at once. The
 /// solver double-buffers the batches — batch `k+1` is posted non-blocking
@@ -438,20 +424,20 @@ impl TranspositionPlan {
 ///
 /// With `n_batches = 1` the single batch covers every range in full, and the
 /// pipeline degenerates to the original blocking transposition bit-for-bit.
-/// More batches than a group has energies leave the surplus batches empty —
+/// More batches than a rank has energies leave the surplus batches empty —
 /// harmless degenerate collectives that ship no bytes.
 #[derive(Debug, Clone)]
 pub struct TranspositionBatchPlan {
     /// Number of batches every transposition is cut into (`B ≥ 1`).
     pub n_batches: usize,
-    /// `local_ranges[group][batch]` — sub-range of the group's *local* energy
-    /// indices shipped in that batch. Per group the sub-ranges are
+    /// `local_ranges[rank][batch]` — sub-range of the rank's *local* energy
+    /// indices shipped in that batch. Per rank the sub-ranges are
     /// contiguous, ascending, and cover `0..n_local` exactly.
     pub local_ranges: Vec<Vec<Range<usize>>>,
 }
 
 impl TranspositionBatchPlan {
-    /// Cut every group's energy range of `plan` into `n_batches` near-equal
+    /// Cut every rank's energy range of `plan` into `n_batches` near-equal
     /// contiguous batches. Deterministic: every rank derives the identical
     /// schedule from the shared plan.
     pub fn new(plan: &TranspositionPlan, n_batches: usize) -> Self {
@@ -467,29 +453,29 @@ impl TranspositionBatchPlan {
         }
     }
 
-    /// The *global* energy sub-range group `group` contributes to batch `b`.
-    pub fn global_range(&self, plan: &TranspositionPlan, group: usize, b: usize) -> Range<usize> {
-        let start = plan.energy_ranges[group].start;
-        let local = &self.local_ranges[group][b];
+    /// The *global* energy sub-range `rank` contributes to batch `b`.
+    pub fn global_range(&self, plan: &TranspositionPlan, rank: usize, b: usize) -> Range<usize> {
+        let start = plan.energy_ranges[rank].start;
+        let local = &self.local_ranges[rank][b];
         (start + local.start)..(start + local.end)
     }
 
-    /// The global sub-ranges of every group for batch `b`, in group order
+    /// The global sub-ranges of every rank for batch `b`, in rank order
     /// (the per-source shapes of one forward batch, and the per-destination
     /// shapes of one backward batch).
     pub fn global_ranges(&self, plan: &TranspositionPlan, b: usize) -> Vec<Range<usize>> {
         (0..plan.n_ranks)
-            .map(|g| self.global_range(plan, g, b))
+            .map(|r| self.global_range(plan, r, b))
             .collect()
     }
 
     /// All global energy indices arriving in forward batch `b` (ascending —
-    /// the groups' ranges are ordered and disjoint). This is the batch view
+    /// the ranks' ranges are ordered and disjoint). This is the batch view
     /// the accumulation kernels in `quatrex_core::convolution` consume.
     pub fn arrived_global(&self, plan: &TranspositionPlan, b: usize) -> Vec<usize> {
         let mut v = Vec::new();
-        for g in 0..plan.n_ranks {
-            v.extend(self.global_range(plan, g, b));
+        for r in 0..plan.n_ranks {
+            v.extend(self.global_range(plan, r, b));
         }
         v
     }
@@ -561,7 +547,6 @@ mod tests {
             bs,
             ne,
             n_ranks,
-            1,
             symmetry_reduced,
             &vec![1.0; ne],
         ));
@@ -674,7 +659,7 @@ mod tests {
         let (nb, bs, ne, n_groups) = (3usize, 2usize, 8usize, 2usize);
         for symmetry_reduced in [true, false] {
             let plan =
-                TranspositionPlan::new(nb, bs, ne, n_groups, 1, symmetry_reduced, &vec![1.0; ne]);
+                TranspositionPlan::new(nb, bs, ne, n_groups, symmetry_reduced, &vec![1.0; ne]);
             let gl = symmetric_quantity(ne, nb, bs, 0.3);
             let gg = symmetric_quantity(ne, nb, bs, 1.9);
             let local = |x: &EnergyResolved, src: usize| -> Vec<BlockTridiagonal> {
@@ -791,7 +776,7 @@ mod tests {
 
     #[test]
     fn batch_plan_covers_every_energy_exactly_once() {
-        let plan = TranspositionPlan::new(3, 2, 10, 3, 1, true, &[1.0; 10]);
+        let plan = TranspositionPlan::new(3, 2, 10, 3, true, &[1.0; 10]);
         for b in [1usize, 2, 4, 11] {
             let batches = TranspositionBatchPlan::new(&plan, b);
             // Per group the local sub-ranges tile 0..n_local.
@@ -817,8 +802,8 @@ mod tests {
     #[test]
     fn symmetry_reduction_roughly_halves_the_wire_volume() {
         let (nb, bs, ne, n_ranks) = (4, 3, 8, 4);
-        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, true, &vec![1.0; ne]);
-        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, 1, false, &vec![1.0; ne]);
+        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, true, &vec![1.0; ne]);
+        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, false, &vec![1.0; ne]);
         let g = symmetric_quantity(ne, nb, bs, 0.5);
         let local: Vec<BlockTridiagonal> = g[plan_sym.energy_ranges[0].clone()].to_vec();
         let all = 0..local.len();

@@ -7,26 +7,29 @@
 //! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`], mirroring
 //! `quatrex_runtime::DecompositionPlan`):
 //!
-//! 1. every energy **group** owns a contiguous slice of energy points (an
-//!    equal-count split, optionally re-balanced from measured wall times);
-//!    the group *leader* (spatial rank 0) assembles their systems (OBC
-//!    against a **per-rank [`quatrex_obc::ObcMemoizer`]**), the whole group
-//!    solves them ([`crate::spatial::spatial_phase_solve`]: the local
-//!    energy-batched RGF solve in a one-member group; with `P_S > 1`
-//!    concurrent interior eliminations, a reduced boundary system assembled
-//!    via gather within the group and solved on the leader, and concurrent
-//!    recoveries), and the leader finishes each energy;
+//! 1. every **rank** owns a contiguous slice of energy points (an
+//!    equal-count split over the flat ranks, optionally re-balanced from
+//!    measured wall times; a group's energies are the union of its members'
+//!    slices) and assembles their systems (OBC against a **per-rank
+//!    [`quatrex_obc::ObcMemoizer`]**); its group solves them
+//!    ([`crate::spatial::spatial_phase_solve`]: the local energy-batched RGF
+//!    solve in a one-member group; with `P_S > 1` concurrent interior
+//!    eliminations of the group's energies on every member, the reduced
+//!    boundary system of each energy assembled and solved on that energy's
+//!    owner, and concurrent recoveries), and the rank finishes its energies;
 //! 2. the selected `G^≶` blocks are transposed into element-major layout with
-//!    a real `Alltoallv` among the group leaders (Fig. 3), every leader
-//!    computes the `P` convolutions for its canonical elements *and their
-//!    mirrors*, symmetrises them element-wise, and transposes `P^≶`/`P^R`
-//!    back;
+//!    a real `Alltoallv` among all ranks (Fig. 3), every rank computes the
+//!    `P` convolutions for its canonical elements *and their mirrors*,
+//!    symmetrises them element-wise, and transposes `P^≶`/`P^R` back;
 //! 3. the `W` systems are assembled and solved per owned energy (again
 //!    spatially decomposed when `P_S > 1`), `W^≶` is transposed forward
 //!    again, the `Σ` convolutions run on the element slices, and
 //!    `Σ^≶`/`Σ^R` are transposed back to their energy owners;
 //! 4. the self-energies are mixed per owned energy and the convergence norms
 //!    and observables are allreduced.
+//!
+//! No rank of a group is distinguished: ownership of energies and elements
+//! is the only thing that decides who assembles, convolves and mixes what.
 //!
 //! This module holds the driver's outside: configuration checks, the shared
 //! problem data, the communicator launch and the merge of the per-rank
@@ -125,8 +128,9 @@ impl DistScbaSolver {
     ///
     /// This is the *idealised uniform* description (every group holds
     /// `ceil(N_E / groups)` energies); the run's actual energy ownership is
-    /// the contiguous partition in [`DistScbaSolver::plan`]`().energy_ranges`
-    /// — use that to locate an energy's owner. Panics on an invalid
+    /// the contiguous per-rank partition in
+    /// [`DistScbaSolver::plan`]`().energy_ranges` — use that to locate an
+    /// energy's owner. Panics on an invalid
     /// configuration, exactly like [`DistScbaSolver::run`].
     pub fn decomposition(&self) -> DecompositionPlan {
         self.validate();
@@ -137,18 +141,15 @@ impl DistScbaSolver {
     }
 
     /// The transposition plan the run starts from. Energy and element slices
-    /// are per energy *group* (equal-count contiguous splits; the measured
-    /// rebalancer may move the energy split between iterations); with
-    /// `P_S > 1` only the group leaders participate in the transpositions.
+    /// are per flat rank, whatever `P_S` (equal-count contiguous splits; the
+    /// measured rebalancer may move the energy split between iterations).
     pub fn plan(&self) -> TranspositionPlan {
         self.validate();
-        let p_s = self.config.spatial_partitions;
         TranspositionPlan::new(
             self.device.n_blocks,
             self.device.transport_cell_size(),
             self.grid.len(),
-            self.config.n_ranks / p_s,
-            p_s,
+            self.config.n_ranks,
             self.config.symmetry_reduced,
             &vec![1.0; self.grid.len()],
         )
@@ -167,8 +168,8 @@ impl DistScbaSolver {
     }
 
     /// Run the distributed SCBA loop seeded from a previously captured
-    /// [`WarmState`] instead of `Σ = 0`. Group leaders adopt the state's Σ
-    /// matrices for their owned energies and pre-fill their OBC memoizer
+    /// [`WarmState`] instead of `Σ = 0`. Every rank adopts the state's Σ
+    /// matrices for its owned energies and pre-fills its OBC memoizer
     /// caches via [`quatrex_obc::ObcMemoizer::insert_cached`] — the same
     /// adoption the rebalancer's migration path performs, fed from a wire
     /// stream instead of an `Alltoallv`. With `initial = None` this *is*
@@ -264,7 +265,7 @@ impl DistScbaSolver {
         outs: &[RankOut],
         timeline: &Timeline,
     ) -> DistReport {
-        let plan = &problem.plan;
+        let (plan, grid) = (&problem.plan, &problem.layout.grid);
         let rank0 = &outs[0].log;
         let phase_seconds = timeline.phase_seconds();
         // The k-th posted exchange pairs with the k-th wait on each rank
@@ -295,9 +296,9 @@ impl DistScbaSolver {
         }
 
         DistReport {
-            n_ranks: plan.n_total_ranks(),
-            energy_groups: plan.n_ranks,
-            spatial_partitions: plan.spatial_partitions,
+            n_ranks: plan.n_ranks,
+            energy_groups: grid.n_groups,
+            spatial_partitions: grid.spatial_partitions,
             balanced_partitions: problem.layout.balanced(),
             energies_per_rank: plan.energy_ranges.iter().map(|r| r.len()).collect(),
             elements_per_rank: plan.element_ranges.iter().map(|r| r.len()).collect(),
@@ -335,7 +336,7 @@ impl DistScbaSolver {
     }
 }
 
-/// Assemble the captured per-leader Σ/OBC fragments into one state over the
+/// Assemble the captured per-rank Σ/OBC fragments into one state over the
 /// full grid. Global energy indices key the fragments, so the assembly is
 /// ownership-agnostic: it holds whether the final split is the initial plan
 /// or a rebalanced one.
@@ -348,7 +349,7 @@ fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
     fragments.sort_by_key(|(k, _)| *k);
     assert!(
         fragments.iter().map(|(k, _)| *k).eq(0..ne),
-        "state capture covers the energy grid, every energy by one leader only",
+        "state capture covers the energy grid, every energy by one rank only",
     );
     let mut state = WarmState {
         n_energies: ne,

@@ -3,35 +3,40 @@
 //!
 //! [`RankGrid`] arranges the flat `ThreadComm` ranks as a two-level grid of
 //! `n_energy_groups × P_S`, mirroring `quatrex_runtime::DecompositionPlan`:
-//! rank `g·P_S + s` is spatial rank `s` of energy group `g`, and spatial rank
-//! 0 is the *group leader* — it owns the group's energies for the
-//! energy↔element transpositions, assembles the per-energy systems and solves
-//! the reduced boundary systems.
+//! rank `g·P_S + s` is spatial rank `s` of energy group `g` and holds
+//! partition `s` of every system its group solves. There is no distinguished
+//! member: every rank owns energies (`TranspositionPlan::energy_ranges`),
+//! assembles and finishes them itself, and the group's energies are the union
+//! of its members'.
 //!
 //! [`spatial_phase_solve`] is the *group solve* — stage 2 of a step, between
 //! `quatrex_core`'s per-energy assemble and finish stages. In a one-member
 //! group it **is** the local batched solve (`quatrex_core::scba::solve_stage`
 //! against the rank's scratch); otherwise it executes the per-energy selected
-//! solves of one phase (`G` or `W`) cooperatively, and every message has a
-//! shape the layout alone determines — block ranges and block grids, no
-//! headers, no indices:
+//! solves of one phase (`G` or `W`) cooperatively, every message keyed by the
+//! **owner of the energy** and of a shape the layout and the members' energy
+//! counts alone determine — block ranges and block grids, no headers, no
+//! indices:
 //!
-//! 1. the leader ships every member **its partition's block range** of the
-//!    assembled systems (`quatrex_rgf::partition_ranges`: blocks `lo..=hi` of
-//!    `A`, `B^<`, `B^>` as `push_bt` streams, `~1/P_S` of the full system
-//!    instead of the pre-slice full broadcast);
-//! 2. every rank eliminates its own partition for all owned energies through
-//!    the one entry point [`quatrex_rgf::eliminate_partition`] — the interior
-//!    RGF solves are the energy-batched ones against the rank's warm
+//! 1. every member ships member `p` **partition `p`'s block range** of the
+//!    systems it assembled (`quatrex_rgf::partition_ranges`: blocks `lo..=hi`
+//!    of `A`, `B^<`, `B^>` as `push_bt` streams, `~1/P_S` of the full system
+//!    instead of the pre-slice full broadcast), posted non-blocking: it
+//!    eliminates its own energies while the others' ranges fly;
+//! 2. every member eliminates its partition for **all** the group's energies
+//!    through the one entry point [`quatrex_rgf::eliminate_partition`] — the
+//!    interior RGF solves are the energy-batched ones against the rank's warm
 //!    [`RgfBatchScratch`], cut into `kernel_batch` chunks like the local
 //!    solves;
-//! 3. the `nbd × nbd` Schur and quadratic right-hand-side update grids are
-//!    **gathered within the group**, the leader assembles the reduced
-//!    boundary systems and solves them batched on the same scratch
-//!    ([`quatrex_rgf::solve_systems`]);
-//! 4. the reduced selected solutions are broadcast back, every rank recovers
-//!    its range ([`quatrex_rgf::recover_partition`]), and the leader copies
-//!    the gathered ranges into place ([`quatrex_rgf::assemble_solution`], the
+//! 3. each energy's `nbd × nbd` Schur and quadratic right-hand-side update
+//!    grids go to **that energy's owner**, who assembles the reduced boundary
+//!    systems of its energies and solves them batched on its own scratch
+//!    ([`quatrex_rgf::solve_systems`]) — `P_S` reduced solves run side by
+//!    side;
+//! 4. the owner sends the reduced selected solutions to the other members,
+//!    every member recovers its range of every energy
+//!    ([`quatrex_rgf::recover_partition`]) and returns it to the owner, who
+//!    copies the ranges into place ([`quatrex_rgf::assemble_solution`], the
 //!    tail it shares with the thread driver of `quatrex-rgf`).
 //!
 //! All group traffic rides the same byte-accounted `Alltoallv` as the
@@ -39,6 +44,8 @@
 //! `DistReport` can report the boundary-system volume per phase — and the
 //! measured range-distribution saving against the broadcast-equivalent volume
 //! ([`SpatialTraffic`]).
+
+use std::ops::Range;
 
 use quatrex_probe::clock::Instant;
 
@@ -104,14 +111,9 @@ impl RankGrid {
         rank % self.spatial_partitions
     }
 
-    /// Flat rank of a group's leader (spatial rank 0).
-    pub fn leader_of(&self, group: usize) -> usize {
-        group * self.spatial_partitions
-    }
-
-    /// Whether the flat rank is its group's leader.
-    pub fn is_leader(&self, rank: usize) -> bool {
-        self.spatial_of(rank) == 0
+    /// The flat ranks of a group, in spatial order.
+    pub fn members_of(&self, group: usize) -> Range<usize> {
+        group * self.spatial_partitions..(group + 1) * self.spatial_partitions
     }
 }
 
@@ -169,7 +171,7 @@ impl SpatialLayout {
 // ---------------------------------------------------------------------------
 // Wire format of the group-level payloads: complex128 streams like the
 // transposition messages, built from `push_bt` / `push_matrix` alone — every
-// length follows from the layout.
+// length follows from the layout and the members' energy counts.
 
 fn push_selected(buf: &mut Vec<c64>, sol: &SelectedSolution) {
     push_bt(buf, &sol.retarded);
@@ -212,15 +214,15 @@ fn broadcast_equivalent_bytes(systems: &[[&BlockTridiagonal; 3]], members: usize
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SpatialTraffic {
     /// All off-rank boundary-system bytes this rank shipped: the block-range
-    /// distribution, the reduced-update gather, the reduced-solution
-    /// broadcast and the recovered-range gather.
+    /// distribution, the reduced updates, the reduced solutions and the
+    /// recovered ranges.
     pub boundary_bytes: u64,
     /// The system-distribution share of `boundary_bytes` (the block ranges
-    /// the leader ships alone).
+    /// of this rank's systems, shipped to the other members).
     pub slice_bytes: u64,
-    /// What the pre-slice broadcast path would have shipped for the same
-    /// distribution: the full `(A, B^<, B^>)` triple per energy to every
-    /// group member.
+    /// What the pre-slice broadcast path would have shipped for this rank's
+    /// systems: the full `(A, B^<, B^>)` triple per energy to each of the
+    /// other `P_S − 1` members.
     pub broadcast_equivalent_bytes: u64,
 }
 
@@ -236,25 +238,26 @@ impl SpatialTraffic {
 /// The group solve of one phase: the per-energy selected solves of the
 /// assembled systems, by the whole energy group.
 ///
-/// `systems` holds, **on group leaders only**, one `[A, B^<, B^>]` triple per
-/// energy of this solve (`n_owned` on every rank of the group); non-leader
-/// ranks pass an empty slice. With one member per group (`P_S = 1`) this is
+/// `systems` holds one `[A, B^<, B^>]` triple per energy **this rank** owns
+/// and assembled; `member_energies[m]` is the number of energies spatial rank
+/// `m` of this rank's group brings to the solve (`systems.len()` at this
+/// rank's own index). With one member per group (`P_S = 1`) this is
 /// `quatrex_core::scba::solve_stage` against `scratch` — one energy-batched
 /// RGF solve, no communication. Otherwise the group's ranks cooperate:
-/// block-range distribution, concurrent interior eliminations, the reduced
-/// boundary systems on the leader, concurrent recoveries — every RGF solve
-/// among them energy-batched against `scratch` in chunks of at most
-/// `kernel_batch` energies. Returns the per-energy [`SelectedSolution`]s on
-/// the leader (empty elsewhere) and the off-rank boundary-system byte
-/// accounting of this rank ([`SpatialTraffic`]); FLOPs and wall time are
-/// accounted to `subsystem` either way.
+/// block-range distribution, concurrent interior eliminations of every
+/// energy of the group, the reduced boundary systems on each energy's owner,
+/// concurrent recoveries — every RGF solve among them energy-batched against
+/// `scratch` in chunks of at most `kernel_batch` energies. Returns the
+/// [`SelectedSolution`]s of this rank's energies and the off-rank
+/// boundary-system byte accounting of this rank ([`SpatialTraffic`]); FLOPs
+/// and wall time are accounted to `subsystem` either way.
 #[allow(clippy::too_many_arguments)]
 pub fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
     layout: &SpatialLayout,
     subsystem: Subsystem,
     systems: &[[&BlockTridiagonal; 3]],
-    n_owned: usize,
+    member_energies: &[usize],
     kernel_batch: usize,
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
@@ -271,42 +274,51 @@ pub fn spatial_phase_solve(
     let (_, kind, slot) = solve_accounting(subsystem, timings);
     let rank = ctx.rank();
     let s = grid.spatial_of(rank);
-    let leader = grid.leader_of(grid.group_of(rank));
-    let is_leader = rank == leader;
+    // Flat rank of spatial rank 0: member `m` is rank `first + m`.
+    let first = grid.members_of(grid.group_of(rank)).start;
+    assert_eq!(member_energies.len(), p_s, "one energy count per member");
+    assert_eq!(systems.len(), member_energies[s], "own systems");
+    let others = || (0..p_s).filter(move |&m| m != s);
+    // The group's energies in member order: member `m`'s sit at `of(m)`.
+    let of = |m: usize| {
+        let start: usize = member_energies[..m].iter().sum();
+        start..start + member_energies[m]
+    };
+    let n_group: usize = member_energies.iter().sum();
     let n_ranks = grid.n_ranks();
     let my_part = &parts[s];
-    let members = || (1..p_s).map(|m| (leader + m, &parts[m]));
+    let (n_range, n_sep) = (my_part.range().len(), 2 * (p_s - 1));
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
-    let mut traffic = SpatialTraffic::default();
+    let mut traffic = SpatialTraffic {
+        broadcast_equivalent_bytes: broadcast_equivalent_bytes(systems, p_s - 1),
+        ..SpatialTraffic::default()
+    };
 
     // ------------------------------------------ distribute the block ranges
-    // The leader cuts each member's block range out of the assembled systems
-    // instead of broadcasting the full triple: member `m` receives blocks
-    // `lo..=hi` of partition `m` — nothing when its interior is empty.
+    // Every member cuts each other member's block range out of the systems
+    // it assembled instead of broadcasting the full triple: member `p`
+    // receives blocks `lo..=hi` of partition `p` — nothing when its interior
+    // is empty.
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
-    if is_leader {
-        for (dest, part) in members() {
-            for system in systems {
-                for range in partition_ranges(system, part) {
-                    push_bt(&mut send[dest], &range);
-                }
+    for p in others() {
+        for system in systems {
+            for range in partition_ranges(system, &parts[p]) {
+                push_bt(&mut send[first + p], &range);
             }
         }
-        traffic.broadcast_equivalent_bytes = broadcast_equivalent_bytes(systems, p_s - 1);
     }
     traffic.slice_bytes = off_rank_payload_bytes(rank, &send);
     traffic.boundary_bytes += traffic.slice_bytes;
-    // Post the ranges non-blocking: the leader needs nothing from this
-    // exchange (the messages addressed to it are empty), so it cuts and
-    // eliminates its own partition while the members' ranges are in flight —
-    // the same communication/computation overlap the batched transpositions
-    // use, applied to the system distribution.
+    // Post the ranges non-blocking: a rank holds its own energies' ranges
+    // already, so it eliminates those while the other members' ranges are in
+    // flight — the same communication/computation overlap the batched
+    // transpositions use, applied to the system distribution.
     let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Slices);
     let mut eliminate = |ranges: &[Vec<BlockTridiagonal>]| -> Vec<PartitionSolveState> {
         quatrex_probe::span("spatial.eliminate", "rgf.partition", || {
             let t = Instant::now();
-            let mut states = Vec::with_capacity(n_owned);
-            for chunk in kernel_chunks(0..n_owned, kernel_batch) {
+            let mut states = Vec::with_capacity(ranges.len());
+            for chunk in kernel_chunks(0..ranges.len(), kernel_batch) {
                 states.extend(
                     eliminate_partition(&ranges[chunk], my_part, s, scratch)
                         // lint:allow(no-unwrap): a singular interior is a fatal numeric error
@@ -318,61 +330,59 @@ pub fn spatial_phase_solve(
             states
         })
     };
-    let states: Vec<PartitionSolveState> = if is_leader {
-        let own: Vec<_> = systems
-            .iter()
-            .map(|system| partition_ranges(system, my_part))
+    let own: Vec<_> = systems
+        .iter()
+        .map(|system| partition_ranges(system, my_part))
+        .collect();
+    let mut own_states = eliminate(&own);
+    let recv = handle.wait(ctx);
+    let mut states: Vec<PartitionSolveState> = Vec::with_capacity(n_group);
+    for m in 0..p_s {
+        if m == s {
+            states.append(&mut own_states);
+            continue;
+        }
+        let mut it = recv[first + m].iter();
+        let theirs: Vec<Vec<BlockTridiagonal>> = (0..member_energies[m])
+            .map(|_| (0..=N_RHS).map(|_| read_bt(&mut it, n_range, bs)).collect())
             .collect();
-        let states = eliminate(&own);
-        let _ = handle.wait(ctx); // empty messages; drain to stay in sync
-        states
-    } else {
-        let recv = handle.wait(ctx);
-        let mut it = recv[leader].iter();
-        let n = my_part.range().len();
-        let own: Vec<Vec<BlockTridiagonal>> = (0..n_owned)
-            .map(|_| (0..=N_RHS).map(|_| read_bt(&mut it, n, bs)).collect())
-            .collect();
-        eliminate(&own)
-    };
+        states.extend(eliminate(&theirs));
+    }
 
-    // -------------------------------- gather the reduced updates to the leader
+    // ------------------------------ send the reduced updates to the owners
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
-    if !is_leader {
-        for update in states.iter().flat_map(|st| &st.updates) {
-            push_matrix(&mut send[leader], update);
+    for m in others() {
+        for update in states[of(m)].iter().flat_map(|st| &st.updates) {
+            push_matrix(&mut send[first + m], update);
         }
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
 
-    // ------------------------- leader: assemble + solve the reduced systems
-    let reduced: Vec<SelectedSolution> = if is_leader {
+    // ---------------- assemble + solve the reduced systems of own energies
+    let mut own_reduced: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
             let t = Instant::now();
-            let mut streams: Vec<_> = members().map(|(src, _)| recv[src].iter()).collect();
+            let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
             let reduced_systems: Vec<Vec<BlockTridiagonal>> = systems
                 .iter()
-                .zip(&states)
+                .zip(&states[of(s)])
                 .map(|(system, own)| {
-                    let gathered: Vec<Vec<CMatrix>> = streams
-                        .iter_mut()
-                        .zip(members())
-                        .map(|(it, (_, part))| {
-                            (0..update_blocks(part))
-                                .map(|_| read_matrix(it, bs))
+                    // One update grid per partition, in layout order.
+                    let gathered: Vec<Vec<CMatrix>> = others()
+                        .map(|p| {
+                            (0..update_blocks(&parts[p]))
+                                .map(|_| read_matrix(&mut streams[p], bs))
                                 .collect()
                         })
                         .collect();
-                    let updates: Vec<&[CMatrix]> = std::iter::once(&own.updates)
-                        .chain(&gathered)
-                        .map(Vec::as_slice)
-                        .collect();
+                    let mut updates: Vec<&[CMatrix]> = gathered.iter().map(Vec::as_slice).collect();
+                    updates.insert(s, &own.updates);
                     assemble_reduced_system(system, parts, &updates)
                 })
                 .collect();
-            let mut sols = Vec::with_capacity(n_owned);
-            for chunk in kernel_chunks(0..n_owned, kernel_batch) {
+            let mut sols = Vec::with_capacity(systems.len());
+            for chunk in kernel_chunks(0..systems.len(), kernel_batch) {
                 sols.extend(
                     solve_systems(&reduced_systems[chunk], scratch)
                         .expect("reduced boundary system solve failed"), // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
@@ -381,36 +391,31 @@ pub fn spatial_phase_solve(
             flops.add(kind, sols.iter().map(|sol| sol.flops).sum());
             timings.add(slot, t);
             sols
-        })
-    } else {
-        Vec::new()
-    };
+        });
 
-    // --------------------------------- broadcast the reduced selected blocks
+    // ------------------- send the reduced selected blocks to the members
+    let mut buf = Vec::new();
+    for sol in &own_reduced {
+        push_selected(&mut buf, sol);
+    }
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
-    if is_leader {
-        let mut buf = Vec::new();
-        for sol in &reduced {
-            push_selected(&mut buf, sol);
-        }
-        for (dest, _) in members().skip(1) {
-            send[dest] = buf.clone();
-        }
-        send[leader + 1] = buf;
+    for m in others() {
+        send[first + m] = buf.clone();
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
-    let reduced: Vec<SelectedSolution> = if is_leader {
-        reduced
-    } else {
-        let mut it = recv[leader].iter();
-        (0..n_owned)
-            .map(|_| read_selected(&mut it, 2 * (p_s - 1), bs, N_RHS))
-            .collect()
-    };
+    let mut reduced: Vec<SelectedSolution> = Vec::with_capacity(n_group);
+    for m in 0..p_s {
+        if m == s {
+            reduced.append(&mut own_reduced);
+            continue;
+        }
+        let mut it = recv[first + m].iter();
+        reduced.extend((0..member_energies[m]).map(|_| read_selected(&mut it, n_sep, bs, N_RHS)));
+    }
 
     // ------------------------------------------------ recover the block ranges
-    let recovered: Vec<SelectedSolution> =
+    let mut recovered: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.recover", "rgf.partition", || {
             let t = Instant::now();
             let recovered: Vec<SelectedSolution> = states
@@ -423,32 +428,27 @@ pub fn spatial_phase_solve(
             recovered
         });
 
-    // --------------------------------- gather recovered ranges to the leader
+    // -------------------------- return the recovered ranges to the owners
     let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
-    if !is_leader {
-        for rec in &recovered {
-            push_selected(&mut send[leader], rec);
+    for m in others() {
+        for rec in &recovered[of(m)] {
+            push_selected(&mut send[first + m], rec);
         }
     }
     traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
-    if !is_leader {
-        return (Vec::new(), traffic);
-    }
 
-    // -------------------------- leader: assemble the full selected solutions
-    let mut streams: Vec<_> = members().map(|(src, _)| recv[src].iter()).collect();
+    // ------------------ assemble the full selected solutions of own energies
+    let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
     let sols = recovered
-        .into_iter()
-        .zip(&reduced)
+        .drain(of(s))
+        .zip(&reduced[of(s)])
         .map(|(own, red)| {
-            let mut ranges = vec![own];
-            ranges.extend(
-                streams
-                    .iter_mut()
-                    .zip(members())
-                    .map(|(it, (_, part))| read_selected(it, part.range().len(), bs, N_RHS)),
-            );
+            // One recovered range per partition, in layout order.
+            let mut ranges: Vec<SelectedSolution> = others()
+                .map(|p| read_selected(&mut streams[p], parts[p].range().len(), bs, N_RHS))
+                .collect();
+            ranges.insert(s, own);
             assemble_solution(nb, parts, red, &ranges)
         })
         .collect();
@@ -461,6 +461,8 @@ mod tests {
     use quatrex_linalg::cplx;
     use quatrex_rgf::rgf_solve;
     use quatrex_runtime::ThreadComm;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     fn test_system(nb: usize, bs: usize) -> BlockTridiagonal {
         let mut a = BlockTridiagonal::zeros(nb, bs);
@@ -508,9 +510,7 @@ mod tests {
         assert_eq!(grid.n_ranks(), 6);
         assert_eq!(grid.group_of(5), 2);
         assert_eq!(grid.spatial_of(5), 1);
-        assert_eq!(grid.leader_of(2), 4);
-        assert!(grid.is_leader(4));
-        assert!(!grid.is_leader(5));
+        assert_eq!(grid.members_of(2), 4..6);
     }
 
     #[test]
@@ -567,137 +567,174 @@ mod tests {
         assert_eq!(update_blocks(middle), 0);
     }
 
-    #[test]
-    fn spatial_phase_solve_matches_rgf_solve_within_one_group() {
-        // One energy group of P_S = 2 ranks cooperating on 3 energy points.
-        let (nb, bs, p_s, n_owned) = (6usize, 2usize, 2usize, 3usize);
-        let problems: Vec<(BlockTridiagonal, BlockTridiagonal, BlockTridiagonal)> = (0..n_owned)
+    /// `n` distinct test problems `(A, B^<, B^>)`.
+    fn test_problems(nb: usize, bs: usize, n: usize) -> Vec<[BlockTridiagonal; 3]> {
+        (0..n)
             .map(|e| {
-                (
+                [
                     test_system(nb, bs),
                     test_rhs(nb, bs, 1.0 + e as f64),
                     test_rhs(nb, bs, -0.5 - e as f64),
-                )
+                ]
             })
-            .collect();
-        let group_solve = |p_s: usize| {
-            let layout = SpatialLayout::new(p_s, p_s, nb, bs);
-            let problems = problems.clone();
-            ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
-                let systems: Vec<[&BlockTridiagonal; 3]> = if layout.grid.is_leader(ctx.rank()) {
-                    problems.iter().map(|(a, rl, rg)| [a, rl, rg]).collect()
-                } else {
-                    Vec::new()
-                };
-                spatial_phase_solve(
-                    &ctx,
-                    &layout,
-                    Subsystem::Electron,
-                    &systems,
-                    n_owned,
-                    2, // kernel chunks of 2 + 1 energies
-                    &mut RgfBatchScratch::new(),
-                    &FlopCounter::new(),
-                    &KernelTimings::default(),
-                )
-            })
-        };
+            .collect()
+    }
 
-        // A one-member group IS the local batched solve: bit for bit, and no
-        // byte leaves the rank.
-        let (single, single_stats) = group_solve(1);
-        let lhs: Vec<&BlockTridiagonal> = problems.iter().map(|p| &p.0).collect();
-        let rhs: Vec<[&BlockTridiagonal; 2]> = problems.iter().map(|p| [&p.1, &p.2]).collect();
+    /// One group solve of `problems` by one group of `member_energies.len()`
+    /// ranks, member `m` owning the next `member_energies[m]` problems. Per
+    /// member: its solutions and its traffic.
+    fn group_solve(
+        problems: &[[BlockTridiagonal; 3]],
+        member_energies: &[usize],
+    ) -> (
+        Vec<(Vec<SelectedSolution>, SpatialTraffic)>,
+        Arc<quatrex_runtime::CommStats>,
+    ) {
+        let p_s = member_energies.len();
+        let (nb, bs) = (problems[0][0].n_blocks(), problems[0][0].block_size());
+        let layout = SpatialLayout::new(p_s, p_s, nb, bs);
+        let (problems, member_energies) = (problems.to_vec(), member_energies.to_vec());
+        assert_eq!(problems.len(), member_energies.iter().sum::<usize>());
+        ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
+            let start: usize = member_energies[..ctx.rank()].iter().sum();
+            let systems: Vec<[&BlockTridiagonal; 3]> = problems[start..]
+                .iter()
+                .take(member_energies[ctx.rank()])
+                .map(|p| p.each_ref())
+                .collect();
+            spatial_phase_solve(
+                &ctx,
+                &layout,
+                Subsystem::Electron,
+                &systems,
+                &member_energies,
+                2, // kernel chunks of at most 2 energies
+                &mut RgfBatchScratch::new(),
+                &FlopCounter::new(),
+                &KernelTimings::default(),
+            )
+        })
+    }
+
+    fn assert_bits_equal(got: &SelectedSolution, want: &SelectedSolution, label: &str) {
+        let dense = |m: &BlockTridiagonal| m.to_dense();
+        assert!(
+            dense(&got.retarded).approx_eq(&dense(&want.retarded), 0.0),
+            "{label}: retarded"
+        );
+        for (g, w) in got.lesser.iter().zip(&want.lesser) {
+            assert!(dense(g).approx_eq(&dense(w), 0.0), "{label}: lesser");
+        }
+    }
+
+    #[test]
+    fn one_member_group_is_the_local_batched_solve() {
+        // Bit for bit, and no byte leaves the rank.
+        let (nb, bs, n) = (6usize, 2usize, 3usize);
+        let problems = test_problems(nb, bs, n);
+        let (single, stats) = group_solve(&problems, &[n]);
+        let lhs: Vec<&BlockTridiagonal> = problems.iter().map(|p| &p[0]).collect();
+        let rhs: Vec<[&BlockTridiagonal; 2]> = problems.iter().map(|p| [&p[1], &p[2]]).collect();
         let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
-        let mut want = vec![SelectedSolution::zeros(nb, bs, 2); n_owned];
+        let mut want = vec![SelectedSolution::zeros(nb, bs, 2); n];
         quatrex_rgf::rgf_solve_batch_into(&lhs, &rhs, &mut want, &mut RgfBatchScratch::new())
             .unwrap();
-        let (single_sols, single_traffic) = &single[0];
-        assert_eq!(single_sols.len(), n_owned);
-        for (got, want) in single_sols.iter().zip(&want) {
-            assert!(got
-                .retarded
-                .to_dense()
-                .approx_eq(&want.retarded.to_dense(), 0.0));
-            for r in 0..2 {
-                assert!(got.lesser[r]
-                    .to_dense()
-                    .approx_eq(&want.lesser[r].to_dense(), 0.0));
-            }
+        let (sols, traffic) = &single[0];
+        assert_eq!(sols.len(), n);
+        for (got, want) in sols.iter().zip(&want) {
+            assert_bits_equal(got, want, "P_S = 1");
             assert_eq!(got.flops, want.flops);
         }
-        assert_eq!(*single_traffic, SpatialTraffic::default());
-        assert_eq!(
-            single_stats
-                .alltoall_bytes
-                .load(std::sync::atomic::Ordering::Relaxed),
-            0
-        );
+        assert_eq!(*traffic, SpatialTraffic::default());
+        assert_eq!(stats.alltoall_bytes.load(Ordering::Relaxed), 0);
+    }
 
-        let (results, stats) = group_solve(p_s);
+    #[test]
+    fn owner_keyed_group_solve_matches_rgf_solve_under_any_ownership() {
+        // Uneven and empty ownership at P_S = 2 and 3: every member gets back
+        // exactly its own energies' solutions, each within rounding of the
+        // sequential RGF solve and bit-identical to the same group solve with
+        // every energy on member 0 — who owns an energy decides where its
+        // reduced system is solved, never what comes out.
+        for (nb, ownership) in [
+            (6usize, vec![3usize, 0]),
+            (6, vec![2, 5]),
+            (9, vec![1, 2, 3]),
+        ] {
+            let (bs, p_s) = (2usize, ownership.len());
+            let n: usize = ownership.iter().sum();
+            let problems = test_problems(nb, bs, n);
+            let label = format!("ownership {ownership:?}");
+            let (results, stats) = group_solve(&problems, &ownership);
+            let mut on_member_0 = vec![0; p_s];
+            on_member_0[0] = n;
+            let (reference, _) = group_solve(&problems, &on_member_0);
+            assert_eq!(reference[0].0.len(), n);
 
-        let (leader_sols, leader_traffic) = &results[0];
-        assert_eq!(leader_sols.len(), n_owned);
-        assert!(
-            leader_traffic.boundary_bytes > 0,
-            "the leader must ship boundary data"
-        );
-        // The slice-wise distribution ships strictly less than the pre-slice
-        // full-system broadcast would have (the criterion is asserted with
-        // slack at the solver level; here the raw counters must line up).
-        assert!(leader_traffic.slice_bytes > 0);
-        assert!(leader_traffic.slice_bytes < leader_traffic.broadcast_equivalent_bytes);
-        assert!(
-            leader_traffic.slice_bytes <= leader_traffic.boundary_bytes,
-            "slices are part of the boundary traffic"
-        );
-        assert_eq!(
-            results[1].1.broadcast_equivalent_bytes, 0,
-            "only leaders account the broadcast equivalent"
-        );
-        assert!(results[1].0.is_empty(), "non-leaders return nothing");
-        for (e, (a, rl, rg)) in problems.iter().enumerate() {
-            let seq = rgf_solve(a, &[rl, rg]).unwrap();
-            let got = &leader_sols[e];
-            let scale = seq.retarded.norm_fro().max(1e-300);
-            for i in 0..nb {
-                assert!(
-                    got.retarded.diag(i).distance(seq.retarded.diag(i)) / scale < 1e-12,
-                    "energy {e} retarded diag {i}"
-                );
+            for (m, (sols, _)) in results.iter().enumerate() {
+                assert_eq!(sols.len(), ownership[m], "{label}: member {m} count");
             }
-            for r in 0..2 {
-                let scale = seq.lesser[r].norm_fro().max(1e-300);
+            let sols: Vec<&SelectedSolution> = results.iter().flat_map(|(sols, _)| sols).collect();
+            for (e, (got, [a, rl, rg])) in sols.iter().zip(&problems).enumerate() {
+                assert_bits_equal(got, &reference[0].0[e], &format!("{label}, energy {e}"));
+                let seq = rgf_solve(a, &[rl, rg]).unwrap();
+                let scale = seq.retarded.norm_fro().max(1e-300);
                 for i in 0..nb {
                     assert!(
-                        got.lesser[r].diag(i).distance(seq.lesser[r].diag(i)) / scale < 1e-12,
-                        "energy {e} lesser[{r}] diag {i}"
+                        got.retarded.diag(i).distance(seq.retarded.diag(i)) / scale < 1e-12,
+                        "{label}: energy {e} retarded diag {i}"
                     );
-                    if i + 1 < nb {
+                }
+                for r in 0..2 {
+                    let scale = seq.lesser[r].norm_fro().max(1e-300);
+                    for i in 0..nb {
                         assert!(
-                            got.lesser[r].upper(i).distance(seq.lesser[r].upper(i)) / scale < 1e-12,
-                            "energy {e} lesser[{r}] upper {i}"
+                            got.lesser[r].diag(i).distance(seq.lesser[r].diag(i)) / scale < 1e-12,
+                            "{label}: energy {e} lesser[{r}] diag {i}"
                         );
+                        if i + 1 < nb {
+                            assert!(
+                                got.lesser[r].upper(i).distance(seq.lesser[r].upper(i)) / scale
+                                    < 1e-12,
+                                "{label}: energy {e} lesser[{r}] upper {i}"
+                            );
+                        }
                     }
                 }
             }
+
+            // Traffic is per owner: a member ships block ranges — strictly
+            // less than the broadcast of its systems to the P_S − 1 others —
+            // exactly when it owns energies.
+            for (m, (_, traffic)) in results.iter().enumerate() {
+                let full: Vec<[&BlockTridiagonal; 3]> = problems[..ownership[m]]
+                    .iter()
+                    .map(|p| p.each_ref())
+                    .collect();
+                assert_eq!(
+                    traffic.broadcast_equivalent_bytes,
+                    broadcast_equivalent_bytes(&full, p_s - 1),
+                    "{label}: member {m} broadcast equivalent"
+                );
+                assert_eq!(traffic.slice_bytes > 0, ownership[m] > 0, "{label}: {m}");
+                assert!(traffic.slice_bytes <= traffic.boundary_bytes);
+                if ownership[m] > 0 {
+                    assert!(traffic.slice_bytes < traffic.broadcast_equivalent_bytes);
+                }
+            }
+            // Every byte of group traffic is visible to the communicator stats.
+            let measured: u64 = results.iter().map(|(_, t)| t.boundary_bytes).sum();
+            assert_eq!(stats.alltoall_bytes.load(Ordering::Relaxed), measured);
         }
-        // Every byte of group traffic is visible to the communicator stats.
-        let measured: u64 = results.iter().map(|(_, t)| t.boundary_bytes).sum();
-        assert_eq!(
-            stats
-                .alltoall_bytes
-                .load(std::sync::atomic::Ordering::Relaxed),
-            measured
-        );
     }
+
     #[test]
     fn group_solves_run_on_the_rank_scratch_and_keep_it_warm() {
-        // Every RGF solve of a spatial group solve — interiors on every
-        // member, reduced systems on the leader — draws from the rank's
-        // scratch: the first iteration's solve warms it on every rank, and
-        // later iterations (same shapes, kernel chunks of 2 + 1 energies)
-        // allocate nothing more.
+        // Every RGF solve of a spatial group solve — the interiors of all the
+        // group's energies and the reduced systems of the rank's own — draws
+        // from the rank's scratch: the first iteration's solve warms it on
+        // every rank, and later iterations (same shapes, kernel chunks of
+        // 2 + 1 energies) allocate nothing more.
         let (nb, bs, p_s, n_owned) = (8usize, 2usize, 2usize, 3usize);
         let layout = SpatialLayout::new(p_s, p_s, nb, bs);
         let (allocations, _) = ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
@@ -711,11 +748,8 @@ mod tests {
                     ]
                 })
                 .collect();
-            let systems: Vec<[&BlockTridiagonal; 3]> = if layout.grid.is_leader(ctx.rank()) {
-                problems.iter().map(|p| p.each_ref()).collect()
-            } else {
-                Vec::new()
-            };
+            let systems: Vec<[&BlockTridiagonal; 3]> =
+                problems.iter().map(|p| p.each_ref()).collect();
             let mut scratch = RgfBatchScratch::new();
             let (flops, timings) = (FlopCounter::new(), KernelTimings::default());
             (0..3)
@@ -726,7 +760,7 @@ mod tests {
                             &layout,
                             subsystem,
                             &systems,
-                            n_owned,
+                            &[n_owned; 2],
                             2,
                             &mut scratch,
                             &flops,

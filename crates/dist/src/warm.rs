@@ -8,7 +8,7 @@
 //! wire codec the energy rebalancer's migration path uses
 //! (`push_bt`/`read_bt`/`push_matrix`/`read_matrix` over a `complex128`
 //! stream), so the state a sweep engine checkpoints to disk is bit-identical
-//! to the state a leader would receive over the migration `Alltoallv`.
+//! to the state a new owner would receive over the migration `Alltoallv`.
 //!
 //! ## Wire format
 //!

@@ -274,13 +274,15 @@ fn spatial_partitions_reproduce_sequential_observables() {
     assert_eq!(dist.report.n_ranks, 4);
     assert_eq!(dist.report.energy_groups, 2);
     assert_eq!(dist.report.spatial_partitions, 2);
-    assert_eq!(dist.report.energies_per_rank.len(), 2);
+    // Every flat rank owns energies, and together they own the grid.
+    assert_eq!(dist.report.energies_per_rank.len(), 4);
+    assert_eq!(dist.report.energies_per_rank.iter().sum::<usize>(), 16);
     assert!(dist.report.measured_boundary_bytes_g > 0);
     assert!(dist.report.measured_boundary_bytes_w > 0);
     // Tentpole acceptance: the slice-wise distribution cuts the
     // system-distribution bytes ≥ 0.8·P_S-fold vs the broadcast path.
     assert_slice_saving("spatial/(4, 2)", &dist.report, 2);
-    // The transposition volume model is unchanged: it sees the energy groups.
+    // The transposition volume model sees the flat ranks: all four transpose.
     assert!(
         dist.report.volume_agreement().abs() < 0.05,
         "transposition volume vs model: {:+.2}%",
@@ -363,9 +365,71 @@ fn pure_spatial_decomposition_reproduces_sequential_observables() {
     let dist = DistScbaSolver::new(device, dist_config).run();
     assert_equivalent("spatial/(n_ranks, P_S)=(2, 2)", &seq, &dist);
     assert_eq!(dist.report.energy_groups, 1);
-    // One group: the transpositions are all rank-local (leader to itself).
-    assert_eq!(dist.report.measured_transposition_bytes, 0);
+    // One group, two owners: the transpositions cross the two ranks like any
+    // 2-rank run's, against the flat-rank budget…
+    assert!(dist.report.measured_transposition_bytes > 0);
+    assert!(
+        dist.report.volume_agreement().abs() < 0.05,
+        "transposition volume vs model: {:+.2}%",
+        dist.report.volume_agreement() * 100.0
+    );
+    // …and no rank carries the traffic alone.
+    assert!(
+        dist.report.measured_max_bytes_per_rank as f64
+            <= 0.6 * dist.report.measured_alltoall_bytes as f64,
+        "busiest rank sent {} of {} bytes",
+        dist.report.measured_max_bytes_per_rank,
+        dist.report.measured_alltoall_bytes
+    );
     assert!(dist.report.measured_boundary_bytes() > 0);
+}
+
+#[test]
+fn captured_state_covers_the_grid_once_and_warm_starts_the_same_grid() {
+    // Every rank of the (4, 2) grid owns energies, so every rank contributes
+    // to the captured state: the Σ matrices tile the grid exactly once (the
+    // capture panics on a gap or a duplicate) and every energy's OBC cache
+    // entries come along from its owner's memoizer. Warm-starting the same
+    // grid from that state continues the trajectory: N cold iterations, then
+    // M warm ones, land where N + M cold iterations do.
+    let device = DeviceBuilder::test_device(3, 2, 4).build();
+    let grid = |iterations: usize| {
+        DistScbaConfig::new(gw_config(16, iterations), 4)
+            .with_spatial_partitions(2)
+            .with_state_capture(true)
+    };
+    let cold = DistScbaSolver::new(device.clone(), grid(2)).run();
+    assert_eq!(cold.report.energies_per_rank, vec![4; 4]);
+    let state = cold.final_state.as_ref().expect("state capture was on");
+    assert_eq!(state.n_energies, 16);
+    for sigma in [
+        &state.sigma_lesser,
+        &state.sigma_greater,
+        &state.sigma_retarded,
+    ] {
+        assert_eq!(sigma.len(), 16);
+        assert!(sigma.iter().all(|s| s.norm_fro() > 0.0), "Σ of every owner");
+    }
+    let cached: std::collections::BTreeSet<usize> =
+        state.obc.iter().map(|(key, _)| key.energy_index).collect();
+    assert!(cached.into_iter().eq(0..16), "OBC entries of every energy");
+
+    let warm = DistScbaSolver::new(device.clone(), grid(2)).run_warm(Some(state));
+    let straight = DistScbaSolver::new(device, grid(4)).run();
+    assert_eq!(warm.iterations + cold.iterations, straight.iterations);
+    assert!(
+        rel_err(warm.observables.current, straight.observables.current) < TOL,
+        "current {} vs {}",
+        warm.observables.current,
+        straight.observables.current
+    );
+    let density_err = max_rel_err(
+        &warm.observables.electron_density,
+        &straight.observables.electron_density,
+    );
+    assert!(density_err < TOL, "density err {density_err}");
+    // …and the warm run captures a full state again.
+    assert_eq!(warm.final_state.expect("capture").n_energies, 16);
 }
 
 #[test]
@@ -387,7 +451,7 @@ fn spatial_ballistic_matches_sequential() {
 fn measured_energy_rebalancing_preserves_the_observables() {
     // ROADMAP "energy-cost weights from measurement": per-energy wall times
     // measured in iteration n feed `partition_weighted` for iteration n+1 and
-    // the self-energy state migrates between leaders. The observables must
+    // the self-energy state migrates between owners. The observables must
     // still match the sequential reference at the pinned tolerance.
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     let config = gw_config(24, 4);

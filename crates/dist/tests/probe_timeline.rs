@@ -45,7 +45,7 @@ fn timeline_covers_every_rank_and_transposition() {
         .expect("well-formed span nesting on every rank");
 
     // Every one of the four energy↔element transpositions must appear as
-    // both a post mark and a wait span on the leader ranks.
+    // both a post mark and a wait span.
     for phase in [
         CommPhase::FwdG,
         CommPhase::BwdP,

@@ -178,8 +178,8 @@ pub fn rgf_solve_batch_into(
     let batch_fits =
         |mb: &MatrixBatch| mb.batch_len() == bsz && mb.nrows() == bs && mb.ncols() == bs;
     // The slot lists only grow: a scratch that alternates between block
-    // counts (a spatial group leader solves partition interiors and reduced
-    // boundary systems on one scratch) keeps the longer list warm.
+    // counts (a rank of a spatial group solves partition interiors and
+    // reduced boundary systems on one scratch) keeps the longer list warm.
     if g.len() < nb {
         g.resize_with(nb, || MatrixBatch::zeros(0, 0, 0));
     }

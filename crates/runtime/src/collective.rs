@@ -388,6 +388,7 @@ pub struct RankContext<T: Send + 'static> {
     /// control of the interleaving.
     yield_barrier: Arc<sched::YieldBarrier>,
     observer: Option<Arc<dyn CollectiveObserver>>,
+    /// `n_ranks × N` values of the allreduce in flight, rank-major.
     reduce_slots: Arc<Mutex<Vec<f64>>>,
     stats: Arc<CommStats>,
     /// Identity of this communicator in race-detector annotations.
@@ -680,51 +681,61 @@ impl<T: Send + 'static> RankContext<T> {
         self.alltoallv_tagged(send, wire_bytes, phase)
     }
 
-    /// Sum-reduction of one `f64` across all ranks; every rank receives the sum.
+    /// Sum-reduction of one `f64` across all ranks; every rank receives the
+    /// sum. The `N = 1` call of [`RankContext::allreduce_sums`].
     pub fn allreduce_sum(&self, value: f64) -> f64 {
+        self.allreduce_sums([value])[0]
+    }
+
+    /// Component-wise sum-reduction of `N` values across all ranks in **one**
+    /// collective; every rank receives the sums. Each component is summed in
+    /// rank order, so a fused reduction returns bit for bit what `N`
+    /// back-to-back scalar reductions would. Every rank must pass the same
+    /// `N`.
+    pub fn allreduce_sums<const N: usize>(&self, values: [f64; N]) -> [f64; N] {
         if let Some(obs) = &self.observer {
             if let Err(diagnostic) = obs.on_sync_enter(self.rank, SyncKind::Allreduce) {
                 panic!("{diagnostic}");
             }
         }
-        let sum = quatrex_probe::span_bytes(
-            "allreduce",
-            "comm.allreduce",
-            8 * (self.n_ranks as u64 - 1),
-            || {
-                {
-                    let mut slots = self.reduce_slots.lock();
+        let bytes = (8 * N) as u64 * (self.n_ranks as u64 - 1);
+        let sums = quatrex_probe::span_bytes("allreduce", "comm.allreduce", bytes, || {
+            {
+                let mut slots = self.reduce_slots.lock();
+                race::access_shared(
+                    SharedId::new("comm.reduce_slot", (self.comm_id << 16) | self.rank as u64),
+                    AccessKind::Write,
+                );
+                // The first arriver sizes the slots for this reduction's
+                // width; the previous reduction's closing barrier ordered
+                // every read of the old contents before this write.
+                slots.resize(self.n_ranks * N, 0.0);
+                slots[self.rank * N..][..N].copy_from_slice(&values);
+            }
+            self.stats
+                .allreduce_bytes
+                .fetch_add(bytes, Ordering::Relaxed);
+            self.stats.n_collectives.fetch_add(1, Ordering::Relaxed);
+            self.barrier_wait_raw();
+            let sums = {
+                let slots = self.reduce_slots.lock();
+                // Each peer's slot write is ordered against this read by
+                // the barrier between them (and by the slots lock).
+                for peer in 0..self.n_ranks {
                     race::access_shared(
-                        SharedId::new("comm.reduce_slot", (self.comm_id << 16) | self.rank as u64),
-                        AccessKind::Write,
+                        SharedId::new("comm.reduce_slot", (self.comm_id << 16) | peer as u64),
+                        AccessKind::Read,
                     );
-                    slots[self.rank] = value;
                 }
-                self.stats
-                    .allreduce_bytes
-                    .fetch_add(8 * (self.n_ranks as u64 - 1), Ordering::Relaxed);
-                self.stats.n_collectives.fetch_add(1, Ordering::Relaxed);
-                self.barrier_wait_raw();
-                let sum: f64 = {
-                    let slots = self.reduce_slots.lock();
-                    // Each peer's slot write is ordered against this read by
-                    // the barrier between them (and by the slots lock).
-                    for peer in 0..self.n_ranks {
-                        race::access_shared(
-                            SharedId::new("comm.reduce_slot", (self.comm_id << 16) | peer as u64),
-                            AccessKind::Read,
-                        );
-                    }
-                    slots.iter().sum()
-                };
-                self.barrier_wait_raw();
-                sum
-            },
-        );
+                std::array::from_fn(|c| slots.iter().skip(c).step_by(N).sum())
+            };
+            self.barrier_wait_raw();
+            sums
+        });
         if let Some(obs) = &self.observer {
             obs.on_sync_exit(self.rank);
         }
-        sum
+        sums
     }
 }
 
@@ -820,7 +831,7 @@ impl ThreadComm {
             .as_ref()
             .map(|_| Arc::new(PollBarrier::new(n_ranks)));
         let yield_barrier = Arc::new(sched::YieldBarrier::new(n_ranks));
-        let reduce_slots = Arc::new(Mutex::new(vec![0.0f64; n_ranks]));
+        let reduce_slots = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(CommStats::with_ranks(n_ranks));
         let f = Arc::new(f);
         static NEXT_COMM_ID: AtomicU64 = AtomicU64::new(1);
@@ -934,6 +945,30 @@ mod tests {
         for r in results {
             assert_eq!(r, (1..=n as u64).sum::<u64>() as f64);
         }
+    }
+
+    #[test]
+    fn fused_allreduce_matches_the_scalar_reductions_bit_for_bit() {
+        // One collective of width 2 returns what two scalar reductions do —
+        // the same rank-ordered sums — and counts as one collective; widths
+        // may alternate between calls.
+        let n = 4;
+        let value = |rank: usize, c: usize| 0.1 * (rank + 1) as f64 / (c + 3) as f64;
+        let (results, stats) = ThreadComm::run(n, move |ctx: RankContext<()>| {
+            let r = ctx.rank();
+            let scalar = [0, 1].map(|c| ctx.allreduce_sum(value(r, c)));
+            let fused = ctx.allreduce_sums([value(r, 0), value(r, 1)]);
+            (scalar, fused, ctx.allreduce_sum(1.0))
+        });
+        for (scalar, fused, ones) in results {
+            assert_eq!(scalar.map(f64::to_bits), fused.map(f64::to_bits));
+            assert_eq!(ones, n as f64);
+        }
+        assert_eq!(stats.n_collectives.load(Ordering::Relaxed), 4 * n as u64);
+        assert_eq!(
+            stats.allreduce_bytes.load(Ordering::Relaxed),
+            (n * (n - 1) * 8 * 5) as u64
+        );
     }
 
     #[test]

@@ -110,7 +110,7 @@ struct FinishedPoint {
 /// Every point solves on the *same* energy grid (pinned from the unbiased
 /// base device), so converged Σ states transfer between points unchanged —
 /// the warm start is exactly the rebalancer's state adoption, applied across
-/// solves instead of across leaders.
+/// solves instead of across ranks.
 pub struct SweepEngine {
     device: Device,
     config: SweepConfig,

@@ -14,8 +14,8 @@
 //! phase-timing regressions are visible.
 //!
 //! Run with: `cargo run --release --example distributed_scba`
-//! (`QUATREX_BENCH_QUICK=1` shrinks the grids for the CI smoke job — same
-//! output shape, fewer energies/iterations).
+//! (`QUATREX_BENCH_QUICK=1` shrinks the runs for the CI smoke job — same
+//! output shape, fewer iterations and a smaller weak-scaling sweep).
 
 use quatrex::prelude::*;
 use quatrex_runtime::CommBackend;
@@ -24,7 +24,9 @@ fn main() {
     let quick = std::env::var("QUATREX_BENCH_QUICK")
         .map(|v| v != "0")
         .unwrap_or(false);
-    let (ne, iters) = if quick { (8, 2) } else { (16, 4) };
+    // 16 energies either way: the 8-rank grid below owns energies per rank,
+    // and B = 2 batches need two of them on each.
+    let (ne, iters) = (16, if quick { 2 } else { 4 });
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     let config = ScbaConfig {
         n_energies: ne,
@@ -119,11 +121,12 @@ fn main() {
 
     // --- Second decomposition level + batched transpositions ---------------
     // The same problem on a 4 energy groups x P_S = 2 grid (8 ranks) with
-    // the transpositions cut into 2 energy batches: each energy's G/W
-    // systems are solved cooperatively, the group leader ships every spatial
-    // rank only its partition's block range (blocks lo..=hi of A, B^<, B^>)
-    // instead of broadcasting the full system, and each batch's Alltoallv
-    // flies while the previous batch's convolutions compute. The byte
+    // the transpositions cut into 2 energy batches: every rank owns energies
+    // and elements; each energy's G/W systems are solved cooperatively by its
+    // owner's group, the owner ships every other member only its partition's
+    // block range (blocks lo..=hi of A, B^<, B^>) instead of broadcasting the
+    // full system, and each batch's Alltoallv flies while the previous
+    // batch's convolutions compute. The byte
     // counters (slices, batches, peak in-flight buffers, overlap) and the
     // probe metrics (per-phase seconds, overlap efficiency, time imbalance,
     // memoizer hit rates) land in DIST_report.json so the per-PR CI artifact
