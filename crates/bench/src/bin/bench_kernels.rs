@@ -13,9 +13,13 @@
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
 //!   right-hand sides) through the frozen pre-refactor solver
 //!   (`quatrex_rgf::reference`) vs the refactored one.
-//! * **lu_invert** — `LuScratch::invert_into` at `N_BS ∈ {32, 64, 128}`:
-//!   nanoseconds and GFLOP/s (no "before": the reference solvers invert
-//!   through the same routine).
+//! * **lu_invert** — `LuScratch::invert_into` at
+//!   `N_BS ∈ {8, 16, 32, 64, 128}`: nanoseconds and GFLOP/s (no "before": the
+//!   reference solvers invert through the same routine).
+//! * **svd** — the one-sided Jacobi `svd` of a dense `N × N` matrix at
+//!   `N ∈ {32, 64}` (Beyn's rank-revealing step), and **beyn** — one
+//!   contour-integral surface solve at `N_BS ∈ {32, 64}` (48 inversions, the
+//!   SVD, the reduced eigenproblem): absolute nanoseconds.
 //! * **fft_convolution** — absolute nanoseconds of the convolution layer at
 //!   `N_E ∈ {16, 64, 1024}`: one in-place `fft` of the padded length, one
 //!   `convolve` of two `N_E`-point series, and one whole-grid call of each
@@ -40,9 +44,10 @@ use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
 use quatrex_linalg::ops::{congruence, gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{
-    c64, cplx, gemm_batch, gemm_batch_flops, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind, ONE,
-    ZERO,
+    c64, cplx, gemm_batch, gemm_batch_flops, svd, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind,
+    ONE, ZERO,
 };
+use quatrex_obc::{beyn, BeynConfig};
 use quatrex_rgf::reference::rgf_solve_reference;
 use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
 
@@ -298,6 +303,54 @@ fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, f64) {
     (ns, inverse_flops(n_bs) as f64 / ns)
 }
 
+/// One Jacobi SVD of a dense, full-rank block (Beyn's rank-revealing step):
+/// entries in `[-1, 1)²` from a SplitMix64 scramble of the index —
+/// `chain_operand`'s linear phases have rank ≤ 4 and converge in two sweeps.
+fn bench_svd(n: usize, runs: usize, reps: usize) -> f64 {
+    let unit = |mut z: u64| {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    };
+    let a = CMatrix::from_fn(n, n, |i, j| {
+        let key = (((i as u64) << 20) | j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        cplx(unit(key), unit(!key))
+    });
+    let ns = time_ns(runs, reps, || {
+        std::hint::black_box(svd(&a));
+    });
+    let dec = svd(&a);
+    assert!(dec.reconstruct().approx_eq(&a, 1e-9), "svd mismatch at {n}");
+    ns
+}
+
+/// One Beyn surface solve of a strongly evanescent lead (every Bloch factor
+/// well inside the unit contour, the regime of the W boundary problem).
+fn bench_beyn(n_bs: usize, runs: usize, reps: usize) -> f64 {
+    let h0 = CMatrix::from_fn(n_bs, n_bs, |i, j| {
+        if i == j {
+            cplx(if i % 2 == 0 { 0.6 } else { -0.6 }, 0.0)
+        } else {
+            cplx(-0.2 / (1.0 + (i as f64 - j as f64).abs()), 0.0)
+        }
+    })
+    .hermitian_part();
+    let h1 = CMatrix::from_fn(n_bs, n_bs, |i, j| {
+        cplx(-0.0875 * (-((i as f64 - j as f64).abs()) / 2.0).exp(), 0.0)
+    });
+    let m = &CMatrix::scaled_identity(n_bs, cplx(2.5, 1e-2)) - &h0;
+    let (n, np) = (h1.scaled(-ONE), h1.dagger().scaled(-ONE));
+    let config = BeynConfig::default();
+    let ns = time_ns(runs, reps, || {
+        std::hint::black_box(beyn(&m, &n, &np, &config).expect("evanescent lead"));
+    });
+    let residual = beyn(&m, &n, &np, &config)
+        .expect("evanescent lead")
+        .residual;
+    assert!(residual < 1e-8, "beyn residual {residual:e} at {n_bs}");
+    ns
+}
+
 /// One `fft_convolution` row.
 struct ConvRow {
     n_e: usize,
@@ -430,12 +483,24 @@ fn main() {
     }
 
     let mut lu_rows = Vec::new();
-    for n_bs in [32usize, 64, 128] {
+    for n_bs in [8usize, 16, 32, 64, 128] {
         let base = (256 / n_bs).pow(3).max(1);
         let reps = if quick { base.div_ceil(8).max(1) } else { base };
         let (ns, gflops) = bench_lu_invert(n_bs, runs, reps);
         println!("lu_invert   N_BS={n_bs:>4}: {ns:>12.0} ns  {gflops:>6.2} GFLOP/s");
         lu_rows.push((n_bs, ns, gflops));
+    }
+
+    let mut svd_rows = Vec::new();
+    let mut beyn_rows = Vec::new();
+    for n in [32usize, 64] {
+        let reps = if quick { 1 } else { 128 / n };
+        let ns = bench_svd(n, runs, reps);
+        println!("svd         N   ={n:>4}: {ns:>12.0} ns");
+        svd_rows.push((n, ns));
+        let ns = bench_beyn(n, runs, reps);
+        println!("beyn        N_BS={n:>4}: {ns:>12.0} ns");
+        beyn_rows.push((n, ns));
     }
 
     let mut conv_rows = Vec::new();
@@ -511,6 +576,14 @@ fn main() {
         json.push_str(if i + 1 < lu_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
+    for (key, size, rows) in [("svd", "n", &svd_rows), ("beyn", "n_bs", &beyn_rows)] {
+        let _ = writeln!(json, "  \"{key}\": [");
+        for (i, (n, ns)) in rows.iter().enumerate() {
+            let _ = write!(json, "    {{\"{size}\": {n}, \"ns\": {ns:.1}}}");
+            json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        }
+        json.push_str("  ],\n");
+    }
     json.push_str("  \"fft_convolution\": [\n");
     for (i, row) in conv_rows.iter().enumerate() {
         let _ = write!(

@@ -10,6 +10,7 @@
 //! | `no-unwrap`     | no `.unwrap()` / `.expect(...)` in `crates/{dist,runtime}` library code — rank threads must fail with diagnostics, not anonymous panics |
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
 //! | `per-energy-gemm`| library code in `crates/{rgf,obc,core}` calls the batched GEMM entry points (`gemm_batch`), not raw per-energy `gemm`, so loops over energies share one operand packing — frozen reference paths carry explicit `lint:allow(per-energy-gemm)` markers |
+//! | `allocating-inverse`| library code in `crates/{rgf,obc,core}` does not reach `lu::inverse`, `lu::solve` or `LuFactorization::new` — each allocates factors and work planes per call where a `LuScratch` the caller already holds allocates nothing; cold fallbacks carry `lint:allow(allocating-inverse)` at the (path-qualified) call |
 //! | `no-raw-sync`   | no `std::thread::spawn` / `std::sync::Mutex` / `std::sync::mpsc` in library crates — the workspace shims (`parking_lot`, `crossbeam`, `rayon`) carry the lock-order, race-detection and schedule-exploration seams, and a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
 //! | `stale-allow`   | every `lint:allow`/`lint:allow-file` marker must suppress at least one finding — a marker that matches nothing is dead weight that rots into false confidence when the code under it changes |
 //!
@@ -42,6 +43,9 @@ pub enum Rule {
     NoPrintln,
     /// Raw per-energy `gemm(` in `crates/{rgf,obc,core}` library code.
     PerEnergyGemm,
+    /// `lu::inverse` / `lu::solve` / `LuFactorization::new` in
+    /// `crates/{rgf,obc,core}` library code.
+    AllocatingInverse,
     /// `std::thread::spawn` / `std::sync::Mutex` / `std::sync::mpsc` in
     /// library code outside `crates/sync`.
     NoRawSync,
@@ -51,11 +55,12 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::OneClock,
         Rule::NoUnwrap,
         Rule::NoPrintln,
         Rule::PerEnergyGemm,
+        Rule::AllocatingInverse,
         Rule::NoRawSync,
         Rule::StaleAllow,
     ];
@@ -67,6 +72,7 @@ impl Rule {
             Rule::NoUnwrap => "no-unwrap",
             Rule::NoPrintln => "no-println",
             Rule::PerEnergyGemm => "per-energy-gemm",
+            Rule::AllocatingInverse => "allocating-inverse",
             Rule::NoRawSync => "no-raw-sync",
             Rule::StaleAllow => "stale-allow",
         }
@@ -135,6 +141,7 @@ fn applicable_rules(rel: &str) -> Vec<Rule> {
         && !is_bin
     {
         rules.push(Rule::PerEnergyGemm);
+        rules.push(Rule::AllocatingInverse);
     }
     // `crates/sync` IS the instrumentation engine: it must build on the raw
     // primitives the shims wrap, so the rule would be circular there.
@@ -188,6 +195,19 @@ fn has_delimited_token(code: &str, token: &str) -> bool {
     false
 }
 
+/// The items of a brace-grouped import `<prefix>{a, b as c, …}` on this
+/// stripped line, trimmed (empty when the line has no such group).
+fn grouped_items<'a>(code: &'a str, prefix: &str) -> impl Iterator<Item = &'a str> {
+    let group = code.find(prefix).map_or("", |pos| {
+        let group = &code[pos + prefix.len()..];
+        group.split('}').next().unwrap_or(group)
+    });
+    group
+        .split(',')
+        .map(str::trim)
+        .filter(|item| !item.is_empty())
+}
+
 /// Does this stripped line reach a raw std sync/thread primitive (directly or
 /// via a brace-grouped `use std::sync::{...}`)? `std::sync::Arc`,
 /// `std::sync::atomic`, `MutexGuard` re-exports etc. stay legal — only the
@@ -199,21 +219,29 @@ fn uses_raw_sync(code: &str) -> bool {
     {
         return true;
     }
-    if let Some(pos) = code.find("std::sync::{") {
-        let group = &code[pos + "std::sync::{".len()..];
-        let group = group.split('}').next().unwrap_or(group);
-        return group.split(',').any(|item| {
-            // First word of the item, so `Mutex as StdMutex` matches but
-            // `MutexGuard` does not.
-            matches!(
-                item.trim()
-                    .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-                    .next(),
-                Some("Mutex") | Some("mpsc")
-            )
-        });
+    grouped_items(code, "std::sync::{").any(|item| {
+        // First word of the item, so `Mutex as StdMutex` matches but
+        // `MutexGuard` does not.
+        matches!(
+            item.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .next(),
+            Some("Mutex") | Some("mpsc")
+        )
+    })
+}
+
+/// Does this stripped line reach one of the allocating LU entry points:
+/// `lu::inverse` / `lu::solve` (called path-qualified, or imported by name —
+/// directly or through a brace-grouped `lu::{...}`) or `LuFactorization::new`?
+/// `inverse_flops`, `LuScratch` and the rest of the module stay legal.
+fn uses_allocating_inverse(code: &str) -> bool {
+    if has_delimited_token(code, "lu::inverse")
+        || has_delimited_token(code, "lu::solve")
+        || has_delimited_token(code, "LuFactorization::new")
+    {
+        return true;
     }
-    false
+    grouped_items(code, "lu::{").any(|item| matches!(item, "inverse" | "solve"))
 }
 
 /// Does this stripped line use `std::time::Instant` (directly or via a
@@ -222,12 +250,7 @@ fn uses_std_instant(code: &str) -> bool {
     if code.contains("std::time::Instant") {
         return true;
     }
-    if let Some(pos) = code.find("std::time::{") {
-        let group = &code[pos + "std::time::{".len()..];
-        let group = group.split('}').next().unwrap_or(group);
-        return group.split(',').any(|item| item.trim() == "Instant");
-    }
-    false
+    grouped_items(code, "std::time::{").any(|item| item == "Instant")
 }
 
 /// Multi-line lexer state: what construct is open at the end of a line.
@@ -482,6 +505,13 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
                         "raw per-energy gemm in batchable library code: route energy loops \
                          through gemm_batch so shared operands pack once, or justify with \
                          lint:allow(per-energy-gemm)"
+                            .to_string()
+                    }),
+                    Rule::AllocatingInverse => uses_allocating_inverse(&code).then(|| {
+                        "allocating LU entry point (lu::inverse / lu::solve / \
+                         LuFactorization::new) in solver library code: invert on the \
+                         LuScratch the caller holds, or justify a cold path with \
+                         lint:allow(allocating-inverse) at the path-qualified call"
                             .to_string()
                     }),
                     Rule::NoRawSync => uses_raw_sync(&code).then(|| {

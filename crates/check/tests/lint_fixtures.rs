@@ -68,6 +68,22 @@ fn per_energy_gemm_is_flagged_in_rgf_obc_core_but_not_elsewhere() {
 }
 
 #[test]
+fn allocating_inverse_is_flagged_in_rgf_obc_core_but_not_elsewhere() {
+    let src = include_str!("fixtures/allocating_inverse.rs");
+    for root in ["rgf", "obc", "core"] {
+        let got = findings(&format!("crates/{root}/src/fixture.rs"), src);
+        let want: Vec<_> = [4, 8, 9, 10]
+            .map(|line| ("allocating-inverse".to_string(), line))
+            .into();
+        assert_eq!(got, want, "{root}");
+    }
+    // The kernels' own crate, bins and test code may allocate per call.
+    assert!(findings("crates/linalg/src/fixture.rs", src).is_empty());
+    assert!(findings("crates/bench/src/bin/fixture.rs", src).is_empty());
+    assert!(findings("crates/obc/tests/fixture.rs", src).is_empty());
+}
+
+#[test]
 fn allow_file_marker_suppresses_a_rule_for_the_whole_file() {
     let src = "// lint:allow-file(per-energy-gemm): frozen reference recipe.\n\
                pub fn f(c: &mut CMatrix, a: &CMatrix) {\n    \

@@ -83,10 +83,13 @@ pub fn hessenberg(a: &CMatrix) -> (CMatrix, CMatrix) {
     if n < 3 {
         return (h, q);
     }
+    // One buffer for every Householder vector: the allocation count of the
+    // eigensolver depends on the order alone.
+    let mut v = vec![ZERO; n];
     for k in 0..n - 2 {
         // Householder vector for column k, rows k+1..n.
         let m = n - k - 1;
-        let mut v = vec![ZERO; m];
+        let v = &mut v[..m];
         for i in 0..m {
             v[i] = h[(k + 1 + i, k)];
         }
@@ -182,6 +185,7 @@ pub fn schur(a: &CMatrix) -> Result<SchurDecomposition, EigError> {
     let mut total_iter = 0usize;
     let mut hi = n - 1; // active block is [lo..=hi]
     let mut stuck = 0usize;
+    let mut rots: Vec<(f64, c64)> = Vec::with_capacity(n - 1);
 
     while hi > 0 {
         // Deflate converged subdiagonals at the bottom of the active block.
@@ -228,8 +232,7 @@ pub fn schur(a: &CMatrix) -> Result<SchurDecomposition, EigError> {
         for i in lo..=hi {
             h[(i, i)] -= sigma;
         }
-        let m = hi - lo + 1;
-        let mut rots: Vec<(f64, c64)> = Vec::with_capacity(m - 1);
+        rots.clear();
         for k in lo..hi {
             let (c, s) = givens(h[(k, k)], h[(k + 1, k)]);
             rots.push((c, s));

@@ -41,7 +41,7 @@ pub use flops::{FlopCounter, FlopKind};
 pub use lu::{LuError, LuFactorization, LuScratch};
 pub use matrix::CMatrix;
 pub use ops::{gemm, matmul, matmul_acc, triple_product, triple_product_flops, Op, OpKind};
-pub use svd::{svd, Svd};
+pub use svd::{svd, Svd, SvdScratch};
 
 /// Double-precision complex scalar used throughout QuaTrEx-RS.
 #[allow(non_camel_case_types)]

@@ -6,17 +6,29 @@
 //! map to `getrf`/`getri` (cuSOLVER / rocSOLVER); here they are provided by
 //! [`LuFactorization`] and its buffer-reusing wrapper [`LuScratch`].
 //!
-//! The factors live in split real/imaginary column-major planes and every
-//! `O(n³)` loop is one contiguous column update `y ← y − x·s` of plain `f64`
-//! lanes (`axpy_sub`, fused multiply-adds as in [`crate::ops`]): the
-//! right-looking `kji` factorisation subtracts the `L` column from each
-//! trailing column, the substitutions subtract factor columns from the
-//! right-hand sides. There is one factorisation routine and one substitution
-//! routine; solves, inverses and the scratch all run them, so they agree bit
-//! for bit, run to run, within a build.
+//! The factors live in split real/imaginary column-major planes whose columns
+//! are padded to whole `MR`-lane tiles, and every `O(n³)` loop is a rank-`K`
+//! update of plain `f64` lanes (fused multiply-adds as in [`crate::ops`]):
+//! pivots are eliminated `K = MR = 8` at a time from `NR` columns at a time, so one
+//! `MR × NR` tile is loaded and stored once per `4·K` multiply-adds per lane
+//! (`tile_sub`) where a column-at-a-time update loads and stores it once per
+//! four. The diagonal tile of a pivot group, where each pivot's multiplier
+//! depends on the one before, is substituted on the tile's *rows* — short
+//! vectors across the column group (`lower_tile`, `upper_tile`). The
+//! factorisation (`refactor`) is left-looking inside a pivot group and
+//! right-looking across groups; the substitutions (`substitute`) are the same
+//! two kernels on the right-hand sides, the backward sweep multiplying by
+//! stored reciprocals of the `U` diagonal. Pivots are chosen by
+//! `|re| + |im|` (LAPACK's `cabs1`).
+//!
+//! There is one factorisation routine and one substitution routine; solves,
+//! inverses and the scratch all run them, and a column's arithmetic does not
+//! depend on the columns it is grouped with, so they agree bit for bit, run to
+//! run, within a build. Tile width and multiply-add come from the build target
+//! (`ops::NR`, `ops::mul_add`); builds for different targets agree to rounding.
 
 use crate::matrix::CMatrix;
-use crate::ops::mul_add;
+use crate::ops::{mul_add, MR, NR};
 use crate::{c64, ONE, ZERO};
 
 /// Error returned when a matrix is numerically singular.
@@ -43,30 +55,289 @@ impl std::error::Error for LuError {}
 pub struct LuFactorization {
     /// Order of the factorised matrix.
     n: usize,
+    /// Column stride of the planes: `n` rounded up to whole [`MR`]-lane tiles.
+    /// Rows `n..ld` of every column are zero and stay zero, so every kernel
+    /// below works on full tiles.
+    ld: usize,
     /// Real plane of the packed, column-major LU factors (unit lower triangle
     /// below the diagonal, U on and above).
     re: Vec<f64>,
     /// Imaginary plane of the packed factors.
     im: Vec<f64>,
+    /// `1 / u_ll`: the backward sweep multiplies where it would divide.
+    inv_diag: Vec<c64>,
     /// Row permutation: `perm[i]` is the original row now stored in row `i`.
     perm: Vec<usize>,
     /// Sign of the permutation (+1 or -1), used for determinants.
     perm_sign: f64,
 }
 
-/// Right-hand-side columns [`LuFactorization::substitute`] sweeps together.
-const SOLVE_GROUP: usize = 8;
+/// Pivots eliminated together: one lane tile, so the diagonal block of a
+/// pivot group is a single tile of each column.
+const K: usize = MR;
 
-/// `y[i] -= x[i] · s` on split planes over the common length: the contiguous
-/// column update both the factorisation and the substitutions are made of.
-/// Per element `yr ← fma(−xr, sr, yr)`, `yr ← fma(xi, si, yr)`,
-/// `yi ← fma(−xr, si, yi)`, `yi ← fma(−xi, sr, yi)`.
+/// One lane tile of each of `NC` adjacent columns.
+type Tile<const NC: usize> = [[f64; MR]; NC];
+
+/// The multipliers of one pivot group: entry `[l][c]` belongs to pivot `l` of
+/// the group and column `c` of the tile.
+type Multipliers<const NC: usize> = [[f64; NC]; K];
+
+/// De-interleave one column into the head of its split planes and zero the
+/// padding rows behind it.
 #[inline(always)]
-fn axpy_sub((yr, yi): (&mut [f64], &mut [f64]), (xr, xi): (&[f64], &[f64]), s: c64) {
-    for (((yr, yi), xr), xi) in yr.iter_mut().zip(yi).zip(xr).zip(xi) {
-        *yr = mul_add(*xi, s.im, mul_add(-*xr, s.re, *yr));
-        *yi = mul_add(-*xi, s.re, mul_add(-*xr, s.im, *yi));
+pub(crate) fn split_column(col: &[c64], re: &mut [f64], im: &mut [f64]) {
+    let (re, re_pad) = re.split_at_mut(col.len());
+    let (im, im_pad) = im.split_at_mut(col.len());
+    for ((re, im), v) in re.iter_mut().zip(im).zip(col) {
+        (*re, *im) = (v.re, v.im);
     }
+    re_pad.fill(0.0);
+    im_pad.fill(0.0);
+}
+
+/// Row and magnitude of the entry of largest `|re| + |im|` (LAPACK's `cabs1`)
+/// in a split column, the first of equals. Two passes, each one the compiler
+/// vectorises, where a running arg-max is a scalar chain.
+#[inline(always)]
+fn pivot(re: &[f64], im: &[f64]) -> (usize, f64) {
+    let cabs1 = |(re, im): (&f64, &f64)| re.abs() + im.abs();
+    let max = re.iter().zip(im).map(cabs1).fold(0.0, f64::max);
+    let row = re.iter().zip(im).position(|v| cabs1(v) == max);
+    (row.unwrap_or(0), max)
+}
+
+/// The lane tile at the start of `g`.
+#[inline(always)]
+fn lanes(g: &[f64]) -> &[f64; MR] {
+    g[..MR].try_into().expect("whole tile")
+}
+
+/// The tiles at the start of `NC` columns `ld` apart.
+#[inline(always)]
+fn load<const NC: usize>(g: &[f64], ld: usize) -> Tile<NC> {
+    std::array::from_fn(|c| *lanes(&g[c * ld..]))
+}
+
+/// The inverse of [`load`].
+#[inline(always)]
+fn store<const NC: usize>(g: &mut [f64], ld: usize, tile: &Tile<NC>) {
+    for (c, lanes) in tile.iter().enumerate() {
+        g[c * ld..c * ld + MR].copy_from_slice(lanes);
+    }
+}
+
+/// `y ← y − x · (ur + i·ui)` on one tile of split planes: the update every
+/// `O(n³)` loop of the factorisation and the substitutions is made of.
+#[inline(always)]
+fn lanes_sub(
+    (yr, yi): (&mut [f64; MR], &mut [f64; MR]),
+    (xr, xi): (&[f64; MR], &[f64; MR]),
+    (ur, ui): (f64, f64),
+) {
+    for r in 0..MR {
+        yr[r] = mul_add(xi[r], ui, mul_add(-xr[r], ur, yr[r]));
+        yi[r] = mul_add(-xi[r], ur, mul_add(-xr[r], ui, yi[r]));
+    }
+}
+
+/// Rank-`k` update of one tile of `NC` columns: `y_c ← y_c − Σ_l x_l · s_lc`
+/// over the first `k` pivots of a group, `l` ascending. `g` starts at the
+/// tile's row of the first column, `f` at the same row of the group's first
+/// factor column. The tile is loaded and stored once for `4·k` fused
+/// multiply-adds per lane.
+#[inline(never)]
+fn tile_sub<const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    k: usize,
+    (sr, si): &(Multipliers<NC>, Multipliers<NC>),
+) {
+    let (mut yr, mut yi) = (load::<NC>(g_re, ld), load::<NC>(g_im, ld));
+    for l in 0..k {
+        let x = (lanes(&f_re[l * ld..]), lanes(&f_im[l * ld..]));
+        for c in 0..NC {
+            lanes_sub((&mut yr[c], &mut yi[c]), x, (sr[l][c], si[l][c]));
+        }
+    }
+    store(g_re, ld, &yr);
+    store(g_im, ld, &yi);
+}
+
+/// The diagonal tile of `NC` columns `ld` apart, transposed: entry `[l][c]`
+/// is row `l` of column `c`, so one row is one short vector across the
+/// columns and the substitutions below run on whole rows.
+#[inline(always)]
+fn load_rows<const NC: usize>(g: &[f64], ld: usize) -> Multipliers<NC> {
+    let columns: [&[f64; MR]; NC] = std::array::from_fn(|c| lanes(&g[c * ld..]));
+    std::array::from_fn(|l| std::array::from_fn(|c| columns[c][l]))
+}
+
+/// The inverse of [`load_rows`].
+#[inline(always)]
+fn store_rows<const NC: usize>(g: &mut [f64], ld: usize, rows: &Multipliers<NC>) {
+    for c in 0..NC {
+        let column: [f64; MR] = std::array::from_fn(|l| rows[l][c]);
+        g[c * ld..c * ld + MR].copy_from_slice(&column);
+    }
+}
+
+/// `a ← a − f · t` on one row of a transposed tile.
+#[inline(always)]
+fn row_sub<const NC: usize>(
+    (ar, ai): (&mut [f64; NC], &mut [f64; NC]),
+    (tr, ti): (&[f64; NC], &[f64; NC]),
+    (fr, fi): (f64, f64),
+) {
+    for c in 0..NC {
+        ar[c] = mul_add(fi, ti[c], mul_add(-fr, tr[c], ar[c]));
+        ai[c] = mul_add(-fi, tr[c], mul_add(-fr, ti[c], ai[c]));
+    }
+}
+
+/// Forward substitution through the diagonal tile of a pivot group: row `l`
+/// of every column loses `L[l, m]` times row `m` for the pivots `m < l` among
+/// the first `k`, `m` ascending. Returns the tile's rows — the first `k` are
+/// the multipliers of the tiles below. Slices as in [`tile_sub`].
+#[inline(never)]
+fn lower_tile<const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    k: usize,
+) -> (Multipliers<NC>, Multipliers<NC>) {
+    let (mut tr, mut ti) = (load_rows::<NC>(g_re, ld), load_rows::<NC>(g_im, ld));
+    for l in 1..MR {
+        let (mut ar, mut ai) = (tr[l], ti[l]);
+        for m in 0..l.min(k) {
+            let f = (lanes(&f_re[m * ld..])[l], lanes(&f_im[m * ld..])[l]);
+            row_sub((&mut ar, &mut ai), (&tr[m], &ti[m]), f);
+        }
+        (tr[l], ti[l]) = (ar, ai);
+    }
+    store_rows(g_re, ld, &tr);
+    store_rows(g_im, ld, &ti);
+    (tr, ti)
+}
+
+/// Backward substitution through the diagonal tile of a pivot group of
+/// `inv_diag.len()` pivots: row `l`, descending, loses `U[l, m]` times row
+/// `m` for the pivots `m > l`, `m` descending, and is divided by `u_ll`
+/// (`inv_diag` holds the group's `1 / u_ll`). Returns the tile's rows, the
+/// multipliers of the tiles above. Slices as in [`tile_sub`].
+#[inline(never)]
+fn upper_tile<const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    inv_diag: &[c64],
+) -> (Multipliers<NC>, Multipliers<NC>) {
+    let (mut tr, mut ti) = (load_rows::<NC>(g_re, ld), load_rows::<NC>(g_im, ld));
+    for (l, inv) in inv_diag.iter().enumerate().rev() {
+        let (mut ar, mut ai) = (tr[l], ti[l]);
+        for m in (l + 1..inv_diag.len()).rev() {
+            let f = (lanes(&f_re[m * ld..])[l], lanes(&f_im[m * ld..])[l]);
+            row_sub((&mut ar, &mut ai), (&tr[m], &ti[m]), f);
+        }
+        for c in 0..NC {
+            tr[l][c] = ar[c] * inv.re - ai[c] * inv.im;
+            ti[l][c] = ar[c] * inv.im + ai[c] * inv.re;
+        }
+    }
+    store_rows(g_re, ld, &tr);
+    store_rows(g_im, ld, &ti);
+    (tr, ti)
+}
+
+/// Eliminate the first `k` pivots of the group starting at `k0` from `NC`
+/// columns (`g`, `ld` apart): [`lower_tile`] on the diagonal tile, then one
+/// [`tile_sub`] per tile below. `f` starts at factor column `k0`.
+#[inline(always)]
+fn eliminate<const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    k0: usize,
+    k: usize,
+) {
+    let s = lower_tile::<NC>(
+        (&mut g_re[k0..], &mut g_im[k0..]),
+        (&f_re[k0..], &f_im[k0..]),
+        ld,
+        k,
+    );
+    for i in (k0 + K..ld).step_by(MR) {
+        tile_sub::<NC>(
+            (&mut g_re[i..], &mut g_im[i..]),
+            (&f_re[i..], &f_im[i..]),
+            ld,
+            k,
+            &s,
+        );
+    }
+}
+
+/// The mirror of [`eliminate`] for the backward sweep: [`upper_tile`] on the
+/// diagonal tile of the group of `inv_diag.len()` pivots starting at `k0`,
+/// then one [`tile_sub`] per tile above.
+#[inline(always)]
+fn back_eliminate<const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    k0: usize,
+    inv_diag: &[c64],
+) {
+    let s = upper_tile::<NC>(
+        (&mut g_re[k0..], &mut g_im[k0..]),
+        (&f_re[k0..], &f_im[k0..]),
+        ld,
+        inv_diag,
+    );
+    for i in (0..k0).step_by(MR) {
+        tile_sub::<NC>(
+            (&mut g_re[i..], &mut g_im[i..]),
+            (&f_re[i..], &f_im[i..]),
+            ld,
+            inv_diag.len(),
+            &s,
+        );
+    }
+}
+
+/// Both sweeps of [`LuFactorization::substitute`] on one group of `NC`
+/// columns.
+fn substitute_group<const NC: usize>(lu: &LuFactorization, g_re: &mut [f64], g_im: &mut [f64]) {
+    let (n, ld) = (lu.n, lu.ld);
+    let first_nonzero = |c: usize| {
+        let rows = g_re[c * ld..][..n].iter().zip(&g_im[c * ld..][..n]);
+        rows.take_while(|(re, im)| **re == 0.0 && **im == 0.0)
+            .count()
+    };
+    let first = (0..NC).map(first_nonzero).min().unwrap_or(n);
+    for k0 in (first / K * K..n).step_by(K) {
+        let factor = (&lu.re[k0 * ld..], &lu.im[k0 * ld..]);
+        eliminate::<NC>((g_re, g_im), factor, ld, k0, K.min(n - k0));
+    }
+    for k0 in (0..n).step_by(K).rev() {
+        let factor = (&lu.re[k0 * ld..], &lu.im[k0 * ld..]);
+        let inv_diag = &lu.inv_diag[k0..n.min(k0 + K)];
+        back_eliminate::<NC>((g_re, g_im), factor, ld, k0, inv_diag);
+    }
+}
+
+/// Call `$f::<NC>` with `NC` the column count of a group of at most [`NR`]
+/// columns.
+macro_rules! with_columns {
+    ($nc:expr, $f:ident, $($args:expr),*) => {
+        match $nc {
+            1 => $f::<1>($($args),*),
+            2 => $f::<2>($($args),*),
+            3 => $f::<3>($($args),*),
+            _ => $f::<4>($($args),*),
+        }
+    };
 }
 
 impl LuFactorization {
@@ -81,155 +352,186 @@ impl LuFactorization {
     /// Factorise the column-major `n × n` slice `a` into this object's
     /// buffers (no allocation once they have held a matrix of that order).
     ///
-    /// Right-looking and column-oriented (`kji`): step `k` divides column `k`
-    /// below the pivot into the `L` column and subtracts `u_kj` times that
-    /// column from every trailing column `j` — one contiguous [`axpy_sub`]
-    /// per column.
+    /// Pivots are taken [`K`] at a time. Inside a group the factorisation is
+    /// left-looking: a column receives the group's earlier pivots in one
+    /// [`eliminate`], then its own pivot is searched (largest `|re| + |im|`,
+    /// LAPACK's `cabs1`), swapped in and divided out. The trailing columns
+    /// then receive the whole group, [`NR`] columns per [`eliminate`].
     fn refactor(&mut self, a: &[c64], n: usize) -> Result<(), LuError> {
-        self.n = n;
-        self.re.clear();
-        self.re.extend(a.iter().map(|v| v.re));
-        self.im.clear();
-        self.im.extend(a.iter().map(|v| v.im));
+        let ld = n.next_multiple_of(MR);
+        (self.n, self.ld) = (n, ld);
+        self.inv_diag.clear();
         self.perm.clear();
         self.perm.extend(0..n);
         self.perm_sign = 1.0;
-        for k in 0..n {
-            // Find pivot row.
-            let norm = |i: usize| self.re[k * n + i].hypot(self.im[k * n + i]);
-            let mut p = k;
-            let mut pmax = norm(k);
-            for i in (k + 1)..n {
-                let v = norm(i);
-                if v > pmax {
-                    pmax = v;
-                    p = i;
+        // No clear: every element is overwritten below.
+        self.re.resize(ld * n, 0.0);
+        self.im.resize(ld * n, 0.0);
+        if n == 0 {
+            return Ok(());
+        }
+        let columns = self
+            .re
+            .chunks_exact_mut(ld)
+            .zip(self.im.chunks_exact_mut(ld));
+        for ((re, im), col) in columns.zip(a.chunks_exact(n)) {
+            split_column(col, re, im);
+        }
+        for k0 in (0..n).step_by(K) {
+            let kb = K.min(n - k0);
+            let mut swaps = [0; K];
+            for j in k0..k0 + kb {
+                let (done_re, rest_re) = self.re.split_at_mut(j * ld);
+                let (done_im, rest_im) = self.im.split_at_mut(j * ld);
+                let (col_re, col_im) = (&mut rest_re[..ld], &mut rest_im[..ld]);
+                let group = (&done_re[k0 * ld..], &done_im[k0 * ld..]);
+                if j > k0 {
+                    eliminate::<1>((&mut *col_re, &mut *col_im), group, ld, k0, j - k0);
+                }
+
+                let (row, pmax) = pivot(&col_re[j..n], &col_im[j..n]);
+                if pmax == 0.0 || !pmax.is_finite() {
+                    return Err(LuError { column: j });
+                }
+                let p = j + row;
+                swaps[j - k0] = p;
+                if p != j {
+                    for col in self.re[k0 * ld..(k0 + kb) * ld]
+                        .chunks_exact_mut(ld)
+                        .chain(self.im[k0 * ld..(k0 + kb) * ld].chunks_exact_mut(ld))
+                    {
+                        col.swap(j, p);
+                    }
+                    self.perm.swap(j, p);
+                    self.perm_sign = -self.perm_sign;
+                }
+                let inv = ONE / self.diagonal(j);
+                self.inv_diag.push(inv);
+                let l_re = &mut self.re[j * ld + j + 1..(j + 1) * ld];
+                let l_im = &mut self.im[j * ld + j + 1..(j + 1) * ld];
+                for (lr, li) in l_re.iter_mut().zip(l_im.iter_mut()) {
+                    (*lr, *li) = (*lr * inv.re - *li * inv.im, *lr * inv.im + *li * inv.re);
                 }
             }
-            if pmax == 0.0 || !pmax.is_finite() {
-                return Err(LuError { column: k });
-            }
-            if p != k {
-                for col in self
-                    .re
-                    .chunks_exact_mut(n)
-                    .chain(self.im.chunks_exact_mut(n))
+            // The group's row swaps, on the columns outside it.
+            let swaps = &swaps[..kb];
+            let (left_re, rest_re) = self.re.split_at_mut(k0 * ld);
+            let (left_im, rest_im) = self.im.split_at_mut(k0 * ld);
+            let (group_re, trailing_re) = rest_re.split_at_mut(kb * ld);
+            let (group_im, trailing_im) = rest_im.split_at_mut(kb * ld);
+            if swaps.iter().enumerate().any(|(l, &p)| p != k0 + l) {
+                for col in [left_re, left_im, &mut *trailing_re, &mut *trailing_im]
+                    .into_iter()
+                    .flat_map(|plane| plane.chunks_exact_mut(ld))
                 {
-                    col.swap(k, p);
+                    for (l, &p) in swaps.iter().enumerate() {
+                        col.swap(k0 + l, p);
+                    }
                 }
-                self.perm.swap(k, p);
-                self.perm_sign = -self.perm_sign;
             }
-            let pivot = self.diagonal(k);
-            let (done_re, trailing_re) = self.re.split_at_mut((k + 1) * n);
-            let (done_im, trailing_im) = self.im.split_at_mut((k + 1) * n);
-            let (l_re, l_im) = (&mut done_re[k * n + k + 1..], &mut done_im[k * n + k + 1..]);
-            for (lr, li) in l_re.iter_mut().zip(l_im.iter_mut()) {
-                let factor = c64::new(*lr, *li) / pivot;
-                (*lr, *li) = (factor.re, factor.im);
-            }
-            let columns = trailing_re
-                .chunks_exact_mut(n)
-                .zip(trailing_im.chunks_exact_mut(n));
-            for (col_re, col_im) in columns {
-                let u_kj = c64::new(col_re[k], col_im[k]);
-                axpy_sub(
-                    (&mut col_re[k + 1..], &mut col_im[k + 1..]),
-                    (l_re, l_im),
-                    u_kj,
-                );
+            let groups = trailing_re
+                .chunks_mut(NR * ld)
+                .zip(trailing_im.chunks_mut(NR * ld));
+            for (g_re, g_im) in groups {
+                let factor = (&*group_re, &*group_im);
+                with_columns!(g_re.len() / ld, eliminate, (g_re, g_im), factor, ld, k0, kb);
             }
         }
         Ok(())
     }
 
-    /// Solve `L·U·x = b` in place for every `n`-element column of the split
-    /// planes `x`, which hold the row-permuted right-hand sides on entry.
+    /// Solve `L·U·x = b` in place for every `ld`-strided column of the split
+    /// planes `x`, which hold the row-permuted right-hand sides on entry
+    /// (rows `n..ld` zero).
     ///
-    /// Column-oriented: step `l` of the forward sweep subtracts `x_l` times
-    /// the `L` column `l` from the entries below, step `l` of the backward
-    /// sweep divides by `u_ll` and subtracts `x_l` times the `U` column `l`
-    /// from the entries above — each a contiguous [`axpy_sub`]. The forward
-    /// sweep of a column starts at its first non-zero (the steps before it
-    /// subtract zero), which on the permuted unit columns of an inversion
-    /// skips a third of the substitution work.
-    ///
-    /// Right-hand sides go through the sweeps [`SOLVE_GROUP`] at a time: one
-    /// step applies the same factor column to every column of the group, and
-    /// those updates are independent where the steps of a single column wait
-    /// on each other. Each column sees the same operations in the same order
-    /// whatever group it is in.
+    /// Columns go through the sweeps [`NR`] at a time and pivots [`K`] at a
+    /// time: the forward sweep is one [`eliminate`] per pivot group,
+    /// ascending, the backward sweep one [`back_eliminate`] per group,
+    /// descending — the kernels of the factorisation, on the right-hand
+    /// sides. The forward sweep starts at the group holding the first
+    /// non-zero row of its columns (the groups before it subtract zero),
+    /// which on the unit columns of an inversion skips a third of the
+    /// substitution work. Each column sees the same operations in the same
+    /// order whatever columns it is swept with.
     fn substitute(&self, x_re: &mut [f64], x_im: &mut [f64]) {
-        let n = self.n;
-        if n == 0 {
+        if self.n == 0 {
             return;
         }
         let groups = x_re
-            .chunks_mut(SOLVE_GROUP * n)
-            .zip(x_im.chunks_mut(SOLVE_GROUP * n));
+            .chunks_mut(NR * self.ld)
+            .zip(x_im.chunks_mut(NR * self.ld));
         for (g_re, g_im) in groups {
-            let mut first = [n; SOLVE_GROUP];
-            let columns = g_re.chunks_exact(n).zip(g_im.chunks_exact(n));
-            for (first, (x_re, x_im)) in first.iter_mut().zip(columns) {
-                let nonzero = |(re, im): (&f64, &f64)| *re != 0.0 || *im != 0.0;
-                *first = x_re.iter().zip(x_im).position(nonzero).unwrap_or(n);
-            }
-            for l in 0..n {
-                let below = l * n + l + 1..(l + 1) * n;
-                let l_column = (&self.re[below.clone()], &self.im[below]);
-                let columns = g_re.chunks_exact_mut(n).zip(g_im.chunks_exact_mut(n));
-                for ((x_re, x_im), _) in columns.zip(&first).filter(|(_, &first)| first <= l) {
-                    let x_l = c64::new(x_re[l], x_im[l]);
-                    axpy_sub((&mut x_re[l + 1..], &mut x_im[l + 1..]), l_column, x_l);
-                }
-            }
-            for l in (0..n).rev() {
-                let above = l * n..l * n + l;
-                let u_column = (&self.re[above.clone()], &self.im[above]);
-                let u_ll = self.diagonal(l);
-                for (x_re, x_im) in g_re.chunks_exact_mut(n).zip(g_im.chunks_exact_mut(n)) {
-                    let x_l = c64::new(x_re[l], x_im[l]) / u_ll;
-                    (x_re[l], x_im[l]) = (x_l.re, x_l.im);
-                    axpy_sub((&mut x_re[..l], &mut x_im[..l]), u_column, x_l);
-                }
-            }
+            with_columns!(g_re.len() / self.ld, substitute_group, self, g_re, g_im);
         }
     }
 
-    /// Solve `A X = B` for `out.len() / n` columns, `rhs(i, j) = B[i, j]`,
-    /// into the column-major `out`: the one solve routine behind
+    /// Solve `L·U·X = R` for `out.len() / n` columns into the column-major
+    /// `out`, column `j` of the solution landing in column `dest(j)`:
+    /// `fill(j, re, im)` writes column `j` of the row-permuted right-hand side
+    /// `R` into the split slices. The one solve routine behind
     /// [`Self::solve_vec`], [`Self::solve`], [`Self::inverse`] and
     /// [`LuScratch`]. `x_re`/`x_im` are work planes (no allocation once they
     /// have held a right-hand side of that size).
     fn solve_into(
         &self,
-        rhs: impl Fn(usize, usize) -> c64,
+        fill: impl Fn(usize, &mut [f64], &mut [f64]),
+        dest: impl Fn(usize) -> usize,
         (x_re, x_im): (&mut Vec<f64>, &mut Vec<f64>),
         out: &mut [c64],
     ) {
-        x_re.clear();
-        x_im.clear();
-        for j in 0..out.len().checked_div(self.n).unwrap_or(0) {
-            for &p in &self.perm {
-                let v = rhs(p, j);
-                x_re.push(v.re);
-                x_im.push(v.im);
-            }
+        let (n, ld) = (self.n, self.ld);
+        if n == 0 {
+            return;
+        }
+        let ncols = out.len() / n;
+        // No clear: `fill` and the padding loop overwrite every element.
+        x_re.resize(ld * ncols, 0.0);
+        x_im.resize(ld * ncols, 0.0);
+        let columns = x_re.chunks_exact_mut(ld).zip(x_im.chunks_exact_mut(ld));
+        for (j, (re, im)) in columns.enumerate() {
+            fill(j, &mut re[..n], &mut im[..n]);
+            re[n..].fill(0.0);
+            im[n..].fill(0.0);
         }
         self.substitute(x_re, x_im);
-        for ((o, re), im) in out.iter_mut().zip(x_re.iter()).zip(x_im.iter()) {
-            *o = c64::new(*re, *im);
+        let columns = x_re.chunks_exact(ld).zip(x_im.chunks_exact(ld));
+        for (j, (re, im)) in columns.enumerate() {
+            let col = &mut out[dest(j) * n..(dest(j) + 1) * n];
+            for ((o, re), im) in col.iter_mut().zip(re).zip(im) {
+                *o = c64::new(*re, *im);
+            }
         }
     }
 
-    /// Explicit inverse into the column-major `n × n` slice `out`.
+    /// Explicit inverse into the column-major `n × n` slice `out`:
+    /// `A⁻¹ = U⁻¹·L⁻¹·P`, so the right-hand side is the identity — whose
+    /// column `j` starts at row `j`, the most the forward sweep can skip — and
+    /// solution column `j` is column `perm[j]` of the inverse.
     fn inverse_into(&self, work: (&mut Vec<f64>, &mut Vec<f64>), out: &mut [c64]) {
-        self.solve_into(|i, j| if i == j { ONE } else { ZERO }, work, out);
+        let unit = |j: usize, re: &mut [f64], im: &mut [f64]| {
+            re.fill(0.0);
+            im.fill(0.0);
+            re[j] = 1.0;
+        };
+        self.solve_into(unit, |j| self.perm[j], work, out);
+    }
+
+    /// Column `j` of the row-permuted `b`, split.
+    fn permuted_column<'a>(
+        &'a self,
+        b: impl Fn(usize, usize) -> c64 + 'a,
+    ) -> impl Fn(usize, &mut [f64], &mut [f64]) + 'a {
+        move |j, re, im| {
+            for ((re, im), &p) in re.iter_mut().zip(im).zip(&self.perm) {
+                let v = b(p, j);
+                (*re, *im) = (v.re, v.im);
+            }
+        }
     }
 
     /// `u_ll`.
     fn diagonal(&self, l: usize) -> c64 {
-        c64::new(self.re[l * self.n + l], self.im[l * self.n + l])
+        c64::new(self.re[l * self.ld + l], self.im[l * self.ld + l])
     }
 
     /// Order of the factorised matrix.
@@ -241,7 +543,8 @@ impl LuFactorization {
     pub fn solve_vec(&self, b: &[c64]) -> Vec<c64> {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let mut x = vec![ZERO; self.n];
-        self.solve_into(|i, _| b[i], (&mut Vec::new(), &mut Vec::new()), &mut x);
+        let work = (&mut Vec::new(), &mut Vec::new());
+        self.solve_into(self.permuted_column(|i, _| b[i]), |j| j, work, &mut x);
         x
     }
 
@@ -250,7 +553,12 @@ impl LuFactorization {
         assert_eq!(b.nrows(), self.n, "rhs row count mismatch");
         let mut x = CMatrix::zeros(self.n, b.ncols());
         let work = (&mut Vec::new(), &mut Vec::new());
-        self.solve_into(|i, j| b[(i, j)], work, x.as_mut_slice());
+        self.solve_into(
+            self.permuted_column(|i, j| b[(i, j)]),
+            |j| j,
+            work,
+            x.as_mut_slice(),
+        );
         x
     }
 
@@ -380,11 +688,30 @@ mod tests {
         })
     }
 
+    /// The empty matrix, orders below, at and above the pivot group and the
+    /// column group, the single-tile case, whole and ragged tiles.
+    const ORDERS: [usize; 16] = [
+        0,
+        1,
+        2,
+        5,
+        K - 1,
+        K,
+        K + 1,
+        12,
+        2 * K + 3,
+        23,
+        31,
+        32,
+        33,
+        64,
+        65,
+        128,
+    ];
+
     #[test]
     fn inverse_times_matrix_is_identity() {
-        // Orders below, at and above the substitution group and the vector
-        // width, with and without row swaps.
-        for n in [1, 2, 5, 12, 23, 64, 65] {
+        for n in ORDERS {
             for a in [well_conditioned(n), swap_heavy(n)] {
                 let inv = inverse(&a).unwrap();
                 let prod = matmul(&a, &inv);
@@ -392,6 +719,49 @@ mod tests {
                     prod.approx_eq(&CMatrix::identity(n), 1e-12 * n as f64),
                     "n = {n}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn solve_inverse_and_scratch_agree_bit_for_bit() {
+        let mut scratch = LuScratch::new();
+        for n in ORDERS {
+            for a in [well_conditioned(n), swap_heavy(n)] {
+                let lu = LuFactorization::new(&a).unwrap();
+                let want = lu.inverse();
+                // The identity as a right-hand side enters the sweeps in
+                // other column groups than the inverse's own unit columns.
+                assert!(
+                    lu.solve(&CMatrix::identity(n)).approx_eq(&want, 0.0),
+                    "n = {n}"
+                );
+                let mut out = CMatrix::zeros(1, 1); // wrong shape: must be resized
+                scratch.invert_into(&a, &mut out).unwrap();
+                assert!(out.approx_eq(&want, 0.0), "n = {n}");
+                // And a lone column is the same column, whatever it rode with.
+                let rhs: Vec<c64> = (0..n).map(|i| cplx(1.0 + i as f64, -0.5)).collect();
+                let b = CMatrix::from_fn(n, 3, |i, j| if j == 1 { rhs[i] } else { ZERO });
+                assert_eq!(lu.solve_vec(&rhs), lu.solve(&b).col(1), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn singular_column_is_reported_where_it_breaks_down() {
+        // A zero column stays zero under every elimination, so the
+        // factorisation breaks down exactly there — first, middle and last
+        // column of a pivot group, of the matrix, at every order.
+        for n in ORDERS {
+            for column in [0, K - 1, K, n / 2, n.saturating_sub(1)] {
+                if column >= n {
+                    continue;
+                }
+                for mut a in [well_conditioned(n), swap_heavy(n)] {
+                    a.col_mut(column).fill(ZERO);
+                    let err = LuFactorization::new(&a).unwrap_err();
+                    assert_eq!(err, LuError { column }, "n = {n}");
+                }
             }
         }
     }
@@ -443,18 +813,6 @@ mod tests {
         );
         let inv = inverse(&a).unwrap();
         assert!(matmul(&a, &inv).approx_eq(&CMatrix::identity(2), 1e-12));
-    }
-
-    #[test]
-    fn scratch_inverse_matches_factorization_inverse_bit_for_bit() {
-        let mut scratch = LuScratch::new();
-        for n in [1usize, 3, 8, 17] {
-            let a = well_conditioned(n);
-            let want = inverse(&a).unwrap();
-            let mut out = CMatrix::zeros(1, 1); // wrong shape: must be resized
-            scratch.invert_into(&a, &mut out).unwrap();
-            assert!(out.approx_eq(&want, 0.0), "n = {n}");
-        }
     }
 
     #[test]

@@ -6,13 +6,22 @@
 //! SVDs "do not perform well on GPUs" and are dispatched to the CPU; the
 //! one-sided Jacobi algorithm used here is simple, accurate to working
 //! precision, and adequate for the transport-cell sized matrices involved.
+//!
+//! The sweeps run on split real/imaginary column planes ([`SvdScratch`]): a
+//! column pair's Gram sums are accumulated in `MR = 8` `f64` lanes and its
+//! rotation is four fused multiply-add streams over contiguous columns, the
+//! idiom of the GEMM tile and the LU update ([`crate::ops`], [`crate::lu`]).
+//! A sweep allocates nothing; a warmed scratch allocates nothing at all.
+//! Lane sums are reduced in a fixed order, so a decomposition repeats bit for
+//! bit within a build.
 
+use crate::c64;
+use crate::lu::split_column;
 use crate::matrix::CMatrix;
-use crate::ops::matmul;
-use crate::{c64, ZERO};
+use crate::ops::{matmul, mul_add, MR};
 
 /// Thin singular value decomposition `A = U·diag(σ)·V†`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Svd {
     /// Left singular vectors (m×n for an m×n input with m ≥ n).
     pub u: CMatrix,
@@ -46,100 +55,205 @@ impl Svd {
     }
 }
 
+/// Split real/imaginary planes of a column-major matrix whose columns are
+/// padded with zero rows to whole [`MR`]-lane tiles (`ld` apart).
+#[derive(Debug, Default)]
+struct Planes {
+    ld: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Planes {
+    /// Reshape to `ncols` zero columns of `nrows` rows.
+    fn reset(&mut self, nrows: usize, ncols: usize) {
+        self.ld = nrows.next_multiple_of(MR);
+        for plane in [&mut self.re, &mut self.im] {
+            plane.clear();
+            plane.resize(self.ld * ncols, 0.0);
+        }
+    }
+
+    /// Columns `p < q`, mutably: `((p_re, p_im), (q_re, q_im))`.
+    #[allow(clippy::type_complexity)]
+    fn pair_mut(
+        &mut self,
+        p: usize,
+        q: usize,
+    ) -> ((&mut [f64], &mut [f64]), (&mut [f64], &mut [f64])) {
+        let ld = self.ld;
+        let (head_re, tail_re) = self.re.split_at_mut(q * ld);
+        let (head_im, tail_im) = self.im.split_at_mut(q * ld);
+        (
+            (
+                &mut head_re[p * ld..(p + 1) * ld],
+                &mut head_im[p * ld..(p + 1) * ld],
+            ),
+            (&mut tail_re[..ld], &mut tail_im[..ld]),
+        )
+    }
+
+    /// Column `j`: `(re, im)`.
+    fn column(&self, j: usize) -> (&[f64], &[f64]) {
+        let range = j * self.ld..(j + 1) * self.ld;
+        (&self.re[range.clone()], &self.im[range])
+    }
+}
+
+/// Lane-wise partial sums of the Gram entries of a column pair — `‖p‖²`,
+/// `‖q‖²`, `Re p†·q`, `Im p†·q` — over the (tile-padded) rows.
+///
+/// Out of line, and apart from the reduction in [`gram`], on purpose: seeing
+/// the four lane sums next to the loop, the compiler vectorises across the
+/// accumulators and shuffles every tile into that layout.
+#[inline(never)]
+fn gram_lanes(pr: &[f64], pi: &[f64], qr: &[f64], qi: &[f64]) -> [[f64; MR]; 4] {
+    let [mut pp, mut qq, mut re, mut im] = [[0.0; MR]; 4];
+    let tiles = pr
+        .chunks_exact(MR)
+        .zip(pi.chunks_exact(MR))
+        .zip(qr.chunks_exact(MR).zip(qi.chunks_exact(MR)));
+    for ((pr, pi), (qr, qi)) in tiles {
+        for r in 0..MR {
+            pp[r] = mul_add(pi[r], pi[r], mul_add(pr[r], pr[r], pp[r]));
+            qq[r] = mul_add(qi[r], qi[r], mul_add(qr[r], qr[r], qq[r]));
+            re[r] = mul_add(pi[r], qi[r], mul_add(pr[r], qr[r], re[r]));
+            im[r] = mul_add(-pi[r], qr[r], mul_add(pr[r], qi[r], im[r]));
+        }
+    }
+    [pp, qq, re, im]
+}
+
+/// Gram entries of a column pair: `(‖p‖², ‖q‖², p†·q)`, the lanes of
+/// [`gram_lanes`] summed in lane order.
+#[inline(always)]
+fn gram(pr: &[f64], pi: &[f64], qr: &[f64], qi: &[f64]) -> (f64, f64, c64) {
+    let [pp, qq, re, im] = gram_lanes(pr, pi, qr, qi).map(|lanes| lanes.iter().sum::<f64>());
+    (pp, qq, c64::new(re, im))
+}
+
+/// Apply the rotation `J = [[c, b], [−b̄, c]]` to a column pair from the right:
+/// `p ← c·p − b̄·q`, `q ← b·p + c·q`. One `&mut` parameter per written
+/// column plane, so the compiler sees they do not overlap.
+#[inline(never)]
+fn rotate(pr: &mut [f64], pi: &mut [f64], qr: &mut [f64], qi: &mut [f64], c: f64, b: c64) {
+    let rows = pr.iter_mut().zip(pi).zip(qr.iter_mut().zip(qi));
+    for ((pr, pi), (qr, qi)) in rows {
+        let (upr, upi, uqr, uqi) = (*pr, *pi, *qr, *qi);
+        *pr = mul_add(-b.im, uqi, mul_add(-b.re, uqr, c * upr));
+        *pi = mul_add(b.im, uqr, mul_add(-b.re, uqi, c * upi));
+        *qr = mul_add(-b.im, upi, mul_add(b.re, upr, c * uqr));
+        *qi = mul_add(b.im, upr, mul_add(b.re, upi, c * uqi));
+    }
+}
+
+/// Reusable planes of [`svd`]: once warmed at a shape,
+/// [`SvdScratch::decompose_into`] performs no heap allocation.
+#[derive(Debug, Default)]
+pub struct SvdScratch {
+    u: Planes,
+    v: Planes,
+    sigma: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl SvdScratch {
+    /// Create an empty (cold) scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Thin SVD of `a` (requires `nrows ≥ ncols`; pass the adjoint otherwise)
+    /// into `out`, whose matrices are reshaped if necessary.
+    pub fn decompose_into(&mut self, a: &CMatrix, out: &mut Svd) {
+        let (m, n) = a.shape();
+        assert!(
+            m >= n,
+            "svd requires nrows >= ncols; pass the adjoint for wide matrices"
+        );
+        let (u, v) = (&mut self.u, &mut self.v);
+        u.reset(m, n);
+        v.reset(n, n);
+        for j in 0..n {
+            let column = j * u.ld..(j + 1) * u.ld;
+            split_column(a.col(j), &mut u.re[column.clone()], &mut u.im[column]);
+            v.re[j * v.ld + j] = 1.0;
+        }
+
+        let tol = 1e-14;
+        let max_sweeps = 60;
+        for _sweep in 0..max_sweeps {
+            let mut off = 0.0f64;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let ((pr, pi), (qr, qi)) = u.pair_mut(p, q);
+                    let (app, aqq, apq) = gram(pr, pi, qr, qi);
+                    let apq_norm = apq.norm();
+                    let scale = (app * aqq).sqrt();
+                    off = off.max(apq_norm / scale.max(f64::MIN_POSITIVE));
+                    if apq_norm <= tol * scale {
+                        continue;
+                    }
+                    // Complex Jacobi rotation diagonalising the 2x2 Gram block
+                    // [[app, apq], [conj(apq), aqq]] (Hermitian), applied on
+                    // the right as J = [[c, s·phase], [−s·conj(phase), c]].
+                    let phase = apq / apq_norm;
+                    let tau = (aqq - app) / (2.0 * apq_norm);
+                    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let b = phase * (c * t);
+                    rotate(pr, pi, qr, qi, c, b);
+                    let ((pr, pi), (qr, qi)) = v.pair_mut(p, q);
+                    rotate(pr, pi, qr, qi, c, b);
+                }
+            }
+            if off < tol {
+                break;
+            }
+        }
+
+        // Column norms are the singular values; sorted non-increasing by a
+        // stable insertion sort (in place, unlike `sort_by`).
+        self.sigma.clear();
+        self.sigma.extend((0..n).map(|j| {
+            let (re, im) = u.column(j);
+            gram(re, im, re, im).0.sqrt()
+        }));
+        let sigma = &self.sigma;
+        self.order.clear();
+        for j in 0..n {
+            let at = self.order.partition_point(|&i| sigma[i] >= sigma[j]);
+            self.order.insert(at, j);
+        }
+
+        if out.u.shape() != (m, n) {
+            out.u.resize_zeroed(m, n);
+        }
+        if out.v.shape() != (n, n) {
+            out.v.resize_zeroed(n, n);
+        }
+        out.sigma.clear();
+        for (new_j, &old_j) in self.order.iter().enumerate() {
+            let s = sigma[old_j];
+            out.sigma.push(s);
+            let scale = if s > 0.0 { 1.0 / s } else { 1.0 };
+            let (re, im) = u.column(old_j);
+            for ((x, re), im) in out.u.col_mut(new_j).iter_mut().zip(re).zip(im) {
+                *x = c64::new(re * scale, im * scale);
+            }
+            let (re, im) = v.column(old_j);
+            for ((x, re), im) in out.v.col_mut(new_j).iter_mut().zip(re).zip(im) {
+                *x = c64::new(*re, *im);
+            }
+        }
+    }
+}
+
 /// Compute the thin SVD of `a` (requires `nrows ≥ ncols`; transpose first otherwise).
 pub fn svd(a: &CMatrix) -> Svd {
-    let (m, n) = a.shape();
-    assert!(
-        m >= n,
-        "svd requires nrows >= ncols; pass the adjoint for wide matrices"
-    );
-    let mut u = a.clone();
-    let mut v = CMatrix::identity(n);
-
-    let tol = 1e-14;
-    let max_sweeps = 60;
-    for _sweep in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Gram entries of columns p and q.
-                let mut app = 0.0f64;
-                let mut aqq = 0.0f64;
-                let mut apq = ZERO;
-                {
-                    let (cp, cq) = (u.col(p).to_vec(), u.col(q).to_vec());
-                    for i in 0..m {
-                        app += cp[i].norm_sqr();
-                        aqq += cq[i].norm_sqr();
-                        apq += cp[i].conj() * cq[i];
-                    }
-                }
-                let apq_norm = apq.norm();
-                off = off.max(apq_norm / (app * aqq).sqrt().max(f64::MIN_POSITIVE));
-                if apq_norm <= tol * (app * aqq).sqrt() {
-                    continue;
-                }
-                // Complex Jacobi rotation diagonalising the 2x2 Gram block
-                // [[app, apq], [conj(apq), aqq]] (Hermitian).
-                let phase = apq / apq_norm;
-                let tau = (aqq - app) / (2.0 * apq_norm);
-                let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                // Column update: [cp, cq] <- [c*cp - s*conj(phase)*cq?, ...]
-                // Using the rotation J = [[c, s*phase], [-s*conj(phase), c]] applied on the right.
-                for i in 0..m {
-                    let up = u[(i, p)];
-                    let uq = u[(i, q)];
-                    u[(i, p)] = up * c - uq * phase.conj() * s;
-                    u[(i, q)] = up * phase * s + uq * c;
-                }
-                for i in 0..n {
-                    let vp = v[(i, p)];
-                    let vq = v[(i, q)];
-                    v[(i, p)] = vp * c - vq * phase.conj() * s;
-                    v[(i, q)] = vp * phase * s + vq * c;
-                }
-            }
-        }
-        if off < tol {
-            break;
-        }
-    }
-
-    // Column norms are the singular values; normalise U columns.
-    let mut sigma: Vec<f64> = (0..n)
-        .map(|j| u.col(j).iter().map(|x| x.norm_sqr()).sum::<f64>().sqrt())
-        .collect();
-    for j in 0..n {
-        if sigma[j] > 0.0 {
-            let inv = c64::new(1.0 / sigma[j], 0.0);
-            for x in u.col_mut(j) {
-                *x *= inv;
-            }
-        }
-    }
-    // Sort by decreasing singular value.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| sigma[j].partial_cmp(&sigma[i]).unwrap());
-    let mut u_sorted = CMatrix::zeros(m, n);
-    let mut v_sorted = CMatrix::zeros(n, n);
-    let mut sigma_sorted = vec![0.0; n];
-    for (new_j, &old_j) in order.iter().enumerate() {
-        sigma_sorted[new_j] = sigma[old_j];
-        for i in 0..m {
-            u_sorted[(i, new_j)] = u[(i, old_j)];
-        }
-        for i in 0..n {
-            v_sorted[(i, new_j)] = v[(i, old_j)];
-        }
-    }
-    sigma = sigma_sorted;
-    Svd {
-        u: u_sorted,
-        sigma,
-        v: v_sorted,
-    }
+    let mut out = Svd::default();
+    SvdScratch::new().decompose_into(a, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -151,6 +265,21 @@ mod tests {
         CMatrix::from_fn(m, n, |i, j| {
             let t = (i as u64 * 257 + j as u64 * 83 + seed) as f64;
             cplx((t * 0.417).sin(), (t * 0.139).cos())
+        })
+    }
+
+    /// Entries in `[-1, 1)²` from a SplitMix64 scramble of the index: full
+    /// rank at any order ([`pseudo_random`]'s phases make it rank ≤ 4).
+    fn scrambled(m: usize, n: usize, seed: u64) -> CMatrix {
+        let unit = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        CMatrix::from_fn(m, n, |i, j| {
+            let key = (seed << 40) | ((i as u64) << 20) | j as u64;
+            let key = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            cplx(unit(key), unit(!key))
         })
     }
 
@@ -171,6 +300,45 @@ mod tests {
         let vtv = matmul(&dec.v.dagger(), &dec.v);
         assert!(utu.approx_eq(&CMatrix::identity(4), 1e-9));
         assert!(vtv.approx_eq(&CMatrix::identity(4), 1e-9));
+    }
+
+    #[test]
+    fn transport_cell_sized_full_rank_and_rank_deficient() {
+        // 64 × 64 — the Beyn moment matrix of the kernel-bound workload, eight
+        // lane tiles per column — and a ragged 61 × 45; full rank, and a
+        // rank-40 / rank-17 product of thin factors.
+        for (m, n, rank) in [(64, 64, 64), (64, 64, 40), (61, 45, 45), (61, 45, 17)] {
+            let a = if rank == n {
+                scrambled(m, n, 5)
+            } else {
+                matmul(&scrambled(m, rank, 1), &scrambled(n, rank, 2).dagger())
+            };
+            let dec = svd(&a);
+            let tag = format!("{m}x{n} rank {rank}");
+            assert!(dec.reconstruct().approx_eq(&a, 1e-9), "{tag}");
+            assert_eq!(dec.rank(1e-8), rank, "{tag}");
+            assert!(dec.sigma.windows(2).all(|w| w[0] >= w[1]), "{tag}");
+            // V is unitary; U is orthonormal on the numerical range.
+            let vtv = matmul(&dec.v.dagger(), &dec.v);
+            assert!(vtv.approx_eq(&CMatrix::identity(n), 1e-9), "{tag}");
+            let u_r = dec.u.submatrix(0, 0, m, rank);
+            let utu = matmul(&u_r.dagger(), &u_r);
+            assert!(utu.approx_eq(&CMatrix::identity(rank), 1e-9), "{tag}");
+        }
+    }
+
+    #[test]
+    fn warmed_scratch_repeats_bit_for_bit_across_shapes() {
+        let mut scratch = SvdScratch::new();
+        let mut out = Svd::default();
+        for (m, n) in [(9, 9), (20, 7), (9, 9)] {
+            let a = pseudo_random(m, n, 11);
+            let want = svd(&a);
+            scratch.decompose_into(&a, &mut out);
+            assert!(out.u.approx_eq(&want.u, 0.0), "{m}x{n}");
+            assert!(out.v.approx_eq(&want.v, 0.0), "{m}x{n}");
+            assert_eq!(out.sigma, want.sigma, "{m}x{n}");
+        }
     }
 
     #[test]

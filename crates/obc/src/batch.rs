@@ -19,19 +19,21 @@
 //! FLOP count are **bit-identical** whichever batch it is solved in.
 
 use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch};
-use quatrex_linalg::lu::{inverse, inverse_flops, LuScratch};
+use quatrex_linalg::lu::{inverse_flops, LuScratch};
 use quatrex_linalg::ops::{gemm_flops, OpKind};
 use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
 
-use crate::retarded::{surface_residual, ObcError, ObcSolution};
+use crate::retarded::{ObcError, ObcSolution, ResidualWork};
 
-/// Reusable scratch of the batched OBC solvers: the batch arena and the LU
-/// scratch survive across calls, so a steady-state sweep over an energy window
-/// of fixed shape performs no heap allocations inside the iteration loop.
+/// Reusable scratch of the batched OBC solvers: the batch arena, the LU
+/// scratch (every inversion of both solvers, batched or not) and the residual
+/// work matrices survive across calls, so a steady-state sweep over an energy
+/// window of fixed shape allocates only the surface functions it returns.
 #[derive(Debug, Default)]
 pub struct ObcBatchScratch {
     bws: BatchWorkspace,
     lu: LuScratch,
+    residual: ResidualWork,
 }
 
 impl ObcBatchScratch {
@@ -153,11 +155,11 @@ pub fn fixed_point_batch(
                 }
                 None => {
                     flops[i] += inverse_flops(dim);
-                    match inverse(ms[e]) {
-                        Ok(inv) => {
-                            xb.copy_plane_from(i, &inv);
-                            i += 1;
-                        }
+                    let cold = scratch
+                        .lu
+                        .invert_slice_into(ms[e].as_slice(), dim, xb.plane_mut(i));
+                    match cold {
+                        Ok(()) => i += 1,
                         Err(_) => {
                             out[e] = Some(Err(ObcError::Singular));
                             let last = active.retire(i);
@@ -410,9 +412,12 @@ pub fn sancho_rubio_batch(
                 // Converged: the surface function is eps_s⁻¹; residual checked
                 // against the original (m, n, n').
                 flops[i] += inverse_flops(dim);
-                out[e] = Some(match inverse(&eps_s.plane_matrix(i)) {
-                    Ok(x) => {
-                        let residual = surface_residual(&x, ms[e], ns[e], nps[e]);
+                let mut x = CMatrix::zeros(dim, dim);
+                let lu = &mut scratch.lu;
+                let surface = lu.invert_slice_into(eps_s.plane(i), dim, x.as_mut_slice());
+                out[e] = Some(match surface {
+                    Ok(()) => {
+                        let residual = scratch.residual.residual(lu, &x, ms[e], ns[e], nps[e]);
                         Ok(ObcSolution {
                             x,
                             iterations: it,
@@ -452,7 +457,7 @@ pub fn sancho_rubio_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retarded::{fixed_point, sancho_rubio};
+    use crate::retarded::{fixed_point, sancho_rubio, surface_residual};
     use quatrex_linalg::cplx;
 
     /// The lead problem of the `retarded` tests, made energy-dependent.

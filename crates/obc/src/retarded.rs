@@ -24,11 +24,20 @@
 //!
 //! The two iterations are implemented once, batched over energies, in
 //! [`crate::batch`]; the single-energy entry points here are a batch of one.
+//!
+//! [`beyn`] is a string of dense factorisations — one LU inversion per
+//! contour point, one SVD, one small eigenproblem, two more inversions — and
+//! runs them on a per-thread scratch: every inversion (the residual check's
+//! included) through one `LuScratch`, the SVD through an `SvdScratch`, every
+//! intermediate in a reused matrix. A warmed call allocates the surface
+//! function it returns and what the eigensolver allocates for the reduced
+//! problem, nothing else (`tests/alloc_free.rs`).
 
-use quatrex_linalg::lu::{inverse, inverse_flops, LuFactorization, LuScratch};
+use quatrex_linalg::lu::{inverse_flops, LuFactorization, LuScratch};
 use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
-use quatrex_linalg::svd::svd;
+use quatrex_linalg::svd::{Svd, SvdScratch};
 use quatrex_linalg::{c64, eigendecomposition, CMatrix, ONE, ZERO};
+use std::cell::RefCell;
 use std::f64::consts::PI;
 
 use crate::batch::{fixed_point_batch, sancho_rubio_batch, ObcBatchScratch};
@@ -79,13 +88,54 @@ pub struct ObcSolution {
     pub flops: u64,
 }
 
-/// Relative residual of a candidate surface function.
+/// Relative residual of a candidate surface function (a one-off: the solvers
+/// check theirs on their own scratch).
 pub fn surface_residual(x: &CMatrix, m: &CMatrix, n: &CMatrix, nprime: &CMatrix) -> f64 {
-    let nxn = matmul(&matmul(n, x), nprime);
-    let rhs = m - &nxn;
-    match inverse(&rhs) {
-        Ok(inv) => inv.distance(x) / x.norm_fro().max(1e-300),
-        Err(_) => f64::INFINITY,
+    ResidualWork::default().residual(&mut LuScratch::new(), x, m, n, nprime)
+}
+
+/// The three work matrices of a residual check, reused across checks.
+#[derive(Debug, Default)]
+pub(crate) struct ResidualWork {
+    nx: CMatrix,
+    rhs: CMatrix,
+    inv: CMatrix,
+}
+
+impl ResidualWork {
+    /// `‖x − (m − n·x·n')⁻¹‖_F / ‖x‖_F` (infinite when the right-hand side is
+    /// singular), inverting on the caller's `lu`. Allocation-free once warmed
+    /// at a block size.
+    pub(crate) fn residual(
+        &mut self,
+        lu: &mut LuScratch,
+        x: &CMatrix,
+        m: &CMatrix,
+        n: &CMatrix,
+        nprime: &CMatrix,
+    ) -> f64 {
+        let dim = m.nrows();
+        // lint:allow(per-energy-gemm): one energy's residual check.
+        gemm(
+            shaped(&mut self.nx, dim, dim),
+            ONE,
+            Op::None(n),
+            Op::None(x),
+            ZERO,
+        );
+        shaped(&mut self.rhs, dim, dim).copy_from(m);
+        // lint:allow(per-energy-gemm): see above.
+        gemm(
+            &mut self.rhs,
+            -ONE,
+            Op::None(&self.nx),
+            Op::None(nprime),
+            ONE,
+        );
+        match lu.invert_into(&self.rhs, &mut self.inv) {
+            Ok(()) => self.inv.distance(x) / x.norm_fro().max(1e-300),
+            Err(_) => f64::INFINITY,
+        }
     }
 }
 
@@ -142,6 +192,7 @@ pub fn sancho_rubio(
 /// `x^R = (m + n·F)⁻¹`. Requires an invertible coupling block `n`.
 pub fn pevp_direct(m: &CMatrix, n: &CMatrix, nprime: &CMatrix) -> Result<ObcSolution, ObcError> {
     let dim = m.nrows();
+    // lint:allow(allocating-inverse): cold direct fallback; two solves share this factorisation.
     let n_lu = LuFactorization::new(n).map_err(|_| ObcError::Singular)?;
     let a21 = n_lu.solve(nprime).scaled(c64::new(-1.0, 0.0));
     let a22 = n_lu.solve(m).scaled(c64::new(-1.0, 0.0));
@@ -170,16 +221,21 @@ pub fn pevp_direct(m: &CMatrix, n: &CMatrix, nprime: &CMatrix) -> Result<ObcSolu
             phi[(i, col)] = eig.vectors[(i, k)];
         }
     }
-    let phi_lu = LuFactorization::new(&phi).map_err(|_| ObcError::Singular)?;
-    let mut phi_lambda = phi.clone();
+    let mut lu = LuScratch::new();
+    let mut phi_inv = CMatrix::zeros(dim, dim);
+    lu.invert_into(&phi, &mut phi_inv)
+        .map_err(|_| ObcError::Singular)?;
+    let mut phi_lambda = phi;
     for j in 0..dim {
         let l = lambda[j];
         for v in phi_lambda.col_mut(j) {
             *v *= l;
         }
     }
-    let f_mat = matmul(&phi_lambda, &phi_lu.inverse());
-    let x = inverse(&(m + &matmul(n, &f_mat))).map_err(|_| ObcError::Singular)?;
+    let f_mat = matmul(&phi_lambda, &phi_inv);
+    let mut x = phi_inv;
+    lu.invert_into(&(m + &matmul(n, &f_mat)), &mut x)
+        .map_err(|_| ObcError::Singular)?;
     let residual = surface_residual(&x, m, n, nprime);
     // Companion eigendecomposition dominates: ~30·(2n)³ real FLOPs.
     let flops =
@@ -213,6 +269,55 @@ impl Default for BeynConfig {
     }
 }
 
+/// Work storage of [`beyn`]: one LU scratch for every inversion (the contour
+/// points, `Φ⁻¹`, `(m + n·F)⁻¹`, the residual check), the SVD planes and every
+/// intermediate matrix. Warmed at a block size, a solve allocates only the
+/// surface function it returns and what the reduced eigenproblem's solver
+/// allocates.
+#[derive(Debug, Default)]
+struct BeynScratch {
+    lu: LuScratch,
+    svd: SvdScratch,
+    dec: Svd,
+    residual: ResidualWork,
+    /// `T(z)` and `T(z)⁻¹` at the current contour point.
+    t: CMatrix,
+    t_inv: CMatrix,
+    /// Beyn moments `A_0`, `A_1`.
+    a0: CMatrix,
+    a1: CMatrix,
+    /// Leading `rank` singular vectors `U_k`, `W_k`.
+    u_k: CMatrix,
+    w_k: CMatrix,
+    /// `A_1·W_k·Σ_k⁻¹` and the reduced matrix `U_k†·A_1·W_k·Σ_k⁻¹`.
+    a1w: CMatrix,
+    b: CMatrix,
+    /// Modes `U_k·φ`, the completed basis `Φ`, `Φ·Λ`, `Φ⁻¹`, `F = Φ·Λ·Φ⁻¹`.
+    phi_k: CMatrix,
+    phi: CMatrix,
+    phi_lambda: CMatrix,
+    phi_inv: CMatrix,
+    f: CMatrix,
+    /// `m + n·F` and its inverse, the surface function.
+    rhs: CMatrix,
+    x: CMatrix,
+}
+
+thread_local! {
+    /// Per-thread [`beyn`] scratch (the assemblies call it once per energy on
+    /// the pool threads): zero allocations of its own once warmed.
+    static BEYN: RefCell<BeynScratch> = RefCell::new(BeynScratch::default());
+}
+
+/// Reshape `mat` to `nrows × ncols` if it has another shape (contents are
+/// then zero; otherwise kept).
+fn shaped(mat: &mut CMatrix, nrows: usize, ncols: usize) -> &mut CMatrix {
+    if mat.shape() != (nrows, ncols) {
+        mat.resize_zeroed(nrows, ncols);
+    }
+    mat
+}
+
 /// Beyn's contour-integral solver for the retarded surface function.
 ///
 /// Writing the semi-infinite lead's Bloch ansatz `G_{l,1} = F^{l−1}·x^R` turns
@@ -221,7 +326,20 @@ impl Default for BeynConfig {
 /// is built from all eigenpairs with `|λ| < 1` (the decaying modes, found by
 /// contour integration over the unit circle), and the surface function follows
 /// as `x^R = (m + n·F)⁻¹`, which solves the original fixed-point equation.
+///
+/// Runs on a per-thread scratch: per contour point one pass building `T(z)`,
+/// one [`LuScratch`] inversion and one pass accumulating both moments.
 pub fn beyn(
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    config: &BeynConfig,
+) -> Result<ObcSolution, ObcError> {
+    BEYN.with(|scratch| beyn_on(&mut scratch.borrow_mut(), m, n, nprime, config))
+}
+
+fn beyn_on(
+    scratch: &mut BeynScratch,
     m: &CMatrix,
     n: &CMatrix,
     nprime: &CMatrix,
@@ -229,105 +347,129 @@ pub fn beyn(
 ) -> Result<ObcSolution, ObcError> {
     let dim = m.nrows();
     assert!(m.is_square() && n.shape() == (dim, dim) && nprime.shape() == (dim, dim));
+    let s = scratch;
     let mut flops = 0u64;
 
     // Probe with the full identity: the number of enclosed eigenvalues equals
     // the block dimension for a well-posed lead problem, so T(z)⁻¹·V is the
-    // plain inverse (computed into reused scratch across quadrature points).
-    let mut a0 = CMatrix::zeros(dim, dim);
-    let mut a1 = CMatrix::zeros(dim, dim);
-    let mut lu = LuScratch::new();
-    let mut t = CMatrix::zeros(dim, dim);
-    let mut tinv_v = CMatrix::zeros(dim, dim);
+    // plain inverse.
+    shaped(&mut s.t, dim, dim);
+    s.a0.resize_zeroed(dim, dim);
+    s.a1.resize_zeroed(dim, dim);
     let nq = config.n_quadrature.max(4);
     for k in 0..nq {
         let theta = 2.0 * PI * (k as f64 + 0.5) / nq as f64;
         let z = c64::new(theta.cos(), theta.sin()) * config.radius;
+        let z2 = z * z;
         // T(z) = z²·n + z·m + n'
-        t.copy_from(m);
-        t.scale_mut(z);
-        t.axpy(z * z, n);
-        t.axpy(c64::new(1.0, 0.0), nprime);
-        lu.invert_into(&t, &mut tinv_v)
+        let blocks = m.as_slice().iter().zip(n.as_slice()).zip(nprime.as_slice());
+        for (t, ((m, n), np)) in s.t.as_mut_slice().iter_mut().zip(blocks) {
+            *t = m * z + z2 * n + np;
+        }
+        s.lu.invert_into(&s.t, &mut s.t_inv)
             .map_err(|_| ObcError::Singular)?;
         flops += inverse_flops(dim);
         // Quadrature weights: dz = i·z·dθ; Beyn moments A_p = (1/2πi)∮ z^p T(z)^{-1} V dz
         // → A_p ≈ (1/nq) Σ_k z_k^{p+1} T(z_k)^{-1} V.
         let w0 = z / nq as f64;
-        let w1 = z * z / nq as f64;
-        a0.axpy(w0, &tinv_v);
-        a1.axpy(w1, &tinv_v);
+        let w1 = z2 / nq as f64;
+        let moments = s.a0.as_mut_slice().iter_mut().zip(s.a1.as_mut_slice());
+        for ((a0, a1), t_inv) in moments.zip(s.t_inv.as_slice()) {
+            *a0 += w0 * t_inv;
+            *a1 += w1 * t_inv;
+        }
     }
 
     // Rank-revealing SVD of A0.
-    let dec = svd(&a0);
-    let rank = dec.rank(config.rank_tol);
+    s.svd.decompose_into(&s.a0, &mut s.dec);
+    let rank = s.dec.rank(config.rank_tol);
     if rank == 0 {
         return Err(ObcError::EigenFailure);
     }
-    // Reduced matrix B = U_k† A1 W_k Σ_k⁻¹ (k = rank).
-    let u_k = dec.u.submatrix(0, 0, dim, rank);
-    let w_k = dec.v.submatrix(0, 0, dim, rank);
-    let mut a1w = matmul(&a1, &w_k);
+    // Reduced matrix B = U_k† A1 W_k Σ_k⁻¹ (k = rank): the leading columns of
+    // the column-major factors are their leading `dim · rank` entries.
+    shaped(&mut s.u_k, dim, rank)
+        .as_mut_slice()
+        .copy_from_slice(&s.dec.u.as_slice()[..dim * rank]);
+    shaped(&mut s.w_k, dim, rank)
+        .as_mut_slice()
+        .copy_from_slice(&s.dec.v.as_slice()[..dim * rank]);
+    // lint:allow(per-energy-gemm): dim × rank with a data-dependent rank per energy — no common shape to batch over
+    gemm(
+        shaped(&mut s.a1w, dim, rank),
+        ONE,
+        Op::None(&s.a1),
+        Op::None(&s.w_k),
+        ZERO,
+    );
     for j in 0..rank {
-        let inv_sigma = c64::new(1.0 / dec.sigma[j], 0.0);
-        for v in a1w.col_mut(j) {
+        let inv_sigma = c64::new(1.0 / s.dec.sigma[j], 0.0);
+        for v in s.a1w.col_mut(j) {
             *v *= inv_sigma;
         }
     }
-    let mut b = CMatrix::zeros(rank, rank);
-    // lint:allow(per-energy-gemm): rank × rank reduced problem whose rank is data-dependent per energy — no common shape to batch over
-    gemm(&mut b, ONE, Op::Dagger(&u_k), Op::None(&a1w), ZERO);
+    // lint:allow(per-energy-gemm): rank × rank reduced problem, see above
+    gemm(
+        shaped(&mut s.b, rank, rank),
+        ONE,
+        Op::Dagger(&s.u_k),
+        Op::None(&s.a1w),
+        ZERO,
+    );
     flops += 2 * gemm_flops(dim, rank, rank);
 
     // Reduced eigenvalue problem: eigenvalues are the enclosed Bloch factors,
     // eigenvectors (lifted by U_k) the corresponding modes.
-    let eig = eigendecomposition(&b).map_err(|_| ObcError::EigenFailure)?;
-    let phi_reduced = eig.vectors;
-    let phi = matmul(&u_k, &phi_reduced);
+    let eig = eigendecomposition(&s.b).map_err(|_| ObcError::EigenFailure)?;
+    // lint:allow(per-energy-gemm): dim × rank lift, see above
+    gemm(
+        shaped(&mut s.phi_k, dim, rank),
+        ONE,
+        Op::None(&s.u_k),
+        Op::None(&eig.vectors),
+        ZERO,
+    );
     flops += gemm_flops(dim, rank, rank);
 
-    // Propagation matrix F = Φ·Λ·Φ⁺ (pseudo-inverse via LU when square and
-    // full rank; pad with zero modes when rank < dim — those correspond to
-    // instantaneously decaying Bloch factors λ = 0).
-    let mut phi_full = CMatrix::zeros(dim, dim);
-    let mut lambda_full = vec![c64::new(0.0, 0.0); dim];
-    for j in 0..rank.min(dim) {
-        for i in 0..dim {
-            phi_full[(i, j)] = phi[(i, j)];
-        }
-        lambda_full[j] = eig.values[j];
+    // Propagation matrix F = Φ·Λ·Φ⁻¹: when rank < dim, Φ is completed with
+    // canonical basis vectors of eigenvalue zero (instantaneously decaying
+    // Bloch factors), which keep it invertible and contribute nothing to F
+    // beyond completing the basis.
+    s.phi.resize_zeroed(dim, dim);
+    s.phi.as_mut_slice()[..dim * rank].copy_from_slice(s.phi_k.as_slice());
+    for (extra, j) in (rank..dim).enumerate() {
+        s.phi[(extra % dim, j)] += ONE;
     }
-    // Fill the remaining columns with canonical basis vectors orthogonal-ish
-    // to keep Φ invertible (their eigenvalues are zero so they do not
-    // contribute to F beyond completing the basis).
-    if rank < dim {
-        for (extra, j) in (rank..dim).enumerate() {
-            phi_full[(extra % dim, j)] += c64::new(1.0, 0.0);
-        }
-    }
-    let phi_lu = LuFactorization::new(&phi_full).map_err(|_| ObcError::Singular)?;
-    let mut phi_lambda = phi_full.clone();
+    s.lu.invert_into(&s.phi, &mut s.phi_inv)
+        .map_err(|_| ObcError::Singular)?;
+    shaped(&mut s.phi_lambda, dim, dim).copy_from(&s.phi);
     for j in 0..dim {
-        let l = lambda_full[j];
-        for v in phi_lambda.col_mut(j) {
+        let l = if j < rank { eig.values[j] } else { ZERO };
+        for v in s.phi_lambda.col_mut(j) {
             *v *= l;
         }
     }
-    // F = (Φ Λ) Φ⁻¹  ⇔  F Φ = Φ Λ  ⇔  Φᵀ Fᵀ = (Φ Λ)ᵀ — solve via LU on Φ:
-    // F = Φ Λ Φ⁻¹ computed as solving Φ X = I then multiplying.
-    let phi_inv = phi_lu.inverse();
-    let f_mat = matmul(&phi_lambda, &phi_inv);
+    // lint:allow(per-energy-gemm): one energy's propagation matrix
+    gemm(
+        shaped(&mut s.f, dim, dim),
+        ONE,
+        Op::None(&s.phi_lambda),
+        Op::None(&s.phi_inv),
+        ZERO,
+    );
     flops += inverse_flops(dim) + gemm_flops(dim, dim, dim);
 
     // x^R = (m + n·F)⁻¹.
-    let nf = matmul(n, &f_mat);
-    let x = inverse(&(m + &nf)).map_err(|_| ObcError::Singular)?;
+    shaped(&mut s.rhs, dim, dim).copy_from(m);
+    // lint:allow(per-energy-gemm): one energy's surface function
+    gemm(&mut s.rhs, ONE, Op::None(n), Op::None(&s.f), ONE);
+    s.lu.invert_into(&s.rhs, &mut s.x)
+        .map_err(|_| ObcError::Singular)?;
     flops += gemm_flops(dim, dim, dim) + inverse_flops(dim);
 
-    let residual = surface_residual(&x, m, n, nprime);
+    let residual = s.residual.residual(&mut s.lu, &s.x, m, n, nprime);
     Ok(ObcSolution {
-        x,
+        x: s.x.clone(),
         iterations: nq,
         residual,
         flops,
@@ -466,7 +608,7 @@ mod tests {
         let (m, _n, _np) = lead_problem(4, 2.0, 1e-3);
         let zero = CMatrix::zeros(4, 4);
         let sol = sancho_rubio(&m, &zero, &zero, 1e-14, 10).unwrap();
-        let direct = inverse(&m).unwrap();
+        let direct = quatrex_linalg::lu::inverse(&m).unwrap();
         assert!(sol.x.approx_eq(&direct, 1e-10));
     }
 

@@ -5,6 +5,8 @@
 //! meant for small test systems — which is precisely how the paper
 //! characterises the non-RGF alternative (Section 4.3.3).
 
+// lint:allow-file(allocating-inverse): one dense `O(N_AO³)` inverse per
+// validation call, not a per-block hot path.
 use quatrex_linalg::lu::inverse;
 use quatrex_linalg::ops::matmul;
 use quatrex_linalg::CMatrix;

@@ -67,7 +67,7 @@
 // `rgf_solve_batch_into`.
 use rayon::prelude::*;
 
-use quatrex_linalg::lu::{inverse_flops, LuFactorization};
+use quatrex_linalg::lu::{inverse_flops, LuScratch};
 use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{CMatrix, ONE, ZERO};
 use quatrex_sparse::BlockTridiagonal;
@@ -226,6 +226,7 @@ impl<'a> InteriorFactor<'a> {
         let (n, bs) = (a.n_blocks(), a.block_size());
         let mut d_inv: Vec<CMatrix> = Vec::with_capacity(n);
         let mut elim: Vec<CMatrix> = Vec::with_capacity(n.saturating_sub(1));
+        let mut lu = LuScratch::new();
         for k in 0..n {
             let mut dk = a.diag(k).clone();
             if k > 0 {
@@ -233,8 +234,10 @@ impl<'a> InteriorFactor<'a> {
                 dk -= &matmul(&e, a.upper(k - 1));
                 elim.push(e);
             }
-            let lu = LuFactorization::new(&dk).map_err(|_| RgfError::SingularBlock(k))?;
-            d_inv.push(lu.inverse());
+            let mut inv = CMatrix::zeros(bs, bs);
+            lu.invert_into(&dk, &mut inv)
+                .map_err(|_| RgfError::SingularBlock(k))?;
+            d_inv.push(inv);
         }
         let flops = n as u64 * inverse_flops(bs) + 2 * elim.len() as u64 * gemm_flops(bs, bs, bs);
         Ok(Self {
