@@ -2,12 +2,16 @@
 //! committed `(value, tolerance)` envelopes in `BENCH_reference.json`.
 //!
 //! Reads the artifacts the bench-smoke job just produced in the working
-//! directory — `BENCH_kernels.json` (kernel speedups) and `DIST_report.json`
-//! (distributed byte counters) — picks the reference section matching the run
-//! mode (`QUATREX_BENCH_QUICK=1` selects `"quick"`, otherwise `"full"`), and
-//! fails with a nonzero exit code when any measured value falls outside its
-//! envelope `value · (1 ± tolerance)`. Speedup envelopes carry a generous
-//! tolerance (CI machines are noisy); byte counters are deterministic
+//! directory — `BENCH_kernels.json` (kernel nanoseconds and GFLOP/s),
+//! `DIST_report.json` (distributed byte counters and probe metrics) and
+//! `SWEEP_report.json` (warm-start iteration ratio) — picks the reference
+//! section matching the run mode (`QUATREX_BENCH_QUICK=1` selects `"quick"`,
+//! otherwise `"full"`), and fails with a nonzero exit code when any measured
+//! value falls outside its envelope `value · (1 ± tolerance)`. Every envelope
+//! is of the quantity itself — a rate, a time, a byte count — never of a
+//! ratio against another implementation. Kernel rates and times carry a wide
+//! tolerance (they span machine classes and catch a kernel falling off its
+//! fast path, not percent-level drift); byte counters are deterministic
 //! functions of the configuration and carry `tolerance: 0` — any drift means
 //! the communication schedule itself changed and the reference must be
 //! re-baselined deliberately.
@@ -17,10 +21,10 @@
 //! recoverable from the repository checkout alone.
 //!
 //! Run with: `cargo run --release -p quatrex-bench --bin bench_gate`
-//! (after `bench_kernels` and the `distributed_scba` example, same mode).
+//! (after `bench_kernels` and the `distributed_scba` and `nanoribbon_iv`
+//! examples, same mode).
 
 use quatrex_probe::json::{self, Json};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -41,16 +45,17 @@ fn field<'a>(check: &'a Json, key: &str) -> &'a Json {
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("read {path}: {e} (run bench_kernels and the distributed_scba example first)")
+        panic!("read {path}: {e} (run bench_kernels and the two report examples first)")
     });
     json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
 fn main() -> ExitCode {
-    let quick = std::env::var("QUATREX_BENCH_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false);
-    let mode = if quick { "quick" } else { "full" };
+    let mode = if quatrex_bench::quick_mode() {
+        "quick"
+    } else {
+        "full"
+    };
 
     let reference = load("BENCH_reference.json");
     let section = reference
@@ -86,7 +91,7 @@ fn main() -> ExitCode {
         "check", "measured", "reference", "tol"
     );
     let mut failures = 0usize;
-    let mut history = String::new();
+    let mut history = Vec::new();
     for check in &checks {
         let doc = &docs.iter().find(|(f, _)| *f == check.file).unwrap().1;
         let measured = doc.path(check.path).and_then(Json::as_f64);
@@ -106,7 +111,14 @@ fn main() -> ExitCode {
         if !ok {
             failures += 1;
         }
-        let shown = measured.map_or("-".to_string(), |m| format!("{m}"));
+        // Six decimals at most, so a full-precision report value fits its column.
+        let shown = measured.map_or("-".to_string(), |m| {
+            let fixed = format!("{m:.6}");
+            fixed
+                .trim_end_matches('0')
+                .trim_end_matches('.')
+                .to_string()
+        });
         println!(
             "  {:<44} {:>14} {:>14} {:>7.0}%  {}",
             check.name,
@@ -115,17 +127,12 @@ fn main() -> ExitCode {
             100.0 * check.tolerance,
             status
         );
-        if !history.is_empty() {
-            history.push_str(", ");
-        }
-        let _ = write!(
-            history,
-            "{{\"name\": {}, \"measured\": {}, \"reference\": {}, \"ok\": {}}}",
-            json::escape(check.name),
-            measured.map_or("null".to_string(), |m| format!("{m}")),
-            check.value,
-            ok
-        );
+        history.push(Json::obj([
+            ("name", check.name.into()),
+            ("measured", measured.into()),
+            ("reference", check.value.into()),
+            ("ok", ok.into()),
+        ]));
     }
 
     // One line per gate run, pass or fail: the committed trajectory of every
@@ -134,15 +141,18 @@ fn main() -> ExitCode {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let line = format!(
-        "{{\"unix_time\": {unix}, \"mode\": \"{mode}\", \"failures\": {failures}, \"checks\": [{history}]}}\n"
-    );
+    let line = Json::obj([
+        ("unix_time", unix.into()),
+        ("mode", mode.into()),
+        ("failures", failures.into()),
+        ("checks", Json::Arr(history)),
+    ]);
     use std::io::Write as _;
     std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open("BENCH_history.jsonl")
-        .and_then(|mut f| f.write_all(line.as_bytes()))
+        .and_then(|mut f| writeln!(f, "{line}"))
         .expect("append BENCH_history.jsonl");
 
     if failures > 0 {

@@ -1,61 +1,55 @@
-//! `BENCH_kernels.json` generator: before/after numbers for the operand-flag
-//! GEMM engine of `quatrex-linalg`.
+//! `BENCH_kernels.json` generator: the workspace's one kernel harness.
 //!
-//! Four measurements, all on transport-cell-sized blocks; the engine side of
-//! each also reports its absolute rate (`after_gflops`, paper FLOP counting),
-//! so the trajectory does not hang on the frozen scalar kernel alone:
+//! Every row is absolute — wall nanoseconds of one repetition (`ns`, median
+//! of the runs) and, where the kernel has a FLOP model, the rate it ran at
+//! (`gflops`, paper FLOP counting) — on transport-cell-sized blocks, the
+//! unit the paper's Tables 4–6 report. `bench_gate` envelopes these numbers
+//! per run mode (`BENCH_reference.json`); nothing is timed against another
+//! implementation. The scalar `ops::reference` kernels and the per-energy
+//! `gemm` appear only as untimed correctness oracles.
 //!
 //! * **gemm_chain** — the RGF forward-step product pattern (Schur chain
-//!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`) at `N_BS ∈ {32, 64, 128}`:
-//!   the pre-refactor scalar kernels with materialized daggers and fresh
-//!   allocations ("before") against the register-tiled engine with fused
-//!   daggers and pre-allocated outputs ("after"). The acceptance target is ≥2×.
+//!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`, fused dagger, pre-allocated
+//!   outputs) at `N_BS ∈ {32, 64, 128}`.
+//! * **gemm_batch** — the W-assembly pattern `C_e = V · B_e` over 8 energies
+//!   with the energy-independent operand packed once ([`BatchOp::Shared`]),
+//!   same sizes.
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
-//!   right-hand sides) through the frozen pre-refactor solver
-//!   (`quatrex_rgf::reference`) vs the refactored one.
+//!   right-hand sides) on a warm `RgfScratch`, `N_B = 8`, `N_BS ∈ {32, 64}`.
 //! * **lu_invert** — `LuScratch::invert_into` at
-//!   `N_BS ∈ {8, 16, 32, 64, 128}`: nanoseconds and GFLOP/s (no "before": the
-//!   reference solvers invert through the same routine).
+//!   `N_BS ∈ {8, 16, 32, 64, 128}` under the `inverse_flops` model.
 //! * **svd** — the one-sided Jacobi `svd` of a dense `N × N` matrix at
 //!   `N ∈ {32, 64}` (Beyn's rank-revealing step), and **beyn** — one
 //!   contour-integral surface solve at `N_BS ∈ {32, 64}` (48 inversions, the
-//!   SVD, the reduced eigenproblem): absolute nanoseconds.
-//! * **fft_convolution** — absolute nanoseconds of the convolution layer at
+//!   SVD, the reduced eigenproblem): nanoseconds only.
+//! * **fft_convolution** — nanoseconds of the convolution layer at
 //!   `N_E ∈ {16, 64, 1024}`: one in-place `fft` of the padded length, one
 //!   `convolve` of two `N_E`-point series, and one whole-grid call of each
 //!   pair kernel on a non-self-mirror pair (`p_pair_ns`: 6 transforms,
-//!   `sigma_pair_ns`: 12). No "before": these are enveloped as they are.
+//!   `sigma_pair_ns`: 12).
 //! * **scba_iteration** — wall time of a full SCBA run on the reduced NW-1
-//!   device with the current engine, recorded so the perf trajectory has a
-//!   longitudinal data point per PR.
+//!   device, recorded so the perf trajectory has a longitudinal data point
+//!   per PR.
 //!
 //! Run with `cargo run --release -p quatrex-bench --bin bench_kernels`;
 //! set `QUATREX_BENCH_QUICK=1` for the CI smoke mode (fewer repetitions,
 //! same JSON shape). The file is written to the current directory.
 
-use quatrex_probe::clock::Instant;
-use std::fmt::Write as _;
-
-use quatrex_bench::{bench_solver, chain_operand};
+use quatrex_bench::{bench_solver, chain_operand, quick_mode};
 use quatrex_core::convolution::{polarization_pair_accumulate, self_energy_pair_accumulate};
 use quatrex_fft::{convolve, fft};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
-use quatrex_linalg::ops::{congruence, gemm, gemm_flops, matmul, Op};
+use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{
     c64, cplx, gemm_batch, gemm_batch_flops, svd, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind,
     ONE, ZERO,
 };
 use quatrex_obc::{beyn, BeynConfig};
-use quatrex_rgf::reference::rgf_solve_reference;
+use quatrex_probe::clock::Instant;
+use quatrex_probe::json::Json;
 use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
-
-fn quick_mode() -> bool {
-    std::env::var("QUATREX_BENCH_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
 
 /// Median-of-runs wall time per repetition, in nanoseconds.
 fn time_ns(runs: usize, reps: usize, mut f: impl FnMut()) -> f64 {
@@ -72,54 +66,38 @@ fn time_ns(runs: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-struct ChainRow {
-    n_bs: usize,
-    before_ns: f64,
-    after_ns: f64,
-    /// Real FLOPs of one repetition (paper counting), both sides alike.
-    flops: u64,
+/// A time rounded to the tenth the timer resolves.
+fn tenths(x: f64) -> Json {
+    ((x * 10.0).round() / 10.0).into()
 }
 
-impl ChainRow {
-    fn speedup(&self) -> f64 {
-        self.before_ns / self.after_ns
+/// One kernel row: its size fields, then `ns` per repetition and — where the
+/// kernel has a FLOP model — the rate `gflops` (FLOP per nanosecond, two
+/// decimals). Echoed to stdout as it is built.
+fn row(kernel: &str, sizes: &[(&'static str, usize)], ns: f64, flops: Option<u64>) -> Json {
+    let mut fields: Vec<(&str, Json)> = sizes.iter().map(|&(k, v)| (k, v.into())).collect();
+    fields.push(("ns", tenths(ns)));
+    if let Some(flops) = flops {
+        fields.push((
+            "gflops",
+            ((flops as f64 / ns * 100.0).round() / 100.0).into(),
+        ));
     }
-
-    /// Absolute rate of the engine side (FLOPs per nanosecond = GFLOP/s).
-    fn after_gflops(&self) -> f64 {
-        self.flops as f64 / self.after_ns
-    }
-
-    /// The JSON fields every before/after row ends with.
-    fn json_tail(&self) -> String {
-        format!(
-            "\"before_ns\": {:.1}, \"after_ns\": {:.1}, \"speedup\": {:.3}, \"after_gflops\": {:.2}",
-            self.before_ns,
-            self.after_ns,
-            self.speedup(),
-            self.after_gflops()
-        )
-    }
+    let row = Json::obj(fields);
+    println!("{kernel:<12} {row}");
+    row
 }
 
-/// The transport-cell GEMM chain of one RGF forward step.
-fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> ChainRow {
+/// The transport-cell GEMM chain of one RGF forward step: register-tiled
+/// engine, fused dagger, pre-allocated outputs. Returns `(ns, flops)`.
+fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> (f64, u64) {
     let a_lo = chain_operand(n_bs, 0.3);
     let a_up = chain_operand(n_bs, 1.1);
     let g = chain_operand(n_bs, 2.3);
     let b = chain_operand(n_bs, 3.7);
 
-    // Before: pre-refactor scalar kernels, fresh allocation per product,
-    // materialized dagger.
-    let before_ns = time_ns(runs, reps, || {
-        let schur = matmul_ref(&matmul_ref(&a_lo, &g), &a_up);
-        let inner = congruence_ref(&g, &b);
-        std::hint::black_box((&schur, &inner));
-    });
-
-    // After: register-tiled engine, fused dagger, pre-allocated outputs.
     let [mut t, mut schur, mut inner] = [(); 3].map(|()| CMatrix::zeros(n_bs, n_bs));
-    let after_ns = time_ns(runs, reps, || {
+    let ns = time_ns(runs, reps, || {
         gemm(&mut t, ONE, Op::None(&a_lo), Op::None(&g), ZERO);
         gemm(&mut schur, ONE, Op::None(&t), Op::None(&a_up), ZERO);
         gemm(&mut t, ONE, Op::None(&g), Op::None(&b), ZERO);
@@ -127,104 +105,54 @@ fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> ChainRow {
         std::hint::black_box((&schur, &inner));
     });
 
-    // Cross-check while we are here: both paths agree.
-    let want = matmul(&matmul(&a_lo, &g), &a_up);
-    let got = matmul_ref(&matmul_ref(&a_lo, &g), &a_up);
-    assert!(want.approx_eq(&got, 1e-10), "kernel mismatch at {n_bs}");
-    let want = congruence(&g, &b);
-    let got = congruence_ref(&g, &b);
-    assert!(want.approx_eq(&got, 1e-10), "congruence mismatch at {n_bs}");
+    // Untimed: what was measured agrees with the scalar reference kernels.
+    let want = matmul_ref(&matmul_ref(&a_lo, &g), &a_up);
+    assert!(schur.approx_eq(&want, 1e-10), "kernel mismatch at {n_bs}");
+    let want = congruence_ref(&g, &b);
+    assert!(
+        inner.approx_eq(&want, 1e-10),
+        "congruence mismatch at {n_bs}"
+    );
 
-    ChainRow {
-        n_bs,
-        before_ns,
-        after_ns,
-        flops: 4 * gemm_flops(n_bs, n_bs, n_bs),
-    }
+    (ns, 4 * gemm_flops(n_bs, n_bs, n_bs))
 }
 
 /// The energy-batched product `C_e = V · B_e` over a block of energies, with
 /// an energy-independent left operand — the W-assembly pattern the batch
-/// layer was built for. "Before" is the frozen per-energy path: one `gemm`
-/// per energy, re-packing the shared operand for every plane. "After" is a
-/// single `gemm_batch` call with [`BatchOp::Shared`], which packs it once.
-///
-/// The two paths differ by ~10–40%, not the engine refactor's 2–3×, so the
-/// samples are interleaved (before, after, before, after, …) to cancel
-/// machine drift between the two measurement windows before taking the
-/// per-path medians.
-fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> ChainRow {
+/// layer was built for: one `gemm_batch` call with [`BatchOp::Shared`], which
+/// packs `V` once. Returns `(ns, flops)`.
+fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> (f64, u64) {
     let shared = chain_operand(n_bs, 0.7);
     let mut b = MatrixBatch::zeros(n_e, n_bs, n_bs);
     for e in 0..n_e {
         b.plane_mut(e)
             .copy_from_slice(chain_operand(n_bs, 13.0 + e as f64).as_slice());
     }
-    let b_planes: Vec<CMatrix> = (0..n_e).map(|e| b.plane_matrix(e)).collect();
-
-    let mut outs = vec![CMatrix::zeros(n_bs, n_bs); n_e];
     let mut c = MatrixBatch::zeros(n_e, n_bs, n_bs);
-    let mut before = |reps: usize| {
-        let t = Instant::now();
-        for _ in 0..reps {
-            for e in 0..n_e {
-                // lint:allow(per-energy-gemm) — this IS the per-energy baseline.
-                gemm(
-                    &mut outs[e],
-                    ONE,
-                    Op::None(&shared),
-                    Op::None(&b_planes[e]),
-                    ZERO,
-                );
-            }
-            std::hint::black_box(&outs);
-        }
-        t.elapsed().as_nanos() as f64 / reps as f64
-    };
-    let mut after = |reps: usize| {
-        let t = Instant::now();
-        for _ in 0..reps {
-            gemm_batch(
-                &mut c,
-                ONE,
-                BatchOp::Shared(Op::None(&shared)),
-                BatchOp::Each(OpKind::None, &b),
-                ZERO,
-            );
-            std::hint::black_box(&c);
-        }
-        t.elapsed().as_nanos() as f64 / reps as f64
-    };
-    before(1); // warm caches, arenas and the allocator on both paths
-    after(1);
-    let mut before_samples = Vec::with_capacity(runs);
-    let mut after_samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        before_samples.push(before(reps));
-        after_samples.push(after(reps));
-    }
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        samples[samples.len() / 2]
-    };
-    let before_ns = median(&mut before_samples);
-    let after_ns = median(&mut after_samples);
+    let ns = time_ns(runs, reps, || {
+        gemm_batch(
+            &mut c,
+            ONE,
+            BatchOp::Shared(Op::None(&shared)),
+            BatchOp::Each(OpKind::None, &b),
+            ZERO,
+        );
+        std::hint::black_box(&c);
+    });
 
-    // Cross-check: the batched planes are bit-identical to the per-energy path.
+    // Untimed: every batched plane is bit-identical to its per-energy `gemm`.
+    let mut out = CMatrix::zeros(n_bs, n_bs);
     for e in 0..n_e {
+        let plane = b.plane_matrix(e);
+        gemm(&mut out, ONE, Op::None(&shared), Op::None(&plane), ZERO);
         assert_eq!(
             c.plane(e),
-            outs[e].as_slice(),
+            out.as_slice(),
             "gemm_batch plane {e} mismatch at N_BS={n_bs}"
         );
     }
 
-    ChainRow {
-        n_bs,
-        before_ns,
-        after_ns,
-        flops: gemm_batch_flops(n_e, n_bs, n_bs, n_bs),
-    }
+    (ns, gemm_batch_flops(n_e, n_bs, n_bs, n_bs))
 }
 
 fn rgf_system(nb: usize, bs: usize) -> (BlockTridiagonal, BlockTridiagonal, BlockTridiagonal) {
@@ -262,31 +190,24 @@ fn rgf_system(nb: usize, bs: usize) -> (BlockTridiagonal, BlockTridiagonal, Bloc
     (a, bl, bg)
 }
 
-fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> ChainRow {
+/// One selected solve on a warm scratch. Returns `(ns, flops)`, the FLOPs
+/// as the solver counted them.
+fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> (f64, u64) {
     let (a, bl, bg) = rgf_system(nb, bs);
     let rhs = [&bl, &bg];
-    let before_ns = time_ns(runs, reps, || {
-        let sol = rgf_solve_reference(&a, &rhs).unwrap();
-        std::hint::black_box(&sol);
-    });
     let mut scratch = RgfScratch::new();
     let mut flops = 0;
-    let after_ns = time_ns(runs, reps, || {
+    let ns = time_ns(runs, reps, || {
         let sol = rgf_solve_scratch(&a, &rhs, &mut scratch).unwrap();
         flops = sol.flops;
         std::hint::black_box(&sol);
     });
-    ChainRow {
-        n_bs: bs,
-        before_ns,
-        after_ns,
-        flops,
-    }
+    (ns, flops)
 }
 
-/// One LU inversion of a diagonally shifted (regular) block: nanoseconds and
-/// the rate under the `inverse_flops` model.
-fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, f64) {
+/// One LU inversion of a diagonally shifted (regular) block. Returns
+/// `(ns, flops)` under the `inverse_flops` model.
+fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, u64) {
     let mut a = chain_operand(n_bs, 4.1);
     for k in 0..n_bs {
         a[(k, k)] += cplx(4.0, 0.5);
@@ -300,7 +221,7 @@ fn bench_lu_invert(n_bs: usize, runs: usize, reps: usize) -> (f64, f64) {
     });
     let residual = &matmul(&a, &inv) - &CMatrix::identity(n_bs);
     assert!(residual.norm_max() < 1e-10, "inverse mismatch at {n_bs}");
-    (ns, inverse_flops(n_bs) as f64 / ns)
+    (ns, inverse_flops(n_bs))
 }
 
 /// One Jacobi SVD of a dense, full-rank block (Beyn's rank-revealing step):
@@ -351,15 +272,6 @@ fn bench_beyn(n_bs: usize, runs: usize, reps: usize) -> f64 {
     ns
 }
 
-/// One `fft_convolution` row.
-struct ConvRow {
-    n_e: usize,
-    fft_ns: f64,
-    convolve_ns: f64,
-    p_pair_ns: f64,
-    sigma_pair_ns: f64,
-}
-
 /// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`, borrowed the way the pair kernels
 /// take it.
 fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
@@ -367,8 +279,9 @@ fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
 }
 
 /// The convolution layer on an `n_e`-point grid: the padded transform, the
-/// public `convolve`, and the two pair kernels on the whole grid as one batch.
-fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ConvRow {
+/// public `convolve`, and the two pair kernels on the whole grid as one batch:
+/// `[fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]`.
+fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> [f64; 4] {
     let series = |seed: f64| -> Vec<c64> {
         let at = |k: usize| seed + 0.37 * k as f64;
         (0..n_e).map(|k| cplx(at(k).sin(), at(k).cos())).collect()
@@ -412,203 +325,96 @@ fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ConvRow {
         self_energy_pair_accumulate(s_ij, Some(s_ji), g, w, &grid, 0.05, &flops);
         std::hint::black_box(&out);
     });
-    ConvRow {
-        n_e,
-        fft_ns,
-        convolve_ns,
-        p_pair_ns,
-        sigma_pair_ns,
-    }
+    [fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]
 }
 
 fn main() {
     let quick = quick_mode();
     let runs = if quick { 3 } else { 7 };
-
-    let mut chain_rows = Vec::new();
-    for n_bs in [32usize, 64, 128] {
-        // Scale repetitions so each size measures comparable wall time.
+    // Repetitions scaled so each block size measures comparable wall time.
+    let cubic_reps = |n_bs: usize| {
         let base = (256 / n_bs).pow(3).max(1);
-        let reps = if quick { base.div_ceil(8).max(1) } else { base };
-        let row = bench_gemm_chain(n_bs, runs, reps);
-        println!(
-            "gemm_chain  N_BS={:>4}: before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
-            row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup(),
-            row.after_gflops()
-        );
-        chain_rows.push(row);
-    }
-
-    // Energy-batched GEMM: one packing of the shared operand, all energies.
-    let batch_energies = 8usize;
-    let batch_runs = if quick { 5 } else { 11 };
-    let mut batch_rows = Vec::new();
-    for n_bs in [32usize, 64, 128] {
-        let base = (256 / n_bs).pow(3).max(1);
-        let reps = if quick { base.div_ceil(8).max(1) } else { base };
-        let row = bench_gemm_batch(n_bs, batch_energies, batch_runs, reps);
-        println!(
-            "gemm_batch  N_BS={:>4} (B={batch_energies}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
-            row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup(),
-            row.after_gflops()
-        );
-        batch_rows.push(row);
-    }
-
-    let mut rgf_rows = Vec::new();
-    for (nb, bs) in [(8usize, 32usize), (8, 64)] {
-        let reps = if quick {
-            1
-        } else if bs >= 64 {
-            2
+        if quick {
+            base.div_ceil(8)
         } else {
-            6
-        };
-        let row = bench_rgf(nb, bs, runs.min(5), reps);
-        println!(
-            "rgf_solve   N_BS={:>4} (N_B={nb}): before {:>12.0} ns  after {:>12.0} ns  speedup {:>5.2}x  {:>6.2} GFLOP/s",
-            row.n_bs,
-            row.before_ns,
-            row.after_ns,
-            row.speedup(),
-            row.after_gflops()
-        );
-        rgf_rows.push((nb, row));
-    }
+            base
+        }
+    };
 
-    let mut lu_rows = Vec::new();
-    for n_bs in [8usize, 16, 32, 64, 128] {
-        let base = (256 / n_bs).pow(3).max(1);
-        let reps = if quick { base.div_ceil(8).max(1) } else { base };
-        let (ns, gflops) = bench_lu_invert(n_bs, runs, reps);
-        println!("lu_invert   N_BS={n_bs:>4}: {ns:>12.0} ns  {gflops:>6.2} GFLOP/s");
-        lu_rows.push((n_bs, ns, gflops));
-    }
+    let chain_rows = [32usize, 64, 128].map(|n_bs| {
+        let (ns, flops) = bench_gemm_chain(n_bs, runs, cubic_reps(n_bs));
+        row("gemm_chain", &[("n_bs", n_bs)], ns, Some(flops))
+    });
 
-    let mut svd_rows = Vec::new();
-    let mut beyn_rows = Vec::new();
-    for n in [32usize, 64] {
-        let reps = if quick { 1 } else { 128 / n };
-        let ns = bench_svd(n, runs, reps);
-        println!("svd         N   ={n:>4}: {ns:>12.0} ns");
-        svd_rows.push((n, ns));
-        let ns = bench_beyn(n, runs, reps);
-        println!("beyn        N_BS={n:>4}: {ns:>12.0} ns");
-        beyn_rows.push((n, ns));
-    }
+    let batch = 8usize;
+    let batch_rows = [32usize, 64, 128].map(|n_bs| {
+        let (ns, flops) = bench_gemm_batch(n_bs, batch, runs, cubic_reps(n_bs));
+        row(
+            "gemm_batch",
+            &[("n_bs", n_bs), ("batch", batch)],
+            ns,
+            Some(flops),
+        )
+    });
 
-    let mut conv_rows = Vec::new();
-    for n_e in [16usize, 64, 1024] {
+    let rgf_rows = [(8usize, 32usize, 6), (8, 64, 2)].map(|(nb, bs, reps)| {
+        let (ns, flops) = bench_rgf(nb, bs, runs.min(5), if quick { 1 } else { reps });
+        row("rgf_solve", &[("n_b", nb), ("n_bs", bs)], ns, Some(flops))
+    });
+
+    let lu_rows = [8usize, 16, 32, 64, 128].map(|n_bs| {
+        let (ns, flops) = bench_lu_invert(n_bs, runs, cubic_reps(n_bs));
+        row("lu_invert", &[("n_bs", n_bs)], ns, Some(flops))
+    });
+
+    let dense_reps = |n: usize| if quick { 1 } else { 128 / n };
+    let svd_rows =
+        [32usize, 64].map(|n| row("svd", &[("n", n)], bench_svd(n, runs, dense_reps(n)), None));
+    let beyn_rows = [32usize, 64].map(|n| {
+        let ns = bench_beyn(n, runs, dense_reps(n));
+        row("beyn", &[("n_bs", n)], ns, None)
+    });
+
+    let conv_rows = [16usize, 64, 1024].map(|n_e| {
         let base = (1 << 18) / n_e;
         let reps = if quick { base.div_ceil(8) } else { base };
-        let row = bench_fft_convolution(n_e, runs, reps);
-        println!(
-            "fft_conv    N_E ={:>5}: fft {:>10.0} ns  convolve {:>10.0} ns  P pair {:>10.0} ns  Σ pair {:>10.0} ns",
-            row.n_e, row.fft_ns, row.convolve_ns, row.p_pair_ns, row.sigma_pair_ns
-        );
-        conv_rows.push(row);
-    }
+        let [fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns] =
+            bench_fft_convolution(n_e, runs, reps);
+        let row = Json::obj([
+            ("n_e", n_e.into()),
+            ("fft_ns", tenths(fft_ns)),
+            ("convolve_ns", tenths(convolve_ns)),
+            ("p_pair_ns", tenths(p_pair_ns)),
+            ("sigma_pair_ns", tenths(sigma_pair_ns)),
+        ]);
+        println!("{:<12} {row}", "fft_conv");
+        row
+    });
 
     // Full SCBA trajectory point (current engine): reduced NW-1 device.
     let solver = bench_solver(if quick { 4 } else { 8 }, 2, true);
     let t = Instant::now();
     let res = solver.run();
-    let scba_ms = t.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "scba        full run: {scba_ms:.1} ms ({} iterations, {:.3e} FLOPs)",
-        res.iterations,
-        res.flops.total() as f64
-    );
+    let scba = Json::obj([
+        ("device", "NW-1/26".into()),
+        ("wall_ms", tenths(t.elapsed().as_secs_f64() * 1e3)),
+        ("iterations", res.iterations.into()),
+        ("total_flops", res.flops.total().into()),
+    ]);
+    println!("{:<12} {scba}", "scba");
 
-    // ---------------------------------------------------------------- JSON
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"generated_by\": \"quatrex-bench bench_kernels\",\n");
-    let _ = writeln!(json, "  \"quick_mode\": {quick},");
-    json.push_str("  \"gemm_chain\": [\n");
-    for (i, row) in chain_rows.iter().enumerate() {
-        let _ = write!(json, "    {{\"n_bs\": {}, {}}}", row.n_bs, row.json_tail());
-        json.push_str(if i + 1 < chain_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"gemm_batch\": [\n");
-    for (i, row) in batch_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_bs\": {}, \"batch\": {batch_energies}, {}}}",
-            row.n_bs,
-            row.json_tail()
-        );
-        json.push_str(if i + 1 < batch_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"rgf_solve\": [\n");
-    for (i, (nb, row)) in rgf_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_b\": {nb}, \"n_bs\": {}, {}}}",
-            row.n_bs,
-            row.json_tail()
-        );
-        json.push_str(if i + 1 < rgf_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"lu_invert\": [\n");
-    for (i, (n_bs, ns, gflops)) in lu_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_bs\": {n_bs}, \"ns\": {ns:.1}, \"gflops\": {gflops:.2}}}"
-        );
-        json.push_str(if i + 1 < lu_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    for (key, size, rows) in [("svd", "n", &svd_rows), ("beyn", "n_bs", &beyn_rows)] {
-        let _ = writeln!(json, "  \"{key}\": [");
-        for (i, (n, ns)) in rows.iter().enumerate() {
-            let _ = write!(json, "    {{\"{size}\": {n}, \"ns\": {ns:.1}}}");
-            json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ],\n");
-    }
-    json.push_str("  \"fft_convolution\": [\n");
-    for (i, row) in conv_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"n_e\": {}, \"fft_ns\": {:.1}, \"convolve_ns\": {:.1}, \"p_pair_ns\": {:.1}, \"sigma_pair_ns\": {:.1}}}",
-            row.n_e, row.fft_ns, row.convolve_ns, row.p_pair_ns, row.sigma_pair_ns
-        );
-        json.push_str(if i + 1 < conv_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"scba_iteration\": {{\"device\": \"NW-1/26\", \"wall_ms\": {scba_ms:.1}, \"iterations\": {}, \"total_flops\": {}}}",
-        res.iterations,
-        res.flops.total()
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
+    let doc = Json::obj([
+        ("generated_by", "quatrex-bench bench_kernels".into()),
+        ("quick_mode", quick.into()),
+        ("gemm_chain", Json::arr(chain_rows)),
+        ("gemm_batch", Json::arr(batch_rows)),
+        ("rgf_solve", Json::arr(rgf_rows)),
+        ("lu_invert", Json::arr(lu_rows)),
+        ("svd", Json::arr(svd_rows)),
+        ("beyn", Json::arr(beyn_rows)),
+        ("fft_convolution", Json::arr(conv_rows)),
+        ("scba_iteration", scba),
+    ]);
+    std::fs::write("BENCH_kernels.json", format!("{doc:#}\n")).expect("write BENCH_kernels.json");
     println!("wrote BENCH_kernels.json");
-
-    let min_speedup = chain_rows
-        .iter()
-        .map(|r| r.speedup())
-        .fold(f64::INFINITY, f64::min);
-    if min_speedup < 2.0 {
-        println!("WARNING: GEMM-chain speedup below the 2x target: {min_speedup:.2}x");
-    }
 }

@@ -1,18 +1,26 @@
 //! # quatrex-bench
 //!
-//! Benchmark harness reproducing the paper's evaluation.
+//! Kernel harness and table generators reproducing the paper's evaluation.
+//! Everything here is a binary under `src/bin/`; this library holds the
+//! devices, configurations and operands they share.
 //!
-//! Two kinds of artefacts are produced:
-//!
-//! * **Criterion benches** (`benches/`) measure the real kernels of this
-//!   reproduction at laptop scale (reduced devices with the same block
-//!   structure as the paper's) — one bench per evaluation artefact;
-//! * **table binaries** (`src/bin/`) print the paper's tables/figure series:
-//!   measured small-scale numbers where possible, machine-model extrapolations
-//!   (`quatrex-perf`) for the full-scale rows (Tables 4–6, Fig. 6).
+//! * **`bench_kernels` → `bench_gate`** — the workspace's one kernel harness:
+//!   `bench_kernels` measures the real kernels of this reproduction in
+//!   absolute units (nanoseconds and GFLOP/s per kernel, on transport-cell
+//!   sized blocks) into `BENCH_kernels.json`; `bench_gate` holds those
+//!   numbers, the byte counters of `DIST_report.json` and the warm-start
+//!   ratio of `SWEEP_report.json` to the `(value, tolerance)` envelopes of
+//!   `BENCH_reference.json` and appends the run to `BENCH_history.jsonl`.
+//!   (End-to-end seconds per SCBA iteration and per sweep point are the
+//!   business of the standalone `benchmark/` package.)
+//! * **table binaries** (`table*`, `fig6_weak_scaling`) print the paper's
+//!   tables/figure series: measured small-scale numbers where possible,
+//!   machine-model extrapolations (`quatrex-perf`) for the full-scale rows
+//!   (Tables 4–6, Fig. 6).
 //!
 //! Run `cargo run --release -p quatrex-bench --bin table4_kernels` (etc.) to
-//! regenerate a specific artefact; see EXPERIMENTS.md for the full index.
+//! regenerate a specific artefact; README § *Reproducing the paper's
+//! evaluation* is the index.
 
 use quatrex_core::assembly::assemble_g;
 use quatrex_core::{ObcMethod, ScbaConfig, ScbaSolver};
@@ -23,6 +31,12 @@ use quatrex_rgf::{
     nested_dissection_solve, nested_dissection_solve_with_layout, partition_layout_balanced,
     rgf_solve, NestedConfig,
 };
+
+/// Whether `QUATREX_BENCH_QUICK` asks for the CI smoke mode: fewer
+/// repetitions in `bench_kernels`, the `"quick"` envelopes in `bench_gate`.
+pub fn quick_mode() -> bool {
+    std::env::var("QUATREX_BENCH_QUICK").is_ok_and(|v| v != "0")
+}
 
 /// Reduced-scale instance of a catalogue device: the primitive-cell size is
 /// divided by `reduction` while `N_U` and `N_B` are preserved, so every solver
@@ -130,9 +144,8 @@ fn measured_decomposition_overhead_with(p_s: usize, balanced: bool) -> Decomposi
     )
 }
 
-/// Deterministic dense transport-cell-sized operand for the GEMM-chain
-/// benches. Shared by the criterion bench (`benches/kernels.rs`) and the
-/// `bench_kernels` bin so both measure the identical chain.
+/// Deterministic dense transport-cell-sized operand of the `bench_kernels`
+/// rows (linear phases: rank ≤ 4, regular once its diagonal is shifted).
 pub fn chain_operand(n: usize, seed: f64) -> quatrex_linalg::CMatrix {
     quatrex_linalg::CMatrix::from_fn(n, n, |i, j| {
         quatrex_linalg::cplx(

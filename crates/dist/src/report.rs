@@ -8,6 +8,7 @@
 //! real volumes instead of analytic estimates
 //! (`quatrex_perf::weak_scaling_series_measured`).
 
+use quatrex_probe::json::Json;
 use quatrex_runtime::TranspositionVolume;
 
 /// Predicted all-to-all volume of one full SCBA iteration.
@@ -72,6 +73,14 @@ pub struct DistReport {
     /// Iterations that executed the P/W/Σ phases (and hence all four
     /// transpositions). A ballistic run has zero.
     pub full_iterations: usize,
+    /// Wall-clock seconds of the run: from the launch of the rank threads to
+    /// the join of the last one (one clock, outside the ranks — not a sum
+    /// over them). Set-up before the launch (Hamiltonian, plan, layout) is
+    /// not in it.
+    pub wall_seconds: f64,
+    /// `wall_seconds` per SCBA iteration of the run — the paper's headline
+    /// quantity (Tables 5/6).
+    pub seconds_per_iteration: f64,
     /// Measured off-rank bytes of the energy↔element transpositions alone.
     pub measured_transposition_bytes: u64,
     /// Measured off-rank bytes of *all* all-to-all traffic, including the
@@ -211,6 +220,55 @@ impl DistReport {
         let broadcast = self.broadcast_equivalent_bytes_g + self.broadcast_equivalent_bytes_w;
         (sliced > 0).then(|| broadcast as f64 / sliced as f64)
     }
+
+    /// The report as a JSON object — the content of `DIST_report.json`, under
+    /// the key names `BENCH_reference.json` gates.
+    pub fn to_json(&self) -> Json {
+        // A plain field is written under its own name.
+        macro_rules! fields {
+            ($($field:ident),*) => { vec![$((stringify!($field), Json::from(self.$field))),*] };
+        }
+        let named_values = |v: &[(String, f64)]| {
+            Json::obj(v.iter().map(|(name, x)| (name.as_str(), Json::from(*x))))
+        };
+        let mut doc = fields![
+            n_ranks,
+            energy_groups,
+            spatial_partitions,
+            balanced_partitions,
+            full_iterations,
+            wall_seconds,
+            seconds_per_iteration,
+            measured_transposition_bytes,
+            measured_alltoall_bytes,
+            measured_boundary_bytes_g,
+            measured_boundary_bytes_w,
+            measured_slice_bytes_g,
+            measured_slice_bytes_w,
+            broadcast_equivalent_bytes_g,
+            broadcast_equivalent_bytes_w,
+            batch_count,
+            peak_slab_bytes,
+            overlap_window_seconds,
+            overlap_efficiency,
+            time_imbalance
+        ];
+        let bytes_per_phase = self.alltoall_bytes_per_phase.iter();
+        doc.extend([
+            ("slice_saving_factor", self.slice_saving_factor().into()),
+            (
+                "alltoall_bytes_per_phase",
+                Json::obj(bytes_per_phase.map(|&(label, bytes)| (label, Json::from(bytes)))),
+            ),
+            ("phase_seconds", named_values(&self.phase_seconds)),
+            (
+                "memoizer_hit_rate_per_iteration",
+                Json::arr(self.memoizer_hit_rate_per_iteration.iter().copied()),
+            ),
+            ("phase_flop_rates", named_values(&self.phase_flop_rates)),
+        ]);
+        Json::obj(doc)
+    }
 }
 
 #[cfg(test)]
@@ -227,11 +285,11 @@ mod tests {
         assert_eq!(b.total_bytes(3), 3 * b.bytes_per_iteration());
     }
 
-    #[test]
-    fn agreement_is_relative_deviation_of_the_transposition_counter() {
+    /// A two-rank, two-iteration report measuring 1 % over its prediction.
+    fn two_rank_report() -> DistReport {
         let budget = TranspositionBudget::new(100, 8, 2, false);
         let predicted = budget.total_bytes(2);
-        let report = DistReport {
+        DistReport {
             n_ranks: 2,
             energy_groups: 2,
             spatial_partitions: 1,
@@ -240,6 +298,8 @@ mod tests {
             elements_per_rank: vec![10, 10],
             symmetry_reduced: false,
             full_iterations: 2,
+            wall_seconds: 0.5,
+            seconds_per_iteration: 0.25,
             measured_transposition_bytes: predicted + predicted / 100,
             measured_alltoall_bytes: predicted + predicted / 10,
             measured_max_bytes_per_rank: predicted / 2,
@@ -263,7 +323,12 @@ mod tests {
             memoizer_hit_rate_per_iteration: Vec::new(),
             phase_flop_rates: Vec::new(),
             budget,
-        };
+        }
+    }
+
+    #[test]
+    fn agreement_is_relative_deviation_of_the_transposition_counter() {
+        let report = two_rank_report();
         // The agreement uses the exact transposition counter, not the total
         // that includes the ordered gathers.
         assert!((report.volume_agreement() - 0.01).abs() < 2e-3);
@@ -271,6 +336,65 @@ mod tests {
         assert_eq!(
             report.measured_bytes_per_rank_per_iteration(),
             report.measured_transposition_bytes / 2 / 2
+        );
+    }
+
+    #[test]
+    fn json_parses_and_exposes_the_gate_paths() {
+        let report = DistReport {
+            measured_boundary_bytes_g: 96,
+            peak_slab_bytes: 4096,
+            alltoall_bytes_per_phase: quatrex_runtime::CommPhase::ALL
+                .iter()
+                .zip(1u64..)
+                .map(|(phase, bytes)| (phase.label(), bytes))
+                .collect(),
+            phase_seconds: vec![("comm.wait".to_string(), f64::NAN)],
+            overlap_efficiency: Some(0.25),
+            time_imbalance: Some(1.5),
+            ..two_rank_report()
+        };
+        let doc = quatrex_probe::json::parse(&report.to_json().to_string()).expect("valid JSON");
+        // Every DIST_report.json path of either mode of BENCH_reference.json,
+        // and the wall-clock pair.
+        let reference = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_reference.json");
+        let reference = std::fs::read_to_string(reference).expect("BENCH_reference.json");
+        let reference = quatrex_probe::json::parse(&reference).expect("valid JSON");
+        let gated: Vec<&str> = ["quick", "full"]
+            .iter()
+            .flat_map(|mode| {
+                reference
+                    .get(mode)
+                    .and_then(Json::as_arr)
+                    .expect("check array")
+            })
+            .filter(|c| c.get("file").and_then(Json::as_str) == Some("DIST_report.json"))
+            .map(|c| c.get("path").and_then(Json::as_str).expect("check path"))
+            .collect();
+        assert!(!gated.is_empty(), "no DIST_report.json path is gated");
+        for path in gated
+            .into_iter()
+            .chain(["wall_seconds", "seconds_per_iteration"])
+        {
+            assert!(
+                doc.path(path).and_then(Json::as_f64).is_some(),
+                "{path} is not a number in {doc}"
+            );
+        }
+        assert_eq!(
+            doc.path("measured_transposition_bytes")
+                .and_then(Json::as_u64),
+            Some(report.measured_transposition_bytes)
+        );
+        assert_eq!(
+            doc.path("seconds_per_iteration").and_then(Json::as_f64),
+            Some(0.25)
+        );
+        // No slices at P_S = 1, a diverged timing: `null`, not an invalid token.
+        assert_eq!(doc.path("slice_saving_factor"), Some(&Json::Null));
+        assert_eq!(
+            doc.get("phase_seconds").and_then(|p| p.get("comm.wait")),
+            Some(&Json::Null)
         );
     }
 
@@ -286,6 +410,8 @@ mod tests {
             elements_per_rank: vec![5, 5, 5, 5],
             symmetry_reduced: true,
             full_iterations: 0,
+            wall_seconds: 0.0,
+            seconds_per_iteration: 0.0,
             measured_transposition_bytes: 0,
             measured_alltoall_bytes: 128,
             measured_max_bytes_per_rank: 64,

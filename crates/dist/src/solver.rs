@@ -4,8 +4,7 @@
 //! `quatrex_core::ScbaSolver`, but across the ranks of a
 //! [`quatrex_runtime::ThreadComm`] communicator following the paper's
 //! two-level decomposition. The flat ranks form a
-//! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`], mirroring
-//! `quatrex_runtime::DecompositionPlan`):
+//! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`]):
 //!
 //! 1. every **rank** owns a contiguous slice of energy points (an
 //!    equal-count split over the flat ranks, optionally re-balanced from
@@ -59,7 +58,7 @@ use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_probe::clock::Instant;
 use quatrex_probe::{RankTrace, Timeline};
-use quatrex_runtime::{CommStats, DecompositionPlan, RankContext, ThreadComm};
+use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 
 use crate::config::{DistScbaConfig, DistScbaResult};
 use crate::pipeline::TRANSPOSITIONS;
@@ -120,24 +119,6 @@ impl DistScbaSolver {
             !self.config.symmetry_reduced || self.config.scba.enforce_symmetry,
             "symmetry-reduced transposition requires enforce_symmetry",
         );
-    }
-
-    /// The two-level decomposition the run realises, in the vocabulary of
-    /// `quatrex_runtime::DecompositionPlan`: `n_ranks / P_S` energy groups of
-    /// `P_S` spatial ranks each.
-    ///
-    /// This is the *idealised uniform* description (every group holds
-    /// `ceil(N_E / groups)` energies); the run's actual energy ownership is
-    /// the contiguous per-rank partition in
-    /// [`DistScbaSolver::plan`]`().energy_ranges` — use that to locate an
-    /// energy's owner. Panics on an invalid
-    /// configuration, exactly like [`DistScbaSolver::run`].
-    pub fn decomposition(&self) -> DecompositionPlan {
-        self.validate();
-        let p_s = self.config.spatial_partitions;
-        let groups = self.config.n_ranks / p_s;
-        let energies_per_group = self.grid.len().div_ceil(groups.max(1)).max(1);
-        DecompositionPlan::new(self.grid.len(), energies_per_group, p_s)
     }
 
     /// The transposition plan the run starts from. Energy and element slices
@@ -215,9 +196,11 @@ impl DistScbaSolver {
             timings: KernelTimings::default(),
         });
         let shared = Arc::clone(&problem);
+        let launch = Instant::now();
         let (mut outs, stats) = ThreadComm::run(n_ranks, move |ctx: RankContext<Vec<c64>>| {
             rank_main(&ctx, &shared)
         });
+        let wall_seconds = launch.elapsed().as_secs_f64();
 
         let mut counters = RankCounters::default();
         for out in &outs {
@@ -230,7 +213,7 @@ impl DistScbaSolver {
             .config
             .capture_state
             .then(|| assemble_final_state(&mut outs, &problem));
-        let report = self.build_report(&problem, &stats, &counters, &outs, &timeline);
+        let report = self.build_report(&problem, &stats, &counters, &outs, &timeline, wall_seconds);
         let flops = FlopCounter::new();
         flops.merge(&problem.flops);
         // The loop outcome is identical on every rank; report rank 0's.
@@ -264,6 +247,7 @@ impl DistScbaSolver {
         counters: &RankCounters,
         outs: &[RankOut],
         timeline: &Timeline,
+        wall_seconds: f64,
     ) -> DistReport {
         let (plan, grid) = (&problem.plan, &problem.layout.grid);
         let rank0 = &outs[0].log;
@@ -304,6 +288,8 @@ impl DistScbaSolver {
             elements_per_rank: plan.element_ranges.iter().map(|r| r.len()).collect(),
             symmetry_reduced: plan.symmetry_reduced,
             full_iterations: rank0.full_iterations,
+            wall_seconds,
+            seconds_per_iteration: wall_seconds / rank0.iterations.max(1) as f64,
             measured_transposition_bytes: counters.transposition_bytes,
             measured_alltoall_bytes: stats.alltoall_bytes.load(Ordering::Relaxed),
             measured_max_bytes_per_rank: stats.max_alltoall_bytes_per_rank(),

@@ -1,13 +1,23 @@
-//! Minimal hand-rolled JSON parser and string escaper.
+//! The workspace's one JSON reader and writer.
 //!
 //! The workspace is built offline against dependency shims — there is no
-//! `serde` — yet three consumers need to *read* JSON: the trace round-trip
-//! check ([`crate::parse_chrome_trace`]), the ReFrame-style bench gate
+//! `serde` — yet JSON is read by the trace round-trip check
+//! ([`crate::parse_chrome_trace`]), the ReFrame-style bench gate
 //! (`bench_gate` reads `BENCH_kernels.json` / `DIST_report.json` /
-//! `BENCH_reference.json`), and tests validating emitted artifacts. This
-//! module is a small recursive-descent parser over the full JSON grammar
+//! `SWEEP_report.json` / `BENCH_reference.json`) and the tests validating
+//! emitted artifacts, and written by every report: `DistReport::to_json`,
+//! `SweepReport::to_json`, `bench_kernels` and the gate's history line each
+//! build one [`Json`] value and print it through its [`std::fmt::Display`].
+//! Reading is a small recursive-descent parser over the full JSON grammar
 //! (objects, arrays, strings with escapes, numbers, literals) plus a
-//! dotted-path accessor for digging values out of parsed documents.
+//! dotted-path accessor; writing keeps object keys in insertion order, sends
+//! strings through [`escape`], prints the shortest `f64` that parses back to
+//! the same bits, and maps a non-finite number to `null` — the one place
+//! where a diverged run's `NaN` is kept from producing a file [`parse`]
+//! rejects. (`Timeline::chrome_trace_json` stays a streaming writer over its
+//! spans; it shares [`escape`].)
+
+use std::fmt;
 
 /// A parsed JSON value. Object keys keep insertion order (the documents we
 /// read are small; no hashing needed).
@@ -28,6 +38,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object of the given fields, in the order given.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of the given items.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -92,7 +112,7 @@ impl Json {
         }
     }
 
-    /// Dotted-path accessor: `"gemm_chain[0].speedup"` walks object fields
+    /// Dotted-path accessor: `"gemm_chain[0].gflops"` walks object fields
     /// and `[i]` array indices.
     pub fn path(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
@@ -120,6 +140,107 @@ impl Json {
         }
         Some(cur)
     }
+}
+
+/// Every JSON number is an `f64`: integers are exact up to 2⁵³.
+macro_rules! number_into_json {
+    ($($number:ty),*) => {$(
+        impl From<$number> for Json {
+            fn from(v: $number) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+number_into_json!(f64, u64, usize);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// `{}` prints the value on one line; `{:#}` puts the children of every
+/// container that holds another container on lines of their own, indented
+/// two spaces per level (a container of scalars stays on one line — a table
+/// row). Both parse back to the value printed, except that a non-finite
+/// number is printed as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl Json {
+    fn is_container(&self) -> bool {
+        matches!(self, Json::Arr(_) | Json::Obj(_))
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(v) if !v.is_finite() => f.write_str("null"),
+            Json::Num(v) => {
+                // `{:?}` is the shortest digits that parse back to the same
+                // bits (exponent form beyond 1e16 / below 1e-4); an integer
+                // drops its `.0`, so `-0.0` is `-0`.
+                let digits = format!("{v:?}");
+                f.write_str(digits.strip_suffix(".0").unwrap_or(&digits))
+            }
+            Json::Str(s) => f.write_str(&escape(s)),
+            Json::Arr(items) => {
+                write_container(f, depth, '[', ']', items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(fields) => {
+                let children = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_container(f, depth, '{', '}', children)
+            }
+        }
+    }
+}
+
+fn write_container<'a>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    open: char,
+    close: char,
+    children: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) -> fmt::Result {
+    let broken = f.alternate() && children.clone().any(|(_, v)| v.is_container());
+    let new_line = |f: &mut fmt::Formatter<'_>, depth: usize| {
+        if broken {
+            write!(f, "\n{:1$}", "", 2 * depth)
+        } else {
+            Ok(())
+        }
+    };
+    write!(f, "{open}")?;
+    for (i, (key, value)) in children.enumerate() {
+        if i > 0 {
+            f.write_str(if broken { "," } else { ", " })?;
+        }
+        new_line(f, depth + 1)?;
+        if let Some(key) = key {
+            write!(f, "{}: ", escape(key))?;
+        }
+        value.write(f, depth + 1)?;
+    }
+    new_line(f, depth)?;
+    write!(f, "{close}")
 }
 
 /// Escape a string as a JSON string literal (with surrounding quotes).
@@ -339,6 +460,82 @@ mod tests {
         let escaped = escape(original);
         let parsed = parse(&escaped).unwrap();
         assert_eq!(parsed.as_str().unwrap(), original);
+    }
+
+    #[test]
+    fn written_values_parse_back_to_themselves() {
+        let two_53 = (1u64 << 53) as f64;
+        let doc = Json::obj([
+            ("empty", Json::obj::<&str>([])),
+            ("none", Json::arr::<Json>([])),
+            (
+                "text",
+                "quote \" slash \\ tab \t bell \u{7} nul \u{0} ü".into(),
+            ),
+            ("key \"\n", true.into()),
+            (
+                "numbers",
+                Json::arr([
+                    0.0,
+                    -0.0,
+                    1.0,
+                    -17.0,
+                    two_53,
+                    two_53 - 1.0,
+                    -two_53,
+                    0.1,
+                    1.0 / 3.0,
+                    6.02e23,
+                    1e300,
+                    -2.5e-9,
+                    f64::MIN_POSITIVE,
+                    f64::MAX,
+                ]),
+            ),
+            (
+                "rows",
+                Json::arr([
+                    Json::obj([("n", 1usize.into()), ("v", Json::Null)]),
+                    Json::arr([Json::arr([7u64])]),
+                ]),
+            ),
+            ("absent", None::<f64>.into()),
+            ("present", Some(2.5).into()),
+        ]);
+        for text in [doc.to_string(), format!("{doc:#}")] {
+            let back = parse(&text).unwrap_or_else(|e| panic!("{e} in {text}"));
+            assert_eq!(back, doc, "{text}");
+            // `==` on f64 cannot tell the zeros apart: compare the sign.
+            let minus_zero = back.path("numbers[1]").and_then(Json::as_f64).unwrap();
+            assert!(minus_zero == 0.0 && minus_zero.is_sign_negative(), "{text}");
+        }
+        assert!(!doc.to_string().contains('\n'));
+        // Integers carry no fraction and no exponent up to 2^53.
+        assert_eq!(Json::from(1u64 << 53).to_string(), "9007199254740992");
+        assert_eq!(Json::from(3usize).to_string(), "3");
+        assert_eq!(Json::from(-0.0).to_string(), "-0");
+    }
+
+    #[test]
+    fn pretty_form_breaks_only_containers_of_containers() {
+        let doc = Json::obj([
+            ("a", 1usize.into()),
+            ("rows", Json::arr([Json::obj([("n", 1usize.into())])])),
+        ]);
+        assert_eq!(
+            format!("{doc:#}"),
+            "{\n  \"a\": 1,\n  \"rows\": [\n    {\"n\": 1}\n  ]\n}"
+        );
+        assert_eq!(doc.to_string(), r#"{"a": 1, "rows": [{"n": 1}]}"#);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let doc = Json::arr([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5]);
+        assert_eq!(doc.to_string(), "[null, null, null, 1.5]");
+        let back = parse(&doc.to_string()).expect("valid JSON");
+        assert_eq!(back.idx(0), Some(&Json::Null));
+        assert_eq!(back.idx(3).and_then(Json::as_f64), Some(1.5));
     }
 
     #[test]

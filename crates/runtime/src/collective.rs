@@ -3,10 +3,10 @@
 //! [`ThreadComm`] runs `n_ranks` closures on OS threads and gives each of them
 //! a [`RankContext`] with the collective operations the NEGF+scGW pipeline
 //! uses: `alltoall` (the energy↔element data transposition of Fig. 3),
-//! `allreduce_sum` (convergence norms, observables), `broadcast` and
-//! `barrier`. Every operation records the number of bytes a real network
-//! would have carried, so the weak-scaling model can be driven by measured
-//! volumes rather than estimates.
+//! `allreduce_sum` (convergence norms, observables) and `barrier`. Every
+//! operation records the number of bytes a real network would have carried,
+//! so the weak-scaling model can be driven by measured volumes rather than
+//! estimates.
 //!
 //! The all-to-all exchange also exists in a split, non-blocking form
 //! ([`RankContext::alltoallv_start_tagged`] returning a [`CommHandle`]): the sends
@@ -308,8 +308,6 @@ pub struct CommStats {
     pub alltoall_bytes: AtomicU64,
     /// Bytes moved by all `allreduce_sum` calls.
     pub allreduce_bytes: AtomicU64,
-    /// Bytes moved by all `broadcast` calls.
-    pub broadcast_bytes: AtomicU64,
     /// Number of collective calls of any kind.
     pub n_collectives: AtomicU64,
     /// Rank-pinned accounting: bytes *sent off-rank* by each rank through
@@ -352,9 +350,7 @@ impl CommStats {
 
     /// Total bytes over all collective types.
     pub fn total_bytes(&self) -> u64 {
-        self.alltoall_bytes.load(Ordering::Relaxed)
-            + self.allreduce_bytes.load(Ordering::Relaxed)
-            + self.broadcast_bytes.load(Ordering::Relaxed)
+        self.alltoall_bytes.load(Ordering::Relaxed) + self.allreduce_bytes.load(Ordering::Relaxed)
     }
 
     /// Off-rank Alltoall bytes sent by each rank.

@@ -7,12 +7,12 @@
 //! 5.1 and 7.2). None of that infrastructure is available at laptop scale, so
 //! this crate provides the documented substitution:
 //!
-//! * [`topology`] — the two-level decomposition of the workload (energy points
-//!   across ranks, spatial partitions within an energy group) and the buffer
-//!   sizes of the energy↔element data transposition;
+//! * [`topology`] — the buffer sizes of the energy↔element data
+//!   transposition of the two-level decomposition (energy points across
+//!   ranks, spatial partitions within an energy group);
 //! * [`collective`] — a real shared-memory communicator whose "ranks" are OS
-//!   threads, providing the `Alltoall`, `Allreduce`, broadcast and barrier
-//!   primitives the solver needs, with exact byte accounting;
+//!   threads, providing the `Alltoall`, `Allreduce` and barrier primitives
+//!   the solver needs, with exact byte accounting;
 //! * [`cost`] — analytic cost models of the *CCL, GPU-aware-MPI and host-MPI
 //!   backends on Alps- and Frontier-like networks, used by the weak-scaling
 //!   reproduction (Fig. 6) to convert tracked communication volumes into time.
@@ -39,4 +39,4 @@ pub use collective::{
     ObserverFactory, RankContext, SyncKind, ThreadComm,
 };
 pub use cost::{CommBackend, LinkParameters, MachineKind};
-pub use topology::{DecompositionPlan, TranspositionVolume};
+pub use topology::TranspositionVolume;

@@ -1,4 +1,4 @@
-//! Workload decomposition descriptors.
+//! Transposition volume of the two-level workload decomposition.
 //!
 //! The paper distributes the SCBA workload along two axes:
 //!
@@ -7,72 +7,14 @@
 //!    (Table 4's "Energies" row).
 //! 2. **Space**: for devices whose matrices exceed one memory domain, `P_S`
 //!    ranks share a single energy point through the nested-dissection solver
-//!    (Section 5.4), so the total rank count is `N_E/energies_per_group · P_S`.
+//!    (Section 5.4), so the total rank count is `N_E/energies_per_group · P_S`
+//!    (the grid that runs is `quatrex_dist::spatial::RankGrid`).
 //!
 //! The energy convolutions need the *opposite* layout (all energies of a few
 //! matrix elements), which is reached through an `Alltoall` data transposition
 //! (Fig. 3); [`TranspositionVolume`] quantifies exactly how many complex
 //! values every rank exchanges, including the factor-two saving of the
 //! symmetry-reduced storage (Section 5.2).
-
-/// Plan describing how the SCBA workload is spread over ranks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecompositionPlan {
-    /// Total number of energy points `N_E`.
-    pub n_energies: usize,
-    /// Energy points stored per rank group.
-    pub energies_per_group: usize,
-    /// Spatial partitions per energy point (`P_S`, 1 = no spatial decomposition).
-    pub spatial_partitions: usize,
-}
-
-impl DecompositionPlan {
-    /// Create a plan; `energies_per_group` must divide into the grid or the
-    /// remainder is handled by one partially filled group.
-    pub fn new(n_energies: usize, energies_per_group: usize, spatial_partitions: usize) -> Self {
-        assert!(n_energies >= 1 && energies_per_group >= 1 && spatial_partitions >= 1);
-        Self {
-            n_energies,
-            energies_per_group,
-            spatial_partitions,
-        }
-    }
-
-    /// Number of rank groups along the energy axis.
-    pub fn n_energy_groups(&self) -> usize {
-        self.n_energies.div_ceil(self.energies_per_group)
-    }
-
-    /// Total number of ranks (GPUs / GCDs in the paper's terminology).
-    pub fn n_ranks(&self) -> usize {
-        self.n_energy_groups() * self.spatial_partitions
-    }
-
-    /// Energy indices owned by a given energy group. The last group may be
-    /// partially filled; `start` is clamped to the grid so the returned range
-    /// is never inverted (`start > end`) even for an out-of-grid group.
-    pub fn energies_of_group(&self, group: usize) -> std::ops::Range<usize> {
-        debug_assert!(
-            group < self.n_energy_groups(),
-            "group {group} out of range (n_energy_groups = {})",
-            self.n_energy_groups()
-        );
-        let start = (group * self.energies_per_group).min(self.n_energies);
-        let end = ((group + 1) * self.energies_per_group).min(self.n_energies);
-        start..end
-    }
-
-    /// Group that owns a given energy index. The energy must be on the grid:
-    /// out-of-grid indices would silently map to nonexistent groups.
-    pub fn group_of_energy(&self, energy: usize) -> usize {
-        debug_assert!(
-            energy < self.n_energies,
-            "energy {energy} out of range (n_energies = {})",
-            self.n_energies
-        );
-        energy / self.energies_per_group
-    }
-}
 
 /// Communication volume of the energy↔element data transposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,67 +68,6 @@ impl TranspositionVolume {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rank_counts_follow_the_two_level_decomposition() {
-        // NR-40 on Frontier: 18,800 energies, one energy per group, P_S = 4
-        // -> 75,200 GCDs (Table 6).
-        let plan = DecompositionPlan::new(18_800, 1, 4);
-        assert_eq!(plan.n_energy_groups(), 18_800);
-        assert_eq!(plan.n_ranks(), 75_200);
-        // NW-1 on Alps: 80 energies per GPU.
-        let plan = DecompositionPlan::new(9_400 * 80, 80, 1);
-        assert_eq!(plan.n_ranks(), 9_400);
-    }
-
-    #[test]
-    fn energy_ownership_is_a_partition() {
-        let plan = DecompositionPlan::new(10, 3, 1);
-        assert_eq!(plan.n_energy_groups(), 4);
-        let mut covered = vec![false; 10];
-        for g in 0..plan.n_energy_groups() {
-            for e in plan.energies_of_group(g) {
-                assert!(!covered[e], "energy {e} owned twice");
-                covered[e] = true;
-                assert_eq!(plan.group_of_energy(e), g);
-            }
-        }
-        assert!(covered.into_iter().all(|c| c));
-    }
-
-    #[test]
-    fn boundary_group_is_partial_but_never_inverted() {
-        // 10 energies in groups of 3: the last group (index 3) holds only one
-        // energy. The old arithmetic returned an inverted range (start > end)
-        // one past it; the clamped version keeps start <= end everywhere.
-        let plan = DecompositionPlan::new(10, 3, 2);
-        assert_eq!(plan.n_energy_groups(), 4);
-        let last = plan.energies_of_group(3);
-        assert_eq!(last, 9..10);
-        for g in 0..plan.n_energy_groups() {
-            let r = plan.energies_of_group(g);
-            assert!(r.start <= r.end, "group {g} range inverted: {r:?}");
-        }
-        // Exactly-divisible grids keep full groups everywhere.
-        let exact = DecompositionPlan::new(12, 3, 1);
-        assert_eq!(exact.energies_of_group(3), 9..12);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_grid_group_is_rejected_in_debug_builds() {
-        let plan = DecompositionPlan::new(10, 3, 1);
-        let _ = plan.energies_of_group(plan.n_energy_groups());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_grid_energy_is_rejected_in_debug_builds() {
-        let plan = DecompositionPlan::new(10, 3, 1);
-        let _ = plan.group_of_energy(10);
-    }
 
     #[test]
     fn symmetry_reduction_halves_the_transposition_volume() {

@@ -6,6 +6,7 @@ use std::path::Path;
 use quatrex_core::ScbaConfig;
 use quatrex_device::{Device, EnergyGrid};
 use quatrex_dist::{DistScbaConfig, DistScbaSolver, WarmState};
+use quatrex_probe::clock::Instant;
 
 use crate::checkpoint::{
     frame, put_f64, put_i64, put_u64, put_u8, put_wire, unframe, Cursor, SweepError,
@@ -201,6 +202,7 @@ impl SweepEngine {
     }
 
     fn solve(&mut self, point: SweepPoint) -> PointReport {
+        let started = Instant::now();
         let device = if self.config.potential_ramp {
             self.device.with_drain_bias(point.bias_v)
         } else {
@@ -247,6 +249,7 @@ impl SweepEngine {
             bytes_restored,
             bytes_per_rank_per_iteration: result.report.measured_bytes_per_rank_per_iteration(),
             phase_seconds: result.report.phase_seconds.clone(),
+            wall_seconds: started.elapsed().as_secs_f64(),
         };
         self.finished.push(FinishedPoint {
             report: report.clone(),
@@ -353,6 +356,7 @@ impl SweepEngine {
                     bytes_restored,
                     bytes_per_rank_per_iteration,
                     phase_seconds: Vec::new(),
+                    wall_seconds: 0.0,
                 },
                 state,
             });

@@ -4,7 +4,7 @@
 //! restored per warm start).
 
 use crate::point::SweepPoint;
-use quatrex_probe::json::escape;
+use quatrex_probe::json::Json;
 
 /// Observables and warm-start accounting of one finished sweep point.
 #[derive(Debug, Clone)]
@@ -38,35 +38,37 @@ pub struct PointReport {
     /// timeline). Empty when the probe is off or the point was restored from
     /// a checkpoint (timings are measurements of a run, not solver state).
     pub phase_seconds: Vec<(String, f64)>,
+    /// Wall-clock seconds this point took, from its operating-point set-up
+    /// to the end of its solve. Like `phase_seconds` a measurement of a run:
+    /// not checkpointed, `0` on a point restored from a checkpoint.
+    pub wall_seconds: f64,
 }
 
 impl PointReport {
-    fn json(&self) -> String {
-        let phases: Vec<String> = self
-            .phase_seconds
-            .iter()
-            .map(|(name, secs)| format!("{}: {:e}", escape(name), secs))
-            .collect();
-        format!(
-            "{{\"bias_v\": {:e}, \"temperature_k\": {:e}, \"current\": {:e}, \
-             \"electron_charge\": {:e}, \"peak_spectral_current\": {:e}, \
-             \"iterations\": {}, \"converged\": {}, \"residual\": {:e}, \
-             \"warm_started\": {}, \"warm_source\": {}, \"bytes_restored\": {}, \
-             \"bytes_per_rank_per_iteration\": {}, \"phase_seconds\": {{{}}}}}",
-            self.point.bias_v,
-            self.point.temperature_k,
-            self.current,
-            self.electron_charge,
-            self.peak_spectral_current,
-            self.iterations,
-            self.converged,
-            self.residual,
-            self.warm_started,
-            self.warm_source.map_or(-1i64, |s| s as i64),
-            self.bytes_restored,
-            self.bytes_per_rank_per_iteration,
-            phases.join(", "),
-        )
+    fn to_json(&self) -> Json {
+        let phases = self.phase_seconds.iter();
+        Json::obj([
+            ("bias_v", self.point.bias_v.into()),
+            ("temperature_k", self.point.temperature_k.into()),
+            ("current", self.current.into()),
+            ("electron_charge", self.electron_charge.into()),
+            ("peak_spectral_current", self.peak_spectral_current.into()),
+            ("iterations", self.iterations.into()),
+            ("converged", self.converged.into()),
+            ("residual", self.residual.into()),
+            ("warm_started", self.warm_started.into()),
+            ("warm_source", self.warm_source.into()),
+            ("bytes_restored", self.bytes_restored.into()),
+            (
+                "bytes_per_rank_per_iteration",
+                self.bytes_per_rank_per_iteration.into(),
+            ),
+            ("wall_seconds", self.wall_seconds.into()),
+            (
+                "phase_seconds",
+                Json::obj(phases.map(|(name, secs)| (name.as_str(), Json::from(*secs)))),
+            ),
+        ])
     }
 }
 
@@ -131,19 +133,19 @@ impl SweepReport {
         sorted
     }
 
-    /// Serialise to a JSON object (the `quatrex_probe::json` dialect the
-    /// bench gate reads).
-    pub fn to_json(&self) -> String {
-        let points: Vec<String> = self.points.iter().map(|p| p.json()).collect();
-        format!(
-            "{{\n  \"n_points\": {},\n  \"total_iterations\": {},\n  \"warm_points\": {},\n  \
-             \"bytes_restored\": {},\n  \"points\": [\n    {}\n  ]\n}}",
-            self.points.len(),
-            self.total_iterations(),
-            self.warm_points(),
-            self.bytes_restored(),
-            points.join(",\n    "),
-        )
+    /// The report as a JSON object: the sweep-level aggregates, then every
+    /// finished point in completion order.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("n_points", self.points.len().into()),
+            ("total_iterations", self.total_iterations().into()),
+            ("warm_points", self.warm_points().into()),
+            ("bytes_restored", self.bytes_restored().into()),
+            (
+                "points",
+                Json::arr(self.points.iter().map(PointReport::to_json)),
+            ),
+        ])
     }
 }
 
@@ -165,6 +167,7 @@ mod tests {
             bytes_restored: if warm { 1024 } else { 0 },
             bytes_per_rank_per_iteration: 4096,
             phase_seconds: vec![("g.energy".to_string(), 0.25)],
+            wall_seconds: 0.5,
         }
     }
 
@@ -187,7 +190,7 @@ mod tests {
         let report = SweepReport {
             points: vec![point(0.0, 10, false), point(0.05, 4, true)],
         };
-        let doc = quatrex_probe::json::parse(&report.to_json()).expect("valid JSON");
+        let doc = quatrex_probe::json::parse(&report.to_json().to_string()).expect("valid JSON");
         assert_eq!(
             doc.path("total_iterations").and_then(|v| v.as_u64()),
             Some(14)
@@ -199,6 +202,26 @@ mod tests {
         assert_eq!(
             doc.path("points[1].warm_started").and_then(|v| v.as_bool()),
             Some(true)
+        );
+    }
+
+    #[test]
+    fn a_diverged_point_still_serialises_to_valid_json() {
+        let report = SweepReport {
+            points: vec![PointReport {
+                residual: f64::NAN,
+                current: f64::INFINITY,
+                ..point(0.1, 80, false)
+            }],
+        };
+        let doc = quatrex_probe::json::parse(&format!("{:#}", report.to_json()))
+            .expect("non-finite values must not break the document");
+        assert_eq!(doc.path("points[0].residual"), Some(&Json::Null));
+        assert_eq!(doc.path("points[0].current"), Some(&Json::Null));
+        assert_eq!(doc.path("points[0].warm_source"), Some(&Json::Null));
+        assert_eq!(
+            doc.path("points[0].wall_seconds").and_then(Json::as_f64),
+            Some(0.5)
         );
     }
 

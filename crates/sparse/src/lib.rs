@@ -11,7 +11,7 @@
 //! band into a block-*tridiagonal* matrix on which the recursive Green's
 //! function algorithm operates.
 //!
-//! This crate provides the three containers the solver needs:
+//! This crate provides the two containers the solver needs:
 //!
 //! * [`BlockBanded`] — a general uniform-block banded matrix with arbitrary
 //!   block bandwidth, used for `H`, `V`, `P`, `Σ` in their natural
@@ -19,16 +19,16 @@
 //!   grows (`V·P^R` has bandwidth `2·bw_V`, `V·P≶·V†` has `3·bw_V`, paper
 //!   Section 4.3.1);
 //! * [`BlockTridiagonal`] — the transport-cell regrouped form consumed by the
-//!   RGF solvers;
-//! * [`SymmetricLesser`] — the memory-halving storage of quantities obeying the
-//!   NEGF anti-Hermitian symmetry `X≶_ij = −X≶*_ji` (paper Section 5.2).
+//!   RGF solvers.
+//!
+//! (The NEGF anti-Hermitian symmetry `X≶_ij = −X≶*_ji` of paper Section 5.2 is
+//! exploited where it pays — in the transposition wire format of
+//! `quatrex-dist`, which ships only the canonical half of every pair.)
 
 pub mod banded;
-pub mod symmetry;
 pub mod tridiag;
 
 pub use banded::BlockBanded;
-pub use symmetry::SymmetricLesser;
 pub use tridiag::BlockTridiagonal;
 
 pub use quatrex_linalg::{c64, CMatrix};

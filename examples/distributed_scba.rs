@@ -18,6 +18,7 @@
 //! output shape, fewer iterations and a smaller weak-scaling sweep).
 
 use quatrex::prelude::*;
+use quatrex::probe::json::Json;
 use quatrex_runtime::CommBackend;
 
 fn main() {
@@ -152,6 +153,10 @@ fn main() {
         sr.spatial_partitions, sr.energy_groups, sr.batch_count
     );
     println!(
+        "  wall clock            : {:.3} s, {:.3} s per SCBA iteration",
+        sr.wall_seconds, sr.seconds_per_iteration
+    );
+    println!(
         "  boundary-system bytes : G {} + W {}",
         sr.measured_boundary_bytes_g, sr.measured_boundary_bytes_w
     );
@@ -207,69 +212,17 @@ fn main() {
         println!("  flop rate             : {phase:<12} {:.3e} flop/s", rate);
     }
 
-    let fmt_u64_obj = |v: &[(&'static str, u64)]| {
-        v.iter()
-            .map(|&(k, b)| format!("\"{k}\": {b}"))
-            .collect::<Vec<_>>()
-            .join(", ")
+    // The report serialises itself; the file adds what only this run knows.
+    let Json::Obj(mut fields) = sr.to_json() else {
+        unreachable!("a report is a JSON object")
     };
-    let fmt_f64_obj = |v: &[(String, f64)]| {
-        v.iter()
-            .map(|(k, s)| format!("\"{k}\": {s:.6e}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let fmt_opt = |v: Option<f64>| match v {
-        Some(x) => format!("{x:.6}"),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"quick_mode\": {},\n  \"n_ranks\": {},\n  \"energy_groups\": {},\n  \
-         \"spatial_partitions\": {},\n  \
-         \"balanced_partitions\": {},\n  \"full_iterations\": {},\n  \
-         \"measured_transposition_bytes\": {},\n  \"measured_alltoall_bytes\": {},\n  \
-         \"measured_boundary_bytes_g\": {},\n  \"measured_boundary_bytes_w\": {},\n  \
-         \"measured_slice_bytes_g\": {},\n  \"measured_slice_bytes_w\": {},\n  \
-         \"broadcast_equivalent_bytes_g\": {},\n  \"broadcast_equivalent_bytes_w\": {},\n  \
-         \"slice_saving_factor\": {:.4},\n  \"batch_count\": {},\n  \
-         \"peak_slab_bytes\": {},\n  \"unbatched_peak_slab_bytes\": {},\n  \
-         \"overlap_window_seconds\": {:.6e},\n  \
-         \"alltoall_bytes_per_phase\": {{{}}},\n  \
-         \"phase_seconds\": {{{}}},\n  \
-         \"overlap_efficiency\": {},\n  \"time_imbalance\": {},\n  \
-         \"memoizer_hit_rate_per_iteration\": [{}],\n  \
-         \"phase_flop_rates\": {{{}}}\n}}\n",
-        quick,
-        sr.n_ranks,
-        sr.energy_groups,
-        sr.spatial_partitions,
-        sr.balanced_partitions,
-        sr.full_iterations,
-        sr.measured_transposition_bytes,
-        sr.measured_alltoall_bytes,
-        sr.measured_boundary_bytes_g,
-        sr.measured_boundary_bytes_w,
-        sr.measured_slice_bytes_g,
-        sr.measured_slice_bytes_w,
-        sr.broadcast_equivalent_bytes_g,
-        sr.broadcast_equivalent_bytes_w,
-        sr.slice_saving_factor().unwrap_or(0.0),
-        sr.batch_count,
-        sr.peak_slab_bytes,
-        unbatched.report.peak_slab_bytes,
-        sr.overlap_window_seconds,
-        fmt_u64_obj(&sr.alltoall_bytes_per_phase),
-        fmt_f64_obj(&sr.phase_seconds),
-        fmt_opt(sr.overlap_efficiency),
-        fmt_opt(sr.time_imbalance),
-        sr.memoizer_hit_rate_per_iteration
-            .iter()
-            .map(|r| format!("{r:.6}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        fmt_f64_obj(&sr.phase_flop_rates),
-    );
-    std::fs::write("DIST_report.json", json).expect("write DIST_report.json");
+    fields.insert(0, ("quick_mode".to_string(), quick.into()));
+    fields.push((
+        "unbatched_peak_slab_bytes".to_string(),
+        unbatched.report.peak_slab_bytes.into(),
+    ));
+    std::fs::write("DIST_report.json", format!("{:#}\n", Json::Obj(fields)))
+        .expect("write DIST_report.json");
     std::fs::write("DIST_trace.json", spatial.timeline.chrome_trace_json())
         .expect("write DIST_trace.json");
     println!("  wrote DIST_report.json and DIST_trace.json (open in https://ui.perfetto.dev)");

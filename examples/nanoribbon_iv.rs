@@ -20,6 +20,7 @@
 //! smoke job — same 5-point sweep, same output shape.)
 
 use quatrex::prelude::*;
+use quatrex::probe::json::Json;
 
 fn main() {
     let quick = std::env::var("QUATREX_BENCH_QUICK")
@@ -84,14 +85,12 @@ fn main() {
     println!("sigma + OBC state (the rebalancer's migration wire format), skipping the");
     println!("slow early contraction of the SCBA fixed-point iteration.");
 
-    let json = format!(
-        "{{\n  \"quick_mode\": {},\n  \"warm_iteration_ratio\": {:.6},\n  \
-         \"cold\": {},\n  \"warm\": {}\n}}\n",
-        quick,
-        ratio,
-        cold.to_json(),
-        warm.to_json(),
-    );
-    std::fs::write("SWEEP_report.json", json).expect("write SWEEP_report.json");
+    let doc = Json::obj([
+        ("quick_mode", quick.into()),
+        ("warm_iteration_ratio", ratio.into()),
+        ("cold", cold.to_json()),
+        ("warm", warm.to_json()),
+    ]);
+    std::fs::write("SWEEP_report.json", format!("{doc:#}\n")).expect("write SWEEP_report.json");
     println!("\nwrote SWEEP_report.json (cold/warm sweeps + warm_iteration_ratio)");
 }

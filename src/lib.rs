@@ -49,7 +49,7 @@ pub mod prelude {
     pub use quatrex_rgf::{
         nested_dissection_invert, nested_dissection_solve, rgf_solve, NestedConfig,
     };
-    pub use quatrex_runtime::{CommBackend, DecompositionPlan};
+    pub use quatrex_runtime::CommBackend;
     pub use quatrex_serve::{SweepConfig, SweepEngine, SweepPoint, SweepReport};
-    pub use quatrex_sparse::{BlockBanded, BlockTridiagonal, SymmetricLesser};
+    pub use quatrex_sparse::{BlockBanded, BlockTridiagonal};
 }

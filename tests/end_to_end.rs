@@ -87,8 +87,8 @@ fn memoizer_does_not_change_the_physics() {
 fn ballistic_density_is_positive_and_gw_correction_stays_bounded() {
     // The ballistic lesser Green's function must yield strictly positive
     // occupations. The coarse-grid GW correction may shift them strongly (a
-    // known limitation of the reduced energy grid, documented in
-    // EXPERIMENTS.md), but must stay finite and of the same magnitude.
+    // known limitation of the reduced energy grid), but must stay finite and
+    // of the same magnitude.
     let ballistic = ScbaSolver::new(tiny_device(), fast_config(12, 1)).ballistic();
     let max_ballistic = ballistic
         .observables
@@ -117,7 +117,7 @@ fn umbrella_crate_reexports_every_layer() {
     let _ = quatrex::sparse::BlockTridiagonal::zeros(2, 2);
     let _ = quatrex::device::DeviceCatalog::nw1();
     let _ = quatrex::obc::ObcMemoizer::new(4, 1e-6);
-    let _ = quatrex::runtime::DecompositionPlan::new(8, 2, 1);
+    let _ = quatrex::runtime::TranspositionVolume::new(100, 8, 2, false);
     let _ = quatrex::perf::MachineModel::gh200();
     let device = tiny_device();
     let _ = quatrex::core::ScbaSolver::new(device, ScbaConfig::default());

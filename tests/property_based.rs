@@ -12,7 +12,6 @@ use quatrex_fft::{convolve, fft, ifft};
 use quatrex_linalg::lu::inverse;
 use quatrex_linalg::ops::matmul;
 use quatrex_linalg::{cplx, eigenvalues};
-use quatrex_sparse::SymmetricLesser;
 
 /// Number of randomised cases per property (matches the proptest config the
 /// file used before).
@@ -153,25 +152,6 @@ fn dagger_of_product_is_reversed_product_of_daggers() {
         let lhs = matmul(&a, &b).dagger();
         let rhs = matmul(&b.dagger(), &a.dagger());
         assert!(lhs.approx_eq(&rhs, 1e-9));
-    });
-}
-
-#[test]
-fn symmetric_storage_roundtrip_preserves_antihermitian_quantities() {
-    check("symmetric_storage_roundtrip", |rng| {
-        // Build an exactly anti-Hermitian BT quantity from arbitrary blocks.
-        let blocks: Vec<CMatrix> = (0..4).map(|_| rng.complex_matrix(3, 2.0)).collect();
-        let mut bt = BlockTridiagonal::zeros(4, 3);
-        for (i, b) in blocks.iter().enumerate() {
-            bt.set_block(i, i, b.negf_antihermitian_part());
-        }
-        for (i, u) in blocks.iter().enumerate().take(3) {
-            bt.set_block(i, i + 1, u.clone());
-            bt.set_block(i + 1, i, u.dagger().scaled(cplx(-1.0, 0.0)));
-        }
-        let sym = SymmetricLesser::from_full(&bt);
-        assert!(sym.to_full().to_dense().approx_eq(&bt.to_dense(), 1e-10));
-        assert!(sym.memory_saving() > 1.0);
     });
 }
 
