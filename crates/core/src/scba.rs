@@ -67,13 +67,6 @@ impl KernelTimings {
         slot.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Accumulate `seconds` of wall time into `slot` — for call sites that
-    /// already measured a duration (e.g. through a probe span) rather than
-    /// holding an `Instant`.
-    pub fn add_seconds(&self, slot: &AtomicU64, seconds: f64) {
-        slot.fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the accumulators, e.g. out of an instance the
     /// rank threads still share.
     pub fn snapshot(&self) -> KernelTimings {
@@ -124,11 +117,6 @@ pub struct GStepOutput {
     pub current_spectrum: f64,
     /// Local density of states per transport cell.
     pub dos_local: Vec<f64>,
-    /// Wall seconds this energy cost: its own assembly plus an equal share
-    /// of the solve it was part of (the per-energy work inside one solve is
-    /// identical by construction). The measured cost weight of the
-    /// distributed energy rebalancer.
-    pub seconds: f64,
 }
 
 /// Output of the W-step at one (boson) energy point.
@@ -139,9 +127,6 @@ pub struct WStepOutput {
     pub greater: BlockTridiagonal,
     /// Fraction of banded-product weight dropped by the BT truncation.
     pub truncation: f64,
-    /// Wall seconds this energy cost (assembly + equal share of the solve),
-    /// as [`GStepOutput::seconds`].
-    pub seconds: f64,
 }
 
 /// How the RGF solve of one subsystem (`G` = electrons, `W` = screened
@@ -192,8 +177,7 @@ fn memoizer_of<'a>(
 // identical per-energy arithmetic by construction.
 
 /// Stage 1 of the G-step: assemble one energy's system (OBC cascade +
-/// memoizer) from the previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`. Returns
-/// the assembly and its wall seconds.
+/// memoizer) from the previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`.
 #[allow(clippy::too_many_arguments)]
 pub fn g_step_assemble(
     h: &BlockTridiagonal,
@@ -205,8 +189,9 @@ pub fn g_step_assemble(
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
     timings: &KernelTimings,
-) -> (GAssembly, f64) {
-    let (asm, secs) = quatrex_probe::span_timed("g.assembly", "g.assembly", || {
+) -> GAssembly {
+    let t = Instant::now();
+    let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
         assemble_g(
             h,
             energy,
@@ -223,13 +208,12 @@ pub fn g_step_assemble(
             flops,
         )
     });
-    timings.add_seconds(&timings.g_assembly_ns, secs);
-    (asm, secs)
+    timings.add(&timings.g_assembly_ns, t);
+    asm
 }
 
 /// Stage 1 of the W-step: assemble `I − V·P^R` with its OBCs at one boson
-/// energy from `p = [P^R, P^<, P^>]`. Returns the assembly and its wall
-/// seconds.
+/// energy from `p = [P^R, P^<, P^>]`.
 pub fn w_step_assemble(
     coulomb: &BlockTridiagonal,
     p: [&BlockTridiagonal; 3],
@@ -238,8 +222,9 @@ pub fn w_step_assemble(
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
     timings: &KernelTimings,
-) -> (WAssembly, f64) {
-    let (asm, secs) = quatrex_probe::span_timed("w.assembly", "w.assembly", || {
+) -> WAssembly {
+    let t = Instant::now();
+    let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
         assemble_w(
             coulomb,
             p[0],
@@ -251,23 +236,22 @@ pub fn w_step_assemble(
             flops,
         )
     });
-    timings.add_seconds(&timings.w_assembly_ns, secs);
-    (asm, secs)
+    timings.add(&timings.w_assembly_ns, t);
+    asm
 }
 
 /// Stage 2, local form: **one** energy-batched RGF solve
 /// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems, whose
-/// block products run as `gemm_batch` sweeps over the whole batch. Returns
-/// the selected solutions and the solve's wall seconds. A solution does not
-/// depend on the batch it is solved in (bit for bit), so the batch length is
-/// purely a launch-structure choice.
+/// block products run as `gemm_batch` sweeps over the whole batch. A solution
+/// does not depend on the batch it is solved in (bit for bit), so the batch
+/// length is purely a launch-structure choice.
 pub fn solve_stage(
     subsystem: Subsystem,
     systems: &[[&BlockTridiagonal; 3]],
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
     timings: &KernelTimings,
-) -> Result<(Vec<SelectedSolution>, f64), RgfError> {
+) -> Result<Vec<SelectedSolution>, RgfError> {
     let shape = systems
         .first()
         .map_or((0, 0), |s| (s[0].n_blocks(), s[0].block_size()));
@@ -275,13 +259,14 @@ pub fn solve_stage(
     let rhs: Vec<&[&BlockTridiagonal]> = systems.iter().map(|s| &s[1..]).collect();
     let mut sols = vec![SelectedSolution::zeros(shape.0, shape.1, 2); systems.len()];
     let (span, kind, slot) = solve_accounting(subsystem, timings);
-    let (solved, secs) = quatrex_probe::span_timed(span, span, || {
+    let t = Instant::now();
+    quatrex_probe::span(span, span, || {
         rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch)
-    });
-    solved.map_err(|e| e.error)?;
-    timings.add_seconds(slot, secs);
+    })
+    .map_err(|e| e.error)?;
+    timings.add(slot, t);
     flops.add(kind, sols.iter().map(|s| s.flops).sum());
-    Ok((sols, secs))
+    Ok(sols)
 }
 
 /// Move the `[≶ = <, ≶ = >]` pair out of a two-RHS solution, symmetrised if
@@ -298,13 +283,7 @@ fn lesser_greater(lesser: Vec<BlockTridiagonal>, config: &ScbaConfig) -> [BlockT
 
 /// Stage 3 of the G-step: finish one energy from its assembly and its
 /// selected solution — symmetrisation and the spectral observables.
-/// `seconds` is the energy's measured cost (see [`GStepOutput::seconds`]).
-pub fn g_step_finish(
-    asm: &GAssembly,
-    sol: SelectedSolution,
-    seconds: f64,
-    config: &ScbaConfig,
-) -> GStepOutput {
+pub fn g_step_finish(asm: &GAssembly, sol: SelectedSolution, config: &ScbaConfig) -> GStepOutput {
     let [lesser, greater] = lesser_greater(sol.lesser, config);
     GStepOutput {
         current_spectrum: current_spectrum_left(
@@ -316,23 +295,16 @@ pub fn g_step_finish(
         dos_local: local_dos(&sol.retarded),
         lesser,
         greater,
-        seconds,
     }
 }
 
 /// Stage 3 of the W-step: finish one boson energy (symmetrisation).
-pub fn w_step_finish(
-    asm: &WAssembly,
-    sol: SelectedSolution,
-    seconds: f64,
-    config: &ScbaConfig,
-) -> WStepOutput {
+pub fn w_step_finish(asm: &WAssembly, sol: SelectedSolution, config: &ScbaConfig) -> WStepOutput {
     let [lesser, greater] = lesser_greater(sol.lesser, config);
     WStepOutput {
         lesser,
         greater,
         truncation: asm.truncation_error,
-        seconds,
     }
 }
 
@@ -369,7 +341,7 @@ pub fn g_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-    let asms: Vec<(GAssembly, f64)> = (0..bsz)
+    let asms: Vec<GAssembly> = (0..bsz)
         .map(|i| {
             g_step_assemble(
                 h,
@@ -386,14 +358,13 @@ pub fn g_step_batch(
         .collect();
     let systems: Vec<_> = asms
         .iter()
-        .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
-    let (sols, rgf_secs) = solve_stage(Subsystem::Electron, &systems, scratch, flops, timings)?;
-    let share = rgf_secs / bsz as f64;
+    let sols = solve_stage(Subsystem::Electron, &systems, scratch, flops, timings)?;
     Ok(sols
         .into_iter()
         .zip(&asms)
-        .map(|(sol, (asm, secs))| g_step_finish(asm, sol, secs + share, config))
+        .map(|(sol, asm)| g_step_finish(asm, sol, config))
         .collect())
 }
 
@@ -422,7 +393,7 @@ pub fn w_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-    let asms: Vec<(WAssembly, f64)> = (0..bsz)
+    let asms: Vec<WAssembly> = (0..bsz)
         .map(|i| {
             w_step_assemble(
                 coulomb,
@@ -437,20 +408,19 @@ pub fn w_step_batch(
         .collect();
     let systems: Vec<_> = asms
         .iter()
-        .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
-    let (sols, rgf_secs) = solve_stage(
+    let sols = solve_stage(
         Subsystem::ScreenedCoulomb,
         &systems,
         scratch,
         flops,
         timings,
     )?;
-    let share = rgf_secs / bsz as f64;
     Ok(sols
         .into_iter()
         .zip(&asms)
-        .map(|(sol, (asm, secs))| w_step_finish(asm, sol, secs + share, config))
+        .map(|(sol, asm)| w_step_finish(asm, sol, config))
         .collect())
 }
 

@@ -10,13 +10,14 @@ use crate::warm::WarmState;
 
 /// Configuration of a distributed SCBA run.
 ///
-/// Beyond the rank count, three knobs shape how the work is decomposed and
-/// moved — `spatial_partitions`, `energy_batches` and `rebalance_energies` —
-/// each documented with *when it pays off* on its field/builder (the spatial
-/// partition layout is not a knob: it is FLOP-balanced whenever a middle
-/// partition exists, `P_S ≥ 3`). They compose freely — the equivalence suite
-/// pins the observables against the sequential solver with all of them
-/// enabled at once:
+/// Beyond the rank count, two knobs shape how the work is decomposed and
+/// moved — `spatial_partitions` and `energy_batches` — each documented with
+/// *when it pays off* on its field/builder (neither the spatial partition
+/// layout nor the ownership of energies and elements is a knob: the layout is
+/// FLOP-balanced whenever a middle partition exists, `P_S ≥ 3`, and ownership
+/// is the equal-count split of the plan, fixed for the run). They compose
+/// freely — the equivalence suite pins the observables against the sequential
+/// solver with both enabled at once:
 ///
 /// ```
 /// use quatrex_core::ScbaConfig;
@@ -30,12 +31,10 @@ use crate::warm::WarmState;
 ///     interaction_scale: 0.2,
 ///     ..ScbaConfig::default()
 /// };
-/// // 4 ranks as 2 energy groups x P_S = 2 spatial partitions, measured
-/// // energy rebalancing, and 2-batch overlapped transpositions — every knob
-/// // composed.
+/// // 4 ranks as 2 energy groups x P_S = 2 spatial partitions and 2-batch
+/// // overlapped transpositions — both knobs composed.
 /// let config = DistScbaConfig::new(scba, 4)
 ///     .with_spatial_partitions(2)
-///     .with_energy_rebalancing(true)
 ///     .with_energy_batches(2);
 /// let result = DistScbaSolver::new(device, config).run();
 /// assert_eq!(result.report.spatial_partitions, 2);
@@ -74,21 +73,6 @@ pub struct DistScbaConfig {
     /// equivalence against the sequential solver (the full wire format ships
     /// raw, unsymmetrised mirrors).
     pub symmetry_reduced: bool,
-    /// Rebalance the energy partition between SCBA iterations from *measured*
-    /// per-energy wall times (ROADMAP "energy-cost weights from measurement"):
-    /// the wall seconds each energy spent in assembly + solve during
-    /// iteration `n` feed `partition_weighted` for iteration `n+1`, and the
-    /// per-energy self-energy state migrates from old owner to new owner when
-    /// the split moves. Off by default: rebalancing reorders the residual
-    /// reductions, so the bit-exact full-wire-format equivalence only holds
-    /// without it (the observables still agree to ≤1e-10).
-    ///
-    /// **When it pays off:** when per-energy costs are genuinely uneven and
-    /// unpredictable — the OBC memoizer answers some energies from cache and
-    /// refines others, so static cost models drift. For short runs (1–2
-    /// iterations) there is nothing to measure and the migrations are pure
-    /// overhead.
-    pub rebalance_energies: bool,
     /// Number of energy batches (`B`) each of the four per-iteration
     /// transpositions is cut into ([`crate::TranspositionBatchPlan`]). With `B > 1`
     /// the solver double-buffers: batch `k+1`'s `Alltoallv` is posted
@@ -144,7 +128,6 @@ impl DistScbaConfig {
             n_ranks,
             spatial_partitions: 1,
             symmetry_reduced: true,
-            rebalance_energies: false,
             energy_batches: 1,
             probe: true,
             capture_state: false,
@@ -156,13 +139,6 @@ impl DistScbaConfig {
     /// off.
     pub fn with_spatial_partitions(mut self, p_s: usize) -> Self {
         self.spatial_partitions = p_s;
-        self
-    }
-
-    /// Enable measured-wall-time energy rebalancing between iterations. See
-    /// [`DistScbaConfig::rebalance_energies`] for when it pays off.
-    pub fn with_energy_rebalancing(mut self, enabled: bool) -> Self {
-        self.rebalance_energies = enabled;
         self
     }
 

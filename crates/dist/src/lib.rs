@@ -8,8 +8,8 @@
 //! The paper (Sections 5.1–5.4) distributes the NEGF+scGW workload along two
 //! axes. The **energy axis** first: the OBC, assembly and RGF phases are
 //! embarrassingly parallel over the `N_E` energy points, so every *rank*
-//! owns a contiguous slice of them ([`partition`]: an equal-count split,
-//! optionally re-balanced between iterations from measured wall times).
+//! owns a contiguous slice of them ([`partition`]: one equal-count split,
+//! a pure function of the grid and the rank count, fixed for the run).
 //! The **spatial axis** second: devices whose matrices exceed one memory
 //! domain split each energy group over `P_S` spatial partitions via the
 //! nested-dissection solver ([`spatial`]): the ranks form a
@@ -24,8 +24,8 @@
 //!
 //! ## One iteration, one route
 //!
-//! Every rank runs the same six-step cycle (`rank`): `G`, `P`, `W`, `Σ`, mix,
-//! rebalance. The `G` and `W` steps are three stages — *assemble one energy*,
+//! Every rank runs the same five-step cycle (`rank`): `G`, `P`, `W`, `Σ`,
+//! mix. The `G` and `W` steps are three stages — *assemble one energy*,
 //! *solve the assembled systems*, *finish one energy* — of which the first
 //! and last are `quatrex_core`'s (`g_step_assemble`/`g_step_finish`, …) and
 //! the middle one is the group solve [`spatial_phase_solve`]: the local
@@ -73,7 +73,6 @@ pub mod config;
 pub mod partition;
 mod pipeline;
 mod rank;
-mod rebalance;
 pub mod report;
 pub mod slab;
 pub mod solver;
@@ -81,7 +80,6 @@ pub mod spatial;
 pub mod warm;
 
 pub use config::{DistScbaConfig, DistScbaResult};
-pub use partition::partition_weighted;
 pub use report::{DistReport, TranspositionBudget};
 pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;

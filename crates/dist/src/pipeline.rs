@@ -165,7 +165,7 @@ impl RankState<'_> {
         mut consume: impl FnMut(&ElementSlab, &[usize], bool),
     ) -> ElementSlab {
         debug_assert_eq!(row.direction, Direction::Forward);
-        let (plan, batches, rank) = (&*self.plan, &self.batches, self.ctx.rank());
+        let (plan, batches, rank) = (&self.p.plan, &self.p.batches, self.ctx.rank());
         let elements = plan.element_ranges[rank].clone();
         let mut slab = ElementSlab::zeroed(elements, row.symmetric.len(), plan.n_energies);
         let mut arrived_before = false;
@@ -197,7 +197,7 @@ impl RankState<'_> {
         series: &ConvSeries,
     ) -> [Vec<BlockTridiagonal>; 3] {
         debug_assert_eq!(row.direction, Direction::Backward);
-        let (plan, batches, rank) = (&*self.plan, &self.batches, self.ctx.rank());
+        let (plan, batches, rank) = (&self.p.plan, &self.p.batches, self.ctx.rank());
         let zero = BlockTridiagonal::zeros(plan.n_blocks, plan.block_size);
         let mut out = [(); 3].map(|()| vec![zero.clone(); self.sigma.len()]);
         exchange(
@@ -369,7 +369,7 @@ mod tests {
         // empty — it must still post and drain like the others, and the
         // batch-wise slabs must equal the directly extracted element series.
         let (nb, bs, ne, n_batches) = (3usize, 2usize, 5usize, 3usize);
-        let plan = TranspositionPlan::new(nb, bs, ne, 2, false, &vec![1.0; ne]);
+        let plan = TranspositionPlan::new(nb, bs, ne, 2, false);
         let batches = TranspositionBatchPlan::new(&plan, n_batches);
         assert!(
             batches.local_ranges.iter().flatten().any(|r| r.is_empty()),

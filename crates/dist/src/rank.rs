@@ -2,22 +2,20 @@
 //!
 //! [`rank_main`] is the closure body every rank of the communicator runs: it
 //! builds a [`RankState`] over the run's shared [`Problem`] and drives the
-//! six-step cycle — `G`, `P`, `W`, `Σ`, mix, rebalance — one method per step.
+//! five-step cycle — `G`, `P`, `W`, `Σ`, mix — one method per step.
 //! The `G` and `W` steps speak the stage vocabulary of `quatrex_core::scba`:
 //! *assemble one energy* (core), *solve the assembled systems* (the group
 //! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
 //! otherwise), *finish one energy* (core). Every rank runs every step on the
-//! energies and elements it owns under the plan — there is no distinguished
-//! rank in a group. The `P` and `Σ` steps run the
+//! energies and elements it owns under the plan — a constant of the run — and
+//! there is no distinguished rank in a group. The `P` and `Σ` steps run the
 //! element-major convolutions behind the transposition pipeline
 //! ([`crate::pipeline`]): the two closures in [`RankState::p_step`] and
 //! [`RankState::sigma_step`] are this crate's only calls into the
 //! convolution kernels — the same two
 //! `quatrex_core::convolution::*_pair_accumulate` functions the sequential
-//! drivers call with the whole grid as one batch. The measured energy
-//! rebalancer lives in [`crate::rebalance`].
+//! drivers call with the whole grid as one batch.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use quatrex_core::convolution::{
@@ -52,8 +50,10 @@ pub(crate) struct Problem {
     pub h: BlockTridiagonal,
     /// Coulomb matrix, already scaled by `interaction_scale`.
     pub v: BlockTridiagonal,
-    /// Initial energy/element ownership and wire format.
+    /// Energy/element ownership and wire format.
     pub plan: TranspositionPlan,
+    /// Energy-batch schedule of the transpositions under `plan`.
+    pub batches: TranspositionBatchPlan,
     /// Rank grid and spatial partition layout.
     pub layout: SpatialLayout,
     /// Energy grid points and spacing.
@@ -106,8 +106,6 @@ pub(crate) struct RankCounters {
     /// OBC memoizer solves answered from cache / in total.
     pub memo_hits: usize,
     pub memo_total: usize,
-    /// Off-rank bytes of the Σ state migrated by rebalances.
-    pub rebalance_bytes: u64,
     /// Peak in-flight transposition buffer bytes.
     pub peak_slab_bytes: u64,
     /// Absorb/convolution seconds that ran while a batch was in flight.
@@ -137,14 +135,13 @@ impl RankCounters {
         self.traffic_w.merge(&other.traffic_w);
         self.memo_hits += other.memo_hits;
         self.memo_total += other.memo_total;
-        self.rebalance_bytes += other.rebalance_bytes;
         self.peak_slab_bytes = self.peak_slab_bytes.max(other.peak_slab_bytes);
         self.overlap_seconds += other.overlap_seconds;
     }
 }
 
 /// What one rank records about its loop. The outcome fields (iterations …
-/// `energy_rebalances`) come out identical on every rank; the counters and
+/// `max_truncation`) come out identical on every rank; the counters and
 /// memoizer snapshots are the rank's own.
 #[derive(Default)]
 pub(crate) struct RankLog {
@@ -155,7 +152,6 @@ pub(crate) struct RankLog {
     pub residual_history: Vec<f64>,
     pub current_history: Vec<f64>,
     pub max_truncation: f64,
-    pub energy_rebalances: usize,
     pub counters: RankCounters,
     /// Cumulative memoizer (hits, total solves) after each full iteration.
     pub memo_per_iteration: Vec<(usize, usize)>,
@@ -166,9 +162,9 @@ pub(crate) struct RankOut {
     pub log: RankLog,
     pub observables: Observables,
     pub trace: Option<RankTrace>,
-    /// Final Σ state of the energies this rank owned at run end, keyed by
-    /// global energy index. Empty unless state capture is on.
-    pub final_sigma: Vec<(usize, SigmaState)>,
+    /// Final Σ state of the owned energies, ascending. Empty unless state
+    /// capture is on.
+    pub final_sigma: Vec<SigmaState>,
     /// Final OBC memoizer entries of the owned energies. Empty unless state
     /// capture is on.
     pub final_obc: Vec<(ObcKey, CMatrix)>,
@@ -178,22 +174,15 @@ pub(crate) struct RankOut {
 pub(crate) struct RankState<'a> {
     pub(crate) ctx: &'a RankContext<Vec<c64>>,
     pub(crate) p: &'a Problem,
-    /// Current ownership; a private copy only once a rebalance moved it.
-    pub(crate) plan: Cow<'a, TranspositionPlan>,
-    /// Batch schedule of the current ownership.
-    pub(crate) batches: TranspositionBatchPlan,
     /// Σ of the owned energies (energy-major).
     pub(crate) sigma: Vec<SigmaState>,
-    pub(crate) memoizer: Option<ObcMemoizer>,
+    memoizer: Option<ObcMemoizer>,
     /// RGF scratch of the group solve, local or cooperative (there: the
     /// partition interiors of the group's energies and the reduced systems
     /// of the rank's own): the shapes repeat every iteration, so the staged operand
     /// batches and the batch arena stay warm across kernel batches and
     /// iterations.
     rgf_scratch: RgfBatchScratch,
-    /// Wall seconds each owned energy spent in assembly + solve this
-    /// iteration — the measured cost weights of the next rebalance.
-    pub(crate) energy_seconds: Vec<f64>,
     pub(crate) log: RankLog,
     /// Last G step's spectral data, packed per owned energy for the final
     /// ordered gather: current spectrum, per-block DOS, per-block `G^<`
@@ -209,8 +198,8 @@ pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
         quatrex_probe::install(ctx.rank(), p.epoch);
     }
     let mut rank = RankState::new(ctx, p);
-    for iter in 0..max_iterations {
-        rank.begin_iteration();
+    for _ in 0..max_iterations {
+        rank.log.iterations += 1;
         let g = rank.g_step();
         if max_iterations == 1 {
             break;
@@ -220,9 +209,6 @@ pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
         let sigma_new = rank.sigma_step(g_slab, w);
         if rank.mix(sigma_new) {
             break;
-        }
-        if p.config.rebalance_energies && iter + 1 < max_iterations {
-            rank.rebalance();
         }
     }
     rank.finish()
@@ -234,8 +220,7 @@ impl<'a> RankState<'a> {
         let mut memoizer = cfg.use_memoizer.then(|| ObcMemoizer::new(cfg.n_fpi, 1e-7));
         let owned = p.plan.energy_ranges[ctx.rank()].clone();
         // Cold start at Σ = 0; a warm start adopts the seed state's Σ for the
-        // owned energies and pre-fills the OBC memoizer — the identical
-        // adoption the rebalancer's migration receive path performs.
+        // owned energies and pre-fills the OBC memoizer.
         let zero = BlockTridiagonal::zeros(p.h.n_blocks(), p.h.block_size());
         let sigma = owned
             .clone()
@@ -262,25 +247,17 @@ impl<'a> RankState<'a> {
         Self {
             ctx,
             p,
-            plan: Cow::Borrowed(&p.plan),
-            batches: TranspositionBatchPlan::new(&p.plan, p.config.energy_batches),
             sigma,
             memoizer,
             rgf_scratch: RgfBatchScratch::new(),
-            energy_seconds: Vec::new(),
             log: RankLog::default(),
             spectral: Vec::new(),
         }
     }
 
-    /// Global energy range this rank owns under the current plan.
-    pub(crate) fn my_energies(&self) -> Range<usize> {
-        self.plan.energy_ranges[self.ctx.rank()].clone()
-    }
-
-    fn begin_iteration(&mut self) {
-        self.log.iterations += 1;
-        self.energy_seconds = vec![0.0; self.sigma.len()];
+    /// Global energy range this rank owns.
+    fn my_energies(&self) -> Range<usize> {
+        self.p.plan.energy_ranges[self.ctx.rank()].clone()
     }
 
     /// The local energy ranges one group solve covers. A one-member group
@@ -294,21 +271,19 @@ impl<'a> RankState<'a> {
             let all = 0..self.my_energies().len();
             return vec![all];
         }
-        self.batches.local_ranges[self.ctx.rank()]
+        self.p.batches.local_ranges[self.ctx.rank()]
             .iter()
             .flat_map(|lr| kernel_chunks(lr.clone(), self.p.cfg().kernel_batch))
             .collect()
     }
 
     /// Stage 2 of a step: solve the systems this rank assembled for one chunk
-    /// of its energies, together with the rest of its group. Returns the
-    /// solutions and each energy's equal share of the solve's wall time (the
-    /// solve covers the energies every member brought).
+    /// of its energies, together with the rest of its group.
     fn group_solve(
         &mut self,
         subsystem: Subsystem,
         systems: &[[&BlockTridiagonal; 3]],
-    ) -> (Vec<SelectedSolution>, f64) {
+    ) -> Vec<SelectedSolution> {
         let (p, rank) = (self.p, self.ctx.rank());
         // What each member brings to this solve: this rank the chunk at
         // hand, the others of a spatial group all their energies.
@@ -316,14 +291,12 @@ impl<'a> RankState<'a> {
             if r == rank {
                 systems.len()
             } else {
-                self.plan.energy_ranges[r].len()
+                p.plan.energy_ranges[r].len()
             }
         };
         let grid = &p.layout.grid;
         let member_energies: Vec<usize> =
             grid.members_of(grid.group_of(rank)).map(brings).collect();
-        let n_solved: usize = member_energies.iter().sum();
-        let t = Instant::now();
         let (sols, traffic) = spatial_phase_solve(
             self.ctx,
             &p.layout,
@@ -339,7 +312,7 @@ impl<'a> RankState<'a> {
             Subsystem::Electron => self.log.counters.traffic_g.merge(&traffic),
             Subsystem::ScreenedCoulomb => self.log.counters.traffic_w.merge(&traffic),
         }
-        (sols, t.elapsed().as_secs_f64() / n_solved.max(1) as f64)
+        sols
     }
 
     /// G step: `G^≶` of the owned energies (`[G^<, G^>]`), the packed
@@ -352,7 +325,6 @@ impl<'a> RankState<'a> {
         self.spectral.clear();
         for chunk in self.solve_chunks() {
             let asms: Vec<_> = chunk
-                .clone()
                 .map(|k_local| {
                     let s = &self.sigma[k_local];
                     g_step_assemble(
@@ -370,12 +342,11 @@ impl<'a> RankState<'a> {
                 .collect();
             let systems: Vec<_> = asms
                 .iter()
-                .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let (sols, share) = self.group_solve(Subsystem::Electron, &systems);
-            for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
-                let out = g_step_finish(asm, sol, secs + share, cfg);
-                self.energy_seconds[k_local] += out.seconds;
+            let sols = self.group_solve(Subsystem::Electron, &systems);
+            for (asm, sol) in asms.iter().zip(sols) {
+                let out = g_step_finish(asm, sol, cfg);
                 self.spectral.push(c64::new(out.current_spectrum, 0.0));
                 self.spectral
                     .extend(out.dos_local.iter().map(|&d| c64::new(d, 0.0)));
@@ -409,7 +380,7 @@ impl<'a> RankState<'a> {
         kernel: impl Fn(&ElementSlab, &[usize], bool, [&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
     ) -> (ElementSlab, ConvSeries) {
         let p = self.p;
-        let mut series = ConvSeries::zeroed(&self.plan, self.ctx.rank());
+        let mut series = ConvSeries::zeroed(&p.plan, self.ctx.rank());
         let slab = self.forward(row, comps, |slab, batch, arrived_before| {
             // Once per batch, so the kernels' per-element checks can be
             // debug-only.
@@ -467,7 +438,6 @@ impl<'a> RankState<'a> {
         let mut local_trunc = 0.0f64;
         for chunk in self.solve_chunks() {
             let asms: Vec<_> = chunk
-                .clone()
                 .map(|k| {
                     w_step_assemble(
                         &p.v,
@@ -482,12 +452,11 @@ impl<'a> RankState<'a> {
                 .collect();
             let systems: Vec<_> = asms
                 .iter()
-                .map(|(a, _)| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let (sols, share) = self.group_solve(Subsystem::ScreenedCoulomb, &systems);
-            for ((k_local, (asm, secs)), sol) in chunk.zip(&asms).zip(sols) {
-                let out = w_step_finish(asm, sol, secs + share, cfg);
-                self.energy_seconds[k_local] += out.seconds;
+            let sols = self.group_solve(Subsystem::ScreenedCoulomb, &systems);
+            for (asm, sol) in asms.iter().zip(sols) {
+                let out = w_step_finish(asm, sol, cfg);
                 local_trunc = local_trunc.max(out.truncation);
                 w[0].push(out.lesser);
                 w[1].push(out.greater);
@@ -611,13 +580,12 @@ impl<'a> RankState<'a> {
         }
 
         // State capture: drain this rank's final Σ matrices and memoizer
-        // entries, keyed by global energy index so the solver can reassemble
-        // the full-grid state regardless of how rebalancing moved ownership.
+        // entries; the solver concatenates them in rank order.
         let mut final_sigma = Vec::new();
         let mut final_obc = Vec::new();
         if p.config.capture_state {
+            final_sigma = std::mem::take(&mut self.sigma);
             let owned = self.my_energies();
-            final_sigma = owned.clone().zip(std::mem::take(&mut self.sigma)).collect();
             if let Some(m) = self.memoizer.as_mut() {
                 final_obc = owned.flat_map(|k| m.extract_energy(k)).collect();
             }

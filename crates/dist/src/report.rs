@@ -112,11 +112,6 @@ pub struct DistReport {
     pub broadcast_equivalent_bytes_g: u64,
     /// Same for the `W` phase.
     pub broadcast_equivalent_bytes_w: u64,
-    /// Number of times the measured-wall-time rebalancer actually moved the
-    /// energy partition between iterations (zero when rebalancing is off).
-    pub energy_rebalances: usize,
-    /// Off-rank bytes of the self-energy state migrated by rebalances.
-    pub measured_rebalance_bytes: u64,
     /// Energy batches per transposition (`DistScbaConfig::energy_batches`).
     /// `1` = the unbatched (whole-iteration) path.
     pub batch_count: usize,
@@ -137,9 +132,8 @@ pub struct DistReport {
     /// Off-rank all-to-all bytes split by [`quatrex_runtime::CommPhase`] tag
     /// (`(label, bytes)` in `CommPhase::ALL` order): the four transpositions
     /// (`fwd_g`, `bwd_p`, `fwd_w`, `bwd_sigma`), the spatial slice
-    /// distribution, the small ordered gathers, the rebalance migrations and
-    /// the untagged remainder. The entries sum to `measured_alltoall_bytes`
-    /// exactly.
+    /// distribution, the small ordered gathers and the untagged remainder.
+    /// The entries sum to `measured_alltoall_bytes` exactly.
     pub alltoall_bytes_per_phase: Vec<(&'static str, u64)>,
     /// Wall seconds per probe span category, summed over ranks (nested spans
     /// of the same category are counted once). Sorted by category name. Empty
@@ -310,8 +304,6 @@ mod tests {
             measured_slice_bytes_w: 0,
             broadcast_equivalent_bytes_g: 0,
             broadcast_equivalent_bytes_w: 0,
-            energy_rebalances: 0,
-            measured_rebalance_bytes: 0,
             batch_count: 1,
             peak_slab_bytes: 0,
             overlap_window_seconds: 0.0,
@@ -422,8 +414,6 @@ mod tests {
             measured_slice_bytes_w: 16,
             broadcast_equivalent_bytes_g: 96,
             broadcast_equivalent_bytes_w: 32,
-            energy_rebalances: 0,
-            measured_rebalance_bytes: 0,
             batch_count: 1,
             peak_slab_bytes: 0,
             overlap_window_seconds: 0.0,

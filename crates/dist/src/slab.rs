@@ -28,7 +28,7 @@ use quatrex_core::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::partition::partition_weighted;
+use crate::partition::partition_even;
 
 /// Bytes on the wire per complex value (complex128).
 pub const BYTES_PER_VALUE: usize = 16;
@@ -160,21 +160,18 @@ pub struct TranspositionPlan {
 }
 
 impl TranspositionPlan {
-    /// Build a plan over `n_ranks` flat ranks from the problem shape and
-    /// per-energy cost weights.
+    /// Build a plan over `n_ranks` flat ranks from the problem shape: energies
+    /// and canonical elements are each split evenly over the ranks.
     pub fn new(
         n_blocks: usize,
         block_size: usize,
         n_energies: usize,
         n_ranks: usize,
         symmetry_reduced: bool,
-        energy_weights: &[f64],
     ) -> Self {
-        assert_eq!(energy_weights.len(), n_energies);
         let elements = canonical_elements(n_blocks, block_size);
-        let energy_ranges = partition_weighted(energy_weights, n_ranks);
-        let element_weights = vec![1.0; elements.len()];
-        let element_ranges = partition_weighted(&element_weights, n_ranks);
+        let energy_ranges = partition_even(n_energies, n_ranks);
+        let element_ranges = partition_even(elements.len(), n_ranks);
         Self {
             n_ranks,
             n_energies,
@@ -445,7 +442,7 @@ impl TranspositionBatchPlan {
         let local_ranges = plan
             .energy_ranges
             .iter()
-            .map(|r| partition_weighted(&vec![1.0; r.len()], n_batches))
+            .map(|r| partition_even(r.len(), n_batches))
             .collect();
         Self {
             n_batches,
@@ -548,7 +545,6 @@ mod tests {
             ne,
             n_ranks,
             symmetry_reduced,
-            &vec![1.0; ne],
         ));
         let gl = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 0.3));
         let gg = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 1.9));
@@ -658,8 +654,7 @@ mod tests {
         // batch count including the degenerate B > n_energies_per_group case.
         let (nb, bs, ne, n_groups) = (3usize, 2usize, 8usize, 2usize);
         for symmetry_reduced in [true, false] {
-            let plan =
-                TranspositionPlan::new(nb, bs, ne, n_groups, symmetry_reduced, &vec![1.0; ne]);
+            let plan = TranspositionPlan::new(nb, bs, ne, n_groups, symmetry_reduced);
             let gl = symmetric_quantity(ne, nb, bs, 0.3);
             let gg = symmetric_quantity(ne, nb, bs, 1.9);
             let local = |x: &EnergyResolved, src: usize| -> Vec<BlockTridiagonal> {
@@ -776,7 +771,7 @@ mod tests {
 
     #[test]
     fn batch_plan_covers_every_energy_exactly_once() {
-        let plan = TranspositionPlan::new(3, 2, 10, 3, true, &[1.0; 10]);
+        let plan = TranspositionPlan::new(3, 2, 10, 3, true);
         for b in [1usize, 2, 4, 11] {
             let batches = TranspositionBatchPlan::new(&plan, b);
             // Per group the local sub-ranges tile 0..n_local.
@@ -802,8 +797,8 @@ mod tests {
     #[test]
     fn symmetry_reduction_roughly_halves_the_wire_volume() {
         let (nb, bs, ne, n_ranks) = (4, 3, 8, 4);
-        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, true, &vec![1.0; ne]);
-        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, false, &vec![1.0; ne]);
+        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, true);
+        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, false);
         let g = symmetric_quantity(ne, nb, bs, 0.5);
         let local: Vec<BlockTridiagonal> = g[plan_sym.energy_ranges[0].clone()].to_vec();
         let all = 0..local.len();

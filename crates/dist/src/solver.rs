@@ -7,9 +7,9 @@
 //! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`]):
 //!
 //! 1. every **rank** owns a contiguous slice of energy points (an
-//!    equal-count split over the flat ranks, optionally re-balanced from
-//!    measured wall times; a group's energies are the union of its members'
-//!    slices) and assembles their systems (OBC against a **per-rank
+//!    equal-count split over the flat ranks, fixed for the run; a group's
+//!    energies are the union of its members' slices) and assembles their
+//!    systems (OBC against a **per-rank
 //!    [`quatrex_obc::ObcMemoizer`]**); its group solves them
 //!    ([`crate::spatial::spatial_phase_solve`]: the local energy-batched RGF
 //!    solve in a one-member group; with `P_S > 1` concurrent interior
@@ -33,8 +33,7 @@
 //! This module holds the driver's outside: configuration checks, the shared
 //! problem data, the communicator launch and the merge of the per-rank
 //! results into one [`DistScbaResult`]. The per-rank loop itself is
-//! `rank.rs`, its exchange pipeline `pipeline.rs`, the measured rebalancer
-//! `rebalance.rs`.
+//! `rank.rs`, its exchange pipeline `pipeline.rs`.
 //!
 //! Because every per-energy and per-element kernel is the *same function* the
 //! sequential driver calls (the assemble and finish stages of
@@ -64,7 +63,7 @@ use crate::config::{DistScbaConfig, DistScbaResult};
 use crate::pipeline::TRANSPOSITIONS;
 use crate::rank::{rank_main, Problem, RankCounters, RankOut};
 use crate::report::{DistReport, TranspositionBudget};
-use crate::slab::TranspositionPlan;
+use crate::slab::{TranspositionBatchPlan, TranspositionPlan};
 use crate::spatial::SpatialLayout;
 use crate::warm::WarmState;
 
@@ -121,9 +120,9 @@ impl DistScbaSolver {
         );
     }
 
-    /// The transposition plan the run starts from. Energy and element slices
-    /// are per flat rank, whatever `P_S` (equal-count contiguous splits; the
-    /// measured rebalancer may move the energy split between iterations).
+    /// The transposition plan of the run. Energy and element slices are per
+    /// flat rank, whatever `P_S` — equal-count contiguous splits, a pure
+    /// function of the problem shape and the rank count.
     pub fn plan(&self) -> TranspositionPlan {
         self.validate();
         TranspositionPlan::new(
@@ -132,7 +131,6 @@ impl DistScbaSolver {
             self.grid.len(),
             self.config.n_ranks,
             self.config.symmetry_reduced,
-            &vec![1.0; self.grid.len()],
         )
     }
 
@@ -151,10 +149,8 @@ impl DistScbaSolver {
     /// Run the distributed SCBA loop seeded from a previously captured
     /// [`WarmState`] instead of `Σ = 0`. Every rank adopts the state's Σ
     /// matrices for its owned energies and pre-fills its OBC memoizer
-    /// caches via [`quatrex_obc::ObcMemoizer::insert_cached`] — the same
-    /// adoption the rebalancer's migration path performs, fed from a wire
-    /// stream instead of an `Alltoallv`. With `initial = None` this *is*
-    /// [`DistScbaSolver::run`]: a cold start.
+    /// caches via [`quatrex_obc::ObcMemoizer::insert_cached`]. With
+    /// `initial = None` this *is* [`DistScbaSolver::run`]: a cold start.
     ///
     /// Panics when the state's grid shape (`N_E`, `N_B`, block size)
     /// disagrees with the solver's device and energy grid — a warm state is
@@ -185,6 +181,7 @@ impl DistScbaSolver {
             config: self.config.clone(),
             h,
             v,
+            batches: TranspositionBatchPlan::new(&plan, self.config.energy_batches),
             plan,
             energies: self.grid.points(),
             de: self.grid.spacing(),
@@ -300,8 +297,6 @@ impl DistScbaSolver {
             measured_slice_bytes_w: counters.traffic_w.slice_bytes,
             broadcast_equivalent_bytes_g: counters.traffic_g.broadcast_equivalent_bytes,
             broadcast_equivalent_bytes_w: counters.traffic_w.broadcast_equivalent_bytes,
-            energy_rebalances: rank0.energy_rebalances,
-            measured_rebalance_bytes: counters.rebalance_bytes,
             batch_count: self.config.energy_batches,
             peak_slab_bytes: counters.peak_slab_bytes,
             overlap_window_seconds: counters.overlap_seconds,
@@ -323,20 +318,10 @@ impl DistScbaSolver {
 }
 
 /// Assemble the captured per-rank Σ/OBC fragments into one state over the
-/// full grid. Global energy indices key the fragments, so the assembly is
-/// ownership-agnostic: it holds whether the final split is the initial plan
-/// or a rebalanced one.
+/// full grid: the owned energy ranges ascend with the rank, so the fragments
+/// concatenate in rank order.
 fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
     let ne = problem.energies.len();
-    let mut fragments: Vec<_> = outs
-        .iter_mut()
-        .flat_map(|r| r.final_sigma.drain(..))
-        .collect();
-    fragments.sort_by_key(|(k, _)| *k);
-    assert!(
-        fragments.iter().map(|(k, _)| *k).eq(0..ne),
-        "state capture covers the energy grid, every energy by one rank only",
-    );
     let mut state = WarmState {
         n_energies: ne,
         n_blocks: problem.h.n_blocks(),
@@ -349,11 +334,16 @@ fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
             .flat_map(|r| r.final_obc.drain(..))
             .collect(),
     };
-    for (_, s) in fragments {
+    for s in outs.iter_mut().flat_map(|r| r.final_sigma.drain(..)) {
         state.sigma_lesser.push(s.lesser);
         state.sigma_greater.push(s.greater);
         state.sigma_retarded.push(s.retarded);
     }
+    assert_eq!(
+        state.sigma_lesser.len(),
+        ne,
+        "state capture covers the energy grid"
+    );
     state.obc.sort_by_key(|(key, _)| *key);
     state
 }

@@ -267,7 +267,7 @@ pub fn spatial_phase_solve(
     let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
     if p_s == 1 {
-        let (sols, _) = solve_stage(subsystem, systems, scratch, flops, timings)
+        let sols = solve_stage(subsystem, systems, scratch, flops, timings)
             .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
         return (sols, SpatialTraffic::default());
     }

@@ -4,11 +4,10 @@
 //! needs to resume the self-consistency loop near a previously converged
 //! fixed point: the per-energy scattering self-energies `Σ^<`, `Σ^>`, `Σ^R`
 //! over the full energy grid, plus the OBC memoizer cache entries extracted
-//! via [`quatrex_obc::ObcMemoizer::extract_energy`]. It travels on the exact
-//! wire codec the energy rebalancer's migration path uses
-//! (`push_bt`/`read_bt`/`push_matrix`/`read_matrix` over a `complex128`
-//! stream), so the state a sweep engine checkpoints to disk is bit-identical
-//! to the state a new owner would receive over the migration `Alltoallv`.
+//! via [`quatrex_obc::ObcMemoizer::extract_energy`]. It travels on the wire
+//! codec of the group messages (`push_bt`/`read_bt`/`push_matrix`/
+//! `read_matrix` over a `complex128` stream), so the state a sweep engine
+//! checkpoints to disk is bit-identical to the state the ranks held.
 //!
 //! ## Wire format
 //!
@@ -23,16 +22,14 @@
 //!     push_matrix(boundary block)                          bs² values
 //! ```
 //!
-//! The key code packs contact/subsystem/component exactly like the
-//! rebalancer's `encode_obc_key`; the energy index rides the imaginary part
-//! because a checkpointed stream, unlike a migration message, has no implied
-//! per-energy framing.
+//! The key code packs contact, subsystem and component
+//! (`contact + 2·subsystem + 4·component`); the energy index rides the
+//! imaginary part.
 
 use quatrex_linalg::{c64, CMatrix};
-use quatrex_obc::ObcKey;
+use quatrex_obc::{Contact, ObcKey, Subsystem};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::rebalance::{decode_obc_key, encode_obc_key};
 use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
 
 /// Converged per-energy Σ state plus OBC cache of one SCBA solve, over the
@@ -103,6 +100,43 @@ impl std::fmt::Display for WarmStateWireError {
 
 impl std::error::Error for WarmStateWireError {}
 
+/// Encode an [`ObcKey`] into one wire value: the key code in the real part,
+/// the energy index in the imaginary part.
+fn encode_obc_key(key: &ObcKey) -> c64 {
+    let contact = match key.contact {
+        Contact::Left => 0u8,
+        Contact::Right => 1,
+    };
+    let subsystem = match key.subsystem {
+        Subsystem::Electron => 0u8,
+        Subsystem::ScreenedCoulomb => 1,
+    };
+    c64::new(
+        (contact as f64) + 2.0 * (subsystem as f64) + 4.0 * (key.component as f64),
+        key.energy_index as f64,
+    )
+}
+
+/// Inverse of [`encode_obc_key`]'s key code for the given (validated) energy
+/// index.
+fn decode_obc_key(v: c64, energy_index: usize) -> ObcKey {
+    let code = v.re as u64;
+    ObcKey {
+        contact: if code & 1 == 0 {
+            Contact::Left
+        } else {
+            Contact::Right
+        },
+        subsystem: if (code >> 1) & 1 == 0 {
+            Subsystem::Electron
+        } else {
+            Subsystem::ScreenedCoulomb
+        },
+        component: (code >> 2) as u8,
+        energy_index,
+    }
+}
+
 /// Values one block-tridiagonal quantity occupies on the wire.
 fn bt_values(nb: usize, bs: usize) -> usize {
     (3 * nb - 2).max(1) * bs * bs
@@ -151,9 +185,7 @@ impl WarmState {
             push_bt(&mut buf, &self.sigma_retarded[k]);
         }
         for (key, block) in &self.obc {
-            let mut code = encode_obc_key(key);
-            code.im = key.energy_index as f64;
-            buf.push(code);
+            buf.push(encode_obc_key(key));
             push_matrix(&mut buf, block);
         }
         buf
@@ -221,7 +253,6 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quatrex_obc::{Contact, Subsystem};
 
     fn sample() -> WarmState {
         let ne = 3;

@@ -68,14 +68,13 @@ fn checked_run_is_bit_identical_to_unchecked() {
 }
 
 #[test]
-fn checked_run_verifies_rebalancing_and_uneven_batches() {
-    // The least regular layout available: rebalancing migrations plus a
-    // batch count that does not divide the per-group energy count.
+fn checked_run_verifies_uneven_batches() {
+    // The least regular layout available: a batch count that does not
+    // divide the per-rank energy count.
     let device = DeviceBuilder::test_device(2, 2, 6).build();
     let config = DistScbaConfig::new(gw_config(12, 3), 4)
         .with_spatial_partitions(2)
-        .with_energy_batches(3)
-        .with_energy_rebalancing(true);
+        .with_energy_batches(3);
 
     quatrex_check::install_collective_checker();
     let result = DistScbaSolver::new(device, config).run();

@@ -293,24 +293,17 @@ fn spatial_partitions_reproduce_sequential_observables() {
 #[test]
 fn three_spatial_partitions_reproduce_sequential_observables() {
     // The second pinned grid: 6 ranks as 2 energy groups x P_S = 3 on the
-    // 6-block ribbon, alone and composed with energy rebalancing.
+    // 6-block ribbon.
     let device = DeviceBuilder::test_device(2, 2, 6).build();
     let config = biased_gw_config(16, 3);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
     assert!(seq.iterations >= 2, "sequential reference must iterate");
-    let dist_config = DistScbaConfig::new(config.clone(), 6).with_spatial_partitions(3);
-    let dist = DistScbaSolver::new(device.clone(), dist_config).run();
+    let dist_config = DistScbaConfig::new(config, 6).with_spatial_partitions(3);
+    let dist = DistScbaSolver::new(device, dist_config).run();
     assert_equivalent("spatial/(n_ranks, P_S)=(6, 3)", &seq, &dist);
     assert_eq!(dist.report.energy_groups, 2);
     assert_eq!(dist.report.spatial_partitions, 3);
     assert_slice_saving("spatial/(6, 3)", &dist.report, 3);
-
-    let dist_config = DistScbaConfig::new(config, 6)
-        .with_spatial_partitions(3)
-        .with_energy_rebalancing(true);
-    let dist = DistScbaSolver::new(device, dist_config).run();
-    assert_equivalent("rebalance/(n_ranks, P_S)=(6, 3)", &seq, &dist);
-    assert_slice_saving("rebalance/(6, 3)", &dist.report, 3);
 }
 
 #[test]
@@ -448,45 +441,6 @@ fn spatial_ballistic_matches_sequential() {
 }
 
 #[test]
-fn measured_energy_rebalancing_preserves_the_observables() {
-    // ROADMAP "energy-cost weights from measurement": per-energy wall times
-    // measured in iteration n feed `partition_weighted` for iteration n+1 and
-    // the self-energy state migrates between owners. The observables must
-    // still match the sequential reference at the pinned tolerance.
-    let device = DeviceBuilder::test_device(3, 2, 4).build();
-    let config = gw_config(24, 4);
-    let seq = ScbaSolver::new(device.clone(), config.clone()).run();
-    assert!(
-        seq.iterations >= 3,
-        "reference must iterate enough to rebalance"
-    );
-    let dist_config = DistScbaConfig::new(config, 4).with_energy_rebalancing(true);
-    let dist = DistScbaSolver::new(device, dist_config).run();
-    assert_equivalent("rebalance/ranks=4", &seq, &dist);
-    // Real wall-time noise over several iterations across 4 groups moves the
-    // boundary essentially always; when it does, state bytes must have moved
-    // with it, and the report records both.
-    if dist.report.energy_rebalances > 0 {
-        assert!(
-            dist.report.measured_rebalance_bytes > 0,
-            "a rebalance without migrated state is a no-op"
-        );
-    }
-}
-
-#[test]
-fn rebalancing_composes_with_spatial_partitions() {
-    let device = DeviceBuilder::test_device(3, 2, 4).build();
-    let config = gw_config(16, 4);
-    let seq = ScbaSolver::new(device.clone(), config.clone()).run();
-    let dist_config = DistScbaConfig::new(config, 4)
-        .with_spatial_partitions(2)
-        .with_energy_rebalancing(true);
-    let dist = DistScbaSolver::new(device, dist_config).run();
-    assert_equivalent("rebalance/(n_ranks, P_S)=(4, 2)", &seq, &dist);
-}
-
-#[test]
 fn energy_batched_transpositions_reproduce_sequential_observables() {
     // Tentpole acceptance: the double-buffered, energy-batched transposition
     // pipeline must reproduce the sequential observables at B ∈ {1, 2, 5}.
@@ -539,20 +493,18 @@ fn single_batch_is_bit_identical_to_sequential_with_full_wire_format() {
 }
 
 #[test]
-fn energy_batches_compose_with_spatial_partitions_and_rebalancing() {
-    // The batched pipeline composed with the full feature set: P_S = 2 and
-    // measured energy rebalancing (which moves the batch boundaries between
-    // iterations) must still reproduce the sequential observables.
+fn energy_batches_compose_with_spatial_partitions() {
+    // The batched pipeline composed with P_S = 2 must still reproduce the
+    // sequential observables.
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     let config = gw_config(16, 4);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
     for b in [2usize, 5] {
         let dist_config = DistScbaConfig::new(config.clone(), 4)
             .with_spatial_partitions(2)
-            .with_energy_rebalancing(true)
             .with_energy_batches(b);
         let dist = DistScbaSolver::new(device.clone(), dist_config).run();
-        assert_equivalent(&format!("batched/(4, 2)+rebalance/B={b}"), &seq, &dist);
+        assert_equivalent(&format!("batched/(4, 2)/B={b}"), &seq, &dist);
         assert_slice_saving(&format!("batched/(4, 2)/B={b}"), &dist.report, 2);
     }
 }

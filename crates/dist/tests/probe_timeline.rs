@@ -319,8 +319,7 @@ fn disabling_the_probe_empties_the_timeline_but_not_the_physics() {
         without.report.measured_alltoall_bytes,
         with_probe.report.measured_alltoall_bytes
     );
-    // The rebalancer's measured weights come from `span_timed`, which works
-    // without a recorder — per-iteration memoizer stats do too.
+    // The per-iteration memoizer stats do not need a recorder.
     assert_eq!(
         without.report.memoizer_hit_rate_per_iteration.len(),
         without.report.full_iterations

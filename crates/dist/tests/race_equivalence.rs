@@ -1,9 +1,9 @@
 //! Race-detector equivalence on the full distributed grid: running the SCBA
 //! pipeline with the happens-before detector enabled must (a) report **zero**
 //! races on the unmutated tree — the acceptance grid is 4 energy groups ×
-//! P_S = 2 spatial partitions with B = 2 batches and energy rebalancing on,
-//! so every annotated path (slab/wire buffers, handle completion, batch
-//! accumulators, memoizer migration) is exercised — and (b) produce
+//! P_S = 2 spatial partitions with B = 2 batches, so every annotated path
+//! (slab/wire buffers, handle completion, batch accumulators) is exercised —
+//! and (b) produce
 //! bit-identical observables to the detector-off baseline, proving the
 //! instrumentation is a pure observer.
 
@@ -27,17 +27,15 @@ fn gw_config(n_energies: usize, iterations: usize) -> ScbaConfig {
 }
 
 #[test]
-fn full_grid_with_rebalancing_is_race_clean() {
+fn full_grid_is_race_clean() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     // The acceptance layout: 8 ranks = 4 energy groups × 2 spatial
-    // partitions, 2 batches per transposition, rebalancing migrations on —
-    // so the slab/wire, handle-completion, batch-accumulator AND memoizer
-    // migration annotations all fire.
+    // partitions, 2 batches per transposition — so the slab/wire,
+    // handle-completion and batch-accumulator annotations all fire.
     let config = DistScbaConfig::new(gw_config(16, 3), 8)
         .with_spatial_partitions(2)
-        .with_energy_batches(2)
-        .with_energy_rebalancing(true);
+        .with_energy_batches(2);
 
     race::reset();
     race::enable();
@@ -64,9 +62,7 @@ fn full_grid_with_rebalancing_is_race_clean() {
 fn detector_is_a_pure_observer_bit_identical_observables() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let device = DeviceBuilder::test_device(3, 2, 4).build();
-    // Rebalancing off: migration decisions come from wall-clock
-    // measurements, so only the fixed partition is run-to-run
-    // deterministic — which is what bit-equality needs.
+    // Ownership is a constant of the run, so two runs are bit-comparable.
     let config = DistScbaConfig::new(gw_config(16, 3), 8)
         .with_spatial_partitions(2)
         .with_energy_batches(2);
@@ -107,13 +103,12 @@ fn detector_is_a_pure_observer_bit_identical_observables() {
 #[test]
 fn uneven_batches_under_detector_stay_race_clean() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    // The least regular layout: migrations plus a batch count that does not
-    // divide the per-group energy count.
+    // The least regular layout: a batch count that does not divide the
+    // per-rank energy count.
     let device = DeviceBuilder::test_device(2, 2, 6).build();
     let config = DistScbaConfig::new(gw_config(12, 3), 4)
         .with_spatial_partitions(2)
-        .with_energy_batches(3)
-        .with_energy_rebalancing(true);
+        .with_energy_batches(3);
 
     race::reset();
     race::enable();

@@ -1,8 +1,8 @@
 //! Schedule exploration over the distributed SCBA pipeline: a small but
 //! complete configuration (2 energy groups × P_S = 2 spatial partitions,
-//! B = 2 batches, 6 energies, no observer, rebalancing off so the partition
-//! is deterministic) is run under the loom-lite scheduler and every explored
-//! interleaving must produce bit-identical observables.
+//! B = 2 batches, 6 energies, no observer) is run under the loom-lite
+//! scheduler and every explored interleaving must produce bit-identical
+//! observables.
 //!
 //! The sampled-schedule count defaults small for local runs;
 //! `QUATREX_SCHED_SCHEDULES` raises it in CI (the acceptance target is ≥500

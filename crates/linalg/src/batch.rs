@@ -23,28 +23,15 @@
 //!   steady-state batched RGF loops allocate nothing.
 //! * [`invert_batch_into`] — plane-wise LU inversion through
 //!   [`LuScratch::invert_slice_into`], again bit-identical per plane.
-//! * a thread-parallel **tiling rung**: at `N_BS ≥` [`TILING_RUNG_N_BS`] the
-//!   planes of one call are split into contiguous tiles dispatched over the
-//!   rayon pool; each worker packs any shared operand once into its own
-//!   thread-local panel and sweeps its tile. Below the rung the whole batch
-//!   runs on the calling thread (per-plane work too small to pay a fork).
 //!
 //! FLOP accounting composes exactly: [`gemm_batch_flops`]`(b, m, k, n)` is
 //! `b ·`[`gemm_flops`]`(m, k, n)`, so a batched consumer reports the same
 //! totals as the per-energy path it replaces.
 
-use rayon::prelude::*;
-
 use crate::lu::{LuError, LuScratch};
 use crate::matrix::CMatrix;
 use crate::ops::{gemm_flops, packed_kernel, Op, OpKind, PACK};
 use crate::{c64, ONE, ZERO};
-
-/// Block size at which the thread-parallel tiling rung of [`gemm_batch`]
-/// engages. Below it the per-plane work (`O(N_BS³)`) is too small to amortise
-/// a fork across the pool; at and above it one plane is enough work for a
-/// worker, so the batch is split into contiguous plane tiles.
-pub const TILING_RUNG_N_BS: usize = 256;
 
 /// `B` same-shaped dense complex matrices stored contiguously, energy-major.
 ///
@@ -276,10 +263,8 @@ impl BatchOp<'_> {
 /// result is **bit-identical** to the per-energy path. [`BatchOp::Shared`]
 /// operands are packed once and reused across the batch; per-call setup
 /// (packing-buffer checkout, beta handling, shape checks) is hoisted out of
-/// the energy loop. At `N_BS ≥` [`TILING_RUNG_N_BS`] the planes are split
-/// into contiguous tiles swept in parallel on the rayon pool (each worker
-/// re-packs shared operands once into its own thread-local panel — plane
-/// results are unchanged, as planes are independent).
+/// the energy loop. The whole batch is swept on the calling thread: the
+/// callers are rank and worker threads that already fill the cores.
 pub fn gemm_batch(c: &mut MatrixBatch, alpha: c64, a: BatchOp<'_>, b: BatchOp<'_>, beta: c64) {
     let (m, k) = (a.nrows(), a.ncols());
     let (k2, n) = (b.nrows(), b.ncols());
@@ -318,63 +303,27 @@ pub fn gemm_batch(c: &mut MatrixBatch, alpha: c64, a: BatchOp<'_>, b: BatchOp<'_
         quatrex_probe::counter("gemm_batch.shared_pack_hits", shared * (bsz as u64 - 1));
     }
 
+    // Pack any shared operand once into this thread's panel, then per plane
+    // pack the per-energy operands and run the micro-kernel.
     quatrex_probe::span("gemm_batch", "gemm_batch", || {
-        if m.max(n) >= TILING_RUNG_N_BS && bsz > 1 {
-            // Tiling rung: contiguous plane tiles, one sweep per tile. Tile
-            // count targets the pool width; each tile re-packs any shared
-            // operand once on its worker.
-            let workers = std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1);
-            let tile = bsz.div_ceil(workers).max(1);
-            let pl = c.plane_len();
-            let tiles: Vec<(usize, &mut [c64])> = c
-                .as_mut_slice()
-                .chunks_mut(tile * pl)
-                .enumerate()
-                .map(|(t, chunk)| (t * tile, chunk))
-                .collect();
-            tiles
-                .into_par_iter()
-                .for_each(|(e0, chunk)| sweep_planes(chunk, e0, alpha, a, b, (m, k, n)));
-        } else {
-            sweep_planes(c.as_mut_slice(), 0, alpha, a, b, (m, k, n));
-        }
-    });
-}
-
-/// Sweep a contiguous run of output planes starting at plane `e0`: pack any
-/// shared operand once into this thread's panel, then per plane pack the
-/// per-energy operands and run the micro-kernel. `out` holds exactly the
-/// planes of the run.
-fn sweep_planes(
-    out: &mut [c64],
-    e0: usize,
-    alpha: c64,
-    a: BatchOp<'_>,
-    b: BatchOp<'_>,
-    (m, k, n): (usize, usize, usize),
-) {
-    let pl = m * n;
-    debug_assert_eq!(out.len() % pl, 0, "whole planes only");
-    PACK.with(|pack| {
-        let pack = &mut *pack.borrow_mut();
-        if let BatchOp::Shared(op) = a {
-            pack.pack_a_raw(op.kind(), op.matrix().as_slice(), m, k);
-        }
-        if let BatchOp::Shared(op) = b {
-            pack.pack_b_raw(op.kind(), op.matrix().as_slice(), k, n);
-        }
-        for (i, plane) in out.chunks_mut(pl).enumerate() {
-            let e = e0 + i;
-            if let BatchOp::Each(kind, mb) = a {
-                pack.pack_a_raw(kind, mb.plane(e), m, k);
+        PACK.with(|pack| {
+            let pack = &mut *pack.borrow_mut();
+            if let BatchOp::Shared(op) = a {
+                pack.pack_a_raw(op.kind(), op.matrix().as_slice(), m, k);
             }
-            if let BatchOp::Each(kind, mb) = b {
-                pack.pack_b_raw(kind, mb.plane(e), k, n);
+            if let BatchOp::Shared(op) = b {
+                pack.pack_b_raw(op.kind(), op.matrix().as_slice(), k, n);
             }
-            packed_kernel(plane, alpha, pack, m, k, n);
-        }
+            for (e, plane) in c.as_mut_slice().chunks_mut(m * n).enumerate() {
+                if let BatchOp::Each(kind, mb) = a {
+                    pack.pack_a_raw(kind, mb.plane(e), m, k);
+                }
+                if let BatchOp::Each(kind, mb) = b {
+                    pack.pack_b_raw(kind, mb.plane(e), k, n);
+                }
+                packed_kernel(plane, alpha, pack, m, k, n);
+            }
+        })
     });
 }
 
@@ -597,42 +546,6 @@ mod tests {
             );
             assert!(c_mb.plane_matrix(e).approx_eq(&want, 0.0), "plane {e}");
         }
-    }
-
-    #[test]
-    fn tiling_rung_path_matches_sequential_sweep() {
-        // Force the parallel tile dispatch by calling the sweep through tiles
-        // the way the rung does, and compare against one sequential sweep.
-        let (b, m, k, n) = (6, 12, 12, 12);
-        let a = plane(m, k, 0.2);
-        let (b_mb, _) = batch_of(b, k, n, 5.7);
-        let mut seq = MatrixBatch::zeros(b, m, n);
-        gemm_batch(
-            &mut seq,
-            ONE,
-            BatchOp::Shared(Op::None(&a)),
-            BatchOp::Each(OpKind::None, &b_mb),
-            ZERO,
-        );
-        let mut par = MatrixBatch::zeros(b, m, n);
-        let pl = par.plane_len();
-        let tiles: Vec<(usize, &mut [c64])> = par
-            .as_mut_slice()
-            .chunks_mut(2 * pl)
-            .enumerate()
-            .map(|(t, chunk)| (t * 2, chunk))
-            .collect();
-        tiles.into_par_iter().for_each(|(e0, chunk)| {
-            sweep_planes(
-                chunk,
-                e0,
-                ONE,
-                BatchOp::Shared(Op::None(&a)),
-                BatchOp::Each(OpKind::None, &b_mb),
-                (m, k, n),
-            )
-        });
-        assert_eq!(seq.as_slice(), par.as_slice());
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod svd;
 
 pub use batch::{
     gemm_batch, gemm_batch_flops, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch,
-    TILING_RUNG_N_BS,
 };
 pub use eig::{eigendecomposition, eigenvalues, schur, Eigendecomposition, SchurDecomposition};
 pub use flops::{FlopCounter, FlopKind};

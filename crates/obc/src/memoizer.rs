@@ -67,8 +67,9 @@ pub struct MemoizerStats {
     /// Number of solves answered from the cache + fixed-point refinement.
     pub memoized_calls: usize,
     /// Number of cache entries created cold by a solve (a direct solve for a
-    /// key never seen before). Migrated entries ([`ObcMemoizer::insert_cached`])
-    /// are not counted — they were created (and counted) on the sending rank.
+    /// key never seen before). Adopted entries ([`ObcMemoizer::insert_cached`])
+    /// are not counted — they were created (and counted) in the run that
+    /// captured them.
     pub inserts: usize,
 }
 
@@ -151,10 +152,9 @@ impl ObcMemoizer {
     }
 
     /// Remove and return every cached block of one energy index, in
-    /// deterministic (sorted-key) order — the migration payload when a
-    /// distributed driver moves an energy point to another rank. Migrating
-    /// the cache with the energy keeps the memoized refinement trajectory
-    /// identical to a run without migration.
+    /// deterministic (sorted-key) order — the OBC half of a captured warm
+    /// state. Adopting the cache with the energy's Σ keeps the memoized
+    /// refinement trajectory identical to a run that never stopped.
     pub fn extract_energy(&mut self, energy_index: usize) -> Vec<(ObcKey, CMatrix)> {
         let mut keys: Vec<ObcKey> = self
             .cache
@@ -171,8 +171,8 @@ impl ObcMemoizer {
             .collect()
     }
 
-    /// Insert an externally produced cache entry (the receiving side of a
-    /// migration).
+    /// Insert an externally produced cache entry (the adopting side of a
+    /// warm start).
     pub fn insert_cached(&mut self, key: ObcKey, value: CMatrix) {
         self.cache.insert(key, value);
     }
@@ -386,8 +386,8 @@ mod tests {
 
     #[test]
     fn cache_migration_round_trips_between_memoizers() {
-        // The distributed rebalancer moves an energy's cache entries to
-        // another rank's memoizer via extract_energy → insert_cached; the
+        // The warm-state capture moves an energy's cache entries into
+        // another run's memoizer via extract_energy → insert_cached; the
         // entries, stats and the memoized refinement behaviour must survive
         // the trip.
         let (m, n) = contraction_problem();

@@ -24,10 +24,7 @@
 //!   the enabled path amortises to a few stores per event.
 //! * **One clock.** All ranks timestamp against a shared monotonic epoch
 //!   (`Instant`) passed to [`install`], so merged tracks align without any
-//!   cross-rank clock reconciliation. [`span_timed`] additionally returns the
-//!   measured duration even when recording is disabled, which lets the energy
-//!   rebalancer consume probe timings unconditionally — balancing and
-//!   reporting share one clock.
+//!   cross-rank clock reconciliation.
 //!
 //! The analysis half ([`Timeline`]) derives the phase metrics folded into
 //! `DistReport`: per-phase wall seconds, measured overlap efficiency
@@ -223,22 +220,6 @@ pub fn span_bytes<R>(
         exit(name, cat, bytes, e);
     }
     out
-}
-
-/// Run `f` inside a span and *always* return its measured wall duration in
-/// seconds, recording the event only when a recorder is installed. This is
-/// the primitive the energy rebalancer uses: its per-energy weights come from
-/// the same clock as the trace, with or without tracing enabled.
-#[inline]
-pub fn span_timed<R>(name: &'static str, cat: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
-    let entered = enter();
-    let t0 = Instant::now();
-    let out = f();
-    let secs = t0.elapsed().as_secs_f64();
-    if let Some(e) = entered {
-        exit(name, cat, 0, e);
-    }
-    (out, secs)
 }
 
 /// Record an instantaneous mark (e.g. a non-blocking collective post).
@@ -634,10 +615,8 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
     let us_to_ns = |v: f64| (v * 1000.0).round().max(0.0) as u64;
     let mut out = Vec::with_capacity(events.len());
     for ev in events {
-        let obj = ev
-            .as_obj()
+        ev.as_obj()
             .ok_or_else(|| "trace event is not an object".to_string())?;
-        let _ = obj;
         let ph = ev
             .get("ph")
             .and_then(|v| v.as_str())
@@ -707,9 +686,6 @@ mod tests {
         assert!(!is_enabled());
         let v = span("outer", "test", || 41 + 1);
         assert_eq!(v, 42);
-        let (v, secs) = span_timed("timed", "test", || 7);
-        assert_eq!(v, 7);
-        assert!(secs >= 0.0);
         mark("m", CAT_COMM_POST, 10);
         counter("c", 3);
         assert!(finish().is_none());

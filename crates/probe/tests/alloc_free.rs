@@ -63,8 +63,6 @@ fn disabled_probe_hot_path_performs_zero_heap_allocations() {
     for i in 0..10_000u64 {
         acc = acc.wrapping_add(quatrex_probe::span("hot.span", "test", || i));
         acc = acc.wrapping_add(quatrex_probe::span_bytes("hot.bytes", "test", i, || i));
-        let (v, secs) = quatrex_probe::span_timed("hot.timed", "test", || i);
-        acc = acc.wrapping_add(v).wrapping_add(secs.to_bits());
         quatrex_probe::mark("hot.mark", quatrex_probe::CAT_COMM_POST, i);
         quatrex_probe::counter("hot.counter", 1);
     }

@@ -233,22 +233,19 @@ pub enum CommPhase {
     /// Update/recovery/result gathers (spatial solve rounds and the final
     /// ordered observable gathers).
     Gathers,
-    /// Energy-rebalance migrations between iterations.
-    Rebalance,
     /// Anything outside the SCBA phases (microbenchmarks, unit tests).
     Other,
 }
 
 impl CommPhase {
     /// Every phase, in [`CommPhase::index`] order.
-    pub const ALL: [CommPhase; 8] = [
+    pub const ALL: [CommPhase; 7] = [
         CommPhase::FwdG,
         CommPhase::BwdP,
         CommPhase::FwdW,
         CommPhase::BwdSigma,
         CommPhase::Slices,
         CommPhase::Gathers,
-        CommPhase::Rebalance,
         CommPhase::Other,
     ];
 
@@ -267,7 +264,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "bwd_sigma",
             CommPhase::Slices => "slices",
             CommPhase::Gathers => "gathers",
-            CommPhase::Rebalance => "rebalance",
             CommPhase::Other => "other",
         }
     }
@@ -281,7 +277,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "alltoallv.post.bwd_sigma",
             CommPhase::Slices => "alltoallv.post.slices",
             CommPhase::Gathers => "alltoallv.post.gathers",
-            CommPhase::Rebalance => "alltoallv.post.rebalance",
             CommPhase::Other => "alltoallv.post.other",
         }
     }
@@ -295,7 +290,6 @@ impl CommPhase {
             CommPhase::BwdSigma => "alltoallv.wait.bwd_sigma",
             CommPhase::Slices => "alltoallv.wait.slices",
             CommPhase::Gathers => "alltoallv.wait.gathers",
-            CommPhase::Rebalance => "alltoallv.wait.rebalance",
             CommPhase::Other => "alltoallv.wait.other",
         }
     }

@@ -22,8 +22,7 @@
 //! ```
 //!
 //! The warm-state wire section is byte-for-byte the
-//! [`quatrex_dist::WarmState`] stream the rebalancer-style migration uses,
-//! so a resumed engine warm-starts its remaining points from exactly the
+//! [`quatrex_dist::WarmState`] stream, so a resumed engine warm-starts its remaining points from exactly the
 //! state the interrupted run would have used. Phase timings are *not*
 //! checkpointed: they are measurements of a run, not solver state.
 //!

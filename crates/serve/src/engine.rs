@@ -47,11 +47,6 @@ pub struct SweepConfig {
 impl SweepConfig {
     /// A sweep configuration with default options (`P_S = 1`, one batch,
     /// warm start on).
-    ///
-    /// Measured energy rebalancing is deliberately *not* exposed here: the
-    /// engine's checkpoint/resume guarantee (a resumed sweep reproduces the
-    /// uninterrupted curve point-for-point) requires deterministic solves,
-    /// and rebalancing repartitions from measured wall times.
     pub fn new(scba: ScbaConfig, n_ranks: usize) -> Self {
         Self {
             scba,
@@ -110,8 +105,8 @@ struct FinishedPoint {
 ///
 /// Every point solves on the *same* energy grid (pinned from the unbiased
 /// base device), so converged Σ states transfer between points unchanged —
-/// the warm start is exactly the rebalancer's state adoption, applied across
-/// solves instead of across ranks.
+/// the warm start is every rank adopting the neighbor's state for the
+/// energies it owns.
 pub struct SweepEngine {
     device: Device,
     config: SweepConfig,

@@ -15,11 +15,9 @@
 //! over the configured `n_energy_groups × P_S` rank grid — **seeded from
 //! the converged state of the nearest finished neighbor**. The seed is a
 //! [`quatrex_dist::WarmState`]: per-energy `Σ^<`/`Σ^>`/`Σ^R` plus the OBC
-//! memoizer cache, moved with the same wire types the energy rebalancer's
-//! migration path uses. Near a neighbor's fixed point the SCBA loop skips
-//! the slow early contraction, so the sweep's total iterations drop — the
-//! crate's headline number, recorded per sweep as the warm-vs-cold
-//! iteration ratio.
+//! memoizer cache. Near a neighbor's fixed point the SCBA loop skips the slow
+//! early contraction, so the sweep's total iterations drop — the crate's
+//! headline number, recorded per sweep as the warm-vs-cold iteration ratio.
 //!
 //! ## Checkpoint/restart and reporting
 //!

@@ -3,7 +3,7 @@
 //! every way a checkpoint file can be damaged must surface as a named
 //! [`SweepError`], never a panic.
 //!
-//! The engine's solves are deterministic (no measured rebalancing, simulated
+//! The engine's solves are deterministic (static ownership, simulated
 //! clock ordering fixed by the runtime), so "point-for-point" here means
 //! bit-identical observables, asserted via `f64::to_bits`.
 

@@ -82,7 +82,7 @@ fn main() {
         ratio,
     );
     println!("every warm point resumed from the nearest finished neighbor's converged");
-    println!("sigma + OBC state (the rebalancer's migration wire format), skipping the");
+    println!("sigma + OBC state (the warm-state wire format), skipping the");
     println!("slow early contraction of the SCBA fixed-point iteration.");
 
     let doc = Json::obj([
