@@ -8,6 +8,10 @@
 //! implementation. The scalar `ops::reference` kernels and the per-energy
 //! `gemm` appear only as untimed correctness oracles.
 //!
+//! * **lane_bits**, **fma_peak_gflops** — the roof the `gflops` rows are read
+//!   against: the register width the dense kernels were compiled at and the
+//!   rate of bare multiply-add chains on that lane type
+//!   (`quatrex_linalg::ops::fma_chain`), best of the runs, one thread.
 //! * **gemm_chain** — the RGF forward-step product pattern (Schur chain
 //!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`, fused dagger, pre-allocated
 //!   outputs) at `N_BS ∈ {32, 64, 128}`.
@@ -41,7 +45,7 @@ use quatrex_fft::{convolve, fft};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
-use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
+use quatrex_linalg::ops::{fma_chain, gemm, gemm_flops, matmul, Op, LANE_BITS};
 use quatrex_linalg::{
     c64, cplx, gemm_batch, gemm_batch_flops, svd, BatchOp, CMatrix, LuScratch, MatrixBatch, OpKind,
     ONE, ZERO,
@@ -86,6 +90,18 @@ fn row(kernel: &str, sizes: &[(&'static str, usize)], ns: f64, flops: Option<u64
     let row = Json::obj(fields);
     println!("{kernel:<12} {row}");
     row
+}
+
+/// GFLOP/s of bare multiply-add chains on the dense kernels' lane type: the
+/// best of `runs` (a roof is the fastest the machine went, not its median).
+fn bench_fma_peak(runs: usize, steps: u64) -> f64 {
+    let rate = |_| {
+        let t = Instant::now();
+        let (flops, checksum) = fma_chain(steps);
+        std::hint::black_box(checksum);
+        flops as f64 / t.elapsed().as_nanos() as f64
+    };
+    (0..runs).map(rate).fold(0.0, f64::max)
 }
 
 /// The transport-cell GEMM chain of one RGF forward step: register-tiled
@@ -341,6 +357,9 @@ fn main() {
         }
     };
 
+    let fma_peak = bench_fma_peak(runs, if quick { 1 << 20 } else { 1 << 23 });
+    println!("fma_peak     {fma_peak:.2} GFLOP/s at {LANE_BITS}-bit lanes");
+
     let chain_rows = [32usize, 64, 128].map(|n_bs| {
         let (ns, flops) = bench_gemm_chain(n_bs, runs, cubic_reps(n_bs));
         row("gemm_chain", &[("n_bs", n_bs)], ns, Some(flops))
@@ -406,6 +425,11 @@ fn main() {
     let doc = Json::obj([
         ("generated_by", "quatrex-bench bench_kernels".into()),
         ("quick_mode", quick.into()),
+        ("lane_bits", LANE_BITS.into()),
+        (
+            "fma_peak_gflops",
+            ((fma_peak * 100.0).round() / 100.0).into(),
+        ),
         ("gemm_chain", Json::arr(chain_rows)),
         ("gemm_batch", Json::arr(batch_rows)),
         ("rgf_solve", Json::arr(rgf_rows)),

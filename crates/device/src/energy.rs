@@ -68,23 +68,6 @@ impl EnergyGrid {
         let idx = ((e - self.e_min) / self.spacing()).round();
         idx.clamp(0.0, (self.n_points - 1) as f64) as usize
     }
-
-    /// Split the grid into `n_ranks` contiguous chunks of (almost) equal size,
-    /// the energy-parallel distribution of the paper (one or a few energies per
-    /// GPU). Returns the index ranges `[start, end)` per rank.
-    pub fn partition(&self, n_ranks: usize) -> Vec<std::ops::Range<usize>> {
-        assert!(n_ranks >= 1);
-        let base = self.n_points / n_ranks;
-        let rem = self.n_points % n_ranks;
-        let mut out = Vec::with_capacity(n_ranks);
-        let mut start = 0;
-        for r in 0..n_ranks {
-            let len = base + usize::from(r < rem);
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
 }
 
 /// Fermi–Dirac occupation `f(E) = 1 / (1 + exp((E − μ)/kT))` with `kT` in eV.
@@ -121,24 +104,6 @@ mod tests {
         assert_eq!(g.closest_index(0.1), 2);
         assert_eq!(g.closest_index(-5.0), 0);
         assert_eq!(g.closest_index(5.0), 4);
-    }
-
-    #[test]
-    fn partition_covers_grid_without_overlap() {
-        let g = EnergyGrid::new(0.0, 1.0, 10);
-        for n_ranks in [1, 2, 3, 4, 7, 10] {
-            let parts = g.partition(n_ranks);
-            assert_eq!(parts.len(), n_ranks);
-            let total: usize = parts.iter().map(|r| r.len()).sum();
-            assert_eq!(total, 10);
-            for w in parts.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            // Load imbalance at most one energy point.
-            let max = parts.iter().map(|r| r.len()).max().unwrap();
-            let min = parts.iter().map(|r| r.len()).min().unwrap();
-            assert!(max - min <= 1);
-        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 pub mod batch;
 pub mod eig;
 pub mod flops;
+mod lanes;
 pub mod lu;
 pub mod matrix;
 pub mod ops;

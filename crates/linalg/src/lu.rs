@@ -8,27 +8,31 @@
 //!
 //! The factors live in split real/imaginary column-major planes whose columns
 //! are padded to whole `MR`-lane tiles, and every `O(n³)` loop is a rank-`K`
-//! update of plain `f64` lanes (fused multiply-adds as in [`crate::ops`]):
-//! pivots are eliminated `K = MR = 8` at a time from `NR` columns at a time, so one
-//! `MR × NR` tile is loaded and stored once per `4·K` multiply-adds per lane
-//! (`tile_sub`) where a column-at-a-time update loads and stores it once per
-//! four. The diagonal tile of a pivot group, where each pivot's multiplier
-//! depends on the one before, is substituted on the tile's *rows* — short
-//! vectors across the column group (`lower_tile`, `upper_tile`). The
-//! factorisation (`refactor`) is left-looking inside a pivot group and
-//! right-looking across groups; the substitutions (`substitute`) are the same
-//! two kernels on the right-hand sides, the backward sweep multiplying by
-//! stored reciprocals of the `U` diagonal. Pivots are chosen by
-//! `|re| + |im|` (LAPACK's `cabs1`).
+//! update on the 8-lane vector of `lanes` (fused multiply-adds as in
+//! [`crate::ops`]): pivots are eliminated `K = MR = 8` at a time from `NR`
+//! columns at a time, so one tile — `MR × NR`, two lane vectors tall where
+//! the lanes are 512-bit registers — is loaded and stored once per `4·K`
+//! multiply-adds per lane (`tile_sub`) where a column-at-a-time update loads
+//! and stores it once per four. The diagonal tile of a pivot group, where
+//! each pivot's multiplier depends on the one before, is substituted on the
+//! tile's *rows* — short vectors across the column group (`lower_tile`,
+//! `upper_tile`). The factorisation (`refactor`) is left-looking inside a
+//! pivot group and right-looking across groups; the substitutions
+//! (`substitute`) are the same two kernels on the right-hand sides, the
+//! backward sweep multiplying by stored reciprocals of the `U` diagonal.
+//! Pivots are chosen by `|re| + |im|` (LAPACK's `cabs1`).
 //!
 //! There is one factorisation routine and one substitution routine; solves,
 //! inverses and the scratch all run them, and a column's arithmetic does not
 //! depend on the columns it is grouped with, so they agree bit for bit, run to
-//! run, within a build. Tile width and multiply-add come from the build target
-//! (`ops::NR`, `ops::mul_add`); builds for different targets agree to rounding.
+//! run, within a build. Tile shape, lane type and multiply-add come from the
+//! build target (`ops::NR`, `lanes::Native`, `lanes::mul_add`); builds for
+//! different targets agree to rounding, and the lane type leaves no trace in
+//! the bits (the tests run both in one build).
 
+use crate::lanes::{mul_add, Lanes, Native};
 use crate::matrix::CMatrix;
-use crate::ops::{mul_add, MR, NR};
+use crate::ops::{MR, NR};
 use crate::{c64, ONE, ZERO};
 
 /// Error returned when a matrix is numerically singular.
@@ -76,9 +80,6 @@ pub struct LuFactorization {
 /// pivot group is a single tile of each column.
 const K: usize = MR;
 
-/// One lane tile of each of `NC` adjacent columns.
-type Tile<const NC: usize> = [[f64; MR]; NC];
-
 /// The multipliers of one pivot group: entry `[l][c]` belongs to pivot `l` of
 /// the group and column `c` of the tile.
 type Multipliers<const NC: usize> = [[f64; NC]; K];
@@ -113,56 +114,45 @@ fn lanes(g: &[f64]) -> &[f64; MR] {
     g[..MR].try_into().expect("whole tile")
 }
 
-/// The tiles at the start of `NC` columns `ld` apart.
-#[inline(always)]
-fn load<const NC: usize>(g: &[f64], ld: usize) -> Tile<NC> {
-    std::array::from_fn(|c| *lanes(&g[c * ld..]))
-}
-
-/// The inverse of [`load`].
-#[inline(always)]
-fn store<const NC: usize>(g: &mut [f64], ld: usize, tile: &Tile<NC>) {
-    for (c, lanes) in tile.iter().enumerate() {
-        g[c * ld..c * ld + MR].copy_from_slice(lanes);
-    }
-}
-
-/// `y ← y − x · (ur + i·ui)` on one tile of split planes: the update every
-/// `O(n³)` loop of the factorisation and the substitutions is made of.
-#[inline(always)]
-fn lanes_sub(
-    (yr, yi): (&mut [f64; MR], &mut [f64; MR]),
-    (xr, xi): (&[f64; MR], &[f64; MR]),
-    (ur, ui): (f64, f64),
-) {
-    for r in 0..MR {
-        yr[r] = mul_add(xi[r], ui, mul_add(-xr[r], ur, yr[r]));
-        yi[r] = mul_add(-xi[r], ur, mul_add(-xr[r], ui, yi[r]));
-    }
-}
-
-/// Rank-`k` update of one tile of `NC` columns: `y_c ← y_c − Σ_l x_l · s_lc`
-/// over the first `k` pivots of a group, `l` ascending. `g` starts at the
-/// tile's row of the first column, `f` at the same row of the group's first
-/// factor column. The tile is loaded and stored once for `4·k` fused
-/// multiply-adds per lane.
+/// Rank-`k` update of one tile of `V` lane vectors by `NC` columns:
+/// `y_c ← y_c − Σ_l x_l · s_lc` over the first `k` pivots of a group, `l`
+/// ascending, each term as `yr ← fma(xi, ui, fma(−xr, ur, yr))`,
+/// `yi ← fma(−xi, ur, fma(−xr, ui, yi))`. `g` starts at the tile's row of the
+/// first column, `f` at the same row of the group's first factor column. The
+/// tile is loaded and stored once for `4·k` fused multiply-adds per lane.
 #[inline(never)]
-fn tile_sub<const NC: usize>(
-    (g_re, g_im): (&mut [f64], &mut [f64]),
+fn tile_sub<L: Lanes, const V: usize, const NC: usize>(
+    g_re: &mut [f64],
+    g_im: &mut [f64],
     (f_re, f_im): (&[f64], &[f64]),
     ld: usize,
     k: usize,
     (sr, si): &(Multipliers<NC>, Multipliers<NC>),
 ) {
-    let (mut yr, mut yi) = (load::<NC>(g_re, ld), load::<NC>(g_im, ld));
+    let vectors = |g: &[f64], at: usize| -> [L; V] {
+        let tile = g[at..].as_chunks::<MR>().0;
+        std::array::from_fn(|v| L::load(&tile[v]))
+    };
+    let mut yr: [[L; V]; NC] = std::array::from_fn(|c| vectors(g_re, c * ld));
+    let mut yi: [[L; V]; NC] = std::array::from_fn(|c| vectors(g_im, c * ld));
     for l in 0..k {
-        let x = (lanes(&f_re[l * ld..]), lanes(&f_im[l * ld..]));
+        let (xr, xi) = (vectors(f_re, l * ld), vectors(f_im, l * ld));
         for c in 0..NC {
-            lanes_sub((&mut yr[c], &mut yi[c]), x, (sr[l][c], si[l][c]));
+            let (ur, ui) = (L::splat(sr[l][c]), L::splat(si[l][c]));
+            for v in 0..V {
+                yr[c][v] = xi[v].fma(ui, xr[v].fnma(ur, yr[c][v]));
+                yi[c][v] = xi[v].fnma(ur, xr[v].fnma(ui, yi[c][v]));
+            }
         }
     }
-    store(g_re, ld, &yr);
-    store(g_im, ld, &yi);
+    for c in 0..NC {
+        let tile_re = g_re[c * ld..].as_chunks_mut::<MR>().0;
+        let tile_im = g_im[c * ld..].as_chunks_mut::<MR>().0;
+        for v in 0..V {
+            yr[c][v].store(&mut tile_re[v]);
+            yi[c][v].store(&mut tile_im[v]);
+        }
+    }
 }
 
 /// The diagonal tile of `NC` columns `ld` apart, transposed: entry `[l][c]`
@@ -254,7 +244,7 @@ fn upper_tile<const NC: usize>(
 /// columns (`g`, `ld` apart): [`lower_tile`] on the diagonal tile, then one
 /// [`tile_sub`] per tile below. `f` starts at factor column `k0`.
 #[inline(always)]
-fn eliminate<const NC: usize>(
+fn eliminate<L: Lanes, const NC: usize>(
     (g_re, g_im): (&mut [f64], &mut [f64]),
     (f_re, f_im): (&[f64], &[f64]),
     ld: usize,
@@ -267,14 +257,31 @@ fn eliminate<const NC: usize>(
         ld,
         k,
     );
-    for i in (k0 + K..ld).step_by(MR) {
-        tile_sub::<NC>(
-            (&mut g_re[i..], &mut g_im[i..]),
-            (&f_re[i..], &f_im[i..]),
-            ld,
-            k,
-            &s,
-        );
+    tiles_sub::<L, NC>((g_re, g_im), (f_re, f_im), ld, k0 + K..ld, k, &s);
+}
+
+/// One [`tile_sub`] per tile of the rows `rows` (whole lane tiles) of `NC`
+/// columns: tall tiles of `L::TALL_VECTORS` lane vectors while as many rows
+/// are left, one vector at a time after that.
+#[inline(always)]
+fn tiles_sub<L: Lanes, const NC: usize>(
+    (g_re, g_im): (&mut [f64], &mut [f64]),
+    (f_re, f_im): (&[f64], &[f64]),
+    ld: usize,
+    rows: std::ops::Range<usize>,
+    k: usize,
+    s: &(Multipliers<NC>, Multipliers<NC>),
+) {
+    let mut i = rows.start;
+    while i < rows.end {
+        let (g_re, g_im, f) = (&mut g_re[i..], &mut g_im[i..], (&f_re[i..], &f_im[i..]));
+        if L::TALL_VECTORS == 2 && rows.end - i >= 2 * MR {
+            tile_sub::<L, 2, NC>(g_re, g_im, f, ld, k, s);
+            i += 2 * MR;
+        } else {
+            tile_sub::<L, 1, NC>(g_re, g_im, f, ld, k, s);
+            i += MR;
+        }
     }
 }
 
@@ -282,7 +289,7 @@ fn eliminate<const NC: usize>(
 /// diagonal tile of the group of `inv_diag.len()` pivots starting at `k0`,
 /// then one [`tile_sub`] per tile above.
 #[inline(always)]
-fn back_eliminate<const NC: usize>(
+fn back_eliminate<L: Lanes, const NC: usize>(
     (g_re, g_im): (&mut [f64], &mut [f64]),
     (f_re, f_im): (&[f64], &[f64]),
     ld: usize,
@@ -295,20 +302,16 @@ fn back_eliminate<const NC: usize>(
         ld,
         inv_diag,
     );
-    for i in (0..k0).step_by(MR) {
-        tile_sub::<NC>(
-            (&mut g_re[i..], &mut g_im[i..]),
-            (&f_re[i..], &f_im[i..]),
-            ld,
-            inv_diag.len(),
-            &s,
-        );
-    }
+    tiles_sub::<L, NC>((g_re, g_im), (f_re, f_im), ld, 0..k0, inv_diag.len(), &s);
 }
 
 /// Both sweeps of [`LuFactorization::substitute`] on one group of `NC`
 /// columns.
-fn substitute_group<const NC: usize>(lu: &LuFactorization, g_re: &mut [f64], g_im: &mut [f64]) {
+fn substitute_group<L: Lanes, const NC: usize>(
+    lu: &LuFactorization,
+    g_re: &mut [f64],
+    g_im: &mut [f64],
+) {
     let (n, ld) = (lu.n, lu.ld);
     let first_nonzero = |c: usize| {
         let rows = g_re[c * ld..][..n].iter().zip(&g_im[c * ld..][..n]);
@@ -318,24 +321,24 @@ fn substitute_group<const NC: usize>(lu: &LuFactorization, g_re: &mut [f64], g_i
     let first = (0..NC).map(first_nonzero).min().unwrap_or(n);
     for k0 in (first / K * K..n).step_by(K) {
         let factor = (&lu.re[k0 * ld..], &lu.im[k0 * ld..]);
-        eliminate::<NC>((g_re, g_im), factor, ld, k0, K.min(n - k0));
+        eliminate::<L, NC>((g_re, g_im), factor, ld, k0, K.min(n - k0));
     }
     for k0 in (0..n).step_by(K).rev() {
         let factor = (&lu.re[k0 * ld..], &lu.im[k0 * ld..]);
         let inv_diag = &lu.inv_diag[k0..n.min(k0 + K)];
-        back_eliminate::<NC>((g_re, g_im), factor, ld, k0, inv_diag);
+        back_eliminate::<L, NC>((g_re, g_im), factor, ld, k0, inv_diag);
     }
 }
 
-/// Call `$f::<NC>` with `NC` the column count of a group of at most [`NR`]
-/// columns.
+/// Call `$f::<L, NC>` with `NC` the column count of a group of at most
+/// [`NR`] columns.
 macro_rules! with_columns {
     ($nc:expr, $f:ident, $($args:expr),*) => {
         match $nc {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            3 => $f::<3>($($args),*),
-            _ => $f::<4>($($args),*),
+            1 => $f::<L, 1>($($args),*),
+            2 => $f::<L, 2>($($args),*),
+            3 => $f::<L, 3>($($args),*),
+            _ => $f::<L, 4>($($args),*),
         }
     };
 }
@@ -345,7 +348,7 @@ impl LuFactorization {
     pub fn new(a: &CMatrix) -> Result<Self, LuError> {
         assert!(a.is_square(), "LU requires a square matrix");
         let mut lu = Self::default();
-        lu.refactor(a.as_slice(), a.nrows())?;
+        lu.refactor::<Native>(a.as_slice(), a.nrows())?;
         Ok(lu)
     }
 
@@ -357,7 +360,7 @@ impl LuFactorization {
     /// [`eliminate`], then its own pivot is searched (largest `|re| + |im|`,
     /// LAPACK's `cabs1`), swapped in and divided out. The trailing columns
     /// then receive the whole group, [`NR`] columns per [`eliminate`].
-    fn refactor(&mut self, a: &[c64], n: usize) -> Result<(), LuError> {
+    fn refactor<L: Lanes>(&mut self, a: &[c64], n: usize) -> Result<(), LuError> {
         let ld = n.next_multiple_of(MR);
         (self.n, self.ld) = (n, ld);
         self.inv_diag.clear();
@@ -386,7 +389,7 @@ impl LuFactorization {
                 let (col_re, col_im) = (&mut rest_re[..ld], &mut rest_im[..ld]);
                 let group = (&done_re[k0 * ld..], &done_im[k0 * ld..]);
                 if j > k0 {
-                    eliminate::<1>((&mut *col_re, &mut *col_im), group, ld, k0, j - k0);
+                    eliminate::<L, 1>((&mut *col_re, &mut *col_im), group, ld, k0, j - k0);
                 }
 
                 let (row, pmax) = pivot(&col_re[j..n], &col_im[j..n]);
@@ -453,7 +456,7 @@ impl LuFactorization {
     /// which on the unit columns of an inversion skips a third of the
     /// substitution work. Each column sees the same operations in the same
     /// order whatever columns it is swept with.
-    fn substitute(&self, x_re: &mut [f64], x_im: &mut [f64]) {
+    fn substitute<L: Lanes>(&self, x_re: &mut [f64], x_im: &mut [f64]) {
         if self.n == 0 {
             return;
         }
@@ -472,7 +475,7 @@ impl LuFactorization {
     /// [`Self::solve_vec`], [`Self::solve`], [`Self::inverse`] and
     /// [`LuScratch`]. `x_re`/`x_im` are work planes (no allocation once they
     /// have held a right-hand side of that size).
-    fn solve_into(
+    fn solve_into<L: Lanes>(
         &self,
         fill: impl Fn(usize, &mut [f64], &mut [f64]),
         dest: impl Fn(usize) -> usize,
@@ -493,7 +496,7 @@ impl LuFactorization {
             re[n..].fill(0.0);
             im[n..].fill(0.0);
         }
-        self.substitute(x_re, x_im);
+        self.substitute::<L>(x_re, x_im);
         let columns = x_re.chunks_exact(ld).zip(x_im.chunks_exact(ld));
         for (j, (re, im)) in columns.enumerate() {
             let col = &mut out[dest(j) * n..(dest(j) + 1) * n];
@@ -507,13 +510,13 @@ impl LuFactorization {
     /// `A⁻¹ = U⁻¹·L⁻¹·P`, so the right-hand side is the identity — whose
     /// column `j` starts at row `j`, the most the forward sweep can skip — and
     /// solution column `j` is column `perm[j]` of the inverse.
-    fn inverse_into(&self, work: (&mut Vec<f64>, &mut Vec<f64>), out: &mut [c64]) {
+    fn inverse_into<L: Lanes>(&self, work: (&mut Vec<f64>, &mut Vec<f64>), out: &mut [c64]) {
         let unit = |j: usize, re: &mut [f64], im: &mut [f64]| {
             re.fill(0.0);
             im.fill(0.0);
             re[j] = 1.0;
         };
-        self.solve_into(unit, |j| self.perm[j], work, out);
+        self.solve_into::<L>(unit, |j| self.perm[j], work, out);
     }
 
     /// Column `j` of the row-permuted `b`, split.
@@ -544,7 +547,7 @@ impl LuFactorization {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         let mut x = vec![ZERO; self.n];
         let work = (&mut Vec::new(), &mut Vec::new());
-        self.solve_into(self.permuted_column(|i, _| b[i]), |j| j, work, &mut x);
+        self.solve_into::<Native>(self.permuted_column(|i, _| b[i]), |j| j, work, &mut x);
         x
     }
 
@@ -553,7 +556,7 @@ impl LuFactorization {
         assert_eq!(b.nrows(), self.n, "rhs row count mismatch");
         let mut x = CMatrix::zeros(self.n, b.ncols());
         let work = (&mut Vec::new(), &mut Vec::new());
-        self.solve_into(
+        self.solve_into::<Native>(
             self.permuted_column(|i, j| b[(i, j)]),
             |j| j,
             work,
@@ -565,7 +568,7 @@ impl LuFactorization {
     /// Explicit inverse `A⁻¹`.
     pub fn inverse(&self) -> CMatrix {
         let mut out = CMatrix::zeros(self.n, self.n);
-        self.inverse_into((&mut Vec::new(), &mut Vec::new()), out.as_mut_slice());
+        self.inverse_into::<Native>((&mut Vec::new(), &mut Vec::new()), out.as_mut_slice());
         out
     }
 
@@ -621,8 +624,9 @@ impl LuScratch {
     ) -> Result<(), LuError> {
         assert_eq!(a.len(), n * n, "LU input length mismatch");
         assert_eq!(out.len(), n * n, "LU output length mismatch");
-        self.lu.refactor(a, n)?;
-        self.lu.inverse_into((&mut self.x_re, &mut self.x_im), out);
+        self.lu.refactor::<Native>(a, n)?;
+        self.lu
+            .inverse_into::<Native>((&mut self.x_re, &mut self.x_im), out);
         Ok(())
     }
 }
@@ -651,6 +655,7 @@ pub fn inverse_flops(n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::cplx;
+    use crate::lanes::Portable;
     use crate::ops::matmul;
 
     fn well_conditioned(n: usize) -> CMatrix {
@@ -743,6 +748,34 @@ mod tests {
                 let rhs: Vec<c64> = (0..n).map(|i| cplx(1.0 + i as f64, -0.5)).collect();
                 let b = CMatrix::from_fn(n, 3, |i, j| if j == 1 { rhs[i] } else { ZERO });
                 assert_eq!(lu.solve_vec(&rhs), lu.solve(&b).col(1), "n = {n}");
+            }
+        }
+    }
+
+    /// `a⁻¹` with every rank-k update on the lane type `L` (and in tiles of
+    /// `L::TALL_VECTORS` vectors).
+    fn inverse_on<L: Lanes>(a: &CMatrix) -> CMatrix {
+        let n = a.nrows();
+        let mut lu = LuFactorization::default();
+        lu.refactor::<L>(a.as_slice(), n).unwrap();
+        let mut out = CMatrix::zeros(n, n);
+        lu.inverse_into::<L>((&mut Vec::new(), &mut Vec::new()), out.as_mut_slice());
+        out
+    }
+
+    #[test]
+    fn lane_width_and_tile_height_are_invisible_in_the_inverse_bits() {
+        // Portable lanes update one vector of rows per tile, the wide ones
+        // two: every order from one tile to past eight, whole and ragged,
+        // comes out equal in every bit, and equal to what the scratch makes.
+        let mut scratch = LuScratch::new();
+        let mut out = CMatrix::zeros(0, 0);
+        for n in 8..=65 {
+            for a in [well_conditioned(n), swap_heavy(n)] {
+                let want = inverse_on::<Portable>(&a);
+                assert!(inverse_on::<Native>(&a).approx_eq(&want, 0.0), "n = {n}");
+                scratch.invert_into(&a, &mut out).unwrap();
+                assert!(out.approx_eq(&want, 0.0), "n = {n}");
             }
         }
     }

@@ -13,13 +13,14 @@
 //!   instructions instead of being materialized as temporary matrices — the
 //!   87 `dagger()` call sites of the pre-refactor hot loops each paid an
 //!   `O(N_BS²)` allocation + copy per block per energy per SCBA iteration;
-//! * the inner loop is one register-tiled micro-kernel (`MR × NR` complex
-//!   accumulators, `8 × 4` where the build target has 32 vector
-//!   registers, `8 × 2` elsewhere) on split real/imaginary planes: both
-//!   operands are packed — flag applied — into structure-of-arrays panels
-//!   (`A` in `MR`-row tiles, `B` in `NR`-column panels, both step-major), so
-//!   the kernel is pure `f64` lane arithmetic of fused multiply-adds the
-//!   compiler vectorises;
+//! * the inner loop is one register-tiled micro-kernel (`TALL × NR` complex
+//!   accumulators: `16 × 4` in 512-bit registers where the build target has
+//!   AVX-512, `8 × 4` on aarch64, `8 × 2` elsewhere; the last eight or fewer
+//!   rows of an operand always run an `8 × NR` tile) on split real/imaginary
+//!   planes: both operands are packed — flag applied — into
+//!   structure-of-arrays panels (`A` in row tiles, `B` in `NR`-column panels,
+//!   both step-major), so the kernel is pure lane arithmetic of fused
+//!   multiply-adds on the 8-lane vector of `lanes`;
 //! * callers recycle output and temporary buffers (the batched solvers
 //!   through [`crate::batch::BatchWorkspace`]), so the steady-state RGF
 //!   inner loop performs zero heap allocations.
@@ -34,14 +35,17 @@
 //! bit-identical from run to run and independent of batch size, rank count
 //! and thread count *within a build*. `fma` is the hardware instruction where
 //! the build target has one and `a·b + c` with two roundings where it does
-//! not (a build-time selection, like `NR`); builds for different targets
-//! agree to rounding.
+//! not (a build-time selection, like `NR` and the lane type); builds for
+//! different targets agree to rounding. The width of the lanes is invisible:
+//! the 512-bit and the compiler-vectorised lane type perform the same IEEE
+//! operation per lane, and the tests hold them to equal bits in one build.
 //!
 //! The scalar kernel in [`mod@reference`] is an independent implementation
 //! the engine must match to rounding (`≤ 4·k·ε·‖A‖‖B‖` per element, see the
 //! tests); the before/after numbers of `BENCH_kernels.json` (see
 //! `quatrex-bench`, `--bin bench_kernels`) are measured against it.
 
+use crate::lanes::{Lanes, Native, LANES, WIDE};
 use crate::matrix::CMatrix;
 use crate::{c64, ONE, ZERO};
 
@@ -114,7 +118,7 @@ impl<'a> Op<'a> {
 /// real/imaginary planes (structure-of-arrays), an `O(m·k + k·n)` copy
 /// amortised over the `O(m·k·n)` multiply; the packing buffers are reused
 /// across calls, so the steady state allocates nothing. The product proper
-/// runs in `MR × NR` register tiles of fused multiply-adds
+/// runs in `TALL × NR` register tiles of fused multiply-adds
 /// (`packed_kernel`, shared verbatim with [`crate::batch::gemm_batch`]).
 ///
 /// `C` is first scaled by `beta`; the product sum of each element is then
@@ -161,14 +165,44 @@ pub(crate) struct PackBuf {
     im: Vec<f64>,
     bre: Vec<f64>,
     bim: Vec<f64>,
+    /// Height of the row tiles the `A` planes hold, [`MR`] or [`TALL`]: what
+    /// [`Self::pack_a_raw`] laid out is what [`packed_kernel`] walks.
+    tile_rows: usize,
 }
+
+/// Rows of the tile that starts with `rows_left` rows of the operand below
+/// it, in a packing of `tile_rows`-row tiles: the full height while more than
+/// one short tile is left, [`MR`] for the last rows. An operand of `m ≤ MR`
+/// rows is therefore one short tile whatever the target, and the packed `A`
+/// planes hold `m` rounded up to whole [`MR`]-lane vectors at any height.
+#[inline(always)]
+fn tile_height(tile_rows: usize, rows_left: usize) -> usize {
+    if rows_left > MR {
+        tile_rows
+    } else {
+        MR
+    }
+}
+
+/// Call `$split::<W>` with `W` the width of a packed panel, one of `$w`: the
+/// copy loops are fixed-size vector code at every width they run at.
+macro_rules! at_width {
+    ($width:expr, [$($w:literal),*], $split:ident $args:tt) => {
+        match $width {
+            $($w => $split::<$w> $args,)*
+            width => unreachable!("no packed panel is {width} lanes wide"),
+        }
+    };
+}
+// The widths dispatched on: a row tile of `A`, a column panel of `B`.
+const _: () = assert!(MR == 8 && (TALL == 8 || TALL == 16) && NR <= 4);
 
 impl PackBuf {
     /// Pack the effective `m × k` operand `op(A)` into tile-major split
-    /// planes: rows are grouped into [`MR`]-lane tiles (zero-padded at the
-    /// edge), and within a tile the `k` sweep is contiguous — the micro-kernel
-    /// streams the panel strictly sequentially. The flag is applied during
-    /// the copy.
+    /// planes: rows are grouped into tiles of [`TALL`] rows, the last
+    /// [`MR`] or fewer into a short one (zero-padded at the edge), and within
+    /// a tile the `k` sweep is contiguous — the micro-kernel streams the
+    /// panel strictly sequentially. The flag is applied during the copy.
     fn pack_a(&mut self, a: Op<'_>, m: usize, k: usize) {
         self.pack_a_raw(a.kind(), a.matrix().as_slice(), m, k);
     }
@@ -178,23 +212,43 @@ impl PackBuf {
     /// flags). This is the entry point the batched layer uses on
     /// [`crate::batch::MatrixBatch`] planes.
     pub(crate) fn pack_a_raw(&mut self, kind: OpKind, data: &[c64], m: usize, k: usize) {
+        self.pack_a_tiled(kind, data, m, k, TALL);
+    }
+
+    /// [`Self::pack_a_raw`] in tiles of `tile_rows` rows (the tests pack at
+    /// both heights on one target).
+    fn pack_a_tiled(&mut self, kind: OpKind, data: &[c64], m: usize, k: usize, tile_rows: usize) {
         debug_assert_eq!(data.len(), m * k, "pack_a operand length");
+        self.tile_rows = tile_rows;
         if m == 0 || k == 0 {
             return;
         }
-        let len = m.div_ceil(MR) * MR * k;
-        let tiles = grown(&mut self.re, len)
-            .chunks_exact_mut(MR * k)
-            .zip(grown(&mut self.im, len).chunks_exact_mut(MR * k));
+        let len = m.next_multiple_of(MR) * k;
+        let (re, im) = (grown(&mut self.re, len), grown(&mut self.im, len));
         let conj = kind == OpKind::Dagger;
-        for (t, planes) in tiles.enumerate() {
-            // Lane r of step l of tile t is op(A)[t·MR + r, l].
-            let i = t * MR;
-            let rows = (m - i).min(MR);
+        let mut i = 0;
+        while i < m {
+            // Lane r of step l of the tile at row i is op(A)[i + r, l]; the
+            // tiles before it are full, so it starts at plane offset i·k.
+            let height = tile_height(tile_rows, m - i);
+            let tile = i * k..(i + height) * k;
+            let (tre, tim) = (&mut re[tile.clone()], &mut im[tile]);
+            let rows = (m - i).min(height);
             match kind {
-                OpKind::None => split_steps(planes, MR, rows, conj, &data[i..], m),
-                _ => split_lanes(planes, MR, rows, conj, &data[i * k..], k),
+                OpKind::None => {
+                    at_width!(
+                        height,
+                        [8, 16],
+                        split_steps(tre, tim, rows, conj, &data[i..], m)
+                    )
+                }
+                _ => at_width!(
+                    height,
+                    [8, 16],
+                    split_lanes(tre, tim, rows, conj, &data[i * k..], k)
+                ),
             }
+            i += height;
         }
     }
 
@@ -218,62 +272,109 @@ impl PackBuf {
             .chunks_mut(NR * k)
             .zip(grown(&mut self.bim, k * n).chunks_mut(NR * k));
         let conj = kind == OpKind::Dagger;
-        for (p, planes) in panels.enumerate() {
+        for (p, (pre, pim)) in panels.enumerate() {
             // Lane c of step l of panel p is op(B)[l, p·NR + c]; the panel is
             // as wide as it has columns (no padding lanes).
             let j = p * NR;
             let nc = (n - j).min(NR);
             match kind {
-                OpKind::None => split_lanes(planes, nc, nc, conj, &data[j * k..], k),
-                _ => split_steps(planes, nc, nc, conj, &data[j..], n),
+                OpKind::None => {
+                    at_width!(
+                        nc,
+                        [1, 2, 3, 4],
+                        split_lanes(pre, pim, nc, conj, &data[j * k..], k)
+                    )
+                }
+                _ => at_width!(
+                    nc,
+                    [1, 2, 3, 4],
+                    split_steps(pre, pim, nc, conj, &data[j..], n)
+                ),
             }
         }
     }
 }
 
-/// Fill a packed panel of `width`-lane steps whose steps are contiguous in
-/// the source: lane `r < live` of step `l` is `src[l · stride + r]`,
-/// conjugated if `conj`. The padding lanes are zeroed explicitly: the planes
-/// only grow and may hold what an earlier shape left there.
-#[inline(always)]
-fn split_steps(
-    (pre, pim): (&mut [f64], &mut [f64]),
-    width: usize,
+/// Fill a packed panel of `W`-lane steps whose steps are contiguous in the
+/// source: lane `r < live` of step `l` is `src[l · stride + r]`, conjugated
+/// if `conj`. The padding lanes are zeroed explicitly: the planes only grow
+/// and may hold what an earlier shape left there.
+///
+/// Out of line, one `&mut` parameter per plane: that is what tells the
+/// compiler the planes do not overlap the source or each other, and without
+/// it the de-interleaving stays scalar.
+#[inline(never)]
+fn split_steps<const W: usize>(
+    pre: &mut [f64],
+    pim: &mut [f64],
     live: usize,
     conj: bool,
     src: &[c64],
     stride: usize,
 ) {
     let sign = if conj { -1.0 } else { 1.0 };
-    let steps = pre.chunks_exact_mut(width).zip(pim.chunks_exact_mut(width));
-    for ((dre, dim), row) in steps.zip(src.chunks(stride)) {
-        for r in 0..width {
-            let v = if r < live { row[r] } else { ZERO };
-            dre[r] = v.re;
-            dim[r] = sign * v.im;
+    let steps = pre.as_chunks_mut::<W>().0.iter_mut();
+    let steps = steps
+        .zip(pim.as_chunks_mut::<W>().0)
+        .zip(src.chunks(stride));
+    if live == W {
+        for ((dre, dim), row) in steps {
+            let row: &[c64; W] = row.first_chunk().expect("a whole step");
+            for r in 0..W {
+                (dre[r], dim[r]) = (row[r].re, sign * row[r].im);
+            }
+        }
+    } else {
+        for ((dre, dim), row) in steps {
+            (*dre, *dim) = ([0.0; W], [0.0; W]);
+            for (r, v) in row[..live].iter().enumerate() {
+                (dre[r], dim[r]) = (v.re, sign * v.im);
+            }
         }
     }
 }
 
-/// Fill a packed panel of `width`-lane steps whose lanes are contiguous in
-/// the source: lane `r < live` of step `l` is `src[r · stride + l]`,
-/// conjugated if `conj`; padding lanes are zeroed as in [`split_steps`].
-#[inline(always)]
-fn split_lanes(
-    (pre, pim): (&mut [f64], &mut [f64]),
-    width: usize,
+/// Fill a packed panel of `W`-lane steps whose lanes are contiguous in the
+/// source: lane `r < live` of step `l` is `src[r · stride + l]`, conjugated
+/// if `conj`; padding lanes are zeroed as in [`split_steps`], which also says
+/// why this is out of line. The copy is a transposition, so a full panel goes
+/// through `W × 4` blocks — four consecutive steps read from each lane's run
+/// and written as four whole steps — which the compiler turns into register
+/// shuffles where a step-at-a-time loop stores every `f64` on its own.
+#[inline(never)]
+fn split_lanes<const W: usize>(
+    pre: &mut [f64],
+    pim: &mut [f64],
     live: usize,
     conj: bool,
     src: &[c64],
     stride: usize,
 ) {
+    const BLOCK: usize = 4;
     let sign = if conj { -1.0 } else { 1.0 };
-    let steps = pre.chunks_exact_mut(width).zip(pim.chunks_exact_mut(width));
-    for (l, (dre, dim)) in steps.enumerate() {
-        for r in 0..width {
-            let v = if r < live { src[r * stride + l] } else { ZERO };
-            dre[r] = v.re;
-            dim[r] = sign * v.im;
+    let (pre, pim) = (pre.as_chunks_mut::<W>().0, pim.as_chunks_mut::<W>().0);
+    let steps = pre.len();
+    let whole = if live == W { steps / BLOCK * BLOCK } else { 0 };
+    let blocks = pre[..whole].as_chunks_mut::<BLOCK>().0.iter_mut();
+    let blocks = blocks.zip(pim[..whole].as_chunks_mut::<BLOCK>().0);
+    for (b, (dre, dim)) in blocks.enumerate() {
+        let runs: [&[c64; BLOCK]; W] = std::array::from_fn(|r| {
+            src[r * stride + b * BLOCK..]
+                .first_chunk()
+                .expect("a whole block")
+        });
+        for l in 0..BLOCK {
+            for r in 0..W {
+                (dre[l][r], dim[l][r]) = (runs[r][l].re, sign * runs[r][l].im);
+            }
+        }
+    }
+    let tail = pre[whole..].iter_mut().zip(&mut pim[whole..]);
+    for (l, (dre, dim)) in (whole..steps).zip(tail) {
+        (*dre, *dim) = ([0.0; W], [0.0; W]);
+        for r in 0..live {
+            let v = src[r * stride + l];
+            (dre[r], dim[r]) = (v.re, sign * v.im);
         }
     }
 }
@@ -288,42 +389,62 @@ fn grown(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
     &mut v[..len]
 }
 
-/// Rows of the micro-kernel's register tile: two 4-lane (or one 8-lane)
-/// `f64` vectors each for the real and the imaginary accumulator of a column.
-pub(crate) const MR: usize = 8;
+/// Rows of the short register tile: one lane vector each for the real and the
+/// imaginary accumulator of a column.
+pub(crate) const MR: usize = LANES;
+
+/// Rows of the tall register tile, the one every operand of more than [`MR`]
+/// rows is packed in: two lane vectors per accumulator where a vector is one
+/// register ([`WIDE`]: `2·NR` real and as many imaginary accumulators, four
+/// `A` vectors and the `B` broadcasts in 32 registers, and twice the
+/// multiply-adds per `B` broadcast and per call), one elsewhere.
+pub(crate) const TALL: usize = Native::TALL_VECTORS * MR;
 
 /// Columns of the register tile, from the platform the build targets: four
-/// where there are 32 vector registers (`4·MR/4` accumulators for the real
-/// and as many for the imaginary parts, next to the `A` lanes and `B`
-/// broadcasts), two where there are 16.
-pub(crate) const NR: usize = if cfg!(any(target_feature = "avx512vl", target_arch = "aarch64")) {
+/// where there are 32 vector registers (the accumulators of [`TALL`]` × 4`
+/// next to the `A` lanes and `B` broadcasts), two where there are 16.
+pub(crate) const NR: usize = if WIDE || cfg!(target_arch = "aarch64") {
     4
 } else {
     2
 };
-// The kernel dispatches on a live column count of 1..=4.
-const _: () = assert!(NR <= 4);
 
-/// `a · b + c`: fused where the build target has the instruction, two
-/// roundings elsewhere. Selected at build time, so no target falls back to
-/// libm's software `fma`.
-#[inline(always)]
-pub(crate) fn mul_add(a: f64, b: f64, c: f64) -> f64 {
-    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
+/// Width, in bits, of the vector registers the register tile and the LU
+/// rank-k update compute in on this build target (what `BENCH_kernels.json`
+/// reports as `lane_bits`).
+pub const LANE_BITS: usize = Native::BITS;
+
+/// `steps` multiply-adds on each of a register tile's accumulators —
+/// independent chains of the kernels' own lane type, no loads, no stores:
+/// timed, the roof a `gflops` row of `BENCH_kernels.json` is read against.
+/// Returns the FLOPs performed and a checksum that keeps them alive.
+pub fn fma_chain(steps: u64) -> (u64, f64) {
+    const ACCUMULATORS: usize = 2 * NR * (TALL / MR);
+    let factor = |x: f64| Native::splat(std::hint::black_box(x));
+    let (a, b) = (factor(1.0 + f64::EPSILON), factor(1.0 - f64::EPSILON));
+    let mut acc = [Native::splat(0.0); ACCUMULATORS];
+    for _ in 0..steps {
+        for x in &mut acc {
+            *x = a.fma(b, *x);
+        }
     }
+    let mut checksum = 0.0;
+    for x in acc {
+        let mut lanes = [0.0; MR];
+        x.store(&mut lanes);
+        checksum += lanes.iter().sum::<f64>();
+    }
+    (steps * (2 * ACCUMULATORS * MR) as u64, checksum)
 }
 
 /// The register-tiled micro-kernel, the one every [`gemm`] and
 /// [`crate::batch::gemm_batch`] plane runs: `C += alpha · op(A) · op(B)` from
-/// the packed panels, in [`MR`]` × `[`NR`] tiles of `C` that stay in registers
-/// over the full `k` sweep.
+/// the packed panels, in [`TALL`]` × `[`NR`] (at the last rows [`MR`]` × `[`NR`])
+/// tiles of `C` that stay in registers over the full `k` sweep.
 ///
 /// Every element of the product is formed by the same operation sequence,
-/// wherever it lands (full tile, row or column remainder, any shape, plane or
-/// thread): `k` ascending, and per step
+/// wherever it lands (tall or short tile, row or column remainder, any shape,
+/// plane or thread): `k` ascending, and per step
 /// `re ← fma(ar, br, re)`, `re ← fma(−ai, bi, re)`, `im ← fma(ar, bi, im)`,
 /// `im ← fma(ai, br, im)`; then one `c += alpha · (re, im)`.
 #[inline(always)]
@@ -335,79 +456,128 @@ pub(crate) fn packed_kernel(
     k: usize,
     n: usize,
 ) {
-    let a_len = m.div_ceil(MR) * MR * k;
-    let (are, aim) = (&pack.re[..a_len], &pack.im[..a_len]);
-    let mut j = 0;
-    while j < n {
-        let nc = (n - j).min(NR);
-        let cols = &mut cs[j * m..(j + nc) * m];
-        let bre = &pack.bre[j * k..(j + nc) * k];
-        let bim = &pack.bim[j * k..(j + nc) * k];
-        match nc {
-            1 => tile_columns::<1>(cols, alpha, (are, aim), (bre, bim), m, k),
-            2 => tile_columns::<2>(cols, alpha, (are, aim), (bre, bim), m, k),
-            3 => tile_columns::<3>(cols, alpha, (are, aim), (bre, bim), m, k),
-            _ => tile_columns::<4>(cols, alpha, (are, aim), (bre, bim), m, k),
+    packed_kernel_on::<Native>(cs, alpha, pack, m, k, n);
+}
+
+/// [`packed_kernel`] on the lane type `L`. Row tiles outermost: a tile of `A`
+/// (`TALL·k` of each plane, 16 KiB at `k = 64`) stays in the first-level
+/// cache while the panels of `B` stream past it.
+#[inline(always)]
+fn packed_kernel_on<L: Lanes>(
+    cs: &mut [c64],
+    alpha: c64,
+    pack: &PackBuf,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut i = 0;
+    while i < m {
+        let height = tile_height(pack.tile_rows, m - i);
+        let a = (
+            &pack.re[i * k..(i + height) * k],
+            &pack.im[i * k..(i + height) * k],
+        );
+        let rows = (m - i).min(height);
+        let mut j = 0;
+        while j < n {
+            let nc = (n - j).min(NR);
+            let cols = &mut cs[j * m + i..];
+            let b = (
+                &pack.bre[j * k..(j + nc) * k],
+                &pack.bim[j * k..(j + nc) * k],
+            );
+            match (height / MR, nc) {
+                (1, 1) => tile::<L, 1, 1>(cols, alpha, a, b, m, rows),
+                (1, 2) => tile::<L, 1, 2>(cols, alpha, a, b, m, rows),
+                (1, 3) => tile::<L, 1, 3>(cols, alpha, a, b, m, rows),
+                (1, _) => tile::<L, 1, 4>(cols, alpha, a, b, m, rows),
+                (_, 1) => tile::<L, 2, 1>(cols, alpha, a, b, m, rows),
+                (_, 2) => tile::<L, 2, 2>(cols, alpha, a, b, m, rows),
+                (_, 3) => tile::<L, 2, 3>(cols, alpha, a, b, m, rows),
+                (_, _) => tile::<L, 2, 4>(cols, alpha, a, b, m, rows),
+            }
+            j += nc;
         }
-        j += nc;
+        i += height;
     }
 }
 
-/// One column panel (`NC ≤ NR` adjacent columns of `C`, `bre`/`bim` its packed
-/// `B` panel) against every row tile of the packed `A`: the body of
-/// [`packed_kernel`], generic over the live column count so the column
-/// remainder runs the same lane code as a full tile.
+/// The lanes of one register tile: `[c][v][r]` is row `v·MR + r` of column
+/// `c`.
+type Tile<const V: usize, const NC: usize> = [[[f64; MR]; V]; NC];
+
+/// One register tile of `C` — `V` lane vectors of rows by `NC ≤ NR` columns,
+/// `cols` starting at its first element and `ld` apart — from one row tile of
+/// the packed `A` and one column panel of the packed `B`: generic over both
+/// extents so the remainders run the same lane code as a full tile. Only the
+/// first `rows` rows are live.
 #[inline(always)]
-fn tile_columns<const NC: usize>(
+fn tile<L: Lanes, const V: usize, const NC: usize>(
     cols: &mut [c64],
     alpha: c64,
-    (are, aim): (&[f64], &[f64]),
-    (bre, bim): (&[f64], &[f64]),
-    m: usize,
-    k: usize,
+    a: (&[f64], &[f64]),
+    b: (&[f64], &[f64]),
+    ld: usize,
+    rows: usize,
 ) {
-    let tiles = are.chunks_exact(MR * k).zip(aim.chunks_exact(MR * k));
-    for (t, (tre, tim)) in tiles.enumerate() {
-        let (re, im) = tile_product::<NC>((tre, tim), (bre, bim));
-        let i = t * MR;
-        let rows = (m - i).min(MR);
-        for c in 0..NC {
-            // Scale all MR lanes at fixed width, then add the live ones.
-            let scaled: [c64; MR] = std::array::from_fn(|r| alpha * c64::new(re[c][r], im[c][r]));
-            let col = &mut cols[c * m + i..c * m + i + rows];
-            for (dst, v) in col.iter_mut().zip(scaled) {
-                *dst += v;
+    let (mut re, mut im) = ([[[0.0; MR]; V]; NC], [[[0.0; MR]; V]; NC]);
+    tile_product::<L, V, NC>(a, b, &mut re, &mut im);
+    let scaled = |c: usize, v: usize, r: usize| alpha * c64::new(re[c][v][r], im[c][v][r]);
+    for c in 0..NC {
+        // Whole lane vectors at fixed width, then the live rows of the last.
+        let (whole, last) = cols[c * ld..c * ld + rows].as_chunks_mut::<MR>();
+        for (v, col) in whole.iter_mut().enumerate() {
+            for r in 0..MR {
+                col[r] += scaled(c, v, r);
             }
+        }
+        for (r, dst) in last.iter_mut().enumerate() {
+            *dst += scaled(c, whole.len(), r);
         }
     }
 }
 
 /// The `k` sweep of one register tile: real and imaginary parts of
-/// `Σ_l a[·, l] · b[l, ·]` for one `MR`-row tile of `A` and one `NC`-column
-/// panel of `B`, accumulated in ascending `l`.
+/// `Σ_l a[·, l] · b[l, ·]` for one `V·MR`-row tile of `A` and one `NC`-column
+/// panel of `B`, accumulated in ascending `l` and stored to `re_out` /
+/// `im_out`.
 ///
 /// Out of line on purpose: inlined next to the store loop, the compiler
-/// writes half the accumulators back to the stack on every step.
+/// writes half the accumulators back to the stack on every step. (And the
+/// sums leave through `&mut` parameters because a returned pair of tiles is
+/// copied once more on the caller's side, by two `memcpy` calls per tile.)
 #[inline(never)]
-fn tile_product<const NC: usize>(
+fn tile_product<L: Lanes, const V: usize, const NC: usize>(
     (tre, tim): (&[f64], &[f64]),
     (bre, bim): (&[f64], &[f64]),
-) -> ([[f64; MR]; NC], [[f64; MR]; NC]) {
-    let mut re = [[0f64; MR]; NC];
-    let mut im = [[0f64; MR]; NC];
-    let a_steps = tre.chunks_exact(MR).zip(tim.chunks_exact(MR));
+    re_out: &mut Tile<V, NC>,
+    im_out: &mut Tile<V, NC>,
+) {
+    let mut re = [[L::splat(0.0); V]; NC];
+    let mut im = [[L::splat(0.0); V]; NC];
+    let a_steps = tre.as_chunks::<MR>().0.chunks_exact(V);
+    let a_steps = a_steps.zip(tim.as_chunks::<MR>().0.chunks_exact(V));
     let b_steps = bre.chunks_exact(NC).zip(bim.chunks_exact(NC));
     for ((ar, ai), (br, bi)) in a_steps.zip(b_steps) {
+        let ar: [L; V] = std::array::from_fn(|v| L::load(&ar[v]));
+        let ai: [L; V] = std::array::from_fn(|v| L::load(&ai[v]));
         for c in 0..NC {
-            for r in 0..MR {
-                re[c][r] = mul_add(ar[r], br[c], re[c][r]);
-                re[c][r] = mul_add(-ai[r], bi[c], re[c][r]);
-                im[c][r] = mul_add(ar[r], bi[c], im[c][r]);
-                im[c][r] = mul_add(ai[r], br[c], im[c][r]);
+            let (br, bi) = (L::splat(br[c]), L::splat(bi[c]));
+            for v in 0..V {
+                re[c][v] = ar[v].fma(br, re[c][v]);
+                re[c][v] = ai[v].fnma(bi, re[c][v]);
+                im[c][v] = ar[v].fma(bi, im[c][v]);
+                im[c][v] = ai[v].fma(br, im[c][v]);
             }
         }
     }
-    (re, im)
+    for c in 0..NC {
+        for v in 0..V {
+            re[c][v].store(&mut re_out[c][v]);
+            im[c][v].store(&mut im_out[c][v]);
+        }
+    }
 }
 
 /// `C = A · B`.
@@ -546,6 +716,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::cplx;
+    use crate::lanes::Portable;
 
     fn a22() -> CMatrix {
         CMatrix::from_rows(
@@ -755,19 +926,73 @@ mod tests {
         }
     }
 
+    /// `alpha · op(A) · op(B)` through the packed kernel on the lane type `L`,
+    /// `op(A)` packed in tiles of `tile_rows` rows.
+    fn product_on<L: Lanes>(tile_rows: usize, alpha: c64, a: Op<'_>, b: Op<'_>) -> CMatrix {
+        let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
+        let mut pack = PackBuf::default();
+        pack.pack_a_tiled(a.kind(), a.matrix().as_slice(), m, k, tile_rows);
+        pack.pack_b_raw(b.kind(), b.matrix().as_slice(), k, n);
+        let mut c = CMatrix::zeros(m, n);
+        packed_kernel_on::<L>(c.as_mut_slice(), alpha, &pack, m, k, n);
+        c
+    }
+
+    fn bits(c: &CMatrix) -> Vec<(u64, u64)> {
+        let bits = |v: &c64| (v.re.to_bits(), v.im.to_bits());
+        c.as_slice().iter().map(bits).collect()
+    }
+
+    #[test]
+    fn lane_width_and_tile_height_are_invisible_in_the_bits() {
+        // The same product through the portable and the build target's lane
+        // type, packed in short and in tall tiles — four runs of the generic
+        // tile in one build, the one `gemm` makes among them — over every
+        // tile remainder and flag pair: equal in every bit. (Where the
+        // target's lanes are the portable ones this compares tile heights
+        // only.)
+        const SIZES: [usize; 11] = [1, 3, 7, 8, 9, 15, 16, 17, 33, 64, 65];
+        const FLAGS: [OpKind; 3] = [OpKind::None, OpKind::Trans, OpKind::Dagger];
+        let alpha = cplx(0.3, -0.7);
+        for (m, k, n) in SIZES
+            .iter()
+            .flat_map(|&m| SIZES.iter().flat_map(move |&k| SIZES.map(|n| (m, k, n))))
+        {
+            for (fa, fb) in FLAGS.iter().flat_map(|&fa| FLAGS.map(|fb| (fa, fb))) {
+                let stored = |kind, rows, cols, salt| match kind {
+                    OpKind::None => CMatrix::from_fn(rows, cols, entry(salt)),
+                    _ => CMatrix::from_fn(cols, rows, entry(salt)),
+                };
+                let (a, b) = (stored(fa, m, k, 1), stored(fb, k, n, 2));
+                let (a, b) = (flagged(fa, &a), flagged(fb, &b));
+                let mut want = CMatrix::zeros(m, n);
+                gemm(&mut want, alpha, a, b, ZERO);
+                let want = bits(&want);
+                for tile_rows in [MR, 2 * MR] {
+                    let tag = format!("({m},{k},{n}) {fa:?}/{fb:?} in {tile_rows}-row tiles");
+                    let got = product_on::<Portable>(tile_rows, alpha, a, b);
+                    assert_eq!(bits(&got), want, "portable lanes, {tag}");
+                    let got = product_on::<Native>(tile_rows, alpha, a, b);
+                    assert_eq!(bits(&got), want, "native lanes, {tag}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn product_element_is_independent_of_its_tile_position() {
         // One row of A times one column of B, embedded at every (i, j) of
-        // shapes that put it in a full tile, in the row remainder and in each
-        // width of the column remainder, through every flag: the element
-        // comes out of the same operation sequence, bit for bit.
+        // shapes that put it in either vector of a tall tile, in a short tile
+        // below tall ones, in the row remainder and in each width of the
+        // column remainder, through every flag and at both tile heights: the
+        // element comes out of the same operation sequence, bit for bit.
         let k = 19;
         let (row, col) = (
             CMatrix::from_fn(1, k, entry(4)),
             CMatrix::from_fn(k, 1, entry(5)),
         );
         let mut expected = None;
-        for (m, n) in [1, MR - 1, MR, MR + 1, 2 * MR + 3]
+        for (m, n) in [1, MR - 1, MR, MR + 1, 2 * MR, 2 * MR + 3, 3 * MR + 1]
             .iter()
             .flat_map(|&m| [1, 2, 3, 4, 5, 2 * NR + 1].map(|n| (m, n)))
         {
@@ -799,10 +1024,15 @@ mod tests {
                     (Op::None(&a), Op::None(&b)),
                     (Op::Trans(&at), Op::Dagger(&bd)),
                 ] {
-                    let mut c = CMatrix::zeros(m, n);
-                    gemm(&mut c, ONE, op_a, op_b, ZERO);
-                    let got = (c[(i, j)].re.to_bits(), c[(i, j)].im.to_bits());
-                    assert_eq!(*expected.get_or_insert(got), got, "{m}×{n} at ({i},{j})");
+                    for tile_rows in [MR, 2 * MR] {
+                        let c = product_on::<Native>(tile_rows, ONE, op_a, op_b);
+                        let got = (c[(i, j)].re.to_bits(), c[(i, j)].im.to_bits());
+                        assert_eq!(
+                            *expected.get_or_insert(got),
+                            got,
+                            "{m}×{n} at ({i},{j}) in {tile_rows}-row tiles"
+                        );
+                    }
                 }
             }
         }

@@ -8,17 +8,19 @@
 //! precision, and adequate for the transport-cell sized matrices involved.
 //!
 //! The sweeps run on split real/imaginary column planes ([`SvdScratch`]): a
-//! column pair's Gram sums are accumulated in `MR = 8` `f64` lanes and its
-//! rotation is four fused multiply-add streams over contiguous columns, the
-//! idiom of the GEMM tile and the LU update ([`crate::ops`], [`crate::lu`]).
+//! column pair's Gram sums are accumulated in the 8 lanes of a `lanes`
+//! vector and its rotation is four fused multiply-add streams over
+//! contiguous columns, the idiom of the GEMM tile and the LU update
+//! ([`crate::ops`], [`crate::lu`]).
 //! A sweep allocates nothing; a warmed scratch allocates nothing at all.
 //! Lane sums are reduced in a fixed order, so a decomposition repeats bit for
 //! bit within a build.
 
 use crate::c64;
+use crate::lanes::{mul_add, Lanes, Portable};
 use crate::lu::split_column;
 use crate::matrix::CMatrix;
-use crate::ops::{matmul, mul_add, MR};
+use crate::ops::{matmul, MR};
 
 /// Thin singular value decomposition `A = U·diag(σ)·V†`.
 #[derive(Debug, Clone, Default)]
@@ -107,28 +109,37 @@ impl Planes {
 /// the four lane sums next to the loop, the compiler vectorises across the
 /// accumulators and shuffles every tile into that layout.
 #[inline(never)]
-fn gram_lanes(pr: &[f64], pi: &[f64], qr: &[f64], qi: &[f64]) -> [[f64; MR]; 4] {
-    let [mut pp, mut qq, mut re, mut im] = [[0.0; MR]; 4];
-    let tiles = pr
-        .chunks_exact(MR)
-        .zip(pi.chunks_exact(MR))
-        .zip(qr.chunks_exact(MR).zip(qi.chunks_exact(MR)));
-    for ((pr, pi), (qr, qi)) in tiles {
-        for r in 0..MR {
-            pp[r] = mul_add(pi[r], pi[r], mul_add(pr[r], pr[r], pp[r]));
-            qq[r] = mul_add(qi[r], qi[r], mul_add(qr[r], qr[r], qq[r]));
-            re[r] = mul_add(pi[r], qi[r], mul_add(pr[r], qr[r], re[r]));
-            im[r] = mul_add(-pi[r], qr[r], mul_add(pr[r], qi[r], im[r]));
-        }
+fn gram_lanes<L: Lanes>(pr: &[f64], pi: &[f64], qr: &[f64], qi: &[f64]) -> [[f64; MR]; 4] {
+    let tiles = |plane| <[f64]>::as_chunks::<MR>(plane).0.iter().map(L::load);
+    let [mut pp, mut qq, mut re, mut im] = [L::splat(0.0); 4];
+    let columns = tiles(pr).zip(tiles(pi)).zip(tiles(qr).zip(tiles(qi)));
+    for ((pr, pi), (qr, qi)) in columns {
+        pp = pi.fma(pi, pr.fma(pr, pp));
+        qq = qi.fma(qi, qr.fma(qr, qq));
+        re = pi.fma(qi, pr.fma(qr, re));
+        im = pi.fnma(qr, pr.fma(qi, im));
     }
-    [pp, qq, re, im]
+    [pp, qq, re, im].map(|sum| {
+        let mut lanes = [0.0; MR];
+        sum.store(&mut lanes);
+        lanes
+    })
 }
 
 /// Gram entries of a column pair: `(‖p‖², ‖q‖², p†·q)`, the lanes of
 /// [`gram_lanes`] summed in lane order.
+///
+/// On the portable lanes whatever the target: a sweep is short dependent
+/// chains between scalar square roots and the compiler-vectorised [`rotate`],
+/// and on the AVX-512 box 512-bit Gram sums made the whole decomposition
+/// 15–50 % *slower* at `N = 8 … 64` (narrow floating-point code runs at half
+/// rate for a few hundred cycles after every 512-bit burst); with [`rotate`]
+/// on 512-bit lanes as well it came out level with this, so nothing is gained
+/// for the second lane path.
 #[inline(always)]
 fn gram(pr: &[f64], pi: &[f64], qr: &[f64], qi: &[f64]) -> (f64, f64, c64) {
-    let [pp, qq, re, im] = gram_lanes(pr, pi, qr, qi).map(|lanes| lanes.iter().sum::<f64>());
+    let [pp, qq, re, im] =
+        gram_lanes::<Portable>(pr, pi, qr, qi).map(|lanes| lanes.iter().sum::<f64>());
     (pp, qq, c64::new(re, im))
 }
 
@@ -339,6 +350,27 @@ mod tests {
             assert!(out.v.approx_eq(&want.v, 0.0), "{m}x{n}");
             assert_eq!(out.sigma, want.sigma, "{m}x{n}");
         }
+    }
+
+    #[test]
+    fn gram_sums_do_not_depend_on_the_lane_type() {
+        let a = scrambled(61, 2, 9);
+        let mut planes = Planes::default();
+        planes.reset(61, 2);
+        for j in 0..2 {
+            let column = j * planes.ld..(j + 1) * planes.ld;
+            split_column(
+                a.col(j),
+                &mut planes.re[column.clone()],
+                &mut planes.im[column],
+            );
+        }
+        let ((pr, pi), (qr, qi)) = (planes.column(0), planes.column(1));
+        let bits = |lanes: [[f64; MR]; 4]| lanes.map(|sum| sum.map(f64::to_bits));
+        assert_eq!(
+            bits(gram_lanes::<Portable>(pr, pi, qr, qi)),
+            bits(gram_lanes::<crate::lanes::Native>(pr, pi, qr, qi))
+        );
     }
 
     #[test]

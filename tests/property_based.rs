@@ -174,7 +174,7 @@ fn energy_grid_partition_is_exact() {
         let n_points = rng.uniform_usize(2, 200);
         let n_ranks = rng.uniform_usize(1, 17);
         let grid = EnergyGrid::new(-1.0, 1.0, n_points);
-        let parts = grid.partition(n_ranks);
+        let parts = quatrex_dist::partition::partition_even(grid.len(), n_ranks);
         let total: usize = parts.iter().map(|r| r.len()).sum();
         assert_eq!(total, n_points);
     });
