@@ -15,6 +15,8 @@
 //!   `G → P → W → Σ → G → …` with on-the-fly symmetrisation (Section 5.2),
 //!   per-kernel FLOP and wall-time accounting matching the rows of Table 4,
 //!   and convergence control;
+//! * [`mixing`] — the one Σ update rule of that loop (Anderson-accelerated
+//!   damped mixing), in the three per-energy pieces both drivers call;
 //! * [`observables`] — density of states, electron/hole densities and the
 //!   terminal current (Meir–Wingreen) derived from the selected Green's
 //!   function blocks (Section 4.5).
@@ -38,6 +40,7 @@
 
 pub mod assembly;
 pub mod convolution;
+pub mod mixing;
 pub mod observables;
 pub mod scba;
 
@@ -47,11 +50,12 @@ pub use convolution::{
     retarded_from_lesser_greater, self_energy_from_gw, self_energy_pair_accumulate, stored_values,
     symmetrize_all, BlockPos, ElementId, EnergyResolved,
 };
+pub use mixing::{mix_sigma_energy, MixRow, SigmaMixer};
 pub use observables::{Observables, SpectralData};
 pub use scba::{
-    g_step_assemble, g_step_batch, g_step_finish, kernel_chunks, mix_sigma_energy,
-    solve_accounting, solve_stage, w_step_assemble, w_step_batch, w_step_finish, GStepOutput,
-    KernelTimings, ScbaConfig, ScbaResult, ScbaSolver, WStepOutput,
+    g_step_assemble, g_step_batch, g_step_finish, kernel_chunks, solve_accounting, solve_stage,
+    w_step_assemble, w_step_batch, w_step_finish, GStepOutput, KernelTimings, ScbaConfig,
+    ScbaResult, ScbaSolver, WStepOutput,
 };
 
 pub use quatrex_device::Device;

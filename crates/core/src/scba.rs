@@ -10,8 +10,8 @@
 //! 3. **W-step** — per (boson) energy: assemble `I − V·P^R` and `V·P≶·V†`
 //!    with their OBCs (Beyn + Lyapunov), solve with RGF for `W^≶`;
 //! 4. **Σ-step** — energy convolutions of `G` and `W` give `Σ^≶`, the
-//!    causality construction gives `Σ^R`, and the result is linearly mixed
-//!    into the previous iteration's self-energy.
+//!    causality construction gives `Σ^R`, and the update rule of
+//!    [`crate::mixing`] advances the self-energy towards the result.
 //!
 //! Lesser/greater quantities are re-symmetrised on the fly (Section 5.2), the
 //! OBC memoizer caches surface functions across iterations (Section 5.3), and
@@ -36,6 +36,7 @@ use crate::convolution::{
     polarization_from_g, retarded_from_lesser_greater, self_energy_from_gw, symmetrize_all,
     EnergyResolved,
 };
+use crate::mixing::{MixRow, SigmaMixer};
 use crate::observables::{
     current_spectrum_left, electron_density, integrate_current, local_dos, Observables,
     SpectralData,
@@ -424,36 +425,6 @@ pub fn w_step_batch(
         .collect())
 }
 
-/// Linearly mix the new self-energies of one energy point into the previous
-/// iteration's (`mixed = mix·new + (1−mix)·old`, applied to `Σ^<`, `Σ^>` and
-/// `Σ^R` in place) and return this energy's contribution to the convergence
-/// norms: `(‖Σ^<_new − Σ^<_old‖²_F, ‖Σ^<_new‖²_F)`.
-///
-/// Shared between both drivers so the mixing arithmetic and the residual are
-/// computed identically.
-pub fn mix_sigma_energy(
-    sigma_l: &mut BlockTridiagonal,
-    sigma_g: &mut BlockTridiagonal,
-    sigma_r: &mut BlockTridiagonal,
-    new_l: &BlockTridiagonal,
-    new_g: &BlockTridiagonal,
-    new_r: &BlockTridiagonal,
-    mix: f64,
-) -> (f64, f64) {
-    let mix_into = |old: &BlockTridiagonal, new: &BlockTridiagonal| -> BlockTridiagonal {
-        let mut mixed = new.clone();
-        mixed.scale_mut(quatrex_linalg::c64::new(mix, 0.0));
-        mixed.add(quatrex_linalg::c64::new(1.0 - mix, 0.0), old)
-    };
-    let diff = new_l.add(quatrex_linalg::c64::new(-1.0, 0.0), sigma_l);
-    let update_sq = diff.norm_fro().powi(2);
-    let reference_sq = new_l.norm_fro().powi(2);
-    *sigma_l = mix_into(sigma_l, new_l);
-    *sigma_g = mix_into(sigma_g, new_g);
-    *sigma_r = mix_into(sigma_r, new_r);
-    (update_sq, reference_sq)
-}
-
 /// Configuration of an SCBA run.
 #[derive(Debug, Clone)]
 pub struct ScbaConfig {
@@ -471,7 +442,9 @@ pub struct ScbaConfig {
     pub max_iterations: usize,
     /// Relative convergence tolerance on the self-energy update.
     pub tolerance: f64,
-    /// Linear mixing factor applied to the new self-energy (0 < mixing ≤ 1).
+    /// Damping `β` of the accelerated Σ update (0 < mixing ≤ 1): the weight
+    /// of the new self-energy in the damped step the update rule
+    /// ([`crate::mixing`]) extrapolates from.
     pub mixing: f64,
     /// Enable the dynamic OBC memoizer (Section 5.3).
     pub use_memoizer: bool,
@@ -538,6 +511,9 @@ pub struct ScbaResult {
     pub memoizer_hit_rate: f64,
     /// Largest relative Frobenius weight dropped by the W-assembly truncation.
     pub max_truncation_error: f64,
+    /// Times the Σ update cleared its history and fell back to the damped
+    /// step ([`SigmaMixer::restarts`]).
+    pub mixing_restarts: usize,
 }
 
 /// The NEGF+scGW solver bound to one device and configuration.
@@ -627,6 +603,9 @@ impl ScbaSolver {
             .iter()
             .map(|_| Mutex::new(RgfBatchScratch::new()))
             .collect();
+
+        let mut mixer = SigmaMixer::new(self.config.mixing, self.config.max_iterations, ne, nb, bs);
+        let mut mix_rows: Vec<MixRow> = Vec::with_capacity(ne);
 
         // Last-iteration density and spectral data.
         let mut density = Vec::new();
@@ -774,32 +753,24 @@ impl ScbaSolver {
                 });
             timings.add(&timings.convolution_ns, t3);
 
-            // Mixing and convergence check.
+            // Mixing and convergence check: the three pieces of the update
+            // rule, the rows summed in ascending energy order.
             let t4 = Instant::now();
-            let (update_norm, reference_norm) = quatrex_probe::span("scba.mix", "mix", || {
-                let mut update_norm = 0.0f64;
-                let mut reference_norm = 0.0f64;
+            let residual = quatrex_probe::span("scba.mix", "mix", || {
+                let new = |k: usize| [&s_lesser_new[k], &s_greater_new[k], &s_retarded_new[k]];
+                mix_rows.clear();
                 for k in 0..ne {
-                    let (update_sq, reference_sq) = mix_sigma_energy(
-                        &mut sigma_l[k],
-                        &mut sigma_g[k],
-                        &mut sigma_r[k],
-                        &s_lesser_new[k],
-                        &s_greater_new[k],
-                        &s_retarded_new[k],
-                        self.config.mixing,
-                    );
-                    update_norm += update_sq;
-                    reference_norm += reference_sq;
+                    let old = [&sigma_l[k], &sigma_g[k], &sigma_r[k]];
+                    mix_rows.push(mixer.contribute(k, old, new(k)));
                 }
-                (update_norm, reference_norm)
+                let residual = mixer.coefficients(mix_rows.iter().copied());
+                for k in 0..ne {
+                    let old = [&mut sigma_l[k], &mut sigma_g[k], &mut sigma_r[k]];
+                    mixer.apply(k, old, new(k));
+                }
+                residual
             });
             timings.add(&timings.other_ns, t4);
-            let residual = if reference_norm > 0.0 {
-                (update_norm / reference_norm).sqrt()
-            } else {
-                0.0
-            };
             residual_history.push(residual);
             if residual < self.config.tolerance {
                 converged = true;
@@ -837,6 +808,7 @@ impl ScbaSolver {
             flops,
             memoizer_hit_rate: hit_rate,
             max_truncation_error: max_truncation,
+            mixing_restarts: mixer.restarts(),
         }
     }
 }

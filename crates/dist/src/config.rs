@@ -175,9 +175,10 @@ pub struct DistScbaResult {
     pub iterations: usize,
     /// True if the self-energy update fell below the tolerance.
     pub converged: bool,
-    /// Relative self-energy update per iteration (allreduced).
+    /// Relative self-energy update per iteration, summed in ascending
+    /// energy order on every rank: the sequential solver's bits at `P_S = 1`.
     pub residual_history: Vec<f64>,
-    /// Terminal current per iteration (allreduced).
+    /// Terminal current per iteration, summed the same way.
     pub current_history: Vec<f64>,
     /// Final observables, identical to the sequential solver's.
     pub observables: Observables,
@@ -189,6 +190,9 @@ pub struct DistScbaResult {
     pub memoizer_hit_rate: f64,
     /// Largest relative truncation weight seen by any W assembly.
     pub max_truncation_error: f64,
+    /// Times the Σ update cleared its history and fell back to the damped
+    /// step (`quatrex_core::SigmaMixer::restarts`).
+    pub mixing_restarts: usize,
     /// Measured-vs-modelled communication report.
     pub report: DistReport,
     /// Merged per-rank probe timeline of the run — one track per rank on a

@@ -64,7 +64,7 @@
 //!
 //! Every per-energy and per-element kernel is shared with
 //! `quatrex_core::ScbaSolver` (the stages of `g_step_batch`/`w_step_batch`,
-//! the `*_series` convolution kernels, `mix_sigma_energy`), so
+//! the `*_series` convolution kernels, the `SigmaMixer` update rule), so
 //! [`DistScbaSolver`] reproduces the sequential observables to well below
 //! `1e-10` relative error at any rank count — see
 //! `crates/dist/tests/equivalence.rs`.

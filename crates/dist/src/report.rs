@@ -73,6 +73,9 @@ pub struct DistReport {
     /// Iterations that executed the P/W/Σ phases (and hence all four
     /// transpositions). A ballistic run has zero.
     pub full_iterations: usize,
+    /// Times the Σ update cleared its history and fell back to the damped
+    /// step.
+    pub mixing_restarts: usize,
     /// Wall-clock seconds of the run: from the launch of the rank threads to
     /// the join of the last one (one clock, outside the ranks — not a sum
     /// over them). Set-up before the launch (Hamiltonian, plan, layout) is
@@ -231,6 +234,7 @@ impl DistReport {
             spatial_partitions,
             balanced_partitions,
             full_iterations,
+            mixing_restarts,
             wall_seconds,
             seconds_per_iteration,
             measured_transposition_bytes,
@@ -292,6 +296,7 @@ mod tests {
             elements_per_rank: vec![10, 10],
             symmetry_reduced: false,
             full_iterations: 2,
+            mixing_restarts: 0,
             wall_seconds: 0.5,
             seconds_per_iteration: 0.25,
             measured_transposition_bytes: predicted + predicted / 100,
@@ -402,6 +407,7 @@ mod tests {
             elements_per_rank: vec![5, 5, 5, 5],
             symmetry_reduced: true,
             full_iterations: 0,
+            mixing_restarts: 0,
             wall_seconds: 0.0,
             seconds_per_iteration: 0.0,
             measured_transposition_bytes: 0,

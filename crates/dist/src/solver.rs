@@ -24,8 +24,9 @@
 //!    spatially decomposed when `P_S > 1`), `W^≶` is transposed forward
 //!    again, the `Σ` convolutions run on the element slices, and
 //!    `Σ^≶`/`Σ^R` are transposed back to their energy owners;
-//! 4. the self-energies are mixed per owned energy and the convergence norms
-//!    and observables are allreduced.
+//! 4. the self-energies of the owned energies advance by the update rule of
+//!    `quatrex_core::mixing`; its per-energy rows — convergence norms, Gram
+//!    sums, current spectrum — are gathered in rank order in between.
 //!
 //! No rank of a group is distinguished: ownership of energies and elements
 //! is the only thing that decides who assembles, convolves and mixes what.
@@ -40,17 +41,18 @@
 //! `g_step_batch`/`w_step_batch` around a solve of the same `kernel_chunks`,
 //! `polarization_pair_accumulate`, `self_energy_pair_accumulate` — whose
 //! whole-grid call *is* the sequential convolution —,
-//! `causal_retarded_series`, `mix_sigma_energy`), the
-//! distributed state trajectory matches the sequential one bit-for-bit at
-//! `P_S = 1` except for the allreduce-based residual and per-iteration
-//! current (whose floating-point summation order differs at machine
-//! precision). With `P_S > 1` the nested-dissection solver introduces an
+//! `causal_retarded_series`, the three pieces of `SigmaMixer`) and every
+//! sum over the grid is taken in ascending energy order on every rank, the
+//! distributed state trajectory, residuals and per-iteration currents match
+//! the sequential ones bit for bit at `P_S = 1`. With `P_S > 1` the nested-dissection solver introduces an
 //! additional `≤1e-12`-relative reordering per solve. The equivalence tests
 //! pin the observables at `≤ 1e-10` relative either way.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+use quatrex_core::mixing::SigmaMixer;
 use quatrex_core::scba::KernelTimings;
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::c64;
@@ -182,6 +184,15 @@ impl DistScbaSolver {
             h,
             v,
             batches: TranspositionBatchPlan::new(&plan, self.config.energy_batches),
+            mixers: plan
+                .energy_ranges
+                .iter()
+                .map(|owned| {
+                    let mixer =
+                        SigmaMixer::new(cfg.mixing, cfg.max_iterations, owned.len(), nb, bs);
+                    Mutex::new(Some(mixer))
+                })
+                .collect(),
             plan,
             energies: self.grid.points(),
             de: self.grid.spacing(),
@@ -229,6 +240,7 @@ impl DistScbaSolver {
                 0.0
             },
             max_truncation_error: rank0.log.max_truncation,
+            mixing_restarts: rank0.log.mixing_restarts,
             report,
             timeline,
             final_state,
@@ -285,6 +297,7 @@ impl DistScbaSolver {
             elements_per_rank: plan.element_ranges.iter().map(|r| r.len()).collect(),
             symmetry_reduced: plan.symmetry_reduced,
             full_iterations: rank0.full_iterations,
+            mixing_restarts: rank0.mixing_restarts,
             wall_seconds,
             seconds_per_iteration: wall_seconds / rank0.iterations.max(1) as f64,
             measured_transposition_bytes: counters.transposition_bytes,

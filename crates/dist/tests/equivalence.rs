@@ -175,6 +175,71 @@ fn full_wire_format_is_bit_identical_to_sequential() {
 }
 
 #[test]
+fn energy_decomposition_is_bit_identical_to_sequential_at_any_rank_count() {
+    // At `P_S = 1` every per-energy kernel is the sequential driver's and
+    // every sum over the grid — the update rule's rows, the current — is
+    // taken in ascending energy order on every rank: residuals, currents,
+    // observables and the Σ trajectory itself carry the sequential solver's
+    // bits, whatever the rank count (3 ranks split 8 energies 3 + 3 + 2).
+    // The sweep benchmark's device, where the accelerated rule is at work.
+    let device = DeviceBuilder::from_params(&quatrex_device::DeviceCatalog::nr16(), 426).build();
+    let config = ScbaConfig {
+        n_energies: 8,
+        max_iterations: 7,
+        tolerance: 0.0,
+        mixing: 0.4,
+        interaction_scale: 0.2,
+        use_memoizer: false,
+        ..ScbaConfig::default()
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let seq = ScbaSolver::new(device.clone(), config.clone()).run();
+    assert_eq!(seq.iterations, 7);
+    // Plain damping would stand at 0.6⁶ ≈ 5e-2 here.
+    assert!(
+        seq.residual_history[6] < 1e-2,
+        "the history is in use: {:?}",
+        seq.residual_history
+    );
+    let run = |n_ranks: usize| {
+        let dist = DistScbaConfig::new(config.clone(), n_ranks).with_state_capture(true);
+        DistScbaSolver::new(device.clone(), dist).run()
+    };
+    let one = run(1);
+    let sigma_bits = |r: &DistScbaResult| -> Vec<u64> {
+        let state = r.final_state.as_ref().expect("state capture was on");
+        state
+            .to_wire()
+            .iter()
+            .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+            .collect()
+    };
+    for dist in [&one, &run(2), &run(3)] {
+        let label = format!("{} ranks", dist.report.n_ranks);
+        assert_eq!(
+            bits(&dist.residual_history),
+            bits(&seq.residual_history),
+            "{label}: residual history"
+        );
+        assert_eq!(
+            bits(&dist.current_history),
+            bits(&seq.current_history),
+            "{label}: current history"
+        );
+        assert_eq!(
+            bits(&dist.observables.electron_density),
+            bits(&seq.observables.electron_density),
+            "{label}: density"
+        );
+        assert_eq!(
+            dist.mixing_restarts, seq.mixing_restarts,
+            "{label}: restarts"
+        );
+        assert_eq!(sigma_bits(dist), sigma_bits(&one), "{label}: captured Σ");
+    }
+}
+
+#[test]
 fn measured_alltoall_volume_agrees_with_the_model_within_5_percent() {
     for (name, device) in devices() {
         for n_ranks in [2usize, 4] {
@@ -382,16 +447,15 @@ fn captured_state_covers_the_grid_once_and_warm_starts_the_same_grid() {
     // Every rank of the (4, 2) grid owns energies, so every rank contributes
     // to the captured state: the Σ matrices tile the grid exactly once (the
     // capture panics on a gap or a duplicate) and every energy's OBC cache
-    // entries come along from its owner's memoizer. Warm-starting the same
-    // grid from that state continues the trajectory: N cold iterations, then
-    // M warm ones, land where N + M cold iterations do.
+    // entries come along from its owner's memoizer.
     let device = DeviceBuilder::test_device(3, 2, 4).build();
-    let grid = |iterations: usize| {
-        DistScbaConfig::new(gw_config(16, iterations), 4)
+    let grid = |config: ScbaConfig| {
+        DistScbaConfig::new(config, 4)
             .with_spatial_partitions(2)
             .with_state_capture(true)
     };
-    let cold = DistScbaSolver::new(device.clone(), grid(2)).run();
+    let cold = DistScbaSolver::new(device, grid(gw_config(16, 2))).run();
+    assert_eq!(cold.iterations, 2);
     assert_eq!(cold.report.energies_per_rank, vec![4; 4]);
     let state = cold.final_state.as_ref().expect("state capture was on");
     assert_eq!(state.n_energies, 16);
@@ -407,22 +471,47 @@ fn captured_state_covers_the_grid_once_and_warm_starts_the_same_grid() {
         state.obc.iter().map(|(key, _)| key.energy_index).collect();
     assert!(cached.into_iter().eq(0..16), "OBC entries of every energy");
 
-    let warm = DistScbaSolver::new(device.clone(), grid(2)).run_warm(Some(state));
-    let straight = DistScbaSolver::new(device, grid(4)).run();
-    assert_eq!(warm.iterations + cold.iterations, straight.iterations);
+    // What the sweep engine relies on (crates/serve/tests/convergence.rs): a
+    // run warm-started on the same grid from a converged captured state
+    // converges in fewer iterations to the same observables. The loop state
+    // is Σ *and* the update rule's history, which starts empty on a warm
+    // start, so the warm run is a new trajectory to the same fixed point, not
+    // a continuation of the cold one. Flat-band ribbon, memoizer off: the
+    // contractive configuration of the serve suites.
+    let ribbon = DeviceBuilder::test_device(2, 2, 6).build();
+    let to_convergence = ScbaConfig {
+        n_energies: 8,
+        max_iterations: 200,
+        tolerance: 1e-12,
+        interaction_scale: 0.2,
+        use_memoizer: false,
+        ..ScbaConfig::default()
+    };
+    let solver = DistScbaSolver::new(ribbon, grid(to_convergence));
+    let cold = solver.run();
+    assert!(cold.converged, "residuals {:?}", cold.residual_history);
+    let state = cold.final_state.as_ref().expect("state capture was on");
+    let warm = solver.run_warm(Some(state));
+    assert!(warm.converged);
     assert!(
-        rel_err(warm.observables.current, straight.observables.current) < TOL,
+        warm.iterations < cold.iterations,
+        "warm {} vs cold {} iterations",
+        warm.iterations,
+        cold.iterations
+    );
+    assert!(
+        rel_err(warm.observables.current, cold.observables.current) < TOL,
         "current {} vs {}",
         warm.observables.current,
-        straight.observables.current
+        cold.observables.current
     );
     let density_err = max_rel_err(
         &warm.observables.electron_density,
-        &straight.observables.electron_density,
+        &cold.observables.electron_density,
     );
     assert!(density_err < TOL, "density err {density_err}");
     // …and the warm run captures a full state again.
-    assert_eq!(warm.final_state.expect("capture").n_energies, 16);
+    assert_eq!(warm.final_state.expect("capture").n_energies, 8);
 }
 
 #[test]

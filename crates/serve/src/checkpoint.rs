@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic    "QXSWEEP1"                       8 bytes
-//! version  u32                              currently 1
+//! version  u32                              currently 2
 //! length   u64                              payload bytes
 //! digest   u64                              FNV-1a 64 over the payload
 //! payload:
@@ -14,6 +14,7 @@
 //!     bias f64 | temperature f64
 //!     current f64 | electron_charge f64 | peak_spectral_current f64
 //!     iterations u64 | converged u8 | residual f64
+//!     n_residuals u64, then n_residuals × f64 | mixing_restarts u64
 //!     warm_started u8 | warm_source i64 | bytes_restored u64
 //!     bytes_per_rank_per_iteration u64
 //!     warm-state wire: n_values u64, then n_values × (re f64, im f64)
@@ -36,7 +37,7 @@ use quatrex_linalg::c64;
 /// File magic of the sweep checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"QXSWEEP1";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Named failures of sweep serving and checkpoint decode.
 #[derive(Debug)]
@@ -45,7 +46,7 @@ pub enum SweepError {
     Io(std::io::Error),
     /// The file does not start with [`CHECKPOINT_MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads and writes.
     UnsupportedVersion(u32),
     /// The file ends before the structure it promises.
     Truncated,
@@ -189,6 +190,16 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A length-prefixed run of `f64`s.
+    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, SweepError> {
+        let n = self.u64()? as usize;
+        // Bound the count by the bytes left before allocating for it.
+        if self.data.len().saturating_sub(self.pos) < n.saturating_mul(8) {
+            return Err(SweepError::Truncated);
+        }
+        (0..n).map(|_| self.f64()).collect()
+    }
+
     pub(crate) fn wire(&mut self) -> Result<Vec<c64>, SweepError> {
         let n = self.u64()? as usize;
         // Cheap sanity bound before allocating: every value needs 16 bytes.
@@ -279,12 +290,16 @@ mod tests {
         let mut wrong = file.clone();
         wrong[0] = b'Z';
         assert!(matches!(unframe(&wrong), Err(SweepError::BadMagic)));
-        let mut newer = file;
-        newer[8] = 9;
-        assert!(matches!(
-            unframe(&newer),
-            Err(SweepError::UnsupportedVersion(9))
-        ));
+        // Any version but the current one is refused by number — the
+        // previous format (no residual history) as much as a future one.
+        for version in [1u8, 9] {
+            let mut other = file.clone();
+            other[8] = version;
+            assert!(matches!(
+                unframe(&other),
+                Err(SweepError::UnsupportedVersion(v)) if v == u32::from(version)
+            ));
+        }
     }
 
     #[test]

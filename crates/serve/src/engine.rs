@@ -184,11 +184,18 @@ impl SweepEngine {
     }
 
     /// Completion index of the finished point nearest to `point` under
-    /// [`SweepPoint::distance`] (ties break toward the earliest finisher).
+    /// [`SweepPoint::distance`] (ties break toward the earliest finisher)
+    /// among those fit to seed a solve: converged, with finite observables.
+    /// The Σ of a point that stopped at the iteration cap or diverged is not
+    /// near any fixed point, and would poison its neighbours.
     fn nearest_finished(&self, point: &SweepPoint) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (i, fp) in self.finished.iter().enumerate() {
-            let d = point.distance(&fp.report.point);
+            let r = &fp.report;
+            if !(r.converged && r.current.is_finite() && r.electron_charge.is_finite()) {
+                continue;
+            }
+            let d = point.distance(&r.point);
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }
@@ -239,6 +246,8 @@ impl SweepEngine {
             iterations: result.iterations,
             converged: result.converged,
             residual: result.residual_history.last().copied().unwrap_or(0.0),
+            residual_history: result.residual_history,
+            mixing_restarts: result.mixing_restarts,
             warm_started: warm_source.is_some(),
             warm_source,
             bytes_restored,
@@ -278,6 +287,11 @@ impl SweepEngine {
             put_u64(&mut payload, r.iterations as u64);
             put_u8(&mut payload, r.converged as u8);
             put_f64(&mut payload, r.residual);
+            put_u64(&mut payload, r.residual_history.len() as u64);
+            for &residual in &r.residual_history {
+                put_f64(&mut payload, residual);
+            }
+            put_u64(&mut payload, r.mixing_restarts as u64);
             put_u8(&mut payload, r.warm_started as u8);
             put_i64(&mut payload, r.warm_source.map_or(-1, |s| s as i64));
             put_u64(&mut payload, r.bytes_restored);
@@ -328,6 +342,8 @@ impl SweepEngine {
             let iterations = cur.u64()? as usize;
             let converged = cur.u8()? != 0;
             let residual = cur.f64()?;
+            let residual_history = cur.f64s()?;
+            let mixing_restarts = cur.u64()? as usize;
             let warm_started = cur.u8()? != 0;
             let warm_source = match cur.i64()? {
                 s if s >= 0 => Some(s as usize),
@@ -346,6 +362,8 @@ impl SweepEngine {
                     iterations,
                     converged,
                     residual,
+                    residual_history,
+                    mixing_restarts,
                     warm_started,
                     warm_source,
                     bytes_restored,

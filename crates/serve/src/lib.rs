@@ -13,7 +13,8 @@
 //! existing potential-ramp knob (`Device::with_drain_bias`), shifts the
 //! drain chemical potential, and runs a [`quatrex_dist::DistScbaSolver`]
 //! over the configured `n_energy_groups × P_S` rank grid — **seeded from
-//! the converged state of the nearest finished neighbor**. The seed is a
+//! the converged state of the nearest finished neighbor** (a point that
+//! stopped at the iteration cap or diverged seeds nobody). The seed is a
 //! [`quatrex_dist::WarmState`]: per-energy `Σ^<`/`Σ^>`/`Σ^R` plus the OBC
 //! memoizer cache. Near a neighbor's fixed point the SCBA loop skips the slow
 //! early contraction, so the sweep's total iterations drop — the crate's
@@ -37,18 +38,21 @@
 //!
 //! let device = DeviceBuilder::test_device(2, 2, 6).build();
 //! let scba = ScbaConfig {
-//!     n_energies: 6,
-//!     max_iterations: 10,
+//!     n_energies: 8,
+//!     max_iterations: 40,
 //!     tolerance: 1e-5,
 //!     interaction_scale: 0.2,
 //!     ..ScbaConfig::default()
 //! };
-//! let mut engine = SweepEngine::new(device, SweepConfig::new(scba, 2));
+//! // Flat-band bias: the toy device's SCBA map is contractive without the ramp.
+//! let config = SweepConfig::new(scba, 2).with_potential_ramp(false);
+//! let mut engine = SweepEngine::new(device, config);
 //! engine.enqueue_bias_ramp(&[0.0, 0.02]);
 //! let report = engine.run_all();
 //! assert_eq!(report.points.len(), 2);
-//! // The second point warm-starts from the first and converges faster.
-//! assert!(report.points[1].warm_started);
+//! // The second point warm-starts from the converged first and needs fewer
+//! // iterations.
+//! assert!(report.points[0].converged && report.points[1].warm_started);
 //! assert!(report.points[1].iterations <= report.points[0].iterations);
 //! assert!(report.points[1].bytes_restored > 0);
 //! ```

@@ -24,6 +24,11 @@ pub struct PointReport {
     pub converged: bool,
     /// Final relative Σ residual.
     pub residual: f64,
+    /// Relative Σ residual of every iteration — the point's trajectory.
+    pub residual_history: Vec<f64>,
+    /// Times the Σ update cleared its history and fell back to the damped
+    /// step (`DistScbaResult::mixing_restarts`).
+    pub mixing_restarts: usize,
     /// Whether the point was seeded from a finished neighbor's state.
     pub warm_started: bool,
     /// Completion index of the donating neighbor, if warm-started.
@@ -56,6 +61,11 @@ impl PointReport {
             ("iterations", self.iterations.into()),
             ("converged", self.converged.into()),
             ("residual", self.residual.into()),
+            (
+                "residual_history",
+                Json::arr(self.residual_history.iter().copied()),
+            ),
+            ("mixing_restarts", self.mixing_restarts.into()),
             ("warm_started", self.warm_started.into()),
             ("warm_source", self.warm_source.into()),
             ("bytes_restored", self.bytes_restored.into()),
@@ -162,6 +172,8 @@ mod tests {
             iterations,
             converged: true,
             residual: 1e-9,
+            residual_history: vec![1e-3, 1e-9],
+            mixing_restarts: 0,
             warm_started: warm,
             warm_source: warm.then_some(0),
             bytes_restored: if warm { 1024 } else { 0 },
@@ -202,6 +214,16 @@ mod tests {
         assert_eq!(
             doc.path("points[1].warm_started").and_then(|v| v.as_bool()),
             Some(true)
+        );
+        assert_eq!(
+            doc.path("points[1].residual_history[1]")
+                .and_then(Json::as_f64),
+            Some(1e-9)
+        );
+        assert_eq!(
+            doc.path("points[1].mixing_restarts")
+                .and_then(|v| v.as_u64()),
+            Some(0)
         );
     }
 

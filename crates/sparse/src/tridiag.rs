@@ -116,6 +116,20 @@ impl BlockTridiagonal {
         &mut self.lower[i]
     }
 
+    /// Every stored block in storage order: the diagonal, then the super-,
+    /// then the sub-diagonal.
+    pub fn blocks(&self) -> impl Iterator<Item = &CMatrix> {
+        self.diag.iter().chain(&self.upper).chain(&self.lower)
+    }
+
+    /// Mutable [`Self::blocks`], same order.
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut CMatrix> {
+        self.diag
+            .iter_mut()
+            .chain(&mut self.upper)
+            .chain(&mut self.lower)
+    }
+
     /// Generic block accessor for `|i − j| ≤ 1`; returns `None` outside the band.
     pub fn block(&self, i: usize, j: usize) -> Option<&CMatrix> {
         if i >= self.n_blocks() || j >= self.n_blocks() {
@@ -189,12 +203,7 @@ impl BlockTridiagonal {
 
     /// Scale all blocks by `alpha` in place.
     pub fn scale_mut(&mut self, alpha: c64) {
-        for b in self
-            .diag
-            .iter_mut()
-            .chain(self.upper.iter_mut())
-            .chain(self.lower.iter_mut())
-        {
+        for b in self.blocks_mut() {
             b.scale_mut(alpha);
         }
     }
@@ -268,12 +277,7 @@ impl BlockTridiagonal {
     /// Frobenius norm over all stored blocks.
     pub fn norm_fro(&self) -> f64 {
         let mut acc = 0.0;
-        for b in self
-            .diag
-            .iter()
-            .chain(self.upper.iter())
-            .chain(self.lower.iter())
-        {
+        for b in self.blocks() {
             acc += b.norm_fro().powi(2);
         }
         acc.sqrt()

@@ -1,18 +1,29 @@
-//! SCBA convergence study: the effect of the symmetry enforcement (Section 5.2)
-//! and of the OBC memoizer (Section 5.3) on the self-consistent Born iteration.
+//! SCBA convergence study: the Σ update rule (`quatrex_core::mixing`) on a
+//! contractive device, and the effect of the symmetry enforcement
+//! (Section 5.2) and of the OBC memoizer (Section 5.3) on the self-consistent
+//! Born iteration.
+//!
+//! The device is the reduced NR-16 ribbon the sweep benchmark runs (N_BS = 8,
+//! 12 energies), whose SCBA map barely depends on Σ at `interaction_scale
+//! 0.2`: plain damping with `mixing = 0.4` contracts the residual by exactly
+//! `1 − mixing` per iteration — `ln(1e-9) / ln(0.6) ≈ 41` iterations to a
+//! tolerance of 1e-9 — where the accelerated rule needs 9.
 //!
 //! Run with: `cargo run --release --example scba_convergence`
 
 use quatrex::prelude::*;
 
+const TOLERANCE: f64 = 1e-9;
+const MIXING: f64 = 0.4;
+
 fn run_case(enforce_symmetry: bool, use_memoizer: bool) -> ScbaResult {
-    let device = DeviceBuilder::test_device(4, 2, 5).build();
+    let device = DeviceBuilder::from_params(&DeviceCatalog::nr16(), 426).build();
     let config = ScbaConfig {
-        n_energies: 24,
-        max_iterations: 8,
-        tolerance: 1e-5,
-        mixing: 0.4,
-        interaction_scale: 0.3,
+        n_energies: 12,
+        max_iterations: 20,
+        tolerance: TOLERANCE,
+        mixing: MIXING,
+        interaction_scale: 0.2,
         enforce_symmetry,
         use_memoizer,
         ..Default::default()
@@ -21,28 +32,29 @@ fn run_case(enforce_symmetry: bool, use_memoizer: bool) -> ScbaResult {
 }
 
 fn main() {
-    println!("SCBA convergence with/without symmetry enforcement and OBC memoization\n");
+    println!("SCBA convergence with/without symmetry enforcement and OBC memoization");
+    println!(
+        "(tolerance {TOLERANCE:e}; plain damping would take {:.0} iterations)\n",
+        (TOLERANCE.ln() / (1.0 - MIXING).ln()).ceil()
+    );
     let cases = [
-        ("symmetry ON,  memoizer ON ", true, true),
         ("symmetry ON,  memoizer OFF", true, false),
-        ("symmetry OFF, memoizer ON ", false, true),
+        ("symmetry ON,  memoizer ON ", true, true),
+        ("symmetry OFF, memoizer OFF", false, false),
     ];
     for (label, sym, memo) in cases {
         let res = run_case(sym, memo);
         println!("{label}:");
         println!(
-            "  iterations = {:>2}, converged = {:>5}, final residual = {:.3e}",
-            res.iterations,
-            res.converged,
-            res.residual_history.last().copied().unwrap_or(f64::NAN)
+            "  iterations = {:>2}, converged = {:>5}, history restarts = {}",
+            res.iterations, res.converged, res.mixing_restarts
         );
-        println!(
-            "  residual history: {:?}",
-            res.residual_history
-                .iter()
-                .map(|r| (r * 1e4).round() / 1e4)
-                .collect::<Vec<_>>()
-        );
+        let history: Vec<String> = res
+            .residual_history
+            .iter()
+            .map(|r| format!("{r:.1e}"))
+            .collect();
+        println!("  residual history: [{}]", history.join(", "));
         println!(
             "  current = {:.4e}, memoizer hit rate = {:.0}%, wall time = {:.2} s\n",
             res.observables.current,
@@ -50,7 +62,11 @@ fn main() {
             res.timings.total_seconds()
         );
     }
-    println!("Expected behaviour (paper Sections 5.2-5.3): enforcing the lesser/greater");
-    println!("symmetry stabilises the G -> P -> W -> Sigma cycle, and the memoizer replaces");
-    println!("most direct OBC solves after the first iteration without changing the result.");
+    println!("Expected behaviour: the accelerated update reaches the tolerance in 9 iterations,");
+    println!("with or without the symmetry enforcement (this device's self-energies come out");
+    println!("anti-Hermitian to rounding either way). The memoizer replaces most direct OBC");
+    println!("solves after the first iteration, but refines its cached surface functions only");
+    println!("to 1e-7: with it on the residual stalls near 1e-8 (under plain damping too), the");
+    println!("update rule keeps restarting its history there, and the current agrees with the");
+    println!("memoizer-off run to better than 1e-6 long before.");
 }

@@ -62,25 +62,33 @@ fn scba_converges_and_respects_physical_invariants() {
 
 #[test]
 fn memoizer_does_not_change_the_physics() {
-    let with = ScbaSolver::new(
-        tiny_device(),
-        ScbaConfig {
-            use_memoizer: true,
-            ..fast_config(12, 4)
-        },
-    )
-    .run();
-    let without = ScbaSolver::new(
-        tiny_device(),
-        ScbaConfig {
-            use_memoizer: false,
-            ..fast_config(12, 4)
-        },
-    )
-    .run();
-    let rel = (with.observables.current - without.observables.current).abs()
-        / without.observables.current.abs().max(1e-12);
-    assert!(rel < 5e-2, "memoizer changed the current by {rel}");
+    // Compared at a fixed point, where "the same physics" is a statement
+    // about the solver and not about where an iteration happens to stand: the
+    // benchmark's sweep problem, whose SCBA map is contractive. The memoizer
+    // refines its cached surface functions to 1e-7, which is the floor of the
+    // Σ residual with it on — both runs are converged to 1e-6.
+    let run = |use_memoizer: bool| {
+        let device =
+            DeviceBuilder::from_params(&quatrex::device::DeviceCatalog::nr16(), 426).build();
+        let config = ScbaConfig {
+            use_memoizer,
+            tolerance: 1e-6,
+            ..fast_config(12, 40)
+        };
+        ScbaSolver::new(device, config).run()
+    };
+    let (with, without) = (run(true), run(false));
+    assert!(with.converged && without.converged);
+    assert!(with.memoizer_hit_rate > 0.5 && without.memoizer_hit_rate == 0.0);
+    let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+    let current = rel(with.observables.current, without.observables.current);
+    assert!(
+        current <= 1e-6,
+        "memoizer changed the current by {current:e}"
+    );
+    let charge = |r: &ScbaResult| r.observables.electron_density.iter().sum::<f64>();
+    let charge = rel(charge(&with), charge(&without));
+    assert!(charge <= 1e-6, "memoizer changed the charge by {charge:e}");
 }
 
 #[test]
