@@ -19,7 +19,15 @@
 //!   with the energy-independent operand packed once ([`BatchOp::Shared`]),
 //!   same sizes.
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
-//!   right-hand sides) on a warm `RgfScratch`, `N_B = 8`, `N_BS ∈ {32, 64}`.
+//!   right-hand sides) on a warm `RgfScratch`, `N_B = 8`, `N_BS ∈ {32, 64}`,
+//!   then `N_B = 16`, `N_BS = 32`, each with the exact `flops` the solver
+//!   counted — the `N_B` and `N_BS³` laws of Table 1.
+//! * **nested_dissection** — untimed exact FLOP counts of the
+//!   nested-dissection solve of a 24-block, `N_BS = 8` system (the bench
+//!   cell's shape, lesser and greater right-hand sides) at `P_S ∈ {2, 4}` on
+//!   the uniform layout and at `P_S = 4` on the FLOP-balanced one: per
+//!   partition, reduced system, and the sequential `rgf_solve` of the same
+//!   system (Table 5).
 //! * **lu_invert** — `LuScratch::invert_into` at
 //!   `N_BS ∈ {8, 16, 32, 64, 128}` under the `inverse_flops` model.
 //! * **svd** — the one-sided Jacobi `svd` of a dense `N × N` matrix at
@@ -31,9 +39,10 @@
 //!   `convolve` of two `N_E`-point series, and one whole-grid call of each
 //!   pair kernel on a non-self-mirror pair (`p_pair_ns`: 6 transforms,
 //!   `sigma_pair_ns`: 12).
-//! * **scba_iteration** — wall time of a full SCBA run on the reduced NW-1
-//!   device, recorded so the perf trajectory has a longitudinal data point
-//!   per PR.
+//! * **scba_iteration** — wall time (median of warm runs), FLOPs and OBC
+//!   memoizer hit rate of a full SCBA run on the reduced NW-1 device, with
+//!   its shape (`n_energies`, `n_b`, `n_bs`); **scba_iteration_memoizer_off**
+//!   is the same run with the memoizer off (Table 4's memoizer column).
 //!
 //! Run with `cargo run --release -p quatrex-bench --bin bench_kernels`;
 //! set `QUATREX_BENCH_QUICK=1` for the CI smoke mode (fewer repetitions,
@@ -53,7 +62,10 @@ use quatrex_linalg::{
 use quatrex_obc::{beyn, BeynConfig};
 use quatrex_probe::clock::Instant;
 use quatrex_probe::json::Json;
-use quatrex_rgf::{rgf_solve_scratch, BlockTridiagonal, RgfScratch};
+use quatrex_rgf::{
+    nested_dissection_solve, nested_dissection_solve_with_layout, partition_layout_balanced,
+    rgf_solve, rgf_solve_scratch, BlockTridiagonal, NestedConfig, NestedReport, RgfScratch,
+};
 
 /// Median-of-runs wall time per repetition, in nanoseconds.
 fn time_ns(runs: usize, reps: usize, mut f: impl FnMut()) -> f64 {
@@ -75,9 +87,9 @@ fn tenths(x: f64) -> Json {
     ((x * 10.0).round() / 10.0).into()
 }
 
-/// One kernel row: its size fields, then `ns` per repetition and — where the
-/// kernel has a FLOP model — the rate `gflops` (FLOP per nanosecond, two
-/// decimals). Echoed to stdout as it is built.
+/// One kernel row: its size (and exact count) fields, then `ns` per
+/// repetition and — where the kernel has a FLOP model — the rate `gflops`
+/// (FLOP per nanosecond, two decimals). Echoed to stdout as it is built.
 fn row(kernel: &str, sizes: &[(&'static str, usize)], ns: f64, flops: Option<u64>) -> Json {
     let mut fields: Vec<(&str, Json)> = sizes.iter().map(|&(k, v)| (k, v.into())).collect();
     fields.push(("ns", tenths(ns)));
@@ -219,6 +231,34 @@ fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> (f64, u64) {
         std::hint::black_box(&sol);
     });
     (ns, flops)
+}
+
+/// Exact FLOP counts of the nested-dissection solve of a 24-block,
+/// `N_BS = 8` system with two quadratic right-hand sides (the shape of the
+/// bench cell's electron system): `(P_S, balanced, sequential rgf_solve
+/// FLOPs, report)` at `P_S = 2` and `4` on the uniform layout, then at
+/// `P_S = 4` on the FLOP-balanced layout the uniform report implies.
+/// Untimed: every counter is a function of the problem shape, never of the
+/// values (`quatrex_rgf::probe_partition_flops`).
+fn nested_dissection() -> [(usize, bool, u64, NestedReport); 3] {
+    let (a, bl, bg) = rgf_system(24, 8);
+    let rhs = [&bl, &bg];
+    let seq = rgf_solve(&a, &rhs).expect("regular system").flops;
+    let uniform = |p_s| {
+        let config = NestedConfig::new(p_s);
+        nested_dissection_solve(&a, &rhs, &config)
+            .expect("regular system")
+            .1
+    };
+    let four = uniform(4);
+    let parts = partition_layout_balanced(24, 4, &four).expect("balanced layout");
+    let (_, balanced) =
+        nested_dissection_solve_with_layout(&a, &rhs, &parts).expect("regular system");
+    [
+        (2, false, seq, uniform(2)),
+        (4, false, seq, four),
+        (4, true, seq, balanced),
+    ]
 }
 
 /// One LU inversion of a diagonally shifted (regular) block. Returns
@@ -376,9 +416,25 @@ fn main() {
         )
     });
 
-    let rgf_rows = [(8usize, 32usize, 6), (8, 64, 2)].map(|(nb, bs, reps)| {
+    let rgf_rows = [(8usize, 32usize, 6), (8, 64, 2), (16, 32, 3)].map(|(nb, bs, reps)| {
         let (ns, flops) = bench_rgf(nb, bs, runs.min(5), if quick { 1 } else { reps });
-        row("rgf_solve", &[("n_b", nb), ("n_bs", bs)], ns, Some(flops))
+        let sizes = [("n_b", nb), ("n_bs", bs), ("flops", flops as usize)];
+        row("rgf_solve", &sizes, ns, Some(flops))
+    });
+
+    let nested_rows = nested_dissection().map(|(p_s, balanced, sequential, report)| {
+        let row = Json::obj([
+            ("p_s", p_s.into()),
+            ("balanced", balanced.into()),
+            ("sequential_flops", sequential.into()),
+            (
+                "partition_flops",
+                Json::arr(report.partitions.iter().map(|p| p.flops)),
+            ),
+            ("reduced_system_flops", report.reduced_system_flops.into()),
+        ]);
+        println!("{:<12} {row}", "nested");
+        row
     });
 
     let lu_rows = [8usize, 16, 32, 64, 128].map(|n_bs| {
@@ -410,17 +466,27 @@ fn main() {
         row
     });
 
-    // Full SCBA trajectory point (current engine): reduced NW-1 device.
-    let solver = bench_solver(if quick { 4 } else { 8 }, 2, true);
-    let t = Instant::now();
-    let res = solver.run();
-    let scba = Json::obj([
-        ("device", "NW-1/26".into()),
-        ("wall_ms", tenths(t.elapsed().as_secs_f64() * 1e3)),
-        ("iterations", res.iterations.into()),
-        ("total_flops", res.flops.total().into()),
-    ]);
-    println!("{:<12} {scba}", "scba");
+    // Full SCBA runs on the reduced NW-1 device, memoizer on and off, each
+    // timed warm (the first run of a process pays for its arenas).
+    let n_energies = if quick { 4 } else { 8 };
+    let [scba, scba_memo_off] = [true, false].map(|memoizer| {
+        let solver = bench_solver(n_energies, 2, memoizer);
+        let mut res = None;
+        let ns = time_ns(runs.min(5), 1, || res = Some(solver.run()));
+        let res = res.expect("timed at least once");
+        let scba = Json::obj([
+            ("device", "NW-1/26".into()),
+            ("n_energies", n_energies.into()),
+            ("n_b", solver.device().n_blocks.into()),
+            ("n_bs", solver.device().transport_cell_size().into()),
+            ("wall_ms", tenths(ns * 1e-6)),
+            ("iterations", res.iterations.into()),
+            ("total_flops", res.flops.total().into()),
+            ("memoizer_hit_rate", res.memoizer_hit_rate.into()),
+        ]);
+        println!("{:<12} {scba}", "scba");
+        scba
+    });
 
     let doc = Json::obj([
         ("generated_by", "quatrex-bench bench_kernels".into()),
@@ -433,12 +499,35 @@ fn main() {
         ("gemm_chain", Json::arr(chain_rows)),
         ("gemm_batch", Json::arr(batch_rows)),
         ("rgf_solve", Json::arr(rgf_rows)),
+        ("nested_dissection", Json::arr(nested_rows)),
         ("lu_invert", Json::arr(lu_rows)),
         ("svd", Json::arr(svd_rows)),
         ("beyn", Json::arr(beyn_rows)),
         ("fft_convolution", Json::arr(conv_rows)),
         ("scba_iteration", scba),
+        ("scba_iteration_memoizer_off", scba_memo_off),
     ]);
     std::fs::write("BENCH_kernels.json", format!("{doc:#}\n")).expect("write BENCH_kernels.json");
     println!("wrote BENCH_kernels.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{nested_dissection, NestedReport};
+
+    #[test]
+    fn balancing_four_partitions_closes_the_boundary_gap() {
+        let [_, (_, _, seq, uniform), (_, _, _, balanced)] = nested_dissection();
+        let ratio = |r: &NestedReport| r.boundary_to_middle_ratio().unwrap();
+        let middle = |r: &NestedReport| r.middle_partition_factor(seq).unwrap();
+        // Uniform: middle partitions carry fill-in beyond an even share, the
+        // boundary partitions less than a middle one.
+        assert!(middle(&uniform) > 1.0);
+        assert!(ratio(&uniform) > 0.0 && ratio(&uniform) < 1.0);
+        // Balanced: boundary/middle climbs towards 1 and the critical-path
+        // middle factor drops.
+        assert!(ratio(&balanced) > ratio(&uniform));
+        assert!((ratio(&balanced) - 1.0).abs() < 0.15);
+        assert!(middle(&balanced) < middle(&uniform));
+    }
 }

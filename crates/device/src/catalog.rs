@@ -4,9 +4,9 @@
 //! (NW-1, NW-2 — the "medium" and "large" structures of QuaTrEx24) and six
 //! nanoribbon FETs (NR-16/24/40 on Frontier, NR-23/44/80 on Alps) with the
 //! Intel-like 1.5×5 nm² cross section. This module stores their geometric and
-//! numerical parameters exactly as given in Table 3 and derives the quantities
-//! the performance model needs (matrix sizes, non-zero counts, workload
-//! scaling factors).
+//! numerical parameters exactly as given in Table 3 and derives the structural
+//! quantities the evaluation tables extrapolate with (matrix sizes, non-zero
+//! counts, workload scaling factors).
 
 /// Analytic description of one device from the paper's Table 3.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +66,8 @@ impl DeviceParams {
 
     /// Per-iteration RGF workload model `O(N_E · N_B · N_BS³)` in block
     /// operations, returned as the number of `N_BS³` block products for one
-    /// energy point (used by the Table 1 complexity row and the perf model).
+    /// energy point (the unit `paper_tables` extrapolates Table 6 and Fig. 6
+    /// in).
     pub fn rgf_block_ops_per_energy(&self) -> f64 {
         self.n_blocks_g as f64 * (self.transport_cell_size_g() as f64).powi(3)
     }

@@ -56,9 +56,7 @@
 //! canonical elements ship, the mirrors are reconstructed from
 //! `X^≶_ij = −X^≶*_ji` at the destination. Every byte is accounted by the
 //! communicator, and [`DistReport`] compares the measured volumes against the
-//! analytic [`quatrex_runtime::TranspositionVolume`] model — the measured
-//! numbers can then drive the Fig. 6 weak-scaling reproduction
-//! (`quatrex_perf::weak_scaling_series_measured`) instead of estimates.
+//! analytic [`quatrex_runtime::TranspositionVolume`] model.
 //!
 //! ## Equivalence with the sequential solver
 //!

@@ -1,12 +1,10 @@
 //! Measured-vs-modelled accounting of a distributed SCBA run.
 //!
 //! [`TranspositionBudget`] turns the plan geometry into the *predicted*
-//! per-iteration all-to-all volume using the same
-//! [`TranspositionVolume`] model that drives the Fig. 6 weak-scaling
-//! reproduction; [`DistReport`] pairs that prediction with the *measured*
-//! byte counts of the run, per phase, so the scaling model can be fed with
-//! real volumes instead of analytic estimates
-//! (`quatrex_perf::weak_scaling_series_measured`).
+//! per-iteration all-to-all volume from the [`TranspositionVolume`] model
+//! (the same budget `paper_tables` prices at the paper's scale for Table 6
+//! and Fig. 6); [`DistReport`] pairs that prediction with the *measured*
+//! byte counts of the run, per phase.
 
 use quatrex_probe::json::Json;
 use quatrex_runtime::TranspositionVolume;
@@ -192,10 +190,9 @@ impl DistReport {
     }
 
     /// Measured per-participant transposition bytes of **one** SCBA iteration
-    /// — the quantity `quatrex_perf::weak_scaling_series_measured` consumes
-    /// (its analytic counterpart is the per-iteration Alltoall volume of the
-    /// weak-scaling model). Every flat rank takes part in the transpositions,
-    /// whatever `P_S`. Zero when no full iteration ran.
+    /// (its analytic counterpart is [`TranspositionBudget::bytes_per_iteration`]
+    /// over the rank count). Every flat rank takes part in the
+    /// transpositions, whatever `P_S`. Zero when no full iteration ran.
     pub fn measured_bytes_per_rank_per_iteration(&self) -> u64 {
         if self.full_iterations == 0 {
             return 0;

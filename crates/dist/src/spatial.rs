@@ -2,7 +2,7 @@
 //! point (paper Section 5.4).
 //!
 //! [`RankGrid`] arranges the flat `ThreadComm` ranks as a two-level grid of
-//! `n_energy_groups × P_S`, mirroring `quatrex_runtime::DecompositionPlan`:
+//! `n_energy_groups × P_S`:
 //! rank `g·P_S + s` is spatial rank `s` of energy group `g` and holds
 //! partition `s` of every system its group solves. There is no distinguished
 //! member: every rank owns energies (`TranspositionPlan::energy_ranges`),

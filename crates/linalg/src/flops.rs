@@ -4,8 +4,8 @@
 //! operations of every kernel with rocprof / Nsight Compute. This module
 //! provides the equivalent software counters: each kernel category of the
 //! NEGF+scGW pipeline has a [`FlopKind`], and a [`FlopCounter`] accumulates the
-//! real-FLOP totals per kind so the performance model (`quatrex-perf`) can
-//! regenerate the workload breakdown.
+//! real-FLOP totals per kind, which the solvers report and `bench_kernels`
+//! writes beside each kernel's wall time.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -18,8 +18,8 @@
 //!   ([`eig`]) as required by the Beyn contour-integral OBC solver and the
 //!   direct Lyapunov solver,
 //! * a one-sided Jacobi SVD ([`svd()`]) as required by Beyn's rank-revealing step,
-//! * FLOP accounting helpers ([`flops`]) used by the performance model to
-//!   regenerate the paper's workload columns.
+//! * FLOP accounting helpers ([`flops`]), the measured counterpart of the
+//!   paper's workload columns.
 //!
 //! All kernels operate on `Complex<f64>` ([`c64`]) in double precision, matching
 //! the paper's FP64 measurements.

@@ -42,8 +42,8 @@
 //!
 //! The scalar kernel in [`mod@reference`] is an independent implementation
 //! the engine must match to rounding (`≤ 4·k·ε·‖A‖‖B‖` per element, see the
-//! tests); the before/after numbers of `BENCH_kernels.json` (see
-//! `quatrex-bench`, `--bin bench_kernels`) are measured against it.
+//! tests); `bench_kernels` (in `quatrex-bench`) checks the products it times
+//! against it, untimed.
 
 use crate::lanes::{Lanes, Native, LANES, WIDE};
 use crate::matrix::CMatrix;
@@ -650,7 +650,7 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
 /// The pre-refactor scalar kernels, preserved verbatim.
 ///
 /// These are the tolerance reference of the equivalence tests and the
-/// "before" side of the `BENCH_kernels.json` before/after numbers: a cache-friendly but scalar
+/// untimed correctness oracle of `bench_kernels`: a cache-friendly but scalar
 /// `jki` loop that allocates a fresh output per product and streams every
 /// output element through memory once per inner-dimension step.
 pub mod reference {

@@ -15,8 +15,7 @@
 //!
 //! Two entry points are provided:
 //!
-//! * [`nested_dissection_invert`] — the retarded selected inverse only, the
-//!   workload model behind the Table 5 reproduction;
+//! * [`nested_dissection_invert`] — the retarded selected inverse only;
 //! * [`nested_dissection_solve`] — the full quadratic problem: the retarded
 //!   selected inverse *plus* the lesser/greater selected blocks
 //!   `X≶ = A⁻¹·B≶·A⁻†` for any number of right-hand sides. The lesser/greater
@@ -147,10 +146,9 @@ impl NestedReport {
     }
 
     /// Workload of the average *middle* partition relative to an even
-    /// `1/P_S` share of the given sequential solve — the measured counterpart
-    /// of the `1.35·1.57` middle-partition factor the performance model used
-    /// to hardcode. `None` when there is no middle partition (`P_S < 3`) or
-    /// no sequential reference.
+    /// `1/P_S` share of the given sequential solve (the fill-in and recovery
+    /// overhead of the decomposition). `None` when there is no middle
+    /// partition (`P_S < 3`) or no sequential reference.
     pub fn middle_partition_factor(&self, sequential_flops: u64) -> Option<f64> {
         if self.partitions.len() < 3 || sequential_flops == 0 {
             return None;

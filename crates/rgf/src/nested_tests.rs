@@ -165,7 +165,7 @@ fn distributed_work_exceeds_sequential_and_is_spread_over_partitions() {
     for p in &report.partitions {
         assert!(p.flops > 0);
     }
-    // The measured middle-partition factor feeds the performance model.
+    // Middle partitions carry more than an even share of the sequential work.
     let factor = report.middle_partition_factor(seq.flops).unwrap();
     assert!(
         factor > 1.0,

@@ -3,12 +3,9 @@
 //! This is the implementation that shipped before the operand-flag GEMM
 //! engine: every product allocates a fresh matrix through the scalar
 //! reference kernel ([`quatrex_linalg::ops::reference`]), and every conjugate
-//! transpose is materialized with `dagger()`. It exists for two purposes:
-//!
-//! * the equivalence suite (`tests/reference_equivalence.rs`) pins the
-//!   refactored solver against it at ≤1e-13 relative error;
-//! * the `bench_kernels` binary of `quatrex-bench` measures the
-//!   before/after numbers of `BENCH_kernels.json` against it.
+//! transpose is materialized with `dagger()`. The equivalence suite
+//! (`tests/reference_equivalence.rs`) pins the refactored solver against it
+//! at ≤1e-13 relative error.
 //!
 //! Do not "improve" this module — its value is being the fixed baseline.
 

@@ -12,10 +12,7 @@
 //!   ranks, spatial partitions within an energy group);
 //! * [`collective`] — a real shared-memory communicator whose "ranks" are OS
 //!   threads, providing the `Alltoall`, `Allreduce` and barrier primitives
-//!   the solver needs, with exact byte accounting;
-//! * [`cost`] — analytic cost models of the *CCL, GPU-aware-MPI and host-MPI
-//!   backends on Alps- and Frontier-like networks, used by the weak-scaling
-//!   reproduction (Fig. 6) to convert tracked communication volumes into time.
+//!   the solver needs, with exact byte accounting.
 //!
 //! The entry point is [`ThreadComm::run`]: it executes one closure per
 //! simulated rank and hands each a [`RankContext`] with the collectives:
@@ -31,12 +28,10 @@
 //! ```
 
 pub mod collective;
-pub mod cost;
 pub mod topology;
 
 pub use collective::{
     set_observer_factory, BlockedOn, CollectiveObserver, CommHandle, CommPhase, CommStats,
     ObserverFactory, RankContext, SyncKind, ThreadComm,
 };
-pub use cost::{CommBackend, LinkParameters, MachineKind};
 pub use topology::TranspositionVolume;

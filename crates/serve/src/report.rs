@@ -36,8 +36,8 @@ pub struct PointReport {
     /// Wire bytes of the restored warm state (0 on a cold start).
     pub bytes_restored: u64,
     /// Measured transposition bytes per rank per iteration of this point's
-    /// solve (`DistReport::measured_bytes_per_rank_per_iteration`) — the
-    /// per-point measurement the weak-scaling series consumes.
+    /// solve (`DistReport::measured_bytes_per_rank_per_iteration`), written
+    /// per point to `SWEEP_report.json`.
     pub bytes_per_rank_per_iteration: u64,
     /// Per-phase wall seconds of this point's solve (from the probe
     /// timeline). Empty when the probe is off or the point was restored from
@@ -105,21 +105,6 @@ impl SweepReport {
     /// Total wire bytes restored by warm starts across the sweep.
     pub fn bytes_restored(&self) -> u64 {
         self.points.iter().map(|p| p.bytes_restored).sum()
-    }
-
-    /// Mean measured transposition bytes per rank per iteration over the
-    /// finished points — real per-point data for
-    /// `quatrex_perf::weak_scaling_series_measured`.
-    pub fn mean_bytes_per_rank_per_iteration(&self) -> u64 {
-        if self.points.is_empty() {
-            return 0;
-        }
-        let sum: u64 = self
-            .points
-            .iter()
-            .map(|p| p.bytes_per_rank_per_iteration)
-            .sum();
-        sum / self.points.len() as u64
     }
 
     /// `self`'s total iterations over `cold`'s — the headline

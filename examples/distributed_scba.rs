@@ -1,9 +1,7 @@
 //! Distributed SCBA demo: run the full `G → P → W → Σ` cycle across 4
 //! simulated ranks, verify the observables against the single-process solver,
 //! and print the measured vs. modelled all-to-all transposition volumes —
-//! the quantities behind the paper's Fig. 3 dataflow and Fig. 6 weak-scaling
-//! study. The measured per-rank volume is then fed into the weak-scaling
-//! model in place of the analytic estimate, and a second run on a
+//! the quantities behind the paper's Fig. 3 dataflow. A second run on a
 //! 4 energy groups × `P_S = 2` grid with `B = 2` transposition batches
 //! exercises the slice-wise spatial distribution and writes its
 //! `DistReport` byte counters and probe metrics to `DIST_report.json`, plus
@@ -15,11 +13,11 @@
 //!
 //! Run with: `cargo run --release --example distributed_scba`
 //! (`QUATREX_BENCH_QUICK=1` shrinks the runs for the CI smoke job — same
-//! output shape, fewer iterations and a smaller weak-scaling sweep).
+//! output shape, fewer iterations). `paper_tables` (in `quatrex-bench`)
+//! reads `DIST_report.json` next to the other two artefacts.
 
 use quatrex::prelude::*;
 use quatrex::probe::json::Json;
-use quatrex_runtime::CommBackend;
 
 fn main() {
     let quick = std::env::var("QUATREX_BENCH_QUICK")
@@ -226,81 +224,4 @@ fn main() {
     std::fs::write("DIST_trace.json", spatial.timeline.chrome_trace_json())
         .expect("write DIST_trace.json");
     println!("  wrote DIST_report.json and DIST_trace.json (open in https://ui.perfetto.dev)");
-
-    // Feed *measured* volumes into the Fig. 6 weak-scaling model in place of
-    // the analytic estimate, with a genuinely weak-scaling sweep: the energy
-    // grid grows with the rank count (8 ranks per Frontier node) so every
-    // rank keeps a constant number of energy points — the paper's Fig. 6
-    // protocol — and each run solves its slice through the energy-batched
-    // kernel path (`kernel_batch` at its default). At every node count a
-    // `SweepEngine` runs a short bias sweep, so the volume handed to the
-    // model is the mean of real per-point measurements from the engine's
-    // multi-run loop, not one run's number replicated. Each measured
-    // per-rank, per-iteration transposition volume is then priced with the
-    // same backend cost model the analytic series uses. (The toy device is
-    // orders of magnitude smaller than the paper's NR-16, so the point is
-    // the plumbing, not the scale.)
-    let params = DeviceCatalog::nr16();
-    let system = SystemModel::frontier();
-    let sweep_device = DeviceBuilder::test_device(3, 2, 4).build();
-    let nodes: Vec<usize> = if quick { vec![1, 2] } else { vec![1, 2, 4] };
-    let energies_per_rank = if quick { 2 } else { 4 };
-    let sweep_biases = [0.0, 0.05, 0.1];
-    let measured: Vec<u64> = nodes
-        .iter()
-        .map(|&n| {
-            let ranks = n * system.elements_per_node;
-            let cfg = ScbaConfig {
-                n_energies: energies_per_rank * ranks,
-                max_iterations: 2,
-                tolerance: 1e-12,
-                interaction_scale: 0.2,
-                ..Default::default()
-            };
-            let mut engine = SweepEngine::new(
-                sweep_device.clone(),
-                SweepConfig::new(cfg, ranks).with_probe(false),
-            );
-            engine.enqueue_bias_ramp(&sweep_biases);
-            engine.run_all().mean_bytes_per_rank_per_iteration()
-        })
-        .collect();
-    let overhead = quatrex_perf::DecompositionOverhead::paper_calibrated();
-    let modelled = quatrex_perf::weak_scaling_series(
-        &params,
-        &system,
-        CommBackend::HostMpi,
-        1,
-        1,
-        &overhead,
-        &nodes,
-    );
-    let from_measured = quatrex_perf::weak_scaling_series_measured(
-        &params,
-        &system,
-        CommBackend::HostMpi,
-        1,
-        1,
-        &overhead,
-        &nodes,
-        &measured,
-    );
-    println!(
-        "\nweak-scaling model fed with measured volumes (host MPI, Frontier interconnect, \
-         {energies_per_rank} energies/rank held constant):"
-    );
-    println!(
-        "  {:>6} {:>8} {:>18} {:>20} {:>16}",
-        "nodes", "ranks", "meas bytes/rank/it", "comm (NR-16 model) s", "comm (meas) s"
-    );
-    for ((m, f), &v) in modelled
-        .iter()
-        .zip(from_measured.iter())
-        .zip(measured.iter())
-    {
-        println!(
-            "  {:>6} {:>8} {:>18} {:>20.3e} {:>16.3e}",
-            m.nodes, m.elements, v, m.communication_s, f.communication_s
-        );
-    }
 }

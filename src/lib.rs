@@ -6,8 +6,8 @@
 //! transport solver for nanowire / nanoribbon transistors, together with the
 //! substrate libraries it needs (dense complex linear algebra, FFTs,
 //! block-sparse containers, OBC solvers, recursive Green's function solvers,
-//! a simulated multi-rank runtime and a performance model reproducing the
-//! paper's evaluation).
+//! a simulated multi-rank runtime and the instrumentation whose measurements
+//! stand beside the paper's evaluation tables).
 //!
 //! This umbrella crate re-exports the public API of every workspace member so
 //! downstream users (and the bundled examples) can depend on a single crate:
@@ -27,7 +27,6 @@ pub use quatrex_dist as dist;
 pub use quatrex_fft as fft;
 pub use quatrex_linalg as linalg;
 pub use quatrex_obc as obc;
-pub use quatrex_perf as perf;
 pub use quatrex_probe as probe;
 pub use quatrex_rgf as rgf;
 pub use quatrex_runtime as runtime;
@@ -41,15 +40,10 @@ pub mod prelude {
     pub use quatrex_dist::{DistReport, DistScbaConfig, DistScbaResult, DistScbaSolver, WarmState};
     pub use quatrex_linalg::{c64, CMatrix};
     pub use quatrex_obc::ObcMemoizer;
-    pub use quatrex_perf::{
-        table4_breakdown, table6_rows, DecompositionOverhead, MachineModel, SystemModel,
-        WorkloadModel,
-    };
     pub use quatrex_probe::Timeline;
     pub use quatrex_rgf::{
         nested_dissection_invert, nested_dissection_solve, rgf_solve, NestedConfig,
     };
-    pub use quatrex_runtime::CommBackend;
     pub use quatrex_serve::{SweepConfig, SweepEngine, SweepPoint, SweepReport};
     pub use quatrex_sparse::{BlockBanded, BlockTridiagonal};
 }

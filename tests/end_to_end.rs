@@ -126,7 +126,10 @@ fn umbrella_crate_reexports_every_layer() {
     let _ = quatrex::device::DeviceCatalog::nw1();
     let _ = quatrex::obc::ObcMemoizer::new(4, 1e-6);
     let _ = quatrex::runtime::TranspositionVolume::new(100, 8, 2, false);
-    let _ = quatrex::perf::MachineModel::gh200();
+    let _ = quatrex::rgf::NestedConfig::new(2);
+    let _ = quatrex::probe::json::Json::Null;
+    let _ = quatrex::dist::DistScbaConfig::new(ScbaConfig::default(), 2);
+    let _ = quatrex::serve::SweepConfig::new(ScbaConfig::default(), 2);
     let device = tiny_device();
     let _ = quatrex::core::ScbaSolver::new(device, ScbaConfig::default());
 }
