@@ -15,9 +15,19 @@
 //! * **gemm_chain** — the RGF forward-step product pattern (Schur chain
 //!   `(A_lo·g)·A_up` plus congruence `(g·B)·g†`, fused dagger, pre-allocated
 //!   outputs) at `N_BS ∈ {32, 64, 128}`.
-//! * **gemm_batch** — the W-assembly pattern `C_e = V · B_e` over 8 energies
-//!   with the energy-independent operand packed once ([`BatchOp::Shared`]),
-//!   same sizes.
+//! * **gemm_batch** — `C_e = V · B_e` over 8 energies with the
+//!   energy-independent operand packed once ([`BatchOp::Shared`]), same
+//!   sizes: the batch layer's shared-operand path, which no library code
+//!   multiplies with today (the W assembly runs `BlockBanded::multiply` per
+//!   energy; ROADMAP item 2 is to move it here).
+//! * **small_blocks** — the size class of the RGF's two layouts at
+//!   `N_BS ∈ {8, 12, 16}` × `B ∈ {1, 4, 6, 8}`: one product `C_e = A_e · B_e`
+//!   on energy-major planes (`gemm_batch`, `plane_*`) and on the
+//!   lane-interleaved layout (`gemm_lanes`, `lane_*`), and a full selected
+//!   solve (`N_B = 16`, two right-hand sides) on each layout (`solve_planes_*`,
+//!   `solve_lanes_*`), with the layout `rgf_solve_batch_into` picks there and
+//!   `bits_equal` — 1 when both products and both solves agree in every bit,
+//!   checked untimed (a number, so the gate can hold it at tolerance 0).
 //! * **rgf_solve** — a full selected RGF solve (retarded + two quadratic
 //!   right-hand sides) on a warm `RgfScratch`, `N_B = 8`, `N_BS ∈ {32, 64}`,
 //!   then `N_B = 16`, `N_BS = 32`, each with the exact `flops` the solver
@@ -52,6 +62,7 @@ use quatrex_bench::{bench_solver, chain_operand, quick_mode};
 use quatrex_core::convolution::{polarization_pair_accumulate, self_energy_pair_accumulate};
 use quatrex_fft::{convolve, fft};
 use quatrex_linalg::flops::FlopCounter;
+use quatrex_linalg::interleaved::{gemm_lanes, LaneBatch};
 use quatrex_linalg::lu::inverse_flops;
 use quatrex_linalg::ops::reference::{congruence_ref, matmul_ref};
 use quatrex_linalg::ops::{fma_chain, gemm, gemm_flops, matmul, Op, LANE_BITS};
@@ -64,7 +75,8 @@ use quatrex_probe::clock::Instant;
 use quatrex_probe::json::Json;
 use quatrex_rgf::{
     nested_dissection_solve, nested_dissection_solve_with_layout, partition_layout_balanced,
-    rgf_solve, rgf_solve_scratch, BlockTridiagonal, NestedConfig, NestedReport, RgfScratch,
+    rgf_solve, rgf_solve_batch_on, rgf_solve_scratch, BlockLayout, BlockTridiagonal, NestedConfig,
+    NestedReport, RgfBatchScratch, RgfScratch, SelectedSolution,
 };
 
 /// Median-of-runs wall time per repetition, in nanoseconds.
@@ -87,17 +99,19 @@ fn tenths(x: f64) -> Json {
     ((x * 10.0).round() / 10.0).into()
 }
 
+/// `flops` in `ns` as GFLOP/s (FLOP per nanosecond), two decimals.
+fn gflops(flops: u64, ns: f64) -> Json {
+    ((flops as f64 / ns * 100.0).round() / 100.0).into()
+}
+
 /// One kernel row: its size (and exact count) fields, then `ns` per
-/// repetition and — where the kernel has a FLOP model — the rate `gflops`
-/// (FLOP per nanosecond, two decimals). Echoed to stdout as it is built.
+/// repetition and — where the kernel has a FLOP model — the rate `gflops`.
+/// Echoed to stdout as it is built.
 fn row(kernel: &str, sizes: &[(&'static str, usize)], ns: f64, flops: Option<u64>) -> Json {
     let mut fields: Vec<(&str, Json)> = sizes.iter().map(|&(k, v)| (k, v.into())).collect();
     fields.push(("ns", tenths(ns)));
     if let Some(flops) = flops {
-        fields.push((
-            "gflops",
-            ((flops as f64 / ns * 100.0).round() / 100.0).into(),
-        ));
+        fields.push(("gflops", gflops(flops, ns)));
     }
     let row = Json::obj(fields);
     println!("{kernel:<12} {row}");
@@ -146,9 +160,8 @@ fn bench_gemm_chain(n_bs: usize, runs: usize, reps: usize) -> (f64, u64) {
 }
 
 /// The energy-batched product `C_e = V · B_e` over a block of energies, with
-/// an energy-independent left operand — the W-assembly pattern the batch
-/// layer was built for: one `gemm_batch` call with [`BatchOp::Shared`], which
-/// packs `V` once. Returns `(ns, flops)`.
+/// an energy-independent left operand: one `gemm_batch` call with
+/// [`BatchOp::Shared`], which packs `V` once. Returns `(ns, flops)`.
 fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> (f64, u64) {
     let shared = chain_operand(n_bs, 0.7);
     let mut b = MatrixBatch::zeros(n_e, n_bs, n_bs);
@@ -183,11 +196,110 @@ fn bench_gemm_batch(n_bs: usize, n_e: usize, runs: usize, reps: usize) -> (f64, 
     (ns, gemm_batch_flops(n_e, n_bs, n_bs, n_bs))
 }
 
-fn rgf_system(nb: usize, bs: usize) -> (BlockTridiagonal, BlockTridiagonal, BlockTridiagonal) {
+/// Rows of raw bits of the elements of `x`.
+fn bits(x: &[c64]) -> Vec<(u64, u64)> {
+    x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+}
+
+/// Every selected block of a solution, as raw bits.
+fn solution_bits(sol: &SelectedSolution) -> Vec<(u64, u64)> {
+    let blocks = std::iter::once(&sol.retarded).chain(&sol.lesser);
+    blocks
+        .flat_map(|bt| bits(bt.to_dense().as_slice()))
+        .collect()
+}
+
+/// One `small_blocks` row: `C_e = A_e · B_e` over `batch` energies of
+/// `n_bs × n_bs` blocks on planes and on lanes, then a full selected solve of
+/// a 16-block system with two right-hand sides on each layout; the layout
+/// `rgf_solve_batch_into` picks for the cell, and whether products and solves
+/// of the two layouts agree in every bit (untimed).
+fn small_blocks(n_bs: usize, batch: usize, runs: usize, reps: usize, solve_reps: usize) -> Json {
+    let operand = |salt: f64| {
+        let mut planes = MatrixBatch::zeros(batch, n_bs, n_bs);
+        let mut lanes = LaneBatch::zeros(batch, n_bs, n_bs);
+        for e in 0..batch {
+            let m = chain_operand(n_bs, salt + e as f64);
+            planes.copy_plane_from(e, &m);
+            lanes.copy_plane_from(e, &m);
+        }
+        (planes, lanes)
+    };
+    let ((ap, al), (bp, bl)) = (operand(0.7), operand(13.0));
+    let mut cp = MatrixBatch::zeros(batch, n_bs, n_bs);
+    let mut cl = LaneBatch::zeros(batch, n_bs, n_bs);
+    let (ea, eb) = (
+        BatchOp::Each(OpKind::None, &ap),
+        BatchOp::Each(OpKind::None, &bp),
+    );
+    let plane_ns = time_ns(runs, reps, || {
+        gemm_batch(&mut cp, ONE, ea, eb, ZERO);
+        std::hint::black_box(&cp);
+    });
+    let lane_ns = time_ns(runs, reps, || {
+        gemm_lanes(&mut cl, ONE, (OpKind::None, &al), (OpKind::None, &bl), ZERO);
+        std::hint::black_box(&cl);
+    });
+    let mut bits_equal =
+        (0..batch).all(|e| bits(cl.plane_matrix(e).as_slice()) == bits(cp.plane(e)));
+
+    let nb = 16;
+    let systems: Vec<_> = (0..batch).map(|e| rgf_system(nb, n_bs, e as f64)).collect();
+    let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|(a, _, _)| a).collect();
+    let rhs: Vec<[&BlockTridiagonal; 2]> = systems.iter().map(|(_, l, g)| [l, g]).collect();
+    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(|r| r.as_slice()).collect();
+    let solve = |layout| {
+        let mut sols = vec![SelectedSolution::zeros(nb, n_bs, 2); batch];
+        let mut scratch = RgfBatchScratch::new();
+        let ns = time_ns(runs, solve_reps, || {
+            rgf_solve_batch_on(layout, &lhs, &rhs, &mut sols, &mut scratch)
+                .expect("shifted system is regular");
+            std::hint::black_box(&sols);
+        });
+        (ns, sols)
+    };
+    let (planes_ns, planes) = solve(BlockLayout::Planes);
+    let (lanes_ns, lanes) = solve(BlockLayout::Lanes);
+    bits_equal &= planes
+        .iter()
+        .zip(&lanes)
+        .all(|(p, l)| solution_bits(p) == solution_bits(l));
+    let layout = match BlockLayout::for_solve(n_bs, batch) {
+        BlockLayout::Planes => "planes",
+        BlockLayout::Lanes => "lanes",
+    };
+
+    let product_flops = gemm_batch_flops(batch, n_bs, n_bs, n_bs);
+    let solve_flops = batch as u64 * planes[0].flops;
+    let row = Json::obj([
+        ("n_bs", n_bs.into()),
+        ("batch", batch.into()),
+        ("layout", layout.into()),
+        ("plane_ns", tenths(plane_ns)),
+        ("plane_gflops", gflops(product_flops, plane_ns)),
+        ("lane_ns", tenths(lane_ns)),
+        ("lane_gflops", gflops(product_flops, lane_ns)),
+        ("solve_planes_ns", tenths(planes_ns)),
+        ("solve_planes_gflops", gflops(solve_flops, planes_ns)),
+        ("solve_lanes_ns", tenths(lanes_ns)),
+        ("solve_lanes_gflops", gflops(solve_flops, lanes_ns)),
+        ("bits_equal", usize::from(bits_equal).into()),
+    ]);
+    println!("{:<12} {row}", "small_blocks");
+    row
+}
+
+/// A regular `nb`-block system and its lesser and greater right-hand sides,
+/// the operand seeds shifted by `salt` (one value per energy of a batch).
+fn rgf_system(
+    nb: usize,
+    bs: usize,
+    salt: f64,
+) -> (BlockTridiagonal, BlockTridiagonal, BlockTridiagonal) {
     let mut a = BlockTridiagonal::zeros(nb, bs);
     let mut bl = BlockTridiagonal::zeros(nb, bs);
     for i in 0..nb {
-        let mut d = chain_operand(bs, 0.2 + i as f64);
+        let mut d = chain_operand(bs, salt + 0.2 + i as f64);
         for k in 0..bs {
             d[(k, k)] += cplx(4.0, 0.5);
         }
@@ -195,21 +307,21 @@ fn rgf_system(nb: usize, bs: usize) -> (BlockTridiagonal, BlockTridiagonal, Bloc
         bl.set_block(
             i,
             i,
-            chain_operand(bs, 5.0 + i as f64).negf_antihermitian_part(),
+            chain_operand(bs, salt + 5.0 + i as f64).negf_antihermitian_part(),
         );
     }
     for i in 0..nb - 1 {
         a.set_block(
             i,
             i + 1,
-            chain_operand(bs, 7.0 + i as f64).scaled(cplx(-0.3, 0.0)),
+            chain_operand(bs, salt + 7.0 + i as f64).scaled(cplx(-0.3, 0.0)),
         );
         a.set_block(
             i + 1,
             i,
-            chain_operand(bs, 9.0 + i as f64).scaled(cplx(-0.3, 0.0)),
+            chain_operand(bs, salt + 9.0 + i as f64).scaled(cplx(-0.3, 0.0)),
         );
-        let bu = chain_operand(bs, 11.0 + i as f64).scaled(cplx(0.1, 0.0));
+        let bu = chain_operand(bs, salt + 11.0 + i as f64).scaled(cplx(0.1, 0.0));
         bl.set_block(i, i + 1, bu.clone());
         bl.set_block(i + 1, i, bu.dagger().scaled(cplx(-1.0, 0.0)));
     }
@@ -221,7 +333,7 @@ fn rgf_system(nb: usize, bs: usize) -> (BlockTridiagonal, BlockTridiagonal, Bloc
 /// One selected solve on a warm scratch. Returns `(ns, flops)`, the FLOPs
 /// as the solver counted them.
 fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> (f64, u64) {
-    let (a, bl, bg) = rgf_system(nb, bs);
+    let (a, bl, bg) = rgf_system(nb, bs, 0.0);
     let rhs = [&bl, &bg];
     let mut scratch = RgfScratch::new();
     let mut flops = 0;
@@ -241,7 +353,7 @@ fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> (f64, u64) {
 /// Untimed: every counter is a function of the problem shape, never of the
 /// values (`quatrex_rgf::probe_partition_flops`).
 fn nested_dissection() -> [(usize, bool, u64, NestedReport); 3] {
-    let (a, bl, bg) = rgf_system(24, 8);
+    let (a, bl, bg) = rgf_system(24, 8, 0.0);
     let rhs = [&bl, &bg];
     let seq = rgf_solve(&a, &rhs).expect("regular system").flops;
     let uniform = |p_s| {
@@ -416,6 +528,15 @@ fn main() {
         )
     });
 
+    let small_rows: Vec<Json> = [8usize, 12, 16]
+        .iter()
+        .flat_map(|&n_bs| [1usize, 4, 6, 8].map(|batch| (n_bs, batch)))
+        .map(|(n_bs, batch)| {
+            let solve_reps = if quick { 1 } else { 3 };
+            small_blocks(n_bs, batch, runs, cubic_reps(n_bs), solve_reps)
+        })
+        .collect();
+
     let rgf_rows = [(8usize, 32usize, 6), (8, 64, 2), (16, 32, 3)].map(|(nb, bs, reps)| {
         let (ns, flops) = bench_rgf(nb, bs, runs.min(5), if quick { 1 } else { reps });
         let sizes = [("n_b", nb), ("n_bs", bs), ("flops", flops as usize)];
@@ -498,6 +619,7 @@ fn main() {
         ),
         ("gemm_chain", Json::arr(chain_rows)),
         ("gemm_batch", Json::arr(batch_rows)),
+        ("small_blocks", Json::arr(small_rows)),
         ("rgf_solve", Json::arr(rgf_rows)),
         ("nested_dissection", Json::arr(nested_rows)),
         ("lu_invert", Json::arr(lu_rows)),

@@ -243,7 +243,8 @@ pub fn w_step_assemble(
 
 /// Stage 2, local form: **one** energy-batched RGF solve
 /// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems, whose
-/// block products run as `gemm_batch` sweeps over the whole batch. A solution
+/// block products run as batched sweeps over the whole batch (energy-major
+/// planes, or one vector lane per energy for small blocks). A solution
 /// does not depend on the batch it is solved in (bit for bit), so the batch
 /// length is purely a launch-structure choice.
 pub fn solve_stage(
@@ -461,10 +462,13 @@ pub struct ScbaConfig {
     pub interaction_scale: f64,
     /// Chunk length of the kernel batches ([`kernel_chunks`]): how many
     /// energy points share one [`g_step_batch`] / [`w_step_batch`] call, whose
-    /// block products run as `gemm_batch` sweeps over the chunk. A plain
-    /// length, not a path selector — every value runs the same code (`0` is
-    /// clamped to `1`, a batch of one) and produces bit-identical results;
-    /// only launch structure and thread granularity change.
+    /// block products run as batched sweeps over the chunk. Not a path
+    /// selector — every value produces bit-identical results (`0` is clamped
+    /// to `1`, a batch of one); launch structure, thread granularity and the
+    /// layout the batched RGF solve picks from `(N_BS, chunk length)` change
+    /// (`quatrex_rgf::BlockLayout::for_solve`). The default of 8 is one lane
+    /// group: for blocks of `N_BS ≤ 12` on a 512-bit build, a full chunk
+    /// fills every vector lane of the lane-interleaved layout.
     pub kernel_batch: usize,
 }
 

@@ -20,9 +20,13 @@
 //!   raw-slice packers as [`crate::ops::gemm`], so every plane's arithmetic
 //!   is bit-identical to the corresponding per-energy call.
 //! * [`BatchWorkspace`] — a checkout/restore arena of batch buffers:
-//!   steady-state batched RGF loops allocate nothing.
+//!   steady-state batched OBC loops allocate nothing.
 //! * [`invert_batch_into`] — plane-wise LU inversion through
 //!   [`LuScratch::invert_slice_into`], again bit-identical per plane.
+//!
+//! Blocks too small to fill the packed engine's register tile have a second
+//! layout, [`crate::interleaved`], with one vector lane per energy; its
+//! products and inversions are bit-identical to these.
 //!
 //! FLOP accounting composes exactly: [`gemm_batch_flops`]`(b, m, k, n)` is
 //! `b ·`[`gemm_flops`]`(m, k, n)`, so a batched consumer reports the same
@@ -72,6 +76,16 @@ impl MatrixBatch {
     /// Recover the backing buffer (for arena recycling).
     pub fn into_raw(self) -> Vec<c64> {
         self.data
+    }
+
+    /// Reshape to `batch` planes of `nrows × ncols`, reusing the buffer:
+    /// zero-filled if the shape changed, left as it is otherwise.
+    pub fn reshape(&mut self, batch: usize, nrows: usize, ncols: usize) {
+        if (batch, nrows, ncols) != (self.batch, self.nrows, self.ncols) {
+            (self.batch, self.nrows, self.ncols) = (batch, nrows, ncols);
+            self.data.clear();
+            self.data.resize(batch * nrows * ncols, ZERO);
+        }
     }
 
     /// Number of planes (energies) in the batch.
@@ -216,10 +230,11 @@ impl MatrixBatch {
 /// One operand of a [`gemm_batch`] call.
 #[derive(Clone, Copy)]
 pub enum BatchOp<'a> {
-    /// An energy-independent operand shared by every plane (e.g. the bare
-    /// Coulomb block `V_ij` of the W assembly, or a frozen coupling block).
-    /// Packed **once** per call — this is the batching win the per-energy
-    /// path cannot have.
+    /// An energy-independent operand shared by every plane, packed **once**
+    /// per call — the batching win the per-energy path cannot have. No
+    /// library code multiplies with it today: the W assembly, whose bare
+    /// Coulomb blocks `V_ij` are the natural shared operand, still runs
+    /// `BlockBanded::multiply` per energy (ROADMAP item 2).
     Shared(Op<'a>),
     /// A per-energy operand: plane `e` of the given batch, entered with the
     /// given flag. Packed per plane through the same raw packers as
@@ -361,8 +376,8 @@ pub fn invert_batch_into(
 
 /// A free-list arena of energy-major batch buffers with checkout/restore
 /// semantics. One warm pass through a batched loop, then zero
-/// steady-state heap allocations — the property the counting-allocator test
-/// of `quatrex-rgf` pins for the batched RGF loop.
+/// steady-state heap allocations — what `quatrex-obc`'s batched surface
+/// iterations run on (their scratch's `fresh_allocations` plateaus once warm).
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     free: Vec<Vec<c64>>,

@@ -1,10 +1,12 @@
 //! The 8-lane `f64` vector under every dense kernel of this crate.
 //!
 //! The GEMM register tile ([`crate::ops`]), the LU rank-k update
-//! ([`crate::lu`]) and the SVD Gram sums ([`crate::svd`]) are written once,
+//! ([`crate::lu`]), the SVD Gram sums ([`crate::svd`]) and the
+//! lane-interleaved product ([`crate::interleaved`]) are written once,
 //! generically over [`Lanes`]: eight `f64` values with `splat`, `load`,
-//! `store` and the two fused multiply-adds the kernels are made of. Two types
-//! implement it:
+//! `store`, the two fused multiply-adds the kernels are made of, and the
+//! plain `add`, `sub` and `mul` of the interleaved product's `c += α·Σ`. Two
+//! types implement it:
 //!
 //! * [`Portable`] — a `[f64; 8]` and [`mul_add`] per lane, which the compiler
 //!   vectorises at whatever width it prefers for the target (two 256-bit
@@ -27,9 +29,10 @@
 //! This is the only module of the workspace's library crates with `unsafe`
 //! code: the intrinsics behind `Wide`.
 
-/// Lanes of a vector: rows of the short register tile, and the padding unit
-/// of every split plane.
-pub(crate) const LANES: usize = 8;
+/// Lanes of a vector: rows of the short register tile, the padding unit of
+/// every split plane, and the energies of one lane group of a
+/// [`crate::interleaved::LaneBatch`].
+pub const LANES: usize = 8;
 
 /// `a · b + c`: fused where the build target has the instruction, two
 /// roundings elsewhere. Selected at build time, so no target falls back to
@@ -62,6 +65,12 @@ pub(crate) trait Lanes: Copy {
     fn fma(self, b: Self, c: Self) -> Self;
     /// `−self · b + c` per lane, rounded as [`mul_add`] rounds.
     fn fnma(self, b: Self, c: Self) -> Self;
+    /// `self + b` per lane, one rounding (the scalar `+`).
+    fn add(self, b: Self) -> Self;
+    /// `self − b` per lane, one rounding (the scalar `-`).
+    fn sub(self, b: Self) -> Self;
+    /// `self · b` per lane, one rounding (the scalar `*`).
+    fn mul(self, b: Self) -> Self;
 }
 
 /// The lane array the compiler vectorises on its own.
@@ -100,6 +109,21 @@ impl Lanes for Portable {
     fn fnma(self, b: Self, c: Self) -> Self {
         Self(std::array::from_fn(|r| mul_add(-self.0[r], b.0[r], c.0[r])))
     }
+
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        Self(std::array::from_fn(|r| self.0[r] + b.0[r]))
+    }
+
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        Self(std::array::from_fn(|r| self.0[r] - b.0[r]))
+    }
+
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        Self(std::array::from_fn(|r| self.0[r] * b.0[r]))
+    }
 }
 
 // The predicate for "wide target" is written on the next two items and nowhere
@@ -110,8 +134,8 @@ impl Lanes for Portable {
 mod target {
     use super::{Lanes, LANES};
     use core::arch::x86_64::{
-        __m512d, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_set1_pd,
-        _mm512_storeu_pd,
+        __m512d, _mm512_add_pd, _mm512_fmadd_pd, _mm512_fnmadd_pd, _mm512_loadu_pd, _mm512_mul_pd,
+        _mm512_set1_pd, _mm512_storeu_pd, _mm512_sub_pd,
     };
 
     /// One 512-bit register.
@@ -154,6 +178,24 @@ mod target {
         fn fnma(self, b: Self, c: Self) -> Self {
             // SAFETY: AVX-512F as above; register operands only.
             Self(unsafe { _mm512_fnmadd_pd(self.0, b.0, c.0) })
+        }
+
+        #[inline(always)]
+        fn add(self, b: Self) -> Self {
+            // SAFETY: AVX-512F as above; register operands only.
+            Self(unsafe { _mm512_add_pd(self.0, b.0) })
+        }
+
+        #[inline(always)]
+        fn sub(self, b: Self) -> Self {
+            // SAFETY: AVX-512F as above; register operands only.
+            Self(unsafe { _mm512_sub_pd(self.0, b.0) })
+        }
+
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: AVX-512F as above; register operands only.
+            Self(unsafe { _mm512_mul_pd(self.0, b.0) })
         }
     }
 
@@ -198,6 +240,47 @@ mod tests {
         L::load(&a).fnma(L::load(&b), L::load(&c)).store(&mut out);
         for r in 0..LANES {
             assert_eq!(out[r].to_bits(), mul_add(-a[r], b[r], c[r]).to_bits());
+        }
+        L::load(&a).add(L::load(&b)).store(&mut out);
+        for r in 0..LANES {
+            assert_eq!(out[r].to_bits(), (a[r] + b[r]).to_bits());
+        }
+        L::load(&a).sub(L::load(&b)).store(&mut out);
+        for r in 0..LANES {
+            assert_eq!(out[r].to_bits(), (a[r] - b[r]).to_bits());
+        }
+        L::load(&a).mul(L::load(&b)).store(&mut out);
+        for r in 0..LANES {
+            assert_eq!(out[r].to_bits(), (a[r] * b[r]).to_bits());
+        }
+    }
+
+    /// `[a + b, a − b, a · b]` on the lane type `L`.
+    fn arithmetic<L: Lanes>(a: [f64; LANES], b: [f64; LANES]) -> [[f64; LANES]; 3] {
+        let (a, b) = (L::load(&a), L::load(&b));
+        let mut out = [[0.0; LANES]; 3];
+        for (x, dst) in [a.add(b), a.sub(b), a.mul(b)].into_iter().zip(&mut out) {
+            x.store(dst);
+        }
+        out
+    }
+
+    #[test]
+    fn lane_arithmetic_keeps_zero_signs_infinities_and_nans() {
+        // The bit-identity of the lane-interleaved product's epilogue rests on
+        // these being the IEEE operations, zero signs included.
+        let a = [0.0, -0.0, 1.5, f64::INFINITY, -2.0, f64::NAN, 1e-300, 3.0];
+        let b = [-0.0, -0.0, -1.5, 1.0, 0.0, 1.0, 1e-300, -3.0];
+        for out in [arithmetic::<Portable>(a, b), arithmetic::<Native>(a, b)] {
+            for r in 0..LANES {
+                let want = [a[r] + b[r], a[r] - b[r], a[r] * b[r]];
+                for (got, want) in out.iter().map(|o| o[r]).zip(want) {
+                    assert!(
+                        got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                        "lane {r}: {got} vs {want}"
+                    );
+                }
+            }
         }
     }
 

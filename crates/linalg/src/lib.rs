@@ -13,6 +13,9 @@
 //! * energy-major batches ([`MatrixBatch`], [`gemm_batch`]) and the
 //!   [`BatchWorkspace`] scratch arena giving the batched hot loops
 //!   checkout/restore buffer reuse (zero steady-state allocations),
+//! * the lane-interleaved layout for small blocks ([`interleaved::LaneBatch`],
+//!   [`interleaved::gemm_lanes`]): one vector lane per energy, bit-identical
+//!   to the planes,
 //! * LU factorisation, linear solves and explicit inverses ([`lu`]),
 //! * a complex Hessenberg/shifted-QR eigensolver for non-symmetric matrices
 //!   ([`eig`]) as required by the Beyn contour-integral OBC solver and the
@@ -27,6 +30,7 @@
 pub mod batch;
 pub mod eig;
 pub mod flops;
+pub mod interleaved;
 mod lanes;
 pub mod lu;
 pub mod matrix;

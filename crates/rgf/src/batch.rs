@@ -4,30 +4,47 @@
 //! recursions (paper Section 4.3.2, Eqs. (9)–(12); the derivation is in
 //! [`crate::sequential`]'s module docs). It runs them for a whole batch of
 //! same-structure systems at once: at every block position the per-energy
-//! blocks are staged into energy-major [`MatrixBatch`] operands and each
-//! block product runs as **one** [`gemm_batch`] call over all energies.
-//! Conjugate transposes (`g_i†`, `Θ†`, `A_{i,i+1}†`, …) are fused into the
-//! kernel loads through the operand flags instead of being materialised. A
-//! single system is a batch of one ([`crate::sequential::rgf_solve_into`]).
+//! blocks are staged into one energy-batched operand and each block product
+//! runs as **one** batched call over all energies. Conjugate transposes
+//! (`g_i†`, `Θ†`, `A_{i,i+1}†`, …) are fused into the kernel loads through the
+//! operand flags instead of being materialised. A single system is a batch of
+//! one ([`crate::sequential::rgf_solve_into`]).
 //!
-//! Planes of a `gemm_batch` call are independent and each runs the same
-//! packing + micro-kernel code whatever the batch length, so a member's
-//! selected blocks do not depend on which batch it is solved in — **batch-size
-//! independence, bit for bit** (`tests/batch_equivalence.rs`), anchored to the
-//! allocating pre-engine recursion [`crate::reference`] at ≤ 1e-13
+//! The recursion is written once, over a small storage trait (`Blocks`), and
+//! runs on one of two layouts, picked once per solve from
+//! `(N_BS, batch length)` by [`BlockLayout::for_solve`]:
+//!
+//! * [`BlockLayout::Planes`] — energy-major [`MatrixBatch`] planes under
+//!   [`gemm_batch`], which packs each plane's operands into the register
+//!   tiles of the packed engine: the layout for blocks that fill a tile;
+//! * [`BlockLayout::Lanes`] — the lane-interleaved [`LaneBatch`] under
+//!   [`gemm_lanes`], one vector lane per energy and no packing: the layout
+//!   for blocks of `N_BS ≤ 12` once the batch fills enough lanes, on builds
+//!   that compute in 512-bit lanes, where one block alone cannot fill a
+//!   vector (the size class and its measurements are at
+//!   [`BlockLayout::for_solve`]).
+//!
+//! Both layouts form every element of every product by the same operation
+//! sequence and invert every block through the same per-plane LU, so a
+//! member's selected blocks depend neither on the layout nor on which batch it
+//! is solved in — **batch-size and layout independence, bit for bit**
+//! (`tests/batch_equivalence.rs`), anchored to the allocating pre-engine
+//! recursion [`crate::reference`] at ≤ 1e-13
 //! (`tests/reference_equivalence.rs`). The per-energy FLOP count is
 //! structural (it depends only on the block counts), so every member reports
 //! the same [`SelectedSolution::flops`] and a batch totals `B ×` that value.
 //!
-//! All temporaries come from a [`BatchWorkspace`] arena held in
+//! All temporaries come from a free list held, per layout, in
 //! [`RgfBatchScratch`]; once scratch and solutions are warmed at a shape, the
 //! steady-state solve performs **zero heap allocations** at any batch length
-//! (pinned by the counting-allocator tests in `tests/alloc_free.rs`).
+//! and on either layout (pinned by the counting-allocator tests in
+//! `tests/alloc_free.rs`).
 
-use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch};
+use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, MatrixBatch};
+use quatrex_linalg::interleaved::{gemm_lanes, invert_lanes_into, LaneBatch};
 use quatrex_linalg::lu::{inverse_flops, LuScratch};
-use quatrex_linalg::ops::{gemm_flops, OpKind};
-use quatrex_linalg::{c64, ONE, ZERO};
+use quatrex_linalg::ops::{gemm_flops, OpKind, LANE_BITS};
+use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::sequential::{RgfError, SelectedSolution};
@@ -50,19 +67,200 @@ impl std::fmt::Display for RgfBatchError {
 
 impl std::error::Error for RgfBatchError {}
 
-/// Reusable scratch state of the batched RGF solver: the batch arena, one LU
-/// scratch (plane-sequential inversions), and the left-connected
-/// forward-pass quantities as energy-major batches. Hold one per worker and
-/// reuse it across batches — after the first solve at a given shape, every
-/// later solve allocates nothing.
+/// The storage a batched solve keeps its blocks in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockLayout {
+    /// Energy-major planes ([`MatrixBatch`]) under the packed engine.
+    Planes,
+    /// One vector lane per energy ([`LaneBatch`]), no packing.
+    Lanes,
+}
+
+/// Whether this build computes in 512-bit lanes, where one vector holds a
+/// whole lane group: the width the size class below was measured at. On the
+/// portable lane type (`[f64; 8]`, two 256-bit operations per vector, timed
+/// on the same AVX-512 box) the lane product ran 6.6× slower than on 512-bit
+/// lanes and the lane solve lost to planes at every batch length, so builds
+/// without 512-bit lanes solve on planes.
+const WIDE_LANES: bool = LANE_BITS == 512;
+
+/// Largest block the lane layout takes. From the `small_blocks` rows of
+/// `BENCH_kernels.json`: at `N_BS = 8` and `12` the lane product runs ×2.3
+/// the plane product at `B = 6` and ×2.3–3.2 at `B = 8`, the full solve ×1.7
+/// and ×2.2; at `N_BS = 16` a plane nearly fills the packed tile, and the
+/// lane solve runs ×0.8 at `B = 4` and ×1.2 at `B = 6`.
+const LANE_BLOCK_MAX: usize = 12;
+
+/// Fewest energies the lane layout takes: the crossover batch length of the
+/// `small_blocks` rows. A lane product costs the same at any fill of its lane
+/// group, so at `B = 1` the product runs ×0.4 and the solve ×0.3 the planes';
+/// at `B = 4` the solve is ×1.2 faster on lanes at `N_BS = 8` and `12`.
+const LANE_BATCH_MIN: usize = 4;
+
+impl BlockLayout {
+    /// The layout [`rgf_solve_batch_into`] runs `batch` energies of
+    /// `block_size × block_size` blocks on: [`BlockLayout::Lanes`] on a
+    /// 512-bit build for blocks of at most 12 rows in batches of at least 4
+    /// energies (the measured size class above), [`BlockLayout::Planes`]
+    /// otherwise.
+    pub fn for_solve(block_size: usize, batch: usize) -> Self {
+        if WIDE_LANES && block_size <= LANE_BLOCK_MAX && batch >= LANE_BATCH_MIN {
+            BlockLayout::Lanes
+        } else {
+            BlockLayout::Planes
+        }
+    }
+}
+
+/// Energy-batched square blocks and the operations the recursion is written
+/// in. The two instances form every product element and every inverse the
+/// same way, so the recursion's results do not depend on which one it runs.
+trait Blocks: Sized {
+    /// An empty batch (no energies, `0 × 0` blocks), to be [`Blocks::fit`].
+    fn empty() -> Self;
+    /// Reshape to `batch` blocks of `n × n`, reusing the buffer.
+    fn fit(&mut self, batch: usize, n: usize);
+    /// Stage `block(e)` into every energy `e`.
+    fn stage<'a>(&mut self, block: impl FnMut(usize) -> &'a CMatrix);
+    /// Unstage energy `e` into a per-energy block.
+    fn copy_plane_to(&self, e: usize, dst: &mut CMatrix);
+    /// `self = alpha · op(a) · op(b) + beta · self` for every energy.
+    fn product(&mut self, alpha: c64, a: (OpKind, &Self), b: (OpKind, &Self), beta: c64);
+    /// `out = a⁻¹` for every energy; on a singular block, its energy.
+    fn invert(lu: &mut LuScratch, a: &Self, out: &mut Self) -> Result<(), usize>;
+    /// `self -= x` for every energy.
+    fn sub_assign_batch(&mut self, x: &Self);
+    /// `self += alpha · I` for every energy.
+    fn add_scaled_identity(&mut self, alpha: c64);
+}
+
+impl Blocks for MatrixBatch {
+    fn empty() -> Self {
+        MatrixBatch::zeros(0, 0, 0)
+    }
+    fn fit(&mut self, batch: usize, n: usize) {
+        self.reshape(batch, n, n);
+    }
+    fn stage<'a>(&mut self, mut block: impl FnMut(usize) -> &'a CMatrix) {
+        for e in 0..self.batch_len() {
+            self.copy_plane_from(e, block(e));
+        }
+    }
+    fn copy_plane_to(&self, e: usize, dst: &mut CMatrix) {
+        self.copy_plane_to(e, dst);
+    }
+    fn product(
+        &mut self,
+        alpha: c64,
+        (ka, a): (OpKind, &Self),
+        (kb, b): (OpKind, &Self),
+        beta: c64,
+    ) {
+        gemm_batch(
+            self,
+            alpha,
+            BatchOp::Each(ka, a),
+            BatchOp::Each(kb, b),
+            beta,
+        );
+    }
+    fn invert(lu: &mut LuScratch, a: &Self, out: &mut Self) -> Result<(), usize> {
+        invert_batch_into(lu, a, out).map_err(|(e, _)| e)
+    }
+    fn sub_assign_batch(&mut self, x: &Self) {
+        self.sub_assign_batch(x);
+    }
+    fn add_scaled_identity(&mut self, alpha: c64) {
+        self.add_scaled_identity(alpha);
+    }
+}
+
+impl Blocks for LaneBatch {
+    fn empty() -> Self {
+        LaneBatch::zeros(0, 0, 0)
+    }
+    fn fit(&mut self, batch: usize, n: usize) {
+        self.reshape(batch, n, n);
+    }
+    fn stage<'a>(&mut self, block: impl FnMut(usize) -> &'a CMatrix) {
+        self.copy_planes_from(block);
+    }
+    fn copy_plane_to(&self, e: usize, dst: &mut CMatrix) {
+        self.copy_plane_to(e, dst);
+    }
+    fn product(&mut self, alpha: c64, a: (OpKind, &Self), b: (OpKind, &Self), beta: c64) {
+        gemm_lanes(self, alpha, a, b, beta);
+    }
+    fn invert(lu: &mut LuScratch, a: &Self, out: &mut Self) -> Result<(), usize> {
+        invert_lanes_into(lu, a, out).map_err(|(e, _)| e)
+    }
+    fn sub_assign_batch(&mut self, x: &Self) {
+        self.sub_assign_batch(x);
+    }
+    fn add_scaled_identity(&mut self, alpha: c64) {
+        self.add_scaled_identity(alpha);
+    }
+}
+
+/// A free list of block batches: take/give recycling, so the steady state
+/// allocates nothing.
+#[derive(Debug)]
+struct Arena<S> {
+    free: Vec<S>,
+    /// Batches created because the list was empty.
+    fresh: usize,
+}
+
+impl<S: Blocks> Arena<S> {
+    /// Check out a batch of `batch` blocks of `n × n` (contents unspecified:
+    /// every checkout is staged or written by a `beta = 0` product first).
+    fn take(&mut self, batch: usize, n: usize) -> S {
+        let mut s = self.free.pop().unwrap_or_else(|| {
+            self.fresh += 1;
+            S::empty()
+        });
+        s.fit(batch, n);
+        s
+    }
+
+    /// Return a batch to the free list.
+    fn give(&mut self, s: S) {
+        self.free.push(s);
+    }
+}
+
+/// The warm state of one layout: its free list and the left-connected
+/// forward-pass quantities — `g[i]` (energy `e` is `g_i` of energy `e`) and
+/// one row `gl[r][i]` per right-hand side.
+#[derive(Debug)]
+struct Store<S> {
+    bws: Arena<S>,
+    g: Vec<S>,
+    gl: Vec<Vec<S>>,
+}
+
+impl<S> Default for Store<S> {
+    fn default() -> Self {
+        Self {
+            bws: Arena {
+                free: Vec::new(),
+                fresh: 0,
+            },
+            g: Vec::new(),
+            gl: Vec::new(),
+        }
+    }
+}
+
+/// Reusable scratch state of the batched RGF solver: one LU scratch
+/// (plane-sequential inversions) and the warm state of each layout. Hold one
+/// per worker and reuse it across batches — after the first solve at a given
+/// shape, every later solve allocates nothing.
 #[derive(Debug, Default)]
 pub struct RgfBatchScratch {
-    bws: BatchWorkspace,
     lu: LuScratch,
-    /// Left-connected retarded batches `g[i]`: plane `e` is `g_i` of energy `e`.
-    g: Vec<MatrixBatch>,
-    /// Left-connected lesser/greater batches `gl[r][i]`, one row per RHS.
-    gl: Vec<Vec<MatrixBatch>>,
+    planes: Store<MatrixBatch>,
+    lanes: Store<LaneBatch>,
 }
 
 impl RgfBatchScratch {
@@ -71,31 +269,23 @@ impl RgfBatchScratch {
         Self::default()
     }
 
-    /// Number of fresh buffer allocations the arena has performed; constant
+    /// Number of fresh block batches the free lists have created; constant
     /// once the solver has reached its steady state.
     pub fn fresh_allocations(&self) -> usize {
-        self.bws.fresh_allocations()
+        self.planes.bws.fresh + self.lanes.bws.fresh
     }
 }
 
-/// Stage per-energy blocks into an energy-major batch operand.
-#[inline]
-fn stage<'a>(dst: &mut MatrixBatch, mut block: impl FnMut(usize) -> &'a quatrex_linalg::CMatrix) {
-    for e in 0..dst.batch_len() {
-        dst.copy_plane_from(e, block(e));
-    }
+/// Per-energy operand, entered as stored.
+#[inline(always)]
+fn each<S>(x: &S) -> (OpKind, &S) {
+    (OpKind::None, x)
 }
 
-/// Per-energy operand, plane `e` entered as stored.
+/// Per-energy operand, entered conjugate-transposed.
 #[inline(always)]
-fn each(mb: &MatrixBatch) -> BatchOp<'_> {
-    BatchOp::Each(OpKind::None, mb)
-}
-
-/// Per-energy operand, plane `e` entered conjugate-transposed.
-#[inline(always)]
-fn each_dag(mb: &MatrixBatch) -> BatchOp<'_> {
-    BatchOp::Each(OpKind::Dagger, mb)
+fn each_dag<S>(x: &S) -> (OpKind, &S) {
+    (OpKind::Dagger, x)
 }
 
 /// Batched selected RGF solve allocating fresh solutions and scratch.
@@ -120,8 +310,24 @@ pub fn rgf_solve_batch(
 /// `systems[e]` and `rhs[e]` are the system matrix and right-hand sides of
 /// batch member `e`; every member must share the block structure and RHS
 /// count. `sols[e]` depends on `(systems[e], rhs[e])` only — not on the batch
-/// length or on the other members — bit for bit, including the FLOP count.
+/// length, the layout or the other members — bit for bit, including the FLOP
+/// count. The layout is [`BlockLayout::for_solve`] of the block size and the
+/// batch length.
 pub fn rgf_solve_batch_into(
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfBatchError> {
+    let block_size = systems.first().map_or(0, |a| a.block_size());
+    let layout = BlockLayout::for_solve(block_size, systems.len());
+    rgf_solve_batch_on(layout, systems, rhs, sols, scratch)
+}
+
+/// [`rgf_solve_batch_into`] on the given layout. Both layouts give the same
+/// bits; this entry point exists to compare and time them.
+pub fn rgf_solve_batch_on(
+    layout: BlockLayout,
     systems: &[&BlockTridiagonal],
     rhs: &[&[&BlockTridiagonal]],
     sols: &mut [SelectedSolution],
@@ -154,11 +360,7 @@ pub fn rgf_solve_batch_into(
         }
     }
 
-    let mut flops = 0u64; // per energy — structural, identical for every member
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let inv_cost = inverse_flops(bs);
-
-    // Shape the outputs and scratch (no-ops in the steady state).
+    // Shape the outputs (no-ops in the steady state).
     let fits = |bt: &BlockTridiagonal| bt.n_blocks() == nb && bt.block_size() == bs;
     for sol in sols.iter_mut() {
         if !fits(&sol.retarded) {
@@ -174,31 +376,52 @@ pub fn rgf_solve_batch_into(
             sol.lesser.push(BlockTridiagonal::zeros(nb, bs));
         }
     }
-    let RgfBatchScratch { bws, lu, g, gl } = scratch;
-    let batch_fits =
-        |mb: &MatrixBatch| mb.batch_len() == bsz && mb.nrows() == bs && mb.ncols() == bs;
+
+    let RgfBatchScratch { lu, planes, lanes } = scratch;
+    let flops = match layout {
+        BlockLayout::Planes => recursion(planes, lu, systems, rhs, sols),
+        BlockLayout::Lanes => recursion(lanes, lu, systems, rhs, sols),
+    }?;
+    for sol in sols.iter_mut() {
+        sol.flops = flops;
+    }
+    Ok(())
+}
+
+/// The forward and backward recursions on the storage `S`, over validated
+/// inputs and shaped outputs. Returns the per-energy FLOP count.
+fn recursion<S: Blocks>(
+    store: &mut Store<S>,
+    lu: &mut LuScratch,
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    sols: &mut [SelectedSolution],
+) -> Result<u64, RgfBatchError> {
+    let bsz = systems.len();
+    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let mut flops = 0u64; // per energy — structural, identical for every member
+    let gemm_c = gemm_flops(bs, bs, bs);
+    let inv_cost = inverse_flops(bs);
+
+    let Store { bws, g, gl } = store;
     // The slot lists only grow: a scratch that alternates between block
     // counts (a rank of a spatial group solves partition interiors and
     // reduced boundary systems on one scratch) keeps the longer list warm.
     if g.len() < nb {
-        g.resize_with(nb, || MatrixBatch::zeros(0, 0, 0));
+        g.resize_with(nb, S::empty);
     }
     for slot in g[..nb].iter_mut() {
-        if !batch_fits(slot) {
-            *slot = MatrixBatch::zeros(bsz, bs, bs);
-        }
+        slot.fit(bsz, bs);
     }
     while gl.len() < n_rhs {
         gl.push(Vec::new());
     }
     for row in gl[..n_rhs].iter_mut() {
         if row.len() < nb {
-            row.resize_with(nb, || MatrixBatch::zeros(0, 0, 0));
+            row.resize_with(nb, S::empty);
         }
         for slot in row[..nb].iter_mut() {
-            if !batch_fits(slot) {
-                *slot = MatrixBatch::zeros(bsz, bs, bs);
-            }
+            slot.fit(bsz, bs);
         }
     }
 
@@ -206,41 +429,41 @@ pub fn rgf_solve_batch_into(
     // Left-connected retarded g[i] and lesser gl[r][i], batched per block
     // position: stage the per-energy blocks once, then one batched product
     // per GEMM of the recursion.
-    let mut sd = bws.take(bsz, bs, bs);
-    stage(&mut sd, |e| systems[e].diag(0));
-    invert_batch_into(lu, &sd, &mut g[0]).map_err(|(e, _)| RgfBatchError {
+    let mut sd = bws.take(bsz, bs);
+    sd.stage(|e| systems[e].diag(0));
+    S::invert(lu, &sd, &mut g[0]).map_err(|e| RgfBatchError {
         energy: e,
         error: RgfError::SingularBlock(0),
     })?;
     flops += inv_cost;
     for r in 0..n_rhs {
         // gl_0 = g_0 · B_00 · g_0†
-        let mut bd = bws.take(bsz, bs, bs);
-        stage(&mut bd, |e| rhs[e][r].diag(0));
-        let mut t = bws.take(bsz, bs, bs);
-        gemm_batch(&mut t, ONE, each(&g[0]), each(&bd), ZERO);
-        gemm_batch(&mut gl[r][0], ONE, each(&t), each_dag(&g[0]), ZERO);
+        let mut bd = bws.take(bsz, bs);
+        bd.stage(|e| rhs[e][r].diag(0));
+        let mut t = bws.take(bsz, bs);
+        t.product(ONE, each(&g[0]), each(&bd), ZERO);
+        gl[r][0].product(ONE, each(&t), each_dag(&g[0]), ZERO);
         flops += 2 * gemm_c;
         bws.give(bd);
         bws.give(t);
     }
 
     for i in 1..nb {
-        let mut slo = bws.take(bsz, bs, bs); // A_{i, i-1}
-        stage(&mut slo, |e| systems[e].lower(i - 1));
-        let mut sup = bws.take(bsz, bs, bs); // A_{i-1, i}
-        stage(&mut sup, |e| systems[e].upper(i - 1));
+        let mut slo = bws.take(bsz, bs); // A_{i, i-1}
+        slo.stage(|e| systems[e].lower(i - 1));
+        let mut sup = bws.take(bsz, bs); // A_{i-1, i}
+        sup.stage(|e| systems[e].upper(i - 1));
 
         // Schur complement d = A_ii − A_{i,i-1} g_{i-1} A_{i-1,i}.
-        let mut t1 = bws.take(bsz, bs, bs);
-        gemm_batch(&mut t1, ONE, each(&slo), each(&g[i - 1]), ZERO);
-        let mut t2 = bws.take(bsz, bs, bs);
-        gemm_batch(&mut t2, ONE, each(&t1), each(&sup), ZERO);
+        let mut t1 = bws.take(bsz, bs);
+        t1.product(ONE, each(&slo), each(&g[i - 1]), ZERO);
+        let mut t2 = bws.take(bsz, bs);
+        t2.product(ONE, each(&t1), each(&sup), ZERO);
         flops += 2 * gemm_c;
-        let mut d = bws.take(bsz, bs, bs);
-        stage(&mut d, |e| systems[e].diag(i));
+        let mut d = bws.take(bsz, bs);
+        d.stage(|e| systems[e].diag(i));
         d.sub_assign_batch(&t2);
-        invert_batch_into(lu, &d, &mut g[i]).map_err(|(e, _)| RgfBatchError {
+        S::invert(lu, &d, &mut g[i]).map_err(|e| RgfBatchError {
             energy: e,
             error: RgfError::SingularBlock(i),
         })?;
@@ -249,23 +472,23 @@ pub fn rgf_solve_batch_into(
         for r in 0..n_rhs {
             // inner = B_ii + A_{i,i-1} gl_{i-1} A_{i,i-1}†
             //       − A_{i,i-1} g_{i-1} B_{i-1,i} − B_{i,i-1} g_{i-1}† A_{i,i-1}†
-            let mut inner = bws.take(bsz, bs, bs);
-            stage(&mut inner, |e| rhs[e][r].diag(i));
-            let mut bup = bws.take(bsz, bs, bs);
-            stage(&mut bup, |e| rhs[e][r].upper(i - 1));
-            let mut blo = bws.take(bsz, bs, bs);
-            stage(&mut blo, |e| rhs[e][r].lower(i - 1));
-            let mut u = bws.take(bsz, bs, bs);
-            gemm_batch(&mut u, ONE, each(&slo), each(&gl[r][i - 1]), ZERO);
-            gemm_batch(&mut inner, ONE, each(&u), each_dag(&slo), ONE);
-            gemm_batch(&mut u, ONE, each(&slo), each(&g[i - 1]), ZERO);
-            gemm_batch(&mut inner, -ONE, each(&u), each(&bup), ONE);
-            gemm_batch(&mut u, ONE, each(&blo), each_dag(&g[i - 1]), ZERO);
-            gemm_batch(&mut inner, -ONE, each(&u), each_dag(&slo), ONE);
+            let mut inner = bws.take(bsz, bs);
+            inner.stage(|e| rhs[e][r].diag(i));
+            let mut bup = bws.take(bsz, bs);
+            bup.stage(|e| rhs[e][r].upper(i - 1));
+            let mut blo = bws.take(bsz, bs);
+            blo.stage(|e| rhs[e][r].lower(i - 1));
+            let mut u = bws.take(bsz, bs);
+            u.product(ONE, each(&slo), each(&gl[r][i - 1]), ZERO);
+            inner.product(ONE, each(&u), each_dag(&slo), ONE);
+            u.product(ONE, each(&slo), each(&g[i - 1]), ZERO);
+            inner.product(-ONE, each(&u), each(&bup), ONE);
+            u.product(ONE, each(&blo), each_dag(&g[i - 1]), ZERO);
+            inner.product(-ONE, each(&u), each_dag(&slo), ONE);
             flops += 6 * gemm_c;
             // gl_i = g_i · inner · g_i†
-            gemm_batch(&mut u, ONE, each(&g[i]), each(&inner), ZERO);
-            gemm_batch(&mut gl[r][i], ONE, each(&u), each_dag(&g[i]), ZERO);
+            u.product(ONE, each(&g[i]), each(&inner), ZERO);
+            gl[r][i].product(ONE, each(&u), each_dag(&g[i]), ZERO);
             flops += 2 * gemm_c;
             bws.give(inner);
             bws.give(bup);
@@ -289,27 +512,27 @@ pub fn rgf_solve_batch_into(
     }
 
     for i in (0..nb.saturating_sub(1)).rev() {
-        let mut sup = bws.take(bsz, bs, bs); // A_{i, i+1}
-        stage(&mut sup, |e| systems[e].upper(i));
-        let mut slo = bws.take(bsz, bs, bs); // A_{i+1, i}
-        stage(&mut slo, |e| systems[e].lower(i));
+        let mut sup = bws.take(bsz, bs); // A_{i, i+1}
+        sup.stage(|e| systems[e].upper(i));
+        let mut slo = bws.take(bsz, bs); // A_{i+1, i}
+        slo.stage(|e| systems[e].lower(i));
         let gi = &g[i];
-        let mut x_next = bws.take(bsz, bs, bs);
-        stage(&mut x_next, |e| sols[e].retarded.diag(i + 1));
+        let mut x_next = bws.take(bsz, bs);
+        x_next.stage(|e| sols[e].retarded.diag(i + 1));
 
         // Θ_i = I + g_i A_{i,i+1} X_{i+1,i+1} A_{i+1,i}
-        let mut g_aup = bws.take(bsz, bs, bs);
-        gemm_batch(&mut g_aup, ONE, each(gi), each(&sup), ZERO);
-        let mut g_aup_x = bws.take(bsz, bs, bs);
-        gemm_batch(&mut g_aup_x, ONE, each(&g_aup), each(&x_next), ZERO);
-        let mut theta = bws.take(bsz, bs, bs);
-        gemm_batch(&mut theta, ONE, each(&g_aup_x), each(&slo), ZERO);
+        let mut g_aup = bws.take(bsz, bs);
+        g_aup.product(ONE, each(gi), each(&sup), ZERO);
+        let mut g_aup_x = bws.take(bsz, bs);
+        g_aup_x.product(ONE, each(&g_aup), each(&x_next), ZERO);
+        let mut theta = bws.take(bsz, bs);
+        theta.product(ONE, each(&g_aup_x), each(&slo), ZERO);
         flops += 3 * gemm_c;
-        theta.add_scaled_identity(c64::new(1.0, 0.0));
+        theta.add_scaled_identity(ONE);
 
         // Retarded selected blocks.
-        let mut acc = bws.take(bsz, bs, bs);
-        gemm_batch(&mut acc, ONE, each(&theta), each(gi), ZERO);
+        let mut acc = bws.take(bsz, bs);
+        acc.product(ONE, each(&theta), each(gi), ZERO);
         for (e, sol) in sols.iter_mut().enumerate() {
             acc.copy_plane_to(e, sol.retarded.diag_mut(i));
             // X^R_{i,i+1} = −g_i A_{i,i+1} X_{i+1,i+1}
@@ -317,9 +540,9 @@ pub fn rgf_solve_batch_into(
             g_aup_x.copy_plane_to(e, xu);
             xu.scale_mut(c64::new(-1.0, 0.0));
         }
-        let mut x_alo = bws.take(bsz, bs, bs);
-        gemm_batch(&mut x_alo, ONE, each(&x_next), each(&slo), ZERO);
-        gemm_batch(&mut acc, -ONE, each(&x_alo), each(gi), ZERO);
+        let mut x_alo = bws.take(bsz, bs);
+        x_alo.product(ONE, each(&x_next), each(&slo), ZERO);
+        acc.product(-ONE, each(&x_alo), each(gi), ZERO);
         for (e, sol) in sols.iter_mut().enumerate() {
             acc.copy_plane_to(e, sol.retarded.lower_mut(i));
         }
@@ -328,51 +551,50 @@ pub fn rgf_solve_batch_into(
 
         for r in 0..n_rhs {
             let gli = &gl[r][i];
-            let mut xl_next = bws.take(bsz, bs, bs);
-            stage(&mut xl_next, |e| sols[e].lesser[r].diag(i + 1));
-            let mut bup = bws.take(bsz, bs, bs); // B_{i, i+1}
-            stage(&mut bup, |e| rhs[e][r].upper(i));
-            let mut blo = bws.take(bsz, bs, bs); // B_{i+1, i}
-            stage(&mut blo, |e| rhs[e][r].lower(i));
+            let mut bup = bws.take(bsz, bs); // B_{i, i+1}
+            bup.stage(|e| rhs[e][r].upper(i));
+            let mut blo = bws.take(bsz, bs); // B_{i+1, i}
+            blo.stage(|e| rhs[e][r].lower(i));
 
-            let mut ta = bws.take(bsz, bs, bs);
-            let mut tb = bws.take(bsz, bs, bs);
-            let mut tc = bws.take(bsz, bs, bs);
+            let mut ta = bws.take(bsz, bs);
+            let mut tb = bws.take(bsz, bs);
+            let mut tc = bws.take(bsz, bs);
 
             // W_{i+1} = Xl_{i+1} − X_{i+1} A_{i+1,i} gl_i A_{i+1,i}† X_{i+1}†
             //          + X_{i+1} A_{i+1,i} g_i B_{i,i+1} X_{i+1}†
             //          + X_{i+1} B_{i+1,i} g_i† A_{i+1,i}† X_{i+1}†
-            let mut x_alo = bws.take(bsz, bs, bs);
-            gemm_batch(&mut x_alo, ONE, each(&x_next), each(&slo), ZERO);
-            let mut w = bws.take_copy(&xl_next);
-            gemm_batch(&mut ta, ONE, each(&x_alo), each(gli), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&slo), each_dag(&x_next), ZERO);
-            gemm_batch(&mut w, -ONE, each(&ta), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&x_alo), each(gi), ZERO);
-            gemm_batch(&mut tb, ONE, each(&bup), each_dag(&x_next), ZERO);
-            gemm_batch(&mut w, ONE, each(&ta), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&x_next), each(&blo), ZERO);
-            gemm_batch(&mut tc, ONE, each(&ta), each_dag(gi), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&slo), each_dag(&x_next), ZERO);
-            gemm_batch(&mut w, ONE, each(&tc), each(&tb), ONE);
+            let mut x_alo = bws.take(bsz, bs);
+            x_alo.product(ONE, each(&x_next), each(&slo), ZERO);
+            let mut w = bws.take(bsz, bs);
+            w.stage(|e| sols[e].lesser[r].diag(i + 1));
+            ta.product(ONE, each(&x_alo), each(gli), ZERO);
+            tb.product(ONE, each_dag(&slo), each_dag(&x_next), ZERO);
+            w.product(-ONE, each(&ta), each(&tb), ONE);
+            ta.product(ONE, each(&x_alo), each(gi), ZERO);
+            tb.product(ONE, each(&bup), each_dag(&x_next), ZERO);
+            w.product(ONE, each(&ta), each(&tb), ONE);
+            ta.product(ONE, each(&x_next), each(&blo), ZERO);
+            tc.product(ONE, each(&ta), each_dag(gi), ZERO);
+            tb.product(ONE, each_dag(&slo), each_dag(&x_next), ZERO);
+            w.product(ONE, each(&tc), each(&tb), ONE);
             flops += 12 * gemm_c;
 
             // Xl_{ii} = Θ gl Θ† + g A_up W A_up† g†
             //          − Θ g B_{i,i+1} X_{i+1}† A_up† g†
             //          − g A_up X_{i+1} B_{i+1,i} g† Θ†
-            gemm_batch(&mut ta, ONE, each(&theta), each(gli), ZERO);
-            gemm_batch(&mut acc, ONE, each(&ta), each_dag(&theta), ZERO);
-            gemm_batch(&mut ta, ONE, each(&g_aup), each(&w), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&sup), each_dag(gi), ZERO);
-            gemm_batch(&mut acc, ONE, each(&ta), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&theta), each(gi), ZERO);
-            gemm_batch(&mut tc, ONE, each(&ta), each(&bup), ZERO);
-            gemm_batch(&mut ta, ONE, each_dag(&sup), each_dag(gi), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&x_next), each(&ta), ZERO);
-            gemm_batch(&mut acc, -ONE, each(&tc), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&g_aup_x), each(&blo), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(gi), each_dag(&theta), ZERO);
-            gemm_batch(&mut acc, -ONE, each(&ta), each(&tb), ONE);
+            ta.product(ONE, each(&theta), each(gli), ZERO);
+            acc.product(ONE, each(&ta), each_dag(&theta), ZERO);
+            ta.product(ONE, each(&g_aup), each(&w), ZERO);
+            tb.product(ONE, each_dag(&sup), each_dag(gi), ZERO);
+            acc.product(ONE, each(&ta), each(&tb), ONE);
+            ta.product(ONE, each(&theta), each(gi), ZERO);
+            tc.product(ONE, each(&ta), each(&bup), ZERO);
+            ta.product(ONE, each_dag(&sup), each_dag(gi), ZERO);
+            tb.product(ONE, each_dag(&x_next), each(&ta), ZERO);
+            acc.product(-ONE, each(&tc), each(&tb), ONE);
+            ta.product(ONE, each(&g_aup_x), each(&blo), ZERO);
+            tb.product(ONE, each_dag(gi), each_dag(&theta), ZERO);
+            acc.product(-ONE, each(&ta), each(&tb), ONE);
             flops += 14 * gemm_c;
             for (e, sol) in sols.iter_mut().enumerate() {
                 acc.copy_plane_to(e, sol.lesser[r].diag_mut(i));
@@ -382,18 +604,18 @@ pub fn rgf_solve_batch_into(
             //             + X_{i+1} A_{i+1,i} g_i B_{i,i+1} X_{i+1}† A_{i,i+1}† g_i†
             //             + X_{i+1} B_{i+1,i} g_i† Θ†
             //             − W A_{i,i+1}† g_i†
-            gemm_batch(&mut ta, ONE, each(&x_alo), each(gli), ZERO);
-            gemm_batch(&mut acc, -ONE, each(&ta), each_dag(&theta), ZERO);
-            gemm_batch(&mut ta, ONE, each(&x_alo), each(gi), ZERO);
-            gemm_batch(&mut tc, ONE, each(&ta), each(&bup), ZERO);
-            gemm_batch(&mut ta, ONE, each_dag(&sup), each_dag(gi), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&x_next), each(&ta), ZERO);
-            gemm_batch(&mut acc, ONE, each(&tc), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&x_next), each(&blo), ZERO);
-            gemm_batch(&mut tc, ONE, each(&ta), each_dag(gi), ZERO);
-            gemm_batch(&mut acc, ONE, each(&tc), each_dag(&theta), ONE);
-            gemm_batch(&mut ta, ONE, each_dag(&sup), each_dag(gi), ZERO);
-            gemm_batch(&mut acc, -ONE, each(&w), each(&ta), ONE);
+            ta.product(ONE, each(&x_alo), each(gli), ZERO);
+            acc.product(-ONE, each(&ta), each_dag(&theta), ZERO);
+            ta.product(ONE, each(&x_alo), each(gi), ZERO);
+            tc.product(ONE, each(&ta), each(&bup), ZERO);
+            ta.product(ONE, each_dag(&sup), each_dag(gi), ZERO);
+            tb.product(ONE, each_dag(&x_next), each(&ta), ZERO);
+            acc.product(ONE, each(&tc), each(&tb), ONE);
+            ta.product(ONE, each(&x_next), each(&blo), ZERO);
+            tc.product(ONE, each(&ta), each_dag(gi), ZERO);
+            acc.product(ONE, each(&tc), each_dag(&theta), ONE);
+            ta.product(ONE, each_dag(&sup), each_dag(gi), ZERO);
+            acc.product(-ONE, each(&w), each(&ta), ONE);
             flops += 13 * gemm_c;
             for (e, sol) in sols.iter_mut().enumerate() {
                 acc.copy_plane_to(e, sol.lesser[r].lower_mut(i));
@@ -403,17 +625,17 @@ pub fn rgf_solve_batch_into(
             //             + Θ g_i B_{i,i+1} X_{i+1}†
             //             + g_i A_{i,i+1} X_{i+1} B_{i+1,i} g_i† A_{i+1,i}† X_{i+1}†
             //             − g_i A_{i,i+1} W
-            gemm_batch(&mut ta, ONE, each(&theta), each(gli), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&slo), each_dag(&x_next), ZERO);
-            gemm_batch(&mut acc, -ONE, each(&ta), each(&tb), ZERO);
-            gemm_batch(&mut ta, ONE, each(&theta), each(gi), ZERO);
-            gemm_batch(&mut tb, ONE, each(&bup), each_dag(&x_next), ZERO);
-            gemm_batch(&mut acc, ONE, each(&ta), each(&tb), ONE);
-            gemm_batch(&mut ta, ONE, each(&g_aup_x), each(&blo), ZERO);
-            gemm_batch(&mut tb, ONE, each_dag(&slo), each_dag(&x_next), ZERO);
-            gemm_batch(&mut tc, ONE, each_dag(gi), each(&tb), ZERO);
-            gemm_batch(&mut acc, ONE, each(&ta), each(&tc), ONE);
-            gemm_batch(&mut acc, -ONE, each(&g_aup), each(&w), ONE);
+            ta.product(ONE, each(&theta), each(gli), ZERO);
+            tb.product(ONE, each_dag(&slo), each_dag(&x_next), ZERO);
+            acc.product(-ONE, each(&ta), each(&tb), ZERO);
+            ta.product(ONE, each(&theta), each(gi), ZERO);
+            tb.product(ONE, each(&bup), each_dag(&x_next), ZERO);
+            acc.product(ONE, each(&ta), each(&tb), ONE);
+            ta.product(ONE, each(&g_aup_x), each(&blo), ZERO);
+            tb.product(ONE, each_dag(&slo), each_dag(&x_next), ZERO);
+            tc.product(ONE, each_dag(gi), each(&tb), ZERO);
+            acc.product(ONE, each(&ta), each(&tc), ONE);
+            acc.product(-ONE, each(&g_aup), each(&w), ONE);
             flops += 12 * gemm_c;
             for (e, sol) in sols.iter_mut().enumerate() {
                 acc.copy_plane_to(e, sol.lesser[r].upper_mut(i));
@@ -424,7 +646,6 @@ pub fn rgf_solve_batch_into(
             bws.give(tc);
             bws.give(x_alo);
             bws.give(w);
-            bws.give(xl_next);
             bws.give(bup);
             bws.give(blo);
         }
@@ -437,8 +658,5 @@ pub fn rgf_solve_batch_into(
         bws.give(slo);
     }
 
-    for sol in sols.iter_mut() {
-        sol.flops = flops;
-    }
-    Ok(())
+    Ok(flops)
 }

@@ -18,8 +18,9 @@
 //!   function algorithm (paper Section 4.3.2, Eqs. (9)–(12)): a forward
 //!   Schur-complement sweep followed by a backward pass, `O(N_B·N_BS³)` work
 //!   per system, run for a batch of same-structure systems (energies) at
-//!   once; [`sequential::rgf_solve`] and friends solve one system as a batch
-//!   of one;
+//!   once, on energy-major planes or — for small blocks — one vector lane per
+//!   energy ([`batch::BlockLayout`]); [`sequential::rgf_solve`] and friends
+//!   solve one system as a batch of one;
 //! * [`nested::nested_dissection_invert`] / [`nested::nested_dissection_solve`]
 //!   — the spatial domain decomposition of Section 5.4: the block range is
 //!   split into `P_S` partitions ([`layout`]) whose interiors are eliminated
@@ -44,7 +45,10 @@ pub mod nested;
 pub mod reference;
 pub mod sequential;
 
-pub use batch::{rgf_solve_batch, rgf_solve_batch_into, RgfBatchError, RgfBatchScratch};
+pub use batch::{
+    rgf_solve_batch, rgf_solve_batch_into, rgf_solve_batch_on, BlockLayout, RgfBatchError,
+    RgfBatchScratch,
+};
 pub use dense::{dense_lesser, dense_retarded};
 pub use layout::{
     partition_layout_balanced, probe_partition_flops, separator_blocks, spatial_partition_layout,

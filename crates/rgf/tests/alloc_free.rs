@@ -3,7 +3,7 @@
 //! warmed at a shape, `rgf_solve_into` (a batch of one) and
 //! `rgf_solve_batch_into` at B > 1 perform **zero** heap allocations — the
 //! whole forward/backward recursion (GEMMs, LU inversions, block writes) runs
-//! on recycled buffers.
+//! on recycled buffers, on energy-major planes and on the lane layout alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use quatrex_linalg::cplx;
 use quatrex_linalg::CMatrix;
 use quatrex_rgf::{
-    rgf_solve_batch_into, rgf_solve_into, RgfBatchScratch, RgfScratch, SelectedSolution,
+    rgf_solve_batch_into, rgf_solve_batch_on, rgf_solve_into, BlockLayout, RgfBatchScratch,
+    RgfScratch, SelectedSolution,
 };
 use quatrex_sparse::BlockTridiagonal;
 
@@ -156,6 +157,43 @@ fn steady_state_batched_rgf_solve_performs_zero_heap_allocations() {
         scratch.fresh_allocations()
     });
     assert!(sols[0].retarded.to_dense().approx_eq(&reference, 0.0));
+}
+
+#[test]
+fn steady_state_lane_layout_solve_performs_zero_heap_allocations() {
+    // N_BS = 8 over 9 energies on the lane layout: one full lane group and a
+    // ragged second one, two right-hand sides.
+    let (nb, bs, ne) = (4, 8, 9);
+    let systems: Vec<_> = (0..ne).map(|_| test_system(nb, bs)).collect();
+    let sys_refs: Vec<&BlockTridiagonal> = systems.iter().map(|(a, _)| a).collect();
+    let rhs_refs: Vec<[&BlockTridiagonal; 2]> = systems.iter().map(|(_, b)| [b, b]).collect();
+    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs_refs.iter().map(|r| r.as_slice()).collect();
+    let mut scratch = RgfBatchScratch::new();
+    let mut sols = vec![SelectedSolution::zeros(nb, bs, 2); ne];
+
+    // Warm-up: the lane batches, the free list, the LU scratch and the
+    // per-thread planes of the inversions.
+    let solve = |sols: &mut [SelectedSolution], scratch: &mut RgfBatchScratch| {
+        rgf_solve_batch_on(BlockLayout::Lanes, &sys_refs, &rhs_slices, sols, scratch).unwrap()
+    };
+    solve(&mut sols, &mut scratch);
+    let reference = sols[8].lesser[1].to_dense();
+    let warm = scratch.fresh_allocations();
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    set_armed(true);
+    for _ in 0..3 {
+        solve(&mut sols, &mut scratch);
+    }
+    set_armed(false);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        allocs, 0,
+        "steady-state lane-layout RGF loop must not allocate (saw {allocs} allocations)"
+    );
+    assert_eq!(scratch.fresh_allocations(), warm);
+    assert!(sols[8].lesser[1].to_dense().approx_eq(&reference, 0.0));
 }
 
 #[test]

@@ -1,17 +1,22 @@
-//! Batch-size independence of the RGF solver.
+//! Batch-size and layout independence of the RGF solver.
 //!
-//! The solver stages per-energy blocks into energy-major batches and runs
-//! every block product as one `gemm_batch` call; planes are independent and
-//! each goes through the same packing + micro-kernel code at any batch
-//! length. So a member's selected blocks must be **bit-for-bit** the same
+//! The solver stages per-energy blocks into one batched operand per block
+//! position and runs every block product as one batched call — on
+//! energy-major planes (`gemm_batch`) or, for small blocks, one vector lane
+//! per energy (`gemm_lanes`); energies are independent and every element goes
+//! through the same operation sequence at any batch length and on either
+//! layout. So a member's selected blocks must be **bit-for-bit** the same
 //! whichever batch it is solved in — B ∈ {1, 2, 3, 5, all}, including ragged
-//! tails where the energy count is not divisible by the batch size — and its
-//! FLOP count must not depend on the batch either. The anchor to an
-//! independent implementation is `reference_equivalence.rs`.
+//! tails where the energy count is not divisible by the batch size — and on
+//! whichever layout, and its FLOP count must not depend on either. The
+//! anchor to an independent implementation is `reference_equivalence.rs`.
 
 use quatrex_linalg::cplx;
 use quatrex_linalg::CMatrix;
-use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
+use quatrex_rgf::{
+    rgf_solve_batch_into, rgf_solve_batch_on, BlockLayout, RgfBatchScratch, RgfError,
+    SelectedSolution,
+};
 use quatrex_sparse::BlockTridiagonal;
 
 /// A well-conditioned per-energy system: E-dependent diagonal shift plus
@@ -140,4 +145,75 @@ fn a_singular_batch_member_is_reported_with_its_energy_index() {
     let err = rgf_solve_batch_into(&sys_refs, &rhs_slices, &mut sols, &mut scratch).unwrap_err();
     assert_eq!(err.energy, 1);
     assert_eq!(err.error, RgfError::SingularBlock(1));
+}
+
+/// Every selected block of `sol` as raw bits, then its FLOP count.
+fn bits(sol: &SelectedSolution) -> Vec<u64> {
+    let blocks = std::iter::once(&sol.retarded).chain(&sol.lesser);
+    let values = blocks.flat_map(|bt| bt.to_dense().as_slice().to_vec());
+    let mut out: Vec<u64> = values
+        .flat_map(|v| [v.re.to_bits(), v.im.to_bits()])
+        .collect();
+    out.push(sol.flops);
+    out
+}
+
+/// Solve `systems` with their first `n_rhs` right-hand sides as one batch on
+/// `layout`.
+fn solve_on(
+    layout: BlockLayout,
+    systems: &[(BlockTridiagonal, [BlockTridiagonal; 2])],
+    n_rhs: usize,
+) -> Result<Vec<SelectedSolution>, quatrex_rgf::RgfBatchError> {
+    let (nb, bs) = (systems[0].0.n_blocks(), systems[0].0.block_size());
+    let sys_refs: Vec<&BlockTridiagonal> = systems.iter().map(|(a, _)| a).collect();
+    let rhs_refs: Vec<Vec<&BlockTridiagonal>> = systems
+        .iter()
+        .map(|(_, rhs)| rhs[..n_rhs].iter().collect())
+        .collect();
+    let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs_refs.iter().map(|r| r.as_slice()).collect();
+    let mut sols = vec![SelectedSolution::zeros(nb, bs, n_rhs); systems.len()];
+    let mut scratch = RgfBatchScratch::new();
+    rgf_solve_batch_on(layout, &sys_refs, &rhs_slices, &mut sols, &mut scratch)?;
+    Ok(sols)
+}
+
+#[test]
+fn the_lane_layout_reproduces_the_planes_bit_for_bit() {
+    // N_BS ∈ {4, 8, 12} (the lane size class), 1…9 energies (every fill of
+    // one lane group, then a ragged second one), 16 and 17 (two full groups,
+    // then a third with one live lane), and 0, 1 or 2 right-hand sides.
+    let nb = 4;
+    for bs in [4usize, 8, 12] {
+        let systems: Vec<_> = (0..17).map(|e| energy_system(nb, bs, e)).collect();
+        for batch in (1..=9).chain([16, 17]) {
+            for n_rhs in 0..=2 {
+                let chunk = &systems[..batch];
+                let planes = solve_on(BlockLayout::Planes, chunk, n_rhs).unwrap();
+                let lanes = solve_on(BlockLayout::Lanes, chunk, n_rhs).unwrap();
+                for (e, (p, l)) in planes.iter().zip(&lanes).enumerate() {
+                    assert!(
+                        bits(p) == bits(l),
+                        "N_BS={bs} B={batch} n_rhs={n_rhs} energy {e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_singular_schur_block_in_a_later_lane_group_names_its_energy() {
+    // Energy 11 is lane 3 of the second lane group; on both layouts the
+    // failure is reported at its batch index and block.
+    let (nb, bs) = (3, 4);
+    let mut systems: Vec<_> = (0..16).map(|e| energy_system(nb, bs, e)).collect();
+    systems[11].0.set_block(1, 1, CMatrix::zeros(bs, bs));
+    systems[11].0.set_block(0, 1, CMatrix::zeros(bs, bs));
+    systems[11].0.set_block(1, 0, CMatrix::zeros(bs, bs));
+    for layout in [BlockLayout::Lanes, BlockLayout::Planes] {
+        let err = solve_on(layout, &systems, 2).unwrap_err();
+        assert_eq!(err.energy, 11, "{layout:?}");
+        assert_eq!(err.error, RgfError::SingularBlock(1), "{layout:?}");
+    }
 }
