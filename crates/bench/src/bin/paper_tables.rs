@@ -24,8 +24,8 @@
 //! Run with: `cargo run --release -p quatrex-bench --bin paper_tables`
 //! (after `bench_kernels` and the two report examples).
 
-use quatrex_device::DeviceCatalog;
-use quatrex_dist::TranspositionBudget;
+use quatrex_device::{DeviceCatalog, DeviceParams};
+use quatrex_dist::BYTES_PER_VALUE;
 use quatrex_probe::json::{self, Json};
 use std::path::Path;
 use std::process::ExitCode;
@@ -332,8 +332,9 @@ struct Projection {
 ///   measured run reached, times the element's Rpeak (the machine's Rpeak
 ///   over its elements).
 /// * **Communication** — the four transpositions of one iteration
-///   ([`TranspositionBudget`], symmetry-reduced) of the device's `G_nnz`,
-///   per element, at the NIC injection bandwidth.
+///   ([`transposed_values_per_energy`] at every energy), less the share
+///   `1/elements` that stays on its element, per element, at the NIC
+///   injection bandwidth.
 ///
 /// It ignores everything else: work of lower order than `N_B·N_BS³` (the
 /// `N_BS³` OBC solves, the `N_E log N_E` convolutions, `N_BS²` assembly terms
@@ -349,14 +350,24 @@ fn extrapolate(cost: &Cost, device: &str, machine: &str, nodes: f64, energies: f
     let elements = nodes * c("elements per node");
     let element_peak = c("Rpeak") * 1e15 / (c("nodes") * c("elements per node"));
     let workload = cost.flop_per_unit * device.rgf_block_ops_per_energy() * energies;
-    let nnz = device.g_nnz_paper as usize;
-    let budget = TranspositionBudget::new(nnz, energies as usize, elements as usize, true);
+    let off_element = 1.0 - 1.0 / elements;
+    let bytes =
+        transposed_values_per_energy(&device) * energies * off_element * BYTES_PER_VALUE as f64;
     Projection {
         workload,
         compute_s: workload / elements / (cost.peak_fraction * element_peak),
-        comm_s: budget.bytes_per_iteration() as f64
-            / (elements * c("NIC injection bandwidth") * 1e9),
+        comm_s: bytes / (elements * c("NIC injection bandwidth") * 1e9),
     }
+}
+
+/// Complex values one SCBA iteration's transpositions carry per energy, by
+/// the rule `TranspositionPlan::transposition_bytes` counts exactly: the 8
+/// lesser/greater components ship `(G_nnz + N_AO) / 2` canonical values (the
+/// `N_AO` diagonal entries are their own mirrors), the 2 retarded ones all
+/// `G_nnz`.
+fn transposed_values_per_energy(device: &DeviceParams) -> f64 {
+    let nnz = device.g_nnz_paper;
+    8.0 * (nnz + device.n_orbitals as f64) / 2.0 + 2.0 * nnz
 }
 
 /// The source column of an [`extrapolate`]d value.

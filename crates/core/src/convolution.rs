@@ -174,11 +174,6 @@ pub fn canonical_elements(nb: usize, bs: usize) -> Vec<ElementId> {
     elements
 }
 
-/// Number of stored scalar values per energy point of the full BT pattern.
-pub fn stored_values(nb: usize, bs: usize) -> usize {
-    (3 * nb - 2) * bs * bs
-}
-
 // ---------------------------------------------------------------------------
 // Batch-view pair kernels. A forward transposition delivers the
 // Green's-function / screened-interaction series one *energy batch* at a time
@@ -722,8 +717,10 @@ mod tests {
                 assert!(seen.insert((m.pos, m.row, m.col)), "mirror collides {m:?}");
             }
         }
-        assert_eq!(seen.len(), stored_values(nb, bs));
-        // Count matches the closed form used by the volume model.
-        assert_eq!(canon.len(), nb * bs * (bs + 1) / 2 + (nb - 1) * bs * bs);
+        // Canonical elements and mirrors cover the stored pattern exactly…
+        assert_eq!(seen.len(), (3 * nb - 2) * bs * bs);
+        // …and the canonical ones are (stored + diagonal) / 2, the rule
+        // `paper_tables` prices at the paper's scale.
+        assert_eq!(canon.len(), (seen.len() + nb * bs) / 2);
     }
 }

@@ -44,6 +44,9 @@ use crate::warm::WarmState;
 #[derive(Debug, Clone)]
 pub struct DistScbaConfig {
     /// The physics configuration, shared verbatim with the sequential solver.
+    /// `enforce_symmetry` must be set: the transpositions ship only the
+    /// canonical elements of the lesser/greater quantities (Section 5.2) and
+    /// rebuild the mirrors from the NEGF symmetry.
     pub scba: ScbaConfig,
     /// Number of simulated ranks (threads of the
     /// [`quatrex_runtime::ThreadComm`]). Must be a multiple of
@@ -63,16 +66,6 @@ pub struct DistScbaConfig {
     /// the uniform split would leave the two boundary partitions idle ~40 %
     /// of every solve.
     pub spatial_partitions: usize,
-    /// Ship only canonical elements for `≶` quantities and reconstruct the
-    /// mirrors from the NEGF symmetry at the destination (Section 5.2).
-    /// Requires `scba.enforce_symmetry`.
-    ///
-    /// **When it pays off:** always, when the physics allows symmetrisation —
-    /// it halves the transposition volume of 8 of the 10 component transfers
-    /// per iteration (~1.8× on the total). Turn it off only to pin bit-exact
-    /// equivalence against the sequential solver (the full wire format ships
-    /// raw, unsymmetrised mirrors).
-    pub symmetry_reduced: bool,
     /// Number of energy batches (`B`) each of the four per-iteration
     /// transpositions is cut into ([`crate::TranspositionBatchPlan`]). With `B > 1`
     /// the solver double-buffers: batch `k+1`'s `Alltoallv` is posted
@@ -127,7 +120,6 @@ impl DistScbaConfig {
             scba,
             n_ranks,
             spatial_partitions: 1,
-            symmetry_reduced: true,
             energy_batches: 1,
             probe: true,
             capture_state: false,
@@ -193,7 +185,7 @@ pub struct DistScbaResult {
     /// Times the Σ update cleared its history and fell back to the damped
     /// step (`quatrex_core::SigmaMixer::restarts`).
     pub mixing_restarts: usize,
-    /// Measured-vs-modelled communication report.
+    /// Measured communication report.
     pub report: DistReport,
     /// Merged per-rank probe timeline of the run — one track per rank on a
     /// shared clock. Serialise with [`Timeline::chrome_trace_json`] for

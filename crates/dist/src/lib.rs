@@ -52,11 +52,12 @@
 //!  └───────────────────┘  #4 Σ    └──────────────────────┘
 //! ```
 //!
-//! Lesser/greater quantities travel symmetry-reduced (Section 5.2): only the
-//! canonical elements ship, the mirrors are reconstructed from
-//! `X^≶_ij = −X^≶*_ji` at the destination. Every byte is accounted by the
-//! communicator, and [`DistReport`] compares the measured volumes against the
-//! analytic [`quatrex_runtime::TranspositionVolume`] model.
+//! There is one wire format (Section 5.2): lesser/greater quantities ship
+//! only their canonical elements, the mirrors are reconstructed from
+//! `X^≶_ij = −X^≶*_ji` at the destination; retarded ones ship both. Every
+//! byte is accounted per phase by the communicator ([`DistReport`]), and
+//! because ownership is static the plan predicts each transposition's bytes
+//! exactly ([`TranspositionPlan::transposition_bytes`]).
 //!
 //! ## Equivalence with the sequential solver
 //!
@@ -78,7 +79,7 @@ pub mod spatial;
 pub mod warm;
 
 pub use config::{DistScbaConfig, DistScbaResult};
-pub use report::{DistReport, TranspositionBudget};
+pub use report::DistReport;
 pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;
 pub use spatial::{spatial_phase_solve, RankGrid, SpatialLayout, SpatialTraffic};

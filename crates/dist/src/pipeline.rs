@@ -23,7 +23,7 @@ use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
 use crate::rank::{RankCounters, RankState};
-use crate::slab::{off_rank_payload_bytes, ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
+use crate::slab::{ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
 
 /// Which way a transposition moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +36,11 @@ pub(crate) enum Direction {
 
 /// One of the four per-iteration transpositions: its byte-accounting tag,
 /// direction, which of its components obey the NEGF symmetry (and so travel
-/// canonical-only under symmetry reduction), the probe span names of its
-/// pack and unpack stages, and the probe span (name, category) of the
-/// convolution stage riding on it — the per-batch accumulation behind a
-/// forward transposition, the epilogue ahead of a backward one.
+/// canonical-only: the mask alone decides whether mirrors ship), the probe
+/// span names of its pack and unpack stages, and the probe span (name,
+/// category) of the convolution stage riding on it — the per-batch
+/// accumulation behind a forward transposition, the epilogue ahead of a
+/// backward one.
 pub(crate) struct Transposition {
     pub phase: CommPhase,
     pub direction: Direction,
@@ -125,7 +126,6 @@ pub(crate) fn exchange(
     let mut post = |b: usize, counters: &mut RankCounters| -> (CommHandle<Vec<c64>>, u64) {
         let payloads = quatrex_probe::span(row.scatter_span, "transposition.pack", || pack(b));
         debug_assert_eq!(payloads.len(), ctx.n_ranks());
-        counters.transposition_bytes += off_rank_payload_bytes(ctx.rank(), &payloads);
         let bytes = payload_bytes(&payloads);
         counters.track(bytes);
         let handle = ctx.alltoallv_start_tagged(payloads, |m| m.len() * BYTES_PER_VALUE, row.phase);
@@ -296,9 +296,10 @@ impl ConvSeries {
     }
 
     /// The phase epilogue after the last batch has been consumed, in place:
-    /// symmetrise the canonical/mirror pairs and build the retarded
+    /// symmetrise the canonical/mirror pairs (the solver always enforces the
+    /// NEGF symmetry: its wire format relies on it) and build the retarded
     /// components causally.
-    pub(crate) fn finish(&mut self, enforce_symmetry: bool, flops: &FlopCounter) {
+    pub(crate) fn finish(&mut self, flops: &FlopCounter) {
         // The epilogue read of the batch-accumulated series: ordered after
         // every batch's accumulate (same rank thread, after the batch's
         // CommHandle::wait) — a pipeline mutation that lets the finish read
@@ -315,10 +316,8 @@ impl ConvSeries {
                 lm[e].clone_from(&lc[e]);
                 gm[e].clone_from(&gc[e]);
             }
-            if enforce_symmetry {
-                symmetrize_series_pair(&mut lc[e], &mut lm[e], self_mirror);
-                symmetrize_series_pair(&mut gc[e], &mut gm[e], self_mirror);
-            }
+            symmetrize_series_pair(&mut lc[e], &mut lm[e], self_mirror);
+            symmetrize_series_pair(&mut gc[e], &mut gm[e], self_mirror);
             let mut rc = vec![c64::new(0.0, 0.0); lc[e].len()];
             causal_retarded_series(&mut rc, &lc[e], &gc[e], flops);
             let mut rm = rc.clone();
@@ -369,7 +368,7 @@ mod tests {
         // empty — it must still post and drain like the others, and the
         // batch-wise slabs must equal the directly extracted element series.
         let (nb, bs, ne, n_batches) = (3usize, 2usize, 5usize, 3usize);
-        let plan = TranspositionPlan::new(nb, bs, ne, 2, false);
+        let plan = TranspositionPlan::new(nb, bs, ne, 2);
         let batches = TranspositionBatchPlan::new(&plan, n_batches);
         assert!(
             batches.local_ranges.iter().flatten().any(|r| r.is_empty()),
@@ -415,7 +414,6 @@ mod tests {
             (slab, counters)
         });
 
-        let mut sent = 0;
         for (group, (slab, counters)) in results.iter().enumerate() {
             for (e_local, e) in plan.element_ranges[group].clone().enumerate() {
                 let id = plan.elements[e];
@@ -425,13 +423,14 @@ mod tests {
                 }
             }
             assert!(counters.peak_slab_bytes > 0);
-            sent += counters.transposition_bytes;
         }
-        // One collective per batch (counted on each of the 2 ranks), and every
-        // off-rank byte is accounted.
+        // One collective per batch (counted on each of the 2 ranks), and the
+        // phase shipped exactly the plan's count, surplus batch included.
         let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(load(&stats.n_collectives), 2 * n_batches as u64);
-        assert_eq!(load(&stats.alltoall_bytes), sent);
-        assert_eq!(stats.phase_bytes(row.phase), sent);
+        let planned = plan.transposition_bytes(row.phase);
+        assert!(planned > 0);
+        assert_eq!(stats.phase_bytes(row.phase), planned);
+        assert_eq!(load(&stats.alltoall_bytes), planned);
     }
 }

@@ -108,8 +108,6 @@ pub(crate) struct SigmaState {
 /// [`crate::DistReport`].
 #[derive(Default)]
 pub(crate) struct RankCounters {
-    /// Off-rank bytes of the four energy↔element transpositions.
-    pub transposition_bytes: u64,
     /// Boundary-system traffic of the `G` / `W` group solves.
     pub traffic_g: SpatialTraffic,
     pub traffic_w: SpatialTraffic,
@@ -140,7 +138,6 @@ impl RankCounters {
     /// except the buffer peak, where the busiest rank bounds the per-node
     /// memory.
     pub fn merge(&mut self, other: &RankCounters) {
-        self.transposition_bytes += other.transposition_bytes;
         self.traffic_g.merge(&other.traffic_g);
         self.traffic_w.merge(&other.traffic_w);
         self.memo_hits += other.memo_hits;
@@ -418,9 +415,7 @@ impl<'a> RankState<'a> {
     /// `[X^<, X^>, X^R]` of the owned energies.
     fn ship(&mut self, row: &Transposition, mut series: ConvSeries) -> [Vec<BlockTridiagonal>; 3] {
         let p = self.p;
-        p.conv_timed(row.conv_span, || {
-            series.finish(p.cfg().enforce_symmetry, &p.flops)
-        });
+        p.conv_timed(row.conv_span, || series.finish(&p.flops));
         self.backward(row, &series)
     }
 

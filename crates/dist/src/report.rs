@@ -1,52 +1,9 @@
-//! Measured-vs-modelled accounting of a distributed SCBA run.
-//!
-//! [`TranspositionBudget`] turns the plan geometry into the *predicted*
-//! per-iteration all-to-all volume from the [`TranspositionVolume`] model
-//! (the same budget `paper_tables` prices at the paper's scale for Table 6
-//! and Fig. 6); [`DistReport`] pairs that prediction with the *measured*
-//! byte counts of the run, per phase.
+//! Measured accounting of a distributed SCBA run: [`DistReport`] collects
+//! the byte counts, timings and derived phase metrics of one run. What a
+//! transposition should ship is not a model here but the plan's exact count,
+//! `crate::TranspositionPlan::transposition_bytes`.
 
 use quatrex_probe::json::Json;
-use quatrex_runtime::TranspositionVolume;
-
-/// Predicted all-to-all volume of one full SCBA iteration.
-///
-/// Per iteration the cycle performs four transpositions (Fig. 3):
-/// `G^≶` forward (2 symmetric components), `P` backward (2 symmetric + `P^R`
-/// full), `W^≶` forward (2 symmetric) and `Σ` backward (2 symmetric + `Σ^R`
-/// full) — 8 symmetry-reducible components plus 2 full ones.
-#[derive(Debug, Clone)]
-pub struct TranspositionBudget {
-    /// Volume of one symmetry-reducible component (`G^≶`, `P^≶`, `W^≶`, `Σ^≶`).
-    pub symmetric_component: TranspositionVolume,
-    /// Volume of one full component (`P^R`, `Σ^R`).
-    pub full_component: TranspositionVolume,
-}
-
-impl TranspositionBudget {
-    /// Budget for a pattern with `nnz` stored values per energy.
-    pub fn new(nnz: usize, n_energies: usize, n_ranks: usize, symmetry_reduced: bool) -> Self {
-        Self {
-            symmetric_component: TranspositionVolume::new(
-                nnz,
-                n_energies,
-                n_ranks,
-                symmetry_reduced,
-            ),
-            full_component: TranspositionVolume::new(nnz, n_energies, n_ranks, false),
-        }
-    }
-
-    /// Predicted bytes of one full iteration (all four transpositions).
-    pub fn bytes_per_iteration(&self) -> u64 {
-        8 * self.symmetric_component.total_bytes() + 2 * self.full_component.total_bytes()
-    }
-
-    /// Predicted bytes for `full_iterations` iterations of the cycle.
-    pub fn total_bytes(&self, full_iterations: usize) -> u64 {
-        self.bytes_per_iteration() * full_iterations as u64
-    }
-}
 
 /// Measured execution report of one [`crate::DistScbaSolver`] run.
 #[derive(Debug, Clone)]
@@ -66,8 +23,6 @@ pub struct DistReport {
     pub energies_per_rank: Vec<usize>,
     /// Canonical elements per flat rank.
     pub elements_per_rank: Vec<usize>,
-    /// Whether the wire format was symmetry-reduced (Section 5.2).
-    pub symmetry_reduced: bool,
     /// Iterations that executed the P/W/Σ phases (and hence all four
     /// transpositions). A ballistic run has zero.
     pub full_iterations: usize,
@@ -82,7 +37,9 @@ pub struct DistReport {
     /// `wall_seconds` per SCBA iteration of the run — the paper's headline
     /// quantity (Tables 5/6).
     pub seconds_per_iteration: f64,
-    /// Measured off-rank bytes of the energy↔element transpositions alone.
+    /// Measured off-rank bytes of the energy↔element transpositions alone:
+    /// the sum of the four transposition entries of
+    /// `alltoall_bytes_per_phase`.
     pub measured_transposition_bytes: u64,
     /// Measured off-rank bytes of *all* all-to-all traffic, including the
     /// small ordered gathers of norms and spectra
@@ -161,38 +118,12 @@ pub struct DistReport {
     /// phases with both nonzero seconds and nonzero FLOPs appear). Empty when
     /// the probe was disabled.
     pub phase_flop_rates: Vec<(String, f64)>,
-    /// Predicted volume from the analytic model.
-    pub budget: TranspositionBudget,
 }
 
 impl DistReport {
-    /// Predicted bytes for the iterations that actually ran.
-    pub fn predicted_alltoall_bytes(&self) -> u64 {
-        self.budget.total_bytes(self.full_iterations)
-    }
-
-    /// Relative deviation of the measured energy↔element transposition
-    /// volume from the model: `(measured − predicted) / predicted`, using the
-    /// exact transposition counter (the small ordered gathers of norms and
-    /// spectra are excluded — they are not part of what
-    /// [`TranspositionVolume`] models). Zero when nothing was predicted and
-    /// nothing measured.
-    pub fn volume_agreement(&self) -> f64 {
-        let predicted = self.predicted_alltoall_bytes();
-        if predicted == 0 {
-            return if self.measured_transposition_bytes == 0 {
-                0.0
-            } else {
-                f64::INFINITY
-            };
-        }
-        (self.measured_transposition_bytes as f64 - predicted as f64) / predicted as f64
-    }
-
-    /// Measured per-participant transposition bytes of **one** SCBA iteration
-    /// (its analytic counterpart is [`TranspositionBudget::bytes_per_iteration`]
-    /// over the rank count). Every flat rank takes part in the
-    /// transpositions, whatever `P_S`. Zero when no full iteration ran.
+    /// Measured per-participant transposition bytes of **one** SCBA iteration.
+    /// Every flat rank takes part in the transpositions, whatever `P_S`. Zero
+    /// when no full iteration ran.
     pub fn measured_bytes_per_rank_per_iteration(&self) -> u64 {
         if self.full_iterations == 0 {
             return 0;
@@ -270,20 +201,8 @@ impl DistReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn budget_counts_ten_components() {
-        let b = TranspositionBudget::new(1000, 32, 4, false);
-        // All components full: 10 × one-component volume.
-        assert_eq!(b.bytes_per_iteration(), 10 * b.full_component.total_bytes());
-        let b = TranspositionBudget::new(1000, 32, 4, true);
-        assert!(b.bytes_per_iteration() < 10 * b.full_component.total_bytes());
-        assert_eq!(b.total_bytes(3), 3 * b.bytes_per_iteration());
-    }
-
-    /// A two-rank, two-iteration report measuring 1 % over its prediction.
+    /// A two-rank, two-iteration report.
     fn two_rank_report() -> DistReport {
-        let budget = TranspositionBudget::new(100, 8, 2, false);
-        let predicted = budget.total_bytes(2);
         DistReport {
             n_ranks: 2,
             energy_groups: 2,
@@ -291,14 +210,13 @@ mod tests {
             balanced_partitions: false,
             energies_per_rank: vec![4, 4],
             elements_per_rank: vec![10, 10],
-            symmetry_reduced: false,
             full_iterations: 2,
             mixing_restarts: 0,
             wall_seconds: 0.5,
             seconds_per_iteration: 0.25,
-            measured_transposition_bytes: predicted + predicted / 100,
-            measured_alltoall_bytes: predicted + predicted / 10,
-            measured_max_bytes_per_rank: predicted / 2,
+            measured_transposition_bytes: 4000,
+            measured_alltoall_bytes: 4400,
+            measured_max_bytes_per_rank: 2200,
             measured_allreduce_bytes: 64,
             measured_boundary_bytes_g: 0,
             measured_boundary_bytes_w: 0,
@@ -316,20 +234,14 @@ mod tests {
             time_imbalance: None,
             memoizer_hit_rate_per_iteration: Vec::new(),
             phase_flop_rates: Vec::new(),
-            budget,
         }
     }
 
     #[test]
-    fn agreement_is_relative_deviation_of_the_transposition_counter() {
-        let report = two_rank_report();
-        // The agreement uses the exact transposition counter, not the total
-        // that includes the ordered gathers.
-        assert!((report.volume_agreement() - 0.01).abs() < 2e-3);
-        // Per-iteration, per-rank: total / ranks / iterations.
+    fn per_iteration_volume_divides_by_ranks_and_iterations() {
         assert_eq!(
-            report.measured_bytes_per_rank_per_iteration(),
-            report.measured_transposition_bytes / 2 / 2
+            two_rank_report().measured_bytes_per_rank_per_iteration(),
+            1000
         );
     }
 
@@ -394,7 +306,6 @@ mod tests {
 
     #[test]
     fn per_iteration_volume_is_zero_without_full_iterations() {
-        let budget = TranspositionBudget::new(100, 8, 2, true);
         let report = DistReport {
             n_ranks: 4,
             energy_groups: 2,
@@ -402,7 +313,6 @@ mod tests {
             balanced_partitions: false,
             energies_per_rank: vec![2, 2, 2, 2],
             elements_per_rank: vec![5, 5, 5, 5],
-            symmetry_reduced: true,
             full_iterations: 0,
             mixing_restarts: 0,
             wall_seconds: 0.0,
@@ -427,10 +337,8 @@ mod tests {
             time_imbalance: None,
             memoizer_hit_rate_per_iteration: Vec::new(),
             phase_flop_rates: Vec::new(),
-            budget,
         };
         assert_eq!(report.measured_bytes_per_rank_per_iteration(), 0);
-        assert_eq!(report.volume_agreement(), 0.0);
         assert_eq!(report.measured_boundary_bytes(), 128);
     }
 }

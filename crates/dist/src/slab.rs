@@ -12,31 +12,34 @@
 //!   the one container of that layout: what a forward transposition delivers,
 //!   what a convolution phase accumulates, what a backward one ships.
 //!
-//! [`TranspositionPlan`] fixes both partitions and the wire format of the
-//! `Alltoallv` messages that convert between them. With
-//! `symmetry_reduced = true` (Section 5.2) only the canonical elements travel
-//! — the mirror elements are reconstructed from the NEGF symmetry
-//! `X^≶_ij = −X^≶*_ji` at the receiving side, halving the volume exactly as
-//! [`quatrex_runtime::TranspositionVolume`] models. Retarded quantities do not
-//! obey the symmetry, so their backward transposition always ships canonical
-//! and mirror elements.
+//! [`TranspositionPlan`] fixes both partitions and the one wire format of the
+//! `Alltoallv` messages that convert between them (Section 5.2): only the
+//! canonical elements of a lesser/greater quantity travel — the mirror
+//! elements are reconstructed from the NEGF symmetry `X^≶_ij = −X^≶*_ji` at
+//! the receiving side. Retarded quantities do not obey the symmetry, so their
+//! backward transposition ships canonical and mirror elements. Because
+//! ownership is fixed by the plan, so is every message length:
+//! [`TranspositionPlan::transposition_bytes`] is the exact off-rank volume of
+//! each transposition, not an estimate.
 
 use std::ops::Range;
 
 use quatrex_core::convolution::{canonical_elements, ElementId};
 use quatrex_core::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
+use quatrex_runtime::CommPhase;
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::partition::partition_even;
+use crate::pipeline::TRANSPOSITIONS;
 
 /// Bytes on the wire per complex value (complex128).
 pub const BYTES_PER_VALUE: usize = 16;
 
 // ---------------------------------------------------------------------------
-// Shared complex128-stream primitives of the group-level wire formats (the
-// spatial boundary-system messages ride the same byte-accounted `Alltoallv`
-// as the transpositions).
+// Shared complex128-stream primitives of the wire formats: the
+// transpositions' and the spatial boundary-system messages, which ride the
+// same byte-accounted `Alltoallv`.
 
 /// Next value of a wire stream. The encoders fix every message length, so a
 /// stream running dry is a wire-format bug, not an input error.
@@ -155,20 +158,12 @@ pub struct TranspositionPlan {
     pub energy_ranges: Vec<Range<usize>>,
     /// Canonical-element ownership per rank (contiguous, ascending).
     pub element_ranges: Vec<Range<usize>>,
-    /// Ship only canonical elements for symmetric quantities (Section 5.2).
-    pub symmetry_reduced: bool,
 }
 
 impl TranspositionPlan {
     /// Build a plan over `n_ranks` flat ranks from the problem shape: energies
     /// and canonical elements are each split evenly over the ranks.
-    pub fn new(
-        n_blocks: usize,
-        block_size: usize,
-        n_energies: usize,
-        n_ranks: usize,
-        symmetry_reduced: bool,
-    ) -> Self {
+    pub fn new(n_blocks: usize, block_size: usize, n_energies: usize, n_ranks: usize) -> Self {
         let elements = canonical_elements(n_blocks, block_size);
         let energy_ranges = partition_even(n_energies, n_ranks);
         let element_ranges = partition_even(elements.len(), n_ranks);
@@ -180,7 +175,6 @@ impl TranspositionPlan {
             elements,
             energy_ranges,
             element_ranges,
-            symmetry_reduced,
         }
     }
 
@@ -189,9 +183,27 @@ impl TranspositionPlan {
         self.elements.len()
     }
 
-    /// Number of stored scalar values per energy of the full BT pattern.
-    pub fn stored_values(&self) -> usize {
-        quatrex_core::convolution::stored_values(self.n_blocks, self.block_size)
+    /// Exact off-rank bytes of one iteration's transposition `phase` (`FwdG`,
+    /// `BwdP`, `FwdW` or `BwdSigma`): for every pair of distinct ranks, at each
+    /// of the energy owner's energies, the element owner's canonical values of
+    /// every component plus its non-self-mirror values of every component that
+    /// is not NEGF-symmetric. Batching only splits the energies, so this holds
+    /// at any `B`; a run's `DistReport::alltoall_bytes_per_phase` entry is
+    /// this times `full_iterations`.
+    pub fn transposition_bytes(&self, phase: CommPhase) -> u64 {
+        let row = TRANSPOSITIONS.iter().find(|t| t.phase == phase);
+        // lint:allow(no-unwrap): only the four transposition phases have a wire format to count
+        let symmetric = row.expect("not a transposition phase").symmetric;
+        let mirrored = symmetric.iter().filter(|&&s| !s).count();
+        let values: usize = (0..self.n_ranks)
+            .map(|q| {
+                let elems = &self.elements[self.element_ranges[q].clone()];
+                let non_self = elems.iter().filter(|id| !id.is_self_mirror()).count();
+                let per_energy = symmetric.len() * elems.len() + mirrored * non_self;
+                per_energy * (self.n_energies - self.energy_ranges[q].len())
+            })
+            .sum();
+        (values * BYTES_PER_VALUE) as u64
     }
 
     /// Forward serialisation (energy-major → element-major) of one energy
@@ -202,8 +214,8 @@ impl TranspositionPlan {
     ///
     /// Wire format of the message to rank `q`, in order: for every component,
     /// for every canonical element owned by `q` (ascending), the values at
-    /// the batch's energies (ascending); then, when not symmetry-reduced, the
-    /// same loop again for the mirror elements (self-mirror elements skipped).
+    /// the batch's energies (ascending). The components must be NEGF-symmetric:
+    /// the receiver rebuilds their mirrors.
     pub fn scatter_forward_batch(
         &self,
         rank: usize,
@@ -217,26 +229,12 @@ impl TranspositionPlan {
         (0..self.n_ranks)
             .map(|q| {
                 let elems = self.element_ranges[q].clone();
-                let mut msg = Vec::with_capacity(2 * comps.len() * elems.len() * local.len());
+                let mut msg = Vec::with_capacity(comps.len() * elems.len() * local.len());
                 for comp in comps {
                     for e in elems.clone() {
                         let id = self.elements[e];
                         for bt in comp[local.clone()].iter() {
                             msg.push(id.value_in(bt));
-                        }
-                    }
-                }
-                if !self.symmetry_reduced {
-                    for comp in comps {
-                        for e in elems.clone() {
-                            let id = self.elements[e];
-                            if id.is_self_mirror() {
-                                continue;
-                            }
-                            let m = id.mirror();
-                            for bt in comp[local.clone()].iter() {
-                                msg.push(m.value_in(bt));
-                            }
                         }
                     }
                 }
@@ -250,10 +248,9 @@ impl TranspositionPlan {
     /// [`ElementSlab`]. `received[src]` carries source `src`'s energies in `src_ranges[src]`
     /// (global indices; the batch's slice of the source's energy range). The
     /// canonical values are written and the mirror values of the arrived
-    /// energies are filled immediately — read from the message when the plan
-    /// is not symmetry-reduced, reconstructed from `X^≶_ji = −X^≶*_ij`
-    /// otherwise — so the per-batch convolution kernels can consume the batch
-    /// while the next one is still in flight.
+    /// energies are reconstructed from `X^≶_ji = −X^≶*_ij` immediately, so the
+    /// per-batch convolution kernels can consume the batch while the next one
+    /// is still in flight.
     pub fn absorb_forward_batch(
         &self,
         rank: usize,
@@ -271,26 +268,12 @@ impl TranspositionPlan {
                     let id = self.elements[elems.start + e_local];
                     let self_mirror = id.is_self_mirror();
                     for k in src_energies.clone() {
-                        let v = *it.next().expect("short forward message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+                        let v = read_value(&mut it);
                         series[k] = v;
                         // Mirror of the arrived energy: its own value for
-                        // self-mirror elements, the NEGF reconstruction under
-                        // symmetry reduction, and the explicitly shipped value
-                        // below otherwise (which overwrites this one).
+                        // self-mirror elements, the NEGF reconstruction
+                        // otherwise.
                         slab.mirror[c][e_local][k] = if self_mirror { v } else { -v.conj() };
-                    }
-                }
-            }
-            if !self.symmetry_reduced {
-                for mirror_comp in slab.mirror.iter_mut() {
-                    for (e_local, series) in mirror_comp.iter_mut().enumerate().take(n_local) {
-                        if self.elements[elems.start + e_local].is_self_mirror() {
-                            continue;
-                        }
-                        for k in src_energies.clone() {
-                            // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
-                            series[k] = *it.next().expect("short forward message");
-                        }
                     }
                 }
             }
@@ -305,16 +288,15 @@ impl TranspositionPlan {
     /// slice of `q`'s energy range — `energy_ranges` itself ships everything
     /// at once). `symmetric[c]` states whether component `c` obeys
     /// `X_ij = −X*_ji` (lesser/greater-like) — the same mask
-    /// [`Self::absorb_backward_batch`] decodes with. Whether the mirror
-    /// series ride along or are reconstructed from the NEGF symmetry at the
-    /// destination is decided by that mask.
+    /// [`Self::absorb_backward_batch`] decodes with. That mask alone decides
+    /// whether the mirror series ride along or are reconstructed from the
+    /// NEGF symmetry at the destination.
     ///
     /// Wire format of the message to rank `q`: for every component, for every
     /// canonical element owned by this rank (ascending), the values at the
-    /// batch's energies (ascending); then for every component, the mirror
-    /// series of the non-self-mirror elements — skipped for symmetric
-    /// components under symmetry reduction (retarded-like components have no
-    /// exploitable symmetry: canonical and mirror series always ship).
+    /// batch's energies (ascending); then for every non-symmetric component
+    /// (retarded-like: no exploitable symmetry), the mirror series of the
+    /// non-self-mirror elements.
     pub fn scatter_backward_batch(
         &self,
         rank: usize,
@@ -336,7 +318,7 @@ impl TranspositionPlan {
                     }
                 }
                 for (comp, &symmetric) in slab.mirror.iter().zip(symmetric) {
-                    if symmetric && self.symmetry_reduced {
+                    if symmetric {
                         continue;
                     }
                     for (e_local, series) in comp.iter().enumerate() {
@@ -377,11 +359,10 @@ impl TranspositionPlan {
                     let id = self.elements[e];
                     for k in my_range.clone() {
                         let bt = &mut comp_out[k - my_start];
-                        let v = *it.next().expect("short backward message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+                        let v = read_value(&mut it);
                         set_element(bt, id, v);
-                        // Symmetric mirrors are reconstructed on the fly; the
-                        // raw (or full) mirrors arriving below overwrite this
-                        // value when they travel explicitly.
+                        // Symmetric mirrors are reconstructed on the fly;
+                        // the others arrive explicitly below.
                         if symmetric[c] && !id.is_self_mirror() {
                             set_element(bt, id.mirror(), -v.conj());
                         }
@@ -389,7 +370,7 @@ impl TranspositionPlan {
                 }
             }
             for (c, comp_out) in out.iter_mut().enumerate() {
-                if symmetric[c] && self.symmetry_reduced {
+                if symmetric[c] {
                     continue;
                 }
                 for e in src_elems.clone() {
@@ -399,7 +380,7 @@ impl TranspositionPlan {
                     }
                     let m = id.mirror();
                     for k in my_range.clone() {
-                        let v = *it.next().expect("short backward message"); // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+                        let v = read_value(&mut it);
                         set_element(&mut comp_out[k - my_start], m, v);
                     }
                 }
@@ -479,9 +460,9 @@ impl TranspositionBatchPlan {
 }
 
 /// Off-rank wire bytes of any per-destination `Alltoallv` payload: messages
-/// to `rank` itself stay local and cost nothing. Shared by the transposition
-/// accounting and the spatial boundary-system accounting so the
-/// "self-messages are free" convention lives in exactly one place.
+/// to `rank` itself stay local and cost nothing — the convention the
+/// communicator's per-phase tally and [`TranspositionPlan::transposition_bytes`]
+/// follow too. The spatial boundary-system accounting counts with it.
 pub fn off_rank_payload_bytes(rank: usize, payloads: &[Vec<c64>]) -> u64 {
     payloads
         .iter()
@@ -537,113 +518,119 @@ mod tests {
             .collect()
     }
 
-    fn roundtrip(n_ranks: usize, symmetry_reduced: bool) {
+    /// A quantity without the NEGF symmetry (retarded-like): every stored
+    /// value distinct.
+    fn raw_quantity(ne: usize, nb: usize, bs: usize) -> EnergyResolved {
+        (0..ne)
+            .map(|k| {
+                let block = |i: usize, j: usize| {
+                    CMatrix::from_fn(bs, bs, |r, c| {
+                        cplx((k * 31 + i * 7 + j * 3) as f64, (r * bs + c) as f64)
+                    })
+                };
+                let mut bt = BlockTridiagonal::zeros(nb, bs);
+                for i in 0..nb {
+                    bt.set_block(i, i, block(i, i));
+                }
+                for i in 0..nb - 1 {
+                    bt.set_block(i, i + 1, block(i, i + 1));
+                    bt.set_block(i + 1, i, block(i + 1, i));
+                }
+                bt
+            })
+            .collect()
+    }
+
+    /// Ship a lesser/greater pair forward (`FwdG`), then back with a
+    /// retarded-like third component beside it (`BwdP`): both directions
+    /// restore every value exactly, and each phase ships exactly the plan's
+    /// count — per rank the real payloads' off-rank bytes, in total what the
+    /// communicator tallied for the phase.
+    fn roundtrip(n_ranks: usize) {
         let (nb, bs, ne) = (3, 2, 8);
-        let plan = std::sync::Arc::new(TranspositionPlan::new(
-            nb,
-            bs,
-            ne,
-            n_ranks,
-            symmetry_reduced,
-        ));
-        let gl = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 0.3));
-        let gg = std::sync::Arc::new(symmetric_quantity(ne, nb, bs, 1.9));
-
-        let plan2 = std::sync::Arc::clone(&plan);
-        let gl2 = std::sync::Arc::clone(&gl);
-        let gg2 = std::sync::Arc::clone(&gg);
-        let (results, stats) = ThreadComm::run(n_ranks, move |ctx: RankContext<Vec<c64>>| {
-            let rank = ctx.rank();
-            let my_e = plan2.energy_ranges[rank].clone();
-            let local_l: Vec<BlockTridiagonal> = gl2[my_e.clone()].to_vec();
-            let local_g: Vec<BlockTridiagonal> = gg2[my_e.clone()].to_vec();
-            // forward: energy-major -> element-major
-            let payloads = plan2.scatter_forward_batch(rank, &[&local_l, &local_g], 0..my_e.len());
-            let sent = off_rank_payload_bytes(rank, &payloads);
-            let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
-            let recv = ctx.alltoallv_tagged(payloads, wire, CommPhase::Other);
-            let mut slab = ElementSlab::zeroed(plan2.element_ranges[rank].clone(), 2, ne);
-            plan2.absorb_forward_batch(rank, &mut slab, recv, &plan2.energy_ranges);
-            // backward: element-major -> energy-major (as-is)
-            let back =
-                plan2.scatter_backward_batch(rank, &slab, &[true, true], &plan2.energy_ranges);
-            let recv = ctx.alltoallv_tagged(back, wire, CommPhase::Other);
-            let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 2];
-            plan2.absorb_backward_batch(rank, &mut out, recv, &[true, true], my_e);
-            (slab, out, sent)
-        });
-
-        // Element slabs must carry the exact series of both quantities.
+        let plan = std::sync::Arc::new(TranspositionPlan::new(nb, bs, ne, n_ranks));
+        let quantities = std::sync::Arc::new([
+            symmetric_quantity(ne, nb, bs, 0.3),
+            symmetric_quantity(ne, nb, bs, 1.9),
+            raw_quantity(ne, nb, bs),
+        ]);
         let series = |x: &EnergyResolved, id: ElementId| -> Vec<c64> {
             x.iter().map(|bt| id.value_in(bt)).collect()
         };
-        for (rank, (slab, out, _)) in results.iter().enumerate() {
+        let (fwd, bwd) = (&TRANSPOSITIONS[0], &TRANSPOSITIONS[1]);
+        assert_eq!((fwd.phase, bwd.phase), (CommPhase::FwdG, CommPhase::BwdP));
+
+        let (plan2, q2) = (
+            std::sync::Arc::clone(&plan),
+            std::sync::Arc::clone(&quantities),
+        );
+        let (results, stats) = ThreadComm::run(n_ranks, move |ctx: RankContext<Vec<c64>>| {
+            let (plan, q) = (&*plan2, &*q2);
+            let rank = ctx.rank();
+            let my_e = plan.energy_ranges[rank].clone();
+            let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
+            // forward: energy-major -> element-major
+            let local = [&q[0][my_e.clone()], &q[1][my_e.clone()]];
+            let payloads = plan.scatter_forward_batch(rank, &local, 0..my_e.len());
+            let sent_fwd = off_rank_payload_bytes(rank, &payloads);
+            let recv = ctx.alltoallv_tagged(payloads, wire, fwd.phase);
+            let mut slab = ElementSlab::zeroed(plan.element_ranges[rank].clone(), 2, ne);
+            plan.absorb_forward_batch(rank, &mut slab, recv, &plan.energy_ranges);
+            // backward: element-major -> energy-major, plus a retarded-like
+            // component whose mirrors must travel
+            let mut back_slab = slab.clone();
+            let owned = &plan.elements[plan.element_ranges[rank].clone()];
+            back_slab
+                .canonical
+                .push(owned.iter().map(|&id| series(&q[2], id)).collect());
+            back_slab
+                .mirror
+                .push(owned.iter().map(|&id| series(&q[2], id.mirror())).collect());
+            let back =
+                plan.scatter_backward_batch(rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
+            let sent_bwd = off_rank_payload_bytes(rank, &back);
+            let recv = ctx.alltoallv_tagged(back, wire, bwd.phase);
+            let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 3];
+            plan.absorb_backward_batch(rank, &mut out, recv, bwd.symmetric, my_e);
+            (slab, out, [sent_fwd, sent_bwd])
+        });
+
+        let mut sent = [0u64; 2];
+        for (rank, (slab, out, rank_sent)) in results.iter().enumerate() {
+            // Element slabs carry the exact canonical and mirror series.
             for (e_local, e) in plan.element_ranges[rank].clone().enumerate() {
                 let id = plan.elements[e];
-                let want_l = series(&gl, id);
-                let want_g = series(&gg, id);
-                assert_eq!(
-                    slab.canonical[0][e_local], want_l,
-                    "canonical lesser {id:?}"
-                );
-                assert_eq!(
-                    slab.canonical[1][e_local], want_g,
-                    "canonical greater {id:?}"
-                );
-                let m = id.mirror();
-                let want_ml = series(&gl, m);
-                assert_eq!(slab.mirror[0][e_local], want_ml, "mirror lesser {id:?}");
-            }
-            // Round trip restores the energy-major slices exactly.
-            for (k_local, k) in plan.energy_ranges[rank].clone().enumerate() {
-                assert!(out[0][k_local].to_dense().approx_eq(&gl[k].to_dense(), 0.0));
-                assert!(out[1][k_local].to_dense().approx_eq(&gg[k].to_dense(), 0.0));
-            }
-        }
-
-        // Byte accounting: measured == expected exactly.
-        let total_sent: u64 = results.iter().map(|(_, _, s)| *s).sum();
-        assert_eq!(
-            stats
-                .alltoall_bytes
-                .load(std::sync::atomic::Ordering::Relaxed)
-                % 2,
-            0
-        );
-        assert!(total_sent > 0 || n_ranks == 1);
-        if symmetry_reduced {
-            // Exactly the canonical values travel, forward and backward.
-            let mut expect = 0u64;
-            for r in 0..n_ranks {
-                for q in 0..n_ranks {
-                    if q == r {
-                        continue;
-                    }
-                    expect += 2
-                        * 2
-                        * (plan.element_ranges[q].len()
-                            * plan.energy_ranges[r].len()
-                            * BYTES_PER_VALUE) as u64;
+                for c in 0..2 {
+                    let q = &quantities[c];
+                    assert_eq!(slab.canonical[c][e_local], series(q, id), "{c} {id:?}");
+                    assert_eq!(
+                        slab.mirror[c][e_local],
+                        series(q, id.mirror()),
+                        "{c} {id:?}"
+                    );
                 }
             }
-            let measured = stats
-                .alltoall_bytes
-                .load(std::sync::atomic::Ordering::Relaxed);
-            assert_eq!(measured, expect);
+            // The round trip restores the energy-major slices exactly.
+            for (k_local, k) in plan.energy_ranges[rank].clone().enumerate() {
+                for (c, q) in quantities.iter().enumerate() {
+                    assert!(out[c][k_local].to_dense().approx_eq(&q[k].to_dense(), 0.0));
+                }
+            }
+            sent[0] += rank_sent[0];
+            sent[1] += rank_sent[1];
+        }
+
+        for (row, sent) in [fwd, bwd].into_iter().zip(sent) {
+            assert_eq!(plan.transposition_bytes(row.phase), sent, "{:?}", row.phase);
+            assert_eq!(stats.phase_bytes(row.phase), sent, "{:?}", row.phase);
+            assert_eq!(sent == 0, n_ranks == 1);
         }
     }
 
     #[test]
-    fn roundtrip_is_exact_symmetry_reduced() {
-        for n_ranks in [1usize, 2, 4] {
-            roundtrip(n_ranks, true);
-        }
-    }
-
-    #[test]
-    fn roundtrip_is_exact_full_wire_format() {
-        for n_ranks in [1usize, 2, 3] {
-            roundtrip(n_ranks, false);
+    fn roundtrip_is_exact_and_ships_the_planned_bytes() {
+        for n_ranks in [1usize, 2, 3, 4] {
+            roundtrip(n_ranks);
         }
     }
 
@@ -653,116 +640,139 @@ mod tests {
         // and energy-major matrices the single-shot path produces, for every
         // batch count including the degenerate B > n_energies_per_group case.
         let (nb, bs, ne, n_groups) = (3usize, 2usize, 8usize, 2usize);
-        for symmetry_reduced in [true, false] {
-            let plan = TranspositionPlan::new(nb, bs, ne, n_groups, symmetry_reduced);
-            let gl = symmetric_quantity(ne, nb, bs, 0.3);
-            let gg = symmetric_quantity(ne, nb, bs, 1.9);
-            let local = |x: &EnergyResolved, src: usize| -> Vec<BlockTridiagonal> {
-                x[plan.energy_ranges[src].clone()].to_vec()
-            };
-            for b in [1usize, 2, 3, 7] {
-                let batches = TranspositionBatchPlan::new(&plan, b);
-                // Forward: batch-wise absorption must reproduce the
-                // single-shot slab of every group exactly.
-                let mut slabs = Vec::new();
-                for group in 0..n_groups {
-                    let mut want =
-                        ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+        let plan = TranspositionPlan::new(nb, bs, ne, n_groups);
+        let gl = symmetric_quantity(ne, nb, bs, 0.3);
+        let gg = symmetric_quantity(ne, nb, bs, 1.9);
+        let gr = raw_quantity(ne, nb, bs);
+        let local = |x: &EnergyResolved, src: usize| -> Vec<BlockTridiagonal> {
+            x[plan.energy_ranges[src].clone()].to_vec()
+        };
+        let series = |id: ElementId| -> Vec<c64> { gr.iter().map(|bt| id.value_in(bt)).collect() };
+        let (fwd, bwd) = (&TRANSPOSITIONS[0], &TRANSPOSITIONS[1]);
+        for b in [1usize, 2, 3, 7] {
+            let batches = TranspositionBatchPlan::new(&plan, b);
+            // Forward: batch-wise absorption must reproduce the
+            // single-shot slab of every group exactly.
+            let mut slabs = Vec::new();
+            for group in 0..n_groups {
+                let mut want =
+                    ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+                plan.absorb_forward_batch(
+                    group,
+                    &mut want,
+                    (0..n_groups)
+                        .map(|src| {
+                            let mut p = plan.scatter_forward_batch(
+                                src,
+                                &[&local(&gl, src), &local(&gg, src)],
+                                0..plan.energy_ranges[src].len(),
+                            );
+                            std::mem::take(&mut p[group])
+                        })
+                        .collect(),
+                    &plan.energy_ranges,
+                );
+                let mut slab =
+                    ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+                for batch in 0..b {
+                    let recv = (0..n_groups)
+                        .map(|src| {
+                            let mut p = plan.scatter_forward_batch(
+                                src,
+                                &[&local(&gl, src), &local(&gg, src)],
+                                batches.local_ranges[src][batch].clone(),
+                            );
+                            std::mem::take(&mut p[group])
+                        })
+                        .collect();
                     plan.absorb_forward_batch(
                         group,
-                        &mut want,
-                        (0..n_groups)
-                            .map(|src| {
-                                let mut p = plan.scatter_forward_batch(
-                                    src,
-                                    &[&local(&gl, src), &local(&gg, src)],
-                                    0..plan.energy_ranges[src].len(),
-                                );
-                                std::mem::take(&mut p[group])
-                            })
-                            .collect(),
-                        &plan.energy_ranges,
+                        &mut slab,
+                        recv,
+                        &batches.global_ranges(&plan, batch),
                     );
-                    let mut slab =
-                        ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
-                    for batch in 0..b {
-                        let recv = (0..n_groups)
-                            .map(|src| {
-                                let mut p = plan.scatter_forward_batch(
-                                    src,
-                                    &[&local(&gl, src), &local(&gg, src)],
-                                    batches.local_ranges[src][batch].clone(),
-                                );
-                                std::mem::take(&mut p[group])
-                            })
-                            .collect();
-                        plan.absorb_forward_batch(
-                            group,
-                            &mut slab,
-                            recv,
-                            &batches.global_ranges(&plan, batch),
-                        );
-                    }
-                    assert_eq!(slab.canonical, want.canonical, "canonical B={b}");
-                    assert_eq!(slab.mirror, want.mirror, "mirror B={b}");
-                    slabs.push(slab);
                 }
+                assert_eq!(slab.canonical, want.canonical, "canonical B={b}");
+                assert_eq!(slab.mirror, want.mirror, "mirror B={b}");
+                // A retarded-like third component for the backward direction.
+                let owned = &plan.elements[plan.element_ranges[group].clone()];
+                slab.canonical
+                    .push(owned.iter().map(|&id| series(id)).collect());
+                slab.mirror
+                    .push(owned.iter().map(|&id| series(id.mirror())).collect());
+                slabs.push(slab);
+            }
+            // Batching only splits the energies: the batches together ship
+            // exactly the plan's count in either direction.
+            let (mut fwd_bytes, mut bwd_bytes) = (0, 0);
+            for batch in 0..b {
+                let targets = batches.global_ranges(&plan, batch);
+                for src in 0..n_groups {
+                    let (l, g) = (local(&gl, src), local(&gg, src));
+                    let energies = batches.local_ranges[src][batch].clone();
+                    let p = plan.scatter_forward_batch(src, &[&l, &g], energies);
+                    fwd_bytes += off_rank_payload_bytes(src, &p);
+                    let p = plan.scatter_backward_batch(src, &slabs[src], bwd.symmetric, &targets);
+                    bwd_bytes += off_rank_payload_bytes(src, &p);
+                }
+            }
+            assert_eq!(fwd_bytes, plan.transposition_bytes(fwd.phase), "B={b}");
+            assert_eq!(bwd_bytes, plan.transposition_bytes(bwd.phase), "B={b}");
 
-                // Backward: batch-wise shipping must reproduce the
-                // single-shot energy-major gather of every destination.
-                for dst in 0..n_groups {
-                    let n_local = plan.energy_ranges[dst].len();
-                    let zeros = || -> Vec<EnergyResolved> {
-                        vec![vec![BlockTridiagonal::zeros(nb, bs); n_local]; 2]
-                    };
-                    let mut want_out = zeros();
+            // Backward: batch-wise shipping must reproduce the
+            // single-shot energy-major gather of every destination.
+            for dst in 0..n_groups {
+                let n_local = plan.energy_ranges[dst].len();
+                let zeros = || -> Vec<EnergyResolved> {
+                    vec![vec![BlockTridiagonal::zeros(nb, bs); n_local]; 3]
+                };
+                let mut want_out = zeros();
+                plan.absorb_backward_batch(
+                    dst,
+                    &mut want_out,
+                    (0..n_groups)
+                        .map(|src| {
+                            let mut p = plan.scatter_backward_batch(
+                                src,
+                                &slabs[src],
+                                bwd.symmetric,
+                                &plan.energy_ranges,
+                            );
+                            std::mem::take(&mut p[dst])
+                        })
+                        .collect(),
+                    bwd.symmetric,
+                    plan.energy_ranges[dst].clone(),
+                );
+                let mut got = zeros();
+                for batch in 0..b {
+                    let recv = (0..n_groups)
+                        .map(|src| {
+                            let mut p = plan.scatter_backward_batch(
+                                src,
+                                &slabs[src],
+                                bwd.symmetric,
+                                &batches.global_ranges(&plan, batch),
+                            );
+                            std::mem::take(&mut p[dst])
+                        })
+                        .collect();
                     plan.absorb_backward_batch(
                         dst,
-                        &mut want_out,
-                        (0..n_groups)
-                            .map(|src| {
-                                let mut p = plan.scatter_backward_batch(
-                                    src,
-                                    &slabs[src],
-                                    &[true, true],
-                                    &plan.energy_ranges,
-                                );
-                                std::mem::take(&mut p[dst])
-                            })
-                            .collect(),
-                        &[true, true],
-                        plan.energy_ranges[dst].clone(),
+                        &mut got,
+                        recv,
+                        bwd.symmetric,
+                        batches.global_range(&plan, dst, batch),
                     );
-                    let mut got = zeros();
-                    for batch in 0..b {
-                        let recv = (0..n_groups)
-                            .map(|src| {
-                                let mut p = plan.scatter_backward_batch(
-                                    src,
-                                    &slabs[src],
-                                    &[true, true],
-                                    &batches.global_ranges(&plan, batch),
-                                );
-                                std::mem::take(&mut p[dst])
-                            })
-                            .collect();
-                        plan.absorb_backward_batch(
-                            dst,
-                            &mut got,
-                            recv,
-                            &[true, true],
-                            batches.global_range(&plan, dst, batch),
+                }
+                for c in 0..3 {
+                    for k in 0..n_local {
+                        assert!(
+                            got[c][k]
+                                .to_dense()
+                                .approx_eq(&want_out[c][k].to_dense(), 0.0),
+                            "backward B={b} comp {c} energy {k}"
                         );
-                    }
-                    for c in 0..2 {
-                        for k in 0..n_local {
-                            assert!(
-                                got[c][k]
-                                    .to_dense()
-                                    .approx_eq(&want_out[c][k].to_dense(), 0.0),
-                                "backward B={b} comp {c} energy {k}"
-                            );
-                        }
                     }
                 }
             }
@@ -771,7 +781,7 @@ mod tests {
 
     #[test]
     fn batch_plan_covers_every_energy_exactly_once() {
-        let plan = TranspositionPlan::new(3, 2, 10, 3, true);
+        let plan = TranspositionPlan::new(3, 2, 10, 3);
         for b in [1usize, 2, 4, 11] {
             let batches = TranspositionBatchPlan::new(&plan, b);
             // Per group the local sub-ranges tile 0..n_local.
@@ -792,23 +802,5 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, (0..10).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn symmetry_reduction_roughly_halves_the_wire_volume() {
-        let (nb, bs, ne, n_ranks) = (4, 3, 8, 4);
-        let plan_sym = TranspositionPlan::new(nb, bs, ne, n_ranks, true);
-        let plan_full = TranspositionPlan::new(nb, bs, ne, n_ranks, false);
-        let g = symmetric_quantity(ne, nb, bs, 0.5);
-        let local: Vec<BlockTridiagonal> = g[plan_sym.energy_ranges[0].clone()].to_vec();
-        let all = 0..local.len();
-        let sym_bytes = off_rank_payload_bytes(
-            0,
-            &plan_sym.scatter_forward_batch(0, &[&local], all.clone()),
-        );
-        let full_bytes =
-            off_rank_payload_bytes(0, &plan_full.scatter_forward_batch(0, &[&local], all));
-        let ratio = sym_bytes as f64 / full_bytes as f64;
-        assert!(ratio > 0.5 && ratio < 0.62, "ratio {ratio}");
     }
 }

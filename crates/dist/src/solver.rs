@@ -64,7 +64,7 @@ use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 use crate::config::{DistScbaConfig, DistScbaResult};
 use crate::pipeline::TRANSPOSITIONS;
 use crate::rank::{rank_main, Problem, RankCounters, RankOut};
-use crate::report::{DistReport, TranspositionBudget};
+use crate::report::DistReport;
 use crate::slab::{TranspositionBatchPlan, TranspositionPlan};
 use crate::spatial::SpatialLayout;
 use crate::warm::WarmState;
@@ -99,7 +99,8 @@ impl DistScbaSolver {
     /// Check the configuration against the device once, for every entry
     /// point: the ranks factor into `groups × P_S`, every transposition has
     /// at least one batch, every spatial partition gets its two blocks, and
-    /// the symmetry-reduced wire format has symmetrised data to rely on.
+    /// the wire format's mirror reconstruction has symmetrised data to rely
+    /// on.
     fn validate(&self) {
         let (n_ranks, p_s) = (self.config.n_ranks, self.config.spatial_partitions);
         assert!(
@@ -117,8 +118,9 @@ impl DistScbaSolver {
             self.device.n_blocks,
         );
         assert!(
-            !self.config.symmetry_reduced || self.config.scba.enforce_symmetry,
-            "symmetry-reduced transposition requires enforce_symmetry",
+            self.config.scba.enforce_symmetry,
+            "the distributed solver requires enforce_symmetry: its transpositions \
+             ship canonical elements only and rebuild the mirrors from X_ji = -X*_ij",
         );
     }
 
@@ -132,7 +134,6 @@ impl DistScbaSolver {
             self.device.transport_cell_size(),
             self.grid.len(),
             self.config.n_ranks,
-            self.config.symmetry_reduced,
         )
     }
 
@@ -295,12 +296,14 @@ impl DistScbaSolver {
             balanced_partitions: problem.layout.balanced(),
             energies_per_rank: plan.energy_ranges.iter().map(|r| r.len()).collect(),
             elements_per_rank: plan.element_ranges.iter().map(|r| r.len()).collect(),
-            symmetry_reduced: plan.symmetry_reduced,
             full_iterations: rank0.full_iterations,
             mixing_restarts: rank0.mixing_restarts,
             wall_seconds,
             seconds_per_iteration: wall_seconds / rank0.iterations.max(1) as f64,
-            measured_transposition_bytes: counters.transposition_bytes,
+            measured_transposition_bytes: TRANSPOSITIONS
+                .iter()
+                .map(|t| stats.phase_bytes(t.phase))
+                .sum(),
             measured_alltoall_bytes: stats.alltoall_bytes.load(Ordering::Relaxed),
             measured_max_bytes_per_rank: stats.max_alltoall_bytes_per_rank(),
             measured_allreduce_bytes: stats.allreduce_bytes.load(Ordering::Relaxed),
@@ -320,12 +323,6 @@ impl DistScbaSolver {
             overlap_efficiency,
             time_imbalance: timeline.imbalance_factor(|cat| !cat.starts_with("comm.")),
             memoizer_hit_rate_per_iteration: memo_rate_per_iteration,
-            budget: TranspositionBudget::new(
-                plan.stored_values(),
-                plan.n_energies,
-                plan.n_ranks,
-                plan.symmetry_reduced,
-            ),
         }
     }
 }

@@ -1,11 +1,12 @@
 //! Distributed-vs-sequential equivalence: `DistScbaSolver` must reproduce the
-//! single-process `ScbaSolver` observables at every rank count, and its
-//! measured all-to-all volume must agree with the analytic
-//! `TranspositionVolume` prediction (acceptance criteria of the subsystem).
+//! single-process `ScbaSolver` observables at every rank count, and every
+//! transposition must ship exactly the bytes its `TranspositionPlan` counts
+//! (acceptance criteria of the subsystem).
 
 use quatrex_core::{ScbaConfig, ScbaResult, ScbaSolver};
 use quatrex_device::{Device, DeviceBuilder};
 use quatrex_dist::{DistScbaConfig, DistScbaResult, DistScbaSolver};
+use quatrex_runtime::CommPhase;
 
 /// Relative tolerance of the equivalence checks.
 const TOL: f64 = 1e-10;
@@ -23,8 +24,6 @@ fn max_rel_err(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The catalogue of small test devices the equivalence is checked on.
-/// Chosen so the canonical element count sits close to the
-/// `TranspositionVolume` symmetry-reduction model (within its 5% band).
 fn devices() -> Vec<(&'static str, Device)> {
     vec![
         ("tiny-nanowire", DeviceBuilder::test_device(3, 2, 4).build()),
@@ -57,6 +56,30 @@ fn biased_gw_config(n_energies: usize, iterations: usize) -> ScbaConfig {
         mu_right: -0.6,
         ..gw_config(n_energies, iterations)
     }
+}
+
+/// Every transposition phase of the run shipped exactly its plan's count per
+/// full iteration, and `measured_transposition_bytes` is their sum.
+fn assert_planned_bytes(label: &str, solver: &DistScbaSolver, dist: &DistScbaResult) {
+    let (plan, report) = (solver.plan(), &dist.report);
+    let mut total = 0;
+    for phase in [
+        CommPhase::FwdG,
+        CommPhase::BwdP,
+        CommPhase::FwdW,
+        CommPhase::BwdSigma,
+    ] {
+        let measured = report
+            .alltoall_bytes_per_phase
+            .iter()
+            .find(|(name, _)| *name == phase.label())
+            .map(|&(_, bytes)| bytes)
+            .expect("every phase is reported");
+        let predicted = plan.transposition_bytes(phase) * report.full_iterations as u64;
+        assert_eq!(measured, predicted, "{label}: {} bytes", phase.label());
+        total += measured;
+    }
+    assert_eq!(report.measured_transposition_bytes, total, "{label}");
 }
 
 fn assert_equivalent(label: &str, seq: &ScbaResult, dist: &DistScbaResult) {
@@ -153,15 +176,15 @@ fn distributed_ballistic_matches_sequential() {
 }
 
 #[test]
-fn full_wire_format_is_bit_identical_to_sequential() {
-    // Without symmetry reduction every raw element travels, so the distributed
-    // trajectory matches the sequential one exactly (not just to TOL).
+fn canonical_wire_format_is_bit_identical_to_sequential() {
+    // Only canonical elements of the lesser/greater quantities travel; the
+    // mirrors rebuilt from X_ji = -X*_ij are the ones the sequential solver's
+    // symmetrisation produces, so the distributed trajectory matches the
+    // sequential one exactly (not just to TOL).
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     let config = gw_config(12, 3);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
-    let mut dist_config = DistScbaConfig::new(config, 3);
-    dist_config.symmetry_reduced = false;
-    let dist = DistScbaSolver::new(device, dist_config).run();
+    let dist = DistScbaSolver::new(device, DistScbaConfig::new(config, 3)).run();
     assert_eq!(seq.iterations, dist.iterations);
     assert_eq!(dist.observables.current, seq.observables.current);
     assert_eq!(
@@ -172,6 +195,18 @@ fn full_wire_format_is_bit_identical_to_sequential() {
         dist.observables.spectral.current_spectrum,
         seq.observables.spectral.current_spectrum
     );
+}
+
+#[test]
+#[should_panic(expected = "requires enforce_symmetry")]
+fn unsymmetrised_physics_is_rejected_before_the_ranks_launch() {
+    // The mirrors a receiver rebuilds are only right for symmetrised data.
+    let config = ScbaConfig {
+        enforce_symmetry: false,
+        ..gw_config(4, 1)
+    };
+    let device = DeviceBuilder::test_device(3, 2, 4).build();
+    let _ = DistScbaSolver::new(device, DistScbaConfig::new(config, 2)).plan();
 }
 
 #[test]
@@ -240,46 +275,45 @@ fn energy_decomposition_is_bit_identical_to_sequential_at_any_rank_count() {
 }
 
 #[test]
-fn measured_alltoall_volume_agrees_with_the_model_within_5_percent() {
+fn every_transposition_ships_exactly_the_planned_bytes() {
+    // Ownership is static, so the plan's count is exact: per phase, the
+    // measured bytes equal the count times the full iterations, at every
+    // rank count, spatial split and batch count.
+    let mut grids = Vec::new();
+    for n_ranks in [1usize, 2, 3, 4] {
+        for p_s in [1usize, 2] {
+            if n_ranks % p_s == 0 {
+                grids.extend([1usize, 2, 5].map(|b| (n_ranks, p_s, b, 8)));
+            }
+        }
+    }
+    // More ranks than energies: a rank owns none and still transposes.
+    grids.extend([(4, 1, 2, 3), (4, 2, 1, 3)]);
     for (name, device) in devices() {
-        for n_ranks in [2usize, 4] {
-            let dist = DistScbaSolver::new(
-                device.clone(),
-                DistScbaConfig::new(gw_config(16, 4), n_ranks),
-            )
-            .run();
+        for &(n_ranks, p_s, b, n_energies) in &grids {
+            let label =
+                format!("{name}/(ranks, P_S, B, N_E)=({n_ranks}, {p_s}, {b}, {n_energies})");
+            let config = DistScbaConfig::new(gw_config(n_energies, 2), n_ranks)
+                .with_spatial_partitions(p_s)
+                .with_energy_batches(b);
+            let solver = DistScbaSolver::new(device.clone(), config);
+            let dist = solver.run();
             assert!(
-                dist.report.full_iterations >= 2,
-                "{name}: no full iterations ran"
+                dist.report.full_iterations >= 1,
+                "{label}: no full iteration ran"
             );
-            // Exact transposition counter vs. model.
-            let agreement = dist.report.volume_agreement();
-            assert!(
-                agreement.abs() < 0.05,
-                "{name}/ranks={n_ranks}: measured {} vs predicted {} ({:+.2}%)",
-                dist.report.measured_transposition_bytes,
-                dist.report.predicted_alltoall_bytes(),
-                agreement * 100.0,
+            assert_planned_bytes(&label, &solver, &dist);
+            if n_energies < n_ranks {
+                assert!(dist.report.energies_per_rank.contains(&0), "{label}");
+            }
+            // The transpositions are part of the communicator's total.
+            let report = &dist.report;
+            assert!(report.measured_transposition_bytes <= report.measured_alltoall_bytes);
+            assert_eq!(
+                report.measured_bytes_per_rank_per_iteration() > 0,
+                n_ranks > 1,
+                "{label}"
             );
-            // The raw CommStats total (transpositions + the small ordered
-            // gathers) also stays within the 5% band of the prediction.
-            let predicted = dist.report.predicted_alltoall_bytes() as f64;
-            let total_agreement =
-                (dist.report.measured_alltoall_bytes as f64 - predicted) / predicted;
-            assert!(
-                total_agreement.abs() < 0.05,
-                "{name}/ranks={n_ranks}: CommStats total {} vs predicted {} ({:+.2}%)",
-                dist.report.measured_alltoall_bytes,
-                dist.report.predicted_alltoall_bytes(),
-                total_agreement * 100.0,
-            );
-            // The dedicated transposition counter is covered by the total.
-            assert!(
-                dist.report.measured_transposition_bytes <= dist.report.measured_alltoall_bytes
-            );
-            assert!(dist.report.measured_max_bytes_per_rank > 0);
-            // Per-iteration per-rank volume feeds the weak-scaling model.
-            assert!(dist.report.measured_bytes_per_rank_per_iteration() > 0);
         }
     }
 }
@@ -333,7 +367,8 @@ fn spatial_partitions_reproduce_sequential_observables() {
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
     assert!(seq.iterations >= 2, "sequential reference must iterate");
     let dist_config = DistScbaConfig::new(config, 4).with_spatial_partitions(2);
-    let dist = DistScbaSolver::new(device, dist_config).run();
+    let solver = DistScbaSolver::new(device, dist_config);
+    let dist = solver.run();
     assert_equivalent("spatial/(n_ranks, P_S)=(4, 2)", &seq, &dist);
     // The report exposes the grid and the per-phase boundary-system traffic.
     assert_eq!(dist.report.n_ranks, 4);
@@ -347,12 +382,8 @@ fn spatial_partitions_reproduce_sequential_observables() {
     // Tentpole acceptance: the slice-wise distribution cuts the
     // system-distribution bytes ≥ 0.8·P_S-fold vs the broadcast path.
     assert_slice_saving("spatial/(4, 2)", &dist.report, 2);
-    // The transposition volume model sees the flat ranks: all four transpose.
-    assert!(
-        dist.report.volume_agreement().abs() < 0.05,
-        "transposition volume vs model: {:+.2}%",
-        dist.report.volume_agreement() * 100.0
-    );
+    // The plan sees the flat ranks: all four transpose.
+    assert_planned_bytes("spatial/(4, 2)", &solver, &dist);
 }
 
 #[test]
@@ -420,17 +451,14 @@ fn pure_spatial_decomposition_reproduces_sequential_observables() {
     let config = gw_config(12, 3);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
     let dist_config = DistScbaConfig::new(config, 2).with_spatial_partitions(2);
-    let dist = DistScbaSolver::new(device, dist_config).run();
+    let solver = DistScbaSolver::new(device, dist_config);
+    let dist = solver.run();
     assert_equivalent("spatial/(n_ranks, P_S)=(2, 2)", &seq, &dist);
     assert_eq!(dist.report.energy_groups, 1);
     // One group, two owners: the transpositions cross the two ranks like any
-    // 2-rank run's, against the flat-rank budget…
+    // 2-rank run's, exactly as the flat-rank plan counts…
     assert!(dist.report.measured_transposition_bytes > 0);
-    assert!(
-        dist.report.volume_agreement().abs() < 0.05,
-        "transposition volume vs model: {:+.2}%",
-        dist.report.volume_agreement() * 100.0
-    );
+    assert_planned_bytes("spatial/(2, 2)", &solver, &dist);
     // …and no rank carries the traffic alone.
     assert!(
         dist.report.measured_max_bytes_per_rank as f64
@@ -539,19 +567,14 @@ fn energy_batched_transpositions_reproduce_sequential_observables() {
     assert!(seq.iterations >= 2, "sequential reference must iterate");
     for b in [1usize, 2, 5] {
         let dist_config = DistScbaConfig::new(config.clone(), 4).with_energy_batches(b);
-        let dist = DistScbaSolver::new(device.clone(), dist_config).run();
+        let solver = DistScbaSolver::new(device.clone(), dist_config);
+        let dist = solver.run();
         assert_equivalent(&format!("batched/B={b}"), &seq, &dist);
         assert_eq!(dist.report.batch_count, b);
         assert!(dist.report.peak_slab_bytes > 0);
-        // Batching repartitions the same values over more messages: the total
-        // transposition volume is unchanged, so the analytic model still
-        // agrees.
-        assert!(
-            dist.report.volume_agreement().abs() < 0.05,
-            "B={b}: measured {} vs predicted {}",
-            dist.report.measured_transposition_bytes,
-            dist.report.predicted_alltoall_bytes(),
-        );
+        // Batching repartitions the same values over more messages: every
+        // phase still ships exactly the plan's count.
+        assert_planned_bytes(&format!("batched/B={b}"), &solver, &dist);
         if b == 1 {
             // Nothing is ever in flight while compute runs at B = 1.
             assert_eq!(dist.report.overlap_window_seconds, 0.0);
@@ -560,15 +583,14 @@ fn energy_batched_transpositions_reproduce_sequential_observables() {
 }
 
 #[test]
-fn single_batch_is_bit_identical_to_sequential_with_full_wire_format() {
-    // The pre-batch path is pinned through the sequential solver: B = 1 with
-    // the full wire format must stay *bit-exact*, proving the pipeline
-    // machinery degenerates to the original arithmetic.
+fn single_batch_is_bit_identical_to_sequential() {
+    // The pre-batch path is pinned through the sequential solver: B = 1 must
+    // stay *bit-exact*, proving the pipeline machinery degenerates to the
+    // original arithmetic.
     let device = DeviceBuilder::test_device(3, 2, 4).build();
     let config = gw_config(12, 3);
     let seq = ScbaSolver::new(device.clone(), config.clone()).run();
-    let mut dist_config = DistScbaConfig::new(config, 3).with_energy_batches(1);
-    dist_config.symmetry_reduced = false;
+    let dist_config = DistScbaConfig::new(config, 3).with_energy_batches(1);
     let dist = DistScbaSolver::new(device, dist_config).run();
     assert_eq!(dist.observables.current, seq.observables.current);
     assert_eq!(

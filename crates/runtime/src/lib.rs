@@ -7,12 +7,12 @@
 //! 5.1 and 7.2). None of that infrastructure is available at laptop scale, so
 //! this crate provides the documented substitution:
 //!
-//! * [`topology`] — the buffer sizes of the energy↔element data
-//!   transposition of the two-level decomposition (energy points across
-//!   ranks, spatial partitions within an energy group);
-//! * [`collective`] — a real shared-memory communicator whose "ranks" are OS
-//!   threads, providing the `Alltoall`, `Allreduce` and barrier primitives
-//!   the solver needs, with exact byte accounting.
+//! [`collective`] is a real shared-memory communicator whose "ranks" are OS
+//! threads, providing the `Alltoall`, `Allreduce` and barrier primitives the
+//! solver needs, with exact byte accounting per [`CommPhase`] tag. What a
+//! transposition should ship is the plan's business
+//! (`quatrex_dist::TranspositionPlan::transposition_bytes`); this crate only
+//! counts what was shipped.
 //!
 //! The entry point is [`ThreadComm::run`]: it executes one closure per
 //! simulated rank and hands each a [`RankContext`] with the collectives:
@@ -28,10 +28,8 @@
 //! ```
 
 pub mod collective;
-pub mod topology;
 
 pub use collective::{
     set_observer_factory, BlockedOn, CollectiveObserver, CommHandle, CommPhase, CommStats,
     ObserverFactory, RankContext, SyncKind, ThreadComm,
 };
-pub use topology::TranspositionVolume;

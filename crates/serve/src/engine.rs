@@ -65,8 +65,10 @@ impl SweepConfig {
         self
     }
 
-    /// Set the transposition batch count.
+    /// Set the transposition batch count (`B ≥ 1`, checked here rather
+    /// than inside the first solve).
     pub fn with_energy_batches(mut self, batches: usize) -> Self {
+        assert!(batches >= 1, "at least one transposition batch");
         self.energy_batches = batches;
         self
     }
@@ -383,5 +385,16 @@ impl SweepEngine {
             return Err(SweepError::Truncated);
         }
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "at least one transposition batch")]
+    fn zero_energy_batches_are_rejected_where_the_config_is_built() {
+        let _ = SweepConfig::new(ScbaConfig::default(), 2).with_energy_batches(0);
     }
 }

@@ -1,11 +1,12 @@
 //! Distributed SCBA demo: run the full `G → P → W → Σ` cycle across 4
 //! simulated ranks, verify the observables against the single-process solver,
-//! and print the measured vs. modelled all-to-all transposition volumes —
-//! the quantities behind the paper's Fig. 3 dataflow. A second run on a
-//! 4 energy groups × `P_S = 2` grid with `B = 2` transposition batches
-//! exercises the slice-wise spatial distribution and writes its
-//! `DistReport` byte counters and probe metrics to `DIST_report.json`, plus
-//! the merged per-rank span timeline to `DIST_trace.json` — Chrome
+//! and print the measured all-to-all transposition volumes beside the
+//! plan's exact prediction — the quantities behind the paper's Fig. 3
+//! dataflow. A second run on a 4 energy groups × `P_S = 2` grid with `B = 2`
+//! transposition batches exercises the slice-wise spatial distribution and
+//! writes its `DistReport` byte counters and probe metrics to
+//! `DIST_report.json`, plus the merged per-rank span timeline to
+//! `DIST_trace.json` — Chrome
 //! trace-event JSON, loadable in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`, one track per simulated rank. Both are uploaded per
 //! PR by the CI bench-smoke job, next to `BENCH_kernels.json`, so byte and
@@ -18,6 +19,7 @@
 
 use quatrex::prelude::*;
 use quatrex::probe::json::Json;
+use quatrex::runtime::CommPhase;
 
 fn main() {
     let quick = std::env::var("QUATREX_BENCH_QUICK")
@@ -88,30 +90,42 @@ fn main() {
         100.0 * result.memoizer_hit_rate,
     );
 
-    // Measured vs. modelled communication volumes.
+    // Measured vs. planned transposition volumes: ownership is static, so
+    // the plan's count of every phase is exact.
     let report = &result.report;
     println!(
         "\nalltoall transposition volume ({} full iterations):",
         report.full_iterations
     );
-    println!("  {:<32} {:>14}", "", "bytes");
     println!(
-        "  {:<32} {:>14}",
-        "measured (transpositions)", report.measured_transposition_bytes
+        "  {:<12} {:>14} {:>18}",
+        "phase", "measured", "predicted (plan)"
+    );
+    let mut predicted = 0;
+    for phase in [
+        CommPhase::FwdG,
+        CommPhase::BwdP,
+        CommPhase::FwdW,
+        CommPhase::BwdSigma,
+    ] {
+        let measured = report
+            .alltoall_bytes_per_phase
+            .iter()
+            .find(|(label, _)| *label == phase.label())
+            .map_or(0, |&(_, bytes)| bytes);
+        let planned = plan.transposition_bytes(phase) * report.full_iterations as u64;
+        println!("  {:<12} {measured:>14} {planned:>18}", phase.label());
+        predicted += planned;
+    }
+    println!(
+        "  {:<12} {:>14} {predicted:>18}  (equal: {})",
+        "total",
+        report.measured_transposition_bytes,
+        report.measured_transposition_bytes == predicted,
     );
     println!(
-        "  {:<32} {:>14}",
-        "measured (all alltoalls)", report.measured_alltoall_bytes
-    );
-    println!(
-        "  {:<32} {:>14}",
-        "modelled (TranspositionVolume)",
-        report.predicted_alltoall_bytes()
-    );
-    println!(
-        "  agreement: {:+.2}% (symmetry-reduced wire format: {})",
-        100.0 * report.volume_agreement(),
-        report.symmetry_reduced,
+        "  all alltoalls, ordered gathers included: {} bytes",
+        report.measured_alltoall_bytes
     );
     println!(
         "  busiest rank sent {} bytes off-rank; {} collectives total",

@@ -125,7 +125,7 @@ fn umbrella_crate_reexports_every_layer() {
     let _ = quatrex::sparse::BlockTridiagonal::zeros(2, 2);
     let _ = quatrex::device::DeviceCatalog::nw1();
     let _ = quatrex::obc::ObcMemoizer::new(4, 1e-6);
-    let _ = quatrex::runtime::TranspositionVolume::new(100, 8, 2, false);
+    let _ = quatrex::runtime::CommPhase::FwdG.label();
     let _ = quatrex::rgf::NestedConfig::new(2);
     let _ = quatrex::probe::json::Json::Null;
     let _ = quatrex::dist::DistScbaConfig::new(ScbaConfig::default(), 2);

@@ -109,20 +109,19 @@ fn distributed_step_routes_match_the_sequential_solver() {
     let dist = DistScbaSolver::new(device(), spatial).run();
     assert_matches_sequential("1 group x P_S=2", &dist, &seq);
 
-    // One convolution path: the whole grid arriving as one batch over the
-    // full wire format runs the sequential drivers' arithmetic, bit for bit.
-    let mut one_batch = DistScbaConfig::new(config(8), 2);
-    one_batch.symmetry_reduced = false;
+    // One convolution path: the whole grid arriving as one batch runs the
+    // sequential drivers' arithmetic, bit for bit.
+    let one_batch = DistScbaConfig::new(config(8), 2);
     let dist = DistScbaSolver::new(device(), one_batch).run();
     assert_eq!(
         dist.observables.current.to_bits(),
         seq.observables.current.to_bits(),
-        "2 groups x P_S=1, B=1, full wire: current"
+        "2 groups x P_S=1, B=1: current"
     );
     assert_eq!(
         bits(&dist.observables.electron_density),
         bits(&seq.observables.electron_density),
-        "2 groups x P_S=1, B=1, full wire: density"
+        "2 groups x P_S=1, B=1: density"
     );
 }
 
