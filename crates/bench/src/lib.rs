@@ -20,7 +20,7 @@
 //!
 //! README § *Reproducing the paper's evaluation* is the index.
 
-use quatrex_core::{ObcMethod, ScbaConfig, ScbaSolver};
+use quatrex_core::{ScbaConfig, ScbaSolver};
 use quatrex_device::{DeviceBuilder, DeviceCatalog};
 
 /// Whether `QUATREX_BENCH_QUICK` asks for the CI smoke mode: fewer
@@ -43,8 +43,6 @@ pub fn bench_solver(n_energies: usize, iterations: usize, memoizer: bool) -> Scb
         tolerance: 1e-6,
         use_memoizer: memoizer,
         interaction_scale: 0.2,
-        obc_method_g: ObcMethod::SanchoRubio,
-        obc_method_w: ObcMethod::Beyn,
         ..ScbaConfig::default()
     };
     ScbaSolver::new(device, config)

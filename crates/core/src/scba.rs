@@ -68,20 +68,6 @@ impl KernelTimings {
         slot.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the accumulators, e.g. out of an instance the
-    /// rank threads still share.
-    pub fn snapshot(&self) -> KernelTimings {
-        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
-        KernelTimings {
-            g_assembly_ns: copy(&self.g_assembly_ns),
-            g_rgf_ns: copy(&self.g_rgf_ns),
-            w_assembly_ns: copy(&self.w_assembly_ns),
-            w_rgf_ns: copy(&self.w_rgf_ns),
-            convolution_ns: copy(&self.convolution_ns),
-            other_ns: copy(&self.other_ns),
-        }
-    }
-
     /// Total accumulated wall time in seconds.
     pub fn total_seconds(&self) -> f64 {
         (self.g_assembly_ns.load(Ordering::Relaxed)
@@ -132,16 +118,13 @@ pub struct WStepOutput {
 
 /// How the RGF solve of one subsystem (`G` = electrons, `W` = screened
 /// interaction) is accounted: probe span (name and category) of the local
-/// batched solve, FLOP kind and wall-time slot. Shared by every solver of the
-/// assembled systems — the local batched one ([`solve_stage`]) and the
-/// cooperative spatial one of `quatrex_dist`.
-pub fn solve_accounting(
-    subsystem: Subsystem,
-    timings: &KernelTimings,
-) -> (&'static str, FlopKind, &AtomicU64) {
+/// batched solve and FLOP kind. Shared by every solver of the assembled
+/// systems — the local batched one ([`solve_stage`]) and the cooperative
+/// spatial one of `quatrex_dist`.
+pub fn solve_accounting(subsystem: Subsystem) -> (&'static str, FlopKind) {
     match subsystem {
-        Subsystem::Electron => ("g.rgf", FlopKind::GRgf, &timings.g_rgf_ns),
-        Subsystem::ScreenedCoulomb => ("w.rgf", FlopKind::WRgf, &timings.w_rgf_ns),
+        Subsystem::Electron => ("g.rgf", FlopKind::GRgf),
+        Subsystem::ScreenedCoulomb => ("w.rgf", FlopKind::WRgf),
     }
 }
 
@@ -178,7 +161,8 @@ fn memoizer_of<'a>(
 // identical per-energy arithmetic by construction.
 
 /// Stage 1 of the G-step: assemble one energy's system (OBC cascade +
-/// memoizer) from the previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`.
+/// memoizer, the retarded contact self-energy by Sancho–Rubio) from the
+/// previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`.
 #[allow(clippy::too_many_arguments)]
 pub fn g_step_assemble(
     h: &BlockTridiagonal,
@@ -189,10 +173,8 @@ pub fn g_step_assemble(
     kt: f64,
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
-    timings: &KernelTimings,
 ) -> GAssembly {
-    let t = Instant::now();
-    let asm = quatrex_probe::span("g.assembly", "g.assembly", || {
+    quatrex_probe::span("g.assembly", "g.assembly", || {
         assemble_g(
             h,
             energy,
@@ -204,41 +186,34 @@ pub fn g_step_assemble(
             config.mu_left,
             config.mu_right,
             kt,
-            config.obc_method_g,
+            ObcMethod::SanchoRubio,
             memoizer,
             flops,
         )
-    });
-    timings.add(&timings.g_assembly_ns, t);
-    asm
+    })
 }
 
-/// Stage 1 of the W-step: assemble `I − V·P^R` with its OBCs at one boson
-/// energy from `p = [P^R, P^<, P^>]`.
+/// Stage 1 of the W-step: assemble `I − V·P^R` with its OBCs (the retarded
+/// boundary by Beyn) at one boson energy from `p = [P^R, P^<, P^>]`.
 pub fn w_step_assemble(
     coulomb: &BlockTridiagonal,
     p: [&BlockTridiagonal; 3],
     energy_index: usize,
-    config: &ScbaConfig,
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
-    timings: &KernelTimings,
 ) -> WAssembly {
-    let t = Instant::now();
-    let asm = quatrex_probe::span("w.assembly", "w.assembly", || {
+    quatrex_probe::span("w.assembly", "w.assembly", || {
         assemble_w(
             coulomb,
             p[0],
             p[1],
             p[2],
             energy_index,
-            config.obc_method_w,
+            ObcMethod::Beyn,
             memoizer,
             flops,
         )
-    });
-    timings.add(&timings.w_assembly_ns, t);
-    asm
+    })
 }
 
 /// Stage 2, local form: **one** energy-batched RGF solve
@@ -252,7 +227,6 @@ pub fn solve_stage(
     systems: &[[&BlockTridiagonal; 3]],
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
-    timings: &KernelTimings,
 ) -> Result<Vec<SelectedSolution>, RgfError> {
     let shape = systems
         .first()
@@ -260,13 +234,11 @@ pub fn solve_stage(
     let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| s[0]).collect();
     let rhs: Vec<&[&BlockTridiagonal]> = systems.iter().map(|s| &s[1..]).collect();
     let mut sols = vec![SelectedSolution::zeros(shape.0, shape.1, 2); systems.len()];
-    let (span, kind, slot) = solve_accounting(subsystem, timings);
-    let t = Instant::now();
+    let (span, kind) = solve_accounting(subsystem);
     quatrex_probe::span(span, span, || {
         rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch)
     })
     .map_err(|e| e.error)?;
-    timings.add(slot, t);
     flops.add(kind, sols.iter().map(|s| s.flops).sum());
     Ok(sols)
 }
@@ -343,6 +315,7 @@ pub fn g_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
+    let t = Instant::now();
     let asms: Vec<GAssembly> = (0..bsz)
         .map(|i| {
             g_step_assemble(
@@ -354,15 +327,17 @@ pub fn g_step_batch(
                 kt,
                 memoizer_of(memoizers, i),
                 flops,
-                timings,
             )
         })
         .collect();
+    timings.add(&timings.g_assembly_ns, t);
     let systems: Vec<_> = asms
         .iter()
         .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
-    let sols = solve_stage(Subsystem::Electron, &systems, scratch, flops, timings)?;
+    let t = Instant::now();
+    let sols = solve_stage(Subsystem::Electron, &systems, scratch, flops)?;
+    timings.add(&timings.g_rgf_ns, t);
     Ok(sols
         .into_iter()
         .zip(&asms)
@@ -395,30 +370,26 @@ pub fn w_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
+    let t = Instant::now();
     let asms: Vec<WAssembly> = (0..bsz)
         .map(|i| {
             w_step_assemble(
                 coulomb,
                 [p_retarded[i], p_lesser[i], p_greater[i]],
                 energy_indices[i],
-                config,
                 memoizer_of(memoizers, i),
                 flops,
-                timings,
             )
         })
         .collect();
+    timings.add(&timings.w_assembly_ns, t);
     let systems: Vec<_> = asms
         .iter()
         .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
-    let sols = solve_stage(
-        Subsystem::ScreenedCoulomb,
-        &systems,
-        scratch,
-        flops,
-        timings,
-    )?;
+    let t = Instant::now();
+    let sols = solve_stage(Subsystem::ScreenedCoulomb, &systems, scratch, flops)?;
+    timings.add(&timings.w_rgf_ns, t);
     Ok(sols
         .into_iter()
         .zip(&asms)
@@ -451,10 +422,6 @@ pub struct ScbaConfig {
     pub use_memoizer: bool,
     /// Fixed-point refinement budget of the memoizer (`N_FPI`).
     pub n_fpi: usize,
-    /// Retarded OBC method for the electron subsystem.
-    pub obc_method_g: ObcMethod,
-    /// Retarded OBC method for the screened-interaction subsystem.
-    pub obc_method_w: ObcMethod,
     /// Enforce the lesser/greater symmetry after every kernel (Section 5.2).
     pub enforce_symmetry: bool,
     /// Strength of the GW self-energy fed back into the G-solver (1.0 = full
@@ -485,8 +452,6 @@ impl Default for ScbaConfig {
             mixing: 0.5,
             use_memoizer: true,
             n_fpi: 20,
-            obc_method_g: ObcMethod::SanchoRubio,
-            obc_method_w: ObcMethod::Beyn,
             enforce_symmetry: true,
             interaction_scale: 1.0,
             kernel_batch: 8,

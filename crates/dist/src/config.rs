@@ -1,7 +1,7 @@
 //! Configuration and result types of the distributed SCBA driver.
 
 use quatrex_core::observables::Observables;
-use quatrex_core::scba::{KernelTimings, ScbaConfig};
+use quatrex_core::scba::ScbaConfig;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_probe::Timeline;
 
@@ -49,7 +49,7 @@ pub struct DistScbaConfig {
     /// rebuild the mirrors from the NEGF symmetry.
     pub scba: ScbaConfig,
     /// Number of simulated ranks (threads of the
-    /// [`quatrex_runtime::ThreadComm`]). Must be a multiple of
+    /// [`quatrex_runtime::ThreadComm`]). At least one, and a multiple of
     /// `spatial_partitions`.
     pub n_ranks: usize,
     /// Spatial partitions per energy group (`P_S`, Section 5.4). The ranks
@@ -78,12 +78,11 @@ pub struct DistScbaConfig {
     /// **When it pays off:** on network-bound runs — the paper's sustained
     /// exascale numbers rest on the transposition flying behind the
     /// convolutions — and whenever the whole-iteration wire buffers dominate
-    /// peak memory. In this thread-backed simulation the bandwidth is memory
-    /// bandwidth, so the visible win is the measured buffer reduction and the
-    /// measured overlap window (`DistReport::overlap_window_seconds`), not
-    /// wall-clock; note the polarisation's bilinear batching re-runs its
-    /// correlation kernel per batch, so very large `B` trades FLOPs for
-    /// memory/overlap.
+    /// peak memory. In this thread-backed simulation a message moves
+    /// ownership, not bytes, so the visible win is the measured buffer
+    /// reduction (`DistReport::peak_slab_bytes`), not wall-clock; note the
+    /// polarisation's bilinear batching re-runs its correlation kernel per
+    /// batch, so very large `B` trades FLOPs for memory/overlap.
     pub energy_batches: usize,
     /// Record a per-rank probe trace of the run (`quatrex_probe`): every rank
     /// installs a thread-local span/counter recorder for the duration of its
@@ -113,9 +112,10 @@ pub struct DistScbaConfig {
 }
 
 impl DistScbaConfig {
-    /// Distributed configuration with `n_ranks` ranks and default options
-    /// (`P_S = 1`, one transposition batch).
+    /// Distributed configuration with `n_ranks ≥ 1` ranks and default
+    /// options (`P_S = 1`, one transposition batch).
     pub fn new(scba: ScbaConfig, n_ranks: usize) -> Self {
+        assert!(n_ranks >= 1, "at least one rank");
         Self {
             scba,
             n_ranks,
@@ -130,6 +130,7 @@ impl DistScbaConfig {
     /// group. See [`DistScbaConfig::spatial_partitions`] for when it pays
     /// off.
     pub fn with_spatial_partitions(mut self, p_s: usize) -> Self {
+        assert!(p_s >= 1, "at least one spatial partition");
         self.spatial_partitions = p_s;
         self
     }
@@ -174,8 +175,6 @@ pub struct DistScbaResult {
     pub current_history: Vec<f64>,
     /// Final observables, identical to the sequential solver's.
     pub observables: Observables,
-    /// Per-kernel wall times summed over ranks.
-    pub timings: KernelTimings,
     /// Per-kernel FLOP counts summed over ranks.
     pub flops: FlopCounter,
     /// Fraction of OBC solves answered from the per-rank memoizer caches.

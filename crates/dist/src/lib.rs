@@ -82,5 +82,5 @@ pub use config::{DistScbaConfig, DistScbaResult};
 pub use report::DistReport;
 pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;
-pub use spatial::{spatial_phase_solve, RankGrid, SpatialLayout, SpatialTraffic};
+pub use spatial::{spatial_phase_solve, RankGrid, SpatialLayout};
 pub use warm::{WarmState, WarmStateWireError};

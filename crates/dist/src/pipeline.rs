@@ -17,7 +17,6 @@
 use quatrex_core::convolution::causal_retarded_series;
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::FlopCounter;
-use quatrex_probe::clock::Instant;
 use quatrex_runtime::{CommHandle, CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
@@ -112,9 +111,7 @@ fn payload_bytes(payloads: &[Vec<c64>]) -> u64 {
 /// rank executes the same collective sequence.
 ///
 /// Every posted and received payload counts toward the in-flight buffer
-/// footprint until its batch has been absorbed (`counters.peak_slab_bytes`),
-/// and the time `absorb` ran while a later batch was in flight accumulates in
-/// `counters.overlap_seconds`.
+/// footprint until its batch has been absorbed (`counters.peak_slab_bytes`).
 pub(crate) fn exchange(
     ctx: &RankContext<Vec<c64>>,
     row: &Transposition,
@@ -140,13 +137,7 @@ pub(crate) fn exchange(
         let received = handle.wait(ctx);
         let recv_bytes = payload_bytes(&received);
         counters.track(recv_bytes);
-        let t = Instant::now();
         absorb(b, received);
-        // Overlap is absorb work on a batch that carried data while a later
-        // batch flies; draining an empty surplus batch hides nothing.
-        if in_flight.is_some() && recv_bytes > 0 {
-            counters.overlap_seconds += t.elapsed().as_secs_f64();
-        }
         counters.release(sent_bytes + recv_bytes);
         b += 1;
     }

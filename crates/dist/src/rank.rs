@@ -27,8 +27,7 @@ use quatrex_core::convolution::{
 use quatrex_core::mixing::{MixRow, SigmaMixer, ROW_LEN};
 use quatrex_core::observables::{integrate_current, Observables, SpectralData};
 use quatrex_core::scba::{
-    g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble, w_step_finish, KernelTimings,
-    ScbaConfig,
+    g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble, w_step_finish, ScbaConfig,
 };
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
@@ -42,11 +41,11 @@ use quatrex_sparse::BlockTridiagonal;
 use crate::config::DistScbaConfig;
 use crate::pipeline::{ConvSeries, Transposition, TRANSPOSITIONS};
 use crate::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
-use crate::spatial::{spatial_phase_solve, SpatialLayout, SpatialTraffic};
+use crate::spatial::{spatial_phase_solve, SpatialLayout};
 use crate::warm::WarmState;
 
-/// Everything the ranks of one run share, read-only (the FLOP and wall-time
-/// accumulators are atomic).
+/// Everything the ranks of one run share, read-only (the FLOP accumulator is
+/// atomic).
 pub(crate) struct Problem {
     /// The run's configuration (`config.scba` is the physics).
     pub config: DistScbaConfig,
@@ -76,24 +75,12 @@ pub(crate) struct Problem {
     /// One shared clock zero for every rank's probe recorder.
     pub epoch: Instant,
     pub flops: FlopCounter,
-    pub timings: KernelTimings,
 }
 
 impl Problem {
     /// The physics configuration.
     pub fn cfg(&self) -> &ScbaConfig {
         &self.config.scba
-    }
-
-    /// Run one convolution stage under its probe span, accounting its wall
-    /// time to the convolution slot.
-    fn conv_timed<R>(&self, (name, cat): (&'static str, &'static str), f: impl FnOnce() -> R) -> R {
-        quatrex_probe::span(name, cat, || {
-            let t = Instant::now();
-            let out = f();
-            self.timings.add(&self.timings.convolution_ns, t);
-            out
-        })
     }
 }
 
@@ -108,16 +95,11 @@ pub(crate) struct SigmaState {
 /// [`crate::DistReport`].
 #[derive(Default)]
 pub(crate) struct RankCounters {
-    /// Boundary-system traffic of the `G` / `W` group solves.
-    pub traffic_g: SpatialTraffic,
-    pub traffic_w: SpatialTraffic,
     /// OBC memoizer solves answered from cache / in total.
     pub memo_hits: usize,
     pub memo_total: usize,
     /// Peak in-flight transposition buffer bytes.
     pub peak_slab_bytes: u64,
-    /// Absorb/convolution seconds that ran while a batch was in flight.
-    pub overlap_seconds: f64,
     /// Current in-flight transposition buffer bytes (zero between exchanges).
     in_flight_bytes: u64,
 }
@@ -138,12 +120,9 @@ impl RankCounters {
     /// except the buffer peak, where the busiest rank bounds the per-node
     /// memory.
     pub fn merge(&mut self, other: &RankCounters) {
-        self.traffic_g.merge(&other.traffic_g);
-        self.traffic_w.merge(&other.traffic_w);
         self.memo_hits += other.memo_hits;
         self.memo_total += other.memo_total;
         self.peak_slab_bytes = self.peak_slab_bytes.max(other.peak_slab_bytes);
-        self.overlap_seconds += other.overlap_seconds;
     }
 }
 
@@ -319,7 +298,7 @@ impl<'a> RankState<'a> {
         let grid = &p.layout.grid;
         let member_energies: Vec<usize> =
             grid.members_of(grid.group_of(rank)).map(brings).collect();
-        let (sols, traffic) = spatial_phase_solve(
+        spatial_phase_solve(
             self.ctx,
             &p.layout,
             subsystem,
@@ -328,13 +307,7 @@ impl<'a> RankState<'a> {
             p.cfg().kernel_batch,
             &mut self.rgf_scratch,
             &p.flops,
-            &p.timings,
-        );
-        match subsystem {
-            Subsystem::Electron => self.log.counters.traffic_g.merge(&traffic),
-            Subsystem::ScreenedCoulomb => self.log.counters.traffic_w.merge(&traffic),
-        }
-        sols
+        )
     }
 
     /// G step: `G^≶` of the owned energies (`[G^<, G^>]`) and the packed
@@ -358,7 +331,6 @@ impl<'a> RankState<'a> {
                         p.kt,
                         self.memoizer.as_mut(),
                         &p.flops,
-                        &p.timings,
                     )
                 })
                 .collect();
@@ -402,7 +374,8 @@ impl<'a> RankState<'a> {
                 is_grid_batch(batch, p.energies.len()),
                 "arrived batch {batch:?} is not ascending inside the grid"
             );
-            p.conv_timed(row.conv_span, || {
+            let (name, cat) = row.conv_span;
+            quatrex_probe::span(name, cat, || {
                 series
                     .accumulate(|x_ij, x_ji, e| kernel(slab, batch, arrived_before, x_ij, x_ji, e));
             });
@@ -414,8 +387,8 @@ impl<'a> RankState<'a> {
     /// series and their backward transposition. Returns the energy-major
     /// `[X^<, X^>, X^R]` of the owned energies.
     fn ship(&mut self, row: &Transposition, mut series: ConvSeries) -> [Vec<BlockTridiagonal>; 3] {
-        let p = self.p;
-        p.conv_timed(row.conv_span, || series.finish(&p.flops));
+        let (name, cat) = row.conv_span;
+        quatrex_probe::span(name, cat, || series.finish(&self.p.flops));
         self.backward(row, &series)
     }
 
@@ -455,10 +428,8 @@ impl<'a> RankState<'a> {
                         &p.v,
                         [&p_retarded[k], &p_lesser[k], &p_greater[k]],
                         e0 + k,
-                        cfg,
                         self.memoizer.as_mut(),
                         &p.flops,
-                        &p.timings,
                     )
                 })
                 .collect();
@@ -525,7 +496,6 @@ impl<'a> RankState<'a> {
         let new = |k: usize| [&new_l[k], &new_g[k], &new_r[k]];
         let per_spectral = self.spectral_stride();
         let residual = quatrex_probe::span("scba.mix", "mix", || {
-            let t = Instant::now();
             let mut rows = Vec::with_capacity((ROW_LEN + 1) * self.sigma.len());
             for (k_local, s) in self.sigma.iter().enumerate() {
                 let old = [&s.lesser, &s.greater, &s.retarded];
@@ -533,14 +503,12 @@ impl<'a> RankState<'a> {
                 rows.extend(row.map(|v| c64::new(v, 0.0)));
                 rows.push(self.spectral[k_local * per_spectral]);
             }
-            p.timings.add(&p.timings.other_ns, t);
 
             let gathered =
                 self.ctx
                     .allgather_tagged(rows, |m| m.len() * BYTES_PER_VALUE, CommPhase::Gathers);
             let per_energy = || gathered.iter().flat_map(|m| m.chunks_exact(ROW_LEN + 1));
 
-            let t = Instant::now();
             let current_spectrum: Vec<f64> = per_energy().map(|e| e[ROW_LEN].re).collect();
             let current = integrate_current(&current_spectrum, p.de);
             self.log.current_history.push(current);
@@ -550,7 +518,6 @@ impl<'a> RankState<'a> {
                 let old = [&mut s.lesser, &mut s.greater, &mut s.retarded];
                 self.mixer.apply(k_local, old, new(k_local));
             }
-            p.timings.add(&p.timings.other_ns, t);
             residual
         });
         self.log.residual_history.push(residual);

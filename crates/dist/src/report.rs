@@ -1,7 +1,9 @@
 //! Measured accounting of a distributed SCBA run: [`DistReport`] collects
-//! the byte counts, timings and derived phase metrics of one run. What a
-//! transposition should ship is not a model here but the plan's exact count,
-//! `crate::TranspositionPlan::transposition_bytes`.
+//! the byte counts, timings and derived phase metrics of one run, each
+//! quantity from one ledger — bytes from the communicator's per-phase
+//! counters, seconds from the probe timeline, FLOPs from the `FlopCounter`.
+//! What a transposition should ship is not a model here but the plan's exact
+//! count, `crate::TranspositionPlan::transposition_bytes`.
 
 use quatrex_probe::json::Json;
 
@@ -19,10 +21,6 @@ pub struct DistReport {
     /// split — a derived fact, not a setting: true exactly when a middle
     /// partition exists to balance against (`P_S ≥ 3`).
     pub balanced_partitions: bool,
-    /// Energy points per flat rank (the transposition participants).
-    pub energies_per_rank: Vec<usize>,
-    /// Canonical elements per flat rank.
-    pub elements_per_rank: Vec<usize>,
     /// Iterations that executed the P/W/Σ phases (and hence all four
     /// transpositions). A ballistic run has zero.
     pub full_iterations: usize,
@@ -47,29 +45,6 @@ pub struct DistReport {
     pub measured_alltoall_bytes: u64,
     /// Off-rank all-to-all bytes sent by the busiest rank.
     pub measured_max_bytes_per_rank: u64,
-    /// Bytes moved by the allreduce collectives.
-    pub measured_allreduce_bytes: u64,
-    /// Off-rank bytes of the spatial (second-level) boundary-system traffic
-    /// of the `G` phase: system distribution, reduced-system gather, reduced
-    /// solution broadcast and recovered-block gather. Zero at `P_S = 1`.
-    pub measured_boundary_bytes_g: u64,
-    /// Same for the `W` phase.
-    pub measured_boundary_bytes_w: u64,
-    /// The system-distribution share of `measured_boundary_bytes_g`: the
-    /// off-rank bytes of the block-range messages (each spatial rank
-    /// receives only blocks `lo..=hi` of its partition, as plain
-    /// block-tridiagonal streams without headers).
-    pub measured_slice_bytes_g: u64,
-    /// Same for the `W` phase.
-    pub measured_slice_bytes_w: u64,
-    /// What the pre-slice broadcast path would have shipped for the same `G`
-    /// system distributions: the full `(A, B^<, B^>)` triple per energy from
-    /// its owner to each of the other `P_S − 1` group members. The ratio
-    /// against `measured_slice_bytes_g` is the measured `~P_S`-fold saving of
-    /// the slice-wise distribution.
-    pub broadcast_equivalent_bytes_g: u64,
-    /// Same for the `W` phase.
-    pub broadcast_equivalent_bytes_w: u64,
     /// Energy batches per transposition (`DistScbaConfig::energy_batches`).
     /// `1` = the unbatched (whole-iteration) path.
     pub batch_count: usize,
@@ -80,18 +55,15 @@ pub struct DistReport {
     /// path held the sent and received whole-iteration payloads) — the
     /// measured memory win of the energy batching.
     pub peak_slab_bytes: u64,
-    /// Wall seconds (summed over ranks) of convolution/unpack compute that
-    /// ran while at least one transposition batch was in flight — the
-    /// measured communication/computation overlap window. Zero at
-    /// `batch_count = 1` (nothing is ever in flight during compute).
-    pub overlap_window_seconds: f64,
     /// Number of collectives executed.
     pub n_collectives: u64,
     /// Off-rank all-to-all bytes split by [`quatrex_runtime::CommPhase`] tag
     /// (`(label, bytes)` in `CommPhase::ALL` order): the four transpositions
-    /// (`fwd_g`, `bwd_p`, `fwd_w`, `bwd_sigma`), the spatial slice
-    /// distribution, the small ordered gathers and the untagged remainder.
-    /// The entries sum to `measured_alltoall_bytes` exactly.
+    /// (`fwd_g`, `bwd_p`, `fwd_w`, `bwd_sigma`), the spatial group solves
+    /// (every boundary-system exchange; zero at `P_S = 1`), the small
+    /// ordered gathers of the loop (mix rows, truncation maximum, final
+    /// spectral data) and the untagged remainder. The entries sum to
+    /// `measured_alltoall_bytes` exactly.
     pub alltoall_bytes_per_phase: Vec<(&'static str, u64)>,
     /// Wall seconds per probe span category, summed over ranks (nested spans
     /// of the same category are counted once). Sorted by category name. Empty
@@ -100,8 +72,7 @@ pub struct DistReport {
     /// Measured overlap efficiency: the fraction of in-flight transposition
     /// time (post → wait end, per exchange, unioned per rank) that was hidden
     /// under convolution compute. `None` when the probe was disabled or no
-    /// transposition was posted. Complements `overlap_window_seconds` (which
-    /// measures the compute side of the same overlap).
+    /// transposition was posted.
     pub overlap_efficiency: Option<f64>,
     /// Time-based load-imbalance factor over the
     /// `n_energy_groups × P_S` rank grid: max over ranks of non-communication
@@ -131,21 +102,6 @@ impl DistReport {
         self.measured_transposition_bytes / self.n_ranks as u64 / self.full_iterations as u64
     }
 
-    /// Total spatial boundary-system bytes (both phases).
-    pub fn measured_boundary_bytes(&self) -> u64 {
-        self.measured_boundary_bytes_g + self.measured_boundary_bytes_w
-    }
-
-    /// Fold reduction of the system-distribution bytes delivered by the
-    /// slice-wise distribution over the pre-slice full broadcast, both phases
-    /// combined (`broadcast_equivalent / sliced`, ideally `≈ P_S`). `None`
-    /// when no slices were shipped (`P_S = 1`).
-    pub fn slice_saving_factor(&self) -> Option<f64> {
-        let sliced = self.measured_slice_bytes_g + self.measured_slice_bytes_w;
-        let broadcast = self.broadcast_equivalent_bytes_g + self.broadcast_equivalent_bytes_w;
-        (sliced > 0).then(|| broadcast as f64 / sliced as f64)
-    }
-
     /// The report as a JSON object — the content of `DIST_report.json`, under
     /// the key names `BENCH_reference.json` gates.
     pub fn to_json(&self) -> Json {
@@ -167,21 +123,13 @@ impl DistReport {
             seconds_per_iteration,
             measured_transposition_bytes,
             measured_alltoall_bytes,
-            measured_boundary_bytes_g,
-            measured_boundary_bytes_w,
-            measured_slice_bytes_g,
-            measured_slice_bytes_w,
-            broadcast_equivalent_bytes_g,
-            broadcast_equivalent_bytes_w,
             batch_count,
             peak_slab_bytes,
-            overlap_window_seconds,
             overlap_efficiency,
             time_imbalance
         ];
         let bytes_per_phase = self.alltoall_bytes_per_phase.iter();
         doc.extend([
-            ("slice_saving_factor", self.slice_saving_factor().into()),
             (
                 "alltoall_bytes_per_phase",
                 Json::obj(bytes_per_phase.map(|&(label, bytes)| (label, Json::from(bytes)))),
@@ -208,8 +156,6 @@ mod tests {
             energy_groups: 2,
             spatial_partitions: 1,
             balanced_partitions: false,
-            energies_per_rank: vec![4, 4],
-            elements_per_rank: vec![10, 10],
             full_iterations: 2,
             mixing_restarts: 0,
             wall_seconds: 0.5,
@@ -217,16 +163,8 @@ mod tests {
             measured_transposition_bytes: 4000,
             measured_alltoall_bytes: 4400,
             measured_max_bytes_per_rank: 2200,
-            measured_allreduce_bytes: 64,
-            measured_boundary_bytes_g: 0,
-            measured_boundary_bytes_w: 0,
-            measured_slice_bytes_g: 0,
-            measured_slice_bytes_w: 0,
-            broadcast_equivalent_bytes_g: 0,
-            broadcast_equivalent_bytes_w: 0,
             batch_count: 1,
             peak_slab_bytes: 0,
-            overlap_window_seconds: 0.0,
             n_collectives: 12,
             alltoall_bytes_per_phase: Vec::new(),
             phase_seconds: Vec::new(),
@@ -248,7 +186,6 @@ mod tests {
     #[test]
     fn json_parses_and_exposes_the_gate_paths() {
         let report = DistReport {
-            measured_boundary_bytes_g: 96,
             peak_slab_bytes: 4096,
             alltoall_bytes_per_phase: quatrex_runtime::CommPhase::ALL
                 .iter()
@@ -296,8 +233,7 @@ mod tests {
             doc.path("seconds_per_iteration").and_then(Json::as_f64),
             Some(0.25)
         );
-        // No slices at P_S = 1, a diverged timing: `null`, not an invalid token.
-        assert_eq!(doc.path("slice_saving_factor"), Some(&Json::Null));
+        // A diverged timing: `null`, not an invalid token.
         assert_eq!(
             doc.get("phase_seconds").and_then(|p| p.get("comm.wait")),
             Some(&Json::Null)
@@ -310,35 +246,11 @@ mod tests {
             n_ranks: 4,
             energy_groups: 2,
             spatial_partitions: 2,
-            balanced_partitions: false,
-            energies_per_rank: vec![2, 2, 2, 2],
-            elements_per_rank: vec![5, 5, 5, 5],
             full_iterations: 0,
-            mixing_restarts: 0,
-            wall_seconds: 0.0,
-            seconds_per_iteration: 0.0,
             measured_transposition_bytes: 0,
             measured_alltoall_bytes: 128,
-            measured_max_bytes_per_rank: 64,
-            measured_allreduce_bytes: 64,
-            measured_boundary_bytes_g: 96,
-            measured_boundary_bytes_w: 32,
-            measured_slice_bytes_g: 48,
-            measured_slice_bytes_w: 16,
-            broadcast_equivalent_bytes_g: 96,
-            broadcast_equivalent_bytes_w: 32,
-            batch_count: 1,
-            peak_slab_bytes: 0,
-            overlap_window_seconds: 0.0,
-            n_collectives: 4,
-            alltoall_bytes_per_phase: Vec::new(),
-            phase_seconds: Vec::new(),
-            overlap_efficiency: None,
-            time_imbalance: None,
-            memoizer_hit_rate_per_iteration: Vec::new(),
-            phase_flop_rates: Vec::new(),
+            ..two_rank_report()
         };
         assert_eq!(report.measured_bytes_per_rank_per_iteration(), 0);
-        assert_eq!(report.measured_boundary_bytes(), 128);
     }
 }

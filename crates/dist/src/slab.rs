@@ -459,19 +459,6 @@ impl TranspositionBatchPlan {
     }
 }
 
-/// Off-rank wire bytes of any per-destination `Alltoallv` payload: messages
-/// to `rank` itself stay local and cost nothing — the convention the
-/// communicator's per-phase tally and [`TranspositionPlan::transposition_bytes`]
-/// follow too. The spatial boundary-system accounting counts with it.
-pub fn off_rank_payload_bytes(rank: usize, payloads: &[Vec<c64>]) -> u64 {
-    payloads
-        .iter()
-        .enumerate()
-        .filter(|(q, _)| *q != rank)
-        .map(|(_, m)| (m.len() * BYTES_PER_VALUE) as u64)
-        .sum()
-}
-
 /// Write one scalar element of a BT quantity.
 fn set_element(bt: &mut BlockTridiagonal, id: ElementId, value: c64) {
     use quatrex_core::convolution::BlockPos;
@@ -544,8 +531,7 @@ mod tests {
     /// Ship a lesser/greater pair forward (`FwdG`), then back with a
     /// retarded-like third component beside it (`BwdP`): both directions
     /// restore every value exactly, and each phase ships exactly the plan's
-    /// count — per rank the real payloads' off-rank bytes, in total what the
-    /// communicator tallied for the phase.
+    /// count — what the communicator tallied for the phase.
     fn roundtrip(n_ranks: usize) {
         let (nb, bs, ne) = (3, 2, 8);
         let plan = std::sync::Arc::new(TranspositionPlan::new(nb, bs, ne, n_ranks));
@@ -572,7 +558,6 @@ mod tests {
             // forward: energy-major -> element-major
             let local = [&q[0][my_e.clone()], &q[1][my_e.clone()]];
             let payloads = plan.scatter_forward_batch(rank, &local, 0..my_e.len());
-            let sent_fwd = off_rank_payload_bytes(rank, &payloads);
             let recv = ctx.alltoallv_tagged(payloads, wire, fwd.phase);
             let mut slab = ElementSlab::zeroed(plan.element_ranges[rank].clone(), 2, ne);
             plan.absorb_forward_batch(rank, &mut slab, recv, &plan.energy_ranges);
@@ -588,15 +573,13 @@ mod tests {
                 .push(owned.iter().map(|&id| series(&q[2], id.mirror())).collect());
             let back =
                 plan.scatter_backward_batch(rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
-            let sent_bwd = off_rank_payload_bytes(rank, &back);
             let recv = ctx.alltoallv_tagged(back, wire, bwd.phase);
             let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 3];
             plan.absorb_backward_batch(rank, &mut out, recv, bwd.symmetric, my_e);
-            (slab, out, [sent_fwd, sent_bwd])
+            (slab, out)
         });
 
-        let mut sent = [0u64; 2];
-        for (rank, (slab, out, rank_sent)) in results.iter().enumerate() {
+        for (rank, (slab, out)) in results.iter().enumerate() {
             // Element slabs carry the exact canonical and mirror series.
             for (e_local, e) in plan.element_ranges[rank].clone().enumerate() {
                 let id = plan.elements[e];
@@ -616,14 +599,12 @@ mod tests {
                     assert!(out[c][k_local].to_dense().approx_eq(&q[k].to_dense(), 0.0));
                 }
             }
-            sent[0] += rank_sent[0];
-            sent[1] += rank_sent[1];
         }
 
-        for (row, sent) in [fwd, bwd].into_iter().zip(sent) {
-            assert_eq!(plan.transposition_bytes(row.phase), sent, "{:?}", row.phase);
-            assert_eq!(stats.phase_bytes(row.phase), sent, "{:?}", row.phase);
-            assert_eq!(sent == 0, n_ranks == 1);
+        for row in [fwd, bwd] {
+            let planned = plan.transposition_bytes(row.phase);
+            assert_eq!(stats.phase_bytes(row.phase), planned, "{:?}", row.phase);
+            assert_eq!(planned == 0, n_ranks == 1);
         }
     }
 
@@ -648,7 +629,7 @@ mod tests {
             x[plan.energy_ranges[src].clone()].to_vec()
         };
         let series = |id: ElementId| -> Vec<c64> { gr.iter().map(|bt| id.value_in(bt)).collect() };
-        let (fwd, bwd) = (&TRANSPOSITIONS[0], &TRANSPOSITIONS[1]);
+        let bwd = &TRANSPOSITIONS[1];
         for b in [1usize, 2, 3, 7] {
             let batches = TranspositionBatchPlan::new(&plan, b);
             // Forward: batch-wise absorption must reproduce the
@@ -702,23 +683,6 @@ mod tests {
                     .push(owned.iter().map(|&id| series(id.mirror())).collect());
                 slabs.push(slab);
             }
-            // Batching only splits the energies: the batches together ship
-            // exactly the plan's count in either direction.
-            let (mut fwd_bytes, mut bwd_bytes) = (0, 0);
-            for batch in 0..b {
-                let targets = batches.global_ranges(&plan, batch);
-                for src in 0..n_groups {
-                    let (l, g) = (local(&gl, src), local(&gg, src));
-                    let energies = batches.local_ranges[src][batch].clone();
-                    let p = plan.scatter_forward_batch(src, &[&l, &g], energies);
-                    fwd_bytes += off_rank_payload_bytes(src, &p);
-                    let p = plan.scatter_backward_batch(src, &slabs[src], bwd.symmetric, &targets);
-                    bwd_bytes += off_rank_payload_bytes(src, &p);
-                }
-            }
-            assert_eq!(fwd_bytes, plan.transposition_bytes(fwd.phase), "B={b}");
-            assert_eq!(bwd_bytes, plan.transposition_bytes(bwd.phase), "B={b}");
-
             // Backward: batch-wise shipping must reproduce the
             // single-shot energy-major gather of every destination.
             for dst in 0..n_groups {

@@ -53,7 +53,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use quatrex_core::mixing::SigmaMixer;
-use quatrex_core::scba::KernelTimings;
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
@@ -103,6 +102,7 @@ impl DistScbaSolver {
     /// on.
     fn validate(&self) {
         let (n_ranks, p_s) = (self.config.n_ranks, self.config.spatial_partitions);
+        assert!(n_ranks >= 1, "at least one rank");
         assert!(
             p_s >= 1 && n_ranks.is_multiple_of(p_s),
             "n_ranks = {n_ranks} must factor into energy groups x P_S = {p_s}",
@@ -202,7 +202,6 @@ impl DistScbaSolver {
             // before the threads spawn so the merged tracks align.
             epoch: Instant::now(),
             flops: FlopCounter::new(),
-            timings: KernelTimings::default(),
         });
         let shared = Arc::clone(&problem);
         let launch = Instant::now();
@@ -233,7 +232,6 @@ impl DistScbaSolver {
             residual_history: rank0.log.residual_history,
             current_history: rank0.log.current_history,
             observables: rank0.observables,
-            timings: problem.timings.snapshot(),
             flops,
             memoizer_hit_rate: if counters.memo_total > 0 {
                 counters.memo_hits as f64 / counters.memo_total as f64
@@ -294,8 +292,6 @@ impl DistScbaSolver {
             energy_groups: grid.n_groups,
             spatial_partitions: grid.spatial_partitions,
             balanced_partitions: problem.layout.balanced(),
-            energies_per_rank: plan.energy_ranges.iter().map(|r| r.len()).collect(),
-            elements_per_rank: plan.element_ranges.iter().map(|r| r.len()).collect(),
             full_iterations: rank0.full_iterations,
             mixing_restarts: rank0.mixing_restarts,
             wall_seconds,
@@ -306,16 +302,8 @@ impl DistScbaSolver {
                 .sum(),
             measured_alltoall_bytes: stats.alltoall_bytes.load(Ordering::Relaxed),
             measured_max_bytes_per_rank: stats.max_alltoall_bytes_per_rank(),
-            measured_allreduce_bytes: stats.allreduce_bytes.load(Ordering::Relaxed),
-            measured_boundary_bytes_g: counters.traffic_g.boundary_bytes,
-            measured_boundary_bytes_w: counters.traffic_w.boundary_bytes,
-            measured_slice_bytes_g: counters.traffic_g.slice_bytes,
-            measured_slice_bytes_w: counters.traffic_w.slice_bytes,
-            broadcast_equivalent_bytes_g: counters.traffic_g.broadcast_equivalent_bytes,
-            broadcast_equivalent_bytes_w: counters.traffic_w.broadcast_equivalent_bytes,
             batch_count: self.config.energy_batches,
             peak_slab_bytes: counters.peak_slab_bytes,
-            overlap_window_seconds: counters.overlap_seconds,
             n_collectives: stats.n_collectives.load(Ordering::Relaxed),
             alltoall_bytes_per_phase: stats.phase_breakdown(),
             phase_flop_rates: phase_flop_rates(&phase_seconds, &problem.flops),

@@ -40,16 +40,13 @@
 //!    tail it shares with the thread driver of `quatrex-rgf`).
 //!
 //! All group traffic rides the same byte-accounted `Alltoallv` as the
-//! transpositions (out-of-group destinations receive empty messages), so
-//! `DistReport` can report the boundary-system volume per phase — and the
-//! measured range-distribution saving against the broadcast-equivalent volume
-//! ([`SpatialTraffic`]).
+//! transpositions (out-of-group destinations receive empty messages), every
+//! exchange tagged [`CommPhase::Spatial`], so the communicator's entry for
+//! that tag is the group solves' whole volume.
 
 use std::ops::Range;
 
-use quatrex_probe::clock::Instant;
-
-use quatrex_core::scba::{kernel_chunks, solve_accounting, solve_stage, KernelTimings};
+use quatrex_core::scba::{kernel_chunks, solve_accounting, solve_stage};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::Subsystem;
@@ -62,9 +59,7 @@ use quatrex_rgf::{
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::slab::{
-    off_rank_payload_bytes, push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE,
-};
+use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
 
 /// Number of lesser/greater right-hand sides of every per-energy solve
 /// (`X^<` and `X^>`).
@@ -203,38 +198,6 @@ fn update_blocks(part: &SpatialPartition) -> usize {
     }
 }
 
-/// Bytes the pre-slice broadcast path shipped for the same distribution: the
-/// full `(A, B^<, B^>)` triple of every system to each of `members` ranks.
-fn broadcast_equivalent_bytes(systems: &[[&BlockTridiagonal; 3]], members: usize) -> u64 {
-    let values: usize = systems.iter().flatten().map(|m| m.nnz()).sum();
-    (members * values * BYTES_PER_VALUE) as u64
-}
-
-/// Byte accounting of one [`spatial_phase_solve`] call on one rank.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SpatialTraffic {
-    /// All off-rank boundary-system bytes this rank shipped: the block-range
-    /// distribution, the reduced updates, the reduced solutions and the
-    /// recovered ranges.
-    pub boundary_bytes: u64,
-    /// The system-distribution share of `boundary_bytes` (the block ranges
-    /// of this rank's systems, shipped to the other members).
-    pub slice_bytes: u64,
-    /// What the pre-slice broadcast path would have shipped for this rank's
-    /// systems: the full `(A, B^<, B^>)` triple per energy to each of the
-    /// other `P_S − 1` members.
-    pub broadcast_equivalent_bytes: u64,
-}
-
-impl SpatialTraffic {
-    /// Accumulate another rank's traffic.
-    pub fn merge(&mut self, other: &SpatialTraffic) {
-        self.boundary_bytes += other.boundary_bytes;
-        self.slice_bytes += other.slice_bytes;
-        self.broadcast_equivalent_bytes += other.broadcast_equivalent_bytes;
-    }
-}
-
 /// The group solve of one phase: the per-energy selected solves of the
 /// assembled systems, by the whole energy group.
 ///
@@ -248,9 +211,8 @@ impl SpatialTraffic {
 /// energy of the group, the reduced boundary systems on each energy's owner,
 /// concurrent recoveries — every RGF solve among them energy-batched against
 /// `scratch` in chunks of at most `kernel_batch` energies. Returns the
-/// [`SelectedSolution`]s of this rank's energies and the off-rank
-/// boundary-system byte accounting of this rank ([`SpatialTraffic`]); FLOPs
-/// and wall time are accounted to `subsystem` either way.
+/// [`SelectedSolution`]s of this rank's energies; FLOPs are accounted to
+/// `subsystem` either way.
 #[allow(clippy::too_many_arguments)]
 pub fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
@@ -261,17 +223,15 @@ pub fn spatial_phase_solve(
     kernel_batch: usize,
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
-    timings: &KernelTimings,
-) -> (Vec<SelectedSolution>, SpatialTraffic) {
+) -> Vec<SelectedSolution> {
     let (grid, parts) = (&layout.grid, &layout.parts);
     let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
     if p_s == 1 {
-        let sols = solve_stage(subsystem, systems, scratch, flops, timings)
+        return solve_stage(subsystem, systems, scratch, flops)
             .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
-        return (sols, SpatialTraffic::default());
     }
-    let (_, kind, slot) = solve_accounting(subsystem, timings);
+    let (_, kind) = solve_accounting(subsystem);
     let rank = ctx.rank();
     let s = grid.spatial_of(rank);
     // Flat rank of spatial rank 0: member `m` is rank `first + m`.
@@ -289,10 +249,6 @@ pub fn spatial_phase_solve(
     let my_part = &parts[s];
     let (n_range, n_sep) = (my_part.range().len(), 2 * (p_s - 1));
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
-    let mut traffic = SpatialTraffic {
-        broadcast_equivalent_bytes: broadcast_equivalent_bytes(systems, p_s - 1),
-        ..SpatialTraffic::default()
-    };
 
     // ------------------------------------------ distribute the block ranges
     // Every member cuts each other member's block range out of the systems
@@ -307,16 +263,13 @@ pub fn spatial_phase_solve(
             }
         }
     }
-    traffic.slice_bytes = off_rank_payload_bytes(rank, &send);
-    traffic.boundary_bytes += traffic.slice_bytes;
     // Post the ranges non-blocking: a rank holds its own energies' ranges
     // already, so it eliminates those while the other members' ranges are in
     // flight — the same communication/computation overlap the batched
     // transpositions use, applied to the system distribution.
-    let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Slices);
+    let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Spatial);
     let mut eliminate = |ranges: &[Vec<BlockTridiagonal>]| -> Vec<PartitionSolveState> {
         quatrex_probe::span("spatial.eliminate", "rgf.partition", || {
-            let t = Instant::now();
             let mut states = Vec::with_capacity(ranges.len());
             for chunk in kernel_chunks(0..ranges.len(), kernel_batch) {
                 states.extend(
@@ -326,7 +279,6 @@ pub fn spatial_phase_solve(
                 );
             }
             flops.add(kind, states.iter().map(|st| st.workload.flops).sum());
-            timings.add(slot, t);
             states
         })
     };
@@ -356,13 +308,11 @@ pub fn spatial_phase_solve(
             push_matrix(&mut send[first + m], update);
         }
     }
-    traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
-    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
+    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
 
     // ---------------- assemble + solve the reduced systems of own energies
     let mut own_reduced: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
-            let t = Instant::now();
             let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
             let reduced_systems: Vec<Vec<BlockTridiagonal>> = systems
                 .iter()
@@ -389,7 +339,6 @@ pub fn spatial_phase_solve(
                 );
             }
             flops.add(kind, sols.iter().map(|sol| sol.flops).sum());
-            timings.add(slot, t);
             sols
         });
 
@@ -402,8 +351,7 @@ pub fn spatial_phase_solve(
     for m in others() {
         send[first + m] = buf.clone();
     }
-    traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
-    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
+    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
     let mut reduced: Vec<SelectedSolution> = Vec::with_capacity(n_group);
     for m in 0..p_s {
         if m == s {
@@ -417,14 +365,12 @@ pub fn spatial_phase_solve(
     // ------------------------------------------------ recover the block ranges
     let mut recovered: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.recover", "rgf.partition", || {
-            let t = Instant::now();
             let recovered: Vec<SelectedSolution> = states
                 .iter()
                 .zip(&reduced)
                 .map(|(st, red)| recover_partition(my_part, st, red))
                 .collect();
             flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
-            timings.add(slot, t);
             recovered
         });
 
@@ -435,12 +381,11 @@ pub fn spatial_phase_solve(
             push_selected(&mut send[first + m], rec);
         }
     }
-    traffic.boundary_bytes += off_rank_payload_bytes(rank, &send);
-    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Gathers);
+    let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
 
     // ------------------ assemble the full selected solutions of own energies
     let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
-    let sols = recovered
+    recovered
         .drain(of(s))
         .zip(&reduced[of(s)])
         .map(|(own, red)| {
@@ -451,8 +396,7 @@ pub fn spatial_phase_solve(
             ranges.insert(s, own);
             assemble_solution(nb, parts, red, &ranges)
         })
-        .collect();
-    (sols, traffic)
+        .collect()
 }
 
 #[cfg(test)]
@@ -460,7 +404,7 @@ mod tests {
     use super::*;
     use quatrex_linalg::cplx;
     use quatrex_rgf::rgf_solve;
-    use quatrex_runtime::ThreadComm;
+    use quatrex_runtime::{CommStats, ThreadComm};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
@@ -535,8 +479,8 @@ mod tests {
             &test_rhs(nb, bs, 1.3),
             &test_rhs(nb, bs, -0.4),
         ];
-        let full = broadcast_equivalent_bytes(&[system], 1) as usize / BYTES_PER_VALUE;
-        assert_eq!(full, 3 * (3 * nb - 2) * bs * bs);
+        // The full triple, as a broadcast would ship it.
+        let full = 3 * (3 * nb - 2) * bs * bs;
         for part in &spatial_partition_layout(nb, 3).unwrap() {
             let ranges = partition_ranges(&system, part);
             let mut buf = Vec::new();
@@ -582,14 +526,11 @@ mod tests {
 
     /// One group solve of `problems` by one group of `member_energies.len()`
     /// ranks, member `m` owning the next `member_energies[m]` problems. Per
-    /// member: its solutions and its traffic.
+    /// member: its solutions.
     fn group_solve(
         problems: &[[BlockTridiagonal; 3]],
         member_energies: &[usize],
-    ) -> (
-        Vec<(Vec<SelectedSolution>, SpatialTraffic)>,
-        Arc<quatrex_runtime::CommStats>,
-    ) {
+    ) -> (Vec<Vec<SelectedSolution>>, Arc<CommStats>) {
         let p_s = member_energies.len();
         let (nb, bs) = (problems[0][0].n_blocks(), problems[0][0].block_size());
         let layout = SpatialLayout::new(p_s, p_s, nb, bs);
@@ -611,7 +552,6 @@ mod tests {
                 2, // kernel chunks of at most 2 energies
                 &mut RgfBatchScratch::new(),
                 &FlopCounter::new(),
-                &KernelTimings::default(),
             )
         })
     }
@@ -639,13 +579,13 @@ mod tests {
         let mut want = vec![SelectedSolution::zeros(nb, bs, 2); n];
         quatrex_rgf::rgf_solve_batch_into(&lhs, &rhs, &mut want, &mut RgfBatchScratch::new())
             .unwrap();
-        let (sols, traffic) = &single[0];
+        let sols = &single[0];
         assert_eq!(sols.len(), n);
         for (got, want) in sols.iter().zip(&want) {
             assert_bits_equal(got, want, "P_S = 1");
             assert_eq!(got.flops, want.flops);
         }
-        assert_eq!(*traffic, SpatialTraffic::default());
+        assert_eq!(stats.phase_bytes(CommPhase::Spatial), 0);
         assert_eq!(stats.alltoall_bytes.load(Ordering::Relaxed), 0);
     }
 
@@ -669,14 +609,14 @@ mod tests {
             let mut on_member_0 = vec![0; p_s];
             on_member_0[0] = n;
             let (reference, _) = group_solve(&problems, &on_member_0);
-            assert_eq!(reference[0].0.len(), n);
+            assert_eq!(reference[0].len(), n);
 
-            for (m, (sols, _)) in results.iter().enumerate() {
+            for (m, sols) in results.iter().enumerate() {
                 assert_eq!(sols.len(), ownership[m], "{label}: member {m} count");
             }
-            let sols: Vec<&SelectedSolution> = results.iter().flat_map(|(sols, _)| sols).collect();
+            let sols: Vec<&SelectedSolution> = results.iter().flatten().collect();
             for (e, (got, [a, rl, rg])) in sols.iter().zip(&problems).enumerate() {
-                assert_bits_equal(got, &reference[0].0[e], &format!("{label}, energy {e}"));
+                assert_bits_equal(got, &reference[0][e], &format!("{label}, energy {e}"));
                 let seq = rgf_solve(a, &[rl, rg]).unwrap();
                 let scale = seq.retarded.norm_fro().max(1e-300);
                 for i in 0..nb {
@@ -703,28 +643,10 @@ mod tests {
                 }
             }
 
-            // Traffic is per owner: a member ships block ranges — strictly
-            // less than the broadcast of its systems to the P_S − 1 others —
-            // exactly when it owns energies.
-            for (m, (_, traffic)) in results.iter().enumerate() {
-                let full: Vec<[&BlockTridiagonal; 3]> = problems[..ownership[m]]
-                    .iter()
-                    .map(|p| p.each_ref())
-                    .collect();
-                assert_eq!(
-                    traffic.broadcast_equivalent_bytes,
-                    broadcast_equivalent_bytes(&full, p_s - 1),
-                    "{label}: member {m} broadcast equivalent"
-                );
-                assert_eq!(traffic.slice_bytes > 0, ownership[m] > 0, "{label}: {m}");
-                assert!(traffic.slice_bytes <= traffic.boundary_bytes);
-                if ownership[m] > 0 {
-                    assert!(traffic.slice_bytes < traffic.broadcast_equivalent_bytes);
-                }
-            }
-            // Every byte of group traffic is visible to the communicator stats.
-            let measured: u64 = results.iter().map(|(_, t)| t.boundary_bytes).sum();
-            assert_eq!(stats.alltoall_bytes.load(Ordering::Relaxed), measured);
+            // Every byte of group traffic carries the spatial tag.
+            let spatial = stats.phase_bytes(CommPhase::Spatial);
+            assert!(spatial > 0, "{label}: the group shipped boundary systems");
+            assert_eq!(stats.alltoall_bytes.load(Ordering::Relaxed), spatial);
         }
     }
 
@@ -751,7 +673,7 @@ mod tests {
             let systems: Vec<[&BlockTridiagonal; 3]> =
                 problems.iter().map(|p| p.each_ref()).collect();
             let mut scratch = RgfBatchScratch::new();
-            let (flops, timings) = (FlopCounter::new(), KernelTimings::default());
+            let flops = FlopCounter::new();
             (0..3)
                 .map(|_| {
                     for subsystem in [Subsystem::Electron, Subsystem::ScreenedCoulomb] {
@@ -764,7 +686,6 @@ mod tests {
                             2,
                             &mut scratch,
                             &flops,
-                            &timings,
                         );
                     }
                     scratch.fresh_allocations()

@@ -76,19 +76,19 @@ fn timeline_covers_every_rank_and_transposition() {
         assert_eq!(posts, waits, "{} posts pair with waits", phase.label());
     }
 
-    // The spatial level must be visible too: slice distributions, partition
+    // The spatial level must be visible too: group-solve exchanges, partition
     // eliminations and recoveries.
-    let slice_posts: usize = tl
+    let spatial_posts: usize = tl
         .ranks
         .iter()
         .map(|r| {
             r.marks
                 .iter()
-                .filter(|m| m.name == CommPhase::Slices.post_name())
+                .filter(|m| m.name == CommPhase::Spatial.post_name())
                 .count()
         })
         .sum();
-    assert!(slice_posts > 0, "spatial slice distributions recorded");
+    assert!(spatial_posts > 0, "spatial group-solve exchanges recorded");
     let eliminates: usize = tl
         .ranks
         .iter()
@@ -231,7 +231,7 @@ fn report_carries_probe_metrics() {
         CommPhase::BwdP,
         CommPhase::FwdW,
         CommPhase::BwdSigma,
-        CommPhase::Slices,
+        CommPhase::Spatial,
         CommPhase::Gathers,
     ] {
         let bytes = report

@@ -215,7 +215,7 @@ impl PollBarrier {
 
 /// The SCBA phase an `alltoall`/`alltoallv` belongs to. Tagging each call
 /// site splits the [`CommStats`] byte totals by transposition (fwd-G / bwd-P
-/// / fwd-W / bwd-Σ / slices / gathers) instead of one aggregate, and names
+/// / fwd-W / bwd-Σ / spatial / gathers) instead of one aggregate, and names
 /// the probe post/wait events so the merged timeline can attribute every
 /// in-flight window to a phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,10 +228,12 @@ pub enum CommPhase {
     FwdW,
     /// Backward element→energy transposition of `Σ` (closing the cycle).
     BwdSigma,
-    /// Partition-slice distribution of the `P_S > 1` spatial solve.
-    Slices,
-    /// Update/recovery/result gathers (spatial solve rounds and the final
-    /// ordered observable gathers).
+    /// Every exchange of the `P_S > 1` group solve: the block-range
+    /// distribution, the reduced updates, the reduced solutions and the
+    /// recovered ranges.
+    Spatial,
+    /// The small ordered gathers of the SCBA loop: the mix rows, the
+    /// truncation maximum and the final spectral data.
     Gathers,
     /// Anything outside the SCBA phases (microbenchmarks, unit tests).
     Other,
@@ -244,7 +246,7 @@ impl CommPhase {
         CommPhase::BwdP,
         CommPhase::FwdW,
         CommPhase::BwdSigma,
-        CommPhase::Slices,
+        CommPhase::Spatial,
         CommPhase::Gathers,
         CommPhase::Other,
     ];
@@ -262,7 +264,7 @@ impl CommPhase {
             CommPhase::BwdP => "bwd_p",
             CommPhase::FwdW => "fwd_w",
             CommPhase::BwdSigma => "bwd_sigma",
-            CommPhase::Slices => "slices",
+            CommPhase::Spatial => "spatial",
             CommPhase::Gathers => "gathers",
             CommPhase::Other => "other",
         }
@@ -275,7 +277,7 @@ impl CommPhase {
             CommPhase::BwdP => "alltoallv.post.bwd_p",
             CommPhase::FwdW => "alltoallv.post.fwd_w",
             CommPhase::BwdSigma => "alltoallv.post.bwd_sigma",
-            CommPhase::Slices => "alltoallv.post.slices",
+            CommPhase::Spatial => "alltoallv.post.spatial",
             CommPhase::Gathers => "alltoallv.post.gathers",
             CommPhase::Other => "alltoallv.post.other",
         }
@@ -288,7 +290,7 @@ impl CommPhase {
             CommPhase::BwdP => "alltoallv.wait.bwd_p",
             CommPhase::FwdW => "alltoallv.wait.fwd_w",
             CommPhase::BwdSigma => "alltoallv.wait.bwd_sigma",
-            CommPhase::Slices => "alltoallv.wait.slices",
+            CommPhase::Spatial => "alltoallv.wait.spatial",
             CommPhase::Gathers => "alltoallv.wait.gathers",
             CommPhase::Other => "alltoallv.wait.other",
         }

@@ -45,9 +45,10 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep configuration with default options (`P_S = 1`, one batch,
-    /// warm start on).
+    /// A sweep configuration on `n_ranks ≥ 1` ranks with default options
+    /// (`P_S = 1`, one batch, warm start on).
     pub fn new(scba: ScbaConfig, n_ranks: usize) -> Self {
+        assert!(n_ranks >= 1, "at least one rank");
         Self {
             scba,
             n_ranks,
@@ -59,8 +60,9 @@ impl SweepConfig {
         }
     }
 
-    /// Set the spatial partitions per energy group.
+    /// Set the spatial partitions per energy group (`P_S ≥ 1`).
     pub fn with_spatial_partitions(mut self, p_s: usize) -> Self {
+        assert!(p_s >= 1, "at least one spatial partition");
         self.spatial_partitions = p_s;
         self
     }
@@ -396,5 +398,17 @@ mod tests {
     #[should_panic(expected = "at least one transposition batch")]
     fn zero_energy_batches_are_rejected_where_the_config_is_built() {
         let _ = SweepConfig::new(ScbaConfig::default(), 2).with_energy_batches(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one rank")]
+    fn zero_ranks_are_rejected_where_the_config_is_built() {
+        let _ = SweepConfig::new(ScbaConfig::default(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one spatial partition")]
+    fn zero_spatial_partitions_are_rejected_where_the_config_is_built() {
+        let _ = SweepConfig::new(ScbaConfig::default(), 2).with_spatial_partitions(0);
     }
 }

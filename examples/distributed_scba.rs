@@ -3,8 +3,8 @@
 //! and print the measured all-to-all transposition volumes beside the
 //! plan's exact prediction — the quantities behind the paper's Fig. 3
 //! dataflow. A second run on a 4 energy groups × `P_S = 2` grid with `B = 2`
-//! transposition batches exercises the slice-wise spatial distribution and
-//! writes its `DistReport` byte counters and probe metrics to
+//! transposition batches exercises the spatial group solve and writes its
+//! `DistReport` byte counters and probe metrics to
 //! `DIST_report.json`, plus the merged per-rank span timeline to
 //! `DIST_trace.json` — Chrome
 //! trace-event JSON, loadable in Perfetto (<https://ui.perfetto.dev>) or
@@ -139,9 +139,9 @@ fn main() {
     // owner's group, the owner ships every other member only its partition's
     // block range (blocks lo..=hi of A, B^<, B^>) instead of broadcasting the
     // full system, and each batch's Alltoallv flies while the previous
-    // batch's convolutions compute. The byte
-    // counters (slices, batches, peak in-flight buffers, overlap) and the
-    // probe metrics (per-phase seconds, overlap efficiency, time imbalance,
+    // batch's convolutions compute. The byte split by phase (the group
+    // solves under `spatial`), the peak in-flight buffers and the probe
+    // metrics (per-phase seconds, overlap efficiency, time imbalance,
     // memoizer hit rates) land in DIST_report.json so the per-PR CI artifact
     // tracks them.
     let batches = 2;
@@ -161,7 +161,7 @@ fn main() {
     .run();
     let sr = &spatial.report;
     println!(
-        "\nspatial P_S = {} slice-wise distribution ({} energy groups, {} transposition batches):",
+        "\nspatial P_S = {} group solves ({} energy groups, {} transposition batches):",
         sr.spatial_partitions, sr.energy_groups, sr.batch_count
     );
     println!(
@@ -169,27 +169,11 @@ fn main() {
         sr.wall_seconds, sr.seconds_per_iteration
     );
     println!(
-        "  boundary-system bytes : G {} + W {}",
-        sr.measured_boundary_bytes_g, sr.measured_boundary_bytes_w
-    );
-    println!(
-        "  slice distribution    : {} bytes (broadcast path would ship {})",
-        sr.measured_slice_bytes_g + sr.measured_slice_bytes_w,
-        sr.broadcast_equivalent_bytes_g + sr.broadcast_equivalent_bytes_w,
-    );
-    if let Some(factor) = sr.slice_saving_factor() {
-        println!("  slice saving          : {factor:.2}x (ideal ~P_S)");
-    }
-    println!(
         "  peak in-flight buffer : {} bytes at B = {} (B = 1 run: {} bytes, {:.2}x reduction)",
         sr.peak_slab_bytes,
         sr.batch_count,
         unbatched.report.peak_slab_bytes,
         unbatched.report.peak_slab_bytes as f64 / sr.peak_slab_bytes.max(1) as f64,
-    );
-    println!(
-        "  overlap window        : {:.3e} s of convolution/unpack behind in-flight batches",
-        sr.overlap_window_seconds,
     );
 
     // Probe metrics: the merged span timeline condensed into the numbers the
