@@ -19,8 +19,6 @@
 //!   [`BatchOp::Each`] operands are packed per plane through the same
 //!   raw-slice packers as [`crate::ops::gemm`], so every plane's arithmetic
 //!   is bit-identical to the corresponding per-energy call.
-//! * [`BatchWorkspace`] — a checkout/restore arena of batch buffers:
-//!   steady-state batched OBC loops allocate nothing.
 //! * [`invert_batch_into`] — plane-wise LU inversion through
 //!   [`LuScratch::invert_slice_into`], again bit-identical per plane.
 //!
@@ -60,22 +58,6 @@ impl MatrixBatch {
             ncols,
             data: vec![ZERO; batch * nrows * ncols],
         }
-    }
-
-    /// Wrap an existing energy-major buffer (length `batch · nrows · ncols`).
-    pub fn from_raw(batch: usize, nrows: usize, ncols: usize, data: Vec<c64>) -> Self {
-        assert_eq!(data.len(), batch * nrows * ncols, "batch buffer length");
-        Self {
-            batch,
-            nrows,
-            ncols,
-            data,
-        }
-    }
-
-    /// Recover the backing buffer (for arena recycling).
-    pub fn into_raw(self) -> Vec<c64> {
-        self.data
     }
 
     /// Reshape to `batch` planes of `nrows × ncols`, reusing the buffer:
@@ -127,11 +109,6 @@ impl MatrixBatch {
         &mut self.data[e * pl..(e + 1) * pl]
     }
 
-    /// The whole energy-major buffer.
-    pub fn as_slice(&self) -> &[c64] {
-        &self.data
-    }
-
     /// The whole energy-major buffer, mutably.
     pub fn as_mut_slice(&mut self) -> &mut [c64] {
         &mut self.data
@@ -154,29 +131,6 @@ impl MatrixBatch {
     /// Plane `e` as a freshly allocated matrix (test/diagnostic convenience).
     pub fn plane_matrix(&self, e: usize) -> CMatrix {
         CMatrix::from_raw(self.nrows, self.ncols, self.plane(e).to_vec())
-    }
-
-    /// Copy every plane of `src` (shapes and batch length must match).
-    pub fn copy_from(&mut self, src: &MatrixBatch) {
-        assert_eq!(
-            (src.batch, src.nrows, src.ncols),
-            (self.batch, self.nrows, self.ncols),
-            "batch shape"
-        );
-        self.data.copy_from_slice(&src.data);
-    }
-
-    /// `self += alpha · x`, elementwise over every plane — same arithmetic as
-    /// `CMatrix::axpy` applied plane by plane.
-    pub fn axpy(&mut self, alpha: c64, x: &MatrixBatch) {
-        assert_eq!(
-            (x.batch, x.nrows, x.ncols),
-            (self.batch, self.nrows, self.ncols),
-            "batch shape"
-        );
-        for (d, s) in self.data.iter_mut().zip(x.data.iter()) {
-            *d += alpha * s;
-        }
     }
 
     /// `self -= x`, elementwise over every plane — the exact complex
@@ -209,22 +163,6 @@ impl MatrixBatch {
             *v *= s;
         }
     }
-
-    /// Swap the contents of planes `i` and `j`.
-    ///
-    /// This is the compaction primitive of active-list iteration (batched OBC
-    /// solvers): a converged energy is swapped to the tail and the active
-    /// prefix shrinks, so subsequent [`gemm_batch`] calls sweep only the
-    /// still-iterating planes.
-    pub fn swap_planes(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        let pl = self.plane_len();
-        let (lo, hi) = (i.min(j), i.max(j));
-        let (head, tail) = self.data.split_at_mut(hi * pl);
-        head[lo * pl..(lo + 1) * pl].swap_with_slice(&mut tail[..pl]);
-    }
 }
 
 /// One operand of a [`gemm_batch`] call.
@@ -234,7 +172,7 @@ pub enum BatchOp<'a> {
     /// per call — the batching win the per-energy path cannot have. No
     /// library code multiplies with it today: the W assembly, whose bare
     /// Coulomb blocks `V_ij` are the natural shared operand, still runs
-    /// `BlockBanded::multiply` per energy (ROADMAP item 2).
+    /// `BlockBanded::multiply` per energy (ROADMAP item 3).
     Shared(Op<'a>),
     /// A per-energy operand: plane `e` of the given batch, entered with the
     /// given flag. Packed per plane through the same raw packers as
@@ -261,7 +199,7 @@ impl BatchOp<'_> {
         }
     }
 
-    /// Batch length, if the operand is per-energy.
+    /// Batch length, if the operand is per-energy (it must be the output's).
     fn batch_len(&self) -> Option<usize> {
         match self {
             BatchOp::Shared(_) => None,
@@ -273,6 +211,7 @@ impl BatchOp<'_> {
 /// Batched operand-flag GEMM:
 /// `C_e = alpha · op(A_e) · op(B_e) + beta · C_e` for every plane `e`.
 ///
+/// Every per-energy operand holds exactly the output's number of planes.
 /// Every plane's product runs through the identical packing and micro-kernel
 /// code paths as a per-energy [`crate::ops::gemm`] call, so plane `e` of the
 /// result is **bit-identical** to the per-energy path. [`BatchOp::Shared`]
@@ -286,14 +225,8 @@ pub fn gemm_batch(c: &mut MatrixBatch, alpha: c64, a: BatchOp<'_>, b: BatchOp<'_
     assert_eq!(k, k2, "gemm_batch inner dimension mismatch");
     assert_eq!(c.shape(), (m, n), "gemm_batch output shape mismatch");
     let bsz = c.batch_len();
-    // `Each` operands may be longer than the output batch: active-list
-    // consumers keep full-size state batches compacted so the live energies
-    // form a prefix, and sweep only that prefix (planes `0..bsz`).
-    if let Some(ab) = a.batch_len() {
-        assert!(ab >= bsz, "gemm_batch A batch shorter than output batch");
-    }
-    if let Some(bb) = b.batch_len() {
-        assert!(bb >= bsz, "gemm_batch B batch shorter than output batch");
+    for len in [a.batch_len(), b.batch_len()].into_iter().flatten() {
+        assert_eq!(len, bsz, "gemm_batch operand batch length mismatch");
     }
 
     if beta != ONE {
@@ -351,8 +284,9 @@ pub fn gemm_batch_flops(batch: usize, m: usize, k: usize, n: usize) -> u64 {
 
 /// Plane-wise LU inversion: `out_e = a_e⁻¹` for every plane, through
 /// [`LuScratch::invert_slice_into`] (bit-identical to the per-energy
-/// `invert_into`). On a singular plane the error carries the plane index so
-/// consumers can map it to their per-energy error type.
+/// `invert_into`); `a` and `out` hold the same number of planes. On a
+/// singular plane the error carries the plane index so consumers can map it
+/// to their per-energy error type.
 pub fn invert_batch_into(
     lu: &mut LuScratch,
     a: &MatrixBatch,
@@ -360,81 +294,17 @@ pub fn invert_batch_into(
 ) -> Result<(), (usize, LuError)> {
     assert_eq!(a.nrows(), a.ncols(), "square planes required");
     assert_eq!(a.shape(), out.shape(), "inverse output shape mismatch");
-    // Like `gemm_batch`, the input may carry extra trailing planes (compacted
-    // active-list state); `out` defines how many planes are inverted.
-    assert!(
-        a.batch_len() >= out.batch_len(),
-        "inverse input batch shorter than output batch"
+    assert_eq!(
+        a.batch_len(),
+        out.batch_len(),
+        "inverse batch length mismatch"
     );
     let n = a.nrows();
-    for e in 0..out.batch_len() {
+    for e in 0..a.batch_len() {
         lu.invert_slice_into(a.plane(e), n, out.plane_mut(e))
             .map_err(|err| (e, err))?;
     }
     Ok(())
-}
-
-/// A free-list arena of energy-major batch buffers with checkout/restore
-/// semantics. One warm pass through a batched loop, then zero
-/// steady-state heap allocations — what `quatrex-obc`'s batched surface
-/// iterations run on (their scratch's `fresh_allocations` plateaus once warm).
-#[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    free: Vec<Vec<c64>>,
-    fresh_allocations: usize,
-}
-
-impl BatchWorkspace {
-    /// Create an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Check out a zeroed `batch × nrows × ncols` batch, recycling the
-    /// smallest free buffer whose capacity suffices.
-    pub fn take(&mut self, batch: usize, nrows: usize, ncols: usize) -> MatrixBatch {
-        let need = batch * nrows * ncols;
-        let mut best: Option<usize> = None;
-        for (idx, buf) in self.free.iter().enumerate() {
-            if buf.capacity() >= need
-                && best.is_none_or(|b| buf.capacity() < self.free[b].capacity())
-            {
-                best = Some(idx);
-            }
-        }
-        let mut data = match best {
-            Some(idx) => self.free.swap_remove(idx),
-            None => {
-                self.fresh_allocations += 1;
-                Vec::with_capacity(need)
-            }
-        };
-        data.clear();
-        data.resize(need, ZERO);
-        MatrixBatch::from_raw(batch, nrows, ncols, data)
-    }
-
-    /// Check out a copy of `src` (same batch shape, recycled buffer).
-    pub fn take_copy(&mut self, src: &MatrixBatch) -> MatrixBatch {
-        let mut mb = self.take(src.batch_len(), src.nrows(), src.ncols());
-        mb.copy_from(src);
-        mb
-    }
-
-    /// Restore a batch's buffer to the free list.
-    pub fn give(&mut self, mb: MatrixBatch) {
-        self.free.push(mb.into_raw());
-    }
-
-    /// Number of buffers currently on the free list.
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Number of fresh buffer allocations so far (constant in steady state).
-    pub fn fresh_allocations(&self) -> usize {
-        self.fresh_allocations
-    }
 }
 
 #[cfg(test)]
@@ -612,30 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn workspace_steady_state_stops_allocating() {
-        let mut ws = BatchWorkspace::new();
-        for _ in 0..2 {
-            let a = ws.take(4, 6, 6);
-            let b = ws.take(4, 6, 6);
-            ws.give(a);
-            ws.give(b);
-        }
-        let warm = ws.fresh_allocations();
-        for _ in 0..10 {
-            let a = ws.take(4, 6, 6);
-            let b = ws.take(4, 6, 6);
-            ws.give(a);
-            ws.give(b);
-        }
-        assert_eq!(ws.fresh_allocations(), warm);
-    }
-
-    #[test]
-    fn axpy_and_identity_helpers() {
-        let (mut a, _) = batch_of(2, 3, 3, 0.1);
-        let b = a.clone();
-        a.axpy(cplx(-1.0, 0.0), &b);
-        assert!(a.as_slice().iter().all(|v| v.norm() == 0.0));
+    fn identity_helper_adds_to_every_diagonal() {
+        let mut a = MatrixBatch::zeros(2, 3, 3);
         a.add_scaled_identity(ONE);
         for e in 0..2 {
             assert!(a.plane_matrix(e).approx_eq(&CMatrix::identity(3), 0.0));
@@ -643,44 +491,26 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sweep_over_compacted_state_matches_per_energy() {
-        // Active-list pattern: state batches hold 4 planes but only the
-        // 2-plane prefix is live; the output batch defines the sweep length.
-        let (a4, am) = batch_of(4, 3, 3, 0.3);
-        let (b4, bm) = batch_of(4, 3, 3, 0.7);
+    #[should_panic(expected = "gemm_batch operand batch length mismatch")]
+    fn gemm_batch_rejects_an_operand_longer_than_the_output() {
+        let (a, _) = batch_of(3, 3, 3, 0.3);
+        let (b, _) = batch_of(2, 3, 3, 0.7);
         let mut c = MatrixBatch::zeros(2, 3, 3);
         gemm_batch(
             &mut c,
             ONE,
-            BatchOp::Each(OpKind::None, &a4),
-            BatchOp::Each(OpKind::Dagger, &b4),
+            BatchOp::Each(OpKind::None, &a),
+            BatchOp::Each(OpKind::None, &b),
             ZERO,
         );
-        for e in 0..2 {
-            let mut want = CMatrix::zeros(3, 3);
-            gemm(&mut want, ONE, Op::None(&am[e]), Op::Dagger(&bm[e]), ZERO);
-            assert!(c.plane_matrix(e).approx_eq(&want, 0.0));
-        }
-
-        let mut inv = MatrixBatch::zeros(2, 3, 3);
-        let mut well = a4.clone();
-        well.add_scaled_identity(cplx(4.0, 0.5));
-        let mut lu = LuScratch::new();
-        invert_batch_into(&mut lu, &well, &mut inv).unwrap();
-        let mut direct = CMatrix::zeros(3, 3);
-        lu.invert_slice_into(well.plane(1), 3, direct.as_mut_slice())
-            .unwrap();
-        assert!(inv.plane_matrix(1).approx_eq(&direct, 0.0));
     }
 
     #[test]
-    fn swap_planes_exchanges_contents() {
-        let (mut a, am) = batch_of(3, 2, 4, 0.9);
-        a.swap_planes(0, 2);
-        assert!(a.plane_matrix(0).approx_eq(&am[2], 0.0));
-        assert!(a.plane_matrix(2).approx_eq(&am[0], 0.0));
-        assert!(a.plane_matrix(1).approx_eq(&am[1], 0.0));
-        a.swap_planes(1, 1);
-        assert!(a.plane_matrix(1).approx_eq(&am[1], 0.0));
+    #[should_panic(expected = "inverse batch length mismatch")]
+    fn invert_batch_into_rejects_an_input_longer_than_the_output() {
+        let mut a = MatrixBatch::zeros(3, 3, 3);
+        a.add_scaled_identity(ONE);
+        let mut out = MatrixBatch::zeros(2, 3, 3);
+        let _ = invert_batch_into(&mut LuScratch::new(), &a, &mut out);
     }
 }

@@ -10,9 +10,9 @@
 //! * the operand-flag GEMM engine ([`ops::gemm`] with [`ops::Op`] flags,
 //!   register-tiled micro-kernels, fused conjugate transposes) plus the
 //!   classic wrappers ([`ops::matmul`], [`ops::triple_product`], …),
-//! * energy-major batches ([`MatrixBatch`], [`gemm_batch`]) and the
-//!   [`BatchWorkspace`] scratch arena giving the batched hot loops
-//!   checkout/restore buffer reuse (zero steady-state allocations),
+//! * energy-major batches ([`MatrixBatch`], [`gemm_batch`],
+//!   [`invert_batch_into`]): every product and inversion of the batched RGF
+//!   solve over one packing per plane, bit-identical to the per-energy calls,
 //! * the lane-interleaved layout for small blocks ([`interleaved::LaneBatch`],
 //!   [`interleaved::gemm_lanes`]): one vector lane per energy, bit-identical
 //!   to the planes,
@@ -37,9 +37,7 @@ pub mod matrix;
 pub mod ops;
 pub mod svd;
 
-pub use batch::{
-    gemm_batch, gemm_batch_flops, invert_batch_into, BatchOp, BatchWorkspace, MatrixBatch,
-};
+pub use batch::{gemm_batch, gemm_batch_flops, invert_batch_into, BatchOp, MatrixBatch};
 pub use eig::{eigendecomposition, eigenvalues, schur, Eigendecomposition, SchurDecomposition};
 pub use flops::{FlopCounter, FlopKind};
 pub use lu::{LuError, LuFactorization, LuScratch};

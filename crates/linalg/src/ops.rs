@@ -21,9 +21,9 @@
 //!   structure-of-arrays panels (`A` in row tiles, `B` in `NR`-column panels,
 //!   both step-major), so the kernel is pure lane arithmetic of fused
 //!   multiply-adds on the 8-lane vector of `lanes`;
-//! * callers recycle output and temporary buffers (the batched OBC solvers
-//!   through [`crate::batch::BatchWorkspace`], the RGF solve through a free
-//!   list of its own), so the steady-state inner loops perform zero heap
+//! * callers recycle output and temporary buffers (the OBC surface
+//!   iterations on the work blocks of their scratch, the RGF solve through a
+//!   free list of its own), so the steady-state inner loops perform zero heap
 //!   allocations.
 //!
 //! # Determinism

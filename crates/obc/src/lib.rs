@@ -11,8 +11,10 @@
 //!
 //! * the **retarded** surface problem, a non-linear matrix equation
 //!   `x^R = (m − n·x^R·n')⁻¹` (paper Eq. (4)), solved either iteratively
-//!   ([`retarded::fixed_point`], [`retarded::sancho_rubio`]) or directly with
-//!   the Beyn contour-integral method ([`retarded::beyn`]);
+//!   ([`retarded::fixed_point`], [`retarded::sancho_rubio`], one energy per
+//!   call on reused work blocks; [`batch::sancho_rubio_batch`] loops over an
+//!   energy set on one [`ObcBatchScratch`]) or directly with the Beyn
+//!   contour-integral method ([`retarded::beyn`]);
 //! * the **lesser/greater** boundary terms: the fluctuation–dissipation
 //!   theorem for electrons ([`lesser::lesser_from_retarded`]) and a
 //!   discrete-time Lyapunov (Stein) equation `w≶ = q≶ − a·w≶·a†` for the
@@ -31,7 +33,7 @@ pub mod lyapunov;
 pub mod memoizer;
 pub mod retarded;
 
-pub use batch::{fixed_point_batch, sancho_rubio_batch, ObcBatchScratch};
+pub use batch::{sancho_rubio_batch, ObcBatchScratch};
 pub use lesser::{greater_from_retarded, lesser_from_retarded};
 pub use lyapunov::{lyapunov_direct, lyapunov_doubling, lyapunov_fixed_point, lyapunov_residual};
 pub use memoizer::{Contact, MemoizerStats, ObcKey, ObcMemoizer, ObcMode, Subsystem};

@@ -22,8 +22,12 @@
 //!   reduced eigenvalue problem), and the surface function is reconstructed as
 //!   `x^R = (m − n·F)⁻¹` with the propagation matrix `F = Φ·Λ·Φ⁻¹`.
 //!
-//! The two iterations are implemented once, batched over energies, in
-//! [`crate::batch`]; the single-energy entry points here are a batch of one.
+//! The two iterations solve one energy at a time, the way the OBC cascade and
+//! the memoizer call them, on an [`ObcBatchScratch`] (a per-thread one behind
+//! [`fixed_point`] and [`sancho_rubio`]): every product goes through
+//! [`gemm`], every inversion through one `LuScratch`, so a warmed call
+//! allocates only the surface function it returns. An energy set is a loop
+//! over them ([`crate::batch::sancho_rubio_batch`]).
 //!
 //! [`beyn`] is a string of dense factorisations — one LU inversion per
 //! contour point, one SVD, one small eigenproblem, two more inversions — and
@@ -40,7 +44,7 @@ use quatrex_linalg::{c64, eigendecomposition, CMatrix, ONE, ZERO};
 use std::cell::RefCell;
 use std::f64::consts::PI;
 
-use crate::batch::{fixed_point_batch, sancho_rubio_batch, ObcBatchScratch};
+use crate::batch::ObcBatchScratch;
 
 /// Failure modes of the OBC solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,10 +143,31 @@ impl ResidualWork {
     }
 }
 
-/// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` (paper Eq. (5)):
-/// [`fixed_point_batch`] at one energy.
+thread_local! {
+    /// Per-thread scratch of [`fixed_point`] and [`sancho_rubio`] (the
+    /// assemblies call them once per energy and contact on the pool threads).
+    static SURFACE: RefCell<ObcBatchScratch> = RefCell::new(ObcBatchScratch::new());
+}
+
+/// `c = a · b`.
+fn product(c: &mut CMatrix, a: &CMatrix, b: &CMatrix) {
+    let c = shaped(c, a.nrows(), b.ncols());
+    // lint:allow(per-energy-gemm): the surface iterations solve one energy per call.
+    gemm(c, ONE, Op::None(a), Op::None(b), ZERO);
+}
+
+/// `d −= s`, entry by entry: plain complex subtraction (`CMatrix`'s `-=` is
+/// an `axpy` by −1, whose `0 · im` term turns an infinite entry into NaN).
+fn subtract(d: &mut CMatrix, s: &CMatrix) {
+    for (d, s) in d.as_mut_slice().iter_mut().zip(s.as_slice()) {
+        *d -= s;
+    }
+}
+
+/// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` (paper Eq. (5)).
 ///
-/// `x0` is the initial guess (pass `None` for a cold start from `m⁻¹`).
+/// `x0` is the initial guess (pass `None` for a cold start from `m⁻¹`). The
+/// residual is the step's relative change `‖x_{k+1} − x_k‖_F / ‖x_{k+1}‖_F`.
 pub fn fixed_point(
     m: &CMatrix,
     n: &CMatrix,
@@ -151,18 +176,58 @@ pub fn fixed_point(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
-    let mut scratch = ObcBatchScratch::new();
-    fixed_point_batch(&[m], &[n], &[nprime], &[x0], tol, max_iter, &mut scratch)
-        .pop()
-        .expect("one result per energy")
+    SURFACE.with(|s| {
+        let mut scratch = s.borrow_mut();
+        let ObcBatchScratch {
+            lu,
+            blocks: [x, x_next, nx, rhs, ..],
+            ..
+        } = &mut *scratch;
+        let dim = m.nrows();
+        let mut flops = 0u64;
+        match x0 {
+            Some(x0) => shaped(x, dim, dim).copy_from(x0),
+            None => {
+                flops += inverse_flops(dim);
+                lu.invert_into(m, x).map_err(|_| ObcError::Singular)?;
+            }
+        }
+
+        let per_iter = 2 * gemm_flops(dim, dim, dim) + inverse_flops(dim);
+        let mut residual = f64::INFINITY;
+        for it in 1..=max_iter {
+            // x_next = (m − n·x·n')⁻¹.
+            product(nx, n, x);
+            shaped(rhs, dim, dim).copy_from(m);
+            // lint:allow(per-energy-gemm): the surface iterations solve one energy per call.
+            gemm(rhs, -ONE, Op::None(nx), Op::None(nprime), ONE);
+            lu.invert_into(rhs, x_next)
+                .map_err(|_| ObcError::Singular)?;
+            residual = x_next.distance(x) / x_next.norm_fro().max(1e-300);
+            flops += per_iter;
+            std::mem::swap(x, x_next);
+            if residual < tol {
+                return Ok(ObcSolution {
+                    x: x.clone(),
+                    iterations: it,
+                    residual,
+                    flops,
+                });
+            }
+        }
+        Err(ObcError::NotConverged {
+            residual,
+            iterations: max_iter,
+        })
+    })
 }
 
-/// Sancho–Rubio decimation for the surface function: [`sancho_rubio_batch`]
-/// at one energy.
+/// Sancho–Rubio decimation for the surface function.
 ///
 /// Each step doubles the effective lead length represented by the effective
 /// couplings, so convergence is reached in `O(log)` steps (typically 10–30,
-/// paper Section 4.2.1).
+/// paper Section 4.2.1). The converged surface function is checked against
+/// the original `(m, n, n')`: its residual is the fixed-point equation's.
 pub fn sancho_rubio(
     m: &CMatrix,
     n: &CMatrix,
@@ -170,10 +235,72 @@ pub fn sancho_rubio(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
-    let mut scratch = ObcBatchScratch::new();
-    sancho_rubio_batch(&[m], &[n], &[nprime], tol, max_iter, &mut scratch)
-        .pop()
-        .expect("one result per energy")
+    SURFACE.with(|s| sancho_rubio_on(&mut s.borrow_mut(), m, n, nprime, tol, max_iter))
+}
+
+/// [`sancho_rubio`] on the caller's scratch.
+pub(crate) fn sancho_rubio_on(
+    scratch: &mut ObcBatchScratch,
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    tol: f64,
+    max_iter: usize,
+) -> Result<ObcSolution, ObcError> {
+    let dim = m.nrows();
+    // Decimation state: the surface and bulk onsite blocks ε_s, ε and the
+    // effective couplings α, β; per step g = ε⁻¹, α·g, β·g and `t`, which
+    // holds one product at a time.
+    let ObcBatchScratch {
+        lu,
+        residual: check,
+        blocks: [eps_s, eps, alpha, beta, g, ag, bg, t],
+    } = scratch;
+    shaped(eps_s, dim, dim).copy_from(m);
+    shaped(eps, dim, dim).copy_from(m);
+    shaped(alpha, dim, dim).copy_from(n);
+    shaped(beta, dim, dim).copy_from(nprime);
+
+    let per_iter = inverse_flops(dim) + 6 * gemm_flops(dim, dim, dim);
+    let mut flops = 0u64;
+    let mut metric = f64::INFINITY;
+    for it in 1..=max_iter {
+        lu.invert_into(eps, g).map_err(|_| ObcError::Singular)?;
+        // ε_s −= α·g·β ; ε −= α·g·β, then ε −= β·g·α ; α ← α·g·α ; β ← β·g·β.
+        product(ag, alpha, g);
+        product(bg, beta, g);
+        product(t, ag, beta);
+        subtract(eps_s, t);
+        subtract(eps, t);
+        product(t, bg, alpha);
+        subtract(eps, t);
+        product(t, ag, alpha);
+        std::mem::swap(alpha, t);
+        product(t, bg, beta);
+        std::mem::swap(beta, t);
+        flops += per_iter;
+
+        let (an, bn) = (alpha.norm_fro(), beta.norm_fro());
+        metric = an.max(bn);
+        if an < tol && bn < tol {
+            // Converged: the surface function is ε_s⁻¹.
+            flops += inverse_flops(dim);
+            let mut x = CMatrix::zeros(dim, dim);
+            lu.invert_into(eps_s, &mut x)
+                .map_err(|_| ObcError::Singular)?;
+            let residual = check.residual(lu, &x, m, n, nprime);
+            return Ok(ObcSolution {
+                x,
+                iterations: it,
+                residual,
+                flops,
+            });
+        }
+    }
+    Err(ObcError::NotConverged {
+        residual: metric,
+        iterations: max_iter,
+    })
 }
 
 /// Direct solution of the surface problem via the companion linearisation of

@@ -1,6 +1,12 @@
-//! Counting-allocator proof that a warmed `beyn` runs on its scratch: the 48
-//! contour inversions, the moment accumulation, the SVD, `Φ⁻¹`,
-//! `(m + n·F)⁻¹` and the residual check allocate nothing. What a call still
+//! Counting-allocator proofs that the OBC solvers run on their scratch.
+//!
+//! A warmed `sancho_rubio_batch` allocates the surface function of each
+//! converged energy and the result vector, nothing else: the decimation
+//! steps, the inversions and the residual checks reuse one
+//! `ObcBatchScratch`.
+//!
+//! A warmed `beyn`'s 48 contour inversions, moment accumulation, SVD, `Φ⁻¹`,
+//! `(m + n·F)⁻¹` and residual check allocate nothing. What a call still
 //! allocates is the surface function it returns and the buffers of the dense
 //! eigensolver it hands the reduced problem to — a count that depends on the
 //! problem's order alone.
@@ -9,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use quatrex_linalg::{cplx, eigendecomposition, CMatrix};
-use quatrex_obc::{beyn, BeynConfig};
+use quatrex_obc::{beyn, sancho_rubio_batch, BeynConfig, ObcBatchScratch};
 
 /// Global allocator wrapper that counts the allocations of the *current
 /// thread* while it is armed (tests run on parallel threads).
@@ -74,6 +80,34 @@ fn evanescent_lead(dim: usize, e: f64) -> (CMatrix, CMatrix, CMatrix) {
         h1.scaled(cplx(-1.0, 0.0)),
         h1.dagger().scaled(cplx(-1.0, 0.0)),
     )
+}
+
+#[test]
+fn warmed_sancho_rubio_batch_allocates_only_its_surface_functions_and_result_vector() {
+    let dim = 9; // off the GEMM tile heights
+    let grid: Vec<(CMatrix, CMatrix, CMatrix)> = [0.4, 1.1, 1.9, 2.6]
+        .iter()
+        .map(|&e| evanescent_lead(dim, e))
+        .collect();
+    let singular = CMatrix::zeros(dim, dim);
+    let mut ms: Vec<&CMatrix> = grid.iter().map(|(m, _, _)| m).collect();
+    ms[2] = &singular;
+    let ns: Vec<&CMatrix> = grid.iter().map(|(_, n, _)| n).collect();
+    let nps: Vec<&CMatrix> = grid.iter().map(|(_, _, np)| np).collect();
+    let mut scratch = ObcBatchScratch::new();
+    sancho_rubio_batch(&ms, &ns, &nps, 1e-12, 200, &mut scratch);
+
+    let mut solutions = Vec::new();
+    let allocs = allocations(|| {
+        solutions = sancho_rubio_batch(&ms, &ns, &nps, 1e-12, 200, &mut scratch);
+    });
+    let converged = solutions.iter().filter(|s| s.is_ok()).count();
+    assert_eq!(converged, 3, "the singular energy fails alone");
+    assert_eq!(
+        allocs,
+        converged as u64 + 1,
+        "a warmed sancho_rubio_batch may allocate its surface functions and its result vector"
+    );
 }
 
 #[test]
