@@ -24,8 +24,8 @@
 //! Run with: `cargo run --release -p quatrex-bench --bin paper_tables`
 //! (after `bench_kernels` and the two report examples).
 
+use quatrex_core::dist::BYTES_PER_VALUE;
 use quatrex_device::{DeviceCatalog, DeviceParams};
-use quatrex_dist::BYTES_PER_VALUE;
 use quatrex_probe::json::{self, Json};
 use std::path::Path;
 use std::process::ExitCode;

@@ -7,7 +7,7 @@
 //! | rule            | invariant                                                        |
 //! |-----------------|------------------------------------------------------------------|
 //! | `one-clock`     | no `std::time::Instant` outside `quatrex-probe`; all timing goes through `quatrex_probe::clock` so traces share one epoch |
-//! | `no-unwrap`     | no `.unwrap()` / `.expect(...)` in `crates/{dist,runtime}` library code — rank threads must fail with diagnostics, not anonymous panics |
+//! | `no-unwrap`     | no `.unwrap()` / `.expect(...)` in the rank loop (`crates/core/src/dist`) and `crates/runtime` library code — rank threads must fail with diagnostics, not anonymous panics |
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
 //! | `per-energy-gemm`| library code in `crates/{rgf,obc,core}` calls the batched GEMM entry points (`gemm_batch`), not raw per-energy `gemm`, so loops over energies share one operand packing — frozen reference paths carry explicit `lint:allow(per-energy-gemm)` markers |
 //! | `allocating-inverse`| library code in `crates/{rgf,obc,core}` does not reach `lu::inverse`, `lu::solve` or `LuFactorization::new` — each allocates factors and work planes per call where a `LuScratch` the caller already holds allocates nothing; cold fallbacks carry `lint:allow(allocating-inverse)` at the (path-qualified) call |
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// `std::time::Instant` outside `quatrex-probe`.
     OneClock,
-    /// `.unwrap()` / `.expect(` in dist/runtime library code.
+    /// `.unwrap()` / `.expect(` in rank-loop/runtime library code.
     NoUnwrap,
     /// `println!` / `print!` in library code.
     NoPrintln,
@@ -129,7 +129,9 @@ fn applicable_rules(rel: &str) -> Vec<Rule> {
     if !rel.starts_with("crates/probe/") {
         rules.push(Rule::OneClock);
     }
-    if (rel.starts_with("crates/dist/src/") || rel.starts_with("crates/runtime/src/")) && !is_bin {
+    if (rel.starts_with("crates/core/src/dist/") || rel.starts_with("crates/runtime/src/"))
+        && !is_bin
+    {
         rules.push(Rule::NoUnwrap);
     }
     if !is_bin {
@@ -492,7 +494,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
                     }),
                     Rule::NoUnwrap => (code.contains(".unwrap()") || code.contains(".expect("))
                         .then(|| {
-                            "unwrap/expect in dist/runtime library code: return a diagnostic \
+                            "unwrap/expect in rank-loop/runtime library code: return a diagnostic \
                              or justify with lint:allow(no-unwrap)"
                                 .to_string()
                         }),

@@ -7,7 +7,7 @@
 //! release→acquire, channel send→recv, rayon fork→join — advances per-thread
 //! vector clocks, and every [`access_shared`] annotation placed in
 //! `quatrex-runtime` (slab/wire buffers, `CommHandle` completion, the
-//! observer seam) and `quatrex-dist` (convolution batch accumulators) is
+//! observer seam) and `quatrex_core::dist` (convolution batch accumulators) is
 //! checked against them. Two accesses to the same [`SharedId`], at least one
 //! a write, with neither ordered before the other, produce a [`RaceReport`]
 //! carrying both capture sites.

@@ -29,9 +29,9 @@ fn std_instant_is_flagged_outside_probe() {
 }
 
 #[test]
-fn unwrap_is_flagged_only_in_dist_and_runtime_library_code() {
+fn unwrap_is_flagged_only_in_rank_loop_and_runtime_library_code() {
     let src = include_str!("fixtures/unwrap_expect.rs");
-    let got = findings("crates/dist/src/fixture.rs", src);
+    let got = findings("crates/core/src/dist/fixture.rs", src);
     assert_eq!(
         got,
         vec![("no-unwrap".to_string(), 4), ("no-unwrap".to_string(), 5)]
@@ -39,8 +39,9 @@ fn unwrap_is_flagged_only_in_dist_and_runtime_library_code() {
     let runtime = lint_source("crates/runtime/src/fixture.rs", src);
     assert!(runtime.iter().all(|v| v.rule == Rule::NoUnwrap));
     assert_eq!(runtime.len(), 2);
-    // Other crates may unwrap: the rule is scoped to rank-thread code.
+    // Other code may unwrap: the rule is scoped to rank-thread code.
     assert!(findings("crates/core/src/fixture.rs", src).is_empty());
+    assert!(findings("crates/dist/src/fixture.rs", src).is_empty());
 }
 
 #[test]
@@ -99,7 +100,7 @@ fn allow_file_marker_suppresses_a_rule_for_the_whole_file() {
 #[test]
 fn raw_sync_is_flagged_in_library_code_but_not_sync_or_bins() {
     let src = include_str!("fixtures/raw_sync.rs");
-    let got = findings("crates/dist/src/fixture.rs", src);
+    let got = findings("crates/core/src/dist/fixture.rs", src);
     assert_eq!(
         got,
         vec![
@@ -113,7 +114,7 @@ fn raw_sync_is_flagged_in_library_code_but_not_sync_or_bins() {
     assert!(findings("crates/sync/src/fixture.rs", src).is_empty());
     // Bin targets own their own threading.
     assert!(findings("crates/runtime/src/bin/fixture.rs", src).is_empty());
-    assert!(findings("crates/dist/tests/fixture.rs", src).is_empty());
+    assert!(findings("crates/core/tests/fixture.rs", src).is_empty());
 }
 
 #[test]
@@ -142,7 +143,7 @@ fn markers_for_non_applicable_rules_are_inert_not_stale() {
 #[test]
 fn allow_marker_must_name_the_right_rule() {
     let src = "pub fn f(v: &[u8]) -> u8 {\n    // lint:allow(no-println): wrong rule named\n    *v.first().unwrap()\n}\n";
-    let got = findings("crates/dist/src/fixture.rs", src);
+    let got = findings("crates/core/src/dist/fixture.rs", src);
     // The unwrap still fires, and the mis-named marker (which suppresses
     // nothing) is itself reported stale.
     assert_eq!(
@@ -154,7 +155,7 @@ fn allow_marker_must_name_the_right_rule() {
 #[test]
 fn multi_line_constructs_are_stripped() {
     let src = "pub fn f() {\n    /* comment opens\n       x.unwrap() still comment\n    */\n    let s = \"multi\n        line .unwrap() string\";\n    let r = r#\"raw\n        .expect( string\"#;\n}\n";
-    assert!(findings("crates/dist/src/fixture.rs", src).is_empty());
+    assert!(findings("crates/core/src/dist/fixture.rs", src).is_empty());
 }
 
 #[test]

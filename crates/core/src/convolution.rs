@@ -17,8 +17,8 @@
 //! FFT needs) — the step that maps to the `Alltoall` of Fig. 3.
 //!
 //! There is **one** kernel per phase — [`polarization_pair_accumulate`],
-//! [`self_energy_pair_accumulate`], [`causal_retarded_series`] — and both
-//! drivers call it. The `P`/`Σ` kernels work on an element **pair**: a
+//! [`self_energy_pair_accumulate`], [`causal_retarded_series`] — and the SCBA
+//! loop and the whole-grid drivers below both call it. The `P`/`Σ` kernels work on an element **pair**: a
 //! canonical element `(i, j)` together with its mirror `(j, i)` (a self-mirror
 //! diagonal element is a pair of one). The pair is the unit because the
 //! mirror's polarisation is the canonical one's correlation read backwards,
@@ -50,14 +50,15 @@
 //! calls — accumulators are `N_E`-long and time-domain.
 //!
 //! The kernels take a *batch view*: the energy indices that just arrived,
-//! accumulated into running output series. The distributed driver
-//! (`quatrex-dist`), which owns element slices after a real all-to-all
+//! accumulated into running output series. The SCBA loop
+//! ([`crate::dist`]), which owns element slices after a real all-to-all
 //! transposition, feeds them one `Alltoallv` batch at a time; the
 //! energy-major drivers below ([`polarization_from_g`],
 //! [`self_energy_from_gw`], [`retarded_from_lesser_greater`]) gather every
 //! stored pair's series and call them once with the whole grid as the single
-//! batch — "every energy, nothing arrived before". The equivalence tests rely
-//! on the two drivers sharing this path.
+//! batch — "every energy, nothing arrived before". The single-threaded replay
+//! of the loop in `crates/core/tests/mixing_rule.rs` relies on the two
+//! sharing this path.
 
 use quatrex_fft::{fft_flops, with_workspace};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};

@@ -1,12 +1,12 @@
 //! Configuration and result types of the distributed SCBA driver.
 
-use quatrex_core::observables::Observables;
-use quatrex_core::scba::ScbaConfig;
+use crate::observables::Observables;
+use crate::scba::ScbaConfig;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_probe::Timeline;
 
-use crate::report::DistReport;
-use crate::warm::WarmState;
+use crate::dist::report::DistReport;
+use crate::dist::warm::WarmState;
 
 /// Configuration of a distributed SCBA run.
 ///
@@ -20,9 +20,9 @@ use crate::warm::WarmState;
 /// solver with both enabled at once:
 ///
 /// ```
+/// use quatrex_core::dist::{DistScbaConfig, DistScbaSolver};
 /// use quatrex_core::ScbaConfig;
 /// use quatrex_device::DeviceBuilder;
-/// use quatrex_dist::{DistScbaConfig, DistScbaSolver};
 ///
 /// let device = DeviceBuilder::test_device(2, 2, 6).build();
 /// let scba = ScbaConfig {
@@ -43,7 +43,7 @@ use crate::warm::WarmState;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistScbaConfig {
-    /// The physics configuration, shared verbatim with the sequential solver.
+    /// The physics configuration, the one [`crate::ScbaSolver`] takes.
     /// `enforce_symmetry` must be set: the transpositions ship only the
     /// canonical elements of the lesser/greater quantities (Section 5.2) and
     /// rebuild the mirrors from the NEGF symmetry.
@@ -62,12 +62,12 @@ pub struct DistScbaConfig {
     /// nested-dissection reduced system adds work (~2.1× per middle partition
     /// on the paper's devices), so `P_S > 1` only wins when the per-energy
     /// solve, not the energy count, is the bottleneck. From `P_S = 3` on the
-    /// partition layout is FLOP-balanced ([`crate::spatial::SpatialLayout`]):
+    /// partition layout is FLOP-balanced ([`crate::dist::spatial::SpatialLayout`]):
     /// the uniform split would leave the two boundary partitions idle ~40 %
     /// of every solve.
     pub spatial_partitions: usize,
     /// Number of energy batches (`B`) each of the four per-iteration
-    /// transpositions is cut into ([`crate::TranspositionBatchPlan`]). With `B > 1`
+    /// transpositions is cut into ([`crate::dist::TranspositionBatchPlan`]). With `B > 1`
     /// the solver double-buffers: batch `k+1`'s `Alltoallv` is posted
     /// non-blocking while the element convolutions consume batch `k`, and
     /// the in-flight transposition buffers shrink ~`B/2`-fold (double
@@ -105,7 +105,7 @@ pub struct DistScbaConfig {
     ///
     /// **When it pays off:** whenever another solve of a *nearby* problem
     /// follows — a bias/temperature sweep point, a restart from checkpoint.
-    /// Feed the captured state to [`crate::DistScbaSolver::run_warm`] and the SCBA
+    /// Feed the captured state to [`crate::dist::DistScbaSolver::run_warm`] and the SCBA
     /// loop starts at the neighbor's fixed point instead of `Σ = 0`
     /// (`quatrex-serve` builds its sweep engine on exactly this pair).
     pub capture_state: bool,
@@ -160,8 +160,8 @@ impl DistScbaConfig {
     }
 }
 
-/// Result of a distributed SCBA run: the sequential result fields plus the
-/// communication report.
+/// Result of a distributed SCBA run: the fields of [`crate::ScbaResult`]
+/// plus the communication report, the timeline and the captured state.
 #[derive(Debug)]
 pub struct DistScbaResult {
     /// Number of iterations performed.
@@ -169,11 +169,12 @@ pub struct DistScbaResult {
     /// True if the self-energy update fell below the tolerance.
     pub converged: bool,
     /// Relative self-energy update per iteration, summed in ascending
-    /// energy order on every rank: the sequential solver's bits at `P_S = 1`.
+    /// energy order on every rank: the same bits at any rank count at
+    /// `P_S = 1`.
     pub residual_history: Vec<f64>,
     /// Terminal current per iteration, summed the same way.
     pub current_history: Vec<f64>,
-    /// Final observables, identical to the sequential solver's.
+    /// Final observables.
     pub observables: Observables,
     /// Per-kernel FLOP counts summed over ranks.
     pub flops: FlopCounter,
@@ -182,7 +183,7 @@ pub struct DistScbaResult {
     /// Largest relative truncation weight seen by any W assembly.
     pub max_truncation_error: f64,
     /// Times the Σ update cleared its history and fell back to the damped
-    /// step (`quatrex_core::SigmaMixer::restarts`).
+    /// step (`crate::SigmaMixer::restarts`).
     pub mixing_restarts: usize,
     /// Measured communication report.
     pub report: DistReport,
@@ -192,7 +193,7 @@ pub struct DistScbaResult {
     /// [`DistScbaConfig::probe`] is false.
     pub timeline: Timeline,
     /// The run's final Σ/OBC state assembled over the full energy grid, for
-    /// warm-starting a nearby solve via [`crate::DistScbaSolver::run_warm`]. `None`
+    /// warm-starting a nearby solve via [`crate::dist::DistScbaSolver::run_warm`]. `None`
     /// unless [`DistScbaConfig::capture_state`] is set.
     pub final_state: Option<WarmState>,
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper spreads the `N_E` energy points across ranks (the first level of
 //! the decomposition, Section 5.1); within an energy group the spatial
-//! partitions form the second level ([`crate::spatial`]). Every energy
+//! partitions form the second level ([`crate::dist::spatial`]). Every energy
 //! performs the same per-kernel work in the workload model, so ownership is
 //! one equal-count split — a pure function of the counts that never changes
 //! during a run. The canonical elements and the energy batches of a rank are

@@ -14,15 +14,15 @@
 //! [`ElementSlab`], a convolution phase accumulates its output into another
 //! ([`ConvSeries`]), and the backward transposition ships that slab as is.
 
-use quatrex_core::convolution::causal_retarded_series;
+use crate::convolution::causal_retarded_series;
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_runtime::{CommHandle, CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
-use crate::rank::{RankCounters, RankState};
-use crate::slab::{ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
+use crate::dist::rank::{RankCounters, RankState};
+use crate::dist::slab::{ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
 
 /// Which way a transposition moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +234,7 @@ fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror
 /// once [`ConvSeries::finish`] ran — retarded component, in the layout the
 /// backward transposition ships. The lesser/greater series are running
 /// accumulators, filled batch by batch by the
-/// `quatrex_core::convolution::*_pair_accumulate` kernels while later batches are
+/// `crate::convolution::*_pair_accumulate` kernels while later batches are
 /// still in flight.
 pub(crate) struct ConvSeries {
     /// Race-detector id of the accumulators (the owning rank).
@@ -326,7 +326,7 @@ impl ConvSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slab::TranspositionBatchPlan;
+    use crate::dist::slab::TranspositionBatchPlan;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::ThreadComm;
 

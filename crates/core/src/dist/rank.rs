@@ -3,32 +3,32 @@
 //! [`rank_main`] is the closure body every rank of the communicator runs: it
 //! builds a [`RankState`] over the run's shared [`Problem`] and drives the
 //! five-step cycle — `G`, `P`, `W`, `Σ`, mix — one method per step. The mix
-//! is the update rule of `quatrex_core::mixing` in its three pieces, the rows
+//! is the update rule of `crate::mixing` in its three pieces, the rows
 //! of the owned energies gathered in rank order in between.
-//! The `G` and `W` steps speak the stage vocabulary of `quatrex_core::scba`:
+//! The `G` and `W` steps speak the stage vocabulary of `crate::scba`:
 //! *assemble one energy* (core), *solve the assembled systems* (the group
 //! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
 //! otherwise), *finish one energy* (core). Every rank runs every step on the
 //! energies and elements it owns under the plan — a constant of the run — and
 //! there is no distinguished rank in a group. The `P` and `Σ` steps run the
 //! element-major convolutions behind the transposition pipeline
-//! ([`crate::pipeline`]): the two closures in [`RankState::p_step`] and
-//! [`RankState::sigma_step`] are this crate's only calls into the
+//! ([`crate::dist::pipeline`]): the two closures in [`RankState::p_step`] and
+//! [`RankState::sigma_step`] are the loop's only calls into the
 //! convolution kernels — the same two
-//! `quatrex_core::convolution::*_pair_accumulate` functions the sequential
-//! drivers call with the whole grid as one batch.
+//! `crate::convolution::*_pair_accumulate` functions `polarization_from_g`
+//! and `self_energy_from_gw` call with the whole grid as one batch.
 
 use std::ops::Range;
 
-use parking_lot::Mutex;
-use quatrex_core::convolution::{
+use crate::convolution::{
     is_grid_batch, polarization_pair_accumulate, self_energy_pair_accumulate,
 };
-use quatrex_core::mixing::{MixRow, SigmaMixer, ROW_LEN};
-use quatrex_core::observables::{integrate_current, Observables, SpectralData};
-use quatrex_core::scba::{
+use crate::mixing::{MixRow, SigmaMixer, ROW_LEN};
+use crate::observables::{integrate_current, Observables, SpectralData};
+use crate::scba::{
     g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble, w_step_finish, ScbaConfig,
 };
+use parking_lot::Mutex;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::{ObcKey, ObcMemoizer, Subsystem};
@@ -38,11 +38,11 @@ use quatrex_rgf::{RgfBatchScratch, SelectedSolution};
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::config::DistScbaConfig;
-use crate::pipeline::{ConvSeries, Transposition, TRANSPOSITIONS};
-use crate::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
-use crate::spatial::{spatial_phase_solve, SpatialLayout};
-use crate::warm::WarmState;
+use crate::dist::config::DistScbaConfig;
+use crate::dist::pipeline::{ConvSeries, Transposition, TRANSPOSITIONS};
+use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
+use crate::dist::spatial::{spatial_phase_solve, SpatialLayout};
+use crate::dist::warm::WarmState;
 
 /// Everything the ranks of one run share, read-only (the FLOP accumulator is
 /// atomic).
@@ -92,7 +92,7 @@ pub(crate) struct SigmaState {
 }
 
 /// The additive per-rank measurements of a run, merged over ranks into the
-/// [`crate::DistReport`].
+/// [`crate::dist::DistReport`].
 #[derive(Default)]
 pub(crate) struct RankCounters {
     /// OBC memoizer solves answered from cache / in total.
@@ -488,9 +488,10 @@ impl<'a> RankState<'a> {
     /// Advance the owned Σ state by the update rule. Between *contribute* and
     /// *apply* the rows of the owned energies — with the G step's current
     /// spectrum riding along — are gathered in rank order (= ascending
-    /// energy), so every rank sums the grid exactly as the sequential driver's
+    /// energy), so every rank sums the grid exactly as a single-threaded
     /// energy loop does: coefficients, residual and per-iteration current come
-    /// out with its bits. Returns whether the loop converged.
+    /// out with the same bits at any rank count. Returns whether the loop
+    /// converged.
     fn mix(&mut self, [new_l, new_g, new_r]: [Vec<BlockTridiagonal>; 3]) -> bool {
         let (p, cfg) = (self.p, self.p.cfg());
         let new = |k: usize| [&new_l[k], &new_g[k], &new_r[k]];
@@ -531,8 +532,7 @@ impl<'a> RankState<'a> {
         let (ne, nb, de) = (p.energies.len(), p.h.n_blocks(), p.de);
         // The packed spectral data is gathered in rank order (= ascending
         // energy, as the plan's ranges ascend with the rank), so every rank
-        // can evaluate the observables with the sequential summation order
-        // exactly.
+        // can evaluate the observables in ascending energy order exactly.
         let gathered = self.ctx.allgather_tagged(
             std::mem::take(&mut self.spectral),
             |m| m.len() * BYTES_PER_VALUE,

@@ -3,11 +3,11 @@
 //! quantity from one ledger — bytes from the communicator's per-phase
 //! counters, seconds from the probe timeline, FLOPs from the `FlopCounter`.
 //! What a transposition should ship is not a model here but the plan's exact
-//! count, `crate::TranspositionPlan::transposition_bytes`.
+//! count, `crate::dist::TranspositionPlan::transposition_bytes`.
 
 use quatrex_probe::json::Json;
 
-/// Measured execution report of one [`crate::DistScbaSolver`] run.
+/// Measured execution report of one [`crate::dist::DistScbaSolver`] run.
 #[derive(Debug, Clone)]
 pub struct DistReport {
     /// Total flat communicator ranks (`energy_groups · spatial_partitions`).

@@ -24,14 +24,14 @@
 
 use std::ops::Range;
 
-use quatrex_core::convolution::{canonical_elements, ElementId};
-use quatrex_core::EnergyResolved;
+use crate::convolution::{canonical_elements, ElementId};
+use crate::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_runtime::CommPhase;
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::partition::partition_even;
-use crate::pipeline::TRANSPOSITIONS;
+use crate::dist::partition::partition_even;
+use crate::dist::pipeline::TRANSPOSITIONS;
 
 /// Bytes on the wire per complex value (complex128).
 pub const BYTES_PER_VALUE: usize = 16;
@@ -127,7 +127,7 @@ impl ElementSlab {
 
     /// The lesser/greater series of local element `e` and of its mirror,
     /// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]` — the operand layout of the
-    /// pair kernels in `quatrex_core::convolution`.
+    /// pair kernels in `crate::convolution`.
     pub fn pair(&self, e: usize) -> [[&[c64]; 2]; 2] {
         [&self.canonical, &self.mirror].map(|side| [&side[0][e][..], &side[1][e][..]])
     }
@@ -449,7 +449,7 @@ impl TranspositionBatchPlan {
 
     /// All global energy indices arriving in forward batch `b` (ascending —
     /// the ranks' ranges are ordered and disjoint). This is the batch view
-    /// the accumulation kernels in `quatrex_core::convolution` consume.
+    /// the accumulation kernels in `crate::convolution` consume.
     pub fn arrived_global(&self, plan: &TranspositionPlan, b: usize) -> Vec<usize> {
         let mut v = Vec::new();
         for r in 0..plan.n_ranks {
@@ -461,7 +461,7 @@ impl TranspositionBatchPlan {
 
 /// Write one scalar element of a BT quantity.
 fn set_element(bt: &mut BlockTridiagonal, id: ElementId, value: c64) {
-    use quatrex_core::convolution::BlockPos;
+    use crate::convolution::BlockPos;
     let block = match id.pos {
         BlockPos::Diag(i) => bt.diag_mut(i),
         BlockPos::Upper(i) => bt.upper_mut(i),

@@ -1,17 +1,17 @@
 //! The distributed SCBA driver.
 //!
-//! [`DistScbaSolver`] executes the same `G → P → W → Σ` cycle as
-//! `quatrex_core::ScbaSolver`, but across the ranks of a
-//! [`quatrex_runtime::ThreadComm`] communicator following the paper's
-//! two-level decomposition. The flat ranks form a
-//! `n_energy_groups × P_S` grid ([`crate::spatial::RankGrid`]):
+//! [`DistScbaSolver`] executes the `G → P → W → Σ` cycle across the ranks
+//! of a [`quatrex_runtime::ThreadComm`] communicator following the paper's
+//! two-level decomposition ([`crate::ScbaSolver::run`] is its one-group
+//! case). The flat ranks form a
+//! `n_energy_groups × P_S` grid ([`crate::dist::spatial::RankGrid`]):
 //!
 //! 1. every **rank** owns a contiguous slice of energy points (an
 //!    equal-count split over the flat ranks, fixed for the run; a group's
 //!    energies are the union of its members' slices) and assembles their
 //!    systems (OBC against a **per-rank
 //!    [`quatrex_obc::ObcMemoizer`]**); its group solves them
-//!    ([`crate::spatial::spatial_phase_solve`]: the local energy-batched RGF
+//!    ([`crate::dist::spatial::spatial_phase_solve`]: the local energy-batched RGF
 //!    solve in a one-member group; with `P_S > 1` concurrent interior
 //!    eliminations of the group's energies on every member, the reduced
 //!    boundary system of each energy assembled and solved on that energy's
@@ -25,7 +25,7 @@
 //!    again, the `Σ` convolutions run on the element slices, and
 //!    `Σ^≶`/`Σ^R` are transposed back to their energy owners;
 //! 4. the self-energies of the owned energies advance by the update rule of
-//!    `quatrex_core::mixing`; its per-energy rows — convergence norms, Gram
+//!    `crate::mixing`; its per-energy rows — convergence norms, Gram
 //!    sums, current spectrum — are gathered in rank order in between.
 //!
 //! No rank of a group is distinguished: ownership of energies and elements
@@ -36,23 +36,24 @@
 //! results into one [`DistScbaResult`]. The per-rank loop itself is
 //! `rank.rs`, its exchange pipeline `pipeline.rs`.
 //!
-//! Because every per-energy and per-element kernel is the *same function* the
-//! sequential driver calls (the assemble and finish stages of
-//! `g_step_batch`/`w_step_batch` around a solve of the same `kernel_chunks`,
-//! `polarization_pair_accumulate`, `self_energy_pair_accumulate` — whose
-//! whole-grid call *is* the sequential convolution —,
-//! `causal_retarded_series`, the three pieces of `SigmaMixer`) and every
-//! sum over the grid is taken in ascending energy order on every rank, the
-//! distributed state trajectory, residuals and per-iteration currents match
-//! the sequential ones bit for bit at `P_S = 1`. With `P_S > 1` the nested-dissection solver introduces an
+//! Every per-energy and per-element kernel is a public function of this
+//! crate (the assemble and finish stages of `g_step_batch`/`w_step_batch`
+//! around a solve of `kernel_chunks`, `polarization_pair_accumulate`,
+//! `self_energy_pair_accumulate` — whose whole-grid call *is*
+//! `polarization_from_g` / `self_energy_from_gw` —, `causal_retarded_series`,
+//! the three pieces of `SigmaMixer`), and every sum over the grid is taken in
+//! ascending energy order on every rank. So at `P_S = 1` the state
+//! trajectory, residuals and per-iteration currents are the same bits at any
+//! rank count, and equal to a single-threaded loop over those public
+//! functions. With `P_S > 1` the nested-dissection solver introduces an
 //! additional `≤1e-12`-relative reordering per solve. The equivalence tests
 //! pin the observables at `≤ 1e-10` relative either way.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::mixing::SigmaMixer;
 use parking_lot::Mutex;
-use quatrex_core::mixing::SigmaMixer;
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
@@ -60,13 +61,13 @@ use quatrex_probe::clock::Instant;
 use quatrex_probe::{RankTrace, Timeline};
 use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 
-use crate::config::{DistScbaConfig, DistScbaResult};
-use crate::pipeline::TRANSPOSITIONS;
-use crate::rank::{rank_main, Problem, RankCounters, RankOut};
-use crate::report::DistReport;
-use crate::slab::{TranspositionBatchPlan, TranspositionPlan};
-use crate::spatial::SpatialLayout;
-use crate::warm::WarmState;
+use crate::dist::config::{DistScbaConfig, DistScbaResult};
+use crate::dist::pipeline::TRANSPOSITIONS;
+use crate::dist::rank::{rank_main, Problem, RankCounters, RankOut};
+use crate::dist::report::DistReport;
+use crate::dist::slab::{TranspositionBatchPlan, TranspositionPlan};
+use crate::dist::spatial::SpatialLayout;
+use crate::dist::warm::WarmState;
 
 /// The distributed NEGF+scGW solver bound to one device and configuration.
 pub struct DistScbaSolver {

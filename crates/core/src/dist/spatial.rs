@@ -11,7 +11,7 @@
 //!
 //! [`spatial_phase_solve`] is the *group solve* — stage 2 of a step, between
 //! `quatrex_core`'s per-energy assemble and finish stages. In a one-member
-//! group it **is** the local batched solve (`quatrex_core::scba::solve_stage`
+//! group it **is** the local batched solve (`crate::scba::solve_stage`
 //! against the rank's scratch); otherwise it executes the per-energy selected
 //! solves of one phase (`G` or `W`) cooperatively, every message keyed by the
 //! **owner of the energy** and of a shape the layout and the members' energy
@@ -46,7 +46,7 @@
 
 use std::ops::Range;
 
-use quatrex_core::scba::{kernel_chunks, solve_accounting, solve_stage};
+use crate::scba::{kernel_chunks, solve_accounting, solve_stage};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::Subsystem;
@@ -59,7 +59,7 @@ use quatrex_rgf::{
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
+use crate::dist::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
 
 /// Number of lesser/greater right-hand sides of every per-energy solve
 /// (`X^<` and `X^>`).
@@ -205,7 +205,7 @@ fn update_blocks(part: &SpatialPartition) -> usize {
 /// and assembled; `member_energies[m]` is the number of energies spatial rank
 /// `m` of this rank's group brings to the solve (`systems.len()` at this
 /// rank's own index). With one member per group (`P_S = 1`) this is
-/// `quatrex_core::scba::solve_stage` against `scratch` — one energy-batched
+/// `crate::scba::solve_stage` against `scratch` — one energy-batched
 /// RGF solve, no communication. Otherwise the group's ranks cooperate:
 /// block-range distribution, concurrent interior eliminations of every
 /// energy of the group, the reduced boundary systems on each energy's owner,

@@ -1,6 +1,6 @@
 //! Serialisable converged-state bundle for warm-starting SCBA runs.
 //!
-//! A [`WarmState`] captures everything a new [`crate::DistScbaSolver`] run
+//! A [`WarmState`] captures everything a new [`crate::dist::DistScbaSolver`] run
 //! needs to resume the self-consistency loop near a previously converged
 //! fixed point: the per-energy scattering self-energies `Σ^<`, `Σ^>`, `Σ^R`
 //! over the full energy grid, plus the OBC memoizer cache entries extracted
@@ -11,7 +11,7 @@
 //!
 //! ## Wire format
 //!
-//! A flat `Vec<c64>` stream (16 bytes per value, [`crate::BYTES_PER_VALUE`]):
+//! A flat `Vec<c64>` stream (16 bytes per value, [`crate::dist::BYTES_PER_VALUE`]):
 //!
 //! ```text
 //! [ n_energies | n_blocks | block_size | n_obc ]          header, real parts
@@ -30,11 +30,11 @@ use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::{Contact, ObcKey, Subsystem};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
+use crate::dist::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
 
 /// Converged per-energy Σ state plus OBC cache of one SCBA solve, over the
 /// *full* energy grid (energy-major, global indices) — the unit a sweep
-/// engine hands back to [`crate::DistScbaSolver::run_warm`] to seed the next
+/// engine hands back to [`crate::dist::DistScbaSolver::run_warm`] to seed the next
 /// point, and the unit its checkpoints serialise.
 #[derive(Debug, Clone)]
 pub struct WarmState {

@@ -11,12 +11,15 @@
 //!   and the GW self-energy `Σ` from the Green's functions and screened
 //!   interaction via FFTs (Section 4.4), operating on the transposed
 //!   (element-major) data layout;
-//! * [`scba`] — the self-consistent Born approximation loop
-//!   `G → P → W → Σ → G → …` with on-the-fly symmetrisation (Section 5.2),
-//!   per-kernel FLOP and wall-time accounting matching the rows of Table 4,
-//!   and convergence control;
+//! * [`scba`] — the configuration, the per-energy stages of the G and W steps
+//!   with on-the-fly symmetrisation (Section 5.2) and FLOP accounting in the
+//!   categories of Table 4, and [`ScbaSolver`];
+//! * [`dist`] — the one SCBA loop `G → P → W → Σ → G → …`, run by every rank
+//!   of an `n_energy_groups × P_S` grid with four `Alltoallv`
+//!   transpositions per iteration (Sections 5.1–5.4); [`ScbaSolver::run`] is
+//!   its one-group case;
 //! * [`mixing`] — the one Σ update rule of that loop (Anderson-accelerated
-//!   damped mixing), in the three per-energy pieces both drivers call;
+//!   damped mixing), in the three per-energy pieces the loop calls;
 //! * [`observables`] — density of states, electron/hole densities and the
 //!   terminal current (Meir–Wingreen) derived from the selected Green's
 //!   function blocks (Section 4.5).
@@ -40,6 +43,7 @@
 
 pub mod assembly;
 pub mod convolution;
+pub mod dist;
 pub mod mixing;
 pub mod observables;
 pub mod scba;

@@ -1,4 +1,4 @@
-//! The Σ update rule of the SCBA loop — one rule, used by both drivers.
+//! The Σ update rule of the SCBA loop.
 //!
 //! With `x_k = [Σ^<, Σ^>, Σ^R]` (every energy) the self-energy fed to G-step
 //! `k`, `g_k` the Σ-step's output and `f_k = g_k − x_k`, the next iterate is
@@ -14,8 +14,8 @@
 //! `Σ^≶` anti-Hermitian and `Σ^R` the causal transform of `Σ^≶`, because both
 //! properties are preserved by real linear combinations.
 //!
-//! A mix is three pieces, called in this order by `ScbaSolver::run` and by
-//! every rank of `quatrex_dist`:
+//! A mix is three pieces, called in this order by every rank of the loop in
+//! [`crate::dist`]:
 //!
 //! 1. [`SigmaMixer::contribute`] per owned energy — completes the pending
 //!    difference pair in that energy's history and returns the energy's
@@ -23,11 +23,10 @@
 //!    `‖Δx‖²` and `‖Δg‖²`, of the Gram matrix `Δf_i·Δf_j` and of the
 //!    right-hand side `Δf_i·f`;
 //! 2. [`SigmaMixer::coefficients`] once, over the rows of the **whole grid in
-//!    ascending energy order** — the sequential driver has them in its energy
-//!    loop, the ranks gather them in rank order — so every caller adds the
-//!    same numbers in the same order and derives bit-identical `γ` and
-//!    residual; this is what keeps a distributed trajectory on the sequential
-//!    one bit for bit;
+//!    ascending energy order** — the ranks gather them in rank order — so
+//!    every caller adds the same numbers in the same order and derives
+//!    bit-identical `γ` and residual; this is what keeps the trajectory the
+//!    same bits at any rank count;
 //! 3. [`SigmaMixer::apply`] per owned energy — the damped step, minus the
 //!    history term.
 //!

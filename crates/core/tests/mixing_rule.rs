@@ -74,6 +74,7 @@ struct DampedRun {
     residual_history: Vec<f64>,
     current: f64,
     density: Vec<f64>,
+    flops: u64,
 }
 
 fn some(x: &[BlockTridiagonal]) -> Vec<Option<&BlockTridiagonal>> {
@@ -85,8 +86,10 @@ fn refs(x: &[BlockTridiagonal]) -> Vec<&BlockTridiagonal> {
 }
 
 /// `ScbaSolver::run` with the update rule replaced by a loop over
-/// `mix_sigma_energy`: the solver's steps, order and per-energy state, one
-/// kernel batch after the other.
+/// `mix_sigma_energy`: the solver's steps in its order, over the whole grid
+/// on one thread — one memoizer per energy, one kernel batch after the
+/// other, whole-grid convolutions. An independent loop: it shares only the
+/// public step functions with the rank loop `ScbaSolver::run` drives.
 fn damped_run(device: &Device, config: &ScbaConfig) -> DampedRun {
     let h = device.hamiltonian_bt();
     let mut v = device.coulomb_bt();
@@ -114,6 +117,7 @@ fn damped_run(device: &Device, config: &ScbaConfig) -> DampedRun {
         residual_history: Vec::new(),
         current: 0.0,
         density: Vec::new(),
+        flops: 0,
     };
 
     for _ in 0..config.max_iterations {
@@ -205,6 +209,7 @@ fn damped_run(device: &Device, config: &ScbaConfig) -> DampedRun {
             break;
         }
     }
+    out.flops = flops.total();
     out
 }
 
@@ -277,23 +282,39 @@ fn the_cold_sweep_point_converges_within_the_iteration_budget_to_the_damped_fixe
 
 #[test]
 fn a_two_iteration_run_is_the_damped_rule_bit_for_bit() {
-    let (device, config) = sweep_problem(2, 0.0);
-    let solver = ScbaSolver::new(device.clone(), config.clone()).run();
-    let plain = damped_run(&device, &config);
-    assert_eq!(solver.iterations, 2);
-    assert_eq!(
-        bits(&solver.residual_history),
-        bits(&plain.residual_history)
-    );
-    assert_eq!(
-        solver.observables.current.to_bits(),
-        plain.current.to_bits()
-    );
-    assert_eq!(
-        bits(&solver.observables.electron_density),
-        bits(&plain.density)
-    );
+    // Memoizer off and on, and chunk lengths that give `ScbaSolver::run`
+    // one rank per chunk up to the machine's cores: 12 energies in chunks
+    // of 5 or 8 are 3 or 2 chunks.
+    for (use_memoizer, kernel_batch) in [(false, 8), (true, 5), (true, 8)] {
+        let (device, mut config) = sweep_problem(2, 0.0);
+        config.use_memoizer = use_memoizer;
+        config.kernel_batch = kernel_batch;
+        let case = format!("memoizer {use_memoizer}, kernel_batch {kernel_batch}");
+        let solver = ScbaSolver::new(device.clone(), config.clone()).run();
+        let plain = damped_run(&device, &config);
+        assert_eq!(solver.iterations, 2, "{case}");
+        assert_eq!(
+            bits(&solver.residual_history),
+            bits(&plain.residual_history),
+            "{case}"
+        );
+        assert_eq!(
+            solver.observables.current.to_bits(),
+            plain.current.to_bits(),
+            "{case}"
+        );
+        assert_eq!(
+            bits(&solver.observables.electron_density),
+            bits(&plain.density),
+            "{case}"
+        );
+        assert_eq!(solver.flops.total(), plain.flops, "{case}");
+        if use_memoizer {
+            assert!(solver.memoizer_hit_rate > 0.0, "{case}");
+        }
+    }
     // …and it held no history to do so.
+    let (device, _) = sweep_problem(2, 0.0);
     let shape = device.hamiltonian_bt();
     let mixer = SigmaMixer::new(0.4, 2, 12, shape.n_blocks(), shape.block_size());
     assert_eq!(mixer.ring_len(), 0);

@@ -12,7 +12,7 @@
 //!   stored contiguously, energy-major: plane `e` occupies
 //!   `data[e·m·n .. (e+1)·m·n]`. This is exactly the layout an eventual
 //!   GPU/BLAS backend wants for `gemm_batched` and the layout the
-//!   transposition slabs of `quatrex-dist` already use per element.
+//!   transposition slabs of `quatrex_core::dist` already use per element.
 //! * [`gemm_batch`] — `C_e = alpha · op(A_e) · op(B_e) + beta · C_e` for all
 //!   planes in one call. A [`BatchOp::Shared`] operand is SoA-packed **once**
 //!   and reused by every plane (the per-energy path re-packs it `B` times);

@@ -53,7 +53,7 @@
 //! [`rgf_solve_batch_into`] against the caller's scratch; [`solve_systems`]
 //! does the same for the reduced systems. The thread driver
 //! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
-//! distributed driver (`quatrex-dist`) runs the same phase functions
+//! distributed driver (`quatrex_core::dist`) runs the same phase functions
 //! ([`eliminate_partition`], [`assemble_reduced_system`],
 //! [`recover_partition`], [`assemble_solution`]) on different ranks and
 //! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary

@@ -16,7 +16,7 @@
 //! energy-batched transpositions.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
@@ -141,9 +141,9 @@ fn current_observer(n_ranks: usize) -> Option<Arc<dyn CollectiveObserver>> {
         .map(|f| f(n_ranks))
 }
 
-/// Poll interval of observed blocking operations: long enough to stay off
-/// the hot path (a tick only happens when a rank is already stalled), short
-/// enough that a diagnosed deadlock surfaces promptly. Overridable via
+/// Poll interval of every blocking wait: long enough to stay off the hot
+/// path (a tick only happens when a rank is already stalled), short enough
+/// that a panicked peer or a diagnosed deadlock surfaces promptly. Overridable via
 /// `QUATREX_CHECK_TICK_MS` (default 20 ms) — CI shrinks it so seeded
 /// deadlocks are diagnosed fast, soak runs grow it to keep ticks rare.
 fn observed_poll_tick() -> Duration {
@@ -158,9 +158,9 @@ fn observed_poll_tick() -> Duration {
     })
 }
 
-/// A barrier whose waiters poll the observer instead of blocking
-/// indefinitely, so a deadlock is diagnosed rather than hung on. Only used
-/// when an observer is installed; unobserved runs keep `std::sync::Barrier`.
+/// A barrier whose waiters poll on every tick instead of blocking
+/// indefinitely, so a panicked peer or a deadlock ends the wait rather than
+/// hanging it.
 struct PollBarrier {
     // The poll barrier is the deadlock *diagnoser*; routing it through the
     // instrumented shim would make the watchdog's own blocking show up in the
@@ -212,6 +212,10 @@ impl PollBarrier {
         }
     }
 }
+
+/// Value of a communicator's poison flag while no rank has unwound; after
+/// that it holds the rank that unwound first.
+const CLEAN: usize = usize::MAX;
 
 /// The SCBA phase an `alltoall`/`alltoallv` belongs to. Tagging each call
 /// site splits the [`CommStats`] byte totals by transposition (fwd-G / bwd-P
@@ -370,10 +374,12 @@ pub struct RankContext<T: Send + 'static> {
     rank: usize,
     n_ranks: usize,
     mailboxes: Mailbox<T>,
-    barrier: Arc<std::sync::Barrier>,
-    /// Timeout-capable barrier used instead of `barrier` when an observer is
-    /// installed, so barrier waits can poll the deadlock detector.
-    poll_barrier: Option<Arc<PollBarrier>>,
+    /// The rendezvous barrier; its waits poll on every tick.
+    poll_barrier: Arc<PollBarrier>,
+    /// The communicator's poison flag: [`CLEAN`], or the first rank whose
+    /// closure unwound. Every blocking wait reads it on each poll tick, so
+    /// one panicking rank unwinds all of them.
+    poison: Arc<AtomicUsize>,
     /// Barrier used when this rank is registered with a
     /// `quatrex_sync::sched` exploration session: arrivals spin through
     /// `block_point` instead of blocking in the OS, so the scheduler keeps
@@ -511,14 +517,8 @@ impl<T: Send + 'static> RankContext<T> {
             // yield-barrier spins through the scheduler's block points.
             self.yield_barrier.wait();
         } else {
-            match (&self.poll_barrier, &self.observer) {
-                (Some(pb), Some(obs)) => {
-                    pb.wait(|| obs.on_blocked(self.rank, BlockedOn::Barrier));
-                }
-                _ => {
-                    self.barrier.wait();
-                }
-            }
+            self.poll_barrier
+                .wait(|| self.blocked_tick(BlockedOn::Barrier));
         }
         race::barrier_exit(token);
     }
@@ -631,15 +631,29 @@ impl<T: Send + 'static> RankContext<T> {
         self.next_post_seq.get() - self.next_wait_seq.get()
     }
 
-    /// Receive one message from `src` for exchange `seq`. Unobserved: a
-    /// plain blocking receive. Observed: a timeout loop that reports the
-    /// block to the observer on every tick, so an unmatched collective is
-    /// diagnosed as a deadlock instead of hanging the run.
+    /// One poll tick of a blocked wait: `Err` ends the wait. A peer that
+    /// unwound ends it first; otherwise the observer, when one is
+    /// installed, may diagnose the block as a deadlock.
+    fn blocked_tick(&self, blocked: BlockedOn) -> Result<(), String> {
+        let peer = self.poison.load(Ordering::Acquire);
+        if peer != CLEAN {
+            return Err(format!(
+                "rank {}: peer rank {peer} panicked while this rank was blocked ({blocked:?})",
+                self.rank
+            ));
+        }
+        match &self.observer {
+            Some(obs) => obs.on_blocked(self.rank, blocked),
+            None => Ok(()),
+        }
+    }
+
+    /// Receive one message from `src` for exchange `seq`: a timeout loop
+    /// that runs [`RankContext::blocked_tick`] on every tick, so a panicked
+    /// peer or an unmatched collective ends the wait instead of hanging the
+    /// run.
     fn recv_from(&self, src: usize, seq: u64) -> T {
         let rx = &self.mailboxes[self.rank][src].1;
-        let Some(obs) = &self.observer else {
-            return rx.recv().expect("peer alive"); // lint:allow(no-unwrap): rank threads outlive the run; a dead peer means a rank already panicked
-        };
         loop {
             match rx.recv_timeout(observed_poll_tick()) {
                 Ok(msg) => return msg,
@@ -647,8 +661,7 @@ impl<T: Send + 'static> RankContext<T> {
                     panic!("rank {}: peer {src} disconnected mid-collective", self.rank)
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if let Err(diagnostic) = obs.on_blocked(self.rank, BlockedOn::Recv { src, seq })
-                    {
+                    if let Err(diagnostic) = self.blocked_tick(BlockedOn::Recv { src, seq }) {
                         panic!("{diagnostic}");
                     }
                 }
@@ -658,8 +671,8 @@ impl<T: Send + 'static> RankContext<T> {
 
     /// Gather every rank's message on every rank (implemented as an
     /// `alltoallv` of clones), returned in rank order. Used for the ordered
-    /// reductions whose floating-point summation order must match the
-    /// sequential driver exactly.
+    /// reductions whose floating-point summation order must not depend on
+    /// the rank count.
     pub fn allgather_tagged(
         &self,
         value: T,
@@ -784,6 +797,11 @@ impl ThreadComm {
     /// Run `f` on `n_ranks` threads and collect the per-rank results in rank
     /// order, together with the communication statistics.
     ///
+    /// A rank whose closure panics unwinds every other rank: each blocking
+    /// wait sees the communicator's poison flag within one poll tick. The
+    /// run then re-raises the payload of the rank that panicked first, not a
+    /// peer's secondary panic.
+    ///
     /// When a process-global observer factory is installed (see
     /// [`set_observer_factory`]) the run is wrapped with a fresh observer —
     /// this is how `quatrex-check` slides its collective verifier under every
@@ -818,10 +836,8 @@ impl ThreadComm {
                 .map(|_| (0..n_ranks).map(|_| unbounded()).collect::<Vec<_>>())
                 .collect(),
         );
-        let barrier = Arc::new(std::sync::Barrier::new(n_ranks));
-        let poll_barrier = observer
-            .as_ref()
-            .map(|_| Arc::new(PollBarrier::new(n_ranks)));
+        let poll_barrier = Arc::new(PollBarrier::new(n_ranks));
+        let poison = Arc::new(AtomicUsize::new(CLEAN));
         let yield_barrier = Arc::new(sched::YieldBarrier::new(n_ranks));
         let reduce_slots = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(CommStats::with_ranks(n_ranks));
@@ -850,8 +866,8 @@ impl ThreadComm {
                 rank,
                 n_ranks,
                 mailboxes: Arc::clone(&mailboxes),
-                barrier: Arc::clone(&barrier),
-                poll_barrier: poll_barrier.clone(),
+                poll_barrier: Arc::clone(&poll_barrier),
+                poison: Arc::clone(&poison),
                 yield_barrier: Arc::clone(&yield_barrier),
                 observer: observer.clone(),
                 reduce_slots: Arc::clone(&reduce_slots),
@@ -864,32 +880,38 @@ impl ThreadComm {
             let f = Arc::clone(&f);
             let session = session.clone();
             let fork_point = fork_point.clone();
+            let poison = Arc::clone(&poison);
             let handle = std::thread::Builder::new()
                 .name(format!("quatrex-rank-{rank}"))
                 .spawn(move || {
                     let _session = session.map(|s| s.enter(rank as u64));
                     race::adopt(&fork_point);
-                    let out = f(ctx);
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
+                    if out.is_err() {
+                        // Only the first rank to unwind is recorded.
+                        let (acq_rel, acq) = (Ordering::AcqRel, Ordering::Acquire);
+                        let _ = poison.compare_exchange(CLEAN, rank, acq_rel, acq);
+                    }
                     (out, race::depart())
                 })
                 .expect("spawn rank thread"); // lint:allow(no-unwrap): thread spawn only fails on resource exhaustion
             handles.push(handle);
         }
         let mut results = Vec::with_capacity(n_ranks);
-        let mut first_panic = None;
-        for h in handles {
+        let mut panics = Vec::new();
+        for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
-                Ok((r, join_point)) => {
+                Ok((Ok(r), join_point)) => {
                     race::join(join_point);
                     results.push(r);
                 }
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
+                Ok((Err(payload), _)) | Err(payload) => panics.push((rank, payload)),
             }
         }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
+        if !panics.is_empty() {
+            let first = poison.load(Ordering::Acquire);
+            let at = panics.iter().position(|(r, _)| *r == first);
+            std::panic::resume_unwind(panics.swap_remove(at.unwrap_or(0)).1);
         }
         if let Some(obs) = &observer {
             if let Err(diagnostic) = obs.on_comm_done() {
@@ -1172,6 +1194,50 @@ mod tests {
             assert_eq!(posts[0].bytes, 16);
             assert_eq!(waits[0].bytes, 16);
         }
+    }
+
+    /// Run `wait` on rank 0 while rank 1 panics. The run must end within
+    /// 10 s and re-raise rank 1's payload, not rank 0's secondary panic.
+    /// Whether rank 1 unwinds before or after rank 0 starts waiting, rank 0
+    /// leaves its wait through the same poll-tick check.
+    fn a_panicking_peer_unwinds(wait: fn(&RankContext<u64>)) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let err = std::panic::catch_unwind(|| {
+                ThreadComm::run(2, move |ctx: RankContext<u64>| {
+                    if ctx.rank() == 1 {
+                        panic!("rank 1 failed");
+                    }
+                    wait(&ctx);
+                })
+            })
+            .expect_err("the panic reaches the caller");
+            let _ = tx.send(err.downcast_ref::<&str>().map(|s| s.to_string()));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run ended within 10 s");
+        run.join().expect("the runner thread returned");
+        assert_eq!(payload.as_deref(), Some("rank 1 failed"));
+    }
+
+    #[test]
+    fn a_panicking_rank_unwinds_a_peer_blocked_in_alltoallv() {
+        a_panicking_peer_unwinds(|ctx| {
+            ctx.alltoallv_tagged(vec![0; ctx.n_ranks()], |_| 8, CommPhase::Other);
+        });
+    }
+
+    #[test]
+    fn a_panicking_rank_unwinds_a_peer_blocked_in_a_barrier() {
+        a_panicking_peer_unwinds(|ctx| ctx.barrier());
+    }
+
+    #[test]
+    fn a_panicking_rank_unwinds_a_peer_blocked_in_allreduce() {
+        a_panicking_peer_unwinds(|ctx| {
+            ctx.allreduce_sum(1.0);
+        });
     }
 
     #[test]

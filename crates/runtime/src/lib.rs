@@ -11,7 +11,7 @@
 //! threads, providing the `Alltoall`, `Allreduce` and barrier primitives the
 //! solver needs, with exact byte accounting per [`CommPhase`] tag. What a
 //! transposition should ship is the plan's business
-//! (`quatrex_dist::TranspositionPlan::transposition_bytes`); this crate only
+//! (`quatrex_core::dist::TranspositionPlan::transposition_bytes`); this crate only
 //! counts what was shipped.
 //!
 //! The entry point is [`ThreadComm::run`]: it executes one closure per

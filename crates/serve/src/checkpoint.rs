@@ -23,7 +23,7 @@
 //! ```
 //!
 //! The warm-state wire section is byte-for-byte the
-//! [`quatrex_dist::WarmState`] stream, so a resumed engine warm-starts its remaining points from exactly the
+//! [`quatrex_core::dist::WarmState`] stream, so a resumed engine warm-starts its remaining points from exactly the
 //! state the interrupted run would have used. Phase timings are *not*
 //! checkpointed: they are measurements of a run, not solver state.
 //!
@@ -31,7 +31,7 @@
 //! payload byte, a fingerprint from a different device — decodes to a named
 //! [`SweepError`], never a panic.
 
-use quatrex_dist::WarmStateWireError;
+use quatrex_core::dist::WarmStateWireError;
 use quatrex_linalg::c64;
 
 /// File magic of the sweep checkpoint format.

@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 use std::path::Path;
 
+use quatrex_core::dist::{DistScbaConfig, DistScbaSolver, WarmState};
 use quatrex_core::ScbaConfig;
 use quatrex_device::{Device, EnergyGrid};
-use quatrex_dist::{DistScbaConfig, DistScbaSolver, WarmState};
 use quatrex_probe::clock::Instant;
 
 use crate::checkpoint::{

@@ -11,11 +11,11 @@
 //! A [`SweepEngine`] owns one device and a queue of [`SweepPoint`]s (bias
 //! and/or temperature). Each point instantiates the device through the
 //! existing potential-ramp knob (`Device::with_drain_bias`), shifts the
-//! drain chemical potential, and runs a [`quatrex_dist::DistScbaSolver`]
+//! drain chemical potential, and runs a [`quatrex_core::dist::DistScbaSolver`]
 //! over the configured `n_energy_groups × P_S` rank grid — **seeded from
 //! the converged state of the nearest finished neighbor** (a point that
 //! stopped at the iteration cap or diverged seeds nobody). The seed is a
-//! [`quatrex_dist::WarmState`]: per-energy `Σ^<`/`Σ^>`/`Σ^R` plus the OBC
+//! [`quatrex_core::dist::WarmState`]: per-energy `Σ^<`/`Σ^>`/`Σ^R` plus the OBC
 //! memoizer cache. Near a neighbor's fixed point the SCBA loop skips the slow
 //! early contraction, so the sweep's total iterations drop — the crate's
 //! headline number, recorded per sweep as the warm-vs-cold iteration ratio.

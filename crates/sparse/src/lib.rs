@@ -23,7 +23,7 @@
 //!
 //! (The NEGF anti-Hermitian symmetry `X≶_ij = −X≶*_ji` of paper Section 5.2 is
 //! exploited where it pays — in the transposition wire format of
-//! `quatrex-dist`, which ships only the canonical half of every pair.)
+//! `quatrex_core::dist`, which ships only the canonical half of every pair.)
 
 pub mod banded;
 pub mod tridiag;

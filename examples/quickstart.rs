@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::time::Instant;
+
 use quatrex::prelude::*;
 
 fn main() {
@@ -31,26 +33,30 @@ fn main() {
     let solver = ScbaSolver::new(device, config);
 
     // Ballistic reference (Σ = 0).
+    let t = Instant::now();
     let ballistic = solver.ballistic();
     println!(
-        "\nballistic:  current = {:.6e} (e/hbar eV), total DOS integral = {:.4}",
+        "\nballistic:  current = {:.6e} (e/hbar eV), total DOS integral = {:.4}, {:.3} s",
         ballistic.observables.current,
-        ballistic.observables.spectral.dos.iter().sum::<f64>()
+        ballistic.observables.spectral.dos.iter().sum::<f64>(),
+        t.elapsed().as_secs_f64()
     );
 
     // Self-consistent GW.
+    let t = Instant::now();
     let gw = solver.run();
+    let seconds = t.elapsed().as_secs_f64();
     println!(
-        "NEGF+scGW:  current = {:.6e} after {} iterations (converged: {})",
+        "NEGF+scGW:  current = {:.6e} after {} iterations (converged: {}), {seconds:.3} s",
         gw.observables.current, gw.iterations, gw.converged
     );
     println!("residual history: {:?}", gw.residual_history);
     println!("memoizer hit rate: {:.0}%", 100.0 * gw.memoizer_hit_rate);
-
-    println!("\nper-kernel wall time of the run:");
-    for (label, seconds) in gw.timings.breakdown() {
-        println!("  {label:<24} {seconds:>9.4} s");
-    }
+    println!(
+        "{:.2} GFLOP/s over {:.3e} FLOPs",
+        gw.flops.total() as f64 / seconds / 1e9,
+        gw.flops.total() as f64
+    );
 
     println!("\nelectron density per transport cell (GW):");
     for (i, n) in gw.observables.electron_density.iter().enumerate() {

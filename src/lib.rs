@@ -22,8 +22,8 @@
 //! ```
 
 pub use quatrex_core as core;
+pub use quatrex_core::dist;
 pub use quatrex_device as device;
-pub use quatrex_dist as dist;
 pub use quatrex_fft as fft;
 pub use quatrex_linalg as linalg;
 pub use quatrex_obc as obc;
@@ -35,9 +35,11 @@ pub use quatrex_sparse as sparse;
 
 /// Commonly used types for writing simulations against QuaTrEx-RS.
 pub mod prelude {
+    pub use quatrex_core::dist::{
+        DistReport, DistScbaConfig, DistScbaResult, DistScbaSolver, WarmState,
+    };
     pub use quatrex_core::{ObcMethod, Observables, ScbaConfig, ScbaResult, ScbaSolver};
     pub use quatrex_device::{Device, DeviceBuilder, DeviceCatalog, DeviceParams, EnergyGrid};
-    pub use quatrex_dist::{DistReport, DistScbaConfig, DistScbaResult, DistScbaSolver, WarmState};
     pub use quatrex_linalg::{c64, CMatrix};
     pub use quatrex_obc::ObcMemoizer;
     pub use quatrex_probe::Timeline;
