@@ -20,14 +20,13 @@
 
 use std::ops::Range;
 
+use crate::assembly::w_step_assemble;
 use crate::convolution::{
     is_grid_batch, polarization_pair_accumulate, self_energy_pair_accumulate,
 };
 use crate::mixing::{MixRow, SigmaMixer, ROW_LEN};
 use crate::observables::{integrate_current, Observables, SpectralData};
-use crate::scba::{
-    g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble, w_step_finish, ScbaConfig,
-};
+use crate::scba::{g_step_assemble, g_step_finish, kernel_chunks, w_step_finish, ScbaConfig};
 use parking_lot::Mutex;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};

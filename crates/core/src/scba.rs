@@ -33,7 +33,7 @@ use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::assembly::{assemble_g, assemble_w, GAssembly, ObcMethod, WAssembly};
+use crate::assembly::{assemble_g, w_step_assemble, GAssembly, ObcMethod, WAssembly};
 use crate::dist::{DistScbaConfig, DistScbaSolver};
 use crate::observables::{current_spectrum_left, local_dos, Observables};
 
@@ -155,29 +155,6 @@ pub fn g_step_assemble(
             config.mu_right,
             kt,
             ObcMethod::SanchoRubio,
-            memoizer,
-            flops,
-        )
-    })
-}
-
-/// Stage 1 of the W-step: assemble `I − V·P^R` with its OBCs (the retarded
-/// boundary by Beyn) at one boson energy from `p = [P^R, P^<, P^>]`.
-pub fn w_step_assemble(
-    coulomb: &BlockTridiagonal,
-    p: [&BlockTridiagonal; 3],
-    energy_index: usize,
-    memoizer: Option<&mut ObcMemoizer>,
-    flops: &FlopCounter,
-) -> WAssembly {
-    quatrex_probe::span("w.assembly", "w.assembly", || {
-        assemble_w(
-            coulomb,
-            p[0],
-            p[1],
-            p[2],
-            energy_index,
-            ObcMethod::Beyn,
             memoizer,
             flops,
         )
