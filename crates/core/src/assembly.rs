@@ -30,9 +30,8 @@ use quatrex_linalg::ops::{
 };
 use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
 use quatrex_obc::{
-    beyn, fixed_point, greater_from_retarded, lesser_from_retarded, lyapunov_doubling,
-    lyapunov_fixed_point, pevp_direct, sancho_rubio, BeynConfig, Contact, ObcError, ObcKey,
-    ObcMemoizer, ObcSolution, Subsystem,
+    beyn, fixed_point, greater_from_retarded, lesser_from_retarded, lyapunov_doubling, pevp_direct,
+    sancho_rubio, BeynConfig, Contact, ObcError, ObcKey, ObcMemoizer, ObcSolution, Subsystem,
 };
 use quatrex_sparse::{BlockBanded, BlockTridiagonal};
 
@@ -194,7 +193,7 @@ fn solve_surface(
         // lint:allow(per-energy-gemm): see above.
         gemm(&mut rhs, -ONE, Op::None(&nx), Op::None(nprime), ONE);
         if lu.invert_into(&rhs, out).is_err() {
-            *out = x.clone();
+            out.fill_with(|| c64::new(f64::NAN, f64::NAN));
         }
     };
     memoized(memoizer, step, || {
@@ -421,12 +420,10 @@ pub fn w_step_assemble(
                     component,
                     energy_index,
                 };
+                // One substitution step w ↦ q − a·w·a†.
                 let step = |x: &CMatrix, out: &mut CMatrix| {
                     flops.add(FlopKind::WLyapunov, 2 * block_gemm);
-                    match lyapunov_fixed_point(&a, &q, Some(x), 1e-30, 1) {
-                        Ok((w, _, _)) => *out = w,
-                        Err(_) => *out = x.clone(),
-                    }
+                    *out = &q - &congruence(&a, x);
                 };
                 let direct = || {
                     lyapunov_doubling(&a, &q, 1e-12, 60)
@@ -595,22 +592,23 @@ mod tests {
         assert_eq!((memo.stats().direct_calls, memo.stats().hits()), (2, 2));
     }
 
+    /// A small, physically-shaped polarisation `[P^R, P^<, P^>]` scaled by
+    /// `scale`: anti-Hermitian lesser parts and a damped retarded part.
+    fn polarisation(nb: usize, bs: usize, scale: f64) -> [BlockTridiagonal; 3] {
+        [cplx(0.05, -0.02), cplx(0.0, 0.03), cplx(0.0, -0.04)].map(|d| {
+            let mut p = BlockTridiagonal::zeros(nb, bs);
+            for i in 0..nb {
+                p.set_block(i, i, CMatrix::scaled_identity(bs, d * scale));
+            }
+            p
+        })
+    }
+
     #[test]
     fn w_assembly_is_well_posed_and_nearly_exact() {
         let (h, v) = device_bt();
-        let nb = h.n_blocks();
-        let bs = h.block_size();
         let flops = FlopCounter::new();
-        // A small, physically-shaped polarisation: anti-Hermitian lesser parts
-        // and a damped retarded part.
-        let mut p_r = BlockTridiagonal::zeros(nb, bs);
-        let mut p_l = BlockTridiagonal::zeros(nb, bs);
-        let mut p_g = BlockTridiagonal::zeros(nb, bs);
-        for i in 0..nb {
-            p_r.set_block(i, i, CMatrix::scaled_identity(bs, cplx(0.05, -0.02)));
-            p_l.set_block(i, i, CMatrix::scaled_identity(bs, cplx(0.0, 0.03)));
-            p_g.set_block(i, i, CMatrix::scaled_identity(bs, cplx(0.0, -0.04)));
-        }
+        let [p_r, p_l, p_g] = polarisation(h.n_blocks(), h.block_size(), 1.0);
         let asm = w_step_assemble(&v, [&p_r, &p_l, &p_g], 0, None, &flops);
         assert!(
             asm.truncation_error < 0.2,
@@ -624,5 +622,70 @@ mod tests {
         assert!(flops.get(FlopKind::WAssemblyRhs) > 0);
         assert!(flops.get(FlopKind::WBeyn) > 0);
         assert!(flops.get(FlopKind::WLyapunov) > 0);
+    }
+
+    #[test]
+    fn memoized_w_assembly_follows_a_changed_polarisation() {
+        // The memoizer caches the boundary solutions of P; assembled again
+        // with 1.3·P, its refined (or re-solved) boundary terms must be the
+        // direct ones to within its refinement tolerance.
+        let (h, v) = device_bt();
+        let (nb, bs) = (h.n_blocks(), h.block_size());
+        let flops = FlopCounter::new();
+        let [p_r, p_l, p_g] = polarisation(nb, bs, 1.0);
+        let mut memo = ObcMemoizer::new(20, 1e-10);
+        w_step_assemble(&v, [&p_r, &p_l, &p_g], 0, Some(&mut memo), &flops);
+        let [p_r, p_l, p_g] = polarisation(nb, bs, 1.3);
+        let warm = w_step_assemble(&v, [&p_r, &p_l, &p_g], 0, Some(&mut memo), &flops);
+        let direct = w_step_assemble(&v, [&p_r, &p_l, &p_g], 0, None, &flops);
+        let pairs = [
+            (&warm.system, &direct.system),
+            (&warm.rhs_lesser, &direct.rhs_lesser),
+            (&warm.rhs_greater, &direct.rhs_greater),
+        ];
+        for (k, (got, want)) in pairs.into_iter().enumerate() {
+            for (b, (g, w)) in got.blocks().zip(want.blocks()).enumerate() {
+                let rel = g.distance(w) / w.norm_fro().max(1e-300);
+                assert!(
+                    rel <= 1e-8,
+                    "matrix {k} block {b}: {rel:e} off the direct solve"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_memoized_step_falls_back_to_the_direct_solve() {
+        // A cached surface function x with m − n·x·n′ = 0: the fixed-point
+        // step is undefined there and must not read as converged.
+        let m = CMatrix::from_fn(3, 3, |i, j| {
+            if i == j {
+                cplx(0.4 * i as f64 - 0.3, 1e-3)
+            } else {
+                cplx(-0.1, 0.0)
+            }
+        });
+        let n = CMatrix::scaled_identity(3, cplx(-0.5, 0.0));
+        let key = ObcKey {
+            contact: Contact::Left,
+            subsystem: Subsystem::Electron,
+            component: 0,
+            energy_index: 0,
+        };
+        let mut memo = ObcMemoizer::new(20, 1e-8);
+        memo.insert_cached(key, m.scaled(cplx(4.0, 0.0)));
+        let flops = FlopCounter::new();
+        let memo_key = Some((&mut memo, key));
+        let x = solve_surface(
+            &m,
+            &n,
+            &n,
+            ObcMethod::SanchoRubio,
+            memo_key,
+            &flops,
+            FlopKind::GObc,
+        );
+        assert_eq!((memo.stats().direct_calls, memo.stats().hits()), (1, 0));
+        assert!(quatrex_obc::surface_residual(&x, &m, &n, &n) < 1e-8);
     }
 }

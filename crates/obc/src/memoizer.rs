@@ -181,7 +181,10 @@ impl ObcMemoizer {
     ///
     /// * `iterate` applies **one** step of the fixed-point map, writing
     ///   `F(x)` into the provided output buffer (so refinement steps recycle
-    ///   two ping-pong buffers instead of allocating a matrix per step);
+    ///   two ping-pong buffers instead of allocating a matrix per step). A
+    ///   step that cannot be taken (`F` undefined at `x`) writes NaN: a
+    ///   non-finite change never compares below a tolerance, so the solve
+    ///   falls back to `direct`;
     /// * `direct` produces the solution from scratch with the robust solver.
     ///
     /// If a cached solution exists, one trial refinement estimates the
@@ -318,6 +321,23 @@ mod tests {
         assert_eq!(memo.stats().direct_calls, 1);
         assert_eq!(memo.stats().memoized_calls, 1);
         assert!(memo.stats().hit_rate() > 0.49);
+    }
+
+    #[test]
+    fn a_step_that_writes_nan_falls_back_to_the_direct_solver() {
+        let (m, n) = contraction_problem();
+        let mut memo = ObcMemoizer::new(10, 1e-10);
+        let direct = || inverse(&m).unwrap();
+        memo.solve(
+            key(0),
+            |x, out: &mut CMatrix| *out = step(&m, &n, x),
+            direct,
+        );
+        let nan = |_: &CMatrix, out: &mut CMatrix| out.fill_with(|| cplx(f64::NAN, f64::NAN));
+        let (x, mode) = memo.solve(key(0), nan, direct);
+        assert_eq!(mode, ObcMode::Direct);
+        assert_eq!(x, direct());
+        assert_eq!((memo.stats().direct_calls, memo.stats().hits()), (2, 0));
     }
 
     #[test]

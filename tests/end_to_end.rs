@@ -43,8 +43,14 @@ fn ballistic_current_increases_with_bias() {
 
 #[test]
 fn scba_converges_and_respects_physical_invariants() {
-    let device = tiny_device();
-    let res = ScbaSolver::new(device, fast_config(16, 10)).run();
+    let run = |use_memoizer: bool| {
+        let config = ScbaConfig {
+            use_memoizer,
+            ..fast_config(16, 10)
+        };
+        ScbaSolver::new(tiny_device(), config).run()
+    };
+    let (res, direct) = (run(true), run(false));
     assert!(res.iterations >= 2);
     // DOS non-negative at every energy.
     for dos in &res.observables.spectral.dos {
@@ -54,10 +60,18 @@ fn scba_converges_and_respects_physical_invariants() {
     for n in &res.observables.electron_density {
         assert!(*n >= -1e-8 && n.is_finite());
     }
-    // Residuals shrink.
-    let first = res.residual_history.first().unwrap();
-    let last = res.residual_history.last().unwrap();
-    assert!(last <= first);
+    // The toy device's SCBA map is not contractive at this interaction (the
+    // residual grows with direct OBC solves too): convergence is asserted on
+    // the contractive problem of `memoizer_does_not_change_the_physics`. Here
+    // the memoized boundary solves must reproduce the direct ones' trajectory.
+    assert!(res.residual_history.len() >= 6 && direct.residual_history.len() >= 6);
+    let pairs = res.residual_history.iter().zip(&direct.residual_history);
+    for (k, (with, without)) in pairs.take(6).enumerate() {
+        assert!(
+            (with - without).abs() <= 1e-3 * without.abs(),
+            "iteration {k}: residual {with} with the memoizer, {without} without"
+        );
+    }
 }
 
 #[test]
@@ -79,6 +93,10 @@ fn memoizer_does_not_change_the_physics() {
     };
     let (with, without) = (run(true), run(false));
     assert!(with.converged && without.converged);
+    for r in [&with, &without] {
+        let (first, last) = (r.residual_history[0], r.residual_history.last().unwrap());
+        assert!(*last < first, "residuals {:?}", r.residual_history);
+    }
     assert!(with.memoizer_hit_rate > 0.5 && without.memoizer_hit_rate == 0.0);
     let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
     let current = rel(with.observables.current, without.observables.current);
