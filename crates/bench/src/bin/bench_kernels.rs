@@ -19,7 +19,7 @@
 //!   energy-independent operand packed once ([`BatchOp::Shared`]), same
 //!   sizes: the batch layer's shared-operand path, which no library code
 //!   multiplies with today (the W assembly runs `BlockBanded::multiply` per
-//!   energy; ROADMAP item 2 is to move it here).
+//!   energy; ROADMAP item 3 is to move it here).
 //! * **small_blocks** — the size class of the RGF's two layouts at
 //!   `N_BS ∈ {8, 12, 16}` × `B ∈ {1, 4, 6, 8}`: one product `C_e = A_e · B_e`
 //!   on energy-major planes (`gemm_batch`, `plane_*`) and on the

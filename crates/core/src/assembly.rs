@@ -176,7 +176,8 @@ fn solve_surface(
 ) -> CMatrix {
     let dim = m.nrows();
     // One fixed-point step x ↦ (m − n·x·n')⁻¹, written into the memoizer's
-    // ping-pong buffer with reused LU/product scratch.
+    // ping-pong buffer with reused LU/product scratch. Where m − n·x·n' is
+    // singular the map is undefined, and NaN sends the solve to the cascade.
     let mut lu = LuScratch::new();
     let mut nx = CMatrix::zeros(dim, dim);
     let mut rhs = CMatrix::zeros(dim, dim);
@@ -246,7 +247,7 @@ fn surface_cascade(
             return s.x;
         }
     }
-    // Last resort, reached when every solver failed: never abort the energy loop.
+    // Never abort the energy loop.
     // lint:allow(allocating-inverse): last resort of the cascade, reached when every solver failed.
     quatrex_linalg::lu::inverse(m).expect("lead onsite block must be invertible")
 }
