@@ -9,18 +9,23 @@
 //!
 //! Both systems attach their two contacts through one routine, `attach_leads`:
 //! per contact it solves the surface problem Eq. (4) (memoized across SCBA
-//! iterations, Section 5.3, or by a cascade of direct solvers — Sancho–Rubio
-//! first for the electrons, Beyn for the screened interaction), forms the
-//! retarded boundary block `n·x·n′` and subtracts it from the end block. The
-//! electron lesser/greater boundary terms then follow from the
-//! fluctuation–dissipation theorem, the screened-interaction ones from the
-//! discrete Lyapunov equation Eq. (7), in one loop over the two leads.
+//! iterations, Section 5.3, or by [`quatrex_obc::surface_cascade`] —
+//! Sancho–Rubio first for the electrons; for the screened interaction a
+//! Sancho–Rubio attempt of two doublings, which answers weakly coupled leads,
+//! then Beyn), forms the retarded boundary block `n·x·n′` and subtracts it
+//! from the end block. The electron lesser/greater boundary terms then follow
+//! from the fluctuation–dissipation theorem, the screened-interaction ones
+//! from the discrete Lyapunov equation Eq. (7), in one loop over the two leads.
 //!
-//! The `V·P^R` and `V·P≶·V†` products are evaluated exactly as banded products
-//! (bandwidths 2 and 3 at transport-cell granularity) and then truncated back
-//! to the block-tridiagonal pattern of `W`; with the paper's `r_cut` well below
-//! one transport-cell length the dropped corner blocks are negligible, and the
-//! truncated fraction is reported so it can be monitored.
+//! `V·P^R` and `V·P≶·V†` (bandwidths 2 and 3 at transport-cell granularity)
+//! are formed straight from the tridiagonal operands at the block pairs
+//! `|i − j| ≤ 1` the system of `W` keeps, each block in the exact banded
+//! product's summation order. With the paper's `r_cut` well below one
+//! transport-cell length the dropped corner blocks are negligible; the
+//! truncation monitor computes them on a sample of energies and reports the
+//! dropped fraction of the Frobenius weight.
+
+use std::ops::RangeInclusive;
 
 use quatrex_device::fermi;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
@@ -30,20 +35,12 @@ use quatrex_linalg::ops::{
 };
 use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
 use quatrex_obc::{
-    beyn, fixed_point, greater_from_retarded, lesser_from_retarded, lyapunov_doubling, pevp_direct,
-    sancho_rubio, BeynConfig, Contact, ObcError, ObcKey, ObcMemoizer, ObcSolution, Subsystem,
+    greater_from_retarded, lesser_from_retarded, lyapunov_doubling, surface_cascade, Contact,
+    ObcKey, ObcMemoizer, Subsystem,
 };
-use quatrex_sparse::{BlockBanded, BlockTridiagonal};
+use quatrex_sparse::BlockTridiagonal;
 
-/// Which retarded OBC algorithm plays the role of the "direct" solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObcMethod {
-    /// Sancho–Rubio decimation (robust default for the electron subsystem).
-    SanchoRubio,
-    /// Beyn contour integration (used for the screened interaction, whose
-    /// Bloch factors are strongly evanescent).
-    Beyn,
-}
+pub use quatrex_obc::ObcMethod;
 
 /// Assembled electron system for one energy point.
 pub struct GAssembly {
@@ -73,15 +70,12 @@ pub struct WAssembly {
 /// Build `(E+iη)·I − H` as a block-tridiagonal matrix (the MLWF overlap is the
 /// identity, Section 4.1). At `E = 1`, `η = 0` this is `I − V·P^R` for `H = V·P^R`.
 pub fn bare_system(h: &BlockTridiagonal, energy: f64, eta: f64) -> BlockTridiagonal {
-    let nb = h.n_blocks();
-    let bs = h.block_size();
     let mut m = h.clone();
     m.scale_mut(c64::new(-1.0, 0.0));
-    let shift = c64::new(energy, eta);
-    for i in 0..nb {
+    for i in 0..m.n_blocks() {
         let d = m.diag_mut(i);
-        for k in 0..bs {
-            d[(k, k)] += shift;
+        for k in 0..d.nrows() {
+            d[(k, k)] += c64::new(energy, eta);
         }
     }
     m
@@ -198,58 +192,10 @@ fn solve_surface(
         }
     };
     memoized(memoizer, step, || {
-        surface_cascade(m, n, nprime, method, flops, kind)
+        let (x, cascade_flops) = surface_cascade(m, n, nprime, method);
+        flops.add(kind, cascade_flops);
+        x
     })
-}
-
-/// One retarded surface solver of the cascade.
-type SurfaceSolver = fn(&CMatrix, &CMatrix, &CMatrix) -> Result<ObcSolution, ObcError>;
-
-/// The robust direct solve: the configured method first, then the distinct
-/// alternatives, then progressively looser fixed-point iterations. A lead
-/// problem perturbed by the GW self-energy can defeat any single method at
-/// isolated energy points; the cascade guarantees a usable surface function
-/// without aborting the energy loop.
-fn surface_cascade(
-    m: &CMatrix,
-    n: &CMatrix,
-    nprime: &CMatrix,
-    method: ObcMethod,
-    flops: &FlopCounter,
-    kind: FlopKind,
-) -> CMatrix {
-    const SANCHO_RUBIO: SurfaceSolver = |m, n, np| sancho_rubio(m, n, np, 1e-9, 400);
-    const SANCHO_RUBIO_LOOSE: SurfaceSolver = |m, n, np| sancho_rubio(m, n, np, 1e-8, 600);
-    const BEYN: SurfaceSolver = |m, n, np| beyn(m, n, np, &BeynConfig::default());
-    const FIXED_POINT: SurfaceSolver = |m, n, np| fixed_point(m, n, np, None, 1e-6, 3000);
-    // A loosely converged fixed point: physically a slightly broadened lead.
-    const FIXED_POINT_LOOSE: SurfaceSolver = |m, n, np| fixed_point(m, n, np, None, 1e-3, 5000);
-    let cascade: &[SurfaceSolver] = match method {
-        ObcMethod::SanchoRubio => &[
-            SANCHO_RUBIO,
-            SANCHO_RUBIO_LOOSE,
-            BEYN,
-            pevp_direct,
-            FIXED_POINT,
-            FIXED_POINT_LOOSE,
-        ],
-        ObcMethod::Beyn => &[
-            BEYN,
-            SANCHO_RUBIO_LOOSE,
-            pevp_direct,
-            FIXED_POINT,
-            FIXED_POINT_LOOSE,
-        ],
-    };
-    for solve in cascade {
-        if let Ok(s) = solve(m, n, nprime) {
-            flops.add(kind, s.flops);
-            return s.x;
-        }
-    }
-    // Never abort the energy loop.
-    // lint:allow(allocating-inverse): last resort of the cascade, reached when every solver failed.
-    quatrex_linalg::lu::inverse(m).expect("lead onsite block must be invertible")
 }
 
 /// Assemble the electron system at one energy point.
@@ -276,18 +222,13 @@ pub fn assemble_g(
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
 ) -> GAssembly {
-    let nb = h.n_blocks();
-    let bs = h.block_size();
     let mut system = bare_system(h, energy, eta);
     if let Some(sr) = sigma_r {
         system = system.add(c64::new(-1.0, 0.0), sr);
     }
-    let mut rhs_lesser = sigma_lesser
-        .cloned()
-        .unwrap_or_else(|| BlockTridiagonal::zeros(nb, bs));
-    let mut rhs_greater = sigma_greater
-        .cloned()
-        .unwrap_or_else(|| BlockTridiagonal::zeros(nb, bs));
+    let zeros = || BlockTridiagonal::zeros(h.n_blocks(), h.block_size());
+    let [mut rhs_lesser, mut rhs_greater] =
+        [sigma_lesser, sigma_greater].map(|s| s.cloned().unwrap_or_else(zeros));
     let leads = attach_leads(
         &mut system,
         Subsystem::Electron,
@@ -317,141 +258,165 @@ pub fn assemble_g(
     }
 }
 
-/// Convert a transport-cell BT matrix into the equivalent bandwidth-1
-/// [`BlockBanded`] container (for exact banded products).
-fn bt_to_banded(bt: &BlockTridiagonal) -> BlockBanded {
-    let nb = bt.n_blocks();
-    let bs = bt.block_size();
-    let mut banded = BlockBanded::zeros(nb, bs, 1);
-    for i in 0..nb {
-        banded.set_block(i, i, bt.diag(i).clone());
-        if i + 1 < nb {
-            banded.set_block(i, i + 1, bt.upper(i).clone());
-            banded.set_block(i + 1, i, bt.lower(i).clone());
-        }
-    }
-    banded
+/// Block rows within `reach` of row `i` among `nb`, clipped to the matrix.
+fn near(i: usize, reach: usize, nb: usize) -> RangeInclusive<usize> {
+    i.saturating_sub(reach)..=(i + reach).min(nb - 1)
 }
 
-/// Truncate a banded matrix back to the block-tridiagonal pattern, returning
-/// the truncated matrix and the fraction of Frobenius weight dropped.
-fn truncate_to_bt(banded: &BlockBanded) -> (BlockTridiagonal, f64) {
-    let nb = banded.n_blocks();
-    let bs = banded.block_size();
-    let mut bt = BlockTridiagonal::zeros(nb, bs);
-    let mut kept = 0.0f64;
-    let mut dropped = 0.0f64;
-    for (i, j, blk) in banded.iter_blocks() {
-        let w = blk.norm_fro().powi(2);
-        if i.abs_diff(j) <= 1 {
-            bt.set_block(i, j, blk.clone());
-            kept += w;
-        } else {
-            dropped += w;
-        }
+/// `out = Σ A·op(B)` over `terms` in order, each a GEMM accumulating onto the
+/// zeroed block. Returns the number of block products.
+fn sum_products<'a>(out: &mut CMatrix, terms: impl Iterator<Item = (&'a CMatrix, Op<'a>)>) -> u64 {
+    out.as_mut_slice().fill(ZERO);
+    let mut count = 0;
+    for (a, b) in terms {
+        // lint:allow(per-energy-gemm): one energy's block pairs.
+        gemm(out, ONE, Op::None(a), b, ONE);
+        count += 1;
     }
-    let total = kept + dropped;
-    let err = if total > 0.0 {
-        (dropped / total).sqrt()
-    } else {
-        0.0
-    };
-    (bt, err)
+    count
+}
+
+/// `V·P^R`, `V·P^<·V†` and `V·P^>·V†` of one energy at the block pairs
+/// `|i − j| ≤ 1` the tridiagonal system keeps, straight from the tridiagonal
+/// operands, and the FLOPs of those products. With `monitor`, also at the
+/// pairs a truncation of the exact banded products drops, to return the
+/// dropped fraction of their Frobenius weight (0 without); these diagnostic
+/// products count no FLOPs, so FLOP totals do not depend on the sample.
+fn w_products(
+    v: &BlockTridiagonal,
+    p: [&BlockTridiagonal; 3],
+    monitor: bool,
+    flops: &FlopCounter,
+) -> ([BlockTridiagonal; 3], f64) {
+    fn at(m: &BlockTridiagonal, i: usize, j: usize) -> &CMatrix {
+        m.block(i, j).expect("inside the band")
+    }
+    let (nb, bs) = (v.n_blocks(), v.block_size());
+    let (mut vp_row, mut spare) = (vec![CMatrix::zeros(bs, bs); 5], CMatrix::zeros(bs, bs));
+    let mut worst = 0.0f64;
+    let products = [0, 1, 2].map(|c| {
+        // Component 0 is V·P^R (bandwidth 2); 1 and 2 are V·P≶·V† (bandwidth
+        // 3), whose block row i reads only row i of V·P≶, columns i − 2 ..=
+        // i + 2, the dagger fused into the GEMM's loads.
+        let (mut product, mut count, mut weight) = (BlockTridiagonal::zeros(nb, bs), 0, [0.0; 2]);
+        for i in 0..nb {
+            // Block (i, j) of V·P: the terms V_il·P_lj over l ascending.
+            let vp = |out: &mut CMatrix, j| {
+                let terms = near(i, 1, nb).filter(|l| l.abs_diff(j) <= 1);
+                sum_products(out, terms.map(|l| (at(v, i, l), Op::None(at(p[c], l, j)))))
+            };
+            if c > 0 {
+                for k in near(i, 2, nb) {
+                    count += vp(&mut vp_row[k + 2 - i], k);
+                }
+            }
+            for j in near(i, if monitor { 2 + c.min(1) } else { 1 }, nb) {
+                let (kept, out) = match product.block_mut(i, j) {
+                    Some(out) => (1, out),
+                    None => (0, &mut spare),
+                };
+                // Block (i, j) of (V·P≶)·V†: the terms (V·P≶)_ik·V_jk† over k ascending.
+                let terms = near(j, 1, nb).filter(|k| k.abs_diff(i) <= 2);
+                let terms = terms.map(|k| (&vp_row[k + 2 - i], Op::Dagger(at(v, j, k))));
+                count += kept
+                    * if c == 0 {
+                        vp(out, j)
+                    } else {
+                        sum_products(out, terms)
+                    };
+                if monitor {
+                    weight[1 - kept as usize] += out.norm_fro().powi(2);
+                }
+            }
+        }
+        let kind = [FlopKind::WAssemblyLhs, FlopKind::WAssemblyRhs][c.min(1)];
+        flops.add(kind, count * gemm_flops(bs, bs, bs));
+        let total = weight[0] + weight[1];
+        if total > 0.0 {
+            worst = worst.max((weight[1] / total).sqrt());
+        }
+        product
+    });
+    (products, worst)
 }
 
 /// Assemble the screened-interaction system at one boson energy: `I − V·P^R`
-/// and `V·P≶·V†` with their OBCs (the retarded boundary by Beyn, the
-/// lesser/greater one by the Lyapunov equation), inside the `w.assembly`
-/// probe span.
-///
+/// and `V·P≶·V†` with their OBCs (the retarded boundary by the cascade of
+/// [`ObcMethod::Beyn`], the lesser/greater one by the Lyapunov equation).
 /// `coulomb` is the bare Coulomb matrix `V` in the transport-cell BT tiling,
-/// `p = [P^R, P^<, P^>]` the polarisation from the current SCBA iteration.
-pub fn w_step_assemble(
+/// `p = [P^R, P^<, P^>]` the polarisation from the current SCBA iteration;
+/// [`WAssembly::truncation_error`] is measured where `monitor` is set, 0
+/// elsewhere.
+pub(crate) fn assemble_w(
     coulomb: &BlockTridiagonal,
     p: [&BlockTridiagonal; 3],
     energy_index: usize,
+    monitor: bool,
     mut memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
 ) -> WAssembly {
-    quatrex_probe::span("w.assembly", "w.assembly", || {
-        let [p_r, p_lesser, p_greater] = p;
-        let bs = coulomb.block_size();
-        let v_banded = bt_to_banded(coulomb);
+    let bs = coulomb.block_size();
+    let ([vpr, mut rhs_lesser, mut rhs_greater], truncation_error) =
+        w_products(coulomb, p, monitor, flops);
+    let mut system = bare_system(&vpr, 1.0, 0.0);
+    let leads = attach_leads(
+        &mut system,
+        Subsystem::ScreenedCoulomb,
+        energy_index,
+        ObcMethod::Beyn,
+        memoizer.as_deref_mut(),
+        flops,
+        FlopKind::WObc,
+    );
 
-        // LHS: I − V·P^R (bandwidth 2, truncated to BT).
-        let (vpr, fl1) = v_banded.multiply(&bt_to_banded(p_r));
-        flops.add(FlopKind::WAssemblyLhs, fl1);
-        let (vpr_bt, err_lhs) = truncate_to_bt(&vpr);
-        let mut system = bare_system(&vpr_bt, 1.0, 0.0);
-
-        // RHS: V·P≶·V† (bandwidth 3, truncated to BT). The V† factor is fused
-        // into the kernel loads (`multiply_dagger`), never materialized.
-        let (vpl, fl2) = v_banded.multiply(&bt_to_banded(p_lesser));
-        let (vplv, fl3) = vpl.multiply_dagger(&v_banded);
-        let (vpg, fl4) = v_banded.multiply(&bt_to_banded(p_greater));
-        let (vpgv, fl5) = vpg.multiply_dagger(&v_banded);
-        flops.add(FlopKind::WAssemblyRhs, fl2 + fl3 + fl4 + fl5);
-        let (mut rhs_lesser, err_l) = truncate_to_bt(&vplv);
-        let (mut rhs_greater, err_g) = truncate_to_bt(&vpgv);
-
-        let leads = attach_leads(
-            &mut system,
-            Subsystem::ScreenedCoulomb,
-            energy_index,
-            ObcMethod::Beyn,
-            memoizer.as_deref_mut(),
-            flops,
-            FlopKind::WBeyn,
-        );
-
-        // Lesser/greater boundary terms: discrete Lyapunov (Eq. (7)). Propagation
-        // matrix a = x^R_w · t with t the lead's coupling block, and inhomogeneity
-        // q≶ = x^R_w · B≶_lead · x^R_w†, the semi-infinite continuation of the
-        // truncated RHS into the contact; the solution w≶ is injected through the
-        // coupling, B≶_OBC = t·w≶·t† (dagger fused).
-        let block_gemm = gemm_flops(bs, bs, bs);
-        for (lead, contact) in leads.iter().zip(CONTACTS) {
-            let a = matmul(&lead.surface, &lead.coupling);
-            flops.add(FlopKind::WLyapunov, 5 * block_gemm);
-            for (component, rhs) in [(1, &mut rhs_lesser), (2, &mut rhs_greater)] {
-                let q = congruence(&lead.surface, rhs.diag(lead.block));
-                let key = ObcKey {
-                    contact,
-                    subsystem: Subsystem::ScreenedCoulomb,
-                    component,
-                    energy_index,
-                };
-                // One substitution step w ↦ q − a·w·a†.
-                let step = |x: &CMatrix, out: &mut CMatrix| {
-                    flops.add(FlopKind::WLyapunov, 2 * block_gemm);
-                    *out = &q - &congruence(&a, x);
-                };
-                let direct = || {
-                    lyapunov_doubling(&a, &q, 1e-12, 60)
-                        .map(|(w, _, fl)| {
-                            flops.add(FlopKind::WLyapunov, fl);
-                            w
-                        })
-                        .unwrap_or_else(|_| q.clone())
-                };
-                let w = memoized(memoizer.as_deref_mut().map(|m| (m, key)), step, direct);
-                *rhs.diag_mut(lead.block) += &congruence(&lead.coupling, &w);
-            }
-            flops.add(FlopKind::WLyapunov, 4 * block_gemm);
+    // Lesser/greater boundary terms: discrete Lyapunov (Eq. (7)). Propagation
+    // matrix a = x^R_w · t with t the lead's coupling block, and inhomogeneity
+    // q≶ = x^R_w · B≶_lead · x^R_w†, the semi-infinite continuation of the
+    // truncated RHS into the contact; the solution w≶ is injected through the
+    // coupling, B≶_OBC = t·w≶·t† (dagger fused).
+    let block_gemm = gemm_flops(bs, bs, bs);
+    for (lead, contact) in leads.iter().zip(CONTACTS) {
+        let a = matmul(&lead.surface, &lead.coupling);
+        flops.add(FlopKind::WLyapunov, 5 * block_gemm);
+        for (component, rhs) in [(1, &mut rhs_lesser), (2, &mut rhs_greater)] {
+            let q = congruence(&lead.surface, rhs.diag(lead.block));
+            let key = ObcKey {
+                contact,
+                subsystem: Subsystem::ScreenedCoulomb,
+                component,
+                energy_index,
+            };
+            // One substitution step w ↦ q − a·w·a†.
+            let step = |x: &CMatrix, out: &mut CMatrix| {
+                flops.add(FlopKind::WLyapunov, 2 * block_gemm);
+                *out = &q - &congruence(&a, x);
+            };
+            let direct = || {
+                lyapunov_doubling(&a, &q, 1e-12, 60)
+                    .map(|(w, _, fl)| {
+                        flops.add(FlopKind::WLyapunov, fl);
+                        w
+                    })
+                    .unwrap_or_else(|_| q.clone())
+            };
+            let w = memoized(memoizer.as_deref_mut().map(|m| (m, key)), step, direct);
+            *rhs.diag_mut(lead.block) += &congruence(&lead.coupling, &w);
         }
+        flops.add(FlopKind::WLyapunov, 4 * block_gemm);
+    }
 
-        WAssembly {
-            system,
-            rhs_lesser,
-            rhs_greater,
-            truncation_error: err_lhs.max(err_l).max(err_g),
-        }
-    })
+    WAssembly {
+        system,
+        rhs_lesser,
+        rhs_greater,
+        truncation_error,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scba::w_step_assemble;
     use quatrex_device::DeviceBuilder;
     use quatrex_linalg::cplx;
     use quatrex_rgf::rgf_solve;
@@ -621,8 +586,68 @@ mod tests {
         assert!(sol.lesser[0].negf_symmetry_error() < 1e-8);
         assert!(flops.get(FlopKind::WAssemblyLhs) > 0);
         assert!(flops.get(FlopKind::WAssemblyRhs) > 0);
-        assert!(flops.get(FlopKind::WBeyn) > 0);
+        assert!(flops.get(FlopKind::WObc) > 0);
         assert!(flops.get(FlopKind::WLyapunov) > 0);
+    }
+
+    #[test]
+    fn kept_block_pairs_match_the_dense_products() {
+        // Six block rows, so pairs at |i − j| = 2 and 3 exist away from both
+        // edges; P with non-Hermitian, distinct upper and lower blocks.
+        let v = DeviceBuilder::test_device(2, 2, 6).build().coulomb_bt();
+        let (nb, bs) = (v.n_blocks(), v.block_size());
+        let p: [BlockTridiagonal; 3] = [0.3, 1.1, 2.3].map(|seed| {
+            let mut p = BlockTridiagonal::zeros(nb, bs);
+            for i in 0..nb {
+                for j in i.saturating_sub(1)..(i + 2).min(nb) {
+                    let t = |r: usize, c: usize| seed + (5 * i + 2 * j + 3 * r + c) as f64;
+                    let block =
+                        CMatrix::from_fn(bs, bs, |r, c| cplx(t(r, c).sin(), (0.6 * t(c, r)).cos()));
+                    p.set_block(i, j, block);
+                }
+            }
+            p
+        });
+        let (vd, flops) = (v.to_dense(), FlopCounter::new());
+        let ([vpr, vplv, vpgv], truncation) = w_products(&v, [&p[0], &p[1], &p[2]], true, &flops);
+        let block = |m: &CMatrix, i: usize, j: usize| m.submatrix(i * bs, j * bs, bs, bs);
+        let mut worst = 0.0f64;
+        for (k, got) in [vpr, vplv, vpgv].iter().enumerate() {
+            let vp = matmul(&vd, &p[k].to_dense());
+            let dense = if k == 0 {
+                vp
+            } else {
+                matmul(&vp, &vd.dagger())
+            };
+            let mut dropped = 0.0;
+            for i in 0..nb {
+                for j in 0..nb {
+                    let want = block(&dense, i, j);
+                    match got.block(i, j) {
+                        Some(g) => {
+                            let rel = g.distance(&want) / want.norm_fro();
+                            assert!(rel <= 1e-13, "product {k} block ({i},{j}): {rel:e} off");
+                        }
+                        None => dropped += want.norm_fro().powi(2),
+                    }
+                }
+            }
+            worst = worst.max((dropped / dense.norm_fro().powi(2)).sqrt());
+        }
+        assert!(worst > 1e-3, "the dense products drop weight: {worst:e}");
+        assert!(
+            (truncation - worst).abs() <= 1e-12 * worst,
+            "{truncation:e} vs {worst:e}"
+        );
+        // Unmonitored: the same kept blocks, no fraction, the same FLOPs.
+        let unmonitored = FlopCounter::new();
+        let (kept, zero) = w_products(&v, [&p[0], &p[1], &p[2]], false, &unmonitored);
+        assert_eq!(zero, 0.0);
+        assert_eq!(unmonitored.total(), flops.total());
+        let got = w_products(&v, [&p[0], &p[1], &p[2]], true, &FlopCounter::new()).0;
+        for (a, b) in kept.iter().zip(&got) {
+            assert!(a.blocks().zip(b.blocks()).all(|(x, y)| x == y));
+        }
     }
 
     #[test]

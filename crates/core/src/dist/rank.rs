@@ -20,13 +20,14 @@
 
 use std::ops::Range;
 
-use crate::assembly::w_step_assemble;
 use crate::convolution::{
     is_grid_batch, polarization_pair_accumulate, self_energy_pair_accumulate,
 };
 use crate::mixing::{MixRow, SigmaMixer, ROW_LEN};
 use crate::observables::{integrate_current, Observables, SpectralData};
-use crate::scba::{g_step_assemble, g_step_finish, kernel_chunks, w_step_finish, ScbaConfig};
+use crate::scba::{
+    g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble_chunk, w_step_finish, ScbaConfig,
+};
 use parking_lot::Mutex;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
@@ -421,17 +422,13 @@ impl<'a> RankState<'a> {
         let mut w = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
         let mut local_trunc = 0.0f64;
         for chunk in self.solve_chunks() {
-            let asms: Vec<_> = chunk
-                .map(|k| {
-                    w_step_assemble(
-                        &p.v,
-                        [&p_retarded[k], &p_lesser[k], &p_greater[k]],
-                        e0 + k,
-                        self.memoizer.as_mut(),
-                        &p.flops,
-                    )
-                })
+            let chunk_p: Vec<_> = chunk
+                .clone()
+                .map(|k| [&p_retarded[k], &p_lesser[k], &p_greater[k]])
                 .collect();
+            let indices: Vec<_> = chunk.map(|k| e0 + k).collect();
+            let memoizer = &mut [self.memoizer.as_mut()];
+            let asms = w_step_assemble_chunk(&p.v, &chunk_p, &indices, cfg, memoizer, &p.flops);
             let systems: Vec<_> = asms
                 .iter()
                 .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])

@@ -375,7 +375,7 @@ fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec
         secs(&["g.assembly"]),
     );
     push("g.rgf", flops.get(FlopKind::GRgf), secs(&["g.rgf"]));
-    let w_assembly = flops.get(FlopKind::WBeyn)
+    let w_assembly = flops.get(FlopKind::WObc)
         + flops.get(FlopKind::WLyapunov)
         + flops.get(FlopKind::WAssemblyLhs)
         + flops.get(FlopKind::WAssemblyRhs);

@@ -48,7 +48,7 @@ pub mod mixing;
 pub mod observables;
 pub mod scba;
 
-pub use assembly::{w_step_assemble, GAssembly, ObcMethod, WAssembly};
+pub use assembly::{GAssembly, ObcMethod, WAssembly};
 pub use convolution::{
     canonical_elements, causal_retarded_series, polarization_from_g, polarization_pair_accumulate,
     retarded_from_lesser_greater, self_energy_from_gw, self_energy_pair_accumulate, symmetrize_all,
@@ -58,8 +58,8 @@ pub use mixing::{mix_sigma_energy, MixRow, SigmaMixer};
 pub use observables::{Observables, SpectralData};
 pub use scba::{
     g_step_assemble, g_step_batch, g_step_finish, kernel_chunks, solve_accounting, solve_stage,
-    w_step_batch, w_step_finish, GStepOutput, KernelTimings, ScbaConfig, ScbaResult, ScbaSolver,
-    WStepOutput,
+    w_step_assemble, w_step_batch, w_step_finish, GStepOutput, KernelTimings, ScbaConfig,
+    ScbaResult, ScbaSolver, WStepOutput,
 };
 
 pub use quatrex_device::Device;

@@ -33,7 +33,7 @@ use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::assembly::{assemble_g, w_step_assemble, GAssembly, ObcMethod, WAssembly};
+use crate::assembly::{assemble_g, assemble_w, GAssembly, ObcMethod, WAssembly};
 use crate::dist::{DistScbaConfig, DistScbaSolver};
 use crate::observables::{current_spectrum_left, local_dos, Observables};
 
@@ -158,6 +158,46 @@ pub fn g_step_assemble(
             memoizer,
             flops,
         )
+    })
+}
+
+/// Stage 1 of the W-step at one (boson) energy: assemble its system
+/// ([`crate::assembly`]'s W cascade + memoizer, Lyapunov boundaries) from
+/// the polarisation `p = [P^R, P^<, P^>]`, with the truncation monitor on.
+pub fn w_step_assemble(
+    coulomb: &BlockTridiagonal,
+    p: [&BlockTridiagonal; 3],
+    energy_index: usize,
+    memoizer: Option<&mut ObcMemoizer>,
+    flops: &FlopCounter,
+) -> WAssembly {
+    quatrex_probe::span("w.assembly", "w.assembly", || {
+        assemble_w(coulomb, p, energy_index, true, memoizer, flops)
+    })
+}
+
+/// Stage 1 of the W-step for one kernel chunk: assemble the system of each
+/// energy, `p[m] = [P^R, P^<, P^>]` at global energy `energy_indices[m]`
+/// (`memoizers` as in [`w_step_batch`]), in one `w.assembly` probe span. The
+/// truncation monitor runs on energies whose global index is a multiple of
+/// `kernel_batch`: a sample that does not depend on the rank layout, so the
+/// gathered maximum is the same on every grid.
+pub(crate) fn w_step_assemble_chunk(
+    coulomb: &BlockTridiagonal,
+    p: &[[&BlockTridiagonal; 3]],
+    energy_indices: &[usize],
+    config: &ScbaConfig,
+    memoizers: &mut [Option<&mut ObcMemoizer>],
+    flops: &FlopCounter,
+) -> Vec<WAssembly> {
+    let kb = config.kernel_batch.max(1);
+    quatrex_probe::span("w.assembly", "w.assembly", || {
+        let members = p.iter().zip(energy_indices).enumerate();
+        members
+            .map(|(m, (&p, &e))| {
+                assemble_w(coulomb, p, e, e % kb == 0, memoizer_of(memoizers, m), flops)
+            })
+            .collect()
     })
 }
 
@@ -290,9 +330,11 @@ pub fn g_step_batch(
         .collect())
 }
 
-/// Run the W-step for a batch of (boson) energy points: [`w_step_assemble`],
-/// one [`solve_stage`], [`w_step_finish`]. Batch-independent per energy
-/// like [`g_step_batch`]; `memoizers` follows the same convention.
+/// Run the W-step for a batch of (boson) energy points: the batch's
+/// assemblies (as [`w_step_assemble`], the truncation monitor on the energies
+/// whose global index is a multiple of `config.kernel_batch`), one
+/// [`solve_stage`], [`w_step_finish`]. Batch-independent per energy like
+/// [`g_step_batch`]; `memoizers` follows the same convention.
 #[allow(clippy::too_many_arguments)]
 pub fn w_step_batch(
     coulomb: &BlockTridiagonal,
@@ -315,17 +357,10 @@ pub fn w_step_batch(
         "per-energy inputs must match the batch length"
     );
     let t = Instant::now();
-    let asms: Vec<WAssembly> = (0..bsz)
-        .map(|i| {
-            w_step_assemble(
-                coulomb,
-                [p_retarded[i], p_lesser[i], p_greater[i]],
-                energy_indices[i],
-                memoizer_of(memoizers, i),
-                flops,
-            )
-        })
+    let p: Vec<_> = (0..bsz)
+        .map(|i| [p_retarded[i], p_lesser[i], p_greater[i]])
         .collect();
+    let asms = w_step_assemble_chunk(coulomb, &p, energy_indices, config, memoizers, flops);
     timings.add(&timings.w_assembly_ns, t);
     let systems: Vec<_> = asms
         .iter()

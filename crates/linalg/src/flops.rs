@@ -17,8 +17,9 @@ pub enum FlopKind {
     GObc,
     /// Recursive Green's function solve of the electron subsystem (`G: RGF`).
     GRgf,
-    /// Beyn contour-integral solver inside the W assembly (`W: Assembly / Beyn`).
-    WBeyn,
+    /// Retarded open boundary conditions of the screened interaction, inside
+    /// the W assembly (`W: OBC`): Sancho–Rubio or Beyn, whichever answers.
+    WObc,
     /// Lyapunov lesser/greater OBC solver (`W: Assembly / Lyapunov`).
     WLyapunov,
     /// Assembly of the retarded LHS `I − V·P^R` (`W: Assembly / LHS`).
@@ -38,7 +39,7 @@ impl FlopKind {
     pub const ALL: [FlopKind; 9] = [
         FlopKind::GObc,
         FlopKind::GRgf,
-        FlopKind::WBeyn,
+        FlopKind::WObc,
         FlopKind::WLyapunov,
         FlopKind::WAssemblyLhs,
         FlopKind::WAssemblyRhs,
@@ -52,7 +53,7 @@ impl FlopKind {
         match self {
             FlopKind::GObc => "G: OBC",
             FlopKind::GRgf => "G: RGF",
-            FlopKind::WBeyn => "W: Assembly (Beyn)",
+            FlopKind::WObc => "W: OBC",
             FlopKind::WLyapunov => "W: Assembly (Lyapunov)",
             FlopKind::WAssemblyLhs => "W: Assembly (LHS)",
             FlopKind::WAssemblyRhs => "W: Assembly (RHS)",
@@ -134,9 +135,9 @@ mod tests {
         let c = FlopCounter::new();
         c.add(FlopKind::GRgf, 100);
         c.add(FlopKind::GRgf, 50);
-        c.add(FlopKind::WBeyn, 7);
+        c.add(FlopKind::WObc, 7);
         assert_eq!(c.get(FlopKind::GRgf), 150);
-        assert_eq!(c.get(FlopKind::WBeyn), 7);
+        assert_eq!(c.get(FlopKind::WObc), 7);
         assert_eq!(c.total(), 157);
     }
 

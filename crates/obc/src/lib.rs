@@ -14,7 +14,8 @@
 //!   ([`retarded::fixed_point`], [`retarded::sancho_rubio`], one energy per
 //!   call on reused work blocks; [`batch::sancho_rubio_batch`] loops over an
 //!   energy set on one [`ObcBatchScratch`]) or directly with the Beyn
-//!   contour-integral method ([`retarded::beyn`]);
+//!   contour-integral method ([`retarded::beyn`]), the solvers the
+//!   [`cascade`] tries in turn for a robust direct answer;
 //! * the **lesser/greater** boundary terms: the fluctuation–dissipation
 //!   theorem for electrons ([`lesser::lesser_from_retarded`]) and a
 //!   discrete-time Lyapunov (Stein) equation `w≶ = q≶ − a·w≶·a†` for the
@@ -28,12 +29,14 @@
 //! whenever the cached guess is close enough.
 
 pub mod batch;
+pub mod cascade;
 pub mod lesser;
 pub mod lyapunov;
 pub mod memoizer;
 pub mod retarded;
 
 pub use batch::{sancho_rubio_batch, ObcBatchScratch};
+pub use cascade::{surface_cascade, ObcMethod};
 pub use lesser::{greater_from_retarded, lesser_from_retarded};
 pub use lyapunov::{lyapunov_direct, lyapunov_doubling, lyapunov_fixed_point, lyapunov_residual};
 pub use memoizer::{Contact, MemoizerStats, ObcKey, ObcMemoizer, ObcMode, Subsystem};

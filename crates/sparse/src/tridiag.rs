@@ -146,6 +146,22 @@ impl BlockTridiagonal {
         }
     }
 
+    /// Mutable [`Self::block`].
+    pub fn block_mut(&mut self, i: usize, j: usize) -> Option<&mut CMatrix> {
+        if i >= self.n_blocks() || j >= self.n_blocks() {
+            return None;
+        }
+        if i == j {
+            Some(&mut self.diag[i])
+        } else if j == i + 1 {
+            Some(&mut self.upper[i])
+        } else if i == j + 1 {
+            Some(&mut self.lower[j])
+        } else {
+            None
+        }
+    }
+
     /// Set any block within the tridiagonal band.
     pub fn set_block(&mut self, i: usize, j: usize, block: CMatrix) {
         assert_eq!(
