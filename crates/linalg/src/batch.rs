@@ -170,9 +170,11 @@ impl MatrixBatch {
 pub enum BatchOp<'a> {
     /// An energy-independent operand shared by every plane, packed **once**
     /// per call — the batching win the per-energy path cannot have. No
-    /// library code multiplies with it today: the W assembly, whose bare
-    /// Coulomb blocks `V_ij` are the natural shared operand, still runs
-    /// `BlockBanded::multiply` per energy (ROADMAP item 3).
+    /// library code multiplies with it: the W assembly forms its kept block
+    /// pairs per energy. With the bare Coulomb blocks `V_ij` shared across a
+    /// kernel chunk its `N_BS = 64` products ran 13 % slower than per
+    /// energy (staging and cache traffic of eight planes per block
+    /// position), so that variant was not kept.
     Shared(Op<'a>),
     /// A per-energy operand: plane `e` of the given batch, entered with the
     /// given flag. Packed per plane through the same raw packers as
