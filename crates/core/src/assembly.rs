@@ -298,6 +298,7 @@ fn w_products(
         // Component 0 is V·P^R (bandwidth 2); 1 and 2 are V·P≶·V† (bandwidth
         // 3), whose block row i reads only row i of V·P≶, columns i − 2 ..=
         // i + 2, the dagger fused into the GEMM's loads.
+        // The monitor's Frobenius weight: [dropped, kept].
         let (mut product, mut count, mut weight) = (BlockTridiagonal::zeros(nb, bs), 0, [0.0; 2]);
         for i in 0..nb {
             // Block (i, j) of V·P: the terms V_il·P_lj over l ascending.
@@ -311,29 +312,34 @@ fn w_products(
                 }
             }
             for j in near(i, if monitor { 2 + c.min(1) } else { 1 }, nb) {
-                let (kept, out) = match product.block_mut(i, j) {
-                    Some(out) => (1, out),
-                    None => (0, &mut spare),
+                let kept = i.abs_diff(j) <= 1;
+                let out = match product.block_mut(i, j) {
+                    Some(out) => out,
+                    None => &mut spare,
                 };
-                // Block (i, j) of (V·P≶)·V†: the terms (V·P≶)_ik·V_jk† over k ascending.
-                let terms = near(j, 1, nb).filter(|k| k.abs_diff(i) <= 2);
-                let terms = terms.map(|k| (&vp_row[k + 2 - i], Op::Dagger(at(v, j, k))));
-                count += kept
-                    * if c == 0 {
-                        vp(out, j)
-                    } else {
-                        sum_products(out, terms)
-                    };
+                let n = if c == 0 {
+                    vp(out, j)
+                } else {
+                    // Block (i, j) of (V·P≶)·V†: the terms (V·P≶)_ik·V_jk† over k ascending.
+                    let terms = near(j, 1, nb).filter(|k| k.abs_diff(i) <= 2);
+                    sum_products(
+                        out,
+                        terms.map(|k| (&vp_row[k + 2 - i], Op::Dagger(at(v, j, k)))),
+                    )
+                };
+                if kept {
+                    count += n;
+                }
                 if monitor {
-                    weight[1 - kept as usize] += out.norm_fro().powi(2);
+                    weight[usize::from(kept)] += out.norm_fro().powi(2);
                 }
             }
         }
         let kind = [FlopKind::WAssemblyLhs, FlopKind::WAssemblyRhs][c.min(1)];
         flops.add(kind, count * gemm_flops(bs, bs, bs));
-        let total = weight[0] + weight[1];
+        let total = weight[1] + weight[0];
         if total > 0.0 {
-            worst = worst.max((weight[1] / total).sqrt());
+            worst = worst.max((weight[0] / total).sqrt());
         }
         product
     });

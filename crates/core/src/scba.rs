@@ -161,9 +161,10 @@ pub fn g_step_assemble(
     })
 }
 
-/// Stage 1 of the W-step at one (boson) energy: assemble its system
-/// ([`crate::assembly`]'s W cascade + memoizer, Lyapunov boundaries) from
-/// the polarisation `p = [P^R, P^<, P^>]`, with the truncation monitor on.
+/// Stage 1 of the W-step at one (boson) energy: assemble its system (the
+/// retarded boundary by the cascade of [`ObcMethod::Beyn`] + memoizer, the
+/// Lyapunov boundaries) from the polarisation `p = [P^R, P^<, P^>]`, with the
+/// truncation monitor on.
 pub fn w_step_assemble(
     coulomb: &BlockTridiagonal,
     p: [&BlockTridiagonal; 3],
