@@ -88,7 +88,7 @@ pub struct DistScbaConfig {
     /// installs a thread-local span/counter recorder for the duration of its
     /// closure, and the merged [`Timeline`] lands in
     /// [`DistScbaResult::timeline`] with the derived phase metrics in
-    /// [`DistReport`] (per-phase wall seconds, overlap efficiency, time-based
+    /// [`DistReport`] (per-phase exclusive seconds, overlap efficiency, time-based
     /// load imbalance, per-phase FLOP rates). On by default.
     ///
     /// **When to turn it off:** essentially never in this simulation — the

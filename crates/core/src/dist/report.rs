@@ -65,9 +65,11 @@ pub struct DistReport {
     /// spectral data) and the untagged remainder. The entries sum to
     /// `measured_alltoall_bytes` exactly.
     pub alltoall_bytes_per_phase: Vec<(&'static str, u64)>,
-    /// Wall seconds per probe span category, summed over ranks (nested spans
-    /// of the same category are counted once). Sorted by category name. Empty
-    /// when the probe was disabled (`DistScbaConfig::probe = false`).
+    /// Exclusive seconds per probe span category, summed over ranks (a span's
+    /// duration minus its children's), plus `untraced`, the rank time inside
+    /// no span: the entries sum to `n_ranks × wall_seconds`. Sorted by
+    /// category name. Empty when the probe was disabled
+    /// (`DistScbaConfig::probe = false`).
     pub phase_seconds: Vec<(String, f64)>,
     /// Measured overlap efficiency: the fraction of in-flight transposition
     /// time (post → wait end, per exchange, unioned per rank) that was hidden
@@ -84,8 +86,8 @@ pub struct DistReport {
     /// was disabled or no full iteration ran; recorded independently of the
     /// probe flag.
     pub memoizer_hit_rate_per_iteration: Vec<f64>,
-    /// Measured FLOP rate per phase in FLOP/s, joining the probe's per-phase
-    /// wall seconds with the `FlopCounter` accounting (`(phase, rate)`; only
+    /// Measured FLOP rate per phase in FLOP/s, joining the seconds inside the
+    /// phase's spans with the `FlopCounter` accounting (`(phase, rate)`; only
     /// phases with both nonzero seconds and nonzero FLOPs appear). Empty when
     /// the probe was disabled.
     pub phase_flop_rates: Vec<(String, f64)>,

@@ -260,7 +260,7 @@ impl DistScbaSolver {
     ) -> DistReport {
         let (plan, grid) = (&problem.plan, &problem.layout.grid);
         let rank0 = &outs[0].log;
-        let phase_seconds = timeline.phase_seconds();
+        let phase_seconds = timeline.phase_seconds(wall_seconds);
         // The k-th posted exchange pairs with the k-th wait on each rank
         // (FIFO wait order); restrict the pairs to the four energy↔element
         // transpositions and ask how much of their in-flight time ran under
@@ -307,7 +307,7 @@ impl DistScbaSolver {
             peak_slab_bytes: counters.peak_slab_bytes,
             n_collectives: stats.n_collectives.load(Ordering::Relaxed),
             alltoall_bytes_per_phase: stats.phase_breakdown(),
-            phase_flop_rates: phase_flop_rates(&phase_seconds, &problem.flops),
+            phase_flop_rates: phase_flop_rates(timeline, &problem.flops),
             phase_seconds,
             overlap_efficiency,
             time_imbalance: timeline.imbalance_factor(|cat| !cat.starts_with("comm.")),
@@ -347,21 +347,21 @@ fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
     state
 }
 
-/// Join the probe's per-category wall seconds with the [`FlopCounter`]
-/// accounting into measured FLOP/s per phase. Only phases with nonzero
-/// seconds *and* nonzero FLOPs appear. At `P_S = 1` each subsystem's RGF work
+/// Join the probe's timeline with the [`FlopCounter`] accounting into
+/// measured FLOP/s per phase: a phase's FLOPs over the rank-seconds spent
+/// inside its spans — its exclusive seconds plus those of the kernel spans
+/// nested in it (`gemm_batch`, `gemm_lanes`, `obc.direct`), which are where
+/// its FLOPs run. Only phases with nonzero seconds *and* nonzero FLOPs
+/// appear. At `P_S = 1` each subsystem's RGF work
 /// is one category (`g.rgf` / `w.rgf`, the spans of the shared step
 /// functions, at any `kernel_batch`); the cooperative spatial solves
 /// (`P_S > 1`) report one combined `spatial.rgf` rate (the partition
 /// eliminations/recoveries and the reduced systems serve both subsystems and
 /// cannot be split by category).
-fn phase_flop_rates(phase_seconds: &[(String, f64)], flops: &FlopCounter) -> Vec<(String, f64)> {
+fn phase_flop_rates(timeline: &Timeline, flops: &FlopCounter) -> Vec<(String, f64)> {
     let secs = |cats: &[&str]| -> f64 {
-        phase_seconds
-            .iter()
-            .filter(|(c, _)| cats.iter().any(|k| c == k))
-            .map(|&(_, s)| s)
-            .sum()
+        let inside = timeline.busy_seconds_per_rank(|c| cats.contains(&c));
+        inside.iter().sum()
     };
     let mut out = Vec::new();
     let mut push = |label: &str, flop: u64, s: f64| {

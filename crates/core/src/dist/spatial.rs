@@ -24,18 +24,20 @@
 //!    instead of the pre-slice full broadcast), posted non-blocking: it
 //!    eliminates its own energies while the others' ranges fly;
 //! 2. every member eliminates its partition for **all** the group's energies
-//!    through the one entry point [`quatrex_rgf::eliminate_partition`] — the
-//!    interior RGF solves are the energy-batched ones against the rank's warm
-//!    [`RgfBatchScratch`], cut into `kernel_batch` chunks like the local
-//!    solves;
+//!    through the one entry point [`quatrex_rgf::eliminate_partition`] —
+//!    energy-batched against the rank's warm [`RgfBatchScratch`], cut into
+//!    `kernel_batch` chunks like the local solves; an end partition's
+//!    elimination is the forward RGF sweep over its range, stopped before its
+//!    separator's inversion;
 //! 3. each energy's `nbd × nbd` Schur and quadratic right-hand-side update
 //!    grids go to **that energy's owner**, who assembles the reduced boundary
 //!    systems of its energies and solves them batched on its own scratch
 //!    ([`quatrex_rgf::solve_systems`]) — `P_S` reduced solves run side by
 //!    side;
 //! 4. the owner sends the reduced selected solutions to the other members,
-//!    every member recovers its range of every energy
-//!    ([`quatrex_rgf::recover_partition`]) and returns it to the owner, who
+//!    every member recovers its range of every energy per kernel chunk
+//!    ([`quatrex_rgf::recover_partition`]: an end partition's is the backward
+//!    RGF sweep seeded at its separator) and returns it to the owner, who
 //!    copies the ranges into place ([`quatrex_rgf::assemble_solution`], the
 //!    tail it shares with the thread driver of `quatrex-rgf`).
 //!
@@ -282,11 +284,10 @@ pub fn spatial_phase_solve(
             states
         })
     };
-    let own: Vec<_> = systems
+    let own = systems
         .iter()
-        .map(|system| partition_ranges(system, my_part))
-        .collect();
-    let mut own_states = eliminate(&own);
+        .map(|system| partition_ranges(system, my_part));
+    let mut own_states = eliminate(&own.collect::<Vec<_>>());
     let recv = handle.wait(ctx);
     let mut states: Vec<PartitionSolveState> = Vec::with_capacity(n_group);
     for m in 0..p_s {
@@ -365,11 +366,11 @@ pub fn spatial_phase_solve(
     // ------------------------------------------------ recover the block ranges
     let mut recovered: Vec<SelectedSolution> =
         quatrex_probe::span("spatial.recover", "rgf.partition", || {
-            let recovered: Vec<SelectedSolution> = states
-                .iter()
-                .zip(&reduced)
-                .map(|(st, red)| recover_partition(my_part, st, red))
-                .collect();
+            let mut recovered = Vec::with_capacity(n_group);
+            for chunk in kernel_chunks(0..n_group, kernel_batch) {
+                let (states, reduced) = (&states[chunk.clone()], &reduced[chunk]);
+                recovered.extend(recover_partition(my_part, states, reduced, scratch));
+            }
             flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
             recovered
         });

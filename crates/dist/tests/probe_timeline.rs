@@ -2,7 +2,7 @@
 //! reference geometry (4 energy groups × `P_S = 2`, `B = 2` batches) must
 //! produce a valid merged timeline — one track per rank, well-formed span
 //! nesting, all four transpositions visible, Perfetto-loadable Chrome trace
-//! JSON — and the derived `DistReport` metrics (per-phase wall seconds,
+//! JSON — and the derived `DistReport` metrics (per-phase exclusive seconds,
 //! overlap efficiency, time imbalance, per-iteration memoizer hit rates,
 //! per-phase FLOP rates) must be populated and sane.
 
@@ -297,6 +297,30 @@ fn timeline_structure_is_deterministic_across_runs() {
             |r: &quatrex_probe::RankTrace| r.marks.iter().map(|m| m.name).collect::<Vec<_>>();
         assert_eq!(marks(ra), marks(rb), "rank {} mark sequence", ra.rank);
         assert_eq!(ra.counters, rb.counters, "rank {} counters", ra.rank);
+    }
+}
+
+#[test]
+fn phase_seconds_are_exclusive_and_sum_to_rank_seconds() {
+    // Every instant of every rank is booked once: the categories' exclusive
+    // seconds plus `untraced` are n_ranks × wall.
+    let result = grid_run(8, 2);
+    let report = &result.report;
+    let rank_seconds = report.n_ranks as f64 * report.wall_seconds;
+    let sum: f64 = report.phase_seconds.iter().map(|&(_, s)| s).sum();
+    assert!(
+        (sum - rank_seconds).abs() <= 0.01 * rank_seconds,
+        "phases sum to {sum} s against {rank_seconds} rank-seconds"
+    );
+    let untraced = report
+        .phase_seconds
+        .iter()
+        .find(|(c, _)| c == quatrex_probe::UNTRACED)
+        .map(|&(_, s)| s)
+        .expect("an untraced entry");
+    assert!(untraced >= 0.0, "untraced {untraced} s");
+    for (cat, s) in &report.phase_seconds {
+        assert!(*s >= 0.0, "phase '{cat}' has {s} exclusive seconds");
     }
 }
 

@@ -27,7 +27,7 @@
 //!   cross-rank clock reconciliation.
 //!
 //! The analysis half ([`Timeline`]) derives the phase metrics folded into
-//! `DistReport`: per-phase wall seconds, measured overlap efficiency
+//! `DistReport`: per-phase exclusive seconds, measured overlap efficiency
 //! (fraction of in-flight transposition time hidden under compute),
 //! and a time-based load-imbalance factor across the rank grid.
 
@@ -55,6 +55,8 @@ pub const CAT_COMM_POST: &str = "comm.post";
 /// Category assigned to the blocking `CommHandle::wait` spans recorded by the
 /// runtime.
 pub const CAT_COMM_WAIT: &str = "comm.wait";
+/// The [`Timeline::phase_seconds`] entry for rank time inside no span.
+pub const UNTRACED: &str = "untraced";
 
 /// A completed span: a named, categorised interval on one rank's track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,30 +408,41 @@ impl Timeline {
         Ok(())
     }
 
-    /// Wall seconds per category, summed across ranks. Within one rank a
-    /// span nested under an ancestor of the *same* category is not counted
-    /// again, so each category's total is genuine wall time on that rank.
-    /// Returned sorted by category name (deterministic).
-    pub fn phase_seconds(&self) -> Vec<(String, f64)> {
-        let mut totals: BTreeMap<&'static str, u128> = BTreeMap::new();
+    /// Exclusive seconds per category, summed across ranks: a span counts
+    /// its duration minus its direct children's, so every instant of a rank
+    /// inside some span is counted once, under the innermost span's
+    /// category. One more entry, [`UNTRACED`], holds the rest of the run's
+    /// rank-seconds, `n_ranks × wall_seconds − Σ categories` (time inside no
+    /// span), so the entries sum to `n_ranks × wall_seconds`. Returned
+    /// sorted by category name (deterministic); empty when no rank recorded
+    /// a trace.
+    pub fn phase_seconds(&self, wall_seconds: f64) -> Vec<(String, f64)> {
+        if self.ranks.is_empty() {
+            return Vec::new();
+        }
+        let mut totals: BTreeMap<&'static str, i128> = BTreeMap::new();
         for rt in &self.ranks {
-            let spans = rt.sorted_spans();
-            let mut cat_at: Vec<&'static str> = Vec::new();
-            for s in &spans {
-                let d = s.depth as usize;
-                if cat_at.len() <= d {
-                    cat_at.resize(d + 1, "");
+            // Category of the open span at each depth above the current one.
+            let mut open: Vec<&'static str> = Vec::new();
+            for s in &rt.sorted_spans() {
+                open.truncate(s.depth as usize);
+                *totals.entry(s.cat).or_insert(0) += s.dur_ns as i128;
+                if let Some(parent) = open.last() {
+                    *totals.entry(parent).or_insert(0) -= s.dur_ns as i128;
                 }
-                let nested_same_cat = cat_at[..d].contains(&s.cat);
-                cat_at[d] = s.cat;
-                if !nested_same_cat {
-                    *totals.entry(s.cat).or_insert(0) += s.dur_ns as u128;
-                }
+                open.push(s.cat);
             }
         }
-        totals
+        let traced_ns: i128 = totals.values().sum();
+        let rank_seconds = self.n_ranks() as f64 * wall_seconds;
+        let mut phases: BTreeMap<&'static str, f64> = totals
             .into_iter()
-            .map(|(cat, ns)| (cat.to_string(), ns as f64 * 1e-9))
+            .map(|(cat, ns)| (cat, ns as f64 * 1e-9))
+            .collect();
+        phases.insert(UNTRACED, rank_seconds - traced_ns as f64 * 1e-9);
+        phases
+            .into_iter()
+            .map(|(cat, s)| (cat.to_string(), s))
             .collect()
     }
 
@@ -786,7 +799,7 @@ mod tests {
             counters: vec![],
         };
         let tl = Timeline::merge(vec![trace]);
-        let phases = tl.phase_seconds();
+        let phases = tl.phase_seconds(1.5);
         let get = |cat: &str| {
             phases
                 .iter()
@@ -794,8 +807,16 @@ mod tests {
                 .map(|&(_, s)| s)
                 .unwrap()
         };
-        assert!((get("g") - 1.0).abs() < 1e-9, "outer only: {}", get("g"));
+        // Outer self 0.25 s plus inner 0.5 s: each instant once.
+        assert!((get("g") - 0.75).abs() < 1e-9, "g: {}", get("g"));
         assert!((get("w") - 0.25).abs() < 1e-9);
+        assert!((get(UNTRACED) - 0.5).abs() < 1e-9);
+        let sum: f64 = phases.iter().map(|&(_, s)| s).sum();
+        assert!(
+            (sum - 1.5).abs() < 1e-9,
+            "phases sum to rank-seconds: {sum}"
+        );
+        assert!(Timeline::default().phase_seconds(1.0).is_empty());
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //! operand flags instead of being materialised. A single system is a batch of
 //! one ([`crate::sequential::rgf_solve_into`]).
 //!
-//! The recursion is written once, over a small storage trait (`Blocks`), and
+//! The recursion is written once, as a forward and a backward half. A full
+//! solve runs both, seeding the backward half with the last block's
+//! left-connected blocks; a one-separator partition of the spatial solve
+//! ([`crate::nested`]) stops the forward half before its separator's
+//! inversion and seeds the backward half with the reduced system's solution
+//! there. It is written over a small storage trait (`Blocks`), and
 //! runs on one of two layouts, picked once per solve from
 //! `(N_BS, batch length)` by [`BlockLayout::for_solve`]:
 //!
@@ -319,9 +324,7 @@ pub fn rgf_solve_batch_into(
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> Result<(), RgfBatchError> {
-    let block_size = systems.first().map_or(0, |a| a.block_size());
-    let layout = BlockLayout::for_solve(block_size, systems.len());
-    rgf_solve_batch_on(layout, systems, rhs, sols, scratch)
+    rgf_solve_batch_on(layout_of(systems), systems, rhs, sols, scratch)
 }
 
 /// [`rgf_solve_batch_into`] on the given layout. Both layouts give the same
@@ -379,8 +382,8 @@ pub fn rgf_solve_batch_on(
 
     let RgfBatchScratch { lu, planes, lanes } = scratch;
     let flops = match layout {
-        BlockLayout::Planes => recursion(planes, lu, systems, rhs, sols),
-        BlockLayout::Lanes => recursion(lanes, lu, systems, rhs, sols),
+        BlockLayout::Planes => solve(planes, lu, systems, rhs, sols),
+        BlockLayout::Lanes => solve(lanes, lu, systems, rhs, sols),
     }?;
     for sol in sols.iter_mut() {
         sol.flops = flops;
@@ -388,30 +391,141 @@ pub fn rgf_solve_batch_on(
     Ok(())
 }
 
-/// The forward and backward recursions on the storage `S`, over validated
-/// inputs and shaped outputs. Returns the per-energy FLOP count.
-fn recursion<S: Blocks>(
+/// What the forward half leaves behind for a later backward half, per
+/// system: the left-connected `g_i` and one row `g≶_i` per right-hand side,
+/// for every block before the last.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ForwardSweep {
+    g: Vec<CMatrix>,
+    gl: Vec<Vec<CMatrix>>,
+}
+
+/// The forward half over a batch whose **last block is a separator**: the
+/// recursion runs up to it and stops before its inversion. `updates[e]`
+/// receives what that stopped step computes — the Schur term
+/// `−A_{s,e} g_e A_{e,s}`, then per right-hand side the coupling terms of
+/// `inner` without `B_ss` — and `sweeps[e]` the left-connected blocks the
+/// backward half ([`recover_to_first`]) starts from. Returns the
+/// per-system FLOP count.
+pub(crate) fn eliminate_to_last(
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    updates: &mut [Vec<CMatrix>],
+    sweeps: &mut [ForwardSweep],
+    scratch: &mut RgfBatchScratch,
+) -> Result<u64, RgfBatchError> {
+    let RgfBatchScratch { lu, planes, lanes } = scratch;
+    match layout_of(systems) {
+        BlockLayout::Planes => eliminate(planes, lu, systems, rhs, updates, sweeps),
+        BlockLayout::Lanes => eliminate(lanes, lu, systems, rhs, updates, sweeps),
+    }
+}
+
+/// The backward half over a batch from the last block down: `sols[e]` must
+/// be shaped and hold the seed — the selected diagonal blocks of the last
+/// block, retarded and per right-hand side — and `sweeps[e]` the forward
+/// half's output for the same system ([`eliminate_to_last`]). Returns the
+/// per-system FLOP count.
+pub(crate) fn recover_to_first(
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    sweeps: &[&ForwardSweep],
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> u64 {
+    let RgfBatchScratch { planes, lanes, .. } = scratch;
+    match layout_of(systems) {
+        BlockLayout::Planes => recover(planes, systems, rhs, sweeps, sols),
+        BlockLayout::Lanes => recover(lanes, systems, rhs, sweeps, sols),
+    }
+}
+
+/// [`BlockLayout::for_solve`] of a batch.
+fn layout_of(systems: &[&BlockTridiagonal]) -> BlockLayout {
+    let block_size = systems.first().map_or(0, |a| a.block_size());
+    BlockLayout::for_solve(block_size, systems.len())
+}
+
+/// The full solve on the storage `S`, over validated inputs and shaped
+/// outputs: the forward half over every block, the last block's
+/// left-connected blocks as the seed (they are its solution), and the
+/// backward half. Returns the per-energy FLOP count.
+fn solve<S: Blocks>(
     store: &mut Store<S>,
     lu: &mut LuScratch,
     systems: &[&BlockTridiagonal],
     rhs: &[&[&BlockTridiagonal]],
     sols: &mut [SelectedSolution],
 ) -> Result<u64, RgfBatchError> {
-    let bsz = systems.len();
-    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
-    let mut flops = 0u64; // per energy — structural, identical for every member
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let inv_cost = inverse_flops(bs);
+    let flops = forward(store, lu, systems, rhs, None)?;
+    let last = systems[0].n_blocks() - 1;
+    for (e, sol) in sols.iter_mut().enumerate() {
+        store.g[last].copy_plane_to(e, sol.retarded.diag_mut(last));
+        for (r, l) in sol.lesser.iter_mut().enumerate() {
+            store.gl[r][last].copy_plane_to(e, l.diag_mut(last));
+        }
+    }
+    Ok(flops + backward(store, systems, rhs, sols))
+}
 
-    let Store { bws, g, gl } = store;
-    // The slot lists only grow: a scratch that alternates between block
-    // counts (a rank of a spatial group solves partition interiors and
-    // reduced boundary systems on one scratch) keeps the longer list warm.
+/// [`eliminate_to_last`] on the storage `S`.
+fn eliminate<S: Blocks>(
+    store: &mut Store<S>,
+    lu: &mut LuScratch,
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    updates: &mut [Vec<CMatrix>],
+    sweeps: &mut [ForwardSweep],
+) -> Result<u64, RgfBatchError> {
+    let flops = forward(store, lu, systems, rhs, Some(updates))?;
+    let (nb, bs) = (systems[0].n_blocks(), systems[0].block_size());
+    for (e, sweep) in sweeps.iter_mut().enumerate() {
+        sweep.g.resize_with(nb - 1, || CMatrix::zeros(bs, bs));
+        for (i, g) in sweep.g.iter_mut().enumerate() {
+            store.g[i].copy_plane_to(e, g);
+        }
+        sweep.gl.resize_with(rhs[e].len(), Vec::new);
+        for (row, gl) in store.gl.iter().zip(sweep.gl.iter_mut()) {
+            gl.resize_with(nb - 1, || CMatrix::zeros(bs, bs));
+            for (i, g) in gl.iter_mut().enumerate() {
+                row[i].copy_plane_to(e, g);
+            }
+        }
+    }
+    Ok(flops)
+}
+
+/// [`recover_to_first`] on the storage `S`.
+fn recover<S: Blocks>(
+    store: &mut Store<S>,
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    sweeps: &[&ForwardSweep],
+    sols: &mut [SelectedSolution],
+) -> u64 {
+    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    fit_slots(store, systems.len(), bs, nb, n_rhs);
+    for i in 0..nb - 1 {
+        store.g[i].stage(|e| &sweeps[e].g[i]);
+        for (r, row) in store.gl[..n_rhs].iter_mut().enumerate() {
+            row[i].stage(|e| &sweeps[e].gl[r][i]);
+        }
+    }
+    backward(store, systems, rhs, sols)
+}
+
+/// Shape the forward-pass slots of `store` to `nb` block positions of
+/// `batch` blocks of `bs × bs` and `n_rhs` rows. The slot lists only grow: a
+/// scratch that alternates between block counts (a rank of a spatial group
+/// solves partition ranges and reduced boundary systems on one scratch) keeps
+/// the longer list warm.
+fn fit_slots<S: Blocks>(store: &mut Store<S>, batch: usize, bs: usize, nb: usize, n_rhs: usize) {
+    let Store { g, gl, .. } = store;
     if g.len() < nb {
         g.resize_with(nb, S::empty);
     }
     for slot in g[..nb].iter_mut() {
-        slot.fit(bsz, bs);
+        slot.fit(batch, bs);
     }
     while gl.len() < n_rhs {
         gl.push(Vec::new());
@@ -421,11 +535,33 @@ fn recursion<S: Blocks>(
             row.resize_with(nb, S::empty);
         }
         for slot in row[..nb].iter_mut() {
-            slot.fit(bsz, bs);
+            slot.fit(batch, bs);
         }
     }
+}
 
-    // ------------------------------------------------------------------ forward
+/// The forward half on the storage `S`: the left-connected `g[i]` and
+/// `gl[r][i]` of every block. With `separator`, the last block is a
+/// separator of a spatial partition: its step stops before the inversion
+/// and writes the Schur term (negated) and the `inner` coupling terms
+/// (without `B_ss`) of every energy `e` into `separator[e]` instead.
+/// Returns the per-energy FLOP count.
+fn forward<S: Blocks>(
+    store: &mut Store<S>,
+    lu: &mut LuScratch,
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    mut separator: Option<&mut [Vec<CMatrix>]>,
+) -> Result<u64, RgfBatchError> {
+    let bsz = systems.len();
+    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let mut flops = 0u64; // per energy — structural, identical for every member
+    let gemm_c = gemm_flops(bs, bs, bs);
+    let inv_cost = inverse_flops(bs);
+
+    fit_slots(store, bsz, bs, nb, n_rhs);
+    let Store { bws, g, gl } = store;
+
     // Left-connected retarded g[i] and lesser gl[r][i], batched per block
     // position: stage the per-energy blocks once, then one batched product
     // per GEMM of the recursion.
@@ -449,6 +585,8 @@ fn recursion<S: Blocks>(
     }
 
     for i in 1..nb {
+        // The separator's step stops before its inversion.
+        let mut at_separator = separator.as_deref_mut().filter(|_| i == nb - 1);
         let mut slo = bws.take(bsz, bs); // A_{i, i-1}
         slo.stage(|e| systems[e].lower(i - 1));
         let mut sup = bws.take(bsz, bs); // A_{i-1, i}
@@ -460,36 +598,55 @@ fn recursion<S: Blocks>(
         let mut t2 = bws.take(bsz, bs);
         t2.product(ONE, each(&t1), each(&sup), ZERO);
         flops += 2 * gemm_c;
-        let mut d = bws.take(bsz, bs);
-        d.stage(|e| systems[e].diag(i));
-        d.sub_assign_batch(&t2);
-        S::invert(lu, &d, &mut g[i]).map_err(|e| RgfBatchError {
-            energy: e,
-            error: RgfError::SingularBlock(i),
-        })?;
-        flops += inv_cost;
+        if let Some(out) = &mut at_separator {
+            for (e, upd) in out.iter_mut().enumerate() {
+                t2.copy_plane_to(e, &mut upd[0]);
+                upd[0].scale_mut(c64::new(-1.0, 0.0));
+            }
+        } else {
+            let mut d = bws.take(bsz, bs);
+            d.stage(|e| systems[e].diag(i));
+            d.sub_assign_batch(&t2);
+            S::invert(lu, &d, &mut g[i]).map_err(|e| RgfBatchError {
+                energy: e,
+                error: RgfError::SingularBlock(i),
+            })?;
+            flops += inv_cost;
+            bws.give(d);
+        }
 
         for r in 0..n_rhs {
             // inner = B_ii + A_{i,i-1} gl_{i-1} A_{i,i-1}†
             //       − A_{i,i-1} g_{i-1} B_{i-1,i} − B_{i,i-1} g_{i-1}† A_{i,i-1}†
             let mut inner = bws.take(bsz, bs);
-            inner.stage(|e| rhs[e][r].diag(i));
+            let beta = if at_separator.is_some() {
+                ZERO
+            } else {
+                inner.stage(|e| rhs[e][r].diag(i));
+                ONE
+            };
             let mut bup = bws.take(bsz, bs);
             bup.stage(|e| rhs[e][r].upper(i - 1));
             let mut blo = bws.take(bsz, bs);
             blo.stage(|e| rhs[e][r].lower(i - 1));
             let mut u = bws.take(bsz, bs);
             u.product(ONE, each(&slo), each(&gl[r][i - 1]), ZERO);
-            inner.product(ONE, each(&u), each_dag(&slo), ONE);
+            inner.product(ONE, each(&u), each_dag(&slo), beta);
             u.product(ONE, each(&slo), each(&g[i - 1]), ZERO);
             inner.product(-ONE, each(&u), each(&bup), ONE);
             u.product(ONE, each(&blo), each_dag(&g[i - 1]), ZERO);
             inner.product(-ONE, each(&u), each_dag(&slo), ONE);
             flops += 6 * gemm_c;
-            // gl_i = g_i · inner · g_i†
-            u.product(ONE, each(&g[i]), each(&inner), ZERO);
-            gl[r][i].product(ONE, each(&u), each_dag(&g[i]), ZERO);
-            flops += 2 * gemm_c;
+            if let Some(out) = &mut at_separator {
+                for (e, upd) in out.iter_mut().enumerate() {
+                    inner.copy_plane_to(e, &mut upd[1 + r]);
+                }
+            } else {
+                // gl_i = g_i · inner · g_i†
+                u.product(ONE, each(&g[i]), each(&inner), ZERO);
+                gl[r][i].product(ONE, each(&u), each_dag(&g[i]), ZERO);
+                flops += 2 * gemm_c;
+            }
             bws.give(inner);
             bws.give(bup);
             bws.give(blo);
@@ -497,19 +654,27 @@ fn recursion<S: Blocks>(
         }
         bws.give(t1);
         bws.give(t2);
-        bws.give(d);
         bws.give(slo);
         bws.give(sup);
     }
     bws.give(sd);
+    Ok(flops)
+}
 
-    // ----------------------------------------------------------------- backward
-    for (e, sol) in sols.iter_mut().enumerate() {
-        g[nb - 1].copy_plane_to(e, sol.retarded.diag_mut(nb - 1));
-        for r in 0..n_rhs {
-            gl[r][nb - 1].copy_plane_to(e, sol.lesser[r].diag_mut(nb - 1));
-        }
-    }
+/// The backward half on the storage `S`, over the forward half's `g[i]` and
+/// `gl[r][i]` and seeded by the last diagonal blocks already in `sols`.
+/// Returns the per-energy FLOP count.
+fn backward<S: Blocks>(
+    store: &mut Store<S>,
+    systems: &[&BlockTridiagonal],
+    rhs: &[&[&BlockTridiagonal]],
+    sols: &mut [SelectedSolution],
+) -> u64 {
+    let bsz = systems.len();
+    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let mut flops = 0u64;
+    let gemm_c = gemm_flops(bs, bs, bs);
+    let Store { bws, g, gl } = store;
 
     for i in (0..nb.saturating_sub(1)).rev() {
         let mut sup = bws.take(bsz, bs); // A_{i, i+1}
@@ -657,6 +822,5 @@ fn recursion<S: Blocks>(
         bws.give(sup);
         bws.give(slo);
     }
-
-    Ok(flops)
+    flops
 }

@@ -26,14 +26,16 @@
 //!   split into `P_S` partitions ([`layout`]) whose interiors are eliminated
 //!   concurrently, a reduced system over the partition boundary blocks is
 //!   solved (including the quadratic lesser/greater right-hand sides), and the
-//!   interior selected blocks are recovered in parallel (at the cost of the
-//!   fill-in work the paper quantifies). A partition enters and leaves as a
-//!   plain [`BlockTridiagonal`] sub-range, its interior is factorised once
-//!   ([`nested::InteriorFactor`]), and the one elimination entry point
-//!   ([`nested::eliminate_partition`]) solves the interiors of a whole batch
-//!   of systems with one [`batch::rgf_solve_batch_into`] — so a distributed
-//!   driver runs elimination and recovery on different ranks against each
-//!   rank's warm scratch.
+//!   interior selected blocks are recovered in parallel. A partition enters
+//!   and leaves as a plain [`BlockTridiagonal`] sub-range. A partition with
+//!   one separator runs the two halves of the batched RGF recursion around
+//!   the reduced system; a middle partition factorises its interior once
+//!   ([`nested::InteriorFactor`]) and pays the fill-in work the paper
+//!   quantifies. The one elimination entry point
+//!   ([`nested::eliminate_partition`]) and the recovery
+//!   ([`nested::recover_partition`]) take a whole batch of systems, so a
+//!   distributed driver runs elimination and recovery on different ranks
+//!   against each rank's warm scratch.
 //!
 //! The [`dense`] module provides the brute-force dense references used by the
 //! test-suite to validate every selected block.

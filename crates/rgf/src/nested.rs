@@ -7,11 +7,11 @@
 //! partitions ([`crate::layout`]) whose interiors are eliminated
 //! **concurrently**, a *reduced system* over the partition boundary blocks is
 //! formed and solved, and the interior selected blocks are recovered in
-//! parallel. The extra block-column solves performed by each partition are
+//! parallel. The extra block-column solves a middle partition performs are
 //! the *fill-in* the paper quantifies (`O(N_B/P_S)` additional blocks per
-//! middle partition), and the boundary partitions perform roughly 60% of a
-//! middle partition's workload because they own a single separator instead of
-//! two.
+//! middle partition); an end partition owns a single separator and builds no
+//! fill-in at all (below), so per interior block it costs about a third of a
+//! middle partition.
 //!
 //! Two entry points are provided:
 //!
@@ -42,15 +42,27 @@
 //! [`assemble_solution`] copies into place. A pure-separator partition (empty
 //! interior) reads, sends and returns nothing.
 //!
-//! **One factorisation.** Besides the interior RGF solve, the forward Schur
-//! sweep of a partition's interior runs once per system
-//! ([`InteriorFactor`]); every fill-in block-column solve — plain or adjoint —
-//! reads that one factor.
+//! **End partitions are the RGF sweeps.** A partition with one separator —
+//! both at `P_S = 2`, the two ends at `P_S ≥ 3` — runs the batched RGF
+//! recursion of [`crate::batch`] itself, in separator-last order (the
+//! right-hand end block-reversed, [`BlockTridiagonal::reversed`]): the forward
+//! half over its range stops before the separator's inversion, and that
+//! step's Schur term `−A_{s,e}·g_e·A_{e,s}` and `inner` terms
+//! `A_{s,e}·g≶_e·A_{s,e}† − A_{s,e}·g_e·B_{e,s} − B_{s,e}·g_e†·A_{s,e}†` are
+//! its `1 × 1` update grid; recovery is the backward half seeded at the
+//! separator with the reduced solution's diagonal blocks. Its cost is one RGF
+//! solve of its range; at `P_S = 2` the partitions plus the reduced system
+//! cost exactly one sequential solve.
+//!
+//! **One factorisation per middle partition.** A two-separator partition
+//! solves its isolated interior, runs the forward Schur sweep of the interior
+//! once per system ([`InteriorFactor`]), and every fill-in block-column solve
+//! — plain or adjoint — reads that one factor.
 //!
 //! **One elimination entry point.** [`eliminate_partition`] takes the
 //! sub-ranges of a whole batch of same-shape systems (the energies a rank
-//! owns) and solves their interiors with one
-//! [`rgf_solve_batch_into`] against the caller's scratch; [`solve_systems`]
+//! owns) and runs their RGF work as batched solves against the caller's
+//! scratch, and [`recover_partition`] recovers such a batch; [`solve_systems`]
 //! does the same for the reduced systems. The thread driver
 //! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
 //! distributed driver (`quatrex_core::dist`) runs the same phase functions
@@ -60,10 +72,10 @@
 //! traffic of the paper.
 
 // lint:allow-file(per-energy-gemm): the fill-in solves and Schur updates of
-// ONE system's partition are short dependent chains of distinct operands per
-// separator, not an energy loop over shared operands; the energy-batched
-// part — the interior and reduced RGF solves — goes through
-// `rgf_solve_batch_into`.
+// ONE system's middle partition are short dependent chains of distinct
+// operands per separator, not an energy loop over shared operands; the
+// energy-batched part — the end partitions, interior and reduced RGF solves —
+// goes through the batched recursion.
 use rayon::prelude::*;
 
 use quatrex_linalg::lu::{inverse_flops, LuScratch};
@@ -71,7 +83,9 @@ use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
 use quatrex_linalg::{CMatrix, ONE, ZERO};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::batch::{rgf_solve_batch_into, RgfBatchScratch};
+use crate::batch::{
+    eliminate_to_last, recover_to_first, rgf_solve_batch_into, ForwardSweep, RgfBatchScratch,
+};
 use crate::layout::{
     separator_blocks, spatial_partition_layout, validate_partition_layout, SpatialPartition,
 };
@@ -195,13 +209,22 @@ pub fn solve_systems(
     systems: &[Vec<BlockTridiagonal>],
     scratch: &mut RgfBatchScratch,
 ) -> Result<Vec<SelectedSolution>, RgfError> {
-    let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| &s[0]).collect();
-    let rhs: Vec<Vec<&BlockTridiagonal>> =
-        systems.iter().map(|s| s[1..].iter().collect()).collect();
+    let (lhs, rhs) = split_systems(systems);
     let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
     let mut sols = vec![SelectedSolution::zeros(0, 0, 0); systems.len()];
     rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch).map_err(|e| e.error)?;
     Ok(sols)
+}
+
+/// The system matrices `A` and the right-hand-side lists `[B_1, …]` of a
+/// batch of systems `[A, B_1, …]`.
+#[allow(clippy::type_complexity)]
+fn split_systems<S: AsRef<[BlockTridiagonal]>>(
+    systems: &[S],
+) -> (Vec<&BlockTridiagonal>, Vec<Vec<&BlockTridiagonal>>) {
+    let lhs = systems.iter().map(|s| &s.as_ref()[0]).collect();
+    let rhs = systems.iter().map(|s| s.as_ref()[1..].iter().collect());
+    (lhs, rhs.collect())
 }
 
 /// The forward Schur sweep of a block-tridiagonal matrix `A`, run **once** and
@@ -325,12 +348,27 @@ struct BoundaryFactors {
     s: Vec<Vec<CMatrix>>,
 }
 
-/// Recovery state a partition keeps between the elimination and recovery
-/// phases (never communicated).
+/// Fill-in recovery state of a two-separator partition.
 struct PartitionFactors {
     /// Selected solve of the isolated interior (`D·B·D†` restricted to it).
     interior: SelectedSolution,
     boundaries: Vec<BoundaryFactors>,
+}
+
+/// Recovery state a partition keeps between the elimination and recovery
+/// phases (never communicated).
+enum Recovery {
+    /// A pure-separator partition recovers nothing.
+    Nothing,
+    /// One separator: the range in separator-last order (block-reversed
+    /// when the separator is its first block) and the forward sweep over it,
+    /// for the backward sweep seeded at the separator.
+    Sweep {
+        range: Vec<BlockTridiagonal>,
+        forward: ForwardSweep,
+    },
+    /// Two separators: the interior solution and the fill-in factors.
+    FillIn(PartitionFactors),
 }
 
 /// Per-partition, per-system result of the elimination phase. The `updates`
@@ -345,16 +383,19 @@ pub struct PartitionSolveState {
     pub updates: Vec<CMatrix>,
     /// Workload bookkeeping of the elimination phase.
     pub workload: PartitionWorkload,
-    factors: Option<PartitionFactors>,
+    recovery: Recovery,
 }
 
 /// Eliminate the interior of one partition for a batch of same-shape systems
 /// (typically the energies a rank owns), each given as its
-/// [`partition_ranges`]: solve the isolated interiors with **one** batched RGF
-/// solve against `scratch`, then per system factorise the interior once,
-/// compute the fill-in factors towards both separators and produce the
-/// Schur-complement / reduced-RHS updates. A system's result does not depend
-/// on the batch it is eliminated in.
+/// [`partition_ranges`], against `scratch`. A partition with **one**
+/// separator runs the batched forward RGF sweep over its range towards the
+/// separator and stops before the separator's inversion: that step's Schur
+/// and `inner` terms are its update grid. A partition with two separators
+/// solves the isolated interiors with one batched RGF solve, then per system
+/// factorises the interior once, computes the fill-in factors towards both
+/// separators and produces the Schur-complement / reduced-RHS updates. A
+/// system's result does not depend on the batch it is eliminated in.
 pub fn eliminate_partition(
     ranges: &[Vec<BlockTridiagonal>],
     part: &SpatialPartition,
@@ -364,21 +405,45 @@ pub fn eliminate_partition(
     quatrex_probe::span("rgf.eliminate_partition", "rgf.partition", || {
         let interior = part.interior();
         let local = interior.start - part.lo..interior.end - part.lo;
+        let workload = |flops| PartitionWorkload {
+            partition: index,
+            blocks: part.hi - part.lo + 1,
+            fill_in_blocks: 0,
+            flops,
+        };
         if local.is_empty() {
             // Pure-separator partition: nothing to eliminate, nothing to update
             // (its separator blocks enter the reduced system unmodified).
-            let workload = PartitionWorkload {
-                partition: index,
-                blocks: part.hi - part.lo + 1,
-                fill_in_blocks: 0,
-                flops: 0,
-            };
             let empty = |_| PartitionSolveState {
                 updates: Vec::new(),
-                workload: workload.clone(),
-                factors: None,
+                workload: workload(0),
+                recovery: Recovery::Nothing,
             };
             return Ok(ranges.iter().map(empty).collect());
+        }
+        if part.n_separators() == 1 {
+            // The range in separator-last order, copied once.
+            let reverse = part.left_boundary.is_some();
+            let orient = |m: &BlockTridiagonal| if reverse { m.reversed() } else { m.clone() };
+            let oriented: Vec<Vec<BlockTridiagonal>> = ranges
+                .iter()
+                .map(|sub| sub.iter().map(orient).collect())
+                .collect();
+            let (lhs, rhs) = split_systems(&oriented);
+            let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
+            let (bs, n_rhs) = (lhs[0].block_size(), rhs[0].len());
+            let mut updates = vec![vec![CMatrix::zeros(bs, bs); 1 + n_rhs]; ranges.len()];
+            let mut sweeps = vec![ForwardSweep::default(); ranges.len()];
+            let flops = eliminate_to_last(&lhs, &rhs, &mut updates, &mut sweeps, scratch)
+                .map_err(|e| e.error)?;
+            let states = oriented.into_iter().zip(sweeps).zip(updates);
+            return Ok(states
+                .map(|((range, forward), updates)| PartitionSolveState {
+                    updates,
+                    workload: workload(flops),
+                    recovery: Recovery::Sweep { range, forward },
+                })
+                .collect());
         }
         let interiors: Vec<Vec<BlockTridiagonal>> = ranges
             .iter()
@@ -521,7 +586,7 @@ fn eliminate_interior(
             fill_in_blocks,
             flops,
         },
-        factors: Some(PartitionFactors {
+        recovery: Recovery::FillIn(PartitionFactors {
             interior,
             boundaries,
         }),
@@ -577,22 +642,71 @@ pub fn assemble_reduced_system(
     reduced
 }
 
-/// Recover the selected blocks of one partition — interior, separator
-/// diagonals and the couplings between them — from its local factors and the
-/// selected solution of the reduced boundary system, as a
-/// [`SelectedSolution`] over [`SpatialPartition::range`] (its `flops` are the
-/// recovery's).
+/// Recover the selected blocks of one partition for a batch of systems —
+/// interior, separator diagonals and the couplings between them — from their
+/// [`eliminate_partition`] states and the selected solutions of their reduced
+/// boundary systems (one each, same order), against `scratch`. A
+/// one-separator partition runs the batched backward RGF sweep over its
+/// range, seeded at the separator with the reduced solution's diagonal
+/// blocks; a two-separator partition combines its fill-in factors with the
+/// reduced blocks between its separators. Returns one [`SelectedSolution`]
+/// over [`SpatialPartition::range`] per system (its `flops` are the
+/// recovery's); a system's result does not depend on the batch.
 pub fn recover_partition(
     part: &SpatialPartition,
-    state: &PartitionSolveState,
-    reduced: &SelectedSolution,
-) -> SelectedSolution {
+    states: &[PartitionSolveState],
+    reduced: &[SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Vec<SelectedSolution> {
+    assert_eq!(states.len(), reduced.len(), "one reduced solution each");
     quatrex_probe::span("rgf.recover_partition", "rgf.partition", || {
-        recover_partition_impl(part, state, reduced)
+        if states.is_empty() {
+            return Vec::new();
+        }
+        if part.n_separators() != 1 {
+            let fill_in = states.iter().zip(reduced);
+            return fill_in
+                .map(|(st, red)| recover_fill_in(part, st, red))
+                .collect();
+        }
+        let (ranges, forward): (Vec<_>, Vec<_>) = states
+            .iter()
+            .map(|st| match &st.recovery {
+                Recovery::Sweep { range, forward } => (range, forward),
+                _ => panic!("not an end partition's state"),
+            })
+            .unzip();
+        let (lhs, rhs) = split_systems(&ranges);
+        let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
+        let (n, bs, n_rhs) = (lhs[0].n_blocks(), lhs[0].block_size(), rhs[0].len());
+        // The seed: the reduced solution at the partition's one separator.
+        let sep = first_separator(states[0].workload.partition);
+        let mut sols: Vec<SelectedSolution> = reduced
+            .iter()
+            .map(|red| {
+                let mut sol = SelectedSolution::zeros(n, bs, n_rhs);
+                *sol.retarded.diag_mut(n - 1) = red.retarded.diag(sep).clone();
+                for (x, xr) in sol.lesser.iter_mut().zip(&red.lesser) {
+                    *x.diag_mut(n - 1) = xr.diag(sep).clone();
+                }
+                sol
+            })
+            .collect();
+        let flops = recover_to_first(&lhs, &rhs, &forward, &mut sols, scratch);
+        for sol in &mut sols {
+            if part.left_boundary.is_some() {
+                sol.retarded = sol.retarded.reversed();
+                sol.lesser = sol.lesser.iter().map(BlockTridiagonal::reversed).collect();
+            }
+            sol.flops = flops;
+        }
+        sols
     })
 }
 
-fn recover_partition_impl(
+/// The fill-in recovery of one system of a two-separator partition (and the
+/// empty recovery of a pure-separator one).
+fn recover_fill_in(
     part: &SpatialPartition,
     state: &PartitionSolveState,
     reduced: &SelectedSolution,
@@ -600,7 +714,7 @@ fn recover_partition_impl(
     let n_rhs = reduced.lesser.len();
     let bs = reduced.retarded.block_size();
     let mut out = SelectedSolution::zeros(part.range().len(), bs, n_rhs);
-    let Some(factors) = &state.factors else {
+    let Recovery::FillIn(factors) = &state.recovery else {
         return out;
     };
     let n_int = part.interior().len();
@@ -826,7 +940,10 @@ pub fn nested_dissection_solve_with_layout(
     let recovered: Vec<SelectedSolution> = parts
         .par_iter()
         .zip(states.par_iter())
-        .map(|(part, state)| recover_partition(part, state, &reduced))
+        .map(|(part, state)| {
+            let (state, reduced) = (std::slice::from_ref(state), std::slice::from_ref(&reduced));
+            recover_partition(part, state, reduced, &mut RgfBatchScratch::new()).remove(0)
+        })
         .collect();
 
     let mut sol = assemble_solution(nb, parts, &reduced, &recovered);

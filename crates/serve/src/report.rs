@@ -39,9 +39,11 @@ pub struct PointReport {
     /// solve (`DistReport::measured_bytes_per_rank_per_iteration`), written
     /// per point to `SWEEP_report.json`.
     pub bytes_per_rank_per_iteration: u64,
-    /// Per-phase wall seconds of this point's solve (from the probe
-    /// timeline). Empty when the probe is off or the point was restored from
-    /// a checkpoint (timings are measurements of a run, not solver state).
+    /// Per-phase exclusive seconds of this point's solve, summed over ranks
+    /// (`quatrex_probe::Timeline::phase_seconds`: with `untraced`, they sum
+    /// to the solve's rank-seconds). Empty when the probe is off or the point
+    /// was restored from a checkpoint (timings are measurements of a run,
+    /// not solver state).
     pub phase_seconds: Vec<(String, f64)>,
     /// Wall-clock seconds this point took, from its operating-point set-up
     /// to the end of its solve. Like `phase_seconds` a measurement of a run:

@@ -202,6 +202,18 @@ impl BlockTridiagonal {
         self.lower[at..at + m].clone_from_slice(&src.lower);
     }
 
+    /// The block-reversed matrix `P·M·Pᵀ` (block `k` ↦ `n − 1 − k`): block
+    /// `(k, k + 1)` of the result is block `(n − 1 − k, n − 2 − k)` of `self`.
+    pub fn reversed(&self) -> BlockTridiagonal {
+        let rev = |blocks: &[CMatrix]| blocks.iter().rev().cloned().collect();
+        BlockTridiagonal {
+            diag: rev(&self.diag),
+            upper: rev(&self.lower),
+            lower: rev(&self.upper),
+            block_size: self.block_size,
+        }
+    }
+
     /// Element-wise `self + alpha·other`.
     pub fn add(&self, alpha: c64, other: &BlockTridiagonal) -> BlockTridiagonal {
         assert_eq!(self.n_blocks(), other.n_blocks());
@@ -404,6 +416,24 @@ mod tests {
         let before = target.to_dense();
         target.write_range(4, &bt.sub_range(4..4));
         assert!(target.to_dense().approx_eq(&before, 0.0));
+    }
+
+    #[test]
+    fn reversal_permutes_the_blocks() {
+        let mut bt = sample_bt(4, 2);
+        bt.set_block(
+            2,
+            1,
+            CMatrix::from_fn(2, 2, |i, j| cplx(0.3 * i as f64, -0.7 * j as f64)),
+        );
+        let rev = bt.reversed();
+        for i in 0..4usize {
+            for j in i.saturating_sub(1)..(i + 2).min(4) {
+                let want = bt.block(3 - i, 3 - j).unwrap();
+                assert!(rev.block(i, j).unwrap().approx_eq(want, 0.0), "({i}, {j})");
+            }
+        }
+        assert!(rev.reversed().to_dense().approx_eq(&bt.to_dense(), 0.0));
     }
 
     #[test]
