@@ -70,7 +70,19 @@ pub struct DistReport {
     /// no span: the entries sum to `n_ranks × wall_seconds`. Sorted by
     /// category name. Empty when the probe was disabled
     /// (`DistScbaConfig::probe = false`).
+    ///
+    /// The report's two time ledgers, side by side: this one is exclusive,
+    /// and [`Self::phase_flop_rates`] divides by *inclusive* seconds — a
+    /// phase's own entry here plus those of the kernel spans nested in it
+    /// (`gemm_batch`, `gemm_lanes`, `obc.direct`), because its FLOPs are
+    /// counted against the phase but run inside those kernel spans.
     pub phase_seconds: Vec<(String, f64)>,
+    /// Measured FLOP rate per phase in FLOP/s, joining the seconds inside the
+    /// phase's spans (inclusive, see [`Self::phase_seconds`]) with the
+    /// `FlopCounter` accounting (`(phase, rate)`; only phases with both
+    /// nonzero seconds and nonzero FLOPs appear). Empty when the probe was
+    /// disabled.
+    pub phase_flop_rates: Vec<(String, f64)>,
     /// Measured overlap efficiency: the fraction of in-flight transposition
     /// time (post → wait end, per exchange, unioned per rank) that was hidden
     /// under convolution compute. `None` when the probe was disabled or no
@@ -86,11 +98,6 @@ pub struct DistReport {
     /// was disabled or no full iteration ran; recorded independently of the
     /// probe flag.
     pub memoizer_hit_rate_per_iteration: Vec<f64>,
-    /// Measured FLOP rate per phase in FLOP/s, joining the seconds inside the
-    /// phase's spans with the `FlopCounter` accounting (`(phase, rate)`; only
-    /// phases with both nonzero seconds and nonzero FLOPs appear). Empty when
-    /// the probe was disabled.
-    pub phase_flop_rates: Vec<(String, f64)>,
 }
 
 impl DistReport {

@@ -284,10 +284,11 @@ pub fn spatial_phase_solve(
             states
         })
     };
-    let own = systems
+    let own: Vec<_> = systems
         .iter()
-        .map(|system| partition_ranges(system, my_part));
-    let mut own_states = eliminate(&own.collect::<Vec<_>>());
+        .map(|system| partition_ranges(system, my_part))
+        .collect();
+    let mut own_states = eliminate(&own);
     let recv = handle.wait(ctx);
     let mut states: Vec<PartitionSolveState> = Vec::with_capacity(n_group);
     for m in 0..p_s {

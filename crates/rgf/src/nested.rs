@@ -362,7 +362,11 @@ enum Recovery {
     Nothing,
     /// One separator: the range in separator-last order (block-reversed
     /// when the separator is its first block) and the forward sweep over it,
-    /// for the backward sweep seeded at the separator.
+    /// for the backward sweep seeded at the separator. Both are owned copies:
+    /// the caller's ranges are borrowed, and until this partition recovers,
+    /// the scratch's block store serves the other chunks' eliminations and
+    /// the reduced solves. A copy is `O(N_BS²)` per block; the sweeps are
+    /// `O(N_BS³)`.
     Sweep {
         range: Vec<BlockTridiagonal>,
         forward: ForwardSweep,

@@ -548,6 +548,32 @@ fn empty_interior_partitions_read_send_and_return_nothing() {
 }
 
 #[test]
+fn interior_is_factorised_once_per_partition() {
+    // The FLOP pin of a middle partition at dist_spatial's block shape
+    // (N_B = 16, N_BS = 32, 2 RHS) over P_S = 4: two separators, a
+    // two-block interior factorised once, every fill-in block-column solve
+    // against that one factor — 576 products or inversions of 8·N_BS³ FLOPs
+    // each. The end partitions run the RGF sweeps (pinned in
+    // `one_separator_partitions_cost_one_rgf_sweep`).
+    let (nb, bs) = (16, 32);
+    let a = test_system(nb, bs);
+    let b1 = test_rhs(nb, bs, 1.0);
+    let b2 = test_rhs(nb, bs, -0.7);
+    let (_, report) = nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(4)).unwrap();
+    let unit = 8 * (bs as u64).pow(3);
+    assert_eq!((gemm_flops(bs, bs, bs), inverse_flops(bs)), (unit, unit));
+    for p in &report.partitions[1..3] {
+        assert_eq!(p.flops, 576 * unit, "partition {}", p.partition);
+        assert_eq!(p.flops, 150_994_944, "partition {}", p.partition);
+        assert!(p.fill_in_blocks > 0, "partition {}", p.partition);
+    }
+    for p in &report.partitions {
+        assert_eq!(p.flops % unit, 0, "partition {} counter", p.partition);
+    }
+    assert_eq!(report.reduced_system_flops % unit, 0);
+}
+
+#[test]
 fn shape_mismatch_and_zero_partitions_are_rejected() {
     let a = test_system(8, 2);
     let b_wrong = test_rhs(9, 2, 1.0);
