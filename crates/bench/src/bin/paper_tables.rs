@@ -339,7 +339,7 @@ struct Projection {
 /// It ignores everything else: work of lower order than `N_B·N_BS³` (the
 /// `N_BS³` OBC solves, the `N_E log N_E` convolutions, `N_BS²` assembly terms
 /// — the measured constant at the bench device's small `N_BS` folds them in),
-/// the nested-dissection fill-in at `P_S > 1` (Table 5 measures it), `W`'s
+/// the nested-dissection overhead at `P_S > 1` (Table 5 measures it), `W`'s
 /// own non-zero pattern (`G`'s stands for all four quantities), latency,
 /// intra-node links, network contention, load imbalance and any overlap of
 /// communication with computation. No multiplier is calibrated against the

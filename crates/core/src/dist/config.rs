@@ -63,7 +63,7 @@ pub struct DistScbaConfig {
     /// on the paper's devices), so `P_S > 1` only wins when the per-energy
     /// solve, not the energy count, is the bottleneck. From `P_S = 3` on the
     /// partition layout is FLOP-balanced ([`crate::dist::spatial::SpatialLayout`]):
-    /// the uniform split would leave the two boundary partitions idle ~40 %
+    /// the uniform split would leave the two boundary partitions idle ~30 %
     /// of every solve.
     pub spatial_partitions: usize,
     /// Number of energy batches (`B`) each of the four per-iteration

@@ -400,6 +400,14 @@ pub(crate) struct ForwardSweep {
     gl: Vec<Vec<CMatrix>>,
 }
 
+impl ForwardSweep {
+    /// The left-connected retarded blocks `g_i`, one per block before the
+    /// last.
+    pub(crate) fn retarded(&self) -> &[CMatrix] {
+        &self.g
+    }
+}
+
 /// The forward half over a batch whose **last block is a separator**: the
 /// recursion runs up to it and stops before its inversion. `updates[e]`
 /// receives what that stopped step computes — the Schur term

@@ -127,11 +127,12 @@ pub(crate) fn validate_partition_layout(
 /// (paper Section 5.4's load balancing: boundary partitions own a single
 /// separator and therefore do less work than a middle partition under the
 /// uniform split — growing the end partitions restores balance). An end
-/// partition runs the RGF sweeps over its range and builds no fill-in, so
-/// per interior block it costs about a third of a middle partition (127
-/// against ≈ 410 units of `8·N_BS³` at two right-hand sides): the end
-/// partitions take most of the blocks, and with whole blocks the spread that
-/// remains can be 20–35 % on a short device.
+/// partition runs the RGF sweeps over its range (`127·n` units of `8·N_BS³`
+/// for `n` interior blocks at two right-hand sides); a middle partition runs
+/// the stopped forward half towards each separator and one RGF solve of its
+/// closed range (`185·n + 176`), about 1.5× as much per block: the end
+/// partitions take more of the blocks, and with whole blocks a spread of
+/// 4 % (24 blocks) to 13 % (22 blocks) remains on the short bench cells.
 ///
 /// `report` must come from a solve of the same `n_blocks` over the same
 /// `n_partitions` (typically the uniform [`spatial_partition_layout`], e.g.
@@ -139,7 +140,8 @@ pub(crate) fn validate_partition_layout(
 /// of each partition are divided by its interior length to obtain
 /// per-interior-block rates for end (one separator) and middle (two
 /// separators) partitions — both elimination and recovery cost are linear in
-/// the interior length for a fixed separator count — and the interior sizes
+/// the interior length for a fixed separator count, up to a middle
+/// partition's constant — and the interior sizes
 /// are re-chosen so the predicted per-partition FLOPs equalise.
 ///
 /// With `n_partitions == 2` (no middle partition) or a degenerate report the
@@ -224,7 +226,7 @@ pub fn partition_layout_balanced(
 
 /// The contiguous layout whose partition `p` has `interiors[p]` interior
 /// blocks: blocks = interior + owned separators.
-fn layout_from_interiors(interiors: &[usize]) -> Vec<SpatialPartition> {
+pub(crate) fn layout_from_interiors(interiors: &[usize]) -> Vec<SpatialPartition> {
     let last = interiors.len() - 1;
     let mut parts = Vec::with_capacity(interiors.len());
     let mut lo = 0usize;

@@ -29,9 +29,10 @@
 //!   interior selected blocks are recovered in parallel. A partition enters
 //!   and leaves as a plain [`BlockTridiagonal`] sub-range. A partition with
 //!   one separator runs the two halves of the batched RGF recursion around
-//!   the reduced system; a middle partition factorises its interior once
-//!   ([`nested::InteriorFactor`]) and pays the fill-in work the paper
-//!   quantifies. The one elimination entry point
+//!   the reduced system; a middle partition runs the stopped forward half
+//!   towards each of its two separators and recovers with one RGF solve of
+//!   its range, closed by the reduced solution at its separators — no
+//!   fill-in anywhere. The one elimination entry point
 //!   ([`nested::eliminate_partition`]) and the recovery
 //!   ([`nested::recover_partition`]) take a whole batch of systems, so a
 //!   distributed driver runs elimination and recovery on different ranks
@@ -59,8 +60,8 @@ pub use layout::{
 pub use nested::{
     assemble_reduced_system, assemble_solution, eliminate_partition, nested_dissection_invert,
     nested_dissection_solve, nested_dissection_solve_with_layout, partition_ranges,
-    recover_partition, solve_systems, InteriorFactor, NestedConfig, NestedReport,
-    PartitionSolveState, PartitionWorkload,
+    recover_partition, solve_systems, NestedConfig, NestedReport, PartitionSolveState,
+    PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

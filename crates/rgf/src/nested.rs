@@ -7,30 +7,26 @@
 //! partitions ([`crate::layout`]) whose interiors are eliminated
 //! **concurrently**, a *reduced system* over the partition boundary blocks is
 //! formed and solved, and the interior selected blocks are recovered in
-//! parallel. The extra block-column solves a middle partition performs are
-//! the *fill-in* the paper quantifies (`O(N_B/P_S)` additional blocks per
-//! middle partition); an end partition owns a single separator and builds no
-//! fill-in at all (below), so per interior block it costs about a third of a
-//! middle partition.
+//! parallel. Every partition runs the batched RGF recursion of
+//! [`crate::batch`] over its own block range; none builds fill-in.
 //!
 //! Two entry points are provided:
 //!
 //! * [`nested_dissection_invert`] — the retarded selected inverse only;
 //! * [`nested_dissection_solve`] — the full quadratic problem: the retarded
 //!   selected inverse *plus* the lesser/greater selected blocks
-//!   `X≶ = A⁻¹·B≶·A⁻†` for any number of right-hand sides. The lesser/greater
-//!   recovery across the separators is the quadratic part: with
-//!   `A⁻¹ = D + U·S⁻¹·Vᵗ` (interior inverse `D`, fill-in factors `U`, `Vᵗ`,
-//!   reduced Schur complement `S`), the solution splits into
+//!   `X≶ = A⁻¹·B≶·A⁻†` for any number of right-hand sides. Eliminating the
+//!   partition interiors `I` leaves the reduced system over the separators
+//!   `S`,
 //!
 //!   ```text
-//!   X≶ = D·B·D† + (D·B·Vᵗ†)·S⁻†·U† + U·S⁻¹·(Vᵗ·B·D†) + U·X≶_BB·U†
+//!   S = A_SS − A_SI·A_I⁻¹·A_IS
+//!   B̃ = B_SS − A_SI·A_I⁻¹·B_IS − B_SI·A_I⁻†·A_SI† + A_SI·A_I⁻¹·B_II·A_I⁻†·A_SI†
 //!   ```
 //!
-//!   where `X≶_BB = S⁻¹·(Vᵗ·B·Vᵗ†)·S⁻†` is the reduced *quadratic* boundary
-//!   system: its right-hand side `B̃ = Vᵗ·B·Vᵗ†` is gathered from the
-//!   partitions exactly like the Schur complement of `A`, and the reduced
-//!   problem is itself a selected RGF solve.
+//!   whose solution `X_SS = S⁻¹`, `X≶_SS = S⁻¹·B̃·S⁻†` is the full solution's
+//!   at the separators. The partitions' terms of `S` and `B̃` are gathered
+//!   like any block, and the reduced problem is itself a selected RGF solve.
 //!
 //! **One shape in and out.** A system is the list `[A, B_1, …, B_n]`. A
 //! partition reads blocks `lo..=hi` of it as plain [`BlockTridiagonal`]
@@ -54,10 +50,31 @@
 //! solve of its range; at `P_S = 2` the partitions plus the reduced system
 //! cost exactly one sequential solve.
 //!
-//! **One factorisation per middle partition.** A two-separator partition
-//! solves its isolated interior, runs the forward Schur sweep of the interior
-//! once per system ([`InteriorFactor`]), and every fill-in block-column solve
-//! — plain or adjoint — reads that one factor.
+//! **Middle partitions are closed ranges.** A partition with two separators,
+//! `t` (its first block) and `b` (its last), around the interior `1..=n`,
+//! runs the same stopped forward half twice: over `[1..=n, b]`, which gives
+//! the grid entry `u_bb` and the left-connected `g^L_k`, and block-reversed
+//! over `[t, 1..=n]`, which gives `u_tt` and the right-connected `g^R_k`. The
+//! cross entries `u_tb`, `u_bt` need the first and last rows of the interior
+//! inverse, `F_1 = g^R_1`, `F_j = −F_{j−1}·A_{j−1,j}·g^R_j` and
+//! `L_n = g^L_n`, `L_k = −L_{k+1}·A_{k+1,k}·g^L_k` (`cross_update`).
+//!
+//! Recovery *closes* the range. Outside it the device couples only to `t`
+//! and `b`, and the two outside pieces are disconnected from each other, so
+//! their whole effect on the range is a self-energy on the diagonal blocks
+//! `t` and `b`, retarded and lesser/greater. The range with those four
+//! blocks replaced (`A'`, `B'`) has the whole device's selected solution on
+//! `lo..=hi`, and eliminating its interior gives back the reduced solution:
+//! `X_SS⁻¹ = A'_SS + u_SS` and `X≶_SS = X_SS·(B'_SS + u≶_SS)·X_SS†`. With
+//! `Y = X_SS⁻¹` (one `2·N_BS` inversion) the closure is
+//!
+//! ```text
+//! A'_tt = Y_tt − u_tt        B'_tt = (Y·X≶_SS·Y†)_tt − u≶_tt        (same at b)
+//! ```
+//!
+//! and one batched RGF solve of the closed range returns every selected block
+//! of it. At two right-hand sides a middle partition of `n` interior blocks
+//! costs `185·n + 176` units of `8·N_BS³`, an end partition `127·n`.
 //!
 //! **One elimination entry point.** [`eliminate_partition`] takes the
 //! sub-ranges of a whole batch of same-shape systems (the energies a rank
@@ -71,16 +88,11 @@
 //! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
 //! traffic of the paper.
 
-// lint:allow-file(per-energy-gemm): the fill-in solves and Schur updates of
-// ONE system's middle partition are short dependent chains of distinct
-// operands per separator, not an energy loop over shared operands; the
-// energy-batched part — the end partitions, interior and reduced RGF solves —
-// goes through the batched recursion.
 use rayon::prelude::*;
 
 use quatrex_linalg::lu::{inverse_flops, LuScratch};
-use quatrex_linalg::ops::{gemm, gemm_flops, matmul, Op};
-use quatrex_linalg::{CMatrix, ONE, ZERO};
+use quatrex_linalg::ops::{gemm_flops, matmul, matmul_acc};
+use quatrex_linalg::{CMatrix, ONE};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::batch::{
@@ -112,8 +124,6 @@ pub struct PartitionWorkload {
     pub partition: usize,
     /// Number of blocks owned by the partition.
     pub blocks: usize,
-    /// Number of additional fill-in blocks computed (block-column solves).
-    pub fill_in_blocks: usize,
     /// Real FLOPs spent in the partition's parallel phases.
     pub flops: u64,
 }
@@ -160,8 +170,8 @@ impl NestedReport {
     }
 
     /// Workload of the average *middle* partition relative to an even
-    /// `1/P_S` share of the given sequential solve (the fill-in and recovery
-    /// overhead of the decomposition). `None` when there is no middle
+    /// `1/P_S` share of the given sequential solve (the extra elimination and
+    /// recovery work of the decomposition). `None` when there is no middle
     /// partition (`P_S < 3`) or no sequential reference.
     pub fn middle_partition_factor(&self, sequential_flops: u64) -> Option<f64> {
         if self.partitions.len() < 3 || sequential_flops == 0 {
@@ -183,15 +193,6 @@ fn band_block(m: &BlockTridiagonal, i: usize, j: usize) -> &CMatrix {
 /// (the separators ascend `p0.hi, p1.lo, p1.hi, p2.lo, …`).
 fn first_separator(p: usize) -> usize {
     (2 * p).saturating_sub(1)
-}
-
-/// `(separator, adjacent interior block)` of each side of a partition with a
-/// non-empty interior, as indices into its `lo..=hi` sub-range, left first.
-fn boundary_pairs(part: &SpatialPartition) -> Vec<(usize, usize)> {
-    let last = part.hi - part.lo;
-    let left = part.left_boundary.map(|_| (0, 1));
-    let right = part.right_boundary.map(|_| (last, last - 1));
-    left.into_iter().chain(right).collect()
 }
 
 /// What one partition reads of a system `[A, B_1, …]`: every matrix cut to
@@ -227,163 +228,34 @@ fn split_systems<S: AsRef<[BlockTridiagonal]>>(
     (lhs, rhs.collect())
 }
 
-/// The forward Schur sweep of a block-tridiagonal matrix `A`, run **once** and
-/// read by every block-column solve against `A` or `A†`: the inverse pivots
-/// `D_k⁻¹` (`D_k = A_kk − A_{k,k−1}·D_{k−1}⁻¹·A_{k−1,k}`) and the eliminators
-/// `E_k = A_{k+1,k}·D_k⁻¹`. The adjoint system needs no factorisation (nor a
-/// conjugate-transposed copy of `A`) of its own: `D_k(A†) = D_k(A)†`, so its
-/// solves read the same factor through `Op::Dagger`.
-pub struct InteriorFactor<'a> {
-    a: &'a BlockTridiagonal,
-    d_inv: Vec<CMatrix>,
-    elim: Vec<CMatrix>,
-    /// FLOPs of the sweep: `n` inversions and `2(n − 1)` products.
-    pub flops: u64,
-}
-
-impl<'a> InteriorFactor<'a> {
-    /// Factorise `a` (at least one block).
-    pub fn new(a: &'a BlockTridiagonal) -> Result<Self, RgfError> {
-        let (n, bs) = (a.n_blocks(), a.block_size());
-        let mut d_inv: Vec<CMatrix> = Vec::with_capacity(n);
-        let mut elim: Vec<CMatrix> = Vec::with_capacity(n.saturating_sub(1));
-        let mut lu = LuScratch::new();
-        for k in 0..n {
-            let mut dk = a.diag(k).clone();
-            if k > 0 {
-                let e = matmul(a.lower(k - 1), &d_inv[k - 1]);
-                dk -= &matmul(&e, a.upper(k - 1));
-                elim.push(e);
-            }
-            let mut inv = CMatrix::zeros(bs, bs);
-            lu.invert_into(&dk, &mut inv)
-                .map_err(|_| RgfError::SingularBlock(k))?;
-            d_inv.push(inv);
-        }
-        let flops = n as u64 * inverse_flops(bs) + 2 * elim.len() as u64 * gemm_flops(bs, bs, bs);
-        Ok(Self {
-            a,
-            d_inv,
-            elim,
-            flops,
-        })
-    }
-
-    /// Solve `A·X = C` — or `A†·X = C` when `adjoint` — for one block column
-    /// `C` (consumed; one block per block row). `3n − 2` products either way,
-    /// added to `flops`.
-    pub fn solve(&self, mut x: Vec<CMatrix>, adjoint: bool, flops: &mut u64) -> Vec<CMatrix> {
-        let n = self.d_inv.len();
-        let bs = self.a.block_size();
-        debug_assert_eq!(x.len(), n);
-        if adjoint {
-            // z_k = D_k⁻†·(c_k − A_{k−1,k}†·z_{k−1}), then x_k = z_k − E_k†·x_{k+1}.
-            for k in 0..n {
-                if k > 0 {
-                    let (done, rest) = x.split_at_mut(k);
-                    let a_up = Op::Dagger(self.a.upper(k - 1));
-                    gemm(&mut rest[0], -ONE, a_up, Op::None(&done[k - 1]), ONE);
-                }
-                let mut z = CMatrix::zeros(bs, bs);
-                gemm(
-                    &mut z,
-                    ONE,
-                    Op::Dagger(&self.d_inv[k]),
-                    Op::None(&x[k]),
-                    ZERO,
-                );
-                x[k] = z;
-            }
-            for k in (0..n - 1).rev() {
-                let (head, tail) = x.split_at_mut(k + 1);
-                gemm(
-                    &mut head[k],
-                    -ONE,
-                    Op::Dagger(&self.elim[k]),
-                    Op::None(&tail[0]),
-                    ONE,
-                );
-            }
-        } else {
-            // y_k = c_k − E_{k−1}·y_{k−1}, then x_k = D_k⁻¹·(y_k − A_{k,k+1}·x_{k+1}).
-            for k in 1..n {
-                let update = matmul(&self.elim[k - 1], &x[k - 1]);
-                x[k] -= &update;
-            }
-            for k in (0..n).rev() {
-                if k + 1 < n {
-                    let update = matmul(self.a.upper(k), &x[k + 1]);
-                    x[k] -= &update;
-                }
-                x[k] = matmul(&self.d_inv[k], &x[k]);
-            }
-        }
-        *flops += (3 * n as u64 - 2) * gemm_flops(bs, bs, bs);
-        x
-    }
-
-    /// The unit block column `E_j` of this factor's shape.
-    fn unit_column(&self, j: usize) -> Vec<CMatrix> {
-        let bs = self.a.block_size();
-        let mut col = vec![CMatrix::zeros(bs, bs); self.d_inv.len()];
-        col[j] = CMatrix::identity(bs);
-        col
-    }
-}
-
-/// Fill-in factors of one separator of a partition, for the elimination and
-/// recovery phases.
-struct BoundaryFactors {
-    /// Sub-range index of the separator.
-    sep: usize,
-    /// Sub-range index of the interior block adjacent to it.
-    nbr: usize,
-    /// `L[k] = [A_I⁻¹·A_{I,b}]_k` — the left fill-in factor.
-    left_f: Vec<CMatrix>,
-    /// `R[k] = [A_{b,I}·A_I⁻¹]_k` — the right fill-in factor.
-    right_f: Vec<CMatrix>,
-    /// Per right-hand side: `q[k] = [A_I⁻¹·(B·Vᵗ†)_{I,b}]_k`.
-    q: Vec<Vec<CMatrix>>,
-    /// Per right-hand side: `s[k] = [(Vᵗ·B)_{b,I}·A_I⁻†]_k`.
-    s: Vec<Vec<CMatrix>>,
-}
-
-/// Fill-in recovery state of a two-separator partition.
-struct PartitionFactors {
-    /// Selected solve of the isolated interior (`D·B·D†` restricted to it).
-    interior: SelectedSolution,
-    boundaries: Vec<BoundaryFactors>,
-}
-
 /// Recovery state a partition keeps between the elimination and recovery
-/// phases (never communicated).
+/// phases (never communicated). Both range-carrying states are owned copies:
+/// the caller's ranges are borrowed, and until this partition recovers, the
+/// scratch's block store serves the other chunks' eliminations and the
+/// reduced solves. A copy is `O(N_BS²)` per block; the sweeps are `O(N_BS³)`.
 enum Recovery {
     /// A pure-separator partition recovers nothing.
     Nothing,
     /// One separator: the range in separator-last order (block-reversed
     /// when the separator is its first block) and the forward sweep over it,
-    /// for the backward sweep seeded at the separator. Both are owned copies:
-    /// the caller's ranges are borrowed, and until this partition recovers,
-    /// the scratch's block store serves the other chunks' eliminations and
-    /// the reduced solves. A copy is `O(N_BS²)` per block; the sweeps are
-    /// `O(N_BS³)`.
+    /// for the backward sweep seeded at the separator.
     Sweep {
         range: Vec<BlockTridiagonal>,
         forward: ForwardSweep,
     },
-    /// Two separators: the interior solution and the fill-in factors.
-    FillIn(PartitionFactors),
+    /// Two separators: the range, to be closed by the reduced solution.
+    Range(Vec<BlockTridiagonal>),
 }
 
 /// Per-partition, per-system result of the elimination phase. The `updates`
 /// must be gathered wherever the reduced system is assembled; the recovery
-/// factors stay local.
+/// state stays local.
 pub struct PartitionSolveState {
     /// Reduced-system updates to gather: for every matrix of the system (`A`,
     /// then each right-hand side) the `nbd × nbd` grid of updates between the
-    /// partition's separators — the Schur-complement updates of `A` and the
-    /// quadratic updates of `B̃ = Vᵗ·B·Vᵗ†` — row-major, left separator first:
-    /// entry `(m·nbd + i)·nbd + j`. Empty for an empty interior.
+    /// partition's separators — the Schur-complement terms of `S` and the
+    /// quadratic terms of `B̃` (module docs) — row-major, left separator
+    /// first: entry `(m·nbd + i)·nbd + j`. Empty for an empty interior.
     pub updates: Vec<CMatrix>,
     /// Workload bookkeeping of the elimination phase.
     pub workload: PartitionWorkload,
@@ -396,9 +268,8 @@ pub struct PartitionSolveState {
 /// separator runs the batched forward RGF sweep over its range towards the
 /// separator and stops before the separator's inversion: that step's Schur
 /// and `inner` terms are its update grid. A partition with two separators
-/// solves the isolated interiors with one batched RGF solve, then per system
-/// factorises the interior once, computes the fill-in factors towards both
-/// separators and produces the Schur-complement / reduced-RHS updates. A
+/// runs that stopped sweep towards each separator and adds the cross entries
+/// between them from two rows of its interior inverse (module docs). A
 /// system's result does not depend on the batch it is eliminated in.
 pub fn eliminate_partition(
     ranges: &[Vec<BlockTridiagonal>],
@@ -407,15 +278,28 @@ pub fn eliminate_partition(
     scratch: &mut RgfBatchScratch,
 ) -> Result<Vec<PartitionSolveState>, RgfError> {
     quatrex_probe::span("rgf.eliminate_partition", "rgf.partition", || {
-        let interior = part.interior();
-        let local = interior.start - part.lo..interior.end - part.lo;
+        let n = part.interior().len();
         let workload = |flops| PartitionWorkload {
             partition: index,
             blocks: part.hi - part.lo + 1,
-            fill_in_blocks: 0,
             flops,
         };
-        if local.is_empty() {
+        // Blocks `range` of every system, block-reversed when `reverse`.
+        let cut = |range: std::ops::Range<usize>, reverse: bool| -> Vec<Vec<BlockTridiagonal>> {
+            let cut_one = |m: &BlockTridiagonal| {
+                let sub = m.sub_range(range.clone());
+                if reverse {
+                    sub.reversed()
+                } else {
+                    sub
+                }
+            };
+            ranges
+                .iter()
+                .map(|sub| sub.iter().map(cut_one).collect())
+                .collect()
+        };
+        if n == 0 {
             // Pure-separator partition: nothing to eliminate, nothing to update
             // (its separator blocks enter the reduced system unmodified).
             let empty = |_| PartitionSolveState {
@@ -427,19 +311,8 @@ pub fn eliminate_partition(
         }
         if part.n_separators() == 1 {
             // The range in separator-last order, copied once.
-            let reverse = part.left_boundary.is_some();
-            let orient = |m: &BlockTridiagonal| if reverse { m.reversed() } else { m.clone() };
-            let oriented: Vec<Vec<BlockTridiagonal>> = ranges
-                .iter()
-                .map(|sub| sub.iter().map(orient).collect())
-                .collect();
-            let (lhs, rhs) = split_systems(&oriented);
-            let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
-            let (bs, n_rhs) = (lhs[0].block_size(), rhs[0].len());
-            let mut updates = vec![vec![CMatrix::zeros(bs, bs); 1 + n_rhs]; ranges.len()];
-            let mut sweeps = vec![ForwardSweep::default(); ranges.len()];
-            let flops = eliminate_to_last(&lhs, &rhs, &mut updates, &mut sweeps, scratch)
-                .map_err(|e| e.error)?;
+            let oriented = cut(0..n + 1, part.left_boundary.is_some());
+            let (updates, sweeps, flops) = sweep_to_separator(&oriented, scratch)?;
             let states = oriented.into_iter().zip(sweeps).zip(updates);
             return Ok(states
                 .map(|((range, forward), updates)| PartitionSolveState {
@@ -449,152 +322,130 @@ pub fn eliminate_partition(
                 })
                 .collect());
         }
-        let interiors: Vec<Vec<BlockTridiagonal>> = ranges
-            .iter()
-            .map(|sub| sub.iter().map(|m| m.sub_range(local.clone())).collect())
-            .collect();
-        // Selected solves of the isolated interiors (the `D·B·D†` term).
-        let solved = solve_systems(&interiors, scratch)?;
-        ranges
-            .iter()
-            .zip(&interiors)
-            .zip(solved)
-            .map(|((sub, int), sol)| eliminate_interior(sub, int, sol, part, index))
-            .collect()
+        // Two separators, t = 0 and b = n + 1: stopped sweeps towards b over
+        // [1..=n, b] and towards t over the reversed [t, 1..=n].
+        let (to_b, left, flops_b) = sweep_to_separator(&cut(1..n + 2, false), scratch)?;
+        let (to_t, right, flops_t) = sweep_to_separator(&cut(0..n + 1, true), scratch)?;
+        let states = ranges.iter().zip(to_t.into_iter().zip(to_b));
+        let sweeps = right.iter().zip(&left);
+        Ok(states
+            .zip(sweeps)
+            .map(|((sub, (u_tt, u_bb)), (right, left))| {
+                let (first_row, flops_f) = inverse_row(right, |w| sub[0].upper(w));
+                let (mut last_row, flops_l) = inverse_row(left, |w| sub[0].lower(n - w));
+                last_row.reverse();
+                let (u_tb, flops_tb) = cross_update(sub, &first_row, &last_row, (0, 1), (n + 1, n));
+                let (u_bt, flops_bt) = cross_update(sub, &last_row, &first_row, (n + 1, n), (0, 1));
+                let grid = u_tt.into_iter().zip(u_tb).zip(u_bt).zip(u_bb);
+                let updates = grid
+                    .flat_map(|(((tt, tb), bt), bb)| [tt, tb, bt, bb])
+                    .collect();
+                let flops = flops_t + flops_b + flops_f + flops_l + flops_tb + flops_bt;
+                PartitionSolveState {
+                    updates,
+                    workload: workload(flops),
+                    recovery: Recovery::Range(sub.clone()),
+                }
+            })
+            .collect())
     })
 }
 
-/// The per-system part of [`eliminate_partition`]: `sub` is the partition's
-/// sub-range of the system, `interior_system` its interior cut and `interior`
-/// the selected solution of that cut.
-fn eliminate_interior(
+/// The batched forward RGF half over systems `[A, B_1, …]` whose last block
+/// is a separator ([`eliminate_to_last`]): per system the separator's
+/// updates (`1 + n_rhs` blocks) and the forward sweep, and the per-system
+/// FLOPs.
+#[allow(clippy::type_complexity)]
+fn sweep_to_separator(
+    systems: &[Vec<BlockTridiagonal>],
+    scratch: &mut RgfBatchScratch,
+) -> Result<(Vec<Vec<CMatrix>>, Vec<ForwardSweep>, u64), RgfError> {
+    let (lhs, rhs) = split_systems(systems);
+    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
+    let (bs, n_rhs) = (lhs[0].block_size(), rhs[0].len());
+    let mut updates = vec![vec![CMatrix::zeros(bs, bs); 1 + n_rhs]; systems.len()];
+    let mut sweeps = vec![ForwardSweep::default(); systems.len()];
+    let flops =
+        eliminate_to_last(&lhs, &rhs, &mut updates, &mut sweeps, scratch).map_err(|e| e.error)?;
+    Ok((updates, sweeps, flops))
+}
+
+/// One row of a middle partition's interior inverse `A_I⁻¹`, from the
+/// stopped sweep that ends next to the row's block: `row[0] = g_n`,
+/// `row[w] = −row[w−1]·coupling(w)·g_{n−w}`, where `g_1 … g_n` are the sweep's
+/// retarded blocks (the last one next to the row's block) and `coupling(w)`
+/// is the block of `A` from walk position `w − 1` to `w`. With the reversed
+/// sweep towards `t` and `A_{w,w+1}` this is the first row `F`, in interior
+/// order; with the sweep towards `b` and `A_{n−w+1,n−w}`, the last row `L`
+/// from block `n` down. Returns the row and its FLOPs.
+fn inverse_row<'a>(
+    sweep: &ForwardSweep,
+    coupling: impl Fn(usize) -> &'a CMatrix,
+) -> (Vec<CMatrix>, u64) {
+    let g = sweep.retarded();
+    let (n, bs) = (g.len(), g[0].nrows());
+    let mut row = vec![g[n - 1].clone()];
+    for w in 1..n {
+        let mut next = CMatrix::zeros(bs, bs);
+        matmul_acc(
+            &mut next,
+            -ONE,
+            &matmul(&row[w - 1], coupling(w)),
+            &g[n - 1 - w],
+        );
+        row.push(next);
+    }
+    (row, 2 * (n as u64 - 1) * gemm_flops(bs, bs, bs))
+}
+
+/// Entry `(s, o)` of a middle partition's update grid, between its two
+/// separators, for every matrix of its range `sub = [A, B_1, …]`: `s`, `o`
+/// are the separators' range indices, `e_s`, `e_o` those of the interior
+/// blocks next to them, and `p`, `q` the rows of the interior inverse at
+/// `e_s`, `e_o` (`p[j] = P_{j+1} = [A_I⁻¹]_{e_s, j+1}`):
+///
+/// ```text
+/// u_so  = −A_{s,e_s}·P_{e_o}·A_{e_o,o}
+/// u≶_so =  A_{s,e_s}·(Σ_{j,k} P_j·B_{jk}·Q_k†)·A_{o,e_o}†
+///        − A_{s,e_s}·P_{e_o}·B_{e_o,o} − B_{s,e_s}·Q_{e_s}†·A_{o,e_o}†
+/// ```
+///
+/// with the double sum formed as `Σ_k T_k·Q_k†`, `T_k = Σ_j P_j·B_{jk}`.
+/// Returns the entries and their FLOPs.
+fn cross_update(
     sub: &[BlockTridiagonal],
-    interior_system: &[BlockTridiagonal],
-    interior: SelectedSolution,
-    part: &SpatialPartition,
-    index: usize,
-) -> Result<PartitionSolveState, RgfError> {
-    let (a_int, rhs_int) = (&interior_system[0], &interior_system[1..]);
-    let (n_int, bs, n_rhs) = (a_int.n_blocks(), a_int.block_size(), rhs_int.len());
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let offset = part.interior().start - part.lo;
-    let factor = InteriorFactor::new(a_int)?;
-    let mut flops = interior.flops + factor.flops;
-    let mut fill_in_blocks = 0usize;
-    let dagger_all = |col: Vec<CMatrix>| col.iter().map(CMatrix::dagger).collect::<Vec<_>>();
-
-    // Fill-in factors per separator: interior inverse columns/rows towards the
-    // adjacent edge, contracted with the separator couplings, plus (per RHS)
-    // the quadratic factors q and s.
-    let mut cols_per_boundary: Vec<Vec<CMatrix>> = Vec::new();
-    let mut boundaries: Vec<BoundaryFactors> = Vec::new();
-    for (sep, nbr) in boundary_pairs(part) {
-        let edge = nbr - offset;
-        let cols = factor.solve(factor.unit_column(edge), false, &mut flops);
-        // [A_I⁻¹]_{edge,k} = (W_k)† with A_I†·W = E_edge.
-        let rows = dagger_all(factor.solve(factor.unit_column(edge), true, &mut flops));
-        fill_in_blocks += 2 * n_int;
-        let a_int_to_sep = band_block(&sub[0], nbr, sep);
-        let a_sep_to_int = band_block(&sub[0], sep, nbr);
-        let left_f: Vec<CMatrix> = cols.iter().map(|c| matmul(c, a_int_to_sep)).collect();
-        let right_f: Vec<CMatrix> = rows.iter().map(|r| matmul(a_sep_to_int, r)).collect();
-        flops += 2 * n_int as u64 * gemm_c;
-
-        let mut q: Vec<Vec<CMatrix>> = Vec::with_capacity(n_rhs);
-        let mut s: Vec<Vec<CMatrix>> = Vec::with_capacity(n_rhs);
-        for (bint, bsub) in rhs_int.iter().zip(&sub[1..]) {
-            // Column c[j] = (B·Vᵗ†)_{j,b} = B_{j,sep}·δ_{j,edge} − Σ_{j'} B_{j,j'}·R[j']†.
-            let mut c = vec![CMatrix::zeros(bs, bs); n_int];
-            c[edge] += band_block(bsub, nbr, sep);
-            // Row r[j] = (Vᵗ·B)_{b,j} = B_{sep,j}·δ_{j,edge} − Σ_{j'} R[j']·B_{j',j};
-            // assembled daggered so it can run through the column solver.
-            let mut row_dag = vec![CMatrix::zeros(bs, bs); n_int];
-            row_dag[edge].axpy_dagger(ONE, band_block(bsub, sep, nbr));
-            for j in 0..n_int {
-                for j2 in j.saturating_sub(1)..=(j + 1).min(n_int - 1) {
-                    let r_dag = Op::Dagger(&right_f[j2]);
-                    gemm(
-                        &mut c[j],
-                        -ONE,
-                        Op::None(band_block(bint, j, j2)),
-                        r_dag,
-                        ONE,
-                    );
-                    // −(R·B)† accumulated dagger-fused as −B†·R†.
-                    let b_dag = Op::Dagger(band_block(bint, j2, j));
-                    gemm(&mut row_dag[j], -ONE, b_dag, r_dag, ONE);
-                    flops += 2 * gemm_c;
-                }
+    p: &[CMatrix],
+    q: &[CMatrix],
+    (s, e_s): (usize, usize),
+    (o, e_o): (usize, usize),
+) -> (Vec<CMatrix>, u64) {
+    let (a, n, bs) = (&sub[0], p.len(), sub[0].block_size());
+    let a_s = band_block(a, s, e_s);
+    let a_o_dag = band_block(a, o, e_o).dagger();
+    let a_s_p = matmul(a_s, &p[e_o - 1]);
+    let q_dag: Vec<CMatrix> = q.iter().map(CMatrix::dagger).collect();
+    let mut u_so = CMatrix::zeros(bs, bs);
+    matmul_acc(&mut u_so, -ONE, &a_s_p, band_block(a, e_o, o));
+    let mut updates = vec![u_so];
+    for b in &sub[1..] {
+        let mut sum = CMatrix::zeros(bs, bs);
+        for (k, q_k) in q_dag.iter().enumerate() {
+            let mut t = CMatrix::zeros(bs, bs);
+            for (j, p_j) in p.iter().enumerate().take(k + 2).skip(k.saturating_sub(1)) {
+                matmul_acc(&mut t, ONE, p_j, band_block(b, j + 1, k + 1));
             }
-            q.push(factor.solve(c, false, &mut flops));
-            s.push(dagger_all(factor.solve(row_dag, false, &mut flops)));
-            fill_in_blocks += 2 * n_int;
+            matmul_acc(&mut sum, ONE, &t, q_k);
         }
-        cols_per_boundary.push(cols);
-        boundaries.push(BoundaryFactors {
-            sep,
-            nbr,
-            left_f,
-            right_f,
-            q,
-            s,
-        });
+        let mut u = matmul(&matmul(a_s, &sum), &a_o_dag);
+        matmul_acc(&mut u, -ONE, &a_s_p, band_block(b, e_o, o));
+        let b_q = matmul(band_block(b, s, e_s), &q_dag[e_s - 1]);
+        matmul_acc(&mut u, -ONE, &b_q, &a_o_dag);
+        updates.push(u);
     }
-
-    // Schur-complement updates onto the separators:
-    //   S_{b1,b2} −= A_{b1,e1}·[A_I⁻¹]_{e1,e2}·A_{e2,b2}
-    // and the quadratic reduced-RHS updates:
-    //   B̃_{b1,b2} += −R1[e2]·B_{e2,b2} − B_{b1,e1}·R2[e1]†
-    //              + Σ_{j,j'} R1[j]·B_{j,j'}·R2[j']†.
-    let nbd = boundaries.len();
-    let mut updates = vec![CMatrix::zeros(bs, bs); (1 + n_rhs) * nbd * nbd];
-    for (i1, b1) in boundaries.iter().enumerate() {
-        for (i2, b2) in boundaries.iter().enumerate() {
-            let (e1, e2) = (b1.nbr - offset, b2.nbr - offset);
-            // [A_I⁻¹]_{e1,e2} is entry e1 of the block column towards e2.
-            let inv_e1_e2 = &cols_per_boundary[i2][e1];
-            let a_b1_e1 = band_block(&sub[0], b1.sep, b1.nbr);
-            let a_e2_b2 = band_block(&sub[0], b2.nbr, b2.sep);
-            updates[i1 * nbd + i2] = matmul(&matmul(a_b1_e1, inv_e1_e2), a_e2_b2).scaled(-ONE);
-            flops += 2 * gemm_c;
-
-            for (r, (bint, bsub)) in rhs_int.iter().zip(&sub[1..]).enumerate() {
-                let b_e2_b2 = band_block(bsub, b2.nbr, b2.sep);
-                let mut upd = matmul(&b1.right_f[e2], b_e2_b2).scaled(-ONE);
-                let b_b1_e1 = Op::None(band_block(bsub, b1.sep, b1.nbr));
-                gemm(&mut upd, -ONE, b_b1_e1, Op::Dagger(&b2.right_f[e1]), ONE);
-                flops += 2 * gemm_c;
-                for j in 0..n_int {
-                    for j2 in j.saturating_sub(1)..=(j + 1).min(n_int - 1) {
-                        let t = matmul(&b1.right_f[j], band_block(bint, j, j2));
-                        gemm(
-                            &mut upd,
-                            ONE,
-                            Op::None(&t),
-                            Op::Dagger(&b2.right_f[j2]),
-                            ONE,
-                        );
-                        flops += 2 * gemm_c;
-                    }
-                }
-                updates[((1 + r) * nbd + i1) * nbd + i2] = upd;
-            }
-        }
-    }
-
-    Ok(PartitionSolveState {
-        updates,
-        workload: PartitionWorkload {
-            partition: index,
-            blocks: part.hi - part.lo + 1,
-            fill_in_blocks,
-            flops,
-        },
-        recovery: Recovery::FillIn(PartitionFactors {
-            interior,
-            boundaries,
-        }),
-    })
+    // 3n − 2 products T, n for the sum, 5 around it, per right-hand side.
+    let per_rhs = 4 * n as u64 + 3;
+    let n_rhs = sub.len() as u64 - 1;
+    (updates, (2 + n_rhs * per_rhs) * gemm_flops(bs, bs, bs))
 }
 
 /// Assemble the reduced boundary system `[S, B̃_1, …]` of one system
@@ -617,7 +468,8 @@ pub fn assemble_reduced_system(
                 if k + 1 < n_sep && separators[k + 1] == s + 1 {
                     // Physically adjacent separators keep their original
                     // coupling; separators of the same partition start
-                    // uncoupled (their coupling is pure fill-in).
+                    // uncoupled (their coupling comes from the eliminated
+                    // interior alone).
                     red.set_block(k, k + 1, m.upper(s).clone());
                     red.set_block(k + 1, k, m.lower(s).clone());
                 }
@@ -652,10 +504,11 @@ pub fn assemble_reduced_system(
 /// boundary systems (one each, same order), against `scratch`. A
 /// one-separator partition runs the batched backward RGF sweep over its
 /// range, seeded at the separator with the reduced solution's diagonal
-/// blocks; a two-separator partition combines its fill-in factors with the
-/// reduced blocks between its separators. Returns one [`SelectedSolution`]
-/// over [`SpatialPartition::range`] per system (its `flops` are the
-/// recovery's); a system's result does not depend on the batch.
+/// blocks; a two-separator partition closes its range with the reduced
+/// solution at its separators and runs one batched RGF solve of it (module
+/// docs). Returns one [`SelectedSolution`] over [`SpatialPartition::range`]
+/// per system (its `flops` are the recovery's); a system's result does not
+/// depend on the batch.
 pub fn recover_partition(
     part: &SpatialPartition,
     states: &[PartitionSolveState],
@@ -664,163 +517,138 @@ pub fn recover_partition(
 ) -> Vec<SelectedSolution> {
     assert_eq!(states.len(), reduced.len(), "one reduced solution each");
     quatrex_probe::span("rgf.recover_partition", "rgf.partition", || {
-        if states.is_empty() {
+        let Some(first) = states.first() else {
             return Vec::new();
+        };
+        // The partition's first separator in the reduced system.
+        let sep = first_separator(first.workload.partition);
+        match &first.recovery {
+            Recovery::Nothing => reduced
+                .iter()
+                .map(|red| SelectedSolution::zeros(0, red.retarded.block_size(), red.lesser.len()))
+                .collect(),
+            Recovery::Sweep { .. } => recover_end(part, states, reduced, sep, scratch),
+            Recovery::Range(_) => recover_middle(states, reduced, sep, scratch),
         }
-        if part.n_separators() != 1 {
-            let fill_in = states.iter().zip(reduced);
-            return fill_in
-                .map(|(st, red)| recover_fill_in(part, st, red))
-                .collect();
-        }
-        let (ranges, forward): (Vec<_>, Vec<_>) = states
-            .iter()
-            .map(|st| match &st.recovery {
-                Recovery::Sweep { range, forward } => (range, forward),
-                _ => panic!("not an end partition's state"),
-            })
-            .unzip();
-        let (lhs, rhs) = split_systems(&ranges);
-        let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
-        let (n, bs, n_rhs) = (lhs[0].n_blocks(), lhs[0].block_size(), rhs[0].len());
-        // The seed: the reduced solution at the partition's one separator.
-        let sep = first_separator(states[0].workload.partition);
-        let mut sols: Vec<SelectedSolution> = reduced
-            .iter()
-            .map(|red| {
-                let mut sol = SelectedSolution::zeros(n, bs, n_rhs);
-                *sol.retarded.diag_mut(n - 1) = red.retarded.diag(sep).clone();
-                for (x, xr) in sol.lesser.iter_mut().zip(&red.lesser) {
-                    *x.diag_mut(n - 1) = xr.diag(sep).clone();
-                }
-                sol
-            })
-            .collect();
-        let flops = recover_to_first(&lhs, &rhs, &forward, &mut sols, scratch);
-        for sol in &mut sols {
-            if part.left_boundary.is_some() {
-                sol.retarded = sol.retarded.reversed();
-                sol.lesser = sol.lesser.iter().map(BlockTridiagonal::reversed).collect();
-            }
-            sol.flops = flops;
-        }
-        sols
     })
 }
 
-/// The fill-in recovery of one system of a two-separator partition (and the
-/// empty recovery of a pure-separator one).
-fn recover_fill_in(
+/// [`recover_partition`] of a one-separator partition whose separator is
+/// block `sep` of the reduced systems.
+fn recover_end(
     part: &SpatialPartition,
-    state: &PartitionSolveState,
+    states: &[PartitionSolveState],
+    reduced: &[SelectedSolution],
+    sep: usize,
+    scratch: &mut RgfBatchScratch,
+) -> Vec<SelectedSolution> {
+    let (ranges, forward): (Vec<_>, Vec<_>) = states
+        .iter()
+        .map(|st| match &st.recovery {
+            Recovery::Sweep { range, forward } => (range, forward),
+            _ => panic!("not an end partition's state"),
+        })
+        .unzip();
+    let (lhs, rhs) = split_systems(&ranges);
+    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
+    let (n, bs, n_rhs) = (lhs[0].n_blocks(), lhs[0].block_size(), rhs[0].len());
+    // The seed: the reduced solution at the partition's one separator.
+    let mut sols: Vec<SelectedSolution> = reduced
+        .iter()
+        .map(|red| {
+            let mut sol = SelectedSolution::zeros(n, bs, n_rhs);
+            *sol.retarded.diag_mut(n - 1) = red.retarded.diag(sep).clone();
+            for (x, xr) in sol.lesser.iter_mut().zip(&red.lesser) {
+                *x.diag_mut(n - 1) = xr.diag(sep).clone();
+            }
+            sol
+        })
+        .collect();
+    let flops = recover_to_first(&lhs, &rhs, &forward, &mut sols, scratch);
+    for sol in &mut sols {
+        if part.left_boundary.is_some() {
+            sol.retarded = sol.retarded.reversed();
+            sol.lesser = sol.lesser.iter().map(BlockTridiagonal::reversed).collect();
+        }
+        sol.flops = flops;
+    }
+    sols
+}
+
+/// [`recover_partition`] of a two-separator partition whose separators are
+/// blocks `sep` and `sep + 1` of the reduced systems: every range closed
+/// ([`close_range`]), then one batched RGF solve of them all.
+fn recover_middle(
+    states: &[PartitionSolveState],
+    reduced: &[SelectedSolution],
+    sep: usize,
+    scratch: &mut RgfBatchScratch,
+) -> Vec<SelectedSolution> {
+    let mut lu = LuScratch::new();
+    let (closed, flops): (Vec<_>, Vec<_>) = states
+        .iter()
+        .zip(reduced)
+        .map(|(st, red)| match &st.recovery {
+            Recovery::Range(range) => close_range(range, &st.updates, red, sep, &mut lu),
+            _ => panic!("not a middle partition's state"),
+        })
+        .unzip();
+    let mut sols = solve_systems(&closed, scratch)
+        .expect("a closed range is as regular as the device it is cut from");
+    for (sol, closure) in sols.iter_mut().zip(flops) {
+        sol.flops += closure;
+    }
+    sols
+}
+
+/// A middle partition's range `[A, B_1, …]` with its separator diagonals
+/// `t` (first block) and `b` (last) closed by the reduced solution `reduced`
+/// at blocks `sep`, `sep + 1`: `Y = X_SS⁻¹`, `A'_tt = Y_tt − u_tt` and
+/// `B'_tt = (Y·X≶_SS·Y†)_tt − u≶_tt`, the same at `b`, with `u` the
+/// partition's own update grid (module docs). Returns the closed range and
+/// the closure's FLOPs.
+fn close_range(
+    range: &[BlockTridiagonal],
+    updates: &[CMatrix],
     reduced: &SelectedSolution,
-) -> SelectedSolution {
-    let n_rhs = reduced.lesser.len();
-    let bs = reduced.retarded.block_size();
-    let mut out = SelectedSolution::zeros(part.range().len(), bs, n_rhs);
-    let Recovery::FillIn(factors) = &state.recovery else {
-        return out;
+    sep: usize,
+    lu: &mut LuScratch,
+) -> (Vec<BlockTridiagonal>, u64) {
+    let bs = range[0].block_size();
+    let ends = [0, range[0].n_blocks() - 1];
+    // The 2 × 2 blocks of a reduced solution at the two separators.
+    let pair = |x: &BlockTridiagonal| {
+        let mut m = CMatrix::zeros(2 * bs, 2 * bs);
+        for i in 0..2 {
+            for j in 0..2 {
+                m.set_submatrix(i * bs, j * bs, band_block(x, sep + i, sep + j));
+            }
+        }
+        m
     };
-    let n_int = part.interior().len();
-    let offset = part.interior().start - part.lo;
-    let gemm_c = gemm_flops(bs, bs, bs);
-    let bd = &factors.boundaries;
-    let nbd = bd.len();
-    // Reduced blocks between this partition's separators.
-    let first = first_separator(state.workload.partition);
-    let xr = |i: usize, j: usize| band_block(&reduced.retarded, first + i, first + j);
-    let xl = |r: usize, i: usize, j: usize| band_block(&reduced.lesser[r], first + i, first + j);
-    let mut flops = 0u64;
-
-    // Interior blocks:
-    //   X^R_{k,k'} = D_{k,k'} + Σ L_i[k]·X_BB[i,j]·R_j[k']
-    //   X^≶_{k,k'} = T1_{k,k'} + Σ [ L_i[k]·X≶_BB[i,j]·L_j[k']†
-    //                               − q_j[k]·X_BB[i,j]†·L_i[k']†
-    //                               − L_i[k]·X_BB[i,j]·s_j[k'] ].
-    // Two scratch blocks shared by every recovered block (the nbd² inner loop
-    // must not allocate per term).
-    let mut t = CMatrix::zeros(bs, bs);
-    let mut t2 = CMatrix::zeros(bs, bs);
-    for k in 0..n_int {
-        for (k1, k2) in [(k, k), (k, k + 1), (k + 1, k)] {
-            if k1.max(k2) == n_int {
-                continue;
-            }
-            let mut x = band_block(&factors.interior.retarded, k1, k2).clone();
-            for i in 0..nbd {
-                for j in 0..nbd {
-                    x += &matmul(&matmul(&bd[i].left_f[k1], xr(i, j)), &bd[j].right_f[k2]);
-                    flops += 2 * gemm_c;
-                }
-            }
-            out.retarded.set_block(offset + k1, offset + k2, x);
-            for r in 0..n_rhs {
-                let mut v = band_block(&factors.interior.lesser[r], k1, k2).clone();
-                for i in 0..nbd {
-                    for j in 0..nbd {
-                        let (li, lj) = (&bd[i].left_f, &bd[j].left_f);
-                        gemm(&mut t, ONE, Op::None(&li[k1]), Op::None(xl(r, i, j)), ZERO);
-                        gemm(&mut v, ONE, Op::None(&t), Op::Dagger(&lj[k2]), ONE);
-                        gemm(
-                            &mut t,
-                            ONE,
-                            Op::None(&bd[j].q[r][k1]),
-                            Op::Dagger(xr(i, j)),
-                            ZERO,
-                        );
-                        gemm(&mut v, -ONE, Op::None(&t), Op::Dagger(&li[k2]), ONE);
-                        gemm(&mut t, ONE, Op::None(&li[k1]), Op::None(xr(i, j)), ZERO);
-                        gemm(&mut t2, ONE, Op::None(&t), Op::None(&bd[j].s[r][k2]), ZERO);
-                        v -= &t2;
-                        flops += 6 * gemm_c;
-                    }
-                }
-                out.lesser[r].set_block(offset + k1, offset + k2, v);
-            }
+    let mut y = CMatrix::zeros(2 * bs, 2 * bs);
+    lu.invert_into(&pair(&reduced.retarded), &mut y)
+        .expect("the reduced solution at two separators is invertible");
+    let rows = |m: &CMatrix, i: usize| m.submatrix(i * bs, 0, bs, 2 * bs);
+    // The diagonal entry at separator i of matrix m's update grid.
+    let own = |m: usize, i: usize| &updates[(m * 2 + i) * 2 + i];
+    let mut closed = range.to_vec();
+    for (i, &k) in ends.iter().enumerate() {
+        let mut a = y.submatrix(i * bs, i * bs, bs, bs);
+        a -= own(0, i);
+        *closed[0].diag_mut(k) = a;
+    }
+    for (r, x) in reduced.lesser.iter().enumerate() {
+        let y_x = matmul(&y, &pair(x));
+        for (i, &k) in ends.iter().enumerate() {
+            let mut b = matmul(&rows(&y_x, i), &rows(&y, i).dagger());
+            b -= own(1 + r, i);
+            *closed[1 + r].diag_mut(k) = b;
         }
     }
-
-    // Separator diagonals (the reduced solution's own) and the
-    // separator ↔ interior-edge couplings:
-    //   X^R_{b,e}  = −Σ_j X_BB[b,j]·R_j[e]        X^R_{e,b} = −Σ_j L_j[e]·X_BB[j,b]
-    //   X^≶_{b,e}  = Σ_j X_BB[b,j]·s_j[e] − Σ_j X≶_BB[b,j]·L_j[e]†
-    //   X^≶_{e,b}  = Σ_j q_j[e]·X_BB[b,j]† − Σ_j L_j[e]·X≶_BB[j,b].
-    for (bi, b) in bd.iter().enumerate() {
-        let e = b.nbr - offset;
-        let mut r_se = CMatrix::zeros(bs, bs);
-        let mut r_es = CMatrix::zeros(bs, bs);
-        for j in 0..nbd {
-            r_se -= &matmul(xr(bi, j), &bd[j].right_f[e]);
-            r_es -= &matmul(&bd[j].left_f[e], xr(j, bi));
-            flops += 2 * gemm_c;
-        }
-        out.retarded.set_block(b.sep, b.sep, xr(bi, bi).clone());
-        out.retarded.set_block(b.sep, b.nbr, r_se);
-        out.retarded.set_block(b.nbr, b.sep, r_es);
-        for r in 0..n_rhs {
-            let mut v_se = CMatrix::zeros(bs, bs);
-            let mut v_es = CMatrix::zeros(bs, bs);
-            for j in 0..nbd {
-                let l_dag = Op::Dagger(&bd[j].left_f[e]);
-                v_se += &matmul(xr(bi, j), &bd[j].s[r][e]);
-                gemm(&mut v_se, -ONE, Op::None(xl(r, bi, j)), l_dag, ONE);
-                gemm(
-                    &mut v_es,
-                    ONE,
-                    Op::None(&bd[j].q[r][e]),
-                    Op::Dagger(xr(bi, j)),
-                    ONE,
-                );
-                v_es -= &matmul(&bd[j].left_f[e], xl(r, j, bi));
-                flops += 4 * gemm_c;
-            }
-            out.lesser[r].set_block(b.sep, b.sep, xl(r, bi, bi).clone());
-            out.lesser[r].set_block(b.sep, b.nbr, v_se);
-            out.lesser[r].set_block(b.nbr, b.sep, v_es);
-        }
-    }
-    out.flops = flops;
-    out
+    let per_rhs = gemm_flops(2 * bs, 2 * bs, 2 * bs) + 2 * gemm_flops(bs, 2 * bs, bs);
+    let flops = inverse_flops(2 * bs) + reduced.lesser.len() as u64 * per_rhs;
+    (closed, flops)
 }
 
 /// Write the separator diagonal blocks and the couplings between physically
@@ -890,7 +718,6 @@ pub fn nested_dissection_solve(
                 partitions: vec![PartitionWorkload {
                     partition: 0,
                     blocks: nb,
-                    fill_in_blocks: 0,
                     flops: sol.flops,
                 }],
                 reduced_system_flops: 0,

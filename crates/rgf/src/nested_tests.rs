@@ -2,7 +2,8 @@
 //! system builders.
 
 use super::*;
-use crate::dense::{dense_block, dense_retarded};
+use crate::dense::{dense_block, dense_lesser, dense_retarded};
+use crate::layout::layout_from_interiors;
 use crate::sequential::rgf_selected_inverse;
 use quatrex_linalg::cplx;
 
@@ -140,10 +141,6 @@ fn boundary_partitions_do_less_work_than_middle_ones() {
     let (_, report) = nested_dissection_invert(&a, &NestedConfig::new(4)).unwrap();
     let ratio = report.boundary_to_middle_ratio().unwrap();
     assert!(ratio < 0.95, "boundary/middle ratio = {ratio}");
-    // Every middle partition performs fill-in work.
-    for p in &report.partitions[1..3] {
-        assert!(p.fill_in_blocks > 0);
-    }
 }
 
 #[test]
@@ -173,7 +170,6 @@ fn one_separator_partitions_cost_one_rgf_sweep() {
                     let got = &report.partitions[p];
                     let label = format!("N_B = {nb}, P_S = {p_s}, n_rhs = {n_rhs}, part {p}");
                     assert_eq!(got.flops, forward + separator_step + backward, "{label}");
-                    assert_eq!(got.fill_in_blocks, 0, "{label}");
                 }
                 if p_s == 2 {
                     assert_eq!(
@@ -204,11 +200,12 @@ fn general_rhs(nb: usize, bs: usize, seed: f64) -> BlockTridiagonal {
 }
 
 #[test]
-fn end_partitions_give_the_same_bits_in_any_batch_and_on_either_layout() {
+fn every_partition_gives_the_same_bits_in_any_batch_and_on_either_layout() {
     // Elimination plus recovery of a batch equals the same systems one at a
-    // time, bit for bit, at both ends (the right one runs block-reversed).
-    // At N_BS = 8 a batch of 5 runs on lanes on a 512-bit build and a batch
-    // of one on planes.
+    // time, bit for bit, at both ends (the right one runs block-reversed)
+    // and in the middle (two stopped sweeps, one closed solve). At N_BS = 8 a
+    // batch of 5 runs on lanes on a 512-bit build and a batch of one on
+    // planes.
     for (nb, bs, n_sys) in [(11usize, 2usize, 3usize), (9, 8, 5)] {
         let systems: Vec<[BlockTridiagonal; 3]> = (0..n_sys)
             .map(|e| {
@@ -219,25 +216,31 @@ fn end_partitions_give_the_same_bits_in_any_batch_and_on_either_layout() {
             })
             .collect();
         let parts = spatial_partition_layout(nb, 3).unwrap();
-        let reduced: Vec<SelectedSolution> = systems
+        let separators = separator_blocks(&parts);
+        // The reduced solutions, read off the dense solution.
+        let seeds: Vec<SelectedSolution> = systems
             .iter()
-            .map(|sys| rgf_solve(&sys[0], &[&sys[1], &sys[2]]).unwrap())
-            .collect();
-        for (idx, part) in parts.iter().enumerate().filter(|(i, _)| *i != 1) {
-            // Any solutions of the separator blocks serve as the seed.
-            let seeds: Vec<SelectedSolution> = reduced
-                .iter()
-                .map(|sol| {
-                    let mut red = SelectedSolution::zeros(4, bs, 2);
-                    for (k, &blk) in separator_blocks(&parts).iter().enumerate() {
-                        *red.retarded.diag_mut(k) = sol.retarded.diag(blk).clone();
-                        for r in 0..2 {
-                            *red.lesser[r].diag_mut(k) = sol.lesser[r].diag(blk).clone();
+            .map(|sys| {
+                let x = [
+                    dense_retarded(&sys[0]),
+                    dense_lesser(&sys[0], &sys[1]),
+                    dense_lesser(&sys[0], &sys[2]),
+                ];
+                let mut red = SelectedSolution::zeros(separators.len(), bs, 2);
+                let reduced = std::iter::once(&mut red.retarded).chain(&mut red.lesser);
+                for (m, xm) in reduced.zip(&x) {
+                    for (k, &blk) in separators.iter().enumerate() {
+                        for (l, &other) in separators.iter().enumerate() {
+                            if k.abs_diff(l) <= 1 {
+                                m.set_block(k, l, dense_block(xm, blk, other, bs));
+                            }
                         }
                     }
-                    red
-                })
-                .collect();
+                }
+                red
+            })
+            .collect();
+        for (idx, part) in parts.iter().enumerate() {
             let ranges: Vec<Vec<BlockTridiagonal>> = systems
                 .iter()
                 .map(|sys| partition_ranges(&refs(sys), part))
@@ -273,7 +276,8 @@ fn distributed_work_exceeds_sequential_and_is_spread_over_partitions() {
     let a = test_system(24, 3);
     let seq = rgf_selected_inverse(&a).unwrap();
     let (_, report) = nested_dissection_invert(&a, &NestedConfig::new(4)).unwrap();
-    // The decomposition adds workload (reduced system + fill-in), exactly
+    // The decomposition adds workload (reduced system, second sweeps and
+    // closed solves in the middle partitions), exactly
     // as the paper states ("the reduced system increases the total
     // computational workload").
     assert!(report.total_flops() > seq.flops);
@@ -288,7 +292,7 @@ fn distributed_work_exceeds_sequential_and_is_spread_over_partitions() {
     let factor = report.middle_partition_factor(seq.flops).unwrap();
     assert!(
         factor > 1.0,
-        "middle partitions must carry fill-in overhead"
+        "middle partitions carry more than an even share"
     );
 }
 
@@ -352,6 +356,38 @@ fn solve_matches_rgf_solve_across_partition_counts() {
 }
 
 #[test]
+fn middle_partitions_match_rgf_solve_at_every_interior_length() {
+    // Closed-range recovery against the sequential solve: middle interiors
+    // of 1, 2 and 5 blocks at P_S = 3, 4, 5, with 0 … 2 right-hand sides,
+    // the second one non-Hermitian.
+    let bs = 3;
+    for p_s in 3..=5 {
+        for n in [1usize, 2, 5] {
+            let interiors: Vec<usize> = std::iter::once(2)
+                .chain(std::iter::repeat_n(n, p_s - 2))
+                .chain(std::iter::once(3))
+                .collect();
+            let parts = layout_from_interiors(&interiors);
+            let nb = parts[p_s - 1].hi + 1;
+            let a = test_system(nb, bs);
+            let b = [test_rhs(nb, bs, 1.0), general_rhs(nb, bs, -0.6)];
+            for n_rhs in 0..=2 {
+                let rhs: Vec<&BlockTridiagonal> = b.iter().take(n_rhs).collect();
+                let seq = rgf_solve(&a, &rhs).unwrap();
+                let (sol, _) = nested_dissection_solve_with_layout(&a, &rhs, &parts).unwrap();
+                let label = format!("P_S = {p_s}, n = {n}, n_rhs = {n_rhs}");
+                let err_r = max_rel_err(&sol.retarded, &seq.retarded);
+                assert!(err_r < 1e-12, "{label}: retarded err {err_r:.2e}");
+                for r in 0..n_rhs {
+                    let err_l = max_rel_err(&sol.lesser[r], &seq.lesser[r]);
+                    assert!(err_l < 1e-12, "{label}: lesser[{r}] err {err_l:.2e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn solve_handles_non_uniform_block_counts() {
     // 11 blocks over 3 partitions: sizes 4, 4, 3.
     let (nb, bs) = (11, 2);
@@ -395,57 +431,6 @@ fn solve_with_multiple_rhs_is_consistent_with_linearity() {
     for i in 0..nb {
         let scaled = sol.lesser[0].diag(i).scaled(cplx(-0.5, 0.0));
         assert!(sol.lesser[1].diag(i).approx_eq(&scaled, 1e-10));
-    }
-}
-
-#[test]
-fn the_one_factor_serves_every_plain_and_adjoint_column_solve() {
-    // Non-Hermitian interiors (upper ≠ lower†), down to a single block:
-    // every block column of A⁻¹ through the plain solve, every block row
-    // through the adjoint solve, and a general column through both —
-    // against the dense inverse, from ONE factorisation.
-    for (nb, bs) in [(1usize, 3usize), (2, 2), (5, 3), (7, 2)] {
-        let a = test_system(nb, bs);
-        let inv = dense_retarded(&a);
-        let factor = InteriorFactor::new(&a).unwrap();
-        let gemm_c = gemm_flops(bs, bs, bs);
-        assert_eq!(
-            factor.flops,
-            nb as u64 * inverse_flops(bs) + 2 * (nb as u64 - 1) * gemm_c
-        );
-        let general: Vec<CMatrix> = (0..nb)
-            .map(|k| CMatrix::from_fn(bs, bs, |r, c| cplx(0.3 * (r + k) as f64, 0.7 - c as f64)))
-            .collect();
-        let mut flops = 0u64;
-        let x = factor.solve(general.clone(), false, &mut flops);
-        let w = factor.solve(general.clone(), true, &mut flops);
-        assert_eq!(flops, 2 * (3 * nb as u64 - 2) * gemm_c);
-        for k in 0..nb {
-            let mut want_x = CMatrix::zeros(bs, bs);
-            let mut want_w = CMatrix::zeros(bs, bs);
-            for (j, c) in general.iter().enumerate() {
-                want_x += &matmul(&dense_block(&inv, k, j, bs), c);
-                want_w += &matmul(&dense_block(&inv, j, k, bs).dagger(), c);
-            }
-            assert!(x[k].approx_eq(&want_x, 1e-12), "({nb},{bs}) plain {k}");
-            assert!(w[k].approx_eq(&want_w, 1e-12), "({nb},{bs}) adjoint {k}");
-        }
-        for j in 0..nb {
-            let col = factor.solve(factor.unit_column(j), false, &mut flops);
-            let row = factor.solve(factor.unit_column(j), true, &mut flops);
-            for k in 0..nb {
-                let want_col = dense_block(&inv, k, j, bs);
-                let want_row = dense_block(&inv, j, k, bs);
-                assert!(
-                    col[k].approx_eq(&want_col, 1e-12),
-                    "({nb},{bs}) col {j}/{k}"
-                );
-                assert!(
-                    row[k].dagger().approx_eq(&want_row, 1e-12),
-                    "({nb},{bs}) row {j}/{k}"
-                );
-            }
-        }
     }
 }
 
@@ -547,14 +532,28 @@ fn empty_interior_partitions_read_send_and_return_nothing() {
     );
 }
 
+/// FLOPs of a middle partition with `n` interior blocks and `r` right-hand
+/// sides, in units of `8·N_BS³`: two stopped forward sweeps, the first and
+/// last rows of the interior inverse, the two cross entries, the closure
+/// and one RGF solve of the closed `n + 2`-block range.
+fn middle_partition_units(n: u64, r: u64) -> u64 {
+    let stopped_sweep = n + (n - 1) * (2 + 8 * r) + 2 * r + (2 + 6 * r);
+    let rows = 2 * 2 * (n - 1);
+    let cross = 2 * (2 + r * (4 * n + 3));
+    let closure = 8 + r * (8 + 2 * 2);
+    let m = n + 2;
+    let closed_solve = m + (m - 1) * (2 + 8 * r) + 2 * r + (m - 1) * (6 + 51 * r);
+    2 * stopped_sweep + rows + cross + closure + closed_solve
+}
+
 #[test]
 fn interior_is_factorised_once_per_partition() {
-    // The FLOP pin of a middle partition at dist_spatial's block shape
-    // (N_B = 16, N_BS = 32, 2 RHS) over P_S = 4: two separators, a
-    // two-block interior factorised once, every fill-in block-column solve
-    // against that one factor — 576 products or inversions of 8·N_BS³ FLOPs
-    // each. The end partitions run the RGF sweeps (pinned in
-    // `one_separator_partitions_cost_one_rgf_sweep`).
+    // The FLOP pin of a middle partition (the name dates from the fill-in
+    // design, which factorised the interior once). At dist_spatial's block
+    // shape (N_B = 16, N_BS = 32, 2 RHS) over P_S = 4 the two-block
+    // interiors cost 546 products or inversions of 8·N_BS³ FLOPs each
+    // (185·n + 176 at two right-hand sides). The end partitions run the RGF
+    // sweeps (pinned in `one_separator_partitions_cost_one_rgf_sweep`).
     let (nb, bs) = (16, 32);
     let a = test_system(nb, bs);
     let b1 = test_rhs(nb, bs, 1.0);
@@ -562,15 +561,32 @@ fn interior_is_factorised_once_per_partition() {
     let (_, report) = nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(4)).unwrap();
     let unit = 8 * (bs as u64).pow(3);
     assert_eq!((gemm_flops(bs, bs, bs), inverse_flops(bs)), (unit, unit));
+    assert_eq!(middle_partition_units(2, 2), 546);
     for p in &report.partitions[1..3] {
-        assert_eq!(p.flops, 576 * unit, "partition {}", p.partition);
-        assert_eq!(p.flops, 150_994_944, "partition {}", p.partition);
-        assert!(p.fill_in_blocks > 0, "partition {}", p.partition);
+        assert_eq!(p.flops, 546 * unit, "partition {}", p.partition);
+        assert_eq!(p.flops, 143_130_624, "partition {}", p.partition);
     }
     for p in &report.partitions {
         assert_eq!(p.flops % unit, 0, "partition {} counter", p.partition);
     }
     assert_eq!(report.reduced_system_flops % unit, 0);
+    // Every middle interior length and right-hand-side count.
+    let (nb, bs) = (22, 2);
+    let unit = 8 * (bs as u64).pow(3);
+    let a = test_system(nb, bs);
+    let b = [test_rhs(nb, bs, 1.0), general_rhs(nb, bs, -0.6)];
+    for r in 0..=2 {
+        let rhs: Vec<&BlockTridiagonal> = b.iter().take(r).collect();
+        for interiors in [[3usize, 1, 5, 7], [6, 2, 4, 4]] {
+            let parts = layout_from_interiors(&interiors);
+            let (_, report) = nested_dissection_solve_with_layout(&a, &rhs, &parts).unwrap();
+            for p in 1..3 {
+                let want = middle_partition_units(interiors[p] as u64, r as u64) * unit;
+                let label = format!("interiors {interiors:?}, n_rhs = {r}, part {p}");
+                assert_eq!(report.partitions[p].flops, want, "{label}");
+            }
+        }
+    }
 }
 
 #[test]

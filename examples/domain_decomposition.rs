@@ -51,8 +51,8 @@ fn main() {
         println!("\nP_S = {p_s}: max |X_dist - X_seq| over diagonal blocks = {max_err:.3e}");
         for p in &report.partitions {
             println!(
-                "  partition {:>2}: {:>2} blocks, {:>3} fill-in blocks, {:>12.3e} FLOPs",
-                p.partition, p.blocks, p.fill_in_blocks, p.flops as f64
+                "  partition {:>2}: {:>2} blocks, {:>12.3e} FLOPs",
+                p.partition, p.blocks, p.flops as f64
             );
         }
         println!(
