@@ -35,9 +35,10 @@
 //! * **nested_dissection** — untimed exact FLOP counts of the
 //!   nested-dissection solve of a 24-block, `N_BS = 8` system (the bench
 //!   cell's shape, lesser and greater right-hand sides) at `P_S ∈ {2, 4}` on
-//!   the uniform layout and at `P_S = 4` on the FLOP-balanced one: per
-//!   partition, reduced system, and the sequential `rgf_solve` of the same
-//!   system (Table 5).
+//!   the uniform layout and at `P_S = 4` on the FLOP-balanced one (the exact
+//!   min–max search over the partition kernels' own costs): per partition,
+//!   reduced system, and the sequential `rgf_solve` of the same system
+//!   (Table 5).
 //! * **lu_invert** — `LuScratch::invert_into` at
 //!   `N_BS ∈ {8, 16, 32, 64, 128}` under the `inverse_flops` model.
 //! * **svd** — the one-sided Jacobi `svd` of a dense `N × N` matrix at
@@ -349,9 +350,11 @@ fn bench_rgf(nb: usize, bs: usize, runs: usize, reps: usize) -> (f64, u64) {
 /// `N_BS = 8` system with two quadratic right-hand sides (the shape of the
 /// bench cell's electron system): `(P_S, balanced, sequential rgf_solve
 /// FLOPs, report)` at `P_S = 2` and `4` on the uniform layout, then at
-/// `P_S = 4` on the FLOP-balanced layout the uniform report implies.
-/// Untimed: every counter is a function of the problem shape, never of the
-/// values (`quatrex_rgf::probe_partition_flops`).
+/// `P_S = 4` on the FLOP-balanced layout: the one whose busiest partition
+/// is the least busy of any whole-block layout, searched exactly over the
+/// end and middle partitions' own FLOP counters
+/// (`quatrex_rgf::partition_layout_balanced`). Untimed: every counter is a
+/// function of the problem shape, never of the values.
 fn nested_dissection() -> [(usize, bool, u64, NestedReport); 3] {
     let (a, bl, bg) = rgf_system(24, 8, 0.0);
     let rhs = [&bl, &bg];
@@ -363,7 +366,7 @@ fn nested_dissection() -> [(usize, bool, u64, NestedReport); 3] {
             .1
     };
     let four = uniform(4);
-    let parts = partition_layout_balanced(24, 4, &four).expect("balanced layout");
+    let parts = partition_layout_balanced(24, 4, rhs.len()).expect("balanced layout");
     let (_, balanced) =
         nested_dissection_solve_with_layout(&a, &rhs, &parts).expect("regular system");
     [

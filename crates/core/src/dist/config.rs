@@ -59,12 +59,15 @@ pub struct DistScbaConfig {
     ///
     /// **When it pays off:** when one energy point's matrices no longer fit
     /// (or solve fast enough) on a single rank — large `N_B` devices. The
-    /// nested-dissection reduced system adds work (~2.1× per middle partition
-    /// on the paper's devices), so `P_S > 1` only wins when the per-energy
-    /// solve, not the energy count, is the bottleneck. From `P_S = 3` on the
-    /// partition layout is FLOP-balanced ([`crate::dist::spatial::SpatialLayout`]):
-    /// the uniform split would leave the two boundary partitions idle ~30 %
-    /// of every solve.
+    /// nested-dissection reduced system adds work (on the 24-block bench
+    /// cell at `P_S = 4`, a middle partition does 1.25× an even `1/P_S`
+    /// share of the sequential solve under the uniform layout, the busiest
+    /// partition 1.04× under the balanced one), so `P_S > 1` only wins when
+    /// the per-energy solve, not the energy count, is the bottleneck. The
+    /// partition layout is FLOP-balanced
+    /// ([`crate::dist::spatial::SpatialLayout`]): from `P_S = 3` on the
+    /// uniform split would leave the two boundary partitions idle ~30 % of
+    /// every solve.
     pub spatial_partitions: usize,
     /// Number of energy batches (`B`) each of the four per-iteration
     /// transpositions is cut into ([`crate::dist::TranspositionBatchPlan`]). With `B > 1`

@@ -16,10 +16,11 @@ pub struct DistReport {
     pub energy_groups: usize,
     /// Spatial partitions per energy group (`P_S`, second level).
     pub spatial_partitions: usize,
-    /// Whether the spatial layout was the FLOP-balanced uneven one
-    /// (`quatrex_rgf::partition_layout_balanced`) instead of the uniform
-    /// split — a derived fact, not a setting: true exactly when a middle
-    /// partition exists to balance against (`P_S ≥ 3`).
+    /// Whether the FLOP-balanced layout
+    /// (`quatrex_rgf::partition_layout_balanced`, run at every `P_S ≥ 2`)
+    /// had a middle partition to balance against — a derived fact, not a
+    /// setting: true exactly when `P_S ≥ 3`; at `P_S = 2` the rule returns
+    /// the uniform split.
     pub balanced_partitions: bool,
     /// Iterations that executed the P/W/Σ phases (and hence all four
     /// transpositions). A ballistic run has zero.

@@ -54,9 +54,8 @@ use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::Subsystem;
 use quatrex_rgf::{
     assemble_reduced_system, assemble_solution, eliminate_partition, partition_layout_balanced,
-    partition_ranges, probe_partition_flops, recover_partition, solve_systems,
-    spatial_partition_layout, PartitionSolveState, RgfBatchScratch, SelectedSolution,
-    SpatialPartition,
+    partition_ranges, recover_partition, solve_systems, PartitionSolveState, RgfBatchScratch,
+    SelectedSolution, SpatialPartition,
 };
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
@@ -131,22 +130,18 @@ pub struct SpatialLayout {
 
 impl SpatialLayout {
     /// Lay `n_blocks` transport blocks out over `p_s` spatial partitions per
-    /// energy group. Whenever a middle partition exists (`P_S ≥ 3`) the
-    /// layout is the FLOP-balanced uneven one
-    /// (`quatrex_rgf::partition_layout_balanced`: the end partitions grow
-    /// until the per-partition elimination + recovery FLOPs equalise, paper
-    /// Section 5.4), computed from the shape-only FLOP probe (scalar blocks:
-    /// microseconds, whatever `block_size`) so every rank derives the
-    /// identical layout; at `P_S = 2` there is nothing to balance
-    /// against and the split is uniform. Panics when the device has fewer
-    /// than `2·P_S` blocks.
+    /// energy group: for every `P_S ≥ 2` the FLOP-balanced layout
+    /// (`quatrex_rgf::partition_layout_balanced`: the least busy busiest
+    /// partition of any whole-block layout, paper Section 5.4), computed from
+    /// the partition kernels' shape-only FLOP counters (scalar blocks:
+    /// under a millisecond, whatever `block_size`) so every rank derives the
+    /// identical layout. At `P_S = 2` it is the uniform split. Panics when
+    /// the device has fewer than `2·P_S` blocks.
     pub fn new(n_ranks: usize, p_s: usize, n_blocks: usize, block_size: usize) -> Self {
         let grid = RankGrid::new(n_ranks, p_s);
         let parts = match p_s {
             1 => Ok(Vec::new()),
-            2 => spatial_partition_layout(n_blocks, p_s),
-            _ => probe_partition_flops(n_blocks, p_s, N_RHS)
-                .and_then(|probe| partition_layout_balanced(n_blocks, p_s, &probe)),
+            _ => partition_layout_balanced(n_blocks, p_s, N_RHS),
         }
         // lint:allow(no-unwrap): the block count was validated against P_S before the layout is built
         .expect("spatial partition layout rejected (too few blocks for P_S)");
@@ -158,8 +153,8 @@ impl SpatialLayout {
         }
     }
 
-    /// Whether the layout is the FLOP-balanced one (a middle partition
-    /// exists) rather than the uniform split.
+    /// Whether the balanced layout had a middle partition to balance
+    /// against (`P_S ≥ 3`); at `P_S = 2` it is the uniform split.
     pub fn balanced(&self) -> bool {
         self.grid.spatial_partitions > 2
     }
@@ -405,7 +400,7 @@ pub fn spatial_phase_solve(
 mod tests {
     use super::*;
     use quatrex_linalg::cplx;
-    use quatrex_rgf::rgf_solve;
+    use quatrex_rgf::{rgf_solve, spatial_partition_layout};
     use quatrex_runtime::{CommStats, ThreadComm};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;

@@ -494,11 +494,6 @@ impl ScbaSolver {
         }
     }
 
-    /// The energy grid used by the solver.
-    pub fn energy_grid(&self) -> &EnergyGrid {
-        &self.grid
-    }
-
     /// The device being simulated.
     pub fn device(&self) -> &Device {
         &self.device

@@ -62,12 +62,6 @@ impl EnergyGrid {
     pub fn points(&self) -> Vec<f64> {
         (0..self.n_points).map(|i| self.point(i)).collect()
     }
-
-    /// Index of the grid point closest to `e` (clamped to the grid).
-    pub fn closest_index(&self, e: f64) -> usize {
-        let idx = ((e - self.e_min) / self.spacing()).round();
-        idx.clamp(0.0, (self.n_points - 1) as f64) as usize
-    }
 }
 
 /// Fermi–Dirac occupation `f(E) = 1 / (1 + exp((E − μ)/kT))` with `kT` in eV.
@@ -101,9 +95,6 @@ mod tests {
         assert_eq!(g.len(), 5);
         assert!((g.spacing() - 0.5).abs() < 1e-15);
         assert_eq!(g.points(), vec![-1.0, -0.5, 0.0, 0.5, 1.0]);
-        assert_eq!(g.closest_index(0.1), 2);
-        assert_eq!(g.closest_index(-5.0), 0);
-        assert_eq!(g.closest_index(5.0), 4);
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub struct LuFactorization {
     inv_diag: Vec<c64>,
     /// Row permutation: `perm[i]` is the original row now stored in row `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1 or -1), used for determinants.
-    perm_sign: f64,
 }
 
 /// Pivots eliminated together: one lane tile, so the diagonal block of a
@@ -366,7 +364,6 @@ impl LuFactorization {
         self.inv_diag.clear();
         self.perm.clear();
         self.perm.extend(0..n);
-        self.perm_sign = 1.0;
         // No clear: every element is overwritten below.
         self.re.resize(ld * n, 0.0);
         self.im.resize(ld * n, 0.0);
@@ -406,7 +403,6 @@ impl LuFactorization {
                         col.swap(j, p);
                     }
                     self.perm.swap(j, p);
-                    self.perm_sign = -self.perm_sign;
                 }
                 let inv = ONE / self.diagonal(j);
                 self.inv_diag.push(inv);
@@ -570,15 +566,6 @@ impl LuFactorization {
         let mut out = CMatrix::zeros(self.n, self.n);
         self.inverse_into::<Native>((&mut Vec::new(), &mut Vec::new()), out.as_mut_slice());
         out
-    }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> c64 {
-        let mut det = c64::new(self.perm_sign, 0.0);
-        for l in 0..self.n {
-            det *= self.diagonal(l);
-        }
-        det
     }
 }
 
@@ -797,20 +784,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn determinant_of_diagonal() {
-        let a = CMatrix::from_diagonal(&[cplx(2.0, 0.0), cplx(0.0, 3.0), cplx(-1.0, 0.0)]);
-        let lu = LuFactorization::new(&a).unwrap();
-        assert!((lu.determinant() - cplx(0.0, -6.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_changes_sign_with_row_swap() {
-        let a = CMatrix::from_rows(2, 2, &[ZERO, cplx(1.0, 0.0), cplx(1.0, 0.0), ZERO]);
-        let lu = LuFactorization::new(&a).unwrap();
-        assert!((lu.determinant() - cplx(-1.0, 0.0)).norm() < 1e-14);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl CMatrix {
         Self { nrows, ncols, data }
     }
 
-    /// Recover the raw column-major buffer (for arena reuse).
-    pub fn into_raw(self) -> Vec<c64> {
-        self.data
-    }
-
     /// Overwrite every entry with `other`'s (same shape required). Never
     /// reallocates.
     pub fn copy_from(&mut self, other: &CMatrix) {
@@ -240,13 +235,6 @@ impl CMatrix {
     /// Maximum absolute entry (`max_ij |A_ij|`).
     pub fn norm_max(&self) -> f64 {
         self.data.iter().map(|v| v.norm()).fold(0.0, f64::max)
-    }
-
-    /// 1-norm (maximum absolute column sum).
-    pub fn norm_one(&self) -> f64 {
-        (0..self.ncols)
-            .map(|j| self.col(j).iter().map(|v| v.norm()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 
     /// Frobenius distance `‖A − B‖_F`.
@@ -574,7 +562,6 @@ mod tests {
         let m = CMatrix::from_diagonal(&[cplx(3.0, 4.0), cplx(0.0, 0.0)]);
         assert!((m.norm_fro() - 5.0).abs() < 1e-15);
         assert!((m.norm_max() - 5.0).abs() < 1e-15);
-        assert!((m.norm_one() - 5.0).abs() < 1e-15);
     }
 
     #[test]

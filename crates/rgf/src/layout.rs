@@ -1,8 +1,9 @@
 //! Partition layouts of the spatial domain decomposition (paper Section 5.4):
 //! which blocks each of the `P_S` partitions owns, which of them are the
-//! separators of the reduced boundary system, and how the interiors are sized
-//! so the per-partition FLOPs of [`crate::nested`]'s elimination + recovery
-//! equalise.
+//! separators of the reduced boundary system, and how the interiors are sized:
+//! [`partition_layout_balanced`] is an exact min–max search over the
+//! elimination + recovery FLOPs of [`crate::nested`]'s partition kernels,
+//! read off their own counters.
 //!
 //! Everything here depends on the problem *shape* only, so every rank of a
 //! distributed driver derives the identical layout before the first system
@@ -11,7 +12,7 @@
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::nested::{nested_dissection_solve, NestedConfig, NestedReport, PartitionWorkload};
+use crate::nested::{nested_dissection_solve_with_layout, NestedReport};
 use crate::sequential::RgfError;
 
 /// One spatial partition of the block range: the owned block interval and the
@@ -121,107 +122,97 @@ pub(crate) fn validate_partition_layout(
     Ok(())
 }
 
-/// Split `n_blocks` into `n_partitions` contiguous partitions whose interiors
-/// are sized so the per-partition FLOPs of the elimination + recovery phases
-/// equalise, using measured per-partition FLOP counters as the cost model
-/// (paper Section 5.4's load balancing: boundary partitions own a single
-/// separator and therefore do less work than a middle partition under the
-/// uniform split — growing the end partitions restores balance). An end
-/// partition runs the RGF sweeps over its range (`127·n` units of `8·N_BS³`
-/// for `n` interior blocks at two right-hand sides); a middle partition runs
-/// the stopped forward half towards each separator and one RGF solve of its
-/// closed range (`185·n + 176`), about 1.5× as much per block: the end
-/// partitions take more of the blocks, and with whole blocks a spread of
-/// 4 % (24 blocks) to 13 % (22 blocks) remains on the short bench cells.
+/// Split `n_blocks` into `n_partitions ≥ 2` contiguous partitions so the
+/// busiest partition does the least elimination + recovery work of any
+/// whole-block layout and, among the layouts that reach it, the least busy
+/// partition does the most (paper Section 5.4's load balancing: no rank of a
+/// spatial group idles on a short partition).
 ///
-/// `report` must come from a solve of the same `n_blocks` over the same
-/// `n_partitions` (typically the uniform [`spatial_partition_layout`], e.g.
-/// via [`nested_dissection_solve`] or [`probe_partition_flops`]): the FLOPs
-/// of each partition are divided by its interior length to obtain
-/// per-interior-block rates for end (one separator) and middle (two
-/// separators) partitions — both elimination and recovery cost are linear in
-/// the interior length for a fixed separator count, up to a middle
-/// partition's constant — and the interior sizes
-/// are re-chosen so the predicted per-partition FLOPs equalise.
+/// A partition's cost follows from its kind and its interior length `n`
+/// alone: its FLOP counters are `a·n` for an end partition (one separator,
+/// `n ≥ 1`) and `a·n + b` for a middle one (two separators) when `n ≥ 1`,
+/// and 0 for a pure separator, each constant depending on the number of
+/// right-hand sides `n_rhs`. The costs are read off the partitions' own
+/// counters, measured on the three-partition layouts with interiors
+/// `[1, 1, 1]` and `[2, 2, 2]` of a scalar-block system (`layout_flops`:
+/// every counter is an exact multiple of `8·N_BS³`, so the units hold at any
+/// block size). With `T = n_blocks − 2·(n_partitions − 1)` interior blocks:
 ///
-/// With `n_partitions == 2` (no middle partition) or a degenerate report the
-/// uniform layout is returned unchanged.
+/// 1. the cap is the smallest cost at which every partition's largest
+///    interior within it covers `T` together;
+/// 2. the floor is the largest cost under the cap at which every partition's
+///    smallest interior reaching it still fits: within the partition's cap,
+///    and within `T` together;
+/// 3. every partition starts at its floor interior and the remaining blocks
+///    go to the partitions in ascending order, each up to its cap interior.
+///
+/// At `n_partitions == 2` the ends' common cost cancels, nothing is
+/// measured, and this is [`spatial_partition_layout`].
 pub fn partition_layout_balanced(
     n_blocks: usize,
     n_partitions: usize,
-    report: &NestedReport,
+    n_rhs: usize,
 ) -> Result<Vec<SpatialPartition>, RgfError> {
-    let uniform = spatial_partition_layout(n_blocks, n_partitions)?;
-    if n_partitions == 2 || report.partitions.len() != n_partitions {
-        return Ok(uniform);
-    }
-    // Per-interior-block FLOP rates of end and middle partitions. The
-    // workload's `blocks` count includes the separators the partition owns
-    // (one for ends, two for middles).
-    let rate_of = |wl: &PartitionWorkload, n_sep: usize| {
-        let n_int = wl.blocks.saturating_sub(n_sep);
-        (n_int > 0).then(|| wl.flops as f64 / n_int as f64)
+    spatial_partition_layout(n_blocks, n_partitions)?;
+    // FLOPs of an end (`[0]`) and a middle (`[1]`) partition at interior
+    // lengths 1 and 2, and at any length `n` of that kind. Without a middle
+    // partition the ends' common per-block cost cancels out of the search,
+    // so the probe is skipped: its solves spawn worker threads, and run
+    // before every distributed solve at `P_S = 2` they raised the peak RSS
+    // of the benchmark's `dist_spatial` workload from ~370 to 440–530 MiB
+    // on a 2-core AVX-512 box.
+    let probe = |n| {
+        let report = layout_flops(&layout_from_interiors(&[n, n, n]), n_rhs)?;
+        Ok::<_, RgfError>([0, 1].map(|p| report.partitions[p].flops))
+    };
+    let (one, two) = match n_partitions {
+        2 => ([1, 1], [2, 2]),
+        _ => (probe(1)?, probe(2)?),
+    };
+    let cost = |kind: usize, n: usize| match n {
+        0 => 0,
+        n => one[kind] + (n as u64 - 1) * (two[kind] - one[kind]),
     };
     let last = n_partitions - 1;
-    let ends: Vec<f64> = [0, last]
+    let total = n_blocks - 2 * last;
+    // The smallest and largest interior of partition `p` costing
+    // `floor..=cap`; an end partition keeps an interior block.
+    let span = |p: usize, floor: u64, cap: u64| {
+        let middle = p != 0 && p != last;
+        let fit: Vec<usize> = (usize::from(!middle)..=total)
+            .filter(|&n| (floor..=cap).contains(&cost(middle.into(), n)))
+            .collect();
+        Some((*fit.first()?, *fit.last()?))
+    };
+    let spans = |floor, cap| {
+        (0..n_partitions)
+            .map(|p| span(p, floor, cap))
+            .collect::<Option<Vec<_>>>()
+    };
+    let mut levels: Vec<u64> = (0..=total).flat_map(|n| [cost(0, n), cost(1, n)]).collect();
+    levels.sort_unstable();
+    levels.dedup();
+    let covers = |s: &Vec<(usize, usize)>| s.iter().map(|s| s.1).sum::<usize>() >= total;
+    let fits = |s: &Vec<(usize, usize)>| s.iter().map(|s| s.0).sum::<usize>() <= total;
+    let cap = *levels
         .iter()
-        .filter_map(|&p| rate_of(&report.partitions[p], 1))
+        .find(|&&cap| spans(0, cap).is_some_and(|s| covers(&s)))
+        .expect("the costliest level fits every interior length");
+    let floors = levels.iter().rev().filter(|&&floor| floor <= cap);
+    let spans = floors
+        .copied()
+        .find_map(|floor| spans(floor, cap).filter(fits))
+        .expect("the cheapest level fits every partition's shortest interior");
+    let mut left = total - spans.iter().map(|s| s.0).sum::<usize>();
+    let interiors: Vec<usize> = spans
+        .iter()
+        .map(|&(lo, hi)| {
+            let grow = left.min(hi - lo);
+            left -= grow;
+            lo + grow
+        })
         .collect();
-    let mids: Vec<f64> = (1..last)
-        .filter_map(|p| rate_of(&report.partitions[p], 2))
-        .collect();
-    if ends.is_empty() || mids.is_empty() {
-        return Ok(uniform);
-    }
-    let k_end = ends.iter().sum::<f64>() / ends.len() as f64;
-    let k_mid = mids.iter().sum::<f64>() / mids.len() as f64;
-    if !(k_end > 0.0 && k_mid > 0.0 && k_mid.is_finite() && k_end.is_finite()) {
-        return Ok(uniform);
-    }
-    // Equalise n_end·k_end = n_mid·k_mid subject to
-    // 2·n_end + (P−2)·n_mid = interior_total.
-    let interior_total = n_blocks - 2 * (n_partitions - 1);
-    let r = k_mid / k_end;
-    let n_mid_real = interior_total as f64 / (2.0 * r + (n_partitions - 2) as f64);
-    let n_end_real = r * n_mid_real;
-    // Largest-remainder rounding over [end, mid × (P−2), end].
-    let targets: Vec<f64> = std::iter::once(n_end_real)
-        .chain(std::iter::repeat_n(n_mid_real, n_partitions - 2))
-        .chain(std::iter::once(n_end_real))
-        .collect();
-    let mut interiors: Vec<usize> = targets.iter().map(|t| t.floor() as usize).collect();
-    let mut leftover = interior_total - interiors.iter().sum::<usize>();
-    let mut order: Vec<usize> = (0..n_partitions).collect();
-    order.sort_by(|&i, &j| {
-        let fi = targets[i] - targets[i].floor();
-        let fj = targets[j] - targets[j].floor();
-        fj.partial_cmp(&fi).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for &p in order.iter().cycle().take(n_partitions * 8) {
-        if leftover == 0 {
-            break;
-        }
-        interiors[p] += 1;
-        leftover -= 1;
-    }
-    // End partitions must keep at least one interior block (they hold only
-    // one separator, so a one-block end partition would violate the two-block
-    // floor); steal from the largest partition when rounding emptied one.
-    for p in [0, last] {
-        if interiors[p] == 0 {
-            let donor = (0..n_partitions)
-                .max_by_key(|&q| interiors[q])
-                .expect("non-empty layout");
-            if interiors[donor] == 0 {
-                return Ok(uniform);
-            }
-            interiors[donor] -= 1;
-            interiors[p] += 1;
-        }
-    }
-    let parts = layout_from_interiors(&interiors);
-    validate_partition_layout(&parts, n_blocks)?;
-    Ok(parts)
+    Ok(layout_from_interiors(&interiors))
 }
 
 /// The contiguous layout whose partition `p` has `interiors[p]` interior
@@ -244,25 +235,20 @@ pub(crate) fn layout_from_interiors(interiors: &[usize]) -> Vec<SpatialPartition
     parts
 }
 
-/// Per-partition FLOP report of the uniform layout, measured on a synthetic
-/// well-conditioned system of the given shape at block size 1. The
-/// elimination/recovery FLOP counters depend only on the problem *shape*
-/// (block count, separator structure, number of right-hand sides), never on
-/// the matrix values, and every one of them is an exact multiple of
-/// `8·N_BS³` — so the counts at block size 1 are the counts of any block size
-/// in that unit, the balanced layout they imply is the same, and the probe
-/// costs microseconds instead of a full-size nested solve. A distributed
-/// driver computes the same FLOP-balanced layout on every rank
-/// deterministically before the first real system is assembled.
-pub fn probe_partition_flops(
-    n_blocks: usize,
-    n_partitions: usize,
-    n_rhs: usize,
-) -> Result<NestedReport, RgfError> {
+/// The per-partition FLOP report of a layout, measured by the thread driver
+/// on a synthetic well-conditioned system of scalar blocks. The elimination
+/// and recovery counters depend only on the problem *shape* (interior
+/// lengths, separator structure, number of right-hand sides), never on the
+/// matrix values, and every one of them is an exact multiple of `8·N_BS³` —
+/// so the counts at block size 1 are the counts of any block size in that
+/// unit, and the probe costs a fraction of a millisecond, not a full-size
+/// solve. A distributed driver derives the same balanced layout on every
+/// rank deterministically before the first real system is assembled.
+fn layout_flops(parts: &[SpatialPartition], n_rhs: usize) -> Result<NestedReport, RgfError> {
+    let n_blocks = parts.last().map_or(0, |p| p.hi + 1);
     let (a, rhs) = synthetic_probe_system(n_blocks, n_rhs);
-    let rhs_refs: Vec<&BlockTridiagonal> = rhs.iter().collect();
-    let (_, report) = nested_dissection_solve(&a, &rhs_refs, &NestedConfig::new(n_partitions))?;
-    Ok(report)
+    let rhs: Vec<&BlockTridiagonal> = rhs.iter().collect();
+    Ok(nested_dissection_solve_with_layout(&a, &rhs, parts)?.1)
 }
 
 /// A deterministic diagonally-dominant system of scalar blocks with
@@ -314,8 +300,8 @@ pub fn separator_blocks(parts: &[SpatialPartition]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested::nested_dissection_solve_with_layout;
     use crate::nested::tests::{max_rel_err, test_rhs, test_system};
+    use crate::nested::{nested_dissection_solve, NestedConfig};
     use crate::sequential::rgf_solve;
 
     /// Relative spread of the per-partition FLOPs: `(max − min) / max`.
@@ -325,27 +311,44 @@ mod tests {
         (max - min) / max
     }
 
-    /// The busiest partition's FLOPs and the spread of every layout of
-    /// `n_blocks` over four partitions (end partitions keep an interior
-    /// block), for 2 right-hand sides.
-    fn every_four_partition_layout(n_blocks: usize) -> Vec<(u64, f64)> {
+    /// The busiest partition's FLOPs and the spread of a layout, solved at
+    /// block size 1 with `n_rhs ≤ 2` right-hand sides.
+    fn layout_load(parts: &[SpatialPartition], n_rhs: usize) -> (u64, f64) {
+        let n_blocks = parts.last().unwrap().hi + 1;
         let a = test_system(n_blocks, 1);
-        let (b1, b2) = (test_rhs(n_blocks, 1, 1.0), test_rhs(n_blocks, 1, -0.7));
-        let total = n_blocks - 6;
-        let mut out = Vec::new();
-        for first in 1..total {
-            for second in 0..total - first {
-                for third in 0..total - first - second {
-                    let last = total - first - second - third;
-                    let parts = layout_from_interiors(&[first, second, third, last]);
-                    let (_, report) =
-                        nested_dissection_solve_with_layout(&a, &[&b1, &b2], &parts).unwrap();
-                    let busiest = report.partitions.iter().map(|p| p.flops).max().unwrap();
-                    out.push((busiest, flop_spread(&report)));
-                }
-            }
+        let rhs = [1.0, -0.7].map(|seed| test_rhs(n_blocks, 1, seed));
+        let rhs: Vec<&BlockTridiagonal> = rhs.iter().take(n_rhs).collect();
+        let (_, report) = nested_dissection_solve_with_layout(&a, &rhs, parts).unwrap();
+        let busiest = report.partitions.iter().map(|p| p.flops).max().unwrap();
+        (busiest, flop_spread(&report))
+    }
+
+    /// [`layout_load`] of every layout of `n_blocks` over `n_partitions`
+    /// partitions whose end partitions keep an interior block.
+    fn every_layout(n_blocks: usize, n_partitions: usize, n_rhs: usize) -> Vec<(u64, f64)> {
+        let total = n_blocks - 2 * (n_partitions - 1);
+        let mut interiors = vec![Vec::new()];
+        for p in 0..n_partitions {
+            interiors = interiors
+                .into_iter()
+                .flat_map(|head: Vec<usize>| {
+                    let left = total - head.iter().sum::<usize>();
+                    let first = if p + 1 == n_partitions { left } else { 0 };
+                    (first..=left).map(move |n| [head.as_slice(), &[n]].concat())
+                })
+                .collect();
         }
-        out
+        interiors
+            .iter()
+            .filter(|n| n[0] > 0 && n[n_partitions - 1] > 0)
+            .map(|n| layout_load(&layout_from_interiors(n), n_rhs))
+            .collect()
+    }
+
+    /// [`every_layout`] of `n_blocks` over four partitions, for 2 right-hand
+    /// sides.
+    fn every_four_partition_layout(n_blocks: usize) -> Vec<(u64, f64)> {
+        every_layout(n_blocks, 4, 2)
     }
 
     #[test]
@@ -363,7 +366,7 @@ mod tests {
         let uniform_spread = flop_spread(&uniform);
         assert!(uniform_spread >= 0.40, "uniform spread {uniform_spread}");
 
-        let parts = partition_layout_balanced(nb, 4, &uniform).unwrap();
+        let parts = partition_layout_balanced(nb, 4, 2).unwrap();
         assert_ne!(parts, spatial_partition_layout(nb, 4).unwrap());
         let (sol, balanced) = nested_dissection_solve_with_layout(&a, &[&b1, &b2], &parts).unwrap();
         assert!(max_rel_err(&sol.retarded, &seq.retarded) < 1e-12);
@@ -386,8 +389,7 @@ mod tests {
         let a = test_system(nb, bs);
         let b1 = test_rhs(nb, bs, 1.0);
         let b2 = test_rhs(nb, bs, -0.7);
-        let (_, uniform) = nested_dissection_solve(&a, &[&b1, &b2], &NestedConfig::new(4)).unwrap();
-        let parts = partition_layout_balanced(nb, 4, &uniform).unwrap();
+        let parts = partition_layout_balanced(nb, 4, 2).unwrap();
         let (_, balanced) = nested_dissection_solve_with_layout(&a, &[&b1, &b2], &parts).unwrap();
         let balanced_spread = flop_spread(&balanced);
         let busiest = balanced.partitions.iter().map(|p| p.flops).max().unwrap();
@@ -403,8 +405,7 @@ mod tests {
 
     #[test]
     fn balanced_layout_degenerates_to_uniform_at_two_partitions() {
-        let report = probe_partition_flops(10, 2, 2).unwrap();
-        let parts = partition_layout_balanced(10, 2, &report).unwrap();
+        let parts = partition_layout_balanced(10, 2, 2).unwrap();
         assert_eq!(parts, spatial_partition_layout(10, 2).unwrap());
     }
 
@@ -415,8 +416,7 @@ mod tests {
         // solve of the same shape exactly at every block size: the counters
         // are structural, so the balanced layout they imply is too.
         for (nb, p_s) in [(16usize, 4usize), (22, 4), (24, 3), (16, 3)] {
-            let probe = probe_partition_flops(nb, p_s, 2).unwrap();
-            let balanced = partition_layout_balanced(nb, p_s, &probe).unwrap();
+            let probe = layout_flops(&spatial_partition_layout(nb, p_s).unwrap(), 2).unwrap();
             for bs in [1usize, 2, 8] {
                 let unit = 8 * (bs as u64).pow(3);
                 let a = test_system(nb, bs);
@@ -432,11 +432,32 @@ mod tests {
                     probe.reduced_system_flops * unit,
                     real.reduced_system_flops * 8
                 );
-                assert_eq!(
-                    partition_layout_balanced(nb, p_s, &real).unwrap(),
-                    balanced,
-                    "({nb},{p_s}): layout from a real N_BS={bs} report"
-                );
+            }
+        }
+    }
+
+    #[test]
+    fn balanced_layout_is_the_min_max_layout_at_every_shape() {
+        // Against every whole-block layout (end interiors ≥ 1): the balanced
+        // layout's busiest partition is the least busy one any layout
+        // reaches, its spread the smallest among those that reach it, and at
+        // two partitions it is the uniform split.
+        for p_s in 2..=5usize {
+            for nb in 2 * p_s..=24 {
+                for n_rhs in 0..=2 {
+                    let parts = partition_layout_balanced(nb, p_s, n_rhs).unwrap();
+                    let (busiest, spread) = layout_load(&parts, n_rhs);
+                    let others = every_layout(nb, p_s, n_rhs);
+                    let best = others.iter().map(|o| o.0).min().unwrap();
+                    let at_best = others.iter().filter(|o| o.0 == best);
+                    let best_spread = at_best.map(|o| o.1).fold(f64::INFINITY, f64::min);
+                    let case = format!("P_S = {p_s}, N_B = {nb}, {n_rhs} RHS");
+                    assert_eq!(busiest, best, "{case}: busiest partition");
+                    assert!(spread <= best_spread + 1e-12, "{case}: spread {spread}");
+                    if p_s == 2 {
+                        assert_eq!(parts, spatial_partition_layout(nb, 2).unwrap(), "{case}");
+                    }
+                }
             }
         }
     }

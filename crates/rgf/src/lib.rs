@@ -54,8 +54,7 @@ pub use batch::{
 };
 pub use dense::{dense_lesser, dense_retarded};
 pub use layout::{
-    partition_layout_balanced, probe_partition_flops, separator_blocks, spatial_partition_layout,
-    SpatialPartition,
+    partition_layout_balanced, separator_blocks, spatial_partition_layout, SpatialPartition,
 };
 pub use nested::{
     assemble_reduced_system, assemble_solution, eliminate_partition, nested_dissection_invert,

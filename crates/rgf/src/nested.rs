@@ -154,19 +154,19 @@ impl NestedReport {
     }
 
     /// Ratio of boundary-partition to middle-partition workload (the paper
-    /// reports ~60% without load balancing).
+    /// reports ~60% without load balancing). `None` without a middle
+    /// partition (`P_S < 3`) or when every middle partition is a pure
+    /// separator, which does no work to compare against.
     pub fn boundary_to_middle_ratio(&self) -> Option<f64> {
-        if self.partitions.len() < 3 {
+        let [first, middle @ .., last] = self.partitions.as_slice() else {
+            return None;
+        };
+        let mid_total: u64 = middle.iter().map(|p| p.flops).sum();
+        if mid_total == 0 {
             return None;
         }
-        let first = self.partitions.first()?.flops as f64;
-        let last = self.partitions.last()?.flops as f64;
-        let middle: Vec<f64> = self.partitions[1..self.partitions.len() - 1]
-            .iter()
-            .map(|p| p.flops as f64)
-            .collect();
-        let mid_avg = middle.iter().sum::<f64>() / middle.len() as f64;
-        Some(0.5 * (first + last) / mid_avg)
+        let mid_avg = mid_total as f64 / middle.len() as f64;
+        Some(0.5 * (first.flops + last.flops) as f64 / mid_avg)
     }
 
     /// Workload of the average *middle* partition relative to an even

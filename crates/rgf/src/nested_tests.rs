@@ -144,6 +144,22 @@ fn boundary_partitions_do_less_work_than_middle_ones() {
 }
 
 #[test]
+fn boundary_to_middle_ratio_is_none_when_every_middle_partition_is_a_separator() {
+    // The balanced layout of 10 blocks over four partitions leaves both
+    // middle partitions pure separators: there is no middle work to divide by.
+    let parts = crate::layout::partition_layout_balanced(10, 4, 2).unwrap();
+    assert_eq!(parts, layout_from_interiors(&[2, 0, 0, 2]));
+    let (a, b1, b2) = (
+        test_system(10, 2),
+        test_rhs(10, 2, 1.0),
+        test_rhs(10, 2, -0.7),
+    );
+    let (_, report) = nested_dissection_solve_with_layout(&a, &[&b1, &b2], &parts).unwrap();
+    assert_eq!(report.partitions[1].flops + report.partitions[2].flops, 0);
+    assert_eq!(report.boundary_to_middle_ratio(), None);
+}
+
+#[test]
 fn one_separator_partitions_cost_one_rgf_sweep() {
     // An end partition costs exactly the forward recursion over its
     // interior, the separator's step without the inversion, and the
