@@ -11,7 +11,7 @@
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
 //! | `per-energy-gemm`| library code in `crates/{rgf,obc,core}` calls the batched GEMM entry points (`gemm_batch`), not raw per-energy `gemm`, so loops over energies share one operand packing — frozen reference paths carry explicit `lint:allow(per-energy-gemm)` markers |
 //! | `allocating-inverse`| library code in `crates/{rgf,obc,core}` does not reach `lu::inverse`, `lu::solve` or `LuFactorization::new` — each allocates factors and work planes per call where a `LuScratch` the caller already holds allocates nothing; cold fallbacks carry `lint:allow(allocating-inverse)` at the (path-qualified) call |
-//! | `no-raw-sync`   | no `std::thread::spawn` / `std::sync::Mutex` / `std::sync::mpsc` in library crates — the workspace shims (`parking_lot`, `crossbeam`, `rayon`) carry the lock-order, race-detection and schedule-exploration seams, and a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
+//! | `no-raw-sync`   | no `std::sync::Mutex` / `std::sync::mpsc` and no thread start (`std::thread::spawn` / `scope` / `Builder`) in library crates — locks and channels go through the workspace shims (`parking_lot`, `crossbeam`) and threads start only in `ThreadComm::run`'s rank spawn (its one `lint:allow`), which carry the lock-order, race-detection and schedule-exploration seams; a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
 //! | `stale-allow`   | every `lint:allow`/`lint:allow-file` marker must suppress at least one finding — a marker that matches nothing is dead weight that rots into false confidence when the code under it changes |
 //!
 //! Test code (`tests/`, `benches/`, `#[cfg(test)]` modules) is exempt, and a
@@ -46,8 +46,8 @@ pub enum Rule {
     /// `lu::inverse` / `lu::solve` / `LuFactorization::new` in
     /// `crates/{rgf,obc,core}` library code.
     AllocatingInverse,
-    /// `std::thread::spawn` / `std::sync::Mutex` / `std::sync::mpsc` in
-    /// library code outside `crates/sync`.
+    /// `std::sync::Mutex` / `std::sync::mpsc` / `std::thread::{spawn, scope,
+    /// Builder}` in library code outside `crates/sync`.
     NoRawSync,
     /// A `lint:allow`/`lint:allow-file` marker that suppresses no finding.
     StaleAllow,
@@ -210,25 +210,30 @@ fn grouped_items<'a>(code: &'a str, prefix: &str) -> impl Iterator<Item = &'a st
         .filter(|item| !item.is_empty())
 }
 
-/// Does this stripped line reach a raw std sync/thread primitive (directly or
-/// via a brace-grouped `use std::sync::{...}`)? `std::sync::Arc`,
-/// `std::sync::atomic`, `MutexGuard` re-exports etc. stay legal — only the
-/// blocking primitives the shims replace are flagged.
+/// Does this stripped line reach a raw std sync primitive or start a thread
+/// (directly or via a brace-grouped `use std::sync::{...}` /
+/// `use std::thread::{...}`)? `std::sync::Arc`, `std::sync::atomic`,
+/// `MutexGuard` re-exports, `std::thread::current` etc. stay legal — only the
+/// blocking primitives the shims replace and the thread starts the runtime
+/// owns are flagged.
 fn uses_raw_sync(code: &str) -> bool {
-    if has_delimited_token(code, "std::thread::spawn")
-        || has_delimited_token(code, "std::sync::Mutex")
-        || has_delimited_token(code, "std::sync::mpsc")
-    {
-        return true;
-    }
-    grouped_items(code, "std::sync::{").any(|item| {
-        // First word of the item, so `Mutex as StdMutex` matches but
-        // `MutexGuard` does not.
-        matches!(
-            item.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-                .next(),
-            Some("Mutex") | Some("mpsc")
-        )
+    const RAW: [(&str, &[&str]); 2] = [
+        ("std::sync::", &["Mutex", "mpsc"]),
+        ("std::thread::", &["spawn", "scope", "Builder"]),
+    ];
+    RAW.iter().any(|&(module, items)| {
+        let group = format!("{module}{{");
+        items
+            .iter()
+            .any(|item| has_delimited_token(code, &format!("{module}{item}")))
+            || grouped_items(code, &group).any(|grouped| {
+                // First word of the item, so `Mutex as StdMutex` matches but
+                // `MutexGuard` does not.
+                let first = grouped
+                    .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                    .next();
+                first.is_some_and(|word| items.contains(&word))
+            })
     })
 }
 
@@ -517,8 +522,9 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
                             .to_string()
                     }),
                     Rule::NoRawSync => uses_raw_sync(&code).then(|| {
-                        "raw std::sync/std::thread primitive in library code: use the \
-                         workspace parking_lot/crossbeam/rayon shims so the lock-order, \
+                        "raw std::sync/std::thread primitive in library code: lock and send \
+                         through the workspace parking_lot/crossbeam shims and start threads \
+                         only through quatrex_runtime's ThreadComm, so the lock-order, \
                          race-detection and schedule-exploration seams see it"
                             .to_string()
                     }),

@@ -1,10 +1,10 @@
 //! Happens-before race detection for the collective pipeline.
 //!
 //! This module is the user-facing surface of the FastTrack-style vector-clock
-//! detector whose engine lives in `quatrex-sync` (so the `parking_lot`,
-//! `crossbeam` and `rayon` shims can feed it without a dependency cycle).
-//! Every synchronisation edge the shims mediate — mutex/rwlock
-//! release→acquire, channel send→recv, rayon fork→join — advances per-thread
+//! detector whose engine lives in `quatrex-sync` (so the `parking_lot` and
+//! `crossbeam` shims can feed it without a dependency cycle). Every
+//! synchronisation edge the shims and the runtime mediate — mutex/rwlock
+//! release→acquire, channel send→recv, rank spawn→join — advances per-thread
 //! vector clocks, and every [`access_shared`] annotation placed in
 //! `quatrex-runtime` (slab/wire buffers, `CommHandle` completion, the
 //! observer seam) and `quatrex_core::dist` (convolution batch accumulators) is

@@ -21,11 +21,10 @@
 //!
 //! Threads participate by entering the session
 //! ([`SessionHandle::enter`]); `ThreadComm::run_with_observer` does this
-//! automatically for its rank threads when a session is current, and the
-//! rayon shim runs its `parallel_map` inline-sequentially under a session so
-//! the explored state space stays the configured thread set. Barrier waits
-//! go through [`YieldBarrier`] so the scheduler, not the OS, decides the
-//! release order.
+//! automatically for its rank threads when a session is current — the only
+//! threads library code starts, so the explored state space is the
+//! configured thread set. Barrier waits go through [`YieldBarrier`] so the
+//! scheduler, not the OS, decides the release order.
 //!
 //! Keep explored configurations small — 2 groups × 2 spatial ranks, a
 //! handful of energies — and assert bit-identical observables across

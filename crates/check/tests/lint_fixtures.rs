@@ -118,6 +118,26 @@ fn raw_sync_is_flagged_in_library_code_but_not_sync_or_bins() {
 }
 
 #[test]
+fn thread_starts_are_flagged_outside_the_runtime_rank_spawn() {
+    let src = include_str!("fixtures/thread_start.rs");
+    let got = findings("crates/rgf/src/fixture.rs", src);
+    assert_eq!(
+        got,
+        vec![
+            ("no-raw-sync".to_string(), 4),
+            ("no-raw-sync".to_string(), 5),
+            ("no-raw-sync".to_string(), 9),
+            ("no-raw-sync".to_string(), 10),
+        ]
+    );
+    // crates/sync builds the instrumentation out of the raw primitives.
+    assert!(findings("crates/sync/src/fixture.rs", src).is_empty());
+    // Bin targets and tests own their own threading.
+    assert!(findings("crates/bench/src/bin/fixture.rs", src).is_empty());
+    assert!(findings("crates/core/tests/fixture.rs", src).is_empty());
+}
+
+#[test]
 fn stale_line_allow_is_reported() {
     let src = "pub fn f() -> u32 {\n    // lint:allow(no-println): nothing to suppress below\n    let x = 1;\n    x\n}\n";
     let got = findings("crates/core/src/fixture.rs", src);

@@ -158,10 +158,11 @@ fn accumulator_read_behind_wait_is_clean() {
 // ---------------------------------------------------------------------------
 // Mutation 3: dropped join barrier after a spawned task.
 //
-// The rayon shim adopts the spawner's clock into each worker and joins every
-// worker's final clock back before the spawner reads the chunk results. The
-// mutant discards the JoinPoint — the spawner reads results the task may
-// still be writing.
+// `ThreadComm::run` adopts the launcher's clock into each rank thread and
+// joins every rank's final clock back before the launcher reads the ranks'
+// results; the test drives that fork/adopt/depart/join wiring through
+// `std::thread::scope` directly. The mutant discards the JoinPoint — the
+// spawner reads results the task may still be writing.
 // ---------------------------------------------------------------------------
 
 fn spawned_task_traffic(join_back: bool) {
@@ -203,24 +204,5 @@ fn joined_task_results_are_clean() {
         spawned_task_traffic(true);
         let (n, text) = drained();
         assert_eq!(n, 0, "the join edge orders write before read, got:\n{text}");
-    });
-}
-
-// ---------------------------------------------------------------------------
-// The real shim paths stay clean: the rayon shim's own fork/adopt/join wiring
-// and chunk annotations must produce no reports on a correct map.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn rayon_shim_parallel_map_is_race_clean() {
-    use rayon::prelude::*;
-    with_detector(|| {
-        let v: Vec<u64> = (0..256usize)
-            .into_par_iter()
-            .map(|i| i as u64 * 3)
-            .collect();
-        assert_eq!(v.len(), 256);
-        let (n, text) = drained();
-        assert_eq!(n, 0, "instrumented map must be clean, got:\n{text}");
     });
 }

@@ -64,7 +64,6 @@ use quatrex_fft::{fft_flops, with_workspace};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
-use rayon::prelude::*;
 
 /// A block-tridiagonal quantity resolved on an energy grid (energy-major layout).
 pub type EnergyResolved = Vec<BlockTridiagonal>;
@@ -150,18 +149,6 @@ impl ElementId {
     }
 }
 
-/// Visit the canonical elements stored in the canonical block `pos`, row by
-/// row: the upper triangle of a diagonal block, every element of a
-/// superdiagonal one.
-fn for_each_canonical_in_block(pos: BlockPos, bs: usize, mut visit: impl FnMut(ElementId)) {
-    let upper_triangle = matches!(pos, BlockPos::Diag(_));
-    for row in 0..bs {
-        for col in if upper_triangle { row } else { 0 }..bs {
-            visit(ElementId { pos, row, col });
-        }
-    }
-}
-
 /// The canonical (symmetry-reduced) element set of Section 5.2: the upper
 /// triangle of every diagonal block plus every element of the superdiagonal
 /// blocks. Together with its mirrors (recovered through the NEGF symmetry
@@ -170,7 +157,14 @@ fn for_each_canonical_in_block(pos: BlockPos, bs: usize, mut visit: impl FnMut(E
 pub fn canonical_elements(nb: usize, bs: usize) -> Vec<ElementId> {
     let mut elements = Vec::with_capacity(nb * bs * (bs + 1) / 2 + (nb - 1) * bs * bs);
     for pos in canonical_positions(nb) {
-        for_each_canonical_in_block(pos, bs, |e| elements.push(e));
+        // Row by row: the upper triangle of a diagonal block, every element
+        // of a superdiagonal one.
+        let upper_triangle = matches!(pos, BlockPos::Diag(_));
+        for row in 0..bs {
+            for col in if upper_triangle { row } else { 0 }..bs {
+                elements.push(ElementId { pos, row, col });
+            }
+        }
     }
     elements
 }
@@ -400,15 +394,15 @@ fn split_mut<const N: usize>(x: &mut [c64]) -> [&mut [c64]; N] {
 
 /// The one energy-major ↔ element-major scaffold of the drivers below (the
 /// single-process stand-in for the forward and backward transpositions).
-/// For every element pair — canonical element `ij`, mirror `ji` — the series
-/// of the `I` input quantities are gathered into per-worker scratch and
-/// `kernel(in_ij, in_ji, out_ij, out_ji)` fills the pair's `N` zeroed output
-/// series per side (`out_ji` is `None` for a self-mirror element), which are
-/// written back as `N` energy-major quantities. Parallel over the canonical
-/// block positions; asserts that the input grids share `N_E`.
+/// For every element pair — canonical element `ij`, mirror `ji`, in the
+/// order of [`canonical_elements`] — the series of the `I` input quantities
+/// are gathered into one scratch and `kernel(in_ij, in_ji, out_ij, out_ji)`
+/// fills the pair's `N` zeroed output series per side (`out_ji` is `None`
+/// for a self-mirror element), which are written straight into the `N`
+/// energy-major results. Asserts that the input grids share `N_E`.
 fn map_pairs<const I: usize, const N: usize>(
     inputs: [&EnergyResolved; I],
-    kernel: impl Fn([&[c64]; I], [&[c64]; I], [&mut [c64]; N], Option<[&mut [c64]; N]>) + Sync,
+    mut kernel: impl FnMut([&[c64]; I], [&[c64]; I], [&mut [c64]; N], Option<[&mut [c64]; N]>),
 ) -> [EnergyResolved; N] {
     let ne = inputs[0].len();
     assert!(
@@ -418,60 +412,31 @@ fn map_pairs<const I: usize, const N: usize>(
     );
     let (nb, bs) = (inputs[0][0].n_blocks(), inputs[0][0].block_size());
     let zero = c64::new(0.0, 0.0);
-    // The results are allocated here, on the calling thread, and their blocks
-    // lent to the workers position by position: `N · N_E` blocks
-    // (component-major) of the position itself and of the transposed one.
     let mut result = [(); N].map(|()| vec![BlockTridiagonal::zeros(nb, bs); ne]);
-    let mut lend = |pos: BlockPos| -> Vec<CMatrix> {
-        let quantities = result.iter_mut().flatten();
-        quantities
-            .map(|bt| std::mem::take(get_block_mut(bt, pos)))
-            .collect()
-    };
-    let lent: Vec<(BlockPos, [Vec<CMatrix>; 2])> = canonical_positions(nb)
-        .map(|pos| match transposed_position(pos) {
-            transposed if transposed == pos => (pos, [lend(pos), Vec::new()]),
-            transposed => (pos, [lend(pos), lend(transposed)]),
-        })
-        .collect();
-    let filled: Vec<(BlockPos, [Vec<CMatrix>; 2])> = lent
-        .into_par_iter()
-        .map(|(pos, mut blocks)| {
-            let mirror_side = usize::from(!blocks[1].is_empty());
-            // Worker scratch, reused by every pair of the block.
-            let mut gathered = vec![zero; 2 * I * ne];
-            let mut out = vec![zero; 2 * N * ne];
-            for_each_canonical_in_block(pos, bs, |e| {
-                let (ij, ji) = gathered.split_at_mut(I * ne);
-                for (i, x) in inputs.iter().enumerate() {
-                    for (k, bt) in x.iter().enumerate() {
-                        ij[i * ne + k] = e.value_in(bt);
-                        ji[i * ne + k] = e.mirror().value_in(bt);
-                    }
-                }
-                out.fill(zero);
-                let (out_ij, out_ji) = out.split_at_mut(N * ne);
-                let paired = !e.is_self_mirror();
-                kernel(
-                    split(ij),
-                    split(ji),
-                    split_mut(out_ij),
-                    paired.then(|| split_mut(out_ji)),
-                );
-                let sides = [(e, &*out_ij, 0), (e.mirror(), &*out_ji, mirror_side)];
-                for (id, series, side) in sides.into_iter().take(1 + usize::from(paired)) {
-                    for (block, &value) in blocks[side].iter_mut().zip(series) {
-                        block[(id.row, id.col)] = value;
-                    }
-                }
-            });
-            (pos, blocks)
-        })
-        .collect();
-    for (pos, blocks) in filled {
-        for (pos, blocks) in [pos, transposed_position(pos)].into_iter().zip(blocks) {
-            for (bt, block) in result.iter_mut().flatten().zip(blocks) {
-                *get_block_mut(bt, pos) = block;
+    let mut gathered = vec![zero; 2 * I * ne];
+    let mut out = vec![zero; 2 * N * ne];
+    for e in canonical_elements(nb, bs) {
+        let (ij, ji) = gathered.split_at_mut(I * ne);
+        for (i, x) in inputs.iter().enumerate() {
+            for (k, bt) in x.iter().enumerate() {
+                ij[i * ne + k] = e.value_in(bt);
+                ji[i * ne + k] = e.mirror().value_in(bt);
+            }
+        }
+        out.fill(zero);
+        let (out_ij, out_ji) = out.split_at_mut(N * ne);
+        let paired = !e.is_self_mirror();
+        kernel(
+            split(ij),
+            split(ji),
+            split_mut(out_ij),
+            paired.then(|| split_mut(out_ji)),
+        );
+        // `N · N_E` energy-major blocks, component-major like the series.
+        let sides = [(e, &*out_ij), (e.mirror(), &*out_ji)];
+        for (id, series) in sides.into_iter().take(1 + usize::from(paired)) {
+            for (bt, &value) in result.iter_mut().flatten().zip(series) {
+                get_block_mut(bt, id.pos)[(id.row, id.col)] = value;
             }
         }
     }
@@ -540,7 +505,9 @@ pub fn retarded_from_lesser_greater(
 /// Enforce the NEGF lesser/greater symmetry on every energy point in place
 /// (the on-the-fly symmetrisation of Section 5.2).
 pub fn symmetrize_all(x: &mut EnergyResolved) {
-    x.par_iter_mut().for_each(|bt| bt.symmetrize_negf());
+    for bt in x.iter_mut() {
+        bt.symmetrize_negf();
+    }
 }
 
 #[cfg(test)]

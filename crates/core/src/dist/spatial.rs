@@ -39,7 +39,7 @@
 //!    ([`quatrex_rgf::recover_partition`]: an end partition's is the backward
 //!    RGF sweep seeded at its separator) and returns it to the owner, who
 //!    copies the ranges into place ([`quatrex_rgf::assemble_solution`], the
-//!    tail it shares with the thread driver of `quatrex-rgf`).
+//!    tail it shares with the single-process driver of `quatrex-rgf`).
 //!
 //! All group traffic rides the same byte-accounted `Alltoallv` as the
 //! transpositions (out-of-group destinations receive empty messages), every

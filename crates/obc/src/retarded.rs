@@ -145,7 +145,7 @@ impl ResidualWork {
 
 thread_local! {
     /// Per-thread scratch of [`fixed_point`] and [`sancho_rubio`] (the
-    /// assemblies call them once per energy and contact on the pool threads).
+    /// assemblies call them once per energy and contact on the rank threads).
     static SURFACE: RefCell<ObcBatchScratch> = RefCell::new(ObcBatchScratch::new());
 }
 
@@ -432,7 +432,7 @@ struct BeynScratch {
 
 thread_local! {
     /// Per-thread [`beyn`] scratch (the assemblies call it once per energy on
-    /// the pool threads): zero allocations of its own once warmed.
+    /// the rank threads): zero allocations of its own once warmed.
     static BEYN: RefCell<BeynScratch> = RefCell::new(BeynScratch::default());
 }
 

@@ -146,8 +146,8 @@ pub(crate) fn validate_partition_layout(
 /// 3. every partition starts at its floor interior and the remaining blocks
 ///    go to the partitions in ascending order, each up to its cap interior.
 ///
-/// At `n_partitions == 2` the ends' common cost cancels, nothing is
-/// measured, and this is [`spatial_partition_layout`].
+/// At `n_partitions == 2` the ends' common cost cancels and this is
+/// [`spatial_partition_layout`].
 pub fn partition_layout_balanced(
     n_blocks: usize,
     n_partitions: usize,
@@ -155,20 +155,12 @@ pub fn partition_layout_balanced(
 ) -> Result<Vec<SpatialPartition>, RgfError> {
     spatial_partition_layout(n_blocks, n_partitions)?;
     // FLOPs of an end (`[0]`) and a middle (`[1]`) partition at interior
-    // lengths 1 and 2, and at any length `n` of that kind. Without a middle
-    // partition the ends' common per-block cost cancels out of the search,
-    // so the probe is skipped: its solves spawn worker threads, and run
-    // before every distributed solve at `P_S = 2` they raised the peak RSS
-    // of the benchmark's `dist_spatial` workload from ~370 to 440–530 MiB
-    // on a 2-core AVX-512 box.
+    // lengths 1 and 2, and at any length `n` of that kind.
     let probe = |n| {
         let report = layout_flops(&layout_from_interiors(&[n, n, n]), n_rhs)?;
         Ok::<_, RgfError>([0, 1].map(|p| report.partitions[p].flops))
     };
-    let (one, two) = match n_partitions {
-        2 => ([1, 1], [2, 2]),
-        _ => (probe(1)?, probe(2)?),
-    };
+    let (one, two) = (probe(1)?, probe(2)?);
     let cost = |kind: usize, n: usize| match n {
         0 => 0,
         n => one[kind] + (n as u64 - 1) * (two[kind] - one[kind]),
@@ -235,14 +227,14 @@ pub(crate) fn layout_from_interiors(interiors: &[usize]) -> Vec<SpatialPartition
     parts
 }
 
-/// The per-partition FLOP report of a layout, measured by the thread driver
-/// on a synthetic well-conditioned system of scalar blocks. The elimination
-/// and recovery counters depend only on the problem *shape* (interior
-/// lengths, separator structure, number of right-hand sides), never on the
-/// matrix values, and every one of them is an exact multiple of `8·N_BS³` —
-/// so the counts at block size 1 are the counts of any block size in that
-/// unit, and the probe costs a fraction of a millisecond, not a full-size
-/// solve. A distributed driver derives the same balanced layout on every
+/// The per-partition FLOP report of a layout, measured by the single-process
+/// driver on a synthetic well-conditioned system of scalar blocks. The
+/// elimination and recovery counters depend only on the problem *shape*
+/// (interior lengths, separator structure, number of right-hand sides), never
+/// on the matrix values, and every one of them is an exact multiple of
+/// `8·N_BS³` — so the counts at block size 1 are the counts of any block size
+/// in that unit, and the probe costs a fraction of a millisecond, not a
+/// full-size solve. A distributed driver derives the same balanced layout on every
 /// rank deterministically before the first real system is assembled.
 fn layout_flops(parts: &[SpatialPartition], n_rhs: usize) -> Result<NestedReport, RgfError> {
     let n_blocks = parts.last().map_or(0, |p| p.hi + 1);

@@ -24,15 +24,17 @@
 //! * [`nested::nested_dissection_invert`] / [`nested::nested_dissection_solve`]
 //!   — the spatial domain decomposition of Section 5.4: the block range is
 //!   split into `P_S` partitions ([`layout`]) whose interiors are eliminated
-//!   concurrently, a reduced system over the partition boundary blocks is
+//!   independently, a reduced system over the partition boundary blocks is
 //!   solved (including the quadratic lesser/greater right-hand sides), and the
-//!   interior selected blocks are recovered in parallel. A partition enters
-//!   and leaves as a plain [`BlockTridiagonal`] sub-range. A partition with
-//!   one separator runs the two halves of the batched RGF recursion around
-//!   the reduced system; a middle partition runs the stopped forward half
-//!   towards each of its two separators and recovers with one RGF solve of
-//!   its range, closed by the reduced solution at its separators — no
-//!   fill-in anywhere. The one elimination entry point
+//!   interior selected blocks are recovered partition by partition; the
+//!   single-process driver runs the partitions one after another on the
+//!   calling thread, the distributed one on the ranks of a spatial group. A
+//!   partition enters and leaves as a plain [`BlockTridiagonal`] sub-range.
+//!   A partition with one separator runs the two halves of the batched RGF
+//!   recursion around the reduced system; a middle partition runs the
+//!   stopped forward half towards each of its two separators and recovers
+//!   with one RGF solve of its range, closed by the reduced solution at its
+//!   separators — no fill-in anywhere. The one elimination entry point
 //!   ([`nested::eliminate_partition`]) and the recovery
 //!   ([`nested::recover_partition`]) take a whole batch of systems, so a
 //!   distributed driver runs elimination and recovery on different ranks

@@ -5,10 +5,11 @@
 //! memory domain, the paper permutes the block-tridiagonal system with a
 //! nested-dissection ("arrow") scheme: the block range is split into `P_S`
 //! partitions ([`crate::layout`]) whose interiors are eliminated
-//! **concurrently**, a *reduced system* over the partition boundary blocks is
-//! formed and solved, and the interior selected blocks are recovered in
-//! parallel. Every partition runs the batched RGF recursion of
-//! [`crate::batch`] over its own block range; none builds fill-in.
+//! **independently** (each on its own rank), a *reduced system* over the
+//! partition boundary blocks is formed and solved, and the interior selected
+//! blocks are recovered independently again. Every partition runs the
+//! batched RGF recursion of [`crate::batch`] over its own block range; none
+//! builds fill-in.
 //!
 //! Two entry points are provided:
 //!
@@ -80,15 +81,13 @@
 //! sub-ranges of a whole batch of same-shape systems (the energies a rank
 //! owns) and runs their RGF work as batched solves against the caller's
 //! scratch, and [`recover_partition`] recovers such a batch; [`solve_systems`]
-//! does the same for the reduced systems. The thread driver
+//! does the same for the reduced systems. The single-process driver
 //! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
 //! distributed driver (`quatrex_core::dist`) runs the same phase functions
 //! ([`eliminate_partition`], [`assemble_reduced_system`],
 //! [`recover_partition`], [`assemble_solution`]) on different ranks and
 //! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
 //! traffic of the paper.
-
-use rayon::prelude::*;
 
 use quatrex_linalg::lu::{inverse_flops, LuScratch};
 use quatrex_linalg::ops::{gemm_flops, matmul, matmul_acc};
@@ -700,10 +699,11 @@ pub fn assemble_solution(
 /// retarded inverse plus one lesser/greater solution per right-hand side —
 /// together with the per-partition workload report. With
 /// `config.n_partitions == 1` this *is* [`rgf_solve`] (bit-for-bit); for
-/// `P_S ≥ 2` the partition interiors are eliminated concurrently, the reduced
-/// boundary system (and its quadratic right-hand sides) is assembled from the
-/// gathered updates and solved with the sequential RGF, and the interior
-/// blocks are recovered in parallel.
+/// `P_S ≥ 2` the partition interiors are eliminated one partition at a time,
+/// the reduced boundary system (and its quadratic right-hand sides) is
+/// assembled from the gathered updates and solved with the sequential RGF,
+/// and the interior blocks are recovered partition by partition — on the
+/// calling thread; the distributed driver runs the same phases on its ranks.
 pub fn nested_dissection_solve(
     a: &BlockTridiagonal,
     rhs: &[&BlockTridiagonal],
@@ -750,30 +750,32 @@ pub fn nested_dissection_solve_with_layout(
     validate_partition_layout(parts, nb)?;
     let system: Vec<&BlockTridiagonal> = std::iter::once(a).chain(rhs.iter().copied()).collect();
 
-    // Phase 1: parallel elimination of the partition interiors, each a batch
-    // of one system.
+    // One scratch serves every phase: a partition's state keeps owned copies
+    // of what its recovery needs, as on the distributed driver's ranks.
+    let mut scratch = RgfBatchScratch::new();
+
+    // Phase 1: eliminate the partition interiors, each a batch of one system.
     let states: Vec<PartitionSolveState> = parts
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(idx, p)| {
             let ranges = [partition_ranges(&system, p)];
-            let mut states = eliminate_partition(&ranges, p, idx, &mut RgfBatchScratch::new())?;
-            Ok(states.remove(0))
+            Ok(eliminate_partition(&ranges, p, idx, &mut scratch)?.remove(0))
         })
-        .collect::<Result<Vec<_>, RgfError>>()?;
+        .collect::<Result<_, RgfError>>()?;
 
     // Phase 2: assemble and solve the reduced system over the separators.
     let updates: Vec<&[CMatrix]> = states.iter().map(|s| s.updates.as_slice()).collect();
     let reduced_system = assemble_reduced_system(&system, parts, &updates);
-    let reduced = solve_systems(&[reduced_system], &mut RgfBatchScratch::new())?.remove(0);
+    let reduced = solve_systems(&[reduced_system], &mut scratch)?.remove(0);
 
-    // Phase 3: recover the interior selected blocks in parallel.
+    // Phase 3: recover the interior selected blocks.
     let recovered: Vec<SelectedSolution> = parts
-        .par_iter()
-        .zip(states.par_iter())
+        .iter()
+        .zip(&states)
         .map(|(part, state)| {
             let (state, reduced) = (std::slice::from_ref(state), std::slice::from_ref(&reduced));
-            recover_partition(part, state, reduced, &mut RgfBatchScratch::new()).remove(0)
+            recover_partition(part, state, reduced, &mut scratch).remove(0)
         })
         .collect();
 

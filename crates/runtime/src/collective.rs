@@ -1,12 +1,13 @@
 //! Shared-memory collective communication.
 //!
-//! [`ThreadComm`] runs `n_ranks` closures on OS threads and gives each of them
-//! a [`RankContext`] with the collective operations the NEGF+scGW pipeline
-//! uses: `alltoall` (the energy↔element data transposition of Fig. 3),
-//! `allreduce_sum` (convergence norms, observables) and `barrier`. Every
-//! operation records the number of bytes a real network would have carried,
-//! so the weak-scaling model can be driven by measured volumes rather than
-//! estimates.
+//! [`ThreadComm`] runs `n_ranks` closures on OS threads — the only threads
+//! library code starts — and gives each of them a [`RankContext`] with the
+//! collective operations: `alltoall` (the energy↔element data transposition
+//! of Fig. 3), `allgather` (the rank-count-independent ordered reductions of
+//! the SCBA loop: mixer rows, truncation maxima, the final spectral gather),
+//! `allreduce_sum` and `barrier`. Every operation records the number of
+//! bytes a real network would have carried, so the weak-scaling model can be
+//! driven by measured volumes rather than estimates.
 //!
 //! The all-to-all exchange also exists in a split, non-blocking form
 //! ([`RankContext::alltoallv_start_tagged`] returning a [`CommHandle`]): the sends
@@ -881,6 +882,7 @@ impl ThreadComm {
             let session = session.clone();
             let fork_point = fork_point.clone();
             let poison = Arc::clone(&poison);
+            // lint:allow(no-raw-sync): the one thread start of library code; each rank adopts the launcher's race clock and joins back below
             let handle = std::thread::Builder::new()
                 .name(format!("quatrex-rank-{rank}"))
                 .spawn(move || {

@@ -2,8 +2,8 @@
 //! the `quatrex-check` analysis suite.
 //!
 //! This crate sits at the very bottom of the workspace dependency graph — it
-//! depends on nothing, so the sync shims (`parking_lot`, `crossbeam`,
-//! `rayon`) can call into it without creating a cycle through
+//! depends on nothing, so the sync shims (`parking_lot`, `crossbeam`) can
+//! call into it without creating a cycle through
 //! `quatrex-check` (which depends on `quatrex-runtime`, which depends on the
 //! shims). `quatrex_check::race` and `quatrex_check::sched` re-export the
 //! engines defined here.

@@ -16,9 +16,9 @@
 //! - **Barriers** ([`barrier_enter`]/[`barrier_exit`]): per-generation
 //!   accumulator clocks; every exiter absorbs every enterer of its
 //!   generation.
-//! - **Tasks** ([`fork`]/[`adopt`]/[`depart`]/[`join`]): the rayon shim's
-//!   scoped workers inherit the spawner's clock and flow their history back
-//!   at the scope join.
+//! - **Tasks** ([`fork`]/[`adopt`]/[`depart`]/[`join`]): the rank threads
+//!   of `ThreadComm::run` inherit the launcher's clock and flow their
+//!   history back when the launcher joins them.
 //!
 //! Shared state that is *not* itself a sync object is checked through the
 //! annotation API: [`access_shared`] records reads and writes of a named
