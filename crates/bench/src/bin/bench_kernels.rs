@@ -48,8 +48,10 @@
 //! * **fft_convolution** — nanoseconds of the convolution layer at
 //!   `N_E ∈ {16, 64, 1024}`: one in-place `fft` of the padded length, one
 //!   `convolve` of two `N_E`-point series, and one whole-grid call of each
-//!   pair kernel on a non-self-mirror pair (`p_pair_ns`: 6 transforms,
-//!   `sigma_pair_ns`: 12).
+//!   lane-group kernel on a full group of eight non-self-mirror pairs, per
+//!   pair (`p_pair_ns`: 6 transforms, `sigma_pair_ns`: 12 per pair);
+//!   `bits_equal` — 1 when the group kernels' outputs equal, in every bit,
+//!   one pair call (`*_pair_accumulate`) per lane (checked untimed).
 //! * **scba_iteration** — wall time (median of warm runs), FLOPs and OBC
 //!   memoizer hit rate of a full SCBA run on the reduced NW-1 device, with
 //!   its shape (`n_energies`, `n_b`, `n_bs`); **scba_iteration_memoizer_off**
@@ -60,7 +62,11 @@
 //! same JSON shape). The file is written to the current directory.
 
 use quatrex_bench::{bench_solver, chain_operand, quick_mode};
-use quatrex_core::convolution::{polarization_pair_accumulate, self_energy_pair_accumulate};
+use quatrex_core::convolution::{
+    polarization_group_accumulate, polarization_pair_accumulate, self_energy_group_accumulate,
+    self_energy_pair_accumulate, StoredGroup,
+};
+use quatrex_core::element_major::{GroupInfo, GroupRowsMut, LanePlanes, LANES};
 use quatrex_fft::{convolve, fft};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::interleaved::{gemm_lanes, LaneBatch};
@@ -449,16 +455,63 @@ fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
     x.each_ref().map(|side| side.each_ref().map(|v| &v[..]))
 }
 
+/// One full lane group of paired elements: per lane the series of a pair,
+/// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`, and the same in lane planes.
+struct PairGroup {
+    pairs: Vec<[[Vec<c64>; 2]; 2]>,
+    /// `planes[side][component]`.
+    planes: [[LanePlanes; 2]; 2],
+}
+
+impl PairGroup {
+    fn new(n_e: usize, seed: f64) -> Self {
+        let series = |seed: f64| -> Vec<c64> {
+            let at = |k: usize| seed + 0.37 * k as f64;
+            (0..n_e).map(|k| cplx(at(k).sin(), at(k).cos())).collect()
+        };
+        let pairs: Vec<_> = (0..LANES)
+            .map(|l| {
+                let seed = seed + 0.11 * l as f64;
+                [0.0, 1.0].map(|s| [0.3, 0.7].map(|c| series(seed + s + c)))
+            })
+            .collect();
+        let planes = [0, 1].map(|side| {
+            [0, 1].map(|c| {
+                let lanes: Vec<_> = pairs.iter().map(|pair| &pair[side][c]).collect();
+                LanePlanes::from_series(&lanes)
+            })
+        });
+        Self { pairs, planes }
+    }
+
+    /// The group as the kernels' `[X^<, X^>]` operands.
+    fn operands(&self) -> [StoredGroup<'_>; 2] {
+        [0, 1].map(|c| StoredGroup {
+            ij: self.planes[0][c].group(0),
+            ji: self.planes[1][c].group(0),
+        })
+    }
+}
+
+/// `[[canonical; 2]; 2]` zeroed accumulators of one lane group.
+fn group_out(n_e: usize) -> [[LanePlanes; 2]; 2] {
+    [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(LANES, n_e)))
+}
+
+/// The rows of group 0 of every accumulator.
+fn rows(out: &mut [[LanePlanes; 2]; 2]) -> [[GroupRowsMut<'_>; 2]; 2] {
+    out.each_mut()
+        .map(|side| side.each_mut().map(|p| p.group_mut(0)))
+}
+
 /// The convolution layer on an `n_e`-point grid: the padded transform, the
-/// public `convolve`, and the two pair kernels on the whole grid as one batch:
-/// `[fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]`.
-fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> [f64; 4] {
-    let series = |seed: f64| -> Vec<c64> {
-        let at = |k: usize| seed + 0.37 * k as f64;
-        (0..n_e).map(|k| cplx(at(k).sin(), at(k).cos())).collect()
-    };
-    let four = |seed: f64| [0.0, 1.0].map(|s| [0.3, 0.7].map(|c| series(seed + s + c)));
-    let (g, w) = (four(0.4), four(2.9));
+/// public `convolve`, and one whole-grid call of each lane-group kernel on a
+/// full group of eight non-self-mirror pairs, per pair:
+/// `[fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]`, and whether the group
+/// kernels' outputs equal, in every bit, those of one pair call per lane
+/// (checked untimed).
+fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ([f64; 4], bool) {
+    let (g, w) = (PairGroup::new(n_e, 0.4), PairGroup::new(n_e, 2.9));
 
     // Rescaled every pass so the repeated transform neither overflows nor
     // decays into subnormals.
@@ -471,32 +524,80 @@ fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> [f64; 4] {
         std::hint::black_box(&x);
     });
     let convolve_ns = time_ns(runs, reps, || {
-        std::hint::black_box(convolve(&g[0][0], &w[0][0]));
+        std::hint::black_box(convolve(&g.pairs[0][0][0], &w.pairs[0][0][0]));
     });
 
     let flops = FlopCounter::new();
     let grid: Vec<usize> = (0..n_e).collect();
-    let mut out = [(); 2].map(|()| [(); 2].map(|()| vec![ZERO; n_e]));
-    let p_pair_ns = time_ns(runs, reps, || {
-        let [ij, ji] = &mut out;
+    let full = GroupInfo {
+        live: LANES,
+        paired: LANES,
+        sign: [-1.0; LANES],
+    };
+    let polarization = |out: &mut [[LanePlanes; 2]; 2]| {
+        polarization_group_accumulate(
+            rows(out),
+            g.operands(),
+            0..n_e,
+            &grid,
+            false,
+            0.05,
+            &full,
+            &flops,
+        );
+    };
+    let self_energy = |out: &mut [[LanePlanes; 2]; 2]| {
+        let (gs, ws) = (g.operands(), w.operands());
+        self_energy_group_accumulate(rows(out), gs, ws, &grid, 0.05, &full, &flops);
+    };
+    let mut out = group_out(n_e);
+    let per_pair = 1.0 / LANES as f64;
+    let p_pair_ns = per_pair
+        * time_ns(runs, reps.div_ceil(LANES), || {
+            polarization(&mut out);
+            std::hint::black_box(&out);
+        });
+    let sigma_pair_ns = per_pair
+        * time_ns(runs, reps.div_ceil(LANES), || {
+            self_energy(&mut out);
+            std::hint::black_box(&out);
+        });
+
+    // Untimed: the group against one pair call per lane, from zero.
+    let (mut p_group, mut s_group) = (group_out(n_e), group_out(n_e));
+    polarization(&mut p_group);
+    self_energy(&mut s_group);
+    let bits_equal = (0..LANES).all(|l| {
+        let mut p = [(); 2].map(|()| [(); 2].map(|()| vec![ZERO; n_e]));
+        let mut s = p.clone();
+        let [ij, ji] = &mut p;
         let (p_ij, p_ji) = (
             ij.each_mut().map(|v| &mut v[..]),
             ji.each_mut().map(|v| &mut v[..]),
         );
-        polarization_pair_accumulate(p_ij, Some(p_ji), borrowed(&g), &grid, false, 0.05, &flops);
-        std::hint::black_box(&out);
-    });
-    let sigma_pair_ns = time_ns(runs, reps, || {
-        let [ij, ji] = &mut out;
+        let gl = borrowed(&g.pairs[l]);
+        polarization_pair_accumulate(p_ij, Some(p_ji), gl, &grid, false, 0.05, &flops);
+        let [ij, ji] = &mut s;
         let (s_ij, s_ji) = (
             ij.each_mut().map(|v| &mut v[..]),
             ji.each_mut().map(|v| &mut v[..]),
         );
-        let (g, w) = (borrowed(&g), borrowed(&w));
-        self_energy_pair_accumulate(s_ij, Some(s_ji), g, w, &grid, 0.05, &flops);
-        std::hint::black_box(&out);
+        let wl = borrowed(&w.pairs[l]);
+        self_energy_pair_accumulate(s_ij, Some(s_ji), gl, wl, &grid, 0.05, &flops);
+        let bits = |x: &[c64]| {
+            x.iter()
+                .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        [(&p_group, &p), (&s_group, &s)]
+            .iter()
+            .all(|(group, pair)| {
+                (0..2).all(|side| {
+                    (0..2).all(|c| bits(&group[side][c].series(l)) == bits(&pair[side][c]))
+                })
+            })
     });
-    [fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]
+    ([fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns], bits_equal)
 }
 
 fn main() {
@@ -577,7 +678,7 @@ fn main() {
     let conv_rows = [16usize, 64, 1024].map(|n_e| {
         let base = (1 << 18) / n_e;
         let reps = if quick { base.div_ceil(8) } else { base };
-        let [fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns] =
+        let ([fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns], bits_equal) =
             bench_fft_convolution(n_e, runs, reps);
         let row = Json::obj([
             ("n_e", n_e.into()),
@@ -585,6 +686,7 @@ fn main() {
             ("convolve_ns", tenths(convolve_ns)),
             ("p_pair_ns", tenths(p_pair_ns)),
             ("sigma_pair_ns", tenths(sigma_pair_ns)),
+            ("bits_equal", usize::from(bits_equal).into()),
         ]);
         println!("{:<12} {row}", "fft_conv");
         row

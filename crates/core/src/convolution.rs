@@ -16,11 +16,16 @@
 //! element-major (one energy series per stored matrix element, the layout the
 //! FFT needs) — the step that maps to the `Alltoall` of Fig. 3.
 //!
-//! There is **one** kernel per phase — [`polarization_pair_accumulate`],
-//! [`self_energy_pair_accumulate`], [`causal_retarded_series`] — and the SCBA
-//! loop and the whole-grid drivers below both call it. The `P`/`Σ` kernels work on an element **pair**: a
-//! canonical element `(i, j)` together with its mirror `(j, i)` (a self-mirror
-//! diagonal element is a pair of one). The pair is the unit because the
+//! There is **one** kernel per phase — [`polarization_group_accumulate`],
+//! [`self_energy_group_accumulate`], [`causal_retarded_group`] — and the SCBA
+//! loop and the whole-grid drivers below both call it. A kernel works on a
+//! *lane group* ([`crate::element_major`]): the series of up to eight
+//! element **pairs**, one per lane of `quatrex_linalg::lanes::Native`, which
+//! one lane FFT transforms together. A pair is a canonical element `(i, j)`
+//! together with its mirror `(j, i)` (a self-mirror diagonal element is a
+//! pair of one); the pair entry points ([`polarization_pair_accumulate`],
+//! [`self_energy_pair_accumulate`], [`causal_retarded_series`]) run the same
+//! kernel on a group of one live lane. The pair is the unit because the
 //! mirror's polarisation is the canonical one's correlation read backwards,
 //!
 //! ```text
@@ -30,14 +35,18 @@
 //! ```
 //!
 //! so two correlations give all four outputs. The kernels run on the calling
-//! thread's planned FFT workspace ([`quatrex_fft::with_workspace`]): every
-//! operand is loaded straight from the caller's series into zeroed padded
-//! planes (the batch restriction, its complement and the reversal of a
-//! correlation's second factor are index maps at load time, not copies),
-//! transformed **once**, the products of one output are summed in the
-//! frequency domain and share one inverse transform, and the inverse's `1/n`
-//! rides in the prefactor. Transforms per pair and call (a self-mirror `Σ`
-//! pair costs half):
+//! thread's planned lane workspace ([`quatrex_fft::with_workspace_in`] on
+//! `Native` planes): every operand is loaded as lane rows, one energy of
+//! every lane at a time, straight from its slab into zeroed padded planes
+//! (the batch restriction, its complement, the reversal of a correlation's
+//! second factor and — for a forward slab — the mirror `−X*` are index maps
+//! and sign flips at load time, not copies), transformed **once**, the
+//! products of one output are summed in the frequency domain and share one
+//! inverse transform, and the inverse's `1/n` rides in the prefactor. Every
+//! lane performs exactly the IEEE operations of a one-series transform, so a
+//! pair's bits do not depend on its group or its lane. Transforms per pair
+//! and call (a self-mirror `Σ` pair costs half; a lane group runs each one
+//! for eight pairs at once):
 //!
 //! | kernel call                         | forward | inverse | total |
 //! |-------------------------------------|--------:|--------:|------:|
@@ -45,25 +54,35 @@
 //! | `P`, later batch (cross terms)      |       8 |       2 |    10 |
 //! | `Σ`, any batch                      |       8 |       4 |    12 |
 //!
-//! `FlopKind::Convolution` counts exactly these: `fft_flops(n)` per transform
-//! run plus `6n` per frequency-domain product. Nothing persists between
-//! calls — accumulators are `N_E`-long and time-domain.
+//! `FlopKind::Convolution` counts exactly these, for the group's live lanes:
+//! `fft_flops(n)` per transform plus `6n` per frequency-domain product.
+//! Nothing persists between calls — accumulators are `N_E`-long and
+//! time-domain.
 //!
 //! The kernels take a *batch view*: the energy indices that just arrived,
 //! accumulated into running output series. The SCBA loop
 //! ([`crate::dist`]), which owns element slices after a real all-to-all
 //! transposition, feeds them one `Alltoallv` batch at a time; the
 //! energy-major drivers below ([`polarization_from_g`],
-//! [`self_energy_from_gw`], [`retarded_from_lesser_greater`]) gather every
-//! stored pair's series and call them once with the whole grid as the single
-//! batch — "every energy, nothing arrived before". The single-threaded replay
+//! [`self_energy_from_gw`], [`retarded_from_lesser_greater`]) gather the
+//! stored pairs' series into lane-group slabs, energy by energy, and call
+//! them once per group with the whole grid as the single batch — "every
+//! energy, nothing arrived before". The single-threaded replay
 //! of the loop in `crates/core/tests/mixing_rule.rs` relies on the two
 //! sharing this path.
 
-use quatrex_fft::{fft_flops, with_workspace};
+use std::cell::RefCell;
+
+use quatrex_fft::{fft_flops, with_workspace_in, Workspace};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
+use quatrex_linalg::lanes::{Lanes, Native};
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
+
+use crate::element_major::{
+    gather_energy, lane_groups, scatter_energy, ElementSlots, GroupInfo, GroupRows, GroupRowsMut,
+    LanePlanes, Row, Side, LANES,
+};
 
 /// A block-tridiagonal quantity resolved on an energy grid (energy-major layout).
 pub type EnergyResolved = Vec<BlockTridiagonal>;
@@ -95,15 +114,6 @@ pub fn get_block(x: &BlockTridiagonal, pos: BlockPos) -> &CMatrix {
         BlockPos::Diag(i) => x.diag(i),
         BlockPos::Upper(i) => x.upper(i),
         BlockPos::Lower(i) => x.lower(i),
-    }
-}
-
-/// Mutable reference to the block at `pos`.
-fn get_block_mut(x: &mut BlockTridiagonal, pos: BlockPos) -> &mut CMatrix {
-    match pos {
-        BlockPos::Diag(i) => x.diag_mut(i),
-        BlockPos::Upper(i) => x.upper_mut(i),
-        BlockPos::Lower(i) => x.lower_mut(i),
     }
 }
 
@@ -155,22 +165,33 @@ impl ElementId {
 /// `X^≶_ij = −X^≶*_ji`), it spans the full stored pattern; an element and its
 /// mirror are the *pair* the convolution kernels work on.
 pub fn canonical_elements(nb: usize, bs: usize) -> Vec<ElementId> {
-    let mut elements = Vec::with_capacity(nb * bs * (bs + 1) / 2 + (nb - 1) * bs * bs);
+    let mut elements = Vec::with_capacity(n_canonical(nb, bs));
+    for_each_canonical(nb, bs, |id| elements.push(id));
+    elements
+}
+
+/// Number of canonical elements of an `nb × bs` pattern.
+pub(crate) fn n_canonical(nb: usize, bs: usize) -> usize {
+    nb * bs * (bs + 1) / 2 + nb.saturating_sub(1) * bs * bs
+}
+
+/// `f(id)` for every element of [`canonical_elements`], in its order,
+/// without the list.
+pub(crate) fn for_each_canonical(nb: usize, bs: usize, mut f: impl FnMut(ElementId)) {
     for pos in canonical_positions(nb) {
         // Row by row: the upper triangle of a diagonal block, every element
         // of a superdiagonal one.
         let upper_triangle = matches!(pos, BlockPos::Diag(_));
         for row in 0..bs {
             for col in if upper_triangle { row } else { 0 }..bs {
-                elements.push(ElementId { pos, row, col });
+                f(ElementId { pos, row, col });
             }
         }
     }
-    elements
 }
 
 // ---------------------------------------------------------------------------
-// Batch-view pair kernels. A forward transposition delivers the
+// Batch-view group kernels. A forward transposition delivers the
 // Green's-function / screened-interaction series one *energy batch* at a time
 // (the global indices that arrived in one `Alltoallv` batch; the whole grid
 // for the energy-major drivers), and each batch's convolution contribution is
@@ -188,9 +209,33 @@ pub fn canonical_elements(nb: usize, bs: usize) -> Vec<ElementId> {
 //
 // With a single batch both are the plain correlation / convolution of the
 // full series: the same floating-point operations whichever driver calls.
+//
+// Every kernel works on a *lane group*: the series of up to `LANES` element
+// pairs, one per lane of `quatrex_linalg::lanes::Native`, transformed
+// together by one lane FFT. Each lane performs exactly the IEEE operations of
+// a one-series transform — the same butterflies, the spectral products in
+// the same order, the prefactor multiply in `num-complex`'s formula with its
+// `0·re` terms, no fused multiply-add — so a pair's bits do not depend on
+// the group it shares or on its lane. A pair call (`*_pair_accumulate`,
+// `causal_retarded_series`) is a group of one live lane.
+
+type Lane = Native;
+
+thread_local! {
+    /// The calling thread's lane planes of the group transforms (grown,
+    /// never shrunk).
+    static LANE_PLANES: RefCell<Vec<Lane>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's staging rows of the pair calls.
+    static PAIR_ROWS: RefCell<Vec<Row>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the calling thread's lane workspace of length `n`.
+fn with_lanes<R>(n: usize, f: impl FnOnce(&mut Workspace<'_, Lane>) -> R) -> R {
+    LANE_PLANES.with(|planes| with_workspace_in(n, &mut planes.borrow_mut(), f))
+}
 
 /// True if `batch` lists strictly ascending indices of an `ne`-point grid —
-/// what the pair kernels require of an arrived batch.
+/// what the kernels require of an arrived batch.
 pub fn is_grid_batch(batch: &[usize], ne: usize) -> bool {
     batch.windows(2).all(|w| w[0] < w[1]) && batch.last().is_none_or(|&k| k < ne)
 }
@@ -211,23 +256,329 @@ fn output_flops(n: usize, products: u64) -> u64 {
     (2 * products + 1) * fft_flops(n) + products * 6 * n as u64
 }
 
+/// The lane row `r`.
+#[inline(always)]
+fn lanes(r: &Row) -> Lane {
+    Lane::load(r)
+}
+
+/// `−x`, exactly (a sign flip, as the scalar negation).
+#[inline(always)]
+fn neg(x: Lane) -> Lane {
+    x * Lane::from(-1.0)
+}
+
+/// `slot ← slot + (0 + i·p)·(re + i·im)`: the scalar path's
+/// `*slot += prefactor * c64::new(re, im)`, in `num-complex`'s product
+/// formula with its `0·re` and `0·im` terms.
+#[inline(always)]
+fn add_scaled((slot_re, slot_im): (&mut Row, &mut Row), p: Lane, (re, im): (Lane, Lane)) {
+    let zero = Lane::from(0.0);
+    let (xr, xi) = (zero * re - p * im, zero * im + p * re);
+    (lanes(slot_re) + xr).store(slot_re);
+    (lanes(slot_im) + xi).store(slot_im);
+}
+
+/// One lane group of a lesser/greater-like operand: the canonical series of
+/// its elements and the series of their mirrors, read one lane row (one
+/// energy of every lane) at a time.
+pub trait GroupOperand: Copy {
+    /// `(re, im)` of the canonical elements at energy `k`.
+    fn ij(self, k: usize) -> (Lane, Lane);
+    /// `(re, im)` of the mirrors at energy `k`.
+    fn ji(self, k: usize) -> (Lane, Lane);
+}
+
+/// A group whose mirrors are not stored but follow from the NEGF symmetry
+/// `X_ji = −X*_ij` — a lane's mirror is `(sign·re, im)`, `sign` being `−1`
+/// for a paired element and `+1` for a self-mirror one (what
+/// [`GroupInfo::sign`] holds). The forward slabs of the rank loop hold
+/// canonical series only and are read this way.
+#[derive(Debug, Clone, Copy)]
+pub struct NegfGroup<'a> {
+    /// Canonical rows.
+    pub rows: GroupRows<'a>,
+    /// Per-lane factor of the mirror's real part.
+    pub sign: &'a Row,
+}
+
+impl GroupOperand for NegfGroup<'_> {
+    #[inline(always)]
+    fn ij(self, k: usize) -> (Lane, Lane) {
+        (lanes(&self.rows.re[k]), lanes(&self.rows.im[k]))
+    }
+
+    #[inline(always)]
+    fn ji(self, k: usize) -> (Lane, Lane) {
+        let re = lanes(&self.rows.re[k]) * lanes(self.sign);
+        (re, lanes(&self.rows.im[k]))
+    }
+}
+
+/// A group whose mirror series are stored beside the canonical ones (the
+/// energy-major drivers read both from the operand; a pair call gets both
+/// from its caller).
+#[derive(Debug, Clone, Copy)]
+pub struct StoredGroup<'a> {
+    /// Canonical rows.
+    pub ij: GroupRows<'a>,
+    /// Mirror rows.
+    pub ji: GroupRows<'a>,
+}
+
+impl GroupOperand for StoredGroup<'_> {
+    #[inline(always)]
+    fn ij(self, k: usize) -> (Lane, Lane) {
+        (lanes(&self.ij.re[k]), lanes(&self.ij.im[k]))
+    }
+
+    #[inline(always)]
+    fn ji(self, k: usize) -> (Lane, Lane) {
+        (lanes(&self.ji.re[k]), lanes(&self.ji.im[k]))
+    }
+}
+
 /// Accumulate one energy batch's polarisation contribution into the four
-/// series of an element pair: `p_ij = [P^<_ij, P^>_ij]` and, unless the
-/// element is its own mirror, `p_ji = [P^<_ji, P^>_ji]` (length-`N_E`
-/// accumulators, zero-initialised before the first batch).
+/// series of every pair of a lane group: `p = [[P^<_ij, P^>_ij], [P^<_ji,
+/// P^>_ji]]` (length-`N_E` accumulators, zero before the first batch; the
+/// mirror side of a self-mirror lane is left meaningless).
 ///
-/// `g = [[G^<_ij, G^>_ij], [G^<_ji, G^>_ji]]` are the **arrived-so-far** data
-/// *including* this batch (un-arrived energies still zero; for a self-mirror
-/// element both sides are the same series); `batch` lists the global energy
-/// indices that arrived in this batch (ascending; may be non-contiguous when
-/// several source ranks contribute); `arrived_before` states whether any
-/// earlier batch contributed energies. Two correlations are formed —
-/// `corr(G^<_ij, G^>_ji)` and `corr(G^>_ij, G^<_ji)` — and each is read
-/// twice: at lag `+k` into the canonical element's series, at lag `−k` into
-/// the mirror's opposite component (see the module docs). Summed over all
-/// batches of one iteration the accumulators equal the whole-grid call
-/// (`batch = 0..N_E`, `arrived_before = false` — what
-/// [`polarization_from_g`] issues) up to floating-point summation order.
+/// `g = [G^<, G^>]` are the **arrived-so-far** data *including* this batch;
+/// `arrived` lists the energies that carry data (every energy that arrived,
+/// in any order — an energy it does not list reads as zero), `batch` the
+/// global energy indices that arrived in this batch (ascending; may be
+/// non-contiguous when several source ranks contribute), and
+/// `arrived_before` whether any earlier batch contributed energies. Two
+/// correlations are formed per lane — `corr(G^<_ij, G^>_ji)` and
+/// `corr(G^>_ij, G^<_ji)` — and each is read twice: at lag `+k` into the
+/// canonical element's series, at lag `−k` into the mirror's opposite
+/// component (see the module docs). Summed over all batches of one
+/// iteration the accumulators equal the whole-grid call (`batch = 0..N_E`,
+/// `arrived_before = false` — what [`polarization_from_g`] issues) up to
+/// floating-point summation order. Counts the FLOPs of `group.live` pairs.
+#[allow(clippy::too_many_arguments)]
+pub fn polarization_group_accumulate<O: GroupOperand>(
+    p: [[GroupRowsMut<'_>; 2]; 2],
+    g: [O; 2],
+    arrived: impl Iterator<Item = usize> + Clone,
+    batch: &[usize],
+    arrived_before: bool,
+    de: f64,
+    group: &GroupInfo,
+    flops: &FlopCounter,
+) {
+    let ne = p[0][0].re.len();
+    if batch.is_empty() {
+        return;
+    }
+    let n = padded_len(ne);
+    let prefactor = Lane::from(-de / (2.0 * std::f64::consts::PI) / n as f64);
+    let (zero_lag, half) = (ne - 1, ne / 2);
+    let [[p_lesser_ij, p_greater_ij], [p_lesser_ji, p_greater_ji]] = p;
+    let [g_lesser, g_greater] = g;
+    // (first factor, second factor, series read at lag +k, series read at −k)
+    let correlations = [
+        (g_lesser, g_greater, p_lesser_ij, p_greater_ji),
+        (g_greater, g_lesser, p_greater_ij, p_lesser_ji),
+    ];
+    let zero = (Lane::from(0.0), Lane::from(0.0));
+    with_lanes(n, |w| {
+        for (a, b, forward, backward) in correlations {
+            // `corr(a, b)[k]` is `conv(a, b reversed)[k + N_E − 1]`.
+            w.clear();
+            // This batch's first factor against everything arrived.
+            w.add_product(
+                batch.iter().map(|&k| (k, a.ij(k))),
+                arrived.clone().map(|m| (zero_lag - m, b.ji(m))),
+            );
+            if arrived_before {
+                // The earlier batches' first factor against this batch's
+                // second.
+                let earlier = arrived.clone().map(|k| (k, a.ij(k)));
+                w.add_product(
+                    earlier.chain(batch.iter().map(|&k| (k, zero))),
+                    batch.iter().map(|&m| (zero_lag - m, b.ji(m))),
+                );
+            }
+            let (re, im) = w.inverse();
+            let at_lag = |at: usize| (re[at], im[at]);
+            let GroupRowsMut { re: f_re, im: f_im } = forward;
+            for (j, slot) in f_re.iter_mut().zip(f_im.iter_mut()).enumerate() {
+                add_scaled(slot, prefactor, at_lag(zero_lag + j - half));
+            }
+            let GroupRowsMut { re: b_re, im: b_im } = backward;
+            for (j, slot) in b_re.iter_mut().zip(b_im.iter_mut()).enumerate() {
+                add_scaled(slot, prefactor, at_lag(zero_lag + half - j));
+            }
+        }
+    });
+    let per_pair = 2 * output_flops(n, 1 + u64::from(arrived_before));
+    flops.add(FlopKind::Convolution, group.live as u64 * per_pair);
+}
+
+/// Accumulate one `W` energy batch's self-energy contribution into the four
+/// series of every pair of a lane group: `s = [[Σ^<_ij, Σ^>_ij], [Σ^<_ji,
+/// Σ^>_ji]]` (length-`N_E` accumulators, zero before the first batch; the
+/// mirror side is computed only if the group has a paired lane, and is left
+/// meaningless on a self-mirror lane).
+///
+/// `g = [G^<, G^>]` and `w = [W^<, W^>]` are laid out like
+/// [`polarization_group_accumulate`]'s `g`. The `G` series are **complete**
+/// (they arrived in the earlier `G` transposition); the `W` series carry the
+/// arrived-so-far data including this batch. Because `Σ` is linear in `W`,
+/// each batch's contribution `conv(Δw_b, g)` is independent and the sum over
+/// batches equals the whole-grid call (`batch = 0..N_E` — what
+/// [`self_energy_from_gw`] issues) up to floating-point summation order.
+/// Counts the FLOPs of the group's live pairs, a self-mirror one as half.
+#[allow(clippy::too_many_arguments)]
+pub fn self_energy_group_accumulate<O: GroupOperand>(
+    s: [[GroupRowsMut<'_>; 2]; 2],
+    g: [O; 2],
+    w: [O; 2],
+    batch: &[usize],
+    de: f64,
+    group: &GroupInfo,
+    flops: &FlopCounter,
+) {
+    let ne = s[0][0].re.len();
+    if batch.is_empty() {
+        return;
+    }
+    let n = padded_len(ne);
+    let prefactor = Lane::from(de / (2.0 * std::f64::consts::PI) / n as f64);
+    let half = ne / 2;
+    let sides = s
+        .into_iter()
+        .enumerate()
+        .take(1 + usize::from(group.paired > 0));
+    with_lanes(n, |ws| {
+        for (side, s) in sides {
+            let read = |x: O, k: usize| if side == 0 { x.ij(k) } else { x.ji(k) };
+            // Lesser, then greater.
+            for ((s, g), w) in s.into_iter().zip(g).zip(w) {
+                ws.clear();
+                ws.add_product(
+                    batch.iter().map(|&k| (k, read(w, k))),
+                    (0..ne).map(|k| (k, read(g, k))),
+                );
+                let (re, im) = ws.inverse();
+                let GroupRowsMut { re: s_re, im: s_im } = s;
+                for (k, slot) in s_re.iter_mut().zip(s_im.iter_mut()).enumerate() {
+                    add_scaled(slot, prefactor, (re[k + half], im[k + half]));
+                }
+            }
+        }
+    });
+    let outputs = 2 * (group.live + group.paired) as u64;
+    flops.add(FlopKind::Convolution, outputs * output_flops(n, 1));
+}
+
+/// Per-lane causality construction: `X^R(t) = θ(t)·[X^>(t) − X^<(t)]`
+/// evaluated with FFTs over the energy axis, written into `retarded`.
+/// Counts the FLOPs of `series` series (the lanes that hold one).
+pub fn causal_retarded_group(
+    retarded: GroupRowsMut<'_>,
+    lesser: GroupRows<'_>,
+    greater: GroupRows<'_>,
+    series: usize,
+    flops: &FlopCounter,
+) {
+    let ne = lesser.re.len();
+    let nfft = ne.next_power_of_two();
+    let scale = Lane::from(1.0 / nfft as f64);
+    let difference = |k: usize| {
+        let re = lanes(&greater.re[k]) - lanes(&lesser.re[k]);
+        (k, (re, lanes(&greater.im[k]) - lanes(&lesser.im[k])))
+    };
+    with_lanes(nfft, |w| {
+        w.load((0..ne).map(difference));
+        // To pseudo-time, apply the Heaviside step, back to energy.
+        let (re, im) = w.inverse();
+        let (half, zero) = (Lane::from(0.5), Lane::from(0.0));
+        re[0] = re[0] * half;
+        im[0] = im[0] * half;
+        re[(nfft / 2).max(1)..].fill(zero);
+        im[(nfft / 2).max(1)..].fill(zero);
+        let (re, im) = w.forward();
+        let GroupRowsMut { re: r_re, im: r_im } = retarded;
+        for k in 0..ne {
+            (re[k] * scale).store(&mut r_re[k]);
+            (im[k] * scale).store(&mut r_im[k]);
+        }
+    });
+    flops.add(FlopKind::Convolution, series as u64 * 2 * fft_flops(nfft));
+}
+
+/// The most series a pair call stages: `Σ`'s eight operands and four
+/// accumulators.
+const PAIR_SERIES: usize = 12;
+
+/// Stage a pair call as a lane group of one live lane: the `I` input series
+/// and the `O` accumulators (a missing one reads as zero) go to lane 0 of
+/// the calling thread's staging rows, `f` runs the group kernel on them, and
+/// lane 0 of each accumulator is copied back.
+fn with_pair_rows<const I: usize, const O: usize>(
+    ne: usize,
+    inputs: [&[c64]; I],
+    mut outputs: [Option<&mut [c64]>; O],
+    f: impl FnOnce([GroupRows<'_>; I], [GroupRowsMut<'_>; O]),
+) {
+    PAIR_ROWS.with(|rows| {
+        let rows = &mut *rows.borrow_mut();
+        let len = 2 * (I + O) * ne;
+        if rows.len() < len {
+            // Room for the largest pair call at this length, so a warm
+            // thread does not grow it again for another kernel.
+            rows.resize(len.max(2 * PAIR_SERIES * ne), [0.0; LANES]);
+        }
+        let rows = &mut rows[..len];
+        rows.fill([0.0; LANES]);
+        let staged = inputs
+            .into_iter()
+            .map(Some)
+            .chain(outputs.iter().map(|x| x.as_deref()));
+        for (planes, x) in rows.chunks_exact_mut(2 * ne).zip(staged) {
+            let (re, im) = planes.split_at_mut(ne);
+            for (k, v) in x.into_iter().flatten().enumerate() {
+                (re[k][0], im[k][0]) = (v.re, v.im);
+            }
+        }
+        let (ins, outs) = rows.split_at_mut(2 * I * ne);
+        let mut views = ins.chunks_exact(2 * ne).map(|planes| {
+            let (re, im) = planes.split_at(ne);
+            GroupRows { re, im }
+        });
+        let in_rows = [(); I].map(|()| views.next().expect("I staged inputs"));
+        let mut views = outs.chunks_exact_mut(2 * ne).map(|planes| {
+            let (re, im) = planes.split_at_mut(ne);
+            GroupRowsMut { re, im }
+        });
+        let out_rows = [(); O].map(|()| views.next().expect("O staged outputs"));
+        f(in_rows, out_rows);
+        for (planes, x) in outs.chunks_exact(2 * ne).zip(&mut outputs) {
+            let (re, im) = planes.split_at(ne);
+            for (k, v) in x.iter_mut().flat_map(|x| x.iter_mut()).enumerate() {
+                *v = c64::new(re[k][0], im[k][0]);
+            }
+        }
+    });
+}
+
+/// A pair call's group: one live lane, paired or not.
+fn pair_group(paired: bool) -> GroupInfo {
+    GroupInfo {
+        live: 1,
+        paired: usize::from(paired),
+        sign: [1.0; LANES],
+    }
+}
+
+/// [`polarization_group_accumulate`] on one element pair: `p_ij = [P^<_ij,
+/// P^>_ij]` and, unless the element is its own mirror, `p_ji = [P^<_ji,
+/// P^>_ji]`; `g = [[G^<_ij, G^>_ij], [G^<_ji, G^>_ji]]` are the
+/// arrived-so-far series (un-arrived energies still zero; for a self-mirror
+/// element both sides are the same series). The pair is a lane group of one
+/// live lane, so its bits are those of any group it would share.
 pub fn polarization_pair_accumulate(
     p_ij: [&mut [c64]; 2],
     p_ji: Option<[&mut [c64]; 2]>,
@@ -237,8 +588,7 @@ pub fn polarization_pair_accumulate(
     de: f64,
     flops: &FlopCounter,
 ) {
-    let [[g_lesser_ij, g_greater_ij], [g_lesser_ji, g_greater_ji]] = g;
-    let ne = g_lesser_ij.len();
+    let ne = g[0][0].len();
     debug_assert!(is_grid_batch(batch, ne), "batch {batch:?} on {ne} energies");
     debug_assert!(all_grid_long(ne, g.into_iter().flatten()));
     debug_assert!(all_grid_long(
@@ -248,67 +598,29 @@ pub fn polarization_pair_accumulate(
     if batch.is_empty() {
         return;
     }
-    let n = padded_len(ne);
-    let prefactor = c64::new(0.0, -de / (2.0 * std::f64::consts::PI) / n as f64);
-    let (zero_lag, half) = (ne - 1, ne / 2);
-    let [p_lesser_ij, p_greater_ij] = p_ij;
-    let [p_lesser_ji, p_greater_ji] = match p_ji {
+    let group = pair_group(p_ji.is_some());
+    let [[gl_ij, gg_ij], [gl_ji, gg_ji]] = g;
+    let [pl_ij, pg_ij] = p_ij;
+    let [pl_ji, pg_ji] = match p_ji {
         Some([lesser, greater]) => [Some(lesser), Some(greater)],
         None => [None, None],
     };
-    // (first factor, second factor, series read at lag +k, series read at −k)
-    let correlations = [
-        (g_lesser_ij, g_greater_ji, p_lesser_ij, p_greater_ji),
-        (g_greater_ij, g_lesser_ji, p_greater_ij, p_lesser_ji),
-    ];
-    with_workspace(n, |w| {
-        for (a, b, forward, backward) in correlations {
-            // `corr(a, b)[k]` is `conv(a, b reversed)[k + N_E − 1]`.
-            let reversed = |(m, v): (usize, c64)| (zero_lag - m, v);
-            w.clear();
-            // This batch's first factor against everything arrived.
-            w.add_product(
-                batch.iter().map(|&k| (k, a[k])),
-                b.iter().copied().enumerate().map(reversed),
-            );
-            if arrived_before {
-                // The earlier batches' first factor against this batch's
-                // second.
-                let zeroed = batch.iter().map(|&k| (k, c64::new(0.0, 0.0)));
-                w.add_product(
-                    a.iter().copied().enumerate().chain(zeroed),
-                    batch.iter().map(|&k| (k, b[k])).map(reversed),
-                );
-            }
-            let (re, im) = w.inverse();
-            let at_lag = |at: usize| prefactor * c64::new(re[at], im[at]);
-            for (j, slot) in forward.iter_mut().enumerate() {
-                *slot += at_lag(zero_lag + j - half);
-            }
-            for (j, slot) in backward.into_iter().flatten().enumerate() {
-                *slot += at_lag(zero_lag + half - j);
-            }
-        }
+    let outputs = [Some(pl_ij), Some(pg_ij), pl_ji, pg_ji];
+    with_pair_rows(ne, [gl_ij, gg_ij, gl_ji, gg_ji], outputs, |x, p| {
+        let [gl_ij, gg_ij, gl_ji, gg_ji] = x;
+        let g = [(gl_ij, gl_ji), (gg_ij, gg_ji)].map(|(ij, ji)| StoredGroup { ij, ji });
+        let [pl_ij, pg_ij, pl_ji, pg_ji] = p;
+        let p = [[pl_ij, pg_ij], [pl_ji, pg_ji]];
+        polarization_group_accumulate(p, g, 0..ne, batch, arrived_before, de, &group, flops);
     });
-    flops.add(
-        FlopKind::Convolution,
-        2 * output_flops(n, 1 + u64::from(arrived_before)),
-    );
 }
 
-/// Accumulate one `W` energy batch's self-energy contribution into the four
-/// series of an element pair: `s_ij = [Σ^<_ij, Σ^>_ij]` and, unless the
-/// element is its own mirror, `s_ji = [Σ^<_ji, Σ^>_ji]` (length-`N_E`
-/// accumulators, zero-initialised before the first batch).
-///
-/// `g` and `w` are laid out like [`polarization_pair_accumulate`]'s `g`
-/// (`[side][component]`; the `ji` side is not read for a self-mirror
-/// element). The `G` series are **complete** (they arrived in the earlier `G`
-/// transposition); the `W` series carry the arrived-so-far data including
-/// this batch. Because `Σ` is linear in `W`, each batch's contribution
-/// `conv(Δw_b, g)` is independent and the sum over batches equals the
-/// whole-grid call (`batch = 0..N_E` — what [`self_energy_from_gw`] issues)
-/// up to floating-point summation order.
+/// [`self_energy_group_accumulate`] on one element pair: `s_ij = [Σ^<_ij,
+/// Σ^>_ij]` and, unless the element is its own mirror, `s_ji = [Σ^<_ji,
+/// Σ^>_ji]`; `g` and `w` are laid out like
+/// [`polarization_pair_accumulate`]'s `g` (the `ji` side is not read for a
+/// self-mirror element), the `G` series complete, the `W` series
+/// arrived-so-far. A lane group of one live lane.
 pub fn self_energy_pair_accumulate(
     s_ij: [&mut [c64]; 2],
     s_ji: Option<[&mut [c64]; 2]>,
@@ -328,32 +640,29 @@ pub fn self_energy_pair_accumulate(
     if batch.is_empty() {
         return;
     }
-    let n = padded_len(ne);
-    let prefactor = c64::new(0.0, de / (2.0 * std::f64::consts::PI) / n as f64);
-    let half = ne / 2;
-    let outputs = 2 * (1 + u64::from(s_ji.is_some()));
-    let sides = [Some(s_ij), s_ji].into_iter().zip(g).zip(w);
-    with_workspace(n, |ws| {
-        for ((s, g), w) in sides {
-            // Lesser, then greater, of the sides that exist.
-            for ((s, g), w) in s.into_iter().flatten().zip(g).zip(w) {
-                ws.clear();
-                ws.add_product(
-                    batch.iter().map(|&k| (k, w[k])),
-                    g.iter().copied().enumerate(),
-                );
-                let (re, im) = ws.inverse();
-                for (k, slot) in s.iter_mut().enumerate() {
-                    *slot += prefactor * c64::new(re[k + half], im[k + half]);
-                }
-            }
-        }
+    let group = pair_group(s_ji.is_some());
+    let [sl_ij, sg_ij] = s_ij;
+    let [sl_ji, sg_ji] = match s_ji {
+        Some([lesser, greater]) => [Some(lesser), Some(greater)],
+        None => [None, None],
+    };
+    let outputs = [Some(sl_ij), Some(sg_ij), sl_ji, sg_ji];
+    let [[gl_ij, gg_ij], [gl_ji, gg_ji]] = g;
+    let [[wl_ij, wg_ij], [wl_ji, wg_ji]] = w;
+    let inputs = [gl_ij, gg_ij, gl_ji, gg_ji, wl_ij, wg_ij, wl_ji, wg_ji];
+    with_pair_rows(ne, inputs, outputs, |x, s| {
+        let [gl_ij, gg_ij, gl_ji, gg_ji, wl_ij, wg_ij, wl_ji, wg_ji] = x;
+        let stored = |ij, ji| StoredGroup { ij, ji };
+        let g = [stored(gl_ij, gl_ji), stored(gg_ij, gg_ji)];
+        let w = [stored(wl_ij, wl_ji), stored(wg_ij, wg_ji)];
+        let [sl_ij, sg_ij, sl_ji, sg_ji] = s;
+        let s = [[sl_ij, sg_ij], [sl_ji, sg_ji]];
+        self_energy_group_accumulate(s, g, w, batch, de, &group, flops);
     });
-    flops.add(FlopKind::Convolution, outputs * output_flops(n, 1));
 }
 
-/// Per-element causality construction: `X^R(t) = θ(t)·[X^>(t) − X^<(t)]`
-/// evaluated with FFTs over the energy axis, written into `retarded`.
+/// [`causal_retarded_group`] on one series: `X^R` of `(X^<, X^>)` written
+/// into `retarded`. A lane group of one live lane.
 pub fn causal_retarded_series(
     retarded: &mut [c64],
     lesser: &[c64],
@@ -362,47 +671,52 @@ pub fn causal_retarded_series(
 ) {
     let ne = lesser.len();
     debug_assert!(all_grid_long(ne, [greater, &*retarded]));
-    let nfft = ne.next_power_of_two();
-    let scale = 1.0 / nfft as f64;
-    with_workspace(nfft, |w| {
-        w.load((0..ne).map(|k| (k, greater[k] - lesser[k])));
-        // To pseudo-time, apply the Heaviside step, back to energy.
-        let (re, im) = w.inverse();
-        re[0] *= 0.5;
-        im[0] *= 0.5;
-        re[(nfft / 2).max(1)..].fill(0.0);
-        im[(nfft / 2).max(1)..].fill(0.0);
-        let (re, im) = w.forward();
-        for (k, slot) in retarded.iter_mut().enumerate() {
-            *slot = c64::new(re[k] * scale, im[k] * scale);
-        }
+    if ne == 0 {
+        return;
+    }
+    with_pair_rows(ne, [lesser, greater], [Some(retarded)], |[l, g], [r]| {
+        causal_retarded_group(r, l, g, 1, flops);
     });
-    flops.add(FlopKind::Convolution, 2 * fft_flops(nfft));
 }
 
-/// The `N` equally long sub-slices of `x`.
-fn split<const N: usize>(x: &[c64]) -> [&[c64]; N] {
-    let mut parts = x.chunks_exact(x.len() / N);
-    [(); N].map(|()| parts.next().expect("N parts"))
+/// The NEGF symmetrisation of a lane group's canonical series `c` and mirror
+/// series `m`, in place: `c ← (c − m*)/2`, `m ← (m − c*)/2` — per lane the
+/// scalar `(c − m.conj()) * c64::new(0.5, 0.0)`, `num-complex`'s product
+/// with its `0·im` terms. A self-mirror lane must enter with `m = c`; it
+/// leaves with `c = m = (c − c*)/2`.
+pub(crate) fn symmetrize_group(c: GroupRowsMut<'_>, m: GroupRowsMut<'_>) {
+    let (half, zero) = (Lane::from(0.5), Lane::from(0.0));
+    // `(re + i·im)·(1/2 + 0i)`.
+    let halved = |re: Lane, im: Lane| (re * half - im * zero, re * zero + im * half);
+    let rows = c.re.iter_mut().zip(c.im.iter_mut());
+    for ((c_re, c_im), (m_re, m_im)) in rows.zip(m.re.iter_mut().zip(m.im.iter_mut())) {
+        let (a_re, a_im, b_re, b_im) = (lanes(c_re), lanes(c_im), lanes(m_re), lanes(m_im));
+        let (cr, ci) = halved(a_re - b_re, a_im - neg(b_im));
+        let (mr, mi) = halved(b_re - a_re, b_im - neg(a_im));
+        cr.store(c_re);
+        ci.store(c_im);
+        mr.store(m_re);
+        mi.store(m_im);
+    }
 }
 
-/// The `N` equally long mutable sub-slices of `x`.
-fn split_mut<const N: usize>(x: &mut [c64]) -> [&mut [c64]; N] {
-    let mut parts = x.chunks_exact_mut(x.len() / N);
-    [(); N].map(|()| parts.next().expect("N parts"))
-}
+/// Lane groups per chunk of the energy-major drivers below: their
+/// element-major copies of operands and results stay a few MiB whatever
+/// the device.
+const DRIVER_GROUPS: usize = 32;
 
 /// The one energy-major ↔ element-major scaffold of the drivers below (the
 /// single-process stand-in for the forward and backward transpositions).
-/// For every element pair — canonical element `ij`, mirror `ji`, in the
-/// order of [`canonical_elements`] — the series of the `I` input quantities
-/// are gathered into one scratch and `kernel(in_ij, in_ji, out_ij, out_ji)`
-/// fills the pair's `N` zeroed output series per side (`out_ji` is `None`
-/// for a self-mirror element), which are written straight into the `N`
+/// The canonical elements ([`canonical_elements`] order) are taken a chunk
+/// of lane groups at a time: the canonical and the mirror series of the `I`
+/// input quantities are gathered energy by energy into lane-group slabs,
+/// `kernel(inputs, outputs, group)` fills each group's `N` zeroed output
+/// series per side (`[canonical, mirror]`; a self-mirror lane's mirror side
+/// is not read), and the outputs are written energy by energy into the `N`
 /// energy-major results. Asserts that the input grids share `N_E`.
-fn map_pairs<const I: usize, const N: usize>(
+fn map_groups<const I: usize, const N: usize>(
     inputs: [&EnergyResolved; I],
-    mut kernel: impl FnMut([&[c64]; I], [&[c64]; I], [&mut [c64]; N], Option<[&mut [c64]; N]>),
+    mut kernel: impl FnMut([StoredGroup<'_>; I], [[GroupRowsMut<'_>; N]; 2], &GroupInfo),
 ) -> [EnergyResolved; N] {
     let ne = inputs[0].len();
     assert!(
@@ -411,32 +725,54 @@ fn map_pairs<const I: usize, const N: usize>(
         inputs.map(Vec::len)
     );
     let (nb, bs) = (inputs[0][0].n_blocks(), inputs[0][0].block_size());
-    let zero = c64::new(0.0, 0.0);
     let mut result = [(); N].map(|()| vec![BlockTridiagonal::zeros(nb, bs); ne]);
-    let mut gathered = vec![zero; 2 * I * ne];
-    let mut out = vec![zero; 2 * N * ne];
-    for e in canonical_elements(nb, bs) {
-        let (ij, ji) = gathered.split_at_mut(I * ne);
-        for (i, x) in inputs.iter().enumerate() {
-            for (k, bt) in x.iter().enumerate() {
-                ij[i * ne + k] = e.value_in(bt);
-                ji[i * ne + k] = e.mirror().value_in(bt);
+    let slots = ElementSlots::canonical(nb, bs);
+    let n = slots.len();
+    let chunk = (DRIVER_GROUPS * LANES).min(n);
+    // One set of slabs, reset per chunk: a fresh allocation per chunk costs
+    // more than the chunk's convolutions (page faults).
+    let planes = || LanePlanes::zeroed(chunk, ne);
+    let mut x = [(); I].map(|()| [planes(), planes()]);
+    let mut out = [(); 2].map(|()| [(); N].map(|()| planes()));
+    let sides = [Side::Canonical, Side::Mirror];
+    for start in (0..n).step_by(chunk) {
+        let range = start..(start + chunk).min(n);
+        // The accumulators start from zero; an operand is overwritten lane
+        // by live lane, so only a chunk of another length (the last one,
+        // whose tail group has padding lanes) resets it.
+        for planes in out.iter_mut().flatten() {
+            planes.reset(range.len());
+        }
+        for planes in x.iter_mut().flatten() {
+            if planes.n_elements() != range.len() {
+                planes.reset(range.len());
             }
         }
-        out.fill(zero);
-        let (out_ij, out_ji) = out.split_at_mut(N * ne);
-        let paired = !e.is_self_mirror();
-        kernel(
-            split(ij),
-            split(ji),
-            split_mut(out_ij),
-            paired.then(|| split_mut(out_ji)),
-        );
-        // `N · N_E` energy-major blocks, component-major like the series.
-        let sides = [(e, &*out_ij), (e.mirror(), &*out_ji)];
-        for (id, series) in sides.into_iter().take(1 + usize::from(paired)) {
-            for (bt, &value) in result.iter_mut().flatten().zip(series) {
-                get_block_mut(bt, id.pos)[(id.row, id.col)] = value;
+        for k in 0..ne {
+            for (side_planes, input) in x.iter_mut().zip(inputs) {
+                for (planes, side) in side_planes.iter_mut().zip(sides) {
+                    gather_energy(planes, k, &input[k], &slots, range.clone(), side);
+                }
+            }
+        }
+        for (g, info) in lane_groups(&slots.self_mirror(range.clone()))
+            .iter()
+            .enumerate()
+        {
+            let operands = x.each_ref().map(|[ij, ji]| StoredGroup {
+                ij: ij.group(g),
+                ji: ji.group(g),
+            });
+            let outputs = out
+                .each_mut()
+                .map(|side| side.each_mut().map(|p| p.group_mut(g)));
+            kernel(operands, outputs, info);
+        }
+        for k in 0..ne {
+            for (n, bts) in result.iter_mut().enumerate() {
+                for (side_out, side) in out.iter().zip(sides) {
+                    scatter_energy(&side_out[n], k, &mut bts[k], &slots, range.clone(), side);
+                }
             }
         }
     }
@@ -457,8 +793,8 @@ pub fn polarization_from_g(
     let ne = g_lesser.len();
     assert!(ne >= 2);
     let grid: Vec<usize> = (0..ne).collect();
-    let [p_lesser, p_greater] = map_pairs([g_lesser, g_greater], |g_ij, g_ji, p_ij, p_ji| {
-        polarization_pair_accumulate(p_ij, p_ji, [g_ij, g_ji], &grid, false, de, flops);
+    let [p_lesser, p_greater] = map_groups([g_lesser, g_greater], |g, p, group| {
+        polarization_group_accumulate(p, g, 0..ne, &grid, false, de, group, flops);
     });
     (p_lesser, p_greater)
 }
@@ -476,11 +812,8 @@ pub fn self_energy_from_gw(
 ) -> (EnergyResolved, EnergyResolved) {
     let grid: Vec<usize> = (0..g_lesser.len()).collect();
     let inputs = [g_lesser, g_greater, w_lesser, w_greater];
-    let [s_lesser, s_greater] = map_pairs(inputs, |x_ij, x_ji, s_ij, s_ji| {
-        let ([gl_ij, gg_ij, wl_ij, wg_ij], [gl_ji, gg_ji, wl_ji, wg_ji]) = (x_ij, x_ji);
-        let g = [[gl_ij, gg_ij], [gl_ji, gg_ji]];
-        let w = [[wl_ij, wg_ij], [wl_ji, wg_ji]];
-        self_energy_pair_accumulate(s_ij, s_ji, g, w, &grid, de, flops);
+    let [s_lesser, s_greater] = map_groups(inputs, |[gl, gg, wl, wg], s, group| {
+        self_energy_group_accumulate(s, [gl, gg], [wl, wg], &grid, de, group, flops);
     });
     (s_lesser, s_greater)
 }
@@ -493,10 +826,10 @@ pub fn retarded_from_lesser_greater(
     greater: &EnergyResolved,
     flops: &FlopCounter,
 ) -> EnergyResolved {
-    let [retarded] = map_pairs([lesser, greater], |x_ij, x_ji, [r_ij], r_ji| {
-        causal_retarded_series(r_ij, x_ij[0], x_ij[1], flops);
-        if let Some([r_ji]) = r_ji {
-            causal_retarded_series(r_ji, x_ji[0], x_ji[1], flops);
+    let [retarded] = map_groups([lesser, greater], |[l, g], [[r_ij], [r_ji]], group| {
+        causal_retarded_group(r_ij, l.ij, g.ij, group.live, flops);
+        if group.paired > 0 {
+            causal_retarded_group(r_ji, l.ji, g.ji, group.paired, flops);
         }
     });
     retarded
@@ -513,6 +846,7 @@ pub fn symmetrize_all(x: &mut EnergyResolved) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element_major::lane_groups;
     use quatrex_linalg::cplx;
 
     fn synthetic_g(ne: usize, nb: usize, bs: usize, sign: f64) -> EnergyResolved {
@@ -668,6 +1002,141 @@ mod tests {
         for bt in &x {
             assert!(bt.negf_symmetry_error() < 1e-13);
         }
+    }
+
+    #[test]
+    fn a_lane_group_computes_each_pair_call_bit_for_bit() {
+        // A ragged group: seven live lanes, two of them self-mirror. The
+        // operands are forward-slab data (canonical only, mirrors by the
+        // NEGF symmetry), arriving in two batches.
+        let ne = 12;
+        let self_mirror = [false, true, false, false, true, false, false];
+        let info = lane_groups(&self_mirror)[0];
+        let series = |seed: f64| -> Vec<Vec<c64>> {
+            (0..self_mirror.len())
+                .map(|l| {
+                    (0..ne)
+                        .map(|k| {
+                            let phase = seed + 0.7 * l as f64 + 0.31 * k as f64;
+                            let re = if self_mirror[l] { 0.0 } else { phase.cos() };
+                            cplx(re, phase.sin())
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (g, w) = ([series(0.1), series(1.3)], [series(2.2), series(3.7)]);
+        let (g_planes, w_planes) = (
+            g.each_ref().map(|x| LanePlanes::from_series(x)),
+            w.each_ref().map(|x| LanePlanes::from_series(x)),
+        );
+        fn negf<'a>(x: &'a [LanePlanes; 2], sign: &'a Row) -> [NegfGroup<'a>; 2] {
+            [0, 1].map(|c| NegfGroup {
+                rows: x[c].group(0),
+                sign,
+            })
+        }
+        fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
+            x.each_ref().map(|s| s.each_ref().map(|v| &v[..]))
+        }
+        let batches: [Vec<usize>; 2] = [(0..5).collect(), (5..ne).collect()];
+        let zero = || [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(self_mirror.len(), ne)));
+        let (mut p, mut sigma) = (zero(), zero());
+        let flops = FlopCounter::new();
+        let mut arrived = Vec::new();
+        for batch in &batches {
+            arrived.extend_from_slice(batch);
+            let out = p
+                .each_mut()
+                .map(|side| side.each_mut().map(|x| x.group_mut(0)));
+            let before = arrived.len() > batch.len();
+            let g = negf(&g_planes, &info.sign);
+            polarization_group_accumulate(
+                out,
+                g,
+                arrived.iter().copied(),
+                batch,
+                before,
+                0.05,
+                &info,
+                &flops,
+            );
+            let out = sigma
+                .each_mut()
+                .map(|side| side.each_mut().map(|x| x.group_mut(0)));
+            let (g, w) = (negf(&g_planes, &info.sign), negf(&w_planes, &info.sign));
+            self_energy_group_accumulate(out, g, w, batch, 0.05, &info, &flops);
+        }
+        let group_flops = flops.total();
+
+        // The same pairs one call each, mirrors as the forward slab held them
+        // before (`−X*` of each arrived energy, zero before it arrived).
+        let pair_flops = FlopCounter::new();
+        let zero_c = c64::new(0.0, 0.0);
+        for (l, &own) in self_mirror.iter().enumerate() {
+            let side = |x: &[Vec<Vec<c64>>; 2], seen: &[usize]| -> [[Vec<c64>; 2]; 2] {
+                let ij = [0, 1].map(|c| {
+                    let mut v = vec![zero_c; ne];
+                    seen.iter().for_each(|&k| v[k] = x[c][l][k]);
+                    v
+                });
+                let ji = ij.clone().map(|v| {
+                    let mut m = vec![zero_c; ne];
+                    seen.iter()
+                        .for_each(|&k| m[k] = if own { v[k] } else { -v[k].conj() });
+                    m
+                });
+                [ij, ji]
+            };
+            let mut p_pair = [(); 2].map(|()| [(); 2].map(|()| vec![zero_c; ne]));
+            let mut s_pair = p_pair.clone();
+            let mut seen = Vec::new();
+            for (b, batch) in batches.iter().enumerate() {
+                seen.extend_from_slice(batch);
+                let gs = side(&g, &seen);
+                let [ij, ji] = &mut p_pair;
+                let ji = (!own).then(|| ji.each_mut().map(|v| &mut v[..]));
+                polarization_pair_accumulate(
+                    ij.each_mut().map(|v| &mut v[..]),
+                    ji,
+                    borrowed(&gs),
+                    batch,
+                    b > 0,
+                    0.05,
+                    &pair_flops,
+                );
+                let (g_all, ws) = (side(&g, &(0..ne).collect::<Vec<_>>()), side(&w, &seen));
+                let [ij, ji] = &mut s_pair;
+                let ji = (!own).then(|| ji.each_mut().map(|v| &mut v[..]));
+                self_energy_pair_accumulate(
+                    ij.each_mut().map(|v| &mut v[..]),
+                    ji,
+                    borrowed(&g_all),
+                    borrowed(&ws),
+                    batch,
+                    0.05,
+                    &pair_flops,
+                );
+            }
+            for (out, pair) in [(&p, &p_pair), (&sigma, &s_pair)] {
+                for (side, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    if side == 1 && own {
+                        continue;
+                    }
+                    let got: Vec<(u64, u64)> = out[side][c]
+                        .series(l)
+                        .iter()
+                        .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                        .collect();
+                    let want: Vec<(u64, u64)> = pair[side][c]
+                        .iter()
+                        .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "lane {l}, side {side}, component {c}");
+                }
+            }
+        }
+        assert_eq!(group_flops, pair_flops.total());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! [`ElementSlab`], a convolution phase accumulates its output into another
 //! ([`ConvSeries`]), and the backward transposition ships that slab as is.
 
-use crate::convolution::causal_retarded_series;
+use crate::convolution::{causal_retarded_group, symmetrize_group};
+use crate::element_major::{GroupInfo, GroupRowsMut, LanePlanes};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_runtime::{CommHandle, CommPhase, RankContext};
@@ -125,6 +126,7 @@ pub(crate) fn exchange(
         debug_assert_eq!(payloads.len(), ctx.n_ranks());
         let bytes = payload_bytes(&payloads);
         counters.track(bytes);
+        counters.pack_bytes += bytes;
         let handle = ctx.alltoallv_start_tagged(payloads, |m| m.len() * BYTES_PER_VALUE, row.phase);
         (handle, bytes)
     };
@@ -137,6 +139,7 @@ pub(crate) fn exchange(
         let received = handle.wait(ctx);
         let recv_bytes = payload_bytes(&received);
         counters.track(recv_bytes);
+        counters.unpack_bytes += recv_bytes;
         absorb(b, received);
         counters.release(sent_bytes + recv_bytes);
         b += 1;
@@ -147,19 +150,19 @@ impl RankState<'_> {
     /// One forward transposition (energy-major → element-major) of the
     /// lesser/greater pair `comps`. `consume` is the per-batch convolution
     /// accumulation: called for every non-empty batch with the slab-so-far,
-    /// the arrived global energy indices, and whether earlier batches
-    /// arrived. Returns the fully assembled element slab.
+    /// the global energy indices that arrived in the batch, and every index
+    /// arrived so far (this batch's included). Returns the fully assembled
+    /// element slab.
     pub(crate) fn forward(
         &mut self,
         row: &Transposition,
         comps: [&[BlockTridiagonal]; 2],
-        mut consume: impl FnMut(&ElementSlab, &[usize], bool),
+        mut consume: impl FnMut(&ElementSlab, &[usize], &[usize]),
     ) -> ElementSlab {
         debug_assert_eq!(row.direction, Direction::Forward);
         let (plan, batches, rank) = (&self.p.plan, &self.p.batches, self.ctx.rank());
-        let elements = plan.element_ranges[rank].clone();
-        let mut slab = ElementSlab::zeroed(elements, row.symmetric.len(), plan.n_energies);
-        let mut arrived_before = false;
+        let mut slab = ElementSlab::zeroed(plan, rank, row.symmetric.len(), false);
+        let mut arrived_so_far = Vec::with_capacity(plan.n_energies);
         exchange(
             self.ctx,
             row,
@@ -171,8 +174,8 @@ impl RankState<'_> {
                 row.unpack(|| plan.absorb_forward_batch(rank, &mut slab, received, &sources));
                 let arrived = batches.arrived_global(plan, b);
                 if !arrived.is_empty() {
-                    consume(&slab, &arrived, arrived_before);
-                    arrived_before = true;
+                    arrived_so_far.extend_from_slice(&arrived);
+                    consume(&slab, &arrived, &arrived_so_far);
                 }
             },
         );
@@ -211,85 +214,70 @@ impl RankState<'_> {
     }
 }
 
-/// Element-wise NEGF symmetrisation of a canonical/mirror series pair — the
-/// exact per-element arithmetic of `BlockTridiagonal::symmetrize_negf`.
-fn symmetrize_series_pair(canonical: &mut [c64], mirror: &mut [c64], self_mirror: bool) {
-    let half = c64::new(0.5, 0.0);
-    if self_mirror {
-        for (c, m) in canonical.iter_mut().zip(mirror.iter_mut()) {
-            *c = (*c - c.conj()) * half;
-            *m = *c;
-        }
-    } else {
-        for (c, m) in canonical.iter_mut().zip(mirror.iter_mut()) {
-            let (a, b) = (*c, *m);
-            *c = (a - b.conj()) * half;
-            *m = (b - a.conj()) * half;
-        }
-    }
-}
-
 /// The element-major output of one convolution phase (`P` or `Σ`) on one
 /// rank: the owned elements' [`ElementSlab`] of the lesser, greater and —
-/// once [`ConvSeries::finish`] ran — retarded component, in the layout the
-/// backward transposition ships. The lesser/greater series are running
-/// accumulators, filled batch by batch by the
-/// `crate::convolution::*_pair_accumulate` kernels while later batches are
-/// still in flight.
+/// once [`ConvSeries::finish`] ran — retarded component, canonical and
+/// mirror side, in the layout the backward transposition ships. The
+/// lesser/greater series are running accumulators, filled batch by batch,
+/// one lane group per call, by the `crate::convolution::*_group_accumulate`
+/// kernels while later batches are still in flight.
 pub(crate) struct ConvSeries {
     /// Race-detector id of the accumulators (the owning rank).
     owner: u64,
-    /// Per owned element: whether it is its own mirror.
-    self_mirror: Vec<bool>,
     /// Components `[lesser, greater]`, then `retarded` once finished.
     slab: ElementSlab,
 }
 
-/// The lesser and greater component of one side of a [`ConvSeries`] slab,
-/// split-borrowed.
-fn lesser_greater(side: &mut [Vec<Vec<c64>>]) -> (&mut [Vec<c64>], &mut [Vec<c64>]) {
-    let (lesser, rest) = side.split_at_mut(1);
-    (&mut lesser[0], &mut rest[0])
+/// The rows of lane group `g` of the lesser and greater component of both
+/// sides of a [`ConvSeries`] slab, `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`.
+fn group_accumulators<'a>(
+    canonical: &'a mut [LanePlanes],
+    mirror: &'a mut [LanePlanes],
+    g: usize,
+) -> [[GroupRowsMut<'a>; 2]; 2] {
+    [canonical, mirror].map(|side| {
+        let [lesser, greater, ..] = side else {
+            unreachable!("a convolution output holds lesser and greater series")
+        };
+        [lesser.group_mut(g), greater.group_mut(g)]
+    })
 }
 
 impl ConvSeries {
     /// All-zero accumulators for the elements `rank` owns.
     pub(crate) fn zeroed(plan: &TranspositionPlan, rank: usize) -> Self {
-        let elements = plan.element_ranges[rank].clone();
         Self {
             owner: rank as u64,
-            self_mirror: plan.elements[elements.clone()]
-                .iter()
-                .map(|id| id.is_self_mirror())
-                .collect(),
-            slab: ElementSlab::zeroed(elements, 2, plan.n_energies),
+            slab: ElementSlab::zeroed(plan, rank, 2, true),
         }
     }
 
-    /// Accumulate one arrived batch: `kernel(x_ij, x_ji, e_local)` adds the
-    /// batch's contribution to the pair of owned element `e_local` — the
-    /// `[lesser, greater]` series of the canonical element and, unless it is
-    /// its own mirror, of its mirror.
+    /// Accumulate one arrived batch: `kernel(x, group)` adds the batch's
+    /// contribution to lane group `group` of the owned elements — `x` are
+    /// its `[[lesser, greater] canonical, [lesser, greater] mirror]` rows.
     pub(crate) fn accumulate(
         &mut self,
-        mut kernel: impl FnMut([&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
+        mut kernel: impl FnMut([[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
     ) {
         race::access_shared(
             SharedId::new("dist.conv_accum", self.owner),
             AccessKind::Write,
         );
-        let (lc, gc) = lesser_greater(&mut self.slab.canonical);
-        let (lm, gm) = lesser_greater(&mut self.slab.mirror);
-        for (e, &self_mirror) in self.self_mirror.iter().enumerate() {
-            let mirror = (!self_mirror).then(|| [&mut lm[e][..], &mut gm[e][..]]);
-            kernel([&mut lc[e], &mut gc[e]], mirror, e);
+        let ElementSlab {
+            canonical,
+            mirror,
+            groups,
+            ..
+        } = &mut self.slab;
+        for (g, info) in groups.iter().enumerate() {
+            kernel(group_accumulators(canonical, mirror, g), g, info);
         }
     }
 
     /// The phase epilogue after the last batch has been consumed, in place:
     /// symmetrise the canonical/mirror pairs (the solver always enforces the
     /// NEGF symmetry: its wire format relies on it) and build the retarded
-    /// components causally.
+    /// components causally, one lane group at a time.
     pub(crate) fn finish(&mut self, flops: &FlopCounter) {
         // The epilogue read of the batch-accumulated series: ordered after
         // every batch's accumulate (same rank thread, after the batch's
@@ -299,27 +287,42 @@ impl ConvSeries {
             SharedId::new("dist.conv_accum", self.owner),
             AccessKind::Read,
         );
-        let (lc, gc) = lesser_greater(&mut self.slab.canonical);
-        let (lm, gm) = lesser_greater(&mut self.slab.mirror);
-        let (mut rc_all, mut rm_all) = (Vec::new(), Vec::new());
-        for (e, &self_mirror) in self.self_mirror.iter().enumerate() {
-            if self_mirror {
-                lm[e].clone_from(&lc[e]);
-                gm[e].clone_from(&gc[e]);
+        let (n_elements, ne) = (
+            self.slab.canonical[0].n_elements(),
+            self.slab.canonical[0].n_energies(),
+        );
+        let mut retarded = [(); 2].map(|()| LanePlanes::zeroed(n_elements, ne));
+        let ElementSlab {
+            canonical,
+            mirror,
+            groups,
+            ..
+        } = &mut self.slab;
+        for (g, info) in groups.iter().enumerate() {
+            let [[mut lc, mut gc], [mut lm, mut gm]] = group_accumulators(canonical, mirror, g);
+            // A self-mirror lane's mirror is its canonical series.
+            for (l, &sign) in info.sign.iter().enumerate().take(info.live) {
+                if sign > 0.0 {
+                    for (c, m) in [(&lc, &mut lm), (&gc, &mut gm)] {
+                        for k in 0..ne {
+                            (m.re[k][l], m.im[k][l]) = (c.re[k][l], c.im[k][l]);
+                        }
+                    }
+                }
             }
-            symmetrize_series_pair(&mut lc[e], &mut lm[e], self_mirror);
-            symmetrize_series_pair(&mut gc[e], &mut gm[e], self_mirror);
-            let mut rc = vec![c64::new(0.0, 0.0); lc[e].len()];
-            causal_retarded_series(&mut rc, &lc[e], &gc[e], flops);
-            let mut rm = rc.clone();
-            if !self_mirror {
-                causal_retarded_series(&mut rm, &lm[e], &gm[e], flops);
+            symmetrize_group(lc.reborrow(), lm.reborrow());
+            symmetrize_group(gc.reborrow(), gm.reborrow());
+            // The mirror side only where a lane is paired: a self-mirror
+            // lane's retarded mirror never ships.
+            let [r_ij, r_ji] = retarded.each_mut().map(|r| r.group_mut(g));
+            causal_retarded_group(r_ij, lc.rows(), gc.rows(), info.live, flops);
+            if info.paired > 0 {
+                causal_retarded_group(r_ji, lm.rows(), gm.rows(), info.paired, flops);
             }
-            rc_all.push(rc);
-            rm_all.push(rm);
         }
-        self.slab.canonical.push(rc_all);
-        self.slab.mirror.push(rm_all);
+        let [r_ij, r_ji] = retarded;
+        self.slab.canonical.push(r_ij);
+        self.slab.mirror.push(r_ji);
     }
 }
 
@@ -375,7 +378,7 @@ mod tests {
                 .iter()
                 .map(|q| &q[plan.energy_ranges[group].clone()])
                 .collect();
-            let mut slab = ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, ne);
+            let mut slab = ElementSlab::zeroed(plan, group, 2, false);
             let mut counters = RankCounters::default();
             let mut absorbed = Vec::new();
             exchange(
@@ -405,12 +408,17 @@ mod tests {
             (slab, counters)
         });
 
+        let elements = crate::convolution::canonical_elements(nb, bs);
         for (group, (slab, counters)) in results.iter().enumerate() {
             for (e_local, e) in plan.element_ranges[group].clone().enumerate() {
-                let id = plan.elements[e];
+                let id = elements[e];
                 for (c, q) in quantities.iter().enumerate() {
                     let want: Vec<c64> = q.iter().map(|bt| id.value_in(bt)).collect();
-                    assert_eq!(slab.canonical[c][e_local], want, "group {group} {id:?}");
+                    assert_eq!(
+                        slab.canonical[c].series(e_local),
+                        want,
+                        "group {group} {id:?}"
+                    );
                 }
             }
             assert!(counters.peak_slab_bytes > 0);

@@ -15,14 +15,16 @@
 //! ([`crate::dist::pipeline`]): the two closures in [`RankState::p_step`] and
 //! [`RankState::sigma_step`] are the loop's only calls into the
 //! convolution kernels — the same two
-//! `crate::convolution::*_pair_accumulate` functions `polarization_from_g`
-//! and `self_energy_from_gw` call with the whole grid as one batch.
+//! `crate::convolution::*_group_accumulate` lane-group kernels
+//! `polarization_from_g` and `self_energy_from_gw` call with the whole grid
+//! as one batch.
 
 use std::ops::Range;
 
 use crate::convolution::{
-    is_grid_batch, polarization_pair_accumulate, self_energy_pair_accumulate,
+    is_grid_batch, polarization_group_accumulate, self_energy_group_accumulate,
 };
+use crate::element_major::{GroupInfo, GroupRowsMut};
 use crate::mixing::{MixRow, SigmaMixer, ROW_LEN};
 use crate::observables::{integrate_current, Observables, SpectralData};
 use crate::scba::{
@@ -100,6 +102,10 @@ pub(crate) struct RankCounters {
     pub memo_total: usize,
     /// Peak in-flight transposition buffer bytes.
     pub peak_slab_bytes: u64,
+    /// Payload bytes built by the transpositions' pack stage and consumed
+    /// by their unpack stage (self-messages included: they are copied too).
+    pub pack_bytes: u64,
+    pub unpack_bytes: u64,
     /// Current in-flight transposition buffer bytes (zero between exchanges).
     in_flight_bytes: u64,
 }
@@ -122,6 +128,8 @@ impl RankCounters {
     pub fn merge(&mut self, other: &RankCounters) {
         self.memo_hits += other.memo_hits;
         self.memo_total += other.memo_total;
+        self.pack_bytes += other.pack_bytes;
+        self.unpack_bytes += other.unpack_bytes;
         self.peak_slab_bytes = self.peak_slab_bytes.max(other.peak_slab_bytes);
     }
 }
@@ -355,19 +363,20 @@ impl<'a> RankState<'a> {
 
     /// The front half of a convolution phase, pipelined over the energy
     /// batches: the forward transposition of `comps`, whose batch `k+1` flies
-    /// while `kernel` accumulates batch `k` into every owned element pair's
+    /// while `kernel` accumulates batch `k` into every owned lane group's
     /// series (see [`ConvSeries::accumulate`]; `kernel` also gets the
-    /// slab-so-far, the arrived energy indices and whether earlier batches
-    /// arrived). Returns the element slab and the accumulated series.
+    /// slab-so-far, the energy indices that arrived in the batch and every
+    /// index arrived so far). Returns the element slab and the accumulated
+    /// series.
     fn convolve(
         &mut self,
         row: &Transposition,
         comps: [&[BlockTridiagonal]; 2],
-        kernel: impl Fn(&ElementSlab, &[usize], bool, [&mut [c64]; 2], Option<[&mut [c64]; 2]>, usize),
+        kernel: impl Fn(&ElementSlab, &[usize], &[usize], [[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
     ) -> (ElementSlab, ConvSeries) {
         let p = self.p;
         let mut series = ConvSeries::zeroed(&p.plan, self.ctx.rank());
-        let slab = self.forward(row, comps, |slab, batch, arrived_before| {
+        let slab = self.forward(row, comps, |slab, batch, arrived| {
             // Once per batch, so the kernels' per-element checks can be
             // debug-only.
             assert!(
@@ -376,8 +385,7 @@ impl<'a> RankState<'a> {
             );
             let (name, cat) = row.conv_span;
             quatrex_probe::span(name, cat, || {
-                series
-                    .accumulate(|x_ij, x_ji, e| kernel(slab, batch, arrived_before, x_ij, x_ji, e));
+                series.accumulate(|x, g, info| kernel(slab, batch, arrived, x, g, info));
             });
         });
         (slab, series)
@@ -405,9 +413,13 @@ impl<'a> RankState<'a> {
         let (g_slab, series) = self.convolve(
             &TRANSPOSITIONS[0],
             [&g[0], &g[1]],
-            |slab, batch, arrived_before, p_ij, p_ji, e| {
-                let g = slab.pair(e);
-                polarization_pair_accumulate(p_ij, p_ji, g, batch, arrived_before, p.de, &p.flops);
+            |slab, batch, arrived, out, g, info| {
+                let operands = [slab.negf(0, g), slab.negf(1, g)];
+                let before = arrived.len() > batch.len();
+                let arrived = arrived.iter().copied();
+                polarization_group_accumulate(
+                    out, operands, arrived, batch, before, p.de, info, &p.flops,
+                );
             },
         );
         (g_slab, self.ship(&TRANSPOSITIONS[1], series))
@@ -465,10 +477,11 @@ impl<'a> RankState<'a> {
         let (_, series) = self.convolve(
             &TRANSPOSITIONS[2],
             [&w[0], &w[1]],
-            |w_slab, batch, _, s_ij, s_ji, e| {
+            |w_slab, batch, _, out, g, info| {
                 // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
-                let (g, w) = (g_slab.pair(e), w_slab.pair(e));
-                self_energy_pair_accumulate(s_ij, s_ji, g, w, batch, p.de, &p.flops);
+                let gs = [g_slab.negf(0, g), g_slab.negf(1, g)];
+                let ws = [w_slab.negf(0, g), w_slab.negf(1, g)];
+                self_energy_group_accumulate(out, gs, ws, batch, p.de, info, &p.flops);
             },
         );
         let sigma_new = self.ship(&TRANSPOSITIONS[3], series);

@@ -78,6 +78,14 @@ pub struct DistReport {
     /// (`gemm_batch`, `gemm_lanes`, `obc.direct`), because its FLOPs are
     /// counted against the phase but run inside those kernel spans.
     pub phase_seconds: Vec<(String, f64)>,
+    /// Throughput of the transpositions' pack stage: the payload bytes it
+    /// built (self-messages included), summed over ranks, over the
+    /// `transposition.pack` entry of [`Self::phase_seconds`]. `None` when
+    /// the probe was disabled or the stage took no measured time.
+    pub pack_bytes_per_second: Option<f64>,
+    /// The same for the unpack stage: the received payload bytes it consumed
+    /// over the `transposition.unpack` entry.
+    pub unpack_bytes_per_second: Option<f64>,
     /// Measured FLOP rate per phase in FLOP/s, joining the seconds inside the
     /// phase's spans (inclusive, see [`Self::phase_seconds`]) with the
     /// `FlopCounter` accounting (`(phase, rate)`; only phases with both
@@ -99,6 +107,17 @@ pub struct DistReport {
     /// was disabled or no full iteration ran; recorded independently of the
     /// probe flag.
     pub memoizer_hit_rate_per_iteration: Vec<f64>,
+}
+
+/// `bytes` over the seconds `phase_seconds` books to `category`; `None`
+/// without such an entry or with no time in it.
+pub(crate) fn bytes_per_second(
+    bytes: u64,
+    phase_seconds: &[(String, f64)],
+    category: &str,
+) -> Option<f64> {
+    let (_, seconds) = phase_seconds.iter().find(|(c, _)| c == category)?;
+    (*seconds > 0.0).then(|| bytes as f64 / seconds)
 }
 
 impl DistReport {
@@ -146,6 +165,14 @@ impl DistReport {
             ),
             ("phase_seconds", named_values(&self.phase_seconds)),
             (
+                "pack_bytes_per_second",
+                Json::from(self.pack_bytes_per_second),
+            ),
+            (
+                "unpack_bytes_per_second",
+                Json::from(self.unpack_bytes_per_second),
+            ),
+            (
                 "memoizer_hit_rate_per_iteration",
                 Json::arr(self.memoizer_hit_rate_per_iteration.iter().copied()),
             ),
@@ -178,6 +205,8 @@ mod tests {
             n_collectives: 12,
             alltoall_bytes_per_phase: Vec::new(),
             phase_seconds: Vec::new(),
+            pack_bytes_per_second: None,
+            unpack_bytes_per_second: None,
             overlap_efficiency: None,
             time_imbalance: None,
             memoizer_hit_rate_per_iteration: Vec::new(),

@@ -8,23 +8,32 @@
 //!   matrix per energy — the layout of the OBC + assembly + RGF phases;
 //! * **element-major** ([`ElementSlab`]): each rank owns a contiguous slice of
 //!   the *canonical element list* and stores, per element, the full energy
-//!   series — the layout of the P/Σ convolutions (FFTs over energy). It is
-//!   the one container of that layout: what a forward transposition delivers,
-//!   what a convolution phase accumulates, what a backward one ships.
+//!   series — the layout of the P/Σ convolutions (FFTs over energy), as
+//!   lane-group slabs (`crate::element_major`): eight elements per group,
+//!   `[group][energy][lane]` in split planes. It is the one container of
+//!   that layout: what a forward transposition delivers, what a convolution
+//!   phase accumulates, what a backward one ships.
 //!
 //! [`TranspositionPlan`] fixes both partitions and the one wire format of the
 //! `Alltoallv` messages that convert between them (Section 5.2): only the
 //! canonical elements of a lesser/greater quantity travel — the mirror
 //! elements are reconstructed from the NEGF symmetry `X^≶_ij = −X^≶*_ji` at
 //! the receiving side. Retarded quantities do not obey the symmetry, so their
-//! backward transposition ships canonical and mirror elements. Because
-//! ownership is fixed by the plan, so is every message length:
+//! backward transposition ships canonical and mirror elements. A message is
+//! ordered component → energy → element, so pack and unpack walk each
+//! energy's matrix once through the plan's gather lists
+//! ([`TranspositionPlan::slots`]) and the element side reads and writes whole
+//! lane rows. Because ownership is fixed by the plan, so is every message
+//! length:
 //! [`TranspositionPlan::transposition_bytes`] is the exact off-rank volume of
 //! each transposition, not an estimate.
 
 use std::ops::Range;
 
-use crate::convolution::{canonical_elements, ElementId};
+use crate::convolution::NegfGroup;
+use crate::element_major::{
+    lane_groups, n_groups, ElementSlots, GroupInfo, LanePlanes, Side, LANES,
+};
 use crate::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_runtime::CommPhase;
@@ -98,38 +107,58 @@ pub(crate) fn read_bt<'a>(
     bt
 }
 
-/// A rank's element-major slice: full energy series of the owned canonical
-/// elements and of their mirrors.
+/// A rank's element-major slice: lane-group slabs ([`LanePlanes`]) of the
+/// full energy series of the owned canonical elements, one per component,
+/// and — where they are not the NEGF reconstruction — of their mirrors.
+///
+/// A forward slab (`G^≶`, `W^≶`, as a forward transposition delivers it)
+/// holds canonical series only: its components obey `X_ji = −X*_ij`, and the
+/// kernels read a mirror as that ([`ElementSlab::negf`]). A convolution
+/// output holds both sides, because its accumulated mirrors are not yet
+/// symmetric, and its retarded component never is.
 #[derive(Debug, Clone)]
 pub struct ElementSlab {
     /// Indices into the canonical element list owned by this rank.
     pub elements: Range<usize>,
-    /// `canonical[c][local_element][energy]`.
-    pub canonical: Vec<Vec<Vec<c64>>>,
-    /// `mirror[c][local_element][energy]` — the series of the transposed
-    /// element; for self-mirror elements this repeats the canonical series.
-    pub mirror: Vec<Vec<Vec<c64>>>,
+    /// `canonical[c]` — component `c` of the owned canonical elements.
+    pub canonical: Vec<LanePlanes>,
+    /// `mirror[c]` — component `c` of their mirrors; empty for a forward
+    /// slab. A self-mirror lane's mirror is never read.
+    pub mirror: Vec<LanePlanes>,
+    /// The lane groups of the owned elements.
+    pub groups: Vec<GroupInfo>,
 }
 
 impl ElementSlab {
-    /// An all-zero slab for `elements`, ready to absorb forward batches
-    /// ([`TranspositionPlan::absorb_forward_batch`]). Energies that have not
-    /// arrived yet read as zero.
-    pub fn zeroed(elements: Range<usize>, n_components: usize, n_energies: usize) -> Self {
-        let n_local = elements.len();
-        let zero = || vec![vec![vec![c64::new(0.0, 0.0); n_energies]; n_local]; n_components];
+    /// An all-zero slab of the elements `rank` owns, with `n_components`
+    /// components, and their mirrors if `mirrored`. A forward slab starts
+    /// like this and absorbs its batches
+    /// ([`TranspositionPlan::absorb_forward_batch`]); energies that have not
+    /// arrived read as zero.
+    pub fn zeroed(
+        plan: &TranspositionPlan,
+        rank: usize,
+        n_components: usize,
+        mirrored: bool,
+    ) -> Self {
+        let elements = plan.element_ranges[rank].clone();
+        let planes = || LanePlanes::zeroed(elements.len(), plan.n_energies);
+        let n_mirrored = if mirrored { n_components } else { 0 };
         Self {
+            canonical: (0..n_components).map(|_| planes()).collect(),
+            mirror: (0..n_mirrored).map(|_| planes()).collect(),
+            groups: lane_groups(&plan.slots.self_mirror(elements.clone())),
             elements,
-            canonical: zero(),
-            mirror: zero(),
         }
     }
 
-    /// The lesser/greater series of local element `e` and of its mirror,
-    /// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]` — the operand layout of the
-    /// pair kernels in `crate::convolution`.
-    pub fn pair(&self, e: usize) -> [[&[c64]; 2]; 2] {
-        [&self.canonical, &self.mirror].map(|side| [&side[0][e][..], &side[1][e][..]])
+    /// Component `c` of lane group `g` as a kernel operand whose mirrors
+    /// follow from the NEGF symmetry.
+    pub fn negf(&self, c: usize, g: usize) -> NegfGroup<'_> {
+        NegfGroup {
+            rows: self.canonical[c].group(g),
+            sign: &self.groups[g].sign,
+        }
     }
 }
 
@@ -152,8 +181,10 @@ pub struct TranspositionPlan {
     pub n_blocks: usize,
     /// Transport-cell block size.
     pub block_size: usize,
-    /// Canonical (symmetry-reduced) element list, in fixed order.
-    pub elements: Vec<ElementId>,
+    /// Where every canonical element (`canonical_elements` order) and its
+    /// mirror sit in a `BlockTridiagonal`, and which elements are their own
+    /// mirror: the gather lists of pack and unpack.
+    pub slots: ElementSlots,
     /// Energy ownership per rank (contiguous, ascending).
     pub energy_ranges: Vec<Range<usize>>,
     /// Canonical-element ownership per rank (contiguous, ascending).
@@ -164,15 +195,15 @@ impl TranspositionPlan {
     /// Build a plan over `n_ranks` flat ranks from the problem shape: energies
     /// and canonical elements are each split evenly over the ranks.
     pub fn new(n_blocks: usize, block_size: usize, n_energies: usize, n_ranks: usize) -> Self {
-        let elements = canonical_elements(n_blocks, block_size);
+        let slots = ElementSlots::canonical(n_blocks, block_size);
         let energy_ranges = partition_even(n_energies, n_ranks);
-        let element_ranges = partition_even(elements.len(), n_ranks);
+        let element_ranges = partition_even(slots.len(), n_ranks);
         Self {
             n_ranks,
             n_energies,
             n_blocks,
             block_size,
-            elements,
+            slots,
             energy_ranges,
             element_ranges,
         }
@@ -180,7 +211,7 @@ impl TranspositionPlan {
 
     /// Number of canonical elements.
     pub fn n_canonical(&self) -> usize {
-        self.elements.len()
+        self.slots.len()
     }
 
     /// Exact off-rank bytes of one iteration's transposition `phase` (`FwdG`,
@@ -197,8 +228,11 @@ impl TranspositionPlan {
         let mirrored = symmetric.iter().filter(|&&s| !s).count();
         let values: usize = (0..self.n_ranks)
             .map(|q| {
-                let elems = &self.elements[self.element_ranges[q].clone()];
-                let non_self = elems.iter().filter(|id| !id.is_self_mirror()).count();
+                let elems = self.element_ranges[q].clone();
+                let non_self = elems
+                    .clone()
+                    .filter(|&e| !self.slots.is_self_mirror(e))
+                    .count();
                 let per_energy = symmetric.len() * elems.len() + mirrored * non_self;
                 per_energy * (self.n_energies - self.energy_ranges[q].len())
             })
@@ -213,9 +247,10 @@ impl TranspositionPlan {
     /// indices; `0..n_local` ships everything at once).
     ///
     /// Wire format of the message to rank `q`, in order: for every component,
-    /// for every canonical element owned by `q` (ascending), the values at
-    /// the batch's energies (ascending). The components must be NEGF-symmetric:
-    /// the receiver rebuilds their mirrors.
+    /// for every energy of the batch (ascending), the values of the canonical
+    /// elements owned by `q` (ascending). The components must be
+    /// NEGF-symmetric: the receiver reads their mirrors as `−X*`. Each
+    /// energy's matrix is read once, through the plan's gather list.
     pub fn scatter_forward_batch(
         &self,
         rank: usize,
@@ -226,29 +261,29 @@ impl TranspositionPlan {
         for c in comps {
             assert_eq!(c.len(), my_energies.len());
         }
-        (0..self.n_ranks)
-            .map(|q| {
-                let elems = self.element_ranges[q].clone();
-                let mut msg = Vec::with_capacity(comps.len() * elems.len() * local.len());
-                for comp in comps {
-                    for e in elems.clone() {
-                        let id = self.elements[e];
-                        for bt in comp[local.clone()].iter() {
-                            msg.push(id.value_in(bt));
-                        }
-                    }
+        let mut msgs: Vec<Vec<c64>> = self
+            .element_ranges
+            .iter()
+            .map(|elems| Vec::with_capacity(comps.len() * elems.len() * local.len()))
+            .collect();
+        for comp in comps {
+            for bt in &comp[local.clone()] {
+                for (msg, elems) in msgs.iter_mut().zip(&self.element_ranges) {
+                    let (slots, side) = (&self.slots, Side::Canonical);
+                    slots.read(elems.clone(), side, bt, |_, v| msg.push(v));
                 }
-                msg
-            })
-            .collect()
+            }
+        }
+        msgs
     }
 
     /// Forward deserialisation at the element owner, one batch at a time:
     /// absorb the per-source messages (in rank order) into an accumulating
-    /// [`ElementSlab`]. `received[src]` carries source `src`'s energies in `src_ranges[src]`
-    /// (global indices; the batch's slice of the source's energy range). The
-    /// canonical values are written and the mirror values of the arrived
-    /// energies are reconstructed from `X^≶_ji = −X^≶*_ij` immediately, so the
+    /// forward [`ElementSlab`]. `received[src]` carries source `src`'s
+    /// energies in `src_ranges[src]` (global indices; the batch's slice of
+    /// the source's energy range). Each energy of a message is one run of the
+    /// owned elements: it fills that energy's lane rows, group by group. The
+    /// mirrors are not stored — the kernels read them as `−X*` — so the
     /// per-batch convolution kernels can consume the batch while the next one
     /// is still in flight.
     pub fn absorb_forward_batch(
@@ -258,26 +293,28 @@ impl TranspositionPlan {
         received: Vec<Vec<c64>>,
         src_ranges: &[Range<usize>],
     ) {
-        let elems = self.element_ranges[rank].clone();
-        let n_local = elems.len();
-        for (src, msg) in received.iter().enumerate() {
-            let src_energies = src_ranges[src].clone();
-            let mut it = msg.iter();
-            for (c, canon_comp) in slab.canonical.iter_mut().enumerate() {
-                for (e_local, series) in canon_comp.iter_mut().enumerate().take(n_local) {
-                    let id = self.elements[elems.start + e_local];
-                    let self_mirror = id.is_self_mirror();
-                    for k in src_energies.clone() {
-                        let v = read_value(&mut it);
-                        series[k] = v;
-                        // Mirror of the arrived energy: its own value for
-                        // self-mirror elements, the NEGF reconstruction
-                        // otherwise.
-                        slab.mirror[c][e_local][k] = if self_mirror { v } else { -v.conj() };
+        let n_local = self.element_ranges[rank].len();
+        for (msg, src_energies) in received.iter().zip(src_ranges) {
+            let per_comp = src_energies.len() * n_local;
+            let expected = slab.canonical.len() * per_comp;
+            assert_eq!(msg.len(), expected, "forward message length");
+            if per_comp == 0 {
+                continue;
+            }
+            // Group by group, each group's rows in energy order: the
+            // message's energy runs are read as parallel streams, the slab
+            // is written in order.
+            for (planes, comp) in slab.canonical.iter_mut().zip(msg.chunks_exact(per_comp)) {
+                for g in 0..n_groups(n_local) {
+                    let lanes = g * LANES..((g + 1) * LANES).min(n_local);
+                    for (run, k) in comp.chunks_exact(n_local).zip(src_energies.clone()) {
+                        let (re, im) = planes.row_mut(g, k);
+                        for (l, v) in run[lanes.clone()].iter().enumerate() {
+                            (re[l], im[l]) = (v.re, v.im);
+                        }
                     }
                 }
             }
-            assert!(it.next().is_none(), "long forward message");
         }
     }
 
@@ -292,11 +329,12 @@ impl TranspositionPlan {
     /// whether the mirror series ride along or are reconstructed from the
     /// NEGF symmetry at the destination.
     ///
-    /// Wire format of the message to rank `q`: for every component, for every
-    /// canonical element owned by this rank (ascending), the values at the
-    /// batch's energies (ascending); then for every non-symmetric component
-    /// (retarded-like: no exploitable symmetry), the mirror series of the
-    /// non-self-mirror elements.
+    /// Wire format of the message to rank `q`: for every component, for
+    /// every energy of the batch (ascending), the values of the canonical
+    /// elements owned by this rank (ascending); then for every non-symmetric
+    /// component (retarded-like: no exploitable symmetry), for every energy,
+    /// the mirror values of the non-self-mirror elements. Each energy is read
+    /// as whole lane rows.
     pub fn scatter_backward_batch(
         &self,
         rank: usize,
@@ -306,29 +344,31 @@ impl TranspositionPlan {
     ) -> Vec<Vec<c64>> {
         let elems = self.element_ranges[rank].clone();
         debug_assert_eq!(slab.elements, elems);
-        (0..self.n_ranks)
-            .map(|q| {
-                let dst_energies = dst_ranges[q].clone();
-                let mut msg = Vec::new();
-                for comp in &slab.canonical {
-                    for series in comp {
-                        for k in dst_energies.clone() {
-                            msg.push(series[k]);
-                        }
-                    }
+        let mirrored = symmetric.iter().filter(|&&s| !s).count();
+        let n_paired: usize = slab.groups.iter().map(|g| g.paired).sum();
+        dst_ranges
+            .iter()
+            .map(|dst_energies| {
+                let n_k = dst_energies.len();
+                let canonical = slab.canonical.len() * n_k * elems.len();
+                let mut msg = vec![c64::new(0.0, 0.0); canonical + mirrored * n_k * n_paired];
+                let (head, tail) = msg.split_at_mut(canonical);
+                for (planes, out) in slab
+                    .canonical
+                    .iter()
+                    .zip(split_runs(head, slab.canonical.len()))
+                {
+                    write_rows(out, planes, dst_energies.clone(), &slab.groups, false);
                 }
-                for (comp, &symmetric) in slab.mirror.iter().zip(symmetric) {
-                    if symmetric {
-                        continue;
-                    }
-                    for (e_local, series) in comp.iter().enumerate() {
-                        if self.elements[elems.start + e_local].is_self_mirror() {
-                            continue;
-                        }
-                        for k in dst_energies.clone() {
-                            msg.push(series[k]);
-                        }
-                    }
+                let mirrors = symmetric.iter().enumerate().filter(|&(_, &s)| !s);
+                for ((c, _), out) in mirrors.zip(split_runs(tail, mirrored)) {
+                    write_rows(
+                        out,
+                        &slab.mirror[c],
+                        dst_energies.clone(),
+                        &slab.groups,
+                        true,
+                    );
                 }
                 msg
             })
@@ -341,7 +381,8 @@ impl TranspositionPlan {
     /// serialised with). `received` carries, from
     /// every source, this rank's energies in `my_range` (global indices; the
     /// batch's slice of this rank's energy range). Only the matrices of those
-    /// energies are touched.
+    /// energies are touched, each once per component, through the plan's
+    /// gather lists.
     pub fn absorb_backward_batch(
         &self,
         rank: usize,
@@ -350,43 +391,117 @@ impl TranspositionPlan {
         symmetric: &[bool],
         my_range: Range<usize>,
     ) {
-        let my_start = self.energy_ranges[rank].start;
-        for (src, msg) in received.iter().enumerate() {
-            let src_elems = self.element_ranges[src].clone();
-            let mut it = msg.iter();
-            for (c, comp_out) in out.iter_mut().enumerate() {
-                for e in src_elems.clone() {
-                    let id = self.elements[e];
-                    for k in my_range.clone() {
-                        let bt = &mut comp_out[k - my_start];
-                        let v = read_value(&mut it);
-                        set_element(bt, id, v);
-                        // Symmetric mirrors are reconstructed on the fly;
-                        // the others arrive explicitly below.
-                        if symmetric[c] && !id.is_self_mirror() {
-                            set_element(bt, id.mirror(), -v.conj());
-                        }
+        let mine = my_range.start - self.energy_ranges[rank].start
+            ..my_range.end - self.energy_ranges[rank].start;
+        let slots = &self.slots;
+        for (msg, src_elems) in received.iter().zip(&self.element_ranges) {
+            let (start, n) = (src_elems.start, src_elems.len());
+            let paired = |e: usize| !slots.is_self_mirror(start + e);
+            let n_paired = (0..n).filter(|&e| paired(e)).count();
+            let mut runs = MessageRuns::new(msg);
+            for (comp_out, &symmetric) in out.iter_mut().zip(symmetric) {
+                for bt in &mut comp_out[mine.clone()] {
+                    let values = runs.next(n);
+                    slots.write(src_elems.clone(), Side::Canonical, bt, |e| Some(values[e]));
+                    // Symmetric mirrors are reconstructed on the fly; the
+                    // others arrive explicitly below.
+                    if symmetric {
+                        slots.write(src_elems.clone(), Side::Mirror, bt, |e| {
+                            paired(e).then(|| -values[e].conj())
+                        });
                     }
                 }
             }
-            for (c, comp_out) in out.iter_mut().enumerate() {
-                if symmetric[c] {
+            for (comp_out, &symmetric) in out.iter_mut().zip(symmetric) {
+                if symmetric {
                     continue;
                 }
-                for e in src_elems.clone() {
-                    let id = self.elements[e];
-                    if id.is_self_mirror() {
-                        continue;
-                    }
-                    let m = id.mirror();
-                    for k in my_range.clone() {
-                        let v = read_value(&mut it);
-                        set_element(&mut comp_out[k - my_start], m, v);
-                    }
+                for bt in &mut comp_out[mine.clone()] {
+                    let mut values = runs.next(n_paired).iter();
+                    slots.write(src_elems.clone(), Side::Mirror, bt, |e| {
+                        paired(e).then(|| read_value(&mut values))
+                    });
                 }
             }
-            assert!(it.next().is_none(), "long backward message");
+            assert!(runs.is_done(), "long backward message");
         }
+    }
+}
+
+/// A wire message read as consecutive runs of values.
+struct MessageRuns<'a> {
+    msg: &'a [c64],
+    at: usize,
+}
+
+impl<'a> MessageRuns<'a> {
+    fn new(msg: &'a [c64]) -> Self {
+        Self { msg, at: 0 }
+    }
+
+    /// The next `n` values. The encoders fix every message length, so a
+    /// message running dry is a wire-format bug.
+    fn next(&mut self, n: usize) -> &'a [c64] {
+        let run = self.msg.get(self.at..self.at + n);
+        self.at += n;
+        run.expect("short wire message") // lint:allow(no-unwrap): encoder fixes the message length; truncation is a wire-format bug
+    }
+
+    /// True once every value was read.
+    fn is_done(&self) -> bool {
+        self.at == self.msg.len()
+    }
+}
+
+/// `x` cut into `n` equal parts (`n` empty parts of an empty `x`).
+fn split_runs(x: &mut [c64], n: usize) -> impl Iterator<Item = &mut [c64]> {
+    let len = x.len().checked_div(n).unwrap_or(0);
+    let mut rest = x;
+    (0..n).map(move |_| {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        part
+    })
+}
+
+/// Lane groups per tile of [`write_rows`]: a tile's rows of every energy
+/// (64 KiB per plane at 16 energies) stay in cache while its energies are
+/// written out one after another.
+const TILE_GROUPS: usize = 64;
+
+/// Fill `out`, one run per energy of `energies`, with the elements of
+/// `planes` — the live lanes of `groups`, or only their paired lanes if
+/// `paired_only` — in element order. Tile by tile of lane groups, energy by
+/// energy: each energy's run of a tile is written in one piece while the
+/// tile's rows stay cached.
+fn write_rows(
+    out: &mut [c64],
+    planes: &LanePlanes,
+    energies: Range<usize>,
+    groups: &[GroupInfo],
+    paired_only: bool,
+) {
+    let Some(per_energy) = out.len().checked_div(energies.len()).filter(|&n| n > 0) else {
+        return;
+    };
+    let width = |info: &GroupInfo| if paired_only { info.paired } else { info.live };
+    let mut at = 0;
+    for (tile, infos) in groups.chunks(TILE_GROUPS).enumerate() {
+        let tile_width: usize = infos.iter().map(width).sum();
+        for (run, k) in out.chunks_exact_mut(per_energy).zip(energies.clone()) {
+            let mut dst = run[at..at + tile_width].iter_mut();
+            for (g, info) in infos.iter().enumerate() {
+                let (re, im) = planes.row(tile * TILE_GROUPS + g, k);
+                // A paired lane reads its mirror with the sign −1.
+                let lanes = (0..info.live).filter(|&l| !paired_only || info.sign[l] < 0.0);
+                // The lanes first: `zip` stops on them without taking a
+                // slot of the next group.
+                for (l, slot) in lanes.zip(dst.by_ref()) {
+                    *slot = c64::new(re[l], im[l]);
+                }
+            }
+        }
+        at += tile_width;
     }
 }
 
@@ -459,22 +574,24 @@ impl TranspositionBatchPlan {
     }
 }
 
-/// Write one scalar element of a BT quantity.
-fn set_element(bt: &mut BlockTridiagonal, id: ElementId, value: c64) {
-    use crate::convolution::BlockPos;
-    let block = match id.pos {
-        BlockPos::Diag(i) => bt.diag_mut(i),
-        BlockPos::Upper(i) => bt.upper_mut(i),
-        BlockPos::Lower(i) => bt.lower_mut(i),
-    };
-    block[(id.row, id.col)] = value;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convolution::{canonical_elements, ElementId, GroupOperand};
+    use quatrex_linalg::lanes::Lanes;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
+
+    /// Add a retarded-like third component, canonical and mirror series, to
+    /// a forward slab (whose lesser/greater mirrors are not stored).
+    fn push_retarded(slab: &mut ElementSlab, canonical: Vec<Vec<c64>>, mirror: Vec<Vec<c64>>) {
+        let ne = slab.canonical[0].n_energies();
+        while slab.mirror.len() < slab.canonical.len() {
+            slab.mirror.push(LanePlanes::zeroed(canonical.len(), ne));
+        }
+        slab.canonical.push(LanePlanes::from_series(&canonical));
+        slab.mirror.push(LanePlanes::from_series(&mirror));
+    }
 
     /// An exactly NEGF-symmetric synthetic quantity.
     fn symmetric_quantity(ne: usize, nb: usize, bs: usize, seed: f64) -> EnergyResolved {
@@ -559,18 +676,17 @@ mod tests {
             let local = [&q[0][my_e.clone()], &q[1][my_e.clone()]];
             let payloads = plan.scatter_forward_batch(rank, &local, 0..my_e.len());
             let recv = ctx.alltoallv_tagged(payloads, wire, fwd.phase);
-            let mut slab = ElementSlab::zeroed(plan.element_ranges[rank].clone(), 2, ne);
+            let mut slab = ElementSlab::zeroed(plan, rank, 2, false);
             plan.absorb_forward_batch(rank, &mut slab, recv, &plan.energy_ranges);
             // backward: element-major -> energy-major, plus a retarded-like
             // component whose mirrors must travel
             let mut back_slab = slab.clone();
-            let owned = &plan.elements[plan.element_ranges[rank].clone()];
-            back_slab
-                .canonical
-                .push(owned.iter().map(|&id| series(&q[2], id)).collect());
-            back_slab
-                .mirror
-                .push(owned.iter().map(|&id| series(&q[2], id.mirror())).collect());
+            let owned = &canonical_elements(nb, bs)[plan.element_ranges[rank].clone()];
+            push_retarded(
+                &mut back_slab,
+                owned.iter().map(|&id| series(&q[2], id)).collect(),
+                owned.iter().map(|&id| series(&q[2], id.mirror())).collect(),
+            );
             let back =
                 plan.scatter_backward_batch(rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
             let recv = ctx.alltoallv_tagged(back, wire, bwd.phase);
@@ -579,18 +695,30 @@ mod tests {
             (slab, out)
         });
 
+        let elements = canonical_elements(nb, bs);
         for (rank, (slab, out)) in results.iter().enumerate() {
-            // Element slabs carry the exact canonical and mirror series.
+            // Element slabs carry the exact canonical series, and read the
+            // exact mirror series through the NEGF symmetry.
+            assert!(slab.mirror.is_empty());
             for (e_local, e) in plan.element_ranges[rank].clone().enumerate() {
-                let id = plan.elements[e];
+                let id = elements[e];
                 for c in 0..2 {
                     let q = &quantities[c];
-                    assert_eq!(slab.canonical[c][e_local], series(q, id), "{c} {id:?}");
                     assert_eq!(
-                        slab.mirror[c][e_local],
-                        series(q, id.mirror()),
+                        slab.canonical[c].series(e_local),
+                        series(q, id),
                         "{c} {id:?}"
                     );
+                    let mirror: Vec<c64> = (0..ne)
+                        .map(|k| {
+                            let (re, im) = slab.negf(c, e_local / LANES).ji(k);
+                            let (mut r, mut i) = ([0.0; LANES], [0.0; LANES]);
+                            re.store(&mut r);
+                            im.store(&mut i);
+                            c64::new(r[e_local % LANES], i[e_local % LANES])
+                        })
+                        .collect();
+                    assert_eq!(mirror, series(q, id.mirror()), "{c} {id:?}");
                 }
             }
             // The round trip restores the energy-major slices exactly.
@@ -636,8 +764,7 @@ mod tests {
             // single-shot slab of every group exactly.
             let mut slabs = Vec::new();
             for group in 0..n_groups {
-                let mut want =
-                    ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+                let mut want = ElementSlab::zeroed(&plan, group, 2, false);
                 plan.absorb_forward_batch(
                     group,
                     &mut want,
@@ -653,8 +780,7 @@ mod tests {
                         .collect(),
                     &plan.energy_ranges,
                 );
-                let mut slab =
-                    ElementSlab::zeroed(plan.element_ranges[group].clone(), 2, plan.n_energies);
+                let mut slab = ElementSlab::zeroed(&plan, group, 2, false);
                 for batch in 0..b {
                     let recv = (0..n_groups)
                         .map(|src| {
@@ -676,11 +802,12 @@ mod tests {
                 assert_eq!(slab.canonical, want.canonical, "canonical B={b}");
                 assert_eq!(slab.mirror, want.mirror, "mirror B={b}");
                 // A retarded-like third component for the backward direction.
-                let owned = &plan.elements[plan.element_ranges[group].clone()];
-                slab.canonical
-                    .push(owned.iter().map(|&id| series(id)).collect());
-                slab.mirror
-                    .push(owned.iter().map(|&id| series(id.mirror())).collect());
+                let owned = &canonical_elements(nb, bs)[plan.element_ranges[group].clone()];
+                push_retarded(
+                    &mut slab,
+                    owned.iter().map(|&id| series(id)).collect(),
+                    owned.iter().map(|&id| series(id.mirror())).collect(),
+                );
                 slabs.push(slab);
             }
             // Backward: batch-wise shipping must reproduce the

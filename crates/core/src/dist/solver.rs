@@ -64,7 +64,7 @@ use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 use crate::dist::config::{DistScbaConfig, DistScbaResult};
 use crate::dist::pipeline::TRANSPOSITIONS;
 use crate::dist::rank::{rank_main, Problem, RankCounters, RankOut};
-use crate::dist::report::DistReport;
+use crate::dist::report::{bytes_per_second, DistReport};
 use crate::dist::slab::{TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::SpatialLayout;
 use crate::dist::warm::WarmState;
@@ -308,6 +308,16 @@ impl DistScbaSolver {
             n_collectives: stats.n_collectives.load(Ordering::Relaxed),
             alltoall_bytes_per_phase: stats.phase_breakdown(),
             phase_flop_rates: phase_flop_rates(timeline, &problem.flops),
+            pack_bytes_per_second: bytes_per_second(
+                counters.pack_bytes,
+                &phase_seconds,
+                "transposition.pack",
+            ),
+            unpack_bytes_per_second: bytes_per_second(
+                counters.unpack_bytes,
+                &phase_seconds,
+                "transposition.unpack",
+            ),
             phase_seconds,
             overlap_efficiency,
             time_imbalance: timeline.imbalance_factor(|cat| !cat.starts_with("comm.")),

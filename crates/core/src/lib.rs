@@ -10,7 +10,9 @@
 //! * [`convolution`] — the energy convolutions producing the polarisation `P`
 //!   and the GW self-energy `Σ` from the Green's functions and screened
 //!   interaction via FFTs (Section 4.4), operating on the transposed
-//!   (element-major) data layout;
+//!   (element-major) data layout, eight element series per lane FFT;
+//! * [`element_major`] — that layout: lane-group slabs in split planes and
+//!   the energy-outer walks between them and the energy-major matrices;
 //! * [`scba`] — the configuration, the per-energy stages of the G and W steps
 //!   with on-the-fly symmetrisation (Section 5.2) and FLOP accounting in the
 //!   categories of Table 4, and [`ScbaSolver`];
@@ -44,6 +46,7 @@
 pub mod assembly;
 pub mod convolution;
 pub mod dist;
+pub mod element_major;
 pub mod mixing;
 pub mod observables;
 pub mod scba;

@@ -5,9 +5,9 @@
 //! Coulomb interaction (paper Eq. (3)). After the data transposition the FFTs
 //! act on per-element energy series; [`convolve`] implements the padded linear
 //! convolution exactly as a reference `O(N_E²)` sum would produce it. It is
-//! the pair kernels' inner sequence — two operand transforms, one
+//! the convolution kernels' inner sequence — two operand transforms, one
 //! frequency-domain product, one inverse, on the thread's
-//! [`crate::workspace`] — with nothing else around it.
+//! [`crate::workspace`] — on one `f64` series, with nothing else around it.
 
 use crate::c64;
 use crate::transform::{fft_flops, next_power_of_two};
@@ -27,7 +27,11 @@ pub fn convolve(a: &[c64], b: &[c64]) -> Vec<c64> {
     let scale = 1.0 / n as f64;
     with_workspace(n, |w| {
         w.clear();
-        w.add_product(a.iter().copied().enumerate(), b.iter().copied().enumerate());
+        let split = |v: &c64| (v.re, v.im);
+        w.add_product(
+            a.iter().map(split).enumerate(),
+            b.iter().map(split).enumerate(),
+        );
         let (re, im) = w.inverse();
         let values = re.iter().zip(im.iter()).take(out_len);
         values

@@ -16,11 +16,17 @@
 //!   rejected there, by name. Forward and inverse run the same split
 //!   real/imaginary butterflies (radix-4 passes, one radix-2 pass when
 //!   `log2 n` is odd); the inverse is unnormalised, its `1/n` belongs to the
-//!   caller's prefactor,
+//!   caller's prefactor. The butterflies are written once, generic over the
+//!   plane's [`Value`]: `f64`, or a vector of lanes holding one entry of
+//!   several series — the lane transform of a series is bit-identical to its
+//!   single-series transform,
 //! * [`with_workspace`] — the calling thread's plan and scratch planes at a
 //!   length (planned on first use, grown never shrunk): load, transform,
 //!   and sum frequency-domain products ([`Workspace::add_product`]) without
-//!   trigonometry or allocation. The `P`/`Σ` pair kernels are written on it,
+//!   trigonometry or allocation; [`with_workspace_in`] is the same on planes
+//!   of any [`Value`] the caller keeps. The `P`/`Σ` lane-group kernels of
+//!   `quatrex_core::convolution` run on it at `quatrex_linalg::lanes::Native`,
+//!   eight element series per transform,
 //! * [`fft`] / [`ifft`] / [`convolve`] — the same plan and workspace behind
 //!   plain slices; `convolve` is the zero-padded linear convolution (every
 //!   grid pads to [`next_power_of_two`], so no arbitrary-length transform
@@ -31,7 +37,7 @@
 //! `quatrex_core::convolution` is the only caller among the library crates:
 //! one convolution path, with the FFT under it in one place. The one other
 //! dependent is `quatrex-bench`'s `bench_kernels`, which times [`fft`] and
-//! [`convolve`] next to the pair kernels (CI's `lint` job holds both).
+//! [`convolve`] next to the group kernels (CI's `lint` job holds both).
 //!
 //! ```
 //! use quatrex_fft::{c64, convolve, fft, ifft};
@@ -55,8 +61,9 @@ pub mod transform;
 pub mod workspace;
 
 pub use convolution::{convolution_flops, convolve};
+pub use plan::Value;
 pub use transform::{fft, fft_flops, ifft, next_power_of_two};
-pub use workspace::{with_workspace, Workspace};
+pub use workspace::{with_workspace, with_workspace_in, Workspace};
 
 /// Double-precision complex scalar (re-exported for convenience).
 #[allow(non_camel_case_types)]

@@ -6,6 +6,15 @@
 //! nothing but loads, multiplies and adds on split real/imaginary planes —
 //! no trigonometry, no allocation.
 //!
+//! The butterflies are written once, generic over the plane's [`Value`]:
+//! `f64` for one series (what [`crate::fft`], [`crate::ifft`] and
+//! [`crate::convolve`] run), or a vector of lanes holding the same entry of
+//! several series — `quatrex_core`'s lane-group convolution kernels run them
+//! on `quatrex_linalg::lanes::Native`, eight element series per transform.
+//! Every lane performs exactly the operations the `f64` instantiation
+//! performs on its series (no multiply-add is fused), so the lane transform
+//! of a series is bit-identical to its single-series transform.
+//!
 //! The butterflies are decimation-in-time over a bit-reversed input: radix-4
 //! passes with quarter lengths `1, 4, 16, …` (the first one twiddle-free) and,
 //! when `log2 n` is odd, one closing radix-2 pass of half length `n/2`. Every
@@ -17,6 +26,17 @@
 //! caller, who folds it into a prefactor it applies anyway.
 
 use std::f64::consts::PI;
+use std::ops::{Add, Mul, Sub};
+
+/// The value type of the planes the butterflies run on: `f64`, or a vector
+/// of lanes with element-wise IEEE `+`, `−`, `·` and a broadcast of an `f64`
+/// (the twiddles) — one rounding per operation, as the scalar operators.
+pub trait Value:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + From<f64>
+{
+}
+
+impl<T: Copy + Add<Output = T> + Sub<Output = T> + Mul<Output = T> + From<f64>> Value for T {}
 
 /// Everything data-independent about the transforms of one power-of-two
 /// length.
@@ -84,7 +104,7 @@ impl FftPlan {
 
     /// Forward transform `X_f = Σ_k x_k · exp(−2πi·fk/n)` in place on split
     /// planes, natural order in and out.
-    pub(crate) fn forward(&self, re: &mut [f64], im: &mut [f64]) {
+    pub(crate) fn forward<T: Value>(&self, re: &mut [T], im: &mut [T]) {
         for (k, &r) in self.rev.iter().enumerate() {
             if k < r as usize {
                 re.swap(k, r as usize);
@@ -96,7 +116,7 @@ impl FftPlan {
 
     /// Unnormalised inverse transform `x_k = Σ_f X_f · exp(+2πi·fk/n)` in
     /// place on split planes (`n` times the inverse of [`FftPlan::forward`]).
-    pub(crate) fn inverse(&self, re: &mut [f64], im: &mut [f64]) {
+    pub(crate) fn inverse<T: Value>(&self, re: &mut [T], im: &mut [T]) {
         self.forward(im, re);
     }
 
@@ -109,7 +129,7 @@ impl FftPlan {
 
     /// The passes proper: forward transform of a signal stored in
     /// [`FftPlan::slot`] order, result in natural order.
-    pub(crate) fn butterflies(&self, re: &mut [f64], im: &mut [f64]) {
+    pub(crate) fn butterflies<T: Value>(&self, re: &mut [T], im: &mut [T]) {
         let n = self.n;
         assert!(re.len() == n && im.len() == n, "plane length is not {n}");
         if n >= 4 {
@@ -128,9 +148,10 @@ impl FftPlan {
     }
 }
 
-/// `(wr + i·wi) · (xr + i·xi)`.
+/// `(wr + i·wi) · (xr + i·xi)`, the twiddle broadcast to every lane.
 #[inline(always)]
-fn twiddled((wr, wi): (f64, f64), (xr, xi): (f64, f64)) -> (f64, f64) {
+fn twiddled<T: Value>((wr, wi): (f64, f64), (xr, xi): (T, T)) -> (T, T) {
+    let (wr, wi) = (T::from(wr), T::from(wi));
     (wr * xr - wi * xi, wr * xi + wi * xr)
 }
 
@@ -138,12 +159,12 @@ fn twiddled((wr, wi): (f64, f64), (xr, xi): (f64, f64)) -> (f64, f64) {
 /// already twiddled `t_q = w_q · a_q`:
 /// `c_{0,2} = (a_0 + t_1) ± (t_2 + t_3)`, `c_{1,3} = (a_0 − t_1) ∓ i·(t_2 − t_3)`.
 #[inline(always)]
-fn radix4(
-    (a0r, a0i): (f64, f64),
-    (t1r, t1i): (f64, f64),
-    (t2r, t2i): (f64, f64),
-    (t3r, t3i): (f64, f64),
-) -> [(f64, f64); 4] {
+fn radix4<T: Value>(
+    (a0r, a0i): (T, T),
+    (t1r, t1i): (T, T),
+    (t2r, t2i): (T, T),
+    (t3r, t3i): (T, T),
+) -> [(T, T); 4] {
     let (b0r, b0i, b1r, b1i) = (a0r + t1r, a0i + t1i, a0r - t1r, a0i - t1i);
     let (b2r, b2i, b3r, b3i) = (t2r + t3r, t2i + t3i, t2r - t3r, t2i - t3i);
     [
@@ -156,7 +177,7 @@ fn radix4(
 
 /// The radix-4 pass of quarter length 1: every twiddle is 1, the butterfly
 /// is sixteen additions on four adjacent elements.
-fn radix4_first(re: &mut [f64], im: &mut [f64]) {
+fn radix4_first<T: Value>(re: &mut [T], im: &mut [T]) {
     for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
         let c = radix4((r[0], i[0]), (r[1], i[1]), (r[2], i[2]), (r[3], i[3]));
         for q in 0..4 {
@@ -166,7 +187,7 @@ fn radix4_first(re: &mut [f64], im: &mut [f64]) {
 }
 
 /// Split a block of `4h` into its four quarters.
-fn quarters(x: &mut [f64], h: usize) -> [&mut [f64]; 4] {
+fn quarters<T>(x: &mut [T], h: usize) -> [&mut [T]; 4] {
     let (lo, hi) = x.split_at_mut(2 * h);
     let ((q0, q1), (q2, q3)) = (lo.split_at_mut(h), hi.split_at_mut(h));
     [q0, q1, q2, q3]
@@ -174,7 +195,7 @@ fn quarters(x: &mut [f64], h: usize) -> [&mut [f64]; 4] {
 
 /// One radix-4 pass of quarter length `h ≥ 4`: per block of `4h` and
 /// `k < h`, the butterfly on `a_q = x[k + q·h]` with `t_q = w_q[k] · a_q`.
-fn radix4_pass(re: &mut [f64], im: &mut [f64], h: usize, wr: &[f64], wi: &[f64]) {
+fn radix4_pass<T: Value>(re: &mut [T], im: &mut [T], h: usize, wr: &[f64], wi: &[f64]) {
     let w = [
         &wr[..h],
         &wi[..h],
@@ -193,23 +214,22 @@ fn radix4_pass(re: &mut [f64], im: &mut [f64], h: usize, wr: &[f64], wi: &[f64])
 /// each carries its own no-alias guarantee, so the loop vectorises without a
 /// run-time overlap check per pair of slices.
 #[allow(clippy::too_many_arguments)]
-fn radix4_sweep(
-    r0: &mut [f64],
-    r1: &mut [f64],
-    r2: &mut [f64],
-    r3: &mut [f64],
-    i0: &mut [f64],
-    i1: &mut [f64],
-    i2: &mut [f64],
-    i3: &mut [f64],
+fn radix4_sweep<T: Value>(
+    r0: &mut [T],
+    r1: &mut [T],
+    r2: &mut [T],
+    r3: &mut [T],
+    i0: &mut [T],
+    i1: &mut [T],
+    i2: &mut [T],
+    i3: &mut [T],
     [w1r, w1i, w2r, w2i, w3r, w3i]: [&[f64]; 6],
 ) {
     let h = r0.len();
     // Equal lengths, stated once: the sweep below then needs no bounds check.
-    let planes = [
-        &*r1, &*r2, &*r3, &*i0, &*i1, &*i2, &*i3, w1r, w1i, w2r, w2i, w3r, w3i,
-    ];
+    let planes = [&*r1, &*r2, &*r3, &*i0, &*i1, &*i2, &*i3];
     assert!(planes.iter().all(|x| x.len() == h));
+    assert!([w1r, w1i, w2r, w2i, w3r, w3i].iter().all(|x| x.len() == h));
     for k in 0..h {
         let c = radix4(
             (r0[k], i0[k]),
@@ -228,7 +248,7 @@ fn radix4_sweep(
 
 /// The closing radix-2 pass of half length `n/2` (odd `log2 n` only):
 /// `c_{0,1} = a_0 ± w[k]·a_1`.
-fn radix2_pass(re: &mut [f64], im: &mut [f64], wr: &[f64], wi: &[f64]) {
+fn radix2_pass<T: Value>(re: &mut [T], im: &mut [T], wr: &[f64], wi: &[f64]) {
     let h = re.len() / 2;
     let ((r0, r1), (i0, i1)) = (re.split_at_mut(h), im.split_at_mut(h));
     radix2_sweep(r0, r1, i0, i1, &wr[..h], &wi[..h]);
@@ -236,16 +256,17 @@ fn radix2_pass(re: &mut [f64], im: &mut [f64], wr: &[f64], wi: &[f64]) {
 
 /// The `k` sweep of the radix-2 pass, one parameter per half like
 /// [`radix4_sweep`].
-fn radix2_sweep(
-    r0: &mut [f64],
-    r1: &mut [f64],
-    i0: &mut [f64],
-    i1: &mut [f64],
+fn radix2_sweep<T: Value>(
+    r0: &mut [T],
+    r1: &mut [T],
+    i0: &mut [T],
+    i1: &mut [T],
     wr: &[f64],
     wi: &[f64],
 ) {
     let h = r0.len();
-    assert!([&*r1, &*i0, &*i1, wr, wi].iter().all(|x| x.len() == h));
+    assert!([&*r1, &*i0, &*i1].iter().all(|x| x.len() == h));
+    assert!(wr.len() == h && wi.len() == h);
     for k in 0..h {
         let (tr, ti) = twiddled((wr[k], wi[k]), (r1[k], i1[k]));
         (r1[k], i1[k]) = (r0[k] - tr, i0[k] - ti);

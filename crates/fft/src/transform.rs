@@ -9,22 +9,27 @@ pub fn next_power_of_two(n: usize) -> usize {
     n.next_power_of_two()
 }
 
-/// In-place forward FFT for power-of-two lengths.
+/// In-place forward FFT for power-of-two lengths (an empty slice is left
+/// as it is).
 ///
 /// Uses the physics sign convention `X_k = Σ_n x_n · exp(−2πi·kn/N)`.
 pub fn fft(x: &mut [c64]) {
     transform(x, false);
 }
 
-/// In-place inverse FFT for power-of-two lengths, normalised by `1/N`.
+/// In-place inverse FFT for power-of-two lengths, normalised by `1/N` (an
+/// empty slice is left as it is).
 pub fn ifft(x: &mut [c64]) {
     transform(x, true);
 }
 
 fn transform(x: &mut [c64], inverse: bool) {
+    if x.is_empty() {
+        return;
+    }
     let scale = if inverse { 1.0 / x.len() as f64 } else { 1.0 };
     with_workspace(x.len(), |w| {
-        w.load(x.iter().copied().enumerate());
+        w.load(x.iter().map(|v| (v.re, v.im)).enumerate());
         let (re, im) = if inverse { w.inverse() } else { w.forward() };
         for (v, (&re, &im)) in x.iter_mut().zip(re.iter().zip(im.iter())) {
             *v = c64::new(re * scale, im * scale);
@@ -62,6 +67,14 @@ mod tests {
         assert!(fft_flops(1024) > fft_flops(512) * 2 - 5 * 1024);
         assert_eq!(next_power_of_two(48), 64);
         assert_eq!(next_power_of_two(64), 64);
+    }
+
+    #[test]
+    fn an_empty_slice_transforms_to_itself() {
+        let mut x: Vec<c64> = Vec::new();
+        fft(&mut x);
+        ifft(&mut x);
+        assert!(x.is_empty());
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn workspace_inverse_is_n_times_the_inverse_of_forward() {
     for n in LENGTHS {
         let x = signal(n, 2.5);
         with_workspace(n, |w| {
-            w.load(x.iter().copied().enumerate());
+            w.load(x.iter().map(|v| (v.re, v.im)).enumerate());
             w.forward();
             let (re, im) = w.inverse();
             for k in 0..n {

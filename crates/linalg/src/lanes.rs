@@ -1,14 +1,14 @@
 //! The 8-lane `f64` vector under every dense kernel of this crate.
 //!
 //! The GEMM register tile ([`crate::ops`]), the LU rank-k update
-//! ([`crate::lu`]), the SVD Gram sums ([`crate::svd`]) and the
+//! ([`crate::lu`]), the SVD Gram sums ([`mod@crate::svd`]) and the
 //! lane-interleaved product ([`crate::interleaved`]) are written once,
 //! generically over [`Lanes`]: eight `f64` values with `splat`, `load`,
 //! `store`, the two fused multiply-adds the kernels are made of, and the
 //! plain `add`, `sub` and `mul` of the interleaved product's `c += α·Σ`. Two
 //! types implement it:
 //!
-//! * [`Portable`] — a `[f64; 8]` and [`mul_add`] per lane, which the compiler
+//! * [`Portable`] — a `[f64; 8]` and `mul_add` per lane, which the compiler
 //!   vectorises at whatever width it prefers for the target (two 256-bit
 //!   registers on x86-64 with AVX2, four 128-bit ones on aarch64 and the
 //!   SSE2 baseline). It compiles on every target.
@@ -19,12 +19,18 @@
 //!   cores whose FMA units are twice as wide.
 //!
 //! [`Native`] names the one the build target gets; which one it is is decided
-//! in this file, by one predicate, and [`WIDE`] and [`Lanes::TALL_VECTORS`]
+//! in this file, by one predicate, and `WIDE` and [`Lanes::TALL_VECTORS`]
 //! carry the decision to the tile shapes (`ops::NR`, `ops::TALL`). Both types
 //! perform the same IEEE operation in every lane — one rounding per
 //! `fma`/`fnma` where the target has the instruction — so a kernel's results
 //! do not depend on which of them it ran on (the tests of `ops` and `lu` hold
 //! the two to `to_bits()` equality in one build).
+//!
+//! Both types also carry the operators `+`, `−`, `·` and a broadcast
+//! `From<f64>` — the same single-rounding operations as [`Lanes::add`],
+//! [`Lanes::sub`], [`Lanes::mul`] and [`Lanes::splat`] —, which makes them a
+//! `quatrex_fft::Value`: `quatrex_core`'s lane-group convolution kernels run
+//! the FFT butterflies on [`Native`], eight element series per transform.
 //!
 //! This is the only module of the workspace's library crates with `unsafe`
 //! code: the intrinsics behind `Wide`.
@@ -47,7 +53,7 @@ pub(crate) fn mul_add(a: f64, b: f64, c: f64) -> f64 {
 }
 
 /// Eight `f64` lanes and the operations the dense kernels are written in.
-pub(crate) trait Lanes: Copy {
+pub trait Lanes: Copy {
     /// Width of the registers the type computes in, in bits (what
     /// `BENCH_kernels.json` reports as `lane_bits`).
     const BITS: usize;
@@ -61,9 +67,9 @@ pub(crate) trait Lanes: Copy {
     fn load(src: &[f64; LANES]) -> Self;
     /// The inverse of [`Lanes::load`].
     fn store(self, dst: &mut [f64; LANES]);
-    /// `self · b + c` per lane, rounded as [`mul_add`] rounds.
+    /// `self · b + c` per lane, rounded as `mul_add` rounds.
     fn fma(self, b: Self, c: Self) -> Self;
-    /// `−self · b + c` per lane, rounded as [`mul_add`] rounds.
+    /// `−self · b + c` per lane, rounded as `mul_add` rounds.
     fn fnma(self, b: Self, c: Self) -> Self;
     /// `self + b` per lane, one rounding (the scalar `+`).
     fn add(self, b: Self) -> Self;
@@ -75,7 +81,7 @@ pub(crate) trait Lanes: Copy {
 
 /// The lane array the compiler vectorises on its own.
 #[derive(Clone, Copy)]
-pub(crate) struct Portable([f64; LANES]);
+pub struct Portable([f64; LANES]);
 
 impl Lanes for Portable {
     const BITS: usize = if cfg!(target_feature = "avx") {
@@ -126,6 +132,46 @@ impl Lanes for Portable {
     }
 }
 
+/// The operators of a lane type, each the [`Lanes`] operation of the same
+/// name (one rounding per lane).
+macro_rules! operators {
+    ($t:ty) => {
+        impl std::ops::Add for $t {
+            type Output = Self;
+            #[inline(always)]
+            fn add(self, b: Self) -> Self {
+                $crate::lanes::Lanes::add(self, b)
+            }
+        }
+
+        impl std::ops::Sub for $t {
+            type Output = Self;
+            #[inline(always)]
+            fn sub(self, b: Self) -> Self {
+                $crate::lanes::Lanes::sub(self, b)
+            }
+        }
+
+        impl std::ops::Mul for $t {
+            type Output = Self;
+            #[inline(always)]
+            fn mul(self, b: Self) -> Self {
+                $crate::lanes::Lanes::mul(self, b)
+            }
+        }
+
+        impl From<f64> for $t {
+            #[inline(always)]
+            fn from(x: f64) -> Self {
+                <$t as $crate::lanes::Lanes>::splat(x)
+            }
+        }
+    };
+}
+use operators;
+
+operators!(Portable);
+
 // The predicate for "wide target" is written on the next two items and nowhere
 // else in the workspace; everything that depends on it reads `WIDE` or
 // `Native`.
@@ -140,7 +186,7 @@ mod target {
 
     /// One 512-bit register.
     #[derive(Clone, Copy)]
-    pub(crate) struct Wide(__m512d);
+    pub struct Wide(__m512d);
 
     impl Lanes for Wide {
         const BITS: usize = 512;
@@ -199,15 +245,19 @@ mod target {
         }
     }
 
-    pub(crate) type Native = Wide;
+    super::operators!(Wide);
+
+    pub type Native = Wide;
 }
 
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 mod target {
-    pub(crate) type Native = super::Portable;
+    pub type Native = super::Portable;
 }
 
-pub(crate) use target::Native;
+/// The lane type of the build target: `Wide` where it has AVX-512F,
+/// [`Portable`] elsewhere.
+pub use target::Native;
 
 /// Whether the build target computes in 512-bit lanes: 32 vector registers
 /// wide enough that one holds a whole column of the short tile.

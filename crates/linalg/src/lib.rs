@@ -31,7 +31,7 @@ pub mod batch;
 pub mod eig;
 pub mod flops;
 pub mod interleaved;
-mod lanes;
+pub mod lanes;
 pub mod lu;
 pub mod matrix;
 pub mod ops;

@@ -130,6 +130,26 @@ impl BlockTridiagonal {
             .chain(&mut self.lower)
     }
 
+    /// Block `index` of [`Self::blocks`]' storage order.
+    pub fn stored_block(&self, index: usize) -> &CMatrix {
+        let nb = self.diag.len();
+        match index {
+            i if i < nb => &self.diag[i],
+            i if i < 2 * nb - 1 => &self.upper[i - nb],
+            i => &self.lower[i - (2 * nb - 1)],
+        }
+    }
+
+    /// Mutable [`Self::stored_block`].
+    pub fn stored_block_mut(&mut self, index: usize) -> &mut CMatrix {
+        let nb = self.diag.len();
+        match index {
+            i if i < nb => &mut self.diag[i],
+            i if i < 2 * nb - 1 => &mut self.upper[i - nb],
+            i => &mut self.lower[i - (2 * nb - 1)],
+        }
+    }
+
     /// Generic block accessor for `|i − j| ≤ 1`; returns `None` outside the band.
     pub fn block(&self, i: usize, j: usize) -> Option<&CMatrix> {
         if i >= self.n_blocks() || j >= self.n_blocks() {
@@ -250,24 +270,33 @@ impl BlockTridiagonal {
     }
 
     /// Enforce the NEGF lesser/greater symmetry `X_ij = −X*_ji` block-wise,
-    /// i.e. replace the matrix by `(X − X†)/2` (paper Section 5.2).
+    /// i.e. replace the matrix by `(X − X†)/2` (paper Section 5.2). In place,
+    /// one transposed pair of entries at a time, with each entry's arithmetic
+    /// that of `(a + (−1)·b*)·½` — `CMatrix::negf_antihermitian_part` for a
+    /// diagonal block, `axpy(−1, ·†)` then `scale_mut(½)` for a coupling
+    /// pair.
     pub fn symmetrize_negf(&mut self) {
-        let half = c64::new(0.5, 0.0);
-        for b in self.diag.iter_mut() {
-            *b = b.negf_antihermitian_part();
+        let (minus, half) = (c64::new(-1.0, 0.0), c64::new(0.5, 0.0));
+        let sym = |a: c64, b: c64| (a + minus * b.conj()) * half;
+        let bs = self.block_size;
+        for d in &mut self.diag {
+            for j in 0..bs {
+                for i in 0..=j {
+                    let (a, b) = (d[(i, j)], d[(j, i)]);
+                    d[(i, j)] = sym(a, b);
+                    d[(j, i)] = sym(b, a);
+                }
+            }
         }
-        for i in 0..self.upper.len() {
-            let u = self.upper[i].clone();
-            let l = self.lower[i].clone();
-            // upper <- (upper - lower†)/2 ; lower <- (lower - upper†)/2
-            let mut new_u = u.clone();
-            new_u.axpy(c64::new(-1.0, 0.0), &l.dagger());
-            new_u.scale_mut(half);
-            let mut new_l = l;
-            new_l.axpy(c64::new(-1.0, 0.0), &u.dagger());
-            new_l.scale_mut(half);
-            self.upper[i] = new_u;
-            self.lower[i] = new_l;
+        // upper <- (upper - lower†)/2 ; lower <- (lower - upper†)/2
+        for (u, l) in self.upper.iter_mut().zip(&mut self.lower) {
+            for j in 0..bs {
+                for i in 0..bs {
+                    let (a, b) = (u[(i, j)], l[(j, i)]);
+                    u[(i, j)] = sym(a, b);
+                    l[(j, i)] = sym(b, a);
+                }
+            }
         }
     }
 
@@ -461,6 +490,38 @@ mod tests {
         bt.symmetrize_negf();
         assert!(bt.negf_symmetry_error() < 1e-14);
         assert!(bt.to_dense().is_negf_antihermitian(1e-13));
+    }
+
+    #[test]
+    fn in_place_symmetrization_is_the_allocating_formula_bit_for_bit() {
+        let bt = sample_bt(4, 3);
+        let mut got = bt.clone();
+        got.symmetrize_negf();
+        let minus = c64::new(-1.0, 0.0);
+        let half = c64::new(0.5, 0.0);
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|v| (v.re.to_bits(), v.im.to_bits()))
+                .collect()
+        };
+        for i in 0..bt.n_blocks() {
+            assert_eq!(
+                bits(got.diag(i)),
+                bits(&bt.diag(i).negf_antihermitian_part())
+            );
+        }
+        for i in 0..bt.n_blocks() - 1 {
+            let (u, l) = (bt.upper(i), bt.lower(i));
+            let mut new_u = u.clone();
+            new_u.axpy(minus, &l.dagger());
+            new_u.scale_mut(half);
+            let mut new_l = l.clone();
+            new_l.axpy(minus, &u.dagger());
+            new_l.scale_mut(half);
+            assert_eq!(bits(got.upper(i)), bits(&new_u));
+            assert_eq!(bits(got.lower(i)), bits(&new_l));
+        }
     }
 
     #[test]

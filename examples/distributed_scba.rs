@@ -188,6 +188,17 @@ fn main() {
             println!("    {label:<12} {bytes:>12}");
         }
     }
+    for (stage, rate) in [
+        ("pack", sr.pack_bytes_per_second),
+        ("unpack", sr.unpack_bytes_per_second),
+    ] {
+        if let Some(rate) = rate {
+            println!(
+                "  transposition {stage:<7}: {:.2} GB/s (payload bytes over the stage's self seconds)",
+                rate * 1e-9
+            );
+        }
+    }
     if let Some(eff) = sr.overlap_efficiency {
         println!(
             "  overlap efficiency    : {:.1}% of transposition time hidden under convolutions",
