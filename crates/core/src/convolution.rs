@@ -749,10 +749,8 @@ fn map_groups<const I: usize, const N: usize>(
             }
         }
         for k in 0..ne {
-            for (side_planes, input) in x.iter_mut().zip(inputs) {
-                for (planes, side) in side_planes.iter_mut().zip(sides) {
-                    gather_energy(planes, k, &input[k], &slots, range.clone(), side);
-                }
+            for ([ij, ji], input) in x.iter_mut().zip(inputs) {
+                gather_energy([ij, ji], k, &input[k], &slots, range.clone());
             }
         }
         for (g, info) in lane_groups(&slots.self_mirror(range.clone()))

@@ -371,23 +371,26 @@ pub struct GroupInfo {
     pub sign: Row,
 }
 
-/// Copy energy `k` of `side` of the elements `range` of `slots` from `bt`
-/// into the rows of `planes` (element `e` of the range into lane
-/// `e mod LANES` of group `e / LANES`), a lane row at a time.
+/// Copy energy `k` of both sides of the elements `range` of `slots` from
+/// `bt` into the rows of `planes` (`[canonical, mirror]`; element `e` of
+/// the range into lane `e mod LANES` of group `e / LANES`), a lane row of
+/// each at a time.
 pub fn gather_energy(
-    planes: &mut LanePlanes,
+    [canonical, mirror]: [&mut LanePlanes; 2],
     k: usize,
     bt: &BlockTridiagonal,
     slots: &ElementSlots,
     range: Range<usize>,
-    side: Side,
 ) {
-    let mut blocks = BlockReader::new(bt);
+    let (mut ij, mut ji) = (BlockReader::new(bt), BlockReader::new(bt));
     for (g, group) in slots.slots[range].chunks(LANES).enumerate() {
-        let (re, im) = planes.row_mut(g, k);
+        let ((c_re, c_im), (m_re, m_im)) = (canonical.row_mut(g, k), mirror.row_mut(g, k));
         for (l, &s) in group.iter().enumerate() {
-            let v = blocks.get(slots.locate(s, side));
-            (re[l], im[l]) = (v.re, v.im);
+            let (c, m) = (
+                ij.get(slots.locate(s, Side::Canonical)),
+                ji.get(slots.locate(s, Side::Mirror)),
+            );
+            (c_re[l], c_im[l], m_re[l], m_im[l]) = (c.re, c.im, m.re, m.im);
         }
     }
 }
@@ -465,8 +468,9 @@ mod tests {
             })
             .collect();
         let mut planes = LanePlanes::zeroed(elements.len(), ne);
+        let mut mirrors = LanePlanes::zeroed(elements.len(), ne);
         for (k, bt) in x.iter().enumerate() {
-            gather_energy(&mut planes, k, bt, &slots, all.clone(), Side::Canonical);
+            gather_energy([&mut planes, &mut mirrors], k, bt, &slots, all.clone());
         }
         for e in 0..elements.len() {
             assert_eq!(planes.series(e)[3], cplx(3.0, e as f64));
