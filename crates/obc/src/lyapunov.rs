@@ -24,7 +24,7 @@ use quatrex_linalg::lu::{self, LuError};
 use quatrex_linalg::ops::{congruence, gemm_flops, matmul};
 use quatrex_linalg::{c64, eigendecomposition, CMatrix};
 
-use crate::retarded::ObcError;
+use crate::retarded::{is_finite, ObcError};
 
 /// Residual `‖w − (q − a·w·a†)‖_F / max(‖w‖_F, 1)` of a candidate solution.
 pub fn lyapunov_residual(w: &CMatrix, a: &CMatrix, q: &CMatrix) -> f64 {
@@ -62,7 +62,8 @@ pub fn lyapunov_fixed_point(
 
 /// Smith doubling: the alternating series `w = Σ_k (−1)^k a^k q a^{†k}` is
 /// regrouped pairwise into a standard Stein series with `A' = a²` and
-/// `Q' = q − a·q·a†`, which is then summed by repeated squaring.
+/// `Q' = q − a·q·a†`, which is then summed by repeated squaring. A sum or
+/// power that turns non-finite ends the attempt at that step.
 pub fn lyapunov_doubling(
     a: &CMatrix,
     q: &CMatrix,
@@ -86,6 +87,12 @@ pub fn lyapunov_doubling(
         flops += gemm_flops(dim, dim, dim);
         if increment < tol * w.norm_fro().max(1e-300) {
             return Ok((w, it, flops));
+        }
+        if !(is_finite(&w) && is_finite(&a_k)) {
+            return Err(ObcError::NotConverged {
+                residual: lyapunov_residual(&w, a, q),
+                iterations: it,
+            });
         }
     }
     Err(ObcError::NotConverged {
@@ -203,6 +210,19 @@ mod tests {
             "warm {warm_iters} vs cold {cold_iters}"
         );
         assert!(warm_iters <= 2);
+    }
+
+    #[test]
+    fn doubling_an_unstable_propagation_matrix_stops_when_it_overflows() {
+        // a_k = 1.2^(2^k)·I overflows at k = 12; all 60 doublings would run.
+        let (_, q) = stable_problem(4);
+        let a = CMatrix::scaled_identity(4, cplx(1.2, 0.0));
+        match lyapunov_doubling(&a, &q, 1e-12, 60) {
+            Err(ObcError::NotConverged { iterations, .. }) => {
+                assert!(iterations <= 13, "stopped after {iterations} doublings")
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
     }
 
     #[test]

@@ -164,10 +164,19 @@ fn subtract(d: &mut CMatrix, s: &CMatrix) {
     }
 }
 
+/// Whether every entry of `a` is finite. An iteration whose iterate fails
+/// this cannot converge any more: a non-finite entry spreads through every
+/// later product (`0·∞ = NaN`), so the iterations return their
+/// [`ObcError::NotConverged`] at the step where it appears.
+pub(crate) fn is_finite(a: &CMatrix) -> bool {
+    a.as_slice().iter().all(|v| v.is_finite())
+}
+
 /// Plain fixed-point iteration `x_{k+1} = (m − n·x_k·n')⁻¹` (paper Eq. (5)).
 ///
 /// `x0` is the initial guess (pass `None` for a cold start from `m⁻¹`). The
 /// residual is the step's relative change `‖x_{k+1} − x_k‖_F / ‖x_{k+1}‖_F`.
+/// An iterate that turns non-finite ends the attempt at that step.
 pub fn fixed_point(
     m: &CMatrix,
     n: &CMatrix,
@@ -214,6 +223,12 @@ pub fn fixed_point(
                     flops,
                 });
             }
+            if !is_finite(x) {
+                return Err(ObcError::NotConverged {
+                    residual,
+                    iterations: it,
+                });
+            }
         }
         Err(ObcError::NotConverged {
             residual,
@@ -228,6 +243,7 @@ pub fn fixed_point(
 /// couplings, so convergence is reached in `O(log)` steps (typically 10–30,
 /// paper Section 4.2.1). The converged surface function is checked against
 /// the original `(m, n, n')`: its residual is the fixed-point equation's.
+/// Effective couplings that turn non-finite end the attempt at that step.
 pub fn sancho_rubio(
     m: &CMatrix,
     n: &CMatrix,
@@ -294,6 +310,12 @@ pub(crate) fn sancho_rubio_on(
                 iterations: it,
                 residual,
                 flops,
+            });
+        }
+        if !(is_finite(alpha) && is_finite(beta)) {
+            return Err(ObcError::NotConverged {
+                residual: metric,
+                iterations: it,
             });
         }
     }
@@ -747,6 +769,37 @@ mod tests {
         match err {
             ObcError::NotConverged { iterations, .. } => assert_eq!(iterations, 1),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_decimation_that_overflows_stops_where_its_couplings_turn_non_finite() {
+        // n → s·n, n' → n'/s leaves the surface problem as it is (n·x·n' is
+        // unchanged) but multiplies the k-th effective coupling α by
+        // s^(2^k): in the band, where α itself decays slowly, it overflows
+        // within a few steps and then poisons ε_s and β (∞·0 = NaN).
+        let (m, n, np) = lead_problem(4, 1.4, 1e-3);
+        let (n, np) = (n.scaled(cplx(1e3, 0.0)), np.scaled(cplx(1e-3, 0.0)));
+        let max_iter = 200;
+        match sancho_rubio(&m, &n, &np, 1e-12, max_iter) {
+            Err(ObcError::NotConverged { iterations, .. }) => {
+                assert!(iterations < 20, "stopped after {iterations} steps")
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_fixed_point_whose_iterate_overflows_stops_at_that_step() {
+        // x ↦ (m − n·x·n')⁻¹ on 1 × 1 blocks with n = n' = 1, from a guess
+        // that leaves a subnormal m − x: the LU accepts the pivot, the first
+        // iterate overflows, and every later step would be non-finite.
+        let one = CMatrix::identity(1);
+        let m = CMatrix::scaled_identity(1, cplx(1e-300, 0.0));
+        let guess = CMatrix::scaled_identity(1, cplx(1e-300 - 1e-310, 0.0));
+        match fixed_point(&m, &one, &one, Some(&guess), 1e-10, 50) {
+            Err(ObcError::NotConverged { iterations, .. }) => assert_eq!(iterations, 1),
+            other => panic!("unexpected outcome {other:?}"),
         }
     }
 

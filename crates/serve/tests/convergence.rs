@@ -13,9 +13,13 @@
 //! Bias enters in flat-band mode (`with_potential_ramp(false)`) because the
 //! toy device's SCBA iteration is only contractive without the ramp — the
 //! test needs every point converged to 1e-12, not merely solved.
+//!
+//! The second test is the iteration budget of the sweep benchmark's ramp:
+//! time to a converged sweep is seconds per iteration times iterations, and
+//! the kernel-rate envelopes of the bench gate see only the first factor.
 
 use quatrex_core::ScbaConfig;
-use quatrex_device::DeviceBuilder;
+use quatrex_device::{DeviceBuilder, DeviceCatalog};
 use quatrex_serve::{SweepConfig, SweepEngine, SweepReport};
 
 const BIASES: [f64; 3] = [0.0, 0.02, 0.04];
@@ -109,4 +113,48 @@ fn warm_start_converges_to_identical_observables_in_fewer_iterations() {
         assert!(p.bytes_restored > 0);
         assert!(p.warm_source.is_some());
     }
+}
+
+/// Iterations the warm-started sweep of the benchmark's `sweep_iv` ramp may
+/// take in total: 51 with a history of three pairs (`mixing::DEPTH`), 61
+/// with two.
+const RAMP_ITERATION_BUDGET: usize = 54;
+
+#[test]
+fn the_sweep_ramp_converges_within_its_iteration_budget() {
+    // The `sweep_iv` workload without its seeded jitter: NR-16 reduced to
+    // N_BS = 8, 12 energies, 2 ranks, flat-band bias 0 … 0.2 V in 25 mV
+    // steps, converged to 1e-9 with the memoizer off.
+    let device = DeviceBuilder::from_params(&DeviceCatalog::nr16(), 426).build();
+    let scba = ScbaConfig {
+        n_energies: 12,
+        max_iterations: 80,
+        tolerance: 1e-9,
+        mixing: 0.4,
+        interaction_scale: 0.2,
+        use_memoizer: false,
+        ..ScbaConfig::default()
+    };
+    let config = SweepConfig::new(scba, 2)
+        .with_warm_start(true)
+        .with_potential_ramp(false);
+    let biases: Vec<f64> = (0..9).map(|i| 0.025 * i as f64).collect();
+    let mut engine = SweepEngine::new(device, config);
+    engine.enqueue_bias_ramp(&biases);
+    let report = engine.run_all();
+
+    let iterations: Vec<usize> = report
+        .sorted_points()
+        .iter()
+        .map(|p| p.iterations)
+        .collect();
+    for p in report.sorted_points() {
+        assert!(p.converged, "the point at {} V converged", p.point.bias_v);
+    }
+    let total = report.total_iterations();
+    eprintln!("sweep ramp: {total} iterations (per point {iterations:?})");
+    assert!(
+        total <= RAMP_ITERATION_BUDGET,
+        "the ramp took {total} iterations (per point {iterations:?})"
+    );
 }
