@@ -51,7 +51,7 @@
 //!   lane-group kernel on a full group of eight non-self-mirror pairs, per
 //!   pair (`p_pair_ns`: 6 transforms, `sigma_pair_ns`: 12 per pair);
 //!   `bits_equal` — 1 when the group kernels' outputs equal, in every bit,
-//!   one pair call (`*_pair_accumulate`) per lane (checked untimed).
+//!   those of one one-lane group per lane (checked untimed).
 //! * **scba_iteration** — wall time (median of warm runs), FLOPs and OBC
 //!   memoizer hit rate of a full SCBA run on the reduced NW-1 device, with
 //!   its shape (`n_energies`, `n_b`, `n_bs`); **scba_iteration_memoizer_off**
@@ -63,10 +63,9 @@
 
 use quatrex_bench::{bench_solver, chain_operand, quick_mode};
 use quatrex_core::convolution::{
-    polarization_group_accumulate, polarization_pair_accumulate, self_energy_group_accumulate,
-    self_energy_pair_accumulate, StoredGroup,
+    polarization_group_accumulate, self_energy_group_accumulate, StoredGroup,
 };
-use quatrex_core::element_major::{GroupInfo, GroupRowsMut, LanePlanes, LANES};
+use quatrex_core::element_major::{lane_groups, GroupInfo, GroupRowsMut, LanePlanes, LANES};
 use quatrex_fft::{convolve, fft};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::interleaved::{gemm_lanes, LaneBatch};
@@ -449,13 +448,7 @@ fn bench_beyn(n_bs: usize, runs: usize, reps: usize) -> f64 {
     ns
 }
 
-/// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`, borrowed the way the pair kernels
-/// take it.
-fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
-    x.each_ref().map(|side| side.each_ref().map(|v| &v[..]))
-}
-
-/// One full lane group of paired elements: per lane the series of a pair,
+/// One lane group of paired elements: per lane the series of a pair,
 /// `[[X^<_ij, X^>_ij], [X^<_ji, X^>_ji]]`, and the same in lane planes.
 struct PairGroup {
     pairs: Vec<[[Vec<c64>; 2]; 2]>,
@@ -475,6 +468,10 @@ impl PairGroup {
                 [0.0, 1.0].map(|s| [0.3, 0.7].map(|c| series(seed + s + c)))
             })
             .collect();
+        Self::from_pairs(pairs)
+    }
+
+    fn from_pairs(pairs: Vec<[[Vec<c64>; 2]; 2]>) -> Self {
         let planes = [0, 1].map(|side| {
             [0, 1].map(|c| {
                 let lanes: Vec<_> = pairs.iter().map(|pair| &pair[side][c]).collect();
@@ -482,6 +479,11 @@ impl PairGroup {
             })
         });
         Self { pairs, planes }
+    }
+
+    /// The one-lane group of lane `l`'s pair.
+    fn lane(&self, l: usize) -> Self {
+        Self::from_pairs(vec![self.pairs[l].clone()])
     }
 
     /// The group as the kernels' `[X^<, X^>]` operands.
@@ -493,9 +495,10 @@ impl PairGroup {
     }
 }
 
-/// `[[canonical; 2]; 2]` zeroed accumulators of one lane group.
-fn group_out(n_e: usize) -> [[LanePlanes; 2]; 2] {
-    [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(LANES, n_e)))
+/// `[[canonical; 2]; 2]` zeroed accumulators of one lane group of `lanes`
+/// elements.
+fn group_out(lanes: usize, n_e: usize) -> [[LanePlanes; 2]; 2] {
+    [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(lanes, n_e)))
 }
 
 /// The rows of group 0 of every accumulator.
@@ -508,8 +511,8 @@ fn rows(out: &mut [[LanePlanes; 2]; 2]) -> [[GroupRowsMut<'_>; 2]; 2] {
 /// public `convolve`, and one whole-grid call of each lane-group kernel on a
 /// full group of eight non-self-mirror pairs, per pair:
 /// `[fft_ns, convolve_ns, p_pair_ns, sigma_pair_ns]`, and whether the group
-/// kernels' outputs equal, in every bit, those of one pair call per lane
-/// (checked untimed).
+/// kernels' outputs equal, in every bit, those of one one-lane group per
+/// lane (checked untimed).
 fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ([f64; 4], bool) {
     let (g, w) = (PairGroup::new(n_e, 0.4), PairGroup::new(n_e, 2.9));
 
@@ -550,7 +553,7 @@ fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ([f64; 4], boo
         let (gs, ws) = (g.operands(), w.operands());
         self_energy_group_accumulate(rows(out), gs, ws, &grid, 0.05, &full, &flops);
     };
-    let mut out = group_out(n_e);
+    let mut out = group_out(LANES, n_e);
     let per_pair = 1.0 / LANES as f64;
     let p_pair_ns = per_pair
         * time_ns(runs, reps.div_ceil(LANES), || {
@@ -563,37 +566,27 @@ fn bench_fft_convolution(n_e: usize, runs: usize, reps: usize) -> ([f64; 4], boo
             std::hint::black_box(&out);
         });
 
-    // Untimed: the group against one pair call per lane, from zero.
-    let (mut p_group, mut s_group) = (group_out(n_e), group_out(n_e));
+    // Untimed: the group against one one-lane group per lane, from zero.
+    let (mut p_group, mut s_group) = (group_out(LANES, n_e), group_out(LANES, n_e));
     polarization(&mut p_group);
     self_energy(&mut s_group);
+    let one = lane_groups(&[false])[0];
     let bits_equal = (0..LANES).all(|l| {
-        let mut p = [(); 2].map(|()| [(); 2].map(|()| vec![ZERO; n_e]));
-        let mut s = p.clone();
-        let [ij, ji] = &mut p;
-        let (p_ij, p_ji) = (
-            ij.each_mut().map(|v| &mut v[..]),
-            ji.each_mut().map(|v| &mut v[..]),
-        );
-        let gl = borrowed(&g.pairs[l]);
-        polarization_pair_accumulate(p_ij, Some(p_ji), gl, &grid, false, 0.05, &flops);
-        let [ij, ji] = &mut s;
-        let (s_ij, s_ji) = (
-            ij.each_mut().map(|v| &mut v[..]),
-            ji.each_mut().map(|v| &mut v[..]),
-        );
-        let wl = borrowed(&w.pairs[l]);
-        self_energy_pair_accumulate(s_ij, Some(s_ji), gl, wl, &grid, 0.05, &flops);
-        let bits = |x: &[c64]| {
+        let (gl, wl) = (g.lane(l), w.lane(l));
+        let (g1, w1) = (gl.operands(), wl.operands());
+        let (mut p, mut s) = (group_out(1, n_e), group_out(1, n_e));
+        polarization_group_accumulate(rows(&mut p), g1, 0..n_e, &grid, false, 0.05, &one, &flops);
+        self_energy_group_accumulate(rows(&mut s), g1, w1, &grid, 0.05, &one, &flops);
+        let bits = |x: Vec<c64>| {
             x.iter()
                 .map(|v| (v.re.to_bits(), v.im.to_bits()))
                 .collect::<Vec<_>>()
         };
         [(&p_group, &p), (&s_group, &s)]
             .iter()
-            .all(|(group, pair)| {
+            .all(|(group, alone)| {
                 (0..2).all(|side| {
-                    (0..2).all(|c| bits(&group[side][c].series(l)) == bits(&pair[side][c]))
+                    (0..2).all(|c| bits(group[side][c].series(l)) == bits(alone[side][c].series(0)))
                 })
             })
     });

@@ -18,15 +18,16 @@
 //!
 //! There is **one** kernel per phase — [`polarization_group_accumulate`],
 //! [`self_energy_group_accumulate`], [`causal_retarded_group`] — and the SCBA
-//! loop and the whole-grid drivers below both call it. A kernel works on a
-//! *lane group* ([`crate::element_major`]): the series of up to eight
-//! element **pairs**, one per lane of `quatrex_linalg::lanes::Native`, which
-//! one lane FFT transforms together. A pair is a canonical element `(i, j)`
-//! together with its mirror `(j, i)` (a self-mirror diagonal element is a
-//! pair of one); the pair entry points ([`polarization_pair_accumulate`],
-//! [`self_energy_pair_accumulate`], [`causal_retarded_series`]) run the same
-//! kernel on a group of one live lane. The pair is the unit because the
-//! mirror's polarisation is the canonical one's correlation read backwards,
+//! loop and the whole-grid drivers below both call it; it is the layer's
+//! only entry point. A kernel works on a *lane group*
+//! ([`crate::element_major`]): the series of up to eight element **pairs**,
+//! one per lane of `quatrex_linalg::lanes::Native`, which one lane FFT
+//! transforms together. A pair is a canonical element `(i, j)` together with
+//! its mirror `(j, i)` (a self-mirror diagonal element is a pair of one); a
+//! single pair is a group of one live lane
+//! (`LanePlanes::from_series(&[series])`, `lane_groups(&[self_mirror])[0]`).
+//! The pair is the unit because the mirror's polarisation is the canonical
+//! one's correlation read backwards,
 //!
 //! ```text
 //! corr(a, b)[k] = Σ_m a[m]·b[m − k]      ⇒      corr(b, a)[k] = corr(a, b)[−k]
@@ -109,7 +110,7 @@ fn canonical_positions(nb: usize) -> impl Iterator<Item = BlockPos> {
 }
 
 /// Shared reference to the block at `pos`.
-pub fn get_block(x: &BlockTridiagonal, pos: BlockPos) -> &CMatrix {
+fn get_block(x: &BlockTridiagonal, pos: BlockPos) -> &CMatrix {
     match pos {
         BlockPos::Diag(i) => x.diag(i),
         BlockPos::Upper(i) => x.upper(i),
@@ -118,7 +119,7 @@ pub fn get_block(x: &BlockTridiagonal, pos: BlockPos) -> &CMatrix {
 }
 
 /// The block position holding the transposed element.
-pub fn transposed_position(pos: BlockPos) -> BlockPos {
+fn transposed_position(pos: BlockPos) -> BlockPos {
     match pos {
         BlockPos::Diag(i) => BlockPos::Diag(i),
         BlockPos::Upper(i) => BlockPos::Lower(i),
@@ -216,8 +217,8 @@ pub(crate) fn for_each_canonical(nb: usize, bs: usize, mut f: impl FnMut(Element
 // a one-series transform — the same butterflies, the spectral products in
 // the same order, the prefactor multiply in `num-complex`'s formula with its
 // `0·re` terms, no fused multiply-add — so a pair's bits do not depend on
-// the group it shares or on its lane. A pair call (`*_pair_accumulate`,
-// `causal_retarded_series`) is a group of one live lane.
+// the group it shares or on its lane: a one-lane group of its own series
+// gives the same bits.
 
 type Lane = Native;
 
@@ -225,8 +226,6 @@ thread_local! {
     /// The calling thread's lane planes of the group transforms (grown,
     /// never shrunk).
     static LANE_PLANES: RefCell<Vec<Lane>> = const { RefCell::new(Vec::new()) };
-    /// The calling thread's staging rows of the pair calls.
-    static PAIR_ROWS: RefCell<Vec<Row>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` on the calling thread's lane workspace of length `n`.
@@ -238,11 +237,6 @@ fn with_lanes<R>(n: usize, f: impl FnOnce(&mut Workspace<'_, Lane>) -> R) -> R {
 /// what the kernels require of an arrived batch.
 pub fn is_grid_batch(batch: &[usize], ne: usize) -> bool {
     batch.windows(2).all(|w| w[0] < w[1]) && batch.last().is_none_or(|&k| k < ne)
-}
-
-/// True if every series of a kernel call is `ne` long.
-fn all_grid_long<'a>(ne: usize, series: impl IntoIterator<Item = &'a [c64]>) -> bool {
-    series.into_iter().all(|x| x.len() == ne)
 }
 
 /// Padded transform length of an `ne`-point linear convolution.
@@ -316,8 +310,7 @@ impl GroupOperand for NegfGroup<'_> {
 }
 
 /// A group whose mirror series are stored beside the canonical ones (the
-/// energy-major drivers read both from the operand; a pair call gets both
-/// from its caller).
+/// energy-major drivers read both from the operand).
 #[derive(Debug, Clone, Copy)]
 pub struct StoredGroup<'a> {
     /// Canonical rows.
@@ -507,176 +500,6 @@ pub fn causal_retarded_group(
         }
     });
     flops.add(FlopKind::Convolution, series as u64 * 2 * fft_flops(nfft));
-}
-
-/// The most series a pair call stages: `Σ`'s eight operands and four
-/// accumulators.
-const PAIR_SERIES: usize = 12;
-
-/// Stage a pair call as a lane group of one live lane: the `I` input series
-/// and the `O` accumulators (a missing one reads as zero) go to lane 0 of
-/// the calling thread's staging rows, `f` runs the group kernel on them, and
-/// lane 0 of each accumulator is copied back.
-fn with_pair_rows<const I: usize, const O: usize>(
-    ne: usize,
-    inputs: [&[c64]; I],
-    mut outputs: [Option<&mut [c64]>; O],
-    f: impl FnOnce([GroupRows<'_>; I], [GroupRowsMut<'_>; O]),
-) {
-    PAIR_ROWS.with(|rows| {
-        let rows = &mut *rows.borrow_mut();
-        let len = 2 * (I + O) * ne;
-        if rows.len() < len {
-            // Room for the largest pair call at this length, so a warm
-            // thread does not grow it again for another kernel.
-            rows.resize(len.max(2 * PAIR_SERIES * ne), [0.0; LANES]);
-        }
-        let rows = &mut rows[..len];
-        rows.fill([0.0; LANES]);
-        let staged = inputs
-            .into_iter()
-            .map(Some)
-            .chain(outputs.iter().map(|x| x.as_deref()));
-        for (planes, x) in rows.chunks_exact_mut(2 * ne).zip(staged) {
-            let (re, im) = planes.split_at_mut(ne);
-            for (k, v) in x.into_iter().flatten().enumerate() {
-                (re[k][0], im[k][0]) = (v.re, v.im);
-            }
-        }
-        let (ins, outs) = rows.split_at_mut(2 * I * ne);
-        let mut views = ins.chunks_exact(2 * ne).map(|planes| {
-            let (re, im) = planes.split_at(ne);
-            GroupRows { re, im }
-        });
-        let in_rows = [(); I].map(|()| views.next().expect("I staged inputs"));
-        let mut views = outs.chunks_exact_mut(2 * ne).map(|planes| {
-            let (re, im) = planes.split_at_mut(ne);
-            GroupRowsMut { re, im }
-        });
-        let out_rows = [(); O].map(|()| views.next().expect("O staged outputs"));
-        f(in_rows, out_rows);
-        for (planes, x) in outs.chunks_exact(2 * ne).zip(&mut outputs) {
-            let (re, im) = planes.split_at(ne);
-            for (k, v) in x.iter_mut().flat_map(|x| x.iter_mut()).enumerate() {
-                *v = c64::new(re[k][0], im[k][0]);
-            }
-        }
-    });
-}
-
-/// A pair call's group: one live lane, paired or not.
-fn pair_group(paired: bool) -> GroupInfo {
-    GroupInfo {
-        live: 1,
-        paired: usize::from(paired),
-        sign: [1.0; LANES],
-    }
-}
-
-/// [`polarization_group_accumulate`] on one element pair: `p_ij = [P^<_ij,
-/// P^>_ij]` and, unless the element is its own mirror, `p_ji = [P^<_ji,
-/// P^>_ji]`; `g = [[G^<_ij, G^>_ij], [G^<_ji, G^>_ji]]` are the
-/// arrived-so-far series (un-arrived energies still zero; for a self-mirror
-/// element both sides are the same series). The pair is a lane group of one
-/// live lane, so its bits are those of any group it would share.
-pub fn polarization_pair_accumulate(
-    p_ij: [&mut [c64]; 2],
-    p_ji: Option<[&mut [c64]; 2]>,
-    g: [[&[c64]; 2]; 2],
-    batch: &[usize],
-    arrived_before: bool,
-    de: f64,
-    flops: &FlopCounter,
-) {
-    let ne = g[0][0].len();
-    debug_assert!(is_grid_batch(batch, ne), "batch {batch:?} on {ne} energies");
-    debug_assert!(all_grid_long(ne, g.into_iter().flatten()));
-    debug_assert!(all_grid_long(
-        ne,
-        p_ij.iter().chain(p_ji.iter().flatten()).map(|p| &**p)
-    ));
-    if batch.is_empty() {
-        return;
-    }
-    let group = pair_group(p_ji.is_some());
-    let [[gl_ij, gg_ij], [gl_ji, gg_ji]] = g;
-    let [pl_ij, pg_ij] = p_ij;
-    let [pl_ji, pg_ji] = match p_ji {
-        Some([lesser, greater]) => [Some(lesser), Some(greater)],
-        None => [None, None],
-    };
-    let outputs = [Some(pl_ij), Some(pg_ij), pl_ji, pg_ji];
-    with_pair_rows(ne, [gl_ij, gg_ij, gl_ji, gg_ji], outputs, |x, p| {
-        let [gl_ij, gg_ij, gl_ji, gg_ji] = x;
-        let g = [(gl_ij, gl_ji), (gg_ij, gg_ji)].map(|(ij, ji)| StoredGroup { ij, ji });
-        let [pl_ij, pg_ij, pl_ji, pg_ji] = p;
-        let p = [[pl_ij, pg_ij], [pl_ji, pg_ji]];
-        polarization_group_accumulate(p, g, 0..ne, batch, arrived_before, de, &group, flops);
-    });
-}
-
-/// [`self_energy_group_accumulate`] on one element pair: `s_ij = [Σ^<_ij,
-/// Σ^>_ij]` and, unless the element is its own mirror, `s_ji = [Σ^<_ji,
-/// Σ^>_ji]`; `g` and `w` are laid out like
-/// [`polarization_pair_accumulate`]'s `g` (the `ji` side is not read for a
-/// self-mirror element), the `G` series complete, the `W` series
-/// arrived-so-far. A lane group of one live lane.
-pub fn self_energy_pair_accumulate(
-    s_ij: [&mut [c64]; 2],
-    s_ji: Option<[&mut [c64]; 2]>,
-    g: [[&[c64]; 2]; 2],
-    w: [[&[c64]; 2]; 2],
-    batch: &[usize],
-    de: f64,
-    flops: &FlopCounter,
-) {
-    let ne = g[0][0].len();
-    debug_assert!(is_grid_batch(batch, ne), "batch {batch:?} on {ne} energies");
-    debug_assert!(all_grid_long(ne, g.into_iter().chain(w).flatten()));
-    debug_assert!(all_grid_long(
-        ne,
-        s_ij.iter().chain(s_ji.iter().flatten()).map(|s| &**s)
-    ));
-    if batch.is_empty() {
-        return;
-    }
-    let group = pair_group(s_ji.is_some());
-    let [sl_ij, sg_ij] = s_ij;
-    let [sl_ji, sg_ji] = match s_ji {
-        Some([lesser, greater]) => [Some(lesser), Some(greater)],
-        None => [None, None],
-    };
-    let outputs = [Some(sl_ij), Some(sg_ij), sl_ji, sg_ji];
-    let [[gl_ij, gg_ij], [gl_ji, gg_ji]] = g;
-    let [[wl_ij, wg_ij], [wl_ji, wg_ji]] = w;
-    let inputs = [gl_ij, gg_ij, gl_ji, gg_ji, wl_ij, wg_ij, wl_ji, wg_ji];
-    with_pair_rows(ne, inputs, outputs, |x, s| {
-        let [gl_ij, gg_ij, gl_ji, gg_ji, wl_ij, wg_ij, wl_ji, wg_ji] = x;
-        let stored = |ij, ji| StoredGroup { ij, ji };
-        let g = [stored(gl_ij, gl_ji), stored(gg_ij, gg_ji)];
-        let w = [stored(wl_ij, wl_ji), stored(wg_ij, wg_ji)];
-        let [sl_ij, sg_ij, sl_ji, sg_ji] = s;
-        let s = [[sl_ij, sg_ij], [sl_ji, sg_ji]];
-        self_energy_group_accumulate(s, g, w, batch, de, &group, flops);
-    });
-}
-
-/// [`causal_retarded_group`] on one series: `X^R` of `(X^<, X^>)` written
-/// into `retarded`. A lane group of one live lane.
-pub fn causal_retarded_series(
-    retarded: &mut [c64],
-    lesser: &[c64],
-    greater: &[c64],
-    flops: &FlopCounter,
-) {
-    let ne = lesser.len();
-    debug_assert!(all_grid_long(ne, [greater, &*retarded]));
-    if ne == 0 {
-        return;
-    }
-    with_pair_rows(ne, [lesser, greater], [Some(retarded)], |[l, g], [r]| {
-        causal_retarded_group(r, l, g, 1, flops);
-    });
 }
 
 /// The NEGF symmetrisation of a lane group's canonical series `c` and mirror
@@ -1003,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_group_computes_each_pair_call_bit_for_bit() {
+    fn each_lane_of_a_group_equals_a_one_lane_group_of_its_own_series_bit_for_bit() {
         // A ragged group: seven live lanes, two of them self-mirror. The
         // operands are forward-slab data (canonical only, mirrors by the
         // NEGF symmetry), arriving in two batches.
@@ -1034,107 +857,78 @@ mod tests {
                 sign,
             })
         }
-        fn borrowed(x: &[[Vec<c64>; 2]; 2]) -> [[&[c64]; 2]; 2] {
-            x.each_ref().map(|s| s.each_ref().map(|v| &v[..]))
+        fn stored(x: &[[LanePlanes; 2]; 2]) -> [StoredGroup<'_>; 2] {
+            x.each_ref().map(|[ij, ji]| StoredGroup {
+                ij: ij.group(0),
+                ji: ji.group(0),
+            })
+        }
+        fn rows_mut(x: &mut [[LanePlanes; 2]; 2]) -> [[GroupRowsMut<'_>; 2]; 2] {
+            x.each_mut()
+                .map(|side| side.each_mut().map(|p| p.group_mut(0)))
         }
         let batches: [Vec<usize>; 2] = [(0..5).collect(), (5..ne).collect()];
-        let zero = || [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(self_mirror.len(), ne)));
-        let (mut p, mut sigma) = (zero(), zero());
+        let zero = |n: usize| [(); 2].map(|()| [(); 2].map(|()| LanePlanes::zeroed(n, ne)));
+        let (mut p, mut sigma) = (zero(self_mirror.len()), zero(self_mirror.len()));
         let flops = FlopCounter::new();
         let mut arrived = Vec::new();
         for batch in &batches {
             arrived.extend_from_slice(batch);
-            let out = p
-                .each_mut()
-                .map(|side| side.each_mut().map(|x| x.group_mut(0)));
             let before = arrived.len() > batch.len();
             let g = negf(&g_planes, &info.sign);
-            polarization_group_accumulate(
-                out,
-                g,
-                arrived.iter().copied(),
-                batch,
-                before,
-                0.05,
-                &info,
-                &flops,
-            );
-            let out = sigma
-                .each_mut()
-                .map(|side| side.each_mut().map(|x| x.group_mut(0)));
+            let (out, arrived) = (rows_mut(&mut p), arrived.iter().copied());
+            polarization_group_accumulate(out, g, arrived, batch, before, 0.05, &info, &flops);
             let (g, w) = (negf(&g_planes, &info.sign), negf(&w_planes, &info.sign));
-            self_energy_group_accumulate(out, g, w, batch, 0.05, &info, &flops);
+            self_energy_group_accumulate(rows_mut(&mut sigma), g, w, batch, 0.05, &info, &flops);
         }
         let group_flops = flops.total();
 
-        // The same pairs one call each, mirrors as the forward slab held them
-        // before (`−X*` of each arrived energy, zero before it arrived).
-        let pair_flops = FlopCounter::new();
+        // Each lane alone in a group of one, mirrors stored as the forward
+        // slab held them before (`−X*` of each arrived energy, zero before
+        // it arrived) and every energy read as arrived.
+        let one_flops = FlopCounter::new();
         let zero_c = c64::new(0.0, 0.0);
+        let all: Vec<usize> = (0..ne).collect();
         for (l, &own) in self_mirror.iter().enumerate() {
-            let side = |x: &[Vec<Vec<c64>>; 2], seen: &[usize]| -> [[Vec<c64>; 2]; 2] {
-                let ij = [0, 1].map(|c| {
-                    let mut v = vec![zero_c; ne];
-                    seen.iter().for_each(|&k| v[k] = x[c][l][k]);
-                    v
-                });
-                let ji = ij.clone().map(|v| {
-                    let mut m = vec![zero_c; ne];
-                    seen.iter()
-                        .for_each(|&k| m[k] = if own { v[k] } else { -v[k].conj() });
-                    m
-                });
-                [ij, ji]
+            let one = lane_groups(&[own])[0];
+            // `[X^<, X^>]` of lane `l`, each `[ij, ji]`, unseen energies zero.
+            let lane = |x: &[Vec<Vec<c64>>; 2], seen: &[usize]| -> [[LanePlanes; 2]; 2] {
+                [0, 1].map(|c| {
+                    let (mut ij, mut ji) = (vec![zero_c; ne], vec![zero_c; ne]);
+                    for &k in seen {
+                        ij[k] = x[c][l][k];
+                        ji[k] = if own { ij[k] } else { -ij[k].conj() };
+                    }
+                    [ij, ji].map(|s| LanePlanes::from_series(&[s]))
+                })
             };
-            let mut p_pair = [(); 2].map(|()| [(); 2].map(|()| vec![zero_c; ne]));
-            let mut s_pair = p_pair.clone();
+            let (mut p_one, mut s_one) = (zero(1), zero(1));
             let mut seen = Vec::new();
             for (b, batch) in batches.iter().enumerate() {
                 seen.extend_from_slice(batch);
-                let gs = side(&g, &seen);
-                let [ij, ji] = &mut p_pair;
-                let ji = (!own).then(|| ji.each_mut().map(|v| &mut v[..]));
-                polarization_pair_accumulate(
-                    ij.each_mut().map(|v| &mut v[..]),
-                    ji,
-                    borrowed(&gs),
-                    batch,
-                    b > 0,
-                    0.05,
-                    &pair_flops,
-                );
-                let (g_all, ws) = (side(&g, &(0..ne).collect::<Vec<_>>()), side(&w, &seen));
-                let [ij, ji] = &mut s_pair;
-                let ji = (!own).then(|| ji.each_mut().map(|v| &mut v[..]));
-                self_energy_pair_accumulate(
-                    ij.each_mut().map(|v| &mut v[..]),
-                    ji,
-                    borrowed(&g_all),
-                    borrowed(&ws),
-                    batch,
-                    0.05,
-                    &pair_flops,
-                );
+                let (g_seen, g_all, w_seen) = (lane(&g, &seen), lane(&g, &all), lane(&w, &seen));
+                let (out, gs) = (rows_mut(&mut p_one), stored(&g_seen));
+                polarization_group_accumulate(out, gs, 0..ne, batch, b > 0, 0.05, &one, &one_flops);
+                let (out, gs, ws) = (rows_mut(&mut s_one), stored(&g_all), stored(&w_seen));
+                self_energy_group_accumulate(out, gs, ws, batch, 0.05, &one, &one_flops);
             }
-            for (out, pair) in [(&p, &p_pair), (&sigma, &s_pair)] {
+            for (group, alone) in [(&p, &p_one), (&sigma, &s_one)] {
                 for (side, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                     if side == 1 && own {
                         continue;
                     }
-                    let got: Vec<(u64, u64)> = out[side][c]
-                        .series(l)
-                        .iter()
-                        .map(|v| (v.re.to_bits(), v.im.to_bits()))
-                        .collect();
-                    let want: Vec<(u64, u64)> = pair[side][c]
-                        .iter()
-                        .map(|v| (v.re.to_bits(), v.im.to_bits()))
-                        .collect();
-                    assert_eq!(got, want, "lane {l}, side {side}, component {c}");
+                    let bits = |x: Vec<c64>| -> Vec<(u64, u64)> {
+                        x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(group[side][c].series(l)),
+                        bits(alone[side][c].series(0)),
+                        "lane {l}, side {side}, component {c}"
+                    );
                 }
             }
         }
-        assert_eq!(group_flops, pair_flops.total());
+        assert_eq!(group_flops, one_flops.total());
     }
 
     #[test]

@@ -163,8 +163,9 @@ impl DistScbaConfig {
     }
 }
 
-/// Result of a distributed SCBA run: the fields of [`crate::ScbaResult`]
-/// plus the communication report, the timeline and the captured state.
+/// Result of an SCBA run of the rank loop — [`crate::ScbaResult`] is this
+/// type: the iteration record and observables, plus the communication
+/// report, the timeline and the captured state.
 #[derive(Debug)]
 pub struct DistScbaResult {
     /// Number of iterations performed.

@@ -403,7 +403,7 @@ impl<'a> RankState<'a> {
     /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
     /// G, so each arriving batch contributes its cross terms against
     /// everything arrived so far (exact; see
-    /// `polarization_pair_accumulate`). Returns the G element slab (kept
+    /// `polarization_group_accumulate`). Returns the G element slab (kept
     /// for the Σ step) and `[P^<, P^>, P^R]`.
     fn p_step(
         &mut self,
@@ -466,7 +466,7 @@ impl<'a> RankState<'a> {
 
     /// Transposition #3 + Σ convolutions + transposition #4. Σ is linear in
     /// W, so each arriving W batch contributes `conv(Δw, g)` against the
-    /// complete G slab (held since #1; see `self_energy_pair_accumulate`).
+    /// complete G slab (held since #1; see `self_energy_group_accumulate`).
     /// Returns `[Σ^<, Σ^>, Σ^R]`.
     fn sigma_step(
         &mut self,

@@ -38,10 +38,11 @@
 //!
 //! Every per-energy and per-element kernel is a public function of this
 //! crate (the assemble and finish stages of `g_step_batch`/`w_step_batch`
-//! around a solve of `kernel_chunks`, `polarization_pair_accumulate`,
-//! `self_energy_pair_accumulate` — whose whole-grid call *is*
-//! `polarization_from_g` / `self_energy_from_gw` —, `causal_retarded_series`,
-//! the three pieces of `SigmaMixer`), and every sum over the grid is taken in
+//! around a solve of `kernel_chunks`, the lane-group kernels
+//! `polarization_group_accumulate` and `self_energy_group_accumulate` —
+//! whose whole-grid call *is* `polarization_from_g` / `self_energy_from_gw`
+//! —, `causal_retarded_group`, the three pieces of `SigmaMixer`; one element
+//! pair is a group of one lane), and every sum over the grid is taken in
 //! ascending energy order on every rank. So at `P_S = 1` the state
 //! trajectory, residuals and per-iteration currents are the same bits at any
 //! rank count, and equal to a single-threaded loop over those public

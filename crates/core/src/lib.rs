@@ -53,9 +53,8 @@ pub mod scba;
 
 pub use assembly::{GAssembly, ObcMethod, WAssembly};
 pub use convolution::{
-    canonical_elements, causal_retarded_series, polarization_from_g, polarization_pair_accumulate,
-    retarded_from_lesser_greater, self_energy_from_gw, self_energy_pair_accumulate, symmetrize_all,
-    BlockPos, ElementId, EnergyResolved,
+    canonical_elements, polarization_from_g, retarded_from_lesser_greater, self_energy_from_gw,
+    symmetrize_all, BlockPos, ElementId, EnergyResolved,
 };
 pub use mixing::{mix_sigma_energy, MixRow, SigmaMixer};
 pub use observables::{Observables, SpectralData};

@@ -34,8 +34,8 @@ use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolut
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::assembly::{assemble_g, assemble_w, GAssembly, ObcMethod, WAssembly};
-use crate::dist::{DistScbaConfig, DistScbaSolver};
-use crate::observables::{current_spectrum_left, local_dos, Observables};
+use crate::dist::{DistScbaConfig, DistScbaResult, DistScbaSolver};
+use crate::observables::{current_spectrum_left, local_dos};
 
 /// Wall-time accumulators (nanoseconds) of the G and W step functions
 /// [`g_step_batch`] / [`w_step_batch`], one per Table 4 row they cover. The
@@ -443,29 +443,9 @@ impl Default for ScbaConfig {
     }
 }
 
-/// Result of an SCBA run.
-#[derive(Debug)]
-pub struct ScbaResult {
-    /// Number of iterations performed.
-    pub iterations: usize,
-    /// True if the self-energy update fell below the tolerance.
-    pub converged: bool,
-    /// Relative self-energy update per iteration.
-    pub residual_history: Vec<f64>,
-    /// Terminal current per iteration (e/ħ·eV units).
-    pub current_history: Vec<f64>,
-    /// Final observables.
-    pub observables: Observables,
-    /// Per-kernel FLOP counts.
-    pub flops: FlopCounter,
-    /// Fraction of OBC solves answered from the memoizer cache.
-    pub memoizer_hit_rate: f64,
-    /// Largest relative Frobenius weight dropped by the W-assembly truncation.
-    pub max_truncation_error: f64,
-    /// Times the Σ update cleared its history and fell back to the damped
-    /// step ([`SigmaMixer::restarts`](crate::mixing::SigmaMixer::restarts)).
-    pub mixing_restarts: usize,
-}
+/// Result of an SCBA run: the rank loop's own result. [`ScbaSolver::run`]
+/// runs it with the probe off, so its `timeline` is empty.
+pub type ScbaResult = DistScbaResult;
 
 /// The NEGF+scGW solver bound to one device and configuration.
 pub struct ScbaSolver {
@@ -517,18 +497,7 @@ impl ScbaSolver {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let config =
             DistScbaConfig::new(self.config.clone(), threads.min(chunks).max(1)).with_probe(false);
-        let r = DistScbaSolver::with_grid(self.device.clone(), config, self.grid.clone()).run();
-        ScbaResult {
-            iterations: r.iterations,
-            converged: r.converged,
-            residual_history: r.residual_history,
-            current_history: r.current_history,
-            observables: r.observables,
-            flops: r.flops,
-            memoizer_hit_rate: r.memoizer_hit_rate,
-            max_truncation_error: r.max_truncation_error,
-            mixing_restarts: r.mixing_restarts,
-        }
+        DistScbaSolver::with_grid(self.device.clone(), config, self.grid.clone()).run()
     }
 }
 

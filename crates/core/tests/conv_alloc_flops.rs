@@ -1,10 +1,9 @@
 //! Counting-allocator proof that the convolution kernels run on the thread's
-//! warm FFT workspace — after one warm-up call `polarization_pair_accumulate`,
-//! `self_energy_pair_accumulate` and `causal_retarded_series` allocate
-//! nothing, nor do the lane-group kernels they stage, and a warm
-//! `quatrex_fft::convolve` allocates its returned `Vec` only — and the pin
-//! of `FlopKind::Convolution` on the transforms actually run, a self-mirror
-//! lane of a `Σ` group counting half a pair.
+//! warm FFT workspace — after one warm-up call the lane-group kernels
+//! allocate nothing, and a warm `quatrex_fft::convolve` allocates its
+//! returned `Vec` only — and the pin of `FlopKind::Convolution` on the
+//! transforms actually run: per pair on one-lane groups, per live lane on a
+//! ragged group, a self-mirror lane of a `Σ` group counting half a pair.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use quatrex_core::convolution::{
-    causal_retarded_group, causal_retarded_series, polarization_group_accumulate,
-    polarization_pair_accumulate, self_energy_group_accumulate, self_energy_pair_accumulate,
-    NegfGroup,
+    causal_retarded_group, polarization_group_accumulate, self_energy_group_accumulate, NegfGroup,
 };
 use quatrex_core::element_major::{lane_groups, GroupInfo, LanePlanes};
 use quatrex_fft::fft_flops;
@@ -88,122 +85,18 @@ fn series(seed: f64) -> Vec<c64> {
         .collect()
 }
 
-/// One non-self-mirror pair: operands, accumulators and the two halves of
-/// the grid as batches.
-struct Pair {
-    g: [[Vec<c64>; 2]; 2],
-    w: [[Vec<c64>; 2]; 2],
-    out: [[Vec<c64>; 2]; 2],
-    batches: [Vec<usize>; 2],
-}
-
-impl Pair {
-    fn new() -> Self {
-        let four = |seed: f64| [0.0, 1.0].map(|s| [0.3, 0.7].map(|c| series(seed + s + c)));
-        Self {
-            g: four(0.4),
-            w: four(2.9),
-            out: [(); 2].map(|()| [(); 2].map(|()| vec![c64::new(0.0, 0.0); NE])),
-            batches: [(0..NE / 2).collect(), (NE / 2..NE).collect()],
-        }
-    }
-
-    fn polarization(&mut self, batch: usize, flops: &FlopCounter) {
-        let [ij, ji] = &mut self.out;
-        let g = self.g.each_ref().map(|s| s.each_ref().map(|x| &x[..]));
-        polarization_pair_accumulate(
-            ij.each_mut().map(|x| &mut x[..]),
-            Some(ji.each_mut().map(|x| &mut x[..])),
-            g,
-            &self.batches[batch],
-            batch > 0,
-            DE,
-            flops,
-        );
-    }
-
-    fn self_energy(&mut self, batch: usize, flops: &FlopCounter) {
-        let [ij, ji] = &mut self.out;
-        let g = self.g.each_ref().map(|s| s.each_ref().map(|x| &x[..]));
-        let w = self.w.each_ref().map(|s| s.each_ref().map(|x| &x[..]));
-        self_energy_pair_accumulate(
-            ij.each_mut().map(|x| &mut x[..]),
-            Some(ji.each_mut().map(|x| &mut x[..])),
-            g,
-            w,
-            &self.batches[batch],
-            DE,
-            flops,
-        );
-    }
-}
-
 #[test]
-fn warm_convolution_kernels_allocate_nothing() {
-    let flops = FlopCounter::new();
-    let mut pair = Pair::new();
-    let mut retarded = vec![c64::new(0.0, 0.0); NE];
+fn a_warm_convolve_allocates_its_returned_vec_only() {
     let (a, b) = (series(0.1), series(5.0));
-    // Warm-up: plans the padded and the unpadded length, grows the planes.
-    pair.polarization(0, &flops);
-    causal_retarded_series(&mut retarded, &a, &b, &flops);
-
-    let kernels = allocations(|| {
-        pair.polarization(0, &flops);
-        pair.polarization(1, &flops);
-        pair.self_energy(0, &flops);
-        pair.self_energy(1, &flops);
-        causal_retarded_series(&mut retarded, &a, &b, &flops);
-    });
-    assert_eq!(kernels, 0, "the warm pair kernels must not allocate");
-
-    // The lane-group kernels do not run on the thread's `f64` planes:
-    // warm those for `convolve` by one call of its own.
+    // Warm-up: plans the padded length, grows the thread's `f64` planes.
     let mut out = quatrex_fft::convolve(&a, &b);
     let convolve = allocations(|| out = quatrex_fft::convolve(&a, &b));
     assert_eq!(out.len(), 2 * NE - 1);
     assert_eq!(convolve, 1, "convolve allocates its returned Vec only");
 }
 
-#[test]
-fn convolution_flops_are_the_transforms_executed() {
-    let n = 32; // 2·N_E − 1 = 31 padded to the next power of two
-    let (transform, product) = (fft_flops(n), 6 * n as u64);
-    let cost = |run: &dyn Fn(&mut Pair, &FlopCounter)| {
-        let flops = FlopCounter::new();
-        run(&mut Pair::new(), &flops);
-        assert_eq!(flops.total(), flops.get(FlopKind::Convolution));
-        flops.get(FlopKind::Convolution)
-    };
-    // First (or only) batch: 4 forward + 2 inverse transforms, 2 products.
-    assert_eq!(
-        cost(&|p, f| p.polarization(0, f)),
-        6 * transform + 2 * product
-    );
-    // Later batch: the cross terms double the operands, not the inverses.
-    assert_eq!(
-        cost(&|p, f| p.polarization(1, f)),
-        10 * transform + 4 * product
-    );
-    // Σ: 8 forward + 4 inverse transforms, 4 products, whichever batch.
-    assert_eq!(
-        cost(&|p, f| p.self_energy(0, f)),
-        12 * transform + 4 * product
-    );
-    assert_eq!(
-        cost(&|p, f| p.self_energy(1, f)),
-        12 * transform + 4 * product
-    );
-    // The causality construction transforms the unpadded grid there and back.
-    let flops = FlopCounter::new();
-    let mut retarded = vec![c64::new(0.0, 0.0); NE];
-    causal_retarded_series(&mut retarded, &series(0.1), &series(5.0), &flops);
-    assert_eq!(flops.get(FlopKind::Convolution), 2 * fft_flops(NE));
-}
-
-/// One lane group of five live lanes — three paired, two self-mirror — with
-/// its forward operands (`G` and `W`, canonical series only) and its
-/// output accumulators.
+/// One lane group with its forward operands (`G` and `W`, canonical series
+/// only) and its output accumulators.
 struct Group {
     info: GroupInfo,
     g: [LanePlanes; 2],
@@ -212,9 +105,9 @@ struct Group {
 }
 
 impl Group {
-    fn new() -> Self {
-        let self_mirror = [false, true, false, true, false];
-        let info = lane_groups(&self_mirror)[0];
+    /// The group of one lane per entry of `self_mirror`.
+    fn new(self_mirror: &[bool]) -> Self {
+        let info = lane_groups(self_mirror)[0];
         let operand = |seed: f64| {
             let series: Vec<_> = (0..self_mirror.len())
                 .map(|e| series(seed + e as f64))
@@ -228,6 +121,11 @@ impl Group {
             w: [operand(2.6), operand(3.8)],
             out: [(); 2].map(|()| [zero(), zero()]),
         }
+    }
+
+    /// Five live lanes: three paired, two self-mirror.
+    fn ragged() -> Self {
+        Self::new(&[false, true, false, true, false])
     }
 
     fn negf<'a>(x: &'a [LanePlanes; 2], info: &'a GroupInfo) -> [NegfGroup<'a>; 2] {
@@ -270,7 +168,7 @@ impl Group {
 #[test]
 fn warm_group_kernels_allocate_nothing() {
     let flops = FlopCounter::new();
-    let mut group = Group::new();
+    let mut group = Group::ragged();
     let (first, second): (Vec<usize>, Vec<usize>) = ((0..NE / 2).collect(), (NE / 2..NE).collect());
     let all: Vec<usize> = (0..NE).collect();
     // Warm-up: plans both lengths, grows the lane planes.
@@ -287,11 +185,50 @@ fn warm_group_kernels_allocate_nothing() {
 }
 
 #[test]
+fn convolution_flops_are_the_transforms_executed_per_pair() {
+    let n = 32; // 2·N_E − 1 = 31 padded to the next power of two
+    let (transform, product) = (fft_flops(n), 6 * n as u64);
+    let (first, second): (Vec<usize>, Vec<usize>) = ((0..NE / 2).collect(), (NE / 2..NE).collect());
+    let all: Vec<usize> = (0..NE).collect();
+    // FLOPs of `run` on a one-lane group: a pair, or a self-mirror element.
+    let cost = |self_mirror: bool, run: &dyn Fn(&mut Group, &FlopCounter)| {
+        let flops = FlopCounter::new();
+        run(&mut Group::new(&[self_mirror]), &flops);
+        assert_eq!(flops.total(), flops.get(FlopKind::Convolution));
+        flops.total()
+    };
+    // First (or only) batch: 4 forward + 2 inverse transforms, 2 products.
+    assert_eq!(
+        cost(false, &|g, f| g.polarization(&first, &first, f)),
+        6 * transform + 2 * product
+    );
+    // Later batch: the cross terms double the operands, not the inverses.
+    assert_eq!(
+        cost(false, &|g, f| g.polarization(&second, &all, f)),
+        10 * transform + 4 * product
+    );
+    // Σ: 8 forward + 4 inverse transforms, 4 products, whichever batch; a
+    // self-mirror element has no mirror side and costs half.
+    for batch in [&first, &second] {
+        assert_eq!(
+            cost(false, &|g, f| g.self_energy(batch, f)),
+            12 * transform + 4 * product
+        );
+        assert_eq!(
+            cost(true, &|g, f| g.self_energy(batch, f)),
+            6 * transform + 2 * product
+        );
+    }
+    // The causality construction transforms the unpadded grid there and back.
+    assert_eq!(cost(false, &|g, f| g.retarded(f)), 2 * fft_flops(NE));
+}
+
+#[test]
 fn group_flops_count_live_lanes_and_half_a_self_mirror_sigma_pair() {
     let n = 32;
     let (transform, product) = (fft_flops(n), 6 * n as u64);
     let (first, all): (Vec<usize>, Vec<usize>) = ((0..NE / 2).collect(), (0..NE).collect());
-    let mut group = Group::new();
+    let mut group = Group::ragged();
     assert_eq!((group.info.live, group.info.paired), (5, 3));
     let flops = FlopCounter::new();
     group.polarization(&first, &first, &flops);

@@ -205,20 +205,6 @@ impl CMatrix {
         out
     }
 
-    /// In-place `self += alpha * other†` without materializing the dagger.
-    pub fn axpy_dagger(&mut self, alpha: c64, other: &CMatrix) {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (other.ncols, other.nrows),
-            "axpy_dagger shape mismatch"
-        );
-        for j in 0..self.ncols {
-            for i in 0..self.nrows {
-                self[(i, j)] += alpha * other[(j, i)].conj();
-            }
-        }
-    }
-
     /// In-place `self += alpha * other`.
     pub fn axpy(&mut self, alpha: c64, other: &CMatrix) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
@@ -308,19 +294,6 @@ impl CMatrix {
         for j in 0..block.ncols {
             for i in 0..block.nrows {
                 self[(r0 + i, c0 + j)] = block[(i, j)];
-            }
-        }
-    }
-
-    /// Accumulate `alpha * block` into the block starting at `(r0, c0)`.
-    pub fn add_submatrix(&mut self, r0: usize, c0: usize, alpha: c64, block: &CMatrix) {
-        assert!(
-            r0 + block.nrows <= self.nrows && c0 + block.ncols <= self.ncols,
-            "add_submatrix out of bounds"
-        );
-        for j in 0..block.ncols {
-            for i in 0..block.nrows {
-                self[(r0 + i, c0 + j)] += alpha * block[(i, j)];
             }
         }
     }
