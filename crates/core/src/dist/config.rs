@@ -176,6 +176,11 @@ pub struct DistScbaResult {
     /// energy order on every rank: the same bits at any rank count at
     /// `P_S = 1`.
     pub residual_history: Vec<f64>,
+    /// `‖Δg‖ / ‖Δx‖` of every mix that completed a difference pair
+    /// ([`crate::SigmaMixer::contraction`]): how much the SCBA map shrank the
+    /// step before it, summed the same way. Empty for a run of fewer than
+    /// three iterations.
+    pub contraction_history: Vec<f64>,
     /// Terminal current per iteration, summed the same way.
     pub current_history: Vec<f64>,
     /// Final observables.

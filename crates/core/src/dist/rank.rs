@@ -144,6 +144,8 @@ pub(crate) struct RankLog {
     pub full_iterations: usize,
     pub converged: bool,
     pub residual_history: Vec<f64>,
+    /// The update rule's contraction at every mix that completed a pair.
+    pub contraction_history: Vec<f64>,
     pub current_history: Vec<f64>,
     pub max_truncation: f64,
     /// Times the update rule cleared its history.
@@ -524,6 +526,9 @@ impl<'a> RankState<'a> {
             self.log.current_history.push(current);
             let rows = per_energy().map(|e| -> MixRow { std::array::from_fn(|i| e[i].re) });
             let residual = self.mixer.coefficients(rows);
+            self.log
+                .contraction_history
+                .extend(self.mixer.contraction());
             for (k_local, s) in self.sigma.iter_mut().enumerate() {
                 let old = [&mut s.lesser, &mut s.greater, &mut s.retarded];
                 self.mixer.apply(k_local, old, new(k_local));

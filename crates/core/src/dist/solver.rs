@@ -232,6 +232,7 @@ impl DistScbaSolver {
             iterations: rank0.log.iterations,
             converged: rank0.log.converged,
             residual_history: rank0.log.residual_history,
+            contraction_history: rank0.log.contraction_history,
             current_history: rank0.log.current_history,
             observables: rank0.observables,
             flops,

@@ -4,15 +4,18 @@
 //! `k`, `g_k` the Σ-step's output and `f_k = g_k − x_k`, the next iterate is
 //!
 //! ```text
-//! x_{k+1} = x_k + β·f_k − Σ_j γ_j·(Δx_j + β·Δf_j)      j over the last m ≤ DEPTH pairs
-//! γ       = argmin ‖f_k − Σ_j γ_j·Δf_j‖                  real γ, ⟨a, b⟩ = Re Σ a·b̄
+//! x_{k+1} = x_k + f_k − Σ_j γ_j·Δg_j       j over the last m ≤ DEPTH pairs, Δg_j = Δx_j + Δf_j
+//! γ       = argmin ‖f_k − Σ_j γ_j·Δf_j‖    real γ, ⟨a, b⟩ = Re Σ a·b̄
+//! x_{k+1} = x_k + β·f_k                    with no history (m = 0)
 //! ```
 //!
-//! — Anderson mixing with damping `β = ScbaConfig::mixing`. The first two
-//! terms are the damped step [`mix_sigma_energy`] applies; with no history
-//! the sum is empty and the rule *is* that step. Real coefficients keep
-//! `Σ^≶` anti-Hermitian and `Σ^R` the causal transform of `Σ^≶`, because both
-//! properties are preserved by real linear combinations.
+//! — undamped (type-II) Anderson mixing, `x_k + f_k = g_k`: the extrapolated
+//! step is taken in full, as the method is analysed (Walker & Ni 2011). Only
+//! a step with no history is damped, by `β = ScbaConfig::mixing`: it is the
+//! step [`mix_sigma_energy`] applies, taken at the first mix, after every
+//! restart and at every mix of a run too short to record a pair. Real
+//! coefficients keep `Σ^≶` anti-Hermitian and `Σ^R` the causal transform of
+//! `Σ^≶`, because both properties are preserved by real linear combinations.
 //!
 //! A mix is three pieces, called in this order by every rank of the loop in
 //! [`crate::dist`]:
@@ -27,12 +30,12 @@
 //!    every caller adds the same numbers in the same order and derives
 //!    bit-identical `γ` and residual; this is what keeps the trajectory the
 //!    same bits at any rank count;
-//! 3. [`SigmaMixer::apply`] per owned energy — the damped step, minus the
-//!    history term.
+//! 3. [`SigmaMixer::apply`] per owned energy — the full step minus the
+//!    history term, or the damped step where there is no history.
 //!
 //! The history lives with the owner of the energy: per energy one ring of
-//! `2·DEPTH` Σ-sets — per pair `u_j = Δx_j + β·Δf_j` and `Δf_j`; `Δx_j` is
-//! the step the rule itself applied, so no copy of `x_{k−1}` is kept, and
+//! `2·DEPTH` Σ-sets — per pair `u_j = Δg_j = Δx_j + Δf_j` and `Δf_j`; `Δx_j`
+//! is the step the rule itself applied, so no copy of `x_{k−1}` is kept, and
 //! `−f_{k−1}` waits in the `Δf` plane of the pair it will complete —
 //! allocated once in [`SigmaMixer::new`]. A pair recorded
 //! at mix `k` is first read at mix `k + 1`, whose output feeds G-step `k + 2`:
@@ -48,10 +51,11 @@
 //! loop then does what plain damping does instead of extrapolating noise.
 //!
 //! The history holds three pairs ([`DEPTH`]): on the sweep benchmark's device
-//! (reduced NR-16, 12 energies, tolerance 1e-9) a cold point converges in 8
-//! iterations and the warm-started 9-point ramp in 51, against 9 and 61 with
-//! two pairs and 54 for the ramp with four. Each pair costs two Σ-sets per
-//! owned energy and two more planes streamed per mix.
+//! (reduced NR-16, 12 energies, tolerance 1e-9) a cold point converges in 6
+//! iterations and the warm-started 9-point ramp in 41. Damping the
+//! extrapolated step by `β = 0.4` as well took 8 and 51 (and, with that
+//! damping, two pairs 9 and 61, four 54 for the ramp). Each pair costs two
+//! Σ-sets per owned energy and two more planes streamed per mix.
 
 use quatrex_linalg::c64;
 use quatrex_sparse::BlockTridiagonal;
@@ -224,14 +228,16 @@ pub struct SigmaMixer {
     pairs: usize,
     newest: usize,
     gamma: [f64; DEPTH],
+    /// `‖Δg_0‖ / ‖Δx_0‖` of the pair the last mix completed.
+    contraction: Option<f64>,
     last_residual: f64,
     restarts: usize,
 }
 
 impl SigmaMixer {
     /// A mixer for `n_owned` energies of `n_blocks × block_size` matrices,
-    /// damping `beta`, in a run of at most `max_iterations` iterations. The
-    /// rings are allocated here, once.
+    /// damping its history-free steps by `beta`, in a run of at most
+    /// `max_iterations` iterations. The rings are allocated here, once.
     pub fn new(
         beta: f64,
         max_iterations: usize,
@@ -253,6 +259,7 @@ impl SigmaMixer {
             pairs: 0,
             newest: 0,
             gamma: [0.0; DEPTH],
+            contraction: None,
             last_residual: f64::INFINITY,
             restarts: 0,
         }
@@ -268,6 +275,12 @@ impl SigmaMixer {
     /// grew, or the Gram matrix was rank deficient).
     pub fn restarts(&self) -> usize {
         self.restarts
+    }
+
+    /// `‖Δg_0‖ / ‖Δx_0‖` over the grid — how much the map shrank the step
+    /// just taken — if the last mix completed a pair; `None` otherwise.
+    pub fn contraction(&self) -> Option<f64> {
+        self.contraction
     }
 
     /// Whether mix `k` (1-based) stores `f_k` and its step: only if a later
@@ -291,7 +304,7 @@ impl SigmaMixer {
         if !(completes || records) {
             return row;
         }
-        let (beta, len) = (self.beta, self.set_len);
+        let len = self.set_len;
         // The pending pair sits behind the newest complete one. Completed, it
         // is the newest, and the pair this mix opens goes behind it — onto
         // the oldest, whose `Δf` is read here for the last time.
@@ -315,10 +328,11 @@ impl SigmaMixer {
                     let f = *g + minus_one * x;
                     if completes {
                         let (d, step) = (f + ring[df + i], ring[u + i]);
+                        let image = step + d;
                         row[STEP_AT] += step.norm_sqr();
-                        row[IMAGE_AT] += (step + d).norm_sqr();
+                        row[IMAGE_AT] += image.norm_sqr();
                         ring[df + i] = d;
-                        ring[u + i] = step + d * beta;
+                        ring[u + i] = image;
                     }
                     for a in 0..n {
                         let d_a = ring[by_age[a] + i];
@@ -353,6 +367,9 @@ impl SigmaMixer {
             0.0
         };
         self.mixes += 1;
+        self.contraction = self
+            .recording
+            .then(|| (total[IMAGE_AT] / total[STEP_AT]).sqrt());
         if self.recording {
             self.pairs = (self.pairs + 1).min(self.capacity);
             self.newest = (self.newest + 1) % self.capacity;
@@ -377,8 +394,9 @@ impl SigmaMixer {
         residual
     }
 
-    /// Piece 3: advance owned energy `k_local` — the damped step towards `g`
-    /// minus the history term — and store the step for the next pair.
+    /// Piece 3: advance owned energy `k_local` — to `g` minus the history
+    /// term, or by the damped step towards `g` without history — and store
+    /// the step for the next pair.
     pub fn apply(&mut self, k_local: usize, x: [&mut BlockTridiagonal; 3], g: SigmaSet<'_>) {
         let (n, recording) = (self.pairs, self.recording);
         if n == 0 && !recording {
@@ -387,7 +405,8 @@ impl SigmaMixer {
             }
             return;
         }
-        let (beta, len) = (self.beta, self.set_len);
+        let beta = if n > 0 { 1.0 } else { self.beta };
+        let len = self.set_len;
         let (mix, rest) = (c64::new(beta, 0.0), c64::new(1.0 - beta, 0.0));
         let opened = (self.newest + 1) % self.capacity;
         let (step, minus_f) = (u_plane(opened) * len, df_plane(opened) * len);
@@ -594,6 +613,159 @@ mod tests {
         let (iterations, restarts) = iterations_on_a_linear_map(60, 1e-10);
         assert!(iterations <= 20, "took {iterations} iterations");
         assert_eq!(restarts, 0, "a contractive linear map never restarts");
+    }
+
+    /// `[Σ^<, Σ^>, Σ^R]` as one vector, in the order the rings store it.
+    fn flat(set: &[BlockTridiagonal; 3]) -> Vec<c64> {
+        let blocks = set.iter().flat_map(|bt| bt.blocks());
+        blocks.flat_map(|b| b.as_slice().iter().copied()).collect()
+    }
+
+    fn sub(a: &[c64], b: &[c64]) -> Vec<c64> {
+        a.iter().zip(b).map(|(a, b)| a - b).collect()
+    }
+
+    fn norm_sq(a: &[c64]) -> f64 {
+        a.iter().map(|v| v.norm_sqr()).sum()
+    }
+
+    fn real_dot(a: &[c64], b: &[c64]) -> f64 {
+        a.iter().zip(b).map(|(a, b)| dot_re(*a, *b)).sum()
+    }
+
+    /// `G·γ = r` for a small dense `G`, by Gaussian elimination with
+    /// partial pivoting.
+    fn solve_dense(mut g: Vec<Vec<f64>>, mut r: Vec<f64>) -> Vec<f64> {
+        let m = r.len();
+        for c in 0..m {
+            let p = (c..m)
+                .max_by(|&i, &j| g[i][c].abs().total_cmp(&g[j][c].abs()))
+                .expect("a non-empty column");
+            g.swap(c, p);
+            r.swap(c, p);
+            for i in c + 1..m {
+                let l = g[i][c] / g[c][c];
+                for j in c..m {
+                    g[i][j] -= l * g[c][j];
+                }
+                r[i] -= l * r[c];
+            }
+        }
+        let mut gamma = vec![0.0; m];
+        for i in (0..m).rev() {
+            let above: f64 = (i + 1..m).map(|j| g[i][j] * gamma[j]).sum();
+            gamma[i] = (r[i] - above) / g[i][i];
+        }
+        gamma
+    }
+
+    /// Drive a mixer over `g(x) = a ∘ x + b` (`a` the element's rate) for
+    /// `mixes` mixes of a run of as many iterations, beside a dense record
+    /// of every `x` and `g`. From that record alone the reference decides
+    /// each mix's pairs — none at the first mix, after a mix that recorded
+    /// nothing, or where the map did not contract along the last step or the
+    /// residual grew — and the step: with pairs, `g_k − Σ_j γ_j·Δg_j` with
+    /// `γ` the least-squares fit of `f_k` by the `Δf_j`, held to 1e-13
+    /// relative; without, [`mix_sigma_energy`], held bit for bit. Returns
+    /// the steps taken with history and the mixer's restarts.
+    fn steps_against_a_dense_reference(rate: fn(usize) -> f64, mixes: usize) -> (usize, usize) {
+        let (nb, bs, beta) = (3, 2, 0.4);
+        let b = [
+            sample(nb, bs, 0.3),
+            sample(nb, bs, 1.9),
+            sample(nb, bs, 4.2),
+        ];
+        let image = |x: &[BlockTridiagonal; 3]| {
+            let mut g = b.clone();
+            let mut e = 0;
+            for (g, x) in g.iter_mut().zip(x) {
+                for (g, x) in g.blocks_mut().zip(x.blocks()) {
+                    for (g, x) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                        *g += *x * rate(e);
+                        e += 1;
+                    }
+                }
+            }
+            g
+        };
+        let lesser_len = flat(&b).len() / 3;
+        let residual = |x: &[c64], g: &[c64]| {
+            let (x, g) = (&x[..lesser_len], &g[..lesser_len]);
+            (norm_sq(&sub(g, x)) / norm_sq(g)).sqrt()
+        };
+
+        let mut mixer = SigmaMixer::new(beta, mixes, 1, nb, bs);
+        let mut x = [(); 3].map(|()| BlockTridiagonal::zeros(nb, bs));
+        let (mut xs, mut gs) = (Vec::<Vec<c64>>::new(), Vec::<Vec<c64>>::new());
+        let (mut pairs, mut last_residual, mut history_steps) = (0, f64::INFINITY, 0);
+        for k in 1..=mixes {
+            let g = image(&x);
+            xs.push(flat(&x));
+            gs.push(flat(&g));
+            let (xk, gk) = (&xs[k - 1], &gs[k - 1]);
+            let r = residual(xk, gk);
+            pairs = if k == 1 || k + 1 > mixes {
+                0
+            } else {
+                let step = sub(xk, &xs[k - 2]);
+                let image_step = sub(gk, &gs[k - 2]);
+                let contracted = norm_sq(&image_step) < norm_sq(&step) && r <= last_residual;
+                if contracted {
+                    (pairs + 1).min(DEPTH)
+                } else {
+                    0
+                }
+            };
+            last_residual = r;
+
+            let mut damped = x.clone();
+            let [dl, dg, dr] = &mut damped;
+            mix_sigma_energy(dl, dg, dr, &g[0], &g[1], &g[2], beta);
+            let row = mixer.contribute(0, [&x[0], &x[1], &x[2]], [&g[0], &g[1], &g[2]]);
+            mixer.coefficients([row]);
+            let [xl, xg, xr] = &mut x;
+            mixer.apply(0, [xl, xg, xr], [&g[0], &g[1], &g[2]]);
+            let got = flat(&x);
+
+            if pairs == 0 {
+                let (got, want) = (bits([&x[0], &x[1], &x[2]]), bits([dl, dg, dr]));
+                assert_eq!(got, want, "history-free mix {k} is the damped step");
+                continue;
+            }
+            history_steps += 1;
+            let fs: Vec<_> = gs.iter().zip(&xs).map(|(g, x)| sub(g, x)).collect();
+            let by_age = |v: &[Vec<c64>], a: usize| sub(&v[k - 1 - a], &v[k - 2 - a]);
+            let df: Vec<_> = (0..pairs).map(|a| by_age(&fs, a)).collect();
+            let dg: Vec<_> = (0..pairs).map(|a| by_age(&gs, a)).collect();
+            let gram = df
+                .iter()
+                .map(|i| df.iter().map(|j| real_dot(i, j)).collect());
+            let rhs = df.iter().map(|d| real_dot(d, &fs[k - 1])).collect();
+            let gamma = solve_dense(gram.collect(), rhs);
+            let mut want = gk.clone();
+            for (gamma, dg) in gamma.iter().zip(&dg) {
+                for (w, d) in want.iter_mut().zip(dg) {
+                    *w -= d * *gamma;
+                }
+            }
+            let off = (norm_sq(&sub(&got, &want)) / norm_sq(&want)).sqrt();
+            assert!(off <= 1e-13, "mix {k} with {pairs} pairs is {off:e} off");
+        }
+        (history_steps, mixer.restarts())
+    }
+
+    #[test]
+    fn every_step_is_the_undamped_extrapolation_or_the_damped_step() {
+        // Rates spread over [0.3, 0.9): no Krylov space of a few pairs
+        // exhausts them, so the fit stays regular over eight mixes. Mix 1
+        // has no history and mix 8 none either (mix 7 records no pair: no
+        // G-step would see it); mixes 2 … 7 extrapolate.
+        let contractive = |e: usize| 0.3 + 0.6 * (0.618_034 * e as f64).fract();
+        assert_eq!(steps_against_a_dense_reference(contractive, 8), (6, 0));
+        // A map that expands every step: every mix clears the history and
+        // takes the damped step.
+        let expansive = |e: usize| 1.5 + (0.618_034 * e as f64).fract();
+        assert_eq!(steps_against_a_dense_reference(expansive, 6), (0, 4));
     }
 
     #[test]

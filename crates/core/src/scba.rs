@@ -394,9 +394,11 @@ pub struct ScbaConfig {
     pub max_iterations: usize,
     /// Relative convergence tolerance on the self-energy update.
     pub tolerance: f64,
-    /// Damping `β` of the accelerated Σ update (0 < mixing ≤ 1): the weight
-    /// of the new self-energy in the damped step the update rule
-    /// ([`crate::mixing`]) extrapolates from.
+    /// Damping `β` of the history-free Σ update (0 < mixing ≤ 1): the weight
+    /// of the new self-energy in the step the update rule
+    /// ([`crate::mixing`]) takes with no history — the first mix, a mix after
+    /// a restart, and every mix of a run too short to record a pair. Steps
+    /// extrapolated from a history are taken in full.
     pub mixing: f64,
     /// Enable the dynamic OBC memoizer (Section 5.3).
     pub use_memoizer: bool,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic    "QXSWEEP1"                       8 bytes
-//! version  u32                              currently 2
+//! version  u32                              currently 3
 //! length   u64                              payload bytes
 //! digest   u64                              FNV-1a 64 over the payload
 //! payload:
@@ -14,7 +14,8 @@
 //!     bias f64 | temperature f64
 //!     current f64 | electron_charge f64 | peak_spectral_current f64
 //!     iterations u64 | converged u8 | residual f64
-//!     n_residuals u64, then n_residuals × f64 | mixing_restarts u64
+//!     n_residuals u64, then n_residuals × f64
+//!     n_contractions u64, then n_contractions × f64 | mixing_restarts u64
 //!     warm_started u8 | warm_source i64 | bytes_restored u64
 //!     bytes_per_rank_per_iteration u64
 //!     warm-state wire: n_values u64, then n_values × (re f64, im f64)
@@ -37,7 +38,7 @@ use quatrex_linalg::c64;
 /// File magic of the sweep checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"QXSWEEP1";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Named failures of sweep serving and checkpoint decode.
 #[derive(Debug)]

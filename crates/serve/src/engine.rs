@@ -170,6 +170,7 @@ impl SweepEngine {
     pub fn report(&self) -> SweepReport {
         SweepReport {
             points: self.finished.iter().map(|f| f.report.clone()).collect(),
+            spacing_over_eta: self.grid.spacing() / self.config.scba.eta,
         }
     }
 
@@ -251,6 +252,7 @@ impl SweepEngine {
             converged: result.converged,
             residual: result.residual_history.last().copied().unwrap_or(0.0),
             residual_history: result.residual_history,
+            contraction_history: result.contraction_history,
             mixing_restarts: result.mixing_restarts,
             warm_started: warm_source.is_some(),
             warm_source,
@@ -291,9 +293,11 @@ impl SweepEngine {
             put_u64(&mut payload, r.iterations as u64);
             put_u8(&mut payload, r.converged as u8);
             put_f64(&mut payload, r.residual);
-            put_u64(&mut payload, r.residual_history.len() as u64);
-            for &residual in &r.residual_history {
-                put_f64(&mut payload, residual);
+            for history in [&r.residual_history, &r.contraction_history] {
+                put_u64(&mut payload, history.len() as u64);
+                for &value in history {
+                    put_f64(&mut payload, value);
+                }
             }
             put_u64(&mut payload, r.mixing_restarts as u64);
             put_u8(&mut payload, r.warm_started as u8);
@@ -347,6 +351,7 @@ impl SweepEngine {
             let converged = cur.u8()? != 0;
             let residual = cur.f64()?;
             let residual_history = cur.f64s()?;
+            let contraction_history = cur.f64s()?;
             let mixing_restarts = cur.u64()? as usize;
             let warm_started = cur.u8()? != 0;
             let warm_source = match cur.i64()? {
@@ -367,6 +372,7 @@ impl SweepEngine {
                     converged,
                     residual,
                     residual_history,
+                    contraction_history,
                     mixing_restarts,
                     warm_started,
                     warm_source,

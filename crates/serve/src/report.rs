@@ -26,6 +26,10 @@ pub struct PointReport {
     pub residual: f64,
     /// Relative Σ residual of every iteration — the point's trajectory.
     pub residual_history: Vec<f64>,
+    /// `‖Δg‖ / ‖Δx‖` of every mix that completed a difference pair
+    /// (`DistScbaResult::contraction_history`): below one where the SCBA
+    /// map contracts, so the update rule may extrapolate.
+    pub contraction_history: Vec<f64>,
     /// Times the Σ update cleared its history and fell back to the damped
     /// step (`DistScbaResult::mixing_restarts`).
     pub mixing_restarts: usize,
@@ -67,6 +71,10 @@ impl PointReport {
                 "residual_history",
                 Json::arr(self.residual_history.iter().copied()),
             ),
+            (
+                "contraction_history",
+                Json::arr(self.contraction_history.iter().copied()),
+            ),
             ("mixing_restarts", self.mixing_restarts.into()),
             ("warm_started", self.warm_started.into()),
             ("warm_source", self.warm_source.into()),
@@ -90,6 +98,10 @@ impl PointReport {
 pub struct SweepReport {
     /// Finished points in completion order.
     pub points: Vec<PointReport>,
+    /// Energy-grid spacing over the broadening, `ΔE / η`, of the grid every
+    /// point ran on: how well the energy axis resolves the resolvent's
+    /// peaks.
+    pub spacing_over_eta: f64,
 }
 
 impl SweepReport {
@@ -138,6 +150,7 @@ impl SweepReport {
             ("total_iterations", self.total_iterations().into()),
             ("warm_points", self.warm_points().into()),
             ("bytes_restored", self.bytes_restored().into()),
+            ("spacing_over_eta", self.spacing_over_eta.into()),
             (
                 "points",
                 Json::arr(self.points.iter().map(PointReport::to_json)),
@@ -160,6 +173,7 @@ mod tests {
             converged: true,
             residual: 1e-9,
             residual_history: vec![1e-3, 1e-9],
+            contraction_history: vec![0.25],
             mixing_restarts: 0,
             warm_started: warm,
             warm_source: warm.then_some(0),
@@ -174,9 +188,11 @@ mod tests {
     fn aggregates_and_ratio() {
         let cold = SweepReport {
             points: vec![point(0.0, 10, false), point(0.1, 12, false)],
+            ..SweepReport::default()
         };
         let warm = SweepReport {
             points: vec![point(0.0, 10, false), point(0.1, 4, true)],
+            ..SweepReport::default()
         };
         assert_eq!(cold.total_iterations(), 22);
         assert_eq!(warm.warm_points(), 1);
@@ -188,6 +204,7 @@ mod tests {
     fn json_parses_and_exposes_the_gate_paths() {
         let report = SweepReport {
             points: vec![point(0.0, 10, false), point(0.05, 4, true)],
+            spacing_over_eta: 0.5,
         };
         let doc = quatrex_probe::json::parse(&report.to_json().to_string()).expect("valid JSON");
         assert_eq!(
@@ -208,6 +225,15 @@ mod tests {
             Some(1e-9)
         );
         assert_eq!(
+            doc.path("points[1].contraction_history[0]")
+                .and_then(Json::as_f64),
+            Some(0.25)
+        );
+        assert_eq!(
+            doc.path("spacing_over_eta").and_then(Json::as_f64),
+            Some(0.5)
+        );
+        assert_eq!(
             doc.path("points[1].mixing_restarts")
                 .and_then(|v| v.as_u64()),
             Some(0)
@@ -222,6 +248,7 @@ mod tests {
                 current: f64::INFINITY,
                 ..point(0.1, 80, false)
             }],
+            ..SweepReport::default()
         };
         let doc = quatrex_probe::json::parse(&format!("{:#}", report.to_json()))
             .expect("non-finite values must not break the document");
@@ -238,6 +265,7 @@ mod tests {
     fn sorted_points_ignore_completion_order() {
         let a = SweepReport {
             points: vec![point(0.1, 5, false), point(0.0, 7, false)],
+            ..SweepReport::default()
         };
         let sorted = a.sorted_points();
         assert_eq!(sorted[0].point.bias_v, 0.0);

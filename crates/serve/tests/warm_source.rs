@@ -53,12 +53,19 @@ fn a_capped_point_seeds_no_neighbour_and_trajectories_survive_the_checkpoint() {
         bits(&first.residual_history),
         "the trajectory survives the checkpoint"
     );
+    assert!(!first.contraction_history.is_empty());
+    assert_eq!(
+        bits(&carried.contraction_history),
+        bits(&first.contraction_history),
+        "the contraction record survives the checkpoint"
+    );
     assert_eq!(carried.mixing_restarts, first.mixing_restarts);
     engine.enqueue(SweepPoint::bias(0.04));
     let capped = engine.run_next().expect("point 1");
     assert_eq!(capped.warm_source, Some(0));
     assert!(!capped.converged, "two iterations do not reach 1e-10");
     assert_eq!(capped.iterations, 2);
+    assert!(capped.contraction_history.is_empty(), "no pair completes");
 
     // Both neighbours are nearest to the capped point and skip it: 0.03 V
     // starts from point 0, 0.05 V from the 0.03 V point that then exists.

@@ -7,7 +7,7 @@
 //! 0.2`: plain damping with `mixing = 0.4` contracts the residual by exactly
 //! `1 − mixing` per iteration — `ln(1e-9) / ln(0.6) ≈ 41` iterations to a
 //! tolerance of 1e-9 — where the accelerated rule, over a history of three
-//! difference pairs, needs 8.
+//! difference pairs with the extrapolated step taken in full, needs 6.
 //!
 //! Run with: `cargo run --release --example scba_convergence`
 
@@ -60,7 +60,7 @@ fn main() {
             seconds
         );
     }
-    println!("Expected behaviour: the accelerated update reaches the tolerance in 8 iterations");
+    println!("Expected behaviour: the accelerated update reaches the tolerance in 6 iterations");
     println!("with the memoizer off. The memoizer replaces most direct OBC");
     println!("solves after the first iteration, but refines its cached surface functions only");
     println!("to 1e-7: with it on the residual stalls near 1e-8 (under plain damping too), the");
