@@ -31,18 +31,19 @@ use quatrex_device::fermi;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::lu::LuScratch;
 use quatrex_linalg::ops::{
-    congruence, gemm, gemm_flops, matmul, triple_product, triple_product_flops, Op,
+    congruence_into, gemm, gemm_flops, matmul_into, triple_product_flops, triple_product_into, Op,
 };
 use quatrex_linalg::{c64, CMatrix, ONE, ZERO};
 use quatrex_obc::{
-    greater_from_retarded, lesser_from_retarded, lyapunov_doubling, surface_cascade, Contact,
-    ObcKey, ObcMemoizer, Subsystem,
+    greater_from_retarded_into, lesser_from_retarded_into, lyapunov_doubling_on,
+    surface_cascade_into, Contact, LyapunovScratch, ObcKey, ObcMemoizer, Subsystem,
 };
 use quatrex_sparse::BlockTridiagonal;
 
 pub use quatrex_obc::ObcMethod;
 
 /// Assembled electron system for one energy point.
+#[derive(Default)]
 pub struct GAssembly {
     /// `M̃(E)` including scattering and boundary self-energies.
     pub system: BlockTridiagonal,
@@ -53,6 +54,20 @@ pub struct GAssembly {
     /// Lesser/greater boundary blocks at the left contact (for the current).
     pub sigma_obc_left_lesser: CMatrix,
     pub sigma_obc_left_greater: CMatrix,
+}
+
+impl GAssembly {
+    /// An all-zero assembly of `nb` blocks of `bs`.
+    pub(crate) fn zeros(nb: usize, bs: usize) -> Self {
+        let bt = || BlockTridiagonal::zeros(nb, bs);
+        Self {
+            system: bt(),
+            rhs_lesser: bt(),
+            rhs_greater: bt(),
+            sigma_obc_left_lesser: CMatrix::zeros(bs, bs),
+            sigma_obc_left_greater: CMatrix::zeros(bs, bs),
+        }
+    }
 }
 
 /// Assembled screened-interaction system for one (boson) energy point.
@@ -67,10 +82,58 @@ pub struct WAssembly {
     pub truncation_error: f64,
 }
 
+/// The temporaries of the assemblies, reused from energy to energy: the two
+/// leads, the operands of the memoizer's fixed-point steps, the W products'
+/// block row and the Lyapunov work. Warmed at a block size, an assembly
+/// allocates only what a direct boundary solve returns.
+#[derive(Default)]
+pub(crate) struct AssemblyScratch {
+    leads: [Lead; 2],
+    work: StepWork,
+    /// The right contact's lesser/greater boundary terms (the left
+    /// contact's are kept in the [`GAssembly`], for the current).
+    right: [CMatrix; 2],
+    /// One block row of `V·P≶` (columns `i − 2 ..= i + 2`), and the block a
+    /// dropped pair of the truncation monitor is formed in.
+    vp_row: [CMatrix; 5],
+    spare: CMatrix,
+    lyapunov: LyapunovWork,
+}
+
+/// The operands of one surface fixed-point step and the intermediate of the
+/// boundary block's triple product.
+#[derive(Default)]
+struct StepWork {
+    lu: LuScratch,
+    nx: CMatrix,
+    rhs: CMatrix,
+    tmp: CMatrix,
+}
+
+/// The Lyapunov boundary terms of one lead: propagation matrix `a`,
+/// inhomogeneity `q`, solution `w`, its injection `t·w·t†`, the
+/// substitution step's congruence and the doubling's scratch.
+#[derive(Default)]
+struct LyapunovWork {
+    a: CMatrix,
+    q: CMatrix,
+    w: CMatrix,
+    injected: CMatrix,
+    awa: CMatrix,
+    ab: CMatrix,
+    doubling: LyapunovScratch,
+}
+
 /// Build `(E+iη)·I − H` as a block-tridiagonal matrix (the MLWF overlap is the
 /// identity, Section 4.1). At `E = 1`, `η = 0` this is `I − V·P^R` for `H = V·P^R`.
 pub fn bare_system(h: &BlockTridiagonal, energy: f64, eta: f64) -> BlockTridiagonal {
     let mut m = h.clone();
+    shift_negated(&mut m, energy, eta);
+    m
+}
+
+/// `m ← (E+iη)·I − m`, in place: [`bare_system`] of what `m` holds.
+fn shift_negated(m: &mut BlockTridiagonal, energy: f64, eta: f64) {
     m.scale_mut(c64::new(-1.0, 0.0));
     for i in 0..m.n_blocks() {
         let d = m.diag_mut(i);
@@ -78,7 +141,6 @@ pub fn bare_system(h: &BlockTridiagonal, energy: f64, eta: f64) -> BlockTridiago
             d[(k, k)] += c64::new(energy, eta);
         }
     }
-    m
 }
 
 /// The two contacts, in the order every per-contact loop visits them.
@@ -86,6 +148,7 @@ const CONTACTS: [Contact; 2] = [Contact::Left, Contact::Right];
 
 /// One contact of an assembled system, after [`attach_leads`] subtracted its
 /// retarded boundary block from the system.
+#[derive(Default)]
 struct Lead {
     /// The end block the contact attaches to (`0` or `N_B − 1`).
     block: usize,
@@ -103,17 +166,20 @@ struct Lead {
 /// the boundary block `n·x·n′` and subtract it from the end block. A contact
 /// reads only its own end block and the couplings next to it, which the
 /// other contact never writes (`N_B ≥ 2`).
+#[allow(clippy::too_many_arguments)]
 fn attach_leads(
     system: &mut BlockTridiagonal,
+    leads: &mut [Lead; 2],
+    work: &mut StepWork,
     subsystem: Subsystem,
     energy_index: usize,
     method: ObcMethod,
     mut memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
     kind: FlopKind,
-) -> [Lead; 2] {
+) {
     let nb = system.n_blocks();
-    CONTACTS.map(|contact| {
+    for (lead, contact) in leads.iter_mut().zip(CONTACTS) {
         let (block, n, nprime) = match contact {
             Contact::Left => (0, system.lower(0), system.upper(0)),
             Contact::Right => (nb - 1, system.upper(nb - 2), system.lower(nb - 2)),
@@ -125,41 +191,53 @@ fn attach_leads(
             energy_index,
         };
         let memo = memoizer.as_deref_mut().map(|m| (m, key));
-        let surface = solve_surface(system.diag(block), n, nprime, method, memo, flops, kind);
+        let m = system.diag(block);
+        solve_surface(
+            &mut lead.surface,
+            work,
+            m,
+            n,
+            nprime,
+            method,
+            memo,
+            flops,
+            kind,
+        );
         // Boundary block n·x·n′: a triple product whose association order
         // (and FLOP count) is picked from the operand shapes.
-        let boundary = triple_product(n, &surface, nprime);
+        triple_product_into(&mut lead.boundary, &mut work.tmp, n, &lead.surface, nprime);
         flops.add(
             kind,
-            triple_product_flops(n.shape(), surface.shape(), nprime.shape()),
+            triple_product_flops(n.shape(), lead.surface.shape(), nprime.shape()),
         );
-        let coupling = n.clone();
-        *system.diag_mut(block) -= &boundary;
-        Lead {
-            block,
-            coupling,
-            surface,
-            boundary,
-        }
-    })
-}
-
-/// Answer one boundary problem from the memoizer — its cached solution
-/// refined by `step`, one application of the fixed-point map — or, without
-/// a memoizer, by `direct`.
-fn memoized(
-    memoizer: Option<(&mut ObcMemoizer, ObcKey)>,
-    step: impl FnMut(&CMatrix, &mut CMatrix),
-    direct: impl FnOnce() -> CMatrix,
-) -> CMatrix {
-    match memoizer {
-        Some((memo, key)) => memo.solve(key, step, direct).0,
-        None => direct(),
+        lead.coupling.fit(n.nrows(), n.ncols()).copy_from(n);
+        lead.block = block;
+        *system.diag_mut(block) -= &lead.boundary;
     }
 }
 
-/// The retarded surface function `x = (m − n·x·n′)⁻¹` of one lead.
+/// Answer one boundary problem into `out` from the memoizer — its cached
+/// solution refined by `step`, one application of the fixed-point map — or,
+/// without a memoizer, by `direct`.
+fn memoized(
+    memoizer: Option<(&mut ObcMemoizer, ObcKey)>,
+    step: impl FnMut(&CMatrix, &mut CMatrix),
+    direct: impl FnOnce(&mut CMatrix),
+    out: &mut CMatrix,
+) {
+    match memoizer {
+        Some((memo, key)) => {
+            memo.solve_into(key, step, direct, out);
+        }
+        None => direct(out),
+    }
+}
+
+/// The retarded surface function `x = (m − n·x·n′)⁻¹` of one lead, into `x`.
+#[allow(clippy::too_many_arguments)]
 fn solve_surface(
+    x: &mut CMatrix,
+    work: &mut StepWork,
     m: &CMatrix,
     n: &CMatrix,
     nprime: &CMatrix,
@@ -167,14 +245,12 @@ fn solve_surface(
     memoizer: Option<(&mut ObcMemoizer, ObcKey)>,
     flops: &FlopCounter,
     kind: FlopKind,
-) -> CMatrix {
+) {
     let dim = m.nrows();
+    let StepWork { lu, nx, rhs, .. } = work;
     // One fixed-point step x ↦ (m − n·x·n')⁻¹, written into the memoizer's
     // ping-pong buffer with reused LU/product scratch. Where m − n·x·n' is
     // singular the map is undefined, and NaN sends the solve to the cascade.
-    let mut lu = LuScratch::new();
-    let mut nx = CMatrix::zeros(dim, dim);
-    let mut rhs = CMatrix::zeros(dim, dim);
     let step = |x: &CMatrix, out: &mut CMatrix| {
         flops.add(
             kind,
@@ -183,19 +259,16 @@ fn solve_surface(
         // The memoizer refinement is one fixed-point step on one energy's
         // cached guess by design, so it stays per energy.
         // lint:allow(per-energy-gemm): single-energy memoizer step.
-        gemm(&mut nx, ONE, Op::None(n), Op::None(x), ZERO);
-        rhs.copy_from(m);
+        gemm(nx.fit(dim, dim), ONE, Op::None(n), Op::None(x), ZERO);
+        rhs.fit(dim, dim).copy_from(m);
         // lint:allow(per-energy-gemm): see above.
-        gemm(&mut rhs, -ONE, Op::None(&nx), Op::None(nprime), ONE);
-        if lu.invert_into(&rhs, out).is_err() {
+        gemm(rhs, -ONE, Op::None(nx), Op::None(nprime), ONE);
+        if lu.invert_into(rhs, out).is_err() {
             out.fill_with(|| c64::new(f64::NAN, f64::NAN));
         }
     };
-    memoized(memoizer, step, || {
-        let (x, cascade_flops) = surface_cascade(m, n, nprime, method);
-        flops.add(kind, cascade_flops);
-        x
-    })
+    let direct = |x: &mut CMatrix| flops.add(kind, surface_cascade_into(x, m, n, nprime, method));
+    memoized(memoizer, step, direct, x);
 }
 
 /// Assemble the electron system at one energy point.
@@ -222,15 +295,65 @@ pub fn assemble_g(
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
 ) -> GAssembly {
-    let mut system = bare_system(h, energy, eta);
+    let mut asm = GAssembly::default();
+    let sigma = [sigma_r, sigma_lesser, sigma_greater];
+    let contacts = [mu_left, mu_right, kt];
+    let scratch = &mut AssemblyScratch::default();
+    assemble_g_into(
+        &mut asm,
+        scratch,
+        h,
+        [energy, eta],
+        energy_index,
+        sigma,
+        contacts,
+        obc_method,
+        memoizer,
+        flops,
+    );
+    asm
+}
+
+/// [`assemble_g`] into a kept assembly, every temporary from `scratch`:
+/// `at = [E, η]`, `sigma = [Σ^R, Σ^<, Σ^>]`, `contacts = [μ_L, μ_R, k_BT]`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_g_into(
+    asm: &mut GAssembly,
+    scratch: &mut AssemblyScratch,
+    h: &BlockTridiagonal,
+    [energy, eta]: [f64; 2],
+    energy_index: usize,
+    [sigma_r, sigma_lesser, sigma_greater]: [Option<&BlockTridiagonal>; 3],
+    [mu_left, mu_right, kt]: [f64; 3],
+    obc_method: ObcMethod,
+    memoizer: Option<&mut ObcMemoizer>,
+    flops: &FlopCounter,
+) {
+    let (nb, bs) = (h.n_blocks(), h.block_size());
+    asm.system.copy_from(h);
+    shift_negated(&mut asm.system, energy, eta);
     if let Some(sr) = sigma_r {
-        system = system.add(c64::new(-1.0, 0.0), sr);
+        asm.system.axpy(c64::new(-1.0, 0.0), sr);
     }
-    let zeros = || BlockTridiagonal::zeros(h.n_blocks(), h.block_size());
-    let [mut rhs_lesser, mut rhs_greater] =
-        [sigma_lesser, sigma_greater].map(|s| s.cloned().unwrap_or_else(zeros));
-    let leads = attach_leads(
-        &mut system,
+    for (rhs, sigma) in [
+        (&mut asm.rhs_lesser, sigma_lesser),
+        (&mut asm.rhs_greater, sigma_greater),
+    ] {
+        match sigma {
+            Some(s) => rhs.copy_from(s),
+            None => {
+                rhs.fit(nb, bs);
+                rhs.set_zero();
+            }
+        }
+    }
+    let AssemblyScratch {
+        leads, work, right, ..
+    } = scratch;
+    attach_leads(
+        &mut asm.system,
+        leads,
+        work,
         Subsystem::Electron,
         energy_index,
         obc_method,
@@ -240,21 +363,24 @@ pub fn assemble_g(
     );
     // Lesser/greater boundary terms by fluctuation–dissipation, each lead at
     // its own contact's occupation.
-    let [(sigma_obc_left_lesser, sigma_obc_left_greater), _] =
-        [(&leads[0], mu_left), (&leads[1], mu_right)].map(|(lead, mu)| {
-            let f = fermi(energy, mu, kt);
-            let lesser = lesser_from_retarded(&lead.boundary, f);
-            let greater = greater_from_retarded(&lead.boundary, f);
-            *rhs_lesser.diag_mut(lead.block) += &lesser;
-            *rhs_greater.diag_mut(lead.block) += &greater;
-            (lesser, greater)
-        });
-    GAssembly {
-        system,
-        rhs_lesser,
-        rhs_greater,
-        sigma_obc_left_lesser,
-        sigma_obc_left_greater,
+    let [right_lesser, right_greater] = right;
+    let terms = [
+        (
+            &leads[0],
+            mu_left,
+            [
+                &mut asm.sigma_obc_left_lesser,
+                &mut asm.sigma_obc_left_greater,
+            ],
+        ),
+        (&leads[1], mu_right, [right_lesser, right_greater]),
+    ];
+    for (lead, mu, [lesser, greater]) in terms {
+        let f = fermi(energy, mu, kt);
+        lesser_from_retarded_into(lesser, &lead.boundary, f);
+        greater_from_retarded_into(greater, &lead.boundary, f);
+        *asm.rhs_lesser.diag_mut(lead.block) += &*lesser;
+        *asm.rhs_greater.diag_mut(lead.block) += &*greater;
     }
 }
 
@@ -278,28 +404,36 @@ fn sum_products<'a>(out: &mut CMatrix, terms: impl Iterator<Item = (&'a CMatrix,
 
 /// `V·P^R`, `V·P^<·V†` and `V·P^>·V†` of one energy at the block pairs
 /// `|i − j| ≤ 1` the tridiagonal system keeps, straight from the tridiagonal
-/// operands, and the FLOPs of those products. With `monitor`, also at the
-/// pairs a truncation of the exact banded products drops, to return the
-/// dropped fraction of their Frobenius weight (0 without); these diagnostic
-/// products count no FLOPs, so FLOP totals do not depend on the sample.
+/// operands, into `products`, and the FLOPs of those products. With
+/// `monitor`, also at the pairs a truncation of the exact banded products
+/// drops, to return the dropped fraction of their Frobenius weight (0
+/// without); these diagnostic products count no FLOPs, so FLOP totals do not
+/// depend on the sample. `vp_row` and `spare` are work blocks.
 fn w_products(
+    products: [&mut BlockTridiagonal; 3],
+    vp_row: &mut [CMatrix; 5],
+    spare: &mut CMatrix,
     v: &BlockTridiagonal,
     p: [&BlockTridiagonal; 3],
     monitor: bool,
     flops: &FlopCounter,
-) -> ([BlockTridiagonal; 3], f64) {
+) -> f64 {
     fn at(m: &BlockTridiagonal, i: usize, j: usize) -> &CMatrix {
         m.block(i, j).expect("inside the band")
     }
     let (nb, bs) = (v.n_blocks(), v.block_size());
-    let (mut vp_row, mut spare) = (vec![CMatrix::zeros(bs, bs); 5], CMatrix::zeros(bs, bs));
+    for block in vp_row.iter_mut().chain([&mut *spare]) {
+        block.fit(bs, bs);
+    }
     let mut worst = 0.0f64;
-    let products = [0, 1, 2].map(|c| {
+    for (c, product) in products.into_iter().enumerate() {
         // Component 0 is V·P^R (bandwidth 2); 1 and 2 are V·P≶·V† (bandwidth
         // 3), whose block row i reads only row i of V·P≶, columns i − 2 ..=
-        // i + 2, the dagger fused into the GEMM's loads.
+        // i + 2, the dagger fused into the GEMM's loads. Every kept block
+        // is written.
         // The monitor's Frobenius weight: [dropped, kept].
-        let (mut product, mut count, mut weight) = (BlockTridiagonal::zeros(nb, bs), 0, [0.0; 2]);
+        product.fit(nb, bs);
+        let (mut count, mut weight) = (0, [0.0; 2]);
         for i in 0..nb {
             // Block (i, j) of V·P: the terms V_il·P_lj over l ascending.
             let vp = |out: &mut CMatrix, j| {
@@ -315,7 +449,7 @@ fn w_products(
                 let kept = i.abs_diff(j) <= 1;
                 let out = match product.block_mut(i, j) {
                     Some(out) => out,
-                    None => &mut spare,
+                    None => &mut *spare,
                 };
                 let n = if c == 0 {
                     vp(out, j)
@@ -341,9 +475,8 @@ fn w_products(
         if total > 0.0 {
             worst = worst.max((weight[0] / total).sqrt());
         }
-        product
-    });
-    (products, worst)
+    }
+    worst
 }
 
 /// Assemble the screened-interaction system at one boson energy: `I − V·P^R`
@@ -358,15 +491,60 @@ pub(crate) fn assemble_w(
     p: [&BlockTridiagonal; 3],
     energy_index: usize,
     monitor: bool,
-    mut memoizer: Option<&mut ObcMemoizer>,
+    memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
 ) -> WAssembly {
+    let mut out = [(); 3].map(|()| BlockTridiagonal::default());
+    let scratch = &mut AssemblyScratch::default();
+    let truncation_error = assemble_w_into(
+        out.each_mut(),
+        scratch,
+        coulomb,
+        p,
+        energy_index,
+        monitor,
+        memoizer,
+        flops,
+    );
+    let [system, rhs_lesser, rhs_greater] = out;
+    WAssembly {
+        system,
+        rhs_lesser,
+        rhs_greater,
+        truncation_error,
+    }
+}
+
+/// [`assemble_w`] into kept matrices `[system, rhs_lesser, rhs_greater]`,
+/// every temporary from `scratch`. Returns the truncation error.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_w_into(
+    [system, rhs_lesser, rhs_greater]: [&mut BlockTridiagonal; 3],
+    scratch: &mut AssemblyScratch,
+    coulomb: &BlockTridiagonal,
+    p: [&BlockTridiagonal; 3],
+    energy_index: usize,
+    monitor: bool,
+    mut memoizer: Option<&mut ObcMemoizer>,
+    flops: &FlopCounter,
+) -> f64 {
     let bs = coulomb.block_size();
-    let ([vpr, mut rhs_lesser, mut rhs_greater], truncation_error) =
-        w_products(coulomb, p, monitor, flops);
-    let mut system = bare_system(&vpr, 1.0, 0.0);
-    let leads = attach_leads(
-        &mut system,
+    let AssemblyScratch {
+        leads,
+        work,
+        vp_row,
+        spare,
+        lyapunov,
+        ..
+    } = scratch;
+    let products = [&mut *system, &mut *rhs_lesser, &mut *rhs_greater];
+    let truncation_error = w_products(products, vp_row, spare, coulomb, p, monitor, flops);
+    // The system holds V·P^R: make it I − V·P^R.
+    shift_negated(system, 1.0, 0.0);
+    attach_leads(
+        system,
+        leads,
+        work,
         Subsystem::ScreenedCoulomb,
         energy_index,
         ObcMethod::Beyn,
@@ -381,42 +559,47 @@ pub(crate) fn assemble_w(
     // truncated RHS into the contact; the solution w≶ is injected through the
     // coupling, B≶_OBC = t·w≶·t† (dagger fused).
     let block_gemm = gemm_flops(bs, bs, bs);
+    let LyapunovWork {
+        a,
+        q,
+        w,
+        injected,
+        awa,
+        ab,
+        doubling,
+    } = lyapunov;
     for (lead, contact) in leads.iter().zip(CONTACTS) {
-        let a = matmul(&lead.surface, &lead.coupling);
+        matmul_into(a, &lead.surface, &lead.coupling);
         flops.add(FlopKind::WLyapunov, 5 * block_gemm);
-        for (component, rhs) in [(1, &mut rhs_lesser), (2, &mut rhs_greater)] {
-            let q = congruence(&lead.surface, rhs.diag(lead.block));
+        for (component, rhs) in [(1, &mut *rhs_lesser), (2, &mut *rhs_greater)] {
+            congruence_into(q, &mut work.tmp, &lead.surface, rhs.diag(lead.block));
             let key = ObcKey {
                 contact,
                 subsystem: Subsystem::ScreenedCoulomb,
                 component,
                 energy_index,
             };
+            let (a, q) = (&*a, &*q);
             // One substitution step w ↦ q − a·w·a†.
             let step = |x: &CMatrix, out: &mut CMatrix| {
                 flops.add(FlopKind::WLyapunov, 2 * block_gemm);
-                *out = &q - &congruence(&a, x);
+                congruence_into(awa, ab, a, x);
+                out.fit(q.nrows(), q.ncols()).copy_from(q);
+                out.axpy(c64::new(-1.0, 0.0), awa);
             };
-            let direct = || {
-                lyapunov_doubling(&a, &q, 1e-12, 60)
-                    .map(|(w, _, fl)| {
-                        flops.add(FlopKind::WLyapunov, fl);
-                        w
-                    })
-                    .unwrap_or_else(|_| q.clone())
+            let direct = |w: &mut CMatrix| match lyapunov_doubling_on(doubling, w, a, q, 1e-12, 60)
+            {
+                Ok((_, fl)) => flops.add(FlopKind::WLyapunov, fl),
+                Err(_) => w.fit(q.nrows(), q.ncols()).copy_from(q),
             };
-            let w = memoized(memoizer.as_deref_mut().map(|m| (m, key)), step, direct);
-            *rhs.diag_mut(lead.block) += &congruence(&lead.coupling, &w);
+            let memo = memoizer.as_deref_mut().map(|m| (m, key));
+            memoized(memo, step, direct, w);
+            congruence_into(injected, &mut work.tmp, &lead.coupling, w);
+            *rhs.diag_mut(lead.block) += &*injected;
         }
         flops.add(FlopKind::WLyapunov, 4 * block_gemm);
     }
-
-    WAssembly {
-        system,
-        rhs_lesser,
-        rhs_greater,
-        truncation_error,
-    }
+    truncation_error
 }
 
 #[cfg(test)]
@@ -425,7 +608,29 @@ mod tests {
     use crate::scba::w_step_assemble;
     use quatrex_device::DeviceBuilder;
     use quatrex_linalg::cplx;
+    use quatrex_linalg::ops::matmul;
     use quatrex_rgf::rgf_solve;
+
+    /// [`w_products`] into fresh matrices.
+    fn products(
+        v: &BlockTridiagonal,
+        p: [&BlockTridiagonal; 3],
+        monitor: bool,
+        flops: &FlopCounter,
+    ) -> ([BlockTridiagonal; 3], f64) {
+        let mut out = [(); 3].map(|()| BlockTridiagonal::default());
+        let (mut vp_row, mut spare) = (Default::default(), CMatrix::default());
+        let worst = w_products(
+            out.each_mut(),
+            &mut vp_row,
+            &mut spare,
+            v,
+            p,
+            monitor,
+            flops,
+        );
+        (out, worst)
+    }
 
     fn device_bt() -> (BlockTridiagonal, BlockTridiagonal) {
         let dev = DeviceBuilder::test_device(3, 2, 4).build();
@@ -615,7 +820,7 @@ mod tests {
             p
         });
         let (vd, flops) = (v.to_dense(), FlopCounter::new());
-        let ([vpr, vplv, vpgv], truncation) = w_products(&v, [&p[0], &p[1], &p[2]], true, &flops);
+        let ([vpr, vplv, vpgv], truncation) = products(&v, [&p[0], &p[1], &p[2]], true, &flops);
         let block = |m: &CMatrix, i: usize, j: usize| m.submatrix(i * bs, j * bs, bs, bs);
         let mut worst = 0.0f64;
         for (k, got) in [vpr, vplv, vpgv].iter().enumerate() {
@@ -647,10 +852,10 @@ mod tests {
         );
         // Unmonitored: the same kept blocks, no fraction, the same FLOPs.
         let unmonitored = FlopCounter::new();
-        let (kept, zero) = w_products(&v, [&p[0], &p[1], &p[2]], false, &unmonitored);
+        let (kept, zero) = products(&v, [&p[0], &p[1], &p[2]], false, &unmonitored);
         assert_eq!(zero, 0.0);
         assert_eq!(unmonitored.total(), flops.total());
-        let got = w_products(&v, [&p[0], &p[1], &p[2]], true, &FlopCounter::new()).0;
+        let got = products(&v, [&p[0], &p[1], &p[2]], true, &FlopCounter::new()).0;
         for (a, b) in kept.iter().zip(&got) {
             assert!(a.blocks().zip(b.blocks()).all(|(x, y)| x == y));
         }
@@ -708,7 +913,10 @@ mod tests {
         memo.insert_cached(key, m.scaled(cplx(4.0, 0.0)));
         let flops = FlopCounter::new();
         let memo_key = Some((&mut memo, key));
-        let x = solve_surface(
+        let mut x = CMatrix::default();
+        solve_surface(
+            &mut x,
+            &mut StepWork::default(),
             &m,
             &n,
             &n,

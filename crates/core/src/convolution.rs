@@ -235,7 +235,7 @@ fn with_lanes<R>(n: usize, f: impl FnOnce(&mut Workspace<'_, Lane>) -> R) -> R {
 
 /// True if `batch` lists strictly ascending indices of an `ne`-point grid —
 /// what the kernels require of an arrived batch.
-pub fn is_grid_batch(batch: &[usize], ne: usize) -> bool {
+pub(crate) fn is_grid_batch(batch: &[usize], ne: usize) -> bool {
     batch.windows(2).all(|w| w[0] < w[1]) && batch.last().is_none_or(|&k| k < ne)
 }
 

@@ -70,7 +70,7 @@ pub struct DistScbaConfig {
     /// every solve.
     pub spatial_partitions: usize,
     /// Number of energy batches (`B`) each of the four per-iteration
-    /// transpositions is cut into ([`crate::dist::TranspositionBatchPlan`]). With `B > 1`
+    /// transpositions is cut into (`crate::dist::TranspositionBatchPlan`). With `B > 1`
     /// the solver double-buffers: batch `k+1`'s `Alltoallv` is posted
     /// non-blocking while the element convolutions consume batch `k`, and
     /// the in-flight transposition buffers shrink ~`B/2`-fold (double

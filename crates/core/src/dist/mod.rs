@@ -27,8 +27,8 @@
 //! Every rank runs the same five-step cycle (`rank`): `G`, `P`, `W`, `Σ`,
 //! mix. The `G` and `W` steps are three stages — *assemble one energy*,
 //! *solve the assembled systems*, *finish one energy* — of which the first
-//! and last are [`crate::scba`]'s (`g_step_assemble`/`g_step_finish`, …) and
-//! the middle one is the group solve [`spatial_phase_solve`]: the local
+//! and last are [`crate::scba`]'s (`g_step_assemble_into`/`g_step_finish`, …) and
+//! the middle one is the group solve (`spatial::spatial_phase_solve`): the local
 //! energy-batched RGF solve in a one-member group, the cooperative
 //! eliminate → reduce → recover otherwise. The four transpositions run
 //! through one double-buffered exchange driver (`pipeline`).
@@ -83,7 +83,7 @@ pub mod warm;
 
 pub use config::{DistScbaConfig, DistScbaResult};
 pub use report::DistReport;
-pub use slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
+pub use slab::{TranspositionPlan, BYTES_PER_VALUE};
 pub use solver::DistScbaSolver;
-pub use spatial::{spatial_phase_solve, RankGrid, SpatialLayout};
+pub use spatial::{RankGrid, SpatialLayout};
 pub use warm::{WarmState, WarmStateWireError};

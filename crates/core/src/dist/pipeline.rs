@@ -13,6 +13,9 @@
 //! Both directions move the same container: a forward transposition fills an
 //! [`ElementSlab`], a convolution phase accumulates its output into another
 //! ([`ConvSeries`]), and the backward transposition ships that slab as is.
+//! Every slab is the rank's own, zeroed in place and refilled each
+//! iteration, and every message comes from and returns to the rank's
+//! [`MessagePool`].
 
 use crate::convolution::{causal_retarded_group, symmetrize_group};
 use crate::element_major::{GroupInfo, GroupRowsMut, LanePlanes};
@@ -22,8 +25,9 @@ use quatrex_runtime::{CommHandle, CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
-use crate::dist::rank::{RankCounters, RankState};
-use crate::dist::slab::{ElementSlab, TranspositionPlan, BYTES_PER_VALUE};
+use crate::dist::rank::RankCounters;
+use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
+use crate::EnergyResolved;
 
 /// Which way a transposition moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,129 +106,199 @@ fn payload_bytes(payloads: &[Vec<c64>]) -> u64 {
         .sum()
 }
 
+/// The message buffers of one rank's collectives. A posted message set is
+/// drawn from the pool and a received one goes back into it, container
+/// included; the communicator moves ownership, so what a rank receives
+/// refills what it sent. Every exchange sends and receives one message per
+/// rank, so the pool neither grows nor drains, and once its buffers have
+/// grown to the largest message they carry it allocates nothing.
+#[derive(Default)]
+pub(crate) struct MessagePool {
+    messages: Vec<Vec<c64>>,
+    sets: Vec<Vec<Vec<c64>>>,
+}
+
+impl MessagePool {
+    /// `n` empty messages, one per destination.
+    pub(crate) fn messages(&mut self, n: usize) -> Vec<Vec<c64>> {
+        let mut set = self.sets.pop().unwrap_or_default();
+        set.extend((0..n).map(|_| {
+            let mut m = self.messages.pop().unwrap_or_default();
+            m.clear();
+            m
+        }));
+        set
+    }
+
+    /// Take a consumed message set back.
+    pub(crate) fn recycle(&mut self, mut set: Vec<Vec<c64>>) {
+        self.messages.append(&mut set);
+        self.sets.push(set);
+    }
+}
+
+/// Gather every rank's message on every rank, in rank order: `fill` writes
+/// this rank's message, and every destination gets a copy of it from the
+/// pool — the collective and the bytes of
+/// [`RankContext::allgather_tagged`], without its per-destination clones.
+/// The caller recycles the gathered set.
+pub(crate) fn allgather(
+    ctx: &RankContext<Vec<c64>>,
+    pool: &mut MessagePool,
+    fill: impl FnOnce(&mut Vec<c64>),
+) -> Vec<Vec<c64>> {
+    let mut send = pool.messages(ctx.n_ranks());
+    let (mine, copies) = send.split_first_mut().expect("a communicator has a rank"); // lint:allow(no-unwrap): ThreadComm runs at least one rank
+    fill(mine);
+    for m in copies {
+        m.extend_from_slice(mine);
+    }
+    ctx.alltoallv_tagged(send, |m| m.len() * BYTES_PER_VALUE, CommPhase::Gathers)
+}
+
+/// What every transposition of a rank works with: its communicator, the
+/// run's plan and batch schedule, its counters and its message pool.
+pub(crate) struct Wire<'a> {
+    pub ctx: &'a RankContext<Vec<c64>>,
+    pub plan: &'a TranspositionPlan,
+    pub batches: &'a TranspositionBatchPlan,
+    pub counters: &'a mut RankCounters,
+    pub pool: &'a mut MessagePool,
+}
+
 /// Drive one transposition through the double-buffered batch pipeline: post
 /// the next batch, wait for the oldest, absorb it, release its buffers.
 ///
-/// The participants are the flat ranks, each as itself: `pack(b)` builds
-/// batch `b`'s per-rank payloads and `absorb(b, received)` consumes the
-/// messages received for it (indexed by source rank). Empty surplus batches
+/// The participants are the flat ranks, each as itself: `pack(b, messages)`
+/// fills batch `b`'s per-rank payloads (empty messages from the pool) and
+/// `absorb(b, received)` consumes the messages received for it (indexed by
+/// source rank), which then go back into the pool. Empty surplus batches
 /// (more batches than a rank has energies) still post and drain, so every
 /// rank executes the same collective sequence.
 ///
 /// Every posted and received payload counts toward the in-flight buffer
 /// footprint until its batch has been absorbed (`counters.peak_slab_bytes`).
 pub(crate) fn exchange(
-    ctx: &RankContext<Vec<c64>>,
+    wire: Wire<'_>,
     row: &Transposition,
-    n_batches: usize,
-    counters: &mut RankCounters,
-    mut pack: impl FnMut(usize) -> Vec<Vec<c64>>,
-    mut absorb: impl FnMut(usize, Vec<Vec<c64>>),
+    mut pack: impl FnMut(usize, &mut [Vec<c64>]),
+    mut absorb: impl FnMut(usize, &[Vec<c64>]),
 ) {
-    let mut post = |b: usize, counters: &mut RankCounters| -> (CommHandle<Vec<c64>>, u64) {
-        let payloads = quatrex_probe::span(row.scatter_span, "transposition.pack", || pack(b));
-        debug_assert_eq!(payloads.len(), ctx.n_ranks());
+    let Wire {
+        ctx,
+        batches,
+        counters,
+        pool,
+        ..
+    } = wire;
+    let n_batches = batches.n_batches;
+    let mut post = |b: usize, counters: &mut RankCounters, pool: &mut MessagePool| {
+        let mut payloads = pool.messages(ctx.n_ranks());
+        quatrex_probe::span(row.scatter_span, "transposition.pack", || {
+            pack(b, &mut payloads)
+        });
         let bytes = payload_bytes(&payloads);
         counters.track(bytes);
         counters.pack_bytes += bytes;
         let handle = ctx.alltoallv_start_tagged(payloads, |m| m.len() * BYTES_PER_VALUE, row.phase);
         (handle, bytes)
     };
-    let mut in_flight = Some(post(0, counters));
+    let mut in_flight: Option<(CommHandle<Vec<c64>>, u64)> = Some(post(0, counters, pool));
     let mut b = 0;
     while let Some((handle, sent_bytes)) = in_flight.take() {
         if b + 1 < n_batches {
-            in_flight = Some(post(b + 1, counters));
+            in_flight = Some(post(b + 1, counters, pool));
         }
         let received = handle.wait(ctx);
         let recv_bytes = payload_bytes(&received);
         counters.track(recv_bytes);
         counters.unpack_bytes += recv_bytes;
-        absorb(b, received);
+        absorb(b, &received);
         counters.release(sent_bytes + recv_bytes);
+        pool.recycle(received);
         b += 1;
     }
 }
 
-impl RankState<'_> {
-    /// One forward transposition (energy-major → element-major) of the
-    /// lesser/greater pair `comps`. `consume` is the per-batch convolution
-    /// accumulation: called for every non-empty batch with the slab-so-far,
-    /// the global energy indices that arrived in the batch, and every index
-    /// arrived so far (this batch's included). Returns the fully assembled
-    /// element slab.
-    pub(crate) fn forward(
-        &mut self,
-        row: &Transposition,
-        comps: [&[BlockTridiagonal]; 2],
-        mut consume: impl FnMut(&ElementSlab, &[usize], &[usize]),
-    ) -> ElementSlab {
-        debug_assert_eq!(row.direction, Direction::Forward);
-        let (plan, batches, rank) = (&self.p.plan, &self.p.batches, self.ctx.rank());
-        let mut slab = ElementSlab::zeroed(plan, rank, row.symmetric.len(), false);
-        let mut arrived_so_far = Vec::with_capacity(plan.n_energies);
-        exchange(
-            self.ctx,
-            row,
-            batches.n_batches,
-            &mut self.log.counters,
-            |b| plan.scatter_forward_batch(rank, &comps, batches.local_ranges[rank][b].clone()),
-            |b, received| {
-                let sources = batches.global_ranges(plan, b);
-                row.unpack(|| plan.absorb_forward_batch(rank, &mut slab, received, &sources));
-                let arrived = batches.arrived_global(plan, b);
-                if !arrived.is_empty() {
-                    arrived_so_far.extend_from_slice(&arrived);
-                    consume(&slab, &arrived, &arrived_so_far);
-                }
-            },
-        );
-        slab
-    }
+/// Zero a kept buffer in place, under its own probe span.
+pub(crate) fn zero_in_place(zero: impl FnOnce()) {
+    quatrex_probe::span("buffers.zero", "buffers.zero", zero);
+}
 
-    /// One backward transposition (element-major → energy-major) of the
-    /// rank's finished convolution series. Returns the lesser, greater and
-    /// retarded energy-major quantities of the owned energies.
-    pub(crate) fn backward(
-        &mut self,
-        row: &Transposition,
-        series: &ConvSeries,
-    ) -> [Vec<BlockTridiagonal>; 3] {
-        debug_assert_eq!(row.direction, Direction::Backward);
-        let (plan, batches, rank) = (&self.p.plan, &self.p.batches, self.ctx.rank());
-        let zero = BlockTridiagonal::zeros(plan.n_blocks, plan.block_size);
-        let mut out = [(); 3].map(|()| vec![zero.clone(); self.sigma.len()]);
-        exchange(
-            self.ctx,
-            row,
-            batches.n_batches,
-            &mut self.log.counters,
-            |b| {
-                let targets = batches.global_ranges(plan, b);
-                plan.scatter_backward_batch(rank, &series.slab, row.symmetric, &targets)
-            },
-            |b, received| {
-                let mine = batches.global_range(plan, rank, b);
-                row.unpack(|| {
-                    plan.absorb_backward_batch(rank, &mut out, received, row.symmetric, mine)
-                });
-            },
-        );
-        out
-    }
+/// One forward transposition (energy-major → element-major) of the
+/// lesser/greater pair `at(c, k)` (component `c` of local energy `k`) into
+/// the rank's forward `slab`, zeroed first. `consume` is the per-batch
+/// convolution accumulation: called for every non-empty batch with the
+/// slab-so-far, the global energy indices that arrived in the batch, and
+/// every index arrived so far (this batch's included; `arrived` holds them).
+pub(crate) fn forward<'q>(
+    wire: Wire<'_>,
+    row: &Transposition,
+    at: impl Fn(usize, usize) -> &'q BlockTridiagonal,
+    slab: &mut ElementSlab,
+    arrived: &mut Vec<usize>,
+    mut consume: impl FnMut(&ElementSlab, &[usize], &[usize]),
+) {
+    debug_assert_eq!(row.direction, Direction::Forward);
+    let (plan, batches, rank) = (wire.plan, wire.batches, wire.ctx.rank());
+    zero_in_place(|| slab.zero());
+    arrived.clear();
+    exchange(
+        wire,
+        row,
+        |b, messages| {
+            let local = batches.local_ranges[rank][b].clone();
+            plan.scatter_forward_batch(rank, row.symmetric.len(), &at, local, messages)
+        },
+        |b, received| {
+            let sources = batches.global_ranges(b);
+            row.unpack(|| plan.absorb_forward_batch(rank, slab, received, sources));
+            let batch = batches.arrived_global(b);
+            if !batch.is_empty() {
+                arrived.extend_from_slice(batch);
+                consume(slab, batch, arrived);
+            }
+        },
+    );
+}
+
+/// One backward transposition (element-major → energy-major) of the rank's
+/// finished convolution `slab` into the kept energy-major lesser, greater
+/// and retarded sets `out` of the owned energies (every entry written).
+pub(crate) fn backward(
+    wire: Wire<'_>,
+    row: &Transposition,
+    slab: &ElementSlab,
+    out: &mut [EnergyResolved],
+) {
+    debug_assert_eq!(row.direction, Direction::Backward);
+    let (plan, batches, rank) = (wire.plan, wire.batches, wire.ctx.rank());
+    exchange(
+        wire,
+        row,
+        |b, messages| {
+            let targets = batches.global_ranges(b);
+            plan.scatter_backward_batch(rank, slab, row.symmetric, targets, messages)
+        },
+        |b, received| {
+            let mine = batches.global_range(plan, rank, b);
+            row.unpack(|| plan.absorb_backward_batch(rank, out, received, row.symmetric, mine));
+        },
+    );
 }
 
 /// The element-major output of one convolution phase (`P` or `Σ`) on one
-/// rank: the owned elements' [`ElementSlab`] of the lesser, greater and —
-/// once [`ConvSeries::finish`] ran — retarded component, canonical and
-/// mirror side, in the layout the backward transposition ships. The
-/// lesser/greater series are running accumulators, filled batch by batch,
-/// one lane group per call, by the `crate::convolution::*_group_accumulate`
-/// kernels while later batches are still in flight.
+/// rank: the owned elements' [`ElementSlab`] of the lesser, greater and
+/// retarded component, canonical and mirror side, in the layout the
+/// backward transposition ships. The lesser/greater series are running
+/// accumulators, filled batch by batch, one lane group per call, by the
+/// `crate::convolution::*_group_accumulate` kernels while later batches are
+/// still in flight; [`ConvSeries::finish`] builds the retarded series. One
+/// series serves both phases of an iteration, zeroed in place before each.
 pub(crate) struct ConvSeries {
     /// Race-detector id of the accumulators (the owning rank).
     owner: u64,
-    /// Components `[lesser, greater]`, then `retarded` once finished.
+    /// Components `[lesser, greater, retarded]`.
     slab: ElementSlab,
 }
 
@@ -244,12 +318,22 @@ fn group_accumulators<'a>(
 }
 
 impl ConvSeries {
-    /// All-zero accumulators for the elements `rank` owns.
+    /// All-zero series for the elements `rank` owns.
     pub(crate) fn zeroed(plan: &TranspositionPlan, rank: usize) -> Self {
         Self {
             owner: rank as u64,
-            slab: ElementSlab::zeroed(plan, rank, 2, true),
+            slab: ElementSlab::zeroed(plan, rank, 3, true),
         }
+    }
+
+    /// The series, as the backward transposition ships them.
+    pub(crate) fn slab(&self) -> &ElementSlab {
+        &self.slab
+    }
+
+    /// Zero every series in place: the start of a convolution phase.
+    pub(crate) fn zero(&mut self) {
+        zero_in_place(|| self.slab.zero());
     }
 
     /// Accumulate one arrived batch: `kernel(x, group)` adds the batch's
@@ -287,19 +371,18 @@ impl ConvSeries {
             SharedId::new("dist.conv_accum", self.owner),
             AccessKind::Read,
         );
-        let (n_elements, ne) = (
-            self.slab.canonical[0].n_elements(),
-            self.slab.canonical[0].n_energies(),
-        );
-        let mut retarded = [(); 2].map(|()| LanePlanes::zeroed(n_elements, ne));
+        let ne = self.slab.canonical[0].n_energies();
         let ElementSlab {
             canonical,
             mirror,
             groups,
             ..
         } = &mut self.slab;
+        let ([lesser_ij, greater_ij, retarded_ij], [lesser_ji, greater_ji, retarded_ji]) =
+            (split_components(canonical), split_components(mirror));
         for (g, info) in groups.iter().enumerate() {
-            let [[mut lc, mut gc], [mut lm, mut gm]] = group_accumulators(canonical, mirror, g);
+            let [mut lc, mut gc] = [lesser_ij.group_mut(g), greater_ij.group_mut(g)];
+            let [mut lm, mut gm] = [lesser_ji.group_mut(g), greater_ji.group_mut(g)];
             // A self-mirror lane's mirror is its canonical series.
             for (l, &sign) in info.sign.iter().enumerate().take(info.live) {
                 if sign > 0.0 {
@@ -314,16 +397,21 @@ impl ConvSeries {
             symmetrize_group(gc.reborrow(), gm.reborrow());
             // The mirror side only where a lane is paired: a self-mirror
             // lane's retarded mirror never ships.
-            let [r_ij, r_ji] = retarded.each_mut().map(|r| r.group_mut(g));
+            let (r_ij, r_ji) = (retarded_ij.group_mut(g), retarded_ji.group_mut(g));
             causal_retarded_group(r_ij, lc.rows(), gc.rows(), info.live, flops);
             if info.paired > 0 {
                 causal_retarded_group(r_ji, lm.rows(), gm.rows(), info.paired, flops);
             }
         }
-        let [r_ij, r_ji] = retarded;
-        self.slab.canonical.push(r_ij);
-        self.slab.mirror.push(r_ji);
     }
+}
+
+/// The `[lesser, greater, retarded]` planes of one side of a series.
+fn split_components(side: &mut [LanePlanes]) -> [&mut LanePlanes; 3] {
+    let [lesser, greater, retarded] = side else {
+        unreachable!("a convolution output holds three components")
+    };
+    [lesser, greater, retarded]
 }
 
 #[cfg(test)]
@@ -380,27 +468,26 @@ mod tests {
                 .collect();
             let mut slab = ElementSlab::zeroed(plan, group, 2, false);
             let mut counters = RankCounters::default();
+            let mut pool = MessagePool::default();
             let mut absorbed = Vec::new();
+            let wire = Wire {
+                ctx: &ctx,
+                plan,
+                batches: &batches,
+                counters: &mut counters,
+                pool: &mut pool,
+            };
             exchange(
-                &ctx,
+                wire,
                 row,
-                n_batches,
-                &mut counters,
-                |b| {
-                    plan.scatter_forward_batch(
-                        group,
-                        &local,
-                        batches.local_ranges[group][b].clone(),
-                    )
+                |b, messages| {
+                    let local_range = batches.local_ranges[group][b].clone();
+                    let at = |c: usize, k: usize| &local[c][k];
+                    plan.scatter_forward_batch(group, 2, at, local_range, messages)
                 },
                 |b, received| {
                     absorbed.push(b);
-                    plan.absorb_forward_batch(
-                        group,
-                        &mut slab,
-                        received,
-                        &batches.global_ranges(plan, b),
-                    );
+                    plan.absorb_forward_batch(group, &mut slab, received, batches.global_ranges(b));
                 },
             );
             assert_eq!(absorbed, vec![0, 1, 2], "every batch drains, in order");

@@ -18,17 +18,23 @@
 //! `crate::convolution::*_group_accumulate` lane-group kernels
 //! `polarization_from_g` and `self_energy_from_gw` call with the whole grid
 //! as one batch.
+//!
+//! Every buffer of the cycle is the rank's own ([`RankBuffers`]): sized once
+//! from the plan, written in place every iteration, so a steady-state
+//! iteration allocates next to nothing (`crates/dist/tests/alloc_free.rs`).
 
 use std::ops::Range;
 
+use crate::assembly::{AssemblyScratch, GAssembly};
 use crate::convolution::{
     is_grid_batch, polarization_group_accumulate, self_energy_group_accumulate,
 };
 use crate::element_major::{GroupInfo, GroupRowsMut};
 use crate::mixing::{MixRow, SigmaMixer, ROW_LEN};
-use crate::observables::{integrate_current, Observables, SpectralData};
+use crate::observables::{dos_of_block, integrate_current, Observables, SpectralData};
 use crate::scba::{
-    g_step_assemble, g_step_finish, kernel_chunks, w_step_assemble_chunk, w_step_finish, ScbaConfig,
+    g_step_assemble_into, g_step_finish, kernel_chunks, w_step_assemble_into, w_step_finish,
+    ScbaConfig,
 };
 use parking_lot::Mutex;
 use quatrex_linalg::flops::FlopCounter;
@@ -36,14 +42,16 @@ use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::{ObcKey, ObcMemoizer, Subsystem};
 use quatrex_probe::clock::Instant;
 use quatrex_probe::RankTrace;
-use quatrex_rgf::{RgfBatchScratch, SelectedSolution};
+use quatrex_rgf::SelectedSolution;
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::dist::config::DistScbaConfig;
-use crate::dist::pipeline::{ConvSeries, Transposition, TRANSPOSITIONS};
+use crate::dist::pipeline::{
+    allgather, backward, forward, ConvSeries, MessagePool, Transposition, Wire, TRANSPOSITIONS,
+};
 use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
-use crate::dist::spatial::{spatial_phase_solve, SpatialLayout};
+use crate::dist::spatial::{spatial_phase_solve, GroupScratch, SpatialLayout};
 use crate::dist::warm::WarmState;
 
 /// Everything the ranks of one run share, read-only (the FLOP accumulator is
@@ -68,12 +76,15 @@ pub(crate) struct Problem {
     pub kt: f64,
     /// Warm-start seed (shape already validated against the grid).
     pub warm: Option<WarmState>,
-    /// The update rule of every rank, taken once by its rank. Built by the
-    /// launching thread: the history rings are the run's only large
-    /// allocations, and taken from the malloc arena of a short-lived rank
-    /// thread they stay resident there after the run (measured: +10 MiB peak
-    /// RSS over a 9-point sweep on two ranks).
+    /// The update rule and the working buffers of every rank, each taken
+    /// once by its rank. Built by the launching thread: the history rings
+    /// and the buffers are the run's large allocations, and taken from the
+    /// malloc arena of a short-lived rank thread they stay resident there
+    /// after the run (measured: +10 MiB peak RSS over a 9-point sweep on two
+    /// ranks) or are faulted in afresh at every run (the buffers: 5× the
+    /// minor page faults of a sweep, +1.3 MiB peak RSS).
     pub mixers: Vec<Mutex<Option<SigmaMixer>>>,
+    pub buffers: Vec<Mutex<Option<RankBuffers>>>,
     /// One shared clock zero for every rank's probe recorder.
     pub epoch: Instant,
     pub flops: FlopCounter,
@@ -177,18 +188,116 @@ pub(crate) struct RankState<'a> {
     /// The Σ update rule with the history of the owned energies.
     mixer: SigmaMixer,
     memoizer: Option<ObcMemoizer>,
-    /// RGF scratch of the group solve, local or cooperative (there: the
-    /// partition interiors of the group's energies and the reduced systems
-    /// of the rank's own): the shapes repeat every iteration, so the staged operand
-    /// batches and the batch arena stay warm across kernel batches and
-    /// iterations.
-    rgf_scratch: RgfBatchScratch,
     pub(crate) log: RankLog,
     /// Last G step's spectral data, packed per owned energy for the final
     /// ordered gather: current spectrum, per-block DOS, per-block `G^<`
     /// diagonal traces (only the traces feed the density, so they are
     /// extracted at G-step time instead of keeping the matrices around).
     spectral: Vec<c64>,
+    bufs: RankBuffers,
+}
+
+/// The working buffers of one rank's SCBA cycle, sized once from the plan
+/// and written in place every iteration. They are shared by lifetime, not
+/// by phase: one energy set per owned energy holds `G` from the G solve
+/// until `fwd_g`, `P` from `bwd_p` until the W assembly, `W` from the W solve
+/// until `fwd_w` and `Σ_new` from `bwd_sigma` until the mix; one assembly
+/// per kernel-chunk slot holds the chunk's G systems, then its W systems.
+pub(crate) struct RankBuffers {
+    /// The local energy ranges of the group solves (see
+    /// [`solve_chunks`]).
+    chunks: Vec<Range<usize>>,
+    /// The energies each member of the rank's group brings to a group
+    /// solve: the others of a spatial group all theirs, this rank the chunk
+    /// at hand.
+    members: Vec<usize>,
+    /// One assembly per kernel-chunk slot, and the truncation errors of a
+    /// chunk's W assemblies.
+    slots: Vec<GAssembly>,
+    truncation: Vec<f64>,
+    assembly: AssemblyScratch,
+    /// The products of the current spectrum.
+    work: CMatrix,
+    /// The energy sets `[X^<, X^>, X^R]`, one matrix each per owned energy.
+    sets: [Vec<BlockTridiagonal>; 3],
+    /// One solution per kernel-chunk slot, the frame a solve writes an
+    /// energy set through: the set's matrices are swapped in before the
+    /// solve and back after the finish ([`swap_frame`]).
+    frames: Vec<SelectedSolution>,
+    /// The forward slabs of `G` (from `fwd_g` until the Σ convolutions)
+    /// and `W`, and the convolution output of `P`, then of `Σ`.
+    g_slab: ElementSlab,
+    w_slab: ElementSlab,
+    series: ConvSeries,
+    /// The scratch of the group solves.
+    group: GroupScratch,
+    /// Message buffers of every collective of the loop.
+    pool: MessagePool,
+    /// The energies arrived so far in a forward transposition.
+    arrived: Vec<usize>,
+    /// The mix's gathered current spectrum.
+    current_spectrum: Vec<f64>,
+}
+
+impl RankBuffers {
+    /// The buffers of `rank` under `p`'s plan, every matrix at its shape.
+    pub(crate) fn new(p: &Problem, rank: usize) -> Self {
+        let chunks = solve_chunks(p, rank);
+        let (plan, grid) = (&p.plan, &p.layout.grid);
+        let (nb, bs) = (p.h.n_blocks(), p.h.block_size());
+        let n_owned = plan.energy_ranges[rank].len();
+        let n_slots = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
+        let members = grid.members_of(grid.group_of(rank));
+        let frame = || SelectedSolution {
+            lesser: vec![BlockTridiagonal::default(); 2],
+            ..SelectedSolution::default()
+        };
+        Self {
+            members: members.map(|r| plan.energy_ranges[r].len()).collect(),
+            slots: (0..n_slots).map(|_| GAssembly::zeros(nb, bs)).collect(),
+            truncation: vec![0.0; n_slots],
+            frames: (0..n_slots).map(|_| frame()).collect(),
+            chunks,
+            assembly: AssemblyScratch::default(),
+            work: CMatrix::default(),
+            sets: [(); 3].map(|()| vec![BlockTridiagonal::zeros(nb, bs); n_owned]),
+            g_slab: ElementSlab::zeroed(plan, rank, 2, false),
+            w_slab: ElementSlab::zeroed(plan, rank, 2, false),
+            series: ConvSeries::zeroed(plan, rank),
+            group: GroupScratch::default(),
+            pool: MessagePool::default(),
+            arrived: Vec::with_capacity(plan.n_energies),
+            current_spectrum: Vec::with_capacity(plan.n_energies),
+        }
+    }
+}
+
+/// The local energy ranges one group solve of `rank` covers. A one-member
+/// group solves kernel chunks cut inside the transposition batches — a
+/// kernel batch never straddles a batch boundary, so the data a solve
+/// produces is exactly the data the next pipelined transposition ships.
+/// A spatial group runs one cooperative solve per phase, to which every
+/// member brings all its energies (even none: it still joins the
+/// collectives).
+fn solve_chunks(p: &Problem, rank: usize) -> Vec<Range<usize>> {
+    if p.layout.grid.spatial_partitions > 1 {
+        let all = 0..p.plan.energy_ranges[rank].len();
+        return vec![all];
+    }
+    p.batches.local_ranges[rank]
+        .iter()
+        .flat_map(|lr| kernel_chunks(lr.clone(), p.cfg().kernel_batch))
+        .collect()
+}
+
+/// Swap the energy set of local energy `k` with a solve's frame: `X^<`,
+/// `X^>` with its two right-hand-side solutions, `X^R` with its retarded
+/// one. Swapping twice restores both.
+fn swap_frame(frame: &mut SelectedSolution, sets: &mut [Vec<BlockTridiagonal>; 3], k: usize) {
+    let [lesser, greater, retarded] = sets;
+    std::mem::swap(&mut frame.lesser[0], &mut lesser[k]);
+    std::mem::swap(&mut frame.lesser[1], &mut greater[k]);
+    std::mem::swap(&mut frame.retarded, &mut retarded[k]);
 }
 
 /// The per-rank SCBA main loop.
@@ -200,18 +309,50 @@ pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
     let mut rank = RankState::new(ctx, p);
     for _ in 0..max_iterations {
         rank.log.iterations += 1;
-        let g = rank.g_step();
+        rank.g_step();
         if max_iterations == 1 {
             break;
         }
-        let (g_slab, polarization) = rank.p_step(g);
-        let w = rank.w_step(polarization);
-        let sigma_new = rank.sigma_step(g_slab, w);
-        if rank.mix(sigma_new) {
+        rank.p_step();
+        rank.w_step();
+        rank.sigma_step();
+        if rank.mix() {
             break;
         }
     }
     rank.finish()
+}
+
+/// The front half of a convolution phase, pipelined over the energy
+/// batches: the forward transposition of `at` into `slab`, whose batch `k+1`
+/// flies while `kernel` accumulates batch `k` into every owned lane group of
+/// `series` (zeroed first; see [`ConvSeries::accumulate`]; `kernel` also
+/// gets the slab-so-far, the energy indices that arrived in the batch and
+/// every index arrived so far).
+#[allow(clippy::too_many_arguments)]
+fn convolve<'q>(
+    wire: Wire<'_>,
+    n_energies: usize,
+    row: &Transposition,
+    at: impl Fn(usize, usize) -> &'q BlockTridiagonal,
+    slab: &mut ElementSlab,
+    arrived: &mut Vec<usize>,
+    series: &mut ConvSeries,
+    kernel: impl Fn(&ElementSlab, &[usize], &[usize], [[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
+) {
+    series.zero();
+    forward(wire, row, at, slab, arrived, |slab, batch, arrived| {
+        // Once per batch, so the kernels' per-element checks can be
+        // debug-only.
+        assert!(
+            is_grid_batch(batch, n_energies),
+            "arrived batch {batch:?} is not ascending inside the grid"
+        );
+        let (name, cat) = row.conv_span;
+        quatrex_probe::span(name, cat, || {
+            series.accumulate(|x, g, info| kernel(slab, batch, arrived, x, g, info));
+        });
+    });
 }
 
 impl<'a> RankState<'a> {
@@ -254,9 +395,12 @@ impl<'a> RankState<'a> {
             sigma,
             mixer,
             memoizer,
-            rgf_scratch: RgfBatchScratch::new(),
             log: RankLog::default(),
             spectral: Vec::new(),
+            bufs: p.buffers[ctx.rank()]
+                .lock()
+                .take()
+                .expect("a rank takes its buffers once"), // lint:allow(no-unwrap): run_warm fills one slot per rank and each rank runs RankState::new once
         }
     }
 
@@ -271,150 +415,88 @@ impl<'a> RankState<'a> {
         self.p.plan.energy_ranges[self.ctx.rank()].clone()
     }
 
-    /// The local energy ranges one group solve covers. A one-member group
-    /// solves kernel chunks cut inside the transposition batches — a kernel
-    /// batch never straddles a batch boundary, so the data a solve produces
-    /// is exactly the data the next pipelined transposition ships. A spatial
-    /// group runs one cooperative solve per phase, to which every member
-    /// brings all its energies (even none: it still joins the collectives).
-    fn solve_chunks(&self) -> Vec<Range<usize>> {
-        if self.p.layout.grid.spatial_partitions > 1 {
-            let all = 0..self.my_energies().len();
-            return vec![all];
-        }
-        self.p.batches.local_ranges[self.ctx.rank()]
-            .iter()
-            .flat_map(|lr| kernel_chunks(lr.clone(), self.p.cfg().kernel_batch))
-            .collect()
-    }
-
-    /// Stage 2 of a step: solve the systems this rank assembled for one chunk
-    /// of its energies, together with the rest of its group.
-    fn group_solve(
-        &mut self,
-        subsystem: Subsystem,
-        systems: &[[&BlockTridiagonal; 3]],
-    ) -> Vec<SelectedSolution> {
-        let (p, rank) = (self.p, self.ctx.rank());
-        // What each member brings to this solve: this rank the chunk at
-        // hand, the others of a spatial group all their energies.
-        let brings = |r: usize| {
-            if r == rank {
-                systems.len()
-            } else {
-                p.plan.energy_ranges[r].len()
-            }
-        };
-        let grid = &p.layout.grid;
-        let member_energies: Vec<usize> =
-            grid.members_of(grid.group_of(rank)).map(brings).collect();
-        spatial_phase_solve(
-            self.ctx,
-            &p.layout,
-            subsystem,
-            systems,
-            &member_energies,
-            p.cfg().kernel_batch,
-            &mut self.rgf_scratch,
-            &p.flops,
-        )
-    }
-
-    /// G step: `G^≶` of the owned energies (`[G^<, G^>]`) and the packed
-    /// spectral data.
-    fn g_step(&mut self) -> [Vec<BlockTridiagonal>; 2] {
+    /// G step: `[G^<, G^>, G^R]` of the owned energies into the energy sets
+    /// and the packed spectral data.
+    fn g_step(&mut self) {
         let (p, cfg) = (self.p, self.p.cfg());
         let nb = p.h.n_blocks();
         let e0 = self.my_energies().start;
-        let mut g = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
+        let b = &mut self.bufs;
         self.spectral.clear();
-        for chunk in self.solve_chunks() {
-            let asms: Vec<_> = chunk
-                .map(|k_local| {
-                    let s = &self.sigma[k_local];
-                    g_step_assemble(
-                        &p.h,
-                        p.energies[e0 + k_local],
-                        e0 + k_local,
-                        [Some(&s.retarded), Some(&s.lesser), Some(&s.greater)],
-                        cfg,
-                        p.kt,
-                        self.memoizer.as_mut(),
-                        &p.flops,
-                    )
-                })
-                .collect();
-            let systems: Vec<_> = asms
+        for chunk in &b.chunks {
+            let slots = &mut b.slots[..chunk.len()];
+            for (asm, k_local) in slots.iter_mut().zip(chunk.clone()) {
+                let s = &self.sigma[k_local];
+                g_step_assemble_into(
+                    asm,
+                    &mut b.assembly,
+                    &p.h,
+                    p.energies[e0 + k_local],
+                    e0 + k_local,
+                    [Some(&s.retarded), Some(&s.lesser), Some(&s.greater)],
+                    cfg,
+                    p.kt,
+                    self.memoizer.as_mut(),
+                    &p.flops,
+                );
+            }
+            let systems: Vec<_> = slots
                 .iter()
                 .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let sols = self.group_solve(Subsystem::Electron, &systems);
-            for (asm, sol) in asms.iter().zip(sols) {
-                let out = g_step_finish(asm, sol, cfg);
-                self.spectral.push(c64::new(out.current_spectrum, 0.0));
+            let frames = &mut b.frames[..chunk.len()];
+            for (frame, k) in frames.iter_mut().zip(chunk.clone()) {
+                swap_frame(frame, &mut b.sets, k);
+            }
+            b.members[p.layout.grid.spatial_of(self.ctx.rank())] = systems.len();
+            spatial_phase_solve(
+                self.ctx,
+                &p.layout,
+                Subsystem::Electron,
+                &systems,
+                &b.members,
+                cfg.kernel_batch,
+                &mut b.group,
+                &mut b.pool,
+                &p.flops,
+                frames,
+            );
+            for ((asm, sol), k) in slots.iter().zip(frames).zip(chunk.clone()) {
+                let current = g_step_finish(asm, sol, cfg, &mut b.work);
+                self.spectral.push(c64::new(current, 0.0));
+                let dos = (0..nb).map(|i| c64::new(dos_of_block(&sol.retarded, i), 0.0));
+                self.spectral.extend(dos);
                 self.spectral
-                    .extend(out.dos_local.iter().map(|&d| c64::new(d, 0.0)));
-                self.spectral
-                    .extend((0..nb).map(|i| out.lesser.diag(i).trace()));
-                g[0].push(out.lesser);
-                g[1].push(out.greater);
+                    .extend((0..nb).map(|i| sol.lesser[0].diag(i).trace()));
+                swap_frame(sol, &mut b.sets, k);
             }
         }
-        g
-    }
-
-    /// The front half of a convolution phase, pipelined over the energy
-    /// batches: the forward transposition of `comps`, whose batch `k+1` flies
-    /// while `kernel` accumulates batch `k` into every owned lane group's
-    /// series (see [`ConvSeries::accumulate`]; `kernel` also gets the
-    /// slab-so-far, the energy indices that arrived in the batch and every
-    /// index arrived so far). Returns the element slab and the accumulated
-    /// series.
-    fn convolve(
-        &mut self,
-        row: &Transposition,
-        comps: [&[BlockTridiagonal]; 2],
-        kernel: impl Fn(&ElementSlab, &[usize], &[usize], [[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
-    ) -> (ElementSlab, ConvSeries) {
-        let p = self.p;
-        let mut series = ConvSeries::zeroed(&p.plan, self.ctx.rank());
-        let slab = self.forward(row, comps, |slab, batch, arrived| {
-            // Once per batch, so the kernels' per-element checks can be
-            // debug-only.
-            assert!(
-                is_grid_batch(batch, p.energies.len()),
-                "arrived batch {batch:?} is not ascending inside the grid"
-            );
-            let (name, cat) = row.conv_span;
-            quatrex_probe::span(name, cat, || {
-                series.accumulate(|x, g, info| kernel(slab, batch, arrived, x, g, info));
-            });
-        });
-        (slab, series)
-    }
-
-    /// The back half of a convolution phase: the epilogue of the accumulated
-    /// series and their backward transposition. Returns the energy-major
-    /// `[X^<, X^>, X^R]` of the owned energies.
-    fn ship(&mut self, row: &Transposition, mut series: ConvSeries) -> [Vec<BlockTridiagonal>; 3] {
-        let (name, cat) = row.conv_span;
-        quatrex_probe::span(name, cat, || series.finish(&self.p.flops));
-        self.backward(row, &series)
     }
 
     /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
     /// G, so each arriving batch contributes its cross terms against
     /// everything arrived so far (exact; see
-    /// `polarization_group_accumulate`). Returns the G element slab (kept
-    /// for the Σ step) and `[P^<, P^>, P^R]`.
-    fn p_step(
-        &mut self,
-        g: [Vec<BlockTridiagonal>; 2],
-    ) -> (ElementSlab, [Vec<BlockTridiagonal>; 3]) {
+    /// `polarization_group_accumulate`). Leaves the G element slab (kept for
+    /// the Σ step) and `[P^<, P^>, P^R]` in the energy sets.
+    fn p_step(&mut self) {
         let p = self.p;
-        let (g_slab, series) = self.convolve(
+        let b = &mut self.bufs;
+        let [lesser, greater, _] = &b.sets;
+        let wire = Wire {
+            ctx: self.ctx,
+            plan: &p.plan,
+            batches: &p.batches,
+            counters: &mut self.log.counters,
+            pool: &mut b.pool,
+        };
+        convolve(
+            wire,
+            p.energies.len(),
             &TRANSPOSITIONS[0],
-            [&g[0], &g[1]],
+            |c, k| &[lesser, greater][c][k],
+            &mut b.g_slab,
+            &mut b.arrived,
+            &mut b.series,
             |slab, batch, arrived, out, g, info| {
                 let operands = [slab.negf(0, g), slab.negf(1, g)];
                 let before = arrived.len() > batch.len();
@@ -424,61 +506,115 @@ impl<'a> RankState<'a> {
                 );
             },
         );
-        (g_slab, self.ship(&TRANSPOSITIONS[1], series))
+        self.ship(&TRANSPOSITIONS[1]);
     }
 
-    /// W step: `[W^<, W^>]` of the owned energies and the globally gathered
-    /// truncation maximum.
-    fn w_step(&mut self, polarization: [Vec<BlockTridiagonal>; 3]) -> [Vec<BlockTridiagonal>; 2] {
+    /// The back half of a convolution phase: the epilogue of the accumulated
+    /// series and their backward transposition into the energy sets of the
+    /// owned energies.
+    fn ship(&mut self, row: &Transposition) {
+        let p = self.p;
+        let b = &mut self.bufs;
+        let (name, cat) = row.conv_span;
+        quatrex_probe::span(name, cat, || b.series.finish(&p.flops));
+        let wire = Wire {
+            ctx: self.ctx,
+            plan: &p.plan,
+            batches: &p.batches,
+            counters: &mut self.log.counters,
+            pool: &mut b.pool,
+        };
+        backward(wire, row, b.series.slab(), &mut b.sets);
+    }
+
+    /// W step: `[W^<, W^>, W^R]` of the owned energies into the energy sets,
+    /// from the `P` there, and the globally gathered truncation maximum.
+    fn w_step(&mut self) {
         let (p, cfg) = (self.p, self.p.cfg());
-        let [p_lesser, p_greater, p_retarded] = polarization;
         let e0 = self.my_energies().start;
-        let mut w = [(); 2].map(|()| Vec::with_capacity(self.sigma.len()));
+        let b = &mut self.bufs;
         let mut local_trunc = 0.0f64;
-        for chunk in self.solve_chunks() {
-            let chunk_p: Vec<_> = chunk
-                .clone()
-                .map(|k| [&p_retarded[k], &p_lesser[k], &p_greater[k]])
-                .collect();
-            let indices: Vec<_> = chunk.map(|k| e0 + k).collect();
-            let memoizer = &mut [self.memoizer.as_mut()];
-            let asms = w_step_assemble_chunk(&p.v, &chunk_p, &indices, cfg, memoizer, &p.flops);
-            let systems: Vec<_> = asms
+        for chunk in &b.chunks {
+            let slots = &mut b.slots[..chunk.len()];
+            let truncation = &mut b.truncation[..chunk.len()];
+            let [p_lesser, p_greater, p_retarded] = &b.sets;
+            let polarization = |m: usize| {
+                let k = chunk.start + m;
+                [&p_retarded[k], &p_lesser[k], &p_greater[k]]
+            };
+            w_step_assemble_into(
+                slots,
+                truncation,
+                &mut b.assembly,
+                &p.v,
+                polarization,
+                chunk.clone().map(|k| e0 + k),
+                cfg,
+                &mut [self.memoizer.as_mut()],
+                &p.flops,
+            );
+            let systems: Vec<_> = slots
                 .iter()
                 .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
                 .collect();
-            let sols = self.group_solve(Subsystem::ScreenedCoulomb, &systems);
-            for (asm, sol) in asms.iter().zip(sols) {
-                let out = w_step_finish(asm, sol, cfg);
-                local_trunc = local_trunc.max(out.truncation);
-                w[0].push(out.lesser);
-                w[1].push(out.greater);
+            // The chunk's P is consumed: its sets take the chunk's W.
+            let frames = &mut b.frames[..chunk.len()];
+            for (frame, k) in frames.iter_mut().zip(chunk.clone()) {
+                swap_frame(frame, &mut b.sets, k);
+            }
+            b.members[p.layout.grid.spatial_of(self.ctx.rank())] = systems.len();
+            spatial_phase_solve(
+                self.ctx,
+                &p.layout,
+                Subsystem::ScreenedCoulomb,
+                &systems,
+                &b.members,
+                cfg.kernel_batch,
+                &mut b.group,
+                &mut b.pool,
+                &p.flops,
+                frames,
+            );
+            for ((sol, &truncation), k) in
+                frames.iter_mut().zip(truncation.iter()).zip(chunk.clone())
+            {
+                w_step_finish(sol, cfg);
+                local_trunc = local_trunc.max(truncation);
+                swap_frame(sol, &mut b.sets, k);
             }
         }
         // Global truncation maximum (tiny ordered gather).
-        let truncs = self.ctx.allgather_tagged(
-            vec![c64::new(local_trunc, 0.0)],
-            |m| m.len() * BYTES_PER_VALUE,
-            CommPhase::Gathers,
-        );
+        let truncs = allgather(self.ctx, &mut b.pool, |m| {
+            m.push(c64::new(local_trunc, 0.0))
+        });
         let iter_trunc = truncs.iter().flatten().fold(0.0f64, |m, t| m.max(t.re));
+        b.pool.recycle(truncs);
         self.log.max_truncation = self.log.max_truncation.max(iter_trunc);
-        w
     }
 
     /// Transposition #3 + Σ convolutions + transposition #4. Σ is linear in
     /// W, so each arriving W batch contributes `conv(Δw, g)` against the
     /// complete G slab (held since #1; see `self_energy_group_accumulate`).
-    /// Returns `[Σ^<, Σ^>, Σ^R]`.
-    fn sigma_step(
-        &mut self,
-        g_slab: ElementSlab,
-        w: [Vec<BlockTridiagonal>; 2],
-    ) -> [Vec<BlockTridiagonal>; 3] {
+    /// Leaves `[Σ^<, Σ^>, Σ^R]` in the energy sets.
+    fn sigma_step(&mut self) {
         let p = self.p;
-        let (_, series) = self.convolve(
+        let b = &mut self.bufs;
+        let ([lesser, greater, _], g_slab) = (&b.sets, &b.g_slab);
+        let wire = Wire {
+            ctx: self.ctx,
+            plan: &p.plan,
+            batches: &p.batches,
+            counters: &mut self.log.counters,
+            pool: &mut b.pool,
+        };
+        convolve(
+            wire,
+            p.energies.len(),
             &TRANSPOSITIONS[2],
-            [&w[0], &w[1]],
+            |c, k| &[lesser, greater][c][k],
+            &mut b.w_slab,
+            &mut b.arrived,
+            &mut b.series,
             |w_slab, batch, _, out, g, info| {
                 // Σ_ij(E) needs G^≶_ij and W^≶_ij of the same element.
                 let gs = [g_slab.negf(0, g), g_slab.negf(1, g)];
@@ -486,53 +622,53 @@ impl<'a> RankState<'a> {
                 self_energy_group_accumulate(out, gs, ws, batch, p.de, info, &p.flops);
             },
         );
-        let sigma_new = self.ship(&TRANSPOSITIONS[3], series);
+        self.ship(&TRANSPOSITIONS[3]);
         self.log.full_iterations += 1;
         // Cumulative memoizer snapshot: consecutive differences give the
         // per-iteration hit rates reported by `DistReport`.
         let stats = self.memoizer.as_ref().map(|m| m.stats());
         let snapshot = stats.map_or((0, 0), |s| (s.hits(), s.total()));
         self.log.memo_per_iteration.push(snapshot);
-        sigma_new
     }
 
-    /// Advance the owned Σ state by the update rule. Between *contribute* and
-    /// *apply* the rows of the owned energies — with the G step's current
-    /// spectrum riding along — are gathered in rank order (= ascending
-    /// energy), so every rank sums the grid exactly as a single-threaded
-    /// energy loop does: coefficients, residual and per-iteration current come
-    /// out with the same bits at any rank count. Returns whether the loop
-    /// converged.
-    fn mix(&mut self, [new_l, new_g, new_r]: [Vec<BlockTridiagonal>; 3]) -> bool {
+    /// Advance the owned Σ state by the update rule towards the `Σ_new` in
+    /// the energy sets. Between *contribute* and *apply* the rows of the
+    /// owned energies — with the G step's current spectrum riding along —
+    /// are gathered in rank order (= ascending energy), so every rank sums
+    /// the grid exactly as a single-threaded energy loop does: coefficients,
+    /// residual and per-iteration current come out with the same bits at any
+    /// rank count. Returns whether the loop converged.
+    fn mix(&mut self) -> bool {
         let (p, cfg) = (self.p, self.p.cfg());
-        let new = |k: usize| [&new_l[k], &new_g[k], &new_r[k]];
         let per_spectral = self.spectral_stride();
+        let b = &mut self.bufs;
+        let [new_l, new_g, new_r] = &b.sets;
+        let new = |k: usize| [&new_l[k], &new_g[k], &new_r[k]];
+        let (sigma, mixer, spectral) = (&mut self.sigma, &mut self.mixer, &self.spectral);
         let residual = quatrex_probe::span("scba.mix", "mix", || {
-            let mut rows = Vec::with_capacity((ROW_LEN + 1) * self.sigma.len());
-            for (k_local, s) in self.sigma.iter().enumerate() {
-                let old = [&s.lesser, &s.greater, &s.retarded];
-                let row = self.mixer.contribute(k_local, old, new(k_local));
-                rows.extend(row.map(|v| c64::new(v, 0.0)));
-                rows.push(self.spectral[k_local * per_spectral]);
-            }
-
-            let gathered =
-                self.ctx
-                    .allgather_tagged(rows, |m| m.len() * BYTES_PER_VALUE, CommPhase::Gathers);
+            let gathered = allgather(self.ctx, &mut b.pool, |rows| {
+                for (k_local, s) in sigma.iter().enumerate() {
+                    let old = [&s.lesser, &s.greater, &s.retarded];
+                    let row = mixer.contribute(k_local, old, new(k_local));
+                    rows.extend(row.map(|v| c64::new(v, 0.0)));
+                    rows.push(spectral[k_local * per_spectral]);
+                }
+            });
             let per_energy = || gathered.iter().flat_map(|m| m.chunks_exact(ROW_LEN + 1));
 
-            let current_spectrum: Vec<f64> = per_energy().map(|e| e[ROW_LEN].re).collect();
-            let current = integrate_current(&current_spectrum, p.de);
+            b.current_spectrum.clear();
+            b.current_spectrum
+                .extend(per_energy().map(|e| e[ROW_LEN].re));
+            let current = integrate_current(&b.current_spectrum, p.de);
             self.log.current_history.push(current);
             let rows = per_energy().map(|e| -> MixRow { std::array::from_fn(|i| e[i].re) });
-            let residual = self.mixer.coefficients(rows);
-            self.log
-                .contraction_history
-                .extend(self.mixer.contraction());
-            for (k_local, s) in self.sigma.iter_mut().enumerate() {
+            let residual = mixer.coefficients(rows);
+            self.log.contraction_history.extend(mixer.contraction());
+            for (k_local, s) in sigma.iter_mut().enumerate() {
                 let old = [&mut s.lesser, &mut s.greater, &mut s.retarded];
-                self.mixer.apply(k_local, old, new(k_local));
+                mixer.apply(k_local, old, new(k_local));
             }
+            b.pool.recycle(gathered);
             residual
         });
         self.log.residual_history.push(residual);

@@ -6,7 +6,7 @@
 //! * **energy-major** (a `Vec<BlockTridiagonal>` per quantity): each rank owns
 //!   a contiguous slice of energy points and stores one block-tridiagonal
 //!   matrix per energy — the layout of the OBC + assembly + RGF phases;
-//! * **element-major** ([`ElementSlab`]): each rank owns a contiguous slice of
+//! * **element-major** (`ElementSlab`): each rank owns a contiguous slice of
 //!   the *canonical element list* and stores, per element, the full energy
 //!   series — the layout of the P/Σ convolutions (FFTs over energy), as
 //!   lane-group slabs (`crate::element_major`): eight elements per group,
@@ -22,7 +22,7 @@
 //! backward transposition ships canonical and mirror elements. A message is
 //! ordered component → energy → element, so pack and unpack walk each
 //! energy's matrix once through the plan's gather lists
-//! ([`TranspositionPlan::slots`]) and the element side reads and writes whole
+//! (`TranspositionPlan::slots`) and the element side reads and writes whole
 //! lane rows. Because ownership is fixed by the plan, so is every message
 //! length:
 //! [`TranspositionPlan::transposition_bytes`] is the exact off-rank volume of
@@ -68,43 +68,71 @@ pub(crate) fn push_matrix(buf: &mut Vec<c64>, m: &CMatrix) {
 
 /// Read one `bs × bs` matrix written by [`push_matrix`].
 pub(crate) fn read_matrix<'a>(it: &mut impl Iterator<Item = &'a c64>, bs: usize) -> CMatrix {
-    let mut m = CMatrix::zeros(bs, bs);
+    let mut m = CMatrix::default();
+    read_matrix_into(it, &mut m, bs);
+    m
+}
+
+/// Read one `bs × bs` matrix written by [`push_matrix`] into `m`.
+pub(crate) fn read_matrix_into<'a>(
+    it: &mut impl Iterator<Item = &'a c64>,
+    m: &mut CMatrix,
+    bs: usize,
+) {
+    let m = m.fit(bs, bs);
     for r in 0..bs {
         for c in 0..bs {
             m[(r, c)] = read_value(it);
         }
     }
-    m
 }
 
 /// Append a block-tridiagonal quantity: diagonals first, then per row the
 /// upper and lower couplings.
 pub(crate) fn push_bt(buf: &mut Vec<c64>, bt: &BlockTridiagonal) {
-    let nb = bt.n_blocks();
-    for i in 0..nb {
+    push_bt_range(buf, bt, 0..bt.n_blocks());
+}
+
+/// Append blocks `range` of a block-tridiagonal quantity (and the
+/// couplings between them) as [`push_bt`] appends that sub-range.
+pub(crate) fn push_bt_range(buf: &mut Vec<c64>, bt: &BlockTridiagonal, range: Range<usize>) {
+    for i in range.clone() {
         push_matrix(buf, bt.diag(i));
     }
-    for i in 0..nb.saturating_sub(1) {
+    for i in range.start..range.end.saturating_sub(1) {
         push_matrix(buf, bt.upper(i));
         push_matrix(buf, bt.lower(i));
     }
 }
 
-/// Read a block-tridiagonal quantity written by [`push_bt`].
+/// Read a block-tridiagonal quantity of `nb` blocks of `bs` written by
+/// [`push_bt`].
 pub(crate) fn read_bt<'a>(
     it: &mut impl Iterator<Item = &'a c64>,
     nb: usize,
     bs: usize,
 ) -> BlockTridiagonal {
-    let mut bt = BlockTridiagonal::zeros(nb, bs);
+    let mut bt = BlockTridiagonal::default();
+    read_bt_into(it, &mut bt, nb, bs);
+    bt
+}
+
+/// Read a block-tridiagonal quantity of `nb` blocks of `bs` written by
+/// [`push_bt`] into `bt`.
+pub(crate) fn read_bt_into<'a>(
+    it: &mut impl Iterator<Item = &'a c64>,
+    bt: &mut BlockTridiagonal,
+    nb: usize,
+    bs: usize,
+) {
+    bt.fit(nb, bs);
     for i in 0..nb {
-        bt.set_block(i, i, read_matrix(it, bs));
+        read_matrix_into(it, bt.diag_mut(i), bs);
     }
     for i in 0..nb.saturating_sub(1) {
-        bt.set_block(i, i + 1, read_matrix(it, bs));
-        bt.set_block(i + 1, i, read_matrix(it, bs));
+        read_matrix_into(it, bt.upper_mut(i), bs);
+        read_matrix_into(it, bt.lower_mut(i), bs);
     }
-    bt
 }
 
 /// A rank's element-major slice: lane-group slabs ([`LanePlanes`]) of the
@@ -117,7 +145,7 @@ pub(crate) fn read_bt<'a>(
 /// output holds both sides, because its accumulated mirrors are not yet
 /// symmetric, and its retarded component never is.
 #[derive(Debug, Clone)]
-pub struct ElementSlab {
+pub(crate) struct ElementSlab {
     /// Indices into the canonical element list owned by this rank.
     pub elements: Range<usize>,
     /// `canonical[c]` — component `c` of the owned canonical elements.
@@ -149,6 +177,13 @@ impl ElementSlab {
             mirror: (0..n_mirrored).map(|_| planes()).collect(),
             groups: lane_groups(&plan.slots.self_mirror(elements.clone())),
             elements,
+        }
+    }
+
+    /// Zero every series in place (the allocation is kept).
+    pub fn zero(&mut self) {
+        for planes in self.canonical.iter_mut().chain(&mut self.mirror) {
+            planes.reset(planes.n_elements());
         }
     }
 
@@ -184,7 +219,7 @@ pub struct TranspositionPlan {
     /// Where every canonical element (`canonical_elements` order) and its
     /// mirror sit in a `BlockTridiagonal`, and which elements are their own
     /// mirror: the gather lists of pack and unpack.
-    pub slots: ElementSlots,
+    pub(crate) slots: ElementSlots,
     /// Energy ownership per rank (contiguous, ascending).
     pub energy_ranges: Vec<Range<usize>>,
     /// Canonical-element ownership per rank (contiguous, ascending).
@@ -241,40 +276,41 @@ impl TranspositionPlan {
     }
 
     /// Forward serialisation (energy-major → element-major) of one energy
-    /// batch: build the per-destination messages for the symmetric components
-    /// `comps` (`comps[c][local_energy]`, the rank's full local data), carrying
-    /// only the energies in `local` (a sub-range of this rank's *local* energy
-    /// indices; `0..n_local` ships everything at once).
+    /// batch: fill the per-destination `messages` (empty on entry) with
+    /// `n_comps` symmetric components, `at(c, k)` component `c` at this
+    /// rank's *local* energy `k`, carrying only the energies in `local` (a
+    /// sub-range of the local energy indices; `0..n_local` ships everything
+    /// at once).
     ///
     /// Wire format of the message to rank `q`, in order: for every component,
     /// for every energy of the batch (ascending), the values of the canonical
     /// elements owned by `q` (ascending). The components must be
     /// NEGF-symmetric: the receiver reads their mirrors as `−X*`. Each
     /// energy's matrix is read once, through the plan's gather list.
-    pub fn scatter_forward_batch(
+    pub(crate) fn scatter_forward_batch<'a>(
         &self,
         rank: usize,
-        comps: &[&[BlockTridiagonal]],
+        n_comps: usize,
+        at: impl Fn(usize, usize) -> &'a BlockTridiagonal,
         local: Range<usize>,
-    ) -> Vec<Vec<c64>> {
-        let my_energies = self.energy_ranges[rank].clone();
-        for c in comps {
-            assert_eq!(c.len(), my_energies.len());
+        messages: &mut [Vec<c64>],
+    ) {
+        assert!(
+            local.end <= self.energy_ranges[rank].len(),
+            "local energies"
+        );
+        for (msg, elems) in messages.iter_mut().zip(&self.element_ranges) {
+            msg.reserve(n_comps * elems.len() * local.len());
         }
-        let mut msgs: Vec<Vec<c64>> = self
-            .element_ranges
-            .iter()
-            .map(|elems| Vec::with_capacity(comps.len() * elems.len() * local.len()))
-            .collect();
-        for comp in comps {
-            for bt in &comp[local.clone()] {
-                for (msg, elems) in msgs.iter_mut().zip(&self.element_ranges) {
+        for c in 0..n_comps {
+            for k in local.clone() {
+                let bt = at(c, k);
+                for (msg, elems) in messages.iter_mut().zip(&self.element_ranges) {
                     let (slots, side) = (&self.slots, Side::Canonical);
                     slots.read(elems.clone(), side, bt, |_, v| msg.push(v));
                 }
             }
         }
-        msgs
     }
 
     /// Forward deserialisation at the element owner, one batch at a time:
@@ -286,11 +322,11 @@ impl TranspositionPlan {
     /// mirrors are not stored — the kernels read them as `−X*` — so the
     /// per-batch convolution kernels can consume the batch while the next one
     /// is still in flight.
-    pub fn absorb_forward_batch(
+    pub(crate) fn absorb_forward_batch(
         &self,
         rank: usize,
         slab: &mut ElementSlab,
-        received: Vec<Vec<c64>>,
+        received: &[Vec<c64>],
         src_ranges: &[Range<usize>],
     ) {
         let n_local = self.element_ranges[rank].len();
@@ -319,8 +355,9 @@ impl TranspositionPlan {
     }
 
     /// Backward serialisation (element-major → energy-major) of one energy
-    /// batch: build the per-destination messages for the components of
-    /// `slab` (this rank's element slice); the message to rank `q` carries
+    /// batch: fill the per-destination `messages` (empty on entry) with the
+    /// components of `slab` (this rank's element slice); the message to rank
+    /// `q` carries
     /// only the energies in `dst_ranges[q]` (global indices; the batch's
     /// slice of `q`'s energy range — `energy_ranges` itself ships everything
     /// at once). `symmetric[c]` states whether component `c` obeys
@@ -335,59 +372,56 @@ impl TranspositionPlan {
     /// component (retarded-like: no exploitable symmetry), for every energy,
     /// the mirror values of the non-self-mirror elements. Each energy is read
     /// as whole lane rows.
-    pub fn scatter_backward_batch(
+    pub(crate) fn scatter_backward_batch(
         &self,
         rank: usize,
         slab: &ElementSlab,
         symmetric: &[bool],
         dst_ranges: &[Range<usize>],
-    ) -> Vec<Vec<c64>> {
+        messages: &mut [Vec<c64>],
+    ) {
         let elems = self.element_ranges[rank].clone();
         debug_assert_eq!(slab.elements, elems);
         let mirrored = symmetric.iter().filter(|&&s| !s).count();
         let n_paired: usize = slab.groups.iter().map(|g| g.paired).sum();
-        dst_ranges
-            .iter()
-            .map(|dst_energies| {
-                let n_k = dst_energies.len();
-                let canonical = slab.canonical.len() * n_k * elems.len();
-                let mut msg = vec![c64::new(0.0, 0.0); canonical + mirrored * n_k * n_paired];
-                let (head, tail) = msg.split_at_mut(canonical);
-                for (planes, out) in slab
-                    .canonical
-                    .iter()
-                    .zip(split_runs(head, slab.canonical.len()))
-                {
-                    write_rows(out, planes, dst_energies.clone(), &slab.groups, false);
-                }
-                let mirrors = symmetric.iter().enumerate().filter(|&(_, &s)| !s);
-                for ((c, _), out) in mirrors.zip(split_runs(tail, mirrored)) {
-                    write_rows(
-                        out,
-                        &slab.mirror[c],
-                        dst_energies.clone(),
-                        &slab.groups,
-                        true,
-                    );
-                }
-                msg
-            })
-            .collect()
+        for (msg, dst_energies) in messages.iter_mut().zip(dst_ranges) {
+            let n_k = dst_energies.len();
+            let canonical = slab.canonical.len() * n_k * elems.len();
+            msg.resize(canonical + mirrored * n_k * n_paired, c64::new(0.0, 0.0));
+            let (head, tail) = msg.split_at_mut(canonical);
+            for (planes, out) in slab
+                .canonical
+                .iter()
+                .zip(split_runs(head, slab.canonical.len()))
+            {
+                write_rows(out, planes, dst_energies.clone(), &slab.groups, false);
+            }
+            let mirrors = symmetric.iter().enumerate().filter(|&(_, &s)| !s);
+            for ((c, _), out) in mirrors.zip(split_runs(tail, mirrored)) {
+                write_rows(
+                    out,
+                    &slab.mirror[c],
+                    dst_energies.clone(),
+                    &slab.groups,
+                    true,
+                );
+            }
+        }
     }
 
     /// Backward deserialisation at the energy owner, one batch at a time:
-    /// absorb the per-source messages into pre-allocated energy-major outputs
-    /// (one per component; `symmetric` is the mask the messages were
-    /// serialised with). `received` carries, from
+    /// absorb the per-source messages into kept energy-major outputs (one
+    /// per component; `symmetric` is the mask the messages were serialised
+    /// with), every entry of a touched matrix overwritten. `received` carries, from
     /// every source, this rank's energies in `my_range` (global indices; the
     /// batch's slice of this rank's energy range). Only the matrices of those
     /// energies are touched, each once per component, through the plan's
     /// gather lists.
-    pub fn absorb_backward_batch(
+    pub(crate) fn absorb_backward_batch(
         &self,
         rank: usize,
         out: &mut [EnergyResolved],
-        received: Vec<Vec<c64>>,
+        received: &[Vec<c64>],
         symmetric: &[bool],
         my_range: Range<usize>,
     ) {
@@ -520,13 +554,18 @@ fn write_rows(
 /// More batches than a rank has energies leave the surplus batches empty —
 /// harmless degenerate collectives that ship no bytes.
 #[derive(Debug, Clone)]
-pub struct TranspositionBatchPlan {
+pub(crate) struct TranspositionBatchPlan {
     /// Number of batches every transposition is cut into (`B ≥ 1`).
     pub n_batches: usize,
     /// `local_ranges[rank][batch]` — sub-range of the rank's *local* energy
     /// indices shipped in that batch. Per rank the sub-ranges are
     /// contiguous, ascending, and cover `0..n_local` exactly.
     pub local_ranges: Vec<Vec<Range<usize>>>,
+    /// `global[batch][rank]` — the rank's global energy sub-range in the
+    /// batch.
+    global: Vec<Vec<Range<usize>>>,
+    /// `arrived[batch]` — every global energy of the batch, ascending.
+    arrived: Vec<Vec<usize>>,
 }
 
 impl TranspositionBatchPlan {
@@ -535,14 +574,31 @@ impl TranspositionBatchPlan {
     /// schedule from the shared plan.
     pub fn new(plan: &TranspositionPlan, n_batches: usize) -> Self {
         assert!(n_batches >= 1, "at least one batch per transposition");
-        let local_ranges = plan
+        let local_ranges: Vec<Vec<Range<usize>>> = plan
             .energy_ranges
             .iter()
             .map(|r| partition_even(r.len(), n_batches))
             .collect();
+        let global: Vec<Vec<Range<usize>>> = (0..n_batches)
+            .map(|b| {
+                let at = |r: usize| {
+                    let (start, local) = (plan.energy_ranges[r].start, &local_ranges[r][b]);
+                    start + local.start..start + local.end
+                };
+                (0..plan.n_ranks).map(at).collect()
+            })
+            .collect();
+        // The ranks' ranges are ordered and disjoint, so their concatenation
+        // ascends.
+        let arrived = global
+            .iter()
+            .map(|ranges| ranges.iter().cloned().flatten().collect())
+            .collect();
         Self {
             n_batches,
             local_ranges,
+            global,
+            arrived,
         }
     }
 
@@ -556,21 +612,15 @@ impl TranspositionBatchPlan {
     /// The global sub-ranges of every rank for batch `b`, in rank order
     /// (the per-source shapes of one forward batch, and the per-destination
     /// shapes of one backward batch).
-    pub fn global_ranges(&self, plan: &TranspositionPlan, b: usize) -> Vec<Range<usize>> {
-        (0..plan.n_ranks)
-            .map(|r| self.global_range(plan, r, b))
-            .collect()
+    pub fn global_ranges(&self, b: usize) -> &[Range<usize>] {
+        &self.global[b]
     }
 
-    /// All global energy indices arriving in forward batch `b` (ascending —
-    /// the ranks' ranges are ordered and disjoint). This is the batch view
-    /// the accumulation kernels in `crate::convolution` consume.
-    pub fn arrived_global(&self, plan: &TranspositionPlan, b: usize) -> Vec<usize> {
-        let mut v = Vec::new();
-        for r in 0..plan.n_ranks {
-            v.extend(self.global_range(plan, r, b));
-        }
-        v
+    /// All global energy indices arriving in forward batch `b` (ascending).
+    /// This is the batch view the accumulation kernels in
+    /// `crate::convolution` consume.
+    pub fn arrived_global(&self, b: usize) -> &[usize] {
+        &self.arrived[b]
     }
 }
 
@@ -581,6 +631,32 @@ mod tests {
     use quatrex_linalg::lanes::Lanes;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
+
+    /// The forward messages of `comps[c][local energy]`, freshly allocated.
+    fn scatter_forward(
+        plan: &TranspositionPlan,
+        rank: usize,
+        comps: &[&[BlockTridiagonal]],
+        local: Range<usize>,
+    ) -> Vec<Vec<c64>> {
+        let mut messages = vec![Vec::new(); plan.n_ranks];
+        let at = |c: usize, k: usize| &comps[c][k];
+        plan.scatter_forward_batch(rank, comps.len(), at, local, &mut messages);
+        messages
+    }
+
+    /// The backward messages of `slab`, freshly allocated.
+    fn scatter_backward(
+        plan: &TranspositionPlan,
+        rank: usize,
+        slab: &ElementSlab,
+        symmetric: &[bool],
+        dst_ranges: &[Range<usize>],
+    ) -> Vec<Vec<c64>> {
+        let mut messages = vec![Vec::new(); dst_ranges.len()];
+        plan.scatter_backward_batch(rank, slab, symmetric, dst_ranges, &mut messages);
+        messages
+    }
 
     /// Add a retarded-like third component, canonical and mirror series, to
     /// a forward slab (whose lesser/greater mirrors are not stored).
@@ -674,10 +750,10 @@ mod tests {
             let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
             // forward: energy-major -> element-major
             let local = [&q[0][my_e.clone()], &q[1][my_e.clone()]];
-            let payloads = plan.scatter_forward_batch(rank, &local, 0..my_e.len());
+            let payloads = scatter_forward(plan, rank, &local, 0..my_e.len());
             let recv = ctx.alltoallv_tagged(payloads, wire, fwd.phase);
             let mut slab = ElementSlab::zeroed(plan, rank, 2, false);
-            plan.absorb_forward_batch(rank, &mut slab, recv, &plan.energy_ranges);
+            plan.absorb_forward_batch(rank, &mut slab, &recv, &plan.energy_ranges);
             // backward: element-major -> energy-major, plus a retarded-like
             // component whose mirrors must travel
             let mut back_slab = slab.clone();
@@ -687,11 +763,10 @@ mod tests {
                 owned.iter().map(|&id| series(&q[2], id)).collect(),
                 owned.iter().map(|&id| series(&q[2], id.mirror())).collect(),
             );
-            let back =
-                plan.scatter_backward_batch(rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
+            let back = scatter_backward(plan, rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
             let recv = ctx.alltoallv_tagged(back, wire, bwd.phase);
             let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 3];
-            plan.absorb_backward_batch(rank, &mut out, recv, bwd.symmetric, my_e);
+            plan.absorb_backward_batch(rank, &mut out, &recv, bwd.symmetric, my_e);
             (slab, out)
         });
 
@@ -768,23 +843,25 @@ mod tests {
                 plan.absorb_forward_batch(
                     group,
                     &mut want,
-                    (0..n_groups)
+                    &(0..n_groups)
                         .map(|src| {
-                            let mut p = plan.scatter_forward_batch(
+                            let mut p = scatter_forward(
+                                &plan,
                                 src,
                                 &[&local(&gl, src), &local(&gg, src)],
                                 0..plan.energy_ranges[src].len(),
                             );
                             std::mem::take(&mut p[group])
                         })
-                        .collect(),
+                        .collect::<Vec<_>>(),
                     &plan.energy_ranges,
                 );
                 let mut slab = ElementSlab::zeroed(&plan, group, 2, false);
                 for batch in 0..b {
-                    let recv = (0..n_groups)
+                    let recv: Vec<_> = (0..n_groups)
                         .map(|src| {
-                            let mut p = plan.scatter_forward_batch(
+                            let mut p = scatter_forward(
+                                &plan,
                                 src,
                                 &[&local(&gl, src), &local(&gg, src)],
                                 batches.local_ranges[src][batch].clone(),
@@ -795,8 +872,8 @@ mod tests {
                     plan.absorb_forward_batch(
                         group,
                         &mut slab,
-                        recv,
-                        &batches.global_ranges(&plan, batch),
+                        &recv,
+                        batches.global_ranges(batch),
                     );
                 }
                 assert_eq!(slab.canonical, want.canonical, "canonical B={b}");
@@ -821,9 +898,10 @@ mod tests {
                 plan.absorb_backward_batch(
                     dst,
                     &mut want_out,
-                    (0..n_groups)
+                    &(0..n_groups)
                         .map(|src| {
-                            let mut p = plan.scatter_backward_batch(
+                            let mut p = scatter_backward(
+                                &plan,
                                 src,
                                 &slabs[src],
                                 bwd.symmetric,
@@ -831,19 +909,20 @@ mod tests {
                             );
                             std::mem::take(&mut p[dst])
                         })
-                        .collect(),
+                        .collect::<Vec<_>>(),
                     bwd.symmetric,
                     plan.energy_ranges[dst].clone(),
                 );
                 let mut got = zeros();
                 for batch in 0..b {
-                    let recv = (0..n_groups)
+                    let recv: Vec<_> = (0..n_groups)
                         .map(|src| {
-                            let mut p = plan.scatter_backward_batch(
+                            let mut p = scatter_backward(
+                                &plan,
                                 src,
                                 &slabs[src],
                                 bwd.symmetric,
-                                &batches.global_ranges(&plan, batch),
+                                batches.global_ranges(batch),
                             );
                             std::mem::take(&mut p[dst])
                         })
@@ -851,7 +930,7 @@ mod tests {
                     plan.absorb_backward_batch(
                         dst,
                         &mut got,
-                        recv,
+                        &recv,
                         bwd.symmetric,
                         batches.global_range(&plan, dst, batch),
                     );
@@ -888,7 +967,7 @@ mod tests {
             // The union of the arrived batches is the full grid, in order.
             let mut all = Vec::new();
             for batch in 0..b {
-                all.extend(batches.arrived_global(&plan, batch));
+                all.extend(batches.arrived_global(batch).iter().copied());
             }
             all.sort_unstable();
             assert_eq!(all, (0..10).collect::<Vec<_>>());

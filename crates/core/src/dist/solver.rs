@@ -11,7 +11,7 @@
 //!    energies are the union of its members' slices) and assembles their
 //!    systems (OBC against a **per-rank
 //!    [`quatrex_obc::ObcMemoizer`]**); its group solves them
-//!    ([`crate::dist::spatial::spatial_phase_solve`]: the local energy-batched RGF
+//!    (`crate::dist::spatial::spatial_phase_solve`: the local energy-batched RGF
 //!    solve in a one-member group; with `P_S > 1` concurrent interior
 //!    eliminations of the group's energies on every member, the reduced
 //!    boundary system of each energy assembled and solved on that energy's
@@ -64,7 +64,7 @@ use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 
 use crate::dist::config::{DistScbaConfig, DistScbaResult};
 use crate::dist::pipeline::TRANSPOSITIONS;
-use crate::dist::rank::{rank_main, Problem, RankCounters, RankOut};
+use crate::dist::rank::{rank_main, Problem, RankBuffers, RankCounters, RankOut};
 use crate::dist::report::{bytes_per_second, DistReport};
 use crate::dist::slab::{TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::SpatialLayout;
@@ -180,7 +180,7 @@ impl DistScbaSolver {
             );
         }
         let n_ranks = self.config.n_ranks;
-        let problem = Arc::new(Problem {
+        let mut problem = Problem {
             layout: SpatialLayout::new(n_ranks, self.config.spatial_partitions, nb, bs),
             kt: thermal_energy_ev(cfg.temperature_k),
             config: self.config.clone(),
@@ -204,7 +204,12 @@ impl DistScbaSolver {
             // before the threads spawn so the merged tracks align.
             epoch: Instant::now(),
             flops: FlopCounter::new(),
-        });
+            buffers: Vec::new(),
+        };
+        problem.buffers = (0..n_ranks)
+            .map(|rank| Mutex::new(Some(RankBuffers::new(&problem, rank))))
+            .collect();
+        let problem = Arc::new(problem);
         let shared = Arc::clone(&problem);
         let launch = Instant::now();
         let (mut outs, stats) = ThreadComm::run(n_ranks, move |ctx: RankContext<Vec<c64>>| {

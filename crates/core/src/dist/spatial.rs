@@ -9,7 +9,7 @@
 //! assembles and finishes them itself, and the group's energies are the union
 //! of its members'.
 //!
-//! [`spatial_phase_solve`] is the *group solve* — stage 2 of a step, between
+//! `spatial_phase_solve` is the *group solve* — stage 2 of a step, between
 //! `quatrex_core`'s per-energy assemble and finish stages. In a one-member
 //! group it **is** the local batched solve (`crate::scba::solve_stage`
 //! against the rank's scratch); otherwise it executes the per-energy selected
@@ -53,14 +53,17 @@ use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_obc::Subsystem;
 use quatrex_rgf::{
-    assemble_reduced_system, assemble_solution, eliminate_partition, partition_layout_balanced,
-    partition_ranges, recover_partition, solve_systems, PartitionSolveState, RgfBatchScratch,
-    SelectedSolution, SpatialPartition,
+    assemble_reduced_system_into, assemble_solution_into, eliminate_loaded,
+    eliminate_partition_into, partition_layout_balanced, recover_partition_into, separator_blocks,
+    solve_systems_into, PartitionSolveState, RgfBatchScratch, SelectedSolution, SpatialPartition,
 };
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::dist::slab::{push_bt, push_matrix, read_bt, read_matrix, BYTES_PER_VALUE};
+use crate::dist::pipeline::MessagePool;
+use crate::dist::slab::{
+    push_bt, push_bt_range, push_matrix, read_bt_into, read_matrix_into, BYTES_PER_VALUE,
+};
 
 /// Number of lesser/greater right-hand sides of every per-energy solve
 /// (`X^<` and `X^>`).
@@ -108,7 +111,7 @@ impl RankGrid {
     }
 
     /// The flat ranks of a group, in spatial order.
-    pub fn members_of(&self, group: usize) -> Range<usize> {
+    pub(crate) fn members_of(&self, group: usize) -> Range<usize> {
         group * self.spatial_partitions..(group + 1) * self.spatial_partitions
     }
 }
@@ -122,6 +125,9 @@ pub struct SpatialLayout {
     pub grid: RankGrid,
     /// One partition per spatial rank; empty at `P_S = 1`.
     pub parts: Vec<SpatialPartition>,
+    /// The partitions' separator blocks, ascending
+    /// (`quatrex_rgf::separator_blocks`).
+    pub separators: Vec<usize>,
     /// Transport blocks of every per-energy system (`N_B`).
     pub n_blocks: usize,
     /// Transport-cell block size.
@@ -147,6 +153,7 @@ impl SpatialLayout {
         .expect("spatial partition layout rejected (too few blocks for P_S)");
         Self {
             grid,
+            separators: separator_blocks(&parts),
             parts,
             n_blocks,
             block_size,
@@ -172,16 +179,19 @@ fn push_selected(buf: &mut Vec<c64>, sol: &SelectedSolution) {
     }
 }
 
-fn read_selected<'a>(
+/// Read a selected solution of `N_RHS` right-hand sides over `nb` blocks of
+/// `bs` written by [`push_selected`] into `sol`.
+fn read_selected_into<'a>(
     it: &mut impl Iterator<Item = &'a c64>,
+    sol: &mut SelectedSolution,
     nb: usize,
     bs: usize,
-    n_rhs: usize,
-) -> SelectedSolution {
-    SelectedSolution {
-        retarded: read_bt(it, nb, bs),
-        lesser: (0..n_rhs).map(|_| read_bt(it, nb, bs)).collect(),
-        flops: 0,
+) {
+    sol.fit(nb, bs, N_RHS);
+    sol.flops = 0;
+    read_bt_into(it, &mut sol.retarded, nb, bs);
+    for l in &mut sol.lesser {
+        read_bt_into(it, l, nb, bs);
     }
 }
 
@@ -195,6 +205,43 @@ fn update_blocks(part: &SpatialPartition) -> usize {
     }
 }
 
+/// The kept buffers of a rank's group solves: the RGF scratch of every solve,
+/// and for a cooperative solve (`P_S ≥ 2`) the elimination states (the other
+/// members' block ranges are read straight into them), reduced systems and
+/// solutions, and recovered ranges of the group's energies and the wire
+/// buffers they are read into. Sized by the first solve, rewritten
+/// in place by every later one.
+#[derive(Default)]
+pub(crate) struct GroupScratch {
+    /// The RGF scratch of every solve, local or cooperative (there: the
+    /// partition interiors of the group's energies and the reduced systems
+    /// of the rank's own): the shapes repeat every iteration, so the staged
+    /// operand batches and the batch arena stay warm.
+    pub rgf: RgfBatchScratch,
+    /// Elimination states of the group's energies, in member order.
+    states: Vec<PartitionSolveState>,
+    /// Per partition: the update grid of the energy at hand.
+    updates: Vec<Vec<CMatrix>>,
+    /// The reduced systems of this rank's energies.
+    reduced_systems: Vec<[BlockTridiagonal; 1 + N_RHS]>,
+    /// The reduced solutions and this partition's recovered ranges of the
+    /// group's energies, in member order.
+    reduced: Vec<SelectedSolution>,
+    recovered: Vec<SelectedSolution>,
+    /// Per partition: the recovered range of the energy at hand.
+    part_ranges: Vec<SelectedSolution>,
+    /// Per member: how far its message has been read.
+    cursors: Vec<usize>,
+}
+
+/// Read from `msg` at `*at` with `read`, and advance `*at` past what it
+/// consumed.
+fn read_at<'m>(msg: &'m [c64], at: &mut usize, read: impl FnOnce(&mut std::slice::Iter<'m, c64>)) {
+    let mut it = msg[*at..].iter();
+    read(&mut it);
+    *at = msg.len() - it.as_slice().len();
+}
+
 /// The group solve of one phase: the per-energy selected solves of the
 /// assembled systems, by the whole energy group.
 ///
@@ -202,30 +249,34 @@ fn update_blocks(part: &SpatialPartition) -> usize {
 /// and assembled; `member_energies[m]` is the number of energies spatial rank
 /// `m` of this rank's group brings to the solve (`systems.len()` at this
 /// rank's own index). With one member per group (`P_S = 1`) this is
-/// `crate::scba::solve_stage` against `scratch` — one energy-batched
+/// `crate::scba::solve_stage` against the RGF scratch — one energy-batched
 /// RGF solve, no communication. Otherwise the group's ranks cooperate:
 /// block-range distribution, concurrent interior eliminations of every
 /// energy of the group, the reduced boundary systems on each energy's owner,
 /// concurrent recoveries — every RGF solve among them energy-batched against
-/// `scratch` in chunks of at most `kernel_batch` energies. Returns the
-/// [`SelectedSolution`]s of this rank's energies; FLOPs are accounted to
-/// `subsystem` either way.
+/// the RGF scratch in chunks of at most `kernel_batch` energies, every
+/// message from `pool`. Writes the [`SelectedSolution`]s of this rank's
+/// energies into `sols` (one per system); FLOPs are accounted to `subsystem`
+/// either way.
 #[allow(clippy::too_many_arguments)]
-pub fn spatial_phase_solve(
+pub(crate) fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
     layout: &SpatialLayout,
     subsystem: Subsystem,
     systems: &[[&BlockTridiagonal; 3]],
     member_energies: &[usize],
     kernel_batch: usize,
-    scratch: &mut RgfBatchScratch,
+    scratch: &mut GroupScratch,
+    pool: &mut MessagePool,
     flops: &FlopCounter,
-) -> Vec<SelectedSolution> {
+    sols: &mut [SelectedSolution],
+) {
     let (grid, parts) = (&layout.grid, &layout.parts);
     let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
+    assert_eq!(sols.len(), systems.len(), "one solution per system");
     if p_s == 1 {
-        return solve_stage(subsystem, systems, scratch, flops)
+        return solve_stage(subsystem, systems, sols, &mut scratch.rgf, flops)
             .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
     }
     let (_, kind) = solve_accounting(subsystem);
@@ -246,17 +297,32 @@ pub fn spatial_phase_solve(
     let my_part = &parts[s];
     let (n_range, n_sep) = (my_part.range().len(), 2 * (p_s - 1));
     let wire = |m: &Vec<c64>| m.len() * BYTES_PER_VALUE;
+    let GroupScratch {
+        rgf,
+        states,
+        updates,
+        reduced_systems,
+        reduced,
+        recovered,
+        part_ranges,
+        cursors,
+    } = scratch;
+    states.resize_with(n_group, Default::default);
+    reduced.resize_with(n_group, Default::default);
+    recovered.resize_with(n_group, Default::default);
+    updates.resize_with(p_s, Vec::new);
+    part_ranges.resize_with(p_s, Default::default);
 
     // ------------------------------------------ distribute the block ranges
     // Every member cuts each other member's block range out of the systems
     // it assembled instead of broadcasting the full triple: member `p`
     // receives blocks `lo..=hi` of partition `p` — nothing when its interior
     // is empty.
-    let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
+    let mut send = pool.messages(n_ranks);
     for p in others() {
         for system in systems {
-            for range in partition_ranges(system, &parts[p]) {
-                push_bt(&mut send[first + p], &range);
+            for m in system {
+                push_bt_range(&mut send[first + p], m, parts[p].range());
             }
         }
     }
@@ -265,41 +331,42 @@ pub fn spatial_phase_solve(
     // flight — the same communication/computation overlap the batched
     // transpositions use, applied to the system distribution.
     let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Spatial);
-    let mut eliminate = |ranges: &[Vec<BlockTridiagonal>]| -> Vec<PartitionSolveState> {
+    // Eliminate the systems of one member, read from block `offset` on.
+    // Eliminate one member's energies: this rank's own from the systems it
+    // assembled, the others' from the ranges read into their states.
+    let mut eliminate = |states: &mut [PartitionSolveState],
+                         systems: Option<&[[&BlockTridiagonal; 3]]>| {
         quatrex_probe::span("spatial.eliminate", "rgf.partition", || {
-            let mut states = Vec::with_capacity(ranges.len());
-            for chunk in kernel_chunks(0..ranges.len(), kernel_batch) {
-                states.extend(
-                    eliminate_partition(&ranges[chunk], my_part, s, scratch)
-                        // lint:allow(no-unwrap): a singular interior is a fatal numeric error
-                        .expect("spatial elimination failed: the interior became singular"),
-                );
+            for chunk in kernel_chunks(0..states.len(), kernel_batch) {
+                let states = &mut states[chunk.clone()];
+                match systems {
+                    Some(systems) => {
+                        let systems = &systems[chunk];
+                        eliminate_partition_into(states, systems, my_part.lo, my_part, s, rgf)
+                    }
+                    None => eliminate_loaded(states, my_part, s, rgf),
+                }
+                // lint:allow(no-unwrap): a singular interior is a fatal numeric error
+                .expect("spatial elimination failed: the interior became singular");
             }
             flops.add(kind, states.iter().map(|st| st.workload.flops).sum());
-            states
         })
     };
-    let own: Vec<_> = systems
-        .iter()
-        .map(|system| partition_ranges(system, my_part))
-        .collect();
-    let mut own_states = eliminate(&own);
+    eliminate(&mut states[of(s)], Some(systems));
     let recv = handle.wait(ctx);
-    let mut states: Vec<PartitionSolveState> = Vec::with_capacity(n_group);
-    for m in 0..p_s {
-        if m == s {
-            states.append(&mut own_states);
-            continue;
-        }
+    for m in others() {
         let mut it = recv[first + m].iter();
-        let theirs: Vec<Vec<BlockTridiagonal>> = (0..member_energies[m])
-            .map(|_| (0..=N_RHS).map(|_| read_bt(&mut it, n_range, bs)).collect())
-            .collect();
-        states.extend(eliminate(&theirs));
+        for st in &mut states[of(m)] {
+            for matrix in st.range_mut(my_part, 1 + N_RHS) {
+                read_bt_into(&mut it, matrix, n_range, bs);
+            }
+        }
+        eliminate(&mut states[of(m)], None);
     }
+    pool.recycle(recv);
 
     // ------------------------------ send the reduced updates to the owners
-    let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
+    let mut send = pool.messages(n_ranks);
     for m in others() {
         for update in states[of(m)].iter().flat_map(|st| &st.updates) {
             push_matrix(&mut send[first + m], update);
@@ -308,71 +375,62 @@ pub fn spatial_phase_solve(
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
 
     // ---------------- assemble + solve the reduced systems of own energies
-    let mut own_reduced: Vec<SelectedSolution> =
-        quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
-            let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
-            let reduced_systems: Vec<Vec<BlockTridiagonal>> = systems
-                .iter()
-                .zip(&states[of(s)])
-                .map(|(system, own)| {
-                    // One update grid per partition, in layout order.
-                    let gathered: Vec<Vec<CMatrix>> = others()
-                        .map(|p| {
-                            (0..update_blocks(&parts[p]))
-                                .map(|_| read_matrix(&mut streams[p], bs))
-                                .collect()
-                        })
-                        .collect();
-                    let mut updates: Vec<&[CMatrix]> = gathered.iter().map(Vec::as_slice).collect();
-                    updates.insert(s, &own.updates);
-                    assemble_reduced_system(system, parts, &updates)
-                })
-                .collect();
-            let mut sols = Vec::with_capacity(systems.len());
-            for chunk in kernel_chunks(0..systems.len(), kernel_batch) {
-                sols.extend(
-                    solve_systems(&reduced_systems[chunk], scratch)
-                        .expect("reduced boundary system solve failed"), // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
-                );
+    quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
+        cursors.clear();
+        cursors.resize(p_s, 0);
+        reduced_systems.resize_with(systems.len(), Default::default);
+        let own_states = &states[of(s)];
+        for ((red, system), own) in reduced_systems.iter_mut().zip(systems).zip(own_states) {
+            // One update grid per partition, in layout order.
+            for p in others() {
+                updates[p].resize_with(update_blocks(&parts[p]), CMatrix::default);
+                read_at(&recv[first + p], &mut cursors[p], |it| {
+                    for update in &mut updates[p] {
+                        read_matrix_into(it, update, bs);
+                    }
+                });
             }
-            flops.add(kind, sols.iter().map(|sol| sol.flops).sum());
-            sols
-        });
+            let grid = |p: usize| if p == s { &own.updates } else { &updates[p] };
+            let separators = &layout.separators;
+            assemble_reduced_system_into(red, system, parts, separators, |p| grid(p));
+        }
+        let own_reduced = &mut reduced[of(s)];
+        for chunk in kernel_chunks(0..systems.len(), kernel_batch) {
+            let (systems, sols) = (&reduced_systems[chunk.clone()], &mut own_reduced[chunk]);
+            // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
+            solve_systems_into(systems, sols, rgf).expect("reduced boundary system solve failed");
+        }
+        flops.add(kind, own_reduced.iter().map(|sol| sol.flops).sum());
+    });
+    pool.recycle(recv);
 
     // ------------------- send the reduced selected blocks to the members
-    let mut buf = Vec::new();
-    for sol in &own_reduced {
-        push_selected(&mut buf, sol);
-    }
-    let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
+    let mut send = pool.messages(n_ranks);
     for m in others() {
-        send[first + m] = buf.clone();
+        for sol in &reduced[of(s)] {
+            push_selected(&mut send[first + m], sol);
+        }
     }
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
-    let mut reduced: Vec<SelectedSolution> = Vec::with_capacity(n_group);
-    for m in 0..p_s {
-        if m == s {
-            reduced.append(&mut own_reduced);
-            continue;
-        }
+    for m in others() {
         let mut it = recv[first + m].iter();
-        reduced.extend((0..member_energies[m]).map(|_| read_selected(&mut it, n_sep, bs, N_RHS)));
+        for sol in &mut reduced[of(m)] {
+            read_selected_into(&mut it, sol, n_sep, bs);
+        }
     }
+    pool.recycle(recv);
 
     // ------------------------------------------------ recover the block ranges
-    let mut recovered: Vec<SelectedSolution> =
-        quatrex_probe::span("spatial.recover", "rgf.partition", || {
-            let mut recovered = Vec::with_capacity(n_group);
-            for chunk in kernel_chunks(0..n_group, kernel_batch) {
-                let (states, reduced) = (&states[chunk.clone()], &reduced[chunk]);
-                recovered.extend(recover_partition(my_part, states, reduced, scratch));
-            }
-            flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
-            recovered
-        });
+    quatrex_probe::span("spatial.recover", "rgf.partition", || {
+        for chunk in kernel_chunks(0..n_group, kernel_batch) {
+            let (states, reduced) = (&states[chunk.clone()], &reduced[chunk.clone()]);
+            recover_partition_into(my_part, states, reduced, &mut recovered[chunk], rgf);
+        }
+        flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
+    });
 
     // -------------------------- return the recovered ranges to the owners
-    let mut send: Vec<Vec<c64>> = vec![Vec::new(); n_ranks];
+    let mut send = pool.messages(n_ranks);
     for m in others() {
         for rec in &recovered[of(m)] {
             push_selected(&mut send[first + m], rec);
@@ -381,26 +439,29 @@ pub fn spatial_phase_solve(
     let recv = ctx.alltoallv_tagged(send, wire, CommPhase::Spatial);
 
     // ------------------ assemble the full selected solutions of own energies
-    let mut streams: Vec<_> = (0..p_s).map(|p| recv[first + p].iter()).collect();
-    recovered
-        .drain(of(s))
-        .zip(&reduced[of(s)])
-        .map(|(own, red)| {
-            // One recovered range per partition, in layout order.
-            let mut ranges: Vec<SelectedSolution> = others()
-                .map(|p| read_selected(&mut streams[p], parts[p].range().len(), bs, N_RHS))
-                .collect();
-            ranges.insert(s, own);
-            assemble_solution(nb, parts, red, &ranges)
-        })
-        .collect()
+    cursors.clear();
+    cursors.resize(p_s, 0);
+    let own = recovered[of(s)].iter().zip(&reduced[of(s)]);
+    for (sol, (own, red)) in sols.iter_mut().zip(own) {
+        // One recovered range per partition, in layout order.
+        for p in others() {
+            let (n_part, range) = (parts[p].range().len(), &mut part_ranges[p]);
+            read_at(&recv[first + p], &mut cursors[p], |it| {
+                read_selected_into(it, range, n_part, bs)
+            });
+        }
+        let range = |p: usize| if p == s { own } else { &part_ranges[p] };
+        assemble_solution_into(sol, nb, parts, &layout.separators, red, range);
+    }
+    pool.recycle(recv);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::slab::read_bt;
     use quatrex_linalg::cplx;
-    use quatrex_rgf::{rgf_solve, spatial_partition_layout};
+    use quatrex_rgf::{partition_ranges, rgf_solve, spatial_partition_layout};
     use quatrex_runtime::{CommStats, ThreadComm};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -540,6 +601,7 @@ mod tests {
                 .take(member_energies[ctx.rank()])
                 .map(|p| p.each_ref())
                 .collect();
+            let mut sols = vec![SelectedSolution::default(); systems.len()];
             spatial_phase_solve(
                 &ctx,
                 &layout,
@@ -547,9 +609,12 @@ mod tests {
                 &systems,
                 &member_energies,
                 2, // kernel chunks of at most 2 energies
-                &mut RgfBatchScratch::new(),
+                &mut GroupScratch::default(),
+                &mut MessagePool::default(),
                 &FlopCounter::new(),
-            )
+                &mut sols,
+            );
+            sols
         })
     }
 
@@ -669,8 +734,9 @@ mod tests {
                 .collect();
             let systems: Vec<[&BlockTridiagonal; 3]> =
                 problems.iter().map(|p| p.each_ref()).collect();
-            let mut scratch = RgfBatchScratch::new();
+            let (mut scratch, mut pool) = (GroupScratch::default(), MessagePool::default());
             let flops = FlopCounter::new();
+            let mut sols = vec![SelectedSolution::default(); n_owned];
             (0..3)
                 .map(|_| {
                     for subsystem in [Subsystem::Electron, Subsystem::ScreenedCoulomb] {
@@ -682,10 +748,12 @@ mod tests {
                             &[n_owned; 2],
                             2,
                             &mut scratch,
+                            &mut pool,
                             &flops,
+                            &mut sols,
                         );
                     }
-                    scratch.fresh_allocations()
+                    scratch.rgf.fresh_allocations()
                 })
                 .collect::<Vec<usize>>()
         });

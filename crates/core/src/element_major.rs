@@ -10,12 +10,12 @@
 //! group in one lane FFT (`crate::convolution`), and the transpositions read
 //! and write whole rows.
 //!
-//! Energy-major data reaches the rows through [`ElementSlots`]: where each
+//! Energy-major data reaches the rows through `ElementSlots`: where each
 //! canonical element and its mirror sit in a `BlockTridiagonal`'s storage.
 //! A walk over a quantity
 //! visits each energy's matrix once and copies the slots it needs, element
-//! after element — the access pattern of [`gather_energy`] /
-//! [`scatter_energy`] here and of the transpositions'
+//! after element — the access pattern of `gather_energy` /
+//! `scatter_energy` here and of the transpositions'
 //! pack and unpack (`crate::dist::TranspositionPlan`).
 
 use std::ops::Range;
@@ -30,7 +30,7 @@ use crate::convolution::{for_each_canonical, n_canonical, BlockPos};
 pub type Row = [f64; LANES];
 
 /// Lane groups of `n` elements (the tail group padded).
-pub fn n_groups(n: usize) -> usize {
+pub(crate) fn n_groups(n: usize) -> usize {
     n.div_ceil(LANES)
 }
 
@@ -54,7 +54,7 @@ pub struct GroupRowsMut<'a> {
 
 impl GroupRowsMut<'_> {
     /// A shorter-lived mutable view of the same rows.
-    pub fn reborrow(&mut self) -> GroupRowsMut<'_> {
+    pub(crate) fn reborrow(&mut self) -> GroupRowsMut<'_> {
         GroupRowsMut {
             re: self.re,
             im: self.im,
@@ -93,18 +93,13 @@ impl LanePlanes {
     }
 
     /// Elements held (padding lanes excluded).
-    pub fn n_elements(&self) -> usize {
+    pub(crate) fn n_elements(&self) -> usize {
         self.n_elements
     }
 
     /// Energies per series.
     pub fn n_energies(&self) -> usize {
         self.n_energies
-    }
-
-    /// Lane groups held.
-    pub fn n_groups(&self) -> usize {
-        n_groups(self.n_elements)
     }
 
     /// The rows of group `g`.
@@ -163,7 +158,7 @@ impl LanePlanes {
 
     /// Mutable row pair of group `g` at energy `k`.
     #[inline(always)]
-    pub fn row_mut(&mut self, g: usize, k: usize) -> (&mut Row, &mut Row) {
+    pub(crate) fn row_mut(&mut self, g: usize, k: usize) -> (&mut Row, &mut Row) {
         let at = g * self.n_energies + k;
         (&mut self.re[at], &mut self.im[at])
     }
@@ -188,7 +183,7 @@ struct ElementSlot {
 
 /// Which element of a pair a walk reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+pub(crate) enum Side {
     /// The canonical element `(i, j)`.
     Canonical,
     /// Its mirror `(j, i)`.
@@ -202,7 +197,7 @@ pub enum Side {
 /// subdiagonal block under a superdiagonal one, so one list serves both
 /// sides of every pair.
 #[derive(Debug, Clone)]
-pub struct ElementSlots {
+pub(crate) struct ElementSlots {
     n_blocks: usize,
     block_size: usize,
     slots: Vec<ElementSlot>,
@@ -239,11 +234,6 @@ impl ElementSlots {
     /// Elements listed.
     pub fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True when no element is listed.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Whether element `e` is its own mirror (a diagonal entry of a diagonal
@@ -375,7 +365,7 @@ pub struct GroupInfo {
 /// `bt` into the rows of `planes` (`[canonical, mirror]`; element `e` of
 /// the range into lane `e mod LANES` of group `e / LANES`), a lane row of
 /// each at a time.
-pub fn gather_energy(
+pub(crate) fn gather_energy(
     [canonical, mirror]: [&mut LanePlanes; 2],
     k: usize,
     bt: &BlockTridiagonal,
@@ -399,7 +389,7 @@ pub fn gather_energy(
 /// `planes` into `side` of the elements `range` of `slots` in `bt` —
 /// skipping the self-mirror ones on the mirror side, where they would
 /// overwrite their own canonical value.
-pub fn scatter_energy(
+pub(crate) fn scatter_energy(
     planes: &LanePlanes,
     k: usize,
     bt: &mut BlockTridiagonal,
@@ -476,7 +466,7 @@ mod tests {
             assert_eq!(planes.series(e)[3], cplx(3.0, e as f64));
         }
         // The padding lanes stay zero.
-        let tail = planes.group(planes.n_groups() - 1);
+        let tail = planes.group(n_groups(planes.n_elements()) - 1);
         assert!(tail
             .re
             .iter()

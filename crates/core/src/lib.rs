@@ -59,8 +59,7 @@ pub use convolution::{
 pub use mixing::{mix_sigma_energy, MixRow, SigmaMixer};
 pub use observables::{Observables, SpectralData};
 pub use scba::{
-    g_step_assemble, g_step_batch, g_step_finish, kernel_chunks, solve_accounting, solve_stage,
-    w_step_assemble, w_step_batch, w_step_finish, GStepOutput, KernelTimings, ScbaConfig,
+    g_step_batch, w_step_assemble, w_step_batch, GStepOutput, KernelTimings, ScbaConfig,
     ScbaResult, ScbaSolver, WStepOutput,
 };
 

@@ -47,7 +47,7 @@
 //! map did not contract along the step just taken (`‖Δg‖ ≥ ‖Δx‖`, with
 //! `Δg = Δx + Δf` the change of the Σ-step's output), the residual grew
 //! against the previous mix, or a pivot of the Gram matrix falls below
-//! [`PIVOT_THRESHOLD`] of its diagonal. On a map that is not contractive the
+//! `PIVOT_THRESHOLD` of its diagonal. On a map that is not contractive the
 //! loop then does what plain damping does instead of extrapolating noise.
 //!
 //! The history holds three pairs ([`DEPTH`]): on the sweep benchmark's device
@@ -66,7 +66,7 @@ pub const DEPTH: usize = 3;
 /// A Gram pivot below this fraction of its diagonal entry (`sin²` of the
 /// angle between a `Δf` and the span of the newer ones) counts as rank
 /// deficient: the coefficients would amplify rounding by more than `1e6`.
-pub const PIVOT_THRESHOLD: f64 = 1e-10;
+pub(crate) const PIVOT_THRESHOLD: f64 = 1e-10;
 
 /// Entries of the packed upper triangle of the `DEPTH × DEPTH` Gram matrix.
 const GRAM_LEN: usize = DEPTH * (DEPTH + 1) / 2;
@@ -170,7 +170,7 @@ pub fn mix_sigma_energy(
 /// order. `None` when a pivot falls below [`PIVOT_THRESHOLD`] of its diagonal
 /// entry (or is not finite): the pairs are linearly dependent to rounding and
 /// the caller falls back to the damped step. Entries beyond `pairs` are zero.
-pub fn anderson_coefficients(total: &MixRow, pairs: usize) -> Option<[f64; DEPTH]> {
+pub(crate) fn anderson_coefficients(total: &MixRow, pairs: usize) -> Option<[f64; DEPTH]> {
     assert!(pairs <= DEPTH, "at most DEPTH pairs are kept");
     let gram = |i: usize, j: usize| total[gram_at(i.min(j), i.max(j))];
     let mut l = [[0.0f64; DEPTH]; DEPTH];

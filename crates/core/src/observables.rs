@@ -12,7 +12,7 @@
 //! Currents are reported in units of `e/ħ · eV` (multiply by `e/h ≈ 2.43·10⁻⁴ A/eV·2π`
 //! to convert to Ampère); densities in electrons per transport cell.
 
-use quatrex_linalg::ops::matmul;
+use quatrex_linalg::ops::matmul_into;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
 
@@ -41,12 +41,9 @@ pub struct Observables {
 }
 
 /// Density of states per transport cell at one energy: `−(1/π)·Im Tr G^R_ii`.
-pub fn local_dos(g_retarded: &BlockTridiagonal) -> Vec<f64> {
+pub(crate) fn local_dos(g_retarded: &BlockTridiagonal) -> Vec<f64> {
     (0..g_retarded.n_blocks())
-        .map(|i| {
-            let tr = g_retarded.diag(i).trace();
-            -tr.im / std::f64::consts::PI
-        })
+        .map(|i| dos_of_block(g_retarded, i))
         .collect()
 }
 
@@ -70,16 +67,26 @@ pub fn electron_density(g_lesser: &[BlockTridiagonal], de: f64) -> Vec<f64> {
 }
 
 /// Energy-resolved current at the left contact (Meir–Wingreen):
-/// `I(E) = Tr[Σ^<_L(E)·G^>_11(E) − Σ^>_L(E)·G^<_11(E)]` (real part).
-pub fn current_spectrum_left(
+/// `I(E) = Tr[Σ^<_L(E)·G^>_11(E) − Σ^>_L(E)·G^<_11(E)]` (real part), the
+/// products formed in `work`.
+pub(crate) fn current_spectrum_left(
+    work: &mut CMatrix,
     sigma_obc_left_lesser: &CMatrix,
     sigma_obc_left_greater: &CMatrix,
     g_lesser_00: &CMatrix,
     g_greater_00: &CMatrix,
 ) -> f64 {
-    let term1 = matmul(sigma_obc_left_lesser, g_greater_00).trace();
-    let term2 = matmul(sigma_obc_left_greater, g_lesser_00).trace();
+    matmul_into(work, sigma_obc_left_lesser, g_greater_00);
+    let term1 = work.trace();
+    matmul_into(work, sigma_obc_left_greater, g_lesser_00);
+    let term2 = work.trace();
     (term1 - term2).re
+}
+
+/// The DOS of [`local_dos`] at block `i`.
+pub(crate) fn dos_of_block(g_retarded: &BlockTridiagonal, i: usize) -> f64 {
+    let tr = g_retarded.diag(i).trace();
+    -tr.im / std::f64::consts::PI
 }
 
 /// Integrate an energy-resolved current spectrum over the grid.
@@ -128,13 +135,13 @@ mod tests {
         let g_l = CMatrix::scaled_identity(2, cplx(0.0, 0.7));
         let g_g = CMatrix::scaled_identity(2, cplx(0.0, -0.3));
         // Σ^< G^> = (i0.3)(-i0.3) = 0.09·I ; Σ^> G^< = (-i0.7)(i0.7) = 0.49·I → not balanced.
-        let i1 = current_spectrum_left(&sigma_l, &sigma_g, &g_l, &g_g);
+        let i1 = current_spectrum_left(&mut CMatrix::default(), &sigma_l, &sigma_g, &g_l, &g_g);
         assert!(i1.abs() > 1e-12);
         // Balanced combination: Σ^< G^> = Σ^> G^<.
         let g_l2 = CMatrix::scaled_identity(2, cplx(0.0, 0.3));
         let g_g2 = CMatrix::scaled_identity(2, cplx(0.0, -0.3));
         let sigma_g2 = CMatrix::scaled_identity(2, cplx(0.0, -0.3));
-        let i2 = current_spectrum_left(&sigma_l, &sigma_g2, &g_l2, &g_g2);
+        let i2 = current_spectrum_left(&mut CMatrix::default(), &sigma_l, &sigma_g2, &g_l2, &g_g2);
         assert!(i2.abs() < 1e-14);
     }
 

@@ -29,11 +29,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use quatrex_device::{Device, EnergyGrid};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
+use quatrex_linalg::CMatrix;
 use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::assembly::{assemble_g, assemble_w, GAssembly, ObcMethod, WAssembly};
+use crate::assembly::{
+    assemble_g_into, assemble_w, assemble_w_into, AssemblyScratch, GAssembly, ObcMethod, WAssembly,
+};
 use crate::dist::{DistScbaConfig, DistScbaResult, DistScbaSolver};
 use crate::observables::{current_spectrum_left, local_dos};
 
@@ -89,7 +92,7 @@ pub struct WStepOutput {
 /// batched solve and FLOP kind. Shared by every solver of the assembled
 /// systems — the local batched one ([`solve_stage`]) and the cooperative
 /// spatial one of [`crate::dist::spatial`].
-pub fn solve_accounting(subsystem: Subsystem) -> (&'static str, FlopKind) {
+pub(crate) fn solve_accounting(subsystem: Subsystem) -> (&'static str, FlopKind) {
     match subsystem {
         Subsystem::Electron => ("g.rgf", FlopKind::GRgf),
         Subsystem::ScreenedCoulomb => ("w.rgf", FlopKind::WRgf),
@@ -100,7 +103,7 @@ pub fn solve_accounting(subsystem: Subsystem) -> (&'static str, FlopKind) {
 /// `kernel_batch` energies (clamped to ≥ 1, so `0` means `1`): the unit one
 /// [`g_step_batch`] / [`w_step_batch`] call works on. The SCBA loop chunks
 /// through this one function.
-pub fn kernel_chunks(
+pub(crate) fn kernel_chunks(
     range: Range<usize>,
     kernel_batch: usize,
 ) -> impl Iterator<Item = Range<usize>> {
@@ -130,9 +133,12 @@ fn memoizer_of<'a>(
 
 /// Stage 1 of the G-step: assemble one energy's system (OBC cascade +
 /// memoizer, the retarded contact self-energy by Sancho–Rubio) from the
-/// previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`.
+/// previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`, into a kept assembly with
+/// every temporary from `scratch`.
 #[allow(clippy::too_many_arguments)]
-pub fn g_step_assemble(
+pub(crate) fn g_step_assemble_into(
+    asm: &mut GAssembly,
+    scratch: &mut AssemblyScratch,
     h: &BlockTridiagonal,
     energy: f64,
     energy_index: usize,
@@ -141,19 +147,16 @@ pub fn g_step_assemble(
     kt: f64,
     memoizer: Option<&mut ObcMemoizer>,
     flops: &FlopCounter,
-) -> GAssembly {
+) {
     quatrex_probe::span("g.assembly", "g.assembly", || {
-        assemble_g(
+        assemble_g_into(
+            asm,
+            scratch,
             h,
-            energy,
-            config.eta,
+            [energy, config.eta],
             energy_index,
-            sigma[0],
-            sigma[1],
-            sigma[2],
-            config.mu_left,
-            config.mu_right,
-            kt,
+            sigma,
+            [config.mu_left, config.mu_right, kt],
             ObcMethod::SanchoRubio,
             memoizer,
             flops,
@@ -177,103 +180,118 @@ pub fn w_step_assemble(
     })
 }
 
-/// Stage 1 of the W-step for one kernel chunk: assemble the system of each
-/// energy, `p[m] = [P^R, P^<, P^>]` at global energy `energy_indices[m]`
-/// (`memoizers` as in [`w_step_batch`]), in one `w.assembly` probe span. The
-/// truncation monitor runs on energies whose global index is a multiple of
-/// `kernel_batch`: a sample that does not depend on the rank layout, so the
-/// gathered maximum is the same on every grid.
-pub(crate) fn w_step_assemble_chunk(
+/// Stage 1 of the W-step for one kernel chunk, into kept assemblies: the
+/// system of each energy, `p[m] = [P^R, P^<, P^>]` at global energy
+/// `energy_indices[m]` (`memoizers` as in [`w_step_batch`]), into
+/// `asms[m]`'s three matrices, in one `w.assembly` probe span; `truncation[m]`
+/// receives its truncation error. The truncation monitor runs on energies
+/// whose global index is a multiple of `kernel_batch`: a sample that does
+/// not depend on the rank layout, so the gathered maximum is the same on
+/// every grid.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn w_step_assemble_into<'p>(
+    asms: &mut [GAssembly],
+    truncation: &mut [f64],
+    scratch: &mut AssemblyScratch,
     coulomb: &BlockTridiagonal,
-    p: &[[&BlockTridiagonal; 3]],
-    energy_indices: &[usize],
+    p: impl Fn(usize) -> [&'p BlockTridiagonal; 3],
+    energy_indices: impl Iterator<Item = usize>,
     config: &ScbaConfig,
     memoizers: &mut [Option<&mut ObcMemoizer>],
     flops: &FlopCounter,
-) -> Vec<WAssembly> {
+) {
     let kb = config.kernel_batch.max(1);
     quatrex_probe::span("w.assembly", "w.assembly", || {
-        let members = p.iter().zip(energy_indices).enumerate();
-        members
-            .map(|(m, (&p, &e))| {
-                assemble_w(coulomb, p, e, e % kb == 0, memoizer_of(memoizers, m), flops)
-            })
-            .collect()
+        let members = asms.iter_mut().zip(truncation).zip(energy_indices);
+        for (m, ((asm, truncation), e)) in members.enumerate() {
+            let out = [&mut asm.system, &mut asm.rhs_lesser, &mut asm.rhs_greater];
+            let memoizer = memoizer_of(memoizers, m);
+            *truncation =
+                assemble_w_into(out, scratch, coulomb, p(m), e, e % kb == 0, memoizer, flops);
+        }
     })
 }
 
 /// Stage 2, local form: **one** energy-batched RGF solve
-/// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems, whose
-/// block products run as batched sweeps over the whole batch (energy-major
-/// planes, or one vector lane per energy for small blocks). A solution
-/// does not depend on the batch it is solved in (bit for bit), so the batch
-/// length is purely a launch-structure choice.
-pub fn solve_stage(
+/// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems into
+/// the kept `sols`, whose block products run as batched sweeps over the
+/// whole batch (energy-major planes, or one vector lane per energy for small
+/// blocks). A solution does not depend on the batch it is solved in (bit
+/// for bit), so the batch length is purely a launch-structure choice.
+pub(crate) fn solve_stage(
     subsystem: Subsystem,
     systems: &[[&BlockTridiagonal; 3]],
+    sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
-) -> Result<Vec<SelectedSolution>, RgfError> {
-    let shape = systems
-        .first()
-        .map_or((0, 0), |s| (s[0].n_blocks(), s[0].block_size()));
+) -> Result<(), RgfError> {
     let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| s[0]).collect();
     let rhs: Vec<&[&BlockTridiagonal]> = systems.iter().map(|s| &s[1..]).collect();
-    let mut sols = vec![SelectedSolution::zeros(shape.0, shape.1, 2); systems.len()];
     let (span, kind) = solve_accounting(subsystem);
     quatrex_probe::span(span, span, || {
-        rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch)
+        rgf_solve_batch_into(&lhs, &rhs, sols, scratch)
     })
     .map_err(|e| e.error)?;
     flops.add(kind, sols.iter().map(|s| s.flops).sum());
-    Ok(sols)
+    Ok(())
 }
 
-/// Move the `[≶ = <, ≶ = >]` pair out of a two-RHS solution, symmetrised if
+/// Symmetrise the `[≶ = <, ≶ = >]` pair of a two-RHS solution in place, if
 /// configured.
-fn lesser_greater(lesser: Vec<BlockTridiagonal>, config: &ScbaConfig) -> [BlockTridiagonal; 2] {
-    let mut pair: [BlockTridiagonal; 2] = lesser
-        .try_into()
-        .expect("the step functions solve exactly the lesser and greater RHS");
+fn symmetrize_pair(sol: &mut SelectedSolution, config: &ScbaConfig) {
+    assert_eq!(
+        sol.lesser.len(),
+        2,
+        "the step functions solve exactly the lesser and greater RHS"
+    );
     if config.enforce_symmetry {
-        pair.iter_mut().for_each(BlockTridiagonal::symmetrize_negf);
+        sol.lesser
+            .iter_mut()
+            .for_each(BlockTridiagonal::symmetrize_negf);
     }
-    pair
 }
 
-/// Stage 3 of the G-step: finish one energy from its assembly and its
-/// selected solution — symmetrisation and the spectral observables.
-pub fn g_step_finish(asm: &GAssembly, sol: SelectedSolution, config: &ScbaConfig) -> GStepOutput {
-    let [lesser, greater] = lesser_greater(sol.lesser, config);
-    GStepOutput {
-        current_spectrum: current_spectrum_left(
+/// Stage 3 of the G-step, in place: symmetrise the selected solution of one
+/// energy and return its current spectrum (`work` holds the products). The
+/// DOS is read off `sol.retarded`, the `G^≶` pair stays in `sol.lesser`.
+pub(crate) fn g_step_finish(
+    asm: &GAssembly,
+    sol: &mut SelectedSolution,
+    config: &ScbaConfig,
+    work: &mut CMatrix,
+) -> f64 {
+    quatrex_probe::span("g.finish", "g.finish", || {
+        symmetrize_pair(sol, config);
+        current_spectrum_left(
+            work,
             &asm.sigma_obc_left_lesser,
             &asm.sigma_obc_left_greater,
-            lesser.diag(0),
-            greater.diag(0),
-        ),
-        dos_local: local_dos(&sol.retarded),
-        lesser,
-        greater,
-    }
+            sol.lesser[0].diag(0),
+            sol.lesser[1].diag(0),
+        )
+    })
 }
 
-/// Stage 3 of the W-step: finish one boson energy (symmetrisation).
-pub fn w_step_finish(asm: &WAssembly, sol: SelectedSolution, config: &ScbaConfig) -> WStepOutput {
-    let [lesser, greater] = lesser_greater(sol.lesser, config);
-    WStepOutput {
-        lesser,
-        greater,
-        truncation: asm.truncation_error,
-    }
+/// Stage 3 of the W-step, in place: symmetrise one boson energy's solution.
+pub(crate) fn w_step_finish(sol: &mut SelectedSolution, config: &ScbaConfig) {
+    quatrex_probe::span("w.finish", "w.finish", || symmetrize_pair(sol, config));
+}
+
+/// Move the symmetrised `[≶ = <, ≶ = >]` pair out of a finished solution.
+fn take_pair(sol: &mut SelectedSolution) -> [BlockTridiagonal; 2] {
+    let [lesser, greater] = &mut sol.lesser[..] else {
+        unreachable!("a finished solution holds the lesser and greater pair")
+    };
+    [std::mem::take(lesser), std::mem::take(greater)]
 }
 
 /// Run the G-step for a batch of energy points: the three stages composed
-/// with the local batched solve — per-energy [`g_step_assemble`], one
-/// [`solve_stage`], per-energy [`g_step_finish`]. An energy's output does not
-/// depend on the batch it is solved in (bit for bit); the SCBA loop runs
-/// every energy through the same stages, which makes its per-energy
-/// numerics identical to this function's by construction.
+/// with the local batched solve — per-energy `g_step_assemble_into`, one
+/// `solve_stage`, per-energy `g_step_finish` — on fresh buffers. An
+/// energy's output does not depend on the batch it is solved in (bit for
+/// bit); the SCBA loop runs every energy through the same stages on its kept
+/// buffers, which makes its per-energy numerics identical to this
+/// function's by construction.
 ///
 /// `memoizers` holds one entry per energy, or a single entry serving the
 /// whole batch.
@@ -302,40 +320,54 @@ pub fn g_step_batch(
         "per-energy inputs must match the batch length"
     );
     let t = Instant::now();
-    let asms: Vec<GAssembly> = (0..bsz)
-        .map(|i| {
-            g_step_assemble(
-                h,
-                energies[i],
-                energy_indices[i],
-                [sigma_r[i], sigma_lesser[i], sigma_greater[i]],
-                config,
-                kt,
-                memoizer_of(memoizers, i),
-                flops,
-            )
-        })
-        .collect();
+    let mut asms: Vec<GAssembly> = (0..bsz).map(|_| GAssembly::default()).collect();
+    let assembly = &mut AssemblyScratch::default();
+    for (i, asm) in asms.iter_mut().enumerate() {
+        g_step_assemble_into(
+            asm,
+            assembly,
+            h,
+            energies[i],
+            energy_indices[i],
+            [sigma_r[i], sigma_lesser[i], sigma_greater[i]],
+            config,
+            kt,
+            memoizer_of(memoizers, i),
+            flops,
+        );
+    }
     timings.add(&timings.g_assembly_ns, t);
     let systems: Vec<_> = asms
         .iter()
         .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
     let t = Instant::now();
-    let sols = solve_stage(Subsystem::Electron, &systems, scratch, flops)?;
+    let mut sols = vec![SelectedSolution::default(); bsz];
+    solve_stage(Subsystem::Electron, &systems, &mut sols, scratch, flops)?;
     timings.add(&timings.g_rgf_ns, t);
+    let mut work = CMatrix::default();
     Ok(sols
-        .into_iter()
+        .iter_mut()
         .zip(&asms)
-        .map(|(sol, asm)| g_step_finish(asm, sol, config))
+        .map(|(sol, asm)| {
+            let current_spectrum = g_step_finish(asm, sol, config, &mut work);
+            let [lesser, greater] = take_pair(sol);
+            GStepOutput {
+                lesser,
+                greater,
+                current_spectrum,
+                dos_local: local_dos(&sol.retarded),
+            }
+        })
         .collect())
 }
 
 /// Run the W-step for a batch of (boson) energy points: the batch's
-/// assemblies (as [`w_step_assemble`], the truncation monitor on the energies
-/// whose global index is a multiple of `config.kernel_batch`), one
-/// [`solve_stage`], [`w_step_finish`]. Batch-independent per energy like
-/// [`g_step_batch`]; `memoizers` follows the same convention.
+/// assemblies (`w_step_assemble_into`, the truncation monitor on the
+/// energies whose global index is a multiple of `config.kernel_batch`), one
+/// `solve_stage`, `w_step_finish`, on fresh buffers. Batch-independent
+/// per energy like [`g_step_batch`]; `memoizers` follows the same
+/// convention.
 #[allow(clippy::too_many_arguments)]
 pub fn w_step_batch(
     coulomb: &BlockTridiagonal,
@@ -358,22 +390,46 @@ pub fn w_step_batch(
         "per-energy inputs must match the batch length"
     );
     let t = Instant::now();
-    let p: Vec<_> = (0..bsz)
-        .map(|i| [p_retarded[i], p_lesser[i], p_greater[i]])
-        .collect();
-    let asms = w_step_assemble_chunk(coulomb, &p, energy_indices, config, memoizers, flops);
+    let mut asms: Vec<GAssembly> = (0..bsz).map(|_| GAssembly::default()).collect();
+    let mut truncation = vec![0.0; bsz];
+    w_step_assemble_into(
+        &mut asms,
+        &mut truncation,
+        &mut AssemblyScratch::default(),
+        coulomb,
+        |i| [p_retarded[i], p_lesser[i], p_greater[i]],
+        energy_indices.iter().copied(),
+        config,
+        memoizers,
+        flops,
+    );
     timings.add(&timings.w_assembly_ns, t);
     let systems: Vec<_> = asms
         .iter()
         .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
         .collect();
     let t = Instant::now();
-    let sols = solve_stage(Subsystem::ScreenedCoulomb, &systems, scratch, flops)?;
+    let mut sols = vec![SelectedSolution::default(); bsz];
+    solve_stage(
+        Subsystem::ScreenedCoulomb,
+        &systems,
+        &mut sols,
+        scratch,
+        flops,
+    )?;
     timings.add(&timings.w_rgf_ns, t);
     Ok(sols
-        .into_iter()
-        .zip(&asms)
-        .map(|(sol, asm)| w_step_finish(asm, sol, config))
+        .iter_mut()
+        .zip(truncation)
+        .map(|(sol, truncation)| {
+            w_step_finish(sol, config);
+            let [lesser, greater] = take_pair(sol);
+            WStepOutput {
+                lesser,
+                greater,
+                truncation,
+            }
+        })
         .collect())
 }
 
@@ -408,12 +464,12 @@ pub struct ScbaConfig {
     /// The SCBA loop requires it ([`ScbaSolver::run`] and
     /// [`DistScbaSolver`] reject `false` before any rank starts): its
     /// transpositions ship canonical elements only. Only the step functions
-    /// ([`g_step_finish`], [`w_step_finish`]) still read it.
+    /// (`g_step_finish`, `w_step_finish`) still read it.
     pub enforce_symmetry: bool,
     /// Strength of the GW self-energy fed back into the G-solver (1.0 = full
     /// scGW; smaller values damp the interaction for difficult bias points).
     pub interaction_scale: f64,
-    /// Chunk length of the kernel batches ([`kernel_chunks`]): how many
+    /// Chunk length of the kernel batches (`kernel_chunks`): how many
     /// energy points share one [`g_step_batch`] / [`w_step_batch`] call, whose
     /// block products run as batched sweeps over the chunk. Not a path
     /// selector — every value produces bit-identical results (`0` is clamped

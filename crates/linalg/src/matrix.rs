@@ -13,12 +13,28 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// Dense, column-major, double-precision complex matrix.
 ///
 /// The `Default` is the empty `0 × 0` matrix (used by scratch types that are
-/// warmed lazily).
-#[derive(Clone, PartialEq, Default)]
+/// warmed lazily). `clone_from` reuses the destination's buffer.
+#[derive(PartialEq, Default)]
 pub struct CMatrix {
     nrows: usize,
     ncols: usize,
     data: Vec<c64>,
+}
+
+impl Clone for CMatrix {
+    fn clone(&self) -> Self {
+        Self {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.nrows = source.nrows;
+        self.ncols = source.ncols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl CMatrix {
@@ -97,6 +113,17 @@ impl CMatrix {
         self.data.copy_from_slice(&other.data);
     }
 
+    /// `self` as an `nrows × ncols` matrix: unchanged if it has that shape,
+    /// reshaped to zero ([`Self::resize_zeroed`]) otherwise. The output
+    /// buffers of the in-place kernels go through this: warmed at a shape,
+    /// it never allocates.
+    pub fn fit(&mut self, nrows: usize, ncols: usize) -> &mut CMatrix {
+        if self.shape() != (nrows, ncols) {
+            self.resize_zeroed(nrows, ncols);
+        }
+        self
+    }
+
     /// Reshape in place to a zero `nrows × ncols` matrix, reusing the buffer
     /// when its capacity allows.
     pub fn resize_zeroed(&mut self, nrows: usize, ncols: usize) {
@@ -169,7 +196,7 @@ impl CMatrix {
     /// Trace (sum of diagonal entries). Requires a square matrix.
     pub fn trace(&self) -> c64 {
         assert!(self.is_square(), "trace of a non-square matrix");
-        self.diagonal().into_iter().sum()
+        (0..self.nrows).map(|i| self[(i, i)]).sum()
     }
 
     /// Transpose (without conjugation).

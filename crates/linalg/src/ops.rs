@@ -583,9 +583,8 @@ fn tile_product<L: Lanes, const V: usize, const NC: usize>(
 
 /// `C = A · B`.
 pub fn matmul(a: &CMatrix, b: &CMatrix) -> CMatrix {
-    assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
     let mut c = CMatrix::zeros(a.nrows(), b.ncols());
-    gemm(&mut c, ONE, Op::None(a), Op::None(b), ZERO);
+    matmul_into(&mut c, a, b);
     c
 }
 
@@ -611,12 +610,40 @@ fn triple_product_madds(
 /// blocks both orders cost the same and the left-to-right order of the
 /// pre-refactor implementation is kept.
 pub fn triple_product(a: &CMatrix, b: &CMatrix, c: &CMatrix) -> CMatrix {
+    let mut out = CMatrix::zeros(0, 0);
+    triple_product_into(&mut out, &mut CMatrix::zeros(0, 0), a, b, c);
+    out
+}
+
+/// [`triple_product`] into `out`, the intermediate product in `tmp` (both
+/// reshaped as needed; allocation-free once warmed at the shapes).
+pub fn triple_product_into(
+    out: &mut CMatrix,
+    tmp: &mut CMatrix,
+    a: &CMatrix,
+    b: &CMatrix,
+    c: &CMatrix,
+) {
     let (left, right) = triple_product_madds(a.shape(), b.shape(), c.shape());
     if left <= right {
-        matmul(&matmul(a, b), c)
+        matmul_into(tmp, a, b);
+        matmul_into(out, tmp, c);
     } else {
-        matmul(a, &matmul(b, c))
+        matmul_into(tmp, b, c);
+        matmul_into(out, a, tmp);
     }
+}
+
+/// [`matmul`] into `out` (reshaped as needed).
+pub fn matmul_into(out: &mut CMatrix, a: &CMatrix, b: &CMatrix) {
+    assert_eq!(a.ncols(), b.nrows(), "matmul inner dimension mismatch");
+    gemm(
+        out.fit(a.nrows(), b.ncols()),
+        ONE,
+        Op::None(a),
+        Op::None(b),
+        ZERO,
+    );
 }
 
 /// Real FLOPs actually spent by [`triple_product`] on these shapes (the
@@ -636,10 +663,17 @@ pub fn triple_product_flops(
 /// RGF recursion (`x^R B x^{R†}`) and in the boundary self-energies. The
 /// dagger is fused into the second product.
 pub fn congruence(a: &CMatrix, b: &CMatrix) -> CMatrix {
-    let ab = matmul(a, b);
-    let mut out = CMatrix::zeros(ab.nrows(), a.nrows());
-    gemm(&mut out, ONE, Op::None(&ab), Op::Dagger(a), ZERO);
+    let mut out = CMatrix::zeros(0, 0);
+    congruence_into(&mut out, &mut CMatrix::zeros(0, 0), a, b);
     out
+}
+
+/// [`congruence`] into `out`, `A · B` in `tmp` (both reshaped as needed;
+/// allocation-free once warmed at the shapes).
+pub fn congruence_into(out: &mut CMatrix, tmp: &mut CMatrix, a: &CMatrix, b: &CMatrix) {
+    matmul_into(tmp, a, b);
+    let out = out.fit(tmp.nrows(), a.nrows());
+    gemm(out, ONE, Op::None(tmp), Op::Dagger(a), ZERO);
 }
 
 /// Number of real FLOPs of a complex GEMM `m×k · k×n` (paper counting:

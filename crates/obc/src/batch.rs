@@ -50,7 +50,10 @@ pub fn sancho_rubio_batch(
     ms.iter()
         .zip(ns)
         .zip(nps)
-        .map(|((m, n), np)| sancho_rubio_on(scratch, m, n, np, tol, max_iter))
+        .map(|((m, n), np)| {
+            let mut x = CMatrix::default();
+            sancho_rubio_on(scratch, &mut x, m, n, np, tol, max_iter).map(|st| st.with(x))
+        })
         .collect()
 }
 

@@ -11,7 +11,7 @@
 use quatrex_linalg::CMatrix;
 
 use crate::retarded::{
-    beyn, fixed_point, pevp_direct, sancho_rubio, BeynConfig, ObcError, ObcSolution,
+    beyn_into, fixed_point_into, pevp_direct, sancho_rubio_into, BeynConfig, ObcError,
 };
 
 /// Which retarded OBC algorithm leads the cascade.
@@ -25,8 +25,9 @@ pub enum ObcMethod {
     Beyn,
 }
 
-/// One retarded surface solver of the cascade.
-type SurfaceSolver = fn(&CMatrix, &CMatrix, &CMatrix) -> Result<ObcSolution, ObcError>;
+/// One retarded surface solver of the cascade: writes the surface function
+/// into its last argument and returns its FLOPs.
+type SurfaceSolver = fn(&CMatrix, &CMatrix, &CMatrix, &mut CMatrix) -> Result<u64, ObcError>;
 /// One attempt of the cascade: its probe span (category `obc.direct`), its solver.
 type Attempt = (&'static str, SurfaceSolver);
 
@@ -46,15 +47,46 @@ pub fn surface_cascade(
     nprime: &CMatrix,
     method: ObcMethod,
 ) -> (CMatrix, u64) {
-    const SANCHO_RUBIO: Attempt = (SR, |m, n, np| sancho_rubio(m, n, np, 1e-9, 400));
+    let mut x = CMatrix::default();
+    let flops = surface_cascade_into(&mut x, m, n, nprime, method);
+    (x, flops)
+}
+
+/// [`surface_cascade`] writing the surface function into `x`: allocation-free
+/// when Sancho–Rubio, Beyn or the fixed point answers.
+pub fn surface_cascade_into(
+    x: &mut CMatrix,
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    method: ObcMethod,
+) -> u64 {
+    const SANCHO_RUBIO: Attempt = (SR, |m, n, np, x| {
+        sancho_rubio_into(x, m, n, np, 1e-9, 400).map(|s| s.flops)
+    });
     // At most two doublings: converges on weakly coupled leads only.
-    const SANCHO_RUBIO_SHORT: Attempt = (SR, |m, n, np| sancho_rubio(m, n, np, 1e-9, 2));
-    const SANCHO_RUBIO_LOOSE: Attempt = (SR, |m, n, np| sancho_rubio(m, n, np, 1e-8, 600));
-    const BEYN: Attempt = ("obc.beyn", |m, n, p| beyn(m, n, p, &BeynConfig::default()));
-    const PEVP: Attempt = ("obc.pevp", pevp_direct);
-    const FIXED_POINT: Attempt = (FP, |m, n, np| fixed_point(m, n, np, None, 1e-6, 3000));
+    const SANCHO_RUBIO_SHORT: Attempt = (SR, |m, n, np, x| {
+        sancho_rubio_into(x, m, n, np, 1e-9, 2).map(|s| s.flops)
+    });
+    const SANCHO_RUBIO_LOOSE: Attempt = (SR, |m, n, np, x| {
+        sancho_rubio_into(x, m, n, np, 1e-8, 600).map(|s| s.flops)
+    });
+    const BEYN: Attempt = ("obc.beyn", |m, n, np, x| {
+        beyn_into(x, m, n, np, &BeynConfig::default()).map(|s| s.flops)
+    });
+    const PEVP: Attempt = ("obc.pevp", |m, n, np, x| {
+        pevp_direct(m, n, np).map(|s| {
+            *x = s.x;
+            s.flops
+        })
+    });
+    const FIXED_POINT: Attempt = (FP, |m, n, np, x| {
+        fixed_point_into(x, m, n, np, None, 1e-6, 3000).map(|s| s.flops)
+    });
     // A loosely converged fixed point: physically a slightly broadened lead.
-    const FIXED_POINT_LOOSE: Attempt = (FP, |m, n, np| fixed_point(m, n, np, None, 1e-3, 5000));
+    const FIXED_POINT_LOOSE: Attempt = (FP, |m, n, np, x| {
+        fixed_point_into(x, m, n, np, None, 1e-3, 5000).map(|s| s.flops)
+    });
     let cascade: &[Attempt] = match method {
         ObcMethod::SanchoRubio => &[
             SANCHO_RUBIO,
@@ -74,19 +106,20 @@ pub fn surface_cascade(
         ],
     };
     for &(name, solve) in cascade {
-        if let Ok(s) = quatrex_probe::span(name, "obc.direct", || solve(m, n, nprime)) {
-            return (s.x, s.flops);
+        if let Ok(flops) = quatrex_probe::span(name, "obc.direct", || solve(m, n, nprime, x)) {
+            return flops;
         }
     }
     // Never abort the energy loop.
     // lint:allow(allocating-inverse): last resort of the cascade, reached when every solver failed.
-    let x = quatrex_linalg::lu::inverse(m).expect("lead onsite block must be invertible");
-    (x, 0)
+    *x = quatrex_linalg::lu::inverse(m).expect("lead onsite block must be invertible");
+    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retarded::{beyn, sancho_rubio};
     use quatrex_linalg::cplx;
 
     /// A screened-interaction-like lead `(m, n, n′)`: a diagonally dominant

@@ -15,30 +15,59 @@
 
 use quatrex_linalg::{c64, CMatrix};
 
-/// Broadening matrix `Γ = i·(A − A†)` of a retarded boundary quantity `A`.
-pub fn broadening(retarded: &CMatrix) -> CMatrix {
-    let mut g = retarded.clone();
-    g.axpy(c64::new(-1.0, 0.0), &retarded.dagger());
-    g.scale_mut(c64::new(0.0, 1.0));
-    g
+/// Broadening matrix `Γ = i·(A − A†)` of a retarded boundary quantity `A`,
+/// into `out` (reshaped as needed): `A`, then `+= (−1)·A†` entry by entry,
+/// then `·i`.
+fn broadening_into(out: &mut CMatrix, retarded: &CMatrix) {
+    let n = retarded.nrows();
+    assert!(retarded.is_square(), "a boundary block is square");
+    out.fit(n, n).copy_from(retarded);
+    let minus = c64::new(-1.0, 0.0);
+    for j in 0..n {
+        for i in 0..n {
+            out[(i, j)] += minus * retarded[(j, i)].conj();
+        }
+    }
+    out.scale_mut(c64::new(0.0, 1.0));
 }
 
-/// Lesser boundary self-energy `Σ^< = i·f·Γ` for occupation `f ∈ [0, 1]`.
-pub fn lesser_from_retarded(retarded: &CMatrix, occupation: f64) -> CMatrix {
-    let gamma = broadening(retarded);
-    gamma.scaled(c64::new(0.0, occupation))
+/// Lesser boundary self-energy `Σ^< = i·f·Γ` for occupation `f ∈ [0, 1]`,
+/// into `out` (reshaped as needed; allocation-free once warmed at the block
+/// size).
+pub fn lesser_from_retarded_into(out: &mut CMatrix, retarded: &CMatrix, occupation: f64) {
+    broadening_into(out, retarded);
+    out.scale_mut(c64::new(0.0, occupation));
 }
 
-/// Greater boundary self-energy `Σ^> = −i·(1 − f)·Γ`.
-pub fn greater_from_retarded(retarded: &CMatrix, occupation: f64) -> CMatrix {
-    let gamma = broadening(retarded);
-    gamma.scaled(c64::new(0.0, -(1.0 - occupation)))
+/// Greater boundary self-energy `Σ^> = −i·(1 − f)·Γ`, into `out` (reshaped
+/// as needed; allocation-free once warmed at the block size).
+pub fn greater_from_retarded_into(out: &mut CMatrix, retarded: &CMatrix, occupation: f64) {
+    broadening_into(out, retarded);
+    out.scale_mut(c64::new(0.0, -(1.0 - occupation)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use quatrex_linalg::cplx;
+
+    fn broadening(retarded: &CMatrix) -> CMatrix {
+        let mut out = CMatrix::default();
+        broadening_into(&mut out, retarded);
+        out
+    }
+
+    fn lesser_from_retarded(retarded: &CMatrix, occupation: f64) -> CMatrix {
+        let mut out = CMatrix::default();
+        lesser_from_retarded_into(&mut out, retarded, occupation);
+        out
+    }
+
+    fn greater_from_retarded(retarded: &CMatrix, occupation: f64) -> CMatrix {
+        let mut out = CMatrix::default();
+        greater_from_retarded_into(&mut out, retarded, occupation);
+        out
+    }
 
     fn sample_retarded(n: usize) -> CMatrix {
         CMatrix::from_fn(n, n, |i, j| {

@@ -17,7 +17,7 @@
 //!   contour-integral method ([`retarded::beyn`]), the solvers the
 //!   [`cascade`] tries in turn for a robust direct answer;
 //! * the **lesser/greater** boundary terms: the fluctuation–dissipation
-//!   theorem for electrons ([`lesser::lesser_from_retarded`]) and a
+//!   theorem for electrons (`lesser::lesser_from_retarded`) and a
 //!   discrete-time Lyapunov (Stein) equation `w≶ = q≶ − a·w≶·a†` for the
 //!   screened Coulomb interaction (paper Eq. (7)), solved by fixed-point
 //!   iteration, a doubling scheme or a direct eigen-decomposition method
@@ -36,13 +36,12 @@ pub mod memoizer;
 pub mod retarded;
 
 pub use batch::{sancho_rubio_batch, ObcBatchScratch};
-pub use cascade::{surface_cascade, ObcMethod};
-pub use lesser::{greater_from_retarded, lesser_from_retarded};
-pub use lyapunov::{lyapunov_direct, lyapunov_doubling, lyapunov_fixed_point, lyapunov_residual};
+pub use cascade::{surface_cascade, surface_cascade_into, ObcMethod};
+pub use lesser::{greater_from_retarded_into, lesser_from_retarded_into};
+pub use lyapunov::{lyapunov_doubling_on, LyapunovScratch};
 pub use memoizer::{Contact, MemoizerStats, ObcKey, ObcMemoizer, ObcMode, Subsystem};
 pub use retarded::{
-    beyn, fixed_point, pevp_direct, sancho_rubio, surface_residual, BeynConfig, ObcError,
-    ObcSolution,
+    beyn, fixed_point, sancho_rubio, surface_residual, BeynConfig, ObcError, ObcSolution,
 };
 
 pub use quatrex_linalg::{c64, CMatrix};

@@ -90,22 +90,14 @@ impl MemoizerStats {
     pub fn total(&self) -> usize {
         self.direct_calls + self.memoized_calls
     }
-
-    /// Fraction of solves that avoided the direct solver.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.memoized_calls as f64 / total as f64
-        }
-    }
 }
 
 /// The dynamic OBC memoizer.
 #[derive(Debug, Clone)]
 pub struct ObcMemoizer {
     cache: HashMap<ObcKey, CMatrix>,
+    /// Refinement buffers between solves (see [`Self::solve_into`]).
+    spares: Vec<CMatrix>,
     /// Fixed number of fixed-point refinements allotted to a memoized solve.
     pub n_fpi: usize,
     /// Relative convergence tolerance of the refinement.
@@ -124,6 +116,7 @@ impl ObcMemoizer {
         assert!(tol > 0.0);
         Self {
             cache: HashMap::new(),
+            spares: Vec::new(),
             n_fpi,
             tol,
             stats: MemoizerStats::default(),
@@ -143,12 +136,6 @@ impl ObcMemoizer {
     /// Drop every cached block (e.g. when the bias point changes).
     pub fn clear(&mut self) {
         self.cache.clear();
-    }
-
-    /// Memory held by the cache, in scalar complex values (the quantity traded
-    /// against the symmetry savings in the paper's discussion).
-    pub fn cached_values(&self) -> usize {
-        self.cache.values().map(|m| m.nrows() * m.ncols()).sum()
     }
 
     /// Remove and return every cached block of one energy index, in
@@ -195,25 +182,40 @@ impl ObcMemoizer {
     pub fn solve(
         &mut self,
         key: ObcKey,
-        mut iterate: impl FnMut(&CMatrix, &mut CMatrix),
+        iterate: impl FnMut(&CMatrix, &mut CMatrix),
         direct: impl FnOnce() -> CMatrix,
     ) -> (CMatrix, ObcMode) {
+        let mut x = CMatrix::zeros(0, 0);
+        let mode = self.solve_into(key, iterate, |out| *out = direct(), &mut x);
+        (x, mode)
+    }
+
+    /// [`Self::solve`] writing the solution into `out` (reshaped as
+    /// needed), `direct` writing into the buffer it is handed. The
+    /// refinement buffers come from the memoizer's own spares, and a cached
+    /// block goes back to them when a newer one replaces it: a memoized
+    /// solve allocates nothing once the spares are warm.
+    pub fn solve_into(
+        &mut self,
+        key: ObcKey,
+        mut iterate: impl FnMut(&CMatrix, &mut CMatrix),
+        direct: impl FnOnce(&mut CMatrix),
+        out: &mut CMatrix,
+    ) -> ObcMode {
         // `remove` instead of `get().cloned()`: the cached block becomes one
         // of the two refinement buffers, so a memoized solve copies nothing.
         let cached = self.cache.remove(&key);
         let had_cached = cached.is_some();
         if let Some(cached) = cached {
             // Trial refinement step.
-            let mut x1 = CMatrix::zeros(cached.nrows(), cached.ncols());
+            let mut x1 = self.spare(cached.nrows(), cached.ncols());
             iterate(&cached, &mut x1);
             let scale = x1.norm_fro().max(1e-300);
             let delta1 = x1.distance(&cached) / scale;
             if delta1 < self.tol {
                 // Already converged: the cached value barely moved.
-                self.cache.insert(key, x1.clone());
-                self.stats.memoized_calls += 1;
-                quatrex_probe::counter("obc.memo.hit", 1);
-                return (x1, ObcMode::Memoized { refinements: 1 });
+                self.spares.push(cached);
+                return self.memoized(key, x1, out, 1);
             }
             // Second step to estimate the contraction rate.
             let mut x2 = cached;
@@ -227,9 +229,8 @@ impl ObcMemoizer {
             // Predicted residual after exhausting the remaining budget.
             let remaining = self.n_fpi.saturating_sub(2) as i32;
             let predicted = delta2 * rate.powi(remaining);
+            let (mut x, mut x_next) = (x2, x1);
             if predicted < self.tol && rate < 1.0 {
-                let mut x = x2;
-                let mut x_next = x1;
                 let mut used = 2;
                 let mut delta = delta2;
                 while used < self.n_fpi && delta >= self.tol {
@@ -239,29 +240,63 @@ impl ObcMemoizer {
                     used += 1;
                 }
                 if delta < self.tol {
-                    self.cache.insert(key, x.clone());
-                    self.stats.memoized_calls += 1;
-                    quatrex_probe::counter("obc.memo.hit", 1);
-                    return (x, ObcMode::Memoized { refinements: used });
+                    self.spares.push(x_next);
+                    return self.memoized(key, x, out, used);
                 }
             }
+            self.spares.extend([x, x_next]);
         }
         // Cold start or pessimistic estimate: run the direct solver.
-        let x = quatrex_probe::span("obc.direct", "obc.direct", direct);
-        self.cache.insert(key, x.clone());
+        let mut x = self.spares.pop().unwrap_or_else(|| CMatrix::zeros(0, 0));
+        quatrex_probe::span("obc.direct", "obc.direct", || direct(&mut x));
+        out.fit(x.nrows(), x.ncols()).copy_from(&x);
+        self.cache.insert(key, x);
         self.stats.direct_calls += 1;
         quatrex_probe::counter("obc.memo.miss", 1);
         if !had_cached {
             self.stats.inserts += 1;
             quatrex_probe::counter("obc.memo.insert", 1);
         }
-        (x, ObcMode::Direct)
+        ObcMode::Direct
+    }
+
+    /// A spare `nrows × ncols` refinement buffer (contents unspecified).
+    fn spare(&mut self, nrows: usize, ncols: usize) -> CMatrix {
+        let mut x = self.spares.pop().unwrap_or_else(|| CMatrix::zeros(0, 0));
+        x.fit(nrows, ncols);
+        x
+    }
+
+    /// Book a memoized answer `x` after `refinements` steps: copy it out and
+    /// cache it.
+    fn memoized(
+        &mut self,
+        key: ObcKey,
+        x: CMatrix,
+        out: &mut CMatrix,
+        refinements: usize,
+    ) -> ObcMode {
+        out.fit(x.nrows(), x.ncols()).copy_from(&x);
+        self.cache.insert(key, x);
+        self.stats.memoized_calls += 1;
+        quatrex_probe::counter("obc.memo.hit", 1);
+        ObcMode::Memoized { refinements }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of solves that avoided the direct solver.
+    fn hit_rate(stats: MemoizerStats) -> f64 {
+        let total = stats.total();
+        if total == 0 {
+            0.0
+        } else {
+            stats.memoized_calls as f64 / total as f64
+        }
+    }
     use quatrex_linalg::cplx;
     use quatrex_linalg::lu::inverse;
     use quatrex_linalg::ops::matmul;
@@ -320,7 +355,7 @@ mod tests {
         assert!(x2.approx_eq(&x1, 1e-8));
         assert_eq!(memo.stats().direct_calls, 1);
         assert_eq!(memo.stats().memoized_calls, 1);
-        assert!(memo.stats().hit_rate() > 0.49);
+        assert!(hit_rate(memo.stats()) > 0.49);
     }
 
     #[test]
@@ -358,7 +393,7 @@ mod tests {
         );
         assert_eq!(mode, ObcMode::Direct);
         assert_eq!(memo.cached_entries(), 2);
-        assert!(memo.cached_values() > 0);
+        assert!(memo.cached_entries() > 0);
     }
 
     #[test]
@@ -448,7 +483,7 @@ mod tests {
         }
         assert_eq!(destination.cached_entries(), 2);
         assert_eq!(destination.stats(), MemoizerStats::default());
-        assert!(destination.cached_values() > 0);
+        assert!(destination.cached_entries() > 0);
 
         // The migrated cache answers without the direct solver and still
         // refines to tolerance.
@@ -497,7 +532,7 @@ mod tests {
     #[test]
     fn hit_rate_of_empty_memoizer_is_zero() {
         let memo = ObcMemoizer::new(4, 1e-8);
-        assert_eq!(memo.stats().hit_rate(), 0.0);
+        assert_eq!(hit_rate(memo.stats()), 0.0);
     }
 
     #[test]

@@ -92,6 +92,27 @@ pub struct ObcSolution {
     pub flops: u64,
 }
 
+/// What a surface solve reports besides the surface function, which the
+/// `*_into` forms write into the caller's matrix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SurfaceStats {
+    pub(crate) iterations: usize,
+    pub(crate) residual: f64,
+    pub(crate) flops: u64,
+}
+
+impl SurfaceStats {
+    /// The [`ObcSolution`] of surface function `x`.
+    pub(crate) fn with(self, x: CMatrix) -> ObcSolution {
+        ObcSolution {
+            x,
+            iterations: self.iterations,
+            residual: self.residual,
+            flops: self.flops,
+        }
+    }
+}
+
 /// Relative residual of a candidate surface function (a one-off: the solvers
 /// check theirs on their own scratch).
 pub fn surface_residual(x: &CMatrix, m: &CMatrix, n: &CMatrix, nprime: &CMatrix) -> f64 {
@@ -120,14 +141,8 @@ impl ResidualWork {
     ) -> f64 {
         let dim = m.nrows();
         // lint:allow(per-energy-gemm): one energy's residual check.
-        gemm(
-            shaped(&mut self.nx, dim, dim),
-            ONE,
-            Op::None(n),
-            Op::None(x),
-            ZERO,
-        );
-        shaped(&mut self.rhs, dim, dim).copy_from(m);
+        gemm(self.nx.fit(dim, dim), ONE, Op::None(n), Op::None(x), ZERO);
+        self.rhs.fit(dim, dim).copy_from(m);
         // lint:allow(per-energy-gemm): see above.
         gemm(
             &mut self.rhs,
@@ -151,7 +166,7 @@ thread_local! {
 
 /// `c = a · b`.
 fn product(c: &mut CMatrix, a: &CMatrix, b: &CMatrix) {
-    let c = shaped(c, a.nrows(), b.ncols());
+    let c = c.fit(a.nrows(), b.ncols());
     // lint:allow(per-energy-gemm): the surface iterations solve one energy per call.
     gemm(c, ONE, Op::None(a), Op::None(b), ZERO);
 }
@@ -185,6 +200,20 @@ pub fn fixed_point(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
+    let mut x = CMatrix::default();
+    fixed_point_into(&mut x, m, n, nprime, x0, tol, max_iter).map(|st| st.with(x))
+}
+
+/// [`fixed_point`] writing the surface function into `out`.
+pub(crate) fn fixed_point_into(
+    out: &mut CMatrix,
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    x0: Option<&CMatrix>,
+    tol: f64,
+    max_iter: usize,
+) -> Result<SurfaceStats, ObcError> {
     SURFACE.with(|s| {
         let mut scratch = s.borrow_mut();
         let ObcBatchScratch {
@@ -195,7 +224,7 @@ pub fn fixed_point(
         let dim = m.nrows();
         let mut flops = 0u64;
         match x0 {
-            Some(x0) => shaped(x, dim, dim).copy_from(x0),
+            Some(x0) => x.fit(dim, dim).copy_from(x0),
             None => {
                 flops += inverse_flops(dim);
                 lu.invert_into(m, x).map_err(|_| ObcError::Singular)?;
@@ -207,7 +236,7 @@ pub fn fixed_point(
         for it in 1..=max_iter {
             // x_next = (m − n·x·n')⁻¹.
             product(nx, n, x);
-            shaped(rhs, dim, dim).copy_from(m);
+            rhs.fit(dim, dim).copy_from(m);
             // lint:allow(per-energy-gemm): the surface iterations solve one energy per call.
             gemm(rhs, -ONE, Op::None(nx), Op::None(nprime), ONE);
             lu.invert_into(rhs, x_next)
@@ -216,8 +245,8 @@ pub fn fixed_point(
             flops += per_iter;
             std::mem::swap(x, x_next);
             if residual < tol {
-                return Ok(ObcSolution {
-                    x: x.clone(),
+                out.fit(dim, dim).copy_from(x);
+                return Ok(SurfaceStats {
                     iterations: it,
                     residual,
                     flops,
@@ -258,18 +287,32 @@ pub fn sancho_rubio(
     tol: f64,
     max_iter: usize,
 ) -> Result<ObcSolution, ObcError> {
-    SURFACE.with(|s| sancho_rubio_on(&mut s.borrow_mut(), m, n, nprime, tol, max_iter))
+    let mut x = CMatrix::default();
+    sancho_rubio_into(&mut x, m, n, nprime, tol, max_iter).map(|st| st.with(x))
 }
 
-/// [`sancho_rubio`] on the caller's scratch.
-pub(crate) fn sancho_rubio_on(
-    scratch: &mut ObcBatchScratch,
+/// [`sancho_rubio`] writing the surface function into `out`.
+pub(crate) fn sancho_rubio_into(
+    out: &mut CMatrix,
     m: &CMatrix,
     n: &CMatrix,
     nprime: &CMatrix,
     tol: f64,
     max_iter: usize,
-) -> Result<ObcSolution, ObcError> {
+) -> Result<SurfaceStats, ObcError> {
+    SURFACE.with(|s| sancho_rubio_on(&mut s.borrow_mut(), out, m, n, nprime, tol, max_iter))
+}
+
+/// [`sancho_rubio_into`] on the caller's scratch.
+pub(crate) fn sancho_rubio_on(
+    scratch: &mut ObcBatchScratch,
+    out: &mut CMatrix,
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    tol: f64,
+    max_iter: usize,
+) -> Result<SurfaceStats, ObcError> {
     let dim = m.nrows();
     // Decimation state: the surface and bulk onsite blocks ε_s, ε and the
     // effective couplings α, β; per step g = ε⁻¹, α·g, β·g and `t`, which
@@ -279,10 +322,10 @@ pub(crate) fn sancho_rubio_on(
         residual: check,
         blocks: [eps_s, eps, alpha, beta, g, ag, bg, t],
     } = scratch;
-    shaped(eps_s, dim, dim).copy_from(m);
-    shaped(eps, dim, dim).copy_from(m);
-    shaped(alpha, dim, dim).copy_from(n);
-    shaped(beta, dim, dim).copy_from(nprime);
+    eps_s.fit(dim, dim).copy_from(m);
+    eps.fit(dim, dim).copy_from(m);
+    alpha.fit(dim, dim).copy_from(n);
+    beta.fit(dim, dim).copy_from(nprime);
 
     let per_iter = inverse_flops(dim) + 6 * gemm_flops(dim, dim, dim);
     let mut flops = 0u64;
@@ -308,12 +351,9 @@ pub(crate) fn sancho_rubio_on(
         if an < tol && bn < tol {
             // Converged: the surface function is ε_s⁻¹.
             flops += inverse_flops(dim);
-            let mut x = CMatrix::zeros(dim, dim);
-            lu.invert_into(eps_s, &mut x)
-                .map_err(|_| ObcError::Singular)?;
-            let residual = check.residual(lu, &x, m, n, nprime);
-            return Ok(ObcSolution {
-                x,
+            lu.invert_into(eps_s, out).map_err(|_| ObcError::Singular)?;
+            let residual = check.residual(lu, out, m, n, nprime);
+            return Ok(SurfaceStats {
                 iterations: it,
                 residual,
                 flops,
@@ -347,7 +387,11 @@ pub(crate) fn sancho_rubio_on(
 /// whose eigenpairs `(λ, [φ; λφ])` yield the Bloch modes. The decaying modes
 /// (`|λ| < 1`) build the propagation matrix `F = Φ·Λ·Φ⁻¹` and
 /// `x^R = (m + n·F)⁻¹`. Requires an invertible coupling block `n`.
-pub fn pevp_direct(m: &CMatrix, n: &CMatrix, nprime: &CMatrix) -> Result<ObcSolution, ObcError> {
+pub(crate) fn pevp_direct(
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+) -> Result<ObcSolution, ObcError> {
     let dim = m.nrows();
     // lint:allow(allocating-inverse): cold direct fallback; two solves share this factorisation.
     let n_lu = LuFactorization::new(n).map_err(|_| ObcError::Singular)?;
@@ -455,24 +499,14 @@ struct BeynScratch {
     phi_lambda: CMatrix,
     phi_inv: CMatrix,
     f: CMatrix,
-    /// `m + n·F` and its inverse, the surface function.
+    /// `m + n·F`, whose inverse is the surface function.
     rhs: CMatrix,
-    x: CMatrix,
 }
 
 thread_local! {
     /// Per-thread [`beyn`] scratch (the assemblies call it once per energy on
     /// the rank threads): zero allocations of its own once warmed.
     static BEYN: RefCell<BeynScratch> = RefCell::new(BeynScratch::default());
-}
-
-/// Reshape `mat` to `nrows × ncols` if it has another shape (contents are
-/// then zero; otherwise kept).
-fn shaped(mat: &mut CMatrix, nrows: usize, ncols: usize) -> &mut CMatrix {
-    if mat.shape() != (nrows, ncols) {
-        mat.resize_zeroed(nrows, ncols);
-    }
-    mat
 }
 
 /// Beyn's contour-integral solver for the retarded surface function.
@@ -492,16 +526,29 @@ pub fn beyn(
     nprime: &CMatrix,
     config: &BeynConfig,
 ) -> Result<ObcSolution, ObcError> {
-    BEYN.with(|scratch| beyn_on(&mut scratch.borrow_mut(), m, n, nprime, config))
+    let mut x = CMatrix::default();
+    beyn_into(&mut x, m, n, nprime, config).map(|st| st.with(x))
 }
 
-fn beyn_on(
-    scratch: &mut BeynScratch,
+/// [`beyn`] writing the surface function into `out`.
+pub(crate) fn beyn_into(
+    out: &mut CMatrix,
     m: &CMatrix,
     n: &CMatrix,
     nprime: &CMatrix,
     config: &BeynConfig,
-) -> Result<ObcSolution, ObcError> {
+) -> Result<SurfaceStats, ObcError> {
+    BEYN.with(|scratch| beyn_on(&mut scratch.borrow_mut(), out, m, n, nprime, config))
+}
+
+fn beyn_on(
+    scratch: &mut BeynScratch,
+    out: &mut CMatrix,
+    m: &CMatrix,
+    n: &CMatrix,
+    nprime: &CMatrix,
+    config: &BeynConfig,
+) -> Result<SurfaceStats, ObcError> {
     let dim = m.nrows();
     assert!(m.is_square() && n.shape() == (dim, dim) && nprime.shape() == (dim, dim));
     let s = scratch;
@@ -510,7 +557,7 @@ fn beyn_on(
     // Probe with the full identity: the number of enclosed eigenvalues equals
     // the block dimension for a well-posed lead problem, so T(z)⁻¹·V is the
     // plain inverse.
-    shaped(&mut s.t, dim, dim);
+    s.t.fit(dim, dim);
     s.a0.resize_zeroed(dim, dim);
     s.a1.resize_zeroed(dim, dim);
     let nq = config.n_quadrature.max(4);
@@ -545,15 +592,17 @@ fn beyn_on(
     }
     // Reduced matrix B = U_k† A1 W_k Σ_k⁻¹ (k = rank): the leading columns of
     // the column-major factors are their leading `dim · rank` entries.
-    shaped(&mut s.u_k, dim, rank)
+    s.u_k
+        .fit(dim, rank)
         .as_mut_slice()
         .copy_from_slice(&s.dec.u.as_slice()[..dim * rank]);
-    shaped(&mut s.w_k, dim, rank)
+    s.w_k
+        .fit(dim, rank)
         .as_mut_slice()
         .copy_from_slice(&s.dec.v.as_slice()[..dim * rank]);
     // lint:allow(per-energy-gemm): dim × rank with a data-dependent rank per energy — no common shape to batch over
     gemm(
-        shaped(&mut s.a1w, dim, rank),
+        s.a1w.fit(dim, rank),
         ONE,
         Op::None(&s.a1),
         Op::None(&s.w_k),
@@ -567,7 +616,7 @@ fn beyn_on(
     }
     // lint:allow(per-energy-gemm): rank × rank reduced problem, see above
     gemm(
-        shaped(&mut s.b, rank, rank),
+        s.b.fit(rank, rank),
         ONE,
         Op::Dagger(&s.u_k),
         Op::None(&s.a1w),
@@ -580,7 +629,7 @@ fn beyn_on(
     let eig = eigendecomposition(&s.b).map_err(|_| ObcError::EigenFailure)?;
     // lint:allow(per-energy-gemm): dim × rank lift, see above
     gemm(
-        shaped(&mut s.phi_k, dim, rank),
+        s.phi_k.fit(dim, rank),
         ONE,
         Op::None(&s.u_k),
         Op::None(&eig.vectors),
@@ -599,7 +648,7 @@ fn beyn_on(
     }
     s.lu.invert_into(&s.phi, &mut s.phi_inv)
         .map_err(|_| ObcError::Singular)?;
-    shaped(&mut s.phi_lambda, dim, dim).copy_from(&s.phi);
+    s.phi_lambda.fit(dim, dim).copy_from(&s.phi);
     for j in 0..dim {
         let l = if j < rank { eig.values[j] } else { ZERO };
         for v in s.phi_lambda.col_mut(j) {
@@ -608,7 +657,7 @@ fn beyn_on(
     }
     // lint:allow(per-energy-gemm): one energy's propagation matrix
     gemm(
-        shaped(&mut s.f, dim, dim),
+        s.f.fit(dim, dim),
         ONE,
         Op::None(&s.phi_lambda),
         Op::None(&s.phi_inv),
@@ -617,16 +666,15 @@ fn beyn_on(
     flops += inverse_flops(dim) + gemm_flops(dim, dim, dim);
 
     // x^R = (m + n·F)⁻¹.
-    shaped(&mut s.rhs, dim, dim).copy_from(m);
+    s.rhs.fit(dim, dim).copy_from(m);
     // lint:allow(per-energy-gemm): one energy's surface function
     gemm(&mut s.rhs, ONE, Op::None(n), Op::None(&s.f), ONE);
-    s.lu.invert_into(&s.rhs, &mut s.x)
+    s.lu.invert_into(&s.rhs, out)
         .map_err(|_| ObcError::Singular)?;
     flops += gemm_flops(dim, dim, dim) + inverse_flops(dim);
 
-    let residual = s.residual.residual(&mut s.lu, &s.x, m, n, nprime);
-    Ok(ObcSolution {
-        x: s.x.clone(),
+    let residual = s.residual.residual(&mut s.lu, out, m, n, nprime);
+    Ok(SurfaceStats {
         iterations: nq,
         residual,
         flops,

@@ -364,20 +364,8 @@ pub fn rgf_solve_batch_on(
     }
 
     // Shape the outputs (no-ops in the steady state).
-    let fits = |bt: &BlockTridiagonal| bt.n_blocks() == nb && bt.block_size() == bs;
     for sol in sols.iter_mut() {
-        if !fits(&sol.retarded) {
-            sol.retarded = BlockTridiagonal::zeros(nb, bs);
-        }
-        sol.lesser.truncate(n_rhs);
-        for l in sol.lesser.iter_mut() {
-            if !fits(l) {
-                *l = BlockTridiagonal::zeros(nb, bs);
-            }
-        }
-        while sol.lesser.len() < n_rhs {
-            sol.lesser.push(BlockTridiagonal::zeros(nb, bs));
-        }
+        sol.fit(nb, bs, n_rhs);
     }
 
     let RgfBatchScratch { lu, planes, lanes } = scratch;

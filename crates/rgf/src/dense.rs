@@ -25,7 +25,8 @@ pub fn dense_lesser(a: &BlockTridiagonal, b: &BlockTridiagonal) -> CMatrix {
 
 /// Extract block `(i, j)` of a dense matrix laid out in uniform blocks of
 /// size `block_size`.
-pub fn dense_block(dense: &CMatrix, i: usize, j: usize, block_size: usize) -> CMatrix {
+#[cfg(test)]
+pub(crate) fn dense_block(dense: &CMatrix, i: usize, j: usize, block_size: usize) -> CMatrix {
     dense.submatrix(i * block_size, j * block_size, block_size, block_size)
 }
 

@@ -59,10 +59,11 @@ pub use layout::{
     partition_layout_balanced, separator_blocks, spatial_partition_layout, SpatialPartition,
 };
 pub use nested::{
-    assemble_reduced_system, assemble_solution, eliminate_partition, nested_dissection_invert,
+    assemble_reduced_system_into, assemble_solution, assemble_solution_into, eliminate_loaded,
+    eliminate_partition, eliminate_partition_into, nested_dissection_invert,
     nested_dissection_solve, nested_dissection_solve_with_layout, partition_ranges,
-    recover_partition, solve_systems, NestedConfig, NestedReport, PartitionSolveState,
-    PartitionWorkload,
+    recover_partition, recover_partition_into, solve_systems, solve_systems_into, NestedConfig,
+    NestedReport, PartitionSolveState, PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

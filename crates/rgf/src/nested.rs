@@ -84,7 +84,7 @@
 //! does the same for the reduced systems. The single-process driver
 //! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
 //! distributed driver (`quatrex_core::dist`) runs the same phase functions
-//! ([`eliminate_partition`], [`assemble_reduced_system`],
+//! (`eliminate_partition`, `assemble_reduced_system`,
 //! [`recover_partition`], [`assemble_solution`]) on different ranks and
 //! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
 //! traffic of the paper.
@@ -117,7 +117,7 @@ impl NestedConfig {
 }
 
 /// Workload attributed to one partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartitionWorkload {
     /// Partition index (0 = top / source side).
     pub partition: usize,
@@ -209,31 +209,76 @@ pub fn solve_systems(
     systems: &[Vec<BlockTridiagonal>],
     scratch: &mut RgfBatchScratch,
 ) -> Result<Vec<SelectedSolution>, RgfError> {
-    let (lhs, rhs) = split_systems(systems);
-    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
     let mut sols = vec![SelectedSolution::zeros(0, 0, 0); systems.len()];
-    rgf_solve_batch_into(&lhs, &rhs, &mut sols, scratch).map_err(|e| e.error)?;
+    solve_systems_into(systems, &mut sols, scratch)?;
     Ok(sols)
 }
 
-/// The system matrices `A` and the right-hand-side lists `[B_1, …]` of a
-/// batch of systems `[A, B_1, …]`.
-#[allow(clippy::type_complexity)]
-fn split_systems<S: AsRef<[BlockTridiagonal]>>(
+/// [`solve_systems`] into kept solutions (one per system).
+pub fn solve_systems_into<S: AsRef<[BlockTridiagonal]>>(
     systems: &[S],
-) -> (Vec<&BlockTridiagonal>, Vec<Vec<&BlockTridiagonal>>) {
-    let lhs = systems.iter().map(|s| &s.as_ref()[0]).collect();
-    let rhs = systems.iter().map(|s| s.as_ref()[1..].iter().collect());
-    (lhs, rhs.collect())
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfError> {
+    let ops = split_systems(systems.iter().map(AsRef::as_ref));
+    rgf_solve_batch_into(&ops.lhs, &ops.rhs_lists(), sols, scratch).map_err(|e| e.error)
+}
+
+/// The operand lists of a batch of same-shape systems `[A, B_1, …]`: the
+/// system matrices, and every system's right-hand sides in one flat list.
+struct Operands<'a> {
+    lhs: Vec<&'a BlockTridiagonal>,
+    rhs: Vec<&'a BlockTridiagonal>,
+    n_rhs: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// The right-hand-side list of every system.
+    fn rhs_lists(&self) -> Vec<&[&'a BlockTridiagonal]> {
+        if self.n_rhs == 0 {
+            return vec![&[]; self.lhs.len()];
+        }
+        self.rhs.chunks_exact(self.n_rhs).collect()
+    }
+}
+
+/// The operand lists of `systems`.
+fn split_systems<'a>(
+    systems: impl ExactSizeIterator<Item = &'a [BlockTridiagonal]>,
+) -> Operands<'a> {
+    let mut lhs = Vec::with_capacity(systems.len());
+    let (mut rhs, mut n_rhs) = (Vec::new(), None);
+    for system in systems {
+        let (a, b) = system.split_first().expect("a system holds its matrix"); // lint:allow(no-unwrap): every system is `[A, B_1, …]`
+        if n_rhs.is_none() {
+            rhs.reserve(lhs.capacity() * b.len());
+        }
+        assert_eq!(*n_rhs.get_or_insert(b.len()), b.len(), "same-shape systems");
+        lhs.push(a);
+        rhs.extend(b);
+    }
+    let n_rhs = n_rhs.unwrap_or(0);
+    Operands { lhs, rhs, n_rhs }
+}
+
+/// A loaded state's range (a one-separator state's in separator-last order
+/// once eliminated).
+fn loaded_range(st: &PartitionSolveState) -> &[BlockTridiagonal] {
+    match &st.recovery {
+        Recovery::Sweep { range, .. } | Recovery::Range(range) => range,
+        Recovery::Nothing => unreachable!("a state with an interior"),
+    }
 }
 
 /// Recovery state a partition keeps between the elimination and recovery
-/// phases (never communicated). Both range-carrying states are owned copies:
+/// phases (never communicated); kept states are rewritten in place. Both range-carrying states are owned copies:
 /// the caller's ranges are borrowed, and until this partition recovers, the
 /// scratch's block store serves the other chunks' eliminations and the
 /// reduced solves. A copy is `O(N_BS²)` per block; the sweeps are `O(N_BS³)`.
+#[derive(Default)]
 enum Recovery {
     /// A pure-separator partition recovers nothing.
+    #[default]
     Nothing,
     /// One separator: the range in separator-last order (block-reversed
     /// when the separator is its first block) and the forward sweep over it,
@@ -248,7 +293,9 @@ enum Recovery {
 
 /// Per-partition, per-system result of the elimination phase. The `updates`
 /// must be gathered wherever the reduced system is assembled; the recovery
-/// state stays local.
+/// state stays local. The `Default` is an empty state for
+/// [`eliminate_partition_into`] to fill.
+#[derive(Default)]
 pub struct PartitionSolveState {
     /// Reduced-system updates to gather: for every matrix of the system (`A`,
     /// then each right-hand side) the `nbd × nbd` grid of updates between the
@@ -276,6 +323,80 @@ pub fn eliminate_partition(
     index: usize,
     scratch: &mut RgfBatchScratch,
 ) -> Result<Vec<PartitionSolveState>, RgfError> {
+    let mut states: Vec<PartitionSolveState> = ranges.iter().map(|_| Default::default()).collect();
+    let systems: Vec<Vec<&BlockTridiagonal>> = ranges.iter().map(|r| r.iter().collect()).collect();
+    eliminate_partition_into(&mut states, &systems, 0, part, index, scratch)?;
+    Ok(states)
+}
+
+/// [`eliminate_partition`] into kept `states` (one per system), reading
+/// each system `[A, B_1, …]` from block `offset` on: `0` for its
+/// [`partition_ranges`], the partition's `lo` for the full system. The
+/// range is copied into the state ([`PartitionSolveState::range_mut`]), then
+/// eliminated there ([`eliminate_loaded`]).
+pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
+    states: &mut [PartitionSolveState],
+    systems: &[S],
+    offset: usize,
+    part: &SpatialPartition,
+    index: usize,
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfError> {
+    assert_eq!(states.len(), systems.len(), "one state per system");
+    let range = offset..offset + part.range().len();
+    for (st, system) in states.iter_mut().zip(systems) {
+        let system = system.as_ref();
+        for (dst, src) in st.range_mut(part, system.len()).iter_mut().zip(system) {
+            dst.copy_range_from(src, range.clone(), false);
+        }
+    }
+    eliminate_loaded(states, part, index, scratch)
+}
+
+impl PartitionSolveState {
+    /// The `n_matrices` buffers `[A, B_1, …]` this state keeps partition
+    /// `part`'s block range of its system in (none for an empty interior):
+    /// fill every block with blocks `lo..=hi` of the system, as
+    /// [`partition_ranges`] cuts them, then eliminate with
+    /// [`eliminate_loaded`].
+    pub fn range_mut(
+        &mut self,
+        part: &SpatialPartition,
+        n_matrices: usize,
+    ) -> &mut [BlockTridiagonal] {
+        if part.interior().is_empty() {
+            self.recovery = Recovery::Nothing;
+            return &mut [];
+        }
+        let one = part.n_separators() == 1;
+        match (&self.recovery, one) {
+            (Recovery::Sweep { .. }, true) | (Recovery::Range(_), false) => {}
+            (_, true) => {
+                self.recovery = Recovery::Sweep {
+                    range: Vec::new(),
+                    forward: ForwardSweep::default(),
+                }
+            }
+            (_, false) => self.recovery = Recovery::Range(Vec::new()),
+        }
+        let (Recovery::Sweep { range, .. } | Recovery::Range(range)) = &mut self.recovery else {
+            unreachable!("shaped just above")
+        };
+        range.resize_with(n_matrices, BlockTridiagonal::default);
+        range
+    }
+}
+
+/// [`eliminate_partition_into`] of states whose ranges are loaded
+/// ([`PartitionSolveState::range_mut`]). A one-separator partition
+/// eliminates in place: once warmed at a shape it allocates only the
+/// batch's operand lists.
+pub fn eliminate_loaded(
+    states: &mut [PartitionSolveState],
+    part: &SpatialPartition,
+    index: usize,
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfError> {
     quatrex_probe::span("rgf.eliminate_partition", "rgf.partition", || {
         let n = part.interior().len();
         let workload = |flops| PartitionWorkload {
@@ -283,6 +404,34 @@ pub fn eliminate_partition(
             blocks: part.hi - part.lo + 1,
             flops,
         };
+        if n == 0 {
+            // Pure-separator partition: nothing to eliminate, nothing to update
+            // (its separator blocks enter the reduced system unmodified).
+            for st in states.iter_mut() {
+                st.updates.clear();
+                st.workload = workload(0);
+                st.recovery = Recovery::Nothing;
+            }
+            return Ok(());
+        }
+        if part.n_separators() == 1 {
+            // The range in separator-last order: block-reversed when the
+            // separator is its first block.
+            if part.left_boundary.is_some() {
+                for st in states.iter_mut() {
+                    if let Recovery::Sweep { range, .. } = &mut st.recovery {
+                        range.iter_mut().for_each(BlockTridiagonal::reverse);
+                    }
+                }
+            }
+            let flops = sweep_states(states, scratch)?;
+            for st in states.iter_mut() {
+                st.workload = workload(flops);
+            }
+            return Ok(());
+        }
+        // Two separators, t = 0 and b = n + 1: stopped sweeps towards b over
+        // [1..=n, b] and towards t over the reversed [t, 1..=n].
         // Blocks `range` of every system, block-reversed when `reverse`.
         let cut = |range: std::ops::Range<usize>, reverse: bool| -> Vec<Vec<BlockTridiagonal>> {
             let cut_one = |m: &BlockTridiagonal| {
@@ -293,61 +442,64 @@ pub fn eliminate_partition(
                     sub
                 }
             };
-            ranges
-                .iter()
-                .map(|sub| sub.iter().map(cut_one).collect())
-                .collect()
+            let sub = |st| loaded_range(st).iter().map(cut_one).collect();
+            states.iter().map(sub).collect()
         };
-        if n == 0 {
-            // Pure-separator partition: nothing to eliminate, nothing to update
-            // (its separator blocks enter the reduced system unmodified).
-            let empty = |_| PartitionSolveState {
-                updates: Vec::new(),
-                workload: workload(0),
-                recovery: Recovery::Nothing,
-            };
-            return Ok(ranges.iter().map(empty).collect());
-        }
-        if part.n_separators() == 1 {
-            // The range in separator-last order, copied once.
-            let oriented = cut(0..n + 1, part.left_boundary.is_some());
-            let (updates, sweeps, flops) = sweep_to_separator(&oriented, scratch)?;
-            let states = oriented.into_iter().zip(sweeps).zip(updates);
-            return Ok(states
-                .map(|((range, forward), updates)| PartitionSolveState {
-                    updates,
-                    workload: workload(flops),
-                    recovery: Recovery::Sweep { range, forward },
-                })
-                .collect());
-        }
-        // Two separators, t = 0 and b = n + 1: stopped sweeps towards b over
-        // [1..=n, b] and towards t over the reversed [t, 1..=n].
         let (to_b, left, flops_b) = sweep_to_separator(&cut(1..n + 2, false), scratch)?;
         let (to_t, right, flops_t) = sweep_to_separator(&cut(0..n + 1, true), scratch)?;
-        let states = ranges.iter().zip(to_t.into_iter().zip(to_b));
+        let grids = to_t.into_iter().zip(to_b);
         let sweeps = right.iter().zip(&left);
-        Ok(states
-            .zip(sweeps)
-            .map(|((sub, (u_tt, u_bb)), (right, left))| {
-                let (first_row, flops_f) = inverse_row(right, |w| sub[0].upper(w));
-                let (mut last_row, flops_l) = inverse_row(left, |w| sub[0].lower(n - w));
-                last_row.reverse();
-                let (u_tb, flops_tb) = cross_update(sub, &first_row, &last_row, (0, 1), (n + 1, n));
-                let (u_bt, flops_bt) = cross_update(sub, &last_row, &first_row, (n + 1, n), (0, 1));
-                let grid = u_tt.into_iter().zip(u_tb).zip(u_bt).zip(u_bb);
-                let updates = grid
-                    .flat_map(|(((tt, tb), bt), bb)| [tt, tb, bt, bb])
-                    .collect();
-                let flops = flops_t + flops_b + flops_f + flops_l + flops_tb + flops_bt;
-                PartitionSolveState {
-                    updates,
-                    workload: workload(flops),
-                    recovery: Recovery::Range(sub.clone()),
-                }
-            })
-            .collect())
+        for (st, ((u_tt, u_bb), (right, left))) in states.iter_mut().zip(grids.zip(sweeps)) {
+            let sub = loaded_range(st);
+            let (first_row, flops_f) = inverse_row(right, |w| sub[0].upper(w));
+            let (mut last_row, flops_l) = inverse_row(left, |w| sub[0].lower(n - w));
+            last_row.reverse();
+            let (u_tb, flops_tb) = cross_update(sub, &first_row, &last_row, (0, 1), (n + 1, n));
+            let (u_bt, flops_bt) = cross_update(sub, &last_row, &first_row, (n + 1, n), (0, 1));
+            let grid = u_tt.into_iter().zip(u_tb).zip(u_bt).zip(u_bb);
+            st.updates = grid
+                .flat_map(|(((tt, tb), bt), bb)| [tt, tb, bt, bb])
+                .collect();
+            let flops = flops_t + flops_b + flops_f + flops_l + flops_tb + flops_bt;
+            st.workload = workload(flops);
+        }
+        Ok(())
     })
+}
+
+/// The batched forward RGF half over the ranges of one-separator states
+/// ([`eliminate_to_last`]), into the states' update grids and forward
+/// sweeps. Returns the per-system FLOPs.
+fn sweep_states(
+    states: &mut [PartitionSolveState],
+    scratch: &mut RgfBatchScratch,
+) -> Result<u64, RgfError> {
+    let sweep = |st: &mut PartitionSolveState| match &mut st.recovery {
+        Recovery::Sweep { forward, .. } => std::mem::take(forward),
+        _ => unreachable!("a one-separator state"),
+    };
+    let mut sweeps: Vec<ForwardSweep> = states.iter_mut().map(sweep).collect();
+    let mut updates: Vec<Vec<CMatrix>> = states
+        .iter_mut()
+        .map(|st| std::mem::take(&mut st.updates))
+        .collect();
+    let ops = split_systems(states.iter().map(loaded_range));
+    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
+    let bs = lhs[0].block_size();
+    for grid in &mut updates {
+        grid.resize_with(1 + n_rhs, CMatrix::default);
+        grid.iter_mut().for_each(|u| {
+            u.fit(bs, bs);
+        });
+    }
+    let flops = eliminate_to_last(lhs, &rhs, &mut updates, &mut sweeps, scratch);
+    for ((st, grid), sweep) in states.iter_mut().zip(updates).zip(sweeps) {
+        st.updates = grid;
+        if let Recovery::Sweep { forward, .. } = &mut st.recovery {
+            *forward = sweep;
+        }
+    }
+    flops.map_err(|e| e.error)
 }
 
 /// The batched forward RGF half over systems `[A, B_1, …]` whose last block
@@ -359,13 +511,13 @@ fn sweep_to_separator(
     systems: &[Vec<BlockTridiagonal>],
     scratch: &mut RgfBatchScratch,
 ) -> Result<(Vec<Vec<CMatrix>>, Vec<ForwardSweep>, u64), RgfError> {
-    let (lhs, rhs) = split_systems(systems);
-    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
-    let (bs, n_rhs) = (lhs[0].block_size(), rhs[0].len());
+    let ops = split_systems(systems.iter().map(Vec::as_slice));
+    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
+    let bs = lhs[0].block_size();
     let mut updates = vec![vec![CMatrix::zeros(bs, bs); 1 + n_rhs]; systems.len()];
     let mut sweeps = vec![ForwardSweep::default(); systems.len()];
     let flops =
-        eliminate_to_last(&lhs, &rhs, &mut updates, &mut sweeps, scratch).map_err(|e| e.error)?;
+        eliminate_to_last(lhs, &rhs, &mut updates, &mut sweeps, scratch).map_err(|e| e.error)?;
     Ok((updates, sweeps, flops))
 }
 
@@ -451,32 +603,45 @@ fn cross_update(
 /// `[A, B_1, …]`: its separator blocks plus the gathered per-partition
 /// `updates` (one [`PartitionSolveState::updates`] per partition, in layout
 /// order).
-pub fn assemble_reduced_system(
+pub(crate) fn assemble_reduced_system(
     system: &[&BlockTridiagonal],
     parts: &[SpatialPartition],
     updates: &[&[CMatrix]],
 ) -> Vec<BlockTridiagonal> {
+    let mut reduced = vec![BlockTridiagonal::default(); system.len()];
     let separators = separator_blocks(parts);
+    assemble_reduced_system_into(&mut reduced, system, parts, &separators, |p| updates[p]);
+    reduced
+}
+
+/// `assemble_reduced_system` into kept matrices (one per matrix of the
+/// system), `separators` the layout's [`separator_blocks`] and `updates(p)`
+/// partition `p`'s update grid.
+pub fn assemble_reduced_system_into<'u>(
+    reduced: &mut [BlockTridiagonal],
+    system: &[&BlockTridiagonal],
+    parts: &[SpatialPartition],
+    separators: &[usize],
+    updates: impl Fn(usize) -> &'u [CMatrix],
+) {
     let n_sep = separators.len();
-    let mut reduced: Vec<BlockTridiagonal> = system
-        .iter()
-        .map(|m| {
-            let mut red = BlockTridiagonal::zeros(n_sep, m.block_size());
-            for (k, &s) in separators.iter().enumerate() {
-                red.set_block(k, k, m.diag(s).clone());
-                if k + 1 < n_sep && separators[k + 1] == s + 1 {
-                    // Physically adjacent separators keep their original
-                    // coupling; separators of the same partition start
-                    // uncoupled (their coupling comes from the eliminated
-                    // interior alone).
-                    red.set_block(k, k + 1, m.upper(s).clone());
-                    red.set_block(k + 1, k, m.lower(s).clone());
-                }
+    for (red, m) in reduced.iter_mut().zip(system) {
+        red.fit(n_sep, m.block_size());
+        red.set_zero();
+        for (k, &s) in separators.iter().enumerate() {
+            red.diag_mut(k).copy_from(m.diag(s));
+            if k + 1 < n_sep && separators[k + 1] == s + 1 {
+                // Physically adjacent separators keep their original
+                // coupling; separators of the same partition start
+                // uncoupled (their coupling comes from the eliminated
+                // interior alone).
+                red.upper_mut(k).copy_from(m.upper(s));
+                red.lower_mut(k).copy_from(m.lower(s));
             }
-            red
-        })
-        .collect();
-    for (p, (part, upd)) in parts.iter().zip(updates).enumerate() {
+        }
+    }
+    for (p, part) in parts.iter().enumerate() {
+        let upd = updates(p);
         if upd.is_empty() {
             continue;
         }
@@ -494,7 +659,6 @@ pub fn assemble_reduced_system(
             }
         }
     }
-    reduced
 }
 
 /// Recover the selected blocks of one partition for a batch of systems —
@@ -514,64 +678,85 @@ pub fn recover_partition(
     reduced: &[SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> Vec<SelectedSolution> {
+    let mut sols = vec![SelectedSolution::default(); states.len()];
+    recover_partition_into(part, states, reduced, &mut sols, scratch);
+    sols
+}
+
+/// [`recover_partition`] into kept solutions (one per system). A
+/// one-separator partition recovers in place: once warmed at a shape it
+/// allocates only the batch's operand lists.
+pub fn recover_partition_into(
+    part: &SpatialPartition,
+    states: &[PartitionSolveState],
+    reduced: &[SelectedSolution],
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) {
     assert_eq!(states.len(), reduced.len(), "one reduced solution each");
+    assert_eq!(states.len(), sols.len(), "one solution each");
     quatrex_probe::span("rgf.recover_partition", "rgf.partition", || {
         let Some(first) = states.first() else {
-            return Vec::new();
+            return;
         };
         // The partition's first separator in the reduced system.
         let sep = first_separator(first.workload.partition);
         match &first.recovery {
-            Recovery::Nothing => reduced
-                .iter()
-                .map(|red| SelectedSolution::zeros(0, red.retarded.block_size(), red.lesser.len()))
-                .collect(),
-            Recovery::Sweep { .. } => recover_end(part, states, reduced, sep, scratch),
-            Recovery::Range(_) => recover_middle(states, reduced, sep, scratch),
+            Recovery::Nothing => {
+                for (sol, red) in sols.iter_mut().zip(reduced) {
+                    *sol = SelectedSolution::zeros(0, red.retarded.block_size(), red.lesser.len());
+                }
+            }
+            Recovery::Sweep { .. } => recover_end(part, states, reduced, sep, sols, scratch),
+            Recovery::Range(_) => {
+                let recovered = recover_middle(states, reduced, sep, scratch);
+                for (sol, rec) in sols.iter_mut().zip(recovered) {
+                    *sol = rec;
+                }
+            }
         }
     })
 }
 
-/// [`recover_partition`] of a one-separator partition whose separator is
-/// block `sep` of the reduced systems.
+/// [`recover_partition_into`] of a one-separator partition whose separator
+/// is block `sep` of the reduced systems.
 fn recover_end(
     part: &SpatialPartition,
     states: &[PartitionSolveState],
     reduced: &[SelectedSolution],
     sep: usize,
+    sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
-) -> Vec<SelectedSolution> {
-    let (ranges, forward): (Vec<_>, Vec<_>) = states
+) {
+    let forward: Vec<&ForwardSweep> = states
         .iter()
         .map(|st| match &st.recovery {
-            Recovery::Sweep { range, forward } => (range, forward),
+            Recovery::Sweep { forward, .. } => forward,
             _ => panic!("not an end partition's state"),
         })
-        .unzip();
-    let (lhs, rhs) = split_systems(&ranges);
-    let rhs: Vec<&[&BlockTridiagonal]> = rhs.iter().map(Vec::as_slice).collect();
-    let (n, bs, n_rhs) = (lhs[0].n_blocks(), lhs[0].block_size(), rhs[0].len());
-    // The seed: the reduced solution at the partition's one separator.
-    let mut sols: Vec<SelectedSolution> = reduced
-        .iter()
-        .map(|red| {
-            let mut sol = SelectedSolution::zeros(n, bs, n_rhs);
-            *sol.retarded.diag_mut(n - 1) = red.retarded.diag(sep).clone();
-            for (x, xr) in sol.lesser.iter_mut().zip(&red.lesser) {
-                *x.diag_mut(n - 1) = xr.diag(sep).clone();
-            }
-            sol
-        })
         .collect();
-    let flops = recover_to_first(&lhs, &rhs, &forward, &mut sols, scratch);
-    for sol in &mut sols {
+    let ops = split_systems(states.iter().map(loaded_range));
+    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
+    let (n, bs) = (lhs[0].n_blocks(), lhs[0].block_size());
+    // The seed: the reduced solution at the partition's one separator.
+    for (sol, red) in sols.iter_mut().zip(reduced) {
+        sol.fit(n, bs, n_rhs);
+        sol.set_zero();
+        sol.retarded
+            .diag_mut(n - 1)
+            .copy_from(red.retarded.diag(sep));
+        for (x, xr) in sol.lesser.iter_mut().zip(&red.lesser) {
+            x.diag_mut(n - 1).copy_from(xr.diag(sep));
+        }
+    }
+    let flops = recover_to_first(lhs, &rhs, &forward, sols, scratch);
+    for sol in sols.iter_mut() {
         if part.left_boundary.is_some() {
-            sol.retarded = sol.retarded.reversed();
-            sol.lesser = sol.lesser.iter().map(BlockTridiagonal::reversed).collect();
+            sol.retarded.reverse();
+            sol.lesser.iter_mut().for_each(BlockTridiagonal::reverse);
         }
         sol.flops = flops;
     }
-    sols
 }
 
 /// [`recover_partition`] of a two-separator partition whose separators are
@@ -659,10 +844,10 @@ fn scatter_separator_blocks(
     separators: &[usize],
 ) {
     for (k, &s) in separators.iter().enumerate() {
-        x.set_block(s, s, reduced.diag(k).clone());
+        x.diag_mut(s).copy_from(reduced.diag(k));
         if k + 1 < separators.len() && separators[k + 1] == s + 1 {
-            x.set_block(s, s + 1, reduced.upper(k).clone());
-            x.set_block(s + 1, s, reduced.lower(k).clone());
+            x.upper_mut(s).copy_from(reduced.upper(k));
+            x.lower_mut(s).copy_from(reduced.lower(k));
         }
     }
 }
@@ -677,20 +862,39 @@ pub fn assemble_solution(
     reduced: &SelectedSolution,
     recovered: &[SelectedSolution],
 ) -> SelectedSolution {
+    let mut sol = SelectedSolution::default();
     let separators = separator_blocks(parts);
+    assemble_solution_into(&mut sol, n_blocks, parts, &separators, reduced, |p| {
+        &recovered[p]
+    });
+    sol
+}
+
+/// [`assemble_solution`] into a kept solution, `separators` the layout's
+/// [`separator_blocks`] and `recovered(p)` partition `p`'s recovered range.
+pub fn assemble_solution_into<'r>(
+    sol: &mut SelectedSolution,
+    n_blocks: usize,
+    parts: &[SpatialPartition],
+    separators: &[usize],
+    reduced: &SelectedSolution,
+    recovered: impl Fn(usize) -> &'r SelectedSolution,
+) {
     let bs = reduced.retarded.block_size();
-    let mut sol = SelectedSolution::zeros(n_blocks, bs, reduced.lesser.len());
-    scatter_separator_blocks(&mut sol.retarded, &reduced.retarded, &separators);
+    sol.fit(n_blocks, bs, reduced.lesser.len());
+    sol.set_zero();
+    sol.flops = 0;
+    scatter_separator_blocks(&mut sol.retarded, &reduced.retarded, separators);
     for (x, red) in sol.lesser.iter_mut().zip(&reduced.lesser) {
-        scatter_separator_blocks(x, red, &separators);
+        scatter_separator_blocks(x, red, separators);
     }
-    for (part, rec) in parts.iter().zip(recovered) {
+    for (p, part) in parts.iter().enumerate() {
+        let rec = recovered(p);
         sol.retarded.write_range(part.lo, &rec.retarded);
         for (x, sub) in sol.lesser.iter_mut().zip(&rec.lesser) {
             x.write_range(part.lo, sub);
         }
     }
-    sol
 }
 
 /// Distributed selected solve of the quadratic block-tridiagonal problem.

@@ -45,7 +45,7 @@ impl std::error::Error for RgfError {}
 
 /// Selected solution of the quadratic matrix problem: the diagonal and first
 /// off-diagonal blocks of `X^R` and of one `X≶` per provided right-hand side.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SelectedSolution {
     /// Selected blocks of the retarded solution `X^R = Ã⁻¹`.
     pub retarded: BlockTridiagonal,
@@ -64,6 +64,24 @@ impl SelectedSolution {
             lesser: vec![BlockTridiagonal::zeros(n_blocks, block_size); n_rhs],
             flops: 0,
         }
+    }
+
+    /// Shape `self` as `n_rhs` right-hand sides over `n_blocks` blocks of
+    /// `block_size` ([`BlockTridiagonal::fit`]: kept matrices keep their
+    /// entries, reshaped ones are zero).
+    pub fn fit(&mut self, n_blocks: usize, block_size: usize, n_rhs: usize) {
+        self.retarded.fit(n_blocks, block_size);
+        self.lesser.truncate(n_rhs);
+        self.lesser.resize_with(n_rhs, BlockTridiagonal::default);
+        for l in &mut self.lesser {
+            l.fit(n_blocks, block_size);
+        }
+    }
+
+    /// Zero every selected block, in place.
+    pub fn set_zero(&mut self) {
+        self.retarded.set_zero();
+        self.lesser.iter_mut().for_each(BlockTridiagonal::set_zero);
     }
 }
 

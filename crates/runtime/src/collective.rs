@@ -448,7 +448,9 @@ pub struct CommHandle<T: Send + 'static> {
     /// so the checker can compare declared-sent vs actually-received bytes.
     sizer: Option<Box<dyn Fn(&T) -> usize>>,
     observer: Option<Arc<dyn CollectiveObserver>>,
-    _marker: std::marker::PhantomData<fn() -> T>,
+    /// The emptied send vector: [`CommHandle::wait`] returns the received
+    /// messages in it, so an exchange allocates no vector of its own.
+    received: Vec<T>,
 }
 
 impl<T: Send + 'static> Drop for CommHandle<T> {
@@ -565,7 +567,7 @@ impl<T: Send + 'static> RankContext<T> {
     /// merged timeline sees the full in-flight window of every exchange.
     pub fn alltoallv_start_tagged(
         &self,
-        send: Vec<T>,
+        mut send: Vec<T>,
         wire_bytes: impl Fn(&T) -> usize + 'static,
         phase: CommPhase,
     ) -> CommHandle<T> {
@@ -586,7 +588,7 @@ impl<T: Send + 'static> RankContext<T> {
             }
         }
         let mut moved_bytes = 0u64;
-        for (dest, msg) in send.into_iter().enumerate() {
+        for (dest, msg) in send.drain(..).enumerate() {
             if dest != self.rank {
                 moved_bytes += wire_bytes(&msg) as u64;
             }
@@ -623,7 +625,7 @@ impl<T: Send + 'static> RankContext<T> {
                 .is_some()
                 .then(|| Box::new(wire_bytes) as Box<dyn Fn(&T) -> usize>),
             observer: self.observer.clone(),
-            _marker: std::marker::PhantomData,
+            received: send,
         }
     }
 
@@ -756,6 +758,7 @@ impl<T: Send + 'static> CommHandle<T> {
     pub fn wait(mut self, ctx: &RankContext<T>) -> Vec<T> {
         let (phase, bytes, seq) = (self.phase, self.bytes, self.seq);
         let sizer = self.sizer.take();
+        let mut out = std::mem::take(&mut self.received);
         self.waited = true;
         drop(self); // Drop is a no-op once `waited` is set
         quatrex_probe::span_bytes(
@@ -769,7 +772,6 @@ impl<T: Send + 'static> CommHandle<T> {
                     "alltoallv handles must be waited in posting order"
                 );
                 ctx.next_wait_seq.set(seq + 1);
-                let mut out = Vec::with_capacity(ctx.n_ranks);
                 for src in 0..ctx.n_ranks {
                     out.push(ctx.recv_from(src, seq));
                     // The matching read of the sender's pre-post write: clean
@@ -1135,7 +1137,7 @@ mod tests {
                 waited: false,
                 sizer: None,
                 observer: None,
-                _marker: std::marker::PhantomData,
+                received: Vec::new(),
             };
             let _ = h1.wait(&ctx);
             msg

@@ -115,7 +115,7 @@ impl BlockBanded {
     }
 
     /// Accumulate `alpha · block` into block `(i, j)` (creating it if absent).
-    pub fn add_block(&mut self, i: usize, j: usize, alpha: c64, block: &CMatrix) {
+    pub(crate) fn add_block(&mut self, i: usize, j: usize, alpha: c64, block: &CMatrix) {
         let s = self
             .slot(i, j)
             .unwrap_or_else(|| panic!("block ({i},{j}) outside bandwidth {}", self.bandwidth));
@@ -128,7 +128,7 @@ impl BlockBanded {
     }
 
     /// Iterate over stored blocks as `(i, j, &block)`.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &CMatrix)> + '_ {
+    pub(crate) fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &CMatrix)> + '_ {
         (0..self.n_blocks).flat_map(move |i| {
             let lo = i.saturating_sub(self.bandwidth);
             let hi = (i + self.bandwidth).min(self.n_blocks - 1);

@@ -26,7 +26,7 @@
 //! `quatrex_core::dist`, which ships only the canonical half of every pair.)
 
 pub mod banded;
-pub mod tridiag;
+mod tridiag;
 
 pub use banded::BlockBanded;
 pub use tridiag::BlockTridiagonal;

@@ -8,7 +8,7 @@ use quatrex_linalg::{c64, CMatrix};
 ///
 /// This is the form consumed by the recursive Green's function solver and by
 /// the nested-dissection distributed solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockTridiagonal {
     diag: Vec<CMatrix>,
     upper: Vec<CMatrix>,
@@ -213,6 +213,55 @@ impl BlockTridiagonal {
         }
     }
 
+    /// Overwrite `self` with blocks `range` of `src` (and the couplings
+    /// between them) — [`Self::sub_range`], block-reversed
+    /// ([`Self::reversed`]) if `reversed` — reusing `self`'s blocks where
+    /// the shapes agree.
+    pub fn copy_range_from(
+        &mut self,
+        src: &BlockTridiagonal,
+        range: std::ops::Range<usize>,
+        reversed: bool,
+    ) {
+        let couplings = range.start..range.end.saturating_sub(1).max(range.start);
+        self.block_size = src.block_size;
+        let copy = |dst: &mut Vec<CMatrix>, blocks: &[CMatrix]| {
+            dst.resize_with(blocks.len(), CMatrix::default);
+            if reversed {
+                dst.iter_mut()
+                    .zip(blocks.iter().rev())
+                    .for_each(|(d, b)| d.clone_from(b));
+            } else {
+                dst.clone_from_slice(blocks);
+            }
+        };
+        copy(&mut self.diag, &src.diag[range]);
+        let (upper, lower) = (&src.upper[couplings.clone()], &src.lower[couplings]);
+        let (upper, lower) = if reversed {
+            (lower, upper)
+        } else {
+            (upper, lower)
+        };
+        copy(&mut self.upper, upper);
+        copy(&mut self.lower, lower);
+    }
+
+    /// Block-reverse in place: `self` becomes [`Self::reversed`] of itself.
+    pub fn reverse(&mut self) {
+        self.diag.reverse();
+        std::mem::swap(&mut self.upper, &mut self.lower);
+        self.upper.reverse();
+        self.lower.reverse();
+    }
+
+    /// Shape `self` as `n_blocks` blocks of `block_size` (zero) unless it
+    /// already is; the entries of an already-shaped matrix are kept.
+    pub fn fit(&mut self, n_blocks: usize, block_size: usize) {
+        if (self.n_blocks(), self.block_size) != (n_blocks, block_size) {
+            *self = BlockTridiagonal::zeros(n_blocks, block_size);
+        }
+    }
+
     /// Overwrite blocks `at..at + src.n_blocks()` (and the couplings between
     /// them) with `src` — the inverse of [`Self::sub_range`].
     pub fn write_range(&mut self, at: usize, src: &BlockTridiagonal) {
@@ -236,17 +285,37 @@ impl BlockTridiagonal {
 
     /// Element-wise `self + alpha·other`.
     pub fn add(&self, alpha: c64, other: &BlockTridiagonal) -> BlockTridiagonal {
+        let mut out = self.clone();
+        out.axpy(alpha, other);
+        out
+    }
+
+    /// In-place `self += alpha·other`, block by block.
+    pub fn axpy(&mut self, alpha: c64, other: &BlockTridiagonal) {
         assert_eq!(self.n_blocks(), other.n_blocks());
         assert_eq!(self.block_size, other.block_size);
-        let mut out = self.clone();
-        for i in 0..out.diag.len() {
-            out.diag[i].axpy(alpha, &other.diag[i]);
+        for (a, b) in self.blocks_mut().zip(other.blocks()) {
+            a.axpy(alpha, b);
         }
-        for i in 0..out.upper.len() {
-            out.upper[i].axpy(alpha, &other.upper[i]);
-            out.lower[i].axpy(alpha, &other.lower[i]);
+    }
+
+    /// Overwrite `self` with `other`: block by block where the shapes agree
+    /// (no allocation), a fresh copy otherwise.
+    pub fn copy_from(&mut self, other: &BlockTridiagonal) {
+        if (self.n_blocks(), self.block_size) == (other.n_blocks(), other.block_size) {
+            for (a, b) in self.blocks_mut().zip(other.blocks()) {
+                a.copy_from(b);
+            }
+        } else {
+            *self = other.clone();
         }
-        out
+    }
+
+    /// Set every stored entry to zero, in place.
+    pub fn set_zero(&mut self) {
+        for b in self.blocks_mut() {
+            b.as_mut_slice().fill(c64::new(0.0, 0.0));
+        }
     }
 
     /// Scale all blocks by `alpha` in place.
