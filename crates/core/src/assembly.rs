@@ -9,7 +9,7 @@
 //!
 //! Both systems attach their two contacts through one routine, `attach_leads`:
 //! per contact it solves the surface problem Eq. (4) (memoized across SCBA
-//! iterations, Section 5.3, or by [`quatrex_obc::surface_cascade`] —
+//! iterations, Section 5.3, or by [`quatrex_obc::surface_cascade_into`] —
 //! Sancho–Rubio first for the electrons; for the screened interaction a
 //! Sancho–Rubio attempt of two doublings, which answers weakly coupled leads,
 //! then Beyn), forms the retarded boundary block `n·x·n′` and subtracts it

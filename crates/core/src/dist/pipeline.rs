@@ -141,7 +141,8 @@ impl MessagePool {
 /// this rank's message, and every destination gets a copy of it from the
 /// pool — the collective and the bytes of
 /// [`RankContext::allgather_tagged`], without its per-destination clones.
-/// The caller recycles the gathered set.
+/// The loop's callers recycle the gathered set; `finish` drops it with
+/// the pool.
 pub(crate) fn allgather(
     ctx: &RankContext<Vec<c64>>,
     pool: &mut MessagePool,

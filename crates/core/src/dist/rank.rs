@@ -43,14 +43,14 @@ use quatrex_obc::{ObcKey, ObcMemoizer, Subsystem};
 use quatrex_probe::clock::Instant;
 use quatrex_probe::RankTrace;
 use quatrex_rgf::SelectedSolution;
-use quatrex_runtime::{CommPhase, RankContext};
+use quatrex_runtime::RankContext;
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::dist::config::DistScbaConfig;
 use crate::dist::pipeline::{
     allgather, backward, forward, ConvSeries, MessagePool, Transposition, Wire, TRANSPOSITIONS,
 };
-use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
+use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::{spatial_phase_solve, GroupScratch, SpatialLayout};
 use crate::dist::warm::WarmState;
 
@@ -683,11 +683,10 @@ impl<'a> RankState<'a> {
         // The packed spectral data is gathered in rank order (= ascending
         // energy, as the plan's ranges ascend with the rank), so every rank
         // can evaluate the observables in ascending energy order exactly.
-        let gathered = self.ctx.allgather_tagged(
-            std::mem::take(&mut self.spectral),
-            |m| m.len() * BYTES_PER_VALUE,
-            CommPhase::Gathers,
-        );
+        let spectral = &self.spectral;
+        let gathered = allgather(self.ctx, &mut self.bufs.pool, |m| {
+            m.extend_from_slice(spectral)
+        });
         let per_energy = self.spectral_stride();
         let mut current_spectrum = Vec::with_capacity(ne);
         let mut dos_local: Vec<Vec<f64>> = Vec::with_capacity(ne);

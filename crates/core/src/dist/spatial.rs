@@ -24,7 +24,7 @@
 //!    instead of the pre-slice full broadcast), posted non-blocking: it
 //!    eliminates its own energies while the others' ranges fly;
 //! 2. every member eliminates its partition for **all** the group's energies
-//!    through the one entry point [`quatrex_rgf::eliminate_partition`] —
+//!    through the one entry point [`quatrex_rgf::eliminate_partition_into`] —
 //!    energy-batched against the rank's warm [`RgfBatchScratch`], cut into
 //!    `kernel_batch` chunks like the local solves; an end partition's
 //!    elimination is the forward RGF sweep over its range, stopped before its
@@ -32,14 +32,15 @@
 //! 3. each energy's `nbd × nbd` Schur and quadratic right-hand-side update
 //!    grids go to **that energy's owner**, who assembles the reduced boundary
 //!    systems of its energies and solves them batched on its own scratch
-//!    ([`quatrex_rgf::solve_systems`]) — `P_S` reduced solves run side by
-//!    side;
+//!    ([`quatrex_rgf::solve_systems_into`]) — `P_S` reduced solves run side
+//!    by side;
 //! 4. the owner sends the reduced selected solutions to the other members,
 //!    every member recovers its range of every energy per kernel chunk
-//!    ([`quatrex_rgf::recover_partition`]: an end partition's is the backward
-//!    RGF sweep seeded at its separator) and returns it to the owner, who
-//!    copies the ranges into place ([`quatrex_rgf::assemble_solution`], the
-//!    tail it shares with the single-process driver of `quatrex-rgf`).
+//!    ([`quatrex_rgf::recover_partition_into`]: an end partition's is the
+//!    backward RGF sweep seeded at its separator) and returns it to the
+//!    owner, who copies the ranges into place
+//!    ([`quatrex_rgf::assemble_solution_into`], the tail it shares with the
+//!    single-process driver of `quatrex-rgf`).
 //!
 //! All group traffic rides the same byte-accounted `Alltoallv` as the
 //! transpositions (out-of-group destinations receive empty messages), every
@@ -331,7 +332,6 @@ pub(crate) fn spatial_phase_solve(
     // flight — the same communication/computation overlap the batched
     // transpositions use, applied to the system distribution.
     let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Spatial);
-    // Eliminate the systems of one member, read from block `offset` on.
     // Eliminate one member's energies: this rank's own from the systems it
     // assembled, the others' from the ranges read into their states.
     let mut eliminate = |states: &mut [PartitionSolveState],

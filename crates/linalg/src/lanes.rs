@@ -29,8 +29,9 @@
 //! Both types also carry the operators `+`, `−`, `·` and a broadcast
 //! `From<f64>` — the same single-rounding operations as [`Lanes::add`],
 //! [`Lanes::sub`], [`Lanes::mul`] and [`Lanes::splat`] —, which makes them a
-//! `quatrex_fft::Value`: `quatrex_core`'s lane-group convolution kernels run
-//! the FFT butterflies on [`Native`], eight element series per transform.
+//! `Value` of the `quatrex-fft` crate: `quatrex-core`'s lane-group
+//! convolution kernels run the FFT butterflies on [`Native`], eight element
+//! series per transform.
 //!
 //! This is the only module of the workspace's library crates with `unsafe`
 //! code: the intrinsics behind `Wide`.

@@ -39,21 +39,10 @@ const FP: &str = "obc.fixed_point";
 /// alternatives, then progressively looser fixed-point iterations. A lead
 /// problem perturbed by the GW self-energy can defeat any single method at
 /// isolated energy points; the cascade guarantees a usable surface function
-/// without aborting the energy loop. Returns the surface function and the
-/// FLOPs of the attempt that answered; a failed attempt counts none.
-pub fn surface_cascade(
-    m: &CMatrix,
-    n: &CMatrix,
-    nprime: &CMatrix,
-    method: ObcMethod,
-) -> (CMatrix, u64) {
-    let mut x = CMatrix::default();
-    let flops = surface_cascade_into(&mut x, m, n, nprime, method);
-    (x, flops)
-}
-
-/// [`surface_cascade`] writing the surface function into `x`: allocation-free
-/// when Sancho–Rubio, Beyn or the fixed point answers.
+/// without aborting the energy loop. Writes the surface function into `x`
+/// (allocation-free when Sancho–Rubio, Beyn or the fixed point answers) and
+/// returns the FLOPs of the attempt that answered; a failed attempt counts
+/// none.
 pub fn surface_cascade_into(
     x: &mut CMatrix,
     m: &CMatrix,
@@ -121,6 +110,18 @@ mod tests {
     use super::*;
     use crate::retarded::{beyn, sancho_rubio};
     use quatrex_linalg::cplx;
+
+    /// [`surface_cascade_into`] into a fresh matrix.
+    fn surface_cascade(
+        m: &CMatrix,
+        n: &CMatrix,
+        nprime: &CMatrix,
+        method: ObcMethod,
+    ) -> (CMatrix, u64) {
+        let mut x = CMatrix::default();
+        let flops = surface_cascade_into(&mut x, m, n, nprime, method);
+        (x, flops)
+    }
 
     /// A screened-interaction-like lead `(m, n, n′)`: a diagonally dominant
     /// onsite block and a non-Hermitian coupling pair scaled by `coupling`.

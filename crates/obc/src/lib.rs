@@ -36,7 +36,7 @@ pub mod memoizer;
 pub mod retarded;
 
 pub use batch::{sancho_rubio_batch, ObcBatchScratch};
-pub use cascade::{surface_cascade, surface_cascade_into, ObcMethod};
+pub use cascade::{surface_cascade_into, ObcMethod};
 pub use lesser::{greater_from_retarded_into, lesser_from_retarded_into};
 pub use lyapunov::{lyapunov_doubling_on, LyapunovScratch};
 pub use memoizer::{Contact, MemoizerStats, ObcKey, ObcMemoizer, ObcMode, Subsystem};

@@ -35,8 +35,8 @@
 //!   stopped forward half towards each of its two separators and recovers
 //!   with one RGF solve of its range, closed by the reduced solution at its
 //!   separators — no fill-in anywhere. The one elimination entry point
-//!   ([`nested::eliminate_partition`]) and the recovery
-//!   ([`nested::recover_partition`]) take a whole batch of systems, so a
+//!   ([`nested::eliminate_partition_into`]) and the recovery
+//!   ([`nested::recover_partition_into`]) take a whole batch of systems, so a
 //!   distributed driver runs elimination and recovery on different ranks
 //!   against each rank's warm scratch.
 //!
@@ -59,11 +59,10 @@ pub use layout::{
     partition_layout_balanced, separator_blocks, spatial_partition_layout, SpatialPartition,
 };
 pub use nested::{
-    assemble_reduced_system_into, assemble_solution, assemble_solution_into, eliminate_loaded,
-    eliminate_partition, eliminate_partition_into, nested_dissection_invert,
-    nested_dissection_solve, nested_dissection_solve_with_layout, partition_ranges,
-    recover_partition, recover_partition_into, solve_systems, solve_systems_into, NestedConfig,
-    NestedReport, PartitionSolveState, PartitionWorkload,
+    assemble_reduced_system_into, assemble_solution_into, eliminate_loaded,
+    eliminate_partition_into, nested_dissection_invert, nested_dissection_solve,
+    nested_dissection_solve_with_layout, partition_ranges, recover_partition_into,
+    solve_systems_into, NestedConfig, NestedReport, PartitionSolveState, PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

@@ -36,7 +36,7 @@
 //! `nbd × nbd` grid of reduced-system updates per matrix (`nbd ∈ {1, 2}`
 //! separators, fixed by the layout — no indices travel), and returns a
 //! [`SelectedSolution`] over the same `lo..=hi` range that
-//! [`assemble_solution`] copies into place. A pure-separator partition (empty
+//! [`assemble_solution_into`] copies into place. A pure-separator partition (empty
 //! interior) reads, sends and returns nothing.
 //!
 //! **End partitions are the RGF sweeps.** A partition with one separator —
@@ -77,21 +77,21 @@
 //! of it. At two right-hand sides a middle partition of `n` interior blocks
 //! costs `185·n + 176` units of `8·N_BS³`, an end partition `127·n`.
 //!
-//! **One elimination entry point.** [`eliminate_partition`] takes the
-//! sub-ranges of a whole batch of same-shape systems (the energies a rank
-//! owns) and runs their RGF work as batched solves against the caller's
-//! scratch, and [`recover_partition`] recovers such a batch; [`solve_systems`]
-//! does the same for the reduced systems. The single-process driver
+//! **One elimination entry point.** [`eliminate_partition_into`] takes the
+//! ranges of a whole batch of same-shape systems (the energies a rank owns)
+//! and runs their RGF work as batched solves against the caller's scratch,
+//! and [`recover_partition_into`] recovers such a batch;
+//! [`solve_systems_into`] does the same for the reduced systems. Each writes
+//! into kept states or solutions. The single-process driver
 //! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
 //! distributed driver (`quatrex_core::dist`) runs the same phase functions
-//! (`eliminate_partition`, `assemble_reduced_system`,
-//! [`recover_partition`], [`assemble_solution`]) on different ranks and
+//! ([`eliminate_partition_into`], [`assemble_reduced_system_into`],
+//! [`recover_partition_into`], [`assemble_solution_into`]) on different ranks and
 //! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
 //! traffic of the paper.
 
-use quatrex_linalg::lu::{inverse_flops, LuScratch};
-use quatrex_linalg::ops::{gemm_flops, matmul, matmul_acc};
-use quatrex_linalg::{CMatrix, ONE};
+use quatrex_linalg::lu::LuScratch;
+use quatrex_linalg::CMatrix;
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::batch::{
@@ -101,6 +101,10 @@ use crate::layout::{
     separator_blocks, spatial_partition_layout, validate_partition_layout, SpatialPartition,
 };
 use crate::sequential::{rgf_solve, RgfError, SelectedSolution};
+
+#[path = "nested_middle.rs"]
+mod middle;
+use middle::{close_range, cross_update, inverse_row};
 
 /// Configuration of the nested-dissection solvers.
 #[derive(Debug, Clone)]
@@ -183,11 +187,6 @@ impl NestedReport {
     }
 }
 
-/// Block `(i, j)` of a block-tridiagonal quantity, for `|i − j| ≤ 1` in range.
-fn band_block(m: &BlockTridiagonal, i: usize, j: usize) -> &CMatrix {
-    m.block(i, j).expect("block inside the tridiagonal band")
-}
-
 /// Index, in the reduced system, of the first separator of partition `p`
 /// (the separators ascend `p0.hi, p1.lo, p1.hi, p2.lo, …`).
 fn first_separator(p: usize) -> usize {
@@ -203,9 +202,8 @@ pub fn partition_ranges(
     system.iter().map(|m| m.sub_range(part.range())).collect()
 }
 
-/// One batched selected solve of same-shape systems `[A, B_1, …]`
-/// ([`rgf_solve_batch_into`]) against `scratch`.
-pub fn solve_systems(
+/// [`solve_systems_into`] into fresh solutions.
+pub(crate) fn solve_systems(
     systems: &[Vec<BlockTridiagonal>],
     scratch: &mut RgfBatchScratch,
 ) -> Result<Vec<SelectedSolution>, RgfError> {
@@ -214,7 +212,9 @@ pub fn solve_systems(
     Ok(sols)
 }
 
-/// [`solve_systems`] into kept solutions (one per system).
+/// One batched selected solve of same-shape systems `[A, B_1, …]`
+/// ([`rgf_solve_batch_into`]) against `scratch`, into kept solutions (one
+/// per system).
 pub fn solve_systems_into<S: AsRef<[BlockTridiagonal]>>(
     systems: &[S],
     sols: &mut [SelectedSolution],
@@ -308,16 +308,9 @@ pub struct PartitionSolveState {
     recovery: Recovery,
 }
 
-/// Eliminate the interior of one partition for a batch of same-shape systems
-/// (typically the energies a rank owns), each given as its
-/// [`partition_ranges`], against `scratch`. A partition with **one**
-/// separator runs the batched forward RGF sweep over its range towards the
-/// separator and stops before the separator's inversion: that step's Schur
-/// and `inner` terms are its update grid. A partition with two separators
-/// runs that stopped sweep towards each separator and adds the cross entries
-/// between them from two rows of its interior inverse (module docs). A
-/// system's result does not depend on the batch it is eliminated in.
-pub fn eliminate_partition(
+/// [`eliminate_partition_into`] of systems given as their
+/// [`partition_ranges`], into fresh states.
+pub(crate) fn eliminate_partition(
     ranges: &[Vec<BlockTridiagonal>],
     part: &SpatialPartition,
     index: usize,
@@ -329,11 +322,19 @@ pub fn eliminate_partition(
     Ok(states)
 }
 
-/// [`eliminate_partition`] into kept `states` (one per system), reading
-/// each system `[A, B_1, …]` from block `offset` on: `0` for its
-/// [`partition_ranges`], the partition's `lo` for the full system. The
-/// range is copied into the state ([`PartitionSolveState::range_mut`]), then
-/// eliminated there ([`eliminate_loaded`]).
+/// Eliminate the interior of one partition for a batch of same-shape systems
+/// (typically the energies a rank owns) against `scratch`, into kept
+/// `states` (one per system). Each system `[A, B_1, …]` is read from block
+/// `offset` on: `0` for its [`partition_ranges`], the partition's `lo` for
+/// the full system. The range is copied into the state
+/// ([`PartitionSolveState::range_mut`]), then eliminated there
+/// ([`eliminate_loaded`]). A partition with **one** separator runs the
+/// batched forward RGF sweep over its range towards the separator and stops
+/// before the separator's inversion: that step's Schur and `inner` terms are
+/// its update grid. A partition with two separators runs that stopped sweep
+/// towards each separator and adds the cross entries between them from two
+/// rows of its interior inverse (module docs). A system's result does not
+/// depend on the batch it is eliminated in.
 pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
     states: &mut [PartitionSolveState],
     systems: &[S],
@@ -347,7 +348,7 @@ pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
     for (st, system) in states.iter_mut().zip(systems) {
         let system = system.as_ref();
         for (dst, src) in st.range_mut(part, system.len()).iter_mut().zip(system) {
-            dst.copy_range_from(src, range.clone(), false);
+            dst.copy_range_from(src, range.clone());
         }
     }
     eliminate_loaded(states, part, index, scratch)
@@ -521,84 +522,6 @@ fn sweep_to_separator(
     Ok((updates, sweeps, flops))
 }
 
-/// One row of a middle partition's interior inverse `A_I⁻¹`, from the
-/// stopped sweep that ends next to the row's block: `row[0] = g_n`,
-/// `row[w] = −row[w−1]·coupling(w)·g_{n−w}`, where `g_1 … g_n` are the sweep's
-/// retarded blocks (the last one next to the row's block) and `coupling(w)`
-/// is the block of `A` from walk position `w − 1` to `w`. With the reversed
-/// sweep towards `t` and `A_{w,w+1}` this is the first row `F`, in interior
-/// order; with the sweep towards `b` and `A_{n−w+1,n−w}`, the last row `L`
-/// from block `n` down. Returns the row and its FLOPs.
-fn inverse_row<'a>(
-    sweep: &ForwardSweep,
-    coupling: impl Fn(usize) -> &'a CMatrix,
-) -> (Vec<CMatrix>, u64) {
-    let g = sweep.retarded();
-    let (n, bs) = (g.len(), g[0].nrows());
-    let mut row = vec![g[n - 1].clone()];
-    for w in 1..n {
-        let mut next = CMatrix::zeros(bs, bs);
-        matmul_acc(
-            &mut next,
-            -ONE,
-            &matmul(&row[w - 1], coupling(w)),
-            &g[n - 1 - w],
-        );
-        row.push(next);
-    }
-    (row, 2 * (n as u64 - 1) * gemm_flops(bs, bs, bs))
-}
-
-/// Entry `(s, o)` of a middle partition's update grid, between its two
-/// separators, for every matrix of its range `sub = [A, B_1, …]`: `s`, `o`
-/// are the separators' range indices, `e_s`, `e_o` those of the interior
-/// blocks next to them, and `p`, `q` the rows of the interior inverse at
-/// `e_s`, `e_o` (`p[j] = P_{j+1} = [A_I⁻¹]_{e_s, j+1}`):
-///
-/// ```text
-/// u_so  = −A_{s,e_s}·P_{e_o}·A_{e_o,o}
-/// u≶_so =  A_{s,e_s}·(Σ_{j,k} P_j·B_{jk}·Q_k†)·A_{o,e_o}†
-///        − A_{s,e_s}·P_{e_o}·B_{e_o,o} − B_{s,e_s}·Q_{e_s}†·A_{o,e_o}†
-/// ```
-///
-/// with the double sum formed as `Σ_k T_k·Q_k†`, `T_k = Σ_j P_j·B_{jk}`.
-/// Returns the entries and their FLOPs.
-fn cross_update(
-    sub: &[BlockTridiagonal],
-    p: &[CMatrix],
-    q: &[CMatrix],
-    (s, e_s): (usize, usize),
-    (o, e_o): (usize, usize),
-) -> (Vec<CMatrix>, u64) {
-    let (a, n, bs) = (&sub[0], p.len(), sub[0].block_size());
-    let a_s = band_block(a, s, e_s);
-    let a_o_dag = band_block(a, o, e_o).dagger();
-    let a_s_p = matmul(a_s, &p[e_o - 1]);
-    let q_dag: Vec<CMatrix> = q.iter().map(CMatrix::dagger).collect();
-    let mut u_so = CMatrix::zeros(bs, bs);
-    matmul_acc(&mut u_so, -ONE, &a_s_p, band_block(a, e_o, o));
-    let mut updates = vec![u_so];
-    for b in &sub[1..] {
-        let mut sum = CMatrix::zeros(bs, bs);
-        for (k, q_k) in q_dag.iter().enumerate() {
-            let mut t = CMatrix::zeros(bs, bs);
-            for (j, p_j) in p.iter().enumerate().take(k + 2).skip(k.saturating_sub(1)) {
-                matmul_acc(&mut t, ONE, p_j, band_block(b, j + 1, k + 1));
-            }
-            matmul_acc(&mut sum, ONE, &t, q_k);
-        }
-        let mut u = matmul(&matmul(a_s, &sum), &a_o_dag);
-        matmul_acc(&mut u, -ONE, &a_s_p, band_block(b, e_o, o));
-        let b_q = matmul(band_block(b, s, e_s), &q_dag[e_s - 1]);
-        matmul_acc(&mut u, -ONE, &b_q, &a_o_dag);
-        updates.push(u);
-    }
-    // 3n − 2 products T, n for the sum, 5 around it, per right-hand side.
-    let per_rhs = 4 * n as u64 + 3;
-    let n_rhs = sub.len() as u64 - 1;
-    (updates, (2 + n_rhs * per_rhs) * gemm_flops(bs, bs, bs))
-}
-
 /// Assemble the reduced boundary system `[S, B̃_1, …]` of one system
 /// `[A, B_1, …]`: its separator blocks plus the gathered per-partition
 /// `updates` (one [`PartitionSolveState::updates`] per partition, in layout
@@ -661,18 +584,8 @@ pub fn assemble_reduced_system_into<'u>(
     }
 }
 
-/// Recover the selected blocks of one partition for a batch of systems —
-/// interior, separator diagonals and the couplings between them — from their
-/// [`eliminate_partition`] states and the selected solutions of their reduced
-/// boundary systems (one each, same order), against `scratch`. A
-/// one-separator partition runs the batched backward RGF sweep over its
-/// range, seeded at the separator with the reduced solution's diagonal
-/// blocks; a two-separator partition closes its range with the reduced
-/// solution at its separators and runs one batched RGF solve of it (module
-/// docs). Returns one [`SelectedSolution`] over [`SpatialPartition::range`]
-/// per system (its `flops` are the recovery's); a system's result does not
-/// depend on the batch.
-pub fn recover_partition(
+/// [`recover_partition_into`] into fresh solutions.
+pub(crate) fn recover_partition(
     part: &SpatialPartition,
     states: &[PartitionSolveState],
     reduced: &[SelectedSolution],
@@ -683,9 +596,19 @@ pub fn recover_partition(
     sols
 }
 
-/// [`recover_partition`] into kept solutions (one per system). A
-/// one-separator partition recovers in place: once warmed at a shape it
-/// allocates only the batch's operand lists.
+/// Recover the selected blocks of one partition for a batch of systems —
+/// interior, separator diagonals and the couplings between them — from their
+/// [`eliminate_partition_into`] states and the selected solutions of their
+/// reduced boundary systems (one each, same order), against `scratch`. A
+/// one-separator partition runs the batched backward RGF sweep over its
+/// range, seeded at the separator with the reduced solution's diagonal
+/// blocks; a two-separator partition closes its range with the reduced
+/// solution at its separators and runs one batched RGF solve of it (module
+/// docs). Writes one [`SelectedSolution`] over [`SpatialPartition::range`]
+/// per system into the kept `sols` (its `flops` are the recovery's); a
+/// system's result does not depend on the batch. A one-separator partition
+/// recovers in place: once warmed at a shape it allocates only the batch's
+/// operand lists.
 pub fn recover_partition_into(
     part: &SpatialPartition,
     states: &[PartitionSolveState],
@@ -759,7 +682,7 @@ fn recover_end(
     }
 }
 
-/// [`recover_partition`] of a two-separator partition whose separators are
+/// [`recover_partition_into`] of a two-separator partition whose separators are
 /// blocks `sep` and `sep + 1` of the reduced systems: every range closed
 /// ([`close_range`]), then one batched RGF solve of them all.
 fn recover_middle(
@@ -785,56 +708,6 @@ fn recover_middle(
     sols
 }
 
-/// A middle partition's range `[A, B_1, …]` with its separator diagonals
-/// `t` (first block) and `b` (last) closed by the reduced solution `reduced`
-/// at blocks `sep`, `sep + 1`: `Y = X_SS⁻¹`, `A'_tt = Y_tt − u_tt` and
-/// `B'_tt = (Y·X≶_SS·Y†)_tt − u≶_tt`, the same at `b`, with `u` the
-/// partition's own update grid (module docs). Returns the closed range and
-/// the closure's FLOPs.
-fn close_range(
-    range: &[BlockTridiagonal],
-    updates: &[CMatrix],
-    reduced: &SelectedSolution,
-    sep: usize,
-    lu: &mut LuScratch,
-) -> (Vec<BlockTridiagonal>, u64) {
-    let bs = range[0].block_size();
-    let ends = [0, range[0].n_blocks() - 1];
-    // The 2 × 2 blocks of a reduced solution at the two separators.
-    let pair = |x: &BlockTridiagonal| {
-        let mut m = CMatrix::zeros(2 * bs, 2 * bs);
-        for i in 0..2 {
-            for j in 0..2 {
-                m.set_submatrix(i * bs, j * bs, band_block(x, sep + i, sep + j));
-            }
-        }
-        m
-    };
-    let mut y = CMatrix::zeros(2 * bs, 2 * bs);
-    lu.invert_into(&pair(&reduced.retarded), &mut y)
-        .expect("the reduced solution at two separators is invertible");
-    let rows = |m: &CMatrix, i: usize| m.submatrix(i * bs, 0, bs, 2 * bs);
-    // The diagonal entry at separator i of matrix m's update grid.
-    let own = |m: usize, i: usize| &updates[(m * 2 + i) * 2 + i];
-    let mut closed = range.to_vec();
-    for (i, &k) in ends.iter().enumerate() {
-        let mut a = y.submatrix(i * bs, i * bs, bs, bs);
-        a -= own(0, i);
-        *closed[0].diag_mut(k) = a;
-    }
-    for (r, x) in reduced.lesser.iter().enumerate() {
-        let y_x = matmul(&y, &pair(x));
-        for (i, &k) in ends.iter().enumerate() {
-            let mut b = matmul(&rows(&y_x, i), &rows(&y, i).dagger());
-            b -= own(1 + r, i);
-            *closed[1 + r].diag_mut(k) = b;
-        }
-    }
-    let per_rhs = gemm_flops(2 * bs, 2 * bs, 2 * bs) + 2 * gemm_flops(bs, 2 * bs, bs);
-    let flops = inverse_flops(2 * bs) + reduced.lesser.len() as u64 * per_rhs;
-    (closed, flops)
-}
-
 /// Write the separator diagonal blocks and the couplings between physically
 /// adjacent separators of a reduced selected solution back into the global
 /// block pattern.
@@ -852,11 +725,9 @@ fn scatter_separator_blocks(
     }
 }
 
-/// The shared tail of every driver: the selected solution of the full
-/// `n_blocks` system from the reduced solution (separator blocks, scattered
-/// first) and the [`recover_partition`] result of every partition in layout
-/// order (one range copy each). FLOPs are left at zero for the caller.
-pub fn assemble_solution(
+/// [`assemble_solution_into`] of a whole recovered layout into a fresh
+/// solution.
+pub(crate) fn assemble_solution(
     n_blocks: usize,
     parts: &[SpatialPartition],
     reduced: &SelectedSolution,
@@ -870,8 +741,12 @@ pub fn assemble_solution(
     sol
 }
 
-/// [`assemble_solution`] into a kept solution, `separators` the layout's
-/// [`separator_blocks`] and `recovered(p)` partition `p`'s recovered range.
+/// The shared tail of every driver: the selected solution of the full
+/// `n_blocks` system, written into the kept `sol`, from the reduced solution
+/// (separator blocks, scattered first; `separators` the layout's
+/// [`separator_blocks`]) and every partition's [`recover_partition_into`]
+/// result in layout order (`recovered(p)`, one range copy each). FLOPs are
+/// left at zero for the caller.
 pub fn assemble_solution_into<'r>(
     sol: &mut SelectedSolution,
     n_blocks: usize,

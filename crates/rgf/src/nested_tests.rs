@@ -6,6 +6,8 @@ use crate::dense::{dense_block, dense_lesser, dense_retarded};
 use crate::layout::layout_from_interiors;
 use crate::sequential::rgf_selected_inverse;
 use quatrex_linalg::cplx;
+use quatrex_linalg::lu::inverse_flops;
+use quatrex_linalg::ops::gemm_flops;
 
 pub(crate) fn test_system(nb: usize, bs: usize) -> BlockTridiagonal {
     let mut a = BlockTridiagonal::zeros(nb, bs);

@@ -214,36 +214,18 @@ impl BlockTridiagonal {
     }
 
     /// Overwrite `self` with blocks `range` of `src` (and the couplings
-    /// between them) — [`Self::sub_range`], block-reversed
-    /// ([`Self::reversed`]) if `reversed` — reusing `self`'s blocks where
+    /// between them) — [`Self::sub_range`] — reusing `self`'s blocks where
     /// the shapes agree.
-    pub fn copy_range_from(
-        &mut self,
-        src: &BlockTridiagonal,
-        range: std::ops::Range<usize>,
-        reversed: bool,
-    ) {
+    pub fn copy_range_from(&mut self, src: &BlockTridiagonal, range: std::ops::Range<usize>) {
         let couplings = range.start..range.end.saturating_sub(1).max(range.start);
         self.block_size = src.block_size;
         let copy = |dst: &mut Vec<CMatrix>, blocks: &[CMatrix]| {
             dst.resize_with(blocks.len(), CMatrix::default);
-            if reversed {
-                dst.iter_mut()
-                    .zip(blocks.iter().rev())
-                    .for_each(|(d, b)| d.clone_from(b));
-            } else {
-                dst.clone_from_slice(blocks);
-            }
+            dst.clone_from_slice(blocks);
         };
         copy(&mut self.diag, &src.diag[range]);
-        let (upper, lower) = (&src.upper[couplings.clone()], &src.lower[couplings]);
-        let (upper, lower) = if reversed {
-            (lower, upper)
-        } else {
-            (upper, lower)
-        };
-        copy(&mut self.upper, upper);
-        copy(&mut self.lower, lower);
+        copy(&mut self.upper, &src.upper[couplings.clone()]);
+        copy(&mut self.lower, &src.lower[couplings]);
     }
 
     /// Block-reverse in place: `self` becomes [`Self::reversed`] of itself.
