@@ -19,12 +19,14 @@
 //! indices:
 //!
 //! 1. every member ships member `p` **partition `p`'s block range** of the
-//!    systems it assembled (`quatrex_rgf::partition_ranges`: blocks `lo..=hi`
-//!    of `A`, `B^<`, `B^>` as `push_bt` streams, `~1/P_S` of the full system
-//!    instead of the pre-slice full broadcast), posted non-blocking: it
-//!    eliminates its own energies while the others' ranges fly;
+//!    systems it assembled (blocks `lo..=hi` of `A`, `B^<`, `B^>` as
+//!    `push_bt_range` streams, `~1/P_S` of the full system instead of the
+//!    pre-slice full broadcast), posted non-blocking: it eliminates its own
+//!    energies while the others' ranges fly;
 //! 2. every member eliminates its partition for **all** the group's energies
-//!    through the one entry point [`quatrex_rgf::eliminate_partition_into`] —
+//!    — its own from the systems it assembled
+//!    ([`quatrex_rgf::eliminate_partition_into`]), the others' from the
+//!    ranges it received ([`quatrex_rgf::eliminate_loaded`]) —
 //!    energy-batched against the rank's warm [`RgfBatchScratch`], cut into
 //!    `kernel_batch` chunks like the local solves; an end partition's
 //!    elimination is the forward RGF sweep over its range, stopped before its
@@ -461,7 +463,7 @@ mod tests {
     use super::*;
     use crate::dist::slab::read_bt;
     use quatrex_linalg::cplx;
-    use quatrex_rgf::{partition_ranges, rgf_solve, spatial_partition_layout};
+    use quatrex_rgf::{nested_dissection_solve_with_layout, rgf_solve, spatial_partition_layout};
     use quatrex_runtime::{CommStats, ThreadComm};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -540,7 +542,8 @@ mod tests {
         // The full triple, as a broadcast would ship it.
         let full = 3 * (3 * nb - 2) * bs * bs;
         for part in &spatial_partition_layout(nb, 3).unwrap() {
-            let ranges = partition_ranges(&system, part);
+            let ranges: Vec<BlockTridiagonal> =
+                system.iter().map(|m| m.sub_range(part.range())).collect();
             let mut buf = Vec::new();
             ranges.iter().for_each(|m| push_bt(&mut buf, m));
             let n = part.hi - part.lo + 1;
@@ -562,8 +565,8 @@ mod tests {
         let middle = &spatial_partition_layout(nb, 3).unwrap()[1];
         assert_eq!(middle.interior().len(), 0);
         let mut buf = Vec::new();
-        for m in partition_ranges(&system, middle) {
-            push_bt(&mut buf, &m);
+        for m in system {
+            push_bt(&mut buf, &m.sub_range(middle.range()));
         }
         assert!(buf.is_empty(), "an empty interior ships nothing");
         assert_eq!(update_blocks(middle), 0);
@@ -656,8 +659,9 @@ mod tests {
         // Uneven and empty ownership at P_S = 2 and 3: every member gets back
         // exactly its own energies' solutions, each within rounding of the
         // sequential RGF solve and bit-identical to the same group solve with
-        // every energy on member 0 — who owns an energy decides where its
-        // reduced system is solved, never what comes out.
+        // every energy on member 0 and to the single-process driver on the
+        // same layout — who owns an energy decides where its reduced system
+        // is solved, never what comes out.
         for (nb, ownership) in [
             (6usize, vec![3usize, 0]),
             (6, vec![2, 5]),
@@ -672,6 +676,7 @@ mod tests {
             on_member_0[0] = n;
             let (reference, _) = group_solve(&problems, &on_member_0);
             assert_eq!(reference[0].len(), n);
+            let layout = SpatialLayout::new(p_s, p_s, nb, bs);
 
             for (m, sols) in results.iter().enumerate() {
                 assert_eq!(sols.len(), ownership[m], "{label}: member {m} count");
@@ -679,6 +684,9 @@ mod tests {
             let sols: Vec<&SelectedSolution> = results.iter().flatten().collect();
             for (e, (got, [a, rl, rg])) in sols.iter().zip(&problems).enumerate() {
                 assert_bits_equal(got, &reference[0][e], &format!("{label}, energy {e}"));
+                let (driver, _) =
+                    nested_dissection_solve_with_layout(a, &[rl, rg], &layout.parts).unwrap();
+                assert_bits_equal(got, &driver, &format!("{label}, energy {e}: driver"));
                 let seq = rgf_solve(a, &[rl, rg]).unwrap();
                 let scale = seq.retarded.norm_fro().max(1e-300);
                 for i in 0..nb {

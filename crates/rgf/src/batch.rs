@@ -293,22 +293,6 @@ fn each_dag<S>(x: &S) -> (OpKind, &S) {
     (OpKind::Dagger, x)
 }
 
-/// Batched selected RGF solve allocating fresh solutions and scratch.
-/// Loops should prefer [`rgf_solve_batch_into`] to amortise both.
-pub fn rgf_solve_batch(
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-) -> Result<Vec<SelectedSolution>, RgfBatchError> {
-    let n_rhs = rhs.first().map_or(0, |r| r.len());
-    let (nb, bs) = systems
-        .first()
-        .map_or((0, 0), |a| (a.n_blocks(), a.block_size()));
-    let mut sols = vec![SelectedSolution::zeros(nb, bs, n_rhs); systems.len()];
-    let mut scratch = RgfBatchScratch::new();
-    rgf_solve_batch_into(systems, rhs, &mut sols, &mut scratch)?;
-    Ok(sols)
-}
-
 /// Batched selected RGF solve writing into caller-owned solutions, with all
 /// temporaries drawn from `scratch`.
 ///

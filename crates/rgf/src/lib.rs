@@ -34,11 +34,14 @@
 //!   recursion around the reduced system; a middle partition runs the
 //!   stopped forward half towards each of its two separators and recovers
 //!   with one RGF solve of its range, closed by the reduced solution at its
-//!   separators — no fill-in anywhere. The one elimination entry point
-//!   ([`nested::eliminate_partition_into`]) and the recovery
-//!   ([`nested::recover_partition_into`]) take a whole batch of systems, so a
-//!   distributed driver runs elimination and recovery on different ranks
-//!   against each rank's warm scratch.
+//!   separators — no fill-in anywhere. Every phase has one in-place form,
+//!   and the single-process and distributed drivers run the same ones. The
+//!   elimination ([`nested::eliminate_partition_into`], which loads each
+//!   system's range into its kept state, and [`nested::eliminate_loaded`],
+//!   which eliminates states whose ranges are already loaded) and the
+//!   recovery ([`nested::recover_partition_into`]) take a whole batch of
+//!   systems, so a distributed driver runs elimination and recovery on
+//!   different ranks against each rank's warm scratch.
 //!
 //! The [`dense`] module provides the brute-force dense references used by the
 //! test-suite to validate every selected block.
@@ -51,8 +54,7 @@ pub mod reference;
 pub mod sequential;
 
 pub use batch::{
-    rgf_solve_batch, rgf_solve_batch_into, rgf_solve_batch_on, BlockLayout, RgfBatchError,
-    RgfBatchScratch,
+    rgf_solve_batch_into, rgf_solve_batch_on, BlockLayout, RgfBatchError, RgfBatchScratch,
 };
 pub use dense::{dense_lesser, dense_retarded};
 pub use layout::{
@@ -61,8 +63,8 @@ pub use layout::{
 pub use nested::{
     assemble_reduced_system_into, assemble_solution_into, eliminate_loaded,
     eliminate_partition_into, nested_dissection_invert, nested_dissection_solve,
-    nested_dissection_solve_with_layout, partition_ranges, recover_partition_into,
-    solve_systems_into, NestedConfig, NestedReport, PartitionSolveState, PartitionWorkload,
+    nested_dissection_solve_with_layout, recover_partition_into, solve_systems_into, NestedConfig,
+    NestedReport, PartitionSolveState, PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

@@ -31,8 +31,9 @@
 //!
 //! **One shape in and out.** A system is the list `[A, B_1, …, B_n]`. A
 //! partition reads blocks `lo..=hi` of it as plain [`BlockTridiagonal`]
-//! sub-ranges in local indices ([`partition_ranges`]; the separator↔interior
-//! couplings are the sub-range's own first/last off-diagonals), sends up the
+//! sub-ranges in local indices ([`BlockTridiagonal::sub_range`] of
+//! [`SpatialPartition::range`]; the separator↔interior couplings are the
+//! sub-range's own first/last off-diagonals), sends up the
 //! `nbd × nbd` grid of reduced-system updates per matrix (`nbd ∈ {1, 2}`
 //! separators, fixed by the layout — no indices travel), and returns a
 //! [`SelectedSolution`] over the same `lo..=hi` range that
@@ -53,7 +54,8 @@
 //!
 //! **Middle partitions are closed ranges.** A partition with two separators,
 //! `t` (its first block) and `b` (its last), around the interior `1..=n`,
-//! runs the same stopped forward half twice: over `[1..=n, b]`, which gives
+//! runs the same stopped forward half twice, through the end partitions'
+//! batched call: over `[1..=n, b]`, which gives
 //! the grid entry `u_bb` and the left-connected `g^L_k`, and block-reversed
 //! over `[t, 1..=n]`, which gives `u_tt` and the right-connected `g^R_k`. The
 //! cross entries `u_tb`, `u_bt` need the first and last rows of the interior
@@ -77,18 +79,20 @@
 //! of it. At two right-hand sides a middle partition of `n` interior blocks
 //! costs `185·n + 176` units of `8·N_BS³`, an end partition `127·n`.
 //!
-//! **One elimination entry point.** [`eliminate_partition_into`] takes the
-//! ranges of a whole batch of same-shape systems (the energies a rank owns)
-//! and runs their RGF work as batched solves against the caller's scratch,
-//! and [`recover_partition_into`] recovers such a batch;
-//! [`solve_systems_into`] does the same for the reduced systems. Each writes
-//! into kept states or solutions. The single-process driver
-//! ([`nested_dissection_solve_with_layout`]) is the batch of one; a
-//! distributed driver (`quatrex_core::dist`) runs the same phase functions
-//! ([`eliminate_partition_into`], [`assemble_reduced_system_into`],
-//! [`recover_partition_into`], [`assemble_solution_into`]) on different ranks and
-//! gathers only the reduced-system updates — the `O(P_S·N_BS²)` boundary
-//! traffic of the paper.
+//! **One form per phase.** Every phase writes into kept states or solutions
+//! and takes a whole batch of same-shape systems (the energies a rank owns),
+//! running their RGF work as batched solves against the caller's scratch:
+//! [`eliminate_partition_into`] loads each system's range into its state and
+//! eliminates it, [`eliminate_loaded`] eliminates states loaded otherwise
+//! (ranges received over the wire), [`assemble_reduced_system_into`] and
+//! [`solve_systems_into`] form and solve the reduced systems,
+//! [`recover_partition_into`] recovers a batch and [`assemble_solution_into`]
+//! copies the ranges into place. The single-process driver
+//! ([`nested_dissection_solve_with_layout`]) runs these calls with every
+//! partition a batch of one; the distributed driver (`quatrex_core::dist`)
+//! runs the same calls on different ranks and gathers only the
+//! reduced-system updates — the `O(P_S·N_BS²)` boundary traffic of the
+//! paper.
 
 use quatrex_linalg::lu::LuScratch;
 use quatrex_linalg::CMatrix;
@@ -193,25 +197,6 @@ fn first_separator(p: usize) -> usize {
     (2 * p).saturating_sub(1)
 }
 
-/// What one partition reads of a system `[A, B_1, …]`: every matrix cut to
-/// [`SpatialPartition::range`] — nothing for a pure-separator partition.
-pub fn partition_ranges(
-    system: &[&BlockTridiagonal],
-    part: &SpatialPartition,
-) -> Vec<BlockTridiagonal> {
-    system.iter().map(|m| m.sub_range(part.range())).collect()
-}
-
-/// [`solve_systems_into`] into fresh solutions.
-pub(crate) fn solve_systems(
-    systems: &[Vec<BlockTridiagonal>],
-    scratch: &mut RgfBatchScratch,
-) -> Result<Vec<SelectedSolution>, RgfError> {
-    let mut sols = vec![SelectedSolution::zeros(0, 0, 0); systems.len()];
-    solve_systems_into(systems, &mut sols, scratch)?;
-    Ok(sols)
-}
-
 /// One batched selected solve of same-shape systems `[A, B_1, …]`
 /// ([`rgf_solve_batch_into`]) against `scratch`, into kept solutions (one
 /// per system).
@@ -265,30 +250,51 @@ fn split_systems<'a>(
 /// once eliminated).
 fn loaded_range(st: &PartitionSolveState) -> &[BlockTridiagonal] {
     match &st.recovery {
-        Recovery::Sweep { range, .. } | Recovery::Range(range) => range,
+        Recovery::End(sweep) => &sweep.range,
+        Recovery::Middle(middle) => &middle.range,
         Recovery::Nothing => unreachable!("a state with an interior"),
     }
 }
 
+/// A stopped forward sweep: a range `[A, B_1, …]` whose last block is a
+/// separator, and the forward RGF half over it ([`eliminate_to_last`]).
+#[derive(Default)]
+struct Sweep {
+    range: Vec<BlockTridiagonal>,
+    forward: ForwardSweep,
+}
+
+/// What a two-separator partition keeps: its range, to be closed by the
+/// reduced solution, the stopped sweeps towards `b` over `[1..=n, b]` and
+/// towards `t` over the reversed `[t, 1..=n]`, and the update grids they stop
+/// at (`1 + n_rhs` blocks each, the diagonal entries of the partition's
+/// grid).
+#[derive(Default)]
+struct Middle {
+    range: Vec<BlockTridiagonal>,
+    to_b: Sweep,
+    to_t: Sweep,
+    u_bb: Vec<CMatrix>,
+    u_tt: Vec<CMatrix>,
+}
+
 /// Recovery state a partition keeps between the elimination and recovery
-/// phases (never communicated); kept states are rewritten in place. Both range-carrying states are owned copies:
-/// the caller's ranges are borrowed, and until this partition recovers, the
-/// scratch's block store serves the other chunks' eliminations and the
-/// reduced solves. A copy is `O(N_BS²)` per block; the sweeps are `O(N_BS³)`.
+/// phases (never communicated); kept states are rewritten in place. Every
+/// range is an owned copy: the caller's ranges are borrowed, and until this
+/// partition recovers, the scratch's block store serves the other chunks'
+/// eliminations and the reduced solves. A copy is `O(N_BS²)` per block; the
+/// sweeps are `O(N_BS³)`.
 #[derive(Default)]
 enum Recovery {
     /// A pure-separator partition recovers nothing.
     #[default]
     Nothing,
-    /// One separator: the range in separator-last order (block-reversed
-    /// when the separator is its first block) and the forward sweep over it,
-    /// for the backward sweep seeded at the separator.
-    Sweep {
-        range: Vec<BlockTridiagonal>,
-        forward: ForwardSweep,
-    },
-    /// Two separators: the range, to be closed by the reduced solution.
-    Range(Vec<BlockTridiagonal>),
+    /// One separator: the stopped sweep over the range in separator-last
+    /// order (block-reversed when the separator is its first block), for the
+    /// backward sweep seeded at the separator.
+    End(Sweep),
+    /// Two separators.
+    Middle(Middle),
 }
 
 /// Per-partition, per-system result of the elimination phase. The `updates`
@@ -308,25 +314,11 @@ pub struct PartitionSolveState {
     recovery: Recovery,
 }
 
-/// [`eliminate_partition_into`] of systems given as their
-/// [`partition_ranges`], into fresh states.
-pub(crate) fn eliminate_partition(
-    ranges: &[Vec<BlockTridiagonal>],
-    part: &SpatialPartition,
-    index: usize,
-    scratch: &mut RgfBatchScratch,
-) -> Result<Vec<PartitionSolveState>, RgfError> {
-    let mut states: Vec<PartitionSolveState> = ranges.iter().map(|_| Default::default()).collect();
-    let systems: Vec<Vec<&BlockTridiagonal>> = ranges.iter().map(|r| r.iter().collect()).collect();
-    eliminate_partition_into(&mut states, &systems, 0, part, index, scratch)?;
-    Ok(states)
-}
-
 /// Eliminate the interior of one partition for a batch of same-shape systems
 /// (typically the energies a rank owns) against `scratch`, into kept
 /// `states` (one per system). Each system `[A, B_1, …]` is read from block
-/// `offset` on: `0` for its [`partition_ranges`], the partition's `lo` for
-/// the full system. The range is copied into the state
+/// `offset` on: the partition's `lo` for the full system, `0` for one
+/// already cut to blocks `lo..=hi`. The range is copied into the state
 /// ([`PartitionSolveState::range_mut`]), then eliminated there
 /// ([`eliminate_loaded`]). A partition with **one** separator runs the
 /// batched forward RGF sweep over its range towards the separator and stops
@@ -357,9 +349,9 @@ pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
 impl PartitionSolveState {
     /// The `n_matrices` buffers `[A, B_1, …]` this state keeps partition
     /// `part`'s block range of its system in (none for an empty interior):
-    /// fill every block with blocks `lo..=hi` of the system, as
-    /// [`partition_ranges`] cuts them, then eliminate with
-    /// [`eliminate_loaded`].
+    /// fill every block with blocks `lo..=hi` of the system
+    /// ([`BlockTridiagonal::sub_range`] of [`SpatialPartition::range`]), then
+    /// eliminate with [`eliminate_loaded`].
     pub fn range_mut(
         &mut self,
         part: &SpatialPartition,
@@ -371,17 +363,14 @@ impl PartitionSolveState {
         }
         let one = part.n_separators() == 1;
         match (&self.recovery, one) {
-            (Recovery::Sweep { .. }, true) | (Recovery::Range(_), false) => {}
-            (_, true) => {
-                self.recovery = Recovery::Sweep {
-                    range: Vec::new(),
-                    forward: ForwardSweep::default(),
-                }
-            }
-            (_, false) => self.recovery = Recovery::Range(Vec::new()),
+            (Recovery::End(_), true) | (Recovery::Middle(_), false) => {}
+            (_, true) => self.recovery = Recovery::End(Sweep::default()),
+            (_, false) => self.recovery = Recovery::Middle(Middle::default()),
         }
-        let (Recovery::Sweep { range, .. } | Recovery::Range(range)) = &mut self.recovery else {
-            unreachable!("shaped just above")
+        let range = match &mut self.recovery {
+            Recovery::End(sweep) => &mut sweep.range,
+            Recovery::Middle(middle) => &mut middle.range,
+            Recovery::Nothing => unreachable!("shaped just above"),
         };
         range.resize_with(n_matrices, BlockTridiagonal::default);
         range
@@ -420,12 +409,12 @@ pub fn eliminate_loaded(
             // separator is its first block.
             if part.left_boundary.is_some() {
                 for st in states.iter_mut() {
-                    if let Recovery::Sweep { range, .. } = &mut st.recovery {
-                        range.iter_mut().for_each(BlockTridiagonal::reverse);
+                    if let Recovery::End(sweep) = &mut st.recovery {
+                        sweep.range.iter_mut().for_each(BlockTridiagonal::reverse);
                     }
                 }
             }
-            let flops = sweep_states(states, scratch)?;
+            let flops = sweep_states(states, end_sweep, scratch)?;
             for st in states.iter_mut() {
                 st.workload = workload(flops);
             }
@@ -433,34 +422,45 @@ pub fn eliminate_loaded(
         }
         // Two separators, t = 0 and b = n + 1: stopped sweeps towards b over
         // [1..=n, b] and towards t over the reversed [t, 1..=n].
-        // Blocks `range` of every system, block-reversed when `reverse`.
-        let cut = |range: std::ops::Range<usize>, reverse: bool| -> Vec<Vec<BlockTridiagonal>> {
-            let cut_one = |m: &BlockTridiagonal| {
-                let sub = m.sub_range(range.clone());
-                if reverse {
-                    sub.reversed()
-                } else {
-                    sub
-                }
+        for st in states.iter_mut() {
+            let Middle {
+                range, to_b, to_t, ..
+            } = middle(st);
+            to_b.range.resize_with(range.len(), Default::default);
+            to_t.range.resize_with(range.len(), Default::default);
+            for ((m, b), t) in range.iter().zip(&mut to_b.range).zip(&mut to_t.range) {
+                b.copy_range_from(m, 1..n + 2);
+                t.copy_range_from(m, 0..n + 1);
+                t.reverse();
+            }
+        }
+        let flops_b = sweep_states(states, |st| middle_sweeps(st).0, scratch)?;
+        let flops_t = sweep_states(states, |st| middle_sweeps(st).1, scratch)?;
+        for st in states.iter_mut() {
+            let Recovery::Middle(Middle {
+                range: sub,
+                to_b,
+                to_t,
+                u_bb,
+                u_tt,
+            }) = &st.recovery
+            else {
+                unreachable!("a two-separator state")
             };
-            let sub = |st| loaded_range(st).iter().map(cut_one).collect();
-            states.iter().map(sub).collect()
-        };
-        let (to_b, left, flops_b) = sweep_to_separator(&cut(1..n + 2, false), scratch)?;
-        let (to_t, right, flops_t) = sweep_to_separator(&cut(0..n + 1, true), scratch)?;
-        let grids = to_t.into_iter().zip(to_b);
-        let sweeps = right.iter().zip(&left);
-        for (st, ((u_tt, u_bb), (right, left))) in states.iter_mut().zip(grids.zip(sweeps)) {
-            let sub = loaded_range(st);
-            let (first_row, flops_f) = inverse_row(right, |w| sub[0].upper(w));
-            let (mut last_row, flops_l) = inverse_row(left, |w| sub[0].lower(n - w));
+            let (first_row, flops_f) = inverse_row(&to_t.forward, |w| sub[0].upper(w));
+            let (mut last_row, flops_l) = inverse_row(&to_b.forward, |w| sub[0].lower(n - w));
             last_row.reverse();
             let (u_tb, flops_tb) = cross_update(sub, &first_row, &last_row, (0, 1), (n + 1, n));
             let (u_bt, flops_bt) = cross_update(sub, &last_row, &first_row, (n + 1, n), (0, 1));
-            let grid = u_tt.into_iter().zip(u_tb).zip(u_bt).zip(u_bb);
-            st.updates = grid
-                .flat_map(|(((tt, tb), bt), bb)| [tt, tb, bt, bb])
-                .collect();
+            // Row-major 2 × 2 grids, one per matrix: [u_tt, u_tb, u_bt, u_bb].
+            st.updates.resize_with(4 * sub.len(), CMatrix::default);
+            let cross = u_tb.into_iter().zip(u_bt);
+            for (grid, (m, (tb, bt))) in st.updates.chunks_exact_mut(4).zip(cross.enumerate()) {
+                grid[0].clone_from(&u_tt[m]);
+                grid[1] = tb;
+                grid[2] = bt;
+                grid[3].clone_from(&u_bb[m]);
+            }
             let flops = flops_t + flops_b + flops_f + flops_l + flops_tb + flops_bt;
             st.workload = workload(flops);
         }
@@ -468,23 +468,52 @@ pub fn eliminate_loaded(
     })
 }
 
-/// The batched forward RGF half over the ranges of one-separator states
-/// ([`eliminate_to_last`]), into the states' update grids and forward
-/// sweeps. Returns the per-system FLOPs.
+/// A stopped sweep of a state and the update grid it stops at.
+type SweepSlot<'a> = (&'a mut Sweep, &'a mut Vec<CMatrix>);
+
+/// The one stopped sweep of a one-separator state, into its update grid.
+fn end_sweep(st: &mut PartitionSolveState) -> SweepSlot<'_> {
+    match &mut st.recovery {
+        Recovery::End(sweep) => (sweep, &mut st.updates),
+        _ => unreachable!("a one-separator state"),
+    }
+}
+
+/// What a two-separator state keeps.
+fn middle(st: &mut PartitionSolveState) -> &mut Middle {
+    match &mut st.recovery {
+        Recovery::Middle(middle) => middle,
+        _ => unreachable!("a two-separator state"),
+    }
+}
+
+/// The two stopped sweeps of a two-separator state, towards `b` and `t`.
+fn middle_sweeps(st: &mut PartitionSolveState) -> (SweepSlot<'_>, SweepSlot<'_>) {
+    let Middle {
+        to_b,
+        to_t,
+        u_bb,
+        u_tt,
+        ..
+    } = middle(st);
+    ((to_b, u_bb), (to_t, u_tt))
+}
+
+/// The batched forward RGF half ([`eliminate_to_last`]) over the loaded
+/// stopped sweep `slot(st)` of every state, into the sweep and its update
+/// grid. Returns the per-system FLOPs.
 fn sweep_states(
     states: &mut [PartitionSolveState],
+    slot: impl Fn(&mut PartitionSolveState) -> SweepSlot<'_>,
     scratch: &mut RgfBatchScratch,
 ) -> Result<u64, RgfError> {
-    let sweep = |st: &mut PartitionSolveState| match &mut st.recovery {
-        Recovery::Sweep { forward, .. } => std::mem::take(forward),
-        _ => unreachable!("a one-separator state"),
+    let take = |st| {
+        let (sweep, grid) = slot(st);
+        (std::mem::take(&mut sweep.forward), std::mem::take(grid))
     };
-    let mut sweeps: Vec<ForwardSweep> = states.iter_mut().map(sweep).collect();
-    let mut updates: Vec<Vec<CMatrix>> = states
-        .iter_mut()
-        .map(|st| std::mem::take(&mut st.updates))
-        .collect();
-    let ops = split_systems(states.iter().map(loaded_range));
+    let (mut sweeps, mut updates): (Vec<ForwardSweep>, Vec<Vec<CMatrix>>) =
+        states.iter_mut().map(take).unzip();
+    let ops = split_systems(states.iter_mut().map(|st| &*slot(st).0.range));
     let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
     let bs = lhs[0].block_size();
     for grid in &mut updates {
@@ -494,52 +523,18 @@ fn sweep_states(
         });
     }
     let flops = eliminate_to_last(lhs, &rhs, &mut updates, &mut sweeps, scratch);
-    for ((st, grid), sweep) in states.iter_mut().zip(updates).zip(sweeps) {
-        st.updates = grid;
-        if let Recovery::Sweep { forward, .. } = &mut st.recovery {
-            *forward = sweep;
-        }
+    for ((st, grid), forward) in states.iter_mut().zip(updates).zip(sweeps) {
+        let (sweep, kept) = slot(st);
+        (sweep.forward, *kept) = (forward, grid);
     }
     flops.map_err(|e| e.error)
 }
 
-/// The batched forward RGF half over systems `[A, B_1, …]` whose last block
-/// is a separator ([`eliminate_to_last`]): per system the separator's
-/// updates (`1 + n_rhs` blocks) and the forward sweep, and the per-system
-/// FLOPs.
-#[allow(clippy::type_complexity)]
-fn sweep_to_separator(
-    systems: &[Vec<BlockTridiagonal>],
-    scratch: &mut RgfBatchScratch,
-) -> Result<(Vec<Vec<CMatrix>>, Vec<ForwardSweep>, u64), RgfError> {
-    let ops = split_systems(systems.iter().map(Vec::as_slice));
-    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
-    let bs = lhs[0].block_size();
-    let mut updates = vec![vec![CMatrix::zeros(bs, bs); 1 + n_rhs]; systems.len()];
-    let mut sweeps = vec![ForwardSweep::default(); systems.len()];
-    let flops =
-        eliminate_to_last(lhs, &rhs, &mut updates, &mut sweeps, scratch).map_err(|e| e.error)?;
-    Ok((updates, sweeps, flops))
-}
-
 /// Assemble the reduced boundary system `[S, B̃_1, …]` of one system
-/// `[A, B_1, …]`: its separator blocks plus the gathered per-partition
-/// `updates` (one [`PartitionSolveState::updates`] per partition, in layout
-/// order).
-pub(crate) fn assemble_reduced_system(
-    system: &[&BlockTridiagonal],
-    parts: &[SpatialPartition],
-    updates: &[&[CMatrix]],
-) -> Vec<BlockTridiagonal> {
-    let mut reduced = vec![BlockTridiagonal::default(); system.len()];
-    let separators = separator_blocks(parts);
-    assemble_reduced_system_into(&mut reduced, system, parts, &separators, |p| updates[p]);
-    reduced
-}
-
-/// `assemble_reduced_system` into kept matrices (one per matrix of the
-/// system), `separators` the layout's [`separator_blocks`] and `updates(p)`
-/// partition `p`'s update grid.
+/// `[A, B_1, …]` into kept matrices (one per matrix of the system): its
+/// separator blocks (`separators`, the layout's [`separator_blocks`]) plus
+/// the gathered per-partition update grids (`updates(p)`, partition `p`'s
+/// [`PartitionSolveState::updates`]).
 pub fn assemble_reduced_system_into<'u>(
     reduced: &mut [BlockTridiagonal],
     system: &[&BlockTridiagonal],
@@ -584,18 +579,6 @@ pub fn assemble_reduced_system_into<'u>(
     }
 }
 
-/// [`recover_partition_into`] into fresh solutions.
-pub(crate) fn recover_partition(
-    part: &SpatialPartition,
-    states: &[PartitionSolveState],
-    reduced: &[SelectedSolution],
-    scratch: &mut RgfBatchScratch,
-) -> Vec<SelectedSolution> {
-    let mut sols = vec![SelectedSolution::default(); states.len()];
-    recover_partition_into(part, states, reduced, &mut sols, scratch);
-    sols
-}
-
 /// Recover the selected blocks of one partition for a batch of systems —
 /// interior, separator diagonals and the couplings between them — from their
 /// [`eliminate_partition_into`] states and the selected solutions of their
@@ -630,13 +613,8 @@ pub fn recover_partition_into(
                     *sol = SelectedSolution::zeros(0, red.retarded.block_size(), red.lesser.len());
                 }
             }
-            Recovery::Sweep { .. } => recover_end(part, states, reduced, sep, sols, scratch),
-            Recovery::Range(_) => {
-                let recovered = recover_middle(states, reduced, sep, scratch);
-                for (sol, rec) in sols.iter_mut().zip(recovered) {
-                    *sol = rec;
-                }
-            }
+            Recovery::End(_) => recover_end(part, states, reduced, sep, sols, scratch),
+            Recovery::Middle(_) => recover_middle(states, reduced, sep, sols, scratch),
         }
     })
 }
@@ -654,7 +632,7 @@ fn recover_end(
     let forward: Vec<&ForwardSweep> = states
         .iter()
         .map(|st| match &st.recovery {
-            Recovery::Sweep { forward, .. } => forward,
+            Recovery::End(sweep) => &sweep.forward,
             _ => panic!("not an end partition's state"),
         })
         .collect();
@@ -684,28 +662,28 @@ fn recover_end(
 
 /// [`recover_partition_into`] of a two-separator partition whose separators are
 /// blocks `sep` and `sep + 1` of the reduced systems: every range closed
-/// ([`close_range`]), then one batched RGF solve of them all.
+/// ([`close_range`]), then one batched RGF solve of them all into `sols`.
 fn recover_middle(
     states: &[PartitionSolveState],
     reduced: &[SelectedSolution],
     sep: usize,
+    sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
-) -> Vec<SelectedSolution> {
+) {
     let mut lu = LuScratch::new();
     let (closed, flops): (Vec<_>, Vec<_>) = states
         .iter()
         .zip(reduced)
         .map(|(st, red)| match &st.recovery {
-            Recovery::Range(range) => close_range(range, &st.updates, red, sep, &mut lu),
+            Recovery::Middle(middle) => close_range(&middle.range, &st.updates, red, sep, &mut lu),
             _ => panic!("not a middle partition's state"),
         })
         .unzip();
-    let mut sols = solve_systems(&closed, scratch)
+    solve_systems_into(&closed, sols, scratch)
         .expect("a closed range is as regular as the device it is cut from");
     for (sol, closure) in sols.iter_mut().zip(flops) {
         sol.flops += closure;
     }
-    sols
 }
 
 /// Write the separator diagonal blocks and the couplings between physically
@@ -723,22 +701,6 @@ fn scatter_separator_blocks(
             x.lower_mut(s).copy_from(reduced.lower(k));
         }
     }
-}
-
-/// [`assemble_solution_into`] of a whole recovered layout into a fresh
-/// solution.
-pub(crate) fn assemble_solution(
-    n_blocks: usize,
-    parts: &[SpatialPartition],
-    reduced: &SelectedSolution,
-    recovered: &[SelectedSolution],
-) -> SelectedSolution {
-    let mut sol = SelectedSolution::default();
-    let separators = separator_blocks(parts);
-    assemble_solution_into(&mut sol, n_blocks, parts, &separators, reduced, |p| {
-        &recovered[p]
-    });
-    sol
 }
 
 /// The shared tail of every driver: the selected solution of the full
@@ -782,7 +744,9 @@ pub fn assemble_solution_into<'r>(
 /// the reduced boundary system (and its quadratic right-hand sides) is
 /// assembled from the gathered updates and solved with the sequential RGF,
 /// and the interior blocks are recovered partition by partition — on the
-/// calling thread; the distributed driver runs the same phases on its ranks.
+/// calling thread. The driver runs the group solve's phases (module docs),
+/// each partition a batch of one system; the distributed driver runs the
+/// same calls on its ranks.
 pub fn nested_dissection_solve(
     a: &BlockTridiagonal,
     rhs: &[&BlockTridiagonal],
@@ -830,35 +794,37 @@ pub fn nested_dissection_solve_with_layout(
     let system: Vec<&BlockTridiagonal> = std::iter::once(a).chain(rhs.iter().copied()).collect();
 
     // One scratch serves every phase: a partition's state keeps owned copies
-    // of what its recovery needs, as on the distributed driver's ranks.
+    // of what its recovery needs, as on the distributed driver's ranks. The
+    // phases are the group solve's, each partition a batch of one system.
     let mut scratch = RgfBatchScratch::new();
 
-    // Phase 1: eliminate the partition interiors, each a batch of one system.
-    let states: Vec<PartitionSolveState> = parts
-        .iter()
-        .enumerate()
-        .map(|(idx, p)| {
-            let ranges = [partition_ranges(&system, p)];
-            Ok(eliminate_partition(&ranges, p, idx, &mut scratch)?.remove(0))
-        })
-        .collect::<Result<_, RgfError>>()?;
+    // Phase 1: eliminate the partition interiors.
+    let mut states: Vec<PartitionSolveState> = parts.iter().map(|_| Default::default()).collect();
+    for (idx, (part, st)) in parts.iter().zip(&mut states).enumerate() {
+        let st = std::slice::from_mut(st);
+        eliminate_partition_into(st, &[&system], part.lo, part, idx, &mut scratch)?;
+    }
 
     // Phase 2: assemble and solve the reduced system over the separators.
-    let updates: Vec<&[CMatrix]> = states.iter().map(|s| s.updates.as_slice()).collect();
-    let reduced_system = assemble_reduced_system(&system, parts, &updates);
-    let reduced = solve_systems(&[reduced_system], &mut scratch)?.remove(0);
+    let separators = separator_blocks(parts);
+    let mut reduced_system = vec![BlockTridiagonal::default(); system.len()];
+    let updates = |p: usize| states[p].updates.as_slice();
+    assemble_reduced_system_into(&mut reduced_system, &system, parts, &separators, updates);
+    let mut reduced = [SelectedSolution::default()];
+    solve_systems_into(&[reduced_system], &mut reduced, &mut scratch)?;
 
     // Phase 3: recover the interior selected blocks.
-    let recovered: Vec<SelectedSolution> = parts
-        .iter()
-        .zip(&states)
-        .map(|(part, state)| {
-            let (state, reduced) = (std::slice::from_ref(state), std::slice::from_ref(&reduced));
-            recover_partition(part, state, reduced, &mut scratch).remove(0)
-        })
-        .collect();
+    let mut recovered = vec![SelectedSolution::default(); parts.len()];
+    for ((part, st), rec) in parts.iter().zip(&states).zip(&mut recovered) {
+        let (st, rec) = (std::slice::from_ref(st), std::slice::from_mut(rec));
+        recover_partition_into(part, st, &reduced, rec, &mut scratch);
+    }
 
-    let mut sol = assemble_solution(nb, parts, &reduced, &recovered);
+    let [reduced] = reduced;
+    let mut sol = SelectedSolution::default();
+    assemble_solution_into(&mut sol, nb, parts, &separators, &reduced, |p| {
+        &recovered[p]
+    });
     let partitions: Vec<PartitionWorkload> = states
         .iter()
         .zip(&recovered)
@@ -871,7 +837,7 @@ pub fn nested_dissection_solve_with_layout(
         partitions,
         reduced_system_flops: reduced.flops,
         reduced_system_blocks: reduced.retarded.n_blocks(),
-        communicated_blocks: updates.iter().map(|u| u.len()).sum(),
+        communicated_blocks: states.iter().map(|st| st.updates.len()).sum(),
     };
     sol.flops = report.total_flops();
     Ok((sol, report))

@@ -259,20 +259,16 @@ fn every_partition_gives_the_same_bits_in_any_batch_and_on_either_layout() {
             })
             .collect();
         for (idx, part) in parts.iter().enumerate() {
-            let ranges: Vec<Vec<BlockTridiagonal>> = systems
-                .iter()
-                .map(|sys| partition_ranges(&refs(sys), part))
-                .collect();
             let mut scratch = RgfBatchScratch::new();
-            let states = eliminate_partition(&ranges, part, idx, &mut scratch).unwrap();
-            let batch = recover_partition(part, &states, &seeds, &mut scratch);
+            let states = eliminated(&systems, part.lo, part, idx, &mut scratch);
+            let batch = recovered(part, &states, &seeds, &mut scratch);
             for e in 0..n_sys {
                 let mut scratch = RgfBatchScratch::new();
-                let range = std::slice::from_ref(&ranges[e]);
-                let one = eliminate_partition(range, part, idx, &mut scratch).unwrap();
+                let system = std::slice::from_ref(&systems[e]);
+                let one = eliminated(system, part.lo, part, idx, &mut scratch);
                 assert_same_elimination(&states[e], &one[0]);
                 let seed = std::slice::from_ref(&seeds[e]);
-                let rec = recover_partition(part, &one, seed, &mut scratch).remove(0);
+                let rec = recovered(part, &one, seed, &mut scratch).remove(0);
                 let label = format!("N_BS = {bs}, partition {idx}, system {e}");
                 assert_eq!(rec.flops, batch[e].flops, "{label}");
                 assert!(
@@ -463,8 +459,39 @@ fn graft(
     out
 }
 
-fn refs(system: &[BlockTridiagonal; 3]) -> Vec<&BlockTridiagonal> {
-    system.iter().collect()
+/// [`eliminate_partition_into`] of `systems`, each read from block `offset`
+/// on, into fresh states.
+fn eliminated<S: AsRef<[BlockTridiagonal]>>(
+    systems: &[S],
+    offset: usize,
+    part: &SpatialPartition,
+    index: usize,
+    scratch: &mut RgfBatchScratch,
+) -> Vec<PartitionSolveState> {
+    let systems: Vec<Vec<&BlockTridiagonal>> = systems
+        .iter()
+        .map(|s| s.as_ref().iter().collect())
+        .collect();
+    let mut states: Vec<PartitionSolveState> = systems.iter().map(|_| Default::default()).collect();
+    eliminate_partition_into(&mut states, &systems, offset, part, index, scratch).unwrap();
+    states
+}
+
+/// [`recover_partition_into`] into fresh solutions.
+fn recovered(
+    part: &SpatialPartition,
+    states: &[PartitionSolveState],
+    reduced: &[SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Vec<SelectedSolution> {
+    let mut sols = vec![SelectedSolution::default(); states.len()];
+    recover_partition_into(part, states, reduced, &mut sols, scratch);
+    sols
+}
+
+/// Blocks `lo..=hi` of every matrix of `system`.
+fn cut(system: &[BlockTridiagonal], part: &SpatialPartition) -> Vec<BlockTridiagonal> {
+    system.iter().map(|m| m.sub_range(part.range())).collect()
 }
 
 fn assert_same_elimination(x: &PartitionSolveState, y: &PartitionSolveState) {
@@ -496,7 +523,7 @@ fn a_partition_reads_only_its_block_range_whatever_the_batch() {
     let full_values: usize = sys.iter().map(BlockTridiagonal::nnz).sum();
     let parts = spatial_partition_layout(nb, 3).unwrap();
     for (idx, part) in parts.iter().enumerate() {
-        let ranges = partition_ranges(&refs(&sys), part);
+        let ranges = cut(&sys, part);
         assert_eq!(ranges.len(), 3);
         // The range is a strict subset of the full system payload.
         let values: usize = ranges.iter().map(BlockTridiagonal::nnz).sum();
@@ -506,17 +533,9 @@ fn a_partition_reads_only_its_block_range_whatever_the_batch() {
             "range {values} vs full {full_values}"
         );
         let grafted = [0, 1, 2].map(|m| graft(&other[m], &sys[m], part));
-        let other_ranges = partition_ranges(&refs(&other), part);
         let mut scratch = RgfBatchScratch::new();
-        let own =
-            eliminate_partition(std::slice::from_ref(&ranges), part, idx, &mut scratch).unwrap();
-        let batch = eliminate_partition(
-            &[other_ranges, partition_ranges(&refs(&grafted), part)],
-            part,
-            idx,
-            &mut scratch,
-        )
-        .unwrap();
+        let own = eliminated(std::slice::from_ref(&ranges), 0, part, idx, &mut scratch);
+        let batch = eliminated(&[other.clone(), grafted], part.lo, part, idx, &mut scratch);
         assert_eq!((own.len(), batch.len()), (1, 2));
         assert_same_elimination(&own[0], &batch[1]);
         assert!(!own[0].updates[0].approx_eq(&batch[0].updates[0], 1e-3));
@@ -532,14 +551,14 @@ fn empty_interior_partitions_read_send_and_return_nothing() {
     let parts = spatial_partition_layout(nb, 3).unwrap();
     assert_eq!(parts[1].interior().len(), 0);
     assert!(parts[1].range().is_empty());
-    let ranges = partition_ranges(&[&a, &b], &parts[1]);
+    let ranges = cut(&[a, b], &parts[1]);
     assert!(ranges.iter().all(|m| m.n_blocks() == 0 && m.nnz() == 0));
-    let states = eliminate_partition(&[ranges], &parts[1], 1, &mut RgfBatchScratch::new()).unwrap();
+    let states = eliminated(&[ranges], 0, &parts[1], 1, &mut RgfBatchScratch::new());
     assert_eq!(states.len(), 1);
     assert_eq!(states[0].workload.flops, 0);
     assert!(states[0].updates.is_empty());
     let reduced = [SelectedSolution::zeros(4, bs, 1)];
-    let rec = recover_partition(&parts[1], &states, &reduced, &mut RgfBatchScratch::new());
+    let rec = recovered(&parts[1], &states, &reduced, &mut RgfBatchScratch::new());
     assert_eq!(
         (
             rec[0].retarded.n_blocks(),

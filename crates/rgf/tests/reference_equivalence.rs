@@ -8,7 +8,9 @@
 use quatrex_linalg::cplx;
 use quatrex_linalg::CMatrix;
 use quatrex_rgf::reference::rgf_solve_reference;
-use quatrex_rgf::{rgf_solve, rgf_solve_batch, BlockTridiagonal};
+use quatrex_rgf::{
+    rgf_solve, rgf_solve_batch_into, BlockTridiagonal, RgfBatchScratch, SelectedSolution,
+};
 
 fn test_system(nb: usize, bs: usize, seed: f64) -> (BlockTridiagonal, BlockTridiagonal) {
     let mut a = BlockTridiagonal::zeros(nb, bs);
@@ -124,7 +126,9 @@ fn a_batch_of_four_matches_the_pre_refactor_path_member_by_member() {
     let rhs_refs: Vec<[&BlockTridiagonal; 2]> =
         systems.iter().map(|(_, rhs)| [&rhs[0], &rhs[1]]).collect();
     let rhs_slices: Vec<&[&BlockTridiagonal]> = rhs_refs.iter().map(|r| r.as_slice()).collect();
-    let batch = rgf_solve_batch(&sys_refs, &rhs_slices).unwrap();
+    let mut batch = vec![SelectedSolution::default(); sys_refs.len()];
+    let mut scratch = RgfBatchScratch::new();
+    rgf_solve_batch_into(&sys_refs, &rhs_slices, &mut batch, &mut scratch).unwrap();
     assert_eq!(batch.len(), 4);
     for (e, (new, (a, rhs))) in batch.iter().zip(systems.iter()).enumerate() {
         let old = rgf_solve_reference(a, &[&rhs[0], &rhs[1]]).unwrap();

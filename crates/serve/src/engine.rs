@@ -14,28 +14,19 @@ use crate::checkpoint::{
 use crate::point::SweepPoint;
 use crate::report::{PointReport, SweepReport};
 
-/// Configuration of a [`SweepEngine`]: the base physics shared by every
-/// point, the rank grid the points are scheduled over, and the warm-start
-/// switch.
+/// Configuration of a [`SweepEngine`]: the run configuration every point
+/// solves under, and the sweep's own two switches.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Base physics configuration. Per point, the engine overrides
-    /// `mu_right` (to `mu_left − bias`) and `temperature_k`; everything else
-    /// is shared across the sweep.
-    pub scba: ScbaConfig,
-    /// Simulated ranks each point's solve runs on (the
-    /// `n_energy_groups × P_S` grid of [`DistScbaConfig`]).
-    pub n_ranks: usize,
-    /// Spatial partitions per energy group (`P_S`).
-    pub spatial_partitions: usize,
-    /// Transposition batches per iteration (`B`).
-    pub energy_batches: usize,
+    /// The run configuration of every point: the base physics, the
+    /// `n_energy_groups × P_S` rank grid, the transposition batches and the
+    /// probe switch. Per point, the engine overrides `scba.mu_right` (to
+    /// `mu_left − bias`) and `scba.temperature_k`, and turns state capture
+    /// on; everything else is shared across the sweep.
+    pub dist: DistScbaConfig,
     /// Seed each point from the nearest finished neighbor's converged state.
     /// On by default; turn off to measure the cold baseline.
     pub warm_start: bool,
-    /// Record per-rank probe traces per point (feeds
-    /// [`PointReport::phase_seconds`]).
-    pub probe: bool,
     /// Apply each point's drain bias as a linear potential ramp across the
     /// device (in addition to the contact chemical-potential split). When
     /// off, bias enters through `mu_right` alone — the flat-band
@@ -46,32 +37,25 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// A sweep configuration on `n_ranks ≥ 1` ranks with default options
-    /// (`P_S = 1`, one batch, warm start on).
+    /// (`P_S = 1`, one batch, probe on, warm start on).
     pub fn new(scba: ScbaConfig, n_ranks: usize) -> Self {
-        assert!(n_ranks >= 1, "at least one rank");
         Self {
-            scba,
-            n_ranks,
-            spatial_partitions: 1,
-            energy_batches: 1,
+            dist: DistScbaConfig::new(scba, n_ranks),
             warm_start: true,
-            probe: true,
             potential_ramp: true,
         }
     }
 
     /// Set the spatial partitions per energy group (`P_S ≥ 1`).
     pub fn with_spatial_partitions(mut self, p_s: usize) -> Self {
-        assert!(p_s >= 1, "at least one spatial partition");
-        self.spatial_partitions = p_s;
+        self.dist = self.dist.with_spatial_partitions(p_s);
         self
     }
 
     /// Set the transposition batch count (`B ≥ 1`, checked here rather
     /// than inside the first solve).
     pub fn with_energy_batches(mut self, batches: usize) -> Self {
-        assert!(batches >= 1, "at least one transposition batch");
-        self.energy_batches = batches;
+        self.dist = self.dist.with_energy_batches(batches);
         self
     }
 
@@ -81,9 +65,10 @@ impl SweepConfig {
         self
     }
 
-    /// Enable or disable the per-point probe trace.
+    /// Enable or disable the per-point probe trace (feeds
+    /// [`PointReport::phase_seconds`]).
     pub fn with_probe(mut self, enabled: bool) -> Self {
-        self.probe = enabled;
+        self.dist = self.dist.with_probe(enabled);
         self
     }
 
@@ -92,6 +77,16 @@ impl SweepConfig {
     pub fn with_potential_ramp(mut self, enabled: bool) -> Self {
         self.potential_ramp = enabled;
         self
+    }
+}
+
+/// Reads the run configuration's fields through the sweep configuration
+/// (`config.scba`, `config.n_ranks`, …).
+impl std::ops::Deref for SweepConfig {
+    type Target = DistScbaConfig;
+
+    fn deref(&self) -> &DistScbaConfig {
+        &self.dist
     }
 }
 
@@ -125,7 +120,7 @@ impl SweepEngine {
     /// An engine over `device` (unbiased; the engine applies each point's
     /// ramp itself) with an empty queue.
     pub fn new(device: Device, config: SweepConfig) -> Self {
-        let grid = device.default_energy_grid(config.scba.n_energies);
+        let grid = device.default_energy_grid(config.dist.scba.n_energies);
         let h = device.hamiltonian_bt();
         let (n_blocks, block_size) = (h.n_blocks(), h.block_size());
         Self {
@@ -170,7 +165,7 @@ impl SweepEngine {
     pub fn report(&self) -> SweepReport {
         SweepReport {
             points: self.finished.iter().map(|f| f.report.clone()).collect(),
-            spacing_over_eta: self.grid.spacing() / self.config.scba.eta,
+            spacing_over_eta: self.grid.spacing() / self.config.dist.scba.eta,
         }
     }
 
@@ -215,9 +210,9 @@ impl SweepEngine {
         } else {
             self.device.clone()
         };
-        let mut scba = self.config.scba.clone();
-        scba.mu_right = scba.mu_left - point.bias_v;
-        scba.temperature_k = point.temperature_k;
+        let mut dist = self.config.dist.clone().with_state_capture(true);
+        dist.scba.mu_right = dist.scba.mu_left - point.bias_v;
+        dist.scba.temperature_k = point.temperature_k;
 
         let warm_source = if self.config.warm_start {
             self.nearest_finished(&point)
@@ -227,11 +222,6 @@ impl SweepEngine {
         let warm = warm_source.map(|i| &self.finished[i].state);
         let bytes_restored = warm.map_or(0, |w| w.wire_bytes());
 
-        let dist = DistScbaConfig::new(scba, self.config.n_ranks)
-            .with_spatial_partitions(self.config.spatial_partitions)
-            .with_energy_batches(self.config.energy_batches)
-            .with_probe(self.config.probe)
-            .with_state_capture(true);
         let solver = DistScbaSolver::with_grid(device, dist, self.grid.clone());
         let result = solver.run_warm(warm);
         let state = result
