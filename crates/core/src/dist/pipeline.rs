@@ -7,8 +7,8 @@
 //! batch `k` is waited for and absorbed, so the absorb side (the per-batch
 //! convolution accumulation of the forward transpositions) computes while
 //! the next batch flies. The two directions differ only in what a batch packs
-//! and what absorbing it means, which [`RankState::forward`] and
-//! [`RankState::backward`] supply as closures.
+//! and what absorbing it means, which the two halves of a convolution phase
+//! in `crate::dist::rank` (`convolve`, `RankState::ship`) supply as closures.
 //!
 //! Both directions move the same container: a forward transposition fills an
 //! [`ElementSlab`], a convolution phase accumulates its output into another
@@ -22,24 +22,13 @@ use crate::element_major::{GroupInfo, GroupRowsMut, LanePlanes};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_runtime::{CommHandle, CommPhase, RankContext};
-use quatrex_sparse::BlockTridiagonal;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 
 use crate::dist::rank::RankCounters;
 use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
-use crate::EnergyResolved;
-
-/// Which way a transposition moves data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
-    /// Energy-major → element-major (into the convolutions).
-    Forward,
-    /// Element-major → energy-major (back to the energy owners).
-    Backward,
-}
 
 /// One of the four per-iteration transpositions: its byte-accounting tag,
-/// direction, which of its components obey the NEGF symmetry (and so travel
+/// which of its components obey the NEGF symmetry (and so travel
 /// canonical-only: the mask alone decides whether mirrors ship), the probe
 /// span names of its pack and unpack stages, and the probe span (name,
 /// category) of the convolution stage riding on it — the per-batch
@@ -47,7 +36,6 @@ pub(crate) enum Direction {
 /// backward one.
 pub(crate) struct Transposition {
     pub phase: CommPhase,
-    pub direction: Direction,
     pub symmetric: &'static [bool],
     pub scatter_span: &'static str,
     pub absorb_span: &'static str,
@@ -58,7 +46,6 @@ pub(crate) struct Transposition {
 pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
     Transposition {
         phase: CommPhase::FwdG,
-        direction: Direction::Forward,
         symmetric: &[true, true],
         scatter_span: "transposition.scatter.fwd_g",
         absorb_span: "transposition.absorb.fwd_g",
@@ -66,7 +53,6 @@ pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
     },
     Transposition {
         phase: CommPhase::BwdP,
-        direction: Direction::Backward,
         symmetric: &[true, true, false],
         scatter_span: "transposition.scatter.bwd_p",
         absorb_span: "transposition.absorb.bwd_p",
@@ -74,7 +60,6 @@ pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
     },
     Transposition {
         phase: CommPhase::FwdW,
-        direction: Direction::Forward,
         symmetric: &[true, true],
         scatter_span: "transposition.scatter.fwd_w",
         absorb_span: "transposition.absorb.fwd_w",
@@ -82,7 +67,6 @@ pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
     },
     Transposition {
         phase: CommPhase::BwdSigma,
-        direction: Direction::Backward,
         symmetric: &[true, true, false],
         scatter_span: "transposition.scatter.bwd_sigma",
         absorb_span: "transposition.absorb.bwd_sigma",
@@ -92,7 +76,7 @@ pub(crate) static TRANSPOSITIONS: [Transposition; 4] = [
 
 impl Transposition {
     /// Run the unpack stage of one batch under this transposition's span.
-    fn unpack<R>(&self, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn unpack<R>(&self, f: impl FnOnce() -> R) -> R {
         quatrex_probe::span(self.absorb_span, "transposition.unpack", f)
     }
 }
@@ -224,68 +208,6 @@ pub(crate) fn exchange(
 /// Zero a kept buffer in place, under its own probe span.
 pub(crate) fn zero_in_place(zero: impl FnOnce()) {
     quatrex_probe::span("buffers.zero", "buffers.zero", zero);
-}
-
-/// One forward transposition (energy-major → element-major) of the
-/// lesser/greater pair `at(c, k)` (component `c` of local energy `k`) into
-/// the rank's forward `slab`, zeroed first. `consume` is the per-batch
-/// convolution accumulation: called for every non-empty batch with the
-/// slab-so-far, the global energy indices that arrived in the batch, and
-/// every index arrived so far (this batch's included; `arrived` holds them).
-pub(crate) fn forward<'q>(
-    wire: Wire<'_>,
-    row: &Transposition,
-    at: impl Fn(usize, usize) -> &'q BlockTridiagonal,
-    slab: &mut ElementSlab,
-    arrived: &mut Vec<usize>,
-    mut consume: impl FnMut(&ElementSlab, &[usize], &[usize]),
-) {
-    debug_assert_eq!(row.direction, Direction::Forward);
-    let (plan, batches, rank) = (wire.plan, wire.batches, wire.ctx.rank());
-    zero_in_place(|| slab.zero());
-    arrived.clear();
-    exchange(
-        wire,
-        row,
-        |b, messages| {
-            let local = batches.local_ranges[rank][b].clone();
-            plan.scatter_forward_batch(rank, row.symmetric.len(), &at, local, messages)
-        },
-        |b, received| {
-            let sources = batches.global_ranges(b);
-            row.unpack(|| plan.absorb_forward_batch(rank, slab, received, sources));
-            let batch = batches.arrived_global(b);
-            if !batch.is_empty() {
-                arrived.extend_from_slice(batch);
-                consume(slab, batch, arrived);
-            }
-        },
-    );
-}
-
-/// One backward transposition (element-major → energy-major) of the rank's
-/// finished convolution `slab` into the kept energy-major lesser, greater
-/// and retarded sets `out` of the owned energies (every entry written).
-pub(crate) fn backward(
-    wire: Wire<'_>,
-    row: &Transposition,
-    slab: &ElementSlab,
-    out: &mut [EnergyResolved],
-) {
-    debug_assert_eq!(row.direction, Direction::Backward);
-    let (plan, batches, rank) = (wire.plan, wire.batches, wire.ctx.rank());
-    exchange(
-        wire,
-        row,
-        |b, messages| {
-            let targets = batches.global_ranges(b);
-            plan.scatter_backward_batch(rank, slab, row.symmetric, targets, messages)
-        },
-        |b, received| {
-            let mine = batches.global_range(plan, rank, b);
-            row.unpack(|| plan.absorb_backward_batch(rank, out, received, row.symmetric, mine));
-        },
-    );
 }
 
 /// The element-major output of one convolution phase (`P` or `Σ`) on one
@@ -421,6 +343,7 @@ mod tests {
     use crate::dist::slab::TranspositionBatchPlan;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::ThreadComm;
+    use quatrex_sparse::BlockTridiagonal;
 
     /// A synthetic energy-resolved quantity with distinct values everywhere.
     fn quantity(ne: usize, nb: usize, bs: usize, seed: f64) -> Vec<BlockTridiagonal> {

@@ -2,22 +2,23 @@
 //!
 //! [`rank_main`] is the closure body every rank of the communicator runs: it
 //! builds a [`RankState`] over the run's shared [`Problem`] and drives the
-//! five-step cycle — `G`, `P`, `W`, `Σ`, mix — one method per step. The mix
-//! is the update rule of `crate::mixing` in its three pieces, the rows
-//! of the owned energies gathered in rank order in between.
-//! The `G` and `W` steps speak the stage vocabulary of `crate::scba`:
-//! *assemble one energy* (core), *solve the assembled systems* (the group
-//! solve, [`spatial_phase_solve`] — local at `P_S = 1`, cooperative
-//! otherwise), *finish one energy* (core). Every rank runs every step on the
-//! energies and elements it owns under the plan — a constant of the run — and
-//! there is no distinguished rank in a group. The `P` and `Σ` steps run the
-//! element-major convolutions behind the transposition pipeline
-//! ([`crate::dist::pipeline`]): the two closures in [`RankState::p_step`] and
-//! [`RankState::sigma_step`] are the loop's only calls into the
-//! convolution kernels — the same two
-//! `crate::convolution::*_group_accumulate` lane-group kernels
-//! `polarization_from_g` and `self_energy_from_gw` call with the whole grid
-//! as one batch.
+//! five-step cycle — `G`, `P`, `W`, `Σ`, mix. Every rank runs every step on
+//! the energies and elements it owns under the plan — a constant of the run
+//! — and there is no distinguished rank in a group.
+//!
+//! `G` and `W` are the two callers of one energy step,
+//! [`RankBuffers::energy_step`], in the stage vocabulary of `crate::scba`:
+//! *assemble a chunk*, *solve the assembled systems* (the group solve,
+//! [`spatial_phase_solve`] — local at `P_S = 1`, cooperative otherwise —
+//! straight into the rank's energy sets), *finish one energy*. `P` and `Σ`
+//! are the two callers of [`convolve`] and [`RankState::ship`], the halves of
+//! a convolution phase around the transposition pipeline
+//! ([`crate::dist::pipeline`]); their kernel closures are the loop's only
+//! calls into the two `crate::convolution::*_group_accumulate` lane-group
+//! kernels, which `polarization_from_g` and `self_energy_from_gw` call with
+//! the whole grid as one batch. The mix is the update rule of
+//! `crate::mixing` in its three pieces, the rows of the owned energies
+//! gathered in rank order in between.
 //!
 //! Every buffer of the cycle is the rank's own ([`RankBuffers`]): sized once
 //! from the plan, written in place every iteration, so a steady-state
@@ -48,7 +49,8 @@ use quatrex_sparse::BlockTridiagonal;
 
 use crate::dist::config::DistScbaConfig;
 use crate::dist::pipeline::{
-    allgather, backward, forward, ConvSeries, MessagePool, Transposition, Wire, TRANSPOSITIONS,
+    allgather, exchange, zero_in_place, ConvSeries, MessagePool, Transposition, Wire,
+    TRANSPOSITIONS,
 };
 use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::{spatial_phase_solve, GroupScratch, SpatialLayout};
@@ -94,6 +96,23 @@ impl Problem {
     /// The physics configuration.
     pub fn cfg(&self) -> &ScbaConfig {
         &self.config.scba
+    }
+
+    /// What a transposition of `ctx`'s rank works with.
+    fn wire<'w>(
+        &'w self,
+        ctx: &'w RankContext<Vec<c64>>,
+        log: &'w mut RankLog,
+        pool: &'w mut MessagePool,
+    ) -> Wire<'w> {
+        let (plan, batches, counters) = (&self.plan, &self.batches, &mut log.counters);
+        Wire {
+            ctx,
+            plan,
+            batches,
+            counters,
+            pool,
+        }
     }
 }
 
@@ -201,8 +220,9 @@ pub(crate) struct RankState<'a> {
 /// and written in place every iteration. They are shared by lifetime, not
 /// by phase: one energy set per owned energy holds `G` from the G solve
 /// until `fwd_g`, `P` from `bwd_p` until the W assembly, `W` from the W solve
-/// until `fwd_w` and `Σ_new` from `bwd_sigma` until the mix; one assembly
-/// per kernel-chunk slot holds the chunk's G systems, then its W systems.
+/// until `fwd_w` and `Σ_new` from `bwd_sigma` until the mix, each written in
+/// place by its solve or transposition; one assembly per kernel-chunk slot
+/// holds the chunk's G systems, then its W systems.
 pub(crate) struct RankBuffers {
     /// The local energy ranges of the group solves (see
     /// [`solve_chunks`]).
@@ -218,12 +238,9 @@ pub(crate) struct RankBuffers {
     assembly: AssemblyScratch,
     /// The products of the current spectrum.
     work: CMatrix,
-    /// The energy sets `[X^<, X^>, X^R]`, one matrix each per owned energy.
-    sets: [Vec<BlockTridiagonal>; 3],
-    /// One solution per kernel-chunk slot, the frame a solve writes an
-    /// energy set through: the set's matrices are swapped in before the
-    /// solve and back after the finish ([`swap_frame`]).
-    frames: Vec<SelectedSolution>,
+    /// The energy sets, one per owned energy: `lesser = [X^<, X^>]` and
+    /// `retarded = X^R`, the shape a group solve writes.
+    sets: Vec<SelectedSolution>,
     /// The forward slabs of `G` (from `fwd_g` until the Σ convolutions)
     /// and `W`, and the convolution output of `P`, then of `Σ`.
     g_slab: ElementSlab,
@@ -248,19 +265,14 @@ impl RankBuffers {
         let n_owned = plan.energy_ranges[rank].len();
         let n_slots = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
         let members = grid.members_of(grid.group_of(rank));
-        let frame = || SelectedSolution {
-            lesser: vec![BlockTridiagonal::default(); 2],
-            ..SelectedSolution::default()
-        };
         Self {
             members: members.map(|r| plan.energy_ranges[r].len()).collect(),
             slots: (0..n_slots).map(|_| GAssembly::zeros(nb, bs)).collect(),
             truncation: vec![0.0; n_slots],
-            frames: (0..n_slots).map(|_| frame()).collect(),
             chunks,
             assembly: AssemblyScratch::default(),
             work: CMatrix::default(),
-            sets: [(); 3].map(|()| vec![BlockTridiagonal::zeros(nb, bs); n_owned]),
+            sets: vec![SelectedSolution::zeros(nb, bs, 2); n_owned],
             g_slab: ElementSlab::zeroed(plan, rank, 2, false),
             w_slab: ElementSlab::zeroed(plan, rank, 2, false),
             series: ConvSeries::zeroed(plan, rank),
@@ -268,6 +280,46 @@ impl RankBuffers {
             pool: MessagePool::default(),
             arrived: Vec::with_capacity(plan.n_energies),
             current_spectrum: Vec::with_capacity(plan.n_energies),
+        }
+    }
+
+    /// One energy step (`G` or `W`) of the owned energies, chunk by chunk
+    /// ([`solve_chunks`]): `assemble(chunk, self)` assembles the chunk's
+    /// local energies into the first slots, the group solve of `subsystem`
+    /// writes the chunk's energy sets in place, and `finish(slot, set, work)`
+    /// finishes each energy of the chunk in order.
+    fn energy_step(
+        &mut self,
+        ctx: &RankContext<Vec<c64>>,
+        p: &Problem,
+        subsystem: Subsystem,
+        mut assemble: impl FnMut(Range<usize>, &mut Self),
+        mut finish: impl FnMut(&GAssembly, &mut SelectedSolution, &mut CMatrix),
+    ) {
+        for c in 0..self.chunks.len() {
+            let chunk = self.chunks[c].clone();
+            assemble(chunk.clone(), self);
+            let slots = &self.slots[..chunk.len()];
+            let systems: Vec<_> = slots
+                .iter()
+                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+                .collect();
+            self.members[p.layout.grid.spatial_of(ctx.rank())] = systems.len();
+            spatial_phase_solve(
+                ctx,
+                &p.layout,
+                subsystem,
+                &systems,
+                &self.members,
+                p.cfg().kernel_batch,
+                &mut self.group,
+                &mut self.pool,
+                &p.flops,
+                &mut self.sets[chunk.clone()],
+            );
+            for (asm, set) in slots.iter().zip(&mut self.sets[chunk]) {
+                finish(asm, set, &mut self.work);
+            }
         }
     }
 }
@@ -288,16 +340,6 @@ fn solve_chunks(p: &Problem, rank: usize) -> Vec<Range<usize>> {
         .iter()
         .flat_map(|lr| kernel_chunks(lr.clone(), p.cfg().kernel_batch))
         .collect()
-}
-
-/// Swap the energy set of local energy `k` with a solve's frame: `X^<`,
-/// `X^>` with its two right-hand-side solutions, `X^R` with its retarded
-/// one. Swapping twice restores both.
-fn swap_frame(frame: &mut SelectedSolution, sets: &mut [Vec<BlockTridiagonal>; 3], k: usize) {
-    let [lesser, greater, retarded] = sets;
-    std::mem::swap(&mut frame.lesser[0], &mut lesser[k]);
-    std::mem::swap(&mut frame.lesser[1], &mut greater[k]);
-    std::mem::swap(&mut frame.retarded, &mut retarded[k]);
 }
 
 /// The per-rank SCBA main loop.
@@ -324,35 +366,53 @@ pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
 }
 
 /// The front half of a convolution phase, pipelined over the energy
-/// batches: the forward transposition of `at` into `slab`, whose batch `k+1`
-/// flies while `kernel` accumulates batch `k` into every owned lane group of
+/// batches: the forward transposition of the lesser/greater pair of the
+/// energy sets `sets` into `slab` (zeroed first), whose batch `k+1` flies
+/// while `kernel` accumulates batch `k` into every owned lane group of
 /// `series` (zeroed first; see [`ConvSeries::accumulate`]; `kernel` also
 /// gets the slab-so-far, the energy indices that arrived in the batch and
-/// every index arrived so far).
-#[allow(clippy::too_many_arguments)]
-fn convolve<'q>(
+/// every index arrived so far, which `arrived` holds).
+fn convolve(
     wire: Wire<'_>,
-    n_energies: usize,
     row: &Transposition,
-    at: impl Fn(usize, usize) -> &'q BlockTridiagonal,
+    sets: &[SelectedSolution],
     slab: &mut ElementSlab,
     arrived: &mut Vec<usize>,
     series: &mut ConvSeries,
     kernel: impl Fn(&ElementSlab, &[usize], &[usize], [[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
 ) {
+    let (plan, batches, rank) = (wire.plan, wire.batches, wire.ctx.rank());
     series.zero();
-    forward(wire, row, at, slab, arrived, |slab, batch, arrived| {
-        // Once per batch, so the kernels' per-element checks can be
-        // debug-only.
-        assert!(
-            is_grid_batch(batch, n_energies),
-            "arrived batch {batch:?} is not ascending inside the grid"
-        );
-        let (name, cat) = row.conv_span;
-        quatrex_probe::span(name, cat, || {
-            series.accumulate(|x, g, info| kernel(slab, batch, arrived, x, g, info));
-        });
-    });
+    zero_in_place(|| slab.zero());
+    arrived.clear();
+    exchange(
+        wire,
+        row,
+        |b, messages| {
+            let local = batches.local_ranges[rank][b].clone();
+            let at = |c: usize, k: usize| &sets[k].lesser[c];
+            plan.scatter_forward_batch(rank, row.symmetric.len(), at, local, messages)
+        },
+        |b, received| {
+            let sources = batches.global_ranges(b);
+            row.unpack(|| plan.absorb_forward_batch(rank, slab, received, sources));
+            let batch = batches.arrived_global(b);
+            if batch.is_empty() {
+                return;
+            }
+            arrived.extend_from_slice(batch);
+            // Once per batch, so the kernels' per-element checks can be
+            // debug-only.
+            assert!(
+                is_grid_batch(batch, plan.n_energies),
+                "arrived batch {batch:?} is not ascending inside the grid"
+            );
+            let (name, cat) = row.conv_span;
+            quatrex_probe::span(name, cat, || {
+                series.accumulate(|x, g, info| kernel(slab, batch, arrived, x, g, info));
+            });
+        },
+    );
 }
 
 impl<'a> RankState<'a> {
@@ -421,56 +481,31 @@ impl<'a> RankState<'a> {
         let (p, cfg) = (self.p, self.p.cfg());
         let nb = p.h.n_blocks();
         let e0 = self.my_energies().start;
-        let b = &mut self.bufs;
-        self.spectral.clear();
-        for chunk in &b.chunks {
-            let slots = &mut b.slots[..chunk.len()];
-            for (asm, k_local) in slots.iter_mut().zip(chunk.clone()) {
-                let s = &self.sigma[k_local];
-                g_step_assemble_into(
-                    asm,
-                    &mut b.assembly,
-                    &p.h,
-                    p.energies[e0 + k_local],
-                    e0 + k_local,
-                    [Some(&s.retarded), Some(&s.lesser), Some(&s.greater)],
-                    cfg,
-                    p.kt,
-                    self.memoizer.as_mut(),
-                    &p.flops,
-                );
-            }
-            let systems: Vec<_> = slots
-                .iter()
-                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-                .collect();
-            let frames = &mut b.frames[..chunk.len()];
-            for (frame, k) in frames.iter_mut().zip(chunk.clone()) {
-                swap_frame(frame, &mut b.sets, k);
-            }
-            b.members[p.layout.grid.spatial_of(self.ctx.rank())] = systems.len();
-            spatial_phase_solve(
-                self.ctx,
-                &p.layout,
-                Subsystem::Electron,
-                &systems,
-                &b.members,
-                cfg.kernel_batch,
-                &mut b.group,
-                &mut b.pool,
-                &p.flops,
-                frames,
-            );
-            for ((asm, sol), k) in slots.iter().zip(frames).zip(chunk.clone()) {
-                let current = g_step_finish(asm, sol, cfg, &mut b.work);
-                self.spectral.push(c64::new(current, 0.0));
+        let (sigma, memoizer, spectral) = (&self.sigma, &mut self.memoizer, &mut self.spectral);
+        spectral.clear();
+        self.bufs.energy_step(
+            self.ctx,
+            p,
+            Subsystem::Electron,
+            |chunk, b| {
+                let site = |m: usize| {
+                    let k = chunk.start + m;
+                    let s = &sigma[k];
+                    let sigma = [Some(&s.retarded), Some(&s.lesser), Some(&s.greater)];
+                    (p.energies[e0 + k], e0 + k, sigma)
+                };
+                let (slots, scratch) = (&mut b.slots[..chunk.len()], &mut b.assembly);
+                let memoizers = &mut [memoizer.as_mut()];
+                g_step_assemble_into(slots, scratch, &p.h, site, cfg, p.kt, memoizers, &p.flops);
+            },
+            |asm, sol, work| {
+                let current = g_step_finish(asm, sol, cfg, work);
+                spectral.push(c64::new(current, 0.0));
                 let dos = (0..nb).map(|i| c64::new(dos_of_block(&sol.retarded, i), 0.0));
-                self.spectral.extend(dos);
-                self.spectral
-                    .extend((0..nb).map(|i| sol.lesser[0].diag(i).trace()));
-                swap_frame(sol, &mut b.sets, k);
-            }
-        }
+                spectral.extend(dos);
+                spectral.extend((0..nb).map(|i| sol.lesser[0].diag(i).trace()));
+            },
+        );
     }
 
     /// Transposition #1 + P convolutions + transposition #2. P is bilinear in
@@ -481,19 +516,11 @@ impl<'a> RankState<'a> {
     fn p_step(&mut self) {
         let p = self.p;
         let b = &mut self.bufs;
-        let [lesser, greater, _] = &b.sets;
-        let wire = Wire {
-            ctx: self.ctx,
-            plan: &p.plan,
-            batches: &p.batches,
-            counters: &mut self.log.counters,
-            pool: &mut b.pool,
-        };
+        let wire = p.wire(self.ctx, &mut self.log, &mut b.pool);
         convolve(
             wire,
-            p.energies.len(),
             &TRANSPOSITIONS[0],
-            |c, k| &[lesser, greater][c][k],
+            &b.sets,
             &mut b.g_slab,
             &mut b.arrived,
             &mut b.series,
@@ -511,20 +538,27 @@ impl<'a> RankState<'a> {
 
     /// The back half of a convolution phase: the epilogue of the accumulated
     /// series and their backward transposition into the energy sets of the
-    /// owned energies.
+    /// owned energies (every entry written).
     fn ship(&mut self, row: &Transposition) {
-        let p = self.p;
+        let (p, rank) = (self.p, self.ctx.rank());
         let b = &mut self.bufs;
         let (name, cat) = row.conv_span;
         quatrex_probe::span(name, cat, || b.series.finish(&p.flops));
-        let wire = Wire {
-            ctx: self.ctx,
-            plan: &p.plan,
-            batches: &p.batches,
-            counters: &mut self.log.counters,
-            pool: &mut b.pool,
-        };
-        backward(wire, row, b.series.slab(), &mut b.sets);
+        let wire = p.wire(self.ctx, &mut self.log, &mut b.pool);
+        let (plan, batches, symmetric) = (&p.plan, &p.batches, row.symmetric);
+        let (slab, sets) = (b.series.slab(), &mut b.sets);
+        exchange(
+            wire,
+            row,
+            |k, messages| {
+                let targets = batches.global_ranges(k);
+                plan.scatter_backward_batch(rank, slab, symmetric, targets, messages)
+            },
+            |k, received| {
+                let mine = batches.global_ranges(k)[rank].clone();
+                row.unpack(|| plan.absorb_backward_batch(rank, sets, received, symmetric, mine));
+            },
+        );
     }
 
     /// W step: `[W^<, W^>, W^R]` of the owned energies into the energy sets,
@@ -532,63 +566,35 @@ impl<'a> RankState<'a> {
     fn w_step(&mut self) {
         let (p, cfg) = (self.p, self.p.cfg());
         let e0 = self.my_energies().start;
-        let b = &mut self.bufs;
+        let memoizer = &mut self.memoizer;
         let mut local_trunc = 0.0f64;
-        for chunk in &b.chunks {
-            let slots = &mut b.slots[..chunk.len()];
-            let truncation = &mut b.truncation[..chunk.len()];
-            let [p_lesser, p_greater, p_retarded] = &b.sets;
-            let polarization = |m: usize| {
-                let k = chunk.start + m;
-                [&p_retarded[k], &p_lesser[k], &p_greater[k]]
-            };
-            w_step_assemble_into(
-                slots,
-                truncation,
-                &mut b.assembly,
-                &p.v,
-                polarization,
-                chunk.clone().map(|k| e0 + k),
-                cfg,
-                &mut [self.memoizer.as_mut()],
-                &p.flops,
-            );
-            let systems: Vec<_> = slots
-                .iter()
-                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-                .collect();
-            // The chunk's P is consumed: its sets take the chunk's W.
-            let frames = &mut b.frames[..chunk.len()];
-            for (frame, k) in frames.iter_mut().zip(chunk.clone()) {
-                swap_frame(frame, &mut b.sets, k);
-            }
-            b.members[p.layout.grid.spatial_of(self.ctx.rank())] = systems.len();
-            spatial_phase_solve(
-                self.ctx,
-                &p.layout,
-                Subsystem::ScreenedCoulomb,
-                &systems,
-                &b.members,
-                cfg.kernel_batch,
-                &mut b.group,
-                &mut b.pool,
-                &p.flops,
-                frames,
-            );
-            for ((sol, &truncation), k) in
-                frames.iter_mut().zip(truncation.iter()).zip(chunk.clone())
-            {
-                w_step_finish(sol, cfg);
-                local_trunc = local_trunc.max(truncation);
-                swap_frame(sol, &mut b.sets, k);
-            }
-        }
+        self.bufs.energy_step(
+            self.ctx,
+            p,
+            Subsystem::ScreenedCoulomb,
+            |chunk, b| {
+                // The chunk's P is consumed: its sets take the chunk's W.
+                let (n, sets) = (chunk.len(), &b.sets);
+                let site = |m: usize| {
+                    let s = &sets[chunk.start + m];
+                    (
+                        e0 + chunk.start + m,
+                        [&s.retarded, &s.lesser[0], &s.lesser[1]],
+                    )
+                };
+                let (slots, truncation) = (&mut b.slots[..n], &mut b.truncation[..n]);
+                let (scratch, memoizers) = (&mut b.assembly, &mut [memoizer.as_mut()]);
+                let (v, flops) = (&p.v, &p.flops);
+                w_step_assemble_into(slots, truncation, scratch, v, site, cfg, memoizers, flops);
+                local_trunc = truncation.iter().fold(local_trunc, |m, &t| m.max(t));
+            },
+            |_, sol, _| w_step_finish(sol, cfg),
+        );
         // Global truncation maximum (tiny ordered gather).
-        let truncs = allgather(self.ctx, &mut b.pool, |m| {
-            m.push(c64::new(local_trunc, 0.0))
-        });
+        let pool = &mut self.bufs.pool;
+        let truncs = allgather(self.ctx, pool, |m| m.push(c64::new(local_trunc, 0.0)));
         let iter_trunc = truncs.iter().flatten().fold(0.0f64, |m, t| m.max(t.re));
-        b.pool.recycle(truncs);
+        pool.recycle(truncs);
         self.log.max_truncation = self.log.max_truncation.max(iter_trunc);
     }
 
@@ -599,19 +605,12 @@ impl<'a> RankState<'a> {
     fn sigma_step(&mut self) {
         let p = self.p;
         let b = &mut self.bufs;
-        let ([lesser, greater, _], g_slab) = (&b.sets, &b.g_slab);
-        let wire = Wire {
-            ctx: self.ctx,
-            plan: &p.plan,
-            batches: &p.batches,
-            counters: &mut self.log.counters,
-            pool: &mut b.pool,
-        };
+        let g_slab = &b.g_slab;
+        let wire = p.wire(self.ctx, &mut self.log, &mut b.pool);
         convolve(
             wire,
-            p.energies.len(),
             &TRANSPOSITIONS[2],
-            |c, k| &[lesser, greater][c][k],
+            &b.sets,
             &mut b.w_slab,
             &mut b.arrived,
             &mut b.series,
@@ -642,8 +641,8 @@ impl<'a> RankState<'a> {
         let (p, cfg) = (self.p, self.p.cfg());
         let per_spectral = self.spectral_stride();
         let b = &mut self.bufs;
-        let [new_l, new_g, new_r] = &b.sets;
-        let new = |k: usize| [&new_l[k], &new_g[k], &new_r[k]];
+        let sets = &b.sets;
+        let new = |k: usize| [&sets[k].lesser[0], &sets[k].lesser[1], &sets[k].retarded];
         let (sigma, mixer, spectral) = (&mut self.sigma, &mut self.mixer, &self.spectral);
         let residual = quatrex_probe::span("scba.mix", "mix", || {
             let gathered = allgather(self.ctx, &mut b.pool, |rows| {

@@ -34,8 +34,8 @@ use crate::convolution::NegfGroup;
 use crate::element_major::{
     lane_groups, n_groups, ElementSlots, GroupInfo, LanePlanes, Side, LANES,
 };
-use crate::EnergyResolved;
 use quatrex_linalg::{c64, CMatrix};
+use quatrex_rgf::SelectedSolution;
 use quatrex_runtime::CommPhase;
 use quatrex_sparse::BlockTridiagonal;
 
@@ -410,31 +410,32 @@ impl TranspositionPlan {
     }
 
     /// Backward deserialisation at the energy owner, one batch at a time:
-    /// absorb the per-source messages into kept energy-major outputs (one
-    /// per component; `symmetric` is the mask the messages were serialised
-    /// with), every entry of a touched matrix overwritten. `received` carries, from
-    /// every source, this rank's energies in `my_range` (global indices; the
-    /// batch's slice of this rank's energy range). Only the matrices of those
-    /// energies are touched, each once per component, through the plan's
-    /// gather lists.
+    /// absorb the per-source messages into the kept energy sets of the owned
+    /// energies (`out`, components in [`component_mut`] order; `symmetric`
+    /// is the mask the messages were serialised with), every entry of a
+    /// touched matrix overwritten. `received` carries, from every source,
+    /// this rank's energies in `my_range` (global indices; the batch's slice
+    /// of this rank's energy range). Only the matrices of those energies are
+    /// touched, each once per component, through the plan's gather lists.
     pub(crate) fn absorb_backward_batch(
         &self,
         rank: usize,
-        out: &mut [EnergyResolved],
+        out: &mut [SelectedSolution],
         received: &[Vec<c64>],
         symmetric: &[bool],
         my_range: Range<usize>,
     ) {
-        let mine = my_range.start - self.energy_ranges[rank].start
-            ..my_range.end - self.energy_ranges[rank].start;
+        let start = self.energy_ranges[rank].start;
+        let out = &mut out[my_range.start - start..my_range.end - start];
         let slots = &self.slots;
         for (msg, src_elems) in received.iter().zip(&self.element_ranges) {
             let (start, n) = (src_elems.start, src_elems.len());
             let paired = |e: usize| !slots.is_self_mirror(start + e);
             let n_paired = (0..n).filter(|&e| paired(e)).count();
             let mut runs = MessageRuns::new(msg);
-            for (comp_out, &symmetric) in out.iter_mut().zip(symmetric) {
-                for bt in &mut comp_out[mine.clone()] {
+            for (c, &symmetric) in symmetric.iter().enumerate() {
+                for set in out.iter_mut() {
+                    let bt = component_mut(set, c);
                     let values = runs.next(n);
                     slots.write(src_elems.clone(), Side::Canonical, bt, |e| Some(values[e]));
                     // Symmetric mirrors are reconstructed on the fly; the
@@ -446,20 +447,28 @@ impl TranspositionPlan {
                     }
                 }
             }
-            for (comp_out, &symmetric) in out.iter_mut().zip(symmetric) {
+            for (c, &symmetric) in symmetric.iter().enumerate() {
                 if symmetric {
                     continue;
                 }
-                for bt in &mut comp_out[mine.clone()] {
+                for set in out.iter_mut() {
                     let mut values = runs.next(n_paired).iter();
-                    slots.write(src_elems.clone(), Side::Mirror, bt, |e| {
-                        paired(e).then(|| read_value(&mut values))
-                    });
+                    slots.write(
+                        src_elems.clone(),
+                        Side::Mirror,
+                        component_mut(set, c),
+                        |e| paired(e).then(|| read_value(&mut values)),
+                    );
                 }
             }
             assert!(runs.is_done(), "long backward message");
         }
     }
+}
+
+/// Component `c` of an energy set, in wire order: `X^<`, `X^>`, `X^R`.
+fn component_mut(set: &mut SelectedSolution, c: usize) -> &mut BlockTridiagonal {
+    set.lesser.get_mut(c).unwrap_or(&mut set.retarded)
 }
 
 /// A wire message read as consecutive runs of values.
@@ -602,13 +611,6 @@ impl TranspositionBatchPlan {
         }
     }
 
-    /// The *global* energy sub-range `rank` contributes to batch `b`.
-    pub fn global_range(&self, plan: &TranspositionPlan, rank: usize, b: usize) -> Range<usize> {
-        let start = plan.energy_ranges[rank].start;
-        let local = &self.local_ranges[rank][b];
-        (start + local.start)..(start + local.end)
-    }
-
     /// The global sub-ranges of every rank for batch `b`, in rank order
     /// (the per-source shapes of one forward batch, and the per-destination
     /// shapes of one backward batch).
@@ -628,6 +630,7 @@ impl TranspositionBatchPlan {
 mod tests {
     use super::*;
     use crate::convolution::{canonical_elements, ElementId, GroupOperand};
+    use crate::EnergyResolved;
     use quatrex_linalg::lanes::Lanes;
     use quatrex_linalg::{cplx, CMatrix};
     use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
@@ -643,6 +646,18 @@ mod tests {
         let at = |c: usize, k: usize| &comps[c][k];
         plan.scatter_forward_batch(rank, comps.len(), at, local, &mut messages);
         messages
+    }
+
+    /// The components `[X^<, X^>, X^R]` of energy sets, one matrix each per
+    /// energy.
+    fn components(mut sets: Vec<SelectedSolution>) -> Vec<EnergyResolved> {
+        (0..3)
+            .map(|c| {
+                sets.iter_mut()
+                    .map(|s| component_mut(s, c).clone())
+                    .collect()
+            })
+            .collect()
     }
 
     /// The backward messages of `slab`, freshly allocated.
@@ -765,9 +780,9 @@ mod tests {
             );
             let back = scatter_backward(plan, rank, &back_slab, bwd.symmetric, &plan.energy_ranges);
             let recv = ctx.alltoallv_tagged(back, wire, bwd.phase);
-            let mut out = vec![vec![BlockTridiagonal::zeros(nb, bs); my_e.len()]; 3];
+            let mut out = vec![SelectedSolution::zeros(nb, bs, 2); my_e.len()];
             plan.absorb_backward_batch(rank, &mut out, &recv, bwd.symmetric, my_e);
-            (slab, out)
+            (slab, components(out))
         });
 
         let elements = canonical_elements(nb, bs);
@@ -891,9 +906,7 @@ mod tests {
             // single-shot energy-major gather of every destination.
             for dst in 0..n_groups {
                 let n_local = plan.energy_ranges[dst].len();
-                let zeros = || -> Vec<EnergyResolved> {
-                    vec![vec![BlockTridiagonal::zeros(nb, bs); n_local]; 3]
-                };
+                let zeros = || vec![SelectedSolution::zeros(nb, bs, 2); n_local];
                 let mut want_out = zeros();
                 plan.absorb_backward_batch(
                     dst,
@@ -932,9 +945,10 @@ mod tests {
                         &mut got,
                         &recv,
                         bwd.symmetric,
-                        batches.global_range(&plan, dst, batch),
+                        batches.global_ranges(batch)[dst].clone(),
                     );
                 }
+                let (got, want_out) = (components(got), components(want_out));
                 for c in 0..3 {
                     for k in 0..n_local {
                         assert!(

@@ -126,42 +126,47 @@ fn memoizer_of<'a>(
 // ---------------------------------------------------------------------------
 // The three stages of a step — *assemble one energy*, *solve the assembled
 // systems*, *finish one energy*. [`g_step_batch`] / [`w_step_batch`] compose
-// them with the local batched solve; the rank loop of [`crate::dist`]
-// composes the same assemble and finish stages with its group solve, so a
-// replay over the step functions and the loop apply identical per-energy
-// arithmetic by construction.
+// them once, with the local batched solve on fresh buffers (`step_batch`);
+// the rank loop of [`crate::dist`] composes the same assemble and finish
+// stages once, with its group solve writing straight into the rank's energy
+// sets (`RankBuffers::energy_step`), so a replay over the step functions and
+// the loop apply identical per-energy arithmetic by construction.
 
-/// Stage 1 of the G-step: assemble one energy's system (OBC cascade +
-/// memoizer, the retarded contact self-energy by Sancho–Rubio) from the
-/// previous iteration's `sigma = [Σ^R, Σ^<, Σ^>]`, into a kept assembly with
-/// every temporary from `scratch`.
+/// Stage 1 of the G-step for a batch of energies, into kept assemblies:
+/// energy `m` at `site(m) = (E, global index, [Σ^R, Σ^<, Σ^>])` (the previous
+/// iteration's Σ; `memoizers` as in [`g_step_batch`]) gets its system (OBC
+/// cascade + memoizer, the retarded contact self-energy by Sancho–Rubio) in
+/// `asms[m]`, every temporary from `scratch`, under one `g.assembly` probe
+/// span per energy.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn g_step_assemble_into(
-    asm: &mut GAssembly,
+pub(crate) fn g_step_assemble_into<'s>(
+    asms: &mut [GAssembly],
     scratch: &mut AssemblyScratch,
     h: &BlockTridiagonal,
-    energy: f64,
-    energy_index: usize,
-    sigma: [Option<&BlockTridiagonal>; 3],
+    site: impl Fn(usize) -> (f64, usize, [Option<&'s BlockTridiagonal>; 3]),
     config: &ScbaConfig,
     kt: f64,
-    memoizer: Option<&mut ObcMemoizer>,
+    memoizers: &mut [Option<&mut ObcMemoizer>],
     flops: &FlopCounter,
 ) {
-    quatrex_probe::span("g.assembly", "g.assembly", || {
-        assemble_g_into(
-            asm,
-            scratch,
-            h,
-            [energy, config.eta],
-            energy_index,
-            sigma,
-            [config.mu_left, config.mu_right, kt],
-            ObcMethod::SanchoRubio,
-            memoizer,
-            flops,
-        )
-    })
+    for (m, asm) in asms.iter_mut().enumerate() {
+        let (energy, energy_index, sigma) = site(m);
+        let memoizer = memoizer_of(memoizers, m);
+        quatrex_probe::span("g.assembly", "g.assembly", || {
+            assemble_g_into(
+                asm,
+                scratch,
+                h,
+                [energy, config.eta],
+                energy_index,
+                sigma,
+                [config.mu_left, config.mu_right, kt],
+                ObcMethod::SanchoRubio,
+                memoizer,
+                flops,
+            )
+        });
+    }
 }
 
 /// Stage 1 of the W-step at one (boson) energy: assemble its system (the
@@ -180,34 +185,32 @@ pub fn w_step_assemble(
     })
 }
 
-/// Stage 1 of the W-step for one kernel chunk, into kept assemblies: the
-/// system of each energy, `p[m] = [P^R, P^<, P^>]` at global energy
-/// `energy_indices[m]` (`memoizers` as in [`w_step_batch`]), into
-/// `asms[m]`'s three matrices, in one `w.assembly` probe span; `truncation[m]`
-/// receives its truncation error. The truncation monitor runs on energies
-/// whose global index is a multiple of `kernel_batch`: a sample that does
-/// not depend on the rank layout, so the gathered maximum is the same on
-/// every grid.
+/// Stage 1 of the W-step for a batch of (boson) energies, into kept
+/// assemblies: energy `m` at `site(m) = (global index, [P^R, P^<, P^>])`
+/// (`memoizers` as in [`w_step_batch`]) gets its system in `asms[m]`'s
+/// three matrices and its truncation error in `truncation[m]`, in one
+/// `w.assembly` probe span. The truncation monitor runs on energies whose
+/// global index is a multiple of `kernel_batch`: a sample that does not
+/// depend on the rank layout, so the gathered maximum is the same on every
+/// grid.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn w_step_assemble_into<'p>(
     asms: &mut [GAssembly],
     truncation: &mut [f64],
     scratch: &mut AssemblyScratch,
     coulomb: &BlockTridiagonal,
-    p: impl Fn(usize) -> [&'p BlockTridiagonal; 3],
-    energy_indices: impl Iterator<Item = usize>,
+    site: impl Fn(usize) -> (usize, [&'p BlockTridiagonal; 3]),
     config: &ScbaConfig,
     memoizers: &mut [Option<&mut ObcMemoizer>],
     flops: &FlopCounter,
 ) {
     let kb = config.kernel_batch.max(1);
     quatrex_probe::span("w.assembly", "w.assembly", || {
-        let members = asms.iter_mut().zip(truncation).zip(energy_indices);
-        for (m, ((asm, truncation), e)) in members.enumerate() {
+        for (m, (asm, truncation)) in asms.iter_mut().zip(truncation).enumerate() {
             let out = [&mut asm.system, &mut asm.rhs_lesser, &mut asm.rhs_greater];
-            let memoizer = memoizer_of(memoizers, m);
+            let ((e, p), memoizer) = (site(m), memoizer_of(memoizers, m));
             *truncation =
-                assemble_w_into(out, scratch, coulomb, p(m), e, e % kb == 0, memoizer, flops);
+                assemble_w_into(out, scratch, coulomb, p, e, e % kb == 0, memoizer, flops);
         }
     })
 }
@@ -285,6 +288,41 @@ fn take_pair(sol: &mut SelectedSolution) -> [BlockTridiagonal; 2] {
     [std::mem::take(lesser), std::mem::take(greater)]
 }
 
+/// The three stages of one step on fresh buffers: `assemble` fills the
+/// batch's `n` assemblies (and truncation errors, if it has any), one
+/// [`solve_stage`] solves them, and `finish` turns each energy's assembly,
+/// solution and truncation error into its output. The assembly and the
+/// solve are timed into `subsystem`'s two [`KernelTimings`] slots.
+fn step_batch<T>(
+    subsystem: Subsystem,
+    n: usize,
+    assemble: impl FnOnce(&mut [GAssembly], &mut [f64], &mut AssemblyScratch),
+    mut finish: impl FnMut(&GAssembly, &mut SelectedSolution, f64) -> T,
+    scratch: &mut RgfBatchScratch,
+    flops: &FlopCounter,
+    timings: &KernelTimings,
+) -> Result<Vec<T>, RgfError> {
+    let (assembly_ns, rgf_ns) = match subsystem {
+        Subsystem::Electron => (&timings.g_assembly_ns, &timings.g_rgf_ns),
+        Subsystem::ScreenedCoulomb => (&timings.w_assembly_ns, &timings.w_rgf_ns),
+    };
+    let t = Instant::now();
+    let mut asms: Vec<GAssembly> = (0..n).map(|_| GAssembly::default()).collect();
+    let mut truncation = vec![0.0; n];
+    assemble(&mut asms, &mut truncation, &mut AssemblyScratch::default());
+    timings.add(assembly_ns, t);
+    let systems: Vec<_> = asms
+        .iter()
+        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
+        .collect();
+    let t = Instant::now();
+    let mut sols = vec![SelectedSolution::default(); n];
+    solve_stage(subsystem, &systems, &mut sols, scratch, flops)?;
+    timings.add(rgf_ns, t);
+    let energies = asms.iter().zip(&mut sols).zip(truncation);
+    Ok(energies.map(|((a, s), t)| finish(a, s, t)).collect())
+}
+
 /// Run the G-step for a batch of energy points: the three stages composed
 /// with the local batched solve — per-energy `g_step_assemble_into`, one
 /// `solve_stage`, per-energy `g_step_finish` — on fresh buffers. An
@@ -319,47 +357,26 @@ pub fn g_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-    let t = Instant::now();
-    let mut asms: Vec<GAssembly> = (0..bsz).map(|_| GAssembly::default()).collect();
-    let assembly = &mut AssemblyScratch::default();
-    for (i, asm) in asms.iter_mut().enumerate() {
-        g_step_assemble_into(
-            asm,
-            assembly,
-            h,
-            energies[i],
-            energy_indices[i],
-            [sigma_r[i], sigma_lesser[i], sigma_greater[i]],
-            config,
-            kt,
-            memoizer_of(memoizers, i),
-            flops,
-        );
-    }
-    timings.add(&timings.g_assembly_ns, t);
-    let systems: Vec<_> = asms
-        .iter()
-        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-        .collect();
-    let t = Instant::now();
-    let mut sols = vec![SelectedSolution::default(); bsz];
-    solve_stage(Subsystem::Electron, &systems, &mut sols, scratch, flops)?;
-    timings.add(&timings.g_rgf_ns, t);
     let mut work = CMatrix::default();
-    Ok(sols
-        .iter_mut()
-        .zip(&asms)
-        .map(|(sol, asm)| {
-            let current_spectrum = g_step_finish(asm, sol, config, &mut work);
-            let [lesser, greater] = take_pair(sol);
-            GStepOutput {
-                lesser,
-                greater,
-                current_spectrum,
-                dos_local: local_dos(&sol.retarded),
-            }
-        })
-        .collect())
+    let site = |i: usize| {
+        let sigma = [sigma_r[i], sigma_lesser[i], sigma_greater[i]];
+        (energies[i], energy_indices[i], sigma)
+    };
+    let assemble = |asms: &mut [GAssembly], _: &mut [f64], assembly: &mut AssemblyScratch| {
+        g_step_assemble_into(asms, assembly, h, site, config, kt, memoizers, flops)
+    };
+    let finish = |asm: &GAssembly, sol: &mut SelectedSolution, _| {
+        let current_spectrum = g_step_finish(asm, sol, config, &mut work);
+        let [lesser, greater] = take_pair(sol);
+        GStepOutput {
+            lesser,
+            greater,
+            current_spectrum,
+            dos_local: local_dos(&sol.retarded),
+        }
+    };
+    let subsystem = Subsystem::Electron;
+    step_batch(subsystem, bsz, assemble, finish, scratch, flops, timings)
 }
 
 /// Run the W-step for a batch of (boson) energy points: the batch's
@@ -389,48 +406,28 @@ pub fn w_step_batch(
             && (memoizers.len() == bsz || memoizers.len() == 1),
         "per-energy inputs must match the batch length"
     );
-    let t = Instant::now();
-    let mut asms: Vec<GAssembly> = (0..bsz).map(|_| GAssembly::default()).collect();
-    let mut truncation = vec![0.0; bsz];
-    w_step_assemble_into(
-        &mut asms,
-        &mut truncation,
-        &mut AssemblyScratch::default(),
-        coulomb,
-        |i| [p_retarded[i], p_lesser[i], p_greater[i]],
-        energy_indices.iter().copied(),
-        config,
-        memoizers,
-        flops,
-    );
-    timings.add(&timings.w_assembly_ns, t);
-    let systems: Vec<_> = asms
-        .iter()
-        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-        .collect();
-    let t = Instant::now();
-    let mut sols = vec![SelectedSolution::default(); bsz];
-    solve_stage(
-        Subsystem::ScreenedCoulomb,
-        &systems,
-        &mut sols,
-        scratch,
-        flops,
-    )?;
-    timings.add(&timings.w_rgf_ns, t);
-    Ok(sols
-        .iter_mut()
-        .zip(truncation)
-        .map(|(sol, truncation)| {
-            w_step_finish(sol, config);
-            let [lesser, greater] = take_pair(sol);
-            WStepOutput {
-                lesser,
-                greater,
-                truncation,
-            }
-        })
-        .collect())
+    let site = |i: usize| {
+        (
+            energy_indices[i],
+            [p_retarded[i], p_lesser[i], p_greater[i]],
+        )
+    };
+    let assemble = |asms: &mut [GAssembly], truncation: &mut [f64], assembly: &mut _| {
+        w_step_assemble_into(
+            asms, truncation, assembly, coulomb, site, config, memoizers, flops,
+        )
+    };
+    let finish = |_: &GAssembly, sol: &mut SelectedSolution, truncation| {
+        w_step_finish(sol, config);
+        let [lesser, greater] = take_pair(sol);
+        WStepOutput {
+            lesser,
+            greater,
+            truncation,
+        }
+    };
+    let subsystem = Subsystem::ScreenedCoulomb;
+    step_batch(subsystem, bsz, assemble, finish, scratch, flops, timings)
 }
 
 /// Configuration of an SCBA run.

@@ -10,7 +10,7 @@
 //! [`crate::workspace`] — on one `f64` series, with nothing else around it.
 
 use crate::c64;
-use crate::transform::{fft_flops, next_power_of_two};
+use crate::transform::next_power_of_two;
 use crate::workspace::with_workspace;
 
 /// Linear convolution `c[k] = Σ_m a[m]·b[k−m]` with `k = 0..(len_a + len_b − 1)`.
@@ -40,17 +40,6 @@ pub fn convolve(a: &[c64], b: &[c64]) -> Vec<c64> {
     })
 }
 
-/// Real-FLOP estimate of one padded convolution of an `n_a`-point with an
-/// `n_b`-point series: three FFTs of the padded length plus the point-wise
-/// product.
-pub fn convolution_flops(n_a: usize, n_b: usize) -> u64 {
-    if n_a == 0 || n_b == 0 {
-        return 0;
-    }
-    let n = next_power_of_two(n_a + n_b - 1);
-    3 * fft_flops(n) + 6 * n as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,11 +49,5 @@ mod tests {
         let x = [c64::new(1.0, -2.0); 3];
         assert!(convolve(&[], &x).is_empty());
         assert!(convolve(&x, &[]).is_empty());
-        assert_eq!(convolution_flops(0, 10), 0);
-    }
-
-    #[test]
-    fn flops_scale_superlinearly() {
-        assert!(convolution_flops(1024, 1024) > 2 * convolution_flops(512, 512));
     }
 }

@@ -31,8 +31,7 @@
 //!   plain slices; `convolve` is the zero-padded linear convolution (every
 //!   grid pads to [`next_power_of_two`], so no arbitrary-length transform
 //!   exists),
-//! * [`fft_flops`] / [`convolution_flops`] — the FLOP model of one transform
-//!   and of one `convolve`.
+//! * [`fft_flops`] — the FLOP model of one transform.
 //!
 //! `quatrex_core::convolution` is the only caller among the library crates:
 //! one convolution path, with the FFT under it in one place. The one other
@@ -60,7 +59,7 @@ mod plan;
 pub mod transform;
 pub mod workspace;
 
-pub use convolution::{convolution_flops, convolve};
+pub use convolution::convolve;
 pub use plan::Value;
 pub use transform::{fft, fft_flops, ifft, next_power_of_two};
 pub use workspace::{with_workspace, with_workspace_in, Workspace};

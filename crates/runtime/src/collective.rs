@@ -349,11 +349,6 @@ impl CommStats {
             .collect()
     }
 
-    /// Total bytes over all collective types.
-    pub fn total_bytes(&self) -> u64 {
-        self.alltoall_bytes.load(Ordering::Relaxed) + self.allreduce_bytes.load(Ordering::Relaxed)
-    }
-
     /// Off-rank Alltoall bytes sent by each rank.
     pub fn alltoall_bytes_by_rank(&self) -> Vec<u64> {
         self.per_rank_alltoall_bytes
@@ -1004,7 +999,8 @@ mod tests {
         });
         // All ranks must agree after the final allreduce.
         assert!(results.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12));
-        assert!(stats.total_bytes() > 0);
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        assert!(load(&stats.alltoall_bytes) + load(&stats.allreduce_bytes) > 0);
     }
 
     #[test]

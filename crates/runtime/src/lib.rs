@@ -19,12 +19,13 @@
 //!
 //! ```
 //! use quatrex_runtime::{RankContext, ThreadComm};
+//! use std::sync::atomic::Ordering;
 //!
 //! // Four simulated ranks sum their contributions with a real allreduce.
 //! let (sums, stats) = ThreadComm::run(4, |ctx: RankContext<()>| ctx.allreduce_sum(1.0));
 //! assert!(sums.iter().all(|&s| s == 4.0));
 //! // Every collective's wire bytes are accounted.
-//! assert!(stats.total_bytes() > 0);
+//! assert!(stats.allreduce_bytes.load(Ordering::Relaxed) > 0);
 //! ```
 
 pub mod collective;

@@ -185,17 +185,42 @@ fn spatial_group_solves_match_the_sequential_solver_and_repeat_bit_for_bit() {
 #[test]
 fn distributed_kernel_batch_zero_is_a_batch_of_one() {
     // The chunk helper clamps once for both drivers: a zero chunk length must
-    // terminate and be the batch of one, bit for bit.
-    let run = |kernel_batch: usize| {
-        DistScbaSolver::new(device(), DistScbaConfig::new(config(kernel_batch), 2)).run()
-    };
-    let (zero, one) = (run(0), run(1));
-    assert_eq!(zero.iterations, one.iterations);
-    assert_eq!(bits(&zero.residual_history), bits(&one.residual_history));
-    assert_eq!(bits(&zero.current_history), bits(&one.current_history));
-    assert_eq!(
-        bits(&zero.observables.electron_density),
-        bits(&one.observables.electron_density)
-    );
-    assert_eq!(zero.flops.total(), one.flops.total());
+    // terminate and be the batch of one, bit for bit — and every chunk length
+    // gives the batch of one's bits, under both solve forms: 2 groups ×
+    // P_S = 1 with B = 2 (kernel chunks cut inside the transposition
+    // batches) and 1 group × P_S = 2 (the cooperative solve's own chunking).
+    for (p_s, batches) in [(1usize, 2usize), (2, 1)] {
+        let run = |kernel_batch: usize| {
+            let config = DistScbaConfig::new(config(kernel_batch), 2)
+                .with_spatial_partitions(p_s)
+                .with_energy_batches(batches);
+            DistScbaSolver::new(device(), config).run()
+        };
+        let one = run(1);
+        for kernel_batch in [0usize, 3, 8] {
+            let got = run(kernel_batch);
+            let label = format!("P_S = {p_s}, B = {batches}, kernel_batch = {kernel_batch}");
+            assert_eq!(got.iterations, one.iterations, "{label}: iterations");
+            for (what, a, b) in [
+                (
+                    "residual history",
+                    &got.residual_history,
+                    &one.residual_history,
+                ),
+                (
+                    "current history",
+                    &got.current_history,
+                    &one.current_history,
+                ),
+                (
+                    "density",
+                    &got.observables.electron_density,
+                    &one.observables.electron_density,
+                ),
+            ] {
+                assert_eq!(bits(a), bits(b), "{label}: {what}");
+            }
+            assert_eq!(got.flops.total(), one.flops.total(), "{label}: FLOP total");
+        }
+    }
 }
