@@ -18,8 +18,9 @@
 //! * **gemm_batch** — `C_e = V · B_e` over 8 energies with the
 //!   energy-independent operand packed once ([`BatchOp::Shared`]), same
 //!   sizes: the batch layer's shared-operand path, which no library code
-//!   multiplies with today (the W assembly runs `BlockBanded::multiply` per
-//!   energy; ROADMAP item 3 is to move it here).
+//!   multiplies with today (the W assembly forms only the block pairs its
+//!   system keeps, per energy, straight from the tridiagonal operands:
+//!   `w_products` in `quatrex-core`'s `assembly.rs`).
 //! * **small_blocks** — the size class of the RGF's two layouts at
 //!   `N_BS ∈ {8, 12, 16}` × `B ∈ {1, 4, 6, 8}`: one product `C_e = A_e · B_e`
 //!   on energy-major planes (`gemm_batch`, `plane_*`) and on the

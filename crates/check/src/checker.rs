@@ -18,9 +18,9 @@
 //!   handle dropped without waiting is reported as a leak naming the rank,
 //!   posting sequence and phase.
 //! * **Deadlock detection** — blocked ranks report their wait condition on
-//!   every poll tick (interval set by `QUATREX_CHECK_TICK_MS`, default
-//!   20 ms); when every rank is exited or provably stuck the checker reports
-//!   the wait-for cycle instead of letting the run hang.
+//!   every poll tick (a constant 20 ms in the runtime); when every rank is
+//!   exited or provably stuck the checker reports the wait-for cycle
+//!   instead of letting the run hang.
 //!
 //! The deadlock verdict is false-positive-safe against stale reports: a rank
 //! blocked on `Recv { src, seq }` is only *stuck* if `src` has posted at most

@@ -9,8 +9,8 @@
 //!   *while the solver runs*: identical collective sequences on every rank,
 //!   alltoallv byte-matrix consistency, exactly-once completion of every
 //!   non-blocking exchange, and wait-for-graph deadlock detection that turns
-//!   a would-be hang into a named diagnostic (poll cadence set by
-//!   `QUATREX_CHECK_TICK_MS`, default 20 ms). The companion lock-order
+//!   a would-be hang into a named diagnostic (polled every 20 ms, the
+//!   runtime's constant tick). The companion lock-order
 //!   recorder lives in the `parking_lot` shim (`parking_lot::lock_order`,
 //!   enabled with `QUATREX_LOCK_ORDER=1`) and catches A→B/B→A acquisition
 //!   inversions before they can deadlock.

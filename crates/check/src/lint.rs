@@ -11,7 +11,7 @@
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
 //! | `per-energy-gemm`| library code in `crates/{rgf,obc,core}` calls the batched GEMM entry points (`gemm_batch`), not raw per-energy `gemm`, so loops over energies share one operand packing — frozen reference paths carry explicit `lint:allow(per-energy-gemm)` markers |
 //! | `allocating-inverse`| library code in `crates/{rgf,obc,core}` does not reach `lu::inverse`, `lu::solve` or `LuFactorization::new` — each allocates factors and work planes per call where a `LuScratch` the caller already holds allocates nothing; cold fallbacks carry `lint:allow(allocating-inverse)` at the (path-qualified) call |
-//! | `no-raw-sync`   | no `std::sync::Mutex` / `std::sync::mpsc` and no thread start (`std::thread::spawn` / `scope` / `Builder`) in library crates — locks and channels go through the workspace shims (`parking_lot`, `crossbeam`) and threads start only in `ThreadComm::run`'s rank spawn (its one `lint:allow`), which carry the lock-order, race-detection and schedule-exploration seams; a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
+//! | `no-raw-sync`   | no `std::sync::Mutex` / `std::sync::mpsc` and no thread start (`std::thread::spawn` / `scope` / `Builder`) in library crates — locks and channels go through the workspace shims (`parking_lot`, `crossbeam`) and threads start only in `ThreadComm`'s scoped rank spawn (its one `lint:allow`), which carry the lock-order, race-detection and schedule-exploration seams; a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
 //! | `stale-allow`   | every `lint:allow`/`lint:allow-file` marker must suppress at least one finding — a marker that matches nothing is dead weight that rots into false confidence when the code under it changes |
 //!
 //! Test code (`tests/`, `benches/`, `#[cfg(test)]` modules) is exempt, and a

@@ -177,7 +177,7 @@ pub struct DistScbaResult {
     /// `P_S = 1`.
     pub residual_history: Vec<f64>,
     /// `‖Δg‖ / ‖Δx‖` of every mix that completed a difference pair
-    /// ([`crate::SigmaMixer::contraction`]): how much the SCBA map shrank the
+    /// (`crate::SigmaMixer::contraction`): how much the SCBA map shrank the
     /// step before it, summed the same way. Empty for a run of fewer than
     /// three iterations.
     pub contraction_history: Vec<f64>,

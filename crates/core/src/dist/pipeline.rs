@@ -123,8 +123,7 @@ impl MessagePool {
 
 /// Gather every rank's message on every rank, in rank order: `fill` writes
 /// this rank's message, and every destination gets a copy of it from the
-/// pool — the collective and the bytes of
-/// [`RankContext::allgather_tagged`], without its per-destination clones.
+/// pool, shipped by one `alltoallv` tagged [`CommPhase::Gathers`].
 /// The loop's callers recycle the gathered set; `finish` drops it with
 /// the pool.
 pub(crate) fn allgather(

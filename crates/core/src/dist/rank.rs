@@ -1,10 +1,10 @@
 //! One rank's side of the distributed SCBA loop.
 //!
 //! [`rank_main`] is the closure body every rank of the communicator runs: it
-//! builds a [`RankState`] over the run's shared [`Problem`] and drives the
-//! five-step cycle — `G`, `P`, `W`, `Σ`, mix. Every rank runs every step on
-//! the energies and elements it owns under the plan — a constant of the run
-//! — and there is no distinguished rank in a group.
+//! borrows the run's read-only [`Problem`], takes its [`RankOwned`] by
+//! value and drives the five-step cycle — `G`, `P`, `W`, `Σ`, mix. Every
+//! rank runs every step on the energies and elements it owns under the plan
+//! — a constant of the run — and there is no distinguished rank in a group.
 //!
 //! `G` and `W` are the two callers of one energy step,
 //! [`RankBuffers::energy_step`], in the stage vocabulary of `crate::scba`:
@@ -20,9 +20,13 @@
 //! `crate::mixing` in its three pieces, the rows of the owned energies
 //! gathered in rank order in between.
 //!
-//! Every buffer of the cycle is the rank's own ([`RankBuffers`]): sized once
-//! from the plan, written in place every iteration, so a steady-state
-//! iteration allocates next to nothing (`crates/dist/tests/alloc_free.rs`).
+//! A rank's update rule and every buffer of the cycle ([`RankBuffers`]) are
+//! built by [`RankOwned::new`] on the launching thread and moved into the
+//! rank with the borrowed warm-start seed; the rank builds its Σ and OBC
+//! memoizer from that seed on its own thread and hands them back in the
+//! [`RankOut`]. The buffers are sized once from the plan and written in
+//! place every iteration, so a steady-state iteration allocates next to
+//! nothing (`crates/dist/tests/alloc_free.rs`).
 
 use std::ops::Range;
 
@@ -37,10 +41,9 @@ use crate::scba::{
     g_step_assemble_into, g_step_finish, kernel_chunks, w_step_assemble_into, w_step_finish,
     ScbaConfig,
 };
-use parking_lot::Mutex;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
-use quatrex_obc::{ObcKey, ObcMemoizer, Subsystem};
+use quatrex_obc::{ObcMemoizer, Subsystem};
 use quatrex_probe::clock::Instant;
 use quatrex_probe::RankTrace;
 use quatrex_rgf::SelectedSolution;
@@ -56,8 +59,8 @@ use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::{spatial_phase_solve, GroupScratch, SpatialLayout};
 use crate::dist::warm::WarmState;
 
-/// Everything the ranks of one run share, read-only (the FLOP accumulator is
-/// atomic).
+/// Everything the ranks of one run share, borrowed read-only (the FLOP
+/// accumulator is atomic).
 pub(crate) struct Problem {
     /// The run's configuration (`config.scba` is the physics).
     pub config: DistScbaConfig,
@@ -76,17 +79,6 @@ pub(crate) struct Problem {
     pub de: f64,
     /// Thermal energy `k_B·T` in eV.
     pub kt: f64,
-    /// Warm-start seed (shape already validated against the grid).
-    pub warm: Option<WarmState>,
-    /// The update rule and the working buffers of every rank, each taken
-    /// once by its rank. Built by the launching thread: the history rings
-    /// and the buffers are the run's large allocations, and taken from the
-    /// malloc arena of a short-lived rank thread they stay resident there
-    /// after the run (measured: +10 MiB peak RSS over a 9-point sweep on two
-    /// ranks) or are faulted in afresh at every run (the buffers: 5× the
-    /// minor page faults of a sweep, +1.3 MiB peak RSS).
-    pub mixers: Vec<Mutex<Option<SigmaMixer>>>,
-    pub buffers: Vec<Mutex<Option<RankBuffers>>>,
     /// One shared clock zero for every rank's probe recorder.
     pub epoch: Instant,
     pub flops: FlopCounter,
@@ -190,12 +182,40 @@ pub(crate) struct RankOut {
     pub log: RankLog,
     pub observables: Observables,
     pub trace: Option<RankTrace>,
-    /// Final Σ state of the owned energies, ascending. Empty unless state
-    /// capture is on.
-    pub final_sigma: Vec<SigmaState>,
-    /// Final OBC memoizer entries of the owned energies. Empty unless state
-    /// capture is on.
-    pub final_obc: Vec<(ObcKey, CMatrix)>,
+    /// Final Σ of the owned energies, ascending, and the rank's OBC
+    /// memoizer: what the launcher captures into the run's final state.
+    pub sigma: Vec<SigmaState>,
+    pub memoizer: Option<ObcMemoizer>,
+}
+
+/// What one rank owns for the whole run, built on the launching thread and
+/// moved into the rank: the history rings and the buffers are the run's
+/// large allocations, and taken from the malloc arena of a short-lived rank
+/// thread they stay resident there after the run (measured: +10 MiB peak
+/// RSS over a 9-point sweep on two ranks) or are faulted in afresh at every
+/// run (the buffers: 5× the minor page faults of a sweep, +1.3 MiB peak
+/// RSS). Σ and the memoizer are the exception: the rank builds them on its
+/// own thread from the borrowed `seed` (`RankState::new`), because Σ built
+/// on the launching thread made `sweep_iv` ≈ 9 % slower, measured.
+pub(crate) struct RankOwned<'w> {
+    /// Warm-start seed (shape already validated against the grid).
+    seed: Option<&'w WarmState>,
+    /// The Σ update rule with the history of the owned energies.
+    mixer: SigmaMixer,
+    bufs: RankBuffers,
+}
+
+impl<'w> RankOwned<'w> {
+    /// The state of `rank` under `p`'s plan, warm-started from `seed`.
+    pub(crate) fn new(p: &Problem, rank: usize, seed: Option<&'w WarmState>) -> Self {
+        let (cfg, n_owned) = (p.cfg(), p.plan.energy_ranges[rank].len());
+        let (nb, bs) = (p.h.n_blocks(), p.h.block_size());
+        Self {
+            seed,
+            mixer: SigmaMixer::new(cfg.mixing, cfg.max_iterations, n_owned, nb, bs),
+            bufs: RankBuffers::new(p, rank),
+        }
+    }
 }
 
 /// One rank's mutable state across the SCBA loop.
@@ -258,7 +278,7 @@ pub(crate) struct RankBuffers {
 
 impl RankBuffers {
     /// The buffers of `rank` under `p`'s plan, every matrix at its shape.
-    pub(crate) fn new(p: &Problem, rank: usize) -> Self {
+    fn new(p: &Problem, rank: usize) -> Self {
         let chunks = solve_chunks(p, rank);
         let (plan, grid) = (&p.plan, &p.layout.grid);
         let (nb, bs) = (p.h.n_blocks(), p.h.block_size());
@@ -342,13 +362,13 @@ fn solve_chunks(p: &Problem, rank: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The per-rank SCBA main loop.
-pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem) -> RankOut {
+/// The per-rank SCBA main loop over the rank's own state.
+pub(crate) fn rank_main(ctx: &RankContext<Vec<c64>>, p: &Problem, own: RankOwned<'_>) -> RankOut {
     let max_iterations = p.cfg().max_iterations;
     if p.config.probe {
         quatrex_probe::install(ctx.rank(), p.epoch);
     }
-    let mut rank = RankState::new(ctx, p);
+    let mut rank = RankState::new(ctx, p, own);
     for _ in 0..max_iterations {
         rank.log.iterations += 1;
         rank.g_step();
@@ -416,16 +436,17 @@ fn convolve(
 }
 
 impl<'a> RankState<'a> {
-    fn new(ctx: &'a RankContext<Vec<c64>>, p: &'a Problem) -> Self {
+    fn new(ctx: &'a RankContext<Vec<c64>>, p: &'a Problem, own: RankOwned<'_>) -> Self {
+        let RankOwned { seed, mixer, bufs } = own;
         let cfg = p.cfg();
         let mut memoizer = cfg.use_memoizer.then(|| ObcMemoizer::new(cfg.n_fpi, 1e-7));
         let owned = p.plan.energy_ranges[ctx.rank()].clone();
-        // Cold start at Σ = 0; a warm start adopts the seed state's Σ for the
+        // Cold start at Σ = 0; a warm start adopts the seed's Σ for the
         // owned energies and pre-fills the OBC memoizer.
         let zero = BlockTridiagonal::zeros(p.h.n_blocks(), p.h.block_size());
         let sigma = owned
             .clone()
-            .map(|k| match &p.warm {
+            .map(|k| match seed {
                 Some(w) => SigmaState {
                     lesser: w.sigma_lesser[k].clone(),
                     greater: w.sigma_greater[k].clone(),
@@ -438,17 +459,13 @@ impl<'a> RankState<'a> {
                 },
             })
             .collect();
-        if let (Some(w), Some(m)) = (&p.warm, memoizer.as_mut()) {
+        if let (Some(w), Some(m)) = (seed, memoizer.as_mut()) {
             for (key, block) in &w.obc {
                 if owned.contains(&key.energy_index) {
                     m.insert_cached(*key, block.clone());
                 }
             }
         }
-        let mixer = p.mixers[ctx.rank()]
-            .lock()
-            .take()
-            .expect("a rank takes its mixer once"); // lint:allow(no-unwrap): run_warm fills one slot per rank and each rank runs RankState::new once
         Self {
             ctx,
             p,
@@ -457,10 +474,7 @@ impl<'a> RankState<'a> {
             memoizer,
             log: RankLog::default(),
             spectral: Vec::new(),
-            bufs: p.buffers[ctx.rank()]
-                .lock()
-                .take()
-                .expect("a rank takes its buffers once"), // lint:allow(no-unwrap): run_warm fills one slot per rank and each rank runs RankState::new once
+            bufs,
         }
     }
 
@@ -675,7 +689,8 @@ impl<'a> RankState<'a> {
         self.log.converged
     }
 
-    /// The final ordered gather, the observables, and the state capture.
+    /// The final ordered gather and the observables; the rank's Σ and
+    /// memoizer go back to the launcher.
     fn finish(mut self) -> RankOut {
         let p = self.p;
         let (ne, nb, de) = (p.energies.len(), p.h.n_blocks(), p.de);
@@ -718,18 +733,6 @@ impl<'a> RankState<'a> {
             self.log.counters.memo_total = stats.total();
         }
 
-        // State capture: drain this rank's final Σ matrices and memoizer
-        // entries; the solver concatenates them in rank order.
-        let mut final_sigma = Vec::new();
-        let mut final_obc = Vec::new();
-        if p.config.capture_state {
-            final_sigma = std::mem::take(&mut self.sigma);
-            let owned = self.my_energies();
-            if let Some(m) = self.memoizer.as_mut() {
-                final_obc = owned.flat_map(|k| m.extract_energy(k)).collect();
-            }
-        }
-
         RankOut {
             log: self.log,
             observables: Observables {
@@ -743,8 +746,8 @@ impl<'a> RankState<'a> {
                 },
             },
             trace: quatrex_probe::finish(),
-            final_sigma,
-            final_obc,
+            sigma: self.sigma,
+            memoizer: self.memoizer,
         }
     }
 }

@@ -141,7 +141,7 @@ pub(crate) fn read_bt_into<'a>(
 ///
 /// A forward slab (`G^≶`, `W^≶`, as a forward transposition delivers it)
 /// holds canonical series only: its components obey `X_ji = −X*_ij`, and the
-/// kernels read a mirror as that ([`ElementSlab::negf`]). A convolution
+/// kernels read a mirror as that (`ElementSlab::negf`). A convolution
 /// output holds both sides, because its accumulated mirrors are not yet
 /// symmetric, and its retarded component never is.
 #[derive(Debug, Clone)]
@@ -181,7 +181,7 @@ impl ElementSlab {
     }
 
     /// Zero every series in place (the allocation is kept).
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         for planes in self.canonical.iter_mut().chain(&mut self.mirror) {
             planes.reset(planes.n_elements());
         }
@@ -189,7 +189,7 @@ impl ElementSlab {
 
     /// Component `c` of lane group `g` as a kernel operand whose mirrors
     /// follow from the NEGF symmetry.
-    pub fn negf(&self, c: usize, g: usize) -> NegfGroup<'_> {
+    pub(crate) fn negf(&self, c: usize, g: usize) -> NegfGroup<'_> {
         NegfGroup {
             rows: self.canonical[c].group(g),
             sign: &self.groups[g].sign,
@@ -614,14 +614,14 @@ impl TranspositionBatchPlan {
     /// The global sub-ranges of every rank for batch `b`, in rank order
     /// (the per-source shapes of one forward batch, and the per-destination
     /// shapes of one backward batch).
-    pub fn global_ranges(&self, b: usize) -> &[Range<usize>] {
+    pub(crate) fn global_ranges(&self, b: usize) -> &[Range<usize>] {
         &self.global[b]
     }
 
     /// All global energy indices arriving in forward batch `b` (ascending).
     /// This is the batch view the accumulation kernels in
     /// `crate::convolution` consume.
-    pub fn arrived_global(&self, b: usize) -> &[usize] {
+    pub(crate) fn arrived_global(&self, b: usize) -> &[usize] {
         &self.arrived[b]
     }
 }

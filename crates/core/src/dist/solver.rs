@@ -31,9 +31,12 @@
 //! No rank of a group is distinguished: ownership of energies and elements
 //! is the only thing that decides who assembles, convolves and mixes what.
 //!
-//! This module holds the driver's outside: configuration checks, the shared
-//! problem data, the communicator launch and the merge of the per-rank
-//! results into one [`DistScbaResult`]. The per-rank loop itself is
+//! This module holds the driver's outside: configuration checks, the
+//! read-only problem data every rank borrows, each rank's mixer and buffers
+//! (built here and moved into the rank by [`ThreadComm::run_each`], with the
+//! borrowed warm state the rank seeds its Σ and memoizer from), and the
+//! merge of the per-rank results — the ranks hand their Σ and memoizer
+//! back — into one [`DistScbaResult`] and its captured state. The per-rank loop itself is
 //! `rank.rs`, its exchange pipeline `pipeline.rs`.
 //!
 //! Every per-energy and per-element kernel is a public function of this
@@ -51,10 +54,7 @@
 //! pin the observables at `≤ 1e-10` relative either way.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use crate::mixing::SigmaMixer;
-use parking_lot::Mutex;
 use quatrex_device::{thermal_energy_ev, Device, EnergyGrid};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
@@ -64,7 +64,7 @@ use quatrex_runtime::{CommStats, RankContext, ThreadComm};
 
 use crate::dist::config::{DistScbaConfig, DistScbaResult};
 use crate::dist::pipeline::TRANSPOSITIONS;
-use crate::dist::rank::{rank_main, Problem, RankBuffers, RankCounters, RankOut};
+use crate::dist::rank::{rank_main, Problem, RankCounters, RankOut, RankOwned};
 use crate::dist::report::{bytes_per_second, DistReport};
 use crate::dist::slab::{TranspositionBatchPlan, TranspositionPlan};
 use crate::dist::spatial::SpatialLayout;
@@ -180,40 +180,27 @@ impl DistScbaSolver {
             );
         }
         let n_ranks = self.config.n_ranks;
-        let mut problem = Problem {
+        let problem = Problem {
             layout: SpatialLayout::new(n_ranks, self.config.spatial_partitions, nb, bs),
             kt: thermal_energy_ev(cfg.temperature_k),
             config: self.config.clone(),
             h,
             v,
             batches: TranspositionBatchPlan::new(&plan, self.config.energy_batches),
-            mixers: plan
-                .energy_ranges
-                .iter()
-                .map(|owned| {
-                    let mixer =
-                        SigmaMixer::new(cfg.mixing, cfg.max_iterations, owned.len(), nb, bs);
-                    Mutex::new(Some(mixer))
-                })
-                .collect(),
             plan,
             energies: self.grid.points(),
             de: self.grid.spacing(),
-            warm: initial.cloned(),
             // One shared clock zero for every rank's probe recorder, taken
             // before the threads spawn so the merged tracks align.
             epoch: Instant::now(),
             flops: FlopCounter::new(),
-            buffers: Vec::new(),
         };
-        problem.buffers = (0..n_ranks)
-            .map(|rank| Mutex::new(Some(RankBuffers::new(&problem, rank))))
+        let owned = (0..n_ranks)
+            .map(|rank| RankOwned::new(&problem, rank, initial))
             .collect();
-        let problem = Arc::new(problem);
-        let shared = Arc::clone(&problem);
         let launch = Instant::now();
-        let (mut outs, stats) = ThreadComm::run(n_ranks, move |ctx: RankContext<Vec<c64>>| {
-            rank_main(&ctx, &shared)
+        let (mut outs, stats) = ThreadComm::run_each(owned, |ctx: RankContext<Vec<c64>>, own| {
+            rank_main(&ctx, &problem, own)
         });
         let wall_seconds = launch.elapsed().as_secs_f64();
 
@@ -333,9 +320,9 @@ impl DistScbaSolver {
     }
 }
 
-/// Assemble the captured per-rank Σ/OBC fragments into one state over the
-/// full grid: the owned energy ranges ascend with the rank, so the fragments
-/// concatenate in rank order.
+/// Assemble the ranks' final Σ and the OBC memoizer entries of their owned
+/// energies into one state over the full grid: the owned energy ranges
+/// ascend with the rank, so the fragments concatenate in rank order.
 fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
     let ne = problem.energies.len();
     let mut state = WarmState {
@@ -345,12 +332,16 @@ fn assemble_final_state(outs: &mut [RankOut], problem: &Problem) -> WarmState {
         sigma_lesser: Vec::with_capacity(ne),
         sigma_greater: Vec::with_capacity(ne),
         sigma_retarded: Vec::with_capacity(ne),
-        obc: outs
-            .iter_mut()
-            .flat_map(|r| r.final_obc.drain(..))
-            .collect(),
+        obc: Vec::new(),
     };
-    for s in outs.iter_mut().flat_map(|r| r.final_sigma.drain(..)) {
+    for (out, owned) in outs.iter_mut().zip(&problem.plan.energy_ranges) {
+        if let Some(m) = out.memoizer.as_mut() {
+            state
+                .obc
+                .extend(owned.clone().flat_map(|k| m.extract_energy(k)));
+        }
+    }
+    for s in outs.iter_mut().flat_map(|r| r.sigma.drain(..)) {
         state.sigma_lesser.push(s.lesser);
         state.sigma_greater.push(s.greater);
         state.sigma_retarded.push(s.retarded);

@@ -104,7 +104,7 @@ impl RankGrid {
     }
 
     /// Energy group of a flat rank.
-    pub fn group_of(&self, rank: usize) -> usize {
+    pub(crate) fn group_of(&self, rank: usize) -> usize {
         rank / self.spatial_partitions
     }
 
@@ -165,7 +165,7 @@ impl SpatialLayout {
 
     /// Whether the balanced layout had a middle partition to balance
     /// against (`P_S ≥ 3`); at `P_S = 2` it is the uniform split.
-    pub fn balanced(&self) -> bool {
+    pub(crate) fn balanced(&self) -> bool {
         self.grid.spatial_partitions > 2
     }
 }

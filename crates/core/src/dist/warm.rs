@@ -159,7 +159,7 @@ impl WarmState {
     }
 
     /// Number of `c64` values the wire stream occupies.
-    pub fn wire_values(&self) -> usize {
+    pub(crate) fn wire_values(&self) -> usize {
         4 + 3 * self.n_energies * bt_values(self.n_blocks, self.block_size)
             + self.obc.len() * (1 + self.block_size * self.block_size)
     }

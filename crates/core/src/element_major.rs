@@ -27,7 +27,7 @@ use quatrex_sparse::BlockTridiagonal;
 use crate::convolution::{for_each_canonical, n_canonical, BlockPos};
 
 /// One energy of one lane group in one plane.
-pub type Row = [f64; LANES];
+pub(crate) type Row = [f64; LANES];
 
 /// Lane groups of `n` elements (the tail group padded).
 pub(crate) fn n_groups(n: usize) -> usize {
@@ -62,7 +62,7 @@ impl GroupRowsMut<'_> {
     }
 
     /// Shared view of the same rows.
-    pub fn rows(&self) -> GroupRows<'_> {
+    pub(crate) fn rows(&self) -> GroupRows<'_> {
         GroupRows {
             re: self.re,
             im: self.im,
@@ -146,7 +146,7 @@ impl LanePlanes {
 
     /// The value of element `e` at energy `k`.
     #[inline(always)]
-    pub fn value(&self, e: usize, k: usize) -> c64 {
+    pub(crate) fn value(&self, e: usize, k: usize) -> c64 {
         let at = (e / LANES) * self.n_energies + k;
         c64::new(self.re[at][e % LANES], self.im[at][e % LANES])
     }
@@ -165,7 +165,7 @@ impl LanePlanes {
 
     /// Row pair of group `g` at energy `k`.
     #[inline(always)]
-    pub fn row(&self, g: usize, k: usize) -> (&Row, &Row) {
+    pub(crate) fn row(&self, g: usize, k: usize) -> (&Row, &Row) {
         let at = g * self.n_energies + k;
         (&self.re[at], &self.im[at])
     }
@@ -206,7 +206,7 @@ pub(crate) struct ElementSlots {
 impl ElementSlots {
     /// The slots of the canonical elements of an `n_blocks × block_size`
     /// pattern.
-    pub fn canonical(n_blocks: usize, block_size: usize) -> Self {
+    pub(crate) fn canonical(n_blocks: usize, block_size: usize) -> Self {
         assert!(
             block_size <= 1 << 16,
             "block size {block_size} exceeds 65536"
@@ -245,7 +245,7 @@ impl ElementSlots {
     }
 
     /// [`Self::is_self_mirror`] of every element of `range`.
-    pub fn self_mirror(&self, range: Range<usize>) -> Vec<bool> {
+    pub(crate) fn self_mirror(&self, range: Range<usize>) -> Vec<bool> {
         range.map(|e| self.is_self_mirror(e)).collect()
     }
 
@@ -264,7 +264,7 @@ impl ElementSlots {
     /// counted from the start of the range. A block's storage is looked up
     /// once per run of elements in it.
     #[inline]
-    pub fn read(
+    pub(crate) fn read(
         &self,
         range: Range<usize>,
         side: Side,
@@ -280,7 +280,7 @@ impl ElementSlots {
     /// Write `value(e)` at `side` of every element `e` of `range` (counted
     /// from its start) for which it is `Some`, block run by block run.
     #[inline]
-    pub fn write(
+    pub(crate) fn write(
         &self,
         range: Range<usize>,
         side: Side,

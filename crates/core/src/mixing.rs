@@ -50,7 +50,7 @@
 //! `PIVOT_THRESHOLD` of its diagonal. On a map that is not contractive the
 //! loop then does what plain damping does instead of extrapolating noise.
 //!
-//! The history holds three pairs ([`DEPTH`]): on the sweep benchmark's device
+//! The history holds three pairs (`DEPTH`): on the sweep benchmark's device
 //! (reduced NR-16, 12 energies, tolerance 1e-9) a cold point converges in 6
 //! iterations and the warm-started 9-point ramp in 41. Damping the
 //! extrapolated step by `β = 0.4` as well took 8 and 51 (and, with that
@@ -61,7 +61,7 @@ use quatrex_linalg::c64;
 use quatrex_sparse::BlockTridiagonal;
 
 /// Difference pairs the update extrapolates over (`m` of the module doc).
-pub const DEPTH: usize = 3;
+pub(crate) const DEPTH: usize = 3;
 
 /// A Gram pivot below this fraction of its diagonal entry (`sin²` of the
 /// angle between a `Δf` and the span of the newer ones) counts as rank
@@ -85,7 +85,7 @@ pub const ROW_LEN: usize = RHS_AT + DEPTH;
 pub type MixRow = [f64; ROW_LEN];
 
 /// A Σ-set of one energy: `[Σ^<, Σ^>, Σ^R]`.
-pub type SigmaSet<'a> = [&'a BlockTridiagonal; 3];
+pub(crate) type SigmaSet<'a> = [&'a BlockTridiagonal; 3];
 
 /// Position of `Δf_i·Δf_j` (`i ≤ j`) in a [`MixRow`].
 const fn gram_at(i: usize, j: usize) -> usize {
@@ -279,7 +279,7 @@ impl SigmaMixer {
 
     /// `‖Δg_0‖ / ‖Δx_0‖` over the grid — how much the map shrank the step
     /// just taken — if the last mix completed a pair; `None` otherwise.
-    pub fn contraction(&self) -> Option<f64> {
+    pub(crate) fn contraction(&self) -> Option<f64> {
         self.contraction
     }
 

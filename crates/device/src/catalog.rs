@@ -47,13 +47,8 @@ impl DeviceParams {
         self.puc_size * self.n_u_g
     }
 
-    /// Transport-cell size for the screened-interaction (W) subsystem.
-    pub fn transport_cell_size_w(&self) -> usize {
-        self.puc_size * self.n_u_w
-    }
-
     /// Total number of primitive unit cells along the transport axis.
-    pub fn n_primitive_cells(&self) -> usize {
+    pub(crate) fn n_primitive_cells(&self) -> usize {
         self.n_blocks_g * self.n_u_g
     }
 
@@ -70,11 +65,6 @@ impl DeviceParams {
     /// in).
     pub fn rgf_block_ops_per_energy(&self) -> f64 {
         self.n_blocks_g as f64 * (self.transport_cell_size_g() as f64).powi(3)
-    }
-
-    /// Average number of orbitals per atom (≈2.5 for the Si/H MLWF basis).
-    pub fn orbitals_per_atom(&self) -> f64 {
-        self.n_orbitals as f64 / self.n_atoms as f64
     }
 }
 
@@ -103,7 +93,7 @@ impl DeviceCatalog {
     }
 
     /// NW-2: the "large" nanowire of QuaTrEx24 (10,560 atoms).
-    pub fn nw2() -> DeviceParams {
+    pub(crate) fn nw2() -> DeviceParams {
         DeviceParams {
             name: "NW-2".into(),
             length_nm: 34.7,
@@ -157,12 +147,12 @@ impl DeviceCatalog {
     }
 
     /// NR-23, the largest nanoribbon that fits on a single Alps GH200 GPU.
-    pub fn nr23() -> DeviceParams {
+    pub(crate) fn nr23() -> DeviceParams {
         Self::nanoribbon(23)
     }
 
     /// NR-24, run on Frontier with spatial domain decomposition `P_S = 2`.
-    pub fn nr24() -> DeviceParams {
+    pub(crate) fn nr24() -> DeviceParams {
         let mut p = Self::nanoribbon(24);
         p.h_nnz_paper = 61.3e7;
         p.g_nnz_paper = 19.0e7;
@@ -170,7 +160,7 @@ impl DeviceCatalog {
     }
 
     /// NR-40 (42,240 atoms), the Frontier exascale run with `P_S = 4`.
-    pub fn nr40() -> DeviceParams {
+    pub(crate) fn nr40() -> DeviceParams {
         let mut p = Self::nanoribbon(40);
         p.h_nnz_paper = 103.1e7;
         p.g_nnz_paper = 31.8e7;
@@ -178,12 +168,12 @@ impl DeviceCatalog {
     }
 
     /// NR-44 (46,464 atoms), the Alps run with `P_S = 2`.
-    pub fn nr44() -> DeviceParams {
+    pub(crate) fn nr44() -> DeviceParams {
         Self::nanoribbon(44)
     }
 
     /// NR-80 (84,480 atoms), the largest device of the paper, `P_S = 4` on Alps.
-    pub fn nr80() -> DeviceParams {
+    pub(crate) fn nr80() -> DeviceParams {
         Self::nanoribbon(80)
     }
 
@@ -228,7 +218,8 @@ mod tests {
     #[test]
     fn transport_cell_sizes_match_table3() {
         assert_eq!(DeviceCatalog::nw1().transport_cell_size_g(), 416);
-        assert_eq!(DeviceCatalog::nw1().transport_cell_size_w(), 832);
+        let nw1 = DeviceCatalog::nw1();
+        assert_eq!(nw1.puc_size * nw1.n_u_w, 832);
         assert_eq!(DeviceCatalog::nw2().transport_cell_size_g(), 2_016);
         assert_eq!(DeviceCatalog::nr16().transport_cell_size_g(), 3_408);
         assert_eq!(DeviceCatalog::nr40().transport_cell_size_g(), 3_408);
@@ -289,18 +280,5 @@ mod tests {
         assert!(DeviceCatalog::by_name("NR-40").is_some());
         assert!(DeviceCatalog::by_name("NR-17").is_none());
         assert_eq!(DeviceCatalog::by_name("NW-2").unwrap().n_atoms, 10_560);
-    }
-
-    #[test]
-    fn orbitals_per_atom_is_mlwf_like() {
-        // 4 MLWFs per Si and 1 per H gives ~2.4-3.3 orbitals per atom.
-        for d in DeviceCatalog::all() {
-            let opa = d.orbitals_per_atom();
-            assert!(
-                opa > 2.0 && opa < 3.5,
-                "device {} has {opa} orbitals/atom",
-                d.name
-            );
-        }
     }
 }

@@ -42,11 +42,6 @@ impl EnergyGrid {
         self.e_min
     }
 
-    /// Highest energy (eV).
-    pub fn e_max(&self) -> f64 {
-        self.e_max
-    }
-
     /// Grid spacing `ΔE` (eV).
     pub fn spacing(&self) -> f64 {
         (self.e_max - self.e_min) / (self.n_points - 1) as f64

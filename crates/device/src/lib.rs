@@ -45,7 +45,7 @@ pub use quatrex_linalg::{c64, CMatrix};
 pub use quatrex_sparse::{BlockBanded, BlockTridiagonal};
 
 /// Boltzmann constant in eV/K.
-pub const KB_EV: f64 = 8.617_333_262e-5;
+pub(crate) const KB_EV: f64 = 8.617_333_262e-5;
 
 /// Room temperature in Kelvin used throughout the examples.
 pub const ROOM_TEMPERATURE_K: f64 = 300.0;

@@ -266,7 +266,7 @@ impl Device {
     /// Apply a per-transport-cell electrostatic potential shift (in eV) to the
     /// Hamiltonian diagonal, e.g. the linear source-to-drain potential drop of
     /// a biased transistor. `potential.len()` must equal `n_blocks`.
-    pub fn apply_potential(&mut self, potential: &[f64]) {
+    pub(crate) fn apply_potential(&mut self, potential: &[f64]) {
         assert_eq!(
             potential.len(),
             self.n_blocks,
@@ -290,7 +290,7 @@ impl Device {
 
     /// A linear potential ramp from `v_source` to `v_drain` (eV) across the
     /// transport cells, the textbook approximation of an applied bias.
-    pub fn linear_potential(&self, v_source: f64, v_drain: f64) -> Vec<f64> {
+    pub(crate) fn linear_potential(&self, v_source: f64, v_drain: f64) -> Vec<f64> {
         (0..self.n_blocks)
             .map(|i| {
                 let t = i as f64 / (self.n_blocks - 1) as f64;
@@ -301,8 +301,8 @@ impl Device {
 
     /// The device with a drain bias of `bias_v` volts applied: the source
     /// contact stays at zero and the channel carries the linear ramp down to
-    /// `-bias_v` eV at the drain ([`Device::linear_potential`] composed with
-    /// [`Device::apply_potential`]). This is the sweep-point → device
+    /// `-bias_v` eV at the drain (`Device::linear_potential` composed with
+    /// `Device::apply_potential`). This is the sweep-point → device
     /// instantiation a bias sweep performs per point — the chemical
     /// potentials shift separately through `ScbaConfig::mu_right`.
     pub fn with_drain_bias(&self, bias_v: f64) -> Device {
@@ -416,7 +416,8 @@ mod tests {
         let dev = DeviceBuilder::test_device(4, 2, 4).build();
         let grid = dev.default_energy_grid(64);
         assert!(grid.e_min() < dev.onsite_center_ev - dev.band_gap_estimate_ev);
-        assert!(grid.e_max() > dev.onsite_center_ev + dev.band_gap_estimate_ev);
+        let e_max = grid.points()[grid.len() - 1];
+        assert!(e_max > dev.onsite_center_ev + dev.band_gap_estimate_ev);
         assert_eq!(grid.len(), 64);
     }
 }

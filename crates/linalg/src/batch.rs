@@ -20,7 +20,7 @@
 //!   raw-slice packers as [`crate::ops::gemm`], so every plane's arithmetic
 //!   is bit-identical to the corresponding per-energy call.
 //! * [`invert_batch_into`] — plane-wise LU inversion through
-//!   [`LuScratch::invert_slice_into`], again bit-identical per plane.
+//!   `LuScratch::invert_slice_into`, again bit-identical per plane.
 //!
 //! Blocks too small to fill the packed engine's register tile have a second
 //! layout, [`crate::interleaved`], with one vector lane per energy; its
@@ -91,7 +91,7 @@ impl MatrixBatch {
     }
 
     /// Elements of one plane (`nrows · ncols`).
-    pub fn plane_len(&self) -> usize {
+    pub(crate) fn plane_len(&self) -> usize {
         self.nrows * self.ncols
     }
 
@@ -285,7 +285,7 @@ pub fn gemm_batch_flops(batch: usize, m: usize, k: usize, n: usize) -> u64 {
 }
 
 /// Plane-wise LU inversion: `out_e = a_e⁻¹` for every plane, through
-/// [`LuScratch::invert_slice_into`] (bit-identical to the per-energy
+/// `LuScratch::invert_slice_into` (bit-identical to the per-energy
 /// `invert_into`); `a` and `out` hold the same number of planes. On a
 /// singular plane the error carries the plane index so consumers can map it
 /// to their per-energy error type.

@@ -75,7 +75,7 @@ fn givens(a: c64, b: c64) -> (f64, c64) {
 }
 
 /// Reduce `a` to upper Hessenberg form `H = Q†·A·Q`, returning `(H, Q)`.
-pub fn hessenberg(a: &CMatrix) -> (CMatrix, CMatrix) {
+pub(crate) fn hessenberg(a: &CMatrix) -> (CMatrix, CMatrix) {
     assert!(a.is_square(), "hessenberg requires a square matrix");
     let n = a.nrows();
     let mut h = a.clone();

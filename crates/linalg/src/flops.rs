@@ -7,7 +7,6 @@
 //! real-FLOP totals per kind, which the solvers report and `bench_kernels`
 //! writes beside each kernel's wall time.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Kernel categories matching the rows of the paper's Table 4.
@@ -99,7 +98,8 @@ impl FlopCounter {
     }
 
     /// Snapshot as an ordered map keyed by category.
-    pub fn snapshot(&self) -> BTreeMap<FlopKind, u64> {
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> std::collections::BTreeMap<FlopKind, u64> {
         FlopKind::ALL.iter().map(|&k| (k, self.get(k))).collect()
     }
 

@@ -29,7 +29,7 @@
 //! of a [`gemm_lanes`] result is **bit-identical** to plane `e` of the
 //! [`crate::batch::gemm_batch`] call on the same operands, and to the
 //! per-energy [`crate::ops::gemm`]. Inversions stay per plane
-//! ([`invert_lanes_into`] runs [`LuScratch::invert_slice_into`] on each
+//! ([`invert_lanes_into`] runs `LuScratch::invert_slice_into` on each
 //! energy), so they are bit-identical too.
 
 use std::cell::RefCell;
@@ -467,7 +467,7 @@ thread_local! {
 }
 
 /// Energy-wise LU inversion `out_e = a_e⁻¹`: each energy is gathered into a
-/// plane and inverted by [`LuScratch::invert_slice_into`] — the routine under
+/// plane and inverted by `LuScratch::invert_slice_into` — the routine under
 /// [`crate::batch::invert_batch_into`], so bit-identical to it — then
 /// scattered back. On a singular energy the error carries its index.
 pub fn invert_lanes_into(

@@ -9,7 +9,7 @@
 //! * [`CMatrix`] — a column-major dense complex (`f64`) matrix,
 //! * the operand-flag GEMM engine ([`ops::gemm`] with [`ops::Op`] flags,
 //!   register-tiled micro-kernels, fused conjugate transposes) plus the
-//!   classic wrappers ([`ops::matmul`], [`ops::triple_product`], …),
+//!   classic wrappers ([`ops::matmul`], [`ops::triple_product_into`], …),
 //! * energy-major batches ([`MatrixBatch`], [`gemm_batch`],
 //!   [`invert_batch_into`]): every product and inversion of the batched RGF
 //!   solve over one packing per plane, bit-identical to the per-energy calls,
@@ -42,7 +42,7 @@ pub use eig::{eigendecomposition, eigenvalues, schur, Eigendecomposition, SchurD
 pub use flops::{FlopCounter, FlopKind};
 pub use lu::{LuError, LuFactorization, LuScratch};
 pub use matrix::CMatrix;
-pub use ops::{gemm, matmul, matmul_acc, triple_product, triple_product_flops, Op, OpKind};
+pub use ops::{gemm, matmul, matmul_acc, triple_product_flops, Op, OpKind};
 pub use svd::{svd, Svd, SvdScratch};
 
 /// Double-precision complex scalar used throughout QuaTrEx-RS.
@@ -56,7 +56,8 @@ pub fn cplx(re: f64, im: f64) -> c64 {
 }
 
 /// The complex unit `i`.
-pub const I: c64 = c64::new(0.0, 1.0);
+#[cfg(test)]
+pub(crate) const I: c64 = c64::new(0.0, 1.0);
 
 /// The complex zero.
 pub const ZERO: c64 = c64::new(0.0, 0.0);

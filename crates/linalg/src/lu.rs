@@ -33,7 +33,7 @@
 use crate::lanes::{mul_add, Lanes, Native};
 use crate::matrix::CMatrix;
 use crate::ops::{MR, NR};
-use crate::{c64, ONE, ZERO};
+use crate::{c64, ONE};
 
 /// Error returned when a matrix is numerically singular.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -468,8 +468,8 @@ impl LuFactorization {
     /// `out`, column `j` of the solution landing in column `dest(j)`:
     /// `fill(j, re, im)` writes column `j` of the row-permuted right-hand side
     /// `R` into the split slices. The one solve routine behind
-    /// [`Self::solve_vec`], [`Self::solve`], [`Self::inverse`] and
-    /// [`LuScratch`]. `x_re`/`x_im` are work planes (no allocation once they
+    /// [`Self::solve`], [`Self::inverse`] and [`LuScratch`] (and the
+    /// test-only single-column solve). `x_re`/`x_im` are work planes (no allocation once they
     /// have held a right-hand side of that size).
     fn solve_into<L: Lanes>(
         &self,
@@ -533,15 +533,11 @@ impl LuFactorization {
         c64::new(self.re[l * self.ld + l], self.im[l * self.ld + l])
     }
 
-    /// Order of the factorised matrix.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
     /// Solve `A x = b` for a single right-hand side.
-    pub fn solve_vec(&self, b: &[c64]) -> Vec<c64> {
+    #[cfg(test)]
+    pub(crate) fn solve_vec(&self, b: &[c64]) -> Vec<c64> {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
-        let mut x = vec![ZERO; self.n];
+        let mut x = vec![crate::ZERO; self.n];
         let work = (&mut Vec::new(), &mut Vec::new());
         self.solve_into::<Native>(self.permuted_column(|i, _| b[i]), |j| j, work, &mut x);
         x
@@ -603,7 +599,7 @@ impl LuScratch {
     /// Raw-slice form of [`Self::invert_into`]: `a` and `out` are column-major
     /// `n × n` slices. This is the entry point the batched layer uses to
     /// invert `MatrixBatch` planes in place in the batch buffer.
-    pub fn invert_slice_into(
+    pub(crate) fn invert_slice_into(
         &mut self,
         a: &[c64],
         n: usize,
@@ -641,9 +637,9 @@ pub fn inverse_flops(n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cplx;
     use crate::lanes::Portable;
     use crate::ops::matmul;
+    use crate::{cplx, ZERO};
 
     fn well_conditioned(n: usize) -> CMatrix {
         // Diagonally dominant complex matrix => invertible.

@@ -80,7 +80,8 @@ impl CMatrix {
     }
 
     /// Create a diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[c64]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_diagonal(diag: &[c64]) -> Self {
         let n = diag.len();
         let mut m = Self::zeros(n, n);
         for (i, &d) in diag.iter().enumerate() {
@@ -171,7 +172,7 @@ impl CMatrix {
 
     /// Borrow one column as a slice (columns are contiguous in memory).
     #[inline(always)]
-    pub fn col(&self, j: usize) -> &[c64] {
+    pub(crate) fn col(&self, j: usize) -> &[c64] {
         &self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
@@ -181,13 +182,8 @@ impl CMatrix {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Extract one row as an owned vector.
-    pub fn row(&self, i: usize) -> Vec<c64> {
-        (0..self.ncols).map(|j| self[(i, j)]).collect()
-    }
-
     /// Main diagonal as an owned vector.
-    pub fn diagonal(&self) -> Vec<c64> {
+    pub(crate) fn diagonal(&self) -> Vec<c64> {
         (0..self.nrows.min(self.ncols))
             .map(|i| self[(i, i)])
             .collect()
@@ -200,7 +196,8 @@ impl CMatrix {
     }
 
     /// Transpose (without conjugation).
-    pub fn transpose(&self) -> CMatrix {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> CMatrix {
         CMatrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
@@ -210,7 +207,8 @@ impl CMatrix {
     }
 
     /// Element-wise complex conjugate.
-    pub fn conj(&self) -> CMatrix {
+    #[cfg(test)]
+    pub(crate) fn conj(&self) -> CMatrix {
         let mut out = self.clone();
         for v in out.data.iter_mut() {
             *v = v.conj();
@@ -326,7 +324,8 @@ impl CMatrix {
     }
 
     /// Matrix-vector product `A x`.
-    pub fn matvec(&self, x: &[c64]) -> Vec<c64> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[c64]) -> Vec<c64> {
         assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
         let mut y = vec![ZERO; self.nrows];
         for j in 0..self.ncols {
@@ -368,11 +367,6 @@ impl CMatrix {
         for v in self.data.iter_mut() {
             *v = f();
         }
-    }
-
-    /// Sum of all entries.
-    pub fn sum(&self) -> c64 {
-        self.data.iter().copied().sum()
     }
 }
 

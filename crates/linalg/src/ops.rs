@@ -78,7 +78,7 @@ pub enum Op<'a> {
 impl<'a> Op<'a> {
     /// The underlying matrix, ignoring the flag.
     #[inline(always)]
-    pub fn matrix(&self) -> &'a CMatrix {
+    pub(crate) fn matrix(&self) -> &'a CMatrix {
         match self {
             Op::None(m) | Op::Trans(m) | Op::Dagger(m) => m,
         }
@@ -86,7 +86,7 @@ impl<'a> Op<'a> {
 
     /// The flag alone.
     #[inline(always)]
-    pub fn kind(&self) -> OpKind {
+    pub(crate) fn kind(&self) -> OpKind {
         match self {
             Op::None(_) => OpKind::None,
             Op::Trans(_) => OpKind::Trans,
@@ -605,18 +605,20 @@ fn triple_product_madds(
     (left, right)
 }
 
-/// `A · B · C`, evaluated in the cheaper association order — `(A·B)·C` or
-/// `A·(B·C)` — chosen from the operand shapes. For transport-cell-square
-/// blocks both orders cost the same and the left-to-right order of the
-/// pre-refactor implementation is kept.
-pub fn triple_product(a: &CMatrix, b: &CMatrix, c: &CMatrix) -> CMatrix {
+/// [`triple_product_into`] into a fresh matrix.
+#[cfg(test)]
+pub(crate) fn triple_product(a: &CMatrix, b: &CMatrix, c: &CMatrix) -> CMatrix {
     let mut out = CMatrix::zeros(0, 0);
     triple_product_into(&mut out, &mut CMatrix::zeros(0, 0), a, b, c);
     out
 }
 
-/// [`triple_product`] into `out`, the intermediate product in `tmp` (both
-/// reshaped as needed; allocation-free once warmed at the shapes).
+/// `A · B · C` into `out`, evaluated in the cheaper association order —
+/// `(A·B)·C` or `A·(B·C)` — chosen from the operand shapes, the
+/// intermediate product in `tmp` (both reshaped as needed; allocation-free
+/// once warmed at the shapes). For transport-cell-square blocks both orders
+/// cost the same and the left-to-right order of the pre-refactor
+/// implementation is kept.
 pub fn triple_product_into(
     out: &mut CMatrix,
     tmp: &mut CMatrix,
@@ -646,7 +648,7 @@ pub fn matmul_into(out: &mut CMatrix, a: &CMatrix, b: &CMatrix) {
     );
 }
 
-/// Real FLOPs actually spent by [`triple_product`] on these shapes (the
+/// Real FLOPs actually spent by [`triple_product_into`] on these shapes (the
 /// cheaper association order), in the same 8-FLOPs-per-complex-madd terms as
 /// [`gemm_flops`]. Callers that account a chain's work must use this instead
 /// of summing two square [`gemm_flops`] so the saved FLOPs are counted.
@@ -701,7 +703,7 @@ pub mod reference {
     }
 
     /// Pre-refactor scalar GEMM: `C = alpha · A · B + beta · C`.
-    pub fn gemm_into_ref(c: &mut CMatrix, alpha: c64, a: &CMatrix, b: &CMatrix, beta: c64) {
+    pub(crate) fn gemm_into_ref(c: &mut CMatrix, alpha: c64, a: &CMatrix, b: &CMatrix, beta: c64) {
         let (m, k) = a.shape();
         let (k2, n) = b.shape();
         assert_eq!(k, k2, "gemm inner dimension mismatch");

@@ -82,7 +82,8 @@ impl MemoizerStats {
     /// Solves that fell through to the direct solver (alias of
     /// `direct_calls`): cold keys plus stale entries whose refinement budget
     /// could not reach tolerance.
-    pub fn misses(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn misses(&self) -> usize {
         self.direct_calls
     }
 

@@ -57,7 +57,7 @@ impl Json {
     }
 
     /// Array element lookup.
-    pub fn idx(&self, i: usize) -> Option<&Json> {
+    pub(crate) fn idx(&self, i: usize) -> Option<&Json> {
         match self {
             Json::Arr(items) => items.get(i),
             _ => None,

@@ -257,7 +257,7 @@ pub fn counter(name: &'static str, delta: u64) {
 impl RankTrace {
     /// Spans sorted into timeline order: by start, parents before children at
     /// equal starts (the raw buffer holds *exit* order).
-    pub fn sorted_spans(&self) -> Vec<SpanEvent> {
+    pub(crate) fn sorted_spans(&self) -> Vec<SpanEvent> {
         let mut spans = self.spans.clone();
         spans.sort_by(|a, b| {
             a.start_ns
@@ -281,7 +281,7 @@ impl RankTrace {
     /// depths step down by at most one level at a time and every span at
     /// depth `d > 0` is contained in the interval of its depth `d - 1`
     /// ancestor.
-    pub fn validate_nesting(&self) -> Result<(), String> {
+    pub(crate) fn validate_nesting(&self) -> Result<(), String> {
         let spans = self.sorted_spans();
         let mut stack: Vec<SpanEvent> = Vec::new();
         for s in &spans {
@@ -318,7 +318,7 @@ impl RankTrace {
     /// Total seconds spent in spans whose category satisfies `include`,
     /// counting only spans with no already-counted ancestor (so nested spans
     /// of included categories are not double-counted).
-    pub fn busy_seconds(&self, include: impl Fn(&str) -> bool) -> f64 {
+    pub(crate) fn busy_seconds(&self, include: impl Fn(&str) -> bool) -> f64 {
         let spans = self.sorted_spans();
         let mut counted_at: Vec<bool> = Vec::new();
         let mut total_ns: u128 = 0;
@@ -447,7 +447,7 @@ impl Timeline {
     }
 
     /// Per-rank busy seconds over the categories selected by `include`
-    /// (no-double-count rule as in [`RankTrace::busy_seconds`]).
+    /// (no-double-count rule as in `RankTrace::busy_seconds`).
     pub fn busy_seconds_per_rank(&self, include: impl Fn(&str) -> bool) -> Vec<f64> {
         self.ranks
             .iter()

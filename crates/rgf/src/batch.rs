@@ -34,7 +34,7 @@
 //! member's selected blocks depend neither on the layout nor on which batch it
 //! is solved in — **batch-size and layout independence, bit for bit**
 //! (`tests/batch_equivalence.rs`), anchored to the allocating pre-engine
-//! recursion [`crate::reference`] at ≤ 1e-13
+//! recursion (the `tests/fixtures/reference.rs` fixture) at ≤ 1e-13
 //! (`tests/reference_equivalence.rs`). The per-energy FLOP count is
 //! structural (it depends only on the block counts), so every member reports
 //! the same [`SelectedSolution::flops`] and a batch totals `B ×` that value.

@@ -50,7 +50,6 @@ pub mod batch;
 pub mod dense;
 pub mod layout;
 pub mod nested;
-pub mod reference;
 pub mod sequential;
 
 pub use batch::{

@@ -79,7 +79,7 @@ impl SelectedSolution {
     }
 
     /// Zero every selected block, in place.
-    pub fn set_zero(&mut self) {
+    pub(crate) fn set_zero(&mut self) {
         self.retarded.set_zero();
         self.lesser.iter_mut().for_each(BlockTridiagonal::set_zero);
     }

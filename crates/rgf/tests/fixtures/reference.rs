@@ -3,23 +3,21 @@
 //! This is the implementation that shipped before the operand-flag GEMM
 //! engine: every product allocates a fresh matrix through the scalar
 //! reference kernel ([`quatrex_linalg::ops::reference`]), and every conjugate
-//! transpose is materialized with `dagger()`. The equivalence suite
-//! (`tests/reference_equivalence.rs`) pins the refactored solver against it
-//! at ≤1e-13 relative error.
+//! transpose is materialized with `dagger()`. It is a fixture of the
+//! equivalence suite (`tests/reference_equivalence.rs`), which pins the
+//! refactored solver against it at ≤1e-13 relative error.
 //!
 //! Do not "improve" this module — its value is being the fixed baseline.
 
-// lint:allow-file(allocating-inverse): the frozen baseline allocates per
-// inversion by definition.
 use quatrex_linalg::lu::{inverse, inverse_flops};
 use quatrex_linalg::ops::gemm_flops;
 use quatrex_linalg::ops::reference::matmul_ref as matmul;
 use quatrex_linalg::{c64, CMatrix};
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::sequential::{RgfError, SelectedSolution};
+use quatrex_rgf::{RgfError, SelectedSolution};
 
-/// Pre-refactor [`crate::rgf_solve`]: same algorithm, same FLOP accounting,
+/// Pre-refactor [`quatrex_rgf::rgf_solve`]: same algorithm, same FLOP accounting,
 /// scalar kernels and materialized daggers.
 pub fn rgf_solve_reference(
     a: &BlockTridiagonal,

@@ -1,5 +1,5 @@
 //! Equivalence of the GEMM-engine RGF solver against the frozen pre-engine
-//! path (`quatrex_rgf::reference`): every selected block agrees to ≤1e-13
+//! path (the `fixtures/reference.rs` fixture): every selected block agrees to ≤1e-13
 //! relative error (the kernels accumulate in the same order, so in practice
 //! the agreement is at the few-ulp level), and the `gemm_flops` accounting is
 //! identical — for a single system (batch of one) and, directly, for every
@@ -7,10 +7,14 @@
 
 use quatrex_linalg::cplx;
 use quatrex_linalg::CMatrix;
-use quatrex_rgf::reference::rgf_solve_reference;
 use quatrex_rgf::{
     rgf_solve, rgf_solve_batch_into, BlockTridiagonal, RgfBatchScratch, SelectedSolution,
 };
+
+#[path = "fixtures/reference.rs"]
+mod reference;
+
+use reference::rgf_solve_reference;
 
 fn test_system(nb: usize, bs: usize, seed: f64) -> (BlockTridiagonal, BlockTridiagonal) {
     let mut a = BlockTridiagonal::zeros(nb, bs);

@@ -1,13 +1,14 @@
 //! Shared-memory collective communication.
 //!
-//! [`ThreadComm`] runs `n_ranks` closures on OS threads — the only threads
-//! library code starts — and gives each of them a [`RankContext`] with the
-//! collective operations: `alltoall` (the energy↔element data transposition
-//! of Fig. 3), `allgather` (the rank-count-independent ordered reductions of
-//! the SCBA loop: mixer rows, truncation maxima, the final spectral gather),
-//! `allreduce_sum` and `barrier`. Every operation records the number of
-//! bytes a real network would have carried, so the weak-scaling model can be
-//! driven by measured volumes rather than estimates.
+//! [`ThreadComm`] runs `n_ranks` closures on scoped OS threads — the only
+//! threads library code starts — and gives each of them a [`RankContext`]
+//! with the collective operations: `alltoallv` (the energy↔element data
+//! transposition of Fig. 3, and the gathers behind the rank-count-independent
+//! ordered reductions of the SCBA loop: mixer rows, truncation maxima, the
+//! final spectral gather), `allreduce_sum` and `barrier`. Every operation records
+//! the number of bytes a real network would have carried, so the
+//! weak-scaling model can be driven by measured volumes rather than
+//! estimates.
 //!
 //! The all-to-all exchange also exists in a split, non-blocking form
 //! ([`RankContext::alltoallv_start_tagged`] returning a [`CommHandle`]): the sends
@@ -19,6 +20,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
+// lint:allow(no-raw-sync): the one thread start of library code; each rank adopts the launcher's race clock and joins back in `ThreadComm::launch`
+use std::thread::{scope, Builder};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -77,7 +80,7 @@ pub enum SyncKind {
 /// runtime only defines the seam so the checker crate can stay out of every
 /// non-CI build.
 pub trait CollectiveObserver: Send + Sync {
-    /// An `alltoallv` (or `allgather`) was posted: `per_dest_bytes[j]` is the
+    /// An `alltoallv` was posted: `per_dest_bytes[j]` is the
     /// declared wire size of the message to rank `j` (self included).
     fn on_post(
         &self,
@@ -144,20 +147,8 @@ fn current_observer(n_ranks: usize) -> Option<Arc<dyn CollectiveObserver>> {
 
 /// Poll interval of every blocking wait: long enough to stay off the hot
 /// path (a tick only happens when a rank is already stalled), short enough
-/// that a panicked peer or a diagnosed deadlock surfaces promptly. Overridable via
-/// `QUATREX_CHECK_TICK_MS` (default 20 ms) — CI shrinks it so seeded
-/// deadlocks are diagnosed fast, soak runs grow it to keep ticks rare.
-fn observed_poll_tick() -> Duration {
-    static TICK: OnceLock<Duration> = OnceLock::new();
-    *TICK.get_or_init(|| {
-        let ms = std::env::var("QUATREX_CHECK_TICK_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(20);
-        Duration::from_millis(ms)
-    })
-}
+/// that a panicked peer or a diagnosed deadlock surfaces promptly.
+const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// A barrier whose waiters poll on every tick instead of blocking
 /// indefinitely, so a panicked peer or a deadlock ends the wait rather than
@@ -198,7 +189,7 @@ impl PollBarrier {
         while s.1 == generation {
             let (guard, timeout) = self
                 .ready
-                .wait_timeout(s, observed_poll_tick())
+                .wait_timeout(s, POLL_TICK)
                 .unwrap_or_else(|p| p.into_inner());
             s = guard;
             if s.1 != generation {
@@ -245,7 +236,7 @@ pub enum CommPhase {
 }
 
 impl CommPhase {
-    /// Every phase, in [`CommPhase::index`] order.
+    /// Every phase, in `CommPhase::index` order.
     pub const ALL: [CommPhase; 7] = [
         CommPhase::FwdG,
         CommPhase::BwdP,
@@ -258,7 +249,7 @@ impl CommPhase {
 
     /// Dense index into per-phase counter arrays (the declaration order,
     /// which is also the order of [`CommPhase::ALL`]).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -319,7 +310,7 @@ pub struct CommStats {
     /// partition imbalance.
     pub per_rank_alltoall_bytes: Vec<AtomicU64>,
     /// Off-rank `alltoall`/`alltoallv` bytes split by [`CommPhase`], indexed
-    /// by [`CommPhase::index`]. Always has [`CommPhase::ALL`] entries.
+    /// by `CommPhase::index`. Always has [`CommPhase::ALL`] entries.
     pub alltoall_bytes_per_phase: Vec<AtomicU64>,
 }
 
@@ -350,7 +341,7 @@ impl CommStats {
     }
 
     /// Off-rank Alltoall bytes sent by each rank.
-    pub fn alltoall_bytes_by_rank(&self) -> Vec<u64> {
+    pub(crate) fn alltoall_bytes_by_rank(&self) -> Vec<u64> {
         self.per_rank_alltoall_bytes
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
@@ -428,7 +419,7 @@ impl<T: Send + 'static> Drop for RankContext<T> {
 /// Handles must be waited **in posting order** (the channel pairs are FIFO,
 /// so ordering is the matching rule — like MPI's non-overtaking guarantee),
 /// and every handle must be waited before the rank issues any other
-/// message-carrying collective (`alltoallv`, `allgather`); both rules are
+/// message-carrying collective; both rules are
 /// enforced by assertions. Dropping a handle without waiting would leave the
 /// peers' messages queued and desynchronise every later collective.
 #[must_use = "an un-waited alltoallv leaves its messages queued and breaks every later collective"]
@@ -653,7 +644,7 @@ impl<T: Send + 'static> RankContext<T> {
     fn recv_from(&self, src: usize, seq: u64) -> T {
         let rx = &self.mailboxes[self.rank][src].1;
         loop {
-            match rx.recv_timeout(observed_poll_tick()) {
+            match rx.recv_timeout(POLL_TICK) {
                 Ok(msg) => return msg,
                 Err(RecvTimeoutError::Disconnected) => {
                     panic!("rank {}: peer {src} disconnected mid-collective", self.rank)
@@ -667,25 +658,8 @@ impl<T: Send + 'static> RankContext<T> {
         }
     }
 
-    /// Gather every rank's message on every rank (implemented as an
-    /// `alltoallv` of clones), returned in rank order. Used for the ordered
-    /// reductions whose floating-point summation order must not depend on
-    /// the rank count.
-    pub fn allgather_tagged(
-        &self,
-        value: T,
-        wire_bytes: impl Fn(&T) -> usize + 'static,
-        phase: CommPhase,
-    ) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let send: Vec<T> = (0..self.n_ranks).map(|_| value.clone()).collect();
-        self.alltoallv_tagged(send, wire_bytes, phase)
-    }
-
     /// Sum-reduction of one `f64` across all ranks; every rank receives the
-    /// sum. The `N = 1` call of [`RankContext::allreduce_sums`].
+    /// sum. The `N = 1` call of `RankContext::allreduce_sums`.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
         self.allreduce_sums([value])[0]
     }
@@ -695,7 +669,7 @@ impl<T: Send + 'static> RankContext<T> {
     /// rank order, so a fused reduction returns bit for bit what `N`
     /// back-to-back scalar reductions would. Every rank must pass the same
     /// `N`.
-    pub fn allreduce_sums<const N: usize>(&self, values: [f64; N]) -> [f64; N] {
+    pub(crate) fn allreduce_sums<const N: usize>(&self, values: [f64; N]) -> [f64; N] {
         if let Some(obs) = &self.observer {
             if let Err(diagnostic) = obs.on_sync_enter(self.rank, SyncKind::Allreduce) {
                 panic!("{diagnostic}");
@@ -793,12 +767,8 @@ pub struct ThreadComm;
 
 impl ThreadComm {
     /// Run `f` on `n_ranks` threads and collect the per-rank results in rank
-    /// order, together with the communication statistics.
-    ///
-    /// A rank whose closure panics unwinds every other rank: each blocking
-    /// wait sees the communicator's poison flag within one poll tick. The
-    /// run then re-raises the payload of the rank that panicked first, not a
-    /// peer's secondary panic.
+    /// order, together with the communication statistics:
+    /// [`ThreadComm::run_each`] with no per-rank state.
     ///
     /// When a process-global observer factory is installed (see
     /// [`set_observer_factory`]) the run is wrapped with a fresh observer —
@@ -807,8 +777,8 @@ impl ThreadComm {
     pub fn run<T, R, F>(n_ranks: usize, f: F) -> (Vec<R>, Arc<CommStats>)
     where
         T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(RankContext<T>) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(RankContext<T>) -> R + Sync,
     {
         Self::run_with_observer(n_ranks, current_observer(n_ranks), f)
     }
@@ -825,9 +795,46 @@ impl ThreadComm {
     ) -> (Vec<R>, Arc<CommStats>)
     where
         T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(RankContext<T>) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(RankContext<T>) -> R + Sync,
     {
+        Self::launch(vec![(); n_ranks], observer, |ctx, ()| f(ctx))
+    }
+
+    /// Run `f` on one thread per entry of `states`, rank `r` receiving
+    /// `states[r]` by value, and collect the per-rank results in rank order,
+    /// together with the communication statistics. The ranks are scoped
+    /// threads: closure, states and results may borrow from the caller.
+    ///
+    /// A rank whose closure panics unwinds every other rank: each blocking
+    /// wait sees the communicator's poison flag within one poll tick. The
+    /// run then re-raises the payload of the rank that panicked first, not a
+    /// peer's secondary panic. An installed observer factory wraps the run
+    /// as in [`ThreadComm::run`].
+    pub fn run_each<T, S, R, F>(states: Vec<S>, f: F) -> (Vec<R>, Arc<CommStats>)
+    where
+        T: Send + 'static,
+        S: Send,
+        R: Send,
+        F: Fn(RankContext<T>, S) -> R + Sync,
+    {
+        let observer = current_observer(states.len());
+        Self::launch(states, observer, f)
+    }
+
+    /// The one rank spawn loop of every run.
+    fn launch<T, S, R, F>(
+        states: Vec<S>,
+        observer: Option<Arc<dyn CollectiveObserver>>,
+        f: F,
+    ) -> (Vec<R>, Arc<CommStats>)
+    where
+        T: Send + 'static,
+        S: Send,
+        R: Send,
+        F: Fn(RankContext<T>, S) -> R + Sync,
+    {
+        let n_ranks = states.len();
         assert!(n_ranks >= 1);
         let mailboxes: Mailbox<T> = Arc::new(
             (0..n_ranks)
@@ -839,7 +846,6 @@ impl ThreadComm {
         let yield_barrier = Arc::new(sched::YieldBarrier::new(n_ranks));
         let reduce_slots = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(CommStats::with_ranks(n_ranks));
-        let f = Arc::new(f);
         static NEXT_COMM_ID: AtomicU64 = AtomicU64::new(1);
         let comm_id = NEXT_COMM_ID.fetch_add(1, Ordering::Relaxed);
         let barrier_race_slot = Arc::new(AtomicU64::new(0));
@@ -858,55 +864,58 @@ impl ThreadComm {
         // caller's continuation after the joins (depart/join).
         let fork_point = race::fork();
 
-        let mut handles = Vec::with_capacity(n_ranks);
-        for rank in 0..n_ranks {
-            let ctx = RankContext {
-                rank,
-                n_ranks,
-                mailboxes: Arc::clone(&mailboxes),
-                poll_barrier: Arc::clone(&poll_barrier),
-                poison: Arc::clone(&poison),
-                yield_barrier: Arc::clone(&yield_barrier),
-                observer: observer.clone(),
-                reduce_slots: Arc::clone(&reduce_slots),
-                stats: Arc::clone(&stats),
-                next_post_seq: Cell::new(0),
-                next_wait_seq: Cell::new(0),
-                comm_id,
-                barrier_race_slot: Arc::clone(&barrier_race_slot),
-            };
-            let f = Arc::clone(&f);
-            let session = session.clone();
-            let fork_point = fork_point.clone();
-            let poison = Arc::clone(&poison);
-            // lint:allow(no-raw-sync): the one thread start of library code; each rank adopts the launcher's race clock and joins back below
-            let handle = std::thread::Builder::new()
-                .name(format!("quatrex-rank-{rank}"))
-                .spawn(move || {
-                    let _session = session.map(|s| s.enter(rank as u64));
-                    race::adopt(&fork_point);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
-                    if out.is_err() {
-                        // Only the first rank to unwind is recorded.
-                        let (acq_rel, acq) = (Ordering::AcqRel, Ordering::Acquire);
-                        let _ = poison.compare_exchange(CLEAN, rank, acq_rel, acq);
-                    }
-                    (out, race::depart())
-                })
-                .expect("spawn rank thread"); // lint:allow(no-unwrap): thread spawn only fails on resource exhaustion
-            handles.push(handle);
-        }
+        let (f, poison_flag) = (&f, &poison);
         let mut results = Vec::with_capacity(n_ranks);
         let mut panics = Vec::new();
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((Ok(r), join_point)) => {
-                    race::join(join_point);
-                    results.push(r);
+        scope(|s| {
+            let handles: Vec<_> = states
+                .into_iter()
+                .enumerate()
+                .map(|(rank, state)| {
+                    let ctx = RankContext {
+                        rank,
+                        n_ranks,
+                        mailboxes: Arc::clone(&mailboxes),
+                        poll_barrier: Arc::clone(&poll_barrier),
+                        poison: Arc::clone(&poison),
+                        yield_barrier: Arc::clone(&yield_barrier),
+                        observer: observer.clone(),
+                        reduce_slots: Arc::clone(&reduce_slots),
+                        stats: Arc::clone(&stats),
+                        next_post_seq: Cell::new(0),
+                        next_wait_seq: Cell::new(0),
+                        comm_id,
+                        barrier_race_slot: Arc::clone(&barrier_race_slot),
+                    };
+                    let session = session.clone();
+                    let fork_point = fork_point.clone();
+                    Builder::new()
+                        .name(format!("quatrex-rank-{rank}"))
+                        .spawn_scoped(s, move || {
+                            let _session = session.map(|s| s.enter(rank as u64));
+                            race::adopt(&fork_point);
+                            let body = std::panic::AssertUnwindSafe(|| f(ctx, state));
+                            let out = std::panic::catch_unwind(body);
+                            if out.is_err() {
+                                // Only the first rank to unwind is recorded.
+                                let (acq_rel, acq) = (Ordering::AcqRel, Ordering::Acquire);
+                                let _ = poison_flag.compare_exchange(CLEAN, rank, acq_rel, acq);
+                            }
+                            (out, race::depart())
+                        })
+                        .expect("spawn rank thread") // lint:allow(no-unwrap): thread spawn only fails on resource exhaustion
+                })
+                .collect();
+            for (rank, h) in handles.into_iter().enumerate() {
+                match h.join() {
+                    Ok((Ok(r), join_point)) => {
+                        race::join(join_point);
+                        results.push(r);
+                    }
+                    Ok((Err(payload), _)) | Err(payload) => panics.push((rank, payload)),
                 }
-                Ok((Err(payload), _)) | Err(payload) => panics.push((rank, payload)),
             }
-        }
+        });
         if !panics.is_empty() {
             let first = poison.load(Ordering::Acquire);
             let at = panics.iter().position(|(r, _)| *r == first);
@@ -1032,22 +1041,6 @@ mod tests {
             stats.alltoall_bytes.load(Ordering::Relaxed),
             by_rank.iter().sum::<u64>()
         );
-    }
-
-    #[test]
-    fn allgather_returns_every_rank_in_order() {
-        let n = 4;
-        let (results, _) = ThreadComm::run(n, move |ctx: RankContext<Vec<f64>>| {
-            ctx.allgather_tagged(
-                vec![ctx.rank() as f64; 2],
-                |m| 8 * m.len(),
-                CommPhase::Other,
-            )
-        });
-        for got in results {
-            let flat: Vec<f64> = got.into_iter().flatten().collect();
-            assert_eq!(flat, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
-        }
     }
 
     #[test]
@@ -1196,16 +1189,51 @@ mod tests {
         }
     }
 
-    /// Run `wait` on rank 0 while rank 1 panics. The run must end within
-    /// 10 s and re-raise rank 1's payload, not rank 0's secondary panic.
-    /// Whether rank 1 unwinds before or after rank 0 starts waiting, rank 0
-    /// leaves its wait through the same poll-tick check.
+    #[test]
+    fn run_each_hands_rank_r_its_state_and_returns_results_in_rank_order() {
+        // The ranks finish in reverse order; the results still come back in
+        // rank order, each rank holding the state it was handed.
+        let n = 4;
+        let states: Vec<String> = (0..n).map(|r| format!("state-{r}")).collect();
+        let (results, _) = ThreadComm::run_each(states, |ctx: RankContext<()>, state| {
+            ctx.barrier();
+            let delay = 5 * (ctx.n_ranks() - 1 - ctx.rank()) as u64;
+            std::thread::sleep(Duration::from_millis(delay));
+            (ctx.rank(), state)
+        });
+        let expected: Vec<_> = (0..n).map(|r| (r, format!("state-{r}"))).collect();
+        assert_eq!(results, expected);
+    }
+
+    #[test]
+    fn run_each_ranks_borrow_the_callers_stack() {
+        // The closure reads a slice of the caller's stack frame and every
+        // rank writes through its own mutable borrow of the caller's buffer.
+        let n = 3;
+        let offsets = [10u64, 20, 30];
+        let mut out = vec![0u64; 2 * n];
+        let states: Vec<&mut [u64]> = out.chunks_mut(2).collect();
+        let (sums, _) = ThreadComm::run_each(states, |ctx: RankContext<()>, mine| {
+            let r = ctx.rank();
+            mine.fill(offsets[r] + r as u64);
+            ctx.allreduce_sum(offsets[r] as f64)
+        });
+        assert_eq!(out, [10, 10, 21, 21, 32, 32]);
+        assert!(sums.iter().all(|&s| s == 60.0));
+    }
+
+    /// Run `wait` on rank 0 while rank 1 panics, each rank told its role by
+    /// its [`ThreadComm::run_each`] state. The run must end within 10 s and
+    /// re-raise rank 1's payload, not rank 0's secondary panic. Whether
+    /// rank 1 unwinds before or after rank 0 starts waiting, rank 0 leaves
+    /// its wait through the same poll-tick check.
     fn a_panicking_peer_unwinds(wait: fn(&RankContext<u64>)) {
         let (tx, rx) = std::sync::mpsc::channel();
         let run = std::thread::spawn(move || {
             let err = std::panic::catch_unwind(|| {
-                ThreadComm::run(2, move |ctx: RankContext<u64>| {
-                    if ctx.rank() == 1 {
+                let fails = vec![false, true];
+                ThreadComm::run_each(fails, move |ctx: RankContext<u64>, fails| {
+                    if fails {
                         panic!("rank 1 failed");
                     }
                     wait(&ctx);

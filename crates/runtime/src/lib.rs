@@ -15,7 +15,9 @@
 //! counts what was shipped.
 //!
 //! The entry point is [`ThreadComm::run`]: it executes one closure per
-//! simulated rank and hands each a [`RankContext`] with the collectives:
+//! simulated rank and hands each a [`RankContext`] with the collectives
+//! ([`ThreadComm::run_each`] also hands rank `r` the `r`-th of a vector of
+//! per-rank states, by value):
 //!
 //! ```
 //! use quatrex_runtime::{RankContext, ThreadComm};

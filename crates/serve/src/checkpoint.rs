@@ -38,7 +38,7 @@ use quatrex_linalg::c64;
 /// File magic of the sweep checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"QXSWEEP1";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub(crate) const CHECKPOINT_VERSION: u32 = 3;
 
 /// Named failures of sweep serving and checkpoint decode.
 #[derive(Debug)]

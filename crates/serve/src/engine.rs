@@ -156,11 +156,6 @@ impl SweepEngine {
         self.finished.len()
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &SweepConfig {
-        &self.config
-    }
-
     /// The report so far: every finished point in completion order.
     pub fn report(&self) -> SweepReport {
         SweepReport {

@@ -62,7 +62,7 @@ pub mod engine;
 pub mod point;
 pub mod report;
 
-pub use checkpoint::{SweepError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{SweepError, CHECKPOINT_MAGIC};
 pub use engine::{SweepConfig, SweepEngine};
 pub use point::SweepPoint;
 pub use report::{PointReport, SweepReport};

@@ -29,12 +29,6 @@ impl SweepPoint {
         Self::new(bias_v, ROOM_TEMPERATURE_K)
     }
 
-    /// A zero-bias point at the given temperature — the temperature-grid
-    /// case.
-    pub fn temperature(temperature_k: f64) -> Self {
-        Self::new(0.0, temperature_k)
-    }
-
     /// Distance to another point in the energy units the SCBA state actually
     /// feels: the bias gap in eV plus the thermal-energy gap `|kT₁ − kT₂|`
     /// in eV. The nearest finished neighbor under this metric donates its

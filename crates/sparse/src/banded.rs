@@ -76,23 +76,13 @@ impl BlockBanded {
         Some(i * (2 * self.bandwidth + 1) + (d + self.bandwidth as isize) as usize)
     }
 
-    /// Number of block rows/columns.
-    pub fn n_blocks(&self) -> usize {
-        self.n_blocks
-    }
-
-    /// Size of each (square) block.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Block bandwidth (number of stored off-diagonals on each side).
     pub fn bandwidth(&self) -> usize {
         self.bandwidth
     }
 
     /// Total matrix dimension `n_blocks · block_size`.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n_blocks * self.block_size
     }
 
@@ -139,7 +129,8 @@ impl BlockBanded {
     /// Number of scalar non-zeros, counting every entry of every stored block.
     ///
     /// This is the quantity reported as `H_NNZ` / `G_NNZ` in the paper's Table 3.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         self.iter_blocks().count() * self.block_size * self.block_size
     }
 

@@ -17,7 +17,7 @@
 //! - [`progress`] — a state change that can unblock a peer (message sent,
 //!   lock released, barrier tripped).
 //!
-//! Scheduling decisions are driven by a [`Plan`]: depth-first replay of a
+//! Scheduling decisions are driven by a `Plan`: depth-first replay of a
 //! choice prefix (exhaustive enumeration with backtracking, optionally
 //! preemption-bounded) or a seeded SplitMix64 stream. Every decision is
 //! recorded, so any schedule — including a failing one — is reproducible
@@ -135,7 +135,7 @@ enum TState {
 
 /// How scheduling decisions are made.
 #[derive(Clone, Debug)]
-pub enum Plan {
+pub(crate) enum Plan {
     /// Follow the recorded choice prefix, then always pick option 0 — the
     /// replay/enumeration arm of depth-first exploration.
     Dfs {
