@@ -301,6 +301,46 @@ fn timeline_structure_is_deterministic_across_runs() {
 }
 
 #[test]
+fn every_rank_records_its_spans_in_timeline_order() {
+    // The recorder writes a span at entry, so each rank's buffer is already
+    // the timeline every metric reads: ascending start, and every span at
+    // depth d > 0 inside the nearest earlier span at depth d - 1.
+    let config = DistScbaConfig::new(scba(8, 2), 4)
+        .with_spatial_partitions(2)
+        .with_energy_batches(2);
+    let result = DistScbaSolver::new(device(), config).run();
+    assert_eq!(result.timeline.n_ranks(), 4);
+    for rt in &result.timeline.ranks {
+        assert!(!rt.spans.is_empty(), "rank {} recorded spans", rt.rank);
+        for (k, pair) in rt.spans.windows(2).enumerate() {
+            assert!(
+                pair[0].start_ns <= pair[1].start_ns,
+                "rank {}: span {} '{}' starts before span {} '{}'",
+                rt.rank,
+                k + 1,
+                pair[1].name,
+                k,
+                pair[0].name
+            );
+        }
+        for (k, s) in rt.spans.iter().enumerate().filter(|(_, s)| s.depth > 0) {
+            let parent = rt.spans[..k]
+                .iter()
+                .rev()
+                .find(|p| p.depth == s.depth - 1)
+                .unwrap_or_else(|| panic!("rank {}: span {k} '{}' has no parent", rt.rank, s.name));
+            assert!(
+                parent.start_ns <= s.start_ns && s.end_ns() <= parent.end_ns(),
+                "rank {}: span {k} '{}' escapes '{}'",
+                rt.rank,
+                s.name,
+                parent.name
+            );
+        }
+    }
+}
+
+#[test]
 fn phase_seconds_are_exclusive_and_sum_to_rank_seconds() {
     // Every instant of every rank is booked once: the categories' exclusive
     // seconds plus `untraced` are n_ranks × wall.

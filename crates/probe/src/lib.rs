@@ -25,6 +25,10 @@
 //! * **One clock.** All ranks timestamp against a shared monotonic epoch
 //!   (`Instant`) passed to [`install`], so merged tracks align without any
 //!   cross-rank clock reconciliation.
+//! * **One order.** A span is written at entry and its duration filled in
+//!   at exit, so a rank's buffer is in timeline order by construction (by
+//!   start, a parent before its children). Every metric is one borrowed
+//!   pass over it: nothing clones or sorts the spans.
 //!
 //! The analysis half ([`Timeline`]) derives the phase metrics folded into
 //! `DistReport`: per-phase exclusive seconds, measured overlap efficiency
@@ -58,7 +62,7 @@ pub const CAT_COMM_WAIT: &str = "comm.wait";
 /// The [`Timeline::phase_seconds`] entry for rank time inside no span.
 pub const UNTRACED: &str = "untraced";
 
-/// A completed span: a named, categorised interval on one rank's track.
+/// A span: a named, categorised interval on one rank's track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Static span name, e.g. `"transposition.wait.fwd_g"`.
@@ -100,7 +104,8 @@ pub struct MarkEvent {
 pub struct RankTrace {
     /// The simulated rank that recorded this buffer.
     pub rank: usize,
-    /// Completed spans in *exit* order (children precede parents).
+    /// Spans in timeline order, recorded at entry: ascending start, a parent
+    /// before its children. Every analysis pass reads this buffer as it is.
     pub spans: Vec<SpanEvent>,
     /// Instantaneous marks in record order.
     pub marks: Vec<MarkEvent>,
@@ -162,35 +167,40 @@ pub fn is_enabled() -> bool {
     RECORDER.try_with(|r| r.borrow().is_some()).unwrap_or(false)
 }
 
+/// Push the span's event with its start, depth and payload (timeline order:
+/// see the crate doc); [`exit`] fills in its duration through the returned
+/// index.
 #[inline]
-fn enter() -> Option<(u64, u32)> {
+fn enter(name: &'static str, cat: &'static str, bytes: u64) -> Option<usize> {
     RECORDER
         .try_with(|r| {
             r.borrow_mut().as_mut().map(|rec| {
-                let depth = rec.depth;
+                rec.spans.push(SpanEvent {
+                    name,
+                    cat,
+                    start_ns: rec.epoch.elapsed().as_nanos() as u64,
+                    dur_ns: 0,
+                    depth: rec.depth,
+                    bytes,
+                });
                 rec.depth += 1;
-                (rec.epoch.elapsed().as_nanos() as u64, depth)
+                rec.spans.len() - 1
             })
         })
         .ok()
         .flatten()
 }
 
+/// Close the span [`enter`] pushed at `index`: fill in its duration.
 #[inline]
-fn exit(name: &'static str, cat: &'static str, bytes: u64, entered: (u64, u32)) {
+fn exit(index: usize) {
     let _ = RECORDER.try_with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {
             rec.depth = rec.depth.saturating_sub(1);
             let end = rec.epoch.elapsed().as_nanos() as u64;
-            let (start_ns, depth) = entered;
-            rec.spans.push(SpanEvent {
-                name,
-                cat,
-                start_ns,
-                dur_ns: end.saturating_sub(start_ns),
-                depth,
-                bytes,
-            });
+            if let Some(s) = rec.spans.get_mut(index) {
+                s.dur_ns = end.saturating_sub(s.start_ns);
+            }
         }
     });
 }
@@ -200,12 +210,7 @@ fn exit(name: &'static str, cat: &'static str, bytes: u64, entered: (u64, u32)) 
 /// allocation.
 #[inline]
 pub fn span<R>(name: &'static str, cat: &'static str, f: impl FnOnce() -> R) -> R {
-    let entered = enter();
-    let out = f();
-    if let Some(e) = entered {
-        exit(name, cat, 0, e);
-    }
-    out
+    span_bytes(name, cat, 0, f)
 }
 
 /// Like [`span`], attributing `bytes` to the recorded event.
@@ -216,10 +221,10 @@ pub fn span_bytes<R>(
     bytes: u64,
     f: impl FnOnce() -> R,
 ) -> R {
-    let entered = enter();
+    let entered = enter(name, cat, bytes);
     let out = f();
-    if let Some(e) = entered {
-        exit(name, cat, bytes, e);
+    if let Some(index) = entered {
+        exit(index);
     }
     out
 }
@@ -255,21 +260,8 @@ pub fn counter(name: &'static str, delta: u64) {
 }
 
 impl RankTrace {
-    /// Spans sorted into timeline order: by start, parents before children at
-    /// equal starts (the raw buffer holds *exit* order).
-    pub(crate) fn sorted_spans(&self) -> Vec<SpanEvent> {
-        let mut spans = self.spans.clone();
-        spans.sort_by(|a, b| {
-            a.start_ns
-                .cmp(&b.start_ns)
-                .then(a.depth.cmp(&b.depth))
-                .then(b.dur_ns.cmp(&a.dur_ns))
-        });
-        spans
-    }
-
     /// Value of a named counter (0 when never recorded).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
             .find(|(n, _)| *n == name)
@@ -282,9 +274,8 @@ impl RankTrace {
     /// depth `d > 0` is contained in the interval of its depth `d - 1`
     /// ancestor.
     pub(crate) fn validate_nesting(&self) -> Result<(), String> {
-        let spans = self.sorted_spans();
-        let mut stack: Vec<SpanEvent> = Vec::new();
-        for s in &spans {
+        let mut stack: Vec<&SpanEvent> = Vec::new();
+        for s in &self.spans {
             let d = s.depth as usize;
             stack.truncate(d);
             if stack.len() != d {
@@ -310,7 +301,7 @@ impl RankTrace {
                     ));
                 }
             }
-            stack.push(*s);
+            stack.push(s);
         }
         Ok(())
     }
@@ -319,10 +310,9 @@ impl RankTrace {
     /// counting only spans with no already-counted ancestor (so nested spans
     /// of included categories are not double-counted).
     pub(crate) fn busy_seconds(&self, include: impl Fn(&str) -> bool) -> f64 {
-        let spans = self.sorted_spans();
         let mut counted_at: Vec<bool> = Vec::new();
         let mut total_ns: u128 = 0;
-        for s in &spans {
+        for s in &self.spans {
             let d = s.depth as usize;
             if counted_at.len() <= d {
                 counted_at.resize(d + 1, false);
@@ -424,7 +414,7 @@ impl Timeline {
         for rt in &self.ranks {
             // Category of the open span at each depth above the current one.
             let mut open: Vec<&'static str> = Vec::new();
-            for s in &rt.sorted_spans() {
+            for s in &rt.spans {
                 open.truncate(s.depth as usize);
                 *totals.entry(s.cat).or_insert(0) += s.dur_ns as i128;
                 if let Some(parent) = open.last() {
@@ -492,8 +482,9 @@ impl Timeline {
         for rt in &self.ranks {
             let posts: Vec<&MarkEvent> =
                 rt.marks.iter().filter(|m| m.cat == CAT_COMM_POST).collect();
-            // Exit order of wait spans is completion order, which the
-            // communicator pins to posting order.
+            // Wait spans on one rank never nest, so their start order is
+            // their completion order, which the communicator pins to
+            // posting order.
             let waits: Vec<&SpanEvent> =
                 rt.spans.iter().filter(|s| s.cat == CAT_COMM_WAIT).collect();
             let n = posts.len().min(waits.len());
@@ -556,7 +547,7 @@ impl Timeline {
                     rt.rank, rt.rank
                 ),
             );
-            for s in rt.sorted_spans() {
+            for s in &rt.spans {
                 push(
                     &mut out,
                     format!(
@@ -715,14 +706,12 @@ mod tests {
         });
         assert_eq!(trace.rank, 2);
         assert_eq!(trace.spans.len(), 4);
-        // Raw buffer is exit order: children before their parent.
-        assert_eq!(trace.spans[0].name, "inner1");
-        assert_eq!(trace.spans[2].name, "outer");
-        assert_eq!(trace.spans[0].depth, 1);
-        assert_eq!(trace.spans[2].depth, 0);
+        // The buffer is entry order: a parent before its children.
+        assert_eq!(trace.spans[0].name, "outer");
+        assert_eq!(trace.spans[1].name, "inner1");
+        assert_eq!(trace.spans[0].depth, 0);
+        assert_eq!(trace.spans[1].depth, 1);
         trace.validate_nesting().expect("well-formed nesting");
-        let sorted = trace.sorted_spans();
-        assert_eq!(sorted[0].name, "outer");
     }
 
     #[test]
@@ -909,8 +898,7 @@ mod tests {
         assert_eq!(meta.len(), 1);
         // Timestamps, names and payloads survive the round trip exactly
         // (µs with 3 decimals is ns resolution).
-        let sorted = trace.sorted_spans();
-        for (parsed, original) in spans.iter().zip(&sorted) {
+        for (parsed, original) in spans.iter().zip(&trace.spans) {
             assert_eq!(parsed.name, original.name);
             assert_eq!(parsed.cat, original.cat);
             assert_eq!(parsed.ts_ns, original.start_ns);
