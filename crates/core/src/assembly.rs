@@ -57,6 +57,12 @@ pub struct GAssembly {
 }
 
 impl GAssembly {
+    /// Matrix `m` of the assembled system `[M̃, Σ^<, Σ^>]`: the system
+    /// matrix at `m = 0`, then the lesser and greater right-hand sides.
+    pub(crate) fn matrix(&self, m: usize) -> &BlockTridiagonal {
+        [&self.system, &self.rhs_lesser, &self.rhs_greater][m]
+    }
+
     /// An all-zero assembly of `nb` blocks of `bs`.
     pub(crate) fn zeros(nb: usize, bs: usize) -> Self {
         let bt = || BlockTridiagonal::zeros(nb, bs);

@@ -86,7 +86,7 @@ pub(crate) struct Problem {
 
 impl Problem {
     /// The physics configuration.
-    pub fn cfg(&self) -> &ScbaConfig {
+    pub(crate) fn cfg(&self) -> &ScbaConfig {
         &self.config.scba
     }
 
@@ -134,20 +134,20 @@ pub(crate) struct RankCounters {
 
 impl RankCounters {
     /// A posted or received batch payload enters the in-flight footprint.
-    pub fn track(&mut self, bytes: u64) {
+    pub(crate) fn track(&mut self, bytes: u64) {
         self.in_flight_bytes += bytes;
         self.peak_slab_bytes = self.peak_slab_bytes.max(self.in_flight_bytes);
     }
 
     /// A consumed batch leaves the in-flight footprint.
-    pub fn release(&mut self, bytes: u64) {
+    pub(crate) fn release(&mut self, bytes: u64) {
         self.in_flight_bytes -= bytes;
     }
 
     /// Fold another rank's counters in: everything adds up across ranks
     /// except the buffer peak, where the busiest rank bounds the per-node
     /// memory.
-    pub fn merge(&mut self, other: &RankCounters) {
+    pub(crate) fn merge(&mut self, other: &RankCounters) {
         self.memo_hits += other.memo_hits;
         self.memo_total += other.memo_total;
         self.pack_bytes += other.pack_bytes;
@@ -306,8 +306,10 @@ impl RankBuffers {
     /// One energy step (`G` or `W`) of the owned energies, chunk by chunk
     /// ([`solve_chunks`]): `assemble(chunk, self)` assembles the chunk's
     /// local energies into the first slots, the group solve of `subsystem`
-    /// writes the chunk's energy sets in place, and `finish(slot, set, work)`
-    /// finishes each energy of the chunk in order.
+    /// reads its systems from those slots and writes the chunk's energy sets
+    /// in place, and `finish(slot, set, work)` finishes each energy of the
+    /// chunk in order. Nothing is copied or listed in between: at
+    /// `P_S ≤ 2` a steady-state step allocates nothing.
     fn energy_step(
         &mut self,
         ctx: &RankContext<Vec<c64>>,
@@ -320,16 +322,12 @@ impl RankBuffers {
             let chunk = self.chunks[c].clone();
             assemble(chunk.clone(), self);
             let slots = &self.slots[..chunk.len()];
-            let systems: Vec<_> = slots
-                .iter()
-                .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-                .collect();
-            self.members[p.layout.grid.spatial_of(ctx.rank())] = systems.len();
+            self.members[p.layout.grid.spatial_of(ctx.rank())] = slots.len();
             spatial_phase_solve(
                 ctx,
                 &p.layout,
                 subsystem,
-                &systems,
+                slots,
                 &self.members,
                 p.cfg().kernel_batch,
                 &mut self.group,

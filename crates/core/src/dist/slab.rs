@@ -163,7 +163,7 @@ impl ElementSlab {
     /// like this and absorbs its batches
     /// ([`TranspositionPlan::absorb_forward_batch`]); energies that have not
     /// arrived read as zero.
-    pub fn zeroed(
+    pub(crate) fn zeroed(
         plan: &TranspositionPlan,
         rank: usize,
         n_components: usize,
@@ -229,7 +229,12 @@ pub struct TranspositionPlan {
 impl TranspositionPlan {
     /// Build a plan over `n_ranks` flat ranks from the problem shape: energies
     /// and canonical elements are each split evenly over the ranks.
-    pub fn new(n_blocks: usize, block_size: usize, n_energies: usize, n_ranks: usize) -> Self {
+    pub(crate) fn new(
+        n_blocks: usize,
+        block_size: usize,
+        n_energies: usize,
+        n_ranks: usize,
+    ) -> Self {
         let slots = ElementSlots::canonical(n_blocks, block_size);
         let energy_ranges = partition_even(n_energies, n_ranks);
         let element_ranges = partition_even(slots.len(), n_ranks);
@@ -581,7 +586,7 @@ impl TranspositionBatchPlan {
     /// Cut every rank's energy range of `plan` into `n_batches` near-equal
     /// contiguous batches. Deterministic: every rank derives the identical
     /// schedule from the shared plan.
-    pub fn new(plan: &TranspositionPlan, n_batches: usize) -> Self {
+    pub(crate) fn new(plan: &TranspositionPlan, n_batches: usize) -> Self {
         assert!(n_batches >= 1, "at least one batch per transposition");
         let local_ranges: Vec<Vec<Range<usize>>> = plan
             .energy_ranges

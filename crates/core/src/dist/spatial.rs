@@ -51,6 +51,7 @@
 
 use std::ops::Range;
 
+use crate::assembly::GAssembly;
 use crate::scba::{kernel_chunks, solve_accounting, solve_stage};
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_linalg::{c64, CMatrix};
@@ -59,6 +60,7 @@ use quatrex_rgf::{
     assemble_reduced_system_into, assemble_solution_into, eliminate_loaded,
     eliminate_partition_into, partition_layout_balanced, recover_partition_into, separator_blocks,
     solve_systems_into, PartitionSolveState, RgfBatchScratch, SelectedSolution, SpatialPartition,
+    Systems,
 };
 use quatrex_runtime::{CommPhase, RankContext};
 use quatrex_sparse::BlockTridiagonal;
@@ -86,7 +88,7 @@ impl RankGrid {
     /// Factor `n_ranks` into `n_ranks / spatial_partitions` energy groups of
     /// `spatial_partitions` ranks each. Panics when the factorisation does
     /// not work out.
-    pub fn new(n_ranks: usize, spatial_partitions: usize) -> Self {
+    pub(crate) fn new(n_ranks: usize, spatial_partitions: usize) -> Self {
         assert!(spatial_partitions >= 1, "P_S must be at least 1");
         assert!(
             n_ranks >= spatial_partitions && n_ranks.is_multiple_of(spatial_partitions),
@@ -99,7 +101,7 @@ impl RankGrid {
     }
 
     /// Total number of ranks.
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.n_groups * self.spatial_partitions
     }
 
@@ -248,25 +250,25 @@ fn read_at<'m>(msg: &'m [c64], at: &mut usize, read: impl FnOnce(&mut std::slice
 /// The group solve of one phase: the per-energy selected solves of the
 /// assembled systems, by the whole energy group.
 ///
-/// `systems` holds one `[A, B^<, B^>]` triple per energy **this rank** owns
-/// and assembled; `member_energies[m]` is the number of energies spatial rank
-/// `m` of this rank's group brings to the solve (`systems.len()` at this
-/// rank's own index). With one member per group (`P_S = 1`) this is
-/// `crate::scba::solve_stage` against the RGF scratch — one energy-batched
-/// RGF solve, no communication. Otherwise the group's ranks cooperate:
-/// block-range distribution, concurrent interior eliminations of every
-/// energy of the group, the reduced boundary systems on each energy's owner,
-/// concurrent recoveries — every RGF solve among them energy-batched against
-/// the RGF scratch in chunks of at most `kernel_batch` energies, every
-/// message from `pool`. Writes the [`SelectedSolution`]s of this rank's
-/// energies into `sols` (one per system); FLOPs are accounted to `subsystem`
-/// either way.
+/// `slots` holds one assembled `[A, B^<, B^>]` system per energy **this
+/// rank** owns, read where it was assembled; `member_energies[m]` is the
+/// number of energies spatial rank `m` of this rank's group brings to the
+/// solve (`slots.len()` at this rank's own index). With one member per group
+/// (`P_S = 1`) this is `crate::scba::solve_stage` against the RGF scratch —
+/// one energy-batched RGF solve, no communication. Otherwise the group's
+/// ranks cooperate: block-range distribution, concurrent interior
+/// eliminations of every energy of the group, the reduced boundary systems
+/// on each energy's owner, concurrent recoveries — every RGF solve among
+/// them energy-batched against the RGF scratch in chunks of at most
+/// `kernel_batch` energies, every message from `pool`. Writes the
+/// [`SelectedSolution`]s of this rank's energies into `sols` (one per
+/// system); FLOPs are accounted to `subsystem` either way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spatial_phase_solve(
     ctx: &RankContext<Vec<c64>>,
     layout: &SpatialLayout,
     subsystem: Subsystem,
-    systems: &[[&BlockTridiagonal; 3]],
+    slots: &[GAssembly],
     member_energies: &[usize],
     kernel_batch: usize,
     scratch: &mut GroupScratch,
@@ -277,7 +279,9 @@ pub(crate) fn spatial_phase_solve(
     let (grid, parts) = (&layout.grid, &layout.parts);
     let (nb, bs) = (layout.n_blocks, layout.block_size);
     let p_s = grid.spatial_partitions;
-    assert_eq!(sols.len(), systems.len(), "one solution per system");
+    assert_eq!(sols.len(), slots.len(), "one solution per system");
+    let matrix = |e: usize, m: usize| slots[e].matrix(m);
+    let systems = Systems::new(slots.len(), N_RHS, &matrix);
     if p_s == 1 {
         return solve_stage(subsystem, systems, sols, &mut scratch.rgf, flops)
             .expect("RGF solve failed: the system matrix became singular"); // lint:allow(no-unwrap): a singular system matrix is a fatal numeric error
@@ -288,7 +292,7 @@ pub(crate) fn spatial_phase_solve(
     // Flat rank of spatial rank 0: member `m` is rank `first + m`.
     let first = grid.members_of(grid.group_of(rank)).start;
     assert_eq!(member_energies.len(), p_s, "one energy count per member");
-    assert_eq!(systems.len(), member_energies[s], "own systems");
+    assert_eq!(slots.len(), member_energies[s], "own systems");
     let others = || (0..p_s).filter(move |&m| m != s);
     // The group's energies in member order: member `m`'s sit at `of(m)`.
     let of = |m: usize| {
@@ -323,9 +327,9 @@ pub(crate) fn spatial_phase_solve(
     // is empty.
     let mut send = pool.messages(n_ranks);
     for p in others() {
-        for system in systems {
-            for m in system {
-                push_bt_range(&mut send[first + p], m, parts[p].range());
+        for asm in slots {
+            for m in 0..=N_RHS {
+                push_bt_range(&mut send[first + p], asm.matrix(m), parts[p].range());
             }
         }
     }
@@ -336,14 +340,14 @@ pub(crate) fn spatial_phase_solve(
     let handle = ctx.alltoallv_start_tagged(send, wire, CommPhase::Spatial);
     // Eliminate one member's energies: this rank's own from the systems it
     // assembled, the others' from the ranges read into their states.
-    let mut eliminate = |states: &mut [PartitionSolveState],
-                         systems: Option<&[[&BlockTridiagonal; 3]]>| {
+    let mut eliminate = |states: &mut [PartitionSolveState], slots: Option<&[GAssembly]>| {
         quatrex_probe::span("spatial.eliminate", "rgf.partition", || {
             for chunk in kernel_chunks(0..states.len(), kernel_batch) {
                 let states = &mut states[chunk.clone()];
-                match systems {
-                    Some(systems) => {
-                        let systems = &systems[chunk];
+                match slots {
+                    Some(slots) => {
+                        let matrix = |e: usize, m: usize| slots[chunk.start + e].matrix(m);
+                        let systems = Systems::new(chunk.len(), N_RHS, &matrix);
                         eliminate_partition_into(states, systems, my_part.lo, my_part, s, rgf)
                     }
                     None => eliminate_loaded(states, my_part, s, rgf),
@@ -354,7 +358,7 @@ pub(crate) fn spatial_phase_solve(
             flops.add(kind, states.iter().map(|st| st.workload.flops).sum());
         })
     };
-    eliminate(&mut states[of(s)], Some(systems));
+    eliminate(&mut states[of(s)], Some(slots));
     let recv = handle.wait(ctx);
     for m in others() {
         let mut it = recv[first + m].iter();
@@ -380,9 +384,9 @@ pub(crate) fn spatial_phase_solve(
     quatrex_probe::span("spatial.reduced", "rgf.reduced", || {
         cursors.clear();
         cursors.resize(p_s, 0);
-        reduced_systems.resize_with(systems.len(), Default::default);
+        reduced_systems.resize_with(slots.len(), Default::default);
         let own_states = &states[of(s)];
-        for ((red, system), own) in reduced_systems.iter_mut().zip(systems).zip(own_states) {
+        for (e, (red, own)) in reduced_systems.iter_mut().zip(own_states).enumerate() {
             // One update grid per partition, in layout order.
             for p in others() {
                 updates[p].resize_with(update_blocks(&parts[p]), CMatrix::default);
@@ -394,11 +398,14 @@ pub(crate) fn spatial_phase_solve(
             }
             let grid = |p: usize| if p == s { &own.updates } else { &updates[p] };
             let separators = &layout.separators;
-            assemble_reduced_system_into(red, system, parts, separators, |p| grid(p));
+            assemble_reduced_system_into(red, systems, e, parts, separators, |p| grid(p));
         }
         let own_reduced = &mut reduced[of(s)];
-        for chunk in kernel_chunks(0..systems.len(), kernel_batch) {
-            let (systems, sols) = (&reduced_systems[chunk.clone()], &mut own_reduced[chunk]);
+        for chunk in kernel_chunks(0..slots.len(), kernel_batch) {
+            let own = &reduced_systems[chunk.clone()];
+            let matrix = |e: usize, m: usize| &own[e][m];
+            let systems = Systems::new(own.len(), N_RHS, &matrix);
+            let sols = &mut own_reduced[chunk];
             // lint:allow(no-unwrap): a singular reduced boundary system is a fatal numeric error
             solve_systems_into(systems, sols, rgf).expect("reduced boundary system solve failed");
         }
@@ -585,6 +592,18 @@ mod tests {
             .collect()
     }
 
+    /// The assembly slots of `problems`.
+    fn slots(problems: &[[BlockTridiagonal; 3]]) -> Vec<GAssembly> {
+        let slot = |[system, rhs_lesser, rhs_greater]: [BlockTridiagonal; 3]| GAssembly {
+            system,
+            rhs_lesser,
+            rhs_greater,
+            sigma_obc_left_lesser: CMatrix::default(),
+            sigma_obc_left_greater: CMatrix::default(),
+        };
+        problems.iter().cloned().map(slot).collect()
+    }
+
     /// One group solve of `problems` by one group of `member_energies.len()`
     /// ranks, member `m` owning the next `member_energies[m]` problems. Per
     /// member: its solutions.
@@ -599,17 +618,13 @@ mod tests {
         assert_eq!(problems.len(), member_energies.iter().sum::<usize>());
         ThreadComm::run(p_s, move |ctx: RankContext<Vec<c64>>| {
             let start: usize = member_energies[..ctx.rank()].iter().sum();
-            let systems: Vec<[&BlockTridiagonal; 3]> = problems[start..]
-                .iter()
-                .take(member_energies[ctx.rank()])
-                .map(|p| p.each_ref())
-                .collect();
-            let mut sols = vec![SelectedSolution::default(); systems.len()];
+            let own = &problems[start..start + member_energies[ctx.rank()]];
+            let mut sols = vec![SelectedSolution::default(); own.len()];
             spatial_phase_solve(
                 &ctx,
                 &layout,
                 Subsystem::Electron,
-                &systems,
+                &slots(own),
                 &member_energies,
                 2, // kernel chunks of at most 2 energies
                 &mut GroupScratch::default(),
@@ -740,8 +755,7 @@ mod tests {
                     ]
                 })
                 .collect();
-            let systems: Vec<[&BlockTridiagonal; 3]> =
-                problems.iter().map(|p| p.each_ref()).collect();
+            let systems = slots(&problems);
             let (mut scratch, mut pool) = (GroupScratch::default(), MessagePool::default());
             let flops = FlopCounter::new();
             let mut sols = vec![SelectedSolution::default(); n_owned];

@@ -60,7 +60,7 @@ pub enum WarmStateWireError {
     /// The stream ends before the 4-value header.
     MissingHeader,
     /// A header field is negative, non-integral or zero where a dimension is
-    /// required.
+    /// required, or the stream length the header promises overflows.
     BadHeader,
     /// The stream length disagrees with the header's dimensions.
     LengthMismatch {
@@ -137,31 +137,25 @@ fn decode_obc_key(v: c64, energy_index: usize) -> ObcKey {
     }
 }
 
-/// Values one block-tridiagonal quantity occupies on the wire.
-fn bt_values(nb: usize, bs: usize) -> usize {
-    (3 * nb - 2).max(1) * bs * bs
+/// Values the stream of `ne` energies of `nb` blocks of `bs` with `n_obc`
+/// boundary blocks occupies, `None` where that overflows `usize`: the header,
+/// three block-tridiagonal quantities per energy, then a key and a block per
+/// boundary block.
+fn wire_len(ne: usize, nb: usize, bs: usize, n_obc: usize) -> Option<usize> {
+    let block = bs.checked_mul(bs)?;
+    let rows = nb.checked_mul(3)?.saturating_sub(2).max(1);
+    let bt = rows.checked_mul(block)?;
+    let sigma = ne.checked_mul(3)?.checked_mul(bt)?;
+    let obc = n_obc.checked_mul(block.checked_add(1)?)?;
+    sigma.checked_add(obc)?.checked_add(4)
 }
 
 impl WarmState {
-    /// An all-zero state of the given shape — what a cold start is, made
-    /// explicit. Useful as a baseline in tests.
-    pub fn zeros(n_energies: usize, n_blocks: usize, block_size: usize) -> Self {
-        let z = vec![BlockTridiagonal::zeros(n_blocks, block_size); n_energies];
-        Self {
-            n_energies,
-            n_blocks,
-            block_size,
-            sigma_lesser: z.clone(),
-            sigma_greater: z.clone(),
-            sigma_retarded: z,
-            obc: Vec::new(),
-        }
-    }
-
     /// Number of `c64` values the wire stream occupies.
     pub(crate) fn wire_values(&self) -> usize {
-        4 + 3 * self.n_energies * bt_values(self.n_blocks, self.block_size)
-            + self.obc.len() * (1 + self.block_size * self.block_size)
+        let (ne, nb, bs) = (self.n_energies, self.n_blocks, self.block_size);
+        // A state held in memory has a stream length that fits.
+        wire_len(ne, nb, bs, self.obc.len()).unwrap_or(usize::MAX)
     }
 
     /// Bytes the wire stream occupies (`wire_values × 16`).
@@ -209,7 +203,7 @@ impl WarmState {
             .filter(|&n| n > 0)
             .ok_or(WarmStateWireError::BadHeader)?;
         let n_obc = dim(values[3]).ok_or(WarmStateWireError::BadHeader)?;
-        let expected = 4 + 3 * ne * bt_values(nb, bs) + n_obc * (1 + bs * bs);
+        let expected = wire_len(ne, nb, bs, n_obc).ok_or(WarmStateWireError::BadHeader)?;
         if values.len() != expected {
             return Err(WarmStateWireError::LengthMismatch {
                 expected,
@@ -257,7 +251,16 @@ mod tests {
     fn sample() -> WarmState {
         let ne = 3;
         let (nb, bs) = (4, 2);
-        let mut state = WarmState::zeros(ne, nb, bs);
+        let z = vec![BlockTridiagonal::zeros(nb, bs); ne];
+        let mut state = WarmState {
+            n_energies: ne,
+            n_blocks: nb,
+            block_size: bs,
+            sigma_lesser: z.clone(),
+            sigma_greater: z.clone(),
+            sigma_retarded: z,
+            obc: Vec::new(),
+        };
         for k in 0..ne {
             for i in 0..nb {
                 state.sigma_lesser[k].diag_mut(i)[(0, 1)] = c64::new(k as f64, i as f64);
@@ -315,6 +318,13 @@ mod tests {
         bad[1] = c64::new(-4.0, 0.0);
         assert!(matches!(
             WarmState::from_wire(&bad),
+            Err(WarmStateWireError::BadHeader)
+        ));
+        // A header whose stream length overflows: `bs²` is 2^64, which wraps
+        // to a length of 4 in unchecked arithmetic.
+        let huge = [1e18, 1.0, 2f64.powi(32), 0.0].map(|v| c64::new(v, 0.0));
+        assert!(matches!(
+            WarmState::from_wire(&huge),
             Err(WarmStateWireError::BadHeader)
         ));
     }

@@ -135,7 +135,7 @@ impl LanePlanes {
 
     /// Zero every series and hold `n_elements` elements (keeping the
     /// allocation where it suffices).
-    pub fn reset(&mut self, n_elements: usize) {
+    pub(crate) fn reset(&mut self, n_elements: usize) {
         let rows = n_groups(n_elements) * self.n_energies;
         self.n_elements = n_elements;
         for plane in [&mut self.re, &mut self.im] {
@@ -232,14 +232,14 @@ impl ElementSlots {
     }
 
     /// Elements listed.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether element `e` is its own mirror (a diagonal entry of a diagonal
     /// block).
     #[inline(always)]
-    pub fn is_self_mirror(&self, e: usize) -> bool {
+    pub(crate) fn is_self_mirror(&self, e: usize) -> bool {
         let s = self.slots[e];
         (s.block as usize) < self.n_blocks && s.row == s.col
     }

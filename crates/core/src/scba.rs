@@ -31,7 +31,7 @@ use quatrex_device::{Device, EnergyGrid};
 use quatrex_linalg::flops::{FlopCounter, FlopKind};
 use quatrex_linalg::CMatrix;
 use quatrex_obc::{ObcMemoizer, Subsystem};
-use quatrex_rgf::{rgf_solve_batch_into, RgfBatchScratch, RgfError, SelectedSolution};
+use quatrex_rgf::{solve_systems_into, RgfBatchScratch, RgfError, SelectedSolution, Systems};
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::assembly::{
@@ -59,7 +59,7 @@ pub struct KernelTimings {
 impl KernelTimings {
     /// Accumulate the wall time elapsed since `start` into `slot` (one of the
     /// fields of this struct).
-    pub fn add(&self, slot: &AtomicU64, start: Instant) {
+    pub(crate) fn add(&self, slot: &AtomicU64, start: Instant) {
         slot.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
@@ -216,25 +216,21 @@ pub(crate) fn w_step_assemble_into<'p>(
 }
 
 /// Stage 2, local form: **one** energy-batched RGF solve
-/// ([`rgf_solve_batch_into`]) of the assembled `[A, B^<, B^>]` systems into
-/// the kept `sols`, whose block products run as batched sweeps over the
-/// whole batch (energy-major planes, or one vector lane per energy for small
-/// blocks). A solution does not depend on the batch it is solved in (bit
-/// for bit), so the batch length is purely a launch-structure choice.
+/// ([`solve_systems_into`]) of the assembled `[A, B^<, B^>]` systems,
+/// read where they were assembled, into the kept `sols`, whose block
+/// products run as batched sweeps over the whole batch (energy-major planes,
+/// or one vector lane per energy for small blocks). A solution does not
+/// depend on the batch it is solved in (bit for bit), so the batch length is
+/// purely a launch-structure choice.
 pub(crate) fn solve_stage(
     subsystem: Subsystem,
-    systems: &[[&BlockTridiagonal; 3]],
+    systems: Systems<'_>,
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
     flops: &FlopCounter,
 ) -> Result<(), RgfError> {
-    let lhs: Vec<&BlockTridiagonal> = systems.iter().map(|s| s[0]).collect();
-    let rhs: Vec<&[&BlockTridiagonal]> = systems.iter().map(|s| &s[1..]).collect();
     let (span, kind) = solve_accounting(subsystem);
-    quatrex_probe::span(span, span, || {
-        rgf_solve_batch_into(&lhs, &rhs, sols, scratch)
-    })
-    .map_err(|e| e.error)?;
+    quatrex_probe::span(span, span, || solve_systems_into(systems, sols, scratch))?;
     flops.add(kind, sols.iter().map(|s| s.flops).sum());
     Ok(())
 }
@@ -311,13 +307,11 @@ fn step_batch<T>(
     let mut truncation = vec![0.0; n];
     assemble(&mut asms, &mut truncation, &mut AssemblyScratch::default());
     timings.add(assembly_ns, t);
-    let systems: Vec<_> = asms
-        .iter()
-        .map(|a| [&a.system, &a.rhs_lesser, &a.rhs_greater])
-        .collect();
+    let matrix = |e: usize, m: usize| asms[e].matrix(m);
+    let systems = Systems::new(n, 2, &matrix);
     let t = Instant::now();
     let mut sols = vec![SelectedSolution::default(); n];
-    solve_stage(subsystem, &systems, &mut sols, scratch, flops)?;
+    solve_stage(subsystem, systems, &mut sols, scratch, flops)?;
     timings.add(rgf_ns, t);
     let energies = asms.iter().zip(&mut sols).zip(truncation);
     Ok(energies.map(|((a, s), t)| finish(a, s, t)).collect())
@@ -521,7 +515,7 @@ impl ScbaSolver {
     }
 
     /// Create a solver with an explicit energy grid.
-    pub fn with_grid(device: Device, config: ScbaConfig, grid: EnergyGrid) -> Self {
+    pub(crate) fn with_grid(device: Device, config: ScbaConfig, grid: EnergyGrid) -> Self {
         Self {
             device,
             config,

@@ -44,8 +44,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations and bytes a steady-state iteration may cost.
-const MAX_ALLOCS_PER_ITERATION: u64 = 150;
+/// Allocations a steady-state iteration may cost, per `P_S`: the counts
+/// measured on this problem, where every group solve reads its systems
+/// where they were assembled.
+const MAX_ALLOCS_PER_ITERATION: [(usize, u64); 2] = [(1, 2), (2, 2)];
+/// Bytes a steady-state iteration may cost.
 const MAX_BYTES_PER_ITERATION: u64 = 500_000;
 
 /// `(allocations, bytes)` of one run of `iterations` full iterations.
@@ -94,10 +97,14 @@ fn a_steady_state_rank_iteration_allocates_nearly_nothing() {
         );
     }
     for &(use_memoizer, p_s, (allocs, bytes)) in &report {
+        let max_allocs = MAX_ALLOCS_PER_ITERATION
+            .iter()
+            .find_map(|&(p, max)| (p == p_s).then_some(max))
+            .expect("a bound for every P_S the test runs");
         assert!(
-            allocs <= MAX_ALLOCS_PER_ITERATION && bytes <= MAX_BYTES_PER_ITERATION,
+            allocs <= max_allocs && bytes <= MAX_BYTES_PER_ITERATION,
             "memoizer {use_memoizer}, P_S = {p_s}: a steady-state iteration made {allocs} \
-             allocations of {bytes} bytes (at most {MAX_ALLOCS_PER_ITERATION} and \
+             allocations of {bytes} bytes (at most {max_allocs} and \
              {MAX_BYTES_PER_ITERATION})"
         );
     }

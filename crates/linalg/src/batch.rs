@@ -41,7 +41,7 @@ use crate::{c64, ONE, ZERO};
 /// `data[e · nrows · ncols ..]`. The layout is what batched GPU/BLAS kernels
 /// consume directly and what keeps one [`gemm_batch`] call streaming through
 /// memory linearly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MatrixBatch {
     batch: usize,
     nrows: usize,
@@ -240,17 +240,6 @@ pub fn gemm_batch(c: &mut MatrixBatch, alpha: c64, a: BatchOp<'_>, b: BatchOp<'_
     }
     if alpha == ZERO || m == 0 || n == 0 || k == 0 || bsz == 0 {
         return;
-    }
-
-    if quatrex_probe::is_enabled() {
-        // Batched-kernel accounting: how many planes ran batched, and how
-        // many operand packings the shared reuse saved relative to the
-        // per-energy path (one per shared operand per plane after the first).
-        quatrex_probe::counter("gemm_batch.calls", 1);
-        quatrex_probe::counter("gemm_batch.planes", bsz as u64);
-        let shared =
-            matches!(a, BatchOp::Shared(_)) as u64 + matches!(b, BatchOp::Shared(_)) as u64;
-        quatrex_probe::counter("gemm_batch.shared_pack_hits", shared * (bsz as u64 - 1));
     }
 
     // Pack any shared operand once into this thread's panel, then per plane

@@ -53,7 +53,7 @@ type Element = [[f64; LANES]; 2];
 /// creation and after a shape change; [`LaneBatch::copy_planes_from`] fills
 /// them with a copy of the group's first energy, so they only ever hold the
 /// values a live lane could hold, and nothing reads them back.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LaneBatch {
     batch: usize,
     nrows: usize,
@@ -64,12 +64,7 @@ pub struct LaneBatch {
 impl LaneBatch {
     /// A zero-filled batch of `batch` matrices of shape `nrows × ncols`.
     pub fn zeros(batch: usize, nrows: usize, ncols: usize) -> Self {
-        let mut lb = Self {
-            batch: 0,
-            nrows: 0,
-            ncols: 0,
-            data: Vec::new(),
-        };
+        let mut lb = Self::default();
         lb.reshape(batch, nrows, ncols);
         lb
     }
@@ -268,10 +263,6 @@ pub fn gemm_lanes(
         return;
     }
 
-    if quatrex_probe::is_enabled() {
-        quatrex_probe::counter("gemm_lanes.calls", 1);
-        quatrex_probe::counter("gemm_lanes.planes", c.batch as u64);
-    }
     let kernel = group_kernel::<Native>(a.0, b.0);
     let pl = (m * k, k * n, m * n);
     quatrex_probe::span("gemm_lanes", "gemm_lanes", || {

@@ -253,10 +253,8 @@ impl ObcMemoizer {
         out.fit(x.nrows(), x.ncols()).copy_from(&x);
         self.cache.insert(key, x);
         self.stats.direct_calls += 1;
-        quatrex_probe::counter("obc.memo.miss", 1);
         if !had_cached {
             self.stats.inserts += 1;
-            quatrex_probe::counter("obc.memo.insert", 1);
         }
         ObcMode::Direct
     }
@@ -280,7 +278,6 @@ impl ObcMemoizer {
         out.fit(x.nrows(), x.ncols()).copy_from(&x);
         self.cache.insert(key, x);
         self.stats.memoized_calls += 1;
-        quatrex_probe::counter("obc.memo.hit", 1);
         ObcMode::Memoized { refinements }
     }
 }

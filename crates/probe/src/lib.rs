@@ -5,7 +5,7 @@
 //! The paper's sustained-performance claims rest on attributing every second
 //! of an iteration to a phase of the `G → P → W → Σ` cycle (Tables 5/6,
 //! Fig. 6). This crate provides the measurement layer for the reproduction:
-//! a thread-local span/counter recorder that each simulated rank (one OS
+//! a thread-local span recorder that each simulated rank (one OS
 //! thread under `ThreadComm`) installs for the duration of a run, plus the
 //! merge/analysis step that turns the per-rank buffers into a unified
 //! timeline with Chrome trace-event JSON output (loadable in Perfetto or
@@ -15,7 +15,7 @@
 //!
 //! * **Zero heap allocations on the hot path when disabled.** Every probe
 //!   call first reads a `const`-initialised thread-local; when no recorder is
-//!   installed the call is one TLS read plus a branch. Span and counter names
+//!   installed the call is one TLS read plus a branch. Span and mark names
 //!   are `&'static str`, so no call ever formats or copies strings. This is
 //!   pinned by a counting-allocator test (`tests/alloc_free.rs`), the same
 //!   pattern that guards the RGF inner loop.
@@ -109,8 +109,6 @@ pub struct RankTrace {
     pub spans: Vec<SpanEvent>,
     /// Instantaneous marks in record order.
     pub marks: Vec<MarkEvent>,
-    /// Named counters, sorted by name at [`finish`] time.
-    pub counters: Vec<(&'static str, u64)>,
 }
 
 struct Recorder {
@@ -119,7 +117,6 @@ struct Recorder {
     depth: u32,
     spans: Vec<SpanEvent>,
     marks: Vec<MarkEvent>,
-    counters: Vec<(&'static str, u64)>,
 }
 
 thread_local! {
@@ -127,7 +124,7 @@ thread_local! {
 }
 
 /// Install a recorder on the current thread. All subsequent [`span`] /
-/// [`mark`] / [`counter`] calls on this thread record into it until
+/// [`mark`] calls on this thread record into it until
 /// [`finish`] is called. `epoch` is the shared clock zero — pass the same
 /// `Instant` to every rank so the merged tracks align.
 pub fn install(rank: usize, epoch: Instant) {
@@ -138,7 +135,6 @@ pub fn install(rank: usize, epoch: Instant) {
             depth: 0,
             spans: Vec::with_capacity(4096),
             marks: Vec::with_capacity(1024),
-            counters: Vec::with_capacity(32),
         });
     });
 }
@@ -150,15 +146,10 @@ pub fn finish() -> Option<RankTrace> {
         .try_with(|r| r.borrow_mut().take())
         .ok()
         .flatten()
-        .map(|rec| {
-            let mut counters = rec.counters;
-            counters.sort_by_key(|&(name, _)| name);
-            RankTrace {
-                rank: rec.rank,
-                spans: rec.spans,
-                marks: rec.marks,
-                counters,
-            }
+        .map(|rec| RankTrace {
+            rank: rec.rank,
+            spans: rec.spans,
+            marks: rec.marks,
         })
 }
 
@@ -245,30 +236,7 @@ pub fn mark(name: &'static str, cat: &'static str, bytes: u64) {
     });
 }
 
-/// Add `delta` to the named per-rank counter (created at first use).
-#[inline]
-pub fn counter(name: &'static str, delta: u64) {
-    let _ = RECORDER.try_with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            if let Some(slot) = rec.counters.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 += delta;
-            } else {
-                rec.counters.push((name, delta));
-            }
-        }
-    });
-}
-
 impl RankTrace {
-    /// Value of a named counter (0 when never recorded).
-    pub(crate) fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
     /// Check that the recorded spans form a well-formed nesting per rank:
     /// depths step down by at most one level at a time and every span at
     /// depth `d > 0` is contained in the interval of its depth `d - 1`
@@ -383,11 +351,6 @@ impl Timeline {
     /// Number of rank tracks.
     pub fn n_ranks(&self) -> usize {
         self.ranks.len()
-    }
-
-    /// Sum of a named counter across all ranks.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.ranks.iter().map(|r| r.counter(name)).sum()
     }
 
     /// Validate span nesting on every rank track.
@@ -691,7 +654,6 @@ mod tests {
         let v = span("outer", "test", || 41 + 1);
         assert_eq!(v, 42);
         mark("m", CAT_COMM_POST, 10);
-        counter("c", 3);
         assert!(finish().is_none());
     }
 
@@ -737,21 +699,8 @@ mod tests {
                 },
             ],
             marks: vec![],
-            counters: vec![],
         };
         assert!(trace.validate_nesting().is_err());
-    }
-
-    #[test]
-    fn counters_accumulate_per_name() {
-        let (_, trace) = with_probe(0, || {
-            counter("hits", 2);
-            counter("misses", 1);
-            counter("hits", 3);
-        });
-        assert_eq!(trace.counter("hits"), 5);
-        assert_eq!(trace.counter("misses"), 1);
-        assert_eq!(trace.counter("absent"), 0);
     }
 
     #[test]
@@ -785,7 +734,6 @@ mod tests {
                 },
             ],
             marks: vec![],
-            counters: vec![],
         };
         let tl = Timeline::merge(vec![trace]);
         let phases = tl.phase_seconds(1.5);
@@ -821,7 +769,6 @@ mod tests {
                 bytes: 0,
             }],
             marks: vec![],
-            counters: vec![],
         };
         let tl = Timeline::merge(vec![mk(0, 3_000_000_000), mk(1, 1_000_000_000)]);
         let f = tl.imbalance_factor(|cat| cat == "g").unwrap();
@@ -859,7 +806,6 @@ mod tests {
                 ts_ns: 100,
                 bytes: 64,
             }],
-            counters: vec![],
         };
         let tl = Timeline::merge(vec![trace]);
         let eff = tl

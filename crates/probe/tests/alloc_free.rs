@@ -1,7 +1,7 @@
 //! Counting-allocator proof that probe calls on a thread with **no recorder
-//! installed** perform zero heap allocations: every `span` / `mark` /
-//! `counter` site compiled into the solver hot loops costs one thread-local
-//! read and a branch when tracing is off. Same pattern as the RGF
+//! installed** perform zero heap allocations: every `span` / `mark` site
+//! compiled into the solver hot loops costs one thread-local read and a
+//! branch when tracing is off. Same pattern as the RGF
 //! steady-state allocation test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,7 +55,6 @@ fn disabled_probe_hot_path_performs_zero_heap_allocations() {
     // happens outside the counted window.
     let _ = quatrex_probe::span("warm", "test", || 0u64);
     quatrex_probe::mark("warm", quatrex_probe::CAT_COMM_POST, 0);
-    quatrex_probe::counter("warm", 1);
 
     ALLOCS.store(0, Ordering::SeqCst);
     set_armed(true);
@@ -64,7 +63,6 @@ fn disabled_probe_hot_path_performs_zero_heap_allocations() {
         acc = acc.wrapping_add(quatrex_probe::span("hot.span", "test", || i));
         acc = acc.wrapping_add(quatrex_probe::span_bytes("hot.bytes", "test", i, || i));
         quatrex_probe::mark("hot.mark", quatrex_probe::CAT_COMM_POST, i);
-        quatrex_probe::counter("hot.counter", 1);
     }
     set_armed(false);
     let allocs = ALLOCS.load(Ordering::SeqCst);

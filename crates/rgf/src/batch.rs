@@ -1,6 +1,6 @@
 //! The selected RGF recursion, batched over energies.
 //!
-//! [`rgf_solve_batch_into`] is the one implementation of the forward/backward
+//! [`solve_systems_into`] is the one implementation of the forward/backward
 //! recursions (paper Section 4.3.2, Eqs. (9)–(12); the derivation is in
 //! [`crate::sequential`]'s module docs). It runs them for a whole batch of
 //! same-structure systems at once: at every block position the per-energy
@@ -9,6 +9,11 @@
 //! (`g_i†`, `Θ†`, `A_{i,i+1}†`, …) are fused into the kernel loads through the
 //! operand flags instead of being materialised. A single system is a batch of
 //! one ([`crate::sequential::rgf_solve_into`]).
+//!
+//! Every entry point takes its batch in one form, the `Copy` view
+//! [`Systems`], which reads each member's matrices by index where the caller
+//! keeps them; [`rgf_solve_batch_into`] and [`rgf_solve_batch_on`] adapt a
+//! pair of reference slices onto it.
 //!
 //! The recursion is written once, as a forward and a backward half. A full
 //! solve runs both, seeding the backward half with the last block's
@@ -40,10 +45,10 @@
 //! the same [`SelectedSolution::flops`] and a batch totals `B ×` that value.
 //!
 //! All temporaries come from a free list held, per layout, in
-//! [`RgfBatchScratch`]; once scratch and solutions are warmed at a shape, the
-//! steady-state solve performs **zero heap allocations** at any batch length
-//! and on either layout (pinned by the counting-allocator tests in
-//! `tests/alloc_free.rs`).
+//! [`RgfBatchScratch`], and every output is written in place; once scratch
+//! and solutions are warmed at a shape, the steady-state solve performs
+//! **zero heap allocations** at any batch length and on either layout
+//! (pinned by the counting-allocator tests in `tests/alloc_free.rs`).
 
 use quatrex_linalg::batch::{gemm_batch, invert_batch_into, BatchOp, MatrixBatch};
 use quatrex_linalg::interleaved::{gemm_lanes, invert_lanes_into, LaneBatch};
@@ -120,9 +125,9 @@ impl BlockLayout {
 /// Energy-batched square blocks and the operations the recursion is written
 /// in. The two instances form every product element and every inverse the
 /// same way, so the recursion's results do not depend on which one it runs.
-trait Blocks: Sized {
-    /// An empty batch (no energies, `0 × 0` blocks), to be [`Blocks::fit`].
-    fn empty() -> Self;
+/// The `Default` is an empty batch (no energies, `0 × 0` blocks), to be
+/// [`Blocks::fit`].
+trait Blocks: Default {
     /// Reshape to `batch` blocks of `n × n`, reusing the buffer.
     fn fit(&mut self, batch: usize, n: usize);
     /// Stage `block(e)` into every energy `e`.
@@ -140,9 +145,6 @@ trait Blocks: Sized {
 }
 
 impl Blocks for MatrixBatch {
-    fn empty() -> Self {
-        MatrixBatch::zeros(0, 0, 0)
-    }
     fn fit(&mut self, batch: usize, n: usize) {
         self.reshape(batch, n, n);
     }
@@ -181,9 +183,6 @@ impl Blocks for MatrixBatch {
 }
 
 impl Blocks for LaneBatch {
-    fn empty() -> Self {
-        LaneBatch::zeros(0, 0, 0)
-    }
     fn fit(&mut self, batch: usize, n: usize) {
         self.reshape(batch, n, n);
     }
@@ -209,7 +208,7 @@ impl Blocks for LaneBatch {
 
 /// A free list of block batches: take/give recycling, so the steady state
 /// allocates nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Arena<S> {
     free: Vec<S>,
     /// Batches created because the list was empty.
@@ -222,7 +221,7 @@ impl<S: Blocks> Arena<S> {
     fn take(&mut self, batch: usize, n: usize) -> S {
         let mut s = self.free.pop().unwrap_or_else(|| {
             self.fresh += 1;
-            S::empty()
+            S::default()
         });
         s.fit(batch, n);
         s
@@ -235,26 +234,13 @@ impl<S: Blocks> Arena<S> {
 }
 
 /// The warm state of one layout: its free list and the left-connected
-/// forward-pass quantities — `g[i]` (energy `e` is `g_i` of energy `e`) and
-/// one row `gl[r][i]` per right-hand side.
-#[derive(Debug)]
+/// forward-pass quantities, one row per matrix of the system like
+/// [`Systems`] — the retarded `g_i` in `rows[0][i]` (energy `e` is `g_i` of
+/// energy `e`), then the lesser `g≶_i` of each right-hand side.
+#[derive(Debug, Default)]
 struct Store<S> {
     bws: Arena<S>,
-    g: Vec<S>,
-    gl: Vec<Vec<S>>,
-}
-
-impl<S> Default for Store<S> {
-    fn default() -> Self {
-        Self {
-            bws: Arena {
-                free: Vec::new(),
-                fresh: 0,
-            },
-            g: Vec::new(),
-            gl: Vec::new(),
-        }
-    }
+    rows: Vec<Vec<S>>,
 }
 
 /// Reusable scratch state of the batched RGF solver: one LU scratch
@@ -293,22 +279,84 @@ fn each_dag<S>(x: &S) -> (OpKind, &S) {
     (OpKind::Dagger, x)
 }
 
-/// Batched selected RGF solve writing into caller-owned solutions, with all
-/// temporaries drawn from `scratch`.
-///
-/// `systems[e]` and `rhs[e]` are the system matrix and right-hand sides of
-/// batch member `e`; every member must share the block structure and RHS
-/// count. `sols[e]` depends on `(systems[e], rhs[e])` only — not on the batch
-/// length, the layout or the other members — bit for bit, including the FLOP
-/// count. The layout is [`BlockLayout::for_solve`] of the block size and the
-/// batch length.
+/// A batch of same-shape systems `[A, B_1, …, B_n]`, read where the caller
+/// keeps them: [`Systems::matrix`]`(e, m)` is member `e`'s system matrix `A`
+/// at `m = 0` and its right-hand side `B_m` after it. This is the one operand
+/// form of the recursion; a copy is a view, never a list of references.
+#[derive(Clone, Copy)]
+pub struct Systems<'a> {
+    len: usize,
+    n_rhs: usize,
+    matrix: &'a dyn Fn(usize, usize) -> &'a BlockTridiagonal,
+}
+
+impl<'a> Systems<'a> {
+    /// `len` systems of `n_rhs` right-hand sides each, matrix `m` of member
+    /// `e` read as `matrix(e, m)`.
+    pub fn new(
+        len: usize,
+        n_rhs: usize,
+        matrix: &'a dyn Fn(usize, usize) -> &'a BlockTridiagonal,
+    ) -> Self {
+        Self { len, n_rhs, matrix }
+    }
+
+    /// Number of systems.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Right-hand sides per system.
+    pub(crate) fn n_rhs(&self) -> usize {
+        self.n_rhs
+    }
+
+    /// Matrix `m` of member `e`: `A` at `m = 0`, then `B_1, …, B_n`.
+    pub fn matrix(&self, e: usize, m: usize) -> &'a BlockTridiagonal {
+        assert!(e < self.len && m <= self.n_rhs, "matrix {m} of member {e}");
+        (self.matrix)(e, m)
+    }
+
+    /// `(N_B, N_BS, right-hand sides)` of a non-empty batch.
+    fn shape(&self) -> (usize, usize, usize) {
+        let a = self.matrix(0, 0);
+        (a.n_blocks(), a.block_size(), self.n_rhs)
+    }
+
+    /// [`BlockLayout::for_solve`] of this batch.
+    fn layout(&self) -> BlockLayout {
+        match self.len {
+            0 => BlockLayout::Planes,
+            len => BlockLayout::for_solve(self.matrix(0, 0).block_size(), len),
+        }
+    }
+}
+
+/// Batched selected RGF solve of `systems` into the kept `sols` (one per
+/// system), with all temporaries drawn from `scratch`. Every member must
+/// share the block structure. `sols[e]` depends on member `e` only — not on
+/// the batch length, the layout or the other members — bit for bit,
+/// including the FLOP count. The layout is [`BlockLayout::for_solve`] of the
+/// block size and the batch length.
+pub fn solve_systems_into(
+    systems: Systems<'_>,
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfError> {
+    solve_on(systems.layout(), systems, sols, scratch).map_err(|e| e.error)
+}
+
+/// [`solve_systems_into`] of `systems[e]` with right-hand sides `rhs[e]`,
+/// reporting a failure with the member it occurred at.
 pub fn rgf_solve_batch_into(
     systems: &[&BlockTridiagonal],
     rhs: &[&[&BlockTridiagonal]],
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> Result<(), RgfBatchError> {
-    rgf_solve_batch_on(layout_of(systems), systems, rhs, sols, scratch)
+    let block_size = systems.first().map_or(0, |a| a.block_size());
+    let layout = BlockLayout::for_solve(block_size, systems.len());
+    rgf_solve_batch_on(layout, systems, rhs, sols, scratch)
 }
 
 /// [`rgf_solve_batch_into`] on the given layout. Both layouts give the same
@@ -320,31 +368,41 @@ pub fn rgf_solve_batch_on(
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> Result<(), RgfBatchError> {
-    let bsz = systems.len();
-    assert_eq!(rhs.len(), bsz, "one RHS set per batch member");
-    assert_eq!(sols.len(), bsz, "one solution per batch member");
-    if bsz == 0 {
-        return Ok(());
+    assert_eq!(rhs.len(), systems.len(), "one RHS set per batch member");
+    let n_rhs = rhs.first().map_or(0, |b| b.len());
+    if let Some(e) = rhs.iter().position(|b| b.len() != n_rhs) {
+        return Err(shape_err(e));
     }
-    let nb = systems[0].n_blocks();
-    let bs = systems[0].block_size();
-    let n_rhs = rhs[0].len();
-    let shape_err = |e: usize| RgfBatchError {
+    let matrix = |e: usize, m: usize| if m == 0 { systems[e] } else { rhs[e][m - 1] };
+    let batch = Systems::new(systems.len(), n_rhs, &matrix);
+    solve_on(layout, batch, sols, scratch)
+}
+
+/// A shape mismatch at member `e`.
+fn shape_err(e: usize) -> RgfBatchError {
+    RgfBatchError {
         energy: e,
         error: RgfError::ShapeMismatch,
-    };
-    for (e, a) in systems.iter().enumerate() {
-        if a.n_blocks() != nb || a.block_size() != bs {
-            return Err(shape_err(e));
-        }
-        if rhs[e].len() != n_rhs {
-            return Err(shape_err(e));
-        }
-        for b in rhs[e] {
-            if b.n_blocks() != nb || b.block_size() != bs {
-                return Err(shape_err(e));
-            }
-        }
+    }
+}
+
+/// The full solve of `systems` on `layout`: every matrix checked against
+/// the first system's block structure, the outputs shaped, then the
+/// recursion.
+fn solve_on(
+    layout: BlockLayout,
+    systems: Systems<'_>,
+    sols: &mut [SelectedSolution],
+    scratch: &mut RgfBatchScratch,
+) -> Result<(), RgfBatchError> {
+    assert_eq!(sols.len(), systems.len(), "one solution per batch member");
+    if systems.len == 0 {
+        return Ok(());
+    }
+    let (nb, bs, n_rhs) = systems.shape();
+    let fits = |x: &BlockTridiagonal| x.n_blocks() == nb && x.block_size() == bs;
+    if let Some(e) = (0..systems.len).find(|&e| !(0..=n_rhs).all(|m| fits(systems.matrix(e, m)))) {
+        return Err(shape_err(e));
     }
 
     // Shape the outputs (no-ops in the steady state).
@@ -354,8 +412,8 @@ pub fn rgf_solve_batch_on(
 
     let RgfBatchScratch { lu, planes, lanes } = scratch;
     let flops = match layout {
-        BlockLayout::Planes => solve(planes, lu, systems, rhs, sols),
-        BlockLayout::Lanes => solve(lanes, lu, systems, rhs, sols),
+        BlockLayout::Planes => solve(planes, lu, systems, sols),
+        BlockLayout::Lanes => solve(lanes, lu, systems, sols),
     }?;
     for sol in sols.iter_mut() {
         sol.flops = flops;
@@ -364,66 +422,99 @@ pub fn rgf_solve_batch_on(
 }
 
 /// What the forward half leaves behind for a later backward half, per
-/// system: the left-connected `g_i` and one row `g≶_i` per right-hand side,
-/// for every block before the last.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ForwardSweep {
-    g: Vec<CMatrix>,
-    gl: Vec<Vec<CMatrix>>,
-}
-
-impl ForwardSweep {
-    /// The left-connected retarded blocks `g_i`, one per block before the
-    /// last.
-    pub(crate) fn retarded(&self) -> &[CMatrix] {
-        &self.g
-    }
-}
+/// system: the rows of a [`Store`] — the left-connected `g_i`, then `g≶_i`
+/// per right-hand side — for every block before the last.
+pub(crate) type ForwardSweep = Vec<Vec<CMatrix>>;
 
 /// The forward half over a batch whose **last block is a separator**: the
-/// recursion runs up to it and stops before its inversion. `updates[e]`
-/// receives what that stopped step computes — the Schur term
-/// `−A_{s,e} g_e A_{e,s}`, then per right-hand side the coupling terms of
-/// `inner` without `B_ss` — and `sweeps[e]` the left-connected blocks the
-/// backward half ([`recover_to_first`]) starts from. Returns the
-/// per-system FLOP count.
+/// recursion runs up to it and stops before its inversion. What it computes
+/// stays in `scratch` until the scratch's next solve, for
+/// [`Eliminated::copy_out`] to copy out member by member.
 pub(crate) fn eliminate_to_last(
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-    updates: &mut [Vec<CMatrix>],
-    sweeps: &mut [ForwardSweep],
+    systems: Systems<'_>,
     scratch: &mut RgfBatchScratch,
-) -> Result<u64, RgfBatchError> {
+) -> Result<Eliminated, RgfBatchError> {
     let RgfBatchScratch { lu, planes, lanes } = scratch;
-    match layout_of(systems) {
-        BlockLayout::Planes => eliminate(planes, lu, systems, rhs, updates, sweeps),
-        BlockLayout::Lanes => eliminate(lanes, lu, systems, rhs, updates, sweeps),
+    let layout = systems.layout();
+    let flops = match layout {
+        BlockLayout::Planes => forward(planes, lu, systems, true),
+        BlockLayout::Lanes => forward(lanes, lu, systems, true),
+    }?;
+    let (n_blocks, _, n_rhs) = systems.shape();
+    Ok(Eliminated {
+        layout,
+        n_blocks,
+        n_rhs,
+        flops,
+    })
+}
+
+/// A stopped forward half ([`eliminate_to_last`]) held in a scratch.
+pub(crate) struct Eliminated {
+    layout: BlockLayout,
+    n_blocks: usize,
+    n_rhs: usize,
+    /// The per-system FLOP count.
+    pub(crate) flops: u64,
+}
+
+impl Eliminated {
+    /// Copy member `e` out of `scratch`: into `sweep` the left-connected
+    /// blocks the backward half ([`recover_to_first`]) starts from, into
+    /// `grid` what the stopped step computes — the Schur term
+    /// `−A_{s,e} g_e A_{e,s}`, then per right-hand side the coupling terms
+    /// of `inner` without `B_ss`.
+    pub(crate) fn copy_out(
+        &self,
+        scratch: &RgfBatchScratch,
+        e: usize,
+        sweep: &mut ForwardSweep,
+        grid: &mut Vec<CMatrix>,
+    ) {
+        match self.layout {
+            BlockLayout::Planes => self.copy_from(&scratch.planes, e, sweep, grid),
+            BlockLayout::Lanes => self.copy_from(&scratch.lanes, e, sweep, grid),
+        }
+    }
+
+    /// [`Eliminated::copy_out`] from the storage `S`.
+    fn copy_from<S: Blocks>(
+        &self,
+        store: &Store<S>,
+        e: usize,
+        sweep: &mut ForwardSweep,
+        grid: &mut Vec<CMatrix>,
+    ) {
+        let last = self.n_blocks - 1;
+        sweep.resize_with(1 + self.n_rhs, Vec::new);
+        grid.resize_with(1 + self.n_rhs, CMatrix::default);
+        for ((kept, u), row) in sweep.iter_mut().zip(grid.iter_mut()).zip(&store.rows) {
+            kept.resize_with(last, CMatrix::default);
+            for (g, slot) in kept.iter_mut().zip(row) {
+                slot.copy_plane_to(e, g);
+            }
+            row[last].copy_plane_to(e, u);
+        }
+        grid[0].scale_mut(c64::new(-1.0, 0.0));
     }
 }
 
 /// The backward half over a batch from the last block down: `sols[e]` must
 /// be shaped and hold the seed — the selected diagonal blocks of the last
-/// block, retarded and per right-hand side — and `sweeps[e]` the forward
-/// half's output for the same system ([`eliminate_to_last`]). Returns the
+/// block, retarded and per right-hand side — and `sweep(e)` the forward
+/// half's output for member `e` ([`Eliminated::copy_out`]). Returns the
 /// per-system FLOP count.
-pub(crate) fn recover_to_first(
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-    sweeps: &[&ForwardSweep],
+pub(crate) fn recover_to_first<'s>(
+    systems: Systems<'_>,
+    sweep: impl Fn(usize) -> &'s ForwardSweep,
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> u64 {
     let RgfBatchScratch { planes, lanes, .. } = scratch;
-    match layout_of(systems) {
-        BlockLayout::Planes => recover(planes, systems, rhs, sweeps, sols),
-        BlockLayout::Lanes => recover(lanes, systems, rhs, sweeps, sols),
+    match systems.layout() {
+        BlockLayout::Planes => recover(planes, systems, sweep, sols),
+        BlockLayout::Lanes => recover(lanes, systems, sweep, sols),
     }
-}
-
-/// [`BlockLayout::for_solve`] of a batch.
-fn layout_of(systems: &[&BlockTridiagonal]) -> BlockLayout {
-    let block_size = systems.first().map_or(0, |a| a.block_size());
-    BlockLayout::for_solve(block_size, systems.len())
 }
 
 /// The full solve on the storage `S`, over validated inputs and shaped
@@ -433,86 +524,50 @@ fn layout_of(systems: &[&BlockTridiagonal]) -> BlockLayout {
 fn solve<S: Blocks>(
     store: &mut Store<S>,
     lu: &mut LuScratch,
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
+    systems: Systems<'_>,
     sols: &mut [SelectedSolution],
 ) -> Result<u64, RgfBatchError> {
-    let flops = forward(store, lu, systems, rhs, None)?;
-    let last = systems[0].n_blocks() - 1;
+    let flops = forward(store, lu, systems, false)?;
+    let last = systems.shape().0 - 1;
     for (e, sol) in sols.iter_mut().enumerate() {
-        store.g[last].copy_plane_to(e, sol.retarded.diag_mut(last));
-        for (r, l) in sol.lesser.iter_mut().enumerate() {
-            store.gl[r][last].copy_plane_to(e, l.diag_mut(last));
+        let x = std::iter::once(&mut sol.retarded).chain(&mut sol.lesser);
+        for (x, row) in x.zip(&store.rows) {
+            row[last].copy_plane_to(e, x.diag_mut(last));
         }
     }
-    Ok(flops + backward(store, systems, rhs, sols))
-}
-
-/// [`eliminate_to_last`] on the storage `S`.
-fn eliminate<S: Blocks>(
-    store: &mut Store<S>,
-    lu: &mut LuScratch,
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-    updates: &mut [Vec<CMatrix>],
-    sweeps: &mut [ForwardSweep],
-) -> Result<u64, RgfBatchError> {
-    let flops = forward(store, lu, systems, rhs, Some(updates))?;
-    let (nb, bs) = (systems[0].n_blocks(), systems[0].block_size());
-    for (e, sweep) in sweeps.iter_mut().enumerate() {
-        sweep.g.resize_with(nb - 1, || CMatrix::zeros(bs, bs));
-        for (i, g) in sweep.g.iter_mut().enumerate() {
-            store.g[i].copy_plane_to(e, g);
-        }
-        sweep.gl.resize_with(rhs[e].len(), Vec::new);
-        for (row, gl) in store.gl.iter().zip(sweep.gl.iter_mut()) {
-            gl.resize_with(nb - 1, || CMatrix::zeros(bs, bs));
-            for (i, g) in gl.iter_mut().enumerate() {
-                row[i].copy_plane_to(e, g);
-            }
-        }
-    }
-    Ok(flops)
+    Ok(flops + backward(store, systems, sols))
 }
 
 /// [`recover_to_first`] on the storage `S`.
-fn recover<S: Blocks>(
+fn recover<'s, S: Blocks>(
     store: &mut Store<S>,
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-    sweeps: &[&ForwardSweep],
+    systems: Systems<'_>,
+    sweep: impl Fn(usize) -> &'s ForwardSweep,
     sols: &mut [SelectedSolution],
 ) -> u64 {
-    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let (nb, bs, n_rhs) = systems.shape();
     fit_slots(store, systems.len(), bs, nb, n_rhs);
-    for i in 0..nb - 1 {
-        store.g[i].stage(|e| &sweeps[e].g[i]);
-        for (r, row) in store.gl[..n_rhs].iter_mut().enumerate() {
-            row[i].stage(|e| &sweeps[e].gl[r][i]);
+    for (m, row) in store.rows[..1 + n_rhs].iter_mut().enumerate() {
+        for (i, slot) in row[..nb - 1].iter_mut().enumerate() {
+            slot.stage(|e| &sweep(e)[m][i]);
         }
     }
-    backward(store, systems, rhs, sols)
+    backward(store, systems, sols)
 }
 
-/// Shape the forward-pass slots of `store` to `nb` block positions of
-/// `batch` blocks of `bs × bs` and `n_rhs` rows. The slot lists only grow: a
-/// scratch that alternates between block counts (a rank of a spatial group
-/// solves partition ranges and reduced boundary systems on one scratch) keeps
-/// the longer list warm.
+/// Shape the forward-pass rows of `store` to the retarded row and `n_rhs`
+/// more, of `nb` block positions of `batch` blocks of `bs × bs`. The lists
+/// only grow: a scratch that alternates between block counts (a rank of a
+/// spatial group solves partition ranges and reduced boundary systems on one
+/// scratch) keeps the longer list warm.
 fn fit_slots<S: Blocks>(store: &mut Store<S>, batch: usize, bs: usize, nb: usize, n_rhs: usize) {
-    let Store { g, gl, .. } = store;
-    if g.len() < nb {
-        g.resize_with(nb, S::empty);
+    let rows = &mut store.rows;
+    if rows.len() < 1 + n_rhs {
+        rows.resize_with(1 + n_rhs, Vec::new);
     }
-    for slot in g[..nb].iter_mut() {
-        slot.fit(batch, bs);
-    }
-    while gl.len() < n_rhs {
-        gl.push(Vec::new());
-    }
-    for row in gl[..n_rhs].iter_mut() {
+    for row in rows[..1 + n_rhs].iter_mut() {
         if row.len() < nb {
-            row.resize_with(nb, S::empty);
+            row.resize_with(nb, S::default);
         }
         for slot in row[..nb].iter_mut() {
             slot.fit(batch, bs);
@@ -521,32 +576,34 @@ fn fit_slots<S: Blocks>(store: &mut Store<S>, batch: usize, bs: usize, nb: usize
 }
 
 /// The forward half on the storage `S`: the left-connected `g[i]` and
-/// `gl[r][i]` of every block. With `separator`, the last block is a
-/// separator of a spatial partition: its step stops before the inversion
-/// and writes the Schur term (negated) and the `inner` coupling terms
-/// (without `B_ss`) of every energy `e` into `separator[e]` instead.
-/// Returns the per-energy FLOP count.
+/// `gl[r][i]` of every block. With `stop`, the last block is a separator of
+/// a spatial partition: its step stops before the inversion and leaves the
+/// Schur term `A_{s,e} g_e A_{e,s}` in `g[last]` and the `inner` coupling
+/// terms (without `B_ss`) in `gl[r][last]` instead. Returns the per-energy
+/// FLOP count.
 fn forward<S: Blocks>(
     store: &mut Store<S>,
     lu: &mut LuScratch,
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
-    mut separator: Option<&mut [Vec<CMatrix>]>,
+    systems: Systems<'_>,
+    stop: bool,
 ) -> Result<u64, RgfBatchError> {
     let bsz = systems.len();
-    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let (nb, bs, n_rhs) = systems.shape();
     let mut flops = 0u64; // per energy — structural, identical for every member
     let gemm_c = gemm_flops(bs, bs, bs);
     let inv_cost = inverse_flops(bs);
 
     fit_slots(store, bsz, bs, nb, n_rhs);
-    let Store { bws, g, gl } = store;
+    let Store { bws, rows } = store;
+    let (g, gl) = rows
+        .split_first_mut()
+        .expect("fit_slots shapes the retarded row");
 
     // Left-connected retarded g[i] and lesser gl[r][i], batched per block
     // position: stage the per-energy blocks once, then one batched product
     // per GEMM of the recursion.
     let mut sd = bws.take(bsz, bs);
-    sd.stage(|e| systems[e].diag(0));
+    sd.stage(|e| systems.matrix(e, 0).diag(0));
     S::invert(lu, &sd, &mut g[0]).map_err(|e| RgfBatchError {
         energy: e,
         error: RgfError::SingularBlock(0),
@@ -555,7 +612,7 @@ fn forward<S: Blocks>(
     for r in 0..n_rhs {
         // gl_0 = g_0 · B_00 · g_0†
         let mut bd = bws.take(bsz, bs);
-        bd.stage(|e| rhs[e][r].diag(0));
+        bd.stage(|e| systems.matrix(e, 1 + r).diag(0));
         let mut t = bws.take(bsz, bs);
         t.product(ONE, each(&g[0]), each(&bd), ZERO);
         gl[r][0].product(ONE, each(&t), each_dag(&g[0]), ZERO);
@@ -566,11 +623,11 @@ fn forward<S: Blocks>(
 
     for i in 1..nb {
         // The separator's step stops before its inversion.
-        let mut at_separator = separator.as_deref_mut().filter(|_| i == nb - 1);
+        let at_separator = stop && i == nb - 1;
         let mut slo = bws.take(bsz, bs); // A_{i, i-1}
-        slo.stage(|e| systems[e].lower(i - 1));
+        slo.stage(|e| systems.matrix(e, 0).lower(i - 1));
         let mut sup = bws.take(bsz, bs); // A_{i-1, i}
-        sup.stage(|e| systems[e].upper(i - 1));
+        sup.stage(|e| systems.matrix(e, 0).upper(i - 1));
 
         // Schur complement d = A_ii − A_{i,i-1} g_{i-1} A_{i-1,i}.
         let mut t1 = bws.take(bsz, bs);
@@ -578,14 +635,12 @@ fn forward<S: Blocks>(
         let mut t2 = bws.take(bsz, bs);
         t2.product(ONE, each(&t1), each(&sup), ZERO);
         flops += 2 * gemm_c;
-        if let Some(out) = &mut at_separator {
-            for (e, upd) in out.iter_mut().enumerate() {
-                t2.copy_plane_to(e, &mut upd[0]);
-                upd[0].scale_mut(c64::new(-1.0, 0.0));
-            }
+        if at_separator {
+            // The separator's terms take the slots its inversion would fill.
+            std::mem::swap(&mut t2, &mut g[i]);
         } else {
             let mut d = bws.take(bsz, bs);
-            d.stage(|e| systems[e].diag(i));
+            d.stage(|e| systems.matrix(e, 0).diag(i));
             d.sub_assign_batch(&t2);
             S::invert(lu, &d, &mut g[i]).map_err(|e| RgfBatchError {
                 energy: e,
@@ -599,16 +654,16 @@ fn forward<S: Blocks>(
             // inner = B_ii + A_{i,i-1} gl_{i-1} A_{i,i-1}†
             //       − A_{i,i-1} g_{i-1} B_{i-1,i} − B_{i,i-1} g_{i-1}† A_{i,i-1}†
             let mut inner = bws.take(bsz, bs);
-            let beta = if at_separator.is_some() {
+            let beta = if at_separator {
                 ZERO
             } else {
-                inner.stage(|e| rhs[e][r].diag(i));
+                inner.stage(|e| systems.matrix(e, 1 + r).diag(i));
                 ONE
             };
             let mut bup = bws.take(bsz, bs);
-            bup.stage(|e| rhs[e][r].upper(i - 1));
+            bup.stage(|e| systems.matrix(e, 1 + r).upper(i - 1));
             let mut blo = bws.take(bsz, bs);
-            blo.stage(|e| rhs[e][r].lower(i - 1));
+            blo.stage(|e| systems.matrix(e, 1 + r).lower(i - 1));
             let mut u = bws.take(bsz, bs);
             u.product(ONE, each(&slo), each(&gl[r][i - 1]), ZERO);
             inner.product(ONE, each(&u), each_dag(&slo), beta);
@@ -617,10 +672,8 @@ fn forward<S: Blocks>(
             u.product(ONE, each(&blo), each_dag(&g[i - 1]), ZERO);
             inner.product(-ONE, each(&u), each_dag(&slo), ONE);
             flops += 6 * gemm_c;
-            if let Some(out) = &mut at_separator {
-                for (e, upd) in out.iter_mut().enumerate() {
-                    inner.copy_plane_to(e, &mut upd[1 + r]);
-                }
+            if at_separator {
+                std::mem::swap(&mut inner, &mut gl[r][i]);
             } else {
                 // gl_i = g_i · inner · g_i†
                 u.product(ONE, each(&g[i]), each(&inner), ZERO);
@@ -646,21 +699,23 @@ fn forward<S: Blocks>(
 /// Returns the per-energy FLOP count.
 fn backward<S: Blocks>(
     store: &mut Store<S>,
-    systems: &[&BlockTridiagonal],
-    rhs: &[&[&BlockTridiagonal]],
+    systems: Systems<'_>,
     sols: &mut [SelectedSolution],
 ) -> u64 {
     let bsz = systems.len();
-    let (nb, bs, n_rhs) = (systems[0].n_blocks(), systems[0].block_size(), rhs[0].len());
+    let (nb, bs, n_rhs) = systems.shape();
     let mut flops = 0u64;
     let gemm_c = gemm_flops(bs, bs, bs);
-    let Store { bws, g, gl } = store;
+    let Store { bws, rows } = store;
+    let (g, gl) = rows
+        .split_first()
+        .expect("the forward half fills the retarded row");
 
     for i in (0..nb.saturating_sub(1)).rev() {
         let mut sup = bws.take(bsz, bs); // A_{i, i+1}
-        sup.stage(|e| systems[e].upper(i));
+        sup.stage(|e| systems.matrix(e, 0).upper(i));
         let mut slo = bws.take(bsz, bs); // A_{i+1, i}
-        slo.stage(|e| systems[e].lower(i));
+        slo.stage(|e| systems.matrix(e, 0).lower(i));
         let gi = &g[i];
         let mut x_next = bws.take(bsz, bs);
         x_next.stage(|e| sols[e].retarded.diag(i + 1));
@@ -697,9 +752,9 @@ fn backward<S: Blocks>(
         for r in 0..n_rhs {
             let gli = &gl[r][i];
             let mut bup = bws.take(bsz, bs); // B_{i, i+1}
-            bup.stage(|e| rhs[e][r].upper(i));
+            bup.stage(|e| systems.matrix(e, 1 + r).upper(i));
             let mut blo = bws.take(bsz, bs); // B_{i+1, i}
-            blo.stage(|e| rhs[e][r].lower(i));
+            blo.stage(|e| systems.matrix(e, 1 + r).lower(i));
 
             let mut ta = bws.take(bsz, bs);
             let mut tb = bws.take(bsz, bs);

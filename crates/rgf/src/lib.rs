@@ -14,13 +14,13 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`batch::rgf_solve_batch_into`] — the classical recursive Green's
+//! * [`batch::solve_systems_into`] — the classical recursive Green's
 //!   function algorithm (paper Section 4.3.2, Eqs. (9)–(12)): a forward
 //!   Schur-complement sweep followed by a backward pass, `O(N_B·N_BS³)` work
 //!   per system, run for a batch of same-structure systems (energies) at
 //!   once, on energy-major planes or — for small blocks — one vector lane per
-//!   energy ([`batch::BlockLayout`]); [`sequential::rgf_solve`] and friends
-//!   solve one system as a batch of one;
+//!   energy ([`batch::BlockLayout`]), read through one [`batch::Systems`]
+//!   view; [`sequential::rgf_solve`] and friends solve a batch of one;
 //! * [`nested::nested_dissection_invert`] / [`nested::nested_dissection_solve`]
 //!   — the spatial domain decomposition of Section 5.4: the block range is
 //!   split into `P_S` partitions ([`layout`]) whose interiors are eliminated
@@ -41,7 +41,8 @@
 //!   which eliminates states whose ranges are already loaded) and the
 //!   recovery ([`nested::recover_partition_into`]) take a whole batch of
 //!   systems, so a distributed driver runs elimination and recovery on
-//!   different ranks against each rank's warm scratch.
+//!   different ranks against each rank's warm scratch. Once that scratch is
+//!   warm, an end partition's phases allocate nothing.
 //!
 //! The [`dense`] module provides the brute-force dense references used by the
 //! test-suite to validate every selected block.
@@ -53,7 +54,8 @@ pub mod nested;
 pub mod sequential;
 
 pub use batch::{
-    rgf_solve_batch_into, rgf_solve_batch_on, BlockLayout, RgfBatchError, RgfBatchScratch,
+    rgf_solve_batch_into, rgf_solve_batch_on, solve_systems_into, BlockLayout, RgfBatchError,
+    RgfBatchScratch, Systems,
 };
 pub use dense::{dense_lesser, dense_retarded};
 pub use layout::{
@@ -62,8 +64,8 @@ pub use layout::{
 pub use nested::{
     assemble_reduced_system_into, assemble_solution_into, eliminate_loaded,
     eliminate_partition_into, nested_dissection_invert, nested_dissection_solve,
-    nested_dissection_solve_with_layout, recover_partition_into, solve_systems_into, NestedConfig,
-    NestedReport, PartitionSolveState, PartitionWorkload,
+    nested_dissection_solve_with_layout, recover_partition_into, NestedConfig, NestedReport,
+    PartitionSolveState, PartitionWorkload,
 };
 pub use sequential::{
     rgf_selected_inverse, rgf_solve, rgf_solve_into, rgf_solve_scratch, RgfError, RgfScratch,

@@ -80,8 +80,9 @@
 //! costs `185·n + 176` units of `8·N_BS³`, an end partition `127·n`.
 //!
 //! **One form per phase.** Every phase writes into kept states or solutions
-//! and takes a whole batch of same-shape systems (the energies a rank owns),
-//! running their RGF work as batched solves against the caller's scratch:
+//! and takes a whole batch of same-shape systems (the energies a rank owns)
+//! as one [`Systems`] view, running their RGF work as batched solves against
+//! the caller's scratch:
 //! [`eliminate_partition_into`] loads each system's range into its state and
 //! eliminates it, [`eliminate_loaded`] eliminates states loaded otherwise
 //! (ranges received over the wire), [`assemble_reduced_system_into`] and
@@ -99,7 +100,7 @@ use quatrex_linalg::CMatrix;
 use quatrex_sparse::BlockTridiagonal;
 
 use crate::batch::{
-    eliminate_to_last, recover_to_first, rgf_solve_batch_into, ForwardSweep, RgfBatchScratch,
+    eliminate_to_last, recover_to_first, solve_systems_into, ForwardSweep, RgfBatchScratch, Systems,
 };
 use crate::layout::{
     separator_blocks, spatial_partition_layout, validate_partition_layout, SpatialPartition,
@@ -197,65 +198,6 @@ fn first_separator(p: usize) -> usize {
     (2 * p).saturating_sub(1)
 }
 
-/// One batched selected solve of same-shape systems `[A, B_1, …]`
-/// ([`rgf_solve_batch_into`]) against `scratch`, into kept solutions (one
-/// per system).
-pub fn solve_systems_into<S: AsRef<[BlockTridiagonal]>>(
-    systems: &[S],
-    sols: &mut [SelectedSolution],
-    scratch: &mut RgfBatchScratch,
-) -> Result<(), RgfError> {
-    let ops = split_systems(systems.iter().map(AsRef::as_ref));
-    rgf_solve_batch_into(&ops.lhs, &ops.rhs_lists(), sols, scratch).map_err(|e| e.error)
-}
-
-/// The operand lists of a batch of same-shape systems `[A, B_1, …]`: the
-/// system matrices, and every system's right-hand sides in one flat list.
-struct Operands<'a> {
-    lhs: Vec<&'a BlockTridiagonal>,
-    rhs: Vec<&'a BlockTridiagonal>,
-    n_rhs: usize,
-}
-
-impl<'a> Operands<'a> {
-    /// The right-hand-side list of every system.
-    fn rhs_lists(&self) -> Vec<&[&'a BlockTridiagonal]> {
-        if self.n_rhs == 0 {
-            return vec![&[]; self.lhs.len()];
-        }
-        self.rhs.chunks_exact(self.n_rhs).collect()
-    }
-}
-
-/// The operand lists of `systems`.
-fn split_systems<'a>(
-    systems: impl ExactSizeIterator<Item = &'a [BlockTridiagonal]>,
-) -> Operands<'a> {
-    let mut lhs = Vec::with_capacity(systems.len());
-    let (mut rhs, mut n_rhs) = (Vec::new(), None);
-    for system in systems {
-        let (a, b) = system.split_first().expect("a system holds its matrix"); // lint:allow(no-unwrap): every system is `[A, B_1, …]`
-        if n_rhs.is_none() {
-            rhs.reserve(lhs.capacity() * b.len());
-        }
-        assert_eq!(*n_rhs.get_or_insert(b.len()), b.len(), "same-shape systems");
-        lhs.push(a);
-        rhs.extend(b);
-    }
-    let n_rhs = n_rhs.unwrap_or(0);
-    Operands { lhs, rhs, n_rhs }
-}
-
-/// A loaded state's range (a one-separator state's in separator-last order
-/// once eliminated).
-fn loaded_range(st: &PartitionSolveState) -> &[BlockTridiagonal] {
-    match &st.recovery {
-        Recovery::End(sweep) => &sweep.range,
-        Recovery::Middle(middle) => &middle.range,
-        Recovery::Nothing => unreachable!("a state with an interior"),
-    }
-}
-
 /// A stopped forward sweep: a range `[A, B_1, …]` whose last block is a
 /// separator, and the forward RGF half over it ([`eliminate_to_last`]).
 #[derive(Default)]
@@ -267,15 +209,13 @@ struct Sweep {
 /// What a two-separator partition keeps: its range, to be closed by the
 /// reduced solution, the stopped sweeps towards `b` over `[1..=n, b]` and
 /// towards `t` over the reversed `[t, 1..=n]`, and the update grids they stop
-/// at (`1 + n_rhs` blocks each, the diagonal entries of the partition's
-/// grid).
+/// at, `[u_bb, u_tt]` (`1 + n_rhs` blocks each, the diagonal entries of the
+/// partition's grid).
 #[derive(Default)]
 struct Middle {
     range: Vec<BlockTridiagonal>,
-    to_b: Sweep,
-    to_t: Sweep,
-    u_bb: Vec<CMatrix>,
-    u_tt: Vec<CMatrix>,
+    sweeps: [Sweep; 2],
+    grids: [Vec<CMatrix>; 2],
 }
 
 /// Recovery state a partition keeps between the elimination and recovery
@@ -327,9 +267,9 @@ pub struct PartitionSolveState {
 /// towards each separator and adds the cross entries between them from two
 /// rows of its interior inverse (module docs). A system's result does not
 /// depend on the batch it is eliminated in.
-pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
+pub fn eliminate_partition_into(
     states: &mut [PartitionSolveState],
-    systems: &[S],
+    systems: Systems<'_>,
     offset: usize,
     part: &SpatialPartition,
     index: usize,
@@ -337,10 +277,10 @@ pub fn eliminate_partition_into<'a, S: AsRef<[&'a BlockTridiagonal]>>(
 ) -> Result<(), RgfError> {
     assert_eq!(states.len(), systems.len(), "one state per system");
     let range = offset..offset + part.range().len();
-    for (st, system) in states.iter_mut().zip(systems) {
-        let system = system.as_ref();
-        for (dst, src) in st.range_mut(part, system.len()).iter_mut().zip(system) {
-            dst.copy_range_from(src, range.clone());
+    for (e, st) in states.iter_mut().enumerate() {
+        let loaded = st.range_mut(part, 1 + systems.n_rhs());
+        for (m, dst) in loaded.iter_mut().enumerate() {
+            dst.copy_range_from(systems.matrix(e, m), range.clone());
         }
     }
     eliminate_loaded(states, part, index, scratch)
@@ -379,8 +319,7 @@ impl PartitionSolveState {
 
 /// [`eliminate_partition_into`] of states whose ranges are loaded
 /// ([`PartitionSolveState::range_mut`]). A one-separator partition
-/// eliminates in place: once warmed at a shape it allocates only the
-/// batch's operand lists.
+/// eliminates in place: once warmed at a shape it allocates nothing.
 pub fn eliminate_loaded(
     states: &mut [PartitionSolveState],
     part: &SpatialPartition,
@@ -414,7 +353,7 @@ pub fn eliminate_loaded(
                     }
                 }
             }
-            let flops = sweep_states(states, end_sweep, scratch)?;
+            let flops = sweep_states(states, 0, scratch)?;
             for st in states.iter_mut() {
                 st.workload = workload(flops);
             }
@@ -423,9 +362,14 @@ pub fn eliminate_loaded(
         // Two separators, t = 0 and b = n + 1: stopped sweeps towards b over
         // [1..=n, b] and towards t over the reversed [t, 1..=n].
         for st in states.iter_mut() {
-            let Middle {
-                range, to_b, to_t, ..
-            } = middle(st);
+            let Recovery::Middle(Middle {
+                range,
+                sweeps: [to_b, to_t],
+                ..
+            }) = &mut st.recovery
+            else {
+                unreachable!("a two-separator state")
+            };
             to_b.range.resize_with(range.len(), Default::default);
             to_t.range.resize_with(range.len(), Default::default);
             for ((m, b), t) in range.iter().zip(&mut to_b.range).zip(&mut to_t.range) {
@@ -434,15 +378,13 @@ pub fn eliminate_loaded(
                 t.reverse();
             }
         }
-        let flops_b = sweep_states(states, |st| middle_sweeps(st).0, scratch)?;
-        let flops_t = sweep_states(states, |st| middle_sweeps(st).1, scratch)?;
+        let flops_b = sweep_states(states, 0, scratch)?;
+        let flops_t = sweep_states(states, 1, scratch)?;
         for st in states.iter_mut() {
             let Recovery::Middle(Middle {
                 range: sub,
-                to_b,
-                to_t,
-                u_bb,
-                u_tt,
+                sweeps: [to_b, to_t],
+                grids: [u_bb, u_tt],
             }) = &st.recovery
             else {
                 unreachable!("a two-separator state")
@@ -468,82 +410,63 @@ pub fn eliminate_loaded(
     })
 }
 
-/// A stopped sweep of a state and the update grid it stops at.
-type SweepSlot<'a> = (&'a mut Sweep, &'a mut Vec<CMatrix>);
-
-/// The one stopped sweep of a one-separator state, into its update grid.
-fn end_sweep(st: &mut PartitionSolveState) -> SweepSlot<'_> {
-    match &mut st.recovery {
-        Recovery::End(sweep) => (sweep, &mut st.updates),
-        _ => unreachable!("a one-separator state"),
+impl PartitionSolveState {
+    /// Stopped sweep `k`: a one-separator state's one (`k = 0`), or a
+    /// two-separator state's towards `b` (`k = 0`) or `t` (`k = 1`).
+    fn sweep(&self, k: usize) -> &Sweep {
+        match &self.recovery {
+            Recovery::End(sweep) => sweep,
+            Recovery::Middle(middle) => &middle.sweeps[k],
+            Recovery::Nothing => unreachable!("a state with an interior"),
+        }
     }
-}
 
-/// What a two-separator state keeps.
-fn middle(st: &mut PartitionSolveState) -> &mut Middle {
-    match &mut st.recovery {
-        Recovery::Middle(middle) => middle,
-        _ => unreachable!("a two-separator state"),
+    /// Stopped sweep `k` and the update grid it stops at.
+    fn sweep_mut(&mut self, k: usize) -> (&mut Sweep, &mut Vec<CMatrix>) {
+        match &mut self.recovery {
+            Recovery::End(sweep) => (sweep, &mut self.updates),
+            Recovery::Middle(middle) => (&mut middle.sweeps[k], &mut middle.grids[k]),
+            Recovery::Nothing => unreachable!("a state with an interior"),
+        }
     }
-}
-
-/// The two stopped sweeps of a two-separator state, towards `b` and `t`.
-fn middle_sweeps(st: &mut PartitionSolveState) -> (SweepSlot<'_>, SweepSlot<'_>) {
-    let Middle {
-        to_b,
-        to_t,
-        u_bb,
-        u_tt,
-        ..
-    } = middle(st);
-    ((to_b, u_bb), (to_t, u_tt))
 }
 
 /// The batched forward RGF half ([`eliminate_to_last`]) over the loaded
-/// stopped sweep `slot(st)` of every state, into the sweep and its update
-/// grid. Returns the per-system FLOPs.
+/// stopped sweep `k` of every state, into the sweep and its update grid.
+/// Returns the per-system FLOPs.
 fn sweep_states(
     states: &mut [PartitionSolveState],
-    slot: impl Fn(&mut PartitionSolveState) -> SweepSlot<'_>,
+    k: usize,
     scratch: &mut RgfBatchScratch,
 ) -> Result<u64, RgfError> {
-    let take = |st| {
-        let (sweep, grid) = slot(st);
-        (std::mem::take(&mut sweep.forward), std::mem::take(grid))
-    };
-    let (mut sweeps, mut updates): (Vec<ForwardSweep>, Vec<Vec<CMatrix>>) =
-        states.iter_mut().map(take).unzip();
-    let ops = split_systems(states.iter_mut().map(|st| &*slot(st).0.range));
-    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
-    let bs = lhs[0].block_size();
-    for grid in &mut updates {
-        grid.resize_with(1 + n_rhs, CMatrix::default);
-        grid.iter_mut().for_each(|u| {
-            u.fit(bs, bs);
-        });
+    let loaded = &*states;
+    let matrix = |e: usize, m: usize| &loaded[e].sweep(k).range[m];
+    let n_rhs = loaded[0].sweep(k).range.len() - 1;
+    let systems = Systems::new(loaded.len(), n_rhs, &matrix);
+    let done = eliminate_to_last(systems, scratch).map_err(|e| e.error)?;
+    for (e, st) in states.iter_mut().enumerate() {
+        let (sweep, grid) = st.sweep_mut(k);
+        done.copy_out(scratch, e, &mut sweep.forward, grid);
     }
-    let flops = eliminate_to_last(lhs, &rhs, &mut updates, &mut sweeps, scratch);
-    for ((st, grid), forward) in states.iter_mut().zip(updates).zip(sweeps) {
-        let (sweep, kept) = slot(st);
-        (sweep.forward, *kept) = (forward, grid);
-    }
-    flops.map_err(|e| e.error)
+    Ok(done.flops)
 }
 
-/// Assemble the reduced boundary system `[S, B̃_1, …]` of one system
-/// `[A, B_1, …]` into kept matrices (one per matrix of the system): its
+/// Assemble the reduced boundary system `[S, B̃_1, …]` of member `e` of
+/// `systems` into kept matrices (one per matrix of the system): its
 /// separator blocks (`separators`, the layout's [`separator_blocks`]) plus
 /// the gathered per-partition update grids (`updates(p)`, partition `p`'s
 /// [`PartitionSolveState::updates`]).
 pub fn assemble_reduced_system_into<'u>(
     reduced: &mut [BlockTridiagonal],
-    system: &[&BlockTridiagonal],
+    systems: Systems<'_>,
+    e: usize,
     parts: &[SpatialPartition],
     separators: &[usize],
     updates: impl Fn(usize) -> &'u [CMatrix],
 ) {
     let n_sep = separators.len();
-    for (red, m) in reduced.iter_mut().zip(system) {
+    for (i, red) in reduced.iter_mut().enumerate() {
+        let m = systems.matrix(e, i);
         red.fit(n_sep, m.block_size());
         red.set_zero();
         for (k, &s) in separators.iter().enumerate() {
@@ -590,8 +513,7 @@ pub fn assemble_reduced_system_into<'u>(
 /// docs). Writes one [`SelectedSolution`] over [`SpatialPartition::range`]
 /// per system into the kept `sols` (its `flops` are the recovery's); a
 /// system's result does not depend on the batch. A one-separator partition
-/// recovers in place: once warmed at a shape it allocates only the batch's
-/// operand lists.
+/// recovers in place: once warmed at a shape it allocates nothing.
 pub fn recover_partition_into(
     part: &SpatialPartition,
     states: &[PartitionSolveState],
@@ -629,16 +551,11 @@ fn recover_end(
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) {
-    let forward: Vec<&ForwardSweep> = states
-        .iter()
-        .map(|st| match &st.recovery {
-            Recovery::End(sweep) => &sweep.forward,
-            _ => panic!("not an end partition's state"),
-        })
-        .collect();
-    let ops = split_systems(states.iter().map(loaded_range));
-    let (lhs, rhs, n_rhs) = (&ops.lhs, ops.rhs_lists(), ops.n_rhs);
-    let (n, bs) = (lhs[0].n_blocks(), lhs[0].block_size());
+    let sweep = |e: usize| states[e].sweep(0);
+    let matrix = |e: usize, m: usize| &sweep(e).range[m];
+    let range = &sweep(0).range;
+    let (n, bs, n_rhs) = (range[0].n_blocks(), range[0].block_size(), range.len() - 1);
+    let systems = Systems::new(states.len(), n_rhs, &matrix);
     // The seed: the reduced solution at the partition's one separator.
     for (sol, red) in sols.iter_mut().zip(reduced) {
         sol.fit(n, bs, n_rhs);
@@ -650,7 +567,7 @@ fn recover_end(
             x.diag_mut(n - 1).copy_from(xr.diag(sep));
         }
     }
-    let flops = recover_to_first(lhs, &rhs, &forward, sols, scratch);
+    let flops = recover_to_first(systems, |e| &sweep(e).forward, sols, scratch);
     for sol in sols.iter_mut() {
         if part.left_boundary.is_some() {
             sol.retarded.reverse();
@@ -679,7 +596,9 @@ fn recover_middle(
             _ => panic!("not a middle partition's state"),
         })
         .unzip();
-    solve_systems_into(&closed, sols, scratch)
+    let matrix = |e: usize, m: usize| &closed[e][m];
+    let systems = Systems::new(closed.len(), closed[0].len() - 1, &matrix);
+    solve_systems_into(systems, sols, scratch)
         .expect("a closed range is as regular as the device it is cut from");
     for (sol, closure) in sols.iter_mut().zip(flops) {
         sol.flops += closure;
@@ -791,7 +710,8 @@ pub fn nested_dissection_solve_with_layout(
         return Err(RgfError::ShapeMismatch);
     }
     validate_partition_layout(parts, nb)?;
-    let system: Vec<&BlockTridiagonal> = std::iter::once(a).chain(rhs.iter().copied()).collect();
+    let matrix = |_: usize, m: usize| if m == 0 { a } else { rhs[m - 1] };
+    let system = Systems::new(1, rhs.len(), &matrix);
 
     // One scratch serves every phase: a partition's state keeps owned copies
     // of what its recovery needs, as on the distributed driver's ranks. The
@@ -802,16 +722,18 @@ pub fn nested_dissection_solve_with_layout(
     let mut states: Vec<PartitionSolveState> = parts.iter().map(|_| Default::default()).collect();
     for (idx, (part, st)) in parts.iter().zip(&mut states).enumerate() {
         let st = std::slice::from_mut(st);
-        eliminate_partition_into(st, &[&system], part.lo, part, idx, &mut scratch)?;
+        eliminate_partition_into(st, system, part.lo, part, idx, &mut scratch)?;
     }
 
     // Phase 2: assemble and solve the reduced system over the separators.
     let separators = separator_blocks(parts);
-    let mut reduced_system = vec![BlockTridiagonal::default(); system.len()];
+    let mut reduced_system = vec![BlockTridiagonal::default(); 1 + rhs.len()];
     let updates = |p: usize| states[p].updates.as_slice();
-    assemble_reduced_system_into(&mut reduced_system, &system, parts, &separators, updates);
+    assemble_reduced_system_into(&mut reduced_system, system, 0, parts, &separators, updates);
     let mut reduced = [SelectedSolution::default()];
-    solve_systems_into(&[reduced_system], &mut reduced, &mut scratch)?;
+    let matrix = |_: usize, m: usize| &reduced_system[m];
+    let reduced_batch = Systems::new(1, rhs.len(), &matrix);
+    solve_systems_into(reduced_batch, &mut reduced, &mut scratch)?;
 
     // Phase 3: recover the interior selected blocks.
     let mut recovered = vec![SelectedSolution::default(); parts.len()];

@@ -28,7 +28,7 @@ pub(super) fn inverse_row<'a>(
     sweep: &ForwardSweep,
     coupling: impl Fn(usize) -> &'a CMatrix,
 ) -> (Vec<CMatrix>, u64) {
-    let g = sweep.retarded();
+    let g = &sweep[0];
     let (n, bs) = (g.len(), g[0].nrows());
     let mut row = vec![g[n - 1].clone()];
     for w in 1..n {

@@ -468,12 +468,11 @@ fn eliminated<S: AsRef<[BlockTridiagonal]>>(
     index: usize,
     scratch: &mut RgfBatchScratch,
 ) -> Vec<PartitionSolveState> {
-    let systems: Vec<Vec<&BlockTridiagonal>> = systems
-        .iter()
-        .map(|s| s.as_ref().iter().collect())
-        .collect();
+    let matrix = |e: usize, m: usize| &systems[e].as_ref()[m];
+    let n_rhs = systems[0].as_ref().len() - 1;
+    let batch = Systems::new(systems.len(), n_rhs, &matrix);
     let mut states: Vec<PartitionSolveState> = systems.iter().map(|_| Default::default()).collect();
-    eliminate_partition_into(&mut states, &systems, offset, part, index, scratch).unwrap();
+    eliminate_partition_into(&mut states, batch, offset, part, index, scratch).unwrap();
     states
 }
 

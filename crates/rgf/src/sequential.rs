@@ -14,14 +14,14 @@
 //! in the tests.
 //!
 //! The recursion itself lives in [`crate::batch`]: a single system is a batch
-//! of one through [`rgf_solve_batch_into`], so the entry points here share
+//! of one through [`solve_systems_into`], so the entry points here share
 //! its arithmetic, FLOP accounting and zero-allocation steady state (pinned
 //! by `tests/alloc_free.rs`). This module owns the per-system types and the
 //! convenience wrappers that allocate the solution and/or the scratch.
 
 use quatrex_sparse::BlockTridiagonal;
 
-use crate::batch::{rgf_solve_batch_into, RgfBatchScratch};
+use crate::batch::{solve_systems_into, RgfBatchScratch, Systems};
 
 /// Errors produced by the RGF solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,7 +122,7 @@ pub fn rgf_solve_scratch(
 
 /// Selected RGF solve writing into a caller-owned solution, with all
 /// temporaries drawn from `scratch`: a batch of one through
-/// [`rgf_solve_batch_into`]. In the steady state (solution and scratch warmed
+/// [`solve_systems_into`]. In the steady state (solution and scratch warmed
 /// at this shape) the call performs zero heap allocations.
 pub fn rgf_solve_into(
     a: &BlockTridiagonal,
@@ -130,7 +130,9 @@ pub fn rgf_solve_into(
     sol: &mut SelectedSolution,
     scratch: &mut RgfScratch,
 ) -> Result<(), RgfError> {
-    rgf_solve_batch_into(&[a], &[rhs], std::slice::from_mut(sol), scratch).map_err(|e| e.error)
+    let matrix = |_: usize, m: usize| if m == 0 { a } else { rhs[m - 1] };
+    let sols = std::slice::from_mut(sol);
+    solve_systems_into(Systems::new(1, rhs.len(), &matrix), sols, scratch)
 }
 
 #[cfg(test)]
