@@ -25,9 +25,12 @@
 //! The deadlock verdict is false-positive-safe against stale reports: a rank
 //! blocked on `Recv { src, seq }` is only *stuck* if `src` has posted at most
 //! `seq` collectives — if the message was in fact delivered, `src`'s post
-//! count already exceeds `seq` and the rank counts as progressable. An
-//! all-ranks barrier wait is never a deadlock by itself (the `n`-th arrival
-//! releases it), so a pure-barrier snapshot with no exited rank is treated as
+//! count already exceeds `seq` and the rank counts as progressable. The
+//! same holds for a barrier or allreduce, an exchange of one value with
+//! every rank: once every rank has entered that step, each has sent its
+//! value and the wait ends, even if a peer has exited since. An all-ranks
+//! barrier wait is never a deadlock by itself (the `n`-th arrival releases
+//! it), so a pure-barrier snapshot with no exited rank is treated as
 //! transient.
 //!
 //! [`ThreadComm`]: quatrex_runtime::ThreadComm
@@ -178,7 +181,11 @@ impl CollectiveChecker {
                 let can = match st.states[rank] {
                     RankState::Blocked(BlockedOn::Recv { src, seq }) => st.posts[src] > seq,
                     RankState::Blocked(BlockedOn::Barrier) => {
-                        (0..self.n_ranks).any(|o| o != rank && progressable[o])
+                        // A rank sends its value right after entering the
+                        // step; a blocked or exited peer at or past it has.
+                        let step = st.seq_log[rank].len();
+                        (0..self.n_ranks).all(|o| st.seq_log[o].len() >= step)
+                            || (0..self.n_ranks).any(|o| o != rank && progressable[o])
                     }
                     _ => false,
                 };

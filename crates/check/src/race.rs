@@ -41,16 +41,16 @@
 //!   barrier" mutation therefore shows up as a wrong *value*, not a race;
 //!   to seed a detectable race, delete the lock itself (see the
 //!   `race_mutations` test suite).
-//! * Barrier edges are published on entry and joined on exit
-//!   ([`barrier_enter`]/[`barrier_exit`]), which is sound because the real
-//!   barrier guarantees all `n` participants entered before any exits.
+//! * A barrier has no edge of its own: `barrier` and `allreduce_sum` send
+//!   one value to every rank and receive one from every rank, so their
+//!   channel send→recv edges order everything any rank did before the call
+//!   before everything every rank does after it.
 //! * The detector tracks the HB relation exactly (vector clocks, no epoch
 //!   compression), so there are no false positives on the schedules actually
 //!   executed; pair it with [`crate::sched`] to cover *other* schedules.
 
 pub use quatrex_sync::race::{
-    access_shared, barrier_enter, barrier_exit, channel_recv, channel_send, disable, enable,
-    is_enabled, lock_acquire, lock_release, report_count, reset, take_reports, AccessInfo,
-    AccessKind, BarrierToken, RaceReport, SharedId,
+    access_shared, channel_recv, channel_send, disable, enable, is_enabled, lock_acquire,
+    lock_release, report_count, reset, take_reports, AccessInfo, AccessKind, RaceReport, SharedId,
 };
 pub use quatrex_sync::race::{adopt, depart, fork, join, ForkPoint, JoinPoint};

@@ -23,7 +23,8 @@
 //! ([`SessionHandle::enter`]); `ThreadComm::run_with_observer` does this
 //! automatically for its rank threads when a session is current — the only
 //! threads library code starts, so the explored state space is the
-//! configured thread set. Barrier waits go through [`YieldBarrier`] so the
+//! configured thread set. Every collective, barrier and allreduce included,
+//! waits in a channel receive, which yields to the scheduler, so the
 //! scheduler, not the OS, decides the release order.
 //!
 //! Keep explored configurations small — 2 groups × 2 spatial ranks, a
@@ -33,5 +34,5 @@
 
 pub use quatrex_sync::sched::{
     block_point, current, is_registered, progress, replay, run_threads, yield_point, EnterGuard,
-    Exploration, Explorer, ScheduleFailure, Scheduler, SessionHandle, YieldBarrier,
+    Exploration, Explorer, ScheduleFailure, Scheduler, SessionHandle,
 };

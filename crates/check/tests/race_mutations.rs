@@ -7,7 +7,8 @@
 //! directions, so deleting only a barrier between lock-protected accesses
 //! yields a wrong *value*, never a race. Every mutant here therefore severs
 //! the ordering edge itself: the lock is deleted, the `CommHandle::wait` is
-//! reordered after the read it ordered, or the task-join edge is dropped.
+//! reordered after the read it ordered, the task-join edge is dropped, or
+//! the barrier or allreduce between two ranks' accesses is dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -205,4 +206,67 @@ fn joined_task_results_are_clean() {
         let (n, text) = drained();
         assert_eq!(n, 0, "the join edge orders write before read, got:\n{text}");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Mutation 4: dropped barrier / allreduce between two ranks' accesses.
+//
+// Rank 0 writes a buffer and rank 1 reads it after a collective both ranks
+// call: `barrier` or `allreduce_sum` orders everything before any rank's
+// call before everything after every rank's call. The mutant drops the
+// collective on both ranks, so nothing orders the write before the read.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy)]
+enum Rendezvous {
+    Barrier,
+    Allreduce,
+    Dropped,
+}
+
+fn rendezvous_traffic(between: Rendezvous) {
+    let id = SharedId::new("mutant.rendezvous", 5);
+    ThreadComm::run(2, move |ctx: RankContext<()>| {
+        if ctx.rank() == 0 {
+            race::access_shared(id, AccessKind::Write);
+        }
+        match between {
+            Rendezvous::Barrier => ctx.barrier(),
+            Rendezvous::Allreduce => {
+                ctx.allreduce_sum(1.0);
+            }
+            // MUTANT: no collective between the write and the read.
+            Rendezvous::Dropped => {}
+        }
+        if ctx.rank() == 1 {
+            race::access_shared(id, AccessKind::Read);
+        }
+    });
+}
+
+#[test]
+fn dropped_barrier_or_allreduce_is_reported() {
+    with_detector(|| {
+        rendezvous_traffic(Rendezvous::Dropped);
+        let (n, text) = drained();
+        assert_eq!(n, 1, "one write-read pair, got:\n{text}");
+        assert!(
+            text.contains("mutant.rendezvous"),
+            "report must name the buffer:\n{text}"
+        );
+    });
+}
+
+#[test]
+fn barrier_and_allreduce_order_a_write_before_a_read() {
+    for between in [Rendezvous::Barrier, Rendezvous::Allreduce] {
+        with_detector(|| {
+            rendezvous_traffic(between);
+            let (n, text) = drained();
+            assert_eq!(
+                n, 0,
+                "the collective orders write before read, got:\n{text}"
+            );
+        });
+    }
 }

@@ -177,6 +177,20 @@ pub(crate) struct RankLog {
     pub memo_per_iteration: Vec<(usize, usize)>,
 }
 
+impl RankLog {
+    /// An empty log whose histories hold `max_iterations` entries without
+    /// growing inside the loop.
+    fn with_capacity(max_iterations: usize) -> Self {
+        Self {
+            residual_history: Vec::with_capacity(max_iterations),
+            contraction_history: Vec::with_capacity(max_iterations),
+            current_history: Vec::with_capacity(max_iterations),
+            memo_per_iteration: Vec::with_capacity(max_iterations),
+            ..Self::default()
+        }
+    }
+}
+
 /// Per-rank return value of the communicator closure.
 pub(crate) struct RankOut {
     pub log: RankLog,
@@ -470,7 +484,7 @@ impl<'a> RankState<'a> {
             sigma,
             mixer,
             memoizer,
-            log: RankLog::default(),
+            log: RankLog::with_capacity(cfg.max_iterations),
             spectral: Vec::new(),
             bufs,
         }

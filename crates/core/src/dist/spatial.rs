@@ -432,8 +432,10 @@ pub(crate) fn spatial_phase_solve(
     // ------------------------------------------------ recover the block ranges
     quatrex_probe::span("spatial.recover", "rgf.partition", || {
         for chunk in kernel_chunks(0..n_group, kernel_batch) {
-            let (states, reduced) = (&states[chunk.clone()], &reduced[chunk.clone()]);
-            recover_partition_into(my_part, states, reduced, &mut recovered[chunk], rgf);
+            let (states, reduced) = (&mut states[chunk.clone()], &reduced[chunk.clone()]);
+            recover_partition_into(my_part, states, reduced, &mut recovered[chunk], rgf)
+                // lint:allow(no-unwrap): a singular closed range is a fatal numeric error
+                .expect("spatial recovery failed: a closed range became singular");
         }
         flops.add(kind, recovered.iter().map(|rec| rec.flops).sum());
     });

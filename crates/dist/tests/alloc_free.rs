@@ -3,7 +3,7 @@
 //! message buffer is sized once per run and written in place afterwards.
 //!
 //! The rank threads allocate, so the allocator counts process-wide; this
-//! binary therefore holds exactly one `#[test]`, and the four runs inside it
+//! binary therefore holds exactly one `#[test]`, and the runs inside it
 //! are sequential. A run's setup (plan, mixers, the first iteration that
 //! sizes every buffer) and its teardown (observables, report) cost the same
 //! at any iteration count, so the difference between a 10- and a 6-iteration
@@ -46,15 +46,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations a steady-state iteration may cost, per `P_S`: the counts
 /// measured on this problem, where every group solve reads its systems
-/// where they were assembled.
-const MAX_ALLOCS_PER_ITERATION: [(usize, u64); 2] = [(1, 2), (2, 2)];
+/// where they were assembled and a middle partition (`P_S = 3`) keeps its
+/// temporaries on its state.
+const MAX_ALLOCS_PER_ITERATION: [(usize, u64); 3] = [(1, 2), (2, 2), (3, 2)];
 /// Bytes a steady-state iteration may cost.
 const MAX_BYTES_PER_ITERATION: u64 = 500_000;
 
 /// `(allocations, bytes)` of one run of `iterations` full iterations.
 fn run_counts(config: &DistScbaConfig, iterations: usize) -> (u64, u64) {
     // The `sweep_iv` benchmark problem: NR-16 reduced to N_BS = 8, 12
-    // energies, 2 ranks; tolerance 0 runs every iteration.
+    // energies; tolerance 0 runs every iteration.
     let device = DeviceBuilder::from_params(&DeviceCatalog::nr16(), 426).build();
     let mut config = config.clone();
     config.scba.max_iterations = iterations;
@@ -81,8 +82,9 @@ fn a_steady_state_rank_iteration_allocates_nearly_nothing() {
     };
     let mut report = Vec::new();
     for use_memoizer in [false, true] {
-        for p_s in [1usize, 2] {
-            let config = DistScbaConfig::new(scba(use_memoizer), 2)
+        // One spatial group: 2 ranks at P_S = 1 and 2, 3 at P_S = 3.
+        for p_s in [1usize, 2, 3] {
+            let config = DistScbaConfig::new(scba(use_memoizer), p_s.max(2))
                 .with_spatial_partitions(p_s)
                 .with_probe(false);
             let (a6, b6) = run_counts(&config, 6);

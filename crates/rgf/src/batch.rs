@@ -249,7 +249,7 @@ struct Store<S> {
 /// shape, every later solve allocates nothing.
 #[derive(Debug, Default)]
 pub struct RgfBatchScratch {
-    lu: LuScratch,
+    pub(crate) lu: LuScratch,
     planes: Store<MatrixBatch>,
     lanes: Store<LaneBatch>,
 }

@@ -41,8 +41,8 @@
 //!   which eliminates states whose ranges are already loaded) and the
 //!   recovery ([`nested::recover_partition_into`]) take a whole batch of
 //!   systems, so a distributed driver runs elimination and recovery on
-//!   different ranks against each rank's warm scratch. Once that scratch is
-//!   warm, an end partition's phases allocate nothing.
+//!   different ranks against each rank's warm scratch. Once that scratch and
+//!   the kept states are warm, no partition's phases allocate.
 //!
 //! The [`dense`] module provides the brute-force dense references used by the
 //! test-suite to validate every selected block.

@@ -88,14 +88,16 @@
 //! (ranges received over the wire), [`assemble_reduced_system_into`] and
 //! [`solve_systems_into`] form and solve the reduced systems,
 //! [`recover_partition_into`] recovers a batch and [`assemble_solution_into`]
-//! copies the ranges into place. The single-process driver
+//! copies the ranges into place. A phase's temporaries live on the kept
+//! states (a middle partition's inverse rows and work blocks; its range is
+//! closed in place) and on the scratch (the closure's LU), so once warmed
+//! at a shape no phase allocates, at any `P_S`. The single-process driver
 //! ([`nested_dissection_solve_with_layout`]) runs these calls with every
 //! partition a batch of one; the distributed driver (`quatrex_core::dist`)
 //! runs the same calls on different ranks and gathers only the
 //! reduced-system updates — the `O(P_S·N_BS²)` boundary traffic of the
 //! paper.
 
-use quatrex_linalg::lu::LuScratch;
 use quatrex_linalg::CMatrix;
 use quatrex_sparse::BlockTridiagonal;
 
@@ -109,7 +111,7 @@ use crate::sequential::{rgf_solve, RgfError, SelectedSolution};
 
 #[path = "nested_middle.rs"]
 mod middle;
-use middle::{close_range, cross_update, inverse_row};
+use middle::{close_range, cross_update, inverse_row, Work};
 
 /// Configuration of the nested-dissection solvers.
 #[derive(Debug, Clone)]
@@ -208,22 +210,29 @@ struct Sweep {
 
 /// What a two-separator partition keeps: its range, to be closed by the
 /// reduced solution, the stopped sweeps towards `b` over `[1..=n, b]` and
-/// towards `t` over the reversed `[t, 1..=n]`, and the update grids they stop
+/// towards `t` over the reversed `[t, 1..=n]`, the update grids they stop
 /// at, `[u_bb, u_tt]` (`1 + n_rhs` blocks each, the diagonal entries of the
-/// partition's grid).
+/// partition's grid), the first and last rows of its interior inverse, and
+/// the work blocks of its algebra (boxed: they are most of its size).
 #[derive(Default)]
 struct Middle {
     range: Vec<BlockTridiagonal>,
     sweeps: [Sweep; 2],
     grids: [Vec<CMatrix>; 2],
+    rows: [Vec<CMatrix>; 2],
+    work: Box<Work>,
 }
 
 /// Recovery state a partition keeps between the elimination and recovery
-/// phases (never communicated); kept states are rewritten in place. Every
-/// range is an owned copy: the caller's ranges are borrowed, and until this
+/// phases (never communicated); kept states are rewritten in place, so a
+/// state warmed at a shape allocates nothing in either phase. Every range is
+/// a copy the state keeps: the caller's ranges are borrowed, and until this
 /// partition recovers, the scratch's block store serves the other chunks'
 /// eliminations and the reduced solves. A copy is `O(N_BS²)` per block; the
-/// sweeps are `O(N_BS³)`.
+/// sweeps are `O(N_BS³)`. A two-separator partition's recovery closes its
+/// kept range in place: it overwrites the two separator diagonals, so a
+/// repeated recovery reads the same closed range, and the next elimination
+/// reloads the whole range.
 #[derive(Default)]
 enum Recovery {
     /// A pure-separator partition recovers nothing.
@@ -381,30 +390,37 @@ pub fn eliminate_loaded(
         let flops_b = sweep_states(states, 0, scratch)?;
         let flops_t = sweep_states(states, 1, scratch)?;
         for st in states.iter_mut() {
-            let Recovery::Middle(Middle {
-                range: sub,
-                sweeps: [to_b, to_t],
-                grids: [u_bb, u_tt],
-            }) = &st.recovery
+            let PartitionSolveState {
+                updates,
+                workload: done,
+                recovery: Recovery::Middle(middle),
+            } = st
             else {
                 unreachable!("a two-separator state")
             };
-            let (first_row, flops_f) = inverse_row(&to_t.forward, |w| sub[0].upper(w));
-            let (mut last_row, flops_l) = inverse_row(&to_b.forward, |w| sub[0].lower(n - w));
+            let Middle {
+                range: sub,
+                sweeps: [to_b, to_t],
+                grids: [u_bb, u_tt],
+                rows: [first_row, last_row],
+                work,
+            } = middle;
+            let flops_f = inverse_row(first_row, work, &to_t.forward, |w| sub[0].upper(w));
+            let flops_l = inverse_row(last_row, work, &to_b.forward, |w| sub[0].lower(n - w));
             last_row.reverse();
-            let (u_tb, flops_tb) = cross_update(sub, &first_row, &last_row, (0, 1), (n + 1, n));
-            let (u_bt, flops_bt) = cross_update(sub, &last_row, &first_row, (n + 1, n), (0, 1));
             // Row-major 2 × 2 grids, one per matrix: [u_tt, u_tb, u_bt, u_bb].
-            st.updates.resize_with(4 * sub.len(), CMatrix::default);
-            let cross = u_tb.into_iter().zip(u_bt);
-            for (grid, (m, (tb, bt))) in st.updates.chunks_exact_mut(4).zip(cross.enumerate()) {
-                grid[0].clone_from(&u_tt[m]);
-                grid[1] = tb;
-                grid[2] = bt;
-                grid[3].clone_from(&u_bb[m]);
+            updates.resize_with(4 * sub.len(), CMatrix::default);
+            let (t, b) = ((0, 1), (n + 1, n));
+            let u_tb = updates.iter_mut().skip(1).step_by(4);
+            let flops_tb = cross_update(u_tb, work, sub, first_row, last_row, t, b);
+            let u_bt = updates.iter_mut().skip(2).step_by(4);
+            let flops_bt = cross_update(u_bt, work, sub, last_row, first_row, b, t);
+            for (grid, (tt, bb)) in updates.chunks_exact_mut(4).zip(u_tt.iter().zip(&*u_bb)) {
+                grid[0].clone_from(tt);
+                grid[3].clone_from(bb);
             }
             let flops = flops_t + flops_b + flops_f + flops_l + flops_tb + flops_bt;
-            st.workload = workload(flops);
+            *done = workload(flops);
         }
         Ok(())
     })
@@ -510,22 +526,22 @@ pub fn assemble_reduced_system_into<'u>(
 /// range, seeded at the separator with the reduced solution's diagonal
 /// blocks; a two-separator partition closes its range with the reduced
 /// solution at its separators and runs one batched RGF solve of it (module
-/// docs). Writes one [`SelectedSolution`] over [`SpatialPartition::range`]
-/// per system into the kept `sols` (its `flops` are the recovery's); a
-/// system's result does not depend on the batch. A one-separator partition
-/// recovers in place: once warmed at a shape it allocates nothing.
+/// docs; the kept range is closed in place). Writes one [`SelectedSolution`]
+/// over [`SpatialPartition::range`] per system into the kept `sols` (its
+/// `flops` are the recovery's); a system's result does not depend on the
+/// batch. Once warmed at a shape it allocates nothing.
 pub fn recover_partition_into(
     part: &SpatialPartition,
-    states: &[PartitionSolveState],
+    states: &mut [PartitionSolveState],
     reduced: &[SelectedSolution],
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
-) {
+) -> Result<(), RgfError> {
     assert_eq!(states.len(), reduced.len(), "one reduced solution each");
     assert_eq!(states.len(), sols.len(), "one solution each");
     quatrex_probe::span("rgf.recover_partition", "rgf.partition", || {
         let Some(first) = states.first() else {
-            return;
+            return Ok(());
         };
         // The partition's first separator in the reduced system.
         let sep = first_separator(first.workload.partition);
@@ -534,8 +550,12 @@ pub fn recover_partition_into(
                 for (sol, red) in sols.iter_mut().zip(reduced) {
                     *sol = SelectedSolution::zeros(0, red.retarded.block_size(), red.lesser.len());
                 }
+                Ok(())
             }
-            Recovery::End(_) => recover_end(part, states, reduced, sep, sols, scratch),
+            Recovery::End(_) => {
+                recover_end(part, states, reduced, sep, sols, scratch);
+                Ok(())
+            }
             Recovery::Middle(_) => recover_middle(states, reduced, sep, sols, scratch),
         }
     })
@@ -578,31 +598,35 @@ fn recover_end(
 }
 
 /// [`recover_partition_into`] of a two-separator partition whose separators are
-/// blocks `sep` and `sep + 1` of the reduced systems: every range closed
-/// ([`close_range`]), then one batched RGF solve of them all into `sols`.
+/// blocks `sep` and `sep + 1` of the reduced systems: every kept range closed
+/// in place ([`close_range`]), then one batched RGF solve of them all into
+/// `sols`.
 fn recover_middle(
-    states: &[PartitionSolveState],
+    states: &mut [PartitionSolveState],
     reduced: &[SelectedSolution],
     sep: usize,
     sols: &mut [SelectedSolution],
     scratch: &mut RgfBatchScratch,
-) {
-    let mut lu = LuScratch::new();
-    let (closed, flops): (Vec<_>, Vec<_>) = states
-        .iter()
-        .zip(reduced)
-        .map(|(st, red)| match &st.recovery {
-            Recovery::Middle(middle) => close_range(&middle.range, &st.updates, red, sep, &mut lu),
-            _ => panic!("not a middle partition's state"),
-        })
-        .unzip();
-    let matrix = |e: usize, m: usize| &closed[e][m];
-    let systems = Systems::new(closed.len(), closed[0].len() - 1, &matrix);
-    solve_systems_into(systems, sols, scratch)
-        .expect("a closed range is as regular as the device it is cut from");
-    for (sol, closure) in sols.iter_mut().zip(flops) {
+) -> Result<(), RgfError> {
+    let mut closure = 0;
+    for (st, red) in states.iter_mut().zip(reduced) {
+        let Recovery::Middle(middle) = &mut st.recovery else {
+            panic!("not a middle partition's state")
+        };
+        let (range, work) = (&mut middle.range, &mut middle.work);
+        closure = close_range(range, &st.updates, red, sep, &mut scratch.lu, work);
+    }
+    let closed = |e: usize| match &states[e].recovery {
+        Recovery::Middle(middle) => &middle.range,
+        _ => unreachable!("closed just above"),
+    };
+    let matrix = |e: usize, m: usize| &closed(e)[m];
+    let systems = Systems::new(states.len(), closed(0).len() - 1, &matrix);
+    solve_systems_into(systems, sols, scratch)?;
+    for sol in sols.iter_mut() {
         sol.flops += closure;
     }
+    Ok(())
 }
 
 /// Write the separator diagonal blocks and the couplings between physically
@@ -737,9 +761,9 @@ pub fn nested_dissection_solve_with_layout(
 
     // Phase 3: recover the interior selected blocks.
     let mut recovered = vec![SelectedSolution::default(); parts.len()];
-    for ((part, st), rec) in parts.iter().zip(&states).zip(&mut recovered) {
-        let (st, rec) = (std::slice::from_ref(st), std::slice::from_mut(rec));
-        recover_partition_into(part, st, &reduced, rec, &mut scratch);
+    for ((part, st), rec) in parts.iter().zip(&mut states).zip(&mut recovered) {
+        let (st, rec) = (std::slice::from_mut(st), std::slice::from_mut(rec));
+        recover_partition_into(part, st, &reduced, rec, &mut scratch)?;
     }
 
     let [reduced] = reduced;

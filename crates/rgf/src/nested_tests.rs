@@ -260,15 +260,15 @@ fn every_partition_gives_the_same_bits_in_any_batch_and_on_either_layout() {
             .collect();
         for (idx, part) in parts.iter().enumerate() {
             let mut scratch = RgfBatchScratch::new();
-            let states = eliminated(&systems, part.lo, part, idx, &mut scratch);
-            let batch = recovered(part, &states, &seeds, &mut scratch);
+            let mut states = eliminated(&systems, part.lo, part, idx, &mut scratch);
+            let batch = recovered(part, &mut states, &seeds, &mut scratch);
             for e in 0..n_sys {
                 let mut scratch = RgfBatchScratch::new();
                 let system = std::slice::from_ref(&systems[e]);
-                let one = eliminated(system, part.lo, part, idx, &mut scratch);
+                let mut one = eliminated(system, part.lo, part, idx, &mut scratch);
                 assert_same_elimination(&states[e], &one[0]);
                 let seed = std::slice::from_ref(&seeds[e]);
-                let rec = recovered(part, &one, seed, &mut scratch).remove(0);
+                let rec = recovered(part, &mut one, seed, &mut scratch).remove(0);
                 let label = format!("N_BS = {bs}, partition {idx}, system {e}");
                 assert_eq!(rec.flops, batch[e].flops, "{label}");
                 assert!(
@@ -479,12 +479,12 @@ fn eliminated<S: AsRef<[BlockTridiagonal]>>(
 /// [`recover_partition_into`] into fresh solutions.
 fn recovered(
     part: &SpatialPartition,
-    states: &[PartitionSolveState],
+    states: &mut [PartitionSolveState],
     reduced: &[SelectedSolution],
     scratch: &mut RgfBatchScratch,
 ) -> Vec<SelectedSolution> {
     let mut sols = vec![SelectedSolution::default(); states.len()];
-    recover_partition_into(part, states, reduced, &mut sols, scratch);
+    recover_partition_into(part, states, reduced, &mut sols, scratch).unwrap();
     sols
 }
 
@@ -552,12 +552,17 @@ fn empty_interior_partitions_read_send_and_return_nothing() {
     assert!(parts[1].range().is_empty());
     let ranges = cut(&[a, b], &parts[1]);
     assert!(ranges.iter().all(|m| m.n_blocks() == 0 && m.nnz() == 0));
-    let states = eliminated(&[ranges], 0, &parts[1], 1, &mut RgfBatchScratch::new());
+    let mut states = eliminated(&[ranges], 0, &parts[1], 1, &mut RgfBatchScratch::new());
     assert_eq!(states.len(), 1);
     assert_eq!(states[0].workload.flops, 0);
     assert!(states[0].updates.is_empty());
     let reduced = [SelectedSolution::zeros(4, bs, 1)];
-    let rec = recovered(&parts[1], &states, &reduced, &mut RgfBatchScratch::new());
+    let rec = recovered(
+        &parts[1],
+        &mut states,
+        &reduced,
+        &mut RgfBatchScratch::new(),
+    );
     assert_eq!(
         (
             rec[0].retarded.n_blocks(),

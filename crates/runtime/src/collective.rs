@@ -10,6 +10,13 @@
 //! weak-scaling model can be driven by measured volumes rather than
 //! estimates.
 //!
+//! There is one rendezvous: every operation is an exchange on per-pair FIFO
+//! channels, received through one poll loop. `allreduce_sum` and `barrier`
+//! send one `f64` to every other rank and sum all ranks' values in rank
+//! order (a barrier sends zeros), so the channels' send→receive edges are
+//! also what orders a barrier for the race detector and the schedule
+//! explorer.
+//!
 //! The all-to-all exchange also exists in a split, non-blocking form
 //! ([`RankContext::alltoallv_start_tagged`] returning a [`CommHandle`]): the sends
 //! are posted immediately and the receives are deferred until
@@ -19,13 +26,12 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, OnceLock};
 // lint:allow(no-raw-sync): the one thread start of library code; each rank adopts the launcher's race clock and joins back in `ThreadComm::launch`
 use std::thread::{scope, Builder};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use quatrex_sync::race::{self, AccessKind, SharedId};
 use quatrex_sync::sched;
 
@@ -48,8 +54,8 @@ fn wire_id(comm: u64, src: usize, dest: usize, seq: u64) -> u64 {
 /// instead of hanging the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockedOn {
-    /// Blocked in [`RankContext::barrier`] (or the internal barrier of
-    /// [`RankContext::allreduce_sum`]) until every rank arrives.
+    /// Blocked in [`RankContext::barrier`] or [`RankContext::allreduce_sum`]
+    /// until every rank's value arrives.
     Barrier,
     /// Blocked in [`CommHandle::wait`] until the `seq`-th collective's
     /// message from rank `src` arrives.
@@ -149,61 +155,6 @@ fn current_observer(n_ranks: usize) -> Option<Arc<dyn CollectiveObserver>> {
 /// path (a tick only happens when a rank is already stalled), short enough
 /// that a panicked peer or a diagnosed deadlock surfaces promptly.
 const POLL_TICK: Duration = Duration::from_millis(20);
-
-/// A barrier whose waiters poll on every tick instead of blocking
-/// indefinitely, so a panicked peer or a deadlock ends the wait rather than
-/// hanging it.
-struct PollBarrier {
-    // The poll barrier is the deadlock *diagnoser*; routing it through the
-    // instrumented shim would make the watchdog's own blocking show up in the
-    // lock-order and race reports it exists to keep clean.
-    // lint:allow(no-raw-sync): see above.
-    state: std::sync::Mutex<(usize, u64)>,
-    ready: Condvar,
-    n: usize,
-}
-
-impl PollBarrier {
-    fn new(n: usize) -> Self {
-        Self {
-            // lint:allow(no-raw-sync): see the field declaration above.
-            state: std::sync::Mutex::new((0, 0)),
-            ready: Condvar::new(),
-            n,
-        }
-    }
-
-    /// Wait for all `n` ranks, invoking `on_tick` on every poll interval. An
-    /// `Err` from the tick aborts the wait by panicking with the diagnostic.
-    fn wait(&self, mut on_tick: impl FnMut() -> Result<(), String>) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let generation = s.1;
-        s.0 += 1;
-        if s.0 == self.n {
-            s.0 = 0;
-            s.1 += 1;
-            drop(s);
-            self.ready.notify_all();
-            return;
-        }
-        while s.1 == generation {
-            let (guard, timeout) = self
-                .ready
-                .wait_timeout(s, POLL_TICK)
-                .unwrap_or_else(|p| p.into_inner());
-            s = guard;
-            if s.1 != generation {
-                break;
-            }
-            if timeout.timed_out() {
-                if let Err(diagnostic) = on_tick() {
-                    drop(s);
-                    panic!("{diagnostic}");
-                }
-            }
-        }
-    }
-}
 
 /// Value of a communicator's poison flag while no rank has unwound; after
 /// that it holds the rank that unwound first.
@@ -354,33 +305,34 @@ impl CommStats {
     }
 }
 
+/// One FIFO channel per ordered rank pair: `[dest][src]`.
 type Mailbox<T> = Arc<Vec<Vec<(Sender<T>, Receiver<T>)>>>;
+
+fn mailbox<T>(n_ranks: usize) -> Mailbox<T> {
+    Arc::new(
+        (0..n_ranks)
+            .map(|_| (0..n_ranks).map(|_| unbounded()).collect())
+            .collect(),
+    )
+}
 
 /// Per-rank handle passed to the rank closure.
 pub struct RankContext<T: Send + 'static> {
     rank: usize,
     n_ranks: usize,
     mailboxes: Mailbox<T>,
-    /// The rendezvous barrier; its waits poll on every tick.
-    poll_barrier: Arc<PollBarrier>,
+    /// The channels of [`RankContext::allreduce_sum`] and
+    /// [`RankContext::barrier`]: one `f64` per pair of distinct ranks and
+    /// call.
+    sums: Mailbox<f64>,
     /// The communicator's poison flag: [`CLEAN`], or the first rank whose
     /// closure unwound. Every blocking wait reads it on each poll tick, so
     /// one panicking rank unwinds all of them.
     poison: Arc<AtomicUsize>,
-    /// Barrier used when this rank is registered with a
-    /// `quatrex_sync::sched` exploration session: arrivals spin through
-    /// `block_point` instead of blocking in the OS, so the scheduler keeps
-    /// control of the interleaving.
-    yield_barrier: Arc<sched::YieldBarrier>,
     observer: Option<Arc<dyn CollectiveObserver>>,
-    /// `n_ranks × N` values of the allreduce in flight, rank-major.
-    reduce_slots: Arc<Mutex<Vec<f64>>>,
     stats: Arc<CommStats>,
     /// Identity of this communicator in race-detector annotations.
     comm_id: u64,
-    /// Race-detector identity slot of the rendezvous barrier (shared by all
-    /// ranks of the communicator).
-    barrier_race_slot: Arc<AtomicU64>,
     /// Sequence number handed to the next [`RankContext::alltoallv_start_tagged`].
     next_post_seq: Cell<u64>,
     /// Sequence number the next [`CommHandle::wait`] must present. The
@@ -479,37 +431,11 @@ impl<T: Send + 'static> RankContext<T> {
         self.n_ranks
     }
 
-    /// Block until every rank reached this point.
+    /// Block until every rank reached this point: the
+    /// [`RankContext::allreduce_sum`] exchange of a zero, neither counted nor
+    /// traced.
     pub fn barrier(&self) {
-        if let Some(obs) = &self.observer {
-            if let Err(diagnostic) = obs.on_sync_enter(self.rank, SyncKind::Barrier) {
-                panic!("{diagnostic}");
-            }
-            self.barrier_wait_raw();
-            obs.on_sync_exit(self.rank);
-        } else {
-            self.barrier_wait_raw();
-        }
-    }
-
-    /// The barrier wait itself, without logging a sequence entry — the
-    /// internal synchronisation of [`RankContext::allreduce_sum`] uses this
-    /// so an allreduce counts as *one* entry in the collective sequence.
-    fn barrier_wait_raw(&self) {
-        // Race semantics of a barrier: everything before any rank's entry
-        // happens-before everything after every rank's exit. The enter hook
-        // publishes this rank's clock into the generation's accumulator, the
-        // exit hook joins the accumulated clock of all ranks.
-        let token = race::barrier_enter(&self.barrier_race_slot, self.n_ranks);
-        if sched::is_registered() {
-            // Under schedule exploration no rank may block in the OS — the
-            // yield-barrier spins through the scheduler's block points.
-            self.yield_barrier.wait();
-        } else {
-            self.poll_barrier
-                .wait(|| self.blocked_tick(BlockedOn::Barrier));
-        }
-        race::barrier_exit(token);
+        self.rendezvous(SyncKind::Barrier, 0.0);
     }
 
     /// Variable-size all-to-all personalised exchange (the `Alltoallv` of the
@@ -637,20 +563,23 @@ impl<T: Send + 'static> RankContext<T> {
         }
     }
 
-    /// Receive one message from `src` for exchange `seq`: a timeout loop
-    /// that runs [`RankContext::blocked_tick`] on every tick, so a panicked
-    /// peer or an unmatched collective ends the wait instead of hanging the
-    /// run.
-    fn recv_from(&self, src: usize, seq: u64) -> T {
-        let rx = &self.mailboxes[self.rank][src].1;
+    /// Receive one message from `rx`: a timeout loop that runs
+    /// [`RankContext::blocked_tick`] on every tick, so a panicked peer or an
+    /// unmatched collective ends the wait instead of hanging the run. Under
+    /// schedule exploration the channel's receive yields to the scheduler
+    /// instead of sleeping.
+    fn poll_recv<M>(&self, rx: &Receiver<M>, blocked: BlockedOn) -> M {
         loop {
             match rx.recv_timeout(POLL_TICK) {
                 Ok(msg) => return msg,
                 Err(RecvTimeoutError::Disconnected) => {
-                    panic!("rank {}: peer {src} disconnected mid-collective", self.rank)
+                    panic!(
+                        "rank {}: peer disconnected mid-collective ({blocked:?})",
+                        self.rank
+                    )
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if let Err(diagnostic) = self.blocked_tick(BlockedOn::Recv { src, seq }) {
+                    if let Err(diagnostic) = self.blocked_tick(blocked) {
                         panic!("{diagnostic}");
                     }
                 }
@@ -659,60 +588,52 @@ impl<T: Send + 'static> RankContext<T> {
     }
 
     /// Sum-reduction of one `f64` across all ranks; every rank receives the
-    /// sum. The `N = 1` call of `RankContext::allreduce_sums`.
+    /// sum, formed in rank order, so every rank holds the same bits.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
-        self.allreduce_sums([value])[0]
+        self.rendezvous(SyncKind::Allreduce, value)
     }
 
-    /// Component-wise sum-reduction of `N` values across all ranks in **one**
-    /// collective; every rank receives the sums. Each component is summed in
-    /// rank order, so a fused reduction returns bit for bit what `N`
-    /// back-to-back scalar reductions would. Every rank must pass the same
-    /// `N`.
-    pub(crate) fn allreduce_sums<const N: usize>(&self, values: [f64; N]) -> [f64; N] {
+    /// The one rendezvous: send `value` to every other rank, then sum every
+    /// rank's value in rank order, receiving the others'. A receive's
+    /// channel edge orders everything its sender did before the call before
+    /// everything this rank does after it. An allreduce counts its bytes and
+    /// a collective and records an `allreduce` probe span; a barrier neither.
+    fn rendezvous(&self, kind: SyncKind, value: f64) -> f64 {
         if let Some(obs) = &self.observer {
-            if let Err(diagnostic) = obs.on_sync_enter(self.rank, SyncKind::Allreduce) {
+            if let Err(diagnostic) = obs.on_sync_enter(self.rank, kind) {
                 panic!("{diagnostic}");
             }
         }
-        let bytes = (8 * N) as u64 * (self.n_ranks as u64 - 1);
-        let sums = quatrex_probe::span_bytes("allreduce", "comm.allreduce", bytes, || {
-            {
-                let mut slots = self.reduce_slots.lock();
-                race::access_shared(
-                    SharedId::new("comm.reduce_slot", (self.comm_id << 16) | self.rank as u64),
-                    AccessKind::Write,
-                );
-                // The first arriver sizes the slots for this reduction's
-                // width; the previous reduction's closing barrier ordered
-                // every read of the old contents before this write.
-                slots.resize(self.n_ranks * N, 0.0);
-                slots[self.rank * N..][..N].copy_from_slice(&values);
+        let exchange = || {
+            for dest in (0..self.n_ranks).filter(|&dest| dest != self.rank) {
+                self.sums[dest][self.rank]
+                    .0
+                    .send(value)
+                    .expect("peer alive"); // lint:allow(no-unwrap): rank threads outlive the run; a dead peer means a rank already panicked
             }
-            self.stats
-                .allreduce_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
-            self.stats.n_collectives.fetch_add(1, Ordering::Relaxed);
-            self.barrier_wait_raw();
-            let sums = {
-                let slots = self.reduce_slots.lock();
-                // Each peer's slot write is ordered against this read by
-                // the barrier between them (and by the slots lock).
-                for peer in 0..self.n_ranks {
-                    race::access_shared(
-                        SharedId::new("comm.reduce_slot", (self.comm_id << 16) | peer as u64),
-                        AccessKind::Read,
-                    );
-                }
-                std::array::from_fn(|c| slots.iter().skip(c).step_by(N).sum())
-            };
-            self.barrier_wait_raw();
-            sums
-        });
+            let inbox = &self.sums[self.rank];
+            let recv = |src: usize| self.poll_recv(&inbox[src].1, BlockedOn::Barrier);
+            (0..self.n_ranks)
+                .map(|src| if src == self.rank { value } else { recv(src) })
+                .sum()
+        };
+        let sum = match kind {
+            SyncKind::Barrier => exchange(),
+            SyncKind::Allreduce => {
+                let bytes = 8 * (self.n_ranks as u64 - 1);
+                quatrex_probe::span_bytes("allreduce", "comm.allreduce", bytes, || {
+                    self.stats
+                        .allreduce_bytes
+                        .fetch_add(bytes, Ordering::Relaxed);
+                    self.stats.n_collectives.fetch_add(1, Ordering::Relaxed);
+                    exchange()
+                })
+            }
+        };
         if let Some(obs) = &self.observer {
             obs.on_sync_exit(self.rank);
         }
-        sums
+        sum
     }
 }
 
@@ -742,7 +663,8 @@ impl<T: Send + 'static> CommHandle<T> {
                 );
                 ctx.next_wait_seq.set(seq + 1);
                 for src in 0..ctx.n_ranks {
-                    out.push(ctx.recv_from(src, seq));
+                    let rx = &ctx.mailboxes[ctx.rank][src].1;
+                    out.push(ctx.poll_recv(rx, BlockedOn::Recv { src, seq }));
                     // The matching read of the sender's pre-post write: clean
                     // exactly when the channel edge ordered the two.
                     race::access_shared(
@@ -836,19 +758,11 @@ impl ThreadComm {
     {
         let n_ranks = states.len();
         assert!(n_ranks >= 1);
-        let mailboxes: Mailbox<T> = Arc::new(
-            (0..n_ranks)
-                .map(|_| (0..n_ranks).map(|_| unbounded()).collect::<Vec<_>>())
-                .collect(),
-        );
-        let poll_barrier = Arc::new(PollBarrier::new(n_ranks));
+        let (mailboxes, sums) = (mailbox::<T>(n_ranks), mailbox::<f64>(n_ranks));
         let poison = Arc::new(AtomicUsize::new(CLEAN));
-        let yield_barrier = Arc::new(sched::YieldBarrier::new(n_ranks));
-        let reduce_slots = Arc::new(Mutex::new(Vec::new()));
         let stats = Arc::new(CommStats::with_ranks(n_ranks));
         static NEXT_COMM_ID: AtomicU64 = AtomicU64::new(1);
         let comm_id = NEXT_COMM_ID.fetch_add(1, Ordering::Relaxed);
-        let barrier_race_slot = Arc::new(AtomicU64::new(0));
         // When the caller runs inside a schedule-exploration session, the
         // rank threads register with it: the scheduler serialises them and
         // enumerates their interleavings. `expect` must precede the spawns.
@@ -876,16 +790,13 @@ impl ThreadComm {
                         rank,
                         n_ranks,
                         mailboxes: Arc::clone(&mailboxes),
-                        poll_barrier: Arc::clone(&poll_barrier),
+                        sums: Arc::clone(&sums),
                         poison: Arc::clone(&poison),
-                        yield_barrier: Arc::clone(&yield_barrier),
                         observer: observer.clone(),
-                        reduce_slots: Arc::clone(&reduce_slots),
                         stats: Arc::clone(&stats),
                         next_post_seq: Cell::new(0),
                         next_wait_seq: Cell::new(0),
                         comm_id,
-                        barrier_race_slot: Arc::clone(&barrier_race_slot),
                     };
                     let session = session.clone();
                     let fork_point = fork_point.clone();
@@ -967,30 +878,6 @@ mod tests {
         for r in results {
             assert_eq!(r, (1..=n as u64).sum::<u64>() as f64);
         }
-    }
-
-    #[test]
-    fn fused_allreduce_matches_the_scalar_reductions_bit_for_bit() {
-        // One collective of width 2 returns what two scalar reductions do —
-        // the same rank-ordered sums — and counts as one collective; widths
-        // may alternate between calls.
-        let n = 4;
-        let value = |rank: usize, c: usize| 0.1 * (rank + 1) as f64 / (c + 3) as f64;
-        let (results, stats) = ThreadComm::run(n, move |ctx: RankContext<()>| {
-            let r = ctx.rank();
-            let scalar = [0, 1].map(|c| ctx.allreduce_sum(value(r, c)));
-            let fused = ctx.allreduce_sums([value(r, 0), value(r, 1)]);
-            (scalar, fused, ctx.allreduce_sum(1.0))
-        });
-        for (scalar, fused, ones) in results {
-            assert_eq!(scalar.map(f64::to_bits), fused.map(f64::to_bits));
-            assert_eq!(ones, n as f64);
-        }
-        assert_eq!(stats.n_collectives.load(Ordering::Relaxed), 4 * n as u64);
-        assert_eq!(
-            stats.allreduce_bytes.load(Ordering::Relaxed),
-            (n * (n - 1) * 8 * 5) as u64
-        );
     }
 
     #[test]

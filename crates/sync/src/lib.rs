@@ -12,8 +12,7 @@
 //!
 //! - [`race`] — a FastTrack-style vector-clock happens-before race detector.
 //!   Every sync primitive in the shims publishes epoch events (lock
-//!   acquire/release, channel send/recv, barrier generations, task
-//!   fork/join); annotated shared-buffer accesses
+//!   acquire/release, channel send/recv, task fork/join); annotated shared-buffer accesses
 //!   ([`race::access_shared`]) are checked against the happens-before
 //!   relation those events induce. Enabled by `QUATREX_RACE=1` or
 //!   [`race::enable`]; one relaxed atomic load when off.
@@ -35,7 +34,7 @@ pub mod sched;
 /// Global allocator for sync-object identities.
 static NEXT_OBJECT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Identity of a sync object (lock, channel, barrier), assigned lazily on
+/// Identity of a sync object (lock, channel), assigned lazily on
 /// first use from a per-instance `AtomicU64` slot initialised to 0.
 ///
 /// The id is process-unique and shared by every recorder (lock-order graph,

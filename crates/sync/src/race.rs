@@ -13,9 +13,9 @@
 //!   per-channel clock joined on receive. The shims call these hooks inside
 //!   the queue-mutex critical section, so the edge is exact for the
 //!   mutex-backed channel implementation.
-//! - **Barriers** ([`barrier_enter`]/[`barrier_exit`]): per-generation
-//!   accumulator clocks; every exiter absorbs every enterer of its
-//!   generation.
+//! - **Barriers** have no hooks of their own: `ThreadComm`'s `barrier` and
+//!   `allreduce_sum` are exchanges on its channels, so every rank's receive
+//!   from every peer joins that peer's clock from before the call.
 //! - **Tasks** ([`fork`]/[`adopt`]/[`depart`]/[`join`]): the rank threads
 //!   of `ThreadComm::run` inherit the launcher's clock and flow their
 //!   history back when the launcher joins them.
@@ -220,19 +220,10 @@ struct ThreadEntry {
 }
 
 #[derive(Default)]
-struct BarrierState {
-    arrivals: u64,
-    /// Accumulated clock per generation; only the last two generations are
-    /// retained (an exiter can lag its own generation by at most one).
-    accums: HashMap<u64, VClock>,
-}
-
-#[derive(Default)]
 struct Registry {
     threads: Vec<ThreadEntry>,
     locks: HashMap<u64, VClock>,
     chans: HashMap<u64, VClock>,
-    barriers: HashMap<u64, BarrierState>,
     vars: HashMap<SharedId, VarState>,
     reports: Vec<RaceReport>,
 }
@@ -279,7 +270,6 @@ pub fn reset() {
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
     reg.locks.clear();
     reg.chans.clear();
-    reg.barriers.clear();
     reg.vars.clear();
     reg.reports.clear();
     for t in &mut reg.threads {
@@ -359,54 +349,6 @@ pub fn channel_recv(slot: &AtomicU64) {
     if let Some(chan_vc) = reg.chans.get(&id) {
         let chan_vc = chan_vc.clone();
         reg.threads[t].vc.join(&chan_vc);
-    }
-}
-
-/// Token returned by [`barrier_enter`], consumed by [`barrier_exit`].
-#[derive(Debug)]
-pub struct BarrierToken {
-    id: u64,
-    generation: u64,
-}
-
-/// Arriving at an `n`-party barrier: publish the arriver's clock into this
-/// generation's accumulator. Call *before* blocking on the barrier; returns
-/// `None` when the detector is off.
-pub fn barrier_enter(slot: &AtomicU64, n: usize) -> Option<BarrierToken> {
-    if !is_enabled() {
-        return None;
-    }
-    let id = crate::object_id(slot);
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let t = tid(&mut reg);
-    let vc = reg.threads[t].vc.clone();
-    let bar = reg.barriers.entry(id).or_default();
-    let generation = bar.arrivals / n.max(1) as u64;
-    bar.accums.entry(generation).or_default().join(&vc);
-    bar.arrivals += 1;
-    // An exiter can lag its own generation by at most one full rotation;
-    // older accumulators are dead weight.
-    bar.accums.retain(|&g, _| g + 1 >= generation);
-    reg.threads[t].vc.bump(t);
-    Some(BarrierToken { id, generation })
-}
-
-/// Released from the barrier: absorb every arriver of the generation. Call
-/// *after* the barrier wait returns.
-pub fn barrier_exit(token: Option<BarrierToken>) {
-    let Some(token) = token else { return };
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let t = tid(&mut reg);
-    if let Some(accum) = reg
-        .barriers
-        .get(&token.id)
-        .and_then(|b| b.accums.get(&token.generation))
-    {
-        let accum = accum.clone();
-        reg.threads[t].vc.join(&accum);
     }
 }
 
@@ -682,30 +624,6 @@ mod tests {
                 join(token);
             }
             access_shared(id, AccessKind::Write);
-            assert_eq!(report_count(), 0, "{:?}", take_reports());
-        });
-    }
-
-    #[test]
-    fn barrier_generations_order_both_sides() {
-        with_detector(|| {
-            let id = SharedId::new("test.bar", 0);
-            let slot = AtomicU64::new(0);
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    access_shared(id, AccessKind::Write);
-                    let tok = barrier_enter(&slot, 2);
-                    barrier.wait();
-                    barrier_exit(tok);
-                });
-                s.spawn(|| {
-                    let tok = barrier_enter(&slot, 2);
-                    barrier.wait();
-                    barrier_exit(tok);
-                    access_shared(id, AccessKind::Read);
-                });
-            });
             assert_eq!(report_count(), 0, "{:?}", take_reports());
         });
     }

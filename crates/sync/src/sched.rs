@@ -10,12 +10,12 @@
 //! - [`yield_point`] — before a visible operation (lock, send, annotated
 //!   access): the scheduler may preempt and run another thread.
 //! - [`block_point`] — a non-blocking attempt failed (empty channel,
-//!   contended lock, barrier not full): the thread parks until any other
-//!   thread makes progress, then retries. If no thread can make progress
-//!   the schedule is a deadlock and every thread panics with a replayable
-//!   schedule token.
+//!   contended lock): the thread parks until any other thread makes
+//!   progress, then retries. If no thread can make progress the schedule
+//!   is a deadlock and every thread panics with a replayable schedule
+//!   token.
 //! - [`progress`] — a state change that can unblock a peer (message sent,
-//!   lock released, barrier tripped).
+//!   lock released).
 //!
 //! Scheduling decisions are driven by a `Plan`: depth-first replay of a
 //! choice prefix (exhaustive enumeration with backtracking, optionally
@@ -24,8 +24,9 @@
 //! from its token (`dfs:1.0.2…` or `random:<seed>`), printed on failure.
 //!
 //! Threads must not block in the OS while registered except through the
-//! instrumented points; the runtime's sched-aware paths (spin-try loops,
-//! [`YieldBarrier`]) guarantee this for the collective layer.
+//! instrumented points. The collective layer blocks only in channel
+//! receives, which the `crossbeam` shim turns into try/[`block_point`]
+//! spins for registered threads — its barrier and allreduce included.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
@@ -464,50 +465,6 @@ impl Drop for EnterGuard {
     }
 }
 
-/// A barrier safe to use from registered threads: arrivals spin through
-/// [`block_point`] instead of blocking in the OS, so the scheduler keeps
-/// control. Only meaningful under an active session.
-pub struct YieldBarrier {
-    n: usize,
-    state: StdMutex<(usize, u64)>,
-}
-
-impl YieldBarrier {
-    /// Barrier for `n` parties.
-    pub fn new(n: usize) -> Self {
-        YieldBarrier {
-            n,
-            state: StdMutex::new((0, 0)),
-        }
-    }
-
-    /// Wait for all `n` parties.
-    pub fn wait(&self) {
-        let generation = {
-            let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-            let generation = s.1;
-            s.0 += 1;
-            if s.0 == self.n {
-                s.0 = 0;
-                s.1 += 1;
-                drop(s);
-                progress();
-                return;
-            }
-            generation
-        };
-        loop {
-            {
-                let s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-                if s.1 != generation {
-                    return;
-                }
-            }
-            block_point();
-        }
-    }
-}
-
 /// Result of an exploration run.
 #[derive(Debug, Clone, Copy)]
 pub struct Exploration {
@@ -737,7 +694,7 @@ pub fn run_threads(bodies: Vec<Box<dyn FnOnce() + Send + '_>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
 
     /// TLS/global scheduler state is per-thread but tests share the
@@ -846,31 +803,6 @@ mod tests {
             .expect_err("replay reproduces");
         assert!(replayed.message.contains("schedule deadlock"));
         assert_eq!(replayed.token, failure.token);
-    }
-
-    #[test]
-    fn yield_barrier_synchronises_under_exploration() {
-        let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        let result = Explorer::exhaustive(500)
-            .explore(|| {
-                let barrier = YieldBarrier::new(3);
-                let before = AtomicU64::new(0);
-                let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-                    .map(|_| {
-                        let barrier = &barrier;
-                        let before = &before;
-                        Box::new(move || {
-                            before.fetch_add(1, Ordering::SeqCst);
-                            progress();
-                            barrier.wait();
-                            assert_eq!(before.load(Ordering::SeqCst), 3);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                run_threads(bodies);
-            })
-            .expect("barrier must not deadlock");
-        assert!(result.schedules > 1);
     }
 
     #[test]
