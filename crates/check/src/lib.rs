@@ -10,25 +10,25 @@
 //!   alltoallv byte-matrix consistency, exactly-once completion of every
 //!   non-blocking exchange, and wait-for-graph deadlock detection that turns
 //!   a would-be hang into a named diagnostic (polled every 20 ms, the
-//!   runtime's constant tick). The companion lock-order
-//!   recorder lives in the `parking_lot` shim (`parking_lot::lock_order`,
-//!   enabled with `QUATREX_LOCK_ORDER=1`) and catches A→B/B→A acquisition
-//!   inversions before they can deadlock.
+//!   runtime's constant tick).
 //!
 //! * **Concurrency half** — the [`race`] module, a FastTrack-style
-//!   happens-before race detector fed by every shim sync primitive and by
-//!   `access_shared` annotations on the pipeline's shared state
-//!   (`QUATREX_RACE=1`, one relaxed atomic load when off), and the [`sched`]
-//!   module, a loom-lite schedule explorer that serialises the rank threads
-//!   and enumerates their interleavings — exhaustive, preemption-bounded, or
-//!   seeded-random — with a replayable token for every failing schedule.
+//!   happens-before race detector fed by the two kinds of synchronisation
+//!   the ranks have — channel send→receive and the rank threads'
+//!   fork/join — and by `access_shared` annotations on the runtime's
+//!   message buffers (`QUATREX_RACE=1`, one relaxed atomic load when off),
+//!   and the [`sched`] module, a loom-lite schedule explorer that serialises
+//!   the rank threads and enumerates their interleavings — exhaustive,
+//!   preemption-bounded, or seeded-random — with a replayable token for
+//!   every failing schedule.
 //!
 //! * **Static half** — the [`lint`] module and the `quatrex_lint` binary, a
 //!   registry-free scanner enforcing the repo invariants the runtime story
 //!   depends on (phase-tagged collectives, the one-clock rule, no anonymous
-//!   panics in rank code, no stray stdout, no raw `std::sync` primitives
-//!   bypassing the instrumented shims, no stale `lint:allow` markers). CI
-//!   runs it over the whole workspace and requires a clean tree.
+//!   panics in rank code, no stray stdout, no locks, raw channels or thread
+//!   starts in library code outside `ThreadComm`, no stale `lint:allow`
+//!   markers). CI runs it over the whole workspace and requires a clean
+//!   tree.
 //!
 //! All halves follow the `quatrex-probe` discipline: zero cost unless
 //! explicitly enabled, and never required by a production build.

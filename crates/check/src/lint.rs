@@ -11,7 +11,7 @@
 //! | `no-println`    | no `println!` / `print!` in library crates — reports go through returned structs or probe counters, stdout belongs to the bin targets |
 //! | `per-energy-gemm`| library code in `crates/{rgf,obc,core}` calls the batched GEMM entry points (`gemm_batch`), not raw per-energy `gemm`, so loops over energies share one operand packing — frozen reference paths carry explicit `lint:allow(per-energy-gemm)` markers |
 //! | `allocating-inverse`| library code in `crates/{rgf,obc,core}` does not reach `lu::inverse`, `lu::solve` or `LuFactorization::new` — each allocates factors and work planes per call where a `LuScratch` the caller already holds allocates nothing; cold fallbacks carry `lint:allow(allocating-inverse)` at the (path-qualified) call |
-//! | `no-raw-sync`   | no `std::sync::Mutex` / `std::sync::mpsc` and no thread start (`std::thread::spawn` / `scope` / `Builder`) in library crates — locks and channels go through the workspace shims (`parking_lot`, `crossbeam`) and threads start only in `ThreadComm`'s scoped rank spawn (its one `lint:allow`), which carry the lock-order, race-detection and schedule-exploration seams; a raw primitive is invisible to all three; `crates/sync` (the engine itself) is exempt |
+//! | `no-raw-sync`   | no `std::sync::Mutex` / `RwLock` / `mpsc` and no thread start (`std::thread::spawn` / `scope` / `Builder`) in library crates — library code takes no locks, its channels go through the `crossbeam` shim and its threads start only in `ThreadComm`'s scoped rank spawn (its one `lint:allow`), which carry the race-detection and schedule-exploration seams; a raw primitive is invisible to both; `crates/sync` (the engine itself) is exempt |
 //! | `stale-allow`   | every `lint:allow`/`lint:allow-file` marker must suppress at least one finding — a marker that matches nothing is dead weight that rots into false confidence when the code under it changes |
 //!
 //! Test code (`tests/`, `benches/`, `#[cfg(test)]` modules) is exempt, and a
@@ -46,7 +46,7 @@ pub enum Rule {
     /// `lu::inverse` / `lu::solve` / `LuFactorization::new` in
     /// `crates/{rgf,obc,core}` library code.
     AllocatingInverse,
-    /// `std::sync::Mutex` / `std::sync::mpsc` / `std::thread::{spawn, scope,
+    /// `std::sync::{Mutex, RwLock, mpsc}` / `std::thread::{spawn, scope,
     /// Builder}` in library code outside `crates/sync`.
     NoRawSync,
     /// A `lint:allow`/`lint:allow-file` marker that suppresses no finding.
@@ -214,11 +214,11 @@ fn grouped_items<'a>(code: &'a str, prefix: &str) -> impl Iterator<Item = &'a st
 /// (directly or via a brace-grouped `use std::sync::{...}` /
 /// `use std::thread::{...}`)? `std::sync::Arc`, `std::sync::atomic`,
 /// `MutexGuard` re-exports, `std::thread::current` etc. stay legal — only the
-/// blocking primitives the shims replace and the thread starts the runtime
-/// owns are flagged.
+/// locks library code does not take, the channels the `crossbeam` shim
+/// replaces and the thread starts the runtime owns are flagged.
 fn uses_raw_sync(code: &str) -> bool {
     const RAW: [(&str, &[&str]); 2] = [
-        ("std::sync::", &["Mutex", "mpsc"]),
+        ("std::sync::", &["Mutex", "RwLock", "mpsc"]),
         ("std::thread::", &["spawn", "scope", "Builder"]),
     ];
     RAW.iter().any(|&(module, items)| {
@@ -522,10 +522,10 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
                             .to_string()
                     }),
                     Rule::NoRawSync => uses_raw_sync(&code).then(|| {
-                        "raw std::sync/std::thread primitive in library code: lock and send \
-                         through the workspace parking_lot/crossbeam shims and start threads \
-                         only through quatrex_runtime's ThreadComm, so the lock-order, \
-                         race-detection and schedule-exploration seams see it"
+                        "raw std::sync/std::thread primitive in library code: library crates \
+                         take no locks, send through the workspace crossbeam shim and start \
+                         threads only through quatrex_runtime's ThreadComm, so the \
+                         race-detection and schedule-exploration seams see every edge"
                             .to_string()
                     }),
                     // Emitted from marker bookkeeping below, never from line

@@ -1,16 +1,15 @@
 //! Happens-before race detection for the collective pipeline.
 //!
 //! This module is the user-facing surface of the FastTrack-style vector-clock
-//! detector whose engine lives in `quatrex-sync` (so the `parking_lot` and
-//! `crossbeam` shims can feed it without a dependency cycle). Every
-//! synchronisation edge the shims and the runtime mediate — mutex/rwlock
-//! release→acquire, channel send→recv, rank spawn→join — advances per-thread
-//! vector clocks, and every [`access_shared`] annotation placed in
-//! `quatrex-runtime` (slab/wire buffers, `CommHandle` completion, the
-//! observer seam) and `quatrex_core::dist` (convolution batch accumulators) is
-//! checked against them. Two accesses to the same [`SharedId`], at least one
-//! a write, with neither ordered before the other, produce a [`RaceReport`]
-//! carrying both capture sites.
+//! detector whose engine lives in `quatrex-sync` (so the `crossbeam` shim can
+//! feed it without a dependency cycle). The ranks share data only through
+//! collectives, so two kinds of edge are the whole model: channel
+//! send→recv, and rank spawn→join (fork/adopt/depart/join around the rank
+//! threads). They advance per-thread vector clocks, and every
+//! [`access_shared`] annotation placed in `quatrex-runtime` (the `comm.wire`
+//! message buffers of every exchange) is checked against them. Two accesses
+//! to the same [`SharedId`], at least one a write, with neither ordered
+//! before the other, produce a [`RaceReport`] carrying both capture sites.
 //!
 //! ## Enabling
 //!
@@ -35,12 +34,6 @@
 //!
 //! ## Soundness notes
 //!
-//! * A mutex orders its critical sections in **both** directions, so a
-//!   lock-protected access never races with another access under the same
-//!   lock — even when a barrier between them is missing. A "deleted
-//!   barrier" mutation therefore shows up as a wrong *value*, not a race;
-//!   to seed a detectable race, delete the lock itself (see the
-//!   `race_mutations` test suite).
 //! * A barrier has no edge of its own: `barrier` and `allreduce_sum` send
 //!   one value to every rank and receive one from every rank, so their
 //!   channel send→recv edges order everything any rank did before the call
@@ -50,7 +43,7 @@
 //!   executed; pair it with [`crate::sched`] to cover *other* schedules.
 
 pub use quatrex_sync::race::{
-    access_shared, channel_recv, channel_send, disable, enable, is_enabled, lock_acquire,
-    lock_release, report_count, reset, take_reports, AccessInfo, AccessKind, RaceReport, SharedId,
+    access_shared, disable, enable, is_enabled, report_count, reset, take_reports, AccessInfo,
+    AccessKind, RaceReport, SharedId,
 };
 pub use quatrex_sync::race::{adopt, depart, fork, join, ForkPoint, JoinPoint};

@@ -1,7 +1,8 @@
 //! Loom-lite exhaustive/bounded schedule exploration for small pipelines.
 //!
-//! The engine lives in `quatrex-sync` (the shims call [`yield_point`] /
-//! [`block_point`] / [`progress`] at every synchronisation operation); this
+//! The engine lives in `quatrex-sync` (the `crossbeam` shim calls
+//! [`yield_point`] / [`block_point`] / [`progress`] at every channel
+//! operation, the only synchronisation the ranks have); this
 //! module re-exports the user-facing controls. A [`Scheduler`] session
 //! serialises the registered threads — exactly one runs at a time — and the
 //! [`Explorer`] enumerates which thread gets the token at each yield point:

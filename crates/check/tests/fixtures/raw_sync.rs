@@ -4,18 +4,18 @@ pub fn bad() {
     let mutex = std::sync::Mutex::new(0u32);
     let (tx, rx) = std::sync::mpsc::channel::<u8>();
     let handle = std::thread::spawn(move || drop(tx));
-    drop((mutex, rx, handle));
+    let rwlock = std::sync::RwLock::new(0u32);
+    drop((mutex, rx, handle, rwlock));
 }
 
 use std::sync::{Arc, Mutex as StdMutex};
 
-pub fn decoys(guard: &std::sync::MutexGuard<'_, u32>) {
+pub fn decoys(guard: &std::sync::MutexGuard<'_, u32>, read: &std::sync::RwLockReadGuard<'_, u32>) {
     let barrier = std::sync::Barrier::new(2);
-    let shimmed = parking_lot::Mutex::new(0u32);
     let in_string = "std::sync::Mutex is only mentioned here";
     // std::thread::spawn in a comment is also fine.
-    drop((barrier, shimmed, in_string));
-    let _ = guard;
+    drop((barrier, in_string));
+    let _ = (guard, read);
 }
 
 pub fn justified() {

@@ -107,7 +107,8 @@ fn raw_sync_is_flagged_in_library_code_but_not_sync_or_bins() {
             ("no-raw-sync".to_string(), 4),
             ("no-raw-sync".to_string(), 5),
             ("no-raw-sync".to_string(), 6),
-            ("no-raw-sync".to_string(), 10),
+            ("no-raw-sync".to_string(), 7),
+            ("no-raw-sync".to_string(), 11),
         ]
     );
     // crates/sync builds the instrumentation out of the raw primitives.

@@ -3,15 +3,11 @@
 //! named `RaceReport` — while the correctly-synchronised counterpart of the
 //! same access pattern stays clean.
 //!
-//! A FastTrack-style detector orders mutex critical sections in **both**
-//! directions, so deleting only a barrier between lock-protected accesses
-//! yields a wrong *value*, never a race. Every mutant here therefore severs
-//! the ordering edge itself: the lock is deleted, the `CommHandle::wait` is
-//! reordered after the read it ordered, the task-join edge is dropped, or
-//! the barrier or allreduce between two ranks' accesses is dropped.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! The ranks share data only through collectives, so every mutant severs a
+//! channel or fork/join edge: two ranks write one buffer with no edge
+//! between them, the `CommHandle::wait` is reordered after the read it
+//! ordered, the task-join edge is dropped, or the barrier or allreduce
+//! between two ranks' accesses is dropped.
 
 use quatrex_check::race::{self, AccessKind, SharedId};
 use quatrex_runtime::{CommPhase, RankContext, ThreadComm};
@@ -44,37 +40,21 @@ fn drained() -> (usize, String) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation 1: deleted lock around the element-slab buffer.
+// Mutation 1: two ranks write one buffer with no edge between them.
 //
-// The transposition pipeline serialises rank writes into a shared slab
-// through the parking_lot shim; the shim's release->acquire edges are what
-// order them. The mutant "forgets" the lock: two ranks write the same slab
-// id with no edge between them.
+// Every buffer the ranks exchange is written by its owner and handed over
+// through a channel. The mutant has both ranks write the same buffer id with
+// no collective between the writes: the suite's one cross-rank write/write
+// pair, and the check that a report carries both capture sites.
 // ---------------------------------------------------------------------------
 
-fn slab_traffic(locked: bool) {
-    let slab = Arc::new(parking_lot::Mutex::new(vec![0u64; 4]));
-    let id = SharedId::new("mutant.slab_buffer", 7);
-    ThreadComm::run(2, move |ctx: RankContext<()>| {
-        if locked {
-            let mut guard = slab.lock();
-            guard[ctx.rank()] += 1;
-            race::access_shared(id, AccessKind::Write);
-        } else {
-            // The real write would be UB without the lock; model the torn
-            // store with an element-wise atomic so only the *annotation*
-            // carries the bug, exactly like the slab instrumentation does.
-            let fake = AtomicU64::new(0);
-            fake.fetch_add(1, Ordering::Relaxed);
-            race::access_shared(id, AccessKind::Write);
-        }
-    });
-}
-
 #[test]
-fn deleted_slab_lock_is_reported_as_a_named_race() {
+fn two_ranks_writing_one_buffer_with_no_edge_is_a_named_race() {
     with_detector(|| {
-        slab_traffic(false);
+        let id = SharedId::new("mutant.slab_buffer", 7);
+        ThreadComm::run(2, move |_ctx: RankContext<()>| {
+            race::access_shared(id, AccessKind::Write);
+        });
         let (n, text) = drained();
         assert_eq!(n, 1, "one unordered write pair, got:\n{text}");
         assert!(
@@ -85,15 +65,6 @@ fn deleted_slab_lock_is_reported_as_a_named_race() {
             text.contains("race_mutations.rs"),
             "report must carry both capture sites:\n{text}"
         );
-    });
-}
-
-#[test]
-fn locked_slab_traffic_is_clean() {
-    with_detector(|| {
-        slab_traffic(true);
-        let (n, text) = drained();
-        assert_eq!(n, 0, "lock edges order the writes, got:\n{text}");
     });
 }
 

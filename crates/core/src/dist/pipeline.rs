@@ -22,7 +22,6 @@ use crate::element_major::{GroupInfo, GroupRowsMut, LanePlanes};
 use quatrex_linalg::c64;
 use quatrex_linalg::flops::FlopCounter;
 use quatrex_runtime::{CommHandle, CommPhase, RankContext};
-use quatrex_sync::race::{self, AccessKind, SharedId};
 
 use crate::dist::rank::RankCounters;
 use crate::dist::slab::{ElementSlab, TranspositionBatchPlan, TranspositionPlan, BYTES_PER_VALUE};
@@ -218,8 +217,6 @@ pub(crate) fn zero_in_place(zero: impl FnOnce()) {
 /// still in flight; [`ConvSeries::finish`] builds the retarded series. One
 /// series serves both phases of an iteration, zeroed in place before each.
 pub(crate) struct ConvSeries {
-    /// Race-detector id of the accumulators (the owning rank).
-    owner: u64,
     /// Components `[lesser, greater, retarded]`.
     slab: ElementSlab,
 }
@@ -243,7 +240,6 @@ impl ConvSeries {
     /// All-zero series for the elements `rank` owns.
     pub(crate) fn zeroed(plan: &TranspositionPlan, rank: usize) -> Self {
         Self {
-            owner: rank as u64,
             slab: ElementSlab::zeroed(plan, rank, 3, true),
         }
     }
@@ -265,10 +261,6 @@ impl ConvSeries {
         &mut self,
         mut kernel: impl FnMut([[GroupRowsMut<'_>; 2]; 2], usize, &GroupInfo),
     ) {
-        race::access_shared(
-            SharedId::new("dist.conv_accum", self.owner),
-            AccessKind::Write,
-        );
         let ElementSlab {
             canonical,
             mirror,
@@ -285,14 +277,6 @@ impl ConvSeries {
     /// NEGF symmetry: its wire format relies on it) and build the retarded
     /// components causally, one lane group at a time.
     pub(crate) fn finish(&mut self, flops: &FlopCounter) {
-        // The epilogue read of the batch-accumulated series: ordered after
-        // every batch's accumulate (same rank thread, after the batch's
-        // CommHandle::wait) — a pipeline mutation that lets the finish read
-        // overtake an in-flight batch's accumulate is an HB race here.
-        race::access_shared(
-            SharedId::new("dist.conv_accum", self.owner),
-            AccessKind::Read,
-        );
         let ne = self.slab.canonical[0].n_energies();
         let ElementSlab {
             canonical,

@@ -26,7 +26,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 // lint:allow(no-raw-sync): the one thread start of library code; each rank adopts the launcher's race clock and joins back in `ThreadComm::launch`
 use std::thread::{scope, Builder};
 use std::time::Duration;
@@ -127,10 +127,10 @@ pub trait CollectiveObserver: Send + Sync {
 /// communicator, keyed by rank count.
 pub type ObserverFactory = dyn Fn(usize) -> Arc<dyn CollectiveObserver> + Send + Sync;
 
-fn observer_factory() -> &'static std::sync::RwLock<Option<Arc<ObserverFactory>>> {
-    static FACTORY: OnceLock<std::sync::RwLock<Option<Arc<ObserverFactory>>>> = OnceLock::new();
-    FACTORY.get_or_init(|| std::sync::RwLock::new(None))
-}
+/// The installed observer factory. Read once per run on the launching
+/// thread, before any rank starts; the ranks themselves share no lock.
+// lint:allow(no-raw-sync): a process-global setting, taken on the launching thread and never by a rank
+static FACTORY: std::sync::RwLock<Option<Arc<ObserverFactory>>> = std::sync::RwLock::new(None);
 
 /// Install (or clear, with `None`) a process-global observer factory; every
 /// subsequent [`ThreadComm::run`] wraps its collectives with a fresh observer
@@ -138,13 +138,11 @@ fn observer_factory() -> &'static std::sync::RwLock<Option<Arc<ObserverFactory>>
 /// verifier under every existing solver entry point without threading a
 /// parameter through the stack.
 pub fn set_observer_factory(factory: Option<Arc<ObserverFactory>>) {
-    *observer_factory()
-        .write()
-        .unwrap_or_else(|p| p.into_inner()) = factory;
+    *FACTORY.write().unwrap_or_else(|p| p.into_inner()) = factory;
 }
 
 fn current_observer(n_ranks: usize) -> Option<Arc<dyn CollectiveObserver>> {
-    observer_factory()
+    FACTORY
         .read()
         .unwrap_or_else(|p| p.into_inner())
         .as_ref()

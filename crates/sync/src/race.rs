@@ -1,33 +1,28 @@
 //! FastTrack-style vector-clock happens-before race detector.
 //!
-//! Every thread carries a vector clock; the sync shims publish epoch events
-//! into per-object clocks at each synchronisation operation:
+//! Every thread carries a vector clock. The ranks of `ThreadComm` share data
+//! only through collectives, so two kinds of edge model all of the
+//! program's synchronisation:
 //!
-//! - **Locks** ([`lock_acquire`]/[`lock_release`]): releasing stores the
-//!   holder's clock on the lock, acquiring joins it — the classic
-//!   release/acquire edge. RwLock read guards are modelled like mutex
-//!   guards, which adds reader→reader edges that do not exist in the real
-//!   execution; extra edges can only hide races (false negatives), never
-//!   invent them.
 //! - **Channels** ([`channel_send`]/[`channel_recv`]): a cumulative
-//!   per-channel clock joined on receive. The shims call these hooks inside
-//!   the queue-mutex critical section, so the edge is exact for the
-//!   mutex-backed channel implementation.
-//! - **Barriers** have no hooks of their own: `ThreadComm`'s `barrier` and
-//!   `allreduce_sum` are exchanges on its channels, so every rank's receive
-//!   from every peer joins that peer's clock from before the call.
+//!   per-channel clock joined on receive. The `crossbeam` shim calls these
+//!   hooks inside its queue's critical section, so the edge matches the
+//!   queue order exactly.
 //! - **Tasks** ([`fork`]/[`adopt`]/[`depart`]/[`join`]): the rank threads
 //!   of `ThreadComm::run` inherit the launcher's clock and flow their
 //!   history back when the launcher joins them.
 //!
-//! Shared state that is *not* itself a sync object is checked through the
-//! annotation API: [`access_shared`] records reads and writes of a named
-//! logical buffer ([`SharedId`]) and reports any read/write or write/write
-//! pair unordered by happens-before, with both access sites, the lock sets
-//! held, and a captured backtrace of the detecting access.
+//! Barriers have no hooks of their own: `ThreadComm`'s `barrier` and
+//! `allreduce_sum` are exchanges on its channels, so every rank's receive
+//! from every peer joins that peer's clock from before the call.
+//!
+//! Shared state is checked through the annotation API: [`access_shared`]
+//! records reads and writes of a named logical buffer ([`SharedId`]) and
+//! reports any read/write or write/write pair unordered by happens-before,
+//! with both access sites and a captured backtrace of the detecting access.
 //!
 //! Enabled by `QUATREX_RACE=1` (or [`enable`]); when off every hook is one
-//! relaxed atomic load and a branch, mirroring the lock-order recorder.
+//! relaxed atomic load and a branch.
 
 use std::backtrace::Backtrace;
 use std::cell::Cell;
@@ -98,7 +93,7 @@ impl fmt::Display for AccessKind {
 /// index (rank, slot, message sequence — whatever disambiguates instances).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SharedId {
-    /// Logical buffer family, e.g. `"comm.wire"` or `"dist.conv_accum"`.
+    /// Logical buffer family, e.g. `"comm.wire"`.
     pub name: &'static str,
     /// Instance within the family.
     pub index: u64,
@@ -126,25 +121,14 @@ pub struct AccessInfo {
     pub thread: String,
     /// Source location of the access (`file:line:col`).
     pub site: String,
-    /// Ids of the locks held at the access.
-    pub locks: Vec<u64>,
 }
 
 impl fmt::Display for AccessInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let locks = if self.locks.is_empty() {
-            "none".to_string()
-        } else {
-            self.locks
-                .iter()
-                .map(|id| format!("#{id}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
         write!(
             f,
-            "{} by thread '{}' at {} [locks held: {}]",
-            self.kind, self.thread, self.site, locks
+            "{} by thread '{}' at {}",
+            self.kind, self.thread, self.site
         )
     }
 }
@@ -198,13 +182,12 @@ impl VClock {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct VarAccess {
     tid: usize,
     clock: u32,
     kind: AccessKind,
     site: &'static Location<'static>,
-    locks: Vec<u64>,
 }
 
 #[derive(Default)]
@@ -215,14 +198,12 @@ struct VarState {
 
 struct ThreadEntry {
     vc: VClock,
-    held: Vec<u64>,
     name: String,
 }
 
 #[derive(Default)]
 struct Registry {
     threads: Vec<ThreadEntry>,
-    locks: HashMap<u64, VClock>,
     chans: HashMap<u64, VClock>,
     vars: HashMap<SharedId, VarState>,
     reports: Vec<RaceReport>,
@@ -253,11 +234,7 @@ fn tid(reg: &mut Registry) -> usize {
             .to_string();
         let mut vc = VClock::default();
         vc.bump(t); // clock 1: distinguishes "first event" from "never seen"
-        reg.threads.push(ThreadEntry {
-            vc,
-            held: Vec::new(),
-            name,
-        });
+        reg.threads.push(ThreadEntry { vc, name });
         cell.set(t);
         t
     })
@@ -268,13 +245,9 @@ fn tid(reg: &mut Registry) -> usize {
 /// previous enabled region stay valid.
 pub fn reset() {
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    reg.locks.clear();
     reg.chans.clear();
     reg.vars.clear();
     reg.reports.clear();
-    for t in &mut reg.threads {
-        t.held.clear();
-    }
     REPORT_COUNT.store(0, Ordering::Relaxed);
 }
 
@@ -289,37 +262,22 @@ pub fn take_reports() -> Vec<RaceReport> {
     std::mem::take(&mut registry().lock().unwrap_or_else(|p| p.into_inner()).reports)
 }
 
-/// Lock acquired: join the lock's release clock into the acquirer and push
-/// the lock onto the held set. Returns the lock id for [`lock_release`]
-/// (0 when the detector is off, making the release a no-op).
-pub fn lock_acquire(slot: &AtomicU64) -> u64 {
-    if !is_enabled() {
-        return 0;
-    }
-    let id = crate::object_id(slot);
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let t = tid(&mut reg);
-    if let Some(release_vc) = reg.locks.get(&id) {
-        let release_vc = release_vc.clone();
-        reg.threads[t].vc.join(&release_vc);
-    }
-    reg.threads[t].held.push(id);
-    id
-}
+/// Global allocator for channel identities.
+static NEXT_OBJECT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Lock released: store the holder's clock on the lock and advance the
-/// holder's epoch.
-pub fn lock_release(id: u64) {
-    if id == 0 || !is_enabled() {
-        return;
+/// Identity of a channel, assigned lazily on first use from a per-instance
+/// `AtomicU64` slot initialised to 0. Process-unique and safe to call
+/// concurrently: the first `compare_exchange` to land wins and every caller
+/// returns the same id.
+fn object_id(slot: &AtomicU64) -> u64 {
+    let id = slot.load(Ordering::Relaxed);
+    if id != 0 {
+        return id;
     }
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let t = tid(&mut reg);
-    let vc = reg.threads[t].vc.clone();
-    reg.locks.insert(id, vc);
-    reg.threads[t].vc.bump(t);
-    if let Some(pos) = reg.threads[t].held.iter().rposition(|&x| x == id) {
-        reg.threads[t].held.remove(pos);
+    let fresh = NEXT_OBJECT_ID.fetch_add(1, Ordering::Relaxed);
+    match slot.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => fresh,
+        Err(current) => current,
     }
 }
 
@@ -330,7 +288,7 @@ pub fn channel_send(slot: &AtomicU64) {
     if !is_enabled() {
         return;
     }
-    let id = crate::object_id(slot);
+    let id = object_id(slot);
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
     let t = tid(&mut reg);
     let vc = reg.threads[t].vc.clone();
@@ -343,7 +301,7 @@ pub fn channel_recv(slot: &AtomicU64) {
     if !is_enabled() {
         return;
     }
-    let id = crate::object_id(slot);
+    let id = object_id(slot);
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
     let t = tid(&mut reg);
     if let Some(chan_vc) = reg.chans.get(&id) {
@@ -426,13 +384,11 @@ pub fn access_shared(id: SharedId, kind: AccessKind) {
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
     let t = tid(&mut reg);
     let my_vc = reg.threads[t].vc.clone();
-    let locks = reg.threads[t].held.clone();
     let access = VarAccess {
         tid: t,
         clock: my_vc.get(t),
         kind,
         site,
-        locks,
     };
     let ordered = |prior: &VarAccess| my_vc.get(prior.tid) >= prior.clock;
 
@@ -443,13 +399,13 @@ pub fn access_shared(id: SharedId, kind: AccessKind) {
         let var = reg.vars.entry(id).or_default();
         if let Some(w) = &var.write {
             if !ordered(w) {
-                conflicts.push(w.clone());
+                conflicts.push(*w);
             }
         }
         if kind == AccessKind::Write {
             for r in &var.reads {
                 if !ordered(r) {
-                    conflicts.push(r.clone());
+                    conflicts.push(*r);
                 }
             }
         }
@@ -460,11 +416,11 @@ pub fn access_shared(id: SharedId, kind: AccessKind) {
                 // after them too.
                 var.reads.retain(|r| my_vc.get(r.tid) < r.clock);
                 if var.reads.len() < MAX_READS {
-                    var.reads.push(access.clone());
+                    var.reads.push(access);
                 }
             }
             AccessKind::Write => {
-                var.write = Some(access.clone());
+                var.write = Some(access);
                 var.reads.clear();
             }
         }
@@ -480,7 +436,6 @@ pub fn access_shared(id: SharedId, kind: AccessKind) {
             .map(|e| e.name.clone())
             .unwrap_or_else(|| format!("tid {}", a.tid)),
         site: a.site.to_string(),
-        locks: a.locks.clone(),
     };
     for prior in conflicts {
         REPORT_COUNT.fetch_add(1, Ordering::Relaxed);
@@ -528,35 +483,8 @@ mod tests {
             assert_eq!(report_count(), 1, "exactly one unordered pair");
             let reports = take_reports();
             assert!(reports[0].object.contains("test.buf"));
+            assert!(!reports[0].backtrace.is_empty());
         });
-    }
-
-    #[test]
-    fn lock_protected_accesses_are_clean() {
-        // The hooks only record a lock; mutual exclusion comes from the real
-        // mutex held across acquire → access → release, with the release edge
-        // published before the unlock as the parking_lot shim does. Without
-        // it two threads "hold" the lock at once and the detector rightly
-        // reports them. Looped, because that interleaving is rare.
-        for _ in 0..200 {
-            with_detector(|| {
-                let id = SharedId::new("test.locked", 0);
-                let slot = AtomicU64::new(0);
-                let mutex = StdMutex::new(());
-                std::thread::scope(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|| {
-                            let held = mutex.lock().unwrap_or_else(|p| p.into_inner());
-                            let lid = lock_acquire(&slot);
-                            access_shared(id, AccessKind::Write);
-                            lock_release(lid);
-                            drop(held);
-                        });
-                    }
-                });
-                assert_eq!(report_count(), 0, "{:?}", take_reports());
-            });
-        }
     }
 
     #[test]
@@ -629,32 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn report_names_lock_sets() {
-        with_detector(|| {
-            let id = SharedId::new("test.locks", 0);
-            let slot_a = AtomicU64::new(0);
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let lid = lock_acquire(&slot_a);
-                    access_shared(id, AccessKind::Write);
-                    lock_release(lid);
-                    barrier.wait();
-                });
-                s.spawn(|| {
-                    barrier.wait(); // real-time order, but no HB edge recorded
-                    access_shared(id, AccessKind::Write);
-                });
-            });
-            assert_eq!(report_count(), 1);
-            let r = &take_reports()[0];
-            assert_eq!(r.prior.locks.len(), 1, "prior held one lock: {r}");
-            assert!(r.current.locks.is_empty(), "current held none: {r}");
-            assert!(!r.backtrace.is_empty());
-        });
-    }
-
-    #[test]
     fn disabled_detector_records_nothing() {
         let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         disable();
@@ -665,5 +567,26 @@ mod tests {
             s.spawn(|| access_shared(id, AccessKind::Write));
         });
         assert_eq!(report_count(), 0);
+    }
+
+    #[test]
+    fn object_id_is_stable_and_unique() {
+        let a = AtomicU64::new(0);
+        let b = AtomicU64::new(0);
+        let ia = object_id(&a);
+        assert_eq!(object_id(&a), ia);
+        let ib = object_id(&b);
+        assert_ne!(ia, ib);
+        assert_ne!(ia, 0);
+    }
+
+    #[test]
+    fn object_id_races_to_one_winner() {
+        let slot = AtomicU64::new(0);
+        let ids: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8).map(|_| s.spawn(|| object_id(&slot))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(ids.windows(2).all(|w| w[0] == w[1]));
     }
 }

@@ -5,17 +5,17 @@
 //! [`Explorer`] on the harness thread; the runtime propagates it to each
 //! rank thread, which registers through [`SessionHandle::enter`]. Once every
 //! expected thread has registered, exactly one registered thread runs at a
-//! time. The shims call back at every sync operation:
+//! time. The ranks share data only through channels, and the `crossbeam`
+//! shim calls back at every channel operation:
 //!
-//! - [`yield_point`] — before a visible operation (lock, send, annotated
-//!   access): the scheduler may preempt and run another thread.
-//! - [`block_point`] — a non-blocking attempt failed (empty channel,
-//!   contended lock): the thread parks until any other thread makes
-//!   progress, then retries. If no thread can make progress the schedule
-//!   is a deadlock and every thread panics with a replayable schedule
-//!   token.
+//! - [`yield_point`] — before a send or receive: the scheduler may preempt
+//!   and run another thread.
+//! - [`block_point`] — a non-blocking receive found its channel empty: the
+//!   thread parks until any other thread makes progress, then retries. If
+//!   no thread can make progress the schedule is a deadlock and every
+//!   thread panics with a replayable schedule token.
 //! - [`progress`] — a state change that can unblock a peer (message sent,
-//!   lock released).
+//!   last sender dropped).
 //!
 //! Scheduling decisions are driven by a `Plan`: depth-first replay of a
 //! choice prefix (exhaustive enumeration with backtracking, optionally
@@ -397,8 +397,8 @@ impl Core {
         }
         if s.current == Some(key) {
             s.current = None;
-            // The exiting thread's completed teardown (dropped senders,
-            // released locks) counts as progress for blocked peers.
+            // The exiting thread's completed teardown (its dropped senders)
+            // counts as progress for blocked peers.
             s.progress += 1;
             if !s.threads.is_empty() {
                 let options = Core::options(&s);

@@ -49,11 +49,6 @@ pub mod channel {
         }
     }
 
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
     /// Error returned by [`Receiver::recv_timeout`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum RecvTimeoutError {
@@ -66,12 +61,6 @@ pub mod channel {
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty, disconnected channel")
         }
     }
 
@@ -142,35 +131,6 @@ pub mod channel {
             Ok(None)
         }
 
-        /// Dequeue a message, blocking until one is available or every sender
-        /// has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            if sched::is_registered() {
-                sched::yield_point();
-                loop {
-                    match self.try_pop() {
-                        Ok(Some(v)) => {
-                            sched::progress();
-                            return Ok(v);
-                        }
-                        Err(()) => return Err(RecvError),
-                        Ok(None) => sched::block_point(),
-                    }
-                }
-            }
-            let mut q = self.chan.queue.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(v) = q.pop_front() {
-                    race::channel_recv(&self.chan.race_slot);
-                    return Ok(v);
-                }
-                if self.chan.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvError);
-                }
-                q = self.chan.ready.wait(q).unwrap_or_else(|p| p.into_inner());
-            }
-        }
-
         /// Dequeue a message, blocking for at most `timeout`. Returns
         /// [`RecvTimeoutError::Timeout`] when the deadline passes with the
         /// channel still empty — the hook the checked runtime uses to poll a
@@ -225,29 +185,14 @@ pub mod channel {
                 }
             }
         }
-
-        /// Dequeue a message if one is immediately available.
-        pub fn try_recv(&self) -> Option<T> {
-            sched::yield_point();
-            let v = {
-                let mut q = self.chan.queue.lock().unwrap_or_else(|p| p.into_inner());
-                let v = q.pop_front();
-                if v.is_some() {
-                    race::channel_recv(&self.chan.race_slot);
-                }
-                v
-            };
-            if v.is_some() {
-                sched::progress();
-            }
-            v
-        }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
         use std::sync::Arc;
+
+        const WAIT: std::time::Duration = std::time::Duration::from_secs(5);
 
         #[test]
         fn messages_arrive_in_order() {
@@ -256,7 +201,7 @@ pub mod channel {
                 tx.send(i).unwrap();
             }
             for i in 0..100 {
-                assert_eq!(rx.recv().unwrap(), i);
+                assert_eq!(rx.recv_timeout(WAIT).unwrap(), i);
             }
         }
 
@@ -266,7 +211,7 @@ pub mod channel {
             let rx = Arc::new(rx);
             let handle = {
                 let rx = Arc::clone(&rx);
-                std::thread::spawn(move || rx.recv().unwrap())
+                std::thread::spawn(move || rx.recv_timeout(WAIT).unwrap())
             };
             tx.send(42).unwrap();
             assert_eq!(handle.join().unwrap(), 42);
@@ -277,8 +222,8 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             tx.send(1).unwrap();
             drop(tx);
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Err(RecvError));
+            assert_eq!(rx.recv_timeout(WAIT), Ok(1));
+            assert_eq!(rx.recv_timeout(WAIT), Err(RecvTimeoutError::Disconnected));
         }
 
         #[test]
